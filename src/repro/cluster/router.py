@@ -58,6 +58,7 @@ from repro.cluster.catalog import (
     ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
 )
 from repro.cluster.gather import gather_plan, merge_shard_documents
+from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
     NetworkError, PeerUnavailableError, TransientNetworkError,
 )
@@ -78,8 +79,6 @@ from repro.xquery.predicates import conjunction_members, literal_probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import _Run
-
-XRPC_SCHEME = "xrpc://"
 
 _DOC_FUNCTIONS = ("doc", "fn:doc")
 
@@ -125,9 +124,8 @@ def unwrap_collection_xrpc(expr: Expr, collection: str) -> Expr:
     def visit(node: Expr) -> Expr:
         if isinstance(node, XRPCExpr) and isinstance(node.dest, Literal) \
                 and isinstance(node.dest.value, str):
-            host = node.dest.value
-            if host.startswith(XRPC_SCHEME):
-                host = host[len(XRPC_SCHEME):].split("/", 1)[0]
+            parts = split_xrpc_uri(node.dest.value)
+            host = parts[0] if parts is not None else node.dest.value
             if host == collection:
                 inlined: Expr = node.body.replace_children(visit)
                 for param in reversed(node.params):
@@ -135,18 +133,6 @@ def unwrap_collection_xrpc(expr: Expr, collection: str) -> Expr:
                 return inlined
         return node.replace_children(visit)
     return visit(expr)
-
-
-def split_xrpc_uri(uri: str) -> tuple[str, str] | None:
-    """``(host, local_name)`` of an ``xrpc://host/local`` URI (None
-    for non-xrpc URIs and malformed ones with an empty host)."""
-    if not uri.startswith(XRPC_SCHEME):
-        return None
-    rest = uri[len(XRPC_SCHEME):]
-    if "/" not in rest:
-        return None
-    host, local_name = rest.split("/", 1)
-    return (host, local_name) if host else None
 
 
 def shard_skip_probes(body: Expr,
@@ -249,6 +235,24 @@ class ScatterOutcome:
         self.counter = CostCounter()
         self.failovers = 0
         self.retries = 0
+
+
+def _shard_entry(outcome: ScatterOutcome, partial: bool = False) -> dict:
+    """One shard call's ``RunStats.per_shard`` entry. ("skips" is the
+    numeric twin of the "skipped" flag — it survives cross-query
+    merging, where booleans OR.)"""
+    stats = outcome.stats
+    return {
+        "bytes": stats.total_transferred_bytes,
+        "messages": stats.messages,
+        "sim_s": stats.times.total,
+        "cache_hits": stats.cache_hits,
+        "failovers": outcome.failovers,
+        "retries": outcome.retries,
+        "skips": stats.shards_skipped,
+        "skipped": bool(stats.shards_skipped),
+        "partial": partial,
+    }
 
 
 class ClusterRouter:
@@ -411,21 +415,17 @@ class ClusterRouter:
                         shards=len(spec.shards)) as scatter_span:
             def call_shard(index: int) -> ScatterOutcome:
                 shard = spec.shards[index]
-                outcome = ScatterOutcome()
                 shard_key = f"{spec.name}#s{shard.index}"
                 if skip[index]:
                     # The shard-local value index proved the member
                     # filter selects nothing here: the shard's
                     # contribution is exactly one empty sequence per
-                    # call, with no round trip at all. ("skips" is the
-                    # numeric twin of the "skipped" flag — it survives
-                    # cross-query merging, where booleans OR.)
+                    # call, with no round trip at all.
+                    outcome = ScatterOutcome()
                     outcome.results = [[] for _ in calls]
                     outcome.stats.shards_skipped = 1
-                    outcome.stats.per_shard[shard_key] = {
-                        "bytes": 0, "messages": 0, "sim_s": 0.0,
-                        "cache_hits": 0, "failovers": 0, "skips": 1,
-                        "skipped": True}
+                    outcome.stats.per_shard[shard_key] = _shard_entry(
+                        outcome)
                     if self.events is not None:
                         self.events.emit(
                             "shard_skip",
@@ -434,51 +434,14 @@ class ClusterRouter:
                             severity="info", collection=spec.name,
                             shard=shard.index)
                     return outcome
-                # Scatter workers are fresh threads with no ambient
-                # span; the explicit parent hands them the tree.
-                partial = False
-                with child_span("shard", parent=scatter_span,
-                                shard=shard.index, collection=spec.name):
-                    try:
-                        outcome.results = self._with_failover(
-                            shard, outcome,
-                            lambda replica: self.run._round_trip(
-                                from_peer, replica, calls,
-                                shard_bodies[index],
-                                cache_scope=shard_key, shard_epoch=epoch,
-                                stats=outcome.stats,
-                                remote_counter=outcome.counter),
-                            collection=spec.name)
-                    except ShardUnavailableError:
-                        if self.catalog.partial_policy != "allow":
-                            raise
-                        # Graceful degradation: the shard has zero
-                        # serving replicas; answer () per call and flag
-                        # the hole instead of failing the whole query.
-                        partial = True
-                        outcome.results = [[] for _ in calls]
-                        outcome.stats.partial_shards = 1
-                        if self.events is not None:
-                            self.events.emit(
-                                "partial_result",
-                                f"shard {shard_key} unavailable; "
-                                f"returning flagged partial answer "
-                                f"(partial=allow)",
-                                severity="warning",
-                                collection=spec.name, shard=shard.index)
-                outcome.stats.per_shard[shard_key] = {
-                    "bytes": outcome.stats.total_transferred_bytes,
-                    "messages": outcome.stats.messages,
-                    "sim_s": outcome.stats.times.total,
-                    "cache_hits": outcome.stats.cache_hits,
-                    "failovers": outcome.failovers,
-                    "retries": outcome.retries,
-                    "skips": 0,
-                    "skipped": False,
-                    "partial": partial,
-                }
-                self._note_shard_serve(spec, shard, outcome)
-                return outcome
+                return self._serve_shard(
+                    spec, shard, scatter_span,
+                    lambda replica, outcome: self.run._round_trip(
+                        from_peer, replica, calls, shard_bodies[index],
+                        cache_scope=shard_key, shard_epoch=epoch,
+                        stats=outcome.stats,
+                        remote_counter=outcome.counter),
+                    partial_answer=[[] for _ in calls])
 
             try:
                 outcomes = self._fan_out(len(spec.shards), call_shard)
@@ -493,29 +456,24 @@ class ClusterRouter:
                                                       None)
                     self.run.site_semantics.pop(id(shard_body), None)
                     self.run.site_alias.pop(id(shard_body), None)
-            self._merge_outcomes(outcomes, shards=len(spec.shards),
-                                 stats=stats, counter=counter)
+            self._merge_outcomes(spec, outcomes, stats=stats,
+                                 counter=counter)
             skipped = sum(o.stats.shards_skipped for o in outcomes)
-            failovers = sum(o.failovers for o in outcomes)
-            retries = sum(o.retries for o in outcomes)
             partials = sum(o.stats.partial_shards for o in outcomes)
             self._scatter_calls.labels(spec.name).inc()
             if skipped:
                 self._scatter_skips.labels(spec.name).inc(skipped)
-            if failovers:
-                self._scatter_failovers.labels(spec.name).inc(failovers)
-            if retries:
-                self._scatter_retries.labels(spec.name).inc(retries)
             if partials:
                 self._scatter_partials.labels(spec.name).inc(partials)
             if scatter_span is not None:
                 per_shard: dict[str, dict] = {}
                 for outcome in outcomes:
                     per_shard.update(outcome.stats.per_shard)
-                scatter_span.set(shards_skipped=skipped,
-                                 failovers=failovers, retries=retries,
-                                 partial_shards=partials,
-                                 per_shard=per_shard)
+                scatter_span.set(
+                    shards_skipped=skipped,
+                    failovers=sum(o.failovers for o in outcomes),
+                    retries=sum(o.retries for o in outcomes),
+                    partial_shards=partials, per_shard=per_shard)
             _renumber_shard_fragments(outcomes)
             return combine([outcome.results for outcome in outcomes])
 
@@ -538,43 +496,14 @@ class ClusterRouter:
 
         def fetch_shard(index: int) -> ScatterOutcome:
             shard = spec.shards[index]
-            outcome = ScatterOutcome()
-            shard_key = f"{spec.name}#s{shard.index}"
-
-            def attempt(replica: str) -> list:
-                peer = self.run.federation.peer(replica)
-                text = self.transport.fetch_document(
-                    peer, shard.local_name, outcome.stats)
-                return [text]
-
-            with child_span("shard", parent=parent_span,
-                            shard=shard.index,
-                            collection=spec.name) as shard_span, \
-                    bind_stats_span(outcome.stats, shard_span):
-                outcome.results = self._with_failover(
-                    shard, outcome, attempt, collection=spec.name)
-            outcome.stats.per_shard[shard_key] = {
-                "bytes": outcome.stats.total_transferred_bytes,
-                "messages": outcome.stats.messages,
-                "sim_s": outcome.stats.times.total,
-                "cache_hits": outcome.stats.cache_hits,
-                "failovers": outcome.failovers,
-                "retries": outcome.retries,
-                "skips": 0,
-                "skipped": False,
-            }
-            self._note_shard_serve(spec, shard, outcome)
-            return outcome
+            return self._serve_shard(
+                spec, shard, parent_span,
+                lambda replica, outcome: [self.transport.fetch_document(
+                    self.run.federation.peer(replica), shard.local_name,
+                    outcome.stats)])
 
         outcomes = self._fan_out(len(spec.shards), fetch_shard)
-        self._merge_outcomes(outcomes, shards=len(spec.shards),
-                             stats=stats)
-        failovers = sum(o.failovers for o in outcomes)
-        retries = sum(o.retries for o in outcomes)
-        if failovers:
-            self._scatter_failovers.labels(spec.name).inc(failovers)
-        if retries:
-            self._scatter_retries.labels(spec.name).inc(retries)
+        self._merge_outcomes(spec, outcomes, stats=stats)
         texts = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
             parse_document(text,
@@ -585,6 +514,56 @@ class ClusterRouter:
             shard_docs, uri=f"{XRPC_SCHEME}{spec.name}/{local_name}",
             container_path=spec.container_path)
         return merged, sum(len(text.encode()) for text in texts)
+
+    # -- one shard call (shared by scatter and document fetch) --------------
+
+    def _serve_shard(self, spec: CollectionSpec, shard: ShardInfo,
+                     parent_span: "Span | None",
+                     attempt: Callable[[str, "ScatterOutcome"], list],
+                     partial_answer: list | None = None
+                     ) -> ScatterOutcome:
+        """Run ``attempt(replica, outcome)`` for one shard under its
+        ``shard`` span, with retry/failover over the replicas and
+        private accounting, then file the ``per_shard`` entry and the
+        shard's heat.
+
+        ``partial_answer`` is what a shard with zero serving replicas
+        contributes under the catalog's ``partial="allow"`` policy;
+        None (a document fetch, which cannot leave holes) always
+        raises :class:`ShardUnavailableError` instead.
+        """
+        outcome = ScatterOutcome()
+        shard_key = f"{spec.name}#s{shard.index}"
+        partial = False
+        # Pool threads have no ambient span; the explicit parent hands
+        # them the tree.
+        with child_span("shard", parent=parent_span, shard=shard.index,
+                        collection=spec.name) as shard_span, \
+                bind_stats_span(outcome.stats, shard_span):
+            try:
+                outcome.results = self._with_failover(
+                    shard, outcome, attempt, collection=spec.name)
+            except ShardUnavailableError:
+                if partial_answer is None \
+                        or self.catalog.partial_policy != "allow":
+                    raise
+                # Graceful degradation: answer () per call and flag
+                # the hole instead of failing the whole query.
+                partial = True
+                outcome.results = partial_answer
+                outcome.stats.partial_shards = 1
+                if self.events is not None:
+                    self.events.emit(
+                        "partial_result",
+                        f"shard {shard_key} unavailable; "
+                        f"returning flagged partial answer "
+                        f"(partial=allow)",
+                        severity="warning",
+                        collection=spec.name, shard=shard.index)
+        outcome.stats.per_shard[shard_key] = _shard_entry(
+            outcome, partial=partial)
+        self._note_shard_serve(spec, shard, outcome)
+        return outcome
 
     # -- local fallback ------------------------------------------------------
 
@@ -662,9 +641,10 @@ class ClusterRouter:
         return shard.local_name
 
     def _with_failover(self, shard: ShardInfo, outcome: ScatterOutcome,
-                       attempt: Callable[[str], list],
+                       attempt: Callable[[str, ScatterOutcome], list],
                        collection: str = "") -> list:
-        """Run ``attempt`` against replicas in health-then-load order.
+        """Run ``attempt(replica, outcome)`` against replicas in
+        health-then-load order.
 
         *Transient* wire faults (injected faults, request timeouts —
         :class:`~repro.errors.TransientNetworkError`) are first retried
@@ -694,7 +674,7 @@ class ClusterRouter:
             for try_index in range(max(1, policy.attempts)):
                 started = time.perf_counter()
                 try:
-                    result = attempt(replica)
+                    result = attempt(replica, outcome)
                 except NetworkError as exc:
                     if health is not None:
                         health.record(replica,
@@ -753,22 +733,30 @@ class ClusterRouter:
                 thread_name_prefix="cluster-scatter") as pool:
             return list(pool.map(call, range(count)))
 
-    def _merge_outcomes(self, outcomes: list[ScatterOutcome],
-                        shards: int,
+    def _merge_outcomes(self, spec: CollectionSpec,
+                        outcomes: list[ScatterOutcome],
                         stats: RunStats | None = None,
                         counter: CostCounter | None = None) -> None:
         """Fold the shard calls' private accounting into the caller's
         targets (the run's by default), in shard order — deterministic
-        totals under concurrency."""
+        totals under concurrency — and count the fan-out's replica
+        switches and retries against the collection."""
         if stats is None:
             stats = self.run.stats
         if counter is None:
             counter = self.run.remote_counter
-        stats.scatter_shards += shards
+        stats.scatter_shards += len(spec.shards)
+        failovers = retries = 0
         for outcome in outcomes:
             stats.merge(outcome.stats)
-            stats.failovers += outcome.failovers
-            stats.retries += outcome.retries
+            failovers += outcome.failovers
+            retries += outcome.retries
             counter.ticks += outcome.counter.ticks
             counter.nodes_visited += outcome.counter.nodes_visited
             counter.docs_opened += outcome.counter.docs_opened
+        stats.failovers += failovers
+        stats.retries += retries
+        if failovers:
+            self._scatter_failovers.labels(spec.name).inc(failovers)
+        if retries:
+            self._scatter_retries.labels(spec.name).inc(retries)

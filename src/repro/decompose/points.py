@@ -23,12 +23,15 @@ from repro.xquery.ast import Expr
 XRPC_SCHEME = "xrpc://"
 
 
-def xrpc_host(uri: str) -> str | None:
-    """Host part of an ``xrpc://host/path`` URI, else None."""
+def split_xrpc_uri(uri: str) -> tuple[str, str] | None:
+    """``(host, local_name)`` of an ``xrpc://host/local`` URI — the one
+    parser of the scheme. ``local_name`` is empty for a bare
+    ``xrpc://host`` (the form ``execute at`` destinations take); None
+    for non-xrpc URIs and for an empty host."""
     if not uri.startswith(XRPC_SCHEME):
         return None
-    rest = uri[len(XRPC_SCHEME):]
-    return rest.split("/", 1)[0] or None
+    host, _, local_name = uri[len(XRPC_SCHEME):].partition("/")
+    return (host, local_name) if host else None
 
 
 @dataclass(frozen=True)
@@ -145,10 +148,10 @@ def _single_remote_host(graph: DGraph, vid: int,
     for dep in uri_dependencies(graph, vid):
         if dep.uri.startswith("constructed:"):
             continue
-        host = xrpc_host(dep.uri)
-        if host is None:
+        parts = split_xrpc_uri(dep.uri)
+        if parts is None:
             return None  # relative or computed URI: stay local
-        hosts.add(host)
+        hosts.add(parts[0])
     if len(hosts) != 1:
         return None
     host = hosts.pop()

@@ -8,11 +8,12 @@ five-component stack of Figure 8.
 
 Observability hooks: a run traced via ``Federation.run(trace=True)``
 binds the active :class:`~repro.obs.trace.Span` to ``RunStats.span``,
-and every site that charges simulated time into :attr:`times` charges
-the same amount into that span — so the trace's component leaves sum
-to these totals by construction. ``per_shard`` keeps the cluster
-router's private per-shard accounting (bytes, messages, skips,
-failovers) that a plain :meth:`merge` would otherwise flatten away.
+and :meth:`RunStats.charge` — the one way simulated time enters
+:attr:`times` — charges the same amount into that span, so the trace's
+component leaves sum to these totals by construction. ``per_shard``
+keeps the cluster router's private per-shard accounting (bytes,
+messages, skips, failovers) that a plain :meth:`merge` would otherwise
+flatten away.
 """
 
 from __future__ import annotations
@@ -164,6 +165,16 @@ class RunStats:
     def record_message(self, size: int) -> None:
         self.message_bytes += size
         self.messages += 1
+
+    def charge(self, component: str, seconds: float,
+               nbytes: int = 0) -> None:
+        """Add simulated ``seconds`` to one :class:`TimeBreakdown`
+        component (a ``COMPONENTS`` name of :mod:`repro.obs.trace`) and
+        mirror the charge onto the bound trace span; ``nbytes`` is the
+        wire traffic a network charge moved."""
+        times = self.times
+        setattr(times, component, getattr(times, component) + seconds)
+        self.charge_span(component, seconds, nbytes)
 
     def charge_span(self, component: str, seconds: float,
                     nbytes: int = 0) -> None:

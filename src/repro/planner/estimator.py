@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.cluster.gather import gather_plan
-from repro.cluster.router import split_xrpc_uri
 from repro.decompose import DecompositionResult
+from repro.decompose.points import split_xrpc_uri
 from repro.paths.analysis import (
     TRANSPARENT_BUILTINS, VALUE_BUILTINS, PathSets, analyze_module,
 )
@@ -52,7 +52,6 @@ from repro.xquery.predicates import (
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
 
-XRPC_SCHEME = "xrpc://"
 
 # -- calibrated defaults -----------------------------------------------------
 
@@ -641,8 +640,9 @@ class _Lowerer:
         if isinstance(expr.dest, Literal) and isinstance(expr.dest.value,
                                                          str):
             dest = expr.dest.value
-            if dest.startswith(XRPC_SCHEME):
-                dest = dest[len(XRPC_SCHEME):].split("/", 1)[0]
+            parts = split_xrpc_uri(dest)
+            if parts is not None:
+                dest = parts[0]
         else:
             self.visit(expr.dest, env, host, multiplicity)
             dest = host                      # dynamic dest: assume local

@@ -47,6 +47,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: points only the all-points candidate is priced per strategy.
 MAX_SUBSET_POINTS = 4
 
+#: Plans kept by the LRU plan cache (the value the end-to-end ledger's
+#: ``tenant_mix`` workload — 200 query texts — is defined against).
+PLAN_CACHE_SIZE = 128
+
 #: Enumeration order = tie-break order (cheapest wins; on a dead tie
 #: the paper's simpler strategy does).
 _DECOMPOSING = (Strategy.BY_VALUE, Strategy.BY_FRAGMENT,
@@ -73,8 +77,7 @@ class QueryPlanner:
 
     def __init__(self, federation: "Federation",
                  stats_catalog: StatsCatalog | None = None,
-                 calibration: CalibrationBook | None = None,
-                 cache_size: int = 128):
+                 calibration: CalibrationBook | None = None):
         self.federation = federation
         self.stats = stats_catalog if stats_catalog is not None \
             else StatsCatalog()
@@ -83,7 +86,6 @@ class QueryPlanner:
         self.stats.attach(federation)
         self.estimator = PlanEstimator(federation, self.stats,
                                        self.calibration)
-        self.cache_size = cache_size
         self._cache: OrderedDict[tuple, PlannedQuery] = OrderedDict()
         self._lock = threading.Lock()
         self._plans_enumerated = 0
@@ -158,7 +160,7 @@ class QueryPlanner:
                               let_sinking)
         with self._lock:
             self._cache[key] = planned
-            while len(self._cache) > self.cache_size:
+            while len(self._cache) > PLAN_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return planned
 

@@ -21,18 +21,17 @@ from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.metrics import MetricsAggregator, QueryRecord, percentile
-from repro.runtime.transport import (Exchange, FaultInjectedError,
-                                     FaultPlan, LoopbackTransport,
-                                     PeerDownError, RequestTimeoutError,
-                                     RetryPolicy, SimulatedTransport,
-                                     Transport)
+from repro.runtime.transport import (FaultInjectedError, FaultPlan,
+                                     LoopbackTransport, PeerDownError,
+                                     RequestTimeoutError, RetryPolicy,
+                                     SimulatedTransport, Transport)
 
 __all__ = [
     "BulkBatcher",
     "CacheStats", "ResultCache",
     "EngineClosedError", "FederationEngine",
     "MetricsAggregator", "QueryRecord", "percentile",
-    "Exchange", "FaultInjectedError", "FaultPlan", "LoopbackTransport",
+    "FaultInjectedError", "FaultPlan", "LoopbackTransport",
     "PeerDownError", "RequestTimeoutError", "RetryPolicy",
     "SimulatedTransport", "Transport",
 ]

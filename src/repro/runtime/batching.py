@@ -79,17 +79,16 @@ class BulkBatcher:
         self.coalesced = 0
 
     def execute(self, key: Hashable, calls: RawCalls,
-                merged_exchange: Callable[[RawCalls],
-                                          tuple[ResponseMessage, str]]
-                ) -> str:
+                merged_exchange: Callable[[RawCalls], str]) -> str:
         """Run one round trip, possibly merged with concurrent ones.
 
         ``merged_exchange`` marshals a (possibly larger) raw call list,
-        performs the actual wire exchange, and returns the parsed
-        response together with its XML text; only the batch leader
-        invokes it. Returns the participant's private response XML —
-        its slice of the bulk results over the shared fragments
-        preamble, or the leader's text verbatim when nobody coalesced.
+        performs the actual wire exchange, and returns the response
+        XML text; only the batch leader invokes it. Returns the
+        participant's private response XML — the leader's text verbatim
+        when nobody coalesced, else its slice of the bulk results over
+        the shared fragments preamble (the merged response is parsed
+        once, by the leader, only in that case).
         """
         with self._lock:
             self.round_trips += 1
@@ -123,7 +122,10 @@ class BulkBatcher:
                 merged = list(batch.calls)
                 self.exchanges += 1
             try:
-                batch.response, batch.response_xml = merged_exchange(merged)
+                batch.response_xml = merged_exchange(merged)
+                if batch.participants > 1:
+                    batch.response = ResponseMessage.from_xml(
+                        batch.response_xml)
             except BaseException as exc:
                 batch.error = exc
                 raise

@@ -61,30 +61,21 @@ class FederationEngine:
     to other engines on the same transport. Pass a private transport
     when that sharing is unwanted.
 
-    ``scatter_parallelism`` is the cluster layer's admission knob: it
-    caps how many shard calls one scatter fans out at once (configured
-    on the federation's catalog, so it applies to every query routed
-    through it). Worker threads × scatter fan-out bounds this engine's
-    total concurrent exchanges; the per-peer gates still bound how many
-    land on one replica.
+    Over a sharded federation, worker threads × the catalog's
+    ``max_scatter_parallelism`` bounds this engine's total concurrent
+    exchanges; the per-peer gates still bound how many land on one
+    replica.
     """
 
     def __init__(self, federation: "Federation", *,
                  max_workers: int = 8,
                  max_in_flight: int | None = None,
                  per_peer_concurrency: int | None = None,
-                 scatter_parallelism: int | None = None,
                  transport: Transport | None = None,
                  cache: "ResultCache | bool" = True,
                  batch_window_s: float = 0.002,
                  metrics: MetricsAggregator | None = None):
         self.federation = federation
-        if scatter_parallelism is not None:
-            if federation.catalog is None:
-                raise ValueError(
-                    "scatter_parallelism requires a federation with an "
-                    "attached cluster catalog")
-            federation.catalog.max_scatter_parallelism = scatter_parallelism
         if transport is None:
             # NOTE: this shares (and, below, may configure) the
             # federation's own transport; standalone federation.run

@@ -157,10 +157,7 @@ class MetricsAggregator:
                         "cache_hits": 0}
                 agg["shard_calls"] += 1
                 agg["failovers"] += entry.get("failovers", 0)
-                # "skips" is the merge-safe numeric; fall back to the
-                # boolean flag for entries from before it existed.
-                agg["shards_skipped"] += entry.get(
-                    "skips", int(bool(entry.get("skipped"))))
+                agg["shards_skipped"] += entry.get("skips", 0)
                 agg["bytes"] += entry.get("bytes", 0)
                 agg["cache_hits"] += entry.get("cache_hits", 0)
         return dict(sorted(per_collection.items()))

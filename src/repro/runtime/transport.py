@@ -1,19 +1,19 @@
-"""Pluggable wire transports: the serialise/ship/deserialise slice of a
-round trip, extracted from ``_Run._round_trip`` / ``_ship_document``.
+"""Pluggable wire transports: the ship/execute/ship-back slice of a
+round trip, the last step of ``_Run._round_trip``'s delivery chain
+(result cache, then batcher, then here) and of ``_ship_document``.
 
-A :class:`Transport` owns everything between "the request message is
-built" and "the parsed response is back": serialising both messages to
-their SOAP-style XML text, charging :class:`~repro.net.costmodel.CostModel`
-time into the caller's :class:`~repro.net.stats.RunStats`, and keeping
-federation-wide wire truth (bytes/messages/in-flight per peer) that
-survives across queries — the ground truth the engine's metrics
-report. That truth now lives as ``wire_*`` series in a
-:class:`~repro.obs.metrics.MetricsRegistry` (pass the federation's to
-share one read path; standalone transports get a private registry),
-and every cost-model charge is mirrored onto the caller's bound trace
-span via :meth:`RunStats.charge_span`, so traced runs see the
-serialize/network/shred components on the exact span doing the wire
-work.
+A :class:`Transport` owns everything between "the request text is
+built" and "the response text is back": moving both SOAP-style XML
+texts, re-parsing the request at the peer, charging
+:class:`~repro.net.costmodel.CostModel` time into the caller's
+:class:`~repro.net.stats.RunStats`, and keeping federation-wide wire
+truth (bytes/messages/in-flight per peer) that survives across queries
+— the ground truth the engine's metrics report. That truth lives as
+``wire_*`` series in a :class:`~repro.obs.metrics.MetricsRegistry`
+(pass the federation's to share one read path; standalone transports
+get a private registry), and every cost-model charge goes through
+:meth:`RunStats.charge`, so traced runs see the serialize/network/shred
+components on the exact span doing the wire work.
 
 Two implementations ship:
 
@@ -122,24 +122,6 @@ class RetryPolicy:
         if self.jitter <= 0.0:
             return base
         return base * (1.0 - self.jitter * rng.random())
-
-
-@dataclass
-class Exchange:
-    """One completed request/response interaction on the wire."""
-
-    dest: str
-    request_xml: str
-    response_xml: str
-    response: ResponseMessage
-
-    @property
-    def request_bytes(self) -> int:
-        return len(self.request_xml.encode())
-
-    @property
-    def response_bytes(self) -> int:
-        return len(self.response_xml.encode())
 
 
 class Transport:
@@ -389,22 +371,17 @@ class Transport:
     def charge_message(self, stats: RunStats, size: int) -> None:
         model = self.cost_model
         stats.record_message(size)
-        codec_s = model.serialize_time(size) + model.deserialize_time(size)
-        network_s = model.network_time(size)
-        stats.times.serialize += codec_s
-        stats.times.network += network_s
-        stats.charge_span("serialize", codec_s)
-        stats.charge_span("network", network_s, size)
+        stats.charge("serialize", model.serialize_time(size)
+                     + model.deserialize_time(size))
+        stats.charge("network", model.network_time(size), size)
 
-    def exchange(self, peer: "Peer", request: RequestMessage,
+    def exchange(self, peer: "Peer", request_xml: str,
                  handle: Callable[[RequestMessage], ResponseMessage],
-                 stats: RunStats,
-                 request_xml: str | None = None) -> Exchange:
-        """Ship ``request`` to ``peer``, run ``handle`` there, ship the
-        response back. Both directions are real XML text, re-parsed on
-        arrival, exactly as the seed did inline. Callers that already
-        serialised the request (for cache keys) pass ``request_xml`` to
-        avoid a second ``to_xml`` of the full fragment preamble."""
+                 stats: RunStats) -> str:
+        """Ship the serialised request to ``peer``, run ``handle`` on
+        its re-parsed form there, ship the response back; returns the
+        response text (the requester parses it). Both directions are
+        real XML text, exactly as the seed did inline."""
         if self.is_down(peer.name):
             # Fail before charging: a failover retry would otherwise
             # double-count the undelivered request in the caller's
@@ -412,8 +389,6 @@ class Transport:
             # those bytes were genuinely attempted.)
             raise PeerDownError(f"peer {peer.name!r} is down",
                                 peer=peer.name)
-        if request_xml is None:
-            request_xml = request.to_xml()
         request_bytes = len(request_xml.encode())
         self.charge_message(stats, request_bytes)
 
@@ -432,9 +407,7 @@ class Transport:
 
         self.charge_message(stats, response_bytes)
         self._count_message(peer.name, response_bytes)
-        return Exchange(dest=peer.name, request_xml=request_xml,
-                        response_xml=response_xml,
-                        response=ResponseMessage.from_xml(response_xml))
+        return response_xml
 
     def fetch_document(self, owner: "Peer", local_name: str,
                        stats: RunStats) -> str:
@@ -448,15 +421,9 @@ class Transport:
         size = len(text.encode())
         model = self.cost_model
         stats.record_document_shipped(size)
-        serialize_s = model.serialize_time(size)
-        network_s = model.network_time(size)
-        shred_s = model.shred_time(size)
-        stats.times.serialize += serialize_s
-        stats.times.network += network_s
-        stats.times.shred += shred_s
-        stats.charge_span("serialize", serialize_s)
-        stats.charge_span("network", network_s, size)
-        stats.charge_span("shred", shred_s)
+        stats.charge("serialize", model.serialize_time(size))
+        stats.charge("network", model.network_time(size), size)
+        stats.charge("shred", model.shred_time(size))
         self._enter_peer(owner.name)
         try:
             self._gated_transmit(owner.name, size)
@@ -476,19 +443,15 @@ class FaultPlan:
     """Deterministic fault injection: each transmission fails with
     probability ``rate``.
 
-    Determinism contract (the chaos harness replays on it): by default
-    the decision for a peer's *n*-th transmission is a pure function of
+    Determinism contract (the chaos harness replays on it): the
+    decision for a peer's *n*-th transmission is a pure function of
     ``(seed, peer, n)`` — each peer gets its own derived stream, so
     cross-peer thread interleaving cannot reshuffle which transmission
-    eats which draw. Passing an explicit seeded ``rng``
-    (:class:`random.Random`, the repo convention) instead draws from
-    that shared generator under a lock — caller-managed determinism for
-    single-threaded schedules. Module-global randomness is never used.
+    eats which draw. Module-global randomness is never used.
     """
 
     rate: float = 0.0
     seed: int = 20090329
-    rng: random.Random | None = None
     _counts: dict[str, int] = field(init=False, repr=False,
                                     default_factory=dict)
     _lock: threading.Lock = field(init=False, repr=False)
@@ -502,8 +465,6 @@ class FaultPlan:
         if self.rate <= 0.0:
             return False
         with self._lock:
-            if self.rng is not None:
-                return self.rng.random() < self.rate
             ordinal = self._counts.get(peer_name, 0) + 1
             self._counts[peer_name] = ordinal
         # String seeds hash via SHA-512 (seed version 2): stable across
@@ -520,9 +481,7 @@ class SimulatedTransport(Transport):
     seconds (1.0 = real time; benchmarks use small fractions so sweeps
     stay fast). ``extra_latency_s`` adds fixed per-transmission delay on
     top of the cost model's, and ``fault_rate`` drops transmissions with
-    a :class:`FaultInjectedError` per the :class:`FaultPlan` contract
-    (``fault_rng`` injects an explicit shared generator instead of the
-    per-peer derived streams).
+    a :class:`FaultInjectedError` per the :class:`FaultPlan` contract.
     """
 
     def __init__(self, cost_model: CostModel | None = None,
@@ -531,13 +490,11 @@ class SimulatedTransport(Transport):
                  extra_latency_s: float = 0.0,
                  fault_rate: float = 0.0,
                  fault_seed: int = 20090329,
-                 fault_rng: random.Random | None = None,
                  metrics: MetricsRegistry | None = None):
         super().__init__(cost_model, per_peer_concurrency, metrics)
         self.time_scale = time_scale
         self.extra_latency_s = extra_latency_s
-        self.faults = FaultPlan(rate=fault_rate, seed=fault_seed,
-                                rng=fault_rng)
+        self.faults = FaultPlan(rate=fault_rate, seed=fault_seed)
 
     def _transmit(self, peer_name: str, size: int) -> None:
         if self.faults.should_fail(peer_name):

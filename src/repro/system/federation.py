@@ -26,37 +26,37 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from repro.cluster.catalog import ClusterCatalog, CollectionSpec
 from repro.cluster.router import ClusterRouter
 from repro.decompose import DecompositionResult, Strategy, strategy_label
+from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import NetworkError, XQueryDynamicError
 from repro.net.costmodel import CostModel
-from repro.net.stats import RunStats
+from repro.net.stats import PlanReport, RunStats
 from repro.obs.explain import ActualsBook
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, bind_stats_span, child_span
 from repro.planner.ir import PhysicalPlan
 from repro.planner.planner import QueryPlanner
-from repro.paths.analysis import PathSets, ProjectionSpec, analyze_module
+from repro.paths.analysis import PathSets, ProjectionSpec
 from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import ResultCache, response_key
 from repro.runtime.transport import LoopbackTransport, Transport
 from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import cached_serialization, serialize
-from repro.xquery.ast import Expr, Module, XRPCExpr, walk
+from repro.xquery.ast import Expr, Module
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.pretty import pretty
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 from repro.xrpc.peer import RequestHandler
-
-XRPC_SCHEME = "xrpc://"
 
 
 class Peer:
@@ -273,6 +273,11 @@ class Federation:
         a *mixed* plan shipping some documents while decomposing
         others, and records its estimate in ``RunStats.plan``).
 
+        ``transport`` defaults to the federation's (loopback);
+        ``result_cache`` and ``batcher`` are injected by
+        :class:`~repro.runtime.engine.FederationEngine` for cross-query
+        reuse and coalescing, and stay off for standalone runs.
+
         ``trace=True`` records a per-query span tree (``query`` →
         ``plan`` / ``rpc`` / ``scatter`` / ``ship`` with component
         leaves) into ``RunResult.trace``; off by default and zero-cost
@@ -283,35 +288,25 @@ class Federation:
         root_ctx = (tracer.start("query", at=at,
                                  strategy=strategy_label(choice))
                     if tracer is not None else nullcontext())
-        started = time.perf_counter()
-        with root_ctx:
+        with root_ctx, self._monitored():
             # Fixed strategies go through the same planner entry point
             # as auto: the plan cache then amortises decomposition +
             # lowering across a multi-tenant sweep of identical queries.
             with child_span("plan"):
-                try:
-                    planned = self.planner.plan(query, at=at,
-                                                strategy=choice,
-                                                bulk_rpc=bulk_rpc,
-                                                code_motion=code_motion,
-                                                let_sinking=let_sinking,
-                                                transport=transport)
-                except Exception:
-                    # Queries that die in parsing/planning are still
-                    # part of the fleet's error stream (execution
-                    # failures are recorded by execute() itself).
-                    if self.monitor is not None:
-                        self.monitor.record_query(
-                            time.perf_counter() - started, ok=False)
-                    raise
-            result = self.execute(planned.decomposition, at,
-                                  bulk_rpc=bulk_rpc,
-                                  keep_message_xml=keep_message_xml,
-                                  transport=transport,
-                                  result_cache=result_cache,
-                                  batcher=batcher, plan=planned.plan,
-                                  report=planned.report,
-                                  tracer=tracer)
+                planned = self.planner.plan(query, at=at,
+                                            strategy=choice,
+                                            bulk_rpc=bulk_rpc,
+                                            code_motion=code_motion,
+                                            let_sinking=let_sinking,
+                                            transport=transport)
+            # The auto path's report is a per-call copy, so a
+            # plan-cache hit never mutates the report of a concurrently
+            # executing run.
+            result = self._execute(
+                _Run(self, planned.plan, bulk_rpc, keep_message_xml,
+                     transport=transport, result_cache=result_cache,
+                     batcher=batcher, tracer=tracer),
+                planned.report)
         # The root span closed when the context exited; only a closed
         # tree folds into stable profiler stacks.
         if (self.monitor is not None and tracer is not None
@@ -324,100 +319,80 @@ class Federation:
                 keep_message_xml: bool = False,
                 transport: Transport | None = None,
                 result_cache: ResultCache | None = None,
-                batcher: BulkBatcher | None = None,
-                plan: PhysicalPlan | None = None,
-                report=None,
-                tracer: Tracer | None = None,
-                trace: bool = False) -> RunResult:
+                batcher: BulkBatcher | None = None) -> RunResult:
         """Execute an already-decomposed query at peer ``at``.
 
-        ``transport`` defaults to the federation's (loopback);
-        ``result_cache`` and ``batcher`` are injected by
-        :class:`~repro.runtime.engine.FederationEngine` for cross-query
-        reuse and coalescing, and stay off for standalone runs.
-
-        ``plan`` is the planner's chosen physical plan (the auto
-        path); when absent, the decomposition is lowered into its
-        trivial fixed plan so every run carries an estimate, and the
-        observed stats feed the planner's calibration either way.
-        ``report`` is the :class:`~repro.net.stats.PlanReport` to
-        record into the run's stats (defaults to the plan's own — the
-        auto path passes a per-call copy so a plan-cache hit never
-        mutates the report of a concurrently executing run).
-
-        ``tracer`` is an already-started tracer (:meth:`run` passes its
-        own); ``trace=True`` without one opens a fresh ``query`` root
-        here, for callers executing pre-built decompositions.
+        The decomposition is lowered into its trivial fixed plan, so
+        the run carries an estimate and its observed stats feed the
+        planner's calibration exactly as :meth:`run`'s do. Callers with
+        query text should use :meth:`run` (cached plans, tracing).
         """
-        if plan is None:
-            plan = self.planner.lower_fixed(decomposition, at,
-                                            bulk_rpc=bulk_rpc,
-                                            transport=transport)
-        root_ctx = nullcontext()
-        owns_root = False
-        if trace and tracer is None:
-            tracer = Tracer()
-            root_ctx = tracer.start("query", at=at)
-            owns_root = True
-        with root_ctx:
-            run = _Run(self, decomposition, at, bulk_rpc,
-                       keep_message_xml,
-                       transport=transport, result_cache=result_cache,
-                       batcher=batcher, plan=plan, tracer=tracer)
-            started = time.perf_counter()
-            try:
-                result = run.execute()
-            except Exception:
-                if self.monitor is not None:
-                    self.monitor.record_query(
-                        time.perf_counter() - started, ok=False)
-                raise
-            wall_s = time.perf_counter() - started
-            base_report = report if report is not None else plan.report
-            if base_report is None:
-                base_report = plan.build_report()
-            result.stats.plan = replace(
-                base_report,
-                analysis=plan.build_analysis(run.actuals, result.stats,
-                                             wall_s))
-            self.planner.observe(plan, result)
+        plan = self.planner.lower_fixed(decomposition, at,
+                                        bulk_rpc=bulk_rpc,
+                                        transport=transport)
+        with self._monitored():
+            return self._execute(
+                _Run(self, plan, bulk_rpc, keep_message_xml,
+                     transport=transport, result_cache=result_cache,
+                     batcher=batcher),
+                plan.report)
+
+    @contextmanager
+    def _monitored(self):
+        """One query as the attached fleet monitor sees it — wall
+        seconds and whether it raised (queries that die in parsing or
+        planning are part of the fleet's error stream too)."""
+        started = time.perf_counter()
+        ok = False
+        try:
+            yield
+            ok = True
+        finally:
             if self.monitor is not None:
-                self.monitor.record_query(wall_s, ok=True)
-            if tracer is not None and tracer.root is not None:
-                root = tracer.root
-                root.set(strategy=result.stats.plan.strategy,
-                         total_bytes=result.stats.total_transferred_bytes,
-                         rpc_calls=result.stats.rpc_calls,
-                         cache_hits=result.stats.cache_hits)
-                result.trace = root
-        if owns_root and self.monitor is not None \
-                and tracer.root is not None:
-            # Standalone execute(trace=True): the root closed here.
-            self.monitor.observe_trace(tracer.root)
+                self.monitor.record_query(time.perf_counter() - started,
+                                          ok=ok)
+
+    def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
+        """Evaluate a planned run, then attach the plan's report and
+        per-operator actuals, feed the planner's calibration and label
+        the trace root."""
+        started = time.perf_counter()
+        result = run.execute()
+        wall_s = time.perf_counter() - started
+        result.stats.plan = replace(
+            report,
+            analysis=run.plan.build_analysis(run.actuals, result.stats,
+                                             wall_s))
+        self.planner.observe(run.plan, result)
+        root = run.tracer.root if run.tracer is not None else None
+        if root is not None:
+            root.set(strategy=result.stats.plan.strategy,
+                     total_bytes=result.stats.total_transferred_bytes,
+                     rpc_calls=result.stats.rpc_calls,
+                     cache_hits=result.stats.cache_hits)
+            result.trace = root
         return result
 
 
 class _Run:
     """State for one federated execution."""
 
-    def __init__(self, federation: Federation,
-                 decomposition: DecompositionResult, origin: str,
+    def __init__(self, federation: Federation, plan: PhysicalPlan,
                  bulk_rpc: bool, keep_message_xml: bool,
                  transport: Transport | None = None,
                  result_cache: ResultCache | None = None,
                  batcher: BulkBatcher | None = None,
-                 plan: PhysicalPlan | None = None,
                  tracer: Tracer | None = None):
         self.federation = federation
-        self.decomposition = decomposition
-        self.origin = origin
+        self.plan = plan
+        self.decomposition = plan.decomposition
+        self.origin = plan.origin
         self.bulk_rpc = bulk_rpc
         self.keep_message_xml = keep_message_xml
         self.transport = (transport if transport is not None
                           else federation.transport)
         self.result_cache = result_cache
         self.batcher = batcher
-        self.plan = plan
         self.tracer = tracer
         self.stats = RunStats()
         if tracer is not None and tracer.root is not None:
@@ -438,41 +413,23 @@ class _Run:
         # strategy, per call site for a planner-built mixed plan. The
         # ``site_semantics`` dict additionally carries the cluster
         # router's shard-body aliases for the duration of a scatter.
-        self.semantics = (plan.default_semantics if plan is not None
-                          else decomposition.strategy.semantics)
-        self.site_semantics: dict[int, str] = (
-            dict(plan.site_semantics) if plan is not None else {})
-        self.projection_specs = self._projection_specs()
+        self.semantics = plan.default_semantics
+        self.site_semantics: dict[int, str] = dict(plan.site_semantics)
+        #: Specs keyed by id(xrpc.body), the handle the transport has.
+        #: The plan computed them once during lowering, over this very
+        #: module object, so the id() keys match.
+        self.projection_specs: dict[int, ProjectionSpec] = dict(
+            plan.projection_specs)
+
+    @cached_property
+    def router(self) -> ClusterRouter:
+        """The run's scatter-gather router (built on first use: most
+        runs never touch a sharded collection)."""
+        return ClusterRouter(self, self.federation.catalog)
 
     def semantics_for(self, body_id: int) -> str:
         """The message semantics of one call site (``id(xrpc.body)``)."""
         return self.site_semantics.get(body_id, self.semantics)
-
-    def _projection_specs(self) -> dict[int, ProjectionSpec]:
-        """Specs keyed by id(xrpc.body), the handle the transport has.
-
-        The plan already carries the analysis (computed once during
-        lowering, over this very module object, so the id() keys
-        match); re-analysis happens only for the plan-less fallback.
-        """
-        if self.plan is not None:
-            return dict(self.plan.projection_specs)
-        uses_projection = (
-            self.semantics == "by-projection"
-            or any(semantics == "by-projection"
-                   for semantics in self.site_semantics.values()))
-        if not uses_projection:
-            return {}
-        module = self.decomposition.module
-        by_xrpc = analyze_module(module)
-        out: dict[int, ProjectionSpec] = {}
-        for decl_body in [f.body for f in module.functions] + [module.body]:
-            for node in walk(decl_body):
-                if isinstance(node, XRPCExpr):
-                    spec = by_xrpc.get(id(node))
-                    if spec is not None:
-                        out[id(node.body)] = spec
-        return out
 
     # -- document resolution (data shipping) -----------------------------------
 
@@ -489,34 +446,65 @@ class _Run:
         return resolve
 
     def _locate(self, uri: str, requester: str) -> tuple[str, str]:
-        if uri.startswith(XRPC_SCHEME):
-            rest = uri[len(XRPC_SCHEME):]
-            if "/" not in rest:
-                raise XQueryDynamicError(f"malformed xrpc URI {uri!r}")
-            owner, local_name = rest.split("/", 1)
-            return owner, local_name
-        return requester, uri
+        parts = split_xrpc_uri(uri)
+        if parts is None:
+            return requester, uri
+        if not parts[1]:
+            raise XQueryDynamicError(f"malformed xrpc URI {uri!r}")
+        return parts
 
     def _ship_document(self, owner: str, local_name: str,
                        requester: str,
                        stats: RunStats | None = None) -> Document:
-        """Data shipping: fetch, transfer, and shred a whole document."""
+        """Data shipping: fetch, transfer, and shred a whole document.
+
+        ``owner`` is a peer, or a sharded collection — then every shard
+        ships from a live replica (failing over on wire faults) and the
+        logical document is reassembled. Everything around the fetch
+        (per-run memo, shared result cache, ``ship`` span, actuals) is
+        the same for both.
+        """
         if stats is None:
             stats = self.stats
         spec = self.federation.collection(owner)
-        if spec is not None:
-            return self._ship_collection(spec, local_name, requester,
-                                         stats)
-        key = (requester, f"{owner}/{local_name}")
+        # A collection's entries are keyed by the catalog's membership
+        # epoch, so a repartition invalidates them.
+        version = ("" if spec is None
+                   else f"@e{self.federation.catalog.epoch()}")
+        key = (requester, f"{owner}/{local_name}{version}")
         cached = self._shipped_docs.get(key)
         if cached is not None:
             return cached
         wall0 = time.perf_counter()
-        cache_epoch = None
-        if self.result_cache is not None:
-            cache_epoch = self.result_cache.epoch()
-            entry = self.result_cache.lookup_document(requester, owner,
-                                                      local_name)
+        cache = self.result_cache
+        cache_epoch = cache.epoch() if cache is not None else None
+        if spec is None:
+            cache_name, span_attrs = local_name, {}
+
+            def fetch(ship_span: Span | None) -> tuple[Document, int]:
+                with bind_stats_span(stats, ship_span):
+                    text = self.transport.fetch_document(
+                        self.federation.peer(owner), local_name, stats)
+                    return (parse_document(
+                        text, uri=f"{XRPC_SCHEME}{owner}/{local_name}"),
+                        len(text.encode()))
+        else:
+            # The shared cache's name carries its invalidation epoch
+            # too: peer stores can't target the collection scope
+            # (invalidate_peer keys on physical peer names), so any
+            # store anywhere must make merged-document entries
+            # unreachable — a shard re-store would otherwise serve a
+            # stale merge.
+            cache_name = f"{local_name}{version}.i{cache_epoch}"
+            span_attrs = {"shards": len(spec.shards)}
+
+            def fetch(ship_span: Span | None) -> tuple[Document, int]:
+                return self.router.fetch_collection_document(
+                    spec, local_name, requester, stats=stats,
+                    parent_span=ship_span)
+
+        if cache is not None:
+            entry = cache.lookup_document(requester, owner, cache_name)
             if entry is not None:
                 document, size = entry
                 stats.cache_hits += 1
@@ -528,78 +516,17 @@ class _Run:
                 return document
         sim0 = stats.times.total
         with child_span("ship", owner=owner, doc=local_name,
-                        to=requester) as ship_span, \
-                bind_stats_span(stats, ship_span):
-            text = self.transport.fetch_document(
-                self.federation.peer(owner), local_name, stats)
-            document = parse_document(
-                text, uri=f"{XRPC_SCHEME}{owner}/{local_name}")
-            size = len(text.encode())
+                        to=requester, **span_attrs) as ship_span:
+            document, size = fetch(ship_span)
             if ship_span is not None:
                 ship_span.set(bytes=size)
         self.actuals.record_ship(owner, local_name, bytes=size,
                                  sim_s=stats.times.total - sim0,
                                  wall_s=time.perf_counter() - wall0)
         self._shipped_docs[key] = document
-        if self.result_cache is not None:
-            self.result_cache.store_document(requester, owner, local_name,
-                                             document, size,
-                                             epoch=cache_epoch)
-        return document
-
-    def _ship_collection(self, spec: CollectionSpec, local_name: str,
-                         requester: str, stats: RunStats) -> Document:
-        """Data shipping over a sharded collection: ship every shard
-        from a live replica (failing over on wire faults) and
-        reassemble the logical document. Cache entries are keyed by the
-        catalog's membership epoch so a repartition invalidates them."""
-        catalog = self.federation.catalog
-        assert catalog is not None
-        epoch = catalog.epoch()
-        key = (requester, f"{spec.name}/{local_name}@e{epoch}")
-        cached = self._shipped_docs.get(key)
-        if cached is not None:
-            return cached
-        wall0 = time.perf_counter()
-        cache_epoch = None
-        cache_name = None
-        if self.result_cache is not None:
-            cache_epoch = self.result_cache.epoch()
-            # The invalidation epoch is part of the name: peer stores
-            # can't target the collection scope (invalidate_peer keys
-            # on physical peer names), so any store anywhere must make
-            # merged-document entries unreachable — a shard re-store
-            # would otherwise serve a stale merge.
-            cache_name = f"{local_name}@e{epoch}.i{cache_epoch}"
-            entry = self.result_cache.lookup_document(requester, spec.name,
-                                                      cache_name)
-            if entry is not None:
-                document, size = entry
-                stats.cache_hits += 1
-                stats.cache_saved_bytes += size
-                self._shipped_docs[key] = document
-                self.actuals.record_ship(
-                    spec.name, local_name, bytes=0,
-                    wall_s=time.perf_counter() - wall0, cache_hits=1)
-                return document
-        router = ClusterRouter(self, catalog)
-        sim0 = stats.times.total
-        with child_span("ship", owner=spec.name, doc=local_name,
-                        to=requester,
-                        shards=len(spec.shards)) as ship_span:
-            document, size = router.fetch_collection_document(
-                spec, local_name, requester, stats=stats,
-                parent_span=ship_span)
-            if ship_span is not None:
-                ship_span.set(bytes=size)
-        self.actuals.record_ship(spec.name, local_name, bytes=size,
-                                 sim_s=stats.times.total - sim0,
-                                 wall_s=time.perf_counter() - wall0)
-        self._shipped_docs[key] = document
-        if self.result_cache is not None and cache_name is not None:
-            self.result_cache.store_document(requester, spec.name,
-                                             cache_name, document, size,
-                                             epoch=cache_epoch)
+        if cache is not None:
+            cache.store_document(requester, owner, cache_name, document,
+                                 size, epoch=cache_epoch)
         return document
 
     # -- XRPC transport ---------------------------------------------------------
@@ -637,9 +564,11 @@ class _Run:
                     remote_counter: CostCounter | None = None) -> list[list]:
         """One network interaction: marshal, ship, execute, ship back.
 
-        The wire itself is the transport's job; this method builds the
-        request, consults the shared result cache, and hands mergeable
-        round trips to the cross-query batcher.
+        Every round trip takes the same path: build the request →
+        *deliver* it (the shared result cache, then the cross-query
+        batcher, then the transport's wire — each either answers or
+        passes on) → parse the response text → unmarshal → *record*
+        (stats, ``rpc`` span, actuals, message log, cache store).
 
         A destination registered in the cluster catalog is a *logical*
         call site: the router scatters it into one round trip per shard
@@ -651,19 +580,17 @@ class _Run:
         ``remote_counter`` give each concurrent shard call private
         accounting (merged deterministically after the gather).
         """
-        dest_name = dest[len(XRPC_SCHEME):].split("/", 1)[0] \
-            if dest.startswith(XRPC_SCHEME) else dest
+        parts = split_xrpc_uri(dest)
+        dest_name = parts[0] if parts is not None else dest
         if stats is None:
             stats = self.stats
         if remote_counter is None:
             remote_counter = self.remote_counter
         spec = self.federation.collection(dest_name)
         if spec is not None:
-            router = ClusterRouter(self, self.federation.catalog)
-            return router.scatter(from_peer, spec, calls, body,
-                                  stats=stats, counter=remote_counter)
+            return self.router.scatter(from_peer, spec, calls, body,
+                                       stats=stats, counter=remote_counter)
         peer = self.federation.peer(dest_name)  # raises on unknown peer
-        model = self.federation.cost_model
 
         semantics = self.semantics_for(id(body))
         spec = self.projection_specs.get(id(body))
@@ -695,8 +622,8 @@ class _Run:
             param_names = [name for name, _seq in calls[0]] if calls else []
             static_attrs = self.federation.static.to_attributes()
 
-            def build_request(raw_calls: list[list[tuple[str, list]]]
-                              ) -> RequestMessage:
+            def request_text(raw_calls: list[list[tuple[str, list]]]
+                             ) -> str:
                 bundle = marshal_calls(raw_calls, semantics, param_paths)
                 return RequestMessage(
                     query=query_text,
@@ -706,49 +633,16 @@ class _Run:
                     static_attrs=static_attrs,
                     used_paths=used_paths,
                     returned_paths=returned_paths,
-                )
+                ).to_xml()
 
-            request = build_request(calls)
-            request_xml = request.to_xml()
+            request_xml = request_text(calls)
             request_bytes = len(request_xml.encode())
-            base_uri = f"{XRPC_SCHEME}{peer.name}/response"
 
-            cache_key = cache_epoch = None
-            if self.result_cache is not None:
-                cache_epoch = self.result_cache.epoch()
-                cache_key = response_key(cache_scope or dest_name,
-                                         semantics, request_xml,
-                                         used_paths, returned_paths,
-                                         shard_epoch=shard_epoch)
-                hit = self.result_cache.lookup_response(cache_key,
-                                                        request_bytes)
-                if hit is not None:
-                    # Served from the shared cache: nothing on the
-                    # wire; the cached text is still shredded locally
-                    # into fresh fragment documents, so node identity
-                    # stays per-query.
-                    stats.cache_hits += 1
-                    stats.cache_saved_bytes += (request_bytes
-                                                + len(hit.encode()))
-                    deserialize_s = model.deserialize_time(
-                        len(hit.encode()))
-                    stats.times.serialize += deserialize_s
-                    stats.charge_span("serialize", deserialize_s)
-                    if rpc_span is not None:
-                        rpc_span.set(cache="hit",
-                                     saved_bytes=request_bytes
-                                     + len(hit.encode()))
-                    self.actuals.record_site(
-                        site_id, sim_s=stats.times.total - sim0,
-                        wall_s=time.perf_counter() - wall0,
-                        cache_hits=len(calls))
-                    parsed = ResponseMessage.from_xml(hit)
-                    return unmarshal_result(parsed.results,
-                                            parsed.fragments,
-                                            base_uri=base_uri)
-
-            def make_handler() -> RequestHandler:
-                return RequestHandler(
+            def exchange(wire_calls: list[list[tuple[str, list]]],
+                         charge_to: RunStats) -> str:
+                # ``wire_calls`` longer than our own means the batcher
+                # merged riders in; otherwise the built text is reused.
+                handler = RequestHandler(
                     peer_name=peer.name,
                     resolve_doc=self._resolver(peer.name, stats=stats),
                     xrpc_execute=self._make_xrpc_execute(
@@ -756,80 +650,92 @@ class _Run:
                     semantics=semantics,
                     counter=remote_counter,
                 )
+                return self.transport.exchange(
+                    peer,
+                    request_xml if len(wire_calls) == len(calls)
+                    else request_text(wire_calls),
+                    handler.handle, charge_to)
 
-            if self.batcher is not None:
-                key = batch_key(dest_name, query_text, param_names,
-                                semantics, static_attrs,
-                                used_paths, returned_paths)
+            # -- deliver: each step answers or passes on ----------------
+            response_xml = cache_key = cache_epoch = None
+            if self.result_cache is not None:
+                cache_epoch = self.result_cache.epoch()
+                cache_key = response_key(cache_scope or dest_name,
+                                         semantics, request_xml,
+                                         used_paths, returned_paths,
+                                         shard_epoch=shard_epoch)
+                response_xml = self.result_cache.lookup_response(
+                    cache_key, request_bytes)
+            cached = response_xml is not None
+            if response_xml is None and self.batcher is not None:
+                # Only a batch leader reaches the wire, and its merged
+                # exchange is charged to no single query (a throwaway
+                # RunStats, which carries no span either, so traced
+                # runs never double-count it): each participant
+                # accounts for its private messages in the record step
+                # below, while the transport's wire counters record the
+                # truth. Known accounting skew: nested work the merged
+                # evaluation triggers (document shipping, recursive
+                # round trips) runs through the leader's resolver and
+                # counters, so under coalescing the leader's RunStats
+                # over-report and riders' under-report that share.
+                response_xml = self.batcher.execute(
+                    batch_key(dest_name, query_text, param_names,
+                              semantics, static_attrs,
+                              used_paths, returned_paths),
+                    calls, lambda merged: exchange(merged, RunStats()))
+            if response_xml is None:
+                response_xml = exchange(calls, stats)
 
-                def merged_exchange(
-                        merged_calls: list[list[tuple[str, list]]]
-                        ) -> ResponseMessage:
-                    # Only the batch leader lands here; the merged wire
-                    # exchange is charged to no single query (each
-                    # participant accounts for its private messages
-                    # below), while the transport's wire counters
-                    # record the truth. The throwaway RunStats carries
-                    # no span either, so traced runs never double-count
-                    # the merged exchange. Known accounting skew:
-                    # nested work the merged evaluation triggers
-                    # (document shipping, recursive round trips) runs
-                    # through the leader's resolver and counters, so
-                    # under coalescing the leader's RunStats
-                    # over-report and riders' under-report that share.
-                    if len(merged_calls) == len(calls):
-                        # No riders joined: batch.calls is exactly our
-                        # own call list, so reuse the built request.
-                        merged_request, merged_xml = request, request_xml
-                    else:
-                        merged_request, merged_xml = (
-                            build_request(merged_calls), None)
-                    exchange = self.transport.exchange(
-                        peer, merged_request, make_handler().handle,
-                        RunStats(), request_xml=merged_xml)
-                    return exchange.response, exchange.response_xml
+            # -- parse --------------------------------------------------
+            # A cached text is shredded into fresh fragment documents
+            # like any other, so node identity stays per-query.
+            response_bytes = len(response_xml.encode())
+            parsed = ResponseMessage.from_xml(response_xml)
+            results = unmarshal_result(
+                parsed.results, parsed.fragments,
+                base_uri=f"{XRPC_SCHEME}{peer.name}/response")
 
-                response_xml = self.batcher.execute(key, calls,
-                                                    merged_exchange)
-                self.transport.charge_message(stats, request_bytes)
-                response_bytes = len(response_xml.encode())
-                self.transport.charge_message(stats, response_bytes)
-                parsed = ResponseMessage.from_xml(response_xml)
+            # -- record -------------------------------------------------
+            if cached:
+                # Served from the shared cache: nothing on the wire,
+                # only the local deserialisation is charged.
+                saved_bytes = request_bytes + response_bytes
+                stats.cache_hits += 1
+                stats.cache_saved_bytes += saved_bytes
+                stats.charge("serialize",
+                             self.federation.cost_model.deserialize_time(
+                                 response_bytes))
+                if rpc_span is not None:
+                    rpc_span.set(cache="hit", saved_bytes=saved_bytes)
             else:
-                exchange = self.transport.exchange(peer, request,
-                                                   make_handler().handle,
-                                                   stats,
-                                                   request_xml=request_xml)
-                response_xml = exchange.response_xml
-                response_bytes = exchange.response_bytes
-                parsed = exchange.response
-
-            stats.rpc_calls += len(calls)
-            if rpc_span is not None:
-                rpc_span.set(cache="miss" if cache_key is not None
-                             else "off",
-                             request_bytes=request_bytes,
-                             response_bytes=response_bytes)
+                if self.batcher is not None:
+                    self.transport.charge_message(stats, request_bytes)
+                    self.transport.charge_message(stats, response_bytes)
+                stats.rpc_calls += len(calls)
+                if rpc_span is not None:
+                    rpc_span.set(cache="miss" if cache_key is not None
+                                 else "off",
+                                 request_bytes=request_bytes,
+                                 response_bytes=response_bytes)
+                self.messages.append(MessageLog(
+                    dest=peer.name, calls=len(calls),
+                    request_bytes=request_bytes,
+                    response_bytes=response_bytes,
+                    request_xml=request_xml if self.keep_message_xml else "",
+                    response_xml=response_xml if self.keep_message_xml else "",
+                ))
+                if cache_key is not None:
+                    self.result_cache.store_response(cache_key, response_xml,
+                                                     epoch=cache_epoch)
             self.actuals.record_site(
                 site_id,
-                bytes=(stats.message_bytes + stats.document_bytes
-                       - bytes0),
-                calls=len(calls),
+                bytes=stats.message_bytes + stats.document_bytes - bytes0,
+                calls=0 if cached else len(calls),
                 sim_s=stats.times.total - sim0,
-                wall_s=time.perf_counter() - wall0)
-            self.messages.append(MessageLog(
-                dest=peer.name, calls=len(calls),
-                request_bytes=request_bytes,
-                response_bytes=response_bytes,
-                request_xml=request_xml if self.keep_message_xml else "",
-                response_xml=response_xml if self.keep_message_xml else "",
-            ))
-
-            if self.result_cache is not None and cache_key is not None:
-                self.result_cache.store_response(cache_key, response_xml,
-                                                 epoch=cache_epoch)
-            return unmarshal_result(parsed.results, parsed.fragments,
-                                    base_uri=base_uri)
+                wall_s=time.perf_counter() - wall0,
+                cache_hits=len(calls) if cached else 0)
+            return results
 
     # -- top-level execution --------------------------------------------------------
 
@@ -849,13 +755,11 @@ class _Run:
             self.local_counter.ticks, self.local_counter.nodes_visited)
         remote_s = model.exec_time(
             self.remote_counter.ticks, self.remote_counter.nodes_visited)
-        self.stats.times.local_exec = local_s
-        self.stats.times.remote_exec = remote_s
         # Execution time is computed once from the run-wide counters,
         # so the component leaves land on the query root (the wire
         # components were charged per rpc/ship span as they happened).
-        self.stats.charge_span("local_exec", local_s)
-        self.stats.charge_span("remote_exec", remote_s)
+        self.stats.charge("local_exec", local_s)
+        self.stats.charge("remote_exec", remote_s)
         self.actuals.local.sim_s += local_s
         return RunResult(items=items, stats=self.stats,
                          decomposition=self.decomposition,

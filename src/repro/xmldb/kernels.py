@@ -15,20 +15,10 @@ Kernels accept any sorted integer sequence (``list``, stdlib
 :class:`array.array`, a buffer-pool backed lazy column) and return
 stdlib ``array('i')`` columns, so results chain into further kernels
 without re-boxing every element as a Python object.
-
-**Optional numpy acceleration.** When the feature flag is switched on
-(:func:`set_accelerator` or the ``REPRO_COLUMN_ACCEL`` environment
-variable, values ``python`` / ``numpy`` / ``auto``), kernels with a
-profitable vector form (child scans' parent-pointer filter, gathers)
-run on zero-copy numpy views of the stdlib arrays. numpy is never a
-hard dependency: the default is the stdlib engine, ``auto`` degrades
-to it silently, and requesting ``numpy`` without numpy installed is an
-explicit error.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import merge as _heapq_merge
@@ -53,52 +43,6 @@ def as_pre_array(values: Sequence[int]) -> array:
     if type(values) is array:
         return values
     return array(PRE_TYPECODE, values)
-
-
-# ---------------------------------------------------------------------------
-# Accelerator feature flag
-# ---------------------------------------------------------------------------
-
-_numpy = None
-_accelerator = "python"
-
-
-def set_accelerator(name: str) -> str:
-    """Select the kernel engine: ``"python"`` (stdlib, the default),
-    ``"numpy"`` (error when numpy is unavailable), or ``"auto"``
-    (numpy when importable, stdlib otherwise). Returns the engine that
-    is now active."""
-    global _numpy, _accelerator
-    if name not in ("python", "numpy", "auto"):
-        raise ValueError(f"unknown column accelerator {name!r}")
-    if name == "python":
-        _numpy, _accelerator = None, "python"
-        return _accelerator
-    try:
-        import numpy
-    except ImportError:
-        if name == "numpy":
-            raise RuntimeError(
-                "REPRO_COLUMN_ACCEL=numpy requested but numpy is not "
-                "installed; the columnar engine never requires it — "
-                "use 'python' or 'auto'") from None
-        _numpy, _accelerator = None, "python"
-        return _accelerator
-    _numpy, _accelerator = numpy, "numpy"
-    return _accelerator
-
-
-def accelerator() -> str:
-    """The active kernel engine (``"python"`` or ``"numpy"``)."""
-    return _accelerator
-
-
-def _np_view(column: array):
-    """Zero-copy numpy view of a stdlib array column."""
-    return _numpy.frombuffer(column, dtype=_numpy.int32)
-
-
-set_accelerator(os.environ.get("REPRO_COLUMN_ACCEL", "python"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +136,6 @@ def children_of(candidates: Sequence[int], contexts: Sequence[int],
     """
     if not candidates:
         return pre_array()
-    if _numpy is not None and type(candidates) is array \
-            and type(parents) is array:
-        return _children_of_np(candidates, contexts, sizes, parents)
     out = pre_array()
     append = out.append
     unsorted = False
@@ -213,40 +154,6 @@ def children_of(candidates: Sequence[int], contexts: Sequence[int],
                 append(pre)
     if unsorted:
         return pre_array(sorted(out))
-    return out
-
-
-def _children_of_np(candidates: array, contexts: Sequence[int],
-                    sizes: Sequence[int], parents: array) -> array:
-    """numpy engine for :func:`children_of`: the per-candidate parent
-    filter becomes one vector compare per context."""
-    np = _numpy
-    cand = _np_view(candidates)
-    parent_col = _np_view(parents)
-    segments = []
-    unsorted = False
-    last = -1
-    for parent in contexts:
-        size = sizes[parent]
-        if size == 0:
-            continue
-        lo, hi = interval_bounds(candidates, parent, parent + size)
-        if lo >= hi:
-            continue
-        segment = cand[lo:hi]
-        segment = segment[parent_col[segment] == parent]
-        if len(segment):
-            if segment[0] < last:
-                unsorted = True
-            last = int(segment[-1])
-            segments.append(segment)
-    if not segments:
-        return pre_array()
-    merged = np.concatenate(segments)
-    if unsorted:
-        merged = np.sort(merged)
-    out = pre_array()
-    out.frombytes(merged.astype(np.int32, copy=False).tobytes())
     return out
 
 
@@ -352,8 +259,5 @@ def sorted_array(values: Iterable[int]) -> array:
 
 def gather(column: Sequence, pres: Sequence[int]) -> list:
     """Positional gather ``[column[p] for p in pres]`` as one batch
-    call (vectorised under the numpy engine for typed columns)."""
-    if _numpy is not None and type(column) is array:
-        indexes = _np_view(pres) if type(pres) is array else list(pres)
-        return _np_view(column)[indexes].tolist()
+    call."""
     return [column[pre] for pre in pres]

@@ -4,7 +4,10 @@ import threading
 
 import pytest
 
+from repro.decompose import Strategy
 from repro.runtime.batching import BulkBatcher, _split_response, batch_key
+from repro.workloads import BENCHMARK_QUERY, build_federation
+from repro.xquery.xdm import sequences_deep_equal
 from repro.xrpc.messages import Atomic, NodeRef, ResponseMessage
 
 
@@ -17,9 +20,8 @@ def echoing_exchange(log):
     """A merged_exchange that answers call i with its own payload."""
     def exchange(merged_calls):
         log.append(len(merged_calls))
-        response = atomic_response(
-            [params[0][1][0] for params in merged_calls])
-        return response, response.to_xml()
+        return atomic_response(
+            [params[0][1][0] for params in merged_calls]).to_xml()
     return exchange
 
 
@@ -144,6 +146,34 @@ class TestCoalescing:
             parsed = ResponseMessage.from_xml(xml)
             assert parsed.results == [[Atomic("xs:integer", str(v))]
                                       for v in values]
+
+
+    def test_rider_answer_equals_solo_exchange(self):
+        """Two identical queries coalesce into one merged exchange per
+        call site; each participant's split response must unmarshal to
+        exactly what a solo exchange returns."""
+        solo = build_federation(0.02).run(BENCHMARK_QUERY, at="local",
+                                          strategy=Strategy.BY_FRAGMENT)
+        federation = build_federation(0.02)
+        batcher = BulkBatcher(window_s=0.2)
+        barrier = threading.Barrier(2)
+        results = []
+
+        def tenant():
+            barrier.wait()
+            results.append(federation.run(
+                BENCHMARK_QUERY, at="local",
+                strategy=Strategy.BY_FRAGMENT, batcher=batcher))
+
+        threads = [threading.Thread(target=tenant) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(results) == 2
+        assert batcher.snapshot()["coalesced"] >= 1
+        for result in results:
+            assert sequences_deep_equal(result.items, solo.items)
 
 
 class TestSplitResponse:

@@ -10,9 +10,11 @@ from repro.errors import NetworkError
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.transport import LoopbackTransport
 from repro.system.federation import Federation
-from repro.workloads import (BENCHMARK_QUERY, build_federation,
+from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
+                             build_federation, build_sharded_federation,
                              multi_tenant_jobs, run_multi_tenant)
-from repro.xquery.xdm import serialize_sequence
+from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
+from repro.xrpc.messages import ResponseMessage
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
 
@@ -67,6 +69,79 @@ class TestConcurrentCorrectness:
             repeat = engine.submit(Q2, "local").result()
         assert engine.cache is None
         assert repeat.stats.cache_hits == 0
+
+
+class TestDeliveryPathParity:
+    """A plain ``Federation.run``, an engine run with cache and batcher
+    off, and an engine run with the batcher on but no rider all take
+    the one deliver → parse → record pipeline: same answer, same
+    accounting, one response parse per round trip."""
+
+    TOPOLOGIES = {
+        "single-owner": (lambda: build_federation(0.02), BENCHMARK_QUERY),
+        "sharded-4x2": (
+            lambda: build_sharded_federation(0.02, shard_count=4,
+                                             replication_factor=2),
+            SHARDED_BENCHMARK_QUERY),
+    }
+    PATHS = {
+        "plain": None,
+        "engine-direct": {"cache": False, "batch_window_s": 0},
+        "engine-batched": {},
+    }
+
+    @staticmethod
+    def _comparable(stats):
+        """``summary()`` minus what legitimately differs by path (the
+        cache counters and ``plan.from_cache``), and the
+        explain-analyze rows apart: scatter workers fold their actuals
+        concurrently, so those float sums are order-dependent in the
+        last bits."""
+        summary = stats.summary()
+        del summary["cache_hits"], summary["cache_saved_bytes"]
+        del summary["plan"]["from_cache"]
+        return summary, summary["plan"]["analysis"].pop("ops")
+
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_paths_agree(self, topology, strategy, monkeypatch):
+        build, query = self.TOPOLOGIES[topology]
+        parses = []
+        parse = ResponseMessage.from_xml.__func__
+
+        def counting_from_xml(cls, text):
+            parses.append(text)
+            return parse(cls, text)
+
+        monkeypatch.setattr(ResponseMessage, "from_xml",
+                            classmethod(counting_from_xml))
+        results = {}
+        for path, engine_kwargs in self.PATHS.items():
+            parses.clear()
+            federation = build()
+            if engine_kwargs is None:
+                result = federation.run(query, at="local",
+                                        strategy=strategy)
+            else:
+                with FederationEngine(federation, max_workers=1,
+                                      **engine_kwargs) as engine:
+                    result = engine.submit(query, "local",
+                                           strategy).result()
+                if engine.batcher is not None:
+                    assert engine.batcher.snapshot()["coalesced"] == 0
+            # One requester-side parse per response, on every path.
+            assert len(parses) == len(result.messages), path
+            results[path] = result
+
+        plain = results.pop("plain")
+        summary, ops = self._comparable(plain.stats)
+        for path, result in results.items():
+            assert sequences_deep_equal(result.items, plain.items), path
+            other_summary, other_ops = self._comparable(result.stats)
+            assert other_summary == summary, path
+            assert len(other_ops) == len(ops), path
+            for op, other_op in zip(ops, other_ops):
+                assert other_op == pytest.approx(op, rel=1e-12), path
 
 
 class TestScheduling:

@@ -123,7 +123,8 @@ class TestPerPeerGate:
         lock = threading.Lock()
         transport = self._tracking_transport(active, peak, lock,
                                              per_peer_concurrency=1)
-        request = RequestMessage(query="1", param_names=[], calls=[])
+        request = RequestMessage(query="1", param_names=[],
+                                 calls=[]).to_xml()
 
         def handle(_request):
             return ResponseMessage(results=[])
@@ -144,7 +145,8 @@ class TestPerPeerGate:
         trips, document shipping); holding the gate across ``handle``
         would deadlock even a single query against its own peer."""
         transport = LoopbackTransport(per_peer_concurrency=1)
-        request = RequestMessage(query="1", param_names=[], calls=[])
+        request = RequestMessage(query="1", param_names=[],
+                                 calls=[]).to_xml()
 
         def nested_handle(_request):
             return ResponseMessage(results=[])

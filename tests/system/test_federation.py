@@ -4,7 +4,10 @@ import pytest
 
 from repro.decompose import Strategy
 from repro.errors import NetworkError
+from repro.obs.trace import COMPONENTS
 from repro.system.federation import Federation
+from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
+                             build_federation, build_sharded_federation)
 from repro.xquery.xdm import serialize_sequence
 
 
@@ -125,3 +128,50 @@ class TestRemoteDataShipping:
         result = fed.run(query, at="local", strategy=Strategy.BY_VALUE)
         assert result.items == [1]
         assert result.stats.documents_shipped == 1
+
+
+class TestGoldenWireFigures:
+    """The Fig. 7-9 query's wire figures at XMark scale 0.02, seed
+    20090329 — the exact cells of the end-to-end ledger
+    (``benchmarks/e2e/baseline.json``). A codec or delivery change
+    that moves a transferred byte fails here first."""
+
+    CASES = {
+        "by-projection": (
+            lambda: build_federation(0.02, 20090329), BENCHMARK_QUERY,
+            Strategy.BY_PROJECTION,
+            dict(message_bytes=7263, messages=4, document_bytes=0,
+                 documents_shipped=0)),
+        "data-shipping": (
+            lambda: build_federation(0.02, 20090329), BENCHMARK_QUERY,
+            Strategy.DATA_SHIPPING,
+            dict(message_bytes=0, messages=0, document_bytes=104405,
+                 documents_shipped=2)),
+        "sharded-4x2-by-projection": (
+            lambda: build_sharded_federation(0.02, 20090329, shard_count=4,
+                                             replication_factor=2),
+            SHARDED_BENCHMARK_QUERY, Strategy.BY_PROJECTION,
+            dict(message_bytes=32565, messages=16, document_bytes=0,
+                 documents_shipped=0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wire_figures_and_component_totals(self, case):
+        build, query, strategy, golden = self.CASES[case]
+        federation = build()
+        stats = federation.run(query, at="local", strategy=strategy).stats
+        assert {name: getattr(stats, name) for name in golden} == golden
+
+        traced = federation.run(query, at="local", strategy=strategy,
+                                trace=True)
+        assert {name: getattr(traced.stats, name)
+                for name in golden} == golden
+        # Every simulated second enters through RunStats.charge, which
+        # charges the bound span the same amount; only the order of
+        # the float additions differs (per-span leaves vs one running
+        # sum), hence the last-bits tolerance.
+        totals = traced.trace.component_totals()
+        assert set(totals) <= set(COMPONENTS)
+        assert {name: totals.get(name, 0.0) for name in COMPONENTS} == \
+            pytest.approx(traced.stats.times.components(), rel=1e-12,
+                          abs=0.0)

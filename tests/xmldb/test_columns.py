@@ -113,19 +113,6 @@ def test_children_of_matches_parent_filter(doc, data):
     assert list(got) == expected
 
 
-def test_accelerator_flag_round_trips():
-    original = kernels.accelerator()
-    try:
-        kernels.set_accelerator("python")
-        assert kernels.accelerator() == "python"
-        kernels.set_accelerator("auto")
-        assert kernels.accelerator() in ("python", "numpy")
-        with pytest.raises(ValueError):
-            kernels.set_accelerator("fortran")
-    finally:
-        kernels.set_accelerator(original)
-
-
 # ---------------------------------------------------------------------------
 # ColumnSet / NameTable
 # ---------------------------------------------------------------------------
