@@ -115,8 +115,9 @@ class Document:
 
     @classmethod
     def from_columns(cls, uri: str, columns: ColumnSet) -> "Document":
-        """Wrap an already-built :class:`ColumnSet` (spill reopen, the
-        streaming generator) without re-coercing any column."""
+        """Wrap an already-built :class:`ColumnSet` (the text scanner,
+        spill reopen, the streaming generator) without re-coercing any
+        column."""
         return cls(uri, (), (), (), (), (), (), columns=columns)
 
     # -- basic accessors -----------------------------------------------------

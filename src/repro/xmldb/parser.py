@@ -1,271 +1,271 @@
-"""A small, dependency-free XML parser feeding :class:`DocumentBuilder`.
+"""A small, dependency-free XML scanner that shreds text into columns.
 
-Supports the subset of XML needed by the paper's workloads: elements,
-attributes (single or double quoted), character data, the five
-predefined entities plus numeric character references, CDATA sections,
-comments, processing instructions, and a skipped DOCTYPE. Namespace
-prefixes are kept as part of the QName (no URI resolution), matching
-the paper's prefix-level treatment of names.
+One loop per parse: ``str.find`` jumps to the next ``<``, one compiled
+token regex (:data:`_TAG`) recognises what starts there — a close tag,
+an open tag with its whole attribute list and optional ``/``, or the
+opener of a comment, CDATA section or processing instruction — and the
+node is appended straight into the six columns of a :class:`ColumnSet`.
+The open-element stack is the ``parents`` column itself (a close tag
+pops with ``parents[parent]``) and ``sizes`` is back-patched through it.
+
+Supports the XML the paper's workloads need: elements, attributes in
+either quote, text, the five predefined entities and numeric character
+references, CDATA (merged with adjacent text), comments, PIs and a
+skipped prolog/DOCTYPE. Prefixes stay part of the QName, matching the
+paper's prefix-level treatment of names; names are interned, once.
+
+Error contract: every rejection is an :class:`XmlParseError` whose
+``offset`` is where a left-to-right reader stops — for a bad reference,
+its ``&``. ``_TAG`` only ever *accepts*: a tag it refuses goes to
+:func:`_diagnose`, which re-reads that one tag step by step to name the
+offset and never returns, so there is a single accept path.
 """
 
 from __future__ import annotations
 
+import re
 from sys import intern
+from typing import NoReturn
 
 from repro.errors import XmlParseError
-from repro.xmldb.document import Document, DocumentBuilder
+from repro.xmldb.columns import ColumnSet
+from repro.xmldb.document import Document
+from repro.xmldb.node import NodeKind
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "quot": '"',
-    "apos": "'",
-}
+_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
-_NAME_EXTRA = set("-._:")
+# Patterns run on Python 3.10 (no possessive quantifiers or atomic
+# groups). Name characters, the four whitespace characters, ``=`` and
+# the quotes are pairwise disjoint, so no quantifier nests over classes
+# that overlap and a refused tag fails in linear time.
+_S = "[ \t\r\n]*"
+_N = r"[\w.:\-]+"  # exactly ``isalnum() or in "-._:"``
+_WS = re.compile(_S)
+_NAME = re.compile(_N)
+_B = r"(?<![\w.:\-])"  # an attribute name starts afresh, not inside a name
+_ATTR = re.compile(rf"{_S}{_B}({_N}){_S}={_S}(?:\"([^\"]*)\"|'([^']*)')")
+_TAG = re.compile(
+    rf"<(?:/({_N}){_S}>"
+    rf"|({_N})((?:{_S}{_B}{_N}{_S}={_S}(?:\"[^\"]*\"|'[^']*'))*){_S}(/?)>"
+    rf"|(!--)|(!\[CDATA\[)|\?({_N}))")
+#: ``_TAG``'s ``lastindex`` per alternative; a PI (group 7) is the rest.
+_CLOSE, _OPEN, _COMMENT, _CDATA = 1, 4, 5, 6
+_REFERENCE = re.compile("&([^;]*)(;?)")
+_DOCTYPE_BRACKET = re.compile(r"[\[\]>]")
+
+_K_DOC, _K_ELEM, _K_ATTR, _K_TEXT, _K_COMMENT, _K_PI = map(int, NodeKind)
 
 
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
+def _error(message: str, offset: int) -> XmlParseError:
+    return XmlParseError(f"{message} at offset {offset}", offset)
 
 
-class _Parser:
-    """Single-pass recursive-descent XML reader."""
+def _end_of(text: str, token: str, start: int, what: str) -> int:
+    """Where ``token`` closes the ``what`` whose body starts at ``start``."""
+    end = text.find(token, start)
+    if end < 0:
+        raise _error(f"unterminated {what}", start)
+    return end
 
-    def __init__(self, text: str, builder: DocumentBuilder):
-        self.text = text
-        self.pos = 0
-        self.builder = builder
 
-    # -- small helpers -------------------------------------------------------
+def _decode(raw: str, base: int) -> str:
+    """``raw``, found at offset ``base``, with its references substituted."""
 
-    def error(self, message: str) -> XmlParseError:
-        return XmlParseError(f"{message} at offset {self.pos}", self.pos)
+    def reference(match: re.Match) -> str:
+        body, semicolon = match.group(1, 2)
+        offset = base + match.start()
+        if not semicolon:
+            raise _error("unterminated entity reference", offset)
+        if body in _ENTITIES:
+            return _ENTITIES[body]
+        if body[:1] != "#":
+            raise _error(f"unknown entity &{body};", offset)
+        try:
+            hexadecimal = body[1:2] in ("x", "X")
+            return chr(int(body[2:], 16) if hexadecimal else int(body[1:]))
+        except (ValueError, OverflowError):
+            raise _error(f"malformed character reference &{body};",
+                         offset) from None
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    return _REFERENCE.sub(reference, raw)
 
-    def peek(self, ahead: int = 0) -> str:
-        index = self.pos + ahead
-        return self.text[index] if index < len(self.text) else ""
 
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
+def _attribute(attr: re.Match, seen: set[str]) -> tuple[str, str]:
+    """``(name, value)`` of one ``_ATTR`` match, checked against ``seen``."""
+    name = intern(attr[1])
+    value = attr[attr.lastindex]
+    if "&" in value:
+        value = _decode(value, attr.start(attr.lastindex))
+    if name in seen:
+        raise _error(f"duplicate attribute {name!r}", attr.end())
+    seen.add(name)
+    return name, value
 
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
 
-    def skip_whitespace(self) -> None:
-        while not self.at_end() and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+def _diagnose(text: str, pos: int, open_name: str) -> NoReturn:
+    """Raise for the tag at ``pos`` that ``_TAG`` refused, naming the
+    first offending offset. Raise-only: it never yields a parse."""
+    if text.startswith("</", pos):
+        name = _NAME.match(text, pos + 2)
+        if name is None:
+            raise _error("expected a name", pos + 2)
+        if name[0] != open_name:
+            raise _error(f"mismatched end tag </{name[0]}> for <{open_name}>",
+                         name.end())
+        raise _error("expected '>'", _WS.match(text, name.end()).end())
+    pos += 2 if text.startswith("<?", pos) else 1
+    name = _NAME.match(text, pos)
+    if name is None:
+        raise _error("expected a name", pos)
+    pos = name.end()
+    seen: set[str] = set()
+    while (attr := _ATTR.match(text, pos)) is not None:
+        _attribute(attr, seen)
+        pos = attr.end()
+    for part, what in ((_N, "a name"), ("=", "'='"),
+                       ("[\"']", "quoted attribute value")):
+        pos = _WS.match(text, pos).end()
+        step = re.compile(part).match(text, pos)
+        if step is None:
+            raise _error(f"expected {what}", pos)
+        pos = step.end()
+    raise _error("unterminated attribute value", pos)
 
-    def read_name(self) -> str:
-        start = self.pos
-        while not self.at_end() and _is_name_char(self.text[self.pos]):
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a name")
-        # Interned: a parsed document's tag/attribute names collapse to
-        # one string per distinct name (identity-comparable, and the
-        # substrings don't pin the whole source text alive).
-        return intern(self.text[start:self.pos])
 
-    def decode_entities(self, raw: str) -> str:
-        if "&" not in raw:
-            return raw
-        out: list[str] = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
-            end = raw.find(";", i + 1)
-            if end < 0:
-                raise self.error("unterminated entity reference")
-            entity = raw[i + 1:end]
-            if entity.startswith("#x") or entity.startswith("#X"):
-                out.append(chr(int(entity[2:], 16)))
-            elif entity.startswith("#"):
-                out.append(chr(int(entity[1:])))
-            elif entity in _PREDEFINED_ENTITIES:
-                out.append(_PREDEFINED_ENTITIES[entity])
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments and PIs between top-level constructs."""
+    while True:
+        pos = _WS.match(text, pos).end()
+        if text.startswith("<!--", pos):
+            pos = _end_of(text, "-->", pos + 4, "comment") + 3
+        elif text.startswith("<?", pos) and not text.startswith("<?xml", pos):
+            target = _NAME.match(text, pos + 2) or _diagnose(text, pos, "")
+            pos = _end_of(text, "?>", target.end(),
+                          "processing instruction") + 2
+        else:
+            return pos
+
+
+def _skip_prolog(text: str) -> int:
+    """Skip the XML declaration, a DOCTYPE and the misc around them."""
+    pos = _WS.match(text).end()
+    if text.startswith("<?xml", pos):
+        pos = _end_of(text, "?>", pos, "XML declaration") + 2
+    pos = _skip_misc(text, pos)
+    if text.startswith("<!DOCTYPE", pos):
+        depth = 0
+        for bracket in _DOCTYPE_BRACKET.finditer(text, pos):
+            if bracket[0] == "[":
+                depth += 1
+            elif bracket[0] == "]":
+                depth -= 1
+            elif depth == 0:
+                return _skip_misc(text, bracket.end())
+        raise _error("unterminated DOCTYPE", len(text))
+    return pos
+
+
+def _scan(text: str, uri: str, document: bool) -> Document:
+    """Shred ``text``: one element, under a document node if asked."""
+    pos = _skip_prolog(text) if document else _skip_misc(text, 0)
+    if not text.startswith("<", pos):
+        raise _error("expected root element" if document
+                     else "expected an element", pos)
+    if _NAME.match(text, pos + 1) is None:
+        raise _error("expected a name", pos + 1)
+
+    # Lists while scanning; ColumnSet packs the integer columns once.
+    columns = kinds, names, values, sizes, levels, parents = (
+        [], [], [], [], [], [])
+    kind_, name_, value_, size_, level_, parent_ = (
+        column.append for column in columns)
+
+    def node(kind: int, name: str, value: str, level: int, parent: int):
+        kind_(kind)
+        name_(name)
+        value_(value)
+        size_(0)
+        level_(level)
+        parent_(parent)
+
+    # ``parent`` is the innermost open element, ``top`` outside the
+    # root element; ``level`` is the depth of ``parent``'s children.
+    top, level = -1, 0
+    if document:
+        node(_K_DOC, "", "", 0, -1)
+        top, level = 0, 1
+    parent = top
+    find, tag = text.find, _TAG.match
+    while True:
+        token = tag(text, pos)
+        if token is None:
+            _diagnose(text, pos, names[parent] if parent != top else "")
+        which = token.lastindex
+        end = token.end()
+        if which == _OPEN:
+            pre = len(kinds)
+            node(_K_ELEM, intern(token[2]), "", level, parent)
+            if token[3]:
+                seen: set[str] = set()
+                for attr in _ATTR.finditer(text, *token.span(3)):
+                    node(_K_ATTR, *_attribute(attr, seen), level + 1, pre)
+            if not token[4]:
+                parent = pre
+                level += 1
             else:
-                raise self.error(f"unknown entity &{entity};")
-            i = end + 1
-        return "".join(out)
-
-    # -- grammar -------------------------------------------------------------
-
-    def parse_prolog(self) -> None:
-        self.skip_whitespace()
-        if self.startswith("<?xml"):
-            end = self.text.find("?>", self.pos)
-            if end < 0:
-                raise self.error("unterminated XML declaration")
-            self.pos = end + 2
-        self.skip_misc()
-        if self.startswith("<!DOCTYPE"):
-            # Skip to the matching '>' allowing a bracketed subset.
-            depth = 0
-            while not self.at_end():
-                ch = self.text[self.pos]
-                self.pos += 1
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                elif ch == ">" and depth == 0:
+                sizes[pre] = len(kinds) - pre - 1
+                if parent == top:
                     break
-            else:
-                raise self.error("unterminated DOCTYPE")
-        self.skip_misc()
-
-    def skip_misc(self) -> None:
-        """Skip whitespace, comments and PIs between top-level constructs."""
-        while True:
-            self.skip_whitespace()
-            if self.startswith("<!--"):
-                self.parse_comment(emit=False)
-            elif self.startswith("<?") and not self.startswith("<?xml"):
-                self.parse_pi(emit=False)
-            else:
-                return
-
-    def parse_comment(self, emit: bool = True) -> None:
-        self.expect("<!--")
-        end = self.text.find("-->", self.pos)
-        if end < 0:
-            raise self.error("unterminated comment")
-        if emit:
-            self.builder.comment(self.text[self.pos:end])
-        self.pos = end + 3
-
-    def parse_pi(self, emit: bool = True) -> None:
-        self.expect("<?")
-        target = self.read_name()
-        end = self.text.find("?>", self.pos)
-        if end < 0:
-            raise self.error("unterminated processing instruction")
-        content = self.text[self.pos:end].strip()
-        if emit:
-            self.builder.processing_instruction(target, content)
-        self.pos = end + 2
-
-    def parse_cdata(self) -> str:
-        self.expect("<![CDATA[")
-        end = self.text.find("]]>", self.pos)
-        if end < 0:
-            raise self.error("unterminated CDATA section")
-        content = self.text[self.pos:end]
-        self.pos = end + 3
-        return content
-
-    def parse_attribute(self) -> tuple[str, str]:
-        name = self.read_name()
-        self.skip_whitespace()
-        self.expect("=")
-        self.skip_whitespace()
-        quote = self.peek()
-        if quote not in ("'", '"'):
-            raise self.error("expected quoted attribute value")
-        self.pos += 1
-        end = self.text.find(quote, self.pos)
-        if end < 0:
-            raise self.error("unterminated attribute value")
-        value = self.decode_entities(self.text[self.pos:end])
-        self.pos = end + 1
-        return name, value
-
-    def parse_element(self) -> None:
-        self.expect("<")
-        name = self.read_name()
-        self.builder.start_element(name)
-        seen: set[str] = set()
-        while True:
-            self.skip_whitespace()
-            ch = self.peek()
-            if ch == ">":
-                self.pos += 1
+        elif which == _CLOSE:
+            if token[1] != names[parent]:
+                _diagnose(text, pos, names[parent])
+            sizes[parent] = len(kinds) - parent - 1
+            parent = parents[parent]
+            level -= 1
+            if parent == top:
                 break
-            if self.startswith("/>"):
-                self.pos += 2
-                self.builder.end_element()
-                return
-            attr_name, attr_value = self.parse_attribute()
-            if attr_name in seen:
-                raise self.error(f"duplicate attribute {attr_name!r}")
-            seen.add(attr_name)
-            self.builder.attribute(attr_name, attr_value)
-        self.parse_content(name)
-
-    def parse_content(self, open_name: str) -> None:
-        text_start = self.pos
-        while True:
-            if self.at_end():
-                raise self.error(f"unterminated element <{open_name}>")
-            lt = self.text.find("<", self.pos)
-            if lt < 0:
-                raise self.error(f"unterminated element <{open_name}>")
-            if lt > self.pos:
-                raw = self.text[self.pos:lt]
-                self.builder.text(self.decode_entities(raw))
-                self.pos = lt
-            if self.startswith("</"):
-                self.pos += 2
-                name = self.read_name()
-                if name != open_name:
-                    raise self.error(
-                        f"mismatched end tag </{name}> for <{open_name}>")
-                self.skip_whitespace()
-                self.expect(">")
-                self.builder.end_element()
-                return
-            if self.startswith("<!--"):
-                self.parse_comment()
-            elif self.startswith("<![CDATA["):
-                self.builder.text(self.parse_cdata())
-            elif self.startswith("<?"):
-                self.parse_pi()
+        elif which == _COMMENT:
+            close = _end_of(text, "-->", end, "comment")
+            node(_K_COMMENT, "", text[end:close], level, parent)
+            end = close + 3
+        elif which == _CDATA:
+            close = _end_of(text, "]]>", end, "CDATA section")
+            if kinds[-1] == _K_TEXT and parents[-1] == parent:
+                values[-1] += text[end:close]
+            elif close > end:
+                node(_K_TEXT, "", text[end:close], level, parent)
+            end = close + 3
+        else:
+            close = _end_of(text, "?>", end, "processing instruction")
+            value = text[end:close].strip()
+            node(_K_PI, intern(token[7]), value, level, parent)
+            end = close + 2
+        pos = find("<", end)
+        if pos < 0:
+            raise _error(f"unterminated element <{names[parent]}>", end)
+        if pos > end:
+            raw = text[end:pos]
+            if "&" in raw:
+                raw = _decode(raw, end)
+            # Only across a CDATA section: XDM merges adjacent text.
+            if kinds[-1] == _K_TEXT and parents[-1] == parent:
+                values[-1] += raw
             else:
-                self.parse_element()
-        del text_start  # single loop exit above
-
-    def run_document(self) -> None:
-        self.parse_prolog()
-        if not self.startswith("<"):
-            raise self.error("expected root element")
-        self.builder.start_document()
-        self.parse_element()
-        self.skip_misc()
-        if not self.at_end():
-            raise self.error("content after root element")
-        self.builder.end_document()
-
-    def run_fragment(self) -> None:
-        """Parse a single parentless element (no document node)."""
-        self.skip_misc()
-        if not self.startswith("<"):
-            raise self.error("expected an element")
-        self.parse_element()
-        self.skip_misc()
-        if not self.at_end():
-            raise self.error("content after fragment element")
+                node(_K_TEXT, "", raw, level, parent)
+    if document:
+        sizes[0] = len(kinds) - 1
+    end = _skip_misc(text, end)
+    if end < len(text):
+        raise _error("content after root element" if document
+                     else "content after fragment element", end)
+    return Document.from_columns(uri, ColumnSet(*columns))
 
 
 def parse_document(text: str, uri: str = "") -> Document:
     """Parse a full XML document (with document node at ``pre == 0``)."""
-    builder = DocumentBuilder(uri)
-    _Parser(text, builder).run_document()
-    return builder.finish()
+    return _scan(text, uri, document=True)
 
 
 def parse_fragment(text: str, uri: str = "") -> Document:
     """Parse one element as a parentless fragment document."""
-    builder = DocumentBuilder(uri)
-    _Parser(text, builder).run_fragment()
-    return builder.finish()
+    return _scan(text, uri, document=False)

@@ -273,8 +273,7 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
                                 child.string_value()))
         elif child.name == "xrpc:element":
             if "fragid" in attrs:
-                items.append(NodeRef(int(attrs["fragid"]),
-                                     int(attrs["nodeid"])))
+                items.append(NodeRef(*_reference_ids(attrs)))
             else:
                 from repro.xmldb.serializer import serialize_node
 
@@ -287,8 +286,7 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
                         "element copy must hold one element")
         elif child.name == "xrpc:attribute":
             if "fragid" in attrs:
-                items.append(AttrRef(int(attrs["fragid"]),
-                                     int(attrs["nodeid"]),
+                items.append(AttrRef(*_reference_ids(attrs),
                                      attrs.get("name", "")))
             else:
                 items.append(NodeCopy("attribute", attrs.get("name", ""),
@@ -298,6 +296,15 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
         else:
             raise XrpcMarshalError(f"unknown sequence item <{child.name}>")
     return items
+
+
+def _reference_ids(attrs: dict[str, str]) -> tuple[int, int]:
+    """The ``fragid``/``nodeid`` pair of a by-fragment reference."""
+    try:
+        return int(attrs["fragid"]), int(attrs["nodeid"])
+    except (KeyError, ValueError):
+        raise XrpcMarshalError("a node reference needs integer fragid "
+                               "and nodeid attributes") from None
 
 
 def _body(doc: Document) -> Node:

@@ -3,9 +3,28 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document, parse_fragment
+
+#: CI's ``fuzz`` job (``--hypothesis-profile=long``): unseeded, so every
+#: run hunts somewhere new; the failing example's reproduce blob and the
+#: job's ``--hypothesis-seed`` are printed on failure.
+settings.register_profile("long", max_examples=5000, derandomize=False,
+                          print_blob=True, deadline=None)
+
+
+def fuzz_settings(max_examples: int) -> settings:
+    """Settings for the parser fuzz tests: small and seeded in tier-1
+    (same examples, same verdict, every run), the ``long`` profile's
+    when the CI fuzz job selects it."""
+    long = settings.get_profile("long")
+    if settings.default is long:
+        return long
+    return settings(max_examples=max_examples, derandomize=True,
+                    deadline=None)
+
 
 #: The abstract tree of the paper's Figure 6 (runtime projection).
 FIG6_XML = ("<a><b><c><d><e/><f/></d></c>"

@@ -98,6 +98,64 @@ class TestErrors:
         assert info.value.offset > 0
 
 
+class TestScannerRegressions:
+    """Plain cases for what the differential fuzz (``test_parser_
+    differential.py`` / ``test_parser_malformed.py``, and CI's ``fuzz``
+    job) has found, plus the offsets the tokenizer must keep."""
+
+    def test_attribute_name_cannot_start_inside_the_element_name(self):
+        # Found while writing the tokenizer: the tag regex backtracked
+        # the element name to "a" and read x="1" as its attribute.
+        with pytest.raises(XmlParseError) as info:
+            parse_document('<ax="1"/>')
+        assert (str(info.value), info.value.offset) == \
+            ("expected a name at offset 3", 3)
+
+    def test_no_whitespace_needed_after_a_closing_quote(self):
+        doc = parse_document("""<a x="1"y='2'z="3"/>""")
+        assert list(doc.names[2:]) == ["x", "y", "z"]
+        assert list(doc.values[2:]) == ["1", "2", "3"]
+
+    def test_whitespace_and_newlines_inside_tags(self):
+        doc = parse_document('<a\n  x = "1"\r\n\ty\t=\n\'2\'  ><b \n/></a\n >')
+        assert list(doc.names) == ["", "a", "x", "y", "b"]
+        assert list(doc.sizes) == [4, 3, 0, 0, 0]
+        assert list(doc.levels) == [0, 1, 2, 2, 2]
+        assert list(doc.parents) == [-1, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("bad, message, offset", [
+        ('<a x="1" x="2" y="&bad;"/>', "duplicate attribute 'x'", 14),
+        ('<a x="&bad;" x="2"/>', "unknown entity &bad;", 6),
+        ("< a/>", "expected a name", 1),
+        ("<a><? x?></a>", "expected a name", 5),
+        ("<a><!-x--></a>", "expected a name", 4),
+        ("<a></a", "expected '>'", 6),
+        ("<a></b", "mismatched end tag </b> for <a>", 6),
+        ("<a x/>", "expected '='", 4),
+        ("<a x= y/>", "expected quoted attribute value", 6),
+        ('<a x="y/>', "unterminated attribute value", 6),
+        ("<a/ >", "expected a name", 2),
+        ("<a><b>text", "unterminated element <b>", 6),
+        ("<a><![CDATA[x]]</a>", "unterminated CDATA section", 12),
+        ("<a><?pi never closed</a>", "unterminated processing instruction", 7),
+        ("<!DOCTYPE a [<a/>", "unterminated DOCTYPE", 17),
+        ("<?xml version='1.0'><a/>", "unterminated XML declaration", 0),
+        ("<a/>trailing", "content after root element", 4),
+    ])
+    def test_first_offending_offset(self, bad, message, offset):
+        with pytest.raises(XmlParseError) as info:
+            parse_document(bad)
+        assert str(info.value) == f"{message} at offset {offset}"
+        assert info.value.offset == offset
+
+    def test_names_are_interned(self):
+        from sys import intern
+
+        doc = parse_document('<item id="1"><?target x?><item/></item>')
+        assert all(name is intern(name) for name in doc.names)
+        assert doc.names[1] is doc.names[4]
+
+
 class TestFragment:
     def test_fragment_root_is_element(self):
         doc = parse_fragment("<a><b/></a>")
