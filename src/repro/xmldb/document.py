@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from sys import intern
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
@@ -360,21 +360,14 @@ class DocumentBuilder:
                          self._sizes, self._levels, self._parents)
 
 
-def build_fragment_from_nodes(uri: str, content: Iterable[Node]) -> Document:
-    """Copy a sequence of nodes into one fresh fragment document.
+def build_fragment_from_node(uri: str, root: Node) -> Document:
+    """Copy one element's subtree into a fresh fragment document.
 
-    Used by element construction and by message shredding. The nodes
-    are wrapped under a synthetic element only when there is more than
-    one top-level node; a single element/text input becomes the
-    fragment root itself.
+    This is message shredding: every fragment and every by-value copy
+    an XRPC message carries becomes its own document — a column slice
+    of the parsed envelope that keeps no reference to it, so the copy
+    has new node identity and no ancestors.
     """
-    nodes = list(content)
     builder = DocumentBuilder(uri)
-    if len(nodes) == 1 and nodes[0].kind == NodeKind.ELEMENT:
-        builder.copy_subtree(nodes[0])
-        return builder.finish()
-    builder.start_element("xrpc:sequence")
-    for node in nodes:
-        builder.copy_subtree(node)
-    builder.end_element()
+    builder.copy_subtree(root)
     return builder.finish()

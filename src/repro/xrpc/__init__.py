@@ -5,7 +5,10 @@ Messages are genuinely serialised to XML text and re-parsed on the
 receiving peer with the :mod:`repro.xmldb` parser — message sizes (the
 paper's bandwidth metric) are the byte lengths of these texts, and the
 (de)serialisation component of the Figure 8 breakdown is charged per
-byte processed.
+byte processed. Each message is serialised once (``to_xml``) and parsed
+once (``from_xml``): in between, ``fragments`` lists and element
+:class:`NodeCopy` items hold the root :class:`~repro.xmldb.node.Node`
+of each shipped subtree, not its text.
 """
 
 from repro.xrpc.messages import (

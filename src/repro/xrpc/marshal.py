@@ -16,6 +16,15 @@
   paths against the actual values (Section VI-B). Ancestor chains are
   preserved up to the lowest common ancestor, so reverse/horizontal
   axes and fn:root/fn:id work on the receiving side.
+
+Fragments and element copies are :class:`Node` values on both sides
+(see ``xrpc/messages.py``): marshalling names the root of each subtree
+to ship and leaves the text to ``to_xml``; unmarshalling shreds each
+fragment, and each by-value copy, into its own fresh document by a
+column slice of the parsed envelope
+(:func:`~repro.xmldb.document.build_fragment_from_node`) — new node
+identity per message, no ancestors above the shipped root, no
+reference back to the envelope, and no second parse.
 """
 
 from __future__ import annotations
@@ -25,12 +34,13 @@ from dataclasses import dataclass, field
 from repro.errors import XrpcMarshalError
 from repro.paths.analysis import PathSets
 from repro.paths.relpath import RelPath, parse_rel_path
-from repro.xmldb.document import Document, DocumentBuilder
+from repro.xmldb import axes
+from repro.xmldb.document import (
+    Document, DocumentBuilder, build_fragment_from_node,
+)
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.parser import parse_fragment
 from repro.xmldb.projection import project
-from repro.xmldb.serializer import serialize_node
 from repro.xquery.xdm import UntypedAtomic, format_double
 
 from repro.xrpc.messages import Atomic, AttrRef, Call, Item, NodeCopy, NodeRef
@@ -57,10 +67,14 @@ def marshal_atomic(value) -> Atomic:
 def unmarshal_atomic(item: Atomic):
     if item.type_name == "xs:boolean":
         return item.lexical == "true"
-    if item.type_name == "xs:integer":
-        return int(item.lexical)
-    if item.type_name in ("xs:double", "xs:decimal", "xs:float"):
-        return float(item.lexical)
+    try:
+        if item.type_name == "xs:integer":
+            return int(item.lexical)
+        if item.type_name in ("xs:double", "xs:decimal", "xs:float"):
+            return float(item.lexical)
+    except ValueError:
+        raise XrpcMarshalError(f"malformed {item.type_name} "
+                               f"{item.lexical!r}") from None
     if item.type_name == "xs:untypedAtomic":
         return UntypedAtomic(item.lexical)
     return item.lexical
@@ -73,10 +87,12 @@ def unmarshal_atomic(item: Atomic):
 
 @dataclass
 class MarshalResult:
-    """Items per call/param plus the shared fragments preamble."""
+    """Items per call/param plus the shared fragments preamble: the
+    root element of each fragment (in the source document, a
+    projection of it, or a synthetic forest), in fragid order."""
 
     calls: list[Call]
-    fragments: list[str] = field(default_factory=list)
+    fragments: list[Node] = field(default_factory=list)
 
 
 def marshal_calls(calls: list[list[tuple[str, list]]], semantics: str,
@@ -89,36 +105,34 @@ def marshal_calls(calls: list[list[tuple[str, list]]], semantics: str,
     ``by-fragment``, ``by-projection``; the latter consumes
     ``param_paths`` (relative used/returned paths per parameter).
     """
-    if semantics == "by-value":
-        marshalled = [
-            Call([(name, [_by_value_item(item) for item in seq])
-                  for name, seq in call])
-            for call in calls
-        ]
-        return MarshalResult(marshalled)
-    return _marshal_with_fragments(calls, semantics, param_paths or {})
+    return _marshal(calls, semantics, param_paths or {})
 
 
-def marshal_result(result: list, semantics: str,
+def marshal_result(results: list[list], semantics: str,
                    used_paths: list[str] | None,
                    returned_paths: list[str] | None) -> MarshalResult:
-    """Marshal a function result sequence for the response message.
+    """Marshal the result sequences of one (bulk) request, one per
+    call, for the response message.
 
-    Under by-projection the request's projection paths are evaluated
-    against the result sequence to project the response fragments.
+    All results share one fragments preamble, so identity is preserved
+    across bulk calls (the Bulk RPC guarantee of Section V). Under
+    by-projection the request's projection paths are evaluated against
+    the result sequences to project the response fragments; a request
+    without them is answered in by-fragment format ("the absence or
+    presence of this element determines whether the response should be
+    in the original ... format").
     """
-    path_sets = None
+    param_paths = {}
     if semantics == "by-projection":
-        path_sets = PathSets(
-            used={parse_rel_path(p) for p in used_paths or []},
-            returned={parse_rel_path(p) for p in returned_paths or []},
-        )
-    calls = [[("result", result)]]
-    if semantics == "by-value":
-        return marshal_calls(calls, "by-value")
-    return _marshal_with_fragments(
-        calls, semantics,
-        {"result": path_sets} if path_sets is not None else {})
+        if used_paths is None and returned_paths is None:
+            semantics = "by-fragment"
+        else:
+            param_paths["result"] = PathSets(
+                used={parse_rel_path(p) for p in used_paths or []},
+                returned={parse_rel_path(p) for p in returned_paths or []},
+            )
+    return _marshal([[("result", result)] for result in results],
+                    semantics, param_paths)
 
 
 def _by_value_item(item) -> Item:
@@ -130,14 +144,12 @@ def _by_value_item(item) -> Item:
     if kind == NodeKind.TEXT:
         return NodeCopy("text", "", item.value)
     if kind == NodeKind.DOCUMENT:
-        # Serialising a document node ships its root element.
-        from repro.xmldb import axes as axes_mod
-
-        for child in axes_mod.child(item):
+        # A document node ships as its root element.
+        for child in axes.child(item):
             if child.kind == NodeKind.ELEMENT:
-                return NodeCopy("element", "", serialize_node(child))
+                return NodeCopy("element", "", child)
         raise XrpcMarshalError("document node without root element")
-    return NodeCopy("element", "", serialize_node(item))
+    return NodeCopy("element", "", item)
 
 
 @dataclass
@@ -146,7 +158,7 @@ class _FragmentPlan:
 
     fragid: int
     root_pre: int                       # in the (possibly projected) doc
-    doc: Document                       # the doc the serialised text is from
+    doc: Document                       # the doc the fragment root is in
     pre_map: dict[int, int] | None      # source pre -> projected pre
 
     def nodeid(self, source_pre: int) -> int:
@@ -158,10 +170,18 @@ class _FragmentPlan:
         return structural_index(self.doc).nodeid(self.root_pre, pre)
 
 
-def _marshal_with_fragments(calls: list[list[tuple[str, list]]],
-                            semantics: str,
-                            param_paths: dict[str, PathSets]
-                            ) -> MarshalResult:
+def _marshal(calls: list[list[tuple[str, list]]], semantics: str,
+             param_paths: dict[str, PathSets]) -> MarshalResult:
+    # Shared by marshal_calls and marshal_result, which never call each
+    # other: a tracer wrapping the public pair sees one marshal per
+    # message.
+    if semantics == "by-value":
+        return MarshalResult([
+            Call([(name, [_by_value_item(item) for item in seq])
+                  for name, seq in call])
+            for call in calls
+        ])
+
     # 1. Gather all node items, grouped by source document.
     by_doc: dict[int, list[Node]] = {}
     docs: dict[int, Document] = {}
@@ -189,22 +209,18 @@ def _marshal_with_fragments(calls: list[list[tuple[str, list]]],
 
     # 3. Build one fragment per source document.
     plans: dict[int, _FragmentPlan] = {}
-    fragments: list[str] = []
     ordered_docs = sorted(docs.values(), key=lambda d: d.doc_seq)
-    for doc in ordered_docs:
+    for fragid, doc in enumerate(ordered_docs, start=1):
         doc_key = id(doc)
         nodes = by_doc[doc_key]
         if semantics == "by-projection":
-            plan, text = _projected_fragment(
+            plans[doc_key] = _projected_fragment(
                 doc, nodes,
                 used_by_doc.get(doc_key, []),
                 returned_by_doc.get(doc_key, []),
-                len(fragments) + 1)
+                fragid)
         else:
-            plan, text = _containment_fragment(doc, nodes,
-                                               len(fragments) + 1)
-        plans[doc_key] = plan
-        fragments.append(text)
+            plans[doc_key] = _containment_fragment(doc, nodes, fragid)
 
     # 4. Emit items as references into the fragments.
     out_calls: list[Call] = []
@@ -219,7 +235,8 @@ def _marshal_with_fragments(calls: list[list[tuple[str, list]]],
                 items.append(_reference_item(item, plans[id(item.doc)]))
             out_params.append((name, items))
         out_calls.append(Call(out_params))
-    return MarshalResult(out_calls, fragments)
+    return MarshalResult(out_calls, [Node(plan.doc, plan.root_pre)
+                                     for plan in plans.values()])
 
 
 def _evaluate_paths_into(nodes: list[Node], sets: PathSets,
@@ -268,10 +285,10 @@ def _non_downward_prefixes(path: RelPath) -> list[RelPath]:
 
 
 def _containment_fragment(doc: Document, nodes: list[Node],
-                          fragid: int) -> tuple[_FragmentPlan, str]:
-    """Pass-by-fragment: serialise the maximal shipped nodes once, in
-    document order ("if a sent node is a descendant of another one, it
-    is not serialized twice")."""
+                          fragid: int) -> _FragmentPlan:
+    """Pass-by-fragment: ship the maximal nodes once, in document
+    order ("if a sent node is a descendant of another one, it is not
+    serialized twice")."""
     element_pres = sorted({_anchor_pre(node) for node in nodes})
     roots: list[int] = []
     current_end = -1
@@ -280,9 +297,7 @@ def _containment_fragment(doc: Document, nodes: list[Node],
             roots.append(pre)
             current_end = pre + doc.sizes[pre]
     if len(roots) == 1 and doc.kinds[roots[0]] == NodeKind.ELEMENT:
-        root_pre = roots[0]
-        plan = _FragmentPlan(fragid, root_pre, doc, None)
-        return plan, serialize_node(Node(doc, root_pre))
+        return _FragmentPlan(fragid, roots[0], doc, None)
     # Several disjoint maximal nodes: ship their subtrees under one
     # synthetic container so nodeid addressing stays single-rooted.
     # Their relative document order is preserved.
@@ -299,13 +314,12 @@ def _containment_fragment(doc: Document, nodes: list[Node],
         for offset in range(span):
             pre_map[pre + offset] = cursor + offset
         cursor += span
-    plan = _FragmentPlan(fragid, 0, forest, pre_map)
-    return plan, serialize_node(forest.root)
+    return _FragmentPlan(fragid, 0, forest, pre_map)
 
 
 def _projected_fragment(doc: Document, nodes: list[Node],
                         used: list[Node], returned: list[Node],
-                        fragid: int) -> tuple[_FragmentPlan, str]:
+                        fragid: int) -> _FragmentPlan:
     """Pass-by-projection: Algorithm 1 over the used/returned sets."""
     anchor_used = [Node(doc, _anchor_pre(n)) for n in nodes] + used
     result = project(anchor_used, returned)
@@ -315,8 +329,7 @@ def _projected_fragment(doc: Document, nodes: list[Node],
         # The LCA trim reached a non-element (e.g. a lone text node);
         # fragments must be element-rooted, fall back to containment.
         return _containment_fragment(doc, nodes + used + returned, fragid)
-    plan = _FragmentPlan(fragid, 0, result.doc, result.pre_map)
-    return plan, serialize_node(result.doc.root)
+    return _FragmentPlan(fragid, 0, result.doc, result.pre_map)
 
 
 def _anchor_pre(node: Node) -> int:
@@ -350,44 +363,37 @@ class _FragmentSpace:
     fresh document, shared by every reference into it — which is what
     preserves node identity and order within the message."""
 
-    def __init__(self, fragments: list[str], base_uri: str):
+    def __init__(self, fragments: list[Node], base_uri: str):
         self.docs: list[Document] = [
-            parse_fragment(text, uri=f"{base_uri}#fragment{i + 1}")
-            for i, text in enumerate(fragments)
+            build_fragment_from_node(f"{base_uri}#fragment{i + 1}", root)
+            for i, root in enumerate(fragments)
         ]
-        self._nodeid_maps: list[list[int] | None] = [None] * len(self.docs)
 
     def resolve(self, fragid: int, nodeid: int) -> Node:
+        if not 1 <= fragid <= len(self.docs):
+            raise XrpcMarshalError(f"fragid {fragid} out of range")
         doc = self.docs[fragid - 1]
-        mapping = self._nodeid_maps[fragid - 1]
-        if mapping is None:
-            # The structural index's non-attribute array IS the
-            # nodeid → pre mapping (nodeids are 1-based ranks).
-            mapping = structural_index(doc).non_attr_pres
-            self._nodeid_maps[fragid - 1] = mapping
-        try:
-            pre = mapping[nodeid - 1]
-        except IndexError:
+        # The structural index's non-attribute array IS the
+        # nodeid → pre mapping (nodeids are 1-based ranks).
+        mapping = structural_index(doc).non_attr_pres
+        if not 1 <= nodeid <= len(mapping):
             raise XrpcMarshalError(
-                f"nodeid {nodeid} out of range in fragment {fragid}") from None
-        node = Node(doc, pre)
-        # Unwrap the synthetic forest container.
+                f"nodeid {nodeid} out of range in fragment {fragid}")
+        pre = mapping[nodeid - 1]
         if pre == 0 and doc.names[0] == "xrpc:forest":
             raise XrpcMarshalError("reference to forest container")
-        return node
+        return Node(doc, pre)
 
     def resolve_attr(self, fragid: int, nodeid: int, name: str) -> Node:
         owner = self.resolve(fragid, nodeid)
-        from repro.xmldb import axes as axes_mod
-
-        for attr in axes_mod.attribute(owner):
+        for attr in axes.attribute(owner):
             if attr.name == name:
                 return attr
         raise XrpcMarshalError(f"attribute {name!r} not found via "
                                f"fragment {fragid} node {nodeid}")
 
 
-def unmarshal_calls(calls: list[Call], fragments: list[str],
+def unmarshal_calls(calls: list[Call], fragments: list[Node],
                     base_uri: str) -> list[list[tuple[str, list]]]:
     """Reconstruct parameter sequences on the receiving peer."""
     space = _FragmentSpace(fragments, base_uri)
@@ -398,7 +404,7 @@ def unmarshal_calls(calls: list[Call], fragments: list[str],
     ]
 
 
-def unmarshal_result(results: list[list[Item]], fragments: list[str],
+def unmarshal_result(results: list[list[Item]], fragments: list[Node],
                      base_uri: str) -> list[list]:
     space = _FragmentSpace(fragments, base_uri)
     return [_unmarshal_sequence(items, space, base_uri)
@@ -426,11 +432,11 @@ def _unmarshal_sequence(items: list[Item], space: _FragmentSpace,
 def _shred_copy(item: NodeCopy, base_uri: str) -> Node:
     """Pass-by-value: each copy becomes its own fragment document."""
     if item.node_kind == "element":
-        return parse_fragment(item.xml, uri=base_uri).root
+        return build_fragment_from_node(base_uri, item.content).root
     if item.node_kind == "attribute":
         doc = Document(base_uri, [NodeKind.ATTRIBUTE], [item.name],
-                       [item.xml], [0], [0], [-1])
+                       [item.content], [0], [0], [-1])
         return doc.root
-    doc = Document(base_uri, [NodeKind.TEXT], [""], [item.xml],
+    doc = Document(base_uri, [NodeKind.TEXT], [""], [item.content],
                    [0], [0], [-1])
     return doc.root

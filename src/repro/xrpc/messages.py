@@ -18,6 +18,15 @@ The shipped function body travels as query text in ``xrpc:query`` —
 XRPC is "a pure XQuery rewriter (not making any assumptions on the
 system internals of the participating peers)", so shipping source text
 is precisely the interoperability story of the paper.
+
+A message holds its XML payload as **nodes**, never as text: a
+fragment, or an element copied by value, is the :class:`Node` at the
+root of its subtree — in the source (or projected) document on the
+sending side, in the parsed envelope on the receiving side. So each
+message is serialised once (``to_xml``, the only producer of message
+text) and parsed once (``from_xml``: one ``parse_document`` of the
+envelope, nothing serialised back out of it). Shredding a payload node
+into its own fresh document is ``xrpc/marshal.py``'s half.
 """
 
 from __future__ import annotations
@@ -29,7 +38,9 @@ from repro.xmldb import axes as axes_mod
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document
-from repro.xmldb.serializer import escape_attribute, escape_text
+from repro.xmldb.serializer import (
+    escape_attribute, escape_text, serialize_node,
+)
 
 
 @dataclass(frozen=True)
@@ -42,16 +53,18 @@ class Atomic:
 
 @dataclass(frozen=True)
 class NodeCopy:
-    """A pass-by-value node copy: serialised subtree text.
+    """A pass-by-value node copy.
 
     ``node_kind`` distinguishes elements from attribute/text copies
     (standalone attributes have no XML syntax; XRPC wraps them, per
-    footnote 2 of the paper).
+    footnote 2 of the paper). An element copy holds the element node
+    whose subtree travels; attribute and text copies hold their string
+    value.
     """
 
-    node_kind: str  # "element" | "attribute" | "text"
-    name: str       # attribute name (empty otherwise)
-    xml: str        # serialised content
+    node_kind: str       # "element" | "attribute" | "text"
+    name: str            # attribute name (empty otherwise)
+    content: Node | str  # the element node; else the string value
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,8 @@ class RequestMessage:
     query: str                       # shipped function body (XQuery text)
     param_names: list[str]
     calls: list[Call]
-    fragments: list[str] = field(default_factory=list)
+    #: Root element of each fragment, in fragid order.
+    fragments: list[Node] = field(default_factory=list)
     static_attrs: dict[str, str] = field(default_factory=dict)
     #: Response projection paths (Urel/Rrel(vxrpc)); presence selects
     #: the pass-by-projection response format.
@@ -139,7 +153,8 @@ class RequestMessage:
             static_attrs[name] = attr.value
         used_paths: list[str] | None = None
         returned_paths: list[str] | None = None
-        projection = _find_optional_child(request, "xrpc:projection-paths")
+        projection = next(axes_mod.axis_step(
+            request, "child", "xrpc:projection-paths"), None)
         if projection is not None:
             used_paths = [n.string_value() for n in
                           axes_mod.axis_step(projection, "child",
@@ -170,7 +185,8 @@ class ResponseMessage:
     """An XRPC response: one result sequence per request call."""
 
     results: list[list[Item]]
-    fragments: list[str] = field(default_factory=list)
+    #: Root element of each fragment, in fragid order.
+    fragments: list[Node] = field(default_factory=list)
 
     def to_xml(self) -> str:
         out = [_ENVELOPE_OPEN, "<xrpc:response>"]
@@ -210,28 +226,29 @@ _ENVELOPE_OPEN = ('<env:Envelope xmlns:env='
 _ENVELOPE_CLOSE = "</env:Body></env:Envelope>"
 
 
-def _fragments_to_xml(fragments: list[str], out: list[str]) -> None:
+def _fragments_to_xml(fragments: list[Node], out: list[str]) -> None:
     if not fragments:
         out.append("<xrpc:fragments/>")
         return
     out.append("<xrpc:fragments>")
-    out.extend(f"<xrpc:fragment>{fragment}</xrpc:fragment>"
+    out.extend(f"<xrpc:fragment>{serialize_node(fragment)}</xrpc:fragment>"
                for fragment in fragments)
     out.append("</xrpc:fragments>")
 
 
-def _fragments_from_xml(request: Node) -> list[str]:
-    from repro.xmldb.serializer import serialize_node
-
+def _fragments_from_xml(request: Node) -> list[Node]:
     fragments_elem = _find_child(request, "xrpc:fragments")
-    out = []
-    for fragment in axes_mod.axis_step(fragments_elem, "child",
-                                       "xrpc:fragment"):
-        children = list(axes_mod.child(fragment))
-        if len(children) != 1 or children[0].kind != NodeKind.ELEMENT:
-            raise XrpcMarshalError("a fragment must hold one element")
-        out.append(serialize_node(children[0]))
-    return out
+    return [_only_element(fragment, "a fragment must hold one element")
+            for fragment in axes_mod.axis_step(fragments_elem, "child",
+                                               "xrpc:fragment")]
+
+
+def _only_element(wrapper: Node, complaint: str) -> Node:
+    """The single element child of a payload wrapper."""
+    children = list(axes_mod.child(wrapper))
+    if len(children) != 1 or children[0].kind != NodeKind.ELEMENT:
+        raise XrpcMarshalError(complaint)
+    return children[0]
 
 
 def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
@@ -242,13 +259,14 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
                        f"{escape_text(item.lexical)}</xrpc:atomic>")
         elif isinstance(item, NodeCopy):
             if item.node_kind == "element":
-                out.append(f"<xrpc:element>{item.xml}</xrpc:element>")
+                out.append(f"<xrpc:element>{serialize_node(item.content)}"
+                           f"</xrpc:element>")
             elif item.node_kind == "attribute":
                 out.append(f'<xrpc:attribute name='
                            f'"{escape_attribute(item.name)}">'
-                           f"{escape_text(item.xml)}</xrpc:attribute>")
+                           f"{escape_text(item.content)}</xrpc:attribute>")
             else:
-                out.append(f"<xrpc:text>{escape_text(item.xml)}"
+                out.append(f"<xrpc:text>{escape_text(item.content)}"
                            f"</xrpc:text>")
         elif isinstance(item, NodeRef):
             out.append(f'<xrpc:element fragid="{item.fragid}" '
@@ -275,15 +293,8 @@ def _sequence_from_xml(seq_elem: Node) -> list[Item]:
             if "fragid" in attrs:
                 items.append(NodeRef(*_reference_ids(attrs)))
             else:
-                from repro.xmldb.serializer import serialize_node
-
-                inner = [c for c in axes_mod.child(child)]
-                if len(inner) == 1 and inner[0].kind == NodeKind.ELEMENT:
-                    items.append(NodeCopy("element", "",
-                                          serialize_node(inner[0])))
-                else:
-                    raise XrpcMarshalError(
-                        "element copy must hold one element")
+                items.append(NodeCopy("element", "", _only_element(
+                    child, "element copy must hold one element")))
         elif child.name == "xrpc:attribute":
             if "fragid" in attrs:
                 items.append(AttrRef(*_reference_ids(attrs),
@@ -316,9 +327,3 @@ def _find_child(node: Node, name: str) -> Node:
     for child in axes_mod.axis_step(node, "child", name):
         return child
     raise XrpcMarshalError(f"missing <{name}> in message")
-
-
-def _find_optional_child(node: Node, name: str) -> Node | None:
-    for child in axes_mod.axis_step(node, "child", name):
-        return child
-    return None

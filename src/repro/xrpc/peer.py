@@ -52,38 +52,8 @@ class RequestHandler:
             )
             results.append(evaluator.evaluate(body, env))
 
-        if self.semantics == "by-value":
-            marshalled = [marshal_result(result, "by-value", None, None)
-                          for result in results]
-            return ResponseMessage(
-                results=[m.calls[0].params[0][1] for m in marshalled])
-
-        # Fragment/projection responses share one fragments preamble:
-        # marshal all call results together so identity is preserved
-        # across bulk calls (the Bulk RPC guarantee of Section V).
-        from repro.xrpc.marshal import marshal_calls as _marshal
-
-        from repro.paths.analysis import PathSets
-        from repro.paths.relpath import parse_rel_path
-
-        param_paths = None
-        semantics = self.semantics
-        if semantics == "by-projection":
-            if request.used_paths is None and request.returned_paths is None:
-                # No projection paths: respond in by-fragment format
-                # ("the absence or presence of this element determines
-                # whether the response should be in the original ...
-                # format").
-                semantics = "by-fragment"
-            else:
-                param_paths = {"result": PathSets(
-                    used={parse_rel_path(p)
-                          for p in request.used_paths or []},
-                    returned={parse_rel_path(p)
-                              for p in request.returned_paths or []},
-                )}
-        bundle = _marshal([[("result", result)] for result in results],
-                          semantics, param_paths)
+        bundle = marshal_result(results, self.semantics,
+                                request.used_paths, request.returned_paths)
         return ResponseMessage(
             results=[call.params[0][1] for call in bundle.calls],
             fragments=bundle.fragments)

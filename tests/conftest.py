@@ -6,7 +6,9 @@ import pytest
 from hypothesis import settings
 
 from repro.system.federation import Federation
+from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document, parse_fragment
+from repro.xmldb.serializer import serialize_node
 
 #: CI's ``fuzz`` job (``--hypothesis-profile=long``): unseeded, so every
 #: run hunts somewhere new; the failing example's reproduce blob and the
@@ -24,6 +26,16 @@ def fuzz_settings(max_examples: int) -> settings:
         return long
     return settings(max_examples=max_examples, derandomize=True,
                     deadline=None)
+
+
+def element(text: str) -> Node:
+    """The element an XRPC message part holds, from its text."""
+    return parse_fragment(text).root
+
+
+def texts(fragments: list[Node]) -> list[str]:
+    """A fragments preamble as it will read on the wire."""
+    return [serialize_node(fragment) for fragment in fragments]
 
 
 #: The abstract tree of the paper's Figure 6 (runtime projection).

@@ -9,6 +9,7 @@ from repro.runtime.batching import BulkBatcher, _split_response, batch_key
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xquery.xdm import sequences_deep_equal
 from repro.xrpc.messages import Atomic, NodeRef, ResponseMessage
+from tests.conftest import element, texts
 
 
 def atomic_response(values):
@@ -180,27 +181,27 @@ class TestSplitResponse:
     def test_foreign_fragments_dropped_and_fragids_renumbered(self):
         merged = ResponseMessage(
             results=[[NodeRef(1, 1)], [NodeRef(2, 1)]],
-            fragments=["<a/>", "<b/>"])
+            fragments=[element("<a/>"), element("<b/>")])
         first = _split_response(merged, (0, 1))
         second = _split_response(merged, (1, 2))
-        assert first.fragments == ["<a/>"]
+        assert texts(first.fragments) == ["<a/>"]
         assert first.results == [[NodeRef(1, 1)]]
-        assert second.fragments == ["<b/>"]
+        assert texts(second.fragments) == ["<b/>"]
         assert second.results == [[NodeRef(1, 1)]]  # remapped 2 -> 1
 
     def test_shared_fragment_kept_for_both(self):
         merged = ResponseMessage(
             results=[[NodeRef(1, 1)], [NodeRef(1, 2)]],
-            fragments=["<a><b/></a>"])
+            fragments=[element("<a><b/></a>")])
         for slot, nodeid in (((0, 1), 1), ((1, 2), 2)):
             split = _split_response(merged, slot)
-            assert split.fragments == ["<a><b/></a>"]
+            assert texts(split.fragments) == ["<a><b/></a>"]
             assert split.results == [[NodeRef(1, nodeid)]]
 
     def test_atomic_only_slice_carries_no_fragments(self):
         merged = ResponseMessage(
             results=[[Atomic("xs:integer", "1")], [NodeRef(1, 1)]],
-            fragments=["<a/>"])
+            fragments=[element("<a/>")])
         split = _split_response(merged, (0, 1))
         assert split.fragments == []
         assert split.results == [[Atomic("xs:integer", "1")]]

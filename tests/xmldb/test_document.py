@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import XmlError
 from repro.xmldb.document import Document, DocumentBuilder, \
-    build_fragment_from_nodes
+    build_fragment_from_node
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_document
 
@@ -148,19 +148,15 @@ class TestIdIndex:
         assert owners == {"a", "b"}
 
 
-class TestFragmentFromNodes:
-    def test_single_element_becomes_root(self):
+class TestFragmentFromNode:
+    def test_element_becomes_root_of_a_fresh_document(self):
         doc = parse_document("<r><a><b/></a></r>")
         a = next(n for n in doc.nodes() if n.name == "a")
-        frag = build_fragment_from_nodes("f", [a])
-        assert frag.root.name == "a"
-
-    def test_multiple_nodes_wrapped(self):
-        doc = parse_document("<r><a/><b/></r>")
-        nodes = [n for n in doc.nodes() if n.name in ("a", "b")]
-        frag = build_fragment_from_nodes("f", nodes)
-        assert frag.root.name == "xrpc:sequence"
-        assert frag.sizes[0] == 2
+        frag = build_fragment_from_node("f", a)
+        assert frag.is_fragment and frag.uri == "f"
+        assert frag.root.name == "a" and frag.root.parent() is None
+        assert list(frag.levels) == [0, 1] and list(frag.parents) == [-1, 0]
+        assert frag is not doc and frag.doc_seq > doc.doc_seq
 
 
 class TestDocument:

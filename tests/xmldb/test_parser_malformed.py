@@ -4,7 +4,10 @@ parser's did.
 A corrupted XRPC message must cross the wire as a ``repro.errors``
 type, never as a bare ``ValueError`` — so every prefix and every
 single-character substitution of one by-projection request and one
-response is pushed through ``from_xml``. Where the oracle (the old
+response is pushed through ``from_xml`` and, where that still accepts
+it, through ``unmarshal_calls`` / ``unmarshal_result``; references and
+numeric atomics no fragment or lexical space backs are typed faults
+too. Where the oracle (the old
 parser, ``tests/oracle/xml_reference_parser.py``) raises
 ``XmlParseError`` the scanner must raise it at the same offset; entity
 errors are the one intended difference — they now point at the ``&``.
@@ -16,10 +19,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.decompose.strategy import Strategy
-from repro.errors import ReproError, XmlParseError
+from repro.errors import ReproError, XmlParseError, XrpcMarshalError
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xmldb import parser as scanner
-from repro.xrpc.messages import RequestMessage, ResponseMessage
+from repro.xrpc.marshal import (
+    unmarshal_atomic, unmarshal_calls, unmarshal_result,
+)
+from repro.xrpc.messages import (
+    Atomic, AttrRef, Call, NodeRef, RequestMessage, ResponseMessage,
+)
 from tests.conftest import fuzz_settings
 from tests.oracle import outcome, xml_reference_parser as oracle
 from tests.xmldb.test_parser_differential import documents
@@ -85,10 +93,45 @@ def test_every_prefix_and_substitution_is_a_typed_fault(wire, message_type):
             rejected += 1
             continue
         try:  # well-formed still: the message layer's own checks
-            message_type.from_xml(corrupt)
+            message = message_type.from_xml(corrupt)
+            if message_type is RequestMessage:
+                unmarshal_calls(message.calls, message.fragments, "m")
+            else:
+                unmarshal_result(message.results, message.fragments, "m")
         except ReproError:
             rejected += 1
     assert rejected > len(text)  # every proper prefix, and then some
+
+
+@pytest.mark.parametrize("item", [
+    NodeRef(1, 0), NodeRef(1, -1), NodeRef(1, 4), NodeRef(2, 4),  # nodeid
+    NodeRef(0, 1), NodeRef(-1, 1), NodeRef(3, 1),                 # fragid
+    AttrRef(1, 0, "x"), AttrRef(0, 1, "x"), AttrRef(3, 1, "x"),
+    NodeRef(2, 1),                                         # the container
+], ids=repr)
+def test_references_out_of_range_are_typed_faults(item):
+    """Neither Python's negative indexing nor a bare ``IndexError``: a
+    ``fragid`` / ``nodeid`` below 1 or past the end, and a reference to
+    the synthetic ``xrpc:forest`` container, raise ``XrpcMarshalError``
+    before any node is handed out."""
+    fragments = [scanner.parse_fragment('<a x="1"><b/><c/></a>').root,
+                 scanner.parse_fragment(
+                     "<xrpc:forest><d/><e/></xrpc:forest>").root]
+    with pytest.raises(XrpcMarshalError):
+        unmarshal_result([[item]], fragments, "m")
+    with pytest.raises(XrpcMarshalError):
+        unmarshal_calls([Call([("p", [item])])], fragments, "m")
+
+
+@pytest.mark.parametrize("type_name, lexical", [
+    ("xs:integer", "x"), ("xs:integer", ""), ("xs:integer", "1.5"),
+    ("xs:double", "zz"), ("xs:decimal", "1,5"), ("xs:float", ""),
+])
+def test_malformed_numeric_atomics_are_typed_faults(type_name, lexical):
+    with pytest.raises(XrpcMarshalError):
+        unmarshal_atomic(Atomic(type_name, lexical))
+    with pytest.raises(XrpcMarshalError):
+        unmarshal_result([[Atomic(type_name, lexical)]], [], "m")
 
 
 @pytest.mark.parametrize("text, offset", [

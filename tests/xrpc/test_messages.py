@@ -1,9 +1,12 @@
 """Message wire format: Figures 4-5 shapes and XML round-trips."""
 
+from repro.xmldb.node import Node
+from repro.xmldb.serializer import serialize_node
 from repro.xrpc.messages import (
     Atomic, AttrRef, Call, NodeCopy, NodeRef, RequestMessage,
     ResponseMessage,
 )
+from tests.conftest import element, texts
 
 
 def roundtrip_request(request: RequestMessage) -> RequestMessage:
@@ -25,27 +28,28 @@ class TestRequestRoundTrip:
         request = RequestMessage(
             query="$p", param_names=["p"],
             calls=[Call([("p", [NodeCopy("element", "",
-                                         "<a x=\"1\"><b/></a>")])])])
+                                         element("<a x=\"1\"><b/></a>"))])])])
         back = roundtrip_request(request)
         (item,) = back.calls[0].params[0][1]
         assert isinstance(item, NodeCopy)
-        assert item.xml == '<a x="1"><b/></a>'
+        assert isinstance(item.content, Node)
+        assert serialize_node(item.content) == '<a x="1"><b/></a>'
 
     def test_attribute_copy(self):
         request = RequestMessage(
             query="$p", param_names=["p"],
             calls=[Call([("p", [NodeCopy("attribute", "id", "v&1")])])])
         (item,) = roundtrip_request(request).calls[0].params[0][1]
-        assert item.name == "id" and item.xml == "v&1"
+        assert item.name == "id" and item.content == "v&1"
 
     def test_fragment_references(self):
         request = RequestMessage(
             query="($l, $r)", param_names=["l", "r"],
             calls=[Call([("l", [NodeRef(1, 2)]),
                          ("r", [AttrRef(1, 1, "id")])])],
-            fragments=["<a><b/></a>"])
+            fragments=[element("<a><b/></a>")])
         back = roundtrip_request(request)
-        assert back.fragments == ["<a><b/></a>"]
+        assert texts(back.fragments) == ["<a><b/></a>"]
         assert back.calls[0].params[0][1] == [NodeRef(1, 2)]
         assert back.calls[0].params[1][1] == [AttrRef(1, 1, "id")]
 
@@ -89,17 +93,17 @@ class TestResponse:
     def test_roundtrip(self):
         response = ResponseMessage(
             results=[[NodeRef(1, 2)], [Atomic("xs:boolean", "true")]],
-            fragments=["<a><b><c/></b></a>"])
+            fragments=[element("<a><b><c/></b></a>")])
         back = ResponseMessage.from_xml(response.to_xml())
         assert back.results == [[NodeRef(1, 2)],
                                 [Atomic("xs:boolean", "true")]]
-        assert back.fragments == ["<a><b><c/></b></a>"]
+        assert texts(back.fragments) == ["<a><b><c/></b></a>"]
 
     def test_figure4_shape(self):
         """The pass-by-fragment response of Figure 4: one fragment,
         references carrying fragid/nodeid."""
         response = ResponseMessage(results=[[NodeRef(1, 2)]],
-                                   fragments=["<a><b><c/></b></a>"])
+                                   fragments=[element("<a><b><c/></b></a>")])
         xml = response.to_xml()
         assert ("<xrpc:fragments><xrpc:fragment><a><b><c/></b></a>"
                 "</xrpc:fragment></xrpc:fragments>") in xml

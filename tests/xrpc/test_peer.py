@@ -7,6 +7,7 @@ from repro.xmldb.parser import parse_document
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import Call, RequestMessage
 from repro.xrpc.peer import RequestHandler
+from tests.conftest import element
 
 
 def handler(semantics="by-fragment", docs=None):
@@ -101,7 +102,7 @@ class TestFailureInjection:
         request = make_request(
             "$p", params=["p"],
             calls=[Call([("p", [NodeRef(1, 99)])])],
-            fragments=["<a/>"])
+            fragments=[element("<a/>")])
         with pytest.raises(XrpcMarshalError):
             handler().handle(request)
 
@@ -111,8 +112,8 @@ class TestFailureInjection:
         request = make_request(
             "$p", params=["p"],
             calls=[Call([("p", [NodeRef(3, 1)])])],
-            fragments=["<a/>"])
-        with pytest.raises((XrpcMarshalError, IndexError)):
+            fragments=[element("<a/>")])
+        with pytest.raises(XrpcMarshalError):
             handler().handle(request)
 
     def test_missing_attribute_reference(self):
@@ -121,6 +122,6 @@ class TestFailureInjection:
         request = make_request(
             "$p", params=["p"],
             calls=[Call([("p", [AttrRef(1, 1, "nope")])])],
-            fragments=["<a/>"])
+            fragments=[element("<a/>")])
         with pytest.raises(XrpcMarshalError):
             handler().handle(request)

@@ -93,9 +93,10 @@ def test_by_fragment_never_ships_a_node_twice(pair):
     bundle = marshal_calls(calls, "by-fragment")
     total_fragment_nodes = 0
     from repro.xmldb.parser import parse_fragment
+    from repro.xmldb.serializer import serialize_node
 
-    for text in bundle.fragments:
-        total_fragment_nodes += len(parse_fragment(text))
+    for fragment in bundle.fragments:
+        total_fragment_nodes += len(parse_fragment(serialize_node(fragment)))
     # The union of shipped subtrees (maximal roots) bounds the payload.
     maximal: list = []
     for node in sorted(picks, key=lambda n: n.pre):
