@@ -3,8 +3,9 @@ tree-walking evaluator on descendant-heavy XMark queries.
 
 This is the PR's acceptance benchmark: the structural-index engine
 (`repro.xmldb.index` + the evaluator's pre-array pipeline) must beat
-the pre-PR per-node evaluator — retained verbatim behind
-``use_index=False`` — by ≥3× on descendant-heavy queries, with
+the per-node evaluator it replaced — kept verbatim as the test oracle,
+``tests/oracle/xquery_reference_walker`` — by ≥3× on descendant-heavy
+queries, with
 deep-equal results. A second table measures the memoized serializer:
 repeated subtree serialisation (the bulk-RPC fragment pattern) against
 cold re-walks.
@@ -28,6 +29,7 @@ from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_query
 
 from benchmarks.conftest import print_table, write_json
+from tests.oracle.xquery_reference_walker import ReferenceEvaluator
 
 SCALE = 0.02
 REPEATS = 3
@@ -57,8 +59,8 @@ QUERIES = [
 MIN_SPEEDUP = 3.0
 
 
-def _runner(module, docs, use_index: bool):
-    evaluator = Evaluator(module, use_index=use_index)
+def _runner(module, docs, engine):
+    evaluator = engine(module)
 
     def run():
         env = DynamicContext(resolve_doc=docs.__getitem__)
@@ -91,8 +93,8 @@ def test_hotpath_speedup():
     heavy_speedups = []
     for label, query, heavy in QUERIES:
         module = parse_query(query)
-        indexed = _runner(module, docs, use_index=True)
-        naive = _runner(module, docs, use_index=False)
+        indexed = _runner(module, docs, Evaluator)
+        naive = _runner(module, docs, ReferenceEvaluator)
         assert _result_key(indexed()) == _result_key(naive()), label
         indexed_ms = _best_ms(indexed)
         naive_ms = _best_ms(naive)

@@ -5,8 +5,9 @@ This is the PR's acceptance benchmark: predicate-heavy and join-heavy
 queries over the XMark pair must run ≥3× faster through the value
 index layer (``repro.xmldb.values`` probes + the predicate compiler in
 ``repro.xquery.predicates`` + the FLWOR hash join) than through the
-naive engine retained behind ``use_index=False`` — with identical
-results, asserted before timing.
+naive engine kept as the test oracle
+(``tests/oracle/xquery_reference_walker``) — with identical results,
+asserted before timing.
 
 Two query families:
 
@@ -36,6 +37,7 @@ from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_query
 
 from benchmarks.conftest import print_table, write_json
+from tests.oracle.xquery_reference_walker import ReferenceEvaluator
 
 SCALE = 0.02
 REPEATS = 3
@@ -81,8 +83,8 @@ QUERIES = [
 MIN_SPEEDUP = 3.0
 
 
-def _runner(module, docs, use_index: bool):
-    evaluator = Evaluator(module, use_index=use_index)
+def _runner(module, docs, engine):
+    evaluator = engine(module)
 
     def run():
         env = DynamicContext(resolve_doc=docs.__getitem__)
@@ -115,8 +117,8 @@ def test_predicate_speedup():
     speedups = []
     for label, query, family in QUERIES:
         module = parse_query(query)
-        indexed = _runner(module, docs, use_index=True)
-        naive = _runner(module, docs, use_index=False)
+        indexed = _runner(module, docs, Evaluator)
+        naive = _runner(module, docs, ReferenceEvaluator)
         assert _result_key(indexed()) == _result_key(naive()), label
         indexed_ms = _best_ms(indexed)
         naive_ms = _best_ms(naive)

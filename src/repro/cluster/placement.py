@@ -20,6 +20,7 @@ from repro.cluster.catalog import (
 from repro.cluster.partitioner import (
     Partitioner, make_partitioner, partition_document,
 )
+from repro.cluster.rebalance import LoadScorer
 from repro.xmldb.document import Document
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -40,19 +41,12 @@ def shard_local_name(document: str, index: int) -> str:
 def healthy_peers(peers: list[str], catalog: ClusterCatalog | None = None,
                   membership=None) -> list[str]:
     """``peers`` minus everything fresh placements must skip: peers
-    the catalog marks down or draining, and peers the membership
-    tracker holds DEAD/EVICTED."""
-    from repro.cluster.membership import DEAD, EVICTED
-    out = []
-    for name in peers:
-        if catalog is not None and (catalog.is_down(name)
-                                    or catalog.is_draining(name)):
-            continue
-        if membership is not None \
-                and membership.state(name) in (DEAD, EVICTED):
-            continue
-        out.append(name)
-    return out
+    that may not hold or serve a replica (:meth:`LoadScorer.usable`)
+    and peers the catalog marks draining."""
+    scorer = LoadScorer(catalog=catalog, membership=membership)
+    return [name for name in peers
+            if scorer.usable(name)
+            and not (catalog is not None and catalog.is_draining(name))]
 
 
 def round_robin_placement(peers: list[str], shard_count: int,

@@ -102,10 +102,12 @@ class LoadScorer:
             health = getattr(monitor, "health", None)
         self.health = health
 
-    # -- usability (same semantics as RepairEngine._usable) -----------------
+    # -- usability ----------------------------------------------------------
 
     def usable(self, peer: str) -> bool:
-        """Not catalog-down and not membership DEAD/EVICTED."""
+        """May this peer hold or serve a replica: not catalog-down and
+        not membership DEAD/EVICTED. The one definition — the repair
+        engine and fresh placements (``healthy_peers``) ask here."""
         if self.catalog is not None and self.catalog.is_down(peer):
             return False
         if self.membership is not None \

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace as dc_replace
 from repro.cluster.catalog import (
     ClusterCatalog, ClusterError, CollectionSpec, ShardInfo, with_replicas,
 )
-from repro.cluster.membership import DEAD, EVICTED
+from repro.cluster.membership import EVICTED
 from repro.cluster.rebalance import LoadScorer
 from repro.errors import NetworkError
 from repro.net.stats import RunStats
@@ -175,10 +175,11 @@ class RepairEngine:
         if self.catalog is None:
             raise ClusterError("repair engine has no catalog")
         enqueued = 0
+        scorer = self._scorer()
         for spec in self.catalog.collections():
             target = spec.target_replication
             for shard in spec.shards:
-                usable = [r for r in shard.replicas if self._usable(r)]
+                usable = [r for r in shard.replicas if scorer.usable(r)]
                 if len(usable) >= target:
                     continue
                 if self._enqueue(RepairTask(spec.name, shard.index)):
@@ -271,13 +272,11 @@ class RepairEngine:
 
     # -- one repair -----------------------------------------------------------
 
-    def _usable(self, peer: str) -> bool:
-        if self.catalog is not None and self.catalog.is_down(peer):
-            return False
-        if self.membership is not None \
-                and self.membership.state(peer) in (DEAD, EVICTED):
-            return False
-        return True
+    def _scorer(self) -> LoadScorer:
+        """The usability test and load ranking shared with the
+        rebalancer, over this engine's catalog and membership."""
+        return LoadScorer(self.federation, catalog=self.catalog,
+                          membership=self.membership)
 
     def _candidates(self, spec: CollectionSpec,
                     shard: ShardInfo) -> list[str]:
@@ -288,12 +287,7 @@ class RepairEngine:
         stops piling fragments onto an idle-but-already-full peer."""
         if self.federation is None:
             raise ClusterError("repair engine has no federation")
-        scorer = LoadScorer(
-            self.federation, catalog=self.catalog,
-            membership=self.membership,
-            health=getattr(getattr(self.federation, "monitor", None),
-                           "health", None))
-        return scorer.rank(exclude=set(shard.replicas))
+        return self._scorer().rank(exclude=set(shard.replicas))
 
     def _repair_one(self, task: RepairTask) -> bool:
         try:
@@ -304,7 +298,8 @@ class RepairEngine:
                       if s.index == task.shard_index), None)
         if shard is None:
             return False
-        usable = [r for r in shard.replicas if self._usable(r)]
+        scorer = self._scorer()
+        usable = [r for r in shard.replicas if scorer.usable(r)]
         if len(usable) >= spec.target_replication:
             return False  # healed since the scan (revival, earlier task)
         if not usable:

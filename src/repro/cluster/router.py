@@ -74,7 +74,8 @@ from repro.xquery.ast import (
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
     PathExpr, VarRef, XRPCExpr,
 )
-from repro.xquery.context import CostCounter
+from repro.xquery.context import CostCounter, DynamicContext
+from repro.xquery.evaluator import Evaluator
 from repro.xquery.predicates import conjunction_members, literal_probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -577,9 +578,6 @@ class ClusterRouter:
         ships and merges the shards, with caching and failover). Exact
         semantics, data-shipping cost — the safety valve for global
         order/position constructs."""
-        from repro.xquery.context import DynamicContext
-        from repro.xquery.evaluator import Evaluator
-
         run = self.run
         evaluator = Evaluator(run.decomposition.module,
                               run.federation.static)

@@ -6,7 +6,10 @@ A :class:`RelPath` is a sequence of :class:`RelStep`; a step is either
 a plain axis step (any of the 13 axes — the paper's extension beyond
 [18]) or one of the pseudo-steps ``root()`` / ``id()`` / ``idref()``.
 Paths serialise to compact strings for the message's
-``projection-paths`` element and parse back on the remote side.
+``projection-paths`` element and parse back on the remote side, where
+they run on the evaluator's own axis engine
+(:func:`repro.xmldb.index.scan_groups`): one index scan per step per
+document over the whole context set.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import XrpcMarshalError
-from repro.xmldb import axes as axes_mod
-from repro.xmldb.compare import sort_document_order
+from repro.xmldb.axes import AXES
+from repro.xmldb.document import Document
+from repro.xmldb.index import (
+    Groups, group_by_document, group_nodes, scan_groups,
+)
 from repro.xmldb.node import Node
 
 #: Pseudo-steps for the built-ins of Problem 5 Classes 3-4.
@@ -49,49 +55,53 @@ class RelPath:
             return "self::node()"
         return "/".join(str(step) for step in self.steps)
 
-    def evaluate(self, context: list[Node]) -> list[Node]:
+    def stages(self, context: list) -> list[Groups]:
+        """The node set after 0, 1, ... ``len(steps)`` steps of one
+        left-to-right pass from the nodes of ``context`` — entry *i* is
+        what the prefix ``steps[:i]`` evaluates to."""
+        groups = group_by_document(n for n in context if isinstance(n, Node))
+        out = [groups]
+        for step in self.steps:
+            pseudo = _PSEUDO_PRES.get(step.axis)
+            if pseudo is None:
+                groups = scan_groups(step.axis, step.test, groups)
+            else:
+                # Pseudo steps depend on the document alone.
+                groups = [(doc, pres) for doc, _context in groups
+                          if (pres := pseudo(doc))]
+            out.append(groups)
+        return out
+
+    def evaluate(self, context: list) -> list[Node]:
         """Apply the path to a context sequence using the engine's
         normal axis machinery ("our runtime approach for projection
         simply relies on the normal XPATH evaluation capabilities")."""
-        current = [n for n in context if isinstance(n, Node)]
-        for step in self.steps:
-            gathered: list[Node] = []
-            if step.axis == "root()":
-                gathered = [node.root() for node in current]
-            elif step.axis == "id()":
-                for node in current:
-                    gathered.extend(_all_id_elements(node))
-            elif step.axis == "idref()":
-                for node in current:
-                    gathered.extend(_all_idref_elements(node))
-            else:
-                for node in current:
-                    gathered.extend(
-                        axes_mod.axis_step(node, step.axis, step.test))
-            current = sort_document_order(gathered)
-        return current
+        return group_nodes(self.stages(context)[-1])
 
 
-def _all_id_elements(node: Node) -> list[Node]:
+def _id_element_pres(doc: Document) -> list[int]:
     """The loading-algorithm consequence the paper states: without
     knowing the ID values (they are strings, not nodes), conserve all
     elements carrying an ID attribute."""
-    doc = node.doc
     if doc._id_index is None:  # noqa: SLF001 - intentional internal use
         doc._build_id_indexes()
     assert doc._id_index is not None
-    return [Node(doc, pre) for pre in doc._id_index.values()]
+    return sorted(set(doc._id_index.values()))
 
 
-def _all_idref_elements(node: Node) -> list[Node]:
-    doc = node.doc
+def _idref_element_pres(doc: Document) -> list[int]:
     if doc._idref_index is None:  # noqa: SLF001
         doc._build_id_indexes()
     assert doc._idref_index is not None
-    out: list[Node] = []
-    for pres in doc._idref_index.values():
-        out.extend(Node(doc, pre) for pre in pres)
-    return out
+    return sorted({pre for pres in doc._idref_index.values()
+                   for pre in pres})
+
+
+_PSEUDO_PRES = {
+    "root()": lambda doc: (0,),
+    "id()": _id_element_pres,
+    "idref()": _idref_element_pres,
+}
 
 
 def parse_rel_path(text: str) -> RelPath:
@@ -108,7 +118,7 @@ def parse_rel_path(text: str) -> RelPath:
         if "::" not in part:
             raise XrpcMarshalError(f"malformed projection path step {part!r}")
         axis, test = part.split("::", 1)
-        if axis not in axes_mod.AXES:
+        if axis not in AXES:
             raise XrpcMarshalError(f"unknown axis {axis!r} in path {text!r}")
         steps.append(RelStep(axis, test))
     return RelPath(tuple(steps))

@@ -29,6 +29,7 @@ import threading
 from dataclasses import replace
 from typing import Callable, Hashable
 
+from repro.errors import XrpcMarshalError
 from repro.xrpc.messages import AttrRef, NodeRef, ResponseMessage
 
 #: Raw calls as the evaluator hands them over: one list of
@@ -174,6 +175,11 @@ def _split_response(response: ResponseMessage,
     results = response.results[slot[0]:slot[1]]
     used = sorted({item.fragid for items in results for item in items
                    if isinstance(item, (NodeRef, AttrRef))})
+    # The merged response came off the wire: a fragid outside the
+    # preamble is malformed input, not an index to wrap around.
+    for fragid in used:
+        if not 1 <= fragid <= len(response.fragments):
+            raise XrpcMarshalError(f"fragid {fragid} out of range")
     remap = {old: new for new, old in enumerate(used, start=1)}
     if remap:
         results = [[replace(item, fragid=remap[item.fragid])

@@ -1,23 +1,23 @@
-"""The 13 XPath axes over the pre/size/level store.
+"""The XPath axes over the pre/size/level store: their names, the
+paper's axis classes, and the node test.
 
-Each axis function takes one context :class:`Node` and yields result
-nodes in the order the axis defines (forward axes in document order,
-reverse axes in reverse document order — the evaluator re-sorts the
-final step result into document order as XQuery requires).
+Axis *steps* are set-at-a-time index scans
+(:meth:`repro.xmldb.index.StructuralIndex.axis_scan` answers all
+twelve axes); what stays here is the vocabulary — the valid axis
+names, the classes Conditions i and iii are phrased in — plus the two
+per-node walks the message codec, the partitioner and ``deep_equal``
+use to read one element's attributes and children in place.
 
 Attribute nodes are stored inside their owner's pre/size interval but
-are *not* descendants in the XPath data model, so every axis that walks
-subtrees filters them out; only ``attribute`` (and ``self``) can yield
-them.
+are *not* descendants in the XPath data model, so ``child`` filters
+them out; only ``attribute`` (and ``self``) can yield them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.xmldb.node import Node, NodeKind
-
-AxisFunction = Callable[[Node], Iterator[Node]]
 
 
 def child(node: Node) -> Iterator[Node]:
@@ -45,122 +45,12 @@ def attribute(node: Node) -> Iterator[Node]:
         cursor += 1
 
 
-def descendant(node: Node) -> Iterator[Node]:
-    doc = node.doc
-    if node.kind == NodeKind.ATTRIBUTE:
-        return
-    for pre in range(node.pre + 1, node.pre + node.size + 1):
-        if doc.kinds[pre] != NodeKind.ATTRIBUTE:
-            yield Node(doc, pre)
-
-
-def descendant_or_self(node: Node) -> Iterator[Node]:
-    yield node
-    yield from descendant(node)
-
-
-def self(node: Node) -> Iterator[Node]:
-    yield node
-
-
-def parent(node: Node) -> Iterator[Node]:
-    p = node.parent()
-    if p is not None:
-        yield p
-
-
-def ancestor(node: Node) -> Iterator[Node]:
-    p = node.parent()
-    while p is not None:
-        yield p
-        p = p.parent()
-
-
-def ancestor_or_self(node: Node) -> Iterator[Node]:
-    yield node
-    yield from ancestor(node)
-
-
-def following_sibling(node: Node) -> Iterator[Node]:
-    doc = node.doc
-    if node.kind == NodeKind.ATTRIBUTE:
-        return
-    parent_pre = doc.parents[node.pre]
-    if parent_pre < 0:
-        return
-    end = parent_pre + doc.sizes[parent_pre]
-    cursor = node.pre + node.size + 1
-    while cursor <= end:
-        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
-            yield Node(doc, cursor)
-        cursor += doc.sizes[cursor] + 1
-
-
-def preceding_sibling(node: Node) -> Iterator[Node]:
-    """Preceding siblings in reverse document order."""
-    doc = node.doc
-    if node.kind == NodeKind.ATTRIBUTE:
-        return
-    parent_pre = doc.parents[node.pre]
-    if parent_pre < 0:
-        return
-    siblings = []
-    cursor = parent_pre + 1
-    while cursor < node.pre:
-        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
-            siblings.append(cursor)
-        cursor += doc.sizes[cursor] + 1
-    for pre in reversed(siblings):
-        yield Node(doc, pre)
-
-
-def following(node: Node) -> Iterator[Node]:
-    """Nodes after the subtree of ``node``, excluding ancestors."""
-    doc = node.doc
-    start = node.pre + node.size + 1
-    if node.kind == NodeKind.ATTRIBUTE:
-        # Per XPath, following of an attribute = following of its owner
-        # plus the owner's descendants after the attribute; we use the
-        # common simplification: everything after the owner's attributes.
-        owner = doc.parents[node.pre]
-        start = node.pre + 1
-        while start < len(doc.kinds) and doc.kinds[start] == NodeKind.ATTRIBUTE \
-                and doc.parents[start] == owner:
-            start += 1
-    for pre in range(start, len(doc.kinds)):
-        if doc.kinds[pre] != NodeKind.ATTRIBUTE:
-            yield Node(doc, pre)
-
-
-def preceding(node: Node) -> Iterator[Node]:
-    """Nodes wholly before ``node``, excluding ancestors, reverse order."""
-    doc = node.doc
-    ancestors = {a.pre for a in ancestor(node)}
-    result = []
-    for pre in range(node.pre):
-        if doc.kinds[pre] == NodeKind.ATTRIBUTE:
-            continue
-        if pre in ancestors:
-            continue
-        result.append(pre)
-    for pre in reversed(result):
-        yield Node(doc, pre)
-
-
-AXES: dict[str, AxisFunction] = {
-    "child": child,
-    "attribute": attribute,
-    "descendant": descendant,
-    "descendant-or-self": descendant_or_self,
-    "self": self,
-    "parent": parent,
-    "ancestor": ancestor,
-    "ancestor-or-self": ancestor_or_self,
-    "following-sibling": following_sibling,
-    "preceding-sibling": preceding_sibling,
-    "following": following,
-    "preceding": preceding,
-}
+#: The twelve axis names (all but the namespace axis).
+AXES = frozenset({
+    "child", "attribute", "descendant", "descendant-or-self", "self",
+    "parent", "ancestor", "ancestor-or-self", "following-sibling",
+    "preceding-sibling", "following", "preceding",
+})
 
 #: Axes that navigate upwards (paper Condition i forbids these on
 #: shipped nodes under pass-by-value and pass-by-fragment).
@@ -202,8 +92,12 @@ def matches_node_test(node: Node, test: str) -> bool:
     return node.name == test
 
 
+_WALKS = {"child": child, "attribute": attribute}
+
+
 def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:
-    """One axis step from one context node, node-test applied."""
-    for candidate in AXES[axis](node):
+    """One ``child`` or ``attribute`` step from one node, node test
+    applied."""
+    for candidate in _WALKS[axis](node):
         if matches_node_test(candidate, test):
             yield candidate

@@ -1,10 +1,13 @@
 """Structural indexes over the pre/size/level store.
 
 A :class:`StructuralIndex` is built lazily, once, per
-:class:`~repro.xmldb.document.Document` and answers the hot axis steps
-as array range scans instead of tree walks — the same lever the
-paper's host system (MonetDB/XQuery's Pathfinder "staircase join")
-uses:
+:class:`~repro.xmldb.document.Document` and answers every axis step —
+all twelve axes, any node test — as array scans over whole context
+sets instead of per-node tree walks — the same lever the paper's host
+system (MonetDB/XQuery's Pathfinder "staircase join") uses.
+:meth:`StructuralIndex.axis_scan` is the one place an axis is applied;
+:func:`scan_groups` lifts it to node sets spanning several documents
+for the evaluator and the projection-path runtime:
 
 * **tag index** — element name → sorted pre array (names interned, so
   index keys share storage with the document's name column);
@@ -17,8 +20,10 @@ uses:
   one merge of the matching pre lists.
 
 Every scan yields pres in ascending order with no duplicates, i.e. the
-result is *provably in document order* — the evaluator skips its
-post-step sort for these results.
+result is *provably in document order* — no step needs a post-sort.
+Reverse and horizontal axes read the ``parents`` column, whose entry
+for a tree root is -1: on a shipped fragment they find exactly the
+ancestors and siblings the message carried (the paper's Problem 1).
 
 Indexes ride on the document object itself (documents are logically
 immutable; a :meth:`Peer.store` swaps the whole object, so a stale
@@ -32,32 +37,21 @@ from __future__ import annotations
 
 from array import array
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb import kernels
 from repro.xmldb.kernels import pre_array
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import Node, NodeKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
 
 _EMPTY = pre_array()
 
-#: Axes answerable as index range scans (all forward, all yielding
-#: document order). The evaluator falls back to the naive per-node
-#: walk for every other axis.
-INDEXED_AXES = frozenset({
-    "self", "child", "attribute", "descendant", "descendant-or-self",
-})
-
-#: Node tests the scans understand (plus ``*`` and QNames).
-_KIND_TESTS = frozenset({"node()", "text()", "comment()"})
-
-
-def supported_test(test: str) -> bool:
-    """True when ``test`` can be answered from the index arrays."""
-    return not test.endswith("()") or test in _KIND_TESTS
+#: Per-document sorted duplicate-free pre columns, documents in
+#: document-order (``doc_seq``) position: a node set, set-at-a-time.
+Groups = list[tuple["Document", Sequence[int]]]
 
 
 class StructuralIndex:
@@ -178,32 +172,63 @@ class StructuralIndex:
     def axis_scan(self, axis: str, test: str,
                   pres: Sequence[int]) -> Sequence[int]:
         """One set-at-a-time axis step over sorted, duplicate-free
-        context pres. Returns sorted, duplicate-free result pres
-        (typed columns from the batch kernels)."""
+        context pres (any node kind). Returns sorted, duplicate-free
+        result pres (typed columns from the batch kernels). Total over
+        :data:`repro.xmldb.axes.AXES`."""
         if not pres:
             return _EMPTY
+        doc = self.doc
         if axis == "self":
-            return pre_array(p for p in pres if self.matches(p, test))
+            return self._matching(test, pres)
         if axis == "attribute":
             return self._attribute_scan(test, pres)
         if axis == "child":
             return kernels.children_of(self._candidates(test), pres,
-                                       self.doc.sizes, self.doc.parents)
+                                       doc.sizes, doc.parents)
         if axis == "descendant":
             return kernels.subtree_sweep(self._candidates(test), pres,
-                                         self.doc.sizes)
+                                         doc.sizes)
         if axis == "descendant-or-self":
-            selves = pre_array(p for p in pres if self.matches(p, test))
             below = kernels.subtree_sweep(self._candidates(test), pres,
-                                          self.doc.sizes)
-            return kernels.union_sorted(selves, below)
-        raise ValueError(f"axis {axis!r} is not index-scannable")
+                                          doc.sizes)
+            return kernels.union_sorted(self._matching(test, pres), below)
+        if axis == "parent":
+            parents = doc.parents
+            above = {parents[pre] for pre in pres}
+            above.discard(-1)
+            return self._matching(test, sorted(above))
+        if axis == "ancestor" or axis == "ancestor-or-self":
+            return self._matching(test, kernels.ancestors_of(
+                pres, doc.parents, or_self=axis == "ancestor-or-self"))
+        if axis == "following-sibling" or axis == "preceding-sibling":
+            return self._sibling_scan(test, pres,
+                                      axis == "following-sibling")
+        sizes = doc.sizes
+        if axis == "following":
+            # Everything past the earliest-ending context subtree; an
+            # attribute context (size 0) thereby starts right after its
+            # owner's attributes, which the pool never holds.
+            first_end = min(pre + sizes[pre] for pre in pres)
+            return kernels.range_scan(self._candidates(test), first_end,
+                                      doc.count)
+        if axis == "preceding":
+            # Before the last context and not one of its ancestors:
+            # the candidate's subtree ends before that context starts.
+            last = pres[-1]
+            return pre_array(
+                pre for pre in kernels.range_scan(self._candidates(test),
+                                                  -1, last - 1)
+                if pre + sizes[pre] < last)
+        raise ValueError(f"unknown axis {axis!r}")
+
+    def _matching(self, test: str, pres: Sequence[int]) -> array:
+        return pre_array(pre for pre in pres if self.matches(pre, test))
 
     def _attribute_scan(self, test: str, pres: Sequence[int]) -> array:
         kinds = self.doc.kinds
         names = self.doc.names
         count = self.doc.count
-        by_name = not test.endswith("()") and test != "*"
+        by_name = test != "*" and test != "node()"
         if test == "text()" or test == "comment()":
             return _EMPTY
         out = pre_array()
@@ -217,6 +242,32 @@ class StructuralIndex:
                     out.append(cursor)
                 cursor += 1
         return out
+
+    def _sibling_scan(self, test: str, pres: Sequence[int],
+                      following: bool) -> array:
+        """Siblings after the first (``following``) or before the last
+        context under each parent. Attributes and tree roots have no
+        siblings."""
+        kinds = self.doc.kinds
+        parents = self.doc.parents
+        pivot: dict[int, int] = {}
+        for pre in pres:
+            parent = parents[pre]
+            if parent < 0 or kinds[pre] == NodeKind.ATTRIBUTE:
+                continue
+            if following:
+                pivot.setdefault(parent, pre)
+            else:
+                pivot[parent] = pre
+        if not pivot:
+            return _EMPTY
+        children = kernels.children_of(self._candidates(test), sorted(pivot),
+                                       self.doc.sizes, parents)
+        if following:
+            return pre_array(pre for pre in children
+                             if pre > pivot[parents[pre]])
+        return pre_array(pre for pre in children
+                         if pre < pivot[parents[pre]])
 
     # -- path summary --------------------------------------------------------
 
@@ -275,6 +326,37 @@ def _advance(states: tuple[int, ...], tag: str,
         if name == "*" or name == tag:
             out.add(position + 1)
     return tuple(sorted(out))
+
+
+def group_by_document(nodes: Iterable[Node]) -> Groups:
+    """Nodes (any order, duplicates allowed, several documents) as
+    :data:`Groups`."""
+    by_doc: dict[int, tuple["Document", set[int]]] = {}
+    for node in nodes:
+        entry = by_doc.get(id(node.doc))
+        if entry is None:
+            by_doc[id(node.doc)] = (node.doc, {node.pre})
+        else:
+            entry[1].add(node.pre)
+    groups: Groups = [(doc, sorted(pres)) for doc, pres in by_doc.values()]
+    groups.sort(key=lambda group: group[0].doc_seq)
+    return groups
+
+
+def scan_groups(axis: str, test: str, groups: Groups) -> Groups:
+    """One axis step over a node set: one :meth:`~StructuralIndex.
+    axis_scan` per document, result in document order."""
+    out: Groups = []
+    for doc, pres in groups:
+        result = structural_index(doc).axis_scan(axis, test, pres)
+        if result:
+            out.append((doc, result))
+    return out
+
+
+def group_nodes(groups: Groups) -> list[Node]:
+    """The :class:`Node` handles of a node set, in document order."""
+    return [Node(doc, pre) for doc, pres in groups for pre in pres]
 
 
 def structural_index(doc: "Document") -> StructuralIndex:

@@ -3,7 +3,8 @@
 Every hot scan the structural/value execution engine performs reduces
 to a handful of array-shaped primitives: bisect range scans over a
 sorted pre column, subtree-interval sweeps (the staircase-join core),
-child scans with a parent-pointer filter, k-way merges of sorted pre
+child scans with a parent-pointer filter, ancestor climbs over the
+parent column, k-way merges of sorted pre
 lists, sorted-set algebra, and the document-order sort with its
 already-sorted fast path. This module is their single home — the
 bisect helpers that used to be copy-pasted between
@@ -155,6 +156,27 @@ def children_of(candidates: Sequence[int], contexts: Sequence[int],
     if unsorted:
         return pre_array(sorted(out))
     return out
+
+
+def ancestors_of(contexts: Sequence[int], parents: Sequence[int],
+                 or_self: bool = False) -> array:
+    """Ancestor scan: every node on a context's parent-pointer chain
+    (the contexts themselves too when ``or_self``), in document order,
+    deduplicated.
+
+    A climb stops at the first node an earlier climb passed: that
+    climb went on to the root, so everything above is already in and
+    a shared chain is walked once. ``parents`` holds -1 above a tree
+    root — for a shipped fragment that is where the message ended.
+    """
+    seen: set[int] = set()
+    add = seen.add
+    for context in contexts:
+        cursor = context if or_self else parents[context]
+        while cursor >= 0 and cursor not in seen:
+            add(cursor)
+            cursor = parents[cursor]
+    return pre_array(sorted(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ visited bumps the :class:`~repro.xquery.context.CostCounter`; the
 network simulator turns those ticks into the "local exec"/"remote
 exec" components of the paper's Figure 8 breakdown.
 
-Path execution is *set-at-a-time* by default: steps run over sorted
-pre arrays grouped by document, answered by the per-document
+Path execution is *set-at-a-time*: steps run over sorted pre arrays
+grouped by document, every axis answered by the per-document
 :class:`~repro.xmldb.index.StructuralIndex` (tag/kind/path-summary
-range scans), and the post-step document-order sort is skipped because
-range scans provably yield document order. ``Node`` objects are built
-only at pipeline exits — predicates, constructors, results. Reverse
-and horizontal axes fall back to the naive per-node walk.
+scans through :func:`~repro.xmldb.index.scan_groups`), and no step
+sorts its result because the scans provably yield document order.
+``Node`` objects are built only at pipeline exits — predicates,
+constructors, results.
 
 Predicates are *compiled* once per query (see
 :mod:`repro.xquery.predicates`): recognised comparison shapes become
@@ -32,28 +32,29 @@ value-index probes intersected with the step's candidate pre array,
 residual general predicates become per-node Python closures, and a
 FLWOR body shaped ``if ($dep = $invariant) then .. else ..`` runs as a
 hash join (the invariant side evaluated once, hashed, probed per
-iteration). Positional predicates keep the per-context path. Pass
-``use_index=False`` (or flip :func:`set_default_use_index`) to force
-the naive tree-walking pipeline everywhere — the equivalence tests and
-the hot-path/predicate benchmarks compare the two engines. The two
-engines return identical items; only the cost-counter tick totals
-differ (compiled filters don't re-dispatch the AST they replaced).
+iteration). Positional predicates keep the per-context path: one
+scan per context node, candidates in axis order, the predicate
+evaluated per candidate. The per-node tree walker this engine replaced
+is the test oracle (``tests/oracle/xquery_reference_walker.py``); the
+two return identical items and differ only in cost-counter tick totals
+(scans count results, compiled filters don't re-dispatch the AST).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from repro.errors import (
     UndefinedFunctionError, XQueryDynamicError, XQueryTypeError,
 )
-from repro.xmldb import axes as axes_mod
+from repro.xmldb.axes import REVERSE_AXES, child
 from repro.xmldb.compare import (
     is_same_node, node_after, node_before, sort_document_order,
 )
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import (
-    INDEXED_AXES, structural_index, supported_test,
+    Groups, group_by_document, group_nodes, scan_groups, structural_index,
 )
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import functions as fn_mod
@@ -78,31 +79,18 @@ from repro.xquery.xdm import (
 
 _fragment_counter = itertools.count(1)
 
-#: Process-wide default for the indexed path pipeline. Flipped (via
-#: :func:`set_default_use_index`) only by equivalence tests and the
-#: hot-path benchmark to obtain the naive engine end-to-end.
-_default_use_index = True
-
-
-def set_default_use_index(enabled: bool) -> bool:
-    """Set the process default for indexed path execution; returns the
-    previous value so callers can restore it in a ``finally``."""
-    global _default_use_index
-    previous = _default_use_index
-    _default_use_index = enabled
-    return previous
+#: Axes whose candidates a positional predicate numbers in reverse
+#: document order (``ancestor::*[1]`` is the nearest ancestor).
+_REVERSE_ORDER_AXES = REVERSE_AXES | {"preceding", "preceding-sibling"}
 
 
 class Evaluator:
     """Evaluates expressions of one module against a dynamic context."""
 
     def __init__(self, module: Module | None = None,
-                 static: StaticContext | None = None,
-                 use_index: bool | None = None):
+                 static: StaticContext | None = None):
         self.module = module if module is not None else Module([], EmptySequence())
         self.static = static if static is not None else StaticContext()
-        self.use_index = (_default_use_index if use_index is None
-                          else use_index)
         self._functions: dict[tuple[str, int], FunctionDecl] = {
             (decl.name, len(decl.params)): decl
             for decl in self.module.functions
@@ -176,7 +164,7 @@ class Evaluator:
             bulk = self._try_bulk_rpc(expr, seq, env)
             if bulk is not None:
                 return bulk
-        if self.use_index and len(seq) > 1:
+        if len(seq) > 1:
             joined = self._try_hash_join(expr, seq, env)
             if joined is not None:
                 return joined
@@ -480,13 +468,9 @@ class Evaluator:
 
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
         context = self.evaluate(expr.input, env)
-        if not self.use_index:
-            for step in expr.steps:
-                context = self._apply_step(step, context, env)
-            return context
         steps = _collapse_steps(expr.steps)
         start = 0
-        groups: list[tuple[Document, list[int]]] | None = None
+        groups: Groups | None = None
         # Whole-chain prefix from tree roots: answered by the path
         # summary as one merge of per-path pre lists (the //a//b case).
         if context and all(isinstance(item, Node) and item.pre == 0
@@ -495,49 +479,36 @@ class Evaluator:
             if chain_len:
                 chain = [(s.axis, s.test) for s in steps[:chain_len]]
                 groups = []
-                seen: set[int] = set()
-                docs: list[Document] = []
-                for item in context:
-                    if id(item.doc) not in seen:
-                        seen.add(id(item.doc))
-                        docs.append(item.doc)
-                docs.sort(key=lambda d: d.doc_seq)
-                for doc in docs:
+                for doc, _root in group_by_document(context):
                     pres = structural_index(doc).match_chain(chain)
                     env.counter.nodes_visited += len(pres)
                     if pres:
                         groups.append((doc, pres))
                 start = chain_len
         if groups is None:
-            groups = _group_context(context, steps[start])
+            first = steps[start]
+            xdm.require_nodes(context, f"axis step {first.axis}::{first.test}")
+            groups = group_by_document(context)
         for step in steps[start:]:
             groups = self._apply_step_groups(step, groups, env)
-        return [Node(doc, pre) for doc, pres in groups for pre in pres]
+        return group_nodes(groups)
 
-    def _apply_step_groups(self, step: Step,
-                           groups: list[tuple[Document, list[int]]],
-                           env: DynamicContext
-                           ) -> list[tuple[Document, list[int]]]:
+    def _apply_step_groups(self, step: Step, groups: Groups,
+                           env: DynamicContext) -> Groups:
         """One set-at-a-time step over per-document sorted pre arrays.
 
-        Scannable axes run on the structural index; their results come
-        out range-sorted, so no post-step document-order sort happens.
-        Everything else routes through the naive per-node walk and is
-        regrouped from its sorted output.
+        Every axis runs on the structural index and comes out in
+        document order, so no post-step sort happens.
         """
-        if step.axis not in INDEXED_AXES or not supported_test(step.test):
-            nodes = [Node(doc, pre) for doc, pres in groups for pre in pres]
-            return _regroup_sorted(self._apply_step(step, nodes, env))
-        plans = self._step_predicate_plans(step) if step.predicates else None
-        out: list[tuple[Document, list[int]]] = []
+        if not step.predicates:
+            out = scan_groups(step.axis, step.test, groups)
+            env.counter.nodes_visited += sum(len(pres) for _doc, pres in out)
+            return out
+        plans = self._step_predicate_plans(step)
+        reverse = step.axis in _REVERSE_ORDER_AXES
+        out = []
         for doc, pres in groups:
             index = structural_index(doc)
-            if not step.predicates:
-                result = index.axis_scan(step.axis, step.test, pres)
-                env.counter.nodes_visited += len(result)
-                if result:
-                    out.append((doc, result))
-                continue
             if plans is not None:
                 filtered = self._filter_compiled(step, plans, doc, index,
                                                  pres, env)
@@ -547,8 +518,8 @@ class Evaluator:
                     continue
             # Positional (or otherwise uncompilable) predicates carry
             # per-context semantics, so candidates are produced one
-            # context node at a time; the kept pres are merged and
-            # re-sorted per document.
+            # context node at a time, in the order the axis numbers
+            # them; the kept pres are merged and re-sorted per document.
             kept: set[int] = set()
             single = [0]
             for context_pre in pres:
@@ -556,7 +527,9 @@ class Evaluator:
                 candidate_pres = index.axis_scan(step.axis, step.test,
                                                  single)
                 env.counter.nodes_visited += len(candidate_pres)
-                candidates = [Node(doc, pre) for pre in candidate_pres]
+                candidates = [Node(doc, pre) for pre in
+                              (reversed(candidate_pres) if reverse
+                               else candidate_pres)]
                 for predicate in step.predicates:
                     candidates = self._filter_predicate(predicate,
                                                         candidates, env)
@@ -608,24 +581,6 @@ class Evaluator:
             if kept is None:
                 return None
         return kept
-
-    def _apply_step(self, step: Step, context: list,
-                    env: DynamicContext) -> list:
-        """Naive tree-walking step: one axis walk per context node,
-        then the mandatory document-order sort. Kept as the fallback
-        for non-scannable axes and as the ``use_index=False`` engine
-        the equivalence tests and benchmarks compare against."""
-        xdm.require_nodes(context, f"axis step {step.axis}::{step.test}")
-        gathered: list[Node] = []
-        for node in context:
-            candidates = []
-            for candidate in axes_mod.axis_step(node, step.axis, step.test):
-                env.counter.nodes_visited += 1
-                candidates.append(candidate)
-            for predicate in step.predicates:
-                candidates = self._filter_predicate(predicate, candidates, env)
-            gathered.extend(candidates)
-        return sort_document_order(gathered)
 
     def _filter_predicate(self, predicate: Expr, candidates: list,
                           env: DynamicContext) -> list:
@@ -735,38 +690,8 @@ def _chain_prefix_len(steps: list[Step]) -> int:
     return length
 
 
-def _group_context(context: list, step: Step
-                   ) -> list[tuple[Document, list[int]]]:
-    """Nodes → per-document sorted duplicate-free pre arrays, documents
-    in document-order (doc_seq) position."""
-    xdm.require_nodes(context, f"axis step {step.axis}::{step.test}")
-    by_doc: dict[int, tuple[Document, set[int]]] = {}
-    for node in context:
-        entry = by_doc.get(id(node.doc))
-        if entry is None:
-            by_doc[id(node.doc)] = (node.doc, {node.pre})
-        else:
-            entry[1].add(node.pre)
-    groups = [(doc, sorted(pres)) for doc, pres in by_doc.values()]
-    groups.sort(key=lambda group: group[0].doc_seq)
-    return groups
-
-
-def _regroup_sorted(nodes: list[Node]) -> list[tuple[Document, list[int]]]:
-    """Document-order sorted nodes → contiguous per-document groups."""
-    groups: list[tuple[Document, list[int]]] = []
-    for node in nodes:
-        if groups and groups[-1][0] is node.doc:
-            groups[-1][1].append(node.pre)
-        else:
-            groups.append((node.doc, [node.pre]))
-    return groups
-
-
 def math_fmod(x: float, y: float) -> float:
     """XQuery mod keeps the sign of the dividend (like math.fmod)."""
-    import math
-
     return math.fmod(x, y)
 
 
@@ -836,8 +761,8 @@ def _build_content(builder: DocumentBuilder, content: list) -> None:
                 continue
             flush_atoms()
             if item.kind == NodeKind.DOCUMENT:
-                for child in axes_mod.child(item):
-                    builder.copy_subtree(child)
+                for top in child(item):
+                    builder.copy_subtree(top)
             else:
                 builder.copy_subtree(item)
         else:

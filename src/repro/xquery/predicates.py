@@ -1,6 +1,6 @@
 """Predicate compilation: recognising comparison shapes once per query.
 
-The naive evaluator re-walks the predicate AST for every candidate
+Evaluated as written, a predicate re-walks its AST for every candidate
 node — ``//person[child::age < 40]`` costs one full recursive
 evaluation per person. This module lowers recognised predicate shapes
 *once* (the compiled plan is cached per ``Step`` by the evaluator) into
@@ -14,21 +14,22 @@ one of two forms:
   intersected with the step's candidate pre array through the parent
   pointers / subtree intervals — no per-candidate work at all;
 * a :class:`ClosurePlan` — residual general predicates (multi-step
-  relative paths, ``or``, ``not()``/``exists()``/``empty()``) compiled
-  into one Python closure per predicate evaluated per candidate over
-  the raw document arrays — no AST re-dispatch, no per-node dynamic
-  context construction.
+  relative paths over any axis, ``or``,
+  ``not()``/``exists()``/``empty()``) compiled into one Python closure
+  per predicate evaluated per candidate: relative paths are chains of
+  :meth:`~repro.xmldb.index.StructuralIndex.axis_scan` calls — no AST
+  re-dispatch, no per-node dynamic context construction.
 
 Positional predicates (numeric values, ``position()``/``last()``) and
-anything else unrecognised compile to ``None`` and keep the naive
-per-context path, which also remains the ``use_index=False``
-equivalence baseline.
+anything else unrecognised compile to ``None`` and keep the evaluator's
+per-context path.
 
-Compiled comparisons cannot raise type errors the naive walker would
-not: node-derived operands are untyped atomics, which pair with every
-atom type general comparison accepts (see ``xdm._comparable_pair``),
-and probe values of unsupported types (booleans) make the plan bail to
-the naive path at filter time instead of guessing.
+Compiled comparisons cannot raise type errors the per-context path
+would not: node-derived operands are untyped atomics, which pair with
+every atom type general comparison accepts (see
+``xdm._comparable_pair``), and probe values of unsupported types
+(booleans) make the plan bail to the per-context path at filter time
+instead of guessing.
 
 The recognisers at the bottom (:func:`conjunction_members`,
 :func:`literal_probe`, :func:`EqualityMatcher`) are shared with the
@@ -43,6 +44,7 @@ from math import isnan
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.xmldb import kernels
+from repro.xmldb.node import NodeKind
 from repro.xmldb.values import coerce_number, node_string, value_index
 from repro.xquery.ast import (
     ComparisonExpr, ContextItemExpr, Expr, ForExpr, FunCall, LetExpr,
@@ -64,9 +66,8 @@ FLIPPED_OPS = {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
 #: Selector axes an IndexPlan can intersect set-at-a-time.
 _PROBE_AXES = frozenset({"self", "child", "attribute", "descendant"})
 
-#: Selector axes a ClosurePlan getter can walk per node.
-_CLOSURE_AXES = frozenset({"self", "child", "attribute", "descendant",
-                           "descendant-or-self"})
+#: Step axes whose name test may select elements *and* attributes.
+_EITHER_KIND_AXES = frozenset({"self", "ancestor-or-self"})
 
 _NOT_NAMES = frozenset({"not", "fn:not"})
 _EXISTS_NAMES = frozenset({"exists", "fn:exists"})
@@ -102,12 +103,14 @@ class Probe:
     def key(self, step_axis: str, step_test: str) -> str | None:
         """The value-index column this probe reads, given the step the
         predicate hangs off; None when the step shape can't supply one
-        (``self`` probes need a concrete name test)."""
+        (``self`` probes need a concrete name test, and a step axis
+        that says whether it names elements or attributes — ``self``
+        and ``ancestor-or-self`` pass attribute contexts through)."""
         if self.axis == "attribute":
             return "@" + self.name
         if self.axis != "self":
             return self.name
-        if not _is_name_test(step_test):
+        if not _is_name_test(step_test) or step_axis in _EITHER_KIND_AXES:
             return None
         return "@" + step_test if step_axis == "attribute" else step_test
 
@@ -124,7 +127,7 @@ class IndexPlan:
                pres: list[int], step_axis: str, step_test: str,
                env: "DynamicContext") -> list[int] | None:
         """Candidate pres surviving every probe; None to signal the
-        caller to fall back to the naive per-context path (unsupported
+        caller to fall back to the per-context path (unsupported
         runtime value types, un-keyable self probes)."""
         vindex = value_index(doc)
         kept = pres
@@ -251,34 +254,24 @@ def _compile_getter(expr: Expr):
         return (lambda ctx, pre: ctx.bindings[name]), (name,)
     if isinstance(expr, ContextItemExpr):
         return (lambda ctx, pre: _atoms_of_pres(ctx, (pre,))), ()
-    steps = _relative_steps(expr, _CLOSURE_AXES)
+    steps = _relative_steps(expr)
     if steps is None:
         return None
-
-    def walk(ctx: _ClosureCtx, pre: int) -> list:
-        pres: Sequence[int] = (pre,)
-        for axis, test in steps:
-            pres = ctx.sindex.axis_scan(axis, test, pres)
-            if not pres:
-                return []
-        return _atoms_of_pres(ctx, pres)
-
-    return walk, ()
+    walker = _steps_walker(steps)
+    return (lambda ctx, pre: _atoms_of_pres(ctx, walker(ctx, pre))), ()
 
 
-def _relative_steps(expr: Expr, axes: frozenset[str]
+def _relative_steps(expr: Expr, axes: frozenset[str] | None = None
                     ) -> tuple[tuple[str, str], ...] | None:
-    """``(axis, test)`` chain of a predicate-free relative path over
-    the given axes, rooted at the context item; None otherwise."""
-    from repro.xmldb.index import supported_test
-
+    """``(axis, test)`` chain of a predicate-free relative path rooted
+    at the context item (over ``axes`` only, when given); None
+    otherwise."""
     if not (isinstance(expr, PathExpr)
             and isinstance(expr.input, ContextItemExpr)):
         return None
     out: list[tuple[str, str]] = []
     for step in expr.steps:
-        if step.predicates or step.axis not in axes \
-                or not supported_test(step.test):
+        if step.predicates or (axes is not None and step.axis not in axes):
             return None
         out.append((step.axis, step.test))
     return tuple(out)
@@ -319,14 +312,14 @@ def _compile_boolean(expr: Expr):
             ifn, ivars = inner
             return (lambda ctx, pre: not ifn(ctx, pre)), ivars
         if expr.name in _EXISTS_NAMES or expr.name in _EMPTY_NAMES:
-            steps = _relative_steps(expr.args[0], _CLOSURE_AXES)
+            steps = _relative_steps(expr.args[0])
             if steps is None:
                 return None
             want_empty = expr.name in _EMPTY_NAMES
             walker = _steps_walker(steps)
             return (lambda ctx, pre:
                     bool(walker(ctx, pre)) != want_empty), ()
-    steps = _relative_steps(expr, _CLOSURE_AXES)
+    steps = _relative_steps(expr)
     if steps is not None:
         # Bare path predicate: effective boolean value = non-empty.
         walker = _steps_walker(steps)
@@ -351,7 +344,7 @@ def _steps_walker(steps: tuple[tuple[str, str], ...]):
 
 
 def compile_predicate(expr: Expr) -> IndexPlan | ClosurePlan | None:
-    """The compiled plan for one predicate, or None to keep the naive
+    """The compiled plan for one predicate, or None to keep the
     per-context evaluation (positional or unrecognised predicates).
 
     Plans are position-free by construction: applying them to the
@@ -587,8 +580,6 @@ def chain_candidates(doc: "Document",
     pre in ``matched`` — the inverse image of a probe result through
     the dependent chain (upward parent/ancestor mapping with name and
     kind checks at every intermediate step)."""
-    from repro.xmldb.node import NodeKind
-
     current = set(matched)
     parents = doc.parents
     kinds = doc.kinds

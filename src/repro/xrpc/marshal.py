@@ -256,14 +256,20 @@ def _evaluate_paths_into(nodes: list[Node], sets: PathSets,
     for node in nodes:
         used_by_doc.setdefault(id(node.doc), []).append(node)
 
+    def add(groups, target: dict[int, list[Node]]) -> None:
+        for doc, pres in groups:
+            target.setdefault(id(doc), []).extend(
+                Node(doc, pre) for pre in pres)
+            docs[id(doc)] = doc
+
     def record(path: RelPath, target: dict[int, list[Node]]) -> None:
-        for result in path.evaluate(nodes):
-            target.setdefault(id(result.doc), []).append(result)
-            docs[id(result.doc)] = result.doc
-        for prefix in _non_downward_prefixes(path):
-            for result in prefix.evaluate(nodes):
-                used_by_doc.setdefault(id(result.doc), []).append(result)
-                docs[id(result.doc)] = result.doc
+        # One left-to-right walk: stages[i] is the result of the prefix
+        # steps[:i], the last one the path's own.
+        stages = path.stages(nodes)
+        add(stages[-1], target)
+        for step, reached in zip(path.steps[:-1], stages[1:]):
+            if step.axis in _NON_DOWNWARD:
+                add(reached, used_by_doc)
 
     for path in sets.used:
         record(path, used_by_doc)
@@ -276,12 +282,6 @@ _NON_DOWNWARD = frozenset({
     "preceding-sibling", "following", "following-sibling",
     "root()", "id()", "idref()",
 })
-
-
-def _non_downward_prefixes(path: RelPath) -> list[RelPath]:
-    return [RelPath(path.steps[:index + 1])
-            for index, step in enumerate(path.steps[:-1])
-            if step.axis in _NON_DOWNWARD]
 
 
 def _containment_fragment(doc: Document, nodes: list[Node],

@@ -1,0 +1,258 @@
+"""The per-node XPath step walker ``src/repro`` held until PR 15, kept
+verbatim as the differential oracle for the set-at-a-time axis scans
+(``StructuralIndex.axis_scan``), the compiled predicates, the hash join
+and the projection-path runtime (``RelPath.evaluate``).
+
+Three pieces, each moved out of the library unchanged:
+
+* the per-node axis generators of ``xmldb/axes.py`` (``child`` and
+  ``attribute`` are still library code and imported from there) with
+  the full :data:`AXES` table and :func:`axis_step`;
+* :class:`ReferenceEvaluator` — ``Evaluator(use_index=False)`` as a
+  subclass: every path is one ``axis_step`` generator per context node
+  plus the document-order sort, every predicate is evaluated per
+  candidate, every FLWOR is the nested loop;
+* :func:`walk_rel_path` — the per-node loop ``RelPath.evaluate`` ran.
+
+Use :func:`reference_engine` to run a whole federation on the oracle:
+it substitutes :class:`ReferenceEvaluator` for the name ``Evaluator``
+in the three modules that build one.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Callable, Iterator
+from unittest import mock
+
+from repro.xmldb.axes import attribute, child, matches_node_test
+from repro.xmldb.compare import sort_document_order
+from repro.xmldb.node import Node, NodeKind
+from repro.xquery import xdm
+from repro.xquery.ast import ForExpr, PathExpr, Step
+from repro.xquery.context import DynamicContext
+from repro.xquery.evaluator import Evaluator
+
+AxisFunction = Callable[[Node], Iterator[Node]]
+
+
+# ---------------------------------------------------------------------------
+# xmldb/axes.py: the per-node generators
+# ---------------------------------------------------------------------------
+
+
+def descendant(node: Node) -> Iterator[Node]:
+    doc = node.doc
+    if node.kind == NodeKind.ATTRIBUTE:
+        return
+    for pre in range(node.pre + 1, node.pre + node.size + 1):
+        if doc.kinds[pre] != NodeKind.ATTRIBUTE:
+            yield Node(doc, pre)
+
+
+def descendant_or_self(node: Node) -> Iterator[Node]:
+    yield node
+    yield from descendant(node)
+
+
+def self(node: Node) -> Iterator[Node]:
+    yield node
+
+
+def parent(node: Node) -> Iterator[Node]:
+    p = node.parent()
+    if p is not None:
+        yield p
+
+
+def ancestor(node: Node) -> Iterator[Node]:
+    p = node.parent()
+    while p is not None:
+        yield p
+        p = p.parent()
+
+
+def ancestor_or_self(node: Node) -> Iterator[Node]:
+    yield node
+    yield from ancestor(node)
+
+
+def following_sibling(node: Node) -> Iterator[Node]:
+    doc = node.doc
+    if node.kind == NodeKind.ATTRIBUTE:
+        return
+    parent_pre = doc.parents[node.pre]
+    if parent_pre < 0:
+        return
+    end = parent_pre + doc.sizes[parent_pre]
+    cursor = node.pre + node.size + 1
+    while cursor <= end:
+        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
+            yield Node(doc, cursor)
+        cursor += doc.sizes[cursor] + 1
+
+
+def preceding_sibling(node: Node) -> Iterator[Node]:
+    """Preceding siblings in reverse document order."""
+    doc = node.doc
+    if node.kind == NodeKind.ATTRIBUTE:
+        return
+    parent_pre = doc.parents[node.pre]
+    if parent_pre < 0:
+        return
+    siblings = []
+    cursor = parent_pre + 1
+    while cursor < node.pre:
+        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
+            siblings.append(cursor)
+        cursor += doc.sizes[cursor] + 1
+    for pre in reversed(siblings):
+        yield Node(doc, pre)
+
+
+def following(node: Node) -> Iterator[Node]:
+    """Nodes after the subtree of ``node``, excluding ancestors."""
+    doc = node.doc
+    start = node.pre + node.size + 1
+    if node.kind == NodeKind.ATTRIBUTE:
+        # Per XPath, following of an attribute = following of its owner
+        # plus the owner's descendants after the attribute; we use the
+        # common simplification: everything after the owner's attributes.
+        owner = doc.parents[node.pre]
+        start = node.pre + 1
+        while start < len(doc.kinds) and doc.kinds[start] == NodeKind.ATTRIBUTE \
+                and doc.parents[start] == owner:
+            start += 1
+    for pre in range(start, len(doc.kinds)):
+        if doc.kinds[pre] != NodeKind.ATTRIBUTE:
+            yield Node(doc, pre)
+
+
+def preceding(node: Node) -> Iterator[Node]:
+    """Nodes wholly before ``node``, excluding ancestors, reverse order."""
+    doc = node.doc
+    ancestors = {a.pre for a in ancestor(node)}
+    result = []
+    for pre in range(node.pre):
+        if doc.kinds[pre] == NodeKind.ATTRIBUTE:
+            continue
+        if pre in ancestors:
+            continue
+        result.append(pre)
+    for pre in reversed(result):
+        yield Node(doc, pre)
+
+
+AXES: dict[str, AxisFunction] = {
+    "child": child,
+    "attribute": attribute,
+    "descendant": descendant,
+    "descendant-or-self": descendant_or_self,
+    "self": self,
+    "parent": parent,
+    "ancestor": ancestor,
+    "ancestor-or-self": ancestor_or_self,
+    "following-sibling": following_sibling,
+    "preceding-sibling": preceding_sibling,
+    "following": following,
+    "preceding": preceding,
+}
+
+
+def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:
+    """One axis step from one context node, node-test applied."""
+    for candidate in AXES[axis](node):
+        if matches_node_test(candidate, test):
+            yield candidate
+
+
+# ---------------------------------------------------------------------------
+# xquery/evaluator.py: the use_index=False engine
+# ---------------------------------------------------------------------------
+
+
+class ReferenceEvaluator(Evaluator):
+    """The naive tree-walking pipeline everywhere: no index scans, no
+    compiled predicates, no hash join."""
+
+    def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
+        context = self.evaluate(expr.input, env)
+        for step in expr.steps:
+            context = self._apply_step(step, context, env)
+        return context
+
+    def _apply_step(self, step: Step, context: list,
+                    env: DynamicContext) -> list:
+        """Naive tree-walking step: one axis walk per context node,
+        then the mandatory document-order sort."""
+        xdm.require_nodes(context, f"axis step {step.axis}::{step.test}")
+        gathered: list[Node] = []
+        for node in context:
+            candidates = []
+            for candidate in axis_step(node, step.axis, step.test):
+                env.counter.nodes_visited += 1
+                candidates.append(candidate)
+            for predicate in step.predicates:
+                candidates = self._filter_predicate(predicate, candidates, env)
+            gathered.extend(candidates)
+        return sort_document_order(gathered)
+
+    def _try_hash_join(self, expr: ForExpr, seq: list,
+                       env: DynamicContext) -> list | None:
+        return None
+
+
+@contextmanager
+def reference_engine():
+    """Run federations on the oracle: every evaluator the system,
+    the XRPC request handler and the cluster router build inside the
+    block is a :class:`ReferenceEvaluator`."""
+    with mock.patch("repro.system.federation.Evaluator", ReferenceEvaluator), \
+            mock.patch("repro.xrpc.peer.Evaluator", ReferenceEvaluator), \
+            mock.patch("repro.cluster.router.Evaluator", ReferenceEvaluator):
+        yield
+
+
+# ---------------------------------------------------------------------------
+# paths/relpath.py: the per-node projection-path walk
+# ---------------------------------------------------------------------------
+
+
+def walk_rel_path(steps, context: list[Node]) -> list[Node]:
+    """Apply the steps of a :class:`~repro.paths.relpath.RelPath` to a
+    context sequence, one axis walk per node per step."""
+    current = [n for n in context if isinstance(n, Node)]
+    for step in steps:
+        gathered: list[Node] = []
+        if step.axis == "root()":
+            gathered = [node.root() for node in current]
+        elif step.axis == "id()":
+            for node in current:
+                gathered.extend(_all_id_elements(node))
+        elif step.axis == "idref()":
+            for node in current:
+                gathered.extend(_all_idref_elements(node))
+        else:
+            for node in current:
+                gathered.extend(axis_step(node, step.axis, step.test))
+        current = sort_document_order(gathered)
+    return current
+
+
+def _all_id_elements(node: Node) -> list[Node]:
+    doc = node.doc
+    if doc._id_index is None:  # noqa: SLF001 - intentional internal use
+        doc._build_id_indexes()
+    assert doc._id_index is not None
+    return [Node(doc, pre) for pre in doc._id_index.values()]
+
+
+def _all_idref_elements(node: Node) -> list[Node]:
+    doc = node.doc
+    if doc._idref_index is None:  # noqa: SLF001
+        doc._build_id_indexes()
+    assert doc._idref_index is not None
+    out: list[Node] = []
+    for pres in doc._idref_index.values():
+        out.extend(Node(doc, pre) for pre in pres)
+    return out

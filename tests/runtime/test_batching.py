@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.decompose import Strategy
+from repro.errors import XrpcMarshalError
 from repro.runtime.batching import BulkBatcher, _split_response, batch_key
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xquery.xdm import sequences_deep_equal
@@ -205,6 +206,16 @@ class TestSplitResponse:
         split = _split_response(merged, (0, 1))
         assert split.fragments == []
         assert split.results == [[Atomic("xs:integer", "1")]]
+
+    @pytest.mark.parametrize("fragid", [0, -1, 3])
+    def test_fragid_outside_the_preamble_is_a_marshal_error(self, fragid):
+        # Not fragments[-1] / fragments[-2] by negative indexing, and
+        # not a bare IndexError: the merged response is wire input.
+        merged = ResponseMessage(
+            results=[[NodeRef(fragid, 1)]],
+            fragments=[element("<a/>"), element("<b/>")])
+        with pytest.raises(XrpcMarshalError, match="fragid"):
+            _split_response(merged, (0, 1))
 
     def test_window_skipped_when_not_worth_waiting(self):
         batcher = BulkBatcher(window_s=60.0, worth_waiting=lambda: False)

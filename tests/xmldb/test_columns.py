@@ -4,10 +4,10 @@ Four layers:
 
 * kernel properties — every batch kernel against its brute-force
   one-liner on random sorted columns;
-* columnar vs. naive equivalence — on random trees, indexed axis
-  scans over an in-memory document and over the same document spilled
-  and reopened through a tiny buffer pool all agree with the naive
-  per-node walk;
+* columnar vs. naive equivalence — on random trees, axis scans (all
+  twelve axes) over an in-memory document and over the same document
+  spilled and reopened through a tiny buffer pool all agree with the
+  oracle's per-node walk;
 * spill format — freeze → open → freeze round-trips byte-identically,
   sizing figures match the in-memory ColumnSet exactly, and eviction
   under a pathologically small budget never changes an answer;
@@ -27,7 +27,8 @@ from repro.workloads import (BENCHMARK_QUERY, build_federation,
 from repro.xmldb import kernels
 from repro.xmldb.columns import ColumnSet, NameTable
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.index import INDEXED_AXES, structural_index
+from repro.xmldb.axes import AXES
+from repro.xmldb.index import structural_index
 from repro.xmldb.kernels import pre_array
 from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document
@@ -36,10 +37,11 @@ from repro.xmldb.pool import (BufferPool, ColumnStore, POOL_PAGE_ITEMS,
 from repro.xmldb.serializer import serialize_node
 from repro.xquery.ast import Step
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import Evaluator
 from repro.xquery.xdm import sequences_deep_equal
 
-from tests.xquery.test_indexed_equivalence import xml_trees
+from tests.conftest import fuzz_settings
+from tests.oracle.xquery_reference_walker import ReferenceEvaluator
+from tests.xquery.test_indexed_equivalence import TESTS, xml_trees
 
 # ---------------------------------------------------------------------------
 # Kernels vs. brute force
@@ -274,27 +276,21 @@ def test_shared_pool_across_stores_keeps_keys_distinct(tmp_path):
 # Columnar vs. naive walker, in memory and spilled
 # ---------------------------------------------------------------------------
 
-_AXIS_TESTS = [("child", "a"), ("child", "*"), ("child", "node()"),
-               ("descendant", "b"), ("descendant-or-self", "*"),
-               ("attribute", "at0"), ("attribute", "*"),
-               ("self", "node()"), ("descendant", "text()")]
-
-
 @given(doc=xml_trees(), data=st.data())
-@settings(max_examples=40, deadline=None)
+@fuzz_settings(100)
 def test_spilled_axis_scans_equal_in_memory_and_naive(
         doc, data, tmp_path_factory):
     path = tmp_path_factory.mktemp("equiv") / "doc.xcol"
     freeze_to(doc, path)
-    axis, test = data.draw(st.sampled_from(_AXIS_TESTS))
+    axis = data.draw(st.sampled_from(sorted(AXES)))
+    test = data.draw(st.sampled_from(TESTS))
     context_pres = sorted(data.draw(
         st.sets(st.integers(0, len(doc) - 1), max_size=6)))
     env = DynamicContext()
     step = Step(axis, test)
-    naive = Evaluator(use_index=False)._apply_step(
+    naive = ReferenceEvaluator()._apply_step(
         step, [Node(doc, p) for p in context_pres], env)
     expected = [n.pre for n in naive]
-    assert axis in INDEXED_AXES
     in_memory = structural_index(doc).axis_scan(axis, test, context_pres)
     assert list(in_memory) == expected
     with ColumnStore.open(path, budget_bytes=8192) as store:

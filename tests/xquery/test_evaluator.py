@@ -161,6 +161,20 @@ class TestPaths:
         assert [n.name for n in result] == ["a", "b"]
 
 
+    def test_reverse_axis_positions_count_from_the_context(self):
+        docs = {"d": "<a><b><c/></b><d/><e/></a>"}
+        assert [n.name for n in run('doc("d")//c/ancestor::*[1]', docs)] \
+            == ["b"]
+        assert [n.name for n in run('doc("d")//c/ancestor-or-self::*[2]',
+                                    docs)] == ["b"]
+        assert [n.name for n in run('doc("d")//e/preceding-sibling::*[1]',
+                                    docs)] == ["d"]
+        assert [n.name for n in run('doc("d")//e/preceding::*[last()]',
+                                    docs)] == ["b"]
+        assert [n.name for n in run('doc("d")//b/following-sibling::*[1]',
+                                    docs)] == ["d"]
+
+
 class TestNodeSemantics:
     def test_is_identity(self):
         assert run1('let $d := doc("d") return $d//b is $d//b',

@@ -1,50 +1,62 @@
-"""Indexed vs. naive path execution must be indistinguishable.
+"""Index-scan path execution must be indistinguishable from the
+per-node walker it replaced (``tests/oracle/xquery_reference_walker``).
 
-Three layers:
+Four layers:
 
 * hypothesis property — on random generated documents, every axis ×
-  node-test step (with random context subsets, including duplicates
-  and reverse order) yields identical node lists through the indexed
-  set-at-a-time pipeline and the naive per-node walk;
+  node-test step over random context sets (every node kind, the
+  document node, duplicates, reverse order, several documents) yields
+  identical node lists through ``axis_scan`` and the oracle's per-node
+  walk; the same for whole projection paths, pseudo steps included;
 * query battery — parsed path queries (chains, predicates, positional
-  predicates, reverse axes, unions) agree end-to-end on handcrafted
-  documents;
+  predicates on forward and reverse axes, unions) agree end-to-end on
+  handcrafted documents;
 * corpora — the library (students/course) and XMark federations give
-  deep-equal results under all four strategies plus ``auto`` with the
-  indexed engine, compared against a naive-engine baseline.
+  deep-equal results under all four strategies plus ``auto``,
+  compared against a federation run on the oracle.
 """
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.decompose import Strategy
+from repro.paths.relpath import PSEUDO_STEPS, RelPath, RelStep
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xmldb.axes import AXES
+from repro.xmldb.compare import sort_document_order
 from repro.xmldb.document import DocumentBuilder
+from repro.xmldb.index import group_by_document, group_nodes, scan_groups
 from repro.xmldb.node import Node
 from repro.xquery.ast import Step
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import Evaluator, set_default_use_index
+from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_query
 from repro.xquery.xdm import sequences_deep_equal
 
-from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
+from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
+from tests.oracle.xquery_reference_walker import (
+    ReferenceEvaluator, reference_engine, walk_rel_path,
+)
 
-ALL_AXES = sorted(AXES) + ["attribute"]
+ALL_AXES = sorted(AXES)
 TESTS = ["node()", "*", "a", "b", "at0", "text()", "comment()"]
 
 _names = st.sampled_from(["a", "b", "c", "data"])
+_attr_names = (st.just("at0"), st.sampled_from(["at1", "id", "ref"]))
 _texts = st.text(alphabet="ab <&\"'", min_size=1, max_size=6)
 
 
 @st.composite
 def xml_trees(draw, depth=3):
+    """A random tree, element-rooted (a fragment) or under a document
+    node; some attributes are ID / IDREF typed by name."""
     builder = DocumentBuilder("prop.xml")
+    with_document_node = draw(st.booleans())
 
     def element(level: int) -> None:
         builder.start_element(draw(_names))
         for index in range(draw(st.integers(0, 2))):
-            builder.attribute(f"at{index}", draw(_texts))
+            builder.attribute(draw(_attr_names[index]), draw(_texts))
         for _ in range(draw(st.integers(0, 3 if level < depth else 0))):
             choice = draw(st.integers(0, 3))
             if choice == 0 and level < depth:
@@ -55,34 +67,57 @@ def xml_trees(draw, depth=3):
                 builder.text(draw(_texts))
         builder.end_element()
 
+    if with_document_node:
+        builder.start_document()
     element(0)
+    if with_document_node:
+        builder.end_document()
     return builder.finish()
+
+
+@st.composite
+def contexts(draw):
+    """Nodes of one or two documents: any kind, any order, duplicates."""
+    docs = draw(st.lists(xml_trees(), min_size=1, max_size=2))
+    population = [Node(doc, pre) for doc in docs for pre in range(len(doc))]
+    return draw(st.lists(st.sampled_from(population), max_size=8))
 
 
 def keys(nodes):
     return [(id(node.doc), node.pre) for node in nodes]
 
 
-@given(doc=xml_trees(), data=st.data(),
-       axis=st.sampled_from(ALL_AXES), test=st.sampled_from(TESTS))
-@settings(max_examples=120, deadline=None)
-def test_single_step_indexed_equals_naive(doc, data, axis, test):
-    population = list(range(len(doc)))
-    context_pres = data.draw(st.lists(st.sampled_from(population),
-                                      min_size=0, max_size=8))
-    context = [Node(doc, pre) for pre in context_pres]
-    step = Step(axis, test)
-    env = DynamicContext()
-    naive = Evaluator(use_index=False)._apply_step(step, list(context), env)
-    indexed_groups = Evaluator(use_index=True)._apply_step_groups(
-        step, _group(context), env)
-    indexed = [Node(d, p) for d, pres in indexed_groups for p in pres]
+@given(context=contexts(), axis=st.sampled_from(ALL_AXES),
+       test=st.sampled_from(TESTS))
+@fuzz_settings(300)
+def test_single_step_indexed_equals_naive(context, axis, test):
+    naive = ReferenceEvaluator()._apply_step(Step(axis, test), list(context),
+                                             DynamicContext())
+    indexed = group_nodes(scan_groups(axis, test,
+                                      group_by_document(context)))
     assert keys(indexed) == keys(naive)
 
 
-def _group(context):
-    from repro.xquery.evaluator import _group_context
-    return _group_context(context, Step("self", "node()"))
+_rel_steps = st.one_of(
+    st.builds(RelStep, st.sampled_from(ALL_AXES), st.sampled_from(TESTS)),
+    st.builds(RelStep, st.sampled_from(PSEUDO_STEPS)))
+
+
+@given(context=contexts(), steps=st.lists(_rel_steps, max_size=4))
+@fuzz_settings(200)
+def test_rel_path_equals_walker(context, steps):
+    """``RelPath.evaluate`` ≡ the per-node walk, and every stage of
+    its one pass ≡ evaluating that prefix on its own. (The walker
+    handed the context of a zero-step path back as given; as a node
+    set — all its callers took — it is the same.)"""
+    path = RelPath(tuple(steps))
+
+    def walked(prefix):
+        return keys(sort_document_order(walk_rel_path(prefix, context)))
+
+    assert keys(path.evaluate(context)) == walked(steps)
+    for length, stage in enumerate(path.stages(context)):
+        assert keys(group_nodes(stage)) == walked(steps[:length])
 
 
 @given(doc=xml_trees())
@@ -106,6 +141,17 @@ QUERY_BATTERY = [
     "doc('d')//person[name = 'Ann']/descendant-or-self::node()",
     "(doc('d')//name union doc('d')//tutor)",
     "doc('d')//person[tutor][1]/name",
+    # Positional predicates number reverse-axis candidates nearest first.
+    "doc('d')//name/ancestor::*[1]",
+    "doc('d')//id/ancestor-or-self::*[2]",
+    "doc('d')//person/preceding-sibling::person[1]/name",
+    "doc('d')//id/preceding::name[position() = last()]",
+    "doc('d')//tutor/parent::*[1]/following-sibling::*[2]/name",
+    # Closures over reverse and sibling selectors.
+    "doc('d')//name[parent::person/tutor]",
+    "doc('d')//person[not(following-sibling::person)]/name",
+    "doc('d')//name[following-sibling::tutor = 'Bob']",
+    "doc('d')//person[preceding-sibling::person/name = 'Ann']/id",
 ]
 
 
@@ -119,11 +165,11 @@ def test_query_battery_on_library_doc(query):
 def assert_query_agrees(query, doc):
     module = parse_query(query)
 
-    def run(use_index):
+    def run(engine):
         env = DynamicContext(resolve_doc=lambda uri: doc)
-        return Evaluator(module, use_index=use_index).run(env)
+        return engine(module).run(env)
 
-    indexed, naive = run(True), run(False)
+    indexed, naive = run(Evaluator), run(ReferenceEvaluator)
     assert keys(indexed) == keys(naive), query
 
 
@@ -136,12 +182,9 @@ STRATEGIES = [Strategy.DATA_SHIPPING, Strategy.BY_VALUE,
 
 
 def run_naive(federation, query, at):
-    previous = set_default_use_index(False)
-    try:
+    with reference_engine():
         return federation.run(query, at=at,
                               strategy=Strategy.DATA_SHIPPING)
-    finally:
-        set_default_use_index(previous)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

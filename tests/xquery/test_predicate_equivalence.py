@@ -5,10 +5,11 @@ Four layers:
 
 * hypothesis property — on random trees with value-bearing leaves and
   attributes, every comparison operator × predicate shape (child /
-  attribute / descendant / ``.`` selectors, string and numeric
-  literals, variable right-hand sides) yields identical results
-  through the compiled set-at-a-time pipeline and the naive
-  per-candidate evaluation;
+  attribute / descendant / ``.`` selectors, reverse and sibling
+  selectors, string and numeric literals, variable right-hand sides)
+  yields identical results through the compiled set-at-a-time
+  pipeline and the oracle's per-candidate evaluation
+  (``tests/oracle/xquery_reference_walker``);
 * query battery — predicate and FLWOR-join queries agree end-to-end on
   the library document, including mixed-type edge cases that force the
   hash matcher's exact-fallback path;
@@ -20,18 +21,21 @@ Four layers:
   matching the naive engine); a ``Peer.store`` swap re-plans too.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 import pytest
 
 from repro.decompose import Strategy
 from repro.workloads import build_federation
 from repro.xmldb.document import DocumentBuilder
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import Evaluator, set_default_use_index
+from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_query
 from repro.xquery.xdm import sequences_deep_equal
 
-from tests.conftest import COURSE_XML, STUDENTS_XML
+from tests.conftest import COURSE_XML, STUDENTS_XML, fuzz_settings
+from tests.oracle.xquery_reference_walker import (
+    ReferenceEvaluator, reference_engine,
+)
 
 _tags = st.sampled_from(["a", "b", "c"])
 _values = st.sampled_from(
@@ -70,21 +74,23 @@ def keys(items):
 def assert_query_agrees(query, doc):
     module = parse_query(query)
 
-    def run(use_index):
+    def run(engine):
         env = DynamicContext(resolve_doc=lambda uri: doc)
-        return Evaluator(module, use_index=use_index).run(env)
+        return engine(module).run(env)
 
-    indexed, naive = run(True), run(False)
+    indexed, naive = run(Evaluator), run(ReferenceEvaluator)
     assert keys(indexed) == keys(naive), query
 
 
 OPS = ["=", "!=", "<", "<=", ">", ">="]
-SELECTORS = ["child::b", "attribute::at0", "descendant::b", "."]
+SELECTORS = ["child::b", "attribute::at0", "descendant::b", ".",
+             "parent::a", "ancestor::b", "following-sibling::b",
+             "preceding-sibling::c/child::b"]
 LITERALS = ['"7"', '"x"', "7", "3.5", "0"]
 
 
 @given(doc=value_trees(), data=st.data())
-@settings(max_examples=150, deadline=None)
+@fuzz_settings(200)
 def test_predicate_shapes_indexed_equals_naive(doc, data):
     op = data.draw(st.sampled_from(OPS))
     selector = data.draw(st.sampled_from(SELECTORS))
@@ -97,7 +103,7 @@ def test_predicate_shapes_indexed_equals_naive(doc, data):
 
 
 @given(doc=value_trees(), data=st.data())
-@settings(max_examples=80, deadline=None)
+@fuzz_settings(150)
 def test_conjunctions_and_residuals_indexed_equals_naive(doc, data):
     query = data.draw(st.sampled_from([
         "doc('d')//a[child::b = '7' and attribute::at0 = '7']",
@@ -107,12 +113,18 @@ def test_conjunctions_and_residuals_indexed_equals_naive(doc, data):
         "doc('d')//a[child::b/child::c = '7']",
         "doc('d')//b[. != '1']/child::c",
         "doc('d')//a[descendant::c > 2]",
+        "doc('d')//b[parent::a]",
+        "doc('d')//b[following-sibling::c = 1]",
+        "doc('d')//c[not(preceding-sibling::b) or ancestor::a = '7']",
+        "doc('d')//b/parent::a[child::c = '7']",
+        "doc('d')//c/ancestor-or-self::*[attribute::at0 = '7']",
+        "doc('d')//b/preceding::b[. = '7']",
     ]))
     assert_query_agrees(query, doc)
 
 
 @given(doc=value_trees(), data=st.data())
-@settings(max_examples=80, deadline=None)
+@fuzz_settings(80)
 def test_variable_rhs_and_joins_indexed_equals_naive(doc, data):
     query = data.draw(st.sampled_from([
         "let $v := doc('d')//b return doc('d')//a[child::b = $v]",
@@ -159,6 +171,23 @@ def test_battery_on_library_doc(query):
 
     doc = parse_document(STUDENTS_XML, uri="d")
     assert_query_agrees(query, doc)
+
+
+@pytest.mark.parametrize("step", ["self::at0", "ancestor-or-self::at0",
+                                  "self::*", "parent::a/child::at0"])
+def test_self_probe_does_not_confuse_attribute_and_element_columns(step):
+    """``. = literal`` keys the value index by the step's name test;
+    a step that passes attribute contexts through may name either an
+    attribute or an element, so it must not pick one column."""
+    from repro.xmldb.parser import parse_document
+
+    doc = parse_document('<r><a at0="7"><at0>7</at0></a><a at0="8"/></r>',
+                         uri="d")
+    query = f"doc('d')//a/attribute::at0/{step}[. = '7']"
+    assert_query_agrees(query, doc)
+    module = parse_query(query)
+    env = DynamicContext(resolve_doc=lambda uri: doc)
+    assert len(Evaluator(module).run(env)) == 1
 
 
 def test_invalidation_after_inplace_mutation():
@@ -214,12 +243,9 @@ XMARK_JOIN_QUERY = """
 
 
 def run_naive(federation, query, at):
-    previous = set_default_use_index(False)
-    try:
+    with reference_engine():
         return federation.run(query, at=at,
                               strategy=Strategy.DATA_SHIPPING)
-    finally:
-        set_default_use_index(previous)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
