@@ -115,19 +115,26 @@ class DecompositionCandidates:
 
 
 def prepare(module: Module, strategy: Strategy,
-            local_host: str | None = None,
-            let_sinking: bool = True) -> DecompositionCandidates:
+            local_host: str | None = None, let_sinking: bool = True,
+            sibling: DecompositionCandidates | None = None
+            ) -> DecompositionCandidates:
     """Run the analysis half of the pipeline: normalise, build the
     d-graph, and compute the strategy's insertion candidates — without
-    rewriting the AST yet."""
-    normalized = normalize(module) if let_sinking else module
+    rewriting the AST yet.
+
+    ``sibling``: another strategy's result for the same arguments; its
+    normalised module and d-graph (strategy-independent) are shared."""
+    if sibling is not None:
+        normalized, graph = sibling.normalized, sibling.graph
+    else:
+        normalized = normalize(module) if let_sinking else module
+        graph = build_dgraph(normalized)
     if not strategy.decomposes:
-        return DecompositionCandidates(strategy, normalized,
-                                       build_dgraph(normalized))
-    graph = build_dgraph(normalized)
+        return DecompositionCandidates(strategy, normalized, graph)
     dpoints = valid_decomposition_points(graph, strategy.value)
     ipoints = interesting_points(graph, dpoints)
     plans = select_insertions(graph, ipoints, local_host)
+    graph.forget_reachability()
     return DecompositionCandidates(strategy, normalized, graph,
                                    dpoints, ipoints, plans)
 

@@ -128,6 +128,12 @@ class DGraph:
         """x depends-on y (parse or varref reachability)."""
         return y in self.depends_set(x)
 
+    def forget_reachability(self) -> None:
+        """Drop the memoised reachability sets: quadratic in the query,
+        read only while it is analysed, refilled on demand."""
+        self._parse_descendants.clear()
+        self._depends_cache.clear()
+
     # -- paper predicates -----------------------------------------------------------
 
     def use_result(self, n: int, rs: int) -> bool:

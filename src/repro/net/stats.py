@@ -75,7 +75,7 @@ class PlanReport:
     strategy: str                 # chosen plan label, e.g. "by-projection"
     estimated_s: float = 0.0      # predicted simulated seconds
     estimated_bytes: int = 0      # predicted wire bytes (Figure 7 metric)
-    from_cache: bool = False      # served by the plan cache
+    from_cache: bool = False      # nothing was parsed or (re)lowered
     #: Every candidate the planner priced: ``(label, estimated_s)``,
     #: cheapest first. Fixed-strategy runs carry just their own entry.
     candidates: tuple[tuple[str, float], ...] = ()

@@ -43,9 +43,9 @@ per peer        Figure 8's "who is slow" as live health — windowed
 as objectives   Figure 9's latency target as an :class:`SLO` with
                 multi-window burn-rate alerting (:class:`SLOMonitor`).
 as events       the churn behind the numbers — failovers, epoch bumps,
-                cache invalidations, shard skips, calibration bumps —
-                in the typed :class:`EventLog` (JSONL export, instant
-                markers on Chrome traces).
+                cache invalidations, shard skips — in the typed
+                :class:`EventLog` (JSONL export, instant markers on
+                Chrome traces).
 as profiles     Figure 8 folded across many queries: collapsed-stack
                 flamegraph output, sim- and wall-weighted
                 (:class:`Profiler`).

@@ -4,14 +4,14 @@ Metrics say *how much*; events say *what happened and when*. The
 runtime emits one :class:`Event` per operationally interesting
 transition — a failover, a peer kill/recover, a catalog epoch bump, a
 cache invalidation sweep, a shard skipped by a probe, a query over the
-slow threshold, a calibration-book generation bump, an SLO alert
-firing or resolving — into one :class:`EventLog` owned by the fleet
-monitor. The log is a bounded deque (old events fall off; cumulative
-per-kind counts survive eviction), exports JSONL for CI artifacts,
-and timestamps every event on both clocks: wall (``time.time``, for
-humans reading the JSONL) and perf (``time.perf_counter``, the same
-clock spans use, so :func:`repro.obs.export.chrome_trace_events` can
-place events on the span timeline as instant markers).
+slow threshold, an SLO alert firing or resolving — into one
+:class:`EventLog` owned by the fleet monitor. The log is a bounded
+deque (old events fall off; cumulative per-kind counts survive
+eviction), exports JSONL for CI artifacts, and timestamps every event
+on both clocks: wall (``time.time``, for humans reading the JSONL) and
+perf (``time.perf_counter``, the same clock spans use, so
+:func:`repro.obs.export.chrome_trace_events` can place events on the
+span timeline as instant markers).
 
 Event kinds emitted by the wired subsystems:
 
@@ -27,7 +27,6 @@ kind                      emitted by
 ``cache_invalidation``    ``ResultCache.invalidate_peer`` dropping entries
 ``shard_skip``            router skipping a shard on an index/statistics probe
 ``slow_query``            monitor: wall time over the slow threshold
-``calibration_bump``      planner feedback book advanced a generation
 ``health_demoted``        health tracker score fell below the demote threshold
 ``health_restored``       health tracker score recovered past restore threshold
 ``alert_fired``           SLO burn-rate rule breached (once per breach)

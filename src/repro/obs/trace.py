@@ -3,7 +3,7 @@
 A :class:`Tracer` produces one span tree per query::
 
     query                      <- Federation.run(trace=True)
-      plan                     <- planner: decompose + enumerate + lower
+      plan                     <- planner: enumerate (lower) on a miss
       rpc                      <- one XRPC round trip (dest, semantics)
         serialize / network    <- component leaves (simulated seconds)
       scatter                  <- cluster fan-out over a collection

@@ -18,8 +18,9 @@ Modules:
   priced plan (:class:`PlanEstimator`);
 * :mod:`repro.planner.feedback` — per-peer calibration factors
   (:class:`CalibrationBook`);
-* :mod:`repro.planner.planner` — candidate enumeration, the plan
-  cache, and the pick (:class:`QueryPlanner`).
+* :mod:`repro.planner.planner` — one :class:`PreparedQuery` per query
+  text: candidate enumeration, the bounded table, and the pick
+  (:class:`QueryPlanner`).
 """
 
 from repro.planner.estimator import PlanEstimator
@@ -28,11 +29,11 @@ from repro.planner.ir import (
     BulkBatch, LocalEval, PhysicalPlan, ScatterGather, ShipDocument,
     XrpcCall,
 )
-from repro.planner.planner import PlannedQuery, QueryPlanner
+from repro.planner.planner import PreparedQuery, QueryPlanner
 from repro.planner.stats import DocumentStats, StatsCatalog, TagStat
 
 __all__ = [
     "BulkBatch", "CalibrationBook", "DocumentStats", "LocalEval",
-    "PhysicalPlan", "PlanEstimator", "PlannedQuery", "QueryPlanner",
+    "PhysicalPlan", "PlanEstimator", "PreparedQuery", "QueryPlanner",
     "ScatterGather", "ShipDocument", "StatsCatalog", "TagStat", "XrpcCall",
 ]

@@ -17,8 +17,9 @@ same altitude the evaluator will work at:
   model arithmetic the transport charges at run time.
 
 Unknowable quantities (predicate selectivity, projection compression)
-start at calibrated defaults and are corrected per peer by the
-:class:`~repro.planner.feedback.CalibrationBook` after every run.
+start at calibrated defaults. Lowering is factor-free: the per-peer
+:class:`~repro.planner.feedback.CalibrationBook` corrections are final
+multiplications, applied by :func:`~repro.planner.ir.priced`.
 """
 
 from __future__ import annotations
@@ -148,12 +149,10 @@ class PlanEstimator:
         return self.stats.document_stats(host, local_name,
                                          with_values=with_values)
 
-    def exec_seconds(self, elements: float, origin: str) -> float:
-        model = self.model
-        per_element = (EXEC_TICKS_PER_ELEMENT * model.tick_s
-                       + EXEC_VISITS_PER_ELEMENT * model.node_visit_s)
-        return (elements * per_element
-                * self.calibration.factor("exec", origin))
+    def exec_seconds(self, elements: float) -> float:
+        return elements * (EXEC_TICKS_PER_ELEMENT * self.model.tick_s
+                           + EXEC_VISITS_PER_ELEMENT
+                           * self.model.node_visit_s)
 
     def projection_factor(self, paths: PathSets | None) -> float:
         """How much of a fragment survives runtime projection."""
@@ -188,7 +187,6 @@ class _Lowerer:
                  bulk_rpc: bool, transport=None):
         self.estimator = estimator
         self.federation = estimator.federation
-        self.calibration = estimator.calibration
         self.decomposition = decomposition
         self.origin = origin
         self.bulk_rpc = bulk_rpc
@@ -199,6 +197,7 @@ class _Lowerer:
             decomposition=decomposition,
             origin=origin,
             model=estimator.model,
+            calibration=estimator.calibration,
         )
         # Value histograms cost an extra statistics pass per document;
         # only queries that actually compare values pay it.
@@ -239,11 +238,10 @@ class _Lowerer:
         result = self.visit(module.body, {}, self.origin, 1.0)
         local = LocalEval(at=self.origin)
         local.vector.local_exec_s = self.estimator.exec_seconds(
-            self._touched.get(self.origin, 0.0)
-            + result.items * 2.0, self.origin)
+            self._touched.get(self.origin, 0.0) + result.items * 2.0)
         self.ops.insert(0, local)
         self.plan.ops = self.ops
-        return self.plan.finish()
+        return self.plan
 
     # -- abstract interpretation --------------------------------------------
 
@@ -614,7 +612,6 @@ class _Lowerer:
         self._shipped.add(key)
         size = (stats.serialized_bytes if stats is not None
                 else DEFAULT_DOC_BYTES)
-        size *= self.calibration.factor("doc", owner)
         spec = self.federation.collection(owner)
         shards = spec.shard_count if spec is not None else 0
         op = ShipDocument(owner=owner, local_name=local_name, to=to,
@@ -622,8 +619,7 @@ class _Lowerer:
         op.vector.document_bytes = size
         op.vector.messages = float(shards if shards else 1)
         exec_s = self.estimator.exec_seconds(
-            (stats.elements if stats is not None else 64.0) * 0.2,
-            self.origin)
+            (stats.elements if stats is not None else 64.0) * 0.2)
         if to == self.origin:
             op.vector.local_exec_s = exec_s
         else:
@@ -709,10 +705,6 @@ class _Lowerer:
                                      + response.items
                                      * PER_ITEM_OVERHEAD_BYTES))
 
-        msg_factor = self.calibration.factor("msg", dest, semantics)
-        request_bytes *= msg_factor
-        response_bytes *= msg_factor
-
         bulk = self.bulk_rpc or calls <= 1.0
         messages = 2.0 if bulk else 2.0 * calls
 
@@ -723,7 +715,7 @@ class _Lowerer:
         call.vector.message_bytes = request_bytes + response_bytes
         call.vector.messages = messages
         call.vector.remote_exec_s = self.estimator.exec_seconds(
-            self._touched.pop(remote_host, 0.0), self.origin) \
+            self._touched.pop(remote_host, 0.0)) \
             if remote_host != self.origin else 0.0
 
         op: object = call

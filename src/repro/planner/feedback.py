@@ -18,10 +18,9 @@ Factors are keyed ``(kind, peer, semantics)``:
 * ``("exec", origin, "")`` — execution seconds for queries
   originating at ``origin``.
 
-``generation()`` bumps only when some factor has drifted beyond a
-hysteresis band since the last bump — it is part of the plan-cache
-key, so small wobbles keep cached plans hot while a real mis-estimate
-forces a replan.
+Factors are applied when a plan is *priced*
+(:func:`~repro.planner.ir.priced`), never when it is lowered: a moving
+factor re-ranks a prepared query's candidates and invalidates nothing.
 """
 
 from __future__ import annotations
@@ -35,32 +34,21 @@ Key = tuple[str, str, str]
 ALPHA = 0.5
 #: Factors are clamped into [1/LIMIT, LIMIT].
 LIMIT = 64.0
-#: A factor drifting by more than this ratio since the last generation
-#: bump invalidates cached plans.
-DRIFT = 1.25
 
 
 class CalibrationBook:
     """Thread-safe per-peer calibration factors (default 1.0)."""
 
-    def __init__(self, alpha: float = ALPHA, limit: float = LIMIT,
-                 drift: float = DRIFT):
+    def __init__(self, alpha: float = ALPHA, limit: float = LIMIT):
         self.alpha = alpha
         self.limit = limit
-        self.drift = drift
         self._lock = threading.Lock()
         self._factors: dict[Key, float] = {}
-        self._marks: dict[Key, float] = {}   # value at last generation bump
-        self._generation = 0
         self._observations = 0
 
     def factor(self, kind: str, peer: str, semantics: str = "") -> float:
         with self._lock:
             return self._factors.get((kind, peer, semantics), 1.0)
-
-    def generation(self) -> int:
-        with self._lock:
-            return self._generation
 
     @property
     def observations(self) -> int:
@@ -80,12 +68,6 @@ class CalibrationBook:
             updated = min(max(updated, 1.0 / self.limit), self.limit)
             self._factors[key] = updated
             self._observations += 1
-            mark = self._marks.get(key, 1.0)
-            drifted = (updated / mark if updated >= mark
-                       else mark / updated)
-            if drifted > self.drift:
-                self._generation += 1
-                self._marks[key] = updated
 
     def snapshot(self) -> dict[str, float]:
         """Factors keyed ``"kind:peer:semantics"`` (for tests, examples

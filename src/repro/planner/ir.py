@@ -12,10 +12,14 @@ interaction the rewritten module will perform becomes a typed operator
 carries the :class:`~repro.net.estimate.CostVector` the estimator
 predicted for it; the plan's total prices the candidate.
 
+Operators are factor-free: a plan prices itself (:func:`priced`) under
+the :class:`~repro.planner.feedback.CalibrationBook`'s current factors
+whenever it is read, so feedback never re-lowers one.
+
 The run layer reads two things from a plan: the per-site message
 semantics (``semantics_for``) — which is what lets one mixed plan ship
-a tiny document while projecting a big one — and the
-:class:`~repro.net.stats.PlanReport` recorded into ``RunStats``.
+a tiny document while projecting a big one — and the shared
+:class:`~repro.xquery.evaluator.Evaluator` compiled for its module.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
 from repro.net.stats import PlanReport, RunStats
 from repro.obs.explain import ActualsBook, OpAnalysis, PlanAnalysis
+from repro.planner.feedback import CalibrationBook
+from repro.xquery.evaluator import Evaluator
 
 
 def _fmt_bytes(value: float) -> str:
@@ -117,7 +123,30 @@ class ScatterGather:
                 f"[{self.call.describe()}]")
 
 
-PlanOp = "LocalEval | ShipDocument | XrpcCall | BulkBatch | ScatterGather"
+def priced(op, book: CalibrationBook, origin: str) -> CostVector:
+    """``op``'s factor-free estimate under ``book``'s current factors
+    (message counts and queueing are never calibrated; the byte
+    figures ``describe`` prints stay the raw ones)."""
+    exec_s = book.factor("exec", origin)
+    documents = messages = 1.0
+    if isinstance(op, ShipDocument):
+        documents = book.factor("doc", op.owner)
+    elif not isinstance(op, LocalEval):
+        call = op if isinstance(op, XrpcCall) else op.call
+        messages = book.factor("msg", call.dest, call.semantics)
+    raw = op.vector
+    return CostVector(raw.document_bytes * documents,
+                      raw.message_bytes * messages, raw.messages,
+                      raw.local_exec_s * exec_s, raw.remote_exec_s * exec_s,
+                      raw.queue_s)
+
+
+def priced_total(ops: list, book: CalibrationBook,
+                 origin: str) -> CostVector:
+    total = CostVector()
+    for op in ops:
+        total.add(priced(op, book, origin))
+    return total
 
 
 @dataclass
@@ -136,9 +165,11 @@ class PhysicalPlan:
     #: during lowering (when some site uses by-projection) and reused
     #: by the run layer instead of re-analysing the module per run.
     projection_specs: dict[int, object] = field(default_factory=dict)
-    vector: CostVector = field(default_factory=CostVector)
     model: CostModel = field(default_factory=CostModel)
-    report: PlanReport | None = None
+    #: The live book: every read prices under its current factors.
+    calibration: CalibrationBook = field(default_factory=CalibrationBook)
+    #: For ``decomposition.module``; set on a prepared query's pick.
+    evaluator: Evaluator | None = None
 
     @property
     def default_semantics(self) -> str:
@@ -155,43 +186,41 @@ class PhysicalPlan:
     def estimated_bytes(self) -> int:
         return int(self.vector.wire_bytes)
 
-    def finish(self) -> "PhysicalPlan":
-        """Sum the operator vectors into the plan total (call after
-        lowering; idempotent via recompute)."""
-        total = CostVector()
-        for op in self.ops:
-            total.add(op.vector)
-        self.vector = total
-        return self
+    def priced(self) -> list[CostVector]:
+        """Every operator's vector under the current factors."""
+        return [priced(op, self.calibration, self.origin)
+                for op in self.ops]
+
+    @property
+    def vector(self) -> CostVector:
+        """The plan total under the current calibration factors."""
+        return priced_total(self.ops, self.calibration, self.origin)
 
     def explain(self) -> str:
         """Operator-level rendering for docs, examples and reports."""
-        times = self.vector.time(self.model)
+        total = self.vector
         lines = [
-            f"plan {self.label}: est {times.total * 1e3:.2f}ms, "
-            f"~{_fmt_bytes(self.vector.wire_bytes)} on the wire"
+            f"plan {self.label}: est {total.total_s(self.model) * 1e3:.2f}"
+            f"ms, ~{_fmt_bytes(total.wire_bytes)} on the wire"
         ]
-        for index, op in enumerate(self.ops, start=1):
-            op_s = op.vector.total_s(self.model)
+        for index, (op, vector) in enumerate(zip(self.ops, self.priced()),
+                                             start=1):
             lines.append(f"  {index}. {op.describe()} "
-                         f"[est {op_s * 1e3:.2f}ms]")
+                         f"[est {vector.total_s(self.model) * 1e3:.2f}ms]")
         return "\n".join(lines)
 
-    def build_report(self, candidates: tuple[tuple[str, float], ...] = (),
-                     from_cache: bool = False) -> PlanReport:
-        """Attach (and return) the :class:`PlanReport` recorded into
-        every run's ``RunStats``."""
-        if not candidates:
-            candidates = ((self.label, self.estimated_s),)
-        self.report = PlanReport(
+    def build_report(self, candidates: tuple[tuple[str, float], ...],
+                     from_cache: bool) -> PlanReport:
+        """This plan as priced right now, for a run's ``RunStats``."""
+        vector = self.vector
+        return PlanReport(
             strategy=self.label,
-            estimated_s=self.estimated_s,
-            estimated_bytes=self.estimated_bytes,
+            estimated_s=vector.total_s(self.model),
+            estimated_bytes=int(vector.wire_bytes),
             from_cache=from_cache,
             candidates=candidates,
             explain_text=self.explain(),
         )
-        return self.report
 
     def build_analysis(self, actuals: ActualsBook, stats: RunStats,
                        wall_s: float) -> PlanAnalysis:
@@ -200,9 +229,9 @@ class PhysicalPlan:
         for it (scatter shards alias back to their logical site, so a
         ScatterGather row sums its per-shard round trips)."""
         rows: list[OpAnalysis] = []
-        for op in self.ops:
-            est_s = op.vector.total_s(self.model)
-            est_bytes = op.vector.wire_bytes
+        for op, vector in zip(self.ops, self.priced()):
+            est_s = vector.total_s(self.model)
+            est_bytes = vector.wire_bytes
             if isinstance(op, LocalEval):
                 actual = actuals.local
                 est_calls = 0.0

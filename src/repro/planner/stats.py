@@ -15,17 +15,17 @@ string equality, and an equi-width bucket histogram over the
 numeric-coercible values for range comparisons — the numbers behind
 the estimator's measured predicate selectivities (``age < 40`` prices
 at the observed ~0.42, not a guessed 0.5). They are computed only when
-a query needs them (``with_values=True``); ``values_version()`` counts
-upgrades, and is woven into the plan-cache key so a plan priced before
-histograms existed is re-planned once they do.
+a query needs them (``with_values=True``): a lowering that compares
+values asks for them and thereby builds them, one that does not never
+reads them — no plan is ever priced "before histograms existed".
 
 The :class:`StatsCatalog` computes stats lazily per ``(host, name)``
 and invalidates them through the same ``Peer.on_store`` hook the
 runtime's result cache uses; a *collection* host (cluster catalog
 virtual name) aggregates its shard fragments' stats. ``version()``
-bumps on every invalidation — it is part of the planner's plan-cache
-key, so a re-stored document can never be planned against stale
-statistics.
+bumps on every invalidation — it is part of the stamp a prepared
+query's lowered candidates carry, so a re-stored document can never be
+planned against stale statistics.
 """
 
 from __future__ import annotations
@@ -415,7 +415,7 @@ class StatsCatalog:
     """Lazily computed, store-invalidated document statistics.
 
     Thread-safe; shared by one federation's planner across all
-    concurrent queries. ``version()`` is woven into the plan-cache key.
+    concurrent queries. ``version()`` stamps every lowered plan.
     """
 
     def __init__(self) -> None:
@@ -423,7 +423,6 @@ class StatsCatalog:
         self._stats: dict[tuple[str, str], DocumentStats] = {}
         self._collection_keys: set[tuple[str, str]] = set()
         self._version = 0
-        self._values_version = 0
         self._federation: "Federation | None" = None
         self._attached: set[str] = set()
 
@@ -445,15 +444,6 @@ class StatsCatalog:
         with self._lock:
             return self._version
 
-    def values_version(self) -> int:
-        """Bumped whenever a document's value histograms become newly
-        available (a ``with_values`` request upgrading a value-less
-        entry). Part of the plan-cache key: a plan priced with default
-        selectivities before histograms were built must be re-planned
-        once they exist."""
-        with self._lock:
-            return self._values_version
-
     def _invalidate(self, peer_name: str, local_name: str) -> None:
         with self._lock:
             stale = [key for key in self._stats
@@ -472,8 +462,8 @@ class StatsCatalog:
         virtual name, in which case shard-fragment stats are merged.
 
         ``with_values`` additionally demands the value-histogram table;
-        a cached value-less entry is upgraded in place (and
-        ``values_version`` bumped) rather than served as-is.
+        a cached value-less entry is upgraded in place rather than
+        served as-is.
         """
         key = (host, local_name)
         with self._lock:
@@ -503,8 +493,6 @@ class StatsCatalog:
             self._stats[key] = stats
             if is_collection:
                 self._collection_keys.add(key)
-            if with_values:
-                self._values_version += 1
             return stats
 
     def _peer_stats(self, federation: "Federation", host: str,
@@ -551,7 +539,6 @@ class StatsCatalog:
         with self._lock:
             return {
                 "version": self._version,
-                "values_version": self._values_version,
                 "documents": {
                     f"{host}/{name}": {
                         "serialized_bytes": stats.serialized_bytes,

@@ -130,8 +130,9 @@ class ResultCache:
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
         self._epoch = 0
-        #: ResponseKey -> response XML text
-        self._responses: OrderedDict[ResponseKey, str] = OrderedDict()
+        #: ResponseKey -> (response XML text, its byte length)
+        self._responses: OrderedDict[ResponseKey,
+                                     tuple[str, int]] = OrderedDict()
         #: (requester, owner, local_name) -> (Document, serialized bytes)
         self._documents: OrderedDict[tuple[str, str, str],
                                      tuple["Document", int]] = OrderedDict()
@@ -153,21 +154,25 @@ class ResultCache:
         """The cached response text, or None. ``request_bytes`` sizes the
         request that a hit keeps off the wire (for ``saved_bytes``)."""
         with self._lock:
-            text = self._responses.get(key)
-            if text is None:
+            entry = self._responses.get(key)
+            if entry is None:
                 self._misses.inc()
                 return None
             self._responses.move_to_end(key)
             self._hits.inc()
-            self._saved_bytes.inc(request_bytes + len(text.encode()))
-            return text
+            self._saved_bytes.inc(request_bytes + entry[1])
+            return entry[0]
 
     def store_response(self, key: ResponseKey, response_xml: str,
+                       response_bytes: int | None = None,
                        epoch: int | None = None) -> None:
+        """Keep the text with its byte length: hits never re-encode."""
+        if response_bytes is None:
+            response_bytes = len(response_xml.encode())
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 return  # stale: an invalidation raced the computation
-            self._responses[key] = response_xml
+            self._responses[key] = (response_xml, response_bytes)
             self._responses.move_to_end(key)
             while len(self._responses) > self.max_responses:
                 self._responses.popitem(last=False)

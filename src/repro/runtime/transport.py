@@ -377,11 +377,13 @@ class Transport:
 
     def exchange(self, peer: "Peer", request_xml: str,
                  handle: Callable[[RequestMessage], ResponseMessage],
-                 stats: RunStats) -> str:
+                 stats: RunStats,
+                 request_bytes: int | None = None) -> tuple[str, int]:
         """Ship the serialised request to ``peer``, run ``handle`` on
         its re-parsed form there, ship the response back; returns the
-        response text (the requester parses it). Both directions are
-        real XML text, exactly as the seed did inline."""
+        response text (the requester parses it) and its byte length.
+        Both directions are real XML text, exactly as the seed did
+        inline, each measured once (``request_bytes``: by the caller)."""
         if self.is_down(peer.name):
             # Fail before charging: a failover retry would otherwise
             # double-count the undelivered request in the caller's
@@ -389,7 +391,8 @@ class Transport:
             # those bytes were genuinely attempted.)
             raise PeerDownError(f"peer {peer.name!r} is down",
                                 peer=peer.name)
-        request_bytes = len(request_xml.encode())
+        if request_bytes is None:
+            request_bytes = len(request_xml.encode())
         self.charge_message(stats, request_bytes)
 
         self._enter_peer(peer.name)
@@ -407,7 +410,7 @@ class Transport:
 
         self.charge_message(stats, response_bytes)
         self._count_message(peer.name, response_bytes)
-        return response_xml
+        return response_xml, response_bytes
 
     def fetch_document(self, owner: "Peer", local_name: str,
                        stats: RunStats) -> str:

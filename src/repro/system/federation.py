@@ -52,7 +52,7 @@ from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import cached_serialization, serialize
 from repro.xquery.ast import Expr, Module
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
-from repro.xquery.evaluator import Evaluator
+from repro.xquery.prepared import PreparedTable
 from repro.xquery.pretty import pretty
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import RequestMessage, ResponseMessage
@@ -65,6 +65,8 @@ class Peer:
     def __init__(self, name: str):
         self.name = name
         self.documents: dict[str, Document] = {}
+        #: The function bodies shipped here, each compiled once.
+        self.prepared = PreparedTable()
         self._lock = threading.Lock()
         self._serialize_lock = threading.Lock()
         self._store_listeners: list[Callable[[str, str], None]] = []
@@ -174,7 +176,6 @@ class Federation:
                  static: StaticContext | None = None,
                  transport: Transport | None = None,
                  catalog: ClusterCatalog | None = None,
-                 planner: QueryPlanner | None = None,
                  metrics: MetricsRegistry | None = None):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.static = static if static is not None else StaticContext()
@@ -194,8 +195,6 @@ class Federation:
                                                  metrics=self.metrics))
         self.peers: dict[str, Peer] = {}
         self.catalog = catalog
-        self._planner = planner
-        self._planner_lock = threading.Lock()
         #: The attached :class:`~repro.obs.fleet.FleetMonitor` (set by
         #: ``monitor.attach(federation)``; None ⇒ continuous
         #: observability off, at the cost of one attribute check per
@@ -206,18 +205,8 @@ class Federation:
         #: None ⇒ no self-healing, the pre-PR-9 behaviour).
         self.membership = None
         self.repair = None
-
-    @property
-    def planner(self) -> QueryPlanner:
-        """The federation's cost-based planner (created lazily; every
-        execution routes through it for plan lowering and feedback).
-        Creation is locked: a racing double-construction would leak
-        the loser's StatsCatalog listeners onto every peer."""
-        if self._planner is None:
-            with self._planner_lock:
-                if self._planner is None:
-                    self._planner = QueryPlanner(self)
-        return self._planner
+        #: The cost-based planner and its table of prepared queries.
+        self.planner = QueryPlanner(self)
 
     def add_peer(self, name: str) -> Peer:
         if name in self.peers:
@@ -290,52 +279,25 @@ class Federation:
                     if tracer is not None else nullcontext())
         with root_ctx, self._monitored():
             # Fixed strategies go through the same planner entry point
-            # as auto: the plan cache then amortises decomposition +
-            # lowering across a multi-tenant sweep of identical queries.
+            # as auto: one prepared query per text amortises parsing,
+            # decomposition and lowering across every run of it.
             with child_span("plan"):
-                planned = self.planner.plan(query, at=at,
-                                            strategy=choice,
-                                            bulk_rpc=bulk_rpc,
-                                            code_motion=code_motion,
-                                            let_sinking=let_sinking,
-                                            transport=transport)
-            # The auto path's report is a per-call copy, so a
-            # plan-cache hit never mutates the report of a concurrently
-            # executing run.
+                plan, report = self.planner.plan(
+                    query, at=at, strategy=choice, bulk_rpc=bulk_rpc,
+                    code_motion=code_motion, let_sinking=let_sinking,
+                    transport=transport)
+            # The plan is shared by every run of this text (read-only).
             result = self._execute(
-                _Run(self, planned.plan, bulk_rpc, keep_message_xml,
+                _Run(self, plan, bulk_rpc, keep_message_xml,
                      transport=transport, result_cache=result_cache,
                      batcher=batcher, tracer=tracer),
-                planned.report)
+                report)
         # The root span closed when the context exited; only a closed
         # tree folds into stable profiler stacks.
         if (self.monitor is not None and tracer is not None
                 and tracer.root is not None):
             self.monitor.observe_trace(tracer.root)
         return result
-
-    def execute(self, decomposition: DecompositionResult, at: str,
-                bulk_rpc: bool = True,
-                keep_message_xml: bool = False,
-                transport: Transport | None = None,
-                result_cache: ResultCache | None = None,
-                batcher: BulkBatcher | None = None) -> RunResult:
-        """Execute an already-decomposed query at peer ``at``.
-
-        The decomposition is lowered into its trivial fixed plan, so
-        the run carries an estimate and its observed stats feed the
-        planner's calibration exactly as :meth:`run`'s do. Callers with
-        query text should use :meth:`run` (cached plans, tracing).
-        """
-        plan = self.planner.lower_fixed(decomposition, at,
-                                        bulk_rpc=bulk_rpc,
-                                        transport=transport)
-        with self._monitored():
-            return self._execute(
-                _Run(self, plan, bulk_rpc, keep_message_xml,
-                     transport=transport, result_cache=result_cache,
-                     batcher=batcher),
-                plan.report)
 
     @contextmanager
     def _monitored(self):
@@ -639,9 +601,10 @@ class _Run:
             request_bytes = len(request_xml.encode())
 
             def exchange(wire_calls: list[list[tuple[str, list]]],
-                         charge_to: RunStats) -> str:
+                         charge_to: RunStats) -> tuple[str, int]:
                 # ``wire_calls`` longer than our own means the batcher
-                # merged riders in; otherwise the built text is reused.
+                # merged riders in; otherwise the built text (and its
+                # measured length) is reused.
                 handler = RequestHandler(
                     peer_name=peer.name,
                     resolve_doc=self._resolver(peer.name, stats=stats),
@@ -649,15 +612,16 @@ class _Run:
                         peer.name, stats=stats, counter=remote_counter),
                     semantics=semantics,
                     counter=remote_counter,
+                    prepared=peer.prepared,
                 )
+                merged = len(wire_calls) != len(calls)
                 return self.transport.exchange(
-                    peer,
-                    request_xml if len(wire_calls) == len(calls)
-                    else request_text(wire_calls),
-                    handler.handle, charge_to)
+                    peer, request_text(wire_calls) if merged else request_xml,
+                    handler.handle, charge_to,
+                    request_bytes=None if merged else request_bytes)
 
             # -- deliver: each step answers or passes on ----------------
-            response_xml = cache_key = cache_epoch = None
+            response_xml = response_bytes = cache_key = cache_epoch = None
             if self.result_cache is not None:
                 cache_epoch = self.result_cache.epoch()
                 cache_key = response_key(cache_scope or dest_name,
@@ -683,14 +647,16 @@ class _Run:
                     batch_key(dest_name, query_text, param_names,
                               semantics, static_attrs,
                               used_paths, returned_paths),
-                    calls, lambda merged: exchange(merged, RunStats()))
+                    calls, lambda merged: exchange(merged, RunStats())[0])
             if response_xml is None:
-                response_xml = exchange(calls, stats)
+                response_xml, response_bytes = exchange(calls, stats)
+            if response_bytes is None:
+                # Cached, or this run's share of a batch: not yet measured.
+                response_bytes = len(response_xml.encode())
 
             # -- parse --------------------------------------------------
             # A cached text is shredded into fresh fragment documents
             # like any other, so node identity stays per-query.
-            response_bytes = len(response_xml.encode())
             parsed = ResponseMessage.from_xml(response_xml)
             results = unmarshal_result(
                 parsed.results, parsed.fragments,
@@ -726,8 +692,9 @@ class _Run:
                     response_xml=response_xml if self.keep_message_xml else "",
                 ))
                 if cache_key is not None:
-                    self.result_cache.store_response(cache_key, response_xml,
-                                                     epoch=cache_epoch)
+                    self.result_cache.store_response(
+                        cache_key, response_xml, response_bytes,
+                        epoch=cache_epoch)
             self.actuals.record_site(
                 site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,
@@ -740,15 +707,13 @@ class _Run:
     # -- top-level execution --------------------------------------------------------
 
     def execute(self) -> RunResult:
-        module = self.decomposition.module
-        evaluator = Evaluator(module, self.federation.static)
         env = DynamicContext(
             resolve_doc=self._resolver(self.origin),
             xrpc_execute=self._make_xrpc_execute(self.origin),
             xrpc_execute_bulk=self._make_xrpc_execute_bulk(self.origin),
             counter=self.local_counter,
         )
-        items = evaluator.run(env)
+        items = self.plan.evaluator.run(env)
 
         model = self.federation.cost_model
         local_s = model.exec_time(

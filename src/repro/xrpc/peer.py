@@ -1,9 +1,12 @@
 """Peer-side request handling: the "HTTP server" box of Figure 1.
 
-A :class:`RequestHandler` parses a request message, shreds the
-parameter payload into fragment documents, evaluates the shipped
-function body once per (bulk) call, and serialises the response —
-projecting it first when the request carried projection paths.
+A :class:`RequestHandler` shreds a request's parameter payload into
+fragment documents, evaluates the shipped function body once per
+(bulk) call, and serialises the response — projecting it first when
+the request carried projection paths. The body arrives as text in
+every request; its ``Evaluator`` (which holds the parsed body) is
+interned in the peer's table, so a call site served twice is compiled
+once.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from repro.xquery.ast import Module
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.parser import parse_expr
+from repro.xquery.prepared import PreparedTable
 
 from repro.xrpc.marshal import marshal_result, unmarshal_calls
 from repro.xrpc.messages import RequestMessage, ResponseMessage
@@ -27,18 +31,24 @@ class RequestHandler:
                  resolve_doc: Callable[[str], Document],
                  xrpc_execute: Callable[..., list],
                  semantics: str,
-                 counter: CostCounter | None = None):
+                 counter: CostCounter | None = None,
+                 prepared: PreparedTable | None = None):
         self.peer_name = peer_name
         self.resolve_doc = resolve_doc
         self.xrpc_execute = xrpc_execute
         self.semantics = semantics
         self.counter = counter if counter is not None else CostCounter()
+        self.prepared = (prepared if prepared is not None
+                         else PreparedTable())
 
     def handle(self, request: RequestMessage) -> ResponseMessage:
-        """Parse, evaluate (once per call), and marshal the response."""
-        body = parse_expr(request.query)
-        static = StaticContext.from_attributes(request.static_attrs)
-        evaluator = Evaluator(Module([], body), static)
+        """Evaluate (once per call) and marshal the response."""
+        evaluator = self.prepared.intern(
+            (request.query, tuple(sorted(request.static_attrs.items()))),
+            lambda: Evaluator(
+                Module([], parse_expr(request.query)),
+                StaticContext.from_attributes(request.static_attrs)))
+        body = evaluator.module.body
 
         calls = unmarshal_calls(request.calls, request.fragments,
                                 base_uri=f"xrpc://{self.peer_name}/msg")

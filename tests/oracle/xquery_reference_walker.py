@@ -16,7 +16,9 @@ Three pieces, each moved out of the library unchanged:
 
 Use :func:`reference_engine` to run a whole federation on the oracle:
 it substitutes :class:`ReferenceEvaluator` for the name ``Evaluator``
-in the three modules that build one.
+in the three modules that build one, and makes every prepared-query
+lookup inside the block build a throwaway entry — evaluators are kept
+with prepared queries, so neither side may see the other's.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.xquery import xdm
 from repro.xquery.ast import ForExpr, PathExpr, Step
 from repro.xquery.context import DynamicContext
 from repro.xquery.evaluator import Evaluator
+from repro.xquery.prepared import PreparedTable
 
 AxisFunction = Callable[[Node], Iterator[Node]]
 
@@ -204,12 +207,15 @@ class ReferenceEvaluator(Evaluator):
 
 @contextmanager
 def reference_engine():
-    """Run federations on the oracle: every evaluator the system,
+    """Run federations on the oracle: every evaluator the planner,
     the XRPC request handler and the cluster router build inside the
-    block is a :class:`ReferenceEvaluator`."""
-    with mock.patch("repro.system.federation.Evaluator", ReferenceEvaluator), \
+    block is a :class:`ReferenceEvaluator`, and nothing prepared
+    inside it is interned (or taken from what was interned before)."""
+    with mock.patch("repro.planner.planner.Evaluator", ReferenceEvaluator), \
             mock.patch("repro.xrpc.peer.Evaluator", ReferenceEvaluator), \
-            mock.patch("repro.cluster.router.Evaluator", ReferenceEvaluator):
+            mock.patch("repro.cluster.router.Evaluator", ReferenceEvaluator), \
+            mock.patch.object(PreparedTable, "intern",
+                              lambda self, key, build: build()):
         yield
 
 

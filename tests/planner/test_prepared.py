@@ -1,0 +1,183 @@
+"""Compile once: one prepared query per text, on both sides of the wire.
+
+A query text is parsed, analysed and lowered when the planner first
+sees it and looked up ever after; a shipped function body is parsed
+when a peer first sees it. What re-lowers a prepared query is a moved
+stamp (a store, a repartition); calibration only re-ranks its
+candidates. The counting tests wrap the parser and
+the decomposer wherever a ``repro`` module holds them, the way
+``benchmarks/e2e/spans.py`` does.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from repro.decompose.strategy import decompose, prepare, realize
+from repro.planner import planner as planner_module
+from repro.runtime.engine import FederationEngine
+from repro.system.federation import Federation
+from repro.workloads import (
+    BENCHMARK_QUERY, REFDATA_PEER, TINY_LOOKUP_QUERY, build_federation,
+    build_mixed_federation, refdata_document,
+)
+from repro.xquery.parser import parse_expr, parse_query
+from repro.xquery.xdm import serialize_sequence
+
+from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
+from tests.xrpc.test_one_parse_per_message import _rebind
+
+
+def _count(monkeypatch, *functions) -> dict[str, list]:
+    """Calls of each of ``functions`` from now on, by name."""
+    calls: dict[str, list] = {fn.__name__: [] for fn in functions}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__].append(1)   # list.append: thread-safe
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in functions:
+        _rebind(monkeypatch, fn, counted(fn))
+    return calls
+
+
+def _ledger_workloads():
+    """``benchmarks/e2e/workloads.py`` (not a package), for the exact
+    texts and documents the ledger's ``local_paths`` workload runs."""
+    name = "_e2e_workloads"
+    if name not in sys.modules:
+        path = (Path(__file__).resolve().parents[2]
+                / "benchmarks" / "e2e" / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module    # dataclasses look the module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_local_paths_texts_are_parsed_once(monkeypatch):
+    """The ledger's eleven ``local_paths`` texts, three passes: eleven
+    parses, and every later lookup is a hit — the shared ``exec``
+    factor swinging between eleven query shapes re-prices them and
+    invalidates none (``planner.cache_hit_ratio`` read 0.0 here)."""
+    ledger = _ledger_workloads()
+    instance = ledger.WORKLOADS["local_paths"].build()
+    calls = _count(monkeypatch, parse_query, decompose, prepare)
+    for _ in range(3):
+        for text in ledger.LOCAL_QUERIES:
+            assert instance.query(text).stats.plan is not None
+    assert len(calls["parse_query"]) == len(ledger.LOCAL_QUERIES) == 11
+    assert len(calls["prepare"]) + len(calls["decompose"]) == 11
+    snapshot = instance.federation.planner.snapshot()
+    assert snapshot["cache_hits"] == 22
+    assert snapshot["cached_plans"] == 11
+
+
+def test_shipped_body_is_parsed_once_per_peer(monkeypatch):
+    """By-projection ships one body to each of two peers; a second run
+    ships the same two texts and neither peer parses again."""
+    federation = build_federation(0.003)
+    calls = _count(monkeypatch, parse_expr)
+    first = federation.run(BENCHMARK_QUERY, at="local",
+                           strategy="by-projection")
+    assert len(calls["parse_expr"]) == 2
+    second = federation.run(BENCHMARK_QUERY, at="local",
+                            strategy="by-projection")
+    assert len(calls["parse_expr"]) == 2
+    assert first.stats.messages == second.stats.messages == 4
+    assert serialize_sequence(first.items) \
+        == serialize_sequence(second.items)
+    assert [len(federation.peer(name).prepared)
+            for name in ("peer1", "peer2", "local")] == [1, 1, 0]
+
+
+def test_store_relowers_without_reparsing(monkeypatch):
+    """A store moves the stamp: the candidates are lowered again from
+    the analysis already held — a fixed strategy's single candidate
+    from the decomposition it still has, so nothing of the decomposer
+    runs at all."""
+    federation = Federation()
+    federation.add_peer("A").store("students.xml", STUDENTS_XML)
+    federation.add_peer("B").store("course42.xml", COURSE_XML)
+    federation.add_peer("local")
+    for strategy in ("auto", "by-fragment"):
+        federation.run(Q2, at="local", strategy=strategy)
+    lowered = federation.planner.snapshot()["plans_enumerated"]
+    calls = _count(monkeypatch, parse_query, decompose, prepare, realize)
+    federation.peer("A").store("students.xml", STUDENTS_XML)
+
+    fixed = federation.run(Q2, at="local", strategy="by-fragment")
+    assert fixed.stats.plan.from_cache is False
+    assert federation.planner.snapshot()["plans_enumerated"] == lowered + 1
+    assert not any(calls.values())
+
+    auto = federation.run(Q2, at="local", strategy="auto")
+    assert auto.stats.plan.from_cache is False
+    assert len(auto.stats.plan.candidates) > 1
+    assert not calls["parse_query"] and not calls["prepare"] \
+        and not calls["decompose"]
+    again = federation.run(Q2, at="local", strategy="auto")
+    assert again.stats.plan.from_cache is True
+
+
+def test_store_may_change_the_pick():
+    """Re-lowering prices against the new statistics, so ``auto`` can
+    leave the plan it held: a tiny reference table ships whole, a big
+    one is decomposed."""
+    federation = build_mixed_federation(0.003)
+    tiny = federation.run(TINY_LOOKUP_QUERY, at="local", strategy="auto")
+    assert tiny.stats.plan.strategy == "data-shipping"
+    federation.peer(REFDATA_PEER).store("rates.xml",
+                                        refdata_document(4000))
+    big = federation.run(TINY_LOOKUP_QUERY, at="local", strategy="auto")
+    assert big.stats.plan.from_cache is False
+    assert big.stats.plan.strategy != "data-shipping"
+    assert big.stats.documents_shipped == 0
+    assert len(big.items) > len(tiny.items)
+
+
+def test_concurrent_runs_share_one_prepared_query(monkeypatch):
+    """Eight engine workers racing on one text: one parse, one
+    prepared query, one evaluator — shared by every run, each of which
+    still returns what local evaluation returns."""
+    federation = build_federation(0.004)
+    oracle = Federation()
+    oracle.add_peer("oracle")
+    for name, document in (("people.xml", "peer1"),
+                           ("auctions.xml", "peer2")):
+        oracle.peer("oracle").store(
+            name, federation.peer(document).serialized(name))
+    expected = serialize_sequence(oracle.run(
+        BENCHMARK_QUERY.replace("xrpc://peer1/", "")
+        .replace("xrpc://peer2/", ""),
+        at="oracle", strategy="data-shipping").items)
+    assert expected
+
+    calls = _count(monkeypatch, parse_query)
+    built = []
+
+    class CountedEvaluator(planner_module.Evaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(planner_module, "Evaluator", CountedEvaluator)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FederationEngine(federation, max_workers=8, cache=False,
+                              batch_window_s=0.0) as engine:
+            futures = [engine.submit(BENCHMARK_QUERY, "local",
+                                     "by-fragment") for _ in range(32)]
+            answers = [serialize_sequence(future.result(timeout=60).items)
+                       for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [expected] * 32
+    assert len(calls["parse_query"]) == 1
+    assert len(built) == 1
+    snapshot = federation.planner.snapshot()
+    assert snapshot["cached_plans"] == 1
+    assert snapshot["cache_hits"] == 31

@@ -99,18 +99,6 @@ class TestFunctionShipping:
         assert result.stats.times.remote_exec > 0
         assert result.stats.times.local_exec > 0
 
-    def test_execute_reuses_decomposition(self, fed):
-        from repro.decompose import decompose
-        from repro.xquery.parser import parse_query
-
-        decomposition = decompose(
-            parse_query('doc("xrpc://p1/d.xml")/child::a/child::b'),
-            Strategy.BY_FRAGMENT, local_host="local")
-        first = fed.execute(decomposition, at="local")
-        second = fed.execute(decomposition, at="local")
-        assert serialize_sequence(first.items) == \
-            serialize_sequence(second.items)
-
     def test_unknown_destination_peer_raises(self, fed):
         with pytest.raises(NetworkError):
             fed.run('declare function f() as item()* { 1 };'
