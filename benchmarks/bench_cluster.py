@@ -6,7 +6,7 @@ tenant workloads aimed at sharded XMark collections
 :class:`FederationEngine` over a :class:`SimulatedTransport` whose
 latency costs real wall-clock time.
 
-Two experiments:
+Three experiments:
 
 * **shard sweep** — the read-heavy tenant scan (tiny fixed request,
   member-proportional response) over 1, 2 and 4 shards, on a
@@ -18,6 +18,13 @@ Two experiments:
   same bytes over 4 nodes: queries/sec grows with shard count.
   The result cache is off in this sweep — repeated thresholds would
   otherwise serve from memory and mask the wire effect being measured.
+  The router fans a scatter out over threads only on a wire that can
+  wait; this wire does, and the sweep asserts that every multi-shard
+  exchange really ran on a scatter pool thread, so the threaded side
+  cannot go dead silently.
+* **projection under scatter** — the paper's semijoin, by-projection
+  against by-fragment message bytes per shard count: the shard rewrite
+  must not cost a call site its projection paths.
 * **failover drill** — the full semijoin tenant mix (both collections)
   with one data node killed mid-fleet; every query must still complete
   (served by the surviving replicas) and the failovers must be visible
@@ -28,11 +35,14 @@ Cells are emitted to ``BENCH_cluster.json`` via
 """
 
 import random
+import threading
 
+from repro.decompose import Strategy
 from repro.net.costmodel import CostModel
 from repro.runtime import FederationEngine, SimulatedTransport
 from repro.workloads import (
-    build_sharded_federation, sharded_scan_jobs, sharded_tenant_jobs,
+    SHARDED_BENCHMARK_QUERY, build_sharded_federation, sharded_scan_jobs,
+    sharded_tenant_jobs,
 )
 
 from benchmarks.conftest import print_table, write_json
@@ -49,13 +59,25 @@ WAN_BANDWIDTH = 1e6
 TIME_SCALE = 10.0
 
 
+class _ObservedTransport(SimulatedTransport):
+    """Notes which threads carried an exchange."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.exchange_threads: set[str] = set()
+
+    def exchange(self, *args, **kwargs):
+        self.exchange_threads.add(threading.current_thread().name)
+        return super().exchange(*args, **kwargs)
+
+
 def _sweep_cell(shard_count: int) -> dict:
     federation = build_sharded_federation(
         SCALE, seed=SEED, shard_count=shard_count,
         replication_factor=min(2, shard_count), node_count=shard_count,
         cost_model=CostModel().replace(
             bandwidth_bytes_per_s=WAN_BANDWIDTH))
-    transport = SimulatedTransport(federation.cost_model,
+    transport = _ObservedTransport(federation.cost_model,
                                    time_scale=TIME_SCALE,
                                    per_peer_concurrency=2)
     jobs = sharded_scan_jobs(clients=CLIENTS, rounds=ROUNDS,
@@ -63,7 +85,14 @@ def _sweep_cell(shard_count: int) -> dict:
     with FederationEngine(federation, max_workers=CLIENTS,
                           transport=transport, cache=False) as engine:
         engine.run_all([(j.query, j.at, j.strategy) for j in jobs])
-        return engine.metrics.summary()
+        cell = engine.metrics.summary()
+    if shard_count > 1:
+        assert transport.exchange_threads and all(
+            name.startswith("cluster-scatter")
+            for name in transport.exchange_threads), (
+            f"{shard_count}-shard sweep left the scatter pool: "
+            f"{sorted(transport.exchange_threads)}")
+    return cell
 
 
 def test_shard_scaling():
@@ -100,6 +129,29 @@ def test_shard_scaling():
     assert qps[SHARD_SWEEP[-1]] > qps[SHARD_SWEEP[0]], (
         f"{SHARD_SWEEP[-1]} shards should out-run {SHARD_SWEEP[0]} shard "
         f"({qps[SHARD_SWEEP[-1]]:.1f} vs {qps[SHARD_SWEEP[0]]:.1f} qps)")
+
+
+def test_projection_holds_under_scatter():
+    """By-projection must ship less than by-fragment at every shard
+    count (it shipped the same bytes while the shard rewrite dropped
+    the call site's projection spec)."""
+    rows = []
+    for shard_count in SHARD_SWEEP:
+        federation = build_sharded_federation(
+            0.01, seed=SEED, shard_count=shard_count,
+            replication_factor=min(2, shard_count),
+            node_count=shard_count)
+        projection, fragment = (
+            federation.run(SHARDED_BENCHMARK_QUERY, at="local",
+                           strategy=strategy).stats.message_bytes
+            for strategy in (Strategy.BY_PROJECTION, Strategy.BY_FRAGMENT))
+        rows.append([shard_count, projection, fragment,
+                     f"{projection / fragment:.2f}"])
+        assert projection < fragment, (
+            f"{shard_count} shards: by-projection {projection} B is not "
+            f"below by-fragment {fragment} B")
+    print_table("Projection under scatter: semijoin message bytes",
+                ["shards", "by-projection", "by-fragment", "ratio"], rows)
 
 
 def _failover_cell() -> dict:

@@ -29,6 +29,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from repro.errors import NetworkError
+from repro.xquery.prepared import PreparedTable
 
 
 class ClusterError(NetworkError):
@@ -138,6 +139,9 @@ class ClusterCatalog:
         #: The router's :class:`~repro.runtime.transport.RetryPolicy`
         #: for transient wire faults (None ⇒ the router's default).
         self.retry_policy = retry_policy
+        #: The router's prepared scatters, one per (function body,
+        #: collection layout) — see ``router._PreparedScatter``.
+        self.prepared = PreparedTable()
 
     @classmethod
     def _check_partial(cls, policy: str) -> str:

@@ -303,7 +303,7 @@ class MigrationExecutor:
                     stats: RunStats) -> str:
         transport = self.federation.transport
         peer = self.federation.peer(peer_name)
-        return transport.fetch_document(peer, local_name, stats)
+        return transport.fetch_document(peer, local_name, stats)[0]
 
     def _store_verified(self, peer_name: str, local_name: str,
                         text: str, stats: RunStats,

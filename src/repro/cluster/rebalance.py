@@ -157,12 +157,12 @@ class LoadScorer:
             peers = sorted(self.federation.peers)
         counts, frag_bytes = self._fragment_load()
         transport = getattr(self.federation, "transport", None)
-        loads = transport.peer_loads() if transport is not None else {}
         draining = (self.catalog.draining_peers()
                     if self.catalog is not None else frozenset())
         scores: dict[str, PeerScore] = {}
         for name in peers:
-            in_flight, served = loads.get(name, (0, 0))
+            in_flight, served = (transport.peer_load(name)
+                                 if transport is not None else (0, 0))
             alive = self.usable(name) and (
                 self.membership is None
                 or self.membership.state(name) == ALIVE)

@@ -364,10 +364,10 @@ class RepairEngine:
         stats = RunStats()
 
         def ship() -> int:
-            text = transport.fetch_document(source_peer,
-                                            shard.local_name, stats)
+            text, size = transport.fetch_document(
+                source_peer, shard.local_name, stats)
             target_peer.store(shard.local_name, text)
-            return len(text.encode())
+            return size
 
         monitor = (getattr(self.federation, "monitor", None)
                    if self.federation is not None else None)

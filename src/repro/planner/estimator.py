@@ -172,10 +172,10 @@ class PlanEstimator:
         federation's shared one)."""
         if transport is None:
             transport = self.federation.transport
-        loads = transport.peer_loads()
         if not replica_peers:
             return 0.0
-        in_flight = sum(loads.get(peer, (0, 0))[0] for peer in replica_peers)
+        in_flight = sum(transport.peer_load(peer)[0]
+                        for peer in replica_peers)
         return (in_flight / len(replica_peers)) * self.model.latency_s
 
 

@@ -16,10 +16,11 @@ Operators are factor-free: a plan prices itself (:func:`priced`) under
 the :class:`~repro.planner.feedback.CalibrationBook`'s current factors
 whenever it is read, so feedback never re-lowers one.
 
-The run layer reads two things from a plan: the per-site message
-semantics (``semantics_for``) — which is what lets one mixed plan ship
-a tiny document while projecting a big one — and the shared
-:class:`~repro.xquery.evaluator.Evaluator` compiled for its module.
+The run layer reads two things from a plan: each call site's wire
+contract (:meth:`PhysicalPlan.call_site` — per-site message semantics
+are what lets one mixed plan ship a tiny document while projecting a
+big one) and the shared :class:`~repro.xquery.evaluator.Evaluator`
+compiled for its module.
 """
 
 from __future__ import annotations
@@ -123,6 +124,30 @@ class ScatterGather:
                 f"[{self.call.describe()}]")
 
 
+class CallSite:
+    """One call site's wire contract: message semantics, the projection
+    paths a by-projection message carries, and the logical site the
+    plan priced. Resolved once, for the body the plan knows, and handed
+    on explicitly — a scatter's shard-local rewrites of that body are
+    new objects, so nothing may look the contract up by their identity.
+    The paths are relative to parameters and result, hence valid for
+    every rewrite unchanged."""
+
+    __slots__ = ("semantics", "site_id", "param_paths", "used_paths",
+                 "returned_paths")
+
+    def __init__(self, semantics: str, spec, site_id: int):
+        self.semantics = semantics
+        self.site_id = site_id       # id(xrpc.body): the explain key
+        self.param_paths = self.used_paths = self.returned_paths = None
+        if semantics == "by-projection" and spec is not None:
+            self.param_paths = spec.param_paths
+            self.used_paths = sorted(
+                str(p) for p in spec.result_paths.used)
+            self.returned_paths = sorted(
+                str(p) for p in spec.result_paths.returned)
+
+
 def priced(op, book: CalibrationBook, origin: str) -> CostVector:
     """``op``'s factor-free estimate under ``book``'s current factors
     (message counts and queueing are never calibrated; the byte
@@ -177,6 +202,14 @@ class PhysicalPlan:
 
     def semantics_for(self, site_id: int) -> str:
         return self.site_semantics.get(site_id, self.default_semantics)
+
+    def call_site(self, body) -> CallSite:
+        """The contract of the call site whose function body is
+        ``body``. A body the plan does not own (a peer's parse of a
+        shipped body, re-entering through a nested ``execute at``) gets
+        the plan's default semantics and no projection."""
+        return CallSite(self.semantics_for(id(body)),
+                        self.projection_specs.get(id(body)), id(body))
 
     @property
     def estimated_s(self) -> float:

@@ -218,13 +218,6 @@ class Transport:
                  + (dbytes.value if dbytes is not None else 0))
         return (int(gauge.value) if gauge is not None else 0, total)
 
-    def peer_loads(self) -> dict[str, tuple[int, int]]:
-        """One :meth:`peer_load` snapshot per peer ever contacted."""
-        names = {key[0] for key in self._wire_in_flight.series()}
-        names.update(key[0] for key in self._wire_message_bytes.series())
-        names.update(key[0] for key in self._wire_document_bytes.series())
-        return {name: self.peer_load(name) for name in names}
-
     def kill_peer(self, peer_name: str) -> None:
         """Make every future transmission to ``peer_name`` raise
         :class:`PeerDownError` — the deterministic way to drill replica
@@ -277,6 +270,13 @@ class Transport:
             self.events.emit("peer_restored",
                              f"peer {peer_name} latency restored",
                              severity="info", peer=peer_name)
+
+    def can_sleep(self) -> bool:
+        """Whether a transmission on this wire can spend wall-clock
+        time waiting — the only thing concurrent callers could overlap
+        (peer-side evaluation is Python under the GIL). The scatter
+        router fans out over threads only when this holds."""
+        return bool(self._slow)
 
     # -- per-peer admission -------------------------------------------------
 
@@ -413,9 +413,10 @@ class Transport:
         return response_xml, response_bytes
 
     def fetch_document(self, owner: "Peer", local_name: str,
-                       stats: RunStats) -> str:
+                       stats: RunStats) -> tuple[str, int]:
         """Data shipping: serialise a document at its owner and move the
-        text over the wire (the caller shreds it)."""
+        text over the wire (the caller shreds it); returns the text and
+        its byte length, measured once."""
         if self.is_down(owner.name):
             # A dead owner can't even serialise: fail before charging.
             raise PeerDownError(f"peer {owner.name!r} is down",
@@ -433,7 +434,7 @@ class Transport:
         finally:
             self._exit_peer(owner.name)
         self._count_document(owner.name, size)
-        return text
+        return text, size
 
 
 class LoopbackTransport(Transport):
@@ -508,3 +509,7 @@ class SimulatedTransport(Transport):
     def _wire_delay(self, peer_name: str, size: int) -> float:
         return (self.cost_model.network_time(size) * self.time_scale
                 + self.extra_latency_s)
+
+    def can_sleep(self) -> bool:
+        return (self.time_scale > 0 or self.extra_latency_s > 0
+                or super().can_sleep())

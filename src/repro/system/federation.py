@@ -41,9 +41,8 @@ from repro.net.stats import PlanReport, RunStats
 from repro.obs.explain import ActualsBook
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, bind_stats_span, child_span
-from repro.planner.ir import PhysicalPlan
+from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
-from repro.paths.analysis import PathSets, ProjectionSpec
 from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import ResultCache, response_key
 from repro.runtime.transport import LoopbackTransport, Transport
@@ -368,30 +367,12 @@ class _Run:
         #: Per-operator actuals for explain-analyze (always recorded —
         #: one timestamped dict update per round trip / ship).
         self.actuals = ActualsBook()
-        #: Rewritten shard-body ids → the logical call site id the plan
-        #: knows (registered by the router for the scatter's duration).
-        self.site_alias: dict[int, int] = {}
-        # Message semantics come from the plan: uniform for a fixed
-        # strategy, per call site for a planner-built mixed plan. The
-        # ``site_semantics`` dict additionally carries the cluster
-        # router's shard-body aliases for the duration of a scatter.
-        self.semantics = plan.default_semantics
-        self.site_semantics: dict[int, str] = dict(plan.site_semantics)
-        #: Specs keyed by id(xrpc.body), the handle the transport has.
-        #: The plan computed them once during lowering, over this very
-        #: module object, so the id() keys match.
-        self.projection_specs: dict[int, ProjectionSpec] = dict(
-            plan.projection_specs)
 
     @cached_property
     def router(self) -> ClusterRouter:
         """The run's scatter-gather router (built on first use: most
         runs never touch a sharded collection)."""
         return ClusterRouter(self, self.federation.catalog)
-
-    def semantics_for(self, body_id: int) -> str:
-        """The message semantics of one call site (``id(xrpc.body)``)."""
-        return self.site_semantics.get(body_id, self.semantics)
 
     # -- document resolution (data shipping) -----------------------------------
 
@@ -445,11 +426,11 @@ class _Run:
 
             def fetch(ship_span: Span | None) -> tuple[Document, int]:
                 with bind_stats_span(stats, ship_span):
-                    text = self.transport.fetch_document(
+                    text, size = self.transport.fetch_document(
                         self.federation.peer(owner), local_name, stats)
                     return (parse_document(
                         text, uri=f"{XRPC_SCHEME}{owner}/{local_name}"),
-                        len(text.encode()))
+                        size)
         else:
             # The shared cache's name carries its invalidation epoch
             # too: peer stores can't target the collection scope
@@ -462,8 +443,7 @@ class _Run:
 
             def fetch(ship_span: Span | None) -> tuple[Document, int]:
                 return self.router.fetch_collection_document(
-                    spec, local_name, requester, stats=stats,
-                    parent_span=ship_span)
+                    spec, local_name, stats=stats, parent_span=ship_span)
 
         if cache is not None:
             entry = cache.lookup_document(requester, owner, cache_name)
@@ -520,28 +500,14 @@ class _Run:
     def _round_trip(self, from_peer: str, dest: str,
                     calls: list[list[tuple[str, list]]],
                     body: Expr,
-                    cache_scope: str | None = None,
-                    shard_epoch: int | None = None,
                     stats: RunStats | None = None,
                     remote_counter: CostCounter | None = None) -> list[list]:
-        """One network interaction: marshal, ship, execute, ship back.
-
-        Every round trip takes the same path: build the request →
-        *deliver* it (the shared result cache, then the cross-query
-        batcher, then the transport's wire — each either answers or
-        passes on) → parse the response text → unmarshal → *record*
-        (stats, ``rpc`` span, actuals, message log, cache store).
-
-        A destination registered in the cluster catalog is a *logical*
-        call site: the router scatters it into one round trip per shard
-        (re-entering this method with the physical replica as ``dest``)
-        and gathers the results. The keyword arguments exist for those
-        re-entrant shard calls: ``cache_scope``/``shard_epoch`` key the
-        response cache by shard identity + membership epoch instead of
-        the replica that happened to serve it, and ``stats`` /
-        ``remote_counter`` give each concurrent shard call private
-        accounting (merged deterministically after the gather).
-        """
+        """One logical call of ``body`` at ``dest``: a destination
+        registered in the cluster catalog is scattered by the router
+        into one :meth:`_call_peer` per shard and gathered; a peer is
+        called directly, under the contract the plan holds for the
+        site. ``stats`` / ``remote_counter`` are a shard call's private
+        accounting when the call is nested inside a scatter."""
         parts = split_xrpc_uri(dest)
         dest_name = parts[0] if parts is not None else dest
         if stats is None:
@@ -552,35 +518,52 @@ class _Run:
         if spec is not None:
             return self.router.scatter(from_peer, spec, calls, body,
                                        stats=stats, counter=remote_counter)
-        peer = self.federation.peer(dest_name)  # raises on unknown peer
+        return self._call_peer(
+            self.federation.peer(dest_name),  # raises on unknown peer
+            calls, pretty(body), self.plan.call_site(body), stats,
+            remote_counter)
 
-        semantics = self.semantics_for(id(body))
-        spec = self.projection_specs.get(id(body))
-        param_paths: dict[str, PathSets] | None = None
-        used_paths = returned_paths = None
-        if semantics == "by-projection" and spec is not None:
-            param_paths = spec.param_paths
-            used_paths = sorted(str(p) for p in spec.result_paths.used)
-            returned_paths = sorted(
-                str(p) for p in spec.result_paths.returned)
+    def _call_peer(self, peer: Peer,
+                   calls: list[list[tuple[str, list]]],
+                   query_text: str, site: CallSite,
+                   stats: RunStats, remote_counter: CostCounter,
+                   cache_scope: str | None = None,
+                   shard_epoch: int | None = None) -> list[list]:
+        """One network interaction: marshal, ship, execute, ship back.
 
-        # Explain-analyze attribution: shard-rewritten bodies alias
-        # back to the logical call site the plan priced; sim seconds
-        # are inclusive deltas, mirroring how the estimator prices.
-        site_id = self.site_alias.get(id(body), id(body))
+        Every round trip takes the same path: build the request →
+        *deliver* it (the shared result cache, then the cross-query
+        batcher, then the transport's wire — each either answers or
+        passes on) → parse the response text → unmarshal → *record*
+        (stats, ``rpc`` span, actuals, message log, cache store).
+
+        ``query_text`` is the function body as shipped and ``site`` its
+        call site's contract — for a shard call, the shard-local text
+        under the logical site's contract. ``cache_scope`` /
+        ``shard_epoch`` key the response cache by shard identity +
+        membership epoch instead of the replica that happened to serve
+        it; a shard call's ``stats`` / ``remote_counter`` are private
+        (merged deterministically after the gather).
+        """
+        semantics = site.semantics
+        param_paths = site.param_paths
+        used_paths, returned_paths = site.used_paths, site.returned_paths
+
+        # Explain-analyze attribution goes to the logical call site the
+        # plan priced; sim seconds are inclusive deltas, mirroring how
+        # the estimator prices.
         wall0 = time.perf_counter()
         sim0 = stats.times.total
         bytes0 = stats.message_bytes + stats.document_bytes
 
-        with child_span("rpc", dest=dest_name) as rpc_span, \
+        with child_span("rpc", dest=peer.name) as rpc_span, \
                 bind_stats_span(stats, rpc_span):
             if rpc_span is not None:
                 rpc_span.set(semantics=semantics, calls=len(calls))
                 if used_paths is not None:
                     rpc_span.set(used_paths=len(used_paths),
-                                 returned=len(returned_paths or ()))
+                                 returned=len(returned_paths))
 
-            query_text = pretty(body)
             param_names = [name for name, _seq in calls[0]] if calls else []
             static_attrs = self.federation.static.to_attributes()
 
@@ -624,7 +607,7 @@ class _Run:
             response_xml = response_bytes = cache_key = cache_epoch = None
             if self.result_cache is not None:
                 cache_epoch = self.result_cache.epoch()
-                cache_key = response_key(cache_scope or dest_name,
+                cache_key = response_key(cache_scope or peer.name,
                                          semantics, request_xml,
                                          used_paths, returned_paths,
                                          shard_epoch=shard_epoch)
@@ -644,7 +627,7 @@ class _Run:
                 # counters, so under coalescing the leader's RunStats
                 # over-report and riders' under-report that share.
                 response_xml = self.batcher.execute(
-                    batch_key(dest_name, query_text, param_names,
+                    batch_key(peer.name, query_text, param_names,
                               semantics, static_attrs,
                               used_paths, returned_paths),
                     calls, lambda merged: exchange(merged, RunStats())[0])
@@ -696,7 +679,7 @@ class _Run:
                         cache_key, response_xml, response_bytes,
                         epoch=cache_epoch)
             self.actuals.record_site(
-                site_id,
+                site.site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,
                 calls=0 if cached else len(calls),
                 sim_s=stats.times.total - sim0,

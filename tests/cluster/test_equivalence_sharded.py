@@ -24,6 +24,7 @@ from repro.workloads import (
     benchmark_query_variant, sharded_query_variant,
 )
 from repro.xquery.xdm import serialize_sequence
+from repro.xrpc.messages import RequestMessage
 
 from tests.cluster.conftest import make_cluster, make_single_owner
 
@@ -123,13 +124,35 @@ def xmark_baseline():
 def test_xmark_benchmark_equivalence(strategy, max_age, xmark_cluster,
                                      xmark_baseline):
     sharded = xmark_cluster.run(sharded_query_variant(max_age),
-                                at="local", strategy=strategy)
+                                at="local", strategy=strategy,
+                                keep_message_xml=True)
     baseline = xmark_baseline.run(benchmark_query_variant(max_age),
-                                  at="local", strategy=strategy)
+                                  at="local", strategy=strategy,
+                                  keep_message_xml=True)
     assert serialize_sequence(sharded.items) \
         == serialize_sequence(baseline.items)
     if strategy.decomposes:
         assert sharded.stats.scatter_shards >= 8   # both call sites
+    if strategy is Strategy.BY_PROJECTION:
+        # The shard rewrite must not cost a call site its contract:
+        # all 8 shard requests carry the used/returned paths the
+        # single-owner requests carry, so the scatter still ships less
+        # than by-fragment does.
+        assert len(sharded.messages) == 8
+        assert {_projection_paths(m) for m in sharded.messages} \
+            == {_projection_paths(m) for m in baseline.messages}
+        by_fragment = xmark_cluster.run(sharded_query_variant(max_age),
+                                        at="local",
+                                        strategy=Strategy.BY_FRAGMENT)
+        assert sharded.stats.message_bytes \
+            < by_fragment.stats.message_bytes
+
+
+def _projection_paths(message) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    request = RequestMessage.from_xml(message.request_xml)
+    assert request.used_paths is not None
+    assert request.returned_paths is not None
+    return tuple(request.used_paths), tuple(request.returned_paths)
 
 
 def test_xmark_count_aggregates(xmark_cluster, xmark_baseline):

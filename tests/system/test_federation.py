@@ -139,7 +139,9 @@ class TestGoldenWireFigures:
             lambda: build_sharded_federation(0.02, 20090329, shard_count=4,
                                              replication_factor=2),
             SHARDED_BENCHMARK_QUERY, Strategy.BY_PROJECTION,
-            dict(message_bytes=32565, messages=16, document_bytes=0,
+            # 32565 until PR 17: the shard rewrite lost the call site's
+            # projection spec, so shards answered by-fragment.
+            dict(message_bytes=16958, messages=16, document_bytes=0,
                  documents_shipped=0)),
     }
 
