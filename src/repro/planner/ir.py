@@ -34,6 +34,7 @@ from repro.net.stats import PlanReport, RunStats
 from repro.obs.explain import ActualsBook, OpAnalysis, PlanAnalysis
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
+from repro.xquery.prepared import PreparedTable
 
 
 def _fmt_bytes(value: float) -> str:
@@ -126,19 +127,25 @@ class ScatterGather:
 
 class CallSite:
     """One call site's wire contract: message semantics, the projection
-    paths a by-projection message carries, and the logical site the
-    plan priced. Resolved once, for the body the plan knows, and handed
-    on explicitly — a scatter's shard-local rewrites of that body are
-    new objects, so nothing may look the contract up by their identity.
-    The paths are relative to parameters and result, hence valid for
-    every rewrite unchanged."""
+    paths a by-projection message carries, the body's shipped text and
+    the logical site the plan priced. Resolved once, for the body the
+    plan knows, and handed on explicitly — a scatter's shard-local
+    rewrites of that body are new objects, so nothing may look the
+    contract up by their identity. The paths are relative to
+    parameters and result, hence valid for every rewrite unchanged.
+    The site holds its body, so the address it is keyed by cannot be
+    reused while it lives; ``query_text`` is rendered by the run layer
+    on the first direct call (a scatter ships its shard texts, never
+    this one)."""
 
-    __slots__ = ("semantics", "site_id", "param_paths", "used_paths",
-                 "returned_paths")
+    __slots__ = ("semantics", "body", "site_id", "query_text",
+                 "param_paths", "used_paths", "returned_paths")
 
-    def __init__(self, semantics: str, spec, site_id: int):
+    def __init__(self, semantics: str, spec, body):
         self.semantics = semantics
-        self.site_id = site_id       # id(xrpc.body): the explain key
+        self.body = body
+        self.site_id = id(body)      # id(xrpc.body): the explain key
+        self.query_text: str | None = None
         self.param_paths = self.used_paths = self.returned_paths = None
         if semantics == "by-projection" and spec is not None:
             self.param_paths = spec.param_paths
@@ -195,6 +202,9 @@ class PhysicalPlan:
     calibration: CalibrationBook = field(default_factory=CalibrationBook)
     #: For ``decomposition.module``; set on a prepared query's pick.
     evaluator: Evaluator | None = None
+    #: One :class:`CallSite` per function body asked about.
+    sites: PreparedTable = field(default_factory=PreparedTable,
+                                 init=False, repr=False)
 
     @property
     def default_semantics(self) -> str:
@@ -205,11 +215,13 @@ class PhysicalPlan:
 
     def call_site(self, body) -> CallSite:
         """The contract of the call site whose function body is
-        ``body``. A body the plan does not own (a peer's parse of a
-        shipped body, re-entering through a nested ``execute at``) gets
-        the plan's default semantics and no projection."""
-        return CallSite(self.semantics_for(id(body)),
-                        self.projection_specs.get(id(body)), id(body))
+        ``body``, built when the plan is first asked about that body.
+        A body the plan does not own (a peer's parse of a shipped body,
+        re-entering through a nested ``execute at``) gets the plan's
+        default semantics and no projection."""
+        return self.sites.intern(id(body), lambda: CallSite(
+            self.semantics_for(id(body)),
+            self.projection_specs.get(id(body)), body))
 
     @property
     def estimated_s(self) -> float:

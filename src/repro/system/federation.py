@@ -35,7 +35,9 @@ from repro.cluster.catalog import ClusterCatalog, CollectionSpec
 from repro.cluster.router import ClusterRouter
 from repro.decompose import DecompositionResult, Strategy, strategy_label
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
-from repro.errors import NetworkError, XQueryDynamicError
+from repro.errors import (
+    NetworkError, XQueryDynamicError, XrpcMarshalError,
+)
 from repro.net.costmodel import CostModel
 from repro.net.stats import PlanReport, RunStats
 from repro.obs.explain import ActualsBook
@@ -518,10 +520,12 @@ class _Run:
         if spec is not None:
             return self.router.scatter(from_peer, spec, calls, body,
                                        stats=stats, counter=remote_counter)
+        site = self.plan.call_site(body)
+        if site.query_text is None:
+            site.query_text = pretty(body)
         return self._call_peer(
             self.federation.peer(dest_name),  # raises on unknown peer
-            calls, pretty(body), self.plan.call_site(body), stats,
-            remote_counter)
+            calls, site.query_text, site, stats, remote_counter)
 
     def _call_peer(self, peer: Peer,
                    calls: list[list[tuple[str, list]]],
@@ -641,6 +645,10 @@ class _Run:
             # A cached text is shredded into fresh fragment documents
             # like any other, so node identity stays per-query.
             parsed = ResponseMessage.from_xml(response_xml)
+            if len(parsed.results) != len(calls):
+                raise XrpcMarshalError(
+                    f"response from {peer.name} answers "
+                    f"{len(parsed.results)} calls, {len(calls)} were sent")
             results = unmarshal_result(
                 parsed.results, parsed.fragments,
                 base_uri=f"{XRPC_SCHEME}{peer.name}/response")

@@ -1,12 +1,15 @@
-"""The XPath axes over the pre/size/level store: their names, the
-paper's axis classes, and the node test.
+"""The XPath axes over the pre/size/level store: their names and the
+paper's axis classes.
 
 Axis *steps* are set-at-a-time index scans
 (:meth:`repro.xmldb.index.StructuralIndex.axis_scan` answers all
-twelve axes); what stays here is the vocabulary — the valid axis
-names, the classes Conditions i and iii are phrased in — plus the two
-per-node walks the message codec, the partitioner and ``deep_equal``
-use to read one element's attributes and children in place.
+twelve axes, node test included); what stays here is the vocabulary —
+the valid axis names, the classes Conditions i and iii are phrased in
+— plus the two per-node walks marshalling, the partitioner, the gather
+and ``deep_equal`` use to read one element's attributes and children
+in place. The message decoder reads envelope columns directly
+(``xrpc/messages.py``); the per-node step walker and its node test
+live with the oracle in ``tests/oracle/xquery_reference_walker.py``.
 
 Attribute nodes are stored inside their owner's pre/size interval but
 are *not* descendants in the XPath data model, so ``child`` filters
@@ -67,37 +70,3 @@ NON_OVERLAPPING_AXES = frozenset({
     "parent", "preceding-sibling", "following-sibling", "self", "child",
     "attribute",
 })
-
-
-def matches_node_test(node: Node, test: str) -> bool:
-    """Apply a node test: ``node()``, ``text()``, a QName, or ``*``.
-
-    ``*`` matches any element on non-attribute axes; the axis layer
-    cannot know the axis here, so ``*`` matches elements and
-    attributes — callers on the attribute axis only ever see
-    attributes, and all other axes never yield attributes, so the
-    combined behaviour is correct.
-    """
-    if test == "node()":
-        return True
-    kind = node.kind
-    if test == "text()":
-        return kind == NodeKind.TEXT
-    if test == "comment()":
-        return kind == NodeKind.COMMENT
-    if kind not in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE):
-        return False
-    if test == "*":
-        return True
-    return node.name == test
-
-
-_WALKS = {"child": child, "attribute": attribute}
-
-
-def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:
-    """One ``child`` or ``attribute`` step from one node, node test
-    applied."""
-    for candidate in _WALKS[axis](node):
-        if matches_node_test(candidate, test):
-            yield candidate

@@ -145,7 +145,7 @@ class StructuralIndex:
         return self.tag_pres.get(test, _EMPTY)
 
     def matches(self, pre: int, test: str) -> bool:
-        """``matches_node_test`` over the raw arrays (self axis)."""
+        """The node test over the raw arrays (self axis)."""
         if test == "node()":
             return True
         kind = self.doc.kinds[pre]

@@ -34,6 +34,11 @@ class NodeKind(IntEnum):
     PROCESSING_INSTRUCTION = 5
 
 
+#: The kind column stores raw bytes; ``_KIND_OF[doc.kinds[pre]]`` is the
+#: enum member (``node.kind.name`` etc.) without an enum call per read.
+_KIND_OF = tuple(NodeKind)
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """A handle on one node: a ``(document, pre)`` pair.
@@ -70,11 +75,7 @@ class Node:
 
     @property
     def kind(self) -> NodeKind:
-        # The kind column stores raw bytes; the handle re-wraps them in
-        # the enum so ``node.kind.name`` etc. keep working. Hot paths
-        # read ``doc.kinds[pre]`` directly and compare against the
-        # IntEnum members as plain ints.
-        return NodeKind(self.doc.kinds[self.pre])
+        return _KIND_OF[self.doc.kinds[self.pre]]
 
     @property
     def name(self) -> str:

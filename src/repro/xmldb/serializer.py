@@ -15,6 +15,12 @@ exact per-subtree byte figures for free. Caches ride on the
 epoch — a ``Peer.store`` swaps the document object and any in-place
 mutation must call ``Document.invalidate_caches``, so stale text is
 never served.
+
+There is one producer of XML text, :func:`_emit`: a single loop over a
+subtree's rows with the open elements on an explicit stack. The
+whole-document pass runs it over every row and records the spans; a
+subtree request on a document with no full text runs the same loop
+over ``[pre, pre + size]`` without them.
 """
 
 from __future__ import annotations
@@ -79,8 +85,12 @@ def serialize(doc: Document) -> str:
     """
     cache = _tree(doc)
     if cache.full is None:
-        _build_full(doc, cache)
-    assert cache.full is not None
+        starts = [0] * doc.count
+        ends = [0] * doc.count
+        text = _emit(doc, 0, doc.count - 1, starts, ends)
+        # Readers take ``full is not None`` to mean the spans exist.
+        cache.starts, cache.ends = starts, ends
+        cache.full = text
     return cache.full
 
 
@@ -106,9 +116,7 @@ def serialize_node(node: Node) -> str:
         if cached is not None:
             cache.memo.move_to_end(pre)
             return cached
-    out: list[str] = []
-    _serialize_into(node, out)
-    text = "".join(out)
+    text = _emit(doc, pre, pre + doc.sizes[pre])
     with cache.memo_lock:
         cache.memo[pre] = text
         cap = max(1, doc.memo_cache_cap)
@@ -147,118 +155,75 @@ def subtree_spans(doc: Document) -> tuple[list[int], list[int]] | None:
 
 
 # ---------------------------------------------------------------------------
-# Full serialisation with span recording
+# The emitter
 # ---------------------------------------------------------------------------
 
+# The kind bytes as plain ints, in ``NodeKind`` order.
+_DOCUMENT, _ELEMENT, _ATTRIBUTE, _TEXT, _COMMENT, _PI = map(int, NodeKind)
 
-def _build_full(doc: Document, cache: SerializedTree) -> None:
-    kinds = doc.kinds
-    names = doc.names
-    values = doc.values
-    count = len(kinds)
+
+def _emit(doc: Document, first: int, last: int,
+          starts: list[int] | None = None,
+          ends: list[int] | None = None) -> str:
+    """The text of the subtree in rows ``first..last``: one loop over
+    the columns, the open elements on an explicit stack (so depth is
+    not bounded by the recursion limit). An element's start tag stays
+    open while its attribute rows follow; its first content row ends
+    the tag with ``>``, reaching its last row without one with ``/>``.
+
+    With ``starts`` / ``ends`` every row's span in the text is
+    recorded. An attribute's span is its escaped value between the
+    quotes — which is all an attribute at ``first`` serialises to.
+    """
+    spans = starts is not None
     parts: list[str] = []
-    starts = [0] * count
-    ends = [0] * count
+    pending: list[tuple[int, int, str]] = []  # (last row, pre, name)
+    tag_open = False
     length = 0
-
-    def emit(text: str) -> None:
-        nonlocal length
+    stop = last + 1
+    for pre, kind, name, value, size in zip(
+            range(first, stop), doc.kinds[first:stop],
+            doc.names[first:stop], doc.values[first:stop],
+            doc.sizes[first:stop]):
+        if kind == _ATTRIBUTE:
+            text = escape_attribute(value)
+            if spans:
+                starts[pre] = start = length + (len(name) + 3 if tag_open
+                                                else 0)
+                ends[pre] = start + len(text)
+            if tag_open:
+                text = f' {name}="{text}"'
+        else:
+            if tag_open:
+                parts.append(">")
+                length += 1
+                tag_open = False
+            if spans:
+                starts[pre] = length
+            if kind == _ELEMENT:
+                text = f"<{name}"
+                pending.append((pre + size, pre, name))
+                tag_open = True
+            elif kind == _TEXT:
+                text = escape_text(value)
+            elif kind == _COMMENT:
+                text = f"<!--{value}-->"
+            elif kind == _PI:
+                text = f"<?{name} {value}?>"
+            else:  # the document node has no text of its own
+                text = ""
+            if spans:
+                ends[pre] = length + len(text)
         parts.append(text)
         length += len(text)
-
-    def walk(pre: int) -> None:
-        kind = kinds[pre]
-        starts[pre] = length
-        if kind == NodeKind.DOCUMENT:
-            for child_pre in _child_pres(doc, pre):
-                walk(child_pre)
-        elif kind == NodeKind.TEXT:
-            emit(escape_text(values[pre]))
-        elif kind == NodeKind.ATTRIBUTE:
-            # Standalone span: the escaped value only (no quotes), so
-            # a slice equals serialize_node on the attribute.
-            emit(escape_attribute(values[pre]))
-        elif kind == NodeKind.COMMENT:
-            emit(f"<!--{values[pre]}-->")
-        elif kind == NodeKind.PROCESSING_INSTRUCTION:
-            emit(f"<?{names[pre]} {values[pre]}?>")
-        else:  # element
-            name = names[pre]
-            emit(f"<{name}")
-            content_pres: list[int] = []
-            for child_pre in _child_pres(doc, pre, include_attributes=True):
-                if kinds[child_pre] == NodeKind.ATTRIBUTE:
-                    emit(f" {names[child_pre]}=\"")
-                    starts[child_pre] = length
-                    emit(escape_attribute(values[child_pre]))
-                    ends[child_pre] = length
-                    emit('"')
-                else:
-                    content_pres.append(child_pre)
-            if not content_pres:
-                emit("/>")
-            else:
-                emit(">")
-                for child_pre in content_pres:
-                    walk(child_pre)
-                emit(f"</{name}>")
-        if kind != NodeKind.ATTRIBUTE:
-            ends[pre] = length
-
-    walk(0)
-    cache.full = "".join(parts)
-    cache.starts = starts
-    cache.ends = ends
-
-
-# ---------------------------------------------------------------------------
-# Subtree walk (no full text available)
-# ---------------------------------------------------------------------------
-
-
-def _serialize_into(node: Node, out: list[str]) -> None:
-    doc = node.doc
-    kind = node.kind
-    if kind == NodeKind.DOCUMENT:
-        for child_pre in _child_pres(doc, node.pre):
-            _serialize_into(Node(doc, child_pre), out)
-        return
-    if kind == NodeKind.TEXT:
-        out.append(escape_text(node.value))
-        return
-    if kind == NodeKind.ATTRIBUTE:
-        out.append(escape_attribute(node.value))
-        return
-    if kind == NodeKind.COMMENT:
-        out.append(f"<!--{node.value}-->")
-        return
-    if kind == NodeKind.PROCESSING_INSTRUCTION:
-        out.append(f"<?{node.name} {node.value}?>")
-        return
-    # Element.
-    out.append(f"<{node.name}")
-    content_pres: list[int] = []
-    for child_pre in _child_pres(doc, node.pre, include_attributes=True):
-        if doc.kinds[child_pre] == NodeKind.ATTRIBUTE:
-            out.append(
-                f' {doc.names[child_pre]}="'
-                f'{escape_attribute(doc.values[child_pre])}"')
-        else:
-            content_pres.append(child_pre)
-    if not content_pres:
-        out.append("/>")
-        return
-    out.append(">")
-    for child_pre in content_pres:
-        _serialize_into(Node(doc, child_pre), out)
-    out.append(f"</{node.name}>")
-
-
-def _child_pres(doc: Document, pre: int, include_attributes: bool = False):
-    """Yield pre ranks of the direct children of ``pre`` in order."""
-    end = pre + doc.sizes[pre]
-    cursor = pre + 1
-    while cursor <= end:
-        if include_attributes or doc.kinds[cursor] != NodeKind.ATTRIBUTE:
-            yield cursor
-        cursor += doc.sizes[cursor] + 1
+        while pending and pending[-1][0] == pre:
+            _last, done, name = pending.pop()
+            text = "/>" if tag_open else f"</{name}>"
+            tag_open = False
+            parts.append(text)
+            length += len(text)
+            if spans:
+                ends[done] = length
+    if spans:
+        ends[first] = length  # a document node's: nothing closes it
+    return "".join(parts)

@@ -15,7 +15,7 @@ remote call — the federation injects the function-shipping transport).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
@@ -102,15 +102,22 @@ class DynamicContext:
     xrpc_execute_bulk: Callable[..., list] | None = None
     counter: CostCounter = field(default_factory=CostCounter)
 
+    def _derive(self, variables: dict[str, list], item: Any = None,
+                position: int = 0, size: int = 0) -> "DynamicContext":
+        """A new context over the same resolvers and counter."""
+        return DynamicContext(variables, item, position, size,
+                              self.resolve_doc, self.xrpc_execute,
+                              self.xrpc_execute_bulk, self.counter)
+
     def bind(self, name: str, value: list) -> "DynamicContext":
-        variables = dict(self.variables)
-        variables[name] = value
-        return replace(self, variables=variables)
+        return self._derive({**self.variables, name: value},
+                            self.context_item, self.context_position,
+                            self.context_size)
 
     def bind_many(self, bindings: dict[str, list]) -> "DynamicContext":
-        variables = dict(self.variables)
-        variables.update(bindings)
-        return replace(self, variables=variables)
+        return self._derive({**self.variables, **bindings},
+                            self.context_item, self.context_position,
+                            self.context_size)
 
     def lookup(self, name: str) -> list:
         try:
@@ -120,10 +127,8 @@ class DynamicContext:
 
     def with_context(self, item: Any, position: int,
                      size: int) -> "DynamicContext":
-        return replace(self, context_item=item, context_position=position,
-                       context_size=size)
+        return self._derive(self.variables, item, position, size)
 
     def fresh_scope(self) -> "DynamicContext":
         """A context with no variable bindings (function body scope)."""
-        return replace(self, variables={}, context_item=None,
-                       context_position=0, context_size=0)
+        return self._derive({})

@@ -25,11 +25,22 @@ column slice of the parsed envelope
 (:func:`~repro.xmldb.document.build_fragment_from_node`) — new node
 identity per message, no ancestors above the shipped root, no
 reference back to the envelope, and no second parse.
+
+The codec owns the ``nodeid`` rank (a node's 1-based position among
+its fragment's non-attribute rows). A message document lives for one
+message, so neither side indexes it to address it: a
+:class:`_FragmentPlan` takes the rank once, from the kind column of the
+document it built (from the index a source document shipped in place
+already has), a :class:`_FragmentSpace` reads each fragment's nodeid →
+pre list off its kind column. A shredded fragment is indexed only if
+an axis scan later asks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, count
+from typing import Sequence
 
 from repro.errors import XrpcMarshalError
 from repro.paths.analysis import PathSets
@@ -152,6 +163,23 @@ def _by_value_item(item) -> Item:
     return NodeCopy("element", "", item)
 
 
+#: Indexed by node kind: 1 for the rows a ``nodeid`` counts (a
+#: fragment's ``descendant-or-self::node()``, attributes excluded).
+_COUNTED = tuple(int(kind != NodeKind.ATTRIBUTE) for kind in NodeKind)
+
+
+def _nodeid_ranks(kinds: Sequence[int]) -> list[int]:
+    """Per row, the number of counted rows up to and including it."""
+    return list(accumulate(map(_COUNTED.__getitem__, kinds)))
+
+
+def _nodeid_pres(kinds: Sequence[int]) -> list[int]:
+    """The counted rows in order: ``pres[nodeid - 1]`` is the row a
+    nodeid names in a fragment rooted at row 0."""
+    return list(compress(range(len(kinds)),
+                         map(_COUNTED.__getitem__, kinds)))
+
+
 @dataclass
 class _FragmentPlan:
     """One source document's contribution to the fragments preamble."""
@@ -160,14 +188,15 @@ class _FragmentPlan:
     root_pre: int                       # in the (possibly projected) doc
     doc: Document                       # the doc the fragment root is in
     pre_map: dict[int, int] | None      # source pre -> projected pre
+    ranks: Sequence[int]                # _nodeid_ranks of ``doc``
 
     def nodeid(self, source_pre: int) -> int:
         """1-based index of the node among the fragment's
         ``descendant::node()`` enumeration (attributes excluded),
         where index 1 is the fragment root itself — an O(1) rank
-        difference on the structural index."""
+        difference."""
         pre = source_pre if self.pre_map is None else self.pre_map[source_pre]
-        return structural_index(self.doc).nodeid(self.root_pre, pre)
+        return self.ranks[pre] - self.ranks[self.root_pre] + 1
 
 
 def _marshal(calls: list[list[tuple[str, list]]], semantics: str,
@@ -223,20 +252,13 @@ def _marshal(calls: list[list[tuple[str, list]]], semantics: str,
             plans[doc_key] = _containment_fragment(doc, nodes, fragid)
 
     # 4. Emit items as references into the fragments.
-    out_calls: list[Call] = []
-    for call in calls:
-        out_params = []
-        for name, seq in call:
-            items: list[Item] = []
-            for item in seq:
-                if not isinstance(item, Node):
-                    items.append(marshal_atomic(item))
-                    continue
-                items.append(_reference_item(item, plans[id(item.doc)]))
-            out_params.append((name, items))
-        out_calls.append(Call(out_params))
-    return MarshalResult(out_calls, [Node(plan.doc, plan.root_pre)
-                                     for plan in plans.values()])
+    return MarshalResult(
+        [Call([(name, [_reference_item(item, plans[id(item.doc)])
+                       if isinstance(item, Node) else marshal_atomic(item)
+                       for item in seq])
+               for name, seq in call])
+         for call in calls],
+        [Node(plan.doc, plan.root_pre) for plan in plans.values()])
 
 
 def _evaluate_paths_into(nodes: list[Node], sets: PathSets,
@@ -297,24 +319,23 @@ def _containment_fragment(doc: Document, nodes: list[Node],
             roots.append(pre)
             current_end = pre + doc.sizes[pre]
     if len(roots) == 1 and doc.kinds[roots[0]] == NodeKind.ELEMENT:
-        return _FragmentPlan(fragid, roots[0], doc, None)
+        return _FragmentPlan(fragid, roots[0], doc, None,
+                             structural_index(doc).non_attr_rank)
     # Several disjoint maximal nodes: ship their subtrees under one
     # synthetic container so nodeid addressing stays single-rooted.
     # Their relative document order is preserved.
     builder = DocumentBuilder(f"{doc.uri}#fragment")
     builder.start_element("xrpc:forest")
+    pre_map: dict[int, int] = {}
     for pre in roots:
+        # The copy lands after the container and the rows copied so far.
+        pre_map.update(zip(range(pre, pre + doc.sizes[pre] + 1),
+                           count(1 + len(pre_map))))
         builder.copy_subtree(Node(doc, pre))
     builder.end_element()
     forest = builder.finish()
-    pre_map: dict[int, int] = {}
-    cursor = 1
-    for pre in roots:
-        span = doc.sizes[pre] + 1
-        for offset in range(span):
-            pre_map[pre + offset] = cursor + offset
-        cursor += span
-    return _FragmentPlan(fragid, 0, forest, pre_map)
+    return _FragmentPlan(fragid, 0, forest, pre_map,
+                         _nodeid_ranks(forest.kinds))
 
 
 def _projected_fragment(doc: Document, nodes: list[Node],
@@ -329,7 +350,8 @@ def _projected_fragment(doc: Document, nodes: list[Node],
         # The LCA trim reached a non-element (e.g. a lone text node);
         # fragments must be element-rooted, fall back to containment.
         return _containment_fragment(doc, nodes + used + returned, fragid)
-    return _FragmentPlan(fragid, 0, result.doc, result.pre_map)
+    return _FragmentPlan(fragid, 0, result.doc, result.pre_map,
+                         _nodeid_ranks(result.doc.kinds))
 
 
 def _anchor_pre(node: Node) -> int:
@@ -361,21 +383,21 @@ def _reference_item(node: Node, plan: _FragmentPlan) -> Item:
 class _FragmentSpace:
     """The shredded fragments of one message: each fragment becomes one
     fresh document, shared by every reference into it — which is what
-    preserves node identity and order within the message."""
+    preserves node identity and order within the message. With each
+    goes its nodeid → pre list, read off its kind column."""
 
     def __init__(self, fragments: list[Node], base_uri: str):
         self.docs: list[Document] = [
             build_fragment_from_node(f"{base_uri}#fragment{i + 1}", root)
             for i, root in enumerate(fragments)
         ]
+        self.pres = [_nodeid_pres(doc.kinds) for doc in self.docs]
 
     def resolve(self, fragid: int, nodeid: int) -> Node:
         if not 1 <= fragid <= len(self.docs):
             raise XrpcMarshalError(f"fragid {fragid} out of range")
         doc = self.docs[fragid - 1]
-        # The structural index's non-attribute array IS the
-        # nodeid → pre mapping (nodeids are 1-based ranks).
-        mapping = structural_index(doc).non_attr_pres
+        mapping = self.pres[fragid - 1]
         if not 1 <= nodeid <= len(mapping):
             raise XrpcMarshalError(
                 f"nodeid {nodeid} out of range in fragment {fragid}")
@@ -433,10 +455,7 @@ def _shred_copy(item: NodeCopy, base_uri: str) -> Node:
     """Pass-by-value: each copy becomes its own fragment document."""
     if item.node_kind == "element":
         return build_fragment_from_node(base_uri, item.content).root
-    if item.node_kind == "attribute":
-        doc = Document(base_uri, [NodeKind.ATTRIBUTE], [item.name],
-                       [item.content], [0], [0], [-1])
-        return doc.root
-    doc = Document(base_uri, [NodeKind.TEXT], [""], [item.content],
-                   [0], [0], [-1])
-    return doc.root
+    kind, name = ((NodeKind.ATTRIBUTE, item.name)
+                  if item.node_kind == "attribute" else (NodeKind.TEXT, ""))
+    return Document(base_uri, [kind], [name], [item.content],
+                    [0], [0], [-1]).root

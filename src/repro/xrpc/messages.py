@@ -27,6 +27,13 @@ message is serialised once (``to_xml``, the only producer of message
 text) and parsed once (``from_xml``: one ``parse_document`` of the
 envelope, nothing serialised back out of it). Shredding a payload node
 into its own fresh document is ``xrpc/marshal.py``'s half.
+
+Decoding reads the parsed envelope's **columns** by pre, not node
+handles: children are ``cursor += sizes[cursor] + 1`` from ``pre + 1``,
+attributes the ATTRIBUTE rows right after the element, a string value
+the TEXT rows. Only what leaves the decoder — a fragment root, an
+element copied by value — becomes a ``Node``. A call must hold one
+``xrpc:sequence`` per declared parameter, a response call exactly one.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import XrpcMarshalError
-from repro.xmldb import axes as axes_mod
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document
@@ -142,39 +148,34 @@ class RequestMessage:
     @classmethod
     def from_xml(cls, text: str) -> "RequestMessage":
         doc = parse_document(text, uri="xrpc:request")
-        request = _find_child(_body(doc), "xrpc:request")
+        request = _find_child(doc, _body(doc), "xrpc:request")
         # Attribute names were flattened ("xrpc:base-uri" ->
         # "xrpc-base-uri") on the wire; restore the prefix.
-        static_attrs = {}
-        for attr in axes_mod.attribute(request):
-            name = attr.name
-            if name.startswith("xrpc-"):
-                name = "xrpc:" + name[len("xrpc-"):]
-            static_attrs[name] = attr.value
+        static_attrs = {
+            ("xrpc:" + name[len("xrpc-"):] if name.startswith("xrpc-")
+             else name): value
+            for name, value in _attributes(doc, request).items()}
         used_paths: list[str] | None = None
         returned_paths: list[str] | None = None
-        projection = next(axes_mod.axis_step(
-            request, "child", "xrpc:projection-paths"), None)
-        if projection is not None:
-            used_paths = [n.string_value() for n in
-                          axes_mod.axis_step(projection, "child",
-                                             "xrpc:used-path")]
-            returned_paths = [n.string_value() for n in
-                              axes_mod.axis_step(projection, "child",
-                                                 "xrpc:returned-path")]
-        fragments = _fragments_from_xml(request)
-        query = _find_child(request, "xrpc:query").string_value()
-        params_elem = _find_child(request, "xrpc:params")
-        param_names = [n.string_value() for n in
-                       axes_mod.axis_step(params_elem, "child", "xrpc:name")]
+        paths = _elements(doc, request, "xrpc:projection-paths")
+        if paths:
+            used_paths = [_string_value(doc, pre) for pre in
+                          _elements(doc, paths[0], "xrpc:used-path")]
+            returned_paths = [_string_value(doc, pre) for pre in _elements(
+                doc, paths[0], "xrpc:returned-path")]
+        fragments = _fragments_from_xml(doc, request)
+        query = _string_value(doc, _find_child(doc, request, "xrpc:query"))
+        param_names = [_string_value(doc, pre) for pre in _elements(
+            doc, _find_child(doc, request, "xrpc:params"), "xrpc:name")]
         calls = []
-        for call_elem in axes_mod.axis_step(request, "child", "xrpc:call"):
-            sequences = [
-                _sequence_from_xml(seq_elem)
-                for seq_elem in axes_mod.axis_step(call_elem, "child",
-                                                   "xrpc:sequence")
-            ]
-            calls.append(Call(list(zip(param_names, sequences))))
+        for call in _elements(doc, request, "xrpc:call"):
+            sequences = _elements(doc, call, "xrpc:sequence")
+            if len(sequences) != len(param_names):
+                raise XrpcMarshalError(
+                    f"call holds {len(sequences)} sequences for "
+                    f"{len(param_names)} parameters")
+            calls.append(Call([(name, _sequence_from_xml(doc, pre))
+                               for name, pre in zip(param_names, sequences)]))
         return cls(query=query, param_names=param_names, calls=calls,
                    fragments=fragments, static_attrs=static_attrs,
                    used_paths=used_paths, returned_paths=returned_paths)
@@ -202,16 +203,15 @@ class ResponseMessage:
     @classmethod
     def from_xml(cls, text: str) -> "ResponseMessage":
         doc = parse_document(text, uri="xrpc:response")
-        response = _find_child(_body(doc), "xrpc:response")
-        fragments = _fragments_from_xml(response)
+        response = _find_child(doc, _body(doc), "xrpc:response")
+        fragments = _fragments_from_xml(doc, response)
         results = []
-        for call_elem in axes_mod.axis_step(response, "child", "xrpc:call"):
-            sequences = list(axes_mod.axis_step(call_elem, "child",
-                                                "xrpc:sequence"))
+        for call in _elements(doc, response, "xrpc:call"):
+            sequences = _elements(doc, call, "xrpc:sequence")
             if len(sequences) != 1:
                 raise XrpcMarshalError("response call must hold exactly "
                                        "one sequence")
-            results.append(_sequence_from_xml(sequences[0]))
+            results.append(_sequence_from_xml(doc, sequences[0]))
         return cls(results=results, fragments=fragments)
 
 
@@ -236,19 +236,72 @@ def _fragments_to_xml(fragments: list[Node], out: list[str]) -> None:
     out.append("</xrpc:fragments>")
 
 
-def _fragments_from_xml(request: Node) -> list[Node]:
-    fragments_elem = _find_child(request, "xrpc:fragments")
-    return [_only_element(fragment, "a fragment must hold one element")
-            for fragment in axes_mod.axis_step(fragments_elem, "child",
-                                               "xrpc:fragment")]
+# -- decoding: column reads by pre (see the module docstring) ---------------
+
+_ELEMENT = int(NodeKind.ELEMENT)
+_ATTRIBUTE = int(NodeKind.ATTRIBUTE)
+_TEXT = int(NodeKind.TEXT)
 
 
-def _only_element(wrapper: Node, complaint: str) -> Node:
+def _elements(doc: Document, pre: int, name: str | None = None) -> list[int]:
+    """The element children of ``pre`` (named ``name``), in order."""
+    kinds, names, sizes = doc.kinds, doc.names, doc.sizes
+    found = []
+    cursor = pre + 1
+    end = pre + sizes[pre]
+    while cursor <= end:
+        if kinds[cursor] == _ELEMENT and (name is None
+                                          or names[cursor] == name):
+            found.append(cursor)
+        cursor += sizes[cursor] + 1
+    return found
+
+
+def _find_child(doc: Document, pre: int, name: str) -> int:
+    found = _elements(doc, pre, name)
+    if not found:
+        raise XrpcMarshalError(f"missing <{name}> in message")
+    return found[0]
+
+
+def _body(doc: Document) -> int:
+    return _find_child(doc, _find_child(doc, 0, "env:Envelope"), "env:Body")
+
+
+def _attributes(doc: Document, pre: int) -> dict[str, str]:
+    kinds, names, values = doc.kinds, doc.names, doc.values
+    attrs: dict[str, str] = {}
+    cursor = pre + 1
+    while cursor < doc.count and kinds[cursor] == _ATTRIBUTE:
+        attrs[names[cursor]] = values[cursor]
+        cursor += 1
+    return attrs
+
+
+def _string_value(doc: Document, pre: int) -> str:
+    kinds, values = doc.kinds, doc.values
+    return "".join([values[row]
+                    for row in range(pre + 1, pre + doc.sizes[pre] + 1)
+                    if kinds[row] == _TEXT])
+
+
+def _fragments_from_xml(doc: Document, message: int) -> list[Node]:
+    fragments = _find_child(doc, message, "xrpc:fragments")
+    return [_only_element(doc, pre, "a fragment must hold one element")
+            for pre in _elements(doc, fragments, "xrpc:fragment")]
+
+
+def _only_element(doc: Document, wrapper: int, complaint: str) -> Node:
     """The single element child of a payload wrapper."""
-    children = list(axes_mod.child(wrapper))
-    if len(children) != 1 or children[0].kind != NodeKind.ELEMENT:
+    kinds, sizes = doc.kinds, doc.sizes
+    end = wrapper + sizes[wrapper]
+    content = wrapper + 1
+    while content <= end and kinds[content] == _ATTRIBUTE:
+        content += 1
+    if content > end or kinds[content] != _ELEMENT \
+            or content + sizes[content] != end:
         raise XrpcMarshalError(complaint)
-    return children[0]
+    return Node(doc, content)
 
 
 def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
@@ -280,33 +333,29 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
     out.append("</xrpc:sequence>")
 
 
-def _sequence_from_xml(seq_elem: Node) -> list[Item]:
-    items: list[Item] = []
-    for child in axes_mod.child(seq_elem):
-        if child.kind != NodeKind.ELEMENT:
-            continue
-        attrs = {a.name: a.value for a in axes_mod.attribute(child)}
-        if child.name == "xrpc:atomic":
-            items.append(Atomic(attrs.get("type", "xs:string"),
-                                child.string_value()))
-        elif child.name == "xrpc:element":
-            if "fragid" in attrs:
-                items.append(NodeRef(*_reference_ids(attrs)))
-            else:
-                items.append(NodeCopy("element", "", _only_element(
-                    child, "element copy must hold one element")))
-        elif child.name == "xrpc:attribute":
-            if "fragid" in attrs:
-                items.append(AttrRef(*_reference_ids(attrs),
-                                     attrs.get("name", "")))
-            else:
-                items.append(NodeCopy("attribute", attrs.get("name", ""),
-                                      child.string_value()))
-        elif child.name == "xrpc:text":
-            items.append(NodeCopy("text", "", child.string_value()))
-        else:
-            raise XrpcMarshalError(f"unknown sequence item <{child.name}>")
-    return items
+def _sequence_from_xml(doc: Document, sequence: int) -> list[Item]:
+    return [_item_from_xml(doc, pre) for pre in _elements(doc, sequence)]
+
+
+def _item_from_xml(doc: Document, pre: int) -> Item:
+    name = doc.names[pre]
+    attrs = _attributes(doc, pre)
+    if name == "xrpc:atomic":
+        return Atomic(attrs.get("type", "xs:string"),
+                      _string_value(doc, pre))
+    if name == "xrpc:element":
+        if "fragid" in attrs:
+            return NodeRef(*_reference_ids(attrs))
+        return NodeCopy("element", "", _only_element(
+            doc, pre, "element copy must hold one element"))
+    if name == "xrpc:attribute":
+        if "fragid" in attrs:
+            return AttrRef(*_reference_ids(attrs), attrs.get("name", ""))
+        return NodeCopy("attribute", attrs.get("name", ""),
+                        _string_value(doc, pre))
+    if name == "xrpc:text":
+        return NodeCopy("text", "", _string_value(doc, pre))
+    raise XrpcMarshalError(f"unknown sequence item <{name}>")
 
 
 def _reference_ids(attrs: dict[str, str]) -> tuple[int, int]:
@@ -316,14 +365,3 @@ def _reference_ids(attrs: dict[str, str]) -> tuple[int, int]:
     except (KeyError, ValueError):
         raise XrpcMarshalError("a node reference needs integer fragid "
                                "and nodeid attributes") from None
-
-
-def _body(doc: Document) -> Node:
-    envelope = _find_child(doc.root, "env:Envelope")
-    return _find_child(envelope, "env:Body")
-
-
-def _find_child(node: Node, name: str) -> Node:
-    for child in axes_mod.axis_step(node, "child", name):
-        return child
-    raise XrpcMarshalError(f"missing <{name}> in message")

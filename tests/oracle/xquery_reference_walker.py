@@ -7,7 +7,9 @@ Three pieces, each moved out of the library unchanged:
 
 * the per-node axis generators of ``xmldb/axes.py`` (``child`` and
   ``attribute`` are still library code and imported from there) with
-  the full :data:`AXES` table and :func:`axis_step`;
+  the full :data:`AXES` table, :func:`matches_node_test` and
+  :func:`axis_step` (the last two left the library in PR 18, with the
+  message decoder that was their only caller);
 * :class:`ReferenceEvaluator` — ``Evaluator(use_index=False)`` as a
   subclass: every path is one ``axis_step`` generator per context node
   plus the document-order sort, every predicate is evaluated per
@@ -27,7 +29,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 from unittest import mock
 
-from repro.xmldb.axes import attribute, child, matches_node_test
+from repro.xmldb.axes import attribute, child
 from repro.xmldb.compare import sort_document_order
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import xdm
@@ -160,6 +162,29 @@ AXES: dict[str, AxisFunction] = {
     "following": following,
     "preceding": preceding,
 }
+
+
+def matches_node_test(node: Node, test: str) -> bool:
+    """Apply a node test: ``node()``, ``text()``, a QName, or ``*``.
+
+    ``*`` matches any element on non-attribute axes; the axis layer
+    cannot know the axis here, so ``*`` matches elements and
+    attributes — callers on the attribute axis only ever see
+    attributes, and all other axes never yield attributes, so the
+    combined behaviour is correct.
+    """
+    if test == "node()":
+        return True
+    kind = node.kind
+    if test == "text()":
+        return kind == NodeKind.TEXT
+    if test == "comment()":
+        return kind == NodeKind.COMMENT
+    if kind not in (NodeKind.ELEMENT, NodeKind.ATTRIBUTE):
+        return False
+    if test == "*":
+        return True
+    return node.name == test
 
 
 def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from repro.decompose.strategy import decompose, prepare, realize
 from repro.planner import planner as planner_module
+from repro.planner.ir import CallSite
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import (
@@ -22,6 +23,7 @@ from repro.workloads import (
     build_mixed_federation, refdata_document,
 )
 from repro.xquery.parser import parse_expr, parse_query
+from repro.xquery.pretty import pretty
 from repro.xquery.xdm import serialize_sequence
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
@@ -91,6 +93,22 @@ def test_shipped_body_is_parsed_once_per_peer(monkeypatch):
         == serialize_sequence(second.items)
     assert [len(federation.peer(name).prepared)
             for name in ("peer1", "peer2", "local")] == [1, 1, 0]
+
+
+def test_shipped_text_is_rendered_once_per_call_site(monkeypatch):
+    """The shipped text belongs to the call site, not to the call: a
+    warm by-projection run pretty-prints nothing and resolves each
+    body to the ``CallSite`` the plan already handed out."""
+    federation = build_federation(0.003)
+    calls = _count(monkeypatch, pretty, CallSite)
+    cold = federation.run(BENCHMARK_QUERY, at="local",
+                          strategy="by-projection")
+    assert len(calls["pretty"]) == len(calls["CallSite"]) == 2
+    warm = federation.run(BENCHMARK_QUERY, at="local",
+                          strategy="by-projection")
+    assert len(calls["pretty"]) == len(calls["CallSite"]) == 2
+    assert warm.stats.message_bytes == cold.stats.message_bytes
+    assert serialize_sequence(warm.items) == serialize_sequence(cold.items)
 
 
 def test_store_relowers_without_reparsing(monkeypatch):

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.decompose import Strategy
-from repro.errors import NetworkError
+from repro.errors import NetworkError, XrpcMarshalError
 from repro.obs.trace import COMPONENTS
+from repro.runtime.transport import LoopbackTransport
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
                              build_federation, build_sharded_federation)
 from repro.xquery.xdm import serialize_sequence
+from repro.xrpc.messages import ResponseMessage
 
 
 @pytest.fixture
@@ -104,6 +106,23 @@ class TestFunctionShipping:
             fed.run('declare function f() as item()* { 1 };'
                     'execute at {"ghost"} { f() }',
                     at="local", strategy=Strategy.BY_VALUE)
+
+
+    def test_response_answering_no_call_is_a_typed_fault(self):
+        """A well-formed response must answer as many calls as were
+        sent; one holding no ``xrpc:call`` was a bare ``IndexError``."""
+        class AnswersNothing(LoopbackTransport):
+            def exchange(self, peer, request_xml, handle, stats,
+                         request_bytes=None):
+                text = ResponseMessage(results=[]).to_xml()
+                return text, len(text.encode())
+
+        federation = Federation(transport=AnswersNothing())
+        federation.add_peer("p1").store("d.xml", "<a><b>x</b></a>")
+        federation.add_peer("local")
+        with pytest.raises(XrpcMarshalError, match="answers 0 calls, 1"):
+            federation.run('doc("xrpc://p1/d.xml")/child::a/child::b',
+                           at="local", strategy=Strategy.BY_FRAGMENT)
 
 
 class TestRemoteDataShipping:

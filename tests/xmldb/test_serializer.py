@@ -1,10 +1,18 @@
 """Serializer unit tests: escaping, node kinds, attribute handling."""
 
+from hypothesis import given
+
 from repro.xmldb import axes
-from repro.xmldb.parser import parse_document
+from repro.xmldb.document import Document
+from repro.xmldb.node import NodeKind
+from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import (
     escape_attribute, escape_text, serialize, serialize_node,
+    subtree_spans,
 )
+from tests.conftest import fuzz_settings
+from tests.oracle.xquery_reference_walker import axis_step
+from tests.xmldb.test_parser_differential import documents, fragments
 
 
 class TestEscaping:
@@ -42,10 +50,47 @@ class TestSerialization:
 
     def test_serialize_text_node(self):
         doc = parse_document("<a>x &amp; y</a>")
-        text = next(axes.axis_step(doc.node(1), "child", "text()"))
+        text = next(axis_step(doc.node(1), "child", "text()"))
         assert serialize_node(text) == "x &amp; y"
 
     def test_serialize_attribute_gives_value(self):
         doc = parse_document('<a x="v"/>')
         attr = next(axes.attribute(doc.node(1)))
         assert serialize_node(attr) == "v"
+
+    def test_nesting_is_not_bounded_by_the_recursion_limit(self):
+        depth = 20_000
+        text = "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
+        doc = parse_fragment(text)
+        assert serialize_node(doc.node(1)) == text[3:-4]  # span-less
+        assert serialize(doc) == text
+
+
+class TestOneEmitter:
+    """``serialize`` (whole document, spans recorded) and
+    ``serialize_node`` on a document with no full text (one subtree, no
+    spans) are the same loop: every node's span in the full text is
+    what the span-less mode emits for that node alone."""
+
+    @given(documents().map(parse_document)
+           | fragments().map(parse_fragment))
+    @fuzz_settings(150)
+    def test_every_span_is_the_subtree_serialised_alone(self, doc):
+        full = serialize(doc)
+        starts, ends = subtree_spans(doc)
+        # Same columns, no memoized text: every pre > 0 is emitted
+        # afresh from its own rows.
+        bare = Document.from_columns(doc.uri, doc.columns)
+        for pre in range(len(doc) - 1, -1, -1):
+            assert full[starts[pre]:ends[pre]] == \
+                serialize_node(bare.node(pre))
+        assert subtree_spans(bare) == (starts, ends)
+
+    def test_lone_attribute_and_text_documents(self):
+        """What a by-value attribute / text copy is shredded into."""
+        for kind, value, text in (
+                (NodeKind.ATTRIBUTE, 'a"<&>', "a&quot;&lt;&amp;>"),
+                (NodeKind.TEXT, 'a"<&>', 'a"&lt;&amp;&gt;')):
+            doc = Document("m", [kind], ["n"], [value], [0], [0], [-1])
+            assert serialize(doc) == serialize_node(doc.root) == text
+            assert subtree_spans(doc) == ([0], [len(text)])

@@ -1,5 +1,8 @@
 """Message wire format: Figures 4-5 shapes and XML round-trips."""
 
+import pytest
+
+from repro.errors import XrpcMarshalError
 from repro.xmldb.node import Node
 from repro.xmldb.serializer import serialize_node
 from repro.xrpc.messages import (
@@ -87,6 +90,42 @@ class TestRequestRoundTrip:
         back = roundtrip_request(request)
         assert back.used_paths is None
         assert back.returned_paths is None
+
+
+class TestCallArity:
+    """A call carries one sequence per declared parameter: pairing by
+    ``zip`` used to leave a parameter unbound (fewer) or drop data
+    (more) without a word."""
+
+    SEQUENCE = ('<xrpc:sequence><xrpc:atomic type="xs:integer">2'
+                '</xrpc:atomic></xrpc:sequence>')
+
+    def request_xml(self) -> str:
+        xml = RequestMessage(
+            query="($l, $r)", param_names=["l", "r"],
+            calls=[Call([("l", [Atomic("xs:integer", "1")]),
+                         ("r", [Atomic("xs:integer", "2")])])]).to_xml()
+        assert xml.count(self.SEQUENCE) == 1
+        return xml
+
+    def test_a_sequence_per_parameter_decodes(self):
+        (call,) = RequestMessage.from_xml(self.request_xml()).calls
+        assert [name for name, _items in call.params] == ["l", "r"]
+
+    @pytest.mark.parametrize("sequences, found", [(0, 1), (2, 3)])
+    def test_fewer_or_more_sequences_than_parameters(self, sequences,
+                                                     found):
+        xml = self.request_xml().replace(self.SEQUENCE,
+                                         self.SEQUENCE * sequences)
+        with pytest.raises(XrpcMarshalError,
+                           match=f"{found} sequences for 2 parameters"):
+            RequestMessage.from_xml(xml)
+
+    def test_a_call_without_sequences_needs_no_parameters(self):
+        request = RequestMessage(query="1", param_names=[],
+                                 calls=[Call([]), Call([])])
+        assert [call.params for call in
+                roundtrip_request(request).calls] == [[], []]
 
 
 class TestResponse:

@@ -96,6 +96,16 @@ class TestFailureInjection:
         with pytest.raises((XmlParseError, XrpcMarshalError)):
             RequestMessage.from_xml("<env:Envelope>not closed")
 
+    def test_call_missing_a_parameter_sequence(self):
+        """Typed where the message is decoded — it used to reach the
+        body and surface as ``UndefinedVariableError``."""
+        xml = make_request("$p", params=["p"],
+                           calls=[Call([("p", [])])]).to_xml()
+        assert "<xrpc:sequence></xrpc:sequence>" in xml
+        with pytest.raises(XrpcMarshalError):
+            RequestMessage.from_xml(
+                xml.replace("<xrpc:sequence></xrpc:sequence>", ""))
+
     def test_dangling_fragment_reference(self):
         from repro.xrpc.messages import NodeRef
 
