@@ -96,6 +96,7 @@ def test_chaos_soak():
         "evictions": report.evictions,
         "repairs_completed": report.repairs_completed,
         "repairs_failed": report.repairs_failed,
+        "phantom_replicas": report.phantom_replicas,
         "steady_failovers": report.steady_failovers,
         "convergence_ticks": report.convergence_ticks,
         "p50_ms": round(report.p50_ms, 3),
@@ -119,6 +120,8 @@ def test_chaos_soak():
         f"{report.steady_failovers} failovers after convergence — the "
         "healed cluster should route around nothing")
     assert report.repairs_failed == 0
+    assert report.phantom_replicas == 0, (
+        "the catalog places a replica on a peer that does not hold it")
     assert report.evictions >= 1, "schedule produced no eviction"
     assert report.repairs_completed >= 1, "evictions but no repairs"
 

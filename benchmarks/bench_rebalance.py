@@ -159,6 +159,7 @@ def _soak_row():
         "retires": report.retires,
         "migrations_failed": report.migrations_failed,
         "fragments_collected": report.fragments_collected,
+        "phantom_replicas": report.phantom_replicas,
         "steady_failovers": report.steady_failovers,
         "p50_ms": round(report.p50_ms, 3),
         "p95_ms": round(report.p95_ms, 3),
@@ -177,6 +178,7 @@ def _soak_row():
     assert report.converged, "cluster never converged after the schedule"
     assert report.steady_failovers == 0
     assert report.migrations_failed == 0
+    assert report.phantom_replicas == 0
     assert report.splits >= 1 and report.moves >= 1
     assert report.drains >= 1
     return row

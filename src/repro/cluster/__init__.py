@@ -20,8 +20,9 @@ logical collection:
   plus passive transport evidence drive each replica through
   ``alive → suspect → dead → evicted`` with hysteresis, feeding
   catalog health marks and placement evictions;
-* :mod:`repro.cluster.repair` — re-replication of under-replicated
-  shard fragments onto healthy peers after evictions;
+* :mod:`repro.cluster.repair` — finding and queueing under-replicated
+  shard fragments after evictions (the migration executor copies them
+  onto healthy peers);
 * :mod:`repro.cluster.chaos` — deterministic seeded fault schedules
   and the harness that interleaves them with an oracle-checked live
   workload;
@@ -29,9 +30,10 @@ logical collection:
   shared peer/shard scoring function and migration planning (split a
   hot shard, move a replica to a cooler peer, drain a peer for
   decommission);
-* :mod:`repro.cluster.migrate` — staged plan execution behind the
-  epoch machinery: copy → byte-identity verify → atomic cutover →
-  lazy retirement, with rollback/retry on mid-migration deaths.
+* :mod:`repro.cluster.migrate` — the one way a placement changes
+  peers (replicate, move, split, retire), staged behind the epoch
+  machinery: copy → byte-identity verify → atomic cutover → lazy
+  retirement, with rollback/retry on mid-migration deaths.
 
 Quickstart::
 
@@ -75,7 +77,7 @@ from repro.cluster.placement import (
     healthy_peers, round_robin_placement, shard_local_name,
 )
 from repro.cluster.rebalance import (
-    DrainPlan, LoadScorer, MovePlan, PeerScore, Rebalancer, SplitPlan,
+    LoadScorer, MovePlan, PeerScore, Rebalancer, ReplicatePlan, SplitPlan,
 )
 from repro.cluster.repair import RepairEngine, RepairTask
 from repro.cluster.router import (
@@ -94,6 +96,6 @@ __all__ = [
     "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker",
     "RepairEngine", "RepairTask",
     "ChaosEvent", "ChaosSchedule", "ChaosHarness", "ChaosReport",
-    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "DrainPlan",
+    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
     "Rebalancer", "MigrationExecutor", "BoundaryPartitioner",
 ]

@@ -16,6 +16,13 @@ epoch. The epoch is woven into the runtime's cache keys so responses
 computed against an older shard layout can never be served after a
 repartition.
 
+A registered layout changes in exactly one way:
+:meth:`ClusterCatalog.update` hands the *current* spec to a function
+under the catalog lock and installs what it returns, so a cutover
+builds on whatever landed since its plan was made and never undoes it.
+The function must be pure — every reader waits on that lock, and a
+call back into the catalog from inside it would deadlock.
+
 Replica health is advisory: :meth:`ClusterCatalog.mark_down` removes a
 peer from replica selection without touching placements, and
 :meth:`mark_up` heals it. The router additionally fails over on live
@@ -87,6 +94,24 @@ class CollectionSpec:
     @property
     def shard_count(self) -> int:
         return len(self.shards)
+
+    def shard(self, index: int) -> ShardInfo | None:
+        """The shard numbered ``index`` (a split renumbers), or None."""
+        return next((s for s in self.shards if s.index == index), None)
+
+    def shard_named(self, local_name: str) -> ShardInfo | None:
+        """The shard stored as ``local_name`` (stable across the
+        renumbering), or None."""
+        return next((s for s in self.shards
+                     if s.local_name == local_name), None)
+
+    def placing(self, shard: ShardInfo,
+                replicas: tuple[str, ...]) -> "CollectionSpec":
+        """A copy of this layout with ``shard`` placed on ``replicas``."""
+        return replace(self, shards=tuple(
+            with_replicas(s, replicas)
+            if s.local_name == shard.local_name else s
+            for s in self.shards))
 
     @property
     def replica_peers(self) -> tuple[str, ...]:
@@ -181,19 +206,32 @@ class ClusterCatalog:
             epoch = self._epoch
         self._emit_epoch(epoch, "register", collection=spec.name)
 
-    def replace(self, spec: CollectionSpec, reason: str = "replace",
-                **attrs) -> None:
-        """Swap a collection's layout (repartition / re-placement /
-        repair). ``reason``/``attrs`` annotate the epoch-bump event so
-        operators can tell an eviction from a repair registration."""
+    def update(self, name: str, fn, reason: str = "replace",
+               **attrs) -> CollectionSpec | None:
+        """Change collection ``name``'s layout to ``fn(current spec)``,
+        decided under the catalog lock (``fn`` must be pure: no I/O, no
+        catalog call), and return the spec it replaced. ``fn``
+        returning None changes nothing — no epoch bump, no event — and
+        returns None. ``reason``/``attrs`` annotate the epoch-bump
+        event so operators can tell an eviction from a repair."""
         with self._lock:
-            if spec.name not in self._collections:
-                raise ClusterError(f"unknown collection {spec.name!r}")
-            self._collections[spec.name] = spec
-            self._reasons[spec.name] = reason
+            if name not in self._collections:
+                raise ClusterError(f"unknown collection {name!r}")
+            before = self._collections[name]
+            spec = fn(before)
+            if spec is None:
+                return None
+            self._collections[name] = spec
+            self._reasons[name] = reason
             self._epoch += 1
             epoch = self._epoch
-        self._emit_epoch(epoch, reason, collection=spec.name, **attrs)
+        self._emit_epoch(epoch, reason, collection=name, **attrs)
+        return before
+
+    def replace(self, spec: CollectionSpec, reason: str = "replace",
+                **attrs) -> None:
+        """Swap in a whole new layout, whatever the current one is."""
+        self.update(spec.name, lambda _current: spec, reason, **attrs)
 
     def drop(self, name: str) -> None:
         with self._lock:

@@ -21,12 +21,15 @@ randomness:
   (byte-exact serialized comparison). After the schedule it drives
   the cluster to convergence (membership settled, repair queue empty)
   and then runs a steady-state pass in which any failover is a bug —
-  the healed cluster must route around nothing.
+  the healed cluster must route around nothing. After every step (and
+  once more at the end) it also checks *placement truth*: every
+  replica the catalog places holds its fragment.
 
 :class:`ChaosReport` carries the verdict: wrong answers (must be 0),
 failovers/retries/partials during turbulence (informational),
-steady-state failovers (must be 0), repair and eviction counts, and
-latency percentiles over the live workload.
+steady-state failovers (must be 0), phantom replicas (must be 0;
+asserted beside ``ok``), repair and eviction counts, and latency
+percentiles over the live workload.
 """
 
 from __future__ import annotations
@@ -189,6 +192,7 @@ class ChaosReport:
     retires: int = 0
     migrations_failed: int = 0
     fragments_collected: int = 0
+    phantom_replicas: int = 0   # placements whose peer lacks the fragment
     converged: bool = False
     convergence_ticks: int = 0
     steady_queries: int = 0
@@ -228,6 +232,7 @@ class ChaosReport:
             "drains": self.drains, "retires": self.retires,
             "migrations_failed": self.migrations_failed,
             "fragments_collected": self.fragments_collected,
+            "phantom_replicas": self.phantom_replicas,
             "converged": self.converged,
             "convergence_ticks": self.convergence_ticks,
             "steady_queries": self.steady_queries,
@@ -335,8 +340,10 @@ class ChaosHarness:
                 # flight between steps: superseded fragments can
                 # physically retire now.
                 self.rebalancer.collect()
+            report.phantom_replicas += self._phantom_replicas()
         report.converged = self._converge(report)
         self._steady_state(report)
+        report.phantom_replicas += self._phantom_replicas()
         if self.repair is not None:
             stats = self.repair.stats()
             report.repairs_completed = stats["completed"]
@@ -353,6 +360,16 @@ class ChaosHarness:
         report.evictions = self._evictions
         report.rejoins = self._rejoins
         return report
+
+    def _phantom_replicas(self) -> int:
+        """Placements whose peer does not hold the fragment. Read off
+        the peer objects; nothing is sent."""
+        peers = self.federation.peers
+        return sum(
+            1 for spec in self.federation.catalog.collections()
+            for shard in spec.shards for replica in shard.replicas
+            if replica not in peers
+            or shard.local_name not in peers[replica].documents)
 
     def _query(self, step: int, report: ChaosReport,
                steady: bool = False) -> None:

@@ -30,7 +30,7 @@ entirely:
   from then on — no more per-request rediscovery). Alive again ⇒
   ``mark_up``. After ``evict_after_ticks`` further ticks dead, the
   peer is **evicted**: removed from every shard placement that has
-  another replica (``catalog.replace``, reason ``"evict"``), leaving
+  another replica (``catalog.update``, reason ``"evict"``), leaving
   under-replicated shards for :class:`~repro.cluster.repair.RepairEngine`
   to heal — subscribers are notified per transition. A shard whose
   *only* replica is the dead peer keeps its placement (data is not
@@ -51,7 +51,7 @@ import threading
 import time
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.cluster.catalog import ClusterCatalog, ClusterError, with_replicas
+from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.errors import NetworkError
 from repro.obs.windows import RollingWindowFamily
 
@@ -396,18 +396,14 @@ class MembershipTracker:
         Sole-replica shards keep their placement — the data exists,
         the peer is merely unreachable — and stay behind the catalog's
         down-mark until repair or rejoin."""
-        for spec in self.catalog.collections():
-            new_shards = []
-            touched = False
+        def without(spec):
+            kept = spec
             for shard in spec.shards:
                 if peer in shard.replicas and len(shard.replicas) > 1:
-                    new_shards.append(with_replicas(
-                        shard, tuple(r for r in shard.replicas
-                                     if r != peer)))
-                    touched = True
-                else:
-                    new_shards.append(shard)
-            if touched:
-                self.catalog.replace(
-                    dc_replace(spec, shards=tuple(new_shards)),
-                    reason="evict", peer=peer)
+                    kept = kept.placing(shard, tuple(
+                        r for r in shard.replicas if r != peer))
+            return kept if kept is not spec else None
+
+        for spec in self.catalog.collections():
+            self.catalog.update(spec.name, without, reason="evict",
+                                peer=peer)

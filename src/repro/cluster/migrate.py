@@ -1,13 +1,14 @@
 """Executing migration plans: copy → verify → cutover → retire.
 
-Every reshaping operation the rebalancer can plan — moving a replica,
-splitting a shard, retiring a redundant copy — runs here as the same
-staged protocol behind the catalog's epoch machinery:
+Every way a placement changes peers — re-replicating an
+under-replicated shard, moving a replica, splitting a shard, retiring
+a redundant copy — runs here as the same staged protocol behind the
+catalog's epoch machinery:
 
 1. **Copy** the fragment over the existing ship path
    (``transport.fetch_document`` from a usable replica, ``Peer.store``
-   at the destination) inside a ``migrate`` span, with the wire
-   charges bound to it.
+   at the destination) inside the plan's span (``migrate``; ``repair``
+   for a re-replication), with the wire charges bound to it.
 2. **Verify byte-identity** by reading the copy back *over the wire*
    and comparing against the source text. This proves the bytes landed
    intact and doubles as the liveness check: a destination that died
@@ -16,26 +17,29 @@ staged protocol behind the catalog's epoch machinery:
    merge back byte-exactly into the parent
    (:func:`~repro.cluster.gather.merge_shard_documents` — the same
    reassembly the data-shipping path trusts).
-3. **Cut over** with one ``catalog.replace(reason="rebalance")`` —
-   one atomic epoch bump computed against a freshly re-read spec, so
-   an in-flight scatter sees the old placement or the new one, never a
-   torn hybrid. At every point up to and including the cutover the
-   shard's live replica count is ≥ what it was when the plan started:
-   new copies are placed *before* old ones leave the placement.
+3. **Cut over** with one ``catalog.update`` — one atomic epoch bump
+   whose function re-finds the shard by its stable ``local_name`` in
+   the spec current *at the cutover*: what landed during the copy is
+   built upon, never undone, and an in-flight scatter sees the old
+   placement or the new one, never a torn hybrid. Up to and including
+   the cutover the shard's live replica count is ≥ what it was when
+   the plan started: new copies are placed *before* old ones leave.
 4. **Retire** the superseded fragment lazily: the cutover only
    tombstones it; :meth:`MigrationExecutor.collect` removes the bytes
    later, and only after double-checking the catalog no longer places
    that fragment on that peer. An in-flight scatter that snapshotted
    the old epoch can therefore still read the old copy to completion.
 
-Failure discipline matches the repair engine: any
-:class:`~repro.errors.NetworkError` during an attempt rolls back every
-document stored in that attempt (direct object removal — it works even
-when the destination's transport is down) and retries up to
-``max_attempts`` with sources re-resolved against the then-current
-membership view, then gives up loudly (event + metric, catalog
-untouched). A plan that no longer matches the live spec — the shard
-healed, moved, or split since planning — resolves to a no-op.
+Failure discipline: a :class:`~repro.errors.NetworkError` during an
+attempt rolls back every document it stored (direct object removal —
+it works even when the destination's transport is down).
+:meth:`MigrationExecutor.attempt` is that single attempt (the repair
+queue calls it and keeps its own retry rule);
+:meth:`~MigrationExecutor.execute` retries it up to ``max_attempts``,
+sources re-resolved each time, then gives up loudly (event + metric,
+catalog untouched). A plan that no longer matches the live spec — the
+shard healed, moved or split since planning or during the copy — is a
+rolled-back no-op.
 """
 
 from __future__ import annotations
@@ -43,21 +47,27 @@ from __future__ import annotations
 import threading
 from dataclasses import replace as dc_replace
 
-from repro.cluster.catalog import (
-    ClusterCatalog, ClusterError, ShardInfo, with_replicas,
-)
+from repro.cluster.catalog import ClusterCatalog, ClusterError, ShardInfo
 from repro.cluster.gather import merge_shard_documents
 from repro.cluster.partitioner import (
     Partitioner, collection_members, partition_document,
 )
-from repro.cluster.rebalance import LoadScorer, MovePlan, SplitPlan
+from repro.cluster.rebalance import (
+    LoadScorer, MovePlan, ReplicatePlan, SplitPlan,
+)
 from repro.errors import NetworkError
 from repro.net.stats import RunStats
 from repro.obs.trace import Tracer, bind_stats_span, child_span, current_span
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
-__all__ = ["MigrationExecutor", "BoundaryPartitioner"]
+__all__ = ["MigrationExecutor", "BoundaryPartitioner", "PlanAbandoned"]
+
+
+class PlanAbandoned(Exception):
+    """An attempt found its plan unexecutable as written — no usable
+    source, an unusable target, nothing to split. Not stale and not a
+    wire fault: another attempt would find the same."""
 
 
 class BoundaryPartitioner(Partitioner):
@@ -82,19 +92,22 @@ class MigrationExecutor:
     """Runs migration plans with the copy/verify/cutover/retire
     protocol described in the module docstring."""
 
-    def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
-                 membership=None, *, scorer: LoadScorer | None = None,
-                 events=None, metrics=None, max_attempts: int = 3):
+    def __init__(self, federation, catalog: ClusterCatalog | None = None,
+                 membership=None, *, events=None, metrics=None,
+                 max_attempts: int = 3):
         if max_attempts < 1:
             raise ClusterError(
                 f"max_attempts {max_attempts} must be >= 1")
         self.federation = federation
-        self.catalog = catalog if catalog is not None else (
-            getattr(federation, "catalog", None))
-        self.membership = membership if membership is not None else (
-            getattr(federation, "membership", None))
-        self.scorer = scorer if scorer is not None else LoadScorer(
-            federation, catalog=self.catalog, membership=self.membership)
+        self.catalog = catalog if catalog is not None else federation.catalog
+        if self.catalog is None:
+            raise ClusterError("migration executor needs a catalog")
+        self.membership = (membership if membership is not None
+                           else federation.membership)
+        #: The one usability test and load ranking of the federation's
+        #: control plane: the repair engine and the rebalancer read it.
+        self.scorer = LoadScorer(federation, catalog=self.catalog,
+                                 membership=self.membership)
         self.events = events
         self.max_attempts = max_attempts
         self._lock = threading.Lock()
@@ -105,32 +118,70 @@ class MigrationExecutor:
         self._failed = 0
         self._collected = 0
         self._m_migrations = self._m_bytes = None
-        self._init_metrics(metrics)
-
-    def _init_metrics(self, metrics) -> None:
-        if metrics is None:
-            return
-        self._m_migrations = metrics.counter(
-            "rebalance_migrations_total",
-            "migration attempts by operation and outcome",
-            ("op", "outcome"))
-        self._m_bytes = metrics.counter(
-            "rebalance_bytes_total",
-            "fragment bytes shipped by migrations", ("op",))
+        if metrics is not None:
+            self._m_migrations = metrics.counter(
+                "rebalance_migrations_total",
+                "migration attempts by operation and outcome",
+                ("op", "outcome"))
+            self._m_bytes = metrics.counter(
+                "rebalance_bytes_total",
+                "fragment bytes shipped by migrations", ("op",))
 
     # -- public API -----------------------------------------------------------
+
+    @classmethod
+    def shared(cls, federation, **kwargs) -> "MigrationExecutor":
+        """The federation's one executor: the attached repair engine's
+        or rebalancer's when there is one (one tombstone list, one
+        scorer), else a new one built from ``kwargs``."""
+        for owner in (getattr(federation, "repair", None),
+                      getattr(federation, "rebalancer", None)):
+            if owner is not None and owner.executor is not None:
+                return owner.executor
+        return cls(federation, **kwargs)
 
     def execute(self, plan) -> bool:
         """Run one plan to completion, no-op, or give-up. True only
         when a cutover happened."""
-        if self.catalog is None or self.federation is None:
-            raise ClusterError(
-                "migration executor needs a federation and catalog")
-        if isinstance(plan, MovePlan):
-            return self._run(plan, self._move_attempt)
-        if isinstance(plan, SplitPlan):
-            return self._run(plan, self._split_attempt)
-        raise ClusterError(f"unknown migration plan {plan!r}")
+        for attempt in range(1, self.max_attempts + 1):
+            try:
+                done = self.attempt(plan)
+            except PlanAbandoned as exc:
+                return self._give_up(plan, str(exc))
+            except NetworkError as exc:
+                self._emit_failed(
+                    plan, f"aborted: {type(exc).__name__} (attempt "
+                          f"{attempt}/{self.max_attempts})",
+                    "warning", error=type(exc).__name__)
+                continue
+            if done is not None:
+                self._note_done(plan.op, nbytes=done[0],
+                                collection=plan.collection,
+                                shard=plan.shard_index, **done[1])
+            return done is not None
+        return self._give_up(plan, "max attempts exhausted")
+
+    def attempt(self, plan) -> tuple[int, dict] | None:
+        """One copy → verify → cutover attempt, reporting nothing.
+        Returns ``(bytes placed, what the cutover did)``, or None when
+        the plan is stale (nothing changed, nothing left stored).
+        Raises :class:`PlanAbandoned`, or the :class:`NetworkError`
+        that aborted it; either way what it stored is rolled back."""
+        if isinstance(plan, (MovePlan, ReplicatePlan)):
+            run = self._place_attempt
+        elif isinstance(plan, SplitPlan):
+            run = self._split_attempt
+        else:
+            raise TypeError(f"unknown migration plan {plan!r}")
+        placed: list[tuple[str, str]] = []
+        done = None
+        try:
+            done = run(plan, placed)
+        finally:
+            if done is None:  # stale, abandoned or aborted: roll back
+                for peer_name, local_name in placed:
+                    self._remove_unplaced(peer_name, local_name)
+        return done
 
     def retire_replica(self, collection: str, shard_index: int,
                        peer: str) -> bool:
@@ -138,24 +189,28 @@ class MigrationExecutor:
         guarded: refuses (False) unless the remaining *usable* replicas
         still meet the collection's ``target_replication``. Pure
         catalog surgery plus a tombstone; no bytes move."""
-        try:
-            spec = self.catalog.get(collection)
-        except ClusterError:
+        spec = self.catalog.lookup(collection)
+        shard = spec.shard(shard_index) if spec is not None else None
+        if shard is None:
             return False
-        shard = self._find_shard(spec, shard_index)
-        if shard is None or peer not in shard.replicas:
+        name = shard.local_name
+        usable = {r for r in shard.replicas
+                  if r != peer and self.scorer.usable(r)}
+
+        def drop(current):
+            now = current.shard_named(name)
+            if now is None or peer not in now.replicas:
+                return None
+            remaining = tuple(r for r in now.replicas if r != peer)
+            if len(usable.intersection(remaining)) \
+                    < current.target_replication:
+                return None
+            return current.placing(now, remaining)
+
+        if self.catalog.update(collection, drop, "rebalance", op="retire",
+                               shard=shard_index, peer=peer) is None:
             return False
-        remaining = tuple(r for r in shard.replicas if r != peer)
-        usable = [r for r in remaining if self.scorer.usable(r)]
-        if not remaining or len(usable) < spec.target_replication:
-            return False
-        new_shards = tuple(
-            with_replicas(s, remaining) if s.index == shard_index else s
-            for s in spec.shards)
-        self.catalog.replace(dc_replace(spec, shards=new_shards),
-                             reason="rebalance", op="retire",
-                             shard=shard_index, peer=peer)
-        self._tombstone(peer, shard.local_name)
+        self._tombstone(peer, name)
         self._note_done("retire", collection=collection,
                         shard=shard_index, peer=peer, nbytes=0)
         return True
@@ -169,12 +224,7 @@ class MigrationExecutor:
             pending, self.tombstones = self.tombstones, []
         removed = 0
         for peer_name, local_name in pending:
-            if self._still_placed(peer_name, local_name):
-                continue  # re-placed since (repair raced): not garbage
-            peer = self.federation.peers.get(peer_name)
-            if peer is None:
-                continue
-            if peer.remove(local_name):
+            if self._remove_unplaced(peer_name, local_name):
                 removed += 1
                 if self.events is not None:
                     self.events.emit(
@@ -197,52 +247,21 @@ class MigrationExecutor:
 
     # -- shared machinery -----------------------------------------------------
 
-    @staticmethod
-    def _find_shard(spec, shard_index: int) -> ShardInfo | None:
-        return next((s for s in spec.shards
-                     if s.index == shard_index), None)
-
-    def _run(self, plan, attempt_fn) -> bool:
-        for attempt in range(1, self.max_attempts + 1):
-            placed: list[tuple[str, str]] = []
-            try:
-                outcome = attempt_fn(plan, placed)
-            except NetworkError as exc:
-                self._rollback(placed)
-                if self.events is not None:
-                    self.events.emit(
-                        "rebalance_failed",
-                        f"{plan.op} of {plan.collection}"
-                        f"#s{plan.shard_index} aborted: "
-                        f"{type(exc).__name__} (attempt {attempt}/"
-                        f"{self.max_attempts})",
-                        severity="warning", op=plan.op,
-                        collection=plan.collection,
-                        shard=plan.shard_index,
-                        error=type(exc).__name__)
-                continue
-            return outcome
-        return self._give_up(plan, "max attempts exhausted")
-
-    def _rollback(self, placed: list[tuple[str, str]]) -> None:
-        """Remove every document this attempt stored. Direct object
-        removal — works even when the peer's transport is down — and
-        guarded against racing placements (never delete a fragment the
-        catalog now references)."""
-        for peer_name, local_name in placed:
-            if self._still_placed(peer_name, local_name):
-                continue
-            peer = self.federation.peers.get(peer_name)
-            if peer is not None:
-                peer.remove(local_name)
+    def _remove_unplaced(self, peer_name: str, local_name: str) -> bool:
+        """Physically remove one fragment copy (rollback, retirement)
+        — unless the catalog places it there: a racing cutover
+        re-placed it, it is not garbage. Direct object removal: it
+        works even when the peer's transport is down."""
+        if self._still_placed(peer_name, local_name):
+            return False
+        peer = self.federation.peers.get(peer_name)
+        return peer is not None and peer.remove(local_name)
 
     def _still_placed(self, peer_name: str, local_name: str) -> bool:
-        for spec in self.catalog.collections():
-            for shard in spec.shards:
-                if shard.local_name == local_name \
-                        and peer_name in shard.replicas:
-                    return True
-        return False
+        return any(peer_name in shard.replicas
+                   for spec in self.catalog.collections()
+                   for shard in spec.shards
+                   if shard.local_name == local_name)
 
     def _tombstone(self, peer_name: str, local_name: str) -> None:
         with self._lock:
@@ -253,15 +272,18 @@ class MigrationExecutor:
             self._failed += 1
         if self._m_migrations is not None:
             self._m_migrations.labels(plan.op, "failed").inc()
+        self._emit_failed(plan, f"abandoned: {reason}", "error",
+                          reason=reason)
+        return False
+
+    def _emit_failed(self, plan, what: str, severity: str, **attrs) -> None:
         if self.events is not None:
             self.events.emit(
                 "rebalance_failed",
                 f"{plan.op} of {plan.collection}#s{plan.shard_index} "
-                f"abandoned: {reason}",
-                severity="error", op=plan.op,
+                f"{what}", severity=severity, op=plan.op,
                 collection=plan.collection, shard=plan.shard_index,
-                reason=reason)
-        return False
+                **attrs)
 
     def _note_done(self, op: str, *, nbytes: int, **attrs) -> None:
         with self._lock:
@@ -278,25 +300,22 @@ class MigrationExecutor:
                              severity="info", op=op, bytes=nbytes,
                              **attrs)
 
-    def _spanned(self, op: str, attrs: dict, work):
-        """Run ``work(stats)`` inside a ``migrate`` span — under the
-        ambient trace when one exists, else under a private tracer
-        folded into the fleet monitor (the repair engine's pattern)."""
+    def _spanned(self, plan, attrs: dict, work):
+        """Run ``work(stats) -> (result, bytes)`` inside the plan's
+        span — under the ambient trace when one exists, else under a
+        private tracer folded into the fleet monitor."""
         stats = RunStats()
-        monitor = getattr(self.federation, "monitor", None)
-        if current_span() is None and monitor is not None:
-            tracer = Tracer()
-            with tracer.start("migrate", op=op, **attrs) as span, \
-                    bind_stats_span(stats, span):
-                result = work(stats)
-                span.set(bytes=result[1])
-            monitor.observe_trace(tracer.root)
-            return result
-        with child_span("migrate", op=op, **attrs) as span, \
+        monitor = self.federation.monitor
+        tracer = (Tracer() if current_span() is None
+                  and monitor is not None else None)
+        start = tracer.start if tracer is not None else child_span
+        with start(plan.span, op=plan.op, **attrs) as span, \
                 bind_stats_span(stats, span):
             result = work(stats)
             if span is not None:
                 span.set(bytes=result[1])
+        if tracer is not None:
+            monitor.observe_trace(tracer.root)
         return result
 
     def _fetch_text(self, peer_name: str, local_name: str,
@@ -318,85 +337,79 @@ class MigrationExecutor:
                 f"migration verify failed: {local_name} on "
                 f"{peer_name} does not match the source bytes")
 
-    # -- move -----------------------------------------------------------------
+    # -- replicate / move -----------------------------------------------------
 
-    def _move_attempt(self, plan: MovePlan,
-                      placed: list[tuple[str, str]]) -> bool:
-        try:
-            spec = self.catalog.get(plan.collection)
-        except ClusterError:
-            return False  # collection dropped: stale plan, no-op
-        shard = self._find_shard(spec, plan.shard_index)
-        if shard is None or plan.source not in shard.replicas \
-                or plan.target in shard.replicas:
-            return False  # layout changed since planning: no-op
+    def _place_attempt(self, plan, placed: list[tuple[str, str]]):
+        """Place a verified copy of the shard on ``plan.target`` and
+        add it to the placement; a move is that plus dropping
+        ``plan.source`` in the same cutover."""
+        leaving = plan.source if isinstance(plan, MovePlan) else None
+        spec = self.catalog.lookup(plan.collection)
+        shard = spec.shard(plan.shard_index) if spec is not None else None
+
+        def stale(now) -> bool:
+            return now is None or plan.target in now.replicas or (
+                leaving is not None and leaving not in now.replicas)
+
+        if stale(shard):
+            return None  # dropped, or the layout changed since planning
         if not self.scorer.usable(plan.target) \
                 or self.catalog.is_draining(plan.target):
-            return self._give_up(plan, f"target {plan.target} is not "
-                                       f"a usable placement")
+            raise PlanAbandoned(
+                f"target {plan.target} is not a usable placement")
         sources = [r for r in shard.replicas if self.scorer.usable(r)]
         if not sources:
-            return self._give_up(plan, "no live source replica")
-        # Prefer copying from the replica being moved (it is usable or
-        # it would not be "moved", it would be repaired), else any.
-        copy_from = plan.source if plan.source in sources else sources[0]
-        attrs = dict(collection=spec.name, shard=shard.index,
-                     source=copy_from, dest=plan.target)
+            raise PlanAbandoned("no live source replica")
+        # A move prefers copying from the replica being moved (it is
+        # usable or it would not be "moved", it would be repaired).
+        copy_from = leaving if leaving in sources else sources[0]
+        name = shard.local_name
 
-        def work(stats: RunStats) -> tuple[bool, int]:
-            text = self._fetch_text(copy_from, shard.local_name, stats)
-            self._store_verified(plan.target, shard.local_name, text,
-                                 stats, placed)
-            return True, len(text.encode())
+        def work(stats: RunStats) -> tuple[None, int]:
+            text = self._fetch_text(copy_from, name, stats)
+            self._store_verified(plan.target, name, text, stats, placed)
+            return None, len(text.encode())
 
-        _ok, nbytes = self._spanned("move", attrs, work)
-        # Cutover against a freshly re-read spec: the copy may have
-        # taken long enough for a repair or another migration to land.
-        spec = self.catalog.get(plan.collection)
-        shard = self._find_shard(spec, plan.shard_index)
-        if shard is None or shard.local_name not in (
-                name for _p, name in placed):
-            self._rollback(placed)
-            return False  # shard split/renamed mid-copy: stale, no-op
-        if plan.target in shard.replicas:
-            return False  # someone else placed it: converged already
-        if plan.source not in shard.replicas:
-            self._rollback(placed)
-            return False
-        replicas = tuple(plan.target if r == plan.source else r
-                         for r in shard.replicas)
-        new_shards = tuple(
-            with_replicas(s, replicas) if s.index == plan.shard_index
-            else s
-            for s in spec.shards)
-        self.catalog.replace(dc_replace(spec, shards=new_shards),
-                             reason="rebalance", op="move",
-                             shard=plan.shard_index, source=plan.source,
-                             target=plan.target)
-        self._tombstone(plan.source, shard.local_name)
+        _, nbytes = self._spanned(
+            plan, dict(collection=spec.name, shard=shard.index,
+                       source=copy_from, dest=plan.target), work)
+
+        def cutover(current):
+            # The copy may have taken long enough for a repair or
+            # another migration to land: decide against `current`.
+            now = current.shard_named(name)
+            if stale(now):
+                return None  # split, moved or placed by someone else
+            if leaving is None:
+                return current.placing(now, now.replicas + (plan.target,))
+            return current.placing(now, tuple(
+                plan.target if r == leaving else r for r in now.replicas))
+
+        attrs = dict(shard=plan.shard_index, target=plan.target)
+        if leaving is not None:
+            attrs.update(op=plan.op, source=leaving)
+        if self.catalog.update(plan.collection, cutover, plan.reason,
+                               **attrs) is None:
+            return None
+        if leaving is not None:
+            self._tombstone(leaving, name)
         if self.membership is not None:
             self.membership.watch(plan.target)
-        self._note_done("move", collection=plan.collection,
-                        shard=plan.shard_index, source=plan.source,
-                        target=plan.target, nbytes=nbytes)
-        return True
+        return nbytes, dict(source=leaving or copy_from,
+                            target=plan.target)
 
     # -- split ----------------------------------------------------------------
 
     def _split_attempt(self, plan: SplitPlan,
-                       placed: list[tuple[str, str]]) -> bool:
-        try:
-            spec = self.catalog.get(plan.collection)
-        except ClusterError:
-            return False
-        parent = self._find_shard(spec, plan.shard_index)
+                       placed: list[tuple[str, str]]):
+        spec = self.catalog.lookup(plan.collection)
+        parent = spec.shard(plan.shard_index) if spec is not None else None
         if parent is None:
-            return False  # renumbered/split since planning: no-op
+            return None  # dropped, renumbered or split since planning
         sources = [r for r in parent.replicas if self.scorer.usable(r)]
         if not sources:
-            return self._give_up(plan, "no live source replica")
-        attrs = dict(collection=spec.name, shard=parent.index,
-                     source=sources[0])
+            raise PlanAbandoned("no live source replica")
+        child_names = (f"{parent.local_name}.0", f"{parent.local_name}.1")
 
         def work(stats: RunStats) -> tuple[tuple, int]:
             text = self._fetch_text(sources[0], parent.local_name,
@@ -406,10 +419,10 @@ class MigrationExecutor:
             members = collection_members(doc, spec.container_path,
                                          spec.member)
             if len(members) < 2:
-                return (None, text), 0
+                raise PlanAbandoned(
+                    f"shard {parent.local_name} has fewer than 2 "
+                    f"members; nothing to split")
             at = max(1, min(len(members) - 1, plan.at_member))
-            child_names = (f"{parent.local_name}.0",
-                           f"{parent.local_name}.1")
             fragments = partition_document(
                 doc, spec.container_path, spec.member, 2,
                 BoundaryPartitioner(at),
@@ -437,41 +450,33 @@ class MigrationExecutor:
                     self._store_verified(replica, name, ctext, stats,
                                          placed)
                     total += len(ctext.encode())
-            return (child_names, counts, at), total
+            return (counts, at), total
 
-        result, nbytes = self._spanned("split", attrs, work)
-        if result[0] is None:
-            return self._give_up(
-                plan, f"shard {parent.local_name} has fewer than 2 "
-                      f"members; nothing to split")
-        child_names, counts, at = result
-        # Cutover: re-read, re-find the parent by its (stable) local
-        # name, and swap it for its two children in one epoch bump.
-        spec = self.catalog.get(plan.collection)
-        parent_now = next((s for s in spec.shards
-                           if s.local_name == parent.local_name), None)
-        if parent_now is None:
-            self._rollback(placed)
-            return False  # parent gone (raced split): stale, no-op
-        replicas = tuple(sources)
-        new_shards: list[ShardInfo] = []
-        for s in spec.shards:
-            if s.local_name == parent.local_name:
-                new_shards.append(ShardInfo(
-                    index=len(new_shards), local_name=child_names[0],
-                    replicas=replicas, members=counts[0]))
-                new_shards.append(ShardInfo(
-                    index=len(new_shards), local_name=child_names[1],
-                    replicas=replicas, members=counts[1]))
-            else:
-                new_shards.append(dc_replace(s, index=len(new_shards)))
-        self.catalog.replace(
-            dc_replace(spec, shards=tuple(new_shards)),
-            reason="rebalance", op="split", shard=plan.shard_index,
-            children=list(child_names))
-        for replica in parent_now.replicas:
+        (counts, at), nbytes = self._spanned(
+            plan, dict(collection=spec.name, shard=parent.index,
+                       source=sources[0]), work)
+
+        def cutover(current):
+            # Swap the parent — re-found by its stable local name —
+            # for its two children, renumbering the shards after it.
+            if current.shard_named(parent.local_name) is None:
+                return None  # parent gone (raced split)
+            shards: list[ShardInfo] = []
+            for s in current.shards:
+                if s.local_name != parent.local_name:
+                    shards.append(dc_replace(s, index=len(shards)))
+                    continue
+                for name, count in zip(child_names, counts):
+                    shards.append(ShardInfo(
+                        index=len(shards), local_name=name,
+                        replicas=tuple(sources), members=count))
+            return dc_replace(current, shards=tuple(shards))
+
+        before = self.catalog.update(
+            plan.collection, cutover, plan.reason, op=plan.op,
+            shard=plan.shard_index, children=list(child_names))
+        if before is None:
+            return None
+        for replica in before.shard_named(parent.local_name).replicas:
             self._tombstone(replica, parent.local_name)
-        self._note_done("split", collection=plan.collection,
-                        shard=plan.shard_index, at_member=at,
-                        children=list(child_names), nbytes=nbytes)
-        return True
+        return nbytes, dict(at_member=at, children=list(child_names))

@@ -27,10 +27,10 @@ Two pieces live here:
   more than ``hot_share`` of a collection's traffic, :class:`MovePlan`
   when the hottest peer carries more than ``spread_factor`` times the
   mean load. ``drain()``/``undrain()`` run planned decommissions.
-  Execution is delegated to
-  :class:`~repro.cluster.migrate.MigrationExecutor`, which owns the
-  staged copy → verify → cutover → retire protocol and its
-  rollback/retry discipline.
+  Execution is delegated to the federation's one
+  :class:`~repro.cluster.migrate.MigrationExecutor` (shared with the
+  repair engine), which owns the staged copy → verify → cutover →
+  retire protocol and its rollback/retry discipline.
 
 Everything is deterministic given a deterministic workload: scoring
 reads point-in-time snapshots, ties break on names, and the chaos
@@ -47,7 +47,7 @@ from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.cluster.membership import ALIVE, DEAD, EVICTED
 
 __all__ = [
-    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "DrainPlan",
+    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
     "Rebalancer",
 ]
 
@@ -189,7 +189,9 @@ class LoadScorer:
 
 
 # ---------------------------------------------------------------------------
-# Migration plans
+# Migration plans. Beside its fields a plan carries its vocabulary: ``op``
+# labels it, ``reason`` annotates the cutover's epoch bump, ``span`` names
+# the trace span its copy runs in.
 # ---------------------------------------------------------------------------
 
 
@@ -203,6 +205,8 @@ class MovePlan:
     source: str
     target: str
     op = "move"
+    reason = "rebalance"
+    span = "migrate"
 
 
 @dataclass(frozen=True)
@@ -214,15 +218,21 @@ class SplitPlan:
     shard_index: int
     at_member: int
     op = "split"
+    reason = "rebalance"
+    span = "migrate"
 
 
 @dataclass(frozen=True)
-class DrainPlan:
-    """Decommission ``peer``: migrate every replica it holds away,
-    then leave it empty and excluded from new placements."""
+class ReplicatePlan:
+    """Add a replica of one shard on ``target`` — a move that drops
+    nothing (copy, verify, cut over). The repair engine's plan."""
 
-    peer: str
-    op = "drain"
+    collection: str
+    shard_index: int
+    target: str
+    op = "replicate"
+    reason = "repair"
+    span = "repair"
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +251,7 @@ class Rebalancer:
     """
 
     def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
-                 membership=None, *, scorer: LoadScorer | None = None,
-                 executor=None, events=None, metrics=None,
+                 membership=None, *, events=None, metrics=None,
                  hot_share: float = 0.5, spread_factor: float = 1.5,
                  min_split_members: int = 2, max_plans_per_step: int = 2):
         if not 0.0 < hot_share <= 1.0:
@@ -265,9 +274,10 @@ class Rebalancer:
         self.spread_factor = spread_factor
         self.min_split_members = min_split_members
         self.max_plans_per_step = max_plans_per_step
-        self.scorer = scorer if scorer is not None else LoadScorer(
-            federation, catalog=self.catalog, membership=self.membership)
-        self.executor = executor
+        #: Both are the federation's shared ones once attached.
+        self.scorer = LoadScorer(federation, catalog=self.catalog,
+                                 membership=self.membership)
+        self.executor = None
         self._lock = threading.Lock()
         self._last_heat: dict[tuple, float] = {}
         self._drains = 0
@@ -286,7 +296,7 @@ class Rebalancer:
 
     def attach(self, federation) -> "Rebalancer":
         """Install on ``federation``: adopt its catalog / membership /
-        monitor / metrics, build the executor, expose as
+        monitor / metrics and its migration executor, expose as
         ``federation.rebalancer``."""
         from repro.cluster.migrate import MigrationExecutor
         self.federation = federation
@@ -299,13 +309,10 @@ class Rebalancer:
             self.events = monitor.events
         if self._m_plans is None:
             self._init_metrics(federation.metrics)
-        self.scorer = LoadScorer(federation, catalog=self.catalog,
-                                 membership=self.membership)
-        if self.executor is None:
-            self.executor = MigrationExecutor(
-                federation, catalog=self.catalog,
-                membership=self.membership, scorer=self.scorer,
-                events=self.events, metrics=self.metrics)
+        self.executor = MigrationExecutor.shared(
+            federation, catalog=self.catalog, membership=self.membership,
+            events=self.events, metrics=self.metrics)
+        self.scorer = self.executor.scorer
         federation.rebalancer = self
         return self
 
@@ -437,16 +444,16 @@ class Rebalancer:
         defaults to the member midpoint."""
         executor = self._require_executor()
         if at_member is None:
-            spec = self.catalog.get(collection)
-            shard = next((s for s in spec.shards
-                          if s.index == shard_index), None)
-            if shard is None:
-                raise ClusterError(
-                    f"collection {collection!r} has no shard "
-                    f"{shard_index}")
-            at_member = shard.members // 2
+            at_member = self._shard(collection, shard_index).members // 2
         return executor.execute(
             SplitPlan(collection, shard_index, at_member=at_member))
+
+    def _shard(self, collection: str, shard_index: int):
+        shard = self.catalog.get(collection).shard(shard_index)
+        if shard is None:
+            raise ClusterError(
+                f"collection {collection!r} has no shard {shard_index}")
+        return shard
 
     def move(self, collection: str, shard_index: int, source: str,
              target: str | None = None) -> bool:
@@ -454,13 +461,7 @@ class Rebalancer:
         coolest peer not already holding the shard."""
         executor = self._require_executor()
         if target is None:
-            spec = self.catalog.get(collection)
-            shard = next((s for s in spec.shards
-                          if s.index == shard_index), None)
-            if shard is None:
-                raise ClusterError(
-                    f"collection {collection!r} has no shard "
-                    f"{shard_index}")
+            shard = self._shard(collection, shard_index)
             targets = self.scorer.rank(exclude=set(shard.replicas))
             if not targets:
                 return False
@@ -492,19 +493,16 @@ class Rebalancer:
                 for shard in list(self.catalog.get(spec.name).shards):
                     if peer not in shard.replicas:
                         continue
-                    others = [r for r in shard.replicas
-                              if r != peer and self.scorer.usable(r)]
-                    if len(others) >= spec.target_replication:
-                        done = executor.retire_replica(
-                            spec.name, shard.index, peer)
-                    else:
+                    # Redundant here ⇒ retire (the executor's guard
+                    # decides); else move it to the coolest non-holder.
+                    done = executor.retire_replica(
+                        spec.name, shard.index, peer)
+                    if not done:
                         targets = self.scorer.rank(
                             exclude=set(shard.replicas))
-                        if not targets:
-                            continue
-                        done = executor.execute(MovePlan(
-                            spec.name, shard.index, source=peer,
-                            target=targets[0]))
+                        done = bool(targets) and executor.execute(
+                            MovePlan(spec.name, shard.index, source=peer,
+                                     target=targets[0]))
                     progressed = progressed or done
         remaining = self._placements_on(peer)
         drained = not remaining

@@ -1,58 +1,46 @@
-"""The repair engine: re-replicating under-replicated shard fragments.
+"""The repair engine: finding under-replicated shards and queueing
+their re-replication.
 
 Eviction (``cluster/membership.py``) removes a dead peer from shard
 placements; what remains is a cluster serving some shards from fewer
 replicas than :attr:`CollectionSpec.target_replication` promises. This
-module closes the loop — the hinted-handoff half of the Dynamo-style
-story:
+module decides *what* to heal and *when*. The bytes are moved by the
+federation's one :class:`~repro.cluster.migrate.MigrationExecutor`,
+for which a repair is one more migration (a
+:class:`~repro.cluster.rebalance.ReplicatePlan`: copy, wire read-back
+verify, cutover with reason ``"repair"``, rollback when the shard was
+split or moved mid-copy).
 
-1. :meth:`RepairEngine.scan` walks the catalog, counts each shard's
-   *usable* replicas (present, not catalog-down, not membership
-   dead/evicted) and enqueues one :class:`RepairTask` per
-   under-replicated shard into a **bounded** queue (overflow is
-   dropped loudly: ``repair_queue_full`` event, ``repair_failed``
-   metric — never silent).
-2. :meth:`process` drains tasks — sequentially by default (the chaos
-   harness's deterministic mode), or with ``parallel=True`` under a
-   thread pool capped at ``max_concurrent``. Each task re-checks the
-   live spec first (a shard healed by an earlier task, a revived
-   replica, or a raced eviction re-resolves to a no-op).
-3. One repair copies the fragment over the **existing ship path** —
-   ``transport.fetch_document`` at a usable source replica (memoized
-   serializer, cost-model charges into the task's private
-   :class:`RunStats`), ``Peer.store`` at the chosen target (fewest
-   fragments of the collection, then name order) — then registers the
-   new replica via ``catalog.replace`` (reason ``"repair"``): one
-   epoch bump, and every router sees the new placement.
-4. **Cancellation**: the source dying mid-copy surfaces as the ship
-   path's own :class:`~repro.errors.NetworkError`; the task is
-   abandoned, re-enqueued (up to ``max_attempts``), and the retry
-   re-selects source *and* target against the then-current membership
-   view.
+1. :meth:`RepairEngine.scan` counts each shard's *usable* replicas
+   (present, not catalog-down, not membership dead/evicted) and
+   enqueues one :class:`RepairTask` per under-replicated shard into a
+   **bounded**, de-duplicating queue (overflow is dropped loudly:
+   ``repair_queue_full`` event, ``repair_failed`` metric).
+2. :meth:`process` drains the tasks queued at call time, in order.
+   Each re-checks the live spec first (healed by an earlier task, a
+   revived replica or a raced eviction ⇒ no-op), picks the coolest
+   target the executor's scorer ranks, and gives the executor **one**
+   attempt.
+3. **Retry is the queue's**: a wire fault mid-copy abandons the
+   attempt; the task is re-enqueued up to ``max_attempts`` and waits
+   for the next ``process()``, which re-selects source *and* target
+   against the then-current membership view.
 
-Each attempt runs inside a ``repair`` span — under the ambient trace
-when one exists, else under a private tracer folded into the fleet
-monitor's profiler — with the ship charges bound to it, so
-``explain(analyze=True)`` and the profiler show repair traffic like
-any other wire work. Events: ``repair_started`` / ``repair_completed``
-/ ``repair_failed``; metrics: ``repair_*`` series.
+Events: ``repair_started`` / ``repair_completed`` / ``repair_failed``;
+metrics: the ``repair_*`` series; each copy runs in a ``repair`` span.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
-from repro.cluster.catalog import (
-    ClusterCatalog, ClusterError, CollectionSpec, ShardInfo, with_replicas,
-)
+from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.cluster.membership import EVICTED
-from repro.cluster.rebalance import LoadScorer
+from repro.cluster.migrate import MigrationExecutor, PlanAbandoned
+from repro.cluster.rebalance import ReplicatePlan
 from repro.errors import NetworkError
-from repro.net.stats import RunStats
-from repro.obs.trace import Tracer, bind_stats_span, child_span, current_span
 
 __all__ = ["RepairTask", "RepairEngine"]
 
@@ -82,13 +70,10 @@ class RepairEngine:
 
     def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
                  membership=None, *, max_queue: int = 64,
-                 max_concurrent: int = 2, max_attempts: int = 3,
-                 auto_repair: bool = True, events=None, metrics=None):
+                 max_attempts: int = 3, auto_repair: bool = True,
+                 events=None, metrics=None):
         if max_queue < 1:
             raise ClusterError(f"max_queue {max_queue} must be >= 1")
-        if max_concurrent < 1:
-            raise ClusterError(
-                f"max_concurrent {max_concurrent} must be >= 1")
         if max_attempts < 1:
             raise ClusterError(
                 f"max_attempts {max_attempts} must be >= 1")
@@ -97,10 +82,11 @@ class RepairEngine:
             federation.catalog if federation is not None else None)
         self.membership = membership
         self.max_queue = max_queue
-        self.max_concurrent = max_concurrent
         self.max_attempts = max_attempts
         self.auto_repair = auto_repair
         self.events = events
+        #: Moves the bytes and owns the scorer; resolved on first use.
+        self.executor: MigrationExecutor | None = None
         self._lock = threading.Lock()
         self._queue: deque[RepairTask] = deque()
         self._queued: set[tuple[str, int]] = set()
@@ -146,9 +132,22 @@ class RepairEngine:
         if self._m_depth is None:
             self._init_metrics(federation.metrics)
         federation.repair = self
+        self._executor()
         if self.membership is not None:
             self.membership.subscribe(self._on_membership)
         return self
+
+    def _executor(self) -> MigrationExecutor:
+        """The federation's one migration executor (adopted from the
+        rebalancer when that attached first)."""
+        if self.executor is None:
+            if self.federation is None:
+                raise ClusterError("repair engine has no federation")
+            self.executor = MigrationExecutor.shared(
+                self.federation, catalog=self.catalog,
+                membership=self.membership, events=self.events,
+                metrics=self.federation.metrics)
+        return self.executor
 
     def _on_membership(self, peer: str, old: str, new_state: str) -> None:
         if new_state != EVICTED:
@@ -175,7 +174,7 @@ class RepairEngine:
         if self.catalog is None:
             raise ClusterError("repair engine has no catalog")
         enqueued = 0
-        scorer = self._scorer()
+        scorer = self._executor().scorer
         for spec in self.catalog.collections():
             target = spec.target_replication
             for shard in spec.shards:
@@ -190,16 +189,14 @@ class RepairEngine:
         with self._lock:
             if task.key in self._queued:
                 return False
-            if len(self._queue) >= self.max_queue:
-                overflow = True
+            overflow = len(self._queue) >= self.max_queue
+            if overflow:
+                self._failed += 1
             else:
-                overflow = False
                 self._queue.append(task)
                 self._queued.add(task.key)
-                depth = len(self._queue)
+            depth = len(self._queue)
         if overflow:
-            with self._lock:
-                self._failed += 1
             if self._m_failed is not None:
                 self._m_failed.labels(task.collection).inc()
             if self.events is not None:
@@ -228,37 +225,22 @@ class RepairEngine:
 
     # -- processing -----------------------------------------------------------
 
-    def process(self, max_tasks: int | None = None,
-                parallel: bool = False) -> int:
-        """Drain the tasks queued *at call time*; returns how many
-        completed a copy. A task that fails and re-enqueues waits for
-        the next call — one ``process()`` never chases its own retries.
-        Sequential by default (deterministic order); ``parallel=True``
-        runs up to ``max_concurrent`` tasks at once."""
+    def process(self, max_tasks: int | None = None) -> int:
+        """Drain the tasks queued *at call time*, in order; returns how
+        many completed a copy. A task that fails and re-enqueues waits
+        for the next call — one ``process()`` never chases its own
+        retries."""
         budget = self.pending()
         if max_tasks is not None:
             budget = min(budget, max_tasks)
-        if not parallel:
-            done = 0
-            for _ in range(budget):
-                task = self._pop()
-                if task is None:
-                    break
-                if self._repair_one(task):
-                    done += 1
-            return done
-        tasks: list[RepairTask] = []
+        done = 0
         for _ in range(budget):
             task = self._pop()
             if task is None:
                 break
-            tasks.append(task)
-        if not tasks:
-            return 0
-        with ThreadPoolExecutor(
-                max_workers=min(self.max_concurrent, len(tasks)),
-                thread_name_prefix="cluster-repair") as pool:
-            return sum(pool.map(self._repair_one, tasks))
+            if self._repair_one(task):
+                done += 1
+        return done
 
     def run_until_converged(self, max_rounds: int = 8) -> bool:
         """Scan+process until no shard is under-replicated (or nothing
@@ -272,42 +254,22 @@ class RepairEngine:
 
     # -- one repair -----------------------------------------------------------
 
-    def _scorer(self) -> LoadScorer:
-        """The usability test and load ranking shared with the
-        rebalancer, over this engine's catalog and membership."""
-        return LoadScorer(self.federation, catalog=self.catalog,
-                          membership=self.membership)
-
-    def _candidates(self, spec: CollectionSpec,
-                    shard: ShardInfo) -> list[str]:
-        """Target peers not already holding the shard, ranked by the
-        load-aware scorer shared with the rebalancer: alive and
-        non-draining, healthy before demoted, then coolest first
-        (fragment bytes + in-flight + served traffic) — so repair
-        stops piling fragments onto an idle-but-already-full peer."""
-        if self.federation is None:
-            raise ClusterError("repair engine has no federation")
-        return self._scorer().rank(exclude=set(shard.replicas))
-
     def _repair_one(self, task: RepairTask) -> bool:
-        try:
-            spec = self.catalog.get(task.collection)
-        except ClusterError:
-            return False  # collection dropped since the scan
-        shard = next((s for s in spec.shards
-                      if s.index == task.shard_index), None)
+        spec = self.catalog.lookup(task.collection)
+        shard = spec.shard(task.shard_index) if spec is not None else None
         if shard is None:
-            return False
-        scorer = self._scorer()
-        usable = [r for r in shard.replicas if scorer.usable(r)]
+            return False  # dropped or renumbered since the scan
+        executor = self._executor()
+        usable = [r for r in shard.replicas if executor.scorer.usable(r)]
         if len(usable) >= spec.target_replication:
             return False  # healed since the scan (revival, earlier task)
         if not usable:
             return self._give_up(task, "no live source replica")
-        candidates = self._candidates(spec, shard)
-        if not candidates:
+        # Coolest first; never a draining peer or a current holder.
+        targets = executor.scorer.rank(exclude=set(shard.replicas))
+        if not targets:
             return self._give_up(task, "no healthy target peer")
-        source, target = usable[0], candidates[0]
+        source, target = usable[0], targets[0]
         if self.events is not None:
             self.events.emit(
                 "repair_started",
@@ -316,28 +278,26 @@ class RepairEngine:
                 severity="info", collection=task.collection,
                 shard=task.shard_index, source=source, dest=target)
         try:
-            nbytes = self._copy(spec, shard, source, target)
+            done = executor.attempt(ReplicatePlan(
+                task.collection, task.shard_index, target))
+        except PlanAbandoned as exc:
+            return self._give_up(task, str(exc))
         except NetworkError as exc:
-            # The source died (or faulted) mid-copy: cancel this
-            # attempt and re-resolve source/target on the retry.
+            # A replica died (or faulted) mid-copy: the executor rolled
+            # the attempt back; re-resolve source/target on the retry.
             task.attempts += 1
-            if self.events is not None:
-                self.events.emit(
-                    "repair_failed",
-                    f"repair of {task.collection}#s{task.shard_index} "
-                    f"from {source} aborted: {type(exc).__name__} "
-                    f"(attempt {task.attempts}/{self.max_attempts})",
-                    severity="warning", collection=task.collection,
-                    shard=task.shard_index, source=source,
-                    error=type(exc).__name__)
+            self._emit_failed(
+                task, f"from {source} aborted: {type(exc).__name__} "
+                      f"(attempt {task.attempts}/{self.max_attempts})",
+                "warning", source=source, error=type(exc).__name__)
             if task.attempts < self.max_attempts:
                 self._enqueue(task)
             else:
                 self._give_up(task, "max attempts exhausted")
             return False
-        self._register(task, target)
-        if self.membership is not None:
-            self.membership.watch(target)
+        if done is None:
+            return False  # split or moved mid-copy: rolled back, rescan
+        nbytes, source = done[0], done[1]["source"]
         with self._lock:
             self._completed += 1
         if self._m_completed is not None:
@@ -353,64 +313,20 @@ class RepairEngine:
                 bytes=nbytes)
         return True
 
-    def _copy(self, spec: CollectionSpec, shard: ShardInfo,
-              source: str, target: str) -> int:
-        """Ship the fragment source → target over the existing data-
-        shipping path, inside a ``repair`` span (ambient trace when one
-        exists, else a private tracer folded into the monitor)."""
-        transport = self.federation.transport
-        source_peer = self.federation.peer(source)
-        target_peer = self.federation.peer(target)
-        stats = RunStats()
-
-        def ship() -> int:
-            text, size = transport.fetch_document(
-                source_peer, shard.local_name, stats)
-            target_peer.store(shard.local_name, text)
-            return size
-
-        monitor = (getattr(self.federation, "monitor", None)
-                   if self.federation is not None else None)
-        attrs = dict(collection=spec.name, shard=shard.index,
-                     source=source, dest=target)
-        if current_span() is None and monitor is not None:
-            tracer = Tracer()
-            with tracer.start("repair", **attrs) as span, \
-                    bind_stats_span(stats, span):
-                nbytes = ship()
-                span.set(bytes=nbytes)
-            monitor.observe_trace(tracer.root)
-            return nbytes
-        with child_span("repair", **attrs) as span, \
-                bind_stats_span(stats, span):
-            nbytes = ship()
-            if span is not None:
-                span.set(bytes=nbytes)
-        return nbytes
-
-    def _register(self, task: RepairTask, target: str) -> None:
-        """Add ``target`` to the shard's placement in the *current*
-        spec (re-read: the layout may have changed during the copy)."""
-        spec = self.catalog.get(task.collection)
-        new_shards = tuple(
-            with_replicas(s, s.replicas + (target,))
-            if s.index == task.shard_index and target not in s.replicas
-            else s
-            for s in spec.shards)
-        self.catalog.replace(dc_replace(spec, shards=new_shards),
-                             reason="repair", shard=task.shard_index,
-                             target=target)
-
     def _give_up(self, task: RepairTask, reason: str) -> bool:
         with self._lock:
             self._failed += 1
         if self._m_failed is not None:
             self._m_failed.labels(task.collection).inc()
+        self._emit_failed(task, f"abandoned: {reason}", "error",
+                          reason=reason)
+        return False
+
+    def _emit_failed(self, task: RepairTask, what: str, severity: str,
+                     **attrs) -> None:
         if self.events is not None:
             self.events.emit(
                 "repair_failed",
-                f"repair of {task.collection}#s{task.shard_index} "
-                f"abandoned: {reason}",
-                severity="error", collection=task.collection,
-                shard=task.shard_index, reason=reason)
-        return False
+                f"repair of {task.collection}#s{task.shard_index} {what}",
+                severity=severity, collection=task.collection,
+                shard=task.shard_index, **attrs)

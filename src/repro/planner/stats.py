@@ -290,67 +290,28 @@ class DocumentStats:
 def compute_document_stats(document: "Document", uri: str,
                            serialized_bytes: int | None = None,
                            with_values: bool = False) -> DocumentStats:
-    """One O(nodes) pass over the pre/size arrays (two with
+    """One O(nodes) pass over the kind/name/value columns (two with
     ``with_values`` — the second builds the value-histogram table).
 
-    When the document carries a memoized serialisation (see
-    :func:`repro.xmldb.serializer.subtree_spans`), element subtree
-    byte figures are *exact* — read off the recorded spans instead of
-    approximated; the catalog path always hits this because it
-    serialises the document (memoized) for the exact total first.
-    Without spans, per-node markup bytes are approximated (tags,
-    attribute syntax, text lengths) and then scaled so their total
-    matches the exact serialised length when the caller provides it —
-    subtree byte figures stay mutually consistent and sum to the true
-    wire size either way.
+    Element subtree byte figures are *exact*: read off the spans the
+    document's memoized serialisation recorded (see
+    :func:`repro.xmldb.serializer.subtree_spans`; the catalog path has
+    serialised the document already, for the exact total). Spans are
+    character offsets, so they are scaled to the UTF-8 total when the
+    caller provides it — subtree byte figures stay mutually consistent
+    and sum to the true wire size.
     """
     kinds = document.kinds
     names = document.names
     values = document.values
-    sizes = document.sizes
     count = len(kinds)
 
-    spans = subtree_spans(document)
-    if spans is not None:
-        starts, ends = spans
-        total_chars = ends[0] - starts[0]
-        elements = sum(1 for kind in kinds if kind == NodeKind.ELEMENT)
-        approx_total = total_chars
-        scale = 1.0
-        if serialized_bytes is not None and total_chars > 0:
-            # Spans are character offsets; rescale to the UTF-8 total.
-            scale = serialized_bytes / total_chars
-
-        def element_subtree(pre: int) -> int:
-            return ends[pre] - starts[pre]
-    else:
-        own = [0] * count
-        elements = 0
-        for pre in range(count):
-            kind = kinds[pre]
-            if kind == NodeKind.ELEMENT:
-                # <name>...</name> or <name/>
-                own[pre] = 2 * len(names[pre]) + 5
-                elements += 1
-            elif kind == NodeKind.ATTRIBUTE:
-                own[pre] = len(names[pre]) + len(values[pre]) + 4  # name="v"
-            elif kind == NodeKind.TEXT:
-                own[pre] = len(values[pre])
-            elif kind == NodeKind.COMMENT:
-                own[pre] = len(values[pre]) + 7                    # <!-- -->
-            elif kind == NodeKind.PROCESSING_INSTRUCTION:
-                own[pre] = len(names[pre]) + len(values[pre]) + 5  # <? ?>
-        approx_total = sum(own)
-        scale = 1.0
-        if serialized_bytes is not None and approx_total > 0:
-            scale = serialized_bytes / approx_total
-
-        prefix = [0] * (count + 1)
-        for pre in range(count):
-            prefix[pre + 1] = prefix[pre] + own[pre]
-
-        def element_subtree(pre: int) -> int:
-            return prefix[pre + sizes[pre] + 1] - prefix[pre]
+    starts, ends = subtree_spans(document)
+    total_chars = ends[0] - starts[0]
+    elements = sum(1 for kind in kinds if kind == NodeKind.ELEMENT)
+    scale = 1.0
+    if serialized_bytes is not None and total_chars > 0:
+        scale = serialized_bytes / total_chars
 
     counts: dict[str, int] = {}
     byte_totals: dict[str, int] = {}
@@ -358,7 +319,7 @@ def compute_document_stats(document: "Document", uri: str,
         kind = kinds[pre]
         if kind == NodeKind.ELEMENT:
             key = names[pre]
-            subtree = element_subtree(pre)
+            subtree = ends[pre] - starts[pre]
         elif kind == NodeKind.ATTRIBUTE:
             key = "@" + names[pre]
             subtree = len(values[pre])
@@ -375,7 +336,7 @@ def compute_document_stats(document: "Document", uri: str,
         for key in counts
     }
     total = (serialized_bytes if serialized_bytes is not None
-             else approx_total)
+             else total_chars)
     values = build_value_histograms(document) if with_values else None
     return DocumentStats(uri=uri, serialized_bytes=total, nodes=count,
                          elements=elements, tags=tags, values=values,

@@ -142,14 +142,16 @@ def serialized_byte_length(doc: Document) -> int:
     return cache.byte_length
 
 
-def subtree_spans(doc: Document) -> tuple[list[int], list[int]] | None:
-    """Per-pre ``(starts, ends)`` character spans of the memoized full
-    serialisation, or None when no full serialisation happened yet.
-    ``ends[p] - starts[p]`` is the exact serialised subtree length —
-    the statistics catalog reads these instead of re-walking."""
+def subtree_spans(doc: Document) -> tuple[list[int], list[int]]:
+    """Per-pre ``(starts, ends)`` character spans of the full
+    serialisation, memoized with it (serialising now if that has not
+    happened yet). ``ends[p] - starts[p]`` is the exact serialised
+    subtree length — the statistics catalog reads these instead of
+    re-walking."""
     cache = doc._ser_cache
     if cache is None or cache.epoch != doc.epoch or cache.full is None:
-        return None
+        serialize(doc)
+        cache = doc._ser_cache
     assert cache.starts is not None and cache.ends is not None
     return cache.starts, cache.ends
 

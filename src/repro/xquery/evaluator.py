@@ -70,8 +70,9 @@ from repro.xmldb.values import value_index
 from repro.xquery.context import DynamicContext, StaticContext
 from repro.xquery.predicates import (
     FLIPPED_OPS, EqualityMatcher, chain_candidates, compile_predicate,
-    dependent_chain, free_variables, probe_atoms,
+    dependent_chain, probe_atoms,
 )
+from repro.xquery.scopes import free_variables
 from repro.xquery.types import matches_sequence_type
 from repro.xquery.xdm import (
     atomize, effective_boolean_value, general_compare, to_number,

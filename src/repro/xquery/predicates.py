@@ -47,9 +47,8 @@ from repro.xmldb import kernels
 from repro.xmldb.node import NodeKind
 from repro.xmldb.values import coerce_number, node_string, value_index
 from repro.xquery.ast import (
-    ComparisonExpr, ContextItemExpr, Expr, ForExpr, FunCall, LetExpr,
-    Literal, LogicalExpr, OrderByExpr, PathExpr, QuantifiedExpr,
-    TypeswitchExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
+    ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LogicalExpr,
+    PathExpr, VALUE_COMPARISONS, VarRef,
 )
 from repro.xquery.xdm import UntypedAtomic, atomize, general_compare
 
@@ -678,55 +677,7 @@ def _anchored_path_key(expr: Expr, var: str | None,
     return "@" + last.test if last.axis == "attribute" else last.test
 
 
-# ---------------------------------------------------------------------------
-# Free variables (hash-join invariance analysis)
-# ---------------------------------------------------------------------------
-
-
-def free_variables(expr: Expr) -> frozenset[str]:
-    """The variables ``expr`` reads from its environment."""
-    if isinstance(expr, VarRef):
-        return frozenset((expr.name,))
-    if isinstance(expr, ForExpr):
-        bound = {expr.var}
-        if expr.pos_var is not None:
-            bound.add(expr.pos_var)
-        return (free_variables(expr.seq)
-                | (free_variables(expr.body) - bound))
-    if isinstance(expr, LetExpr):
-        return (free_variables(expr.value)
-                | (free_variables(expr.body) - {expr.var}))
-    if isinstance(expr, QuantifiedExpr):
-        return (free_variables(expr.seq)
-                | (free_variables(expr.cond) - {expr.var}))
-    if isinstance(expr, OrderByExpr):
-        inner = free_variables(expr.body)
-        for spec in expr.specs:
-            inner |= free_variables(spec.key)
-        return free_variables(expr.seq) | (inner - {expr.var})
-    if isinstance(expr, TypeswitchExpr):
-        out = free_variables(expr.operand)
-        for case in expr.cases:
-            bound = {case.var} if case.var else set()
-            out |= free_variables(case.body) - bound
-        default_bound = {expr.default_var} if expr.default_var else set()
-        out |= free_variables(expr.default_body) - default_bound
-        return out
-    if isinstance(expr, XRPCExpr):
-        out = free_variables(expr.dest)
-        param_names = set()
-        for param in expr.params:
-            out |= free_variables(param.value)
-            param_names.add(param.name)
-        return out | (free_variables(expr.body) - param_names)
-    out: frozenset[str] = frozenset()
-    for child in expr.child_exprs():
-        out |= free_variables(child)
-    return out
-
-
 __all__ = [
     "ClosurePlan", "EqualityMatcher", "IndexPlan", "Probe",
-    "compile_predicate", "conjunction_members", "free_variables",
-    "literal_probe",
+    "compile_predicate", "conjunction_members", "literal_probe",
 ]

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import (
     ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
 )
+from repro.obs.events import EventLog
 
 
 def spec(name: str = "c", shards: int = 2) -> CollectionSpec:
@@ -66,6 +67,67 @@ def test_replace_and_drop_require_registration():
         catalog.replace(spec("ghost"))
     with pytest.raises(ClusterError):
         catalog.drop("ghost")
+
+
+def test_update_hands_fn_the_spec_current_at_call_time():
+    """Two updaters compose: the second sees the first's change — the
+    property ``get`` + ``replace`` lacked."""
+    catalog = ClusterCatalog()
+    catalog.register(spec("c1"))
+    stale = catalog.get("c1")            # a plan made before either
+
+    def add(peer):
+        def fn(current):
+            shard = current.shard(0)
+            return current.placing(shard, shard.replicas + (peer,))
+        return fn
+
+    assert catalog.update("c1", add("x"), reason="first") is stale
+    before = catalog.update("c1", add("y"), reason="second")
+    assert before.shard(0).replicas == ("p0", "p1", "x")
+    now = catalog.get("c1")
+    assert now.shard(0).replicas == ("p0", "p1", "x", "y")
+    assert now.shard(1) is stale.shard(1)          # untouched shard
+    assert now.shard_named("d.xml#s1") is now.shard(1)
+    assert now.shard(7) is None and now.shard_named("nope") is None
+    assert catalog.describe()["collections"]["c1"]["last_reason"] \
+        == "second"
+
+
+def test_update_declined_changes_nothing():
+    catalog = ClusterCatalog()
+    catalog.events = EventLog()
+    catalog.register(spec("c1"))
+    epoch, events = catalog.epoch(), catalog.events.count("epoch_bump")
+    before = catalog.get("c1")
+    assert catalog.update("c1", lambda current: None, reason="x") is None
+    assert catalog.get("c1") is before
+    assert catalog.epoch() == epoch
+    assert catalog.events.count("epoch_bump") == events
+    assert catalog.describe()["collections"]["c1"]["last_reason"] \
+        == "register"
+
+
+def test_update_unknown_collection_is_an_error():
+    catalog = ClusterCatalog()
+    with pytest.raises(ClusterError, match="ghost"):
+        catalog.update("ghost", lambda current: current)
+
+
+def test_update_failing_fn_leaves_spec_and_epoch_untouched():
+    catalog = ClusterCatalog()
+    catalog.register(spec("c1"))
+    epoch, before = catalog.epoch(), catalog.get("c1")
+
+    def boom(current):
+        raise ValueError("no")
+
+    with pytest.raises(ValueError):
+        catalog.update("c1", boom)
+    assert catalog.get("c1") is before
+    assert catalog.epoch() == epoch
+    catalog.mark_down("p0")               # the lock was released
+    assert catalog.epoch() == epoch + 1
 
 
 def test_live_replicas_skip_down_peers():

@@ -147,6 +147,8 @@ def test_chaos_race_zero_wrong_answers(seed):
     assert report.converged, seed
     assert report.steady_failovers == 0, seed
     assert report.repairs_failed == 0, seed
+    assert report.phantom_replicas == 0, seed
+    assert report.as_dict()["phantom_replicas"] == 0
     # Every eviction the race produced must have been repaired back to
     # target replication.
     spec = cluster.catalog.get("books-c")

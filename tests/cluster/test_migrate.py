@@ -8,12 +8,19 @@ Three invariants the executor must hold under any input:
    catalog state a migration publishes, the migrated shard's live
    replica count is ≥ its pre-migration count, and every published
    replica already holds the fragment bytes (checked synchronously
-   inside ``replace``, before any reader can observe the state).
+   inside ``update``, before any reader can observe the state).
 3. **Mid-migration deaths converge** — killing the copy source or the
    destination at any point yields either a completed cutover or a
    clean give-up with the catalog untouched; after revival the repair
    loop restores target replication and answers stay byte-exact.
+4. **Placement truth under interleaving** — a split or move of
+   another shard landing while a re-replication's copy is in flight
+   leaves every placed replica holding its fragment and nothing stored
+   that is not placed (the cutover re-finds its shard by name in the
+   spec current at the cutover, never by a plan-time index).
 """
+
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +30,7 @@ from repro.cluster import (
     SplitPlan, create_sharded_collection, merge_shard_documents,
     partition_document,
 )
+from repro.cluster.membership import EVICTED, MembershipTracker
 from repro.cluster.rebalance import Rebalancer
 from repro.cluster.repair import RepairEngine
 from repro.decompose import Strategy
@@ -32,7 +40,11 @@ from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
-from tests.cluster.conftest import LIBRARY_CONTAINER, LIBRARY_MEMBER
+from repro.xquery.xdm import serialize_sequence
+
+from tests.cluster.conftest import (
+    LIBRARY_CONTAINER, LIBRARY_MEMBER, make_cluster, make_single_owner,
+)
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -50,27 +62,36 @@ def library_xml(count: int) -> str:
 
 class RecordingCatalog(ClusterCatalog):
     """Checks the no-torn-placement invariant *synchronously* inside
-    every ``replace`` — at the instant a placement becomes visible,
+    every ``update`` — at the instant a placement becomes visible,
     every replica it names must already hold the fragment."""
 
     def __init__(self, federation_ref):
         super().__init__()
+        # The check runs under the catalog lock and reads the catalog.
+        self._lock = threading.RLock()
         self.federation_ref = federation_ref
         self.history: list[tuple[str, dict[int, int]]] = []
 
-    def replace(self, spec, reason="replace", **attrs):
+    def update(self, name, fn, reason="replace", **attrs):
         federation = self.federation_ref()
-        for shard in spec.shards:
-            for replica in shard.replicas:
-                assert shard.local_name in \
-                    federation.peer(replica).documents, (
-                        f"torn placement: {reason} published "
-                        f"{shard.local_name} on {replica} before the "
-                        f"bytes landed")
-        self.history.append(
-            (reason, {s.index: len(self.live_replicas(s))
-                      for s in spec.shards}))
-        super().replace(spec, reason=reason, **attrs)
+
+        def checked(current):
+            spec = fn(current)
+            if spec is None:
+                return None
+            for shard in spec.shards:
+                for replica in shard.replicas:
+                    assert shard.local_name in \
+                        federation.peer(replica).documents, (
+                            f"torn placement: {reason} published "
+                            f"{shard.local_name} on {replica} before "
+                            f"the bytes landed")
+            self.history.append(
+                (reason, {s.index: len(self.live_replicas(s))
+                          for s in spec.shards}))
+            return spec
+
+        return super().update(name, checked, reason, **attrs)
 
 
 class KillAfter(LoopbackTransport):
@@ -223,6 +244,108 @@ def test_kill_mid_move_converges(victim_is_target, threshold, data):
     result = federation.run(SCAN, at="local",
                             strategy=Strategy.BY_PROJECTION)
     assert len(result.items) == 8
+
+
+# -- invariant 4: a reshape landing mid-repair-copy ---------------------------
+
+
+def interleave(transport, trigger: str, action) -> None:
+    """Run ``action`` once, inside the first fetch of document
+    ``trigger`` — after that copy resolved its shard, before its
+    cutover."""
+    fetch, pending = transport.fetch_document, [action]
+
+    def fetch_document(owner, local_name, stats):
+        if local_name == trigger and pending:
+            pending.pop()()
+        return fetch(owner, local_name, stats)
+
+    transport.fetch_document = fetch_document
+
+
+def reshape_mid_repair(repaired: str, other: str, split: bool) -> None:
+    """Evict node1 (it held ``#s0`` and ``#s3``), then let shard
+    ``other`` split or move while the repair copy of ``repaired`` is
+    in flight, and check placement truth afterwards. (Repair runs
+    ``#s0`` first, then ``#s3``.)"""
+    cluster = make_cluster()
+    tracker = MembershipTracker().attach(cluster)
+    repair = RepairEngine(auto_repair=False).attach(cluster)
+    rebalancer = Rebalancer().attach(cluster)
+    catalog = cluster.catalog
+    cluster.transport.kill_peer("node1")
+    while tracker.state("node1") != EVICTED:
+        tracker.tick()
+    assert repair.pending() == 2
+
+    def reshape():
+        shard = next(s for s in catalog.get("books-c").shards
+                     if s.local_name == other)
+        if split:
+            assert rebalancer.split("books-c", shard.index)
+        else:
+            assert rebalancer.move("books-c", shard.index,
+                                   shard.replicas[0])
+
+    def stored():
+        return {(name, document) for name, peer in cluster.peers.items()
+                for document in peer.documents}
+
+    before = stored()
+    interleave(cluster.transport, repaired, reshape)
+    repair.process()
+    rebalancer.collect()      # superseded copies retire lazily
+
+    spec = catalog.get("books-c")
+    placed = {(replica, shard.local_name)
+              for shard in spec.shards for replica in shard.replicas}
+    # Every replica the catalog places holds its fragment, and nothing
+    # was stored that is neither placed, rolled back nor retired.
+    assert placed <= stored()
+    assert stored() - before <= placed
+    healed = next((s for s in spec.shards if s.local_name == repaired),
+                  None)
+    if healed is None:
+        # The repaired shard itself split: its copy was a stale,
+        # rolled-back no-op; only the other task completed.
+        assert repair.stats()["completed"] == 1
+    else:
+        # Whole again (or queued for another try).
+        assert len(healed.replicas) >= spec.target_replication \
+            or repair.pending() > 0
+    assert repair.run_until_converged()
+    spec = catalog.get("books-c")
+    assert all(len(s.replicas) >= spec.target_replication
+               for s in spec.shards)
+    oracle = make_single_owner().run(
+        SCAN.replace("xrpc://books-c", "xrpc://owner"), at="local",
+        strategy=Strategy.BY_PROJECTION)
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) \
+        == serialize_sequence(oracle.items)
+
+
+def test_split_mid_repair_copy_leaves_no_phantom_replica():
+    """Shard 1 splits while shard 3's repair copy is in flight: the
+    split renumbers ``#s3`` to index 4, and a cutover addressed by the
+    plan-time index 3 would register the copy on ``#s2`` instead — a
+    replica that holds nothing."""
+    reshape_mid_repair("books.xml#s3", "books.xml#s1", split=True)
+
+
+def test_repaired_shard_splitting_mid_copy_is_a_rolled_back_noop():
+    reshape_mid_repair("books.xml#s3", "books.xml#s3", split=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(repaired=st.sampled_from(["books.xml#s0", "books.xml#s3"]),
+       split=st.booleans(), data=st.data())
+def test_reshape_mid_repair_copy_keeps_placements_true(repaired, split,
+                                                       data):
+    other = data.draw(st.sampled_from(
+        [f"books.xml#s{i}" for i in range(4)
+         if f"books.xml#s{i}" != repaired]))
+    reshape_mid_repair(repaired, other, split)
 
 
 def test_give_up_emits_failure_and_leaves_catalog_alone():

@@ -85,7 +85,8 @@ def test_repair_targets_through_shared_scorer():
     repair = RepairEngine(auto_repair=False).attach(cluster)
     cluster.catalog.set_draining("local", True)
     spec = cluster.catalog.get("books-c")
-    candidates = repair._candidates(spec, spec.shards[0])
+    candidates = repair.executor.scorer.rank(
+        exclude=set(spec.shards[0].replicas))
     assert "local" not in candidates
     assert set(candidates) <= {"node2", "node3", "node4"}
 
@@ -327,6 +328,7 @@ def test_chaos_with_resharding_zero_wrong_answers():
     assert report.wrong_answers == 0
     assert report.splits + report.moves + report.retires >= 1
     assert report.migrations_failed == 0
+    assert report.phantom_replicas == 0
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
         live = [r for r in shard.replicas

@@ -142,6 +142,23 @@ def test_repair_events_and_metrics():
     assert snapshot["repair_queue_depth"] == 0
     # Repair traffic shows up in the profiler like any other work.
     assert "repair" in monitor.profiler.folded("wall")
+    # The executor moves the bytes, but a repair keeps its own
+    # vocabulary — no rebalance_* twin, one `repair` epoch bump per
+    # copy — and counts each fragment once, not its verify read-back.
+    assert not [kind for kind in monitor.events.counts()
+                if kind.startswith("rebalance_")]
+    assert snapshot["rebalance_migrations_total"] == {}
+    bumps = [e for e in monitor.events.recent(kind="epoch_bump")
+             if e.attrs["reason"] == "repair"]
+    assert len(bumps) == 2
+    spec = cluster.catalog.get("books-c")
+    fragments = sum(
+        len(cluster.peer(shard.replicas[0]).serialized(
+            shard.local_name).encode())
+        for shard in spec.shards if shard.index in (0, 3))
+    assert snapshot["repair_bytes_total"]["books-c"] == fragments
+    assert sum(e.attrs["bytes"] for e in
+               monitor.events.recent(kind="repair_completed")) == fragments
 
 
 def test_run_until_converged():
@@ -153,23 +170,9 @@ def test_run_until_converged():
     assert repair.pending() == 0
 
 
-def test_parallel_process_matches_sequential():
-    cluster = make_cluster()
-    tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False, max_concurrent=2
-                          ).attach(cluster)
-    evict(cluster, tracker, "node1")
-    assert repair.process(parallel=True) == 2
-    spec = cluster.catalog.get("books-c")
-    assert all(len(s.replicas) >= spec.target_replication
-               for s in spec.shards)
-
-
 def test_constructor_validation():
     with pytest.raises(ClusterError):
         RepairEngine(max_queue=0)
-    with pytest.raises(ClusterError):
-        RepairEngine(max_concurrent=0)
     with pytest.raises(ClusterError):
         RepairEngine(max_attempts=0)
     with pytest.raises(ClusterError, match="catalog"):

@@ -37,10 +37,9 @@ class TestComputeDocumentStats:
         exact = len(serialize(document).encode())
         stats = compute_document_stats(document, "t.xml",
                                        serialized_bytes=exact)
-        # The root element's subtree covers (almost exactly) the
-        # serialised document.
+        # The root element's subtree is the serialised document.
         root = stats.tag("people")
-        assert abs(root.subtree_bytes - exact) <= 2
+        assert root.subtree_bytes == exact
         # Children partition their parent.
         persons = stats.tag("person")
         assert persons.subtree_bytes < root.subtree_bytes
