@@ -11,11 +11,12 @@ one unsharded peer — the strongest scatter-gather correctness check
 available), and after the schedule the harness drives the cluster to
 convergence and asserts the healed fleet fails over on nothing.
 
-Emitted to ``BENCH_chaos.json``: the deterministic outcome counts
-(``result_items`` is baseline-enforced exactly; the chaos schedule,
-detector, and repair path are all seeded, so answer drift means a real
-correctness bug) plus informational latency percentiles over the live
-workload.
+The drill runs on the virtual wire (``on_virtual_wire``), so a run is
+a pure function of the seed. Emitted to ``BENCH_chaos.json``: the
+outcome counts (``result_items`` is baseline-enforced exactly; the
+chaos schedule, detector, and repair path are all seeded, so answer
+drift means a real correctness bug) plus latency percentiles over the
+live workload, in exact virtual milliseconds.
 """
 
 import random
@@ -30,7 +31,7 @@ from repro.workloads import (
 )
 from repro.xquery.xdm import serialize_sequence
 
-from benchmarks.conftest import print_table, write_json
+from benchmarks.conftest import on_virtual_wire, print_table, write_json
 
 SEED = 20090329
 SCALE = 0.002
@@ -57,8 +58,9 @@ def _oracle_answers() -> list[tuple[str, str]]:
 
 
 def _build_cluster():
-    cluster = build_sharded_federation(SCALE, seed=SEED, shard_count=4,
-                                       replication_factor=2, node_count=4)
+    cluster = on_virtual_wire(build_sharded_federation(
+        SCALE, seed=SEED, shard_count=4, replication_factor=2,
+        node_count=4))
     FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
     RepairEngine().attach(cluster)
@@ -78,11 +80,11 @@ def _run_soak():
     result = cluster.run(SHARDED_SCAN_QUERY, at="local",
                          strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == queries[0][1]
-    return report, schedule, len(result.items)
+    return report, schedule, len(result.items), cluster.monitor.events
 
 
 def test_chaos_soak():
-    report, schedule, result_items = _run_soak()
+    report, schedule, result_items, _events = _run_soak()
     row = {
         "experiment": "chaos_soak",
         "steps": report.steps,
@@ -126,17 +128,18 @@ def test_chaos_soak():
     assert report.repairs_completed >= 1, "evictions but no repairs"
 
 
-def test_chaos_replay_is_deterministic():
-    """Same seed ⇒ bit-identical schedule and identical outcome
-    counts — the property that makes a CI chaos failure debuggable."""
-    first, first_schedule, _ = _run_soak()
-    second, second_schedule, _ = _run_soak()
+def test_chaos_replay_is_deterministic(tmp_path):
+    """Same seed ⇒ bit-identical schedule, report (latency percentiles
+    included) and event log — the property that makes a CI chaos
+    failure debuggable."""
+    first, first_schedule, _, first_events = _run_soak()
+    second, second_schedule, _, second_events = _run_soak()
     assert first_schedule == second_schedule
-    for field in ("queries", "wrong_answers", "failovers", "retries",
-                  "partial_shards", "evictions", "rejoins",
-                  "repairs_completed", "repairs_failed",
-                  "steady_failovers", "converged"):
-        assert getattr(first, field) == getattr(second, field), field
+    assert first.as_dict() == second.as_dict()
+    first_events.export_jsonl(tmp_path / "first.jsonl")
+    second_events.export_jsonl(tmp_path / "second.jsonl")
+    first_log = (tmp_path / "first.jsonl").read_bytes()
+    assert first_log and first_log == (tmp_path / "second.jsonl").read_bytes()
 
 
 def test_chaos_timing(benchmark):

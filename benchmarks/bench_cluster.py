@@ -3,8 +3,8 @@
 Not a paper figure — this benchmarks the ``repro.cluster`` subsystem:
 tenant workloads aimed at sharded XMark collections
 (``xrpc://people-c/...`` / ``xrpc://auctions-c/...``), executed by
-:class:`FederationEngine` over a :class:`SimulatedTransport` whose
-latency costs real wall-clock time.
+:class:`FederationEngine` over a :class:`Transport` whose delay
+policy costs real wall-clock time.
 
 Three experiments:
 
@@ -39,7 +39,7 @@ import threading
 
 from repro.decompose import Strategy
 from repro.net.costmodel import CostModel
-from repro.runtime import FederationEngine, SimulatedTransport
+from repro.runtime import FederationEngine, Transport
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, build_sharded_federation, sharded_scan_jobs,
     sharded_tenant_jobs,
@@ -59,7 +59,7 @@ WAN_BANDWIDTH = 1e6
 TIME_SCALE = 10.0
 
 
-class _ObservedTransport(SimulatedTransport):
+class _ObservedTransport(Transport):
     """Notes which threads carried an exchange."""
 
     def __init__(self, *args, **kwargs):
@@ -77,13 +77,13 @@ def _sweep_cell(shard_count: int) -> dict:
         replication_factor=min(2, shard_count), node_count=shard_count,
         cost_model=CostModel().replace(
             bandwidth_bytes_per_s=WAN_BANDWIDTH))
-    transport = _ObservedTransport(federation.cost_model,
-                                   time_scale=TIME_SCALE,
-                                   per_peer_concurrency=2)
+    transport = federation.transport = _ObservedTransport(
+        federation.cost_model, time_scale=TIME_SCALE,
+        per_peer_concurrency=2)
     jobs = sharded_scan_jobs(clients=CLIENTS, rounds=ROUNDS,
                              rng=random.Random(SEED))
     with FederationEngine(federation, max_workers=CLIENTS,
-                          transport=transport, cache=False) as engine:
+                          cache=False) as engine:
         engine.run_all([(j.query, j.at, j.strategy) for j in jobs])
         cell = engine.metrics.summary()
     if shard_count > 1:
@@ -158,14 +158,13 @@ def _failover_cell() -> dict:
     federation = build_sharded_federation(
         0.005, seed=SEED, shard_count=4, replication_factor=2,
         node_count=4)
-    transport = SimulatedTransport(federation.cost_model,
-                                   time_scale=0.05,
-                                   extra_latency_s=0.002)
-    transport.kill_peer("node2")
+    federation.transport = Transport(federation.cost_model,
+                                     time_scale=0.05,
+                                     extra_latency_s=0.002)
+    federation.transport.kill_peer("node2")
     jobs = sharded_tenant_jobs(clients=CLIENTS, rounds=ROUNDS,
                                rng=random.Random(SEED))
-    with FederationEngine(federation, max_workers=CLIENTS,
-                          transport=transport) as engine:
+    with FederationEngine(federation, max_workers=CLIENTS) as engine:
         engine.run_all([(j.query, j.at, j.strategy) for j in jobs])
         cell = engine.metrics.summary()
     row = {

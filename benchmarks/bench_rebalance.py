@@ -14,9 +14,10 @@ end and pins its outcome counts as a regression baseline:
   wrong answers, zero failed migrations, convergence to target
   replication on the healthy fleet.
 
-Emitted to ``BENCH_rebalance.json``: the deterministic outcome counts
-(``result_items`` is baseline-enforced exactly) plus informational
-latency percentiles over the chaos workload.
+Both run on the virtual wire (``on_virtual_wire``), so a run is a pure
+function of the seed. Emitted to ``BENCH_rebalance.json``: the outcome
+counts (``result_items`` is baseline-enforced exactly) plus latency
+percentiles over the chaos workload, in exact virtual milliseconds.
 """
 
 import random
@@ -33,7 +34,7 @@ from repro.workloads import (
 )
 from repro.xquery.xdm import serialize_sequence
 
-from benchmarks.conftest import print_table, write_json
+from benchmarks.conftest import on_virtual_wire, print_table, write_json
 
 SEED = 20090329
 DRILL_SCALE = 0.01     # hot shard must have >= 4 members to split
@@ -54,8 +55,9 @@ def _oracle(scale: float, query: str) -> str:
 
 
 def _build_cluster(scale: float):
-    cluster = build_sharded_federation(scale, seed=SEED, shard_count=4,
-                                       replication_factor=2, node_count=4)
+    cluster = on_virtual_wire(build_sharded_federation(
+        scale, seed=SEED, shard_count=4, replication_factor=2,
+        node_count=4))
     FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
     RepairEngine().attach(cluster)
@@ -193,17 +195,14 @@ def test_rebalance_drill_and_soak():
 
 
 def test_reshard_replay_is_deterministic():
-    """Same seed ⇒ identical schedule and identical migration counts —
-    what makes a CI resharding failure debuggable."""
+    """Same seed ⇒ identical schedule and identical report, latency
+    percentiles included — what makes a CI resharding failure
+    debuggable."""
     first, first_schedule, first_items = _run_chaos_soak()
     second, second_schedule, second_items = _run_chaos_soak()
     assert first_schedule == second_schedule
     assert first_items == second_items
-    for field in ("queries", "wrong_answers", "failovers", "evictions",
-                  "repairs_completed", "splits", "moves", "drains",
-                  "retires", "migrations_failed", "fragments_collected",
-                  "steady_failovers", "converged"):
-        assert getattr(first, field) == getattr(second, field), field
+    assert first.as_dict() == second.as_dict()
 
 
 def test_rebalance_timing(benchmark):

@@ -3,8 +3,8 @@
 Not a paper figure — this benchmarks the `repro.runtime` subsystem the
 reproduction grows beyond the paper: a multi-tenant workload (N clients
 issuing benchmark-query variants over shared XMark documents) executed
-by :class:`FederationEngine` over a :class:`SimulatedTransport` whose
-latency costs real wall-clock time. Reported per cell: queries/sec,
+by :class:`FederationEngine` over a :class:`Transport` whose delay
+policy costs real wall-clock time. Reported per cell: queries/sec,
 p95 latency, cache hit rate, and bytes kept off the wire.
 
 Expected shape: queries/sec grows with concurrency (per-query latency
@@ -13,7 +13,7 @@ with repeated thresholds across rounds.
 """
 
 from repro.decompose import Strategy
-from repro.runtime import FederationEngine, SimulatedTransport
+from repro.runtime import FederationEngine, Transport
 from repro.workloads import build_federation, multi_tenant_jobs
 
 from benchmarks.conftest import print_table, write_json
@@ -31,13 +31,13 @@ def _run_cell(concurrency: int, strategy: Strategy,
     # Latency high enough that the workload is wire-bound: concurrency
     # then wins by overlapping waits, keeping the sweep's ordering
     # stable even on noisy CI machines.
-    transport = SimulatedTransport(federation.cost_model,
-                                   time_scale=TIME_SCALE,
-                                   extra_latency_s=0.004)
+    federation.transport = Transport(federation.cost_model,
+                                     time_scale=TIME_SCALE,
+                                     extra_latency_s=0.004)
     jobs = multi_tenant_jobs(clients=clients, rounds=rounds,
                              strategy=strategy)
-    with FederationEngine(federation, max_workers=concurrency,
-                          transport=transport) as engine:
+    with FederationEngine(federation,
+                          max_workers=concurrency) as engine:
         engine.run_all([(j.query, j.at, j.strategy) for j in jobs])
         summary = engine.metrics.summary()
         summary["cache_hit_rate"] = engine.cache.stats.hit_rate
@@ -72,7 +72,7 @@ def test_throughput_sweep():
                 f"{cell['batching']['merge_rate'] * 100:.0f}%",
             ])
     print_table(
-        "Runtime throughput: 16 tenant queries, SimulatedTransport",
+        "Runtime throughput: 16 tenant queries, waiting wire",
         ["strategy", "conc", "qps", "p95 ms", "cache hit",
          "saved KB", "merged"], rows)
     write_json("throughput", cells, scale=SCALE, time_scale=TIME_SCALE)

@@ -20,7 +20,8 @@ full observability stack attached:
 
 Zero wrong answers throughout; exactly one ``replica_evicted`` and
 one ``alert_fired`` event; every shard back at target replication.
-Event JSONL is written into the output directory for CI artifacts.
+Event JSONL is written into the output directory for CI artifacts;
+the drill runs on virtual time, so two runs write the same bytes.
 
 Usage::
 
@@ -40,7 +41,7 @@ from repro.cluster.membership import ALIVE, EVICTED, MembershipTracker
 from repro.cluster.repair import RepairEngine
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor, render_fleet
-from repro.runtime import FederationEngine
+from repro.runtime import FederationEngine, Transport, VirtualClock
 from repro.workloads import (
     SHARDED_SCAN_QUERY, build_federation, build_sharded_federation,
 )
@@ -67,6 +68,13 @@ def main(out_dir: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cluster = build_sharded_federation(SCALE, seed=SEED)
+    # The virtual wire: all time is modelled, so two runs write
+    # identical event logs (CI ``cmp``s them). time_scale=1.0 because on
+    # a zero-delay wire every healthy latency is exactly 0, the health
+    # baseline is 0 and nothing is ever demoted.
+    cluster.transport = Transport(cluster.cost_model,
+                                  metrics=cluster.metrics,
+                                  clock=VirtualClock(), time_scale=1.0)
     monitor = FleetMonitor(slow_query_s=SLOW_S,
                            profile_every=4).attach(cluster)
     monitor.add_slo(
@@ -91,7 +99,9 @@ def main(out_dir: str | None = None) -> int:
         1 for spec in cluster.catalog.collections()
         for shard in spec.shards if "node1" in shard.replicas)
 
-    with FederationEngine(cluster, max_workers=2, cache=False,
+    # One worker: a shared virtual timeline *adds* concurrent sleeps
+    # instead of overlapping them.
+    with FederationEngine(cluster, max_workers=1, cache=False,
                           batch_window_s=0.0) as engine:
         # Phase 1 — healthy warmup against the single-owner oracle.
         check(run_batch(engine, 8) == {oracle}, "warmup answers wrong")

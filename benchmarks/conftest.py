@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.decompose import Strategy
+from repro.runtime import Transport, VirtualClock
 from repro.workloads import run_all_strategies
 
 #: The x2 geometric sweep mirroring XMark factors 0.1 .. 1.6.
@@ -32,6 +33,18 @@ STRATEGY_ORDER = (Strategy.DATA_SHIPPING, Strategy.BY_VALUE,
 def sweep():
     """All four strategies over the full scale sweep (computed once)."""
     return {scale: run_all_strategies(scale) for scale in SCALES}
+
+
+def on_virtual_wire(federation):
+    """Put ``federation`` on the wire of a replayable drill: virtual
+    time, and the modelled network time charged per transmission (on a
+    zero-delay wire every healthy latency is exactly 0, the health
+    baseline is 0 and a degraded replica is never demoted). Call before
+    attaching monitors, so they adopt the virtual clock."""
+    federation.transport = Transport(
+        federation.cost_model, metrics=federation.metrics,
+        clock=VirtualClock(), time_scale=1.0)
+    return federation
 
 
 def write_json(name: str, rows: list[dict], **meta) -> Path:

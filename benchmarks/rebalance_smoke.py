@@ -22,7 +22,8 @@ the full observability stack attached:
 
 Zero wrong answers throughout; zero failed migrations; the drained
 peer ends empty. Event JSONL is written into the output directory for
-CI artifacts.
+CI artifacts; the drill runs on virtual time, so two runs write the
+same bytes.
 
 Usage::
 
@@ -43,6 +44,7 @@ from repro.cluster.rebalance import LoadScorer, Rebalancer, SplitPlan
 from repro.cluster.repair import RepairEngine
 from repro.decompose import Strategy
 from repro.obs import FleetMonitor, render_fleet
+from repro.runtime import Transport, VirtualClock
 from repro.workloads import (
     SHARDED_HOT_QUERY, SHARDED_SCAN_QUERY, build_federation,
     build_sharded_federation,
@@ -61,6 +63,13 @@ def main(out_dir: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cluster = build_sharded_federation(SCALE, seed=SEED)
+    # The virtual wire: all time is modelled, so two runs write
+    # identical event logs (CI ``cmp``s them). time_scale=1.0 because on
+    # a zero-delay wire every healthy latency is exactly 0, the health
+    # baseline is 0 and nothing is ever demoted.
+    cluster.transport = Transport(cluster.cost_model,
+                                  metrics=cluster.metrics,
+                                  clock=VirtualClock(), time_scale=1.0)
     monitor = FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
     RepairEngine(auto_repair=False).attach(cluster)

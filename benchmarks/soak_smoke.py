@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor, render_fleet
-from repro.runtime import FederationEngine
+from repro.runtime import FederationEngine, Transport, VirtualClock
 from repro.workloads import SHARDED_SCAN_QUERY, build_sharded_federation
 from repro.xquery.xdm import serialize_sequence
 
@@ -52,6 +52,13 @@ def main(out_dir: str | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     cluster = build_sharded_federation(SCALE)
+    # The virtual wire: all time is modelled, so the verdict is the
+    # drill's and not the host's. time_scale=1.0 because on a
+    # zero-delay wire every healthy latency is exactly 0, the health
+    # baseline is 0 and nothing is ever demoted.
+    cluster.transport = Transport(cluster.cost_model,
+                                  metrics=cluster.metrics,
+                                  clock=VirtualClock(), time_scale=1.0)
     monitor = FleetMonitor(slow_query_s=SLOW_S,
                            profile_every=4).attach(cluster)
     monitor.add_slo(
@@ -70,8 +77,9 @@ def main(out_dir: str | None = None) -> int:
 
     # Cache hits bypass the wire (feeding ~0 ms health samples) and
     # batching adds timing noise: both off keeps the degraded peer's
-    # latency signal clean.
-    with FederationEngine(cluster, max_workers=2, cache=False,
+    # latency signal clean. One worker: a shared virtual timeline
+    # *adds* concurrent sleeps instead of overlapping them.
+    with FederationEngine(cluster, max_workers=1, cache=False,
                           batch_window_s=0.0) as engine:
         # Phase 1 — healthy warmup.
         check(run_batch(engine, 8) == {baseline}, "warmup answers wrong")

@@ -5,13 +5,13 @@ Run:  PYTHONPATH=src python examples/concurrent_federation.py
 Eight tenants fire benchmark-query variants at the same two XMark data
 peers through a :class:`FederationEngine`: a thread-pool scheduler with
 admission control, a shared projection-aware result cache, and
-cross-query Bulk-RPC batching, over a simulated wire that takes real
-wall-clock time.
+cross-query Bulk-RPC batching, over a wire whose delay policy takes
+real wall-clock time.
 """
 
 import os
 
-from repro import FederationEngine, SimulatedTransport
+from repro import FederationEngine, Transport
 from repro.workloads import build_federation, multi_tenant_jobs
 
 CLIENTS = 8
@@ -21,16 +21,16 @@ SCALE = float(os.environ.get("REPRO_EXAMPLE_SCALE", "0.005"))
 
 def main() -> None:
     federation = build_federation(scale=SCALE)
-    transport = SimulatedTransport(federation.cost_model,
-                                   time_scale=0.05,
-                                   extra_latency_s=0.002,
-                                   per_peer_concurrency=4)
+    federation.transport = Transport(federation.cost_model,
+                                     per_peer_concurrency=4,
+                                     metrics=federation.metrics,
+                                     time_scale=0.05,
+                                     extra_latency_s=0.002)
     jobs = multi_tenant_jobs(clients=CLIENTS, rounds=ROUNDS)
     print(f"{CLIENTS} clients x {ROUNDS} rounds "
           f"= {len(jobs)} federated queries\n")
 
-    with FederationEngine(federation, max_workers=CLIENTS,
-                          transport=transport) as engine:
+    with FederationEngine(federation, max_workers=CLIENTS) as engine:
         futures = [engine.submit(job.query, job.at, job.strategy)
                    for job in jobs]
         results = [future.result() for future in futures]
@@ -56,7 +56,7 @@ def main() -> None:
               f"({batching['coalesced']} coalesced)")
 
         print("\n--- wire bytes per peer ---")
-        for peer, wire in engine.transport.wire_summary().items():
+        for peer, wire in federation.transport.wire_summary().items():
             print(f"{peer:>6}: {wire['total_bytes']} bytes "
                   f"in {wire['messages']} messages")
 

@@ -48,12 +48,12 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.errors import NetworkError
 from repro.obs.windows import RollingWindowFamily
+from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "EVICTED", "PHI_CEILING",
            "ReplicaState", "MembershipTracker"]
@@ -103,13 +103,13 @@ class MembershipTracker:
     Construct standalone (``MembershipTracker(catalog=...,
     transport=...)``) or wire into a federation with :meth:`attach`,
     which also auto-watches every peer holding a replica. ``clock``
-    only drives the evidence windows; state transitions are functions
-    of evidence counts and :meth:`tick` calls — never wall time — so
-    chaos schedules replay exactly.
+    (default: the attached federation's) only drives the evidence
+    windows; state transitions are functions of evidence counts and
+    :meth:`tick` calls — never time — so chaos schedules replay exactly.
     """
 
     def __init__(self, catalog: ClusterCatalog | None = None,
-                 transport=None, *, clock=time.monotonic,
+                 transport=None, *, clock=None,
                  width_s: float = 0.5, buckets: int = 20,
                  window_s: float | None = None,
                  suspect_phi: float = 1.0, min_samples: int = 4,
@@ -138,8 +138,9 @@ class MembershipTracker:
         self.auto_evict = auto_evict
         self.probe_bytes = probe_bytes
         self.events = events
-        self._failures = RollingWindowFamily(width_s, buckets, clock,
-                                             eps=None)
+        self._follows_wire = clock is None
+        self._failures = RollingWindowFamily(
+            width_s, buckets, clock or REAL_CLOCK, eps=None)
         self._lock = threading.Lock()
         self._states: dict[str, ReplicaState] = {}
         self._subscribers: list = []
@@ -163,14 +164,17 @@ class MembershipTracker:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "MembershipTracker":
-        """Install on ``federation``: adopt its catalog/transport (and
-        monitor event log + metrics registry when present), watch every
-        replica peer, and let the router feed passive evidence through
-        ``federation.membership``."""
+        """Install on ``federation``: adopt its catalog/transport, the
+        wire's clock (and monitor event log + metrics registry when
+        present), watch every replica peer, and let the router feed
+        passive evidence through ``federation.membership``."""
         if self.catalog is None:
             self.catalog = federation.catalog
         if self.transport is None:
             self.transport = federation.transport
+        if self._follows_wire:
+            # Per-peer windows are born on their first evidence.
+            self._failures.clock = federation.transport.clock
         monitor = getattr(federation, "monitor", None)
         if self.events is None and monitor is not None:
             self.events = monitor.events

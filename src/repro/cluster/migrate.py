@@ -306,8 +306,9 @@ class MigrationExecutor:
         private tracer folded into the fleet monitor."""
         stats = RunStats()
         monitor = self.federation.monitor
-        tracer = (Tracer() if current_span() is None
-                  and monitor is not None else None)
+        tracer = (Tracer(self.federation.transport.clock)
+                  if current_span() is None and monitor is not None
+                  else None)
         start = tracer.start if tracer is not None else child_span
         with start(plan.span, op=plan.op, **attrs) as span, \
                 bind_stats_span(stats, span):

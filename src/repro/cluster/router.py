@@ -55,7 +55,6 @@ scatter-gather caveat, documented rather than policed.
 from __future__ import annotations
 
 import random
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable
 
@@ -664,7 +663,7 @@ class ClusterRouter:
         propagate immediately — they are not :class:`NetworkError`\\ s
         and must never burn retries or trigger failover.
 
-        Every attempt's wall time and outcome feed the per-peer health
+        Every attempt's seconds and outcome feed the per-peer health
         windows, and (when a membership tracker is attached) wire-fault
         outcomes feed its suspicion ladder as passive evidence.
         """
@@ -675,15 +674,15 @@ class ClusterRouter:
         last_error: NetworkError | None = None
         health = self.health
         membership = self.membership
+        clock = self.transport.clock
         for position, replica in enumerate(order):
             for try_index in range(max(1, policy.attempts)):
-                started = time.perf_counter()
+                started = clock()
                 try:
                     result = attempt(replica, outcome)
                 except NetworkError as exc:
                     if health is not None:
-                        health.record(replica,
-                                      time.perf_counter() - started,
+                        health.record(replica, clock() - started,
                                       ok=False)
                     if membership is not None and isinstance(
                             exc, (TransientNetworkError,
@@ -699,13 +698,12 @@ class ClusterRouter:
                             rng = random.Random(policy.seed)
                         delay = policy.backoff_s(try_index, rng)
                         if delay > 0:
-                            time.sleep(delay)
+                            clock.sleep(delay)
                         continue
                     break  # fatal fault or retries spent: fail over
                 else:
                     if health is not None:
-                        health.record(replica,
-                                      time.perf_counter() - started,
+                        health.record(replica, clock() - started,
                                       ok=True)
                     if membership is not None:
                         membership.record_success(replica)

@@ -8,10 +8,10 @@ slow threshold, an SLO alert firing or resolving — into one
 :class:`EventLog` owned by the fleet monitor. The log is a bounded
 deque (old events fall off; cumulative per-kind counts survive
 eviction), exports JSONL for CI artifacts, and timestamps every event
-on both clocks: wall (``time.time``, for humans reading the JSONL) and
-perf (``time.perf_counter``, the same clock spans use, so
+twice off its one clock: ``wall()`` (calendar seconds, for humans
+reading the JSONL) and the monotonic reading spans use (so
 :func:`repro.obs.export.chrome_trace_events` can place events on the
-span timeline as instant markers).
+span timeline as instant markers) — both virtual on a ``VirtualClock``.
 
 Event kinds emitted by the wired subsystems:
 
@@ -48,9 +48,10 @@ from __future__ import annotations
 import itertools
 import json
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
+
+from repro.runtime.clock import REAL_CLOCK, Clock
 
 __all__ = ["Event", "EventLog"]
 
@@ -62,8 +63,8 @@ class Event:
     """One typed occurrence in the fleet."""
 
     seq: int                     # monotone per-log sequence number
-    wall_ts: float               # time.time() — for humans / JSONL
-    perf_s: float                # time.perf_counter() — span timeline
+    wall_ts: float               # clock.wall() — for humans / JSONL
+    perf_s: float                # clock() — span timeline
     kind: str
     message: str
     severity: str = "info"
@@ -89,11 +90,11 @@ class EventLog:
     ``capacity`` bounds memory: the ring keeps the newest events, and
     :meth:`counts` keeps cumulative per-kind totals that survive
     eviction (the soak test's "alert fired exactly once" is asserted
-    against the totals, not the ring). ``clock`` supplies ``perf_s``
-    timestamps and is injectable for deterministic tests.
+    against the totals, not the ring). ``clock`` supplies both
+    timestamps.
     """
 
-    def __init__(self, capacity: int = 1024, clock=time.perf_counter):
+    def __init__(self, capacity: int = 1024, clock: Clock = REAL_CLOCK):
         if capacity < 1:
             raise ValueError(f"capacity {capacity} must be >= 1")
         self.capacity = capacity
@@ -108,7 +109,7 @@ class EventLog:
         if severity not in _SEVERITIES:
             raise ValueError(f"severity {severity!r} not in {_SEVERITIES}")
         with self._lock:
-            event = Event(seq=next(self._seq), wall_ts=time.time(),
+            event = Event(seq=next(self._seq), wall_ts=self.clock.wall(),
                           perf_s=self.clock(), kind=kind, message=message,
                           severity=severity, attrs=attrs)
             self._ring.append(event)

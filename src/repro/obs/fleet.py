@@ -18,23 +18,24 @@ continuous layer on top:
   (:class:`~repro.obs.windows.RegistryWindows`).
 
 Wiring is opt-in and one call: ``monitor.attach(federation)`` sets
-``federation.monitor`` and hands the event log to the transport and
-catalog. Every instrumented site guards with a single ``is None``
-check, preserving the zero-cost-when-disabled discipline — a
-federation without a monitor pays one attribute read per query, and
-the hot evaluator paths pay nothing at all.
+``federation.monitor``, hands the event log to the federation's wire
+and catalog, and puts the monitor on the wire's clock. Every
+instrumented site guards with a single ``is None`` check, preserving
+the zero-cost-when-disabled discipline — a federation without a
+monitor pays one attribute read per query, and the hot evaluator
+paths pay nothing at all.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 
 from repro.obs.events import EventLog
 from repro.obs.health import HealthTracker
 from repro.obs.profile import Profiler
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
 from repro.obs.windows import RegistryWindows, RollingWindow
+from repro.runtime.clock import REAL_CLOCK, Clock
 
 __all__ = ["FleetMonitor"]
 
@@ -52,52 +53,65 @@ class FleetMonitor:
         monitor.events.export_jsonl("events.jsonl")
         monitor.profiler.write_folded("profile.folded")
 
-    ``clock`` drives every window and defaults to wall time
-    (``time.monotonic``); tests inject a fake clock for deterministic
-    rotation. ``profile_every=N`` makes the engine trace (and the
-    profiler fold) every Nth query; 0 disables sampling.
+    ``clock`` drives every window and timestamp; left out, it is the
+    attached federation's (the real one until :meth:`attach`).
+    ``profile_every=N`` makes the engine trace (and the profiler fold)
+    every Nth query; 0 disables sampling.
     """
 
-    def __init__(self, clock=time.monotonic, width_s: float = 1.0,
+    def __init__(self, clock: Clock | None = None, width_s: float = 1.0,
                  buckets: int = 60, slow_query_s: float | None = None,
                  profile_every: int = 0, event_capacity: int = 1024,
                  health: HealthTracker | None = None,
                  slo: SLOMonitor | None = None):
-        self.clock = clock
+        self._follows_wire = clock is None
+        self.clock = clock if clock is not None else REAL_CLOCK
         self.width_s = width_s
         self.buckets = buckets
         self.slow_query_s = slow_query_s
         self.profile_every = profile_every
-        self.events = EventLog(capacity=event_capacity)
-        self.latency = RollingWindow(width_s, buckets, clock, eps=0.01)
-        self.errors = RollingWindow(width_s, buckets, clock, eps=None)
+        self.events = EventLog(capacity=event_capacity, clock=self.clock)
+        now = self.now   # read per call: :meth:`wire` may swap the clock
+        self.latency = RollingWindow(width_s, buckets, now, eps=0.01)
+        self.errors = RollingWindow(width_s, buckets, now, eps=None)
         self.health = health if health is not None else HealthTracker(
-            events=self.events, clock=clock, width_s=width_s,
+            events=self.events, clock=now, width_s=width_s,
             buckets=buckets)
         self.slo = slo if slo is not None else SLOMonitor(
-            events=self.events, clock=clock)
+            events=self.events, clock=now)
         self.profiler = Profiler()
         self.registry_windows: RegistryWindows | None = None
         self.federation = None
-        self.started_s = clock()
+        self.started_s = self.clock()
         self._sample_counter = itertools.count(1)
+
+    def now(self) -> float:
+        return self.clock()
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "FleetMonitor":
         """Install this monitor on ``federation``: the execution layer
-        records queries, the transport and catalog emit events, and the
+        records queries, the wire and catalog emit events, and the
         registry's counters get windowed rates. Attach before building
         engines/catalogs where possible; ``Federation.attach_catalog``
         re-wires a catalog attached later."""
         self.federation = federation
         federation.monitor = self
-        federation.transport.events = self.events
+        self.wire(federation.transport)
         if federation.catalog is not None:
             federation.catalog.events = self.events
         self.registry_windows = RegistryWindows(
-            federation.metrics, self.width_s, self.buckets, self.clock)
+            federation.metrics, self.width_s, self.buckets, self.now)
         return self
+
+    def wire(self, transport) -> None:
+        """``transport`` is the federation's wire from now on: its
+        events land here and, no ``clock=`` given, so does its clock."""
+        transport.events = self.events
+        if self._follows_wire:
+            self.clock = self.events.clock = transport.clock
+            self.started_s = self.clock()
 
     def add_slo(self, slo: SLO, policy: BurnRatePolicy | None = None):
         return self.slo.add(slo, policy)
@@ -106,7 +120,7 @@ class FleetMonitor:
 
     def record_query(self, wall_s: float, ok: bool = True) -> None:
         """One finished query: feed the windows, the SLO rules, and the
-        slow-query detector; sample the registry counters."""
+        slow-query detector."""
         self.latency.observe(wall_s)
         self.errors.observe(0.0 if ok else 1.0)
         if (self.slow_query_s is not None and ok
@@ -117,8 +131,6 @@ class FleetMonitor:
                 f"(threshold {self.slow_query_s * 1000:.2f} ms)",
                 severity="warning", wall_s=wall_s)
         self.slo.record(wall_s, ok)
-        if self.registry_windows is not None:
-            self.registry_windows.sample()
 
     def should_sample_trace(self) -> bool:
         """True on every ``profile_every``-th call — the engine's

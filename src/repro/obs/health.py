@@ -29,11 +29,11 @@ flap the routing order. Both transitions emit events.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindowFamily
+from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["PeerHealth", "HealthTracker"]
 
@@ -72,7 +72,7 @@ class HealthTracker:
     """
 
     def __init__(self, events: EventLog | None = None,
-                 clock=time.monotonic, width_s: float = 1.0,
+                 clock=REAL_CLOCK, width_s: float = 1.0,
                  buckets: int = 30, window_s: float | None = None,
                  latency_tolerance: float = 3.0,
                  demote_below: float = 0.5, restore_above: float = 0.8,

@@ -26,11 +26,11 @@ events on transitions.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindow
+from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["SLO", "BurnRatePolicy", "AlertState", "SLOMonitor"]
 
@@ -123,7 +123,7 @@ class SLOMonitor:
     """
 
     def __init__(self, events: EventLog | None = None,
-                 clock=time.monotonic):
+                 clock=REAL_CLOCK):
         self.events = events
         self.clock = clock
         self._states: list[AlertState] = []

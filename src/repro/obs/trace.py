@@ -41,8 +41,9 @@ single context-variable read.
 from __future__ import annotations
 
 import threading
-import time
 from contextvars import ContextVar
+
+from repro.runtime.clock import REAL_CLOCK, Clock
 
 #: The TimeBreakdown components a span may be charged with (Figure 8's
 #: five categories; leaf spans carry exactly these names).
@@ -64,18 +65,20 @@ class Span:
     ``charge`` accumulates simulated seconds/bytes per TimeBreakdown
     component, materialised as leaf child spans on :meth:`close`.
     Thread-safe: scatter workers may set attributes and charge a parent
-    concurrently.
+    concurrently. A span reads the clock it was opened on (a child
+    span: its parent's).
     """
 
     __slots__ = ("name", "attrs", "start_s", "end_s", "children",
                  "components", "component_bytes", "thread_id", "_lock",
-                 "kind")
+                 "kind", "clock")
 
     def __init__(self, name: str, attrs: dict | None = None,
-                 kind: str = "span"):
+                 kind: str = "span", clock: Clock = REAL_CLOCK):
         self.name = name
         self.attrs: dict = attrs if attrs is not None else {}
-        self.start_s = time.perf_counter()
+        self.clock = clock
+        self.start_s = clock()
         self.end_s: float | None = None
         self.children: list[Span] = []
         self.components: dict[str, float] = {}
@@ -96,7 +99,7 @@ class Span:
 
     @property
     def duration_s(self) -> float:
-        end = self.end_s if self.end_s is not None else time.perf_counter()
+        end = self.end_s if self.end_s is not None else self.clock()
         return end - self.start_s
 
     def close(self) -> None:
@@ -107,22 +110,15 @@ class Span:
         with self._lock:
             if self.end_s is not None:  # pragma: no cover - double close race
                 return
-            end = time.perf_counter()
+            end = self.clock()
             for component, seconds in self.components.items():
-                leaf = Span.__new__(Span)
-                leaf.name = component
-                leaf.attrs = {"sim_s": seconds}
+                leaf = Span(component, {"sim_s": seconds}, "component",
+                            self.clock)
                 nbytes = self.component_bytes.get(component, 0)
                 if nbytes:
                     leaf.attrs["bytes"] = nbytes
-                leaf.start_s = self.start_s
-                leaf.end_s = end
-                leaf.children = []
-                leaf.components = {}
-                leaf.component_bytes = {}
+                leaf.start_s, leaf.end_s = self.start_s, end
                 leaf.thread_id = self.thread_id
-                leaf._lock = threading.Lock()
-                leaf.kind = "component"
                 self.children.append(leaf)
             self.end_s = end
 
@@ -237,7 +233,8 @@ def child_span(name: str, parent: Span | None = None,
         parent = _current_span.get()
         if parent is None:
             return _NOOP_CONTEXT
-    return _SpanContext(Span(name, attrs or None), parent)
+    return _SpanContext(Span(name, attrs or None, clock=parent.clock),
+                        parent)
 
 
 class _BindStatsSpan:
@@ -280,18 +277,19 @@ class Tracer:
         tree = tracer.root          # closed span tree
     """
 
-    __slots__ = ("root",)
+    __slots__ = ("root", "clock")
 
     #: Real tracers are enabled; :data:`NOOP_TRACER` overrides this.
     enabled = True
 
-    def __init__(self) -> None:
+    def __init__(self, clock: Clock = REAL_CLOCK) -> None:
         self.root: Span | None = None
+        self.clock = clock
 
     def start(self, name: str = "query", **attrs) -> _SpanContext:
         """Open the root span (also enters it as the context's current
         span, so nested :func:`child_span` calls attach to it)."""
-        span = Span(name, attrs or None)
+        span = Span(name, attrs or None, clock=self.clock)
         if self.root is None:
             self.root = span
         else:  # a second root: attach under the first (defensive)

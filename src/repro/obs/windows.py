@@ -11,21 +11,21 @@ are failovers happening right now". This module provides that layer:
   memory, and sketches merge exactly — which is what makes per-bucket
   percentiles composable into per-window percentiles.
 * :class:`RollingWindow` — a ring of ``buckets`` time buckets, each
-  ``width_s`` seconds wide on the supplied ``clock`` (wall-clock
-  ``time.monotonic`` by default; tests and simulations inject their
-  own). Observations land in the current bucket; reads merge the most
-  recent buckets into windowed ``count`` / ``sum`` / ``mean`` /
-  ``rate`` / ``quantile``. Rotation is lazy (no timer thread): every
-  observe/read advances the ring to the clock's current period,
-  clearing buckets whose time has passed. A clock that jumps backwards
-  (skew) never clears data — observations keep landing in the newest
-  bucket; a jump forward past the whole ring clears everything.
+  ``width_s`` seconds wide on the supplied ``clock`` (real time by
+  default; tests and drills pass a ``VirtualClock``). Observations
+  land in the current bucket; reads merge the most recent buckets into
+  windowed ``count`` / ``sum`` / ``mean`` / ``rate`` / ``quantile``.
+  Rotation is lazy (no timer thread): every observe/read advances the
+  ring to the clock's current period, clearing buckets whose time has
+  passed. A clock that jumps backwards (skew) never clears data —
+  observations keep landing in the newest bucket; a jump forward past
+  the whole ring clears everything.
 * :class:`RollingWindowFamily` — per-label windows (one per peer),
   created lazily, sharing one configuration.
 * :class:`RegistryWindows` — windowed ``rate()`` over the cumulative
   counters of a :class:`~repro.obs.metrics.MetricsRegistry`: each
-  :meth:`~RegistryWindows.sample` reads the registry snapshot and
-  feeds counter *deltas* into rolling windows, so the console can show
+  :meth:`~RegistryWindows.sample` (every read takes one first) feeds
+  counter *deltas* into rolling windows, so the console can show
   "wire bytes/s per peer over the last 10s" from the same series the
   cumulative snapshot exports.
 
@@ -38,7 +38,9 @@ from __future__ import annotations
 
 import math
 import threading
-import time
+
+from repro.obs.metrics import LabeledMetric
+from repro.runtime.clock import REAL_CLOCK
 
 
 class QuantileSketch:
@@ -172,7 +174,7 @@ class RollingWindow:
     """
 
     def __init__(self, width_s: float = 1.0, buckets: int = 60,
-                 clock=time.monotonic, eps: float | None = 0.01):
+                 clock=REAL_CLOCK, eps: float | None = 0.01):
         if width_s <= 0:
             raise ValueError(f"width_s {width_s} must be positive")
         if buckets < 1:
@@ -296,7 +298,7 @@ class RollingWindowFamily:
     shared configuration."""
 
     def __init__(self, width_s: float = 1.0, buckets: int = 60,
-                 clock=time.monotonic, eps: float | None = 0.01):
+                 clock=REAL_CLOCK, eps: float | None = 0.01):
         self.width_s = width_s
         self.buckets = buckets
         self.clock = clock
@@ -327,19 +329,19 @@ class RollingWindowFamily:
 class RegistryWindows:
     """Windowed rates over a registry's cumulative counters.
 
-    Each :meth:`sample` reads ``registry.snapshot()`` and feeds the
-    *delta* of every counter series (plain and labeled) since the last
-    sample into a rolling window keyed ``name`` or ``name{label}``.
-    :meth:`rate` then answers "how fast is this counter moving over
-    the last N seconds" — the reading the cumulative snapshot cannot
-    give. Gauges and histograms are skipped (deltas are meaningless
-    for them); a counter that appears to move backwards (registry
-    swapped underneath) resets its baseline without feeding a negative
-    delta.
+    Each :meth:`sample` feeds the *delta* of every counter series
+    (plain and labeled) since the last sample into a rolling window
+    keyed ``name`` or ``name{label}``. :meth:`rate` then answers "how
+    fast is this counter moving over the last N seconds" — the reading
+    the cumulative snapshot cannot give. Reads sample first, so the
+    query path never does, and only counters are read (a histogram
+    summary sorts its whole observation list); a counter that appears
+    to move backwards (registry swapped underneath) resets its
+    baseline without feeding a negative delta.
     """
 
     def __init__(self, registry, width_s: float = 1.0, buckets: int = 60,
-                 clock=time.monotonic):
+                 clock=REAL_CLOCK):
         self.registry = registry
         self.windows = RollingWindowFamily(width_s, buckets, clock,
                                            eps=None)
@@ -351,18 +353,20 @@ class RegistryWindows:
         return f"{name}{{{label}}}" if label is not None else name
 
     def sample(self) -> None:
-        """Read the registry and feed counter deltas into the windows."""
-        kinds = self.registry.kinds()
-        snapshot = self.registry.snapshot()
+        """Feed counter deltas since the last sample into the windows."""
+        registry = self.registry
         with self._lock:
-            for name, value in snapshot.items():
-                if kinds.get(name) != "counter":
+            for name, kind in registry.kinds().items():
+                if kind != "counter":
                     continue
-                if isinstance(value, dict):
-                    for label, child in value.items():
-                        self._feed(self.series_key(name, label), child)
+                metric = registry.get(name)
+                if isinstance(metric, LabeledMetric):
+                    for key, child in metric.series().items():
+                        self._feed(self.series_key(
+                            name, ",".join(str(part) for part in key)),
+                            child.value)
                 else:
-                    self._feed(name, value)
+                    self._feed(name, metric.value)
 
     def _feed(self, key: str, value: float) -> None:
         last = self._last.get(key)
@@ -377,7 +381,8 @@ class RegistryWindows:
     def rate(self, name: str, label: str | None = None,
              window_s: float | None = None) -> float:
         """Counter units per second over the window (0.0 for series
-        never sampled)."""
+        that never moved between two samples)."""
+        self.sample()
         window = self.windows.get(self.series_key(name, label))
         if window is None:
             return 0.0
@@ -387,5 +392,6 @@ class RegistryWindows:
     def delta(self, name: str, label: str | None = None,
               window_s: float | None = None) -> float:
         """Counter units accumulated over the window."""
+        self.sample()
         window = self.windows.get(self.series_key(name, label))
         return window.sum(window_s) if window is not None else 0.0

@@ -130,13 +130,10 @@ class PlanEstimator:
         self.model = federation.cost_model
 
     def lower(self, decomposition: DecompositionResult, origin: str,
-              bulk_rpc: bool = True, label: str | None = None,
-              transport=None) -> PhysicalPlan:
-        """Lower one decomposition into a priced plan. ``transport``
-        is the wire the run will actually use (an engine may run on a
-        private one); it supplies the live replica-load signal."""
-        lowerer = _Lowerer(self, decomposition, origin, bulk_rpc,
-                           transport=transport)
+              bulk_rpc: bool = True, label: str | None = None
+              ) -> PhysicalPlan:
+        """Lower one decomposition into a priced plan."""
+        lowerer = _Lowerer(self, decomposition, origin, bulk_rpc)
         plan = lowerer.run()
         if label is not None:
             plan.label = label
@@ -164,18 +161,15 @@ class PlanEstimator:
             return PROJECTION_FACTOR * 0.5   # only used nodes survive
         return PROJECTION_FACTOR
 
-    def scatter_queue_seconds(self, replica_peers: tuple[str, ...],
-                              transport=None) -> float:
-        """Queueing pressure from live replica load: scattering onto
-        busy replicas waits behind their in-flight exchanges.
-        ``transport`` is the wire the run will use (defaults to the
-        federation's shared one)."""
-        if transport is None:
-            transport = self.federation.transport
+    def scatter_queue_seconds(self, replica_peers: tuple[str, ...]
+                              ) -> float:
+        """Queueing pressure from live replica load on the federation's
+        wire: scattering onto busy replicas waits behind their
+        in-flight exchanges."""
         if not replica_peers:
             return 0.0
-        in_flight = sum(transport.peer_load(peer)[0]
-                        for peer in replica_peers)
+        peer_load = self.federation.transport.peer_load
+        in_flight = sum(peer_load(peer)[0] for peer in replica_peers)
         return (in_flight / len(replica_peers)) * self.model.latency_s
 
 
@@ -184,13 +178,12 @@ class _Lowerer:
 
     def __init__(self, estimator: PlanEstimator,
                  decomposition: DecompositionResult, origin: str,
-                 bulk_rpc: bool, transport=None):
+                 bulk_rpc: bool):
         self.estimator = estimator
         self.federation = estimator.federation
         self.decomposition = decomposition
         self.origin = origin
         self.bulk_rpc = bulk_rpc
-        self.transport = transport
         self.plan = PhysicalPlan(
             label=decomposition.strategy.value,
             strategy=decomposition.strategy,
@@ -626,7 +619,7 @@ class _Lowerer:
             op.vector.remote_exec_s = exec_s
         if spec is not None:
             op.vector.queue_s = self.estimator.scatter_queue_seconds(
-                spec.replica_peers, transport=self.transport)
+                spec.replica_peers)
         self.ops.append(op)
 
     # -- call sites ---------------------------------------------------------
@@ -726,7 +719,7 @@ class _Lowerer:
             call.vector.message_bytes += (RESPONSE_ENVELOPE_BYTES
                                           * (shards - 1))
             call.vector.queue_s = self.estimator.scatter_queue_seconds(
-                collection.replica_peers, transport=self.transport)
+                collection.replica_peers)
             op = ScatterGather(collection=collection.name, shards=shards,
                                call=call)
         elif bulk and calls > 1.0:

@@ -116,14 +116,12 @@ class QueryPlanner:
     def plan(self, query: str, at: str,
              strategy: "Strategy | str" = "auto",
              bulk_rpc: bool = True, code_motion: bool = True,
-             let_sinking: bool = True,
-             transport=None) -> tuple[PhysicalPlan, PlanReport]:
+             let_sinking: bool = True
+             ) -> tuple[PhysicalPlan, PlanReport]:
         """The plan for ``query`` originating at ``at`` (shared by
         every run of the text, read-only) and this call's report: the
         plan as priced right now, ``from_cache`` when the lookup ran
-        neither parser, decomposer nor lowerer. ``transport`` (the
-        run's, when not the federation's) supplies the live
-        replica-load signal for scatter queue pricing."""
+        neither parser, decomposer nor lowerer."""
         self.stats.attach(self.federation)
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
@@ -143,8 +141,7 @@ class QueryPlanner:
                     self._prep(prepared, candidate.strategy, at,
                                let_sinking),
                     include=candidate.include, code_motion=code_motion),
-                at, bulk_rpc=bulk_rpc, label=candidate.label,
-                transport=transport)
+                at, bulk_rpc=bulk_rpc, label=candidate.label)
             plan.evaluator = kept.evaluator if kept is not None else None
             candidate.ops = plan.ops
 

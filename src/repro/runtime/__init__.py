@@ -3,9 +3,10 @@
 The seed executes one federated query at a time; this package turns it
 into a runtime that serves many queries concurrently over shared peers:
 
-* :mod:`repro.runtime.transport` — the wire logic of a round trip,
-  extracted from the federation into a pluggable :class:`Transport`
-  (in-process loopback, or a simulated wire with real latency/faults);
+* :mod:`repro.runtime.clock` — the one seam time enters through
+  (:class:`Clock`; :class:`VirtualClock` for replayable drills);
+* :mod:`repro.runtime.transport` — the wire: one :class:`Transport`
+  per federation, delay and fault policy as data (loopback by default);
 * :mod:`repro.runtime.engine` — :class:`FederationEngine`, a
   thread-pool scheduler with admission control and per-peer capacity
   gates;
@@ -19,19 +20,19 @@ into a runtime that serves many queries concurrently over shared peers:
 
 from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.metrics import MetricsAggregator, QueryRecord, percentile
 from repro.runtime.transport import (FaultInjectedError, FaultPlan,
-                                     LoopbackTransport, PeerDownError,
-                                     RequestTimeoutError, RetryPolicy,
-                                     SimulatedTransport, Transport)
+                                     PeerDownError, RequestTimeoutError,
+                                     RetryPolicy, Transport)
 
 __all__ = [
     "BulkBatcher",
     "CacheStats", "ResultCache",
+    "Clock", "VirtualClock",
     "EngineClosedError", "FederationEngine",
     "MetricsAggregator", "QueryRecord", "percentile",
-    "FaultInjectedError", "FaultPlan", "LoopbackTransport",
-    "PeerDownError", "RequestTimeoutError", "RetryPolicy",
-    "SimulatedTransport", "Transport",
+    "FaultInjectedError", "FaultPlan", "PeerDownError",
+    "RequestTimeoutError", "RetryPolicy", "Transport",
 ]

@@ -21,7 +21,6 @@ a runtime serving many queries at once:
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from threading import BoundedSemaphore
 from typing import TYPE_CHECKING, Iterable
@@ -30,7 +29,6 @@ from repro.decompose import Strategy, strategy_label
 from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import MetricsAggregator, QueryRecord
-from repro.runtime.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation, RunResult
@@ -55,12 +53,6 @@ class FederationEngine:
     instance to share one across engines, or ``False`` to disable.
     ``batch_window_s`` > 0 enables cross-query bulk coalescing.
 
-    ``per_peer_concurrency`` reconfigures the gates of whichever
-    transport this engine uses — by default the federation's shared
-    one, so it also applies to standalone ``federation.run`` calls and
-    to other engines on the same transport. Pass a private transport
-    when that sharing is unwanted.
-
     Over a sharded federation, worker threads × the catalog's
     ``max_scatter_parallelism`` bounds this engine's total concurrent
     exchanges; the per-peer gates still bound how many land on one
@@ -70,20 +62,10 @@ class FederationEngine:
     def __init__(self, federation: "Federation", *,
                  max_workers: int = 8,
                  max_in_flight: int | None = None,
-                 per_peer_concurrency: int | None = None,
-                 transport: Transport | None = None,
                  cache: "ResultCache | bool" = True,
                  batch_window_s: float = 0.002,
                  metrics: MetricsAggregator | None = None):
         self.federation = federation
-        if transport is None:
-            # NOTE: this shares (and, below, may configure) the
-            # federation's own transport; standalone federation.run
-            # calls then see the same per-peer gates and wire counters.
-            transport = federation.transport
-        if per_peer_concurrency is not None:
-            transport.set_per_peer_concurrency(per_peer_concurrency)
-        self.transport = transport
         self._owns_cache = cache is True
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
@@ -219,7 +201,8 @@ class FederationEngine:
 
     def _run_one(self, query: str, at: str, strategy: "Strategy | str",
                  run_kwargs: dict) -> "RunResult":
-        started = time.perf_counter()
+        clock = self.federation.transport.clock
+        started = clock()
         label = strategy_label(strategy)
         monitor = self.federation.monitor
         if (monitor is not None and "trace" not in run_kwargs
@@ -232,20 +215,19 @@ class FederationEngine:
         try:
             result = self.federation.run(
                 query, at=at, strategy=strategy,
-                transport=self.transport,
                 result_cache=self.cache,
                 batcher=self.batcher,
                 **run_kwargs)
         except BaseException as exc:
             self.metrics.record(QueryRecord(
-                started_at=started, finished_at=time.perf_counter(),
+                started_at=started, finished_at=clock(),
                 stats=None, strategy=label, at=at,
                 error=f"{type(exc).__name__}: {exc}"))
             raise
         finally:
             self._finish_one()
         self.metrics.record(QueryRecord(
-            started_at=started, finished_at=time.perf_counter(),
+            started_at=started, finished_at=clock(),
             stats=result.stats, strategy=label, at=at,
             plan=(result.stats.plan.strategy
                   if result.stats.plan is not None else None)))
@@ -257,7 +239,8 @@ class FederationEngine:
         """Metrics, wire truth, cache and batching state in one dict,
         plus the federation registry's uniform ``snapshot()``."""
         out: dict[str, object] = {"metrics": self.metrics.summary(),
-                                  "wire": self.transport.wire_summary(),
+                                  "wire": self.federation.transport
+                                  .wire_summary(),
                                   "registry":
                                       self.federation.metrics.snapshot()}
         if self.cache is not None:

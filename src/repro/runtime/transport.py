@@ -1,41 +1,39 @@
-"""Pluggable wire transports: the ship/execute/ship-back slice of a
-round trip, the last step of ``_Run._round_trip``'s delivery chain
-(result cache, then batcher, then here) and of ``_ship_document``.
+"""The wire: the ship/execute/ship-back slice of a round trip, the
+last step of ``_Run._call_peer``'s delivery chain (result cache, then
+batcher, then here) and of ``_ship_document``.
 
-A :class:`Transport` owns everything between "the request text is
-built" and "the response text is back": moving both SOAP-style XML
-texts, re-parsing the request at the peer, charging
+:class:`Transport` is the only transport class, and a federation owns
+one (``federation.transport``). It moves both SOAP-style XML texts,
+re-parses the request at the peer, charges
 :class:`~repro.net.costmodel.CostModel` time into the caller's
-:class:`~repro.net.stats.RunStats`, and keeping federation-wide wire
-truth (bytes/messages/in-flight per peer) that survives across queries
-— the ground truth the engine's metrics report. That truth lives as
-``wire_*`` series in a :class:`~repro.obs.metrics.MetricsRegistry`
-(pass the federation's to share one read path; standalone transports
-get a private registry), and every cost-model charge goes through
-:meth:`RunStats.charge`, so traced runs see the serialize/network/shred
-components on the exact span doing the wire work.
+:class:`~repro.net.stats.RunStats` (through :meth:`RunStats.charge`,
+so traced runs see the components on the span doing the wire work)
+and keeps the federation-wide wire truth: the ``wire_*`` series of a
+:class:`~repro.obs.metrics.MetricsRegistry`.
 
-Two implementations ship:
+What a transmission waits and whether it fails are data on the wire:
+a **delay policy** (``time_scale`` × the cost model's network time —
+0.0, the default, is the in-process loopback — plus
+``extra_latency_s``, plus what :meth:`~Transport.degrade_peer`
+injected), a **fault policy** (``faults``, a seeded :class:`FaultPlan`)
+and the **clock** the delays are spent on.
 
-* :class:`LoopbackTransport` — in-process, no wall-clock delay; the
-  seed's behaviour, byte-for-byte.
-* :class:`SimulatedTransport` — additionally *spends wall-clock time*
-  proportional to the simulated network time (scaled by
-  ``time_scale``) and can inject extra latency and faults from a
-  seeded RNG, so concurrency experiments see a realistic wire.
+:meth:`~Transport.can_sleep` says whether concurrent callers have
+anything to overlap: on the real clock, whenever the delay policy can
+produce a delay (a sleeping thread releases the GIL); on a
+``VirtualClock``, never — a virtual sleep passes no wall time — so a
+virtual-time scatter runs inline and its event order is replayable.
 
-Transports are deliberately ignorant of query evaluation: the peer-side
-work arrives as a ``handle`` callable (a bound
-:meth:`~repro.xrpc.peer.RequestHandler.handle`), which keeps this module
-free of any dependency on :mod:`repro.system`.
+The peer-side work arrives as a ``handle`` callable (a bound
+:meth:`~repro.xrpc.peer.RequestHandler.handle`), which keeps this
+module free of any dependency on :mod:`repro.system`.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import (
@@ -44,6 +42,7 @@ from repro.errors import (
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.clock import REAL_CLOCK, Clock
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -51,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 
 class FaultInjectedError(TransientNetworkError):
-    """A transport-level fault injected by :class:`SimulatedTransport`.
+    """A transmission dropped by the wire's :class:`FaultPlan`.
 
     Transient by definition: the fault plan failed *this transmission*,
     not the peer, so the router's retry budget applies before failover.
@@ -125,34 +124,41 @@ class RetryPolicy:
 
 
 class Transport:
-    """Base transport: serialise, charge the cost model, deliver.
+    """The wire: serialise, charge the cost model, wait, deliver.
 
     ``per_peer_concurrency`` bounds how many exchanges may be in flight
     against one destination peer at a time — the runtime's per-peer
     request queue (excess callers block on the peer's semaphore in FIFO
     arrival order). ``metrics`` is the registry the ``wire_*`` series
-    register in (a private one when omitted, so standalone transports
-    keep exact counts in tests).
+    register in (a private one when omitted). ``time_scale`` maps
+    simulated network seconds to seconds slept on ``clock``,
+    ``extra_latency_s`` is slept per transmission on top.
     """
 
     def __init__(self, cost_model: CostModel | None = None,
                  per_peer_concurrency: int | None = None,
-                 metrics: MetricsRegistry | None = None):
+                 metrics: MetricsRegistry | None = None, *,
+                 clock: Clock = REAL_CLOCK, time_scale: float = 0.0,
+                 extra_latency_s: float = 0.0,
+                 faults: FaultPlan | None = None):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.per_peer_concurrency = per_peer_concurrency
+        self.clock = clock
+        self.time_scale = time_scale
+        self.extra_latency_s = extra_latency_s
+        self.faults = faults
         self._lock = threading.Lock()
         self._gates: dict[str, threading.BoundedSemaphore] = {}
         self._down: set[str] = set()
-        #: Extra wall-clock latency injected per transmission to a peer
+        #: Extra latency injected per transmission to a peer
         #: (:meth:`degrade_peer` — the "degrading, not dead" drill).
         self._slow: dict[str, float] = {}
-        #: A :class:`~repro.obs.events.EventLog` installed by a fleet
-        #: monitor; peer lifecycle transitions emit into it when set.
+        #: The attached fleet monitor's event log (the federation
+        #: installs it); peer lifecycle transitions emit into it.
         self.events = None
-        #: Per-attempt timeout: a transmission whose injected+simulated
-        #: delay exceeds this raises :class:`RequestTimeoutError` after
-        #: waiting out the timeout (None ⇒ callers wait forever — the
-        #: pre-PR-9 behaviour).
+        #: Per-attempt timeout: a transmission whose delay exceeds this
+        #: raises :class:`RequestTimeoutError` after waiting out the
+        #: timeout (None ⇒ callers wait forever).
         self.request_timeout_s: float | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._wire_messages = self.metrics.counter(
@@ -170,42 +176,26 @@ class Transport:
         self._wire_messages.labels(peer_name).inc()
         self._wire_message_bytes.labels(peer_name).inc(size)
 
-    def _count_document(self, peer_name: str, size: int) -> None:
-        self._wire_document_bytes.labels(peer_name).inc(size)
-
     def wire_summary(self) -> dict[str, dict[str, int]]:
         """Bytes/messages per peer, across every query this transport
         served (documents count against their owner peer). Read from
         the ``wire_*`` registry series — the same numbers
         ``metrics.snapshot()`` exports."""
-        messages = self._wire_messages.series()
-        message_bytes = self._wire_message_bytes.series()
-        document_bytes = self._wire_document_bytes.series()
-        names = {key[0] for key in messages}
-        names.update(key[0] for key in message_bytes)
-        names.update(key[0] for key in document_bytes)
-
-        def value(series: dict, name: str) -> int:
-            child = series.get((name,))
-            return child.value if child is not None else 0
-
         out: dict[str, dict[str, int]] = {}
-        for name in sorted(names):
-            mbytes = value(message_bytes, name)
-            dbytes = value(document_bytes, name)
-            out[name] = {"messages": value(messages, name),
-                         "message_bytes": mbytes,
-                         "document_bytes": dbytes,
-                         "total_bytes": mbytes + dbytes}
-        return out
+        for field_name, metric in (
+                ("messages", self._wire_messages),
+                ("message_bytes", self._wire_message_bytes),
+                ("document_bytes", self._wire_document_bytes)):
+            for (name,), child in metric.series().items():
+                out.setdefault(name, {
+                    "messages": 0, "message_bytes": 0,
+                    "document_bytes": 0})[field_name] = child.value
+        for entry in out.values():
+            entry["total_bytes"] = (entry["message_bytes"]
+                                    + entry["document_bytes"])
+        return dict(sorted(out.items()))
 
     # -- live load & peer health --------------------------------------------
-
-    def _enter_peer(self, peer_name: str) -> None:
-        self._wire_in_flight.labels(peer_name).inc()
-
-    def _exit_peer(self, peer_name: str) -> None:
-        self._wire_in_flight.labels(peer_name).dec()
 
     def peer_load(self, peer_name: str) -> tuple[int, int]:
         """``(in-flight exchanges, total bytes served)`` for one peer —
@@ -221,8 +211,7 @@ class Transport:
     def kill_peer(self, peer_name: str) -> None:
         """Make every future transmission to ``peer_name`` raise
         :class:`PeerDownError` — the deterministic way to drill replica
-        failover (contrast with :class:`SimulatedTransport`'s random
-        fault plan)."""
+        failover (contrast with a seeded :class:`FaultPlan`)."""
         with self._lock:
             was_down = peer_name in self._down
             self._down.add(peer_name)
@@ -245,7 +234,7 @@ class Transport:
 
     def degrade_peer(self, peer_name: str,
                      extra_latency_s: float) -> None:
-        """Inject fixed wall-clock latency into every transmission to
+        """Inject fixed latency into every transmission to
         ``peer_name`` — the *degrading* (not dead) replica drill: the
         peer keeps answering correctly, only slower, so nothing fails
         over; catching it is the health detector's job."""
@@ -276,17 +265,11 @@ class Transport:
         time waiting — the only thing concurrent callers could overlap
         (peer-side evaluation is Python under the GIL). The scatter
         router fans out over threads only when this holds."""
-        return bool(self._slow)
+        return self.clock.blocking and (
+            self.time_scale > 0 or self.extra_latency_s > 0
+            or bool(self._slow))
 
-    # -- per-peer admission -------------------------------------------------
-
-    def set_per_peer_concurrency(self, limit: int | None) -> None:
-        """Change the per-peer capacity, rebuilding the gates so peers
-        already contacted pick up the new limit (in-flight transmissions
-        finish under the gate they acquired)."""
-        with self._lock:
-            self.per_peer_concurrency = limit
-            self._gates.clear()
+    # -- one transmission ---------------------------------------------------
 
     def _gate(self, peer_name: str) -> threading.BoundedSemaphore | None:
         if self.per_peer_concurrency is None:
@@ -298,29 +281,19 @@ class Transport:
                 self._gates[peer_name] = gate
         return gate
 
-    # -- hooks for simulated wires ------------------------------------------
-
     def set_request_timeout(self, timeout_s: float | None) -> None:
         """Set (or clear) the per-attempt timeout."""
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s {timeout_s} must be > 0")
         self.request_timeout_s = timeout_s
 
-    def _transmit(self, peer_name: str, size: int) -> None:
-        """Called once per message/document put on the wire; subclasses
-        may sleep or raise here."""
-
-    def _wire_delay(self, peer_name: str, size: int) -> float:
-        """Wall-clock seconds this transmission will spend on the wire
-        beyond injected degradation (simulated wires override)."""
-        return 0.0
-
     def _gated_transmit(self, peer_name: str, size: int) -> None:
-        """One transmission under the peer's capacity gate. The gate
-        covers only the wire slice — never remote evaluation, which may
-        re-enter the transport for other peers (holding a gate across
-        ``handle`` would deadlock two queries shipping in opposite
-        directions)."""
+        """One transmission under the peer's capacity gate: consult the
+        fault plan, then spend the delay policy's seconds on the clock.
+        The gate covers only the wire slice — never remote evaluation,
+        which may re-enter the transport for other peers (holding a
+        gate across ``handle`` would deadlock two queries shipping in
+        opposite directions)."""
         if self.is_down(peer_name):
             raise PeerDownError(f"peer {peer_name!r} is down "
                                 f"({size} bytes undeliverable)",
@@ -329,42 +302,47 @@ class Transport:
         if gate is not None:
             gate.acquire()
         try:
-            delay = 0.0
+            delay = self.extra_latency_s
             if self._slow:
                 # Lock-free read: a racing degrade/restore only skews
                 # the injected delay of in-flight transmissions.
-                delay = self._slow.get(peer_name) or 0.0
-            delay += self._wire_delay(peer_name, size)
+                delay += self._slow.get(peer_name) or 0.0
+            if self.time_scale:
+                delay += (self.cost_model.network_time(size)
+                          * self.time_scale)
             # Faults fire before any waiting: a dropped transmission
             # costs the caller nothing but the retry.
-            self._transmit(peer_name, size)
+            if self.faults is not None \
+                    and self.faults.should_fail(peer_name):
+                raise FaultInjectedError(
+                    f"injected fault transmitting {size} bytes to "
+                    f"{peer_name!r}", peer=peer_name)
             timeout = self.request_timeout_s
             if timeout is not None and delay > timeout:
                 # The caller waits out the timeout, then gives up —
                 # the transmission never completes.
-                time.sleep(timeout)
+                self.clock.sleep(timeout)
                 raise RequestTimeoutError(
                     f"transmission of {size} bytes to {peer_name!r} "
                     f"timed out after {timeout * 1000:.1f} ms "
                     f"(wire delay {delay * 1000:.1f} ms)",
                     peer=peer_name, delay_s=delay, timeout_s=timeout)
             if delay > 0:
-                time.sleep(delay)
+                self.clock.sleep(delay)
         finally:
             if gate is not None:
                 gate.release()
 
     def probe(self, peer_name: str, nbytes: int = 64) -> float:
         """One heartbeat-sized transmission to ``peer_name``, returning
-        its wall-clock seconds. Raises exactly what real traffic would
-        (:class:`PeerDownError`, :class:`FaultInjectedError`,
+        its seconds on the wire's clock. Raises exactly what real
+        traffic would (:class:`PeerDownError`, :class:`FaultInjectedError`,
         :class:`RequestTimeoutError`), so a failure detector probing
-        through this sees the same wire queries see. Probes skip the
-        ``wire_*`` delivered-traffic counters — heartbeats are not
-        workload."""
-        started = time.perf_counter()
+        through this sees the wire queries see. Probes skip the
+        ``wire_*`` traffic counters — heartbeats are not workload."""
+        started = self.clock()
         self._gated_transmit(peer_name, nbytes)
-        return time.perf_counter() - started
+        return self.clock() - started
 
     # -- the two wire operations --------------------------------------------
 
@@ -395,7 +373,8 @@ class Transport:
             request_bytes = len(request_xml.encode())
         self.charge_message(stats, request_bytes)
 
-        self._enter_peer(peer.name)
+        in_flight = self._wire_in_flight.labels(peer.name)
+        in_flight.inc()
         try:
             self._gated_transmit(peer.name, request_bytes)
             # Wire counters record delivered traffic only — count after
@@ -406,7 +385,7 @@ class Transport:
             response_bytes = len(response_xml.encode())
             self._gated_transmit(peer.name, response_bytes)
         finally:
-            self._exit_peer(peer.name)
+            in_flight.dec()
 
         self.charge_message(stats, response_bytes)
         self._count_message(peer.name, response_bytes)
@@ -428,18 +407,14 @@ class Transport:
         stats.charge("serialize", model.serialize_time(size))
         stats.charge("network", model.network_time(size), size)
         stats.charge("shred", model.shred_time(size))
-        self._enter_peer(owner.name)
+        in_flight = self._wire_in_flight.labels(owner.name)
+        in_flight.inc()
         try:
             self._gated_transmit(owner.name, size)
         finally:
-            self._exit_peer(owner.name)
-        self._count_document(owner.name, size)
+            in_flight.dec()
+        self._wire_document_bytes.labels(owner.name).inc(size)
         return text, size
-
-
-class LoopbackTransport(Transport):
-    """In-process transport preserving the seed's behaviour: costs are
-    charged into :class:`RunStats` but no wall-clock time passes."""
 
 
 @dataclass
@@ -456,13 +431,11 @@ class FaultPlan:
 
     rate: float = 0.0
     seed: int = 20090329
-    _counts: dict[str, int] = field(init=False, repr=False,
-                                    default_factory=dict)
-    _lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate {self.rate} must be in [0, 1]")
+        self._counts: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def should_fail(self, peer_name: str = "") -> bool:
@@ -476,40 +449,3 @@ class FaultPlan:
         draw = random.Random(
             f"{self.seed}|{peer_name}|{ordinal}").random()
         return draw < self.rate
-
-
-class SimulatedTransport(Transport):
-    """A wire that takes wall-clock time and can fail.
-
-    ``time_scale`` maps simulated network seconds to slept wall-clock
-    seconds (1.0 = real time; benchmarks use small fractions so sweeps
-    stay fast). ``extra_latency_s`` adds fixed per-transmission delay on
-    top of the cost model's, and ``fault_rate`` drops transmissions with
-    a :class:`FaultInjectedError` per the :class:`FaultPlan` contract.
-    """
-
-    def __init__(self, cost_model: CostModel | None = None,
-                 per_peer_concurrency: int | None = None,
-                 time_scale: float = 1.0,
-                 extra_latency_s: float = 0.0,
-                 fault_rate: float = 0.0,
-                 fault_seed: int = 20090329,
-                 metrics: MetricsRegistry | None = None):
-        super().__init__(cost_model, per_peer_concurrency, metrics)
-        self.time_scale = time_scale
-        self.extra_latency_s = extra_latency_s
-        self.faults = FaultPlan(rate=fault_rate, seed=fault_seed)
-
-    def _transmit(self, peer_name: str, size: int) -> None:
-        if self.faults.should_fail(peer_name):
-            raise FaultInjectedError(
-                f"injected fault transmitting {size} bytes to "
-                f"{peer_name!r}", peer=peer_name)
-
-    def _wire_delay(self, peer_name: str, size: int) -> float:
-        return (self.cost_model.network_time(size) * self.time_scale
-                + self.extra_latency_s)
-
-    def can_sleep(self) -> bool:
-        return (self.time_scale > 0 or self.extra_latency_s > 0
-                or super().can_sleep())

@@ -9,9 +9,10 @@ the benchmark harness needs to regenerate Figures 7-9.
 Transport realism: requests and responses are serialised to actual
 SOAP-style XML text and re-parsed on the other side; document shipping
 serialises the document at the owner and shreds it at the requester.
-All byte counts are lengths of those texts. The wire itself lives in a
-pluggable :class:`~repro.runtime.transport.Transport` (in-process
-loopback by default); :class:`~repro.runtime.engine.FederationEngine`
+All byte counts are lengths of those texts. The wire is the
+federation's one :class:`~repro.runtime.transport.Transport` (loopback
+by default), which also keeps its clock;
+:class:`~repro.runtime.engine.FederationEngine`
 runs many queries concurrently over one federation, so peers are
 thread-safe and ``Peer.store`` notifies listeners (cache invalidation).
 
@@ -25,7 +26,6 @@ cluster's scatter-gather :class:`~repro.cluster.router.ClusterRouter`.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -47,7 +47,7 @@ from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
 from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import ResultCache, response_key
-from repro.runtime.transport import LoopbackTransport, Transport
+from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import cached_serialization, serialize
@@ -191,9 +191,6 @@ class Federation:
             self.metrics = transport.metrics
         else:
             self.metrics = MetricsRegistry()
-        self.transport = (transport if transport is not None
-                          else LoopbackTransport(self.cost_model,
-                                                 metrics=self.metrics))
         self.peers: dict[str, Peer] = {}
         self.catalog = catalog
         #: The attached :class:`~repro.obs.fleet.FleetMonitor` (set by
@@ -201,6 +198,9 @@ class Federation:
         #: observability off, at the cost of one attribute check per
         #: query).
         self.monitor = None
+        self.transport = (transport if transport is not None
+                          else Transport(self.cost_model,
+                                         metrics=self.metrics))
         #: The attached failure detector / repair engine (set by
         #: ``MembershipTracker.attach`` / ``RepairEngine.attach``;
         #: None ⇒ no self-healing, the pre-PR-9 behaviour).
@@ -208,6 +208,18 @@ class Federation:
         self.repair = None
         #: The cost-based planner and its table of prepared queries.
         self.planner = QueryPlanner(self)
+
+    @property
+    def transport(self) -> Transport:
+        """The one wire of this federation and the keeper of its clock.
+        Assignable: the attached monitor follows the installed wire."""
+        return self._transport
+
+    @transport.setter
+    def transport(self, wire: Transport) -> None:
+        self._transport = wire
+        if self.monitor is not None:
+            self.monitor.wire(wire)
 
     def add_peer(self, name: str) -> Peer:
         if name in self.peers:
@@ -251,7 +263,6 @@ class Federation:
             bulk_rpc: bool = True, code_motion: bool = True,
             let_sinking: bool = True,
             keep_message_xml: bool = False,
-            transport: Transport | None = None,
             result_cache: ResultCache | None = None,
             batcher: BulkBatcher | None = None,
             trace: bool = False) -> RunResult:
@@ -263,7 +274,6 @@ class Federation:
         a *mixed* plan shipping some documents while decomposing
         others, and records its estimate in ``RunStats.plan``).
 
-        ``transport`` defaults to the federation's (loopback);
         ``result_cache`` and ``batcher`` are injected by
         :class:`~repro.runtime.engine.FederationEngine` for cross-query
         reuse and coalescing, and stay off for standalone runs.
@@ -274,7 +284,7 @@ class Federation:
         when off.
         """
         choice = Strategy.coerce(strategy)
-        tracer = Tracer() if trace else None
+        tracer = Tracer(self.transport.clock) if trace else None
         root_ctx = (tracer.start("query", at=at,
                                  strategy=strategy_label(choice))
                     if tracer is not None else nullcontext())
@@ -285,13 +295,12 @@ class Federation:
             with child_span("plan"):
                 plan, report = self.planner.plan(
                     query, at=at, strategy=choice, bulk_rpc=bulk_rpc,
-                    code_motion=code_motion, let_sinking=let_sinking,
-                    transport=transport)
+                    code_motion=code_motion, let_sinking=let_sinking)
             # The plan is shared by every run of this text (read-only).
             result = self._execute(
                 _Run(self, plan, bulk_rpc, keep_message_xml,
-                     transport=transport, result_cache=result_cache,
-                     batcher=batcher, tracer=tracer),
+                     result_cache=result_cache, batcher=batcher,
+                     tracer=tracer),
                 report)
         # The root span closed when the context exited; only a closed
         # tree folds into stable profiler stacks.
@@ -302,26 +311,26 @@ class Federation:
 
     @contextmanager
     def _monitored(self):
-        """One query as the attached fleet monitor sees it — wall
+        """One query as the attached fleet monitor sees it — its
         seconds and whether it raised (queries that die in parsing or
         planning are part of the fleet's error stream too)."""
-        started = time.perf_counter()
+        clock = self.transport.clock
+        started = clock()
         ok = False
         try:
             yield
             ok = True
         finally:
             if self.monitor is not None:
-                self.monitor.record_query(time.perf_counter() - started,
-                                          ok=ok)
+                self.monitor.record_query(clock() - started, ok=ok)
 
     def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
         """Evaluate a planned run, then attach the plan's report and
         per-operator actuals, feed the planner's calibration and label
         the trace root."""
-        started = time.perf_counter()
+        started = run.clock()
         result = run.execute()
-        wall_s = time.perf_counter() - started
+        wall_s = run.clock() - started
         result.stats.plan = replace(
             report,
             analysis=run.plan.build_analysis(run.actuals, result.stats,
@@ -342,7 +351,6 @@ class _Run:
 
     def __init__(self, federation: Federation, plan: PhysicalPlan,
                  bulk_rpc: bool, keep_message_xml: bool,
-                 transport: Transport | None = None,
                  result_cache: ResultCache | None = None,
                  batcher: BulkBatcher | None = None,
                  tracer: Tracer | None = None):
@@ -352,8 +360,8 @@ class _Run:
         self.origin = plan.origin
         self.bulk_rpc = bulk_rpc
         self.keep_message_xml = keep_message_xml
-        self.transport = (transport if transport is not None
-                          else federation.transport)
+        self.transport = federation.transport
+        self.clock = self.transport.clock
         self.result_cache = result_cache
         self.batcher = batcher
         self.tracer = tracer
@@ -420,7 +428,7 @@ class _Run:
         cached = self._shipped_docs.get(key)
         if cached is not None:
             return cached
-        wall0 = time.perf_counter()
+        wall0 = self.clock()
         cache = self.result_cache
         cache_epoch = cache.epoch() if cache is not None else None
         if spec is None:
@@ -456,7 +464,7 @@ class _Run:
                 self._shipped_docs[key] = document
                 self.actuals.record_ship(
                     owner, local_name, bytes=0,
-                    wall_s=time.perf_counter() - wall0, cache_hits=1)
+                    wall_s=self.clock() - wall0, cache_hits=1)
                 return document
         sim0 = stats.times.total
         with child_span("ship", owner=owner, doc=local_name,
@@ -466,7 +474,7 @@ class _Run:
                 ship_span.set(bytes=size)
         self.actuals.record_ship(owner, local_name, bytes=size,
                                  sim_s=stats.times.total - sim0,
-                                 wall_s=time.perf_counter() - wall0)
+                                 wall_s=self.clock() - wall0)
         self._shipped_docs[key] = document
         if cache is not None:
             cache.store_document(requester, owner, cache_name, document,
@@ -556,7 +564,7 @@ class _Run:
         # Explain-analyze attribution goes to the logical call site the
         # plan priced; sim seconds are inclusive deltas, mirroring how
         # the estimator prices.
-        wall0 = time.perf_counter()
+        wall0 = self.clock()
         sim0 = stats.times.total
         bytes0 = stats.message_bytes + stats.document_bytes
 
@@ -691,7 +699,7 @@ class _Run:
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,
                 calls=0 if cached else len(calls),
                 sim_s=stats.times.total - sim0,
-                wall_s=time.perf_counter() - wall0,
+                wall_s=self.clock() - wall0,
                 cache_hits=len(calls) if cached else 0)
             return results
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterCatalog, create_sharded_collection
+from repro.runtime import Transport, VirtualClock
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
 
@@ -33,11 +34,21 @@ def library_document(uri: str = "xrpc://books-c/books.xml"):
     return parse_document(LIBRARY_XML, uri=uri)
 
 
+def virtual_wire() -> Transport:
+    """The wire of a replayable drill: virtual time, and the modelled
+    network time charged per transmission — on a zero-delay wire every
+    healthy peer's latency is exactly 0, the health baseline is 0, and
+    a degraded replica is never demoted
+    (``tests/obs/test_health.py::test_zero_baseline_never_demotes``)."""
+    return Transport(clock=VirtualClock(), time_scale=1.0)
+
+
 def make_cluster(shard_count: int = 4, replication_factor: int = 2,
                  partitioning: str = "range",
-                 nodes: list[str] | None = None) -> Federation:
+                 nodes: list[str] | None = None,
+                 transport: Transport | None = None) -> Federation:
     """A federation with the library sharded as ``books-c``."""
-    federation = Federation(catalog=ClusterCatalog())
+    federation = Federation(catalog=ClusterCatalog(), transport=transport)
     nodes = nodes if nodes is not None else list(NODES)
     for node in nodes:
         federation.add_peer(node)

@@ -7,7 +7,7 @@ from repro.cluster import ClusterError
 from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.net.stats import RunStats
-from repro.runtime import FederationEngine, PeerDownError, SimulatedTransport
+from repro.runtime import FederationEngine, PeerDownError, Transport
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import make_cluster, make_single_owner
@@ -96,10 +96,9 @@ def test_least_loaded_replica_selected():
 
 def test_failovers_surface_in_engine_metrics():
     cluster = make_cluster()
-    transport = SimulatedTransport(cluster.cost_model, time_scale=0.0)
-    transport.kill_peer("node4")
-    with FederationEngine(cluster, max_workers=4,
-                          transport=transport) as engine:
+    cluster.transport = Transport(cluster.cost_model)
+    cluster.transport.kill_peer("node4")
+    with FederationEngine(cluster, max_workers=4) as engine:
         futures = [engine.submit(SCAN, at="local") for _ in range(6)]
         for future in futures:
             assert serialize_sequence(future.result().items) \

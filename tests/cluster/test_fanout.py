@@ -15,7 +15,7 @@ import repro.cluster.router as router_module
 import repro.system.federation as federation_module
 from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
-from repro.runtime import FederationEngine, SimulatedTransport
+from repro.runtime import FederationEngine, Transport, VirtualClock
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, build_sharded_federation,
 )
@@ -70,9 +70,8 @@ def _pooled(names: list[str]) -> bool:
     return True
 
 
-def _waiting_wire(federation) -> SimulatedTransport:
-    return SimulatedTransport(federation.cost_model, time_scale=0.0,
-                              extra_latency_s=0.0002)
+def _waiting_wire(federation) -> Transport:
+    return Transport(federation.cost_model, extra_latency_s=0.0002)
 
 
 # -- selection ---------------------------------------------------------------
@@ -95,16 +94,28 @@ def test_loopback_scatter_and_fetch_start_no_thread(strategy,
 def test_wire_that_can_wait_fans_out_over_threads(strategy,
                                                   shard_threads):
     cluster = make_cluster()
-    cluster.run(SCAN, at="local", strategy=strategy,
-                transport=_waiting_wire(cluster))
+    cluster.transport = _waiting_wire(cluster)
+    cluster.run(SCAN, at="local", strategy=strategy)
     assert len(shard_threads) == 4 and _pooled(shard_threads)
 
 
-def test_sleepless_simulated_wire_stays_inline(shard_threads):
+def test_zero_delay_policy_stays_inline(shard_threads):
     cluster = make_cluster()
-    cluster.run(SCAN, at="local", transport=SimulatedTransport(
-        cluster.cost_model, time_scale=0.0))
+    cluster.transport = Transport(cluster.cost_model, time_scale=0.0,
+                                  extra_latency_s=0.0)
+    cluster.run(SCAN, at="local")
     assert not _pooled(shard_threads)
+
+
+def test_virtual_wire_stays_inline_whatever_its_delay(shard_threads):
+    """A virtual sleep passes no wall time for threads to overlap."""
+    cluster = make_cluster()
+    cluster.transport = Transport(cluster.cost_model, clock=VirtualClock(),
+                                  time_scale=1.0, extra_latency_s=0.0002)
+    cluster.transport.degrade_peer("node3", 0.0002)
+    cluster.run(SCAN, at="local")
+    assert not _pooled(shard_threads)
+    assert cluster.transport.clock.now > 0.0
 
 
 def test_degraded_peer_turns_loopback_threaded_until_restored(
@@ -122,7 +133,8 @@ def test_degraded_peer_turns_loopback_threaded_until_restored(
 def test_parallelism_bound_still_applies_to_threads(shard_threads):
     cluster = make_cluster()
     cluster.catalog.max_scatter_parallelism = 1
-    cluster.run(SCAN, at="local", transport=_waiting_wire(cluster))
+    cluster.transport = _waiting_wire(cluster)
+    cluster.run(SCAN, at="local")
     assert not _pooled(shard_threads)
 
 
@@ -139,8 +151,8 @@ def _both_modes(federation, query, strategy, shard_threads):
     inline = federation.run(query, at="local", strategy=strategy)
     assert not _pooled(shard_threads)
     del shard_threads[:]
-    threaded = federation.run(query, at="local", strategy=strategy,
-                              transport=_waiting_wire(federation))
+    federation.transport = _waiting_wire(federation)
+    threaded = federation.run(query, at="local", strategy=strategy)
     assert _pooled(shard_threads)
     assert _comparable(threaded) == _comparable(inline)
     return inline
@@ -184,7 +196,8 @@ def test_modes_agree_on_a_partial_answer(shard_threads):
     inline = cluster.run(SCAN, at="local")
     assert not _pooled(shard_threads)
     del shard_threads[:]
-    threaded = cluster.run(SCAN, at="local", transport=waiting)
+    cluster.transport = waiting
+    threaded = cluster.run(SCAN, at="local")
     assert _pooled(shard_threads)
     assert _comparable(threaded) == _comparable(inline)
     assert inline.stats.partial_shards == 1

@@ -35,7 +35,7 @@ from repro.cluster.rebalance import Rebalancer
 from repro.cluster.repair import RepairEngine
 from repro.decompose import Strategy
 from repro.net.costmodel import CostModel
-from repro.runtime.transport import LoopbackTransport
+from repro.runtime.transport import Transport
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
@@ -94,7 +94,7 @@ class RecordingCatalog(ClusterCatalog):
         return super().update(name, checked, reason, **attrs)
 
 
-class KillAfter(LoopbackTransport):
+class KillAfter(Transport):
     """Kills ``victim`` after ``threshold`` document fetches — the
     seeded mid-migration death."""
 

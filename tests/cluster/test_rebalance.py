@@ -19,7 +19,7 @@ from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (
     LIBRARY_CONTAINER, LIBRARY_MEMBER, library_document, make_cluster,
-    make_single_owner,
+    make_single_owner, virtual_wire,
 )
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
@@ -309,8 +309,9 @@ def test_schedule_generation_is_replay_compatible():
     assert sorted(set(ops)) == ["drain", "move", "split", "undrain"]
 
 
-def test_chaos_with_resharding_zero_wrong_answers():
-    cluster = make_cluster(shard_count=2)
+def resharding_drill(log_path):
+    """One seeded chaos-with-resharding run on the virtual wire."""
+    cluster = make_cluster(shard_count=2, transport=virtual_wire())
     nodes = ["node1", "node2", "node3", "node4"]
     monitor = FleetMonitor().attach(cluster)
     membership = MembershipTracker().attach(cluster)
@@ -320,10 +321,17 @@ def test_chaos_with_resharding_zero_wrong_answers():
     schedule = ChaosSchedule.generate(
         random.Random(20090329), nodes, steps=24, splits=1, moves=2,
         drains=1)
+    assert {"split", "move"} <= {e.action for e in schedule.events}
     harness = ChaosHarness(cluster, schedule,
                            queries=[(SCAN, expected())],
                            strategy=Strategy.BY_PROJECTION)
     report = harness.run()
+    monitor.events.export_jsonl(log_path)
+    return cluster, rebalancer, report
+
+
+def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
+    cluster, rebalancer, report = resharding_drill(tmp_path / "a.jsonl")
     assert report.ok, report.as_dict()
     assert report.wrong_answers == 0
     assert report.splits + report.moves + report.retires >= 1
@@ -335,3 +343,11 @@ def test_chaos_with_resharding_zero_wrong_answers():
                 if not cluster.catalog.is_down(r)]
         assert len(live) >= spec.target_replication
     assert rebalancer.stats()["drains"] == 1
+
+    # The drill replays: same report (latency percentiles included),
+    # same event log byte for byte.
+    _, _, again = resharding_drill(tmp_path / "b.jsonl")
+    assert again.as_dict() == report.as_dict()
+    assert report.p50_ms > 0.0
+    first_log = (tmp_path / "a.jsonl").read_bytes()
+    assert first_log and first_log == (tmp_path / "b.jsonl").read_bytes()

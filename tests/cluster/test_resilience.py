@@ -10,8 +10,8 @@ from repro.errors import (
 )
 from repro.obs import FleetMonitor
 from repro.runtime import (
-    FaultInjectedError, PeerDownError, RequestTimeoutError, RetryPolicy,
-    SimulatedTransport,
+    FaultInjectedError, FaultPlan, PeerDownError, RequestTimeoutError,
+    RetryPolicy, Transport, VirtualClock,
 )
 from repro.xquery.xdm import serialize_sequence
 
@@ -28,36 +28,31 @@ def expected_items():
     return serialize_sequence(result.items)
 
 
-class FlakyTransport(SimulatedTransport):
+class FlakyPlan(FaultPlan):
     """Fails the first ``fail_first`` transmissions per peer with a
     *transient* fault, then heals — the deterministic way to drill the
     retry path (contrast with the seeded random fault plan)."""
 
-    def __init__(self, cost_model, fail_first: int = 0, peers=None,
-                 **kwargs):
-        super().__init__(cost_model, **kwargs)
+    def __init__(self, fail_first: int = 0, peers=None):
+        super().__init__()
         self.fail_first = fail_first
         self.flaky_peers = set(peers) if peers is not None else None
         self.attempts: dict[str, int] = {}
 
-    def _transmit(self, peer_name: str, size: int) -> None:
+    def should_fail(self, peer_name: str = "") -> bool:
         if self.flaky_peers is not None \
                 and peer_name not in self.flaky_peers:
-            return
+            return False
         seen = self.attempts.get(peer_name, 0)
         self.attempts[peer_name] = seen + 1
-        if seen < self.fail_first:
-            raise FaultInjectedError(
-                f"injected transient fault at {peer_name}",
-                peer=peer_name, attempt=seen)
+        return seen < self.fail_first
 
 
 def flaky_cluster(fail_first: int, retry_policy: RetryPolicy,
-                  peers=None):
+                  peers=None, **wire):
     cluster = make_cluster()
-    cluster.transport = FlakyTransport(cluster.cost_model,
-                                       fail_first=fail_first,
-                                       peers=peers, time_scale=0.0)
+    cluster.transport = Transport(
+        cluster.cost_model, faults=FlakyPlan(fail_first, peers), **wire)
     cluster.catalog.retry_policy = retry_policy
     return cluster
 
@@ -109,6 +104,20 @@ def test_transient_fault_retried_in_place():
     assert serialize_sequence(result.items) == expected_items()
     assert result.stats.retries > 0
     assert result.stats.failovers == 0
+
+
+def test_backoff_is_spent_on_the_wires_clock():
+    """node1 drops its first two transmissions, both inside the one
+    shard call that tries it first: retry 0 backs off 0.25 s, retry 1
+    0.5 s, and nothing else on a loopback wire takes any time."""
+    cluster = flaky_cluster(
+        2, RetryPolicy(attempts=3, budget=8, base_backoff_s=0.25,
+                       max_backoff_s=1.0, jitter=0.0),
+        peers=["node1"], clock=VirtualClock())
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
+    assert (result.stats.retries, result.stats.failovers) == (2, 0)
+    assert cluster.transport.clock.now == 0.75
 
 
 def test_retries_exhausted_fails_over():

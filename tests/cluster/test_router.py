@@ -81,7 +81,7 @@ def test_response_cache_keys_by_shard_identity(cluster):
         first = engine.submit(SCAN, at="local").result()
         assert first.stats.cache_hits == 0
         for node in ("node1", "node2", "node3", "node4"):
-            engine.transport.kill_peer(node)
+            cluster.transport.kill_peer(node)
         second = engine.submit(SCAN, at="local").result()
         assert serialize_sequence(second.items) \
             == serialize_sequence(first.items)

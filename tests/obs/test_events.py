@@ -1,10 +1,12 @@
 """The typed event log: ring bounds, cumulative counts, JSONL export."""
 
 import json
+import time
 
 import pytest
 
 from repro.obs.events import EventLog
+from repro.runtime.clock import VirtualClock
 
 
 class TestEventLog:
@@ -47,11 +49,20 @@ class TestEventLog:
         with pytest.raises(ValueError):
             EventLog(capacity=0)
 
-    def test_injected_clock_stamps_perf_s(self):
-        log = EventLog(clock=lambda: 42.5)
+    def test_injected_clock_stamps_both_timestamps(self):
+        """Changed on purpose in PR 20: ``wall_ts`` used to be real
+        time whatever the clock, which kept two logs of one seeded
+        drill from ever comparing equal."""
+        log = EventLog(clock=VirtualClock(42.5))
         event = log.emit("tick", "t")
         assert event.perf_s == 42.5
-        assert event.wall_ts > 0  # wall clock is always real time
+        assert event.wall_ts == VirtualClock.EPOCH + 42.5
+
+    def test_default_clock_is_real_time(self):
+        before = time.time()
+        event = EventLog().emit("tick", "t")
+        assert before <= event.wall_ts <= time.time()
+        assert 0 < event.perf_s <= time.perf_counter()
 
     def test_to_dicts_shape(self):
         log = EventLog()

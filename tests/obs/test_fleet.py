@@ -3,12 +3,14 @@ text console."""
 
 import pytest
 
+from repro.cluster.chaos import ChaosHarness, ChaosSchedule
+from repro.cluster.membership import MembershipTracker
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor, render_fleet
-from repro.runtime import FederationEngine
+from repro.runtime import FederationEngine, Transport
+from repro.runtime.clock import REAL_CLOCK, VirtualClock
 
-from tests.cluster.conftest import make_cluster
-from tests.obs.test_windows import FakeClock
+from tests.cluster.conftest import make_cluster, virtual_wire
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -65,10 +67,96 @@ class TestFleetMonitorWiring:
         assert all(e.attrs["peer"] == "node2" for e in bumps)
 
 
+class TestOneClockOneWire:
+    """Whatever is attached to a federation runs on the clock its wire
+    keeps, and follows whichever wire is installed."""
+
+    def test_attached_monitor_runs_on_the_wires_clock(self):
+        cluster = make_cluster(transport=virtual_wire())
+        clock = cluster.transport.clock
+        monitor = FleetMonitor(width_s=1.0, buckets=4)
+        assert monitor.clock is REAL_CLOCK          # until attached
+        monitor.add_slo(SLO("latency", target=0.5, threshold_s=0.010))
+        monitor.attach(cluster)                     # no clock= handed over
+        assert monitor.clock is monitor.events.clock is clock
+        clock.advance(100.0)
+        cluster.transport.kill_peer("node2")
+        (event,) = monitor.events.recent(kind="peer_down")
+        assert event.perf_s == 100.0
+        assert event.wall_ts == VirtualClock.EPOCH + 100.0
+        # Windows built before the attach (latency, the SLO's) rotate
+        # on the adopted clock too.
+        monitor.record_query(0.020)
+        assert monitor.latency.count() == 1
+        assert monitor.slo.states()[0].window.count() == 1
+        clock.advance(4.0)
+        assert monitor.latency.count() == 0
+        assert monitor.uptime_s() == 104.0
+
+    def test_explicit_clock_wins_over_the_wires(self):
+        own = VirtualClock(7.0)
+        cluster = make_cluster(transport=virtual_wire())
+        monitor = FleetMonitor(clock=own).attach(cluster)
+        assert monitor.clock is monitor.events.clock is own
+
+    def test_measured_latency_is_virtual(self):
+        """The seconds fed into the windows are read off the same
+        clock the windows rotate on."""
+        cluster = make_cluster(transport=virtual_wire())
+        monitor = FleetMonitor().attach(cluster)
+        before = cluster.transport.clock.now
+        result = cluster.run(SCAN, at="local",
+                             strategy=Strategy.BY_PROJECTION)
+        elapsed = cluster.transport.clock.now - before
+        assert elapsed == pytest.approx(result.stats.times.network)
+        assert monitor.latency.sum() == pytest.approx(elapsed)
+        for peer in monitor.health.peers():
+            assert monitor.health.health(peer).mean_latency_s > 0.0
+
+    def test_installed_wire_is_the_one_the_monitor_hears(self):
+        """An engine has no wire of its own: a peer killed on the wire
+        its queries run on reaches the attached monitor, also when that
+        wire was installed after the attach."""
+        cluster = make_cluster()
+        monitor = FleetMonitor().attach(cluster)
+        first = cluster.transport
+        cluster.transport = Transport(cluster.cost_model)
+        assert cluster.transport.events is monitor.events
+        with FederationEngine(cluster, max_workers=2, cache=False) as engine:
+            cluster.transport.kill_peer("node2")
+            engine.submit(SCAN, "local").result()
+        assert monitor.events.count("peer_down") == 1
+        assert monitor.events.count("failover") >= 1
+        assert first.wire_summary() == {}           # nothing ran there
+
+    def test_membership_and_harness_run_on_the_wires_clock(self):
+        cluster = make_cluster(transport=virtual_wire())
+        clock = cluster.transport.clock
+        tracker = MembershipTracker(width_s=0.5, buckets=4).attach(cluster)
+        cluster.transport.kill_peer("node2")
+        for _ in range(4):
+            tracker.tick()
+        assert tracker.phi("node2") > 0.0
+        clock.advance(10.0)             # the evidence ages out, virtually
+        assert tracker.phi("node2") == 0.0
+        cluster.transport.revive_peer("node2")
+        tracker.rejoin("node2")
+        started = clock.now
+        report = ChaosHarness(
+            cluster, ChaosSchedule(steps=2, events=()),
+            queries=[(SCAN, None)], serialize=lambda items: None).run()
+        # Latencies are virtual seconds: positive (modelled network
+        # time), and no more of them than the clock moved (its probe
+        # ticks took the rest).
+        assert len(report.latencies_s) == report.queries > 0
+        assert all(latency > 0.0 for latency in report.latencies_s)
+        assert sum(report.latencies_s) < clock.now - started
+
+
 class TestQueryRecording:
 
     def test_record_query_feeds_windows_and_slo(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         monitor = FleetMonitor(clock=clock)
         monitor.add_slo(SLO(name="lat", target=0.9, threshold_s=0.05),
                         BurnRatePolicy(long_s=10.0, short_s=1.0,
@@ -82,7 +170,7 @@ class TestQueryRecording:
         assert monitor.error_rate() == pytest.approx(1 / 11)
 
     def test_slow_query_event_has_threshold(self):
-        monitor = FleetMonitor(clock=FakeClock(), slow_query_s=0.1)
+        monitor = FleetMonitor(clock=VirtualClock(), slow_query_s=0.1)
         monitor.record_query(0.05)
         monitor.record_query(0.5)
         monitor.record_query(0.5, ok=False)  # failures are not "slow"
@@ -91,14 +179,14 @@ class TestQueryRecording:
         assert event.attrs["wall_s"] == 0.5
 
     def test_should_sample_trace_cadence(self):
-        monitor = FleetMonitor(clock=FakeClock(), profile_every=3)
+        monitor = FleetMonitor(clock=VirtualClock(), profile_every=3)
         decisions = [monitor.should_sample_trace() for _ in range(9)]
         assert decisions == [False, False, True] * 3
-        off = FleetMonitor(clock=FakeClock())
+        off = FleetMonitor(clock=VirtualClock())
         assert not any(off.should_sample_trace() for _ in range(10))
 
     def test_snapshot_is_plain_data(self):
-        monitor = FleetMonitor(clock=FakeClock())
+        monitor = FleetMonitor(clock=VirtualClock())
         monitor.record_query(0.01)
         snap = monitor.snapshot()
         assert snap["queries"]["count"] == 1
@@ -113,6 +201,44 @@ class TestQueryRecording:
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
         assert monitor.latency.count() == 1
         assert monitor.error_rate() == 0.0
+
+    def test_query_path_takes_no_registry_snapshot(self, monkeypatch):
+        """A monitored query used to pay one full ``registry.snapshot()``
+        — three sorts of the ever-growing latency observation list — to
+        feed windows nothing read. The counters are sampled when a
+        rate is read instead, and only counters are read."""
+        cluster = make_cluster(transport=virtual_wire())
+        monitor = FleetMonitor().attach(cluster)
+        calls = {"snapshot": 0, "kinds": 0}
+
+        def counting(name):
+            original = getattr(cluster.metrics, name)
+
+            def wrapper():
+                calls[name] += 1
+                return original()
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cluster.metrics, name, counting(name))
+        with FederationEngine(cluster, max_workers=1,
+                              cache=False) as engine:
+            for _ in range(3):
+                engine.submit(SCAN, "local").result()
+            assert calls == {"snapshot": 0, "kinds": 0}
+            # Read: the first sighting is the baseline, as before.
+            windows = monitor.registry_windows
+            assert windows.delta("scatter_calls_total", "books-c") == 0.0
+            for _ in range(4):
+                engine.submit(SCAN, "local").result()
+            assert windows.delta("scatter_calls_total", "books-c") == 4.0
+            assert windows.rate("scatter_calls_total", "books-c") > 0.0
+            assert windows.delta("query_completed_total") == 4.0
+        assert calls["snapshot"] == 0 and calls["kinds"] == 4
+        # The latency histogram (and every gauge) is never summarised.
+        assert windows.windows.names() and all(
+            "latency" not in name and "in_flight" not in name
+            for name in windows.windows.names())
 
     def test_failed_run_records_an_error(self):
         cluster = make_cluster()
@@ -144,7 +270,7 @@ class TestQueryRecording:
 class TestConsole:
 
     def test_render_empty_monitor(self):
-        monitor = FleetMonitor(clock=FakeClock())
+        monitor = FleetMonitor(clock=VirtualClock())
         text = render_fleet(monitor)
         assert text.startswith("== fleet @ 0.0s up | 0 queries")
         assert "peers:" not in text
@@ -152,7 +278,7 @@ class TestConsole:
         assert "events" not in text
 
     def test_render_full_fleet(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         monitor = FleetMonitor(clock=clock)
         monitor.add_slo(SLO(name="lat", target=0.9, threshold_s=0.05),
                         BurnRatePolicy(long_s=10.0, short_s=1.0,
@@ -171,7 +297,7 @@ class TestConsole:
         assert "[error] alert_fired" in text
 
     def test_render_is_deterministic(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         monitor = FleetMonitor(clock=clock)
         monitor.record_query(0.01)
         monitor.health.record("b", 0.001)
@@ -182,7 +308,7 @@ class TestConsole:
         assert text.index("  a ") < text.index("  b ")
 
     def test_recent_events_limit(self):
-        monitor = FleetMonitor(clock=FakeClock())
+        monitor = FleetMonitor(clock=VirtualClock())
         for index in range(12):
             monitor.events.emit("tick", f"t{index}")
         text = render_fleet(monitor, recent_events=3)

@@ -4,12 +4,11 @@ import pytest
 
 from repro.obs.events import EventLog
 from repro.obs.health import HealthTracker
-
-from tests.obs.test_windows import FakeClock
+from repro.runtime.clock import VirtualClock
 
 
 def make_tracker(**kwargs):
-    clock = FakeClock()
+    clock = VirtualClock()
     events = EventLog(clock=clock)
     tracker = HealthTracker(events=events, clock=clock, **kwargs)
     return tracker, events, clock
@@ -59,6 +58,26 @@ class TestHealthScoring:
         assert events.count("health_demoted") == 1
         assert tracker.healthy("node1")
         assert tracker.healthy("node3")
+
+    def test_zero_baseline_never_demotes(self):
+        """The trap a zero-delay virtual wire sets. Peers whose every
+        sample is exactly 0.0 drop out of the baseline (only positive
+        means count), so the one slow peer *is* the fleet baseline, is
+        compared against itself, scores 1.0 and is never demoted. A
+        virtual-time drill must therefore charge modelled network time
+        (``tests/cluster/conftest.py::virtual_wire``: ``time_scale=1.0``)."""
+        tracker, events, _ = make_tracker()
+        feed(tracker, "node1", 0.0)
+        feed(tracker, "node2", 0.080)
+        feed(tracker, "node3", 0.0)
+        assert tracker.baseline() == 0.080
+        state = tracker.health("node2")
+        assert state.score == 1.0 and state.healthy
+        assert events.count("health_demoted") == 0
+        # Any positive healthy latency restores the comparison.
+        feed(tracker, "node1", 0.001)
+        feed(tracker, "node3", 0.001)
+        assert not tracker.healthy("node2")
 
     def test_lower_median_baseline_resists_the_outlier(self):
         """Two-peer fleet: the degraded peer must not drag the

@@ -5,12 +5,11 @@ import pytest
 
 from repro.obs.events import EventLog
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-
-from tests.obs.test_windows import FakeClock
+from repro.runtime.clock import VirtualClock
 
 
 def make_monitor(clock=None, **policy_kwargs):
-    clock = clock if clock is not None else FakeClock()
+    clock = clock if clock is not None else VirtualClock()
     events = EventLog(clock=clock)
     monitor = SLOMonitor(events=events, clock=clock)
     defaults = dict(long_s=10.0, short_s=1.0, threshold=5.0,
@@ -118,7 +117,7 @@ class TestBurnRateAlerting:
         assert events.count("alert_fired") == 2
 
     def test_errors_kind_counts_failures_not_latency(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         monitor = SLOMonitor(events=EventLog(clock=clock), clock=clock)
         state = monitor.add(
             SLO(name="availability", kind="errors", target=0.9),

@@ -12,6 +12,7 @@ from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
                               span_to_dict, spans_in, validate_chrome_trace)
 from repro.obs.trace import (COMPONENTS, Span, Tracer, bind_stats_span,
                              child_span, current_span)
+from repro.runtime.clock import VirtualClock
 from repro.workloads import SHARDED_BENCHMARK_QUERY, build_sharded_federation
 from tests.cluster.conftest import make_cluster
 
@@ -257,12 +258,12 @@ class TestExport:
         log = EventLog()
         # One event inside the root's window, one before, one after:
         # the out-of-window timestamps clamp into [0, root duration].
-        log.clock = lambda: (root.start_s + root.end_s) / 2
+        log.clock = VirtualClock((root.start_s + root.end_s) / 2)
         log.emit("failover", "mid-run", severity="warning",
                  replica="node2")
-        log.clock = lambda: root.start_s - 5.0
+        log.clock = VirtualClock(root.start_s - 5.0)
         log.emit("peer_down", "before the run")
-        log.clock = lambda: root.end_s + 5.0
+        log.clock = VirtualClock(root.end_s + 5.0)
         log.emit("peer_up", "after the run")
 
         events = chrome_trace_events(root, events=log)

@@ -11,19 +11,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.windows import (
     QuantileSketch, RegistryWindows, RollingWindow, RollingWindowFamily,
 )
-
-
-class FakeClock:
-    """Injectable monotonic clock for deterministic rotation."""
-
-    def __init__(self, now: float = 1000.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.runtime.clock import VirtualClock
 
 
 def exact_percentile(values, q):
@@ -159,7 +147,7 @@ class TestRollingWindow:
             RollingWindow(buckets=0)
 
     def test_observations_accumulate_in_current_bucket(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=5, clock=clock)
         window.observe(2.0)
         window.observe(4.0)
@@ -168,7 +156,7 @@ class TestRollingWindow:
         assert window.mean() == 3.0
 
     def test_bucket_rotation_expires_old_data(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=3, clock=clock)
         window.observe(1.0)
         clock.advance(1.0)
@@ -184,7 +172,7 @@ class TestRollingWindow:
         assert window.count() == 0
 
     def test_forward_jump_past_ring_clears_everything(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=4, clock=clock)
         for _ in range(4):
             window.observe(1.0)
@@ -195,7 +183,7 @@ class TestRollingWindow:
         assert window.sum() == 7.0
 
     def test_backwards_clock_never_clears(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=4, clock=clock)
         window.observe(1.0)
         clock.advance(2.0)
@@ -209,7 +197,7 @@ class TestRollingWindow:
         assert window.count() == 3
 
     def test_window_s_limits_the_read(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=10, clock=clock)
         window.observe(1.0)
         for value in (2.0, 3.0, 4.0):
@@ -221,7 +209,7 @@ class TestRollingWindow:
         assert window.count() == 4
 
     def test_covered_s_caps_at_window_lifetime(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=60, clock=clock)
         window.observe(1.0)
         # One bucket old: a 10s read covers 1s, not 10.
@@ -230,7 +218,7 @@ class TestRollingWindow:
         assert window.covered_s(window_s=10.0) == 5.0
 
     def test_rate_uses_covered_not_requested_span(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=60, clock=clock)
         for _ in range(5):
             window.observe(1.0)
@@ -238,7 +226,7 @@ class TestRollingWindow:
         assert window.rate() == 5.0
 
     def test_windowed_quantile_merges_bucket_sketches(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=10, clock=clock)
         for value in (1.0, 100.0):
             window.observe(value)
@@ -250,7 +238,7 @@ class TestRollingWindow:
             100.0, rel=0.02)
 
     def test_eps_none_disables_quantiles(self):
-        window = RollingWindow(eps=None, clock=FakeClock())
+        window = RollingWindow(eps=None, clock=VirtualClock())
         window.observe(1.0)
         with pytest.raises(ValueError):
             window.quantile(50)
@@ -259,7 +247,7 @@ class TestRollingWindow:
         assert snap["count"] == 1
 
     def test_empty_window_reads(self):
-        window = RollingWindow(clock=FakeClock())
+        window = RollingWindow(clock=VirtualClock())
         assert window.count() == 0
         assert window.mean() == 0.0
         assert window.rate() == 0.0
@@ -271,7 +259,7 @@ class TestRollingWindow:
 class TestRollingWindowFamily:
 
     def test_lazy_per_label_windows(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         family = RollingWindowFamily(clock=clock)
         family.labels("node1").observe(1.0)
         family.labels("node2").observe(2.0)
@@ -284,7 +272,7 @@ class TestRollingWindowFamily:
 class TestRegistryWindows:
 
     def test_counter_deltas_feed_windowed_rate(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         registry = MetricsRegistry()
         counter = registry.counter("ops_total")
         windows = RegistryWindows(registry, width_s=1.0, buckets=10,
@@ -304,7 +292,7 @@ class TestRegistryWindows:
         assert windows.rate("ops_total") == pytest.approx(15.0)
 
     def test_labeled_counters_get_per_series_windows(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         registry = MetricsRegistry()
         counter = registry.counter("bytes_total", labels=("peer",))
         windows = RegistryWindows(registry, clock=clock)
@@ -318,7 +306,7 @@ class TestRegistryWindows:
         assert windows.delta("bytes_total", "p2") == 0.0
 
     def test_gauges_and_histograms_are_skipped(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         registry = MetricsRegistry()
         registry.gauge("level").set(100)
         registry.histogram("lat").observe(1.0)
@@ -328,7 +316,7 @@ class TestRegistryWindows:
         assert windows.windows.names() == []
 
     def test_backwards_counter_resets_baseline(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         registry = MetricsRegistry()
         registry.counter("ops_total").inc(100)
         windows = RegistryWindows(registry, clock=clock)
@@ -345,6 +333,6 @@ class TestRegistryWindows:
         assert windows.delta("ops_total") == 5.0
 
     def test_unknown_series_reads_zero(self):
-        windows = RegistryWindows(MetricsRegistry(), clock=FakeClock())
+        windows = RegistryWindows(MetricsRegistry(), clock=VirtualClock())
         assert windows.rate("never_sampled") == 0.0
         assert windows.delta("never_sampled") == 0.0

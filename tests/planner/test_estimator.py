@@ -52,11 +52,11 @@ class TestCostVector:
         """Pricing a vector must use the very same arithmetic the
         transport charges into RunStats."""
         from repro.net.stats import RunStats
-        from repro.runtime.transport import LoopbackTransport
+        from repro.runtime.transport import Transport
 
         model = CostModel()
         stats = RunStats()
-        transport = LoopbackTransport(model)
+        transport = Transport(model)
         transport.charge_message(stats, 12_345)
         vector = CostVector(message_bytes=12_345, messages=1)
         times = vector.time(model)

@@ -8,7 +8,7 @@ import pytest
 from repro.decompose import Strategy
 from repro.errors import NetworkError
 from repro.runtime.engine import EngineClosedError, FederationEngine
-from repro.runtime.transport import LoopbackTransport
+from repro.runtime.transport import Transport
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
                              build_federation, build_sharded_federation,
@@ -152,7 +152,7 @@ class TestScheduling:
         peak = []
         lock = threading.Lock()
 
-        class TrackingTransport(LoopbackTransport):
+        class TrackingTransport(Transport):
             def exchange(self, peer, request, handle, stats, **kwargs):
                 with lock:
                     active.append(1)
@@ -165,10 +165,9 @@ class TestScheduling:
                         active.pop()
 
         federation = make_federation()
+        federation.transport = TrackingTransport(federation.cost_model)
         engine = FederationEngine(federation, max_workers=4,
                                   max_in_flight=1,
-                                  transport=TrackingTransport(
-                                      federation.cost_model),
                                   cache=False, batch_window_s=0.0)
 
         # submit() itself blocks, so drive it from producer threads.
@@ -211,14 +210,11 @@ class TestScheduling:
 
     def test_cancelled_future_releases_admission_slot(self):
         """Cancelling a queued query must not leak its in-flight slot."""
-        from repro.runtime.transport import SimulatedTransport
-
         federation = make_federation()
-        transport = SimulatedTransport(federation.cost_model,
-                                       time_scale=0.0,
-                                       extra_latency_s=0.01)
-        with FederationEngine(federation, max_workers=1, max_in_flight=2,
-                              transport=transport) as engine:
+        federation.transport = Transport(federation.cost_model,
+                                         extra_latency_s=0.01)
+        with FederationEngine(federation, max_workers=1,
+                              max_in_flight=2) as engine:
             blocker = engine.submit(Q2, "local")
             queued = engine.submit(Q2, "local")
             assert queued.cancel()

@@ -1,5 +1,6 @@
-"""Transport extraction: loopback preserves the seed's accounting;
-the simulated wire spends time, injects faults, and gates peers."""
+"""The wire: the default (loopback) policy preserves the seed's
+accounting; a delay policy spends time on the wire's clock, a fault
+policy drops transmissions, and the gates bound each peer."""
 
 import threading
 import time
@@ -9,8 +10,9 @@ import pytest
 from repro.errors import NetworkError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
-from repro.runtime.transport import (FaultInjectedError, LoopbackTransport,
-                                     SimulatedTransport)
+from repro.runtime.clock import Clock, VirtualClock
+from repro.runtime.transport import (FaultInjectedError, FaultPlan,
+                                     RequestTimeoutError, Transport)
 from repro.system.federation import Federation
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 
@@ -27,7 +29,10 @@ def make_federation(transport=None):
 
 class TestLoopback:
     def test_default_transport_is_loopback(self):
-        assert isinstance(Federation().transport, LoopbackTransport)
+        transport = Federation().transport
+        assert type(transport) is Transport
+        assert transport.time_scale == 0.0 and transport.faults is None
+        assert not transport.can_sleep()
 
     def test_seed_accounting_preserved(self):
         """The extracted wire charges exactly what the seed charged
@@ -64,9 +69,9 @@ class TestLoopback:
         assert wire["B"]["document_bytes"] > 0
 
 
-class TestSimulated:
+class TestFaultPolicy:
     def test_fault_injection_raises_network_error(self):
-        transport = SimulatedTransport(time_scale=0.0, fault_rate=1.0)
+        transport = Transport(faults=FaultPlan(rate=1.0))
         federation = make_federation(transport)
         with pytest.raises(FaultInjectedError):
             federation.run(Q2, at="local")
@@ -74,14 +79,17 @@ class TestSimulated:
             federation.run(Q2, at="local")
 
     def test_fault_free_when_rate_zero(self):
-        transport = SimulatedTransport(time_scale=0.0, fault_rate=0.0)
+        transport = Transport(faults=FaultPlan(rate=0.0))
         result = make_federation(transport).run(Q2, at="local")
         assert result.items
 
+
+class TestDelayPolicy:
     def test_extra_latency_costs_wall_clock(self):
-        fast = make_federation(SimulatedTransport(time_scale=0.0))
-        slow = make_federation(SimulatedTransport(time_scale=0.0,
-                                                  extra_latency_s=0.02))
+        """The one case here that really sleeps: the real ``Clock``
+        path. Everything else about delays runs on virtual time."""
+        fast = make_federation(Transport())
+        slow = make_federation(Transport(extra_latency_s=0.02))
         start = time.perf_counter()
         fast.run(Q2, at="local")
         fast_s = time.perf_counter() - start
@@ -92,12 +100,69 @@ class TestSimulated:
         assert slow_s >= fast_s + 0.03
         assert result.items
 
-    def test_identical_stats_to_loopback(self):
-        """Wall-clock behaviour differs; simulated accounting must not."""
+    def test_extra_latency_is_exact_on_virtual_time(self):
+        clock = VirtualClock()
+        result = make_federation(Transport(
+            clock=clock, extra_latency_s=0.25)).run(Q2, at="local")
+        assert clock.now == 0.25 * result.stats.messages
+
+    def test_time_scale_spends_the_modelled_network_time(self):
+        clock = VirtualClock()
+        result = make_federation(Transport(
+            clock=clock, time_scale=1.0)).run(Q2, at="local")
+        # Slept and charged transmission by transmission, in one order.
+        assert clock.now == result.stats.times.network > 0.0
+        half = VirtualClock()
+        make_federation(Transport(clock=half, time_scale=0.5)).run(
+            Q2, at="local")
+        assert half.now == pytest.approx(clock.now / 2)
+
+    def test_degraded_peer_pays_its_injected_latency(self):
+        clock = VirtualClock()
+        transport = Transport(clock=clock)
+        transport.degrade_peer("A", 0.5)
+        assert transport.probe("A") == 0.5
+        assert transport.probe("B") == 0.0
+        transport.restore_peer("A")
+        assert transport.probe("A") == 0.0
+        assert clock.now == 0.5
+
+    def test_timeout_waits_out_exactly_the_timeout(self):
+        clock = VirtualClock()
+        transport = Transport(clock=clock, extra_latency_s=2.0)
+        transport.set_request_timeout(0.5)
+        with pytest.raises(RequestTimeoutError) as exc_info:
+            transport.probe("A")
+        assert clock.now == 0.5
+        assert (exc_info.value.delay_s, exc_info.value.timeout_s) == (
+            2.0, 0.5)
+
+    def test_a_dropped_transmission_waits_for_nothing(self):
+        clock = VirtualClock()
+        transport = Transport(clock=clock, extra_latency_s=2.0,
+                              faults=FaultPlan(rate=1.0))
+        with pytest.raises(FaultInjectedError):
+            transport.probe("A")
+        assert clock.now == 0.0
+
+    def test_can_sleep_asks_the_policy_and_the_clock(self):
+        assert not Transport().can_sleep()
+        assert Transport(time_scale=0.05).can_sleep()
+        assert Transport(extra_latency_s=0.001).can_sleep()
+        degraded = Transport()
+        degraded.degrade_peer("A", 0.001)
+        assert degraded.can_sleep()
+        # A virtual sleep passes no wall time for threads to overlap.
+        assert not Transport(clock=VirtualClock(), time_scale=1.0,
+                             extra_latency_s=0.001).can_sleep()
+
+    def test_identical_stats_whatever_the_delay_policy(self):
+        """Waited time differs; simulated accounting must not."""
         loopback = make_federation().run(Q2, at="local")
-        simulated = make_federation(
-            SimulatedTransport(time_scale=0.0)).run(Q2, at="local")
-        assert simulated.stats.summary() == loopback.stats.summary()
+        delayed = make_federation(Transport(
+            clock=VirtualClock(), time_scale=1.0,
+            extra_latency_s=0.25)).run(Q2, at="local")
+        assert delayed.stats.summary() == loopback.stats.summary()
 
 
 class FakePeer:
@@ -107,16 +172,19 @@ class FakePeer:
 class TestPerPeerGate:
     @staticmethod
     def _tracking_transport(active, peak, lock, **kwargs):
-        class TrackingTransport(LoopbackTransport):
-            def _transmit(self, peer_name, size):
+        """The gate is held exactly while a transmission waits, so a
+        clock that watches its sleepers sees the gate's bound."""
+        class TrackingClock(Clock):
+            def sleep(self, seconds):
                 with lock:
                     active.append(1)
                     peak.append(len(active))
-                time.sleep(0.01)
+                time.sleep(seconds)
                 with lock:
                     active.pop()
 
-        return TrackingTransport(**kwargs)
+        return Transport(clock=TrackingClock(), extra_latency_s=0.01,
+                         **kwargs)
 
     def test_gate_bounds_concurrent_transmissions(self):
         active, peak = [], []
@@ -144,7 +212,7 @@ class TestPerPeerGate:
         """Remote evaluation may re-enter the transport (nested round
         trips, document shipping); holding the gate across ``handle``
         would deadlock even a single query against its own peer."""
-        transport = LoopbackTransport(per_peer_concurrency=1)
+        transport = Transport(per_peer_concurrency=1)
         request = RequestMessage(query="1", param_names=[],
                                  calls=[]).to_xml()
 
@@ -169,7 +237,7 @@ class TestPerPeerGate:
         assert done, "nested exchange deadlocked on the peer gate"
 
     def test_unlimited_without_configuration(self):
-        transport = LoopbackTransport()
+        transport = Transport()
         assert transport._gate("anyone") is None
 
 

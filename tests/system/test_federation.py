@@ -5,7 +5,7 @@ import pytest
 from repro.decompose import Strategy
 from repro.errors import NetworkError, XrpcMarshalError
 from repro.obs.trace import COMPONENTS
-from repro.runtime.transport import LoopbackTransport
+from repro.runtime.transport import Transport
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
                              build_federation, build_sharded_federation)
@@ -111,7 +111,7 @@ class TestFunctionShipping:
     def test_response_answering_no_call_is_a_typed_fault(self):
         """A well-formed response must answer as many calls as were
         sent; one holding no ``xrpc:call`` was a bare ``IndexError``."""
-        class AnswersNothing(LoopbackTransport):
+        class AnswersNothing(Transport):
             def exchange(self, peer, request_xml, handle, stats,
                          request_bytes=None):
                 text = ResponseMessage(results=[]).to_xml()
