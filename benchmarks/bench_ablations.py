@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out:
+"""Ablation benchmarks for the design choices the paper calls out:
 Bulk RPC, distributed code motion, let-sinking normalisation, and the
 pre/size/level encoding."""
 

@@ -7,7 +7,7 @@ pytest-benchmark.
 
 Scales are laptop-sized; the paper's 10-160 MB documents map onto the
 same x2 geometric sweep at ~40-700 KB. Only relative behaviour is
-meaningful (see DESIGN.md).
+meaningful.
 """
 
 from __future__ import annotations

@@ -130,13 +130,22 @@ def children_of(candidates: Sequence[int], contexts: Sequence[int],
     """Child scan: the candidates whose parent is a context node.
 
     For each context the candidate pool is narrowed to the subtree
-    interval by bisect, then filtered by the parent-pointer column.
+    interval by bisect, then filtered by the parent-pointer column —
+    unless the pool is small next to the contexts, when each candidate
+    is tested against the context set instead.
     Child runs of nested contexts interleave, so the output is sorted
     when the scan order broke; child sets of distinct parents are
     disjoint, so no dedup is ever needed.
     """
     if not candidates:
         return pre_array()
+    if len(candidates) < 8 * len(contexts):
+        # Walk the cheaper side: a bisect pair per context costs about
+        # eight parent tests (measured), so a pool this small is tested
+        # against the context set candidate by candidate instead.
+        inside = set(contexts)
+        return pre_array(pre for pre in candidates
+                         if parents[pre] in inside)
     out = pre_array()
     append = out.append
     unsorted = False

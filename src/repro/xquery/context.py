@@ -67,6 +67,18 @@ class CostCounter:
             "docs_opened": self.docs_opened,
         }
 
+    def mark(self) -> tuple[int, int, int]:
+        """The counts now, for :meth:`charge_since`."""
+        return self.ticks, self.nodes_visited, self.docs_opened
+
+    def charge_since(self, mark: tuple[int, int, int], times: int) -> None:
+        """Make what was charged since ``mark`` count ``times`` times:
+        0 takes an abandoned attempt back, n charges one evaluation
+        that served n bindings as the n evaluations it replaced."""
+        self.ticks = mark[0] + (self.ticks - mark[0]) * times
+        self.nodes_visited = mark[1] + (self.nodes_visited - mark[1]) * times
+        self.docs_opened = mark[2] + (self.docs_opened - mark[2]) * times
+
 
 class DocResolver(Protocol):
     def __call__(self, uri: str) -> Document: ...

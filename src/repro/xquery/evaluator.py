@@ -24,30 +24,69 @@ grouped by document, every axis answered by the per-document
 scans through :func:`~repro.xmldb.index.scan_groups`), and no step
 sorts its result because the scans provably yield document order.
 ``Node`` objects are built only at pipeline exits — predicates,
-constructors, results.
+constructors, results. A path's steps are planned once: the desugared
+``//T[p]`` pair ``descendant-or-self::node()/child::T[p]`` collapses
+to one ``descendant::T[p]`` scan whenever ``p`` is position-free.
 
 Predicates are *compiled* once per query (see
 :mod:`repro.xquery.predicates`): recognised comparison shapes become
 value-index probes intersected with the step's candidate pre array,
-residual general predicates become per-node Python closures, and a
-FLWOR body shaped ``if ($dep = $invariant) then .. else ..`` runs as a
-hash join (the invariant side evaluated once, hashed, probed per
-iteration). Positional predicates keep the per-context path: one
-scan per context node, candidates in axis order, the predicate
-evaluated per candidate. The per-node tree walker this engine replaced
-is the test oracle (``tests/oracle/xquery_reference_walker.py``); the
-two return identical items and differ only in cost-counter tick totals
-(scans count results, compiled filters don't re-dispatch the AST).
+residual general predicates become per-node Python closures. A
+positional predicate on a child / attribute / self step is a slice of
+one scan: every candidate has exactly one context there (its parent
+column entry), so the step scans once, groups the candidates by
+context and takes ``[k]`` / ``[last()]`` / ``[position() op k]`` per
+group; other axes keep one scan per context node, candidates in the
+order the axis numbers them.
+
+A binding loop (``for``, ``order by``, ``some`` / ``every``) is *one
+operator over its bindings*, chosen once per loop from the body's
+shape (:meth:`Evaluator._loop_plan`):
+
+* **Bulk RPC** — a remote call as the whole body ships all iterations
+  in one message;
+* **hash join** — ``if ($dep = $invariant) then .. else ..`` evaluates
+  the invariant side once and answers every iteration from a hash set
+  or one value-index probe;
+* **lifted** — the body runs once for *all* iterations (loop-lifting,
+  as the paper's MonetDB/XQuery substrate does): sub-expressions with
+  no loop variable are evaluated once, paths rooted at a loop or
+  ``let`` variable run each step once over the union of every
+  iteration's contexts with the iterations carried per pre, ``if`` /
+  ``and`` / ``or`` partition the iterations so a branch only sees the
+  bindings that reach it, ``order by`` sorts plain keys once, and
+  comparisons, calls and constructors are applied per iteration to
+  operands already computed;
+* **per-binding** — the nested loop (:meth:`Evaluator._rows`, the one
+  such loop in ``src/``): bodies holding a remote call, and whatever a
+  lifted operator finds it cannot answer with the nested loop's parity
+  (non-node or multi-document bindings, nested contexts under a
+  descendant step, other axes, a predicate reading a loop variable, an
+  error — the fallback raises it at the binding the loop would). It
+  counts itself in ``evaluator_loop_fallbacks_total{reason}``; so does
+  a loop nested in a lifted body, which is lifted per outer binding.
+
+The operators charge the cost counter what the nested loop charges —
+one tick per expression per binding that reaches it, every scan
+result once per iteration it belongs to — so simulated time does not
+depend on the operator. The per-node tree walker and the nested loops
+this engine replaced are the test oracle
+(``tests/oracle/xquery_reference_walker.py``); the two return
+identical items and differ only in cost-counter tick totals (scans
+count results, compiled filters don't re-dispatch the AST).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from itertools import chain as _chain, pairwise
+from typing import NamedTuple
 
 from repro.errors import (
-    UndefinedFunctionError, XQueryDynamicError, XQueryTypeError,
+    UndefinedFunctionError, XQueryDynamicError, XQueryError, XQueryTypeError,
 )
+from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb.axes import REVERSE_AXES, child
 from repro.xmldb.compare import (
     is_same_node, node_after, node_before, sort_document_order,
@@ -64,13 +103,13 @@ from repro.xquery.ast import (
     ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall, FunctionDecl,
     IfExpr, LetExpr, Literal, LogicalExpr, Module, NodeSetExpr,
     OrderByExpr, PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr, Step,
-    TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
+    TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr, walk,
 )
 from repro.xmldb.values import value_index
 from repro.xquery.context import DynamicContext, StaticContext
 from repro.xquery.predicates import (
     FLIPPED_OPS, EqualityMatcher, chain_candidates, compile_predicate,
-    dependent_chain, probe_atoms,
+    dependent_chain, positional_slice, probe_atoms, take_slice,
 )
 from repro.xquery.scopes import free_variables
 from repro.xquery.types import matches_sequence_type
@@ -84,6 +123,59 @@ _fragment_counter = itertools.count(1)
 #: document order (``ancestor::*[1]`` is the nearest ancestor).
 _REVERSE_ORDER_AXES = REVERSE_AXES | {"preceding", "preceding-sibling"}
 
+#: Axes on which every candidate has exactly one context node (itself,
+#: or its ``parents`` entry): one scan serves all contexts, and a
+#: positional predicate is a slice of the candidates grouped by it.
+_GROUPED_AXES = frozenset({"child", "attribute", "self"})
+
+_LOOPS = (ForExpr, OrderByExpr, QuantifiedExpr)
+
+_sides = lambda expr: (expr.left, expr.right)  # noqa: E731
+
+#: Operators that evaluate every operand and then combine the values
+#: (``_apply_<Type>``): the per-binding residue of a lifted body. The
+#: value reads the operand expressions; a constructor's come from its
+#: plan.
+_STRICT = {
+    SequenceExpr: lambda expr: expr.items,
+    FunCall: lambda expr: expr.args,
+    ComparisonExpr: _sides, ArithmeticExpr: _sides, NodeSetExpr: _sides,
+    UnaryExpr: lambda expr: (expr.operand,),
+    RangeExpr: lambda expr: (expr.start, expr.end),
+    ConstructorExpr: None,
+}
+
+
+class _Unliftable(Exception):
+    """A lifted operator met something it cannot answer with the nested
+    loop's parity; the loop reruns per binding. ``static`` reasons
+    follow from the body's shape, so the plan stops trying."""
+
+    def __init__(self, reason: str, static: bool = False):
+        super().__init__(reason)
+        self.reason = reason
+        self.static = static
+
+
+class _Frame(NamedTuple):
+    """The bindings of one loop as columns: ``size`` iterations over
+    one shared ``env``; ``columns[name][row]`` is the value of a
+    variable that differs per iteration."""
+
+    env: DynamicContext
+    size: int
+    columns: dict[str, list]
+
+    def pick(self, rows) -> "_Frame":
+        """The sub-loop over ``rows``, in that order."""
+        return _Frame(self.env, len(rows), {
+            name: [column[row] for row in rows]
+            for name, column in self.columns.items()})
+
+    def env_at(self, row: int) -> DynamicContext:
+        return self.env.bind_many({name: column[row] for name, column
+                                   in self.columns.items()})
+
 
 class Evaluator:
     """Evaluates expressions of one module against a dynamic context."""
@@ -96,20 +188,38 @@ class Evaluator:
             (decl.name, len(decl.params)): decl
             for decl in self.module.functions
         }
-        # Per-query compiled artifacts, keyed by AST object identity
-        # (the module's AST is stable for the evaluator's lifetime):
-        # predicate plans per Step, hash-join shapes per ForExpr.
-        self._predicate_plans: dict[int, list | None] = {}
-        self._join_shapes: dict[int, tuple | None] = {}
+        # Per-query compiled artifacts keyed by AST object identity,
+        # each stored beside its node (so an id is never reused while
+        # its entry lives): predicate plans per Step, collapsed steps
+        # per PathExpr, the operator per binding loop, operands per
+        # constructor; and which sub-expressions of a lifted body are
+        # loop-invariant. Builds are idempotent and land in one dict
+        # assignment: a plan's evaluator is shared by engine workers.
+        self._plans: dict[int, tuple[object, object]] = {}
+        self._invariants: dict[int, tuple[Expr, frozenset | None]] = {}
+        self._remote_functions = any(
+            isinstance(node, XRPCExpr) for decl in self.module.functions
+            for node in walk(decl.body))
+
+    def _plan(self, node, build):
+        entry = self._plans.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self._plans[id(node)] = (node, build(node))
+        return entry[1]
 
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, expr: Expr, env: DynamicContext) -> list:
         env.counter.ticks += 1
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
+        kind = type(expr)
+        if kind in _STRICT:
+            values = [self.evaluate(operand, env)
+                      for operand in self._operands(expr)]
+            return getattr(self, f"_apply_{kind.__name__}")(expr, env, values)
+        method = getattr(self, f"_eval_{kind.__name__}", None)
         if method is None:
             raise XQueryDynamicError(
-                f"no evaluation rule for {type(expr).__name__}")
+                f"no evaluation rule for {kind.__name__}")
         return method(expr, env)
 
     def run(self, env: DynamicContext) -> list:
@@ -131,6 +241,12 @@ class Evaluator:
             return builtin(self, env, *args)
         raise UndefinedFunctionError(name, arity)
 
+    def _operands(self, expr: Expr):
+        reader = _STRICT[type(expr)]
+        if reader is not None:
+            return reader(expr)
+        return self._plan(expr, self._constructor_plan)[0]
+
     # -- leaves -----------------------------------------------------------------
 
     def _eval_Literal(self, expr: Literal, env: DynamicContext) -> list:
@@ -151,33 +267,142 @@ class Evaluator:
 
     # -- structure --------------------------------------------------------------
 
-    def _eval_SequenceExpr(self, expr: SequenceExpr,
-                           env: DynamicContext) -> list:
-        out: list = []
-        for item_expr in expr.items:
-            out.extend(self.evaluate(item_expr, env))
-        return out
+    def _apply_SequenceExpr(self, expr: SequenceExpr, env: DynamicContext,
+                            values: list) -> list:
+        return list(_chain.from_iterable(values))
 
-    def _eval_ForExpr(self, expr: ForExpr, env: DynamicContext) -> list:
+    def _eval_LetExpr(self, expr: LetExpr, env: DynamicContext) -> list:
+        value = self.evaluate(expr.value, env)
+        return self.evaluate(expr.body, env.bind(expr.var, value))
+
+    def _eval_IfExpr(self, expr: IfExpr, env: DynamicContext) -> list:
+        if effective_boolean_value(self.evaluate(expr.cond, env)):
+            return self.evaluate(expr.then_branch, env)
+        return self.evaluate(expr.else_branch, env)
+
+    def _eval_TypeswitchExpr(self, expr: TypeswitchExpr,
+                             env: DynamicContext) -> list:
+        operand = self.evaluate(expr.operand, env)
+        for case in expr.cases:
+            if matches_sequence_type(operand, case.seq_type):
+                case_env = env.bind(case.var, operand) if case.var else env
+                return self.evaluate(case.body, case_env)
+        default_env = (env.bind(expr.default_var, operand)
+                       if expr.default_var else env)
+        return self.evaluate(expr.default_body, default_env)
+
+    # -- the binding loop: one plan, four operators -----------------------------
+
+    def _eval_loop(self, expr, env: DynamicContext) -> list:
+        """``for`` / ``order by`` / ``some`` / ``every``: the bindings
+        become the columns of a :class:`_Frame` and the loop's planned
+        operator runs over all of them. A lifted attempt that cannot
+        keep the nested loop's parity (or raises: the loop decides
+        which binding's error comes first) is undone on the cost
+        counter and the loop reruns per binding, counted."""
         seq = self.evaluate(expr.seq, env)
-        if isinstance(expr.body, XRPCExpr) and expr.pos_var is None \
-                and getattr(env, "xrpc_execute_bulk", None) is not None:
-            bulk = self._try_bulk_rpc(expr, seq, env)
-            if bulk is not None:
-                return bulk
-        if len(seq) > 1:
-            joined = self._try_hash_join(expr, seq, env)
-            if joined is not None:
-                return joined
-        out: list = []
-        for position, item in enumerate(seq, start=1):
-            body_env = env.bind(expr.var, [item])
-            if expr.pos_var is not None:
-                body_env = body_env.bind(expr.pos_var, [position])
-            out.extend(self.evaluate(expr.body, body_env))
-        return out
+        operator, detail = self._plan(expr, self._loop_plan)
+        columns = {expr.var: [[item] for item in seq]}
+        if getattr(expr, "pos_var", None) is not None:
+            columns[expr.pos_var] = [[position] for position
+                                     in range(1, len(seq) + 1)]
+        frame = _Frame(env, len(seq), columns)
+        if operator == "_loop_bulk" and env.xrpc_execute_bulk is None:
+            operator, detail = None, "remote-call"
+        if operator is not None and seq:
+            mark = env.counter.mark()
+            try:
+                result = getattr(self, operator)(expr, frame, detail)
+            except (_Unliftable, XQueryError) as failure:
+                env.counter.charge_since(mark, 0)
+                detail = getattr(failure, "reason", "error")
+                if getattr(failure, "static", False):
+                    self._plans[id(expr)] = (expr, (None, detail))
+            else:
+                if operator == "_loop_bulk":
+                    # The one message goes out after the attempt: a
+                    # fault of the call itself is not a reason to call
+                    # again per binding.
+                    result = _chain.from_iterable(env.xrpc_execute_bulk(
+                        *result, expr.body.body))
+                return list(result)
+        if seq:
+            _count_fallback(detail)
+        return self._loop_per_binding(expr, frame)
 
-    # -- hash-join fast path -------------------------------------------------
+    _eval_ForExpr = _eval_OrderByExpr = _eval_QuantifiedExpr = _eval_loop
+
+    def _loop_plan(self, expr) -> tuple[str | None, object]:
+        """``(operator method, detail)`` for a binding loop, from the
+        body's shape: Bulk RPC, hash join (detail: the join shape),
+        lifted, or None — per binding, detail the reason."""
+        body = getattr(expr, "body", None)
+        if isinstance(expr, ForExpr) and expr.pos_var is None \
+                and isinstance(body, XRPCExpr) and not any(
+                    self._calls_out(operand) for operand in
+                    [body.dest] + [param.value for param in body.params]):
+            return "_loop_bulk", None
+        bodies = ([expr.cond] if isinstance(expr, QuantifiedExpr) else
+                  [expr.body] + [spec.key for spec
+                                 in getattr(expr, "specs", ())])
+        if any(self._calls_out(body) for body in bodies):
+            return None, "remote-call"
+        shape = self._join_shape(expr) if isinstance(expr, ForExpr) else None
+        if shape is not None:
+            return "_loop_join", shape
+        return "_loop_lifted", None
+
+    def _calls_out(self, expr: Expr) -> bool:
+        """True when evaluating ``expr`` may send a message — work whose
+        order and count the nested loop fixes."""
+        return any(
+            isinstance(node, XRPCExpr)
+            or (self._remote_functions and isinstance(node, FunCall)
+                and (node.name, len(node.args)) in self._functions)
+            for node in walk(expr))
+
+    def _rows(self, exprs: list[Expr], frame: _Frame):
+        """The per-binding loop, the only one in ``src/``: each
+        iteration's bindings become a dynamic context and every
+        expression is evaluated under it, one iteration at a time
+        (lazily: a quantifier stops at the deciding binding)."""
+        for row in range(frame.size):
+            env = frame.env_at(row)
+            yield [self.evaluate(expr, env) for expr in exprs]
+
+    def _loop_per_binding(self, expr, frame: _Frame) -> list:
+        if isinstance(expr, QuantifiedExpr):
+            verdicts = (effective_boolean_value(values[0])
+                        for values in self._rows([expr.cond], frame))
+            return [any(verdicts) if expr.quantifier == "some"
+                    else all(verdicts)]
+        if isinstance(expr, OrderByExpr):
+            keys = [[order_key(value) for value in values] for values
+                    in self._rows([spec.key for spec in expr.specs], frame)]
+            frame = frame.pick(_order_rows(list(zip(*keys)), expr.specs))
+        return [item for values in self._rows([expr.body], frame)
+                for item in values[0]]
+
+    def _loop_lifted(self, expr, frame: _Frame, _detail=None):
+        if isinstance(expr, QuantifiedExpr):
+            mark = frame.env.counter.mark()
+            deciding = expr.quantifier == "some"
+            for row, value in enumerate(self._lift(expr.cond, frame)):
+                if effective_boolean_value(value) is deciding:
+                    if row + 1 < frame.size:
+                        # The nested loop stops here: charge what it
+                        # evaluated, the bindings up to this one.
+                        frame.env.counter.charge_since(mark, 0)
+                        self._lift(expr.cond, frame.pick(range(row + 1)))
+                    return [deciding]
+            return [not deciding]
+        if isinstance(expr, OrderByExpr):
+            keys = [[order_key(value) for value in self._lift(spec.key, frame)]
+                    for spec in expr.specs]
+            frame = frame.pick(_order_rows(keys, expr.specs))
+        return _chain.from_iterable(self._lift(expr.body, frame))
+
+    # -- hash-join operator ------------------------------------------------------
 
     def _join_shape(self, expr: ForExpr) -> tuple | None:
         """Analysis of a loop body shaped ``if ($dep-side op
@@ -188,14 +413,9 @@ class Evaluator:
         off the loop variable, one value-index probe whose inverse
         image answers the filter for *all* iterations at once —
         replacing the nested-loop value joins of the Figure 7-9
-        workloads. Cached per ForExpr; returns
+        workloads. Returns
         ``(left_dependent, cond, then, else, chain)``.
         """
-        key = id(expr)
-        cached = self._join_shapes.get(key, False)
-        if cached is not False:
-            return cached
-        shape = None
         body = expr.body
         if isinstance(body, IfExpr) and isinstance(body.cond,
                                                    ComparisonExpr) \
@@ -209,46 +429,34 @@ class Evaluator:
                 dependent = body.cond.left if left_dep else body.cond.right
                 chain = dependent_chain(dependent, expr.var)
                 if chain is not None or body.cond.op == "=":
-                    shape = (left_dep, body.cond, body.then_branch,
-                             body.else_branch, chain)
-        self._join_shapes[key] = shape
-        return shape
+                    return (left_dep, body.cond, body.then_branch,
+                            body.else_branch, chain)
+        return None
 
-    def _try_hash_join(self, expr: ForExpr, seq: list,
-                       env: DynamicContext) -> list | None:
-        shape = self._join_shape(expr)
-        if shape is None:
-            return None
+    def _loop_join(self, expr: ForExpr, frame: _Frame, shape: tuple):
+        if frame.size < 2:
+            return self._loop_lifted(expr, frame)
         left_dep, cond, then_branch, else_branch, chain = shape
+        env = frame.env
         op = cond.op if left_dep else FLIPPED_OPS[cond.op]
         invariant_expr = cond.right if left_dep else cond.left
         invariant = self.evaluate(invariant_expr, env)
         invariant_atoms = atomize(invariant)
 
+        seq = [value[0] for value in frame.columns[expr.var]]
         verdicts = None
         if chain is not None and all(isinstance(item, Node)
                                      for item in seq):
             verdicts = self._chain_verdicts(chain, op, invariant_atoms,
                                             seq, env)
-        matcher = None
         if verdicts is None:
-            if cond.op != "=":
-                return None
-            matcher = EqualityMatcher.build(invariant_atoms)
+            matcher = (EqualityMatcher.build(invariant_atoms)
+                       if cond.op == "=" else None)
             if matcher is None:
-                return None
-
-        dependent_expr = cond.left if left_dep else cond.right
-        out: list = []
-        for position, item in enumerate(seq, start=1):
-            body_env = env.bind(expr.var, [item])
-            if expr.pos_var is not None:
-                body_env = body_env.bind(expr.pos_var, [position])
-            if verdicts is not None:
-                verdict = verdicts[position - 1]
-            else:
-                dependent = self.evaluate(dependent_expr, body_env)
-                assert matcher is not None
+                return self._loop_lifted(expr, frame)
+            verdicts = []
+            for dependent in self._lift(cond.left if left_dep
+                                        else cond.right, frame):
                 verdict = matcher.match_atoms(atomize(dependent))
                 if verdict is None:
                     # Type mix the hash sets can't answer with exact
@@ -257,9 +465,9 @@ class Evaluator:
                     left, right = ((dependent, invariant) if left_dep
                                    else (invariant, dependent))
                     verdict = general_compare(cond.op, left, right)
-            branch = then_branch if verdict else else_branch
-            out.extend(self.evaluate(branch, body_env))
-        return out
+                verdicts.append(verdict)
+        return _chain.from_iterable(self._lift_branches(
+            verdicts, then_branch, else_branch, frame))
 
     def _chain_verdicts(self, chain, op: str, invariant_atoms: list,
                         seq: list, env: DynamicContext) -> list | None:
@@ -283,90 +491,221 @@ class Evaluator:
                                                        matched)
         return [item.pre in candidate_sets[id(item.doc)] for item in seq]
 
-    def _try_bulk_rpc(self, expr: ForExpr, seq: list,
-                      env: DynamicContext) -> list | None:
+    # -- Bulk RPC operator -------------------------------------------------------
+
+    def _loop_bulk(self, expr: ForExpr, frame: _Frame, _detail=None):
         """Bulk RPC: a remote call nested directly in a for-loop is
         shipped as one message carrying all iterations' parameters
-        instead of one synchronous interaction per iteration."""
+        instead of one synchronous interaction per iteration. Returns
+        the destination and the calls; mixed destinations leave the
+        loop to per-call RPC."""
         xrpc = expr.body
-        assert isinstance(xrpc, XRPCExpr)
-        destinations: list[str] = []
-        calls: list[list[tuple[str, list]]] = []
-        for item in seq:
-            body_env = env.bind(expr.var, [item])
-            dest_seq = self.evaluate(xrpc.dest, body_env)
-            if len(dest_seq) != 1:
-                return None
-            destinations.append(xdm.string_value(dest_seq[0]))
-            calls.append([(param.name, self.evaluate(param.value, body_env))
-                          for param in xrpc.params])
-        if not destinations:
-            return []
-        if len(set(destinations)) != 1:
-            return None  # mixed destinations: fall back to per-call RPC
-        results = env.xrpc_execute_bulk(destinations[0], calls, xrpc.body)
-        out: list = []
-        for result in results:
-            out.extend(result)
+        destinations = self._lift(xrpc.dest, frame)
+        columns = [self._lift(param.value, frame) for param in xrpc.params]
+        if any(len(destination) != 1 for destination in destinations):
+            raise _Unliftable("destination")
+        if len({xdm.string_value(destination[0])
+                for destination in destinations}) != 1:
+            raise _Unliftable("mixed-destinations")
+        return xdm.string_value(destinations[0][0]), [
+            [(param.name, column[row])
+             for param, column in zip(xrpc.params, columns)]
+            for row in range(frame.size)]
+
+    # -- lifted evaluation -------------------------------------------------------
+
+    def _lift(self, expr: Expr, frame: _Frame) -> list[list]:
+        """``expr`` for every iteration of ``frame`` at once: one value
+        per row, charged as the nested loop charges (one tick per
+        binding per expression)."""
+        kind = type(expr)
+        size = frame.size
+        if kind is VarRef and expr.name in frame.columns:
+            frame.env.counter.ticks += size
+            return frame.columns[expr.name]
+        if self._invariant(expr, frame):
+            return [self._once(expr, frame)] * size
+        rule = getattr(self, f"_lift_{kind.__name__}", None)
+        if rule is not None:
+            frame.env.counter.ticks += size
+            return rule(expr, frame)
+        if kind not in _STRICT:
+            # A loop nested in the body is lifted per outer binding;
+            # anything else the classifier does not know runs as is.
+            _count_fallback("nested-loop" if isinstance(expr, _LOOPS)
+                            else "unclassified")
+            return [values[0] for values in self._rows([expr], frame)]
+        frame.env.counter.ticks += size
+        operands = [self._lift(operand, frame)
+                    for operand in self._operands(expr)]
+        apply = getattr(self, f"_apply_{kind.__name__}")
+        env = frame.env
+        if not operands:
+            return [apply(expr, env, []) for _row in range(size)]
+        return [apply(expr, env, values) for values in zip(*operands)]
+
+    def _invariant(self, expr: Expr, frame: _Frame) -> bool:
+        """True when ``expr`` reads no per-iteration variable and
+        builds no node (a declared function might): one evaluation
+        serves the loop. (A lifted body holds no remote call.)"""
+        entry = self._invariants.get(id(expr))
+        if entry is None or entry[0] is not expr:
+            fresh = any(
+                isinstance(node, ConstructorExpr)
+                or (isinstance(node, FunCall)
+                    and (node.name, len(node.args)) in self._functions)
+                for node in walk(expr))
+            entry = self._invariants[id(expr)] = (
+                expr, None if fresh else frozenset(free_variables(expr)))
+        return entry[1] is not None and not (entry[1] & frame.columns.keys())
+
+    def _once(self, expr: Expr, frame: _Frame) -> list:
+        """A loop-invariant value: evaluated once, charged once per
+        binding it serves."""
+        mark = frame.env.counter.mark()
+        value = self.evaluate(expr, frame.env)
+        frame.env.counter.charge_since(mark, frame.size)
+        return value
+
+    def _lift_over(self, expr: Expr, frame: _Frame, rows: list[int],
+                   out: list) -> None:
+        """``expr`` for the iterations ``rows`` only, into ``out``."""
+        if rows:
+            part = frame if len(rows) == frame.size else frame.pick(rows)
+            for row, value in zip(rows, self._lift(expr, part)):
+                out[row] = value
+
+    def _lift_branches(self, verdicts: list, then_branch: Expr,
+                       else_branch: Expr, frame: _Frame) -> list[list]:
+        """Partition the iterations by verdict and lift each branch
+        over its own partition: nothing is evaluated for a binding the
+        loop would not have evaluated it for."""
+        out: list = [None] * frame.size
+        for branch, wanted in ((then_branch, True), (else_branch, False)):
+            self._lift_over(branch, frame,
+                            [row for row, verdict in enumerate(verdicts)
+                             if bool(verdict) is wanted], out)
         return out
 
-    def _eval_LetExpr(self, expr: LetExpr, env: DynamicContext) -> list:
-        value = self.evaluate(expr.value, env)
-        return self.evaluate(expr.body, env.bind(expr.var, value))
+    def _lift_IfExpr(self, expr: IfExpr, frame: _Frame) -> list[list]:
+        return self._lift_branches(
+            [effective_boolean_value(value)
+             for value in self._lift(expr.cond, frame)],
+            expr.then_branch, expr.else_branch, frame)
 
-    def _eval_IfExpr(self, expr: IfExpr, env: DynamicContext) -> list:
-        if effective_boolean_value(self.evaluate(expr.cond, env)):
-            return self.evaluate(expr.then_branch, env)
-        return self.evaluate(expr.else_branch, env)
-
-    def _eval_TypeswitchExpr(self, expr: TypeswitchExpr,
-                             env: DynamicContext) -> list:
-        operand = self.evaluate(expr.operand, env)
-        for case in expr.cases:
-            if matches_sequence_type(operand, case.seq_type):
-                case_env = env.bind(case.var, operand) if case.var else env
-                return self.evaluate(case.body, case_env)
-        default_env = (env.bind(expr.default_var, operand)
-                       if expr.default_var else env)
-        return self.evaluate(expr.default_body, default_env)
-
-    def _eval_QuantifiedExpr(self, expr: QuantifiedExpr,
-                             env: DynamicContext) -> list:
-        seq = self.evaluate(expr.seq, env)
-        results = (
-            effective_boolean_value(
-                self.evaluate(expr.cond, env.bind(expr.var, [item])))
-            for item in seq
-        )
-        if expr.quantifier == "some":
-            return [any(results)]
-        return [all(results)]
-
-    def _eval_OrderByExpr(self, expr: OrderByExpr,
-                          env: DynamicContext) -> list:
-        seq = self.evaluate(expr.seq, env)
-        decorated = []
-        for index, item in enumerate(seq):
-            item_env = env.bind(expr.var, [item])
-            keys = []
-            for spec in expr.specs:
-                key_seq = atomize(self.evaluate(spec.key, item_env))
-                if len(key_seq) > 1:
-                    raise XQueryTypeError("order by key must be a singleton")
-                keys.append((key_seq[0] if key_seq else None, spec.ascending))
-            decorated.append((keys, index, item))
-        decorated.sort(key=lambda entry: _OrderKey(entry[0], entry[1]))
-        out: list = []
-        for _keys, _index, item in decorated:
-            out.extend(self.evaluate(expr.body, env.bind(expr.var, [item])))
+    def _lift_LogicalExpr(self, expr: LogicalExpr,
+                          frame: _Frame) -> list[list]:
+        decided = expr.op == "or"  # the left verdict that settles it
+        out = [[decided] if effective_boolean_value(value) is decided
+               else None for value in self._lift(expr.left, frame)]
+        rest = [row for row, value in enumerate(out) if value is None]
+        self._lift_over(expr.right, frame, rest, out)
+        for row in rest:
+            out[row] = [effective_boolean_value(out[row])]
         return out
+
+    def _lift_LetExpr(self, expr: LetExpr, frame: _Frame) -> list[list]:
+        return self._lift(expr.body, frame._replace(columns={
+            **frame.columns, expr.var: self._lift(expr.value, frame)}))
+
+    def _lift_PathExpr(self, expr: PathExpr, frame: _Frame) -> list[list]:
+        """Every iteration's path in one pass: each step runs once over
+        the union of all iterations' contexts, ``tags`` carrying the
+        iterations (rows) each pre belongs to, then the result is
+        zipped back per row — in document order, since pres ascend."""
+        contexts = self._lift(expr.input, frame)
+        steps, chain = self._plan(expr, self._path_plan)
+        doc = None
+        tags: dict[int, list[int]] = {}
+        for row, items in enumerate(contexts):
+            for item in items:
+                if not isinstance(item, Node):
+                    raise _Unliftable("non-node-binding")
+                if item.doc is not doc:
+                    if doc is not None:
+                        raise _Unliftable("multi-document")
+                    doc = item.doc
+                rows = tags.get(item.pre)
+                if rows is None:
+                    tags[item.pre] = [row]
+                elif rows[-1] != row:
+                    rows.append(row)
+        out: list[list] = [[] for _row in range(frame.size)]
+        if doc is None:
+            return out
+        if chain and 0 in tags:
+            raise _Unliftable("root-context")  # the path summary's case
+        index = structural_index(doc)
+        tags = dict(sorted(tags.items()))
+        for step in steps:
+            tags = self._lift_step(step, doc, index, tags, frame)
+            if not tags:
+                return out
+        for pre, rows in tags.items():
+            node = Node(doc, pre)
+            for row in rows:
+                out[row].append(node)
+        return out
+
+    def _lift_step(self, step: Step, doc: Document, index,
+                   tags: dict[int, list[int]],
+                   frame: _Frame) -> dict[int, list[int]]:
+        """One step over the union of all iterations' contexts
+        (``tags``: ascending context pre → its rows): child, attribute
+        and self read a result's rows from its one context, parent
+        unions its contexts' rows, descendant(-or-self) go by subtree
+        interval when no context lies inside another."""
+        axis, test = step.axis, step.test
+        plans, _slices, variables = self._plan(step, self._step_plan)
+        if variables & frame.columns.keys():
+            raise _Unliftable("dependent-predicate", static=True)
+        env = frame.env
+        parents = doc.parents
+        contexts = list(tags)
+        result: dict[int, list[int]] = {}
+        if axis in _GROUPED_AXES:
+            result = {pre: tags[pre if axis == "self" else parents[pre]]
+                      for pre in index.axis_scan(axis, test, contexts)}
+        elif axis == "parent" and not step.predicates:
+            for pre, rows in tags.items():
+                above = parents[pre]
+                if above >= 0 and index.matches(above, test):
+                    seen = result.get(above)
+                    result[above] = (rows if seen is None
+                                     else sorted({*seen, *rows}))
+            result = dict(sorted(result.items()))
+        elif axis in ("descendant", "descendant-or-self") \
+                and plans is not None:
+            sizes = doc.sizes
+            if any(low + sizes[low] >= high
+                   for low, high in pairwise(contexts)):
+                raise _Unliftable("nested-contexts")
+            cursor = 0
+            for pre in index.axis_scan(axis, test, contexts):
+                while pre > contexts[cursor] + sizes[contexts[cursor]]:
+                    cursor += 1
+                result[pre] = tags[contexts[cursor]]
+        else:
+            raise _Unliftable("axis", static=True)
+        weight = sum(map(len, result.values()))
+        env.counter.nodes_visited += weight
+        if step.predicates and result:
+            if plans is None and weight != len(result):
+                # A positional predicate's ticks are per context; two
+                # iterations sharing one would each owe them.
+                raise _Unliftable("shared-context")
+            kept = self._filter_candidates(step, doc, index, list(result),
+                                           env)
+            if kept is None:
+                raise _Unliftable("predicate-bailed")
+            result = {pre: result[pre] for pre in kept}
+        return result
 
     # -- operators -------------------------------------------------------------
 
-    def _eval_ComparisonExpr(self, expr: ComparisonExpr,
-                             env: DynamicContext) -> list:
-        left = self.evaluate(expr.left, env)
-        right = self.evaluate(expr.right, env)
+    def _apply_ComparisonExpr(self, expr: ComparisonExpr,
+                              env: DynamicContext, values: list) -> list:
+        left, right = values
         if expr.is_node_comparison:
             if not left or not right:
                 return []
@@ -393,10 +732,9 @@ class Evaluator:
             return [True]
         return [effective_boolean_value(self.evaluate(expr.right, env))]
 
-    def _eval_ArithmeticExpr(self, expr: ArithmeticExpr,
-                             env: DynamicContext) -> list:
-        left = atomize(self.evaluate(expr.left, env))
-        right = atomize(self.evaluate(expr.right, env))
+    def _apply_ArithmeticExpr(self, expr: ArithmeticExpr,
+                              env: DynamicContext, values: list) -> list:
+        left, right = atomize(values[0]), atomize(values[1])
         if not left or not right:
             return []
         if len(left) > 1 or len(right) > 1:
@@ -431,8 +769,9 @@ class Evaluator:
             return [int(result)]
         return [result]
 
-    def _eval_UnaryExpr(self, expr: UnaryExpr, env: DynamicContext) -> list:
-        operand = atomize(self.evaluate(expr.operand, env))
+    def _apply_UnaryExpr(self, expr: UnaryExpr, env: DynamicContext,
+                         values: list) -> list:
+        operand = atomize(values[0])
         if not operand:
             return []
         if len(operand) > 1:
@@ -443,19 +782,21 @@ class Evaluator:
             return [int(result)]
         return [result]
 
-    def _eval_RangeExpr(self, expr: RangeExpr, env: DynamicContext) -> list:
-        start = atomize(self.evaluate(expr.start, env))
-        end = atomize(self.evaluate(expr.end, env))
+    def _apply_RangeExpr(self, expr: RangeExpr, env: DynamicContext,
+                         values: list) -> list:
+        start, end = atomize(values[0]), atomize(values[1])
         if not start or not end:
             return []
+        if len(start) > 1 or len(end) > 1:
+            raise XQueryTypeError("range over a multi-item sequence")
         lo = int(to_number(start[0]))
         hi = int(to_number(end[0]))
         return list(range(lo, hi + 1))
 
-    def _eval_NodeSetExpr(self, expr: NodeSetExpr,
-                          env: DynamicContext) -> list:
-        left = xdm.require_nodes(self.evaluate(expr.left, env), expr.op)
-        right = xdm.require_nodes(self.evaluate(expr.right, env), expr.op)
+    def _apply_NodeSetExpr(self, expr: NodeSetExpr, env: DynamicContext,
+                           values: list) -> list:
+        left = xdm.require_nodes(values[0], expr.op)
+        right = xdm.require_nodes(values[1], expr.op)
         right_keys = {(id(n.doc), n.pre) for n in right}
         if expr.op == "union":
             return sort_document_order(left + right)
@@ -467,25 +808,30 @@ class Evaluator:
 
     # -- paths ---------------------------------------------------------------------
 
+    def _path_plan(self, expr: PathExpr) -> tuple[list[Step], list]:
+        """The steps as they run (``//T`` pairs collapsed) and the
+        leading chain the path summary answers whole from a root."""
+        steps = _collapse_steps(expr.steps, lambda step: self._plan(
+            step, self._step_plan)[0] is not None)
+        return steps, [(step.axis, step.test)
+                       for step in steps[:_chain_prefix_len(steps)]]
+
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
         context = self.evaluate(expr.input, env)
-        steps = _collapse_steps(expr.steps)
+        steps, chain = self._plan(expr, self._path_plan)
         start = 0
         groups: Groups | None = None
         # Whole-chain prefix from tree roots: answered by the path
         # summary as one merge of per-path pre lists (the //a//b case).
-        if context and all(isinstance(item, Node) and item.pre == 0
-                           for item in context):
-            chain_len = _chain_prefix_len(steps)
-            if chain_len:
-                chain = [(s.axis, s.test) for s in steps[:chain_len]]
-                groups = []
-                for doc, _root in group_by_document(context):
-                    pres = structural_index(doc).match_chain(chain)
-                    env.counter.nodes_visited += len(pres)
-                    if pres:
-                        groups.append((doc, pres))
-                start = chain_len
+        if chain and context and all(isinstance(item, Node)
+                                     and item.pre == 0 for item in context):
+            groups = []
+            for doc, _root in group_by_document(context):
+                pres = structural_index(doc).match_chain(chain)
+                env.counter.nodes_visited += len(pres)
+                if pres:
+                    groups.append((doc, pres))
+            start = len(chain)
         if groups is None:
             first = steps[start]
             xdm.require_nodes(context, f"axis step {first.axis}::{first.test}")
@@ -505,83 +851,104 @@ class Evaluator:
             out = scan_groups(step.axis, step.test, groups)
             env.counter.nodes_visited += sum(len(pres) for _doc, pres in out)
             return out
-        plans = self._step_predicate_plans(step)
-        reverse = step.axis in _REVERSE_ORDER_AXES
+        plans = self._plan(step, self._step_plan)[0]
         out = []
         for doc, pres in groups:
             index = structural_index(doc)
-            if plans is not None:
-                filtered = self._filter_compiled(step, plans, doc, index,
-                                                 pres, env)
-                if filtered is not None:
-                    if filtered:
-                        out.append((doc, filtered))
-                    continue
-            # Positional (or otherwise uncompilable) predicates carry
-            # per-context semantics, so candidates are produced one
-            # context node at a time, in the order the axis numbers
-            # them; the kept pres are merged and re-sorted per document.
-            kept: set[int] = set()
-            single = [0]
-            for context_pre in pres:
-                single[0] = context_pre
-                candidate_pres = index.axis_scan(step.axis, step.test,
-                                                 single)
-                env.counter.nodes_visited += len(candidate_pres)
-                candidates = [Node(doc, pre) for pre in
-                              (reversed(candidate_pres) if reverse
-                               else candidate_pres)]
-                for predicate in step.predicates:
-                    candidates = self._filter_predicate(predicate,
-                                                        candidates, env)
-                kept.update(node.pre for node in candidates)
+            kept = None
+            if plans is not None or step.axis in _GROUPED_AXES:
+                candidates = index.axis_scan(step.axis, step.test, pres)
+                env.counter.nodes_visited += len(candidates)
+                kept = self._filter_candidates(step, doc, index,
+                                               candidates, env)
+            if kept is None:
+                kept = self._filter_per_context(step, doc, index, pres, env)
             if kept:
-                out.append((doc, sorted(kept)))
+                out.append((doc, kept))
         return out
 
-    def _step_predicate_plans(self, step: Step) -> list | None:
-        """Compiled plans for every predicate of ``step`` (cached per
-        Step object), or None when any predicate must stay on the naive
-        per-context path. All-or-nothing: a later positional predicate
-        filters the candidate list an earlier predicate produced *per
-        context*, so mixing compiled whole-group filtering with naive
-        per-context filtering would change positional semantics."""
-        key = id(step)
-        cached = self._predicate_plans.get(key, False)
-        if cached is not False:
-            return cached
-        plans: list | None = []
-        for predicate in step.predicates:
-            plan = compile_predicate(predicate)
-            if plan is None:
-                plans = None
-                break
-            plans.append(plan)
-        self._predicate_plans[key] = plans
-        return plans
+    def _step_plan(self, step: Step) -> tuple:
+        """``(plans, slices, variables)`` for a predicated step:
+        compiled plans for every predicate, or None when any must keep
+        per-context semantics — all-or-nothing, since a later
+        positional predicate filters the candidate list an earlier one
+        produced *per context* — and then, per predicate, the slice a
+        positional shape takes of its group (None: evaluate it); plus
+        the variables the predicates read."""
+        plans = [compile_predicate(predicate)
+                 for predicate in step.predicates]
+        variables = frozenset().union(
+            *(free_variables(predicate) for predicate in step.predicates))
+        if None not in plans:
+            return plans, None, variables
+        shadowed = bool(self._functions.keys()
+                        & {("position", 0), ("last", 0)})
+        return None, [None if shadowed else positional_slice(predicate)
+                      for predicate in step.predicates], variables
 
-    def _filter_compiled(self, step: Step, plans: list, doc: Document,
-                         index, pres: list[int],
-                         env: DynamicContext) -> list[int] | None:
-        """Whole-group candidate scan plus compiled predicate filters.
-
-        Compiled plans are position-free, so filtering the union of all
-        context nodes' candidates equals the per-context definition.
-        Returns None when a plan bails at runtime (probe value types
-        the index can't answer) — the caller reruns this group through
-        the naive per-context path.
-        """
-        candidates = index.axis_scan(step.axis, step.test, pres)
-        env.counter.nodes_visited += len(candidates)
-        kept: list[int] | None = candidates
-        for plan in plans:
-            if not kept:
-                break
-            kept = plan.filter(doc, index, kept, step.axis, step.test,
-                               env)
-            if kept is None:
-                return None
+    def _filter_candidates(self, step: Step, doc: Document, index,
+                           candidates, env: DynamicContext):
+        """The step's predicates over one scan's candidates (all
+        contexts at once). Compiled plans are position-free, so
+        filtering the union equals the per-context definition; None
+        when a plan bails at runtime (probe value types the index
+        can't answer). Uncompiled predicates — on an axis where each
+        candidate has one context — run per context group: candidates
+        in axis order, a positional shape as a slice charged the ticks
+        its evaluation per candidate would have cost, anything else
+        evaluated with ``(rank in group, group size)``."""
+        plans, slices, _variables = self._plan(step, self._step_plan)
+        if plans is not None:
+            kept = candidates
+            for plan in plans:
+                if not kept:
+                    break
+                kept = plan.filter(doc, index, kept, step.axis, step.test,
+                                   env)
+                if kept is None:
+                    return None
+            return kept
+        parents = doc.parents
+        groups: dict[int, list[int]] = {}
+        for pre in candidates:
+            groups.setdefault(pre if step.axis == "self" else parents[pre],
+                              []).append(pre)
+        kept = []
+        for _context, group in sorted(groups.items()):
+            for predicate, shape in zip(step.predicates, slices):
+                if not group:
+                    break
+                if shape is None:
+                    group = [node.pre for node in self._filter_predicate(
+                        predicate, [Node(doc, pre) for pre in group], env)]
+                else:
+                    env.counter.ticks += shape[2] * len(group)
+                    group = take_slice(group, shape)
+            kept.extend(group)
+        kept.sort()
         return kept
+
+    def _filter_per_context(self, step: Step, doc: Document, index,
+                            pres, env: DynamicContext) -> list[int]:
+        """Predicates with per-context semantics on an axis where a
+        candidate may have several contexts: candidates are produced
+        one context node at a time, in the order the axis numbers
+        them; the kept pres are merged and re-sorted."""
+        reverse = step.axis in _REVERSE_ORDER_AXES
+        kept: set[int] = set()
+        single = [0]
+        for context_pre in pres:
+            single[0] = context_pre
+            candidate_pres = index.axis_scan(step.axis, step.test, single)
+            env.counter.nodes_visited += len(candidate_pres)
+            candidates = [Node(doc, pre) for pre in
+                          (reversed(candidate_pres) if reverse
+                           else candidate_pres)]
+            for predicate in step.predicates:
+                candidates = self._filter_predicate(predicate, candidates,
+                                                    env)
+            kept.update(node.pre for node in candidates)
+        return sorted(kept)
 
     def _filter_predicate(self, predicate: Expr, candidates: list,
                           env: DynamicContext) -> list:
@@ -600,13 +967,27 @@ class Evaluator:
 
     # -- constructors -----------------------------------------------------------------
 
-    def _eval_ConstructorExpr(self, expr: ConstructorExpr,
-                              env: DynamicContext) -> list:
-        content = ([] if expr.content is None
-                   else self.evaluate(expr.content, env))
+    def _constructor_plan(self, expr: ConstructorExpr) -> tuple:
+        """``(operand expressions, inline)``. Planning an element marks
+        the attribute constructors directly inside its content inline:
+        they hand ``_build_content`` a ``(name, value)`` pair instead
+        of building a one-row document for it to read them from."""
+        if expr.kind == "element" and expr.content is not None:
+            for item in getattr(expr.content, "items", (expr.content,)):
+                if isinstance(item, ConstructorExpr) \
+                        and item.kind == "attribute":
+                    self._plans[id(item)] = (
+                        item, (self._constructor_plan(item)[0], True))
+        return [operand for operand in (expr.content, expr.name_expr)
+                if operand is not None], False
+
+    def _apply_ConstructorExpr(self, expr: ConstructorExpr,
+                               env: DynamicContext, values: list) -> list:
+        operands = iter(values)
+        content = [] if expr.content is None else next(operands)
         name = expr.name
         if name is None and expr.name_expr is not None:
-            name_seq = self.evaluate(expr.name_expr, env)
+            name_seq = next(operands)
             name = xdm.string_value(name_seq[0]) if name_seq else ""
 
         if expr.kind == "text":
@@ -614,6 +995,8 @@ class Evaluator:
             return [_make_leaf_fragment(NodeKind.TEXT, "", text)]
         if expr.kind == "attribute":
             value = " ".join(xdm.string_value(i) for i in atomize(content))
+            if self._plan(expr, self._constructor_plan)[1]:
+                return [(name or "attr", value)]
             return [_make_leaf_fragment(NodeKind.ATTRIBUTE, name or "attr",
                                         value)]
         if expr.kind == "document":
@@ -631,9 +1014,9 @@ class Evaluator:
 
     # -- functions and XRPC ----------------------------------------------------------------
 
-    def _eval_FunCall(self, expr: FunCall, env: DynamicContext) -> list:
-        args = [self.evaluate(arg, env) for arg in expr.args]
-        return self.call_function(expr.name, len(args), args, env)
+    def _apply_FunCall(self, expr: FunCall, env: DynamicContext,
+                       values: list) -> list:
+        return self.call_function(expr.name, len(values), values, env)
 
     def _eval_XRPCExpr(self, expr: XRPCExpr, env: DynamicContext) -> list:
         dest_seq = self.evaluate(expr.dest, env)
@@ -657,11 +1040,19 @@ def evaluate_module(module: Module, env: DynamicContext,
 # ---------------------------------------------------------------------------
 
 
-def _collapse_steps(steps: list[Step]) -> list[Step]:
-    """Rewrite ``descendant-or-self::node()/child::T`` pairs into
-    ``descendant::T`` (the desugared ``//T``). Sound whenever the child
-    step carries no predicates — a positional predicate is relative to
-    one context node's child list, which the collapse would change."""
+def _count_fallback(reason: str) -> None:
+    GLOBAL_REGISTRY.counter(
+        "evaluator_loop_fallbacks_total",
+        "binding loops (or loops nested in a lifted body) run per binding",
+        ("reason",)).labels(reason).inc()
+
+
+def _collapse_steps(steps: list[Step], compiles) -> list[Step]:
+    """Rewrite ``descendant-or-self::node()/child::T[p]`` pairs into
+    ``descendant::T[p]`` (the desugared ``//T[p]``). Sound whenever
+    every predicate of the child step ``compiles`` to a position-free
+    plan — a positional predicate is relative to one context node's
+    child list, which the collapse would change."""
     out: list[Step] = []
     index = 0
     while index < len(steps):
@@ -669,8 +1060,9 @@ def _collapse_steps(steps: list[Step]) -> list[Step]:
         if (step.axis == "descendant-or-self" and step.test == "node()"
                 and not step.predicates and index + 1 < len(steps)):
             following = steps[index + 1]
-            if following.axis == "child" and not following.predicates:
-                out.append(Step("descendant", following.test))
+            if following.axis == "child" and compiles(following):
+                out.append(Step("descendant", following.test,
+                                following.predicates))
                 index += 2
                 continue
         out.append(step)
@@ -696,6 +1088,46 @@ def math_fmod(x: float, y: float) -> float:
     return math.fmod(x, y)
 
 
+#: The order-by key of a NaN: below every value, above the empty
+#: sequence, equal to itself (XQuery 1.0 §3.8.3).
+_NAN_KEY = object()
+
+
+def order_key(key_seq: list):
+    """One evaluated order-by key, as the sort compares it — the one
+    place keys are built: None for the empty sequence, NaN (which
+    ``=`` and ``<`` both answer false for, so it would not sort)
+    folded to its marker."""
+    atoms = atomize(key_seq)
+    if len(atoms) > 1:
+        raise XQueryTypeError("order by key must be a singleton")
+    if not atoms:
+        return None
+    return _NAN_KEY if atoms[0] != atoms[0] else atoms[0]
+
+
+def _order_rows(keys: list, specs: list) -> list[int]:
+    """The iterations of an ``order by`` in sorted order; ``keys`` is
+    one column of :func:`order_key` values per spec. A column of plain
+    strings, or of numbers, sorts on the keys themselves — one stable
+    pass per spec, last spec first; any other mix compares through
+    :class:`_OrderKey`."""
+    order = list(range(len(keys[0]) if keys else 0))
+    plain = []
+    for column in keys:
+        if all(isinstance(key, str) for key in column):
+            plain.append(column)
+        elif all(type(key) is int or type(key) is float for key in column):
+            plain.append([float(key) for key in column])
+        else:
+            return sorted(order, key=lambda row: _OrderKey(
+                [(column[row], spec.ascending)
+                 for column, spec in zip(keys, specs)], row))
+    for column, spec in zip(reversed(plain), reversed(specs)):
+        order.sort(key=column.__getitem__, reverse=not spec.ascending)
+    return order
+
+
 class _OrderKey:
     """Comparison wrapper implementing order-by semantics: per-key
     ascending/descending with empty-least, stable by input position."""
@@ -716,8 +1148,8 @@ class _OrderKey:
 
 
 def _order_equal(a, b) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
+    if a is None or b is None or a is _NAN_KEY or b is _NAN_KEY:
+        return a is b
     try:
         return xdm.value_compare("=", a, b)
     except Exception:
@@ -725,10 +1157,10 @@ def _order_equal(a, b) -> bool:
 
 
 def _order_less(a, b) -> bool:
-    if a is None:
-        return True  # empty-least
-    if b is None:
-        return False
+    if a is None or b is None:
+        return a is None  # empty-least
+    if a is _NAN_KEY or b is _NAN_KEY:
+        return a is _NAN_KEY
     try:
         return xdm.value_compare("<", a, b)
     except Exception:
@@ -756,7 +1188,9 @@ def _build_content(builder: DocumentBuilder, content: list) -> None:
             pending_atoms.clear()
 
     for item in content:
-        if isinstance(item, Node):
+        if type(item) is tuple:  # an inline attribute constructor's
+            builder.attribute(*item)
+        elif isinstance(item, Node):
             if item.kind == NodeKind.ATTRIBUTE:
                 builder.attribute(item.name, item.value)
                 continue

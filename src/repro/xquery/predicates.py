@@ -21,8 +21,9 @@ one of two forms:
   re-dispatch, no per-node dynamic context construction.
 
 Positional predicates (numeric values, ``position()``/``last()``) and
-anything else unrecognised compile to ``None`` and keep the evaluator's
-per-context path.
+anything else unrecognised compile to ``None`` and keep per-context
+semantics; :func:`positional_slice` recognises the ones that are a
+slice of each context's candidate group.
 
 Compiled comparisons cannot raise type errors the per-context path
 would not: node-derived operands are untyped atomics, which pair with
@@ -50,7 +51,9 @@ from repro.xquery.ast import (
     ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LogicalExpr,
     PathExpr, VALUE_COMPARISONS, VarRef,
 )
-from repro.xquery.xdm import UntypedAtomic, atomize, general_compare
+from repro.xquery.xdm import (
+    COMPARATORS, UntypedAtomic, atomize, general_compare,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
@@ -359,6 +362,46 @@ def compile_predicate(expr: Expr) -> IndexPlan | ClosurePlan | None:
         fn, var_names = compiled
         return ClosurePlan(fn, tuple(dict.fromkeys(var_names)))
     return None
+
+
+def positional_slice(expr: Expr) -> tuple[str, object, int] | None:
+    """``(op, k, ticks)`` of a positional predicate that is a slice of
+    its context group — ``[k]``, ``[last()]``, ``[position() op k]``
+    (either operand order) — or None. ``ticks`` is what evaluating the
+    predicate for one candidate costs: one per AST node, all of which
+    such a shape always evaluates."""
+    if isinstance(expr, Literal):
+        return ("=", expr.value, 1) if _is_number(expr.value) else None
+    if isinstance(expr, FunCall):
+        return ("last", None, 1) if (expr.name, expr.args) == ("last", []) \
+            else None
+    if isinstance(expr, ComparisonExpr) and expr.op in VALUE_COMPARISONS:
+        for call, other, op in ((expr.left, expr.right, expr.op),
+                                (expr.right, expr.left,
+                                 FLIPPED_OPS[expr.op])):
+            if isinstance(call, FunCall) and isinstance(other, Literal) \
+                    and (call.name, call.args) == ("position", []) \
+                    and _is_number(other.value):
+                return (op, other.value, 3)
+    return None
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def take_slice(group: list[int], shape: tuple[str, object, int]) -> list[int]:
+    """The candidates of one context group (in axis order) a
+    :func:`positional_slice` shape keeps."""
+    op, k, _ticks = shape
+    if op == "last":
+        return group[-1:]
+    if op == "=":  # NaN and the infinities fail the range test
+        return group[int(k) - 1:int(k)] \
+            if 1 <= k <= len(group) and k == int(k) else []
+    compare = COMPARATORS[op]
+    return [pre for position, pre in enumerate(group, start=1)
+            if compare(position, k)]
 
 
 def _index_probes(expr: Expr) -> list[Probe] | None:

@@ -140,7 +140,8 @@ def _comparable_pair(left: Item, right: Item) -> tuple[Any, Any]:
         f"cannot compare {type(left).__name__} with {type(right).__name__}")
 
 
-_OPERATORS = {
+#: The comparison operators over one coerced atom pair.
+COMPARATORS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -153,7 +154,7 @@ _OPERATORS = {
 def value_compare(op: str, left: Item, right: Item) -> bool:
     """Compare one coerced atom pair."""
     a, b = _comparable_pair(atomize_item(left), atomize_item(right))
-    return _OPERATORS[op](a, b)
+    return COMPARATORS[op](a, b)
 
 
 def general_compare(op: str, left_seq: Sequence, right_seq: Sequence) -> bool:
@@ -163,7 +164,7 @@ def general_compare(op: str, left_seq: Sequence, right_seq: Sequence) -> bool:
     for left in left_atoms:
         for right in right_atoms:
             a, b = _comparable_pair(left, right)
-            if _OPERATORS[op](a, b):
+            if COMPARATORS[op](a, b):
                 return True
     return False
 

@@ -122,6 +122,18 @@ class TestProblem4_MixedCalls:
         assert unbulk.stats.messages == 4  # two interactions
 
 
+    def test_mixed_destinations_are_called_one_by_one(self, fed):
+        fed.add_peer("other.org")
+        result = run(
+            fed,
+            "declare function one($n as xs:integer) as xs:integer "
+            "{ $n + 1 };\n"
+            'for $d in ("example.org", "other.org", "example.org") '
+            "return execute at {$d} { one(1) }", Strategy.BY_FRAGMENT)
+        assert result.items == [2, 2, 2]
+        assert result.stats.messages == 6  # no bulk message to share
+
+
 class TestProblem5_BuiltinFunctions:
     def test_class1_static_context_shipped(self, fed):
         query = ('declare function f() as xs:string '

@@ -13,7 +13,9 @@ Three pieces, each moved out of the library unchanged:
 * :class:`ReferenceEvaluator` — ``Evaluator(use_index=False)`` as a
   subclass: every path is one ``axis_step`` generator per context node
   plus the document-order sort, every predicate is evaluated per
-  candidate, every FLWOR is the nested loop;
+  candidate, every ``for`` / ``order by`` / ``some`` / ``every`` is
+  the nested loop the library ran until PR 21 (one evaluation of the
+  body per binding);
 * :func:`walk_rel_path` — the per-node loop ``RelPath.evaluate`` ran.
 
 Use :func:`reference_engine` to run a whole federation on the oracle:
@@ -33,10 +35,13 @@ from repro.xmldb.axes import attribute, child
 from repro.xmldb.compare import sort_document_order
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import xdm
-from repro.xquery.ast import ForExpr, PathExpr, Step
+from repro.xquery.ast import (
+    ForExpr, OrderByExpr, PathExpr, QuantifiedExpr, Step,
+)
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import Evaluator
+from repro.xquery.evaluator import Evaluator, _OrderKey, order_key
 from repro.xquery.prepared import PreparedTable
+from repro.xquery.xdm import effective_boolean_value
 
 AxisFunction = Callable[[Node], Iterator[Node]]
 
@@ -201,7 +206,7 @@ def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:
 
 class ReferenceEvaluator(Evaluator):
     """The naive tree-walking pipeline everywhere: no index scans, no
-    compiled predicates, no hash join."""
+    compiled predicates, no loop operators."""
 
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
         context = self.evaluate(expr.input, env)
@@ -225,9 +230,49 @@ class ReferenceEvaluator(Evaluator):
             gathered.extend(candidates)
         return sort_document_order(gathered)
 
-    def _try_hash_join(self, expr: ForExpr, seq: list,
-                       env: DynamicContext) -> list | None:
-        return None
+    # The nested binding loops ``xquery/evaluator.py`` ran until PR 21
+    # (it plans one operator per loop now), moved here unchanged but
+    # for ``order_key`` — the one place an order-by key is built, so
+    # both engines fold NaN alike.
+
+    def _eval_ForExpr(self, expr: ForExpr, env: DynamicContext) -> list:
+        seq = self.evaluate(expr.seq, env)
+        out: list = []
+        for position, item in enumerate(seq, start=1):
+            body_env = env.bind(expr.var, [item])
+            if expr.pos_var is not None:
+                body_env = body_env.bind(expr.pos_var, [position])
+            out.extend(self.evaluate(expr.body, body_env))
+        return out
+
+    def _eval_QuantifiedExpr(self, expr: QuantifiedExpr,
+                             env: DynamicContext) -> list:
+        seq = self.evaluate(expr.seq, env)
+        results = (
+            effective_boolean_value(
+                self.evaluate(expr.cond, env.bind(expr.var, [item])))
+            for item in seq
+        )
+        if expr.quantifier == "some":
+            return [any(results)]
+        return [all(results)]
+
+    def _eval_OrderByExpr(self, expr: OrderByExpr,
+                          env: DynamicContext) -> list:
+        seq = self.evaluate(expr.seq, env)
+        decorated = []
+        for index, item in enumerate(seq):
+            item_env = env.bind(expr.var, [item])
+            keys = []
+            for spec in expr.specs:
+                keys.append((order_key(self.evaluate(spec.key, item_env)),
+                             spec.ascending))
+            decorated.append((keys, index, item))
+        decorated.sort(key=lambda entry: _OrderKey(entry[0], entry[1]))
+        out: list = []
+        for _keys, _index, item in decorated:
+            out.extend(self.evaluate(expr.body, env.bind(expr.var, [item])))
+        return out
 
 
 @contextmanager

@@ -44,6 +44,15 @@ class TestBasics:
         assert run("1 to 4") == [1, 2, 3, 4]
         assert run("3 to 1") == []
 
+    def test_range_start_must_be_a_singleton(self):
+        # XPTY0004, as unary minus and arithmetic on the same operand.
+        with pytest.raises(XQueryTypeError):
+            run("(1, 2) to 3")
+
+    def test_range_end_must_be_a_singleton(self):
+        with pytest.raises(XQueryTypeError):
+            run("1 to (2, 3)")
+
     def test_logical_short_circuit(self):
         # The error in the right operand is skipped.
         assert run1('fn:false() and fn:error("boom")') is False
@@ -102,6 +111,32 @@ class TestFlwor:
                    "order by substring($x, 1, 1) return $x") \
             == ["a1", "b1", "b2"]
 
+    def test_order_by_nan_sorts_below_every_value(self):
+        # XQuery 1.0 §3.8.3: NaN is less than every other value and
+        # equal to itself (it answered false to both = and <, so the
+        # result depended on which pairs list.sort probed).
+        assert serialize_sequence(run(
+            "for $x in (3, number('x'), 1) order by $x return $x")) \
+            == "NaN 1 3"
+        assert serialize_sequence(run(
+            "for $x in (3, number('x'), 1, number('y')) "
+            "order by $x descending return $x")) == "3 1 NaN NaN"
+
+    def test_order_by_nan_sorts_after_the_empty_key(self):
+        result = run(
+            'for $p in doc("d")/r/p '
+            'order by (if ($p/k) then number($p/k) else ()) return $p/@id',
+            {"d": '<r><p id="nan"><k>x</k></p><p id="two"><k>2</k></p>'
+                  '<p id="empty"/><p id="one"><k>1</k></p></r>'})
+        assert [node.value for node in result] \
+            == ["empty", "nan", "one", "two"]
+
+    def test_order_by_nan_in_one_of_two_specs(self):
+        assert serialize_sequence(run(
+            "for $x in (2, 1, 4, 3) "
+            "order by number(if ($x mod 2 = 0) then 'x' else '7'), "
+            "$x descending return $x")) == "4 2 3 1"
+
     def test_quantified_some_every(self):
         assert run1("some $x in (1, 2) satisfies $x = 2") is True
         assert run1("every $x in (1, 2) satisfies $x = 2") is False
@@ -110,6 +145,107 @@ class TestFlwor:
     def test_shadowing(self):
         assert run("let $x := 1 return (for $x in (2, 3) return $x, $x)") \
             == [2, 3, 1]
+
+
+class TestLoopOperators:
+    """A binding loop runs as one operator over all its bindings; what
+    it returns, and which error it raises, is the nested loop's."""
+
+    AUCTIONS = """<site>
+     <auction id="a1"><seller>s1</seller>
+      <bid n="1">5</bid><bid n="2">7</bid></auction>
+     <auction id="a2"><seller>s2</seller><bid n="3">9</bid></auction>
+     <auction id="a3"><seller>s3</seller></auction>
+    </site>"""
+
+    def values(self, query):
+        return [item.string_value() if isinstance(item, Node) else item
+                for item in run(query, {"d": self.AUCTIONS})]
+
+    def test_duplicate_bindings_are_both_served(self):
+        assert self.values('let $a := doc("d")//auction[1] '
+                           "for $x in ($a, $a) return $x/seller") \
+            == ["s1", "s1"]
+
+    def test_positions_follow_the_bindings(self):
+        assert self.values('for $x at $i in doc("d")//auction '
+                           "return ($i, $x/bid[1]/@n)") \
+            == [1, "1", 2, "3", 3]
+
+    def test_paths_over_a_let_variable_and_a_shadowed_one(self):
+        assert self.values('for $x in doc("d")//auction '
+                           "let $b := $x/bid return $b/@n") == ["1", "2", "3"]
+        assert self.values('for $x in doc("d")//auction return '
+                           "(let $x := $x/bid return $x/@n)") \
+            == ["1", "2", "3"]
+
+    def test_iterations_sharing_a_context_each_get_its_results(self):
+        assert self.values('for $b in doc("d")//bid '
+                           "return $b/parent::auction/seller") \
+            == ["s1", "s1", "s2"]
+
+    def test_stored_nodes_keep_identity_constructed_ones_are_fresh(self):
+        assert run1('let $s := doc("d")//seller return '
+                    "every $x in (for $a in doc(\"d\")//auction "
+                    "return $a/seller) satisfies (some $y in $s "
+                    "satisfies $x is $y)", {"d": self.AUCTIONS}) is True
+        first, second = run("for $x in (1, 2) return <a/>")
+        assert first.doc is not second.doc
+
+    def test_a_branch_sees_only_the_bindings_that_reach_it(self):
+        assert run("for $x in (0, 2) return "
+                   "if ($x = 0) then 0 else 4 div $x") == [0, 2]
+        assert run('for $x in (1, 2) return '
+                   'if ($x > 5) then fn:error("boom") else $x') == [1, 2]
+        assert run('for $x in (1, 2) return ($x < 3 or fn:error("boom"), '
+                   '$x > 5 and fn:error("boom"))') \
+            == [True, False, True, False]
+
+    def test_the_first_binding_to_fail_decides_the_error(self):
+        # Binding 1 fails in the else branch before binding 2 reaches
+        # the then branch, whichever branch an operator runs first.
+        with pytest.raises(XQueryTypeError):
+            run('for $x in (1, 2) return '
+                'if ($x = 2) then fn:error("boom") else $x/child::a')
+        with pytest.raises(XQueryDynamicError):
+            run('for $x in (1, 2) return '
+                'if ($x = 1) then fn:error("boom") else $x/child::a')
+
+    def test_a_quantifier_stops_at_the_deciding_binding(self):
+        assert run1('some $x in (1, 2, "a") satisfies $x = 1') is True
+        assert run1('every $x in (1, 2, "a") satisfies $x = 2') is False
+        with pytest.raises(XQueryTypeError):
+            run('some $x in (1, 2, "a") satisfies $x = 3')
+
+    def test_order_by_two_specs_mixed_directions_is_stable(self):
+        assert self.values(
+            'for $b in doc("d")//bid order by count($b/../bid) descending, '
+            "$b/@n descending return $b/@n") == ["2", "1", "3"]
+        assert run('for $x in ("b", "a", "b", "a") order by $x descending '
+                   "return $x") == ["b", "b", "a", "a"]
+
+    def test_positional_predicates_slice_each_context_group(self):
+        assert self.values('doc("d")//auction/bid[1]/@n') == ["1", "3"]
+        assert self.values('doc("d")//auction/bid[last()]/@n') == ["2", "3"]
+        assert self.values('doc("d")//auction/bid[position() > 1]/@n') \
+            == ["2"]
+        assert self.values('doc("d")//auction/bid[2 >= position()][2]/@n') \
+            == ["2"]
+        assert self.values('doc("d")//auction/bid[. > 6][1]/@n') \
+            == ["2", "3"]
+        assert self.values('doc("d")//auction/@id[1]') == ["a1", "a2", "a3"]
+        assert self.values('doc("d")//auction/bid[1.5]') == []
+
+    def test_inline_attribute_constructors_build_the_same_element(self):
+        result = run('for $a in doc("d")//auction[bid] return '
+                     '<r id="{$a/@id}" n="{count($a/bid)}">{$a/seller}</r>',
+                     {"d": self.AUCTIONS})
+        assert serialize_sequence(result) == (
+            '<r id="a1" n="2"><seller>s1</seller></r> '
+            '<r id="a2" n="1"><seller>s2</seller></r>')
+        assert serialize_sequence(run(
+            "element r {attribute a {1}, 2}, attribute b {3}")) \
+            == '<r a="1">2</r> b="3"'
 
 
 class TestPaths:
