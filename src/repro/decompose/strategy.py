@@ -68,9 +68,10 @@ class Strategy(enum.Enum):
             normalized = value.strip().lower().replace("_", "-")
             if normalized == AUTO:
                 return AUTO
-            for member in cls:
-                if normalized == member.value:
-                    return member
+            try:
+                return cls(normalized)   # by value: one dict lookup
+            except ValueError:
+                pass
         valid = ", ".join([member.value for member in cls] + [AUTO])
         raise ValueError(
             f"unknown strategy {value!r}; valid strategies: {valid}")

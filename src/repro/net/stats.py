@@ -19,6 +19,8 @@ flatten away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from repro.obs.explain import PlanAnalysis, render_analysis
 
@@ -59,7 +61,7 @@ class TimeBreakdown:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlanReport:
     """The planner's verdict for one run: which physical plan executed
     and what it was predicted to cost.
@@ -67,9 +69,10 @@ class PlanReport:
     Attached to :class:`RunStats` for *every* run — fixed strategies
     get the trivial single-candidate report — so estimated-vs-actual
     tables (``BENCH_planner.json``) need nothing but the stats object.
-    After execution the federation attaches a per-operator
-    :class:`~repro.obs.explain.PlanAnalysis`; :meth:`explain` with
-    ``analyze=True`` renders it.
+    After execution the federation attaches what builds the
+    per-operator :class:`~repro.obs.explain.PlanAnalysis`; the rows are
+    built when :attr:`analysis` is first read (most runs' never are),
+    and :meth:`explain` with ``analyze=True`` renders them.
     """
 
     strategy: str                 # chosen plan label, e.g. "by-projection"
@@ -80,8 +83,16 @@ class PlanReport:
     #: cheapest first. Fixed-strategy runs carry just their own entry.
     candidates: tuple[tuple[str, float], ...] = ()
     explain_text: str = ""        # operator-level plan rendering
-    #: Per-operator estimated-vs-actual rows, attached after the run.
-    analysis: PlanAnalysis | None = None
+    #: Builds the per-operator estimated-vs-actual rows from what the
+    #: run recorded; set by the federation after the run (a report is
+    #: built per run and belongs to it).
+    analyzer: Callable[[], PlanAnalysis] | None = field(
+        default=None, repr=False, compare=False)
+
+    @cached_property
+    def analysis(self) -> PlanAnalysis | None:
+        """Per-operator estimated-vs-actual rows (None before the run)."""
+        return self.analyzer() if self.analyzer is not None else None
 
     def explain(self, analyze: bool = False) -> str:
         """The operator-level plan rendering; with ``analyze=True``,

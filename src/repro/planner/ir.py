@@ -26,6 +26,8 @@ compiled for its module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
@@ -267,14 +269,27 @@ class PhysicalPlan:
             explain_text=self.explain(),
         )
 
-    def build_analysis(self, actuals: ActualsBook, stats: RunStats,
-                       wall_s: float) -> PlanAnalysis:
+    def analyzer(self, vectors: list[CostVector], actuals: ActualsBook,
+                 stats: RunStats,
+                 wall_s: float) -> Callable[[], PlanAnalysis]:
+        """What builds a finished run's explain-analyze rows from the
+        operators' estimates as :meth:`priced` at the end of the run
+        (every run's feedback moves the factors) and the run's totals,
+        read now; the rows are rendered when someone reads them."""
+        return partial(self._analysis, vectors, actuals, stats.times.total,
+                       stats.total_transferred_bytes, wall_s)
+
+    def _analysis(self, vectors: list[CostVector], actuals: ActualsBook,
+                  actual_s: float, actual_bytes: int,
+                  wall_s: float) -> PlanAnalysis:
         """The explain-analyze rows: each operator's estimate next to
         what the run's :class:`~repro.obs.explain.ActualsBook` recorded
         for it (scatter shards alias back to their logical site, so a
         ScatterGather row sums its per-shard round trips)."""
         rows: list[OpAnalysis] = []
-        for op, vector in zip(self.ops, self.priced()):
+        total = CostVector()
+        for op, vector in zip(self.ops, vectors):
+            total.add(vector)
             est_s = vector.total_s(self.model)
             est_bytes = vector.wire_bytes
             if isinstance(op, LocalEval):
@@ -302,9 +317,9 @@ class PhysicalPlan:
         return PlanAnalysis(
             label=self.label,
             rows=tuple(rows),
-            est_total_s=self.estimated_s,
-            est_total_bytes=float(self.estimated_bytes),
-            actual_total_s=stats.times.total,
-            actual_total_bytes=stats.total_transferred_bytes,
+            est_total_s=total.total_s(self.model),
+            est_total_bytes=float(int(total.wire_bytes)),
+            actual_total_s=actual_s,
+            actual_total_bytes=actual_bytes,
             wall_s=wall_s,
         )

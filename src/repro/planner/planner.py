@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING
 from repro.decompose import (
     DecompositionCandidates, InsertionPlan, Strategy, prepare, realize,
 )
+from repro.net.estimate import CostVector
 from repro.net.stats import PlanReport
 from repro.obs.trace import child_span
 from repro.planner.estimator import PlanEstimator
@@ -218,17 +219,44 @@ class QueryPlanner:
 
     # -- adaptive feedback --------------------------------------------------
 
-    def observe(self, plan: PhysicalPlan, result: "RunResult") -> None:
-        """Compare ``plan``'s estimates with the observed
+    def observe(self, plan: PhysicalPlan, result: "RunResult",
+                vectors: list[CostVector]) -> None:
+        """Compare ``plan``'s estimates (``vectors``: its operators as
+        priced at the end of the run) with the observed
         :class:`~repro.net.stats.RunStats` and nudge the calibration
         factors. Runs served (partly) from the result cache are
         skipped — their wire truth is not the plan's doing."""
         stats = result.stats
         if stats.cache_hits > 0:
             return
-        # Message bytes, per destination: MessageLog carries the
-        # observed per-peer truth. (A collection site's messages are
-        # logged per replica, so it gets no message feedback.)
+        if result.messages:
+            self._observe_messages(plan, result)
+
+        # Shipped document bytes: RunStats only has the total, so the
+        # observed/estimated ratio is apportioned uniformly across the
+        # plan's ship operators — each owner still gets its own factor
+        # (multi-owner plans, e.g. the Figure 7-9 semijoin, included).
+        vector = CostVector()
+        for priced in vectors:
+            vector.add(priced)
+        if stats.document_bytes:
+            for op in plan.ops:
+                if isinstance(op, ShipDocument) and op.document_bytes:
+                    self.calibration.observe(
+                        "doc", op.owner, "", vector.document_bytes,
+                        float(stats.document_bytes))
+
+        # Execution seconds, attributed to the originator.
+        est_exec = vector.local_exec_s + vector.remote_exec_s
+        observed_exec = stats.times.local_exec + stats.times.remote_exec
+        self.calibration.observe("exec", plan.origin, "",
+                                 est_exec, observed_exec)
+
+    def _observe_messages(self, plan: PhysicalPlan,
+                          result: "RunResult") -> None:
+        """Message bytes, per destination: MessageLog carries the
+        observed per-peer truth. (A collection site's messages are
+        logged per replica, so it gets no message feedback.)"""
         est_by_dest: dict[str, tuple[float, str]] = {}
 
         def note(call: XrpcCall) -> None:
@@ -257,23 +285,6 @@ class QueryPlanner:
             estimated, semantics = entry
             self.calibration.observe("msg", dest, semantics,
                                      estimated, float(observed))
-
-        # Shipped document bytes: RunStats only has the total, so the
-        # observed/estimated ratio is apportioned uniformly across the
-        # plan's ship operators — each owner still gets its own factor
-        # (multi-owner plans, e.g. the Figure 7-9 semijoin, included).
-        vector = plan.vector
-        for op in plan.ops:
-            if isinstance(op, ShipDocument) and op.document_bytes:
-                self.calibration.observe(
-                    "doc", op.owner, "", vector.document_bytes,
-                    float(stats.document_bytes))
-
-        # Execution seconds, attributed to the originator.
-        est_exec = vector.local_exec_s + vector.remote_exec_s
-        observed_exec = stats.times.local_exec + stats.times.remote_exec
-        self.calibration.observe("exec", plan.origin, "",
-                                 est_exec, observed_exec)
 
     # -- introspection ------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -283,18 +283,18 @@ class Federation:
         leaves) into ``RunResult.trace``; off by default and zero-cost
         when off.
         """
-        choice = Strategy.coerce(strategy)
         tracer = Tracer(self.transport.clock) if trace else None
         root_ctx = (tracer.start("query", at=at,
-                                 strategy=strategy_label(choice))
+                                 strategy=strategy_label(strategy))
                     if tracer is not None else nullcontext())
-        with root_ctx, self._monitored():
+        with root_ctx, (self._monitored() if self.monitor is not None
+                        else nullcontext()):
             # Fixed strategies go through the same planner entry point
             # as auto: one prepared query per text amortises parsing,
             # decomposition and lowering across every run of it.
             with child_span("plan"):
                 plan, report = self.planner.plan(
-                    query, at=at, strategy=choice, bulk_rpc=bulk_rpc,
+                    query, at=at, strategy=strategy, bulk_rpc=bulk_rpc,
                     code_motion=code_motion, let_sinking=let_sinking)
             # The plan is shared by every run of this text (read-only).
             result = self._execute(
@@ -331,11 +331,12 @@ class Federation:
         started = run.clock()
         result = run.execute()
         wall_s = run.clock() - started
-        result.stats.plan = replace(
-            report,
-            analysis=run.plan.build_analysis(run.actuals, result.stats,
-                                             wall_s))
-        self.planner.observe(run.plan, result)
+        # Priced once, for the explain-analyze rows and the feedback.
+        vectors = run.plan.priced()
+        report.analyzer = run.plan.analyzer(vectors, run.actuals,
+                                            result.stats, wall_s)
+        result.stats.plan = report
+        self.planner.observe(run.plan, result, vectors)
         root = run.tracer.root if run.tracer is not None else None
         if root is not None:
             root.set(strategy=result.stats.plan.strategy,

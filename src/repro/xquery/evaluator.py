@@ -40,14 +40,14 @@ group; other axes keep one scan per context node, candidates in the
 order the axis numbers them.
 
 A binding loop (``for``, ``order by``, ``some`` / ``every``) is *one
-operator over its bindings*, chosen once per loop from the body's
-shape (:meth:`Evaluator._loop_plan`):
+operator over its bindings*, chosen once per loop from its shape
+(:meth:`Evaluator._loop_plan`):
 
 * **Bulk RPC** — a remote call as the whole body ships all iterations
   in one message;
 * **hash join** — ``if ($dep = $invariant) then .. else ..`` evaluates
-  the invariant side once and answers every iteration from a hash set
-  or one value-index probe;
+  the invariant side once (a remote one sends one message) and answers
+  every iteration from a hash set or one value-index probe;
 * **lifted** — the body runs once for *all* iterations (loop-lifting,
   as the paper's MonetDB/XQuery substrate does): sub-expressions with
   no loop variable are evaluated once, paths rooted at a loop or
@@ -58,19 +58,19 @@ shape (:meth:`Evaluator._loop_plan`):
   comparisons, calls and constructors are applied per iteration to
   operands already computed;
 * **per-binding** — the nested loop (:meth:`Evaluator._rows`, the one
-  such loop in ``src/``): bodies holding a remote call, and whatever a
-  lifted operator finds it cannot answer with the nested loop's parity
-  (non-node or multi-document bindings, nested contexts under a
+  such loop in ``src/``): quantifiers (they stop at the deciding
+  binding), whatever may send a message (a body holding a remote call;
+  the branches of such a join, the operands of such a Bulk RPC), and
+  what a lifted operator cannot answer with the nested loop's parity —
+  non-node or multi-document bindings, nested contexts under a
   descendant step, other axes, a predicate reading a loop variable, an
-  error — the fallback raises it at the binding the loop would). It
-  counts itself in ``evaluator_loop_fallbacks_total{reason}``; so does
-  a loop nested in a lifted body, which is lifted per outer binding.
+  error (the rerun raises it at the binding the loop would). A loop run
+  this way counts itself in ``evaluator_loop_fallbacks_total{reason}``;
+  so does a loop nested in a lifted body, lifted per outer binding.
 
-The operators charge the cost counter what the nested loop charges —
-one tick per expression per binding that reaches it, every scan
-result once per iteration it belongs to — so simulated time does not
-depend on the operator. The per-node tree walker and the nested loops
-this engine replaced are the test oracle
+The operators charge the cost counter what the nested loop charges, so
+simulated time does not depend on the operator. The per-node tree
+walker and the nested loops this engine replaced are the test oracle
 (``tests/oracle/xquery_reference_walker.py``); the two return
 identical items and differ only in cost-counter tick totals (scans
 count results, compiled filters don't re-dispatch the AST).
@@ -301,7 +301,7 @@ class Evaluator:
         which binding's error comes first) is undone on the cost
         counter and the loop reruns per binding, counted."""
         seq = self.evaluate(expr.seq, env)
-        operator, detail = self._plan(expr, self._loop_plan)
+        operator, detail, nested = self._plan(expr, self._loop_plan)
         columns = {expr.var: [[item] for item in seq]}
         if getattr(expr, "pos_var", None) is not None:
             columns[expr.pos_var] = [[position] for position
@@ -314,10 +314,12 @@ class Evaluator:
             try:
                 result = getattr(self, operator)(expr, frame, detail)
             except (_Unliftable, XQueryError) as failure:
+                if nested and isinstance(failure, XQueryError):
+                    raise  # raised per binding: the nested loop's own
                 env.counter.charge_since(mark, 0)
                 detail = getattr(failure, "reason", "error")
                 if getattr(failure, "static", False):
-                    self._plans[id(expr)] = (expr, (None, detail))
+                    self._plans[id(expr)] = (expr, (None, detail, True))
             else:
                 if operator == "_loop_bulk":
                     # The one message goes out after the attempt: a
@@ -332,25 +334,29 @@ class Evaluator:
 
     _eval_ForExpr = _eval_OrderByExpr = _eval_QuantifiedExpr = _eval_loop
 
-    def _loop_plan(self, expr) -> tuple[str | None, object]:
-        """``(operator method, detail)`` for a binding loop, from the
-        body's shape: Bulk RPC, hash join (detail: the join shape),
-        lifted, or None — per binding, detail the reason."""
-        body = getattr(expr, "body", None)
-        if isinstance(expr, ForExpr) and expr.pos_var is None \
-                and isinstance(body, XRPCExpr) and not any(
-                    self._calls_out(operand) for operand in
-                    [body.dest] + [param.value for param in body.params]):
-            return "_loop_bulk", None
-        bodies = ([expr.cond] if isinstance(expr, QuantifiedExpr) else
-                  [expr.body] + [spec.key for spec
-                                 in getattr(expr, "specs", ())])
-        if any(self._calls_out(body) for body in bodies):
-            return None, "remote-call"
-        shape = self._join_shape(expr) if isinstance(expr, ForExpr) else None
-        if shape is not None:
-            return "_loop_join", shape
-        return "_loop_lifted", None
+    def _loop_plan(self, expr) -> tuple[str | None, object, bool]:
+        """``(operator method, detail, nested)`` for a binding loop,
+        from its shape: Bulk RPC, hash join (detail: the join shape),
+        lifted, or None — per binding, detail the reason. ``nested``:
+        whatever may send a message is evaluated binding by binding,
+        in the nested loop's order (what it raises is final). A
+        quantifier stops at the deciding binding, so lifting it would
+        evaluate bindings the loop never reaches."""
+        if isinstance(expr, QuantifiedExpr):
+            return None, "quantifier", True
+        body = expr.body
+        if isinstance(expr, ForExpr):
+            if expr.pos_var is None and isinstance(body, XRPCExpr):
+                nested = any(map(self._calls_out, _call_operands(body)))
+                return "_loop_bulk", nested, nested
+            shape = self._join_shape(expr)
+            if shape is not None:
+                nested = self._calls_out(body)
+                return "_loop_join", (*shape, nested), nested
+        if any(map(self._calls_out, [body] + [
+                spec.key for spec in getattr(expr, "specs", ())])):
+            return None, "remote-call", True
+        return "_loop_lifted", None, False
 
     def _calls_out(self, expr: Expr) -> bool:
         """True when evaluating ``expr`` may send a message — work whose
@@ -361,41 +367,27 @@ class Evaluator:
                 and (node.name, len(node.args)) in self._functions)
             for node in walk(expr))
 
-    def _rows(self, exprs: list[Expr], frame: _Frame):
+    def _rows(self, frame: _Frame):
         """The per-binding loop, the only one in ``src/``: each
-        iteration's bindings become a dynamic context and every
-        expression is evaluated under it, one iteration at a time
-        (lazily: a quantifier stops at the deciding binding)."""
+        iteration's bindings as a dynamic context, one iteration at a
+        time (lazily: a quantifier stops at the deciding binding)."""
         for row in range(frame.size):
-            env = frame.env_at(row)
-            yield [self.evaluate(expr, env) for expr in exprs]
+            yield frame.env_at(row)
 
     def _loop_per_binding(self, expr, frame: _Frame) -> list:
         if isinstance(expr, QuantifiedExpr):
-            verdicts = (effective_boolean_value(values[0])
-                        for values in self._rows([expr.cond], frame))
+            verdicts = (effective_boolean_value(self.evaluate(expr.cond, env))
+                        for env in self._rows(frame))
             return [any(verdicts) if expr.quantifier == "some"
                     else all(verdicts)]
         if isinstance(expr, OrderByExpr):
-            keys = [[order_key(value) for value in values] for values
-                    in self._rows([spec.key for spec in expr.specs], frame)]
+            keys = [[order_key(self.evaluate(spec.key, env))
+                     for spec in expr.specs] for env in self._rows(frame)]
             frame = frame.pick(_order_rows(list(zip(*keys)), expr.specs))
-        return [item for values in self._rows([expr.body], frame)
-                for item in values[0]]
+        return [item for env in self._rows(frame)
+                for item in self.evaluate(expr.body, env)]
 
     def _loop_lifted(self, expr, frame: _Frame, _detail=None):
-        if isinstance(expr, QuantifiedExpr):
-            mark = frame.env.counter.mark()
-            deciding = expr.quantifier == "some"
-            for row, value in enumerate(self._lift(expr.cond, frame)):
-                if effective_boolean_value(value) is deciding:
-                    if row + 1 < frame.size:
-                        # The nested loop stops here: charge what it
-                        # evaluated, the bindings up to this one.
-                        frame.env.counter.charge_since(mark, 0)
-                        self._lift(expr.cond, frame.pick(range(row + 1)))
-                    return [deciding]
-            return [not deciding]
         if isinstance(expr, OrderByExpr):
             keys = [[order_key(value) for value in self._lift(spec.key, frame)]
                     for spec in expr.specs]
@@ -434,40 +426,59 @@ class Evaluator:
         return None
 
     def _loop_join(self, expr: ForExpr, frame: _Frame, shape: tuple):
-        if frame.size < 2:
+        left_dep, cond, then_branch, else_branch, chain, nested = shape
+
+        def no_join(reason: str):
+            if nested:
+                raise _Unliftable(reason)
             return self._loop_lifted(expr, frame)
-        left_dep, cond, then_branch, else_branch, chain = shape
+
+        if frame.size < 2:
+            return no_join("one-binding")
         env = frame.env
         op = cond.op if left_dep else FLIPPED_OPS[cond.op]
-        invariant_expr = cond.right if left_dep else cond.left
+        dependent_expr, invariant_expr = (
+            _sides(cond) if left_dep else reversed(_sides(cond)))
         invariant = self.evaluate(invariant_expr, env)
         invariant_atoms = atomize(invariant)
 
         seq = [value[0] for value in frame.columns[expr.var]]
-        verdicts = None
+        verdicts = matcher = None
         if chain is not None and all(isinstance(item, Node)
                                      for item in seq):
             verdicts = self._chain_verdicts(chain, op, invariant_atoms,
                                             seq, env)
         if verdicts is None:
-            matcher = (EqualityMatcher.build(invariant_atoms)
-                       if cond.op == "=" else None)
+            if cond.op == "=":
+                matcher = EqualityMatcher.build(invariant_atoms)
             if matcher is None:
-                return self._loop_lifted(expr, frame)
-            verdicts = []
-            for dependent in self._lift(cond.left if left_dep
-                                        else cond.right, frame):
-                verdict = matcher.match_atoms(atomize(dependent))
-                if verdict is None:
-                    # Type mix the hash sets can't answer with exact
-                    # raise-or-match parity: run the exact nested scan
-                    # for this iteration, operands in original order.
-                    left, right = ((dependent, invariant) if left_dep
-                                   else (invariant, dependent))
-                    verdict = general_compare(cond.op, left, right)
-                verdicts.append(verdict)
-        return _chain.from_iterable(self._lift_branches(
-            verdicts, then_branch, else_branch, frame))
+                return no_join("join-bailed")
+
+        def verdict_of(dependent: list) -> bool:
+            verdict = matcher.match_atoms(atomize(dependent))
+            if verdict is None:
+                # Type mix the hash sets can't answer with exact
+                # raise-or-match parity: run the exact nested scan
+                # for this iteration, operands in original order.
+                left, right = ((dependent, invariant) if left_dep
+                               else (invariant, dependent))
+                verdict = general_compare(cond.op, left, right)
+            return verdict
+
+        if not nested:
+            if verdicts is None:
+                verdicts = map(verdict_of, self._lift(dependent_expr, frame))
+            return _chain.from_iterable(self._lift_branches(
+                list(verdicts), then_branch, else_branch, frame))
+        # The body may send a message: the invariant was evaluated
+        # once, the rest binding by binding in the nested loop's order.
+        out: list = []
+        for row, row_env in enumerate(self._rows(frame)):
+            verdict = (verdicts[row] if verdicts is not None else
+                       verdict_of(self.evaluate(dependent_expr, row_env)))
+            out.extend(self.evaluate(
+                then_branch if verdict else else_branch, row_env))
+        return out
 
     def _chain_verdicts(self, chain, op: str, invariant_atoms: list,
                         seq: list, env: DynamicContext) -> list | None:
@@ -493,24 +504,27 @@ class Evaluator:
 
     # -- Bulk RPC operator -------------------------------------------------------
 
-    def _loop_bulk(self, expr: ForExpr, frame: _Frame, _detail=None):
+    def _loop_bulk(self, expr: ForExpr, frame: _Frame, nested: bool):
         """Bulk RPC: a remote call nested directly in a for-loop is
         shipped as one message carrying all iterations' parameters
         instead of one synchronous interaction per iteration. Returns
         the destination and the calls; mixed destinations leave the
-        loop to per-call RPC."""
+        loop to per-call RPC. Operands that send messages themselves
+        (``nested``) are evaluated binding by binding."""
         xrpc = expr.body
-        destinations = self._lift(xrpc.dest, frame)
-        columns = [self._lift(param.value, frame) for param in xrpc.params]
-        if any(len(destination) != 1 for destination in destinations):
+        operands = _call_operands(xrpc)
+        rows = ([[self.evaluate(operand, env) for operand in operands]
+                 for env in self._rows(frame)] if nested else
+                list(zip(*(self._lift(operand, frame)
+                           for operand in operands))))
+        if any(len(row[0]) != 1 for row in rows):
             raise _Unliftable("destination")
-        if len({xdm.string_value(destination[0])
-                for destination in destinations}) != 1:
+        destinations = {xdm.string_value(row[0][0]) for row in rows}
+        if len(destinations) != 1:
             raise _Unliftable("mixed-destinations")
-        return xdm.string_value(destinations[0][0]), [
-            [(param.name, column[row])
-             for param, column in zip(xrpc.params, columns)]
-            for row in range(frame.size)]
+        return destinations.pop(), [
+            [(param.name, value) for param, value
+             in zip(xrpc.params, row[1:])] for row in rows]
 
     # -- lifted evaluation -------------------------------------------------------
 
@@ -534,7 +548,7 @@ class Evaluator:
             # anything else the classifier does not know runs as is.
             _count_fallback("nested-loop" if isinstance(expr, _LOOPS)
                             else "unclassified")
-            return [values[0] for values in self._rows([expr], frame)]
+            return [self.evaluate(expr, env) for env in self._rows(frame)]
         frame.env.counter.ticks += size
         operands = [self._lift(operand, frame)
                     for operand in self._operands(expr)]
@@ -723,13 +737,9 @@ class Evaluator:
 
     def _eval_LogicalExpr(self, expr: LogicalExpr,
                           env: DynamicContext) -> list:
-        left = effective_boolean_value(self.evaluate(expr.left, env))
-        if expr.op == "and":
-            if not left:
-                return [False]
-            return [effective_boolean_value(self.evaluate(expr.right, env))]
-        if left:
-            return [True]
+        decided = expr.op == "or"  # the left verdict that settles it
+        if effective_boolean_value(self.evaluate(expr.left, env)) is decided:
+            return [decided]
         return [effective_boolean_value(self.evaluate(expr.right, env))]
 
     def _apply_ArithmeticExpr(self, expr: ArithmeticExpr,
@@ -1040,6 +1050,10 @@ def evaluate_module(module: Module, env: DynamicContext,
 # ---------------------------------------------------------------------------
 
 
+def _call_operands(xrpc: XRPCExpr) -> list[Expr]:
+    return [xrpc.dest] + [param.value for param in xrpc.params]
+
+
 def _count_fallback(reason: str) -> None:
     GLOBAL_REGISTRY.counter(
         "evaluator_loop_fallbacks_total",
@@ -1113,17 +1127,13 @@ def _order_rows(keys: list, specs: list) -> list[int]:
     pass per spec, last spec first; any other mix compares through
     :class:`_OrderKey`."""
     order = list(range(len(keys[0]) if keys else 0))
-    plain = []
-    for column in keys:
-        if all(isinstance(key, str) for key in column):
-            plain.append(column)
-        elif all(type(key) is int or type(key) is float for key in column):
-            plain.append([float(key) for key in column])
-        else:
-            return sorted(order, key=lambda row: _OrderKey(
-                [(column[row], spec.ascending)
-                 for column, spec in zip(keys, specs)], row))
-    for column, spec in zip(reversed(plain), reversed(specs)):
+    if not all(all(isinstance(key, str) for key in column)
+               or all(type(key) is int or type(key) is float
+                      for key in column) for column in keys):
+        return sorted(order, key=lambda row: _OrderKey(
+            [(column[row], spec.ascending)
+             for column, spec in zip(keys, specs)], row))
+    for column, spec in zip(reversed(keys), reversed(specs)):
         order.sort(key=column.__getitem__, reverse=not spec.ascending)
     return order
 

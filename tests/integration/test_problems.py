@@ -121,7 +121,6 @@ class TestProblem4_MixedCalls:
         assert bulk.stats.messages == 2
         assert unbulk.stats.messages == 4  # two interactions
 
-
     def test_mixed_destinations_are_called_one_by_one(self, fed):
         fed.add_peer("other.org")
         result = run(
@@ -132,6 +131,46 @@ class TestProblem4_MixedCalls:
             "return execute at {$d} { one(1) }", Strategy.BY_FRAGMENT)
         assert result.items == [2, 2, 2]
         assert result.stats.messages == 6  # no bulk message to share
+
+    def test_remote_join_invariant_is_called_once(self, fed):
+        # The hash join is chosen before the body is asked whether it
+        # sends messages: the invariant side's call goes out once, not
+        # once per binding.
+        result = run(
+            fed,
+            "declare function keys() as xs:integer* { (2, 3) };\n"
+            "for $i in (1, 2, 3, 4) return "
+            'if ($i = (execute at {"example.org"} { keys() })) '
+            "then $i else ()", Strategy.BY_FRAGMENT)
+        assert result.items == [2, 3]
+        assert result.stats.messages == 2
+        # ... also when a branch sends messages of its own: one
+        # interaction for the invariant, one per matching binding.
+        result = run(
+            fed,
+            "declare function keys() as xs:integer* { (2, 3) };\n"
+            "declare function one($n as xs:integer) as xs:integer "
+            "{ $n + 1 };\n"
+            "for $i in (1, 2, 3, 4) return "
+            'if ($i = (execute at {"example.org"} { keys() })) '
+            'then execute at {"example.org"} { one($i) } else ()',
+            Strategy.BY_FRAGMENT)
+        assert result.items == [3, 4]
+        assert result.stats.messages == 6
+
+    def test_bulk_rpc_with_a_call_in_a_parameter(self, fed):
+        fed.add_peer("other.org")
+        result = run(
+            fed,
+            "declare function one($n as xs:integer) as xs:integer "
+            "{ $n + 1 };\n"
+            "for $i in (1, 2, 3) return "
+            'execute at {"example.org"} '
+            '{ one(execute at {"other.org"} { one($i) }) }',
+            Strategy.BY_FRAGMENT)
+        assert result.items == [3, 4, 5]
+        # three inner interactions, one bulk message for the outer call
+        assert result.stats.messages == 8
 
 
 class TestProblem5_BuiltinFunctions:

@@ -137,6 +137,13 @@ class TestFlwor:
             "order by number(if ($x mod 2 = 0) then 'x' else '7'), "
             "$x descending return $x")) == "4 2 3 1"
 
+    def test_order_by_integer_keys_above_double_precision(self):
+        # 2**53 + 1 and 2**53 are the same double; as integers they
+        # are not a tie to be broken by input position.
+        assert run("for $x in (9007199254740993, 9007199254740992, 1.5) "
+                   "order by $x return $x") \
+            == [1.5, 9007199254740992, 9007199254740993]
+
     def test_quantified_some_every(self):
         assert run1("some $x in (1, 2) satisfies $x = 2") is True
         assert run1("every $x in (1, 2) satisfies $x = 2") is False

@@ -98,6 +98,17 @@ def test_a_loop_over_two_documents_runs_per_binding_and_says_so():
     assert ("multi-document",) in reasons
 
 
+def test_a_quantifier_stops_at_the_deciding_binding_and_says_so():
+    """Planned per binding: the loop ends at the first verdict that
+    settles it, so nothing after it is evaluated (or raises)."""
+    before = fallbacks()
+    assert run("some $x in (1, 2, 'a') satisfies $x = 2") == [True]
+    assert run("every $x in (1, 2, 'a') satisfies $x = 2") == [False]
+    assert fallbacks() == before + 2
+    reasons = GLOBAL_REGISTRY.get("evaluator_loop_fallbacks_total").series()
+    assert ("quantifier",) in reasons
+
+
 def test_a_shape_that_cannot_lift_is_planned_per_binding_once():
     """An axis the lifted path does not answer is a property of the
     body: the plan stops attempting it (and keeps counting)."""
@@ -108,7 +119,7 @@ def test_a_shape_that_cannot_lift_is_planned_per_binding_once():
     env = DynamicContext(resolve_doc=lambda uri: people)
     before = fallbacks()
     first = evaluator.run(env)
-    assert evaluator._plans[id(module.body)][1] == (None, "axis")
+    assert evaluator._plans[id(module.body)][1][:2] == (None, "axis")
     assert [node.pre for node in evaluator.run(env)] \
         == [node.pre for node in first]
     assert len(first) == 24
