@@ -13,8 +13,10 @@ router takes over:
    serve any replica's cached response.
 2. **scatter** — one round trip per shard, in shard order. The
    rewrite depends only on the body and the collection's layout, so it
-   is prepared once (:class:`_PreparedScatter`) and a warm scatter does
-   per op only what differs per shard. The round trips run on a thread
+   is prepared once (:class:`_PreparedScatter`; the shard texts and
+   skip probes once per binding of the body's comparison literals) and
+   a warm scatter does per op only what differs per shard. The round
+   trips run on a thread
    pool (bounded by ``catalog.max_scatter_parallelism``) only when a
    transmission can sleep (:meth:`Transport.can_sleep`): shard calls
    are CPU-bound Python, so waiting is all threads can overlap; on a
@@ -76,11 +78,12 @@ from repro.xmldb.parser import parse_document
 from repro.xmldb.values import value_index
 from repro.xquery.ast import (
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
-    PathExpr, VarRef, XRPCExpr,
+    PathExpr, VarRef, XRPCExpr, bind,
 )
 from repro.xquery.context import CostCounter, DynamicContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.predicates import conjunction_members, literal_probe
+from repro.xquery.prepared import Binding
 from repro.xquery.pretty import pretty
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -222,9 +225,10 @@ def _shard_uri(uri: str, spec: CollectionSpec,
 
 class _PreparedScatter:
     """What a scatter of ``body`` over ``spec`` needs and no op changes:
-    the unwrapped body, its gather combinator (None: not scatter-safe,
-    evaluated at the originator), the shard-skip probes and each
-    shard's shipped text.
+    the unwrapped body and its gather combinator (None: not
+    scatter-safe, evaluated at the originator); and, per binding of
+    the body's literals (:meth:`bound`), the shard-skip probes and
+    each shard's shipped text.
 
     Interned in ``catalog.prepared`` under ``(id(body), id(spec))``;
     the entry holds both, so neither address can be reused while it
@@ -234,22 +238,22 @@ class _PreparedScatter:
     here.
     """
 
-    __slots__ = ("body", "spec", "unwrapped", "combine", "probes",
-                 "shard_texts")
+    __slots__ = ("body", "spec", "unwrapped", "combine")
 
     def __init__(self, body: Expr, spec: CollectionSpec):
         self.body, self.spec = body, spec
         self.unwrapped = unwrap_collection_xrpc(body, spec.name)
         self.combine = gather_plan(self.unwrapped, spec.name)
-        self.probes: list[tuple[str, str, object]] = []
-        self.shard_texts: list[str] = []
-        if self.combine is not None:
-            self.probes = shard_skip_probes(self.unwrapped, spec.name)
-            self.shard_texts = [
-                pretty(rewrite_doc_uris(
-                    self.unwrapped,
-                    lambda uri, s=shard: _shard_uri(uri, spec, s)))
-                for shard in spec.shards]
+
+    def bound(self, literals: tuple
+              ) -> tuple[list[tuple[str, str, object]], list[str]]:
+        """``(probes, shard texts)`` for a scatter-safe body whose
+        slots hold ``literals``."""
+        spec, body = self.spec, bind(self.unwrapped, literals)
+        return shard_skip_probes(body, spec.name), [
+            pretty(rewrite_doc_uris(
+                body, lambda uri, s=shard: _shard_uri(uri, spec, s)))
+            for shard in spec.shards]
 
 
 def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
@@ -412,10 +416,12 @@ class ClusterRouter:
 
     def scatter(self, from_peer: str, spec: CollectionSpec,
                 calls: list[list[tuple[str, list]]],
-                body: Expr,
+                body: Expr, binding: Binding,
                 stats: RunStats | None = None,
                 counter: CostCounter | None = None) -> list[list]:
-        """Execute one XRPC call site against every shard and gather.
+        """Execute one XRPC call site against every shard and gather
+        (``binding``: the literals of the caller's text, and where what
+        they decide — probes, shard texts — is kept).
 
         Bodies that are not scatter-safe (global order/position
         constructs, non-additive aggregates, collection re-references
@@ -436,9 +442,10 @@ class ClusterRouter:
             (id(body), id(spec)), lambda: _PreparedScatter(body, spec))
         if prepared.combine is None:
             return self._evaluate_locally(from_peer, calls,
-                                          prepared.unwrapped,
+                                          prepared.unwrapped, binding,
                                           stats=stats, counter=counter)
-        probes = prepared.probes
+        probes, shard_texts = binding.once(
+            prepared, lambda: prepared.bound(binding.literals))
         skip = [bool(probes) and self._shard_provably_empty(shard, probes)
                 for shard in spec.shards]
 
@@ -469,7 +476,7 @@ class ClusterRouter:
                     spec, shard, scatter_span,
                     lambda replica, outcome: run._call_peer(
                         run.federation.peer(replica), calls,
-                        prepared.shard_texts[index], site,
+                        shard_texts[index], site,
                         outcome.stats, outcome.counter,
                         cache_scope=shard_key, shard_epoch=epoch),
                     partial_answer=[[] for _ in calls])
@@ -589,7 +596,7 @@ class ClusterRouter:
 
     def _evaluate_locally(self, from_peer: str,
                           calls: list[list[tuple[str, list]]],
-                          body: Expr,
+                          body: Expr, binding: Binding,
                           stats: RunStats | None = None,
                           counter: CostCounter | None = None) -> list[list]:
         """Evaluate a non-scatter-safe body at the originator, with the
@@ -608,6 +615,7 @@ class ClusterRouter:
                 xrpc_execute=run._make_xrpc_execute(from_peer, stats=stats,
                                                     counter=counter),
                 counter=run.local_counter,
+                binding=binding,
             )
             results.append(evaluator.evaluate(body, env))
         return results

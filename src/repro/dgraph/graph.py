@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
-    LogicalExpr, Module, NodeSetExpr, OrderByExpr, PathExpr, QuantifiedExpr,
-    RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
+    LiteralSlot, LogicalExpr, Module, NodeSetExpr, OrderByExpr, PathExpr,
+    QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr,
+    VarRef, XRPCExpr,
 )
 from repro.xmldb.axes import HORIZONTAL_AXES, REVERSE_AXES
 
@@ -203,6 +204,10 @@ class _Builder:
 
         if isinstance(expr, Literal):
             return graph.add("Literal", repr(expr.value), expr, parent)
+        if isinstance(expr, LiteralSlot):
+            # A leaf like a literal: no text of the shape names a
+            # document through it, so no analysis reads what it holds.
+            return graph.add("LiteralSlot", f"?{expr.index}", expr, parent)
         if isinstance(expr, EmptySequence):
             return graph.add("ExprSeq", "()", expr, parent)
         if isinstance(expr, ContextItemExpr):

@@ -78,7 +78,12 @@ class PlanReport:
     strategy: str                 # chosen plan label, e.g. "by-projection"
     estimated_s: float = 0.0      # predicted simulated seconds
     estimated_bytes: int = 0      # predicted wire bytes (Figure 7 metric)
-    from_cache: bool = False      # nothing was parsed or (re)lowered
+    #: The lookup ran no parser, no ``prepare``/``realize`` and no
+    #: structural lowering (pricing a shape for literals seen for the
+    #: first time still counts: the shape was prepared).
+    from_cache: bool = False
+    #: The values the text bound to its prepared shape's slots.
+    literals: tuple = ()
     #: Every candidate the planner priced: ``(label, estimated_s)``,
     #: cheapest first. Fixed-strategy runs carry just their own entry.
     candidates: tuple[tuple[str, float], ...] = ()

@@ -146,6 +146,8 @@ class PlanAnalysis:
     actual_total_s: float = 0.0
     actual_total_bytes: int = 0
     wall_s: float = 0.0
+    #: How the planner came by the plan (:func:`describe_lookup`).
+    lookup: str = ""
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -168,6 +170,15 @@ def _fmt_ms(value: float | None) -> str:
     return "-" if value is None else f"{value * 1e3:.2f}ms"
 
 
+def describe_lookup(from_cache: bool, literals: tuple) -> str:
+    """What the planner did for this text of the plan's shape: on a
+    ``shape hit`` it looked the prepared shape up and at most priced
+    it for ``literals`` (the residual per-literal work, counted in
+    ``planner.snapshot()["bindings_priced"]``)."""
+    return (f"{'shape hit' if from_cache else 'shape planned'}, literals "
+            f"({', '.join(map(repr, literals))})")
+
+
 def render_analysis(analysis: PlanAnalysis) -> str:
     """The estimated-vs-actual tree, one line per operator::
 
@@ -183,6 +194,8 @@ def render_analysis(analysis: PlanAnalysis) -> str:
         f"{_fmt_bytes(analysis.actual_total_bytes)} "
         f"(wall {_fmt_ms(analysis.wall_s)})"
     ]
+    if analysis.lookup:
+        lines.append(f"  {analysis.lookup}")
     for index, row in enumerate(analysis.rows, start=1):
         lines.append(f"  {index}. {row.describe}")
         est_calls = f" x{row.est_calls:.0f}" if row.est_calls else ""

@@ -3,7 +3,8 @@
 A :class:`Tracer` produces one span tree per query::
 
     query                      <- Federation.run(trace=True)
-      plan                     <- planner: enumerate (lower) on a miss
+      plan                     <- planner: enumerate (lower) on a miss,
+                                  price for a first-seen literal binding
       rpc                      <- one XRPC round trip (dest, semantics)
         serialize / network    <- component leaves (simulated seconds)
       scatter                  <- cluster fan-out over a collection

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.paths.relpath import RelPath, RelStep
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
-    EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
+    LITERALS, EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr,
     LogicalExpr, Module, NodeSetExpr, OrderByExpr, PathExpr, QuantifiedExpr,
     RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
     walk,
@@ -122,7 +122,7 @@ class _Analyzer:
     # -- interpretation ------------------------------------------------------
 
     def analyze(self, expr: Expr, env: dict[str, Abstract]) -> Abstract:
-        if isinstance(expr, (Literal, EmptySequence)):
+        if isinstance(expr, (*LITERALS, EmptySequence)):
             return _EMPTY
         if isinstance(expr, VarRef):
             return env.get(expr.name, _EMPTY)

@@ -1,6 +1,9 @@
 """Lowering a decomposition into a priced :class:`PhysicalPlan`.
 
-The estimator walks the rewritten module once, doing two jobs at the
+Lowering has a structural half, done once per plan shape (call-site
+contracts, projection specs), and a pricing pass, done once per
+literal binding of that shape (:meth:`PlanEstimator.price`). The
+pricing pass walks the rewritten module once, doing two jobs at the
 same altitude the evaluator will work at:
 
 * **volume estimation** — an abstract interpretation where the value
@@ -40,15 +43,16 @@ from repro.planner.ir import (
 )
 from repro.planner.stats import DocumentStats, StatsCatalog
 from repro.xquery.ast import (
-    VALUE_COMPARISONS, ArithmeticExpr, ComparisonExpr, ConstructorExpr,
-    ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall, IfExpr,
-    LetExpr, Literal, LogicalExpr, NodeSetExpr, OrderByExpr, PathExpr,
-    QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr,
-    VarRef, XRPCExpr, walk,
+    LITERALS, VALUE_COMPARISONS, ArithmeticExpr, ComparisonExpr,
+    ConstructorExpr, ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall,
+    IfExpr, LetExpr, Literal, LogicalExpr, NodeSetExpr, OrderByExpr,
+    PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr,
+    UnaryExpr, VarRef, XRPCExpr, walk,
 )
 from repro.xquery.predicates import (
     FLIPPED_OPS, conjunction_members, literal_probe,
 )
+from repro.xquery.prepared import Binding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
@@ -66,7 +70,7 @@ FRAGMENT_REF_BYTES = 20.0
 #: One serialised projection path in a request header.
 PATH_OVERHEAD_BYTES = 30.0
 #: Selectivity of one predicate / conditional filter when the value
-#: histograms have nothing sharper (see ``_Lowerer._predicate_selectivity``
+#: histograms have nothing sharper (see ``_Estimation._predicate_selectivity``
 #: / ``_condition_selectivity`` for the measured path).
 FILTER_SELECTIVITY = 0.5
 #: Fraction of a subtree's bytes that survive atomisation.
@@ -96,13 +100,13 @@ class _Vol:
     tag: str | None = None               # element name of the items
 
     def scaled(self, factor: float) -> "_Vol":
-        return replace(self, items=self.items * factor,
-                       bytes=self.bytes * factor)
+        return _Vol(self.items * factor, self.bytes * factor,
+                    self.stats, self.tag)
 
     def per_item(self) -> "_Vol":
         if self.items <= 1.0:
             return self
-        return replace(self, items=1.0, bytes=self.bytes / self.items)
+        return _Vol(1.0, self.bytes / self.items, self.stats, self.tag)
 
 
 _EMPTY = _Vol()
@@ -130,14 +134,50 @@ class PlanEstimator:
         self.model = federation.cost_model
 
     def lower(self, decomposition: DecompositionResult, origin: str,
-              bulk_rpc: bool = True, label: str | None = None
-              ) -> PhysicalPlan:
-        """Lower one decomposition into a priced plan."""
-        lowerer = _Lowerer(self, decomposition, origin, bulk_rpc)
-        plan = lowerer.run()
-        if label is not None:
-            plan.label = label
+              bulk_rpc: bool = True, label: str | None = None,
+              binding: Binding | None = None) -> PhysicalPlan:
+        """Lower one decomposition into a plan — what its shape fixes:
+        the call-site contracts and projection specs — priced for the
+        text that binds ``binding``'s literals to the shape's slots."""
+        module = decomposition.module
+        exprs = [node for decl in module.functions
+                 for node in walk(decl.body)] + list(walk(module.body))
+        plan = PhysicalPlan(
+            label=label or decomposition.strategy.value,
+            strategy=decomposition.strategy,
+            decomposition=decomposition,
+            origin=origin,
+            model=self.model,
+            calibration=self.calibration,
+            binding=binding if binding is not None else Binding(),
+            bulk_rpc=bulk_rpc,
+            # Value histograms cost an extra statistics pass per
+            # document; only queries that compare values pay it.
+            want_values=any(isinstance(node, ComparisonExpr)
+                            and node.op in VALUE_COMPARISONS
+                            for node in exprs),
+        )
+        # Projection path analysis is only paid when a site will use it
+        # (the engine's by-value/by-fragment hot paths skip it); the
+        # body-keyed specs are what the pricing pass and the run layer
+        # consume, so the analysis happens once per plan.
+        calls = [node for node in exprs if isinstance(node, XRPCExpr)]
+        if decomposition.strategy.uses_projection and calls:
+            specs = analyze_module(module)
+            plan.projection_specs.update(
+                (id(node.body), specs[id(node)])
+                for node in calls if id(node) in specs)
+        plan.site_semantics.update(
+            (id(node.body), plan.default_semantics) for node in calls)
+        plan.ops = _Estimation(self, plan, plan.binding.literals).run()
         return plan
+
+    def price(self, plan: PhysicalPlan, binding: Binding) -> PhysicalPlan:
+        """``plan`` for another text of its shape: one estimation pass
+        reading ``binding``'s literals where the shape has slots (a
+        histogram selectivity per comparison), the rest shared."""
+        return plan.bound(
+            _Estimation(self, plan, binding.literals).run(), binding)
 
     # -- shared pricing helpers ---------------------------------------------
 
@@ -173,79 +213,46 @@ class PlanEstimator:
         return (in_flight / len(replica_peers)) * self.model.latency_s
 
 
-class _Lowerer:
-    """One lowering pass: volume interpretation + operator emission."""
+class _Estimation:
+    """One pricing pass over a lowered plan's module: volume
+    interpretation + operator emission under one literal binding."""
 
-    def __init__(self, estimator: PlanEstimator,
-                 decomposition: DecompositionResult, origin: str,
-                 bulk_rpc: bool):
+    def __init__(self, estimator: PlanEstimator, plan: PhysicalPlan,
+                 literals: tuple):
         self.estimator = estimator
         self.federation = estimator.federation
-        self.decomposition = decomposition
-        self.origin = origin
-        self.bulk_rpc = bulk_rpc
-        self.plan = PhysicalPlan(
-            label=decomposition.strategy.value,
-            strategy=decomposition.strategy,
-            decomposition=decomposition,
-            origin=origin,
-            model=estimator.model,
-            calibration=estimator.calibration,
-        )
-        # Value histograms cost an extra statistics pass per document;
-        # only queries that actually compare values pay it.
-        self.want_values = any(
-            isinstance(node, ComparisonExpr)
-            and node.op in VALUE_COMPARISONS
-            for node in self._module_exprs())
+        self.plan = plan
+        self.module = plan.decomposition.module
+        self.origin = plan.origin
+        self.literals = literals
         self.ops: list = []
         self._shipped: set[tuple[str, str, str]] = set()
         #: Elements touched per execution host (exec estimation).
         self._touched: dict[str, float] = {}
         self._inlining: list[tuple[str, int]] = []
-        # Projection path analysis is only paid when a site will use it
-        # (the engine's by-value/by-fragment hot paths skip it); the
-        # body-keyed copy on the plan is what the run layer consumes,
-        # so the analysis happens once per plan, not once per run.
-        self._projection_specs: dict[int, object] = {}
-        if decomposition.strategy.uses_projection and any(
-                isinstance(node, XRPCExpr)
-                for node in self._module_exprs()):
-            self._projection_specs = analyze_module(decomposition.module)
-            for node in self._module_exprs():
-                if isinstance(node, XRPCExpr):
-                    spec = self._projection_specs.get(id(node))
-                    if spec is not None:
-                        self.plan.projection_specs[id(node.body)] = spec
 
-    def _module_exprs(self):
-        module = self.decomposition.module
-        for decl in module.functions:
-            yield from walk(decl.body)
-        yield from walk(module.body)
-
-    # -- entry --------------------------------------------------------------
-
-    def run(self) -> PhysicalPlan:
-        module = self.decomposition.module
-        result = self.visit(module.body, {}, self.origin, 1.0)
+    def run(self) -> list:
+        result = self.visit(self.module.body, {}, self.origin, 1.0)
         local = LocalEval(at=self.origin)
         local.vector.local_exec_s = self.estimator.exec_seconds(
             self._touched.get(self.origin, 0.0) + result.items * 2.0)
         self.ops.insert(0, local)
-        self.plan.ops = self.ops
-        return self.plan
+        return self.ops
 
     # -- abstract interpretation --------------------------------------------
 
     def visit(self, expr: Expr, env: dict[str, _Vol], host: str,
               multiplicity: float) -> _Vol:
-        if isinstance(expr, Literal):
-            return _Vol(items=1.0, bytes=float(len(str(expr.value))))
-        if isinstance(expr, EmptySequence):
-            return _EMPTY
+        # The leaves and paths first: they are most of any module.
         if isinstance(expr, VarRef):
             return env.get(expr.name, _EMPTY)
+        if isinstance(expr, PathExpr):
+            return self._visit_path(expr, env, host, multiplicity)
+        if isinstance(expr, LITERALS):
+            return _Vol(items=1.0,
+                        bytes=float(len(str(expr.bound(self.literals)))))
+        if isinstance(expr, EmptySequence):
+            return _EMPTY
         if isinstance(expr, ContextItemExpr):
             return env.get(".", _EMPTY)
         if isinstance(expr, SequenceExpr):
@@ -318,8 +325,6 @@ class _Lowerer:
             return _combine([self.visit(expr.left, env, host, multiplicity),
                              self.visit(expr.right, env, host,
                                         multiplicity)])
-        if isinstance(expr, PathExpr):
-            return self._visit_path(expr, env, host, multiplicity)
         if isinstance(expr, ConstructorExpr):
             if expr.name_expr is not None:
                 self.visit(expr.name_expr, env, host, multiplicity)
@@ -360,7 +365,7 @@ class _Lowerer:
             return FILTER_SELECTIVITY
         selectivity: float | None = None
         for conjunct in conjunction_members(predicate):
-            probe = literal_probe(conjunct)
+            probe = literal_probe(conjunct, literals=self.literals)
             if probe is None:
                 probe = self._self_probe(conjunct, current)
             if probe is None:
@@ -376,8 +381,7 @@ class _Lowerer:
                            else selectivity * fraction)
         return FILTER_SELECTIVITY if selectivity is None else selectivity
 
-    @staticmethod
-    def _self_probe(conjunct: Expr,
+    def _self_probe(self, conjunct: Expr,
                     current: _Vol) -> tuple[str, str, object] | None:
         """``. op literal`` against the step's own tag histogram."""
         if current.tag is None or not isinstance(conjunct,
@@ -389,10 +393,11 @@ class _Lowerer:
                                 (conjunct.right, conjunct.left,
                                  FLIPPED_OPS[conjunct.op])):
             if isinstance(side, ContextItemExpr) \
-                    and isinstance(other, Literal) \
-                    and isinstance(other.value, (str, int, float)) \
-                    and not isinstance(other.value, bool):
-                return (current.tag, op, other.value)
+                    and isinstance(other, LITERALS):
+                value = other.bound(self.literals)
+                if isinstance(value, (str, int, float)) \
+                        and not isinstance(value, bool):
+                    return (current.tag, op, value)
         return None
 
     def _condition_selectivity(self, cond: Expr,
@@ -420,8 +425,8 @@ class _Lowerer:
         right = self._histogram_of_side(cond.right, env)
         if left is not None:
             histogram, _vol = left
-            if isinstance(cond.right, Literal):
-                value = cond.right.value
+            if isinstance(cond.right, LITERALS):
+                value = cond.right.bound(self.literals)
                 if not isinstance(value, bool) \
                         and isinstance(value, (str, int, float)):
                     return histogram.selectivity(cond.op, value)
@@ -433,9 +438,9 @@ class _Lowerer:
                 return min(1.0, max(right_vol.items, 1.0)
                            / max(histogram.distinct, 1))
             return None
-        if right is not None and isinstance(cond.left, Literal):
+        if right is not None and isinstance(cond.left, LITERALS):
             histogram, _vol = right
-            value = cond.left.value
+            value = cond.left.bound(self.literals)
             if not isinstance(value, bool) \
                     and isinstance(value, (str, int, float)):
                 return histogram.selectivity(FLIPPED_OPS[cond.op], value)
@@ -518,8 +523,7 @@ class _Lowerer:
     def _visit_funcall(self, expr: FunCall, env: dict[str, _Vol],
                        host: str, multiplicity: float) -> _Vol:
         name, arity = expr.name, len(expr.args)
-        module = self.decomposition.module
-        decl = module.function(name, arity)
+        decl = self.module.function(name, arity)
         if decl is not None and (name, arity) not in self._inlining:
             args = [self.visit(arg, env, host, multiplicity)
                     for arg in expr.args]
@@ -582,7 +586,7 @@ class _Lowerer:
         else:
             owner, local_name = parts
         stats = self.estimator.document_stats(
-            owner, local_name, with_values=self.want_values)
+            owner, local_name, with_values=self.plan.want_values)
         if owner != host:
             self._emit_ship(owner, local_name, host, stats)
         self._touch(host, stats, multiplicity)
@@ -636,8 +640,7 @@ class _Lowerer:
             self.visit(expr.dest, env, host, multiplicity)
             dest = host                      # dynamic dest: assume local
         semantics = self.plan.semantics_for(id(expr.body))
-        self.plan.site_semantics[id(expr.body)] = semantics
-        spec = self._projection_specs.get(id(expr))
+        spec = self.plan.projection_specs.get(id(expr.body))
 
         param_volumes: dict[str, _Vol] = {}
         for param in expr.params:
@@ -651,7 +654,7 @@ class _Lowerer:
             # the originator over the merged collection document.
             stats = self.estimator.document_stats(
                 collection.name, collection.document,
-                with_values=self.want_values)
+                with_values=self.plan.want_values)
             self._emit_ship(collection.name, collection.document, host,
                             stats)
             self._touch(host, stats, multiplicity)
@@ -698,7 +701,7 @@ class _Lowerer:
                                      + response.items
                                      * PER_ITEM_OVERHEAD_BYTES))
 
-        bulk = self.bulk_rpc or calls <= 1.0
+        bulk = self.plan.bulk_rpc or calls <= 1.0
         messages = 2.0 if bulk else 2.0 * calls
 
         call = XrpcCall(dest=dest, semantics=semantics,

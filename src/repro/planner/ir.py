@@ -25,6 +25,7 @@ compiled for its module.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -33,10 +34,12 @@ from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
 from repro.net.stats import PlanReport, RunStats
-from repro.obs.explain import ActualsBook, OpAnalysis, PlanAnalysis
+from repro.obs.explain import (
+    ActualsBook, OpAnalysis, PlanAnalysis, describe_lookup,
+)
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.prepared import PreparedTable
+from repro.xquery.prepared import Binding, PreparedTable
 
 
 def _fmt_bytes(value: float) -> str:
@@ -129,25 +132,24 @@ class ScatterGather:
 
 class CallSite:
     """One call site's wire contract: message semantics, the projection
-    paths a by-projection message carries, the body's shipped text and
-    the logical site the plan priced. Resolved once, for the body the
-    plan knows, and handed on explicitly — a scatter's shard-local
-    rewrites of that body are new objects, so nothing may look the
-    contract up by their identity. The paths are relative to
-    parameters and result, hence valid for every rewrite unchanged.
-    The site holds its body, so the address it is keyed by cannot be
-    reused while it lives; ``query_text`` is rendered by the run layer
-    on the first direct call (a scatter ships its shard texts, never
-    this one)."""
+    paths a by-projection message carries and the logical site the
+    plan priced. Resolved once, for the body the plan knows, and handed
+    on explicitly — a scatter's shard-local rewrites of that body are
+    new objects, so nothing may look the contract up by their
+    identity. The paths are relative to parameters and result, hence
+    valid for every rewrite unchanged. The site holds its body, so the
+    address it is keyed by cannot be reused while it lives. The body's
+    shipped text depends on the literals a run binds: the run layer
+    renders it once per :class:`~repro.xquery.prepared.Binding`, keyed
+    by this site."""
 
-    __slots__ = ("semantics", "body", "site_id", "query_text",
+    __slots__ = ("semantics", "body", "site_id",
                  "param_paths", "used_paths", "returned_paths")
 
     def __init__(self, semantics: str, spec, body):
         self.semantics = semantics
         self.body = body
         self.site_id = id(body)      # id(xrpc.body): the explain key
-        self.query_text: str | None = None
         self.param_paths = self.used_paths = self.returned_paths = None
         if semantics == "by-projection" and spec is not None:
             self.param_paths = spec.param_paths
@@ -185,13 +187,23 @@ def priced_total(ops: list, book: CalibrationBook,
 
 @dataclass
 class PhysicalPlan:
-    """One executable candidate: a decomposition plus its priced ops."""
+    """One executable candidate: a decomposition plus its priced ops.
+
+    The operators are priced for one literal binding of the prepared
+    query's shape; everything else is the shape's and is shared by
+    the plans :meth:`bound` makes for its other bindings."""
 
     label: str
     strategy: Strategy
     decomposition: DecompositionResult
     origin: str
     ops: list = field(default_factory=list)
+    #: What ``ops`` were priced for (the values bound to the shape's
+    #: slots) and what its runs read their literals from.
+    binding: Binding = field(default_factory=Binding)
+    bulk_rpc: bool = True
+    #: Some comparison reads a value histogram (statistics to gather).
+    want_values: bool = False
     #: Per-site message semantics, keyed by ``id(xrpc.body)`` — the
     #: handle :class:`~repro.system.federation._Run` has on the wire.
     site_semantics: dict[int, str] = field(default_factory=dict)
@@ -202,7 +214,7 @@ class PhysicalPlan:
     model: CostModel = field(default_factory=CostModel)
     #: The live book: every read prices under its current factors.
     calibration: CalibrationBook = field(default_factory=CalibrationBook)
-    #: For ``decomposition.module``; set on a prepared query's pick.
+    #: For ``decomposition.module``; built when the candidate is lowered.
     evaluator: Evaluator | None = None
     #: One :class:`CallSite` per function body asked about.
     sites: PreparedTable = field(default_factory=PreparedTable,
@@ -224,6 +236,13 @@ class PhysicalPlan:
         return self.sites.intern(id(body), lambda: CallSite(
             self.semantics_for(id(body)),
             self.projection_specs.get(id(body)), body))
+
+    def bound(self, ops: list, binding: Binding) -> "PhysicalPlan":
+        """This plan as priced for another binding: ``ops`` are its
+        own, call sites, specs and evaluator the shape's."""
+        plan = copy(self)
+        plan.ops, plan.binding = ops, binding
+        return plan
 
     @property
     def estimated_s(self) -> float:
@@ -265,23 +284,24 @@ class PhysicalPlan:
             estimated_s=vector.total_s(self.model),
             estimated_bytes=int(vector.wire_bytes),
             from_cache=from_cache,
+            literals=self.binding.literals,
             candidates=candidates,
             explain_text=self.explain(),
         )
 
     def analyzer(self, vectors: list[CostVector], actuals: ActualsBook,
-                 stats: RunStats,
-                 wall_s: float) -> Callable[[], PlanAnalysis]:
+                 stats: RunStats, wall_s: float,
+                 from_cache: bool) -> Callable[[], PlanAnalysis]:
         """What builds a finished run's explain-analyze rows from the
         operators' estimates as :meth:`priced` at the end of the run
         (every run's feedback moves the factors) and the run's totals,
         read now; the rows are rendered when someone reads them."""
         return partial(self._analysis, vectors, actuals, stats.times.total,
-                       stats.total_transferred_bytes, wall_s)
+                       stats.total_transferred_bytes, wall_s, from_cache)
 
     def _analysis(self, vectors: list[CostVector], actuals: ActualsBook,
-                  actual_s: float, actual_bytes: int,
-                  wall_s: float) -> PlanAnalysis:
+                  actual_s: float, actual_bytes: int, wall_s: float,
+                  from_cache: bool) -> PlanAnalysis:
         """The explain-analyze rows: each operator's estimate next to
         what the run's :class:`~repro.obs.explain.ActualsBook` recorded
         for it (scatter shards alias back to their logical site, so a
@@ -322,4 +342,5 @@ class PhysicalPlan:
             actual_total_s=actual_s,
             actual_total_bytes=actual_bytes,
             wall_s=wall_s,
+            lookup=describe_lookup(from_cache, self.binding.literals),
         )

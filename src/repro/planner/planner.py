@@ -1,9 +1,11 @@
 """Prepared queries: candidate enumeration, the table, and the pick.
 
-``Federation.run`` lands here for every strategy. What can be derived
-from a query text is derived once and kept in one
-:class:`PreparedQuery`, interned by (text digest, origin, run options)
-in the federation's bounded table:
+``Federation.run`` lands here for every strategy. A query text is first
+reduced to its *shape* (:func:`repro.xquery.prepared.scan`: comparison
+literals become slots, the text binds values to them), and what can be
+derived from the shape is derived once and kept in one
+:class:`PreparedQuery`, interned by (shape, origin, run options) in the
+federation's bounded table:
 
 1. the parsed module and, per strategy, the decomposition *analysis*
    (:func:`~repro.decompose.prepare`) — these read neither statistics
@@ -12,14 +14,22 @@ in the federation's bounded table:
    ``"auto"`` one per strategy **plus one per proper subset of
    insertion points** (a dropped point's document data-ships instead,
    so mixed plans ship one tiny document while projecting another),
-   each lowered into factor-free operators and stamped (catalog epoch,
-   statistics version) — a moved stamp re-lowers, nothing more;
-3. for the cheapest candidate — ranked on *every* lookup under the
-   :class:`~repro.planner.feedback.CalibrationBook`'s current factors;
-   ties go to enumeration order: data-shipping → by-value →
-   by-fragment → by-projection → mixed — its plan, decomposition and
-   shared evaluator. Losers keep label, insertion points and
-   operators; one is materialised when the ranking flips to it.
+   each realised and lowered into a plan — call-site contracts,
+   projection specs, the shared evaluator — which reads neither
+   statistics nor catalog either.
+
+Estimates do, so they are stamped (catalog epoch, statistics version);
+a moved stamp re-prices, nothing more.
+
+What a literal decides is kept per :class:`~repro.xquery.prepared.Binding`
+of the shape (a small LRU): every candidate's factor-free operators as
+priced for the bound values — one estimation pass each on the binding's
+first sight, reading the histogram selectivity of *its* threshold — and
+the body texts its runs ship. The cheapest candidate is picked on
+*every* lookup under the :class:`~repro.planner.feedback.CalibrationBook`'s
+current factors, so two bindings of one shape may run different
+candidates; ties go to enumeration order: data-shipping → by-value →
+by-fragment → by-projection → mixed.
 
 After the run, observed bytes/seconds feed back into the calibration
 factors, which re-rank the next lookup and invalidate nothing.
@@ -27,9 +37,8 @@ factors, which re-rank the next lookup and invalidate nothing.
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.decompose import (
@@ -47,8 +56,7 @@ from repro.planner.ir import (
 from repro.planner.stats import StatsCatalog
 from repro.xquery.ast import Module
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.parser import parse_query
-from repro.xquery.prepared import PreparedTable
+from repro.xquery.prepared import Binding, PreparedTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation, RunResult
@@ -65,36 +73,33 @@ _DECOMPOSING = (Strategy.BY_VALUE, Strategy.BY_FRAGMENT,
 
 @dataclass
 class _Candidate:
-    """One executable alternative, as little of it as ranking needs."""
+    """One executable alternative of a shape."""
 
     label: str
     strategy: Strategy
     #: The insertion points realised (None: all); the rest data-ship.
     include: list[InsertionPlan] | None = None
-    #: Factor-free operators of its last lowering.
-    ops: list = field(default_factory=list)
-
-
-@dataclass
-class _Variant:
-    """One requested strategy's candidates, and the pick among them."""
-
-    candidates: list[_Candidate]
-    stamp: tuple[int, int] | None = None
-    pick: int | None = None
+    #: Its lowering (as priced for the binding that was seen first).
     plan: PhysicalPlan | None = None
 
 
+@dataclass(eq=False)
+class _Variant:
+    """One requested strategy's candidates, and the stamp their
+    estimates were last known to be current at."""
+
+    candidates: list[_Candidate]
+    stamp: tuple[int, int] | None = None
+
+
 class PreparedQuery:
-    """Everything derived from one query text at one origin."""
+    """Everything derived from one query shape at one origin."""
 
     def __init__(self, module: Module):
         self.module = module
         self.preps: dict[Strategy, DecompositionCandidates] = {}
         #: Requested strategy label (``"auto"`` or a fixed one).
         self.variants: dict[str, _Variant] = {}
-        #: Concurrent runs of one text share one lowering and evaluator.
-        self.lock = threading.Lock()
 
 
 class QueryPlanner:
@@ -111,6 +116,7 @@ class QueryPlanner:
         self._lock = threading.Lock()
         self._plans_enumerated = 0
         self._cache_hits = 0
+        self._bindings_priced = 0
 
     # -- planning -----------------------------------------------------------
 
@@ -119,34 +125,22 @@ class QueryPlanner:
              bulk_rpc: bool = True, code_motion: bool = True,
              let_sinking: bool = True
              ) -> tuple[PhysicalPlan, PlanReport]:
-        """The plan for ``query`` originating at ``at`` (shared by
-        every run of the text, read-only) and this call's report: the
-        plan as priced right now, ``from_cache`` when the lookup ran
-        neither parser, decomposer nor lowerer."""
+        """The plan for ``query`` originating at ``at`` (what its shape
+        fixes is shared by every run of the shape, read-only; its
+        operators are priced for the literals ``query`` binds) and this
+        call's report: the plan as priced right now, ``from_cache``
+        when the lookup ran neither parser, decomposer nor lowerer — a
+        pricing pass for a binding seen for the first time is a hit."""
         self.stats.attach(self.federation)
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
-        prepared = self._prepared.intern(
-            (hashlib.sha256(query.encode()).hexdigest(), at, bulk_rpc,
-             code_motion, let_sinking),
-            lambda: PreparedQuery(parse_query(query)))
+        entry, binding = self._prepared.intern_text(
+            query, (at, bulk_rpc, code_motion, let_sinking), PreparedQuery,
+            prolog=True)
+        prepared: PreparedQuery = entry.value
         catalog = self.federation.catalog
-        lowered: dict[int, PhysicalPlan] = {}
-
-        def lower(index: int) -> None:
-            candidate = variant.candidates[index]
-            # The pick's decomposition and evaluator are still at hand.
-            kept = variant.plan if index == variant.pick else None
-            plan = lowered[index] = self.estimator.lower(
-                kept.decomposition if kept is not None else realize(
-                    self._prep(prepared, candidate.strategy, at,
-                               let_sinking),
-                    include=candidate.include, code_motion=code_motion),
-                at, bulk_rpc=bulk_rpc, label=candidate.label)
-            plan.evaluator = kept.evaluator if kept is not None else None
-            candidate.ops = plan.ops
-
-        with prepared.lock:
+        lowered = priced = 0
+        with entry.lock:
             variant = prepared.variants.get(label)
             if variant is None:
                 variant = prepared.variants[label] = _Variant(
@@ -154,32 +148,56 @@ class QueryPlanner:
             # Read before lowering: a store racing it must re-lower.
             stamp = (catalog.epoch() if catalog is not None else -1,
                      self.stats.version())
-            if variant.stamp != stamp:
+            if variant.stamp is None:
                 with child_span("enumerate", strategy=label,
                                 candidates=len(variant.candidates)):
-                    for index in range(len(variant.candidates)):
-                        lower(index)
+                    for candidate in variant.candidates:
+                        self._lower(prepared, candidate, at, binding,
+                                    bulk_rpc, code_motion, let_sinking)
+                binding.memo[variant] = stamp, [
+                    candidate.plan for candidate in variant.candidates]
+            if variant.stamp != stamp:
+                # First sight, or every estimate of the shape went
+                # stale (a store, a repartition): an enumeration.
                 variant.stamp = stamp
-            ranked = sorted(
-                (priced_total(candidate.ops, self.calibration, at).total_s(
-                    self.estimator.model), index)
-                for index, candidate in enumerate(variant.candidates))
-            best = ranked[0][1]
-            if best != variant.pick and best not in lowered:
-                lower(best)      # calibration flipped the ranking
-            if best in lowered:
-                variant.pick, variant.plan = best, lowered[best]
-            plan = variant.plan
-            if plan.evaluator is None:
-                plan.evaluator = Evaluator(plan.decomposition.module,
-                                           self.federation.static)
+                lowered = len(variant.candidates)
+            if binding.memo.get(variant, (None,))[0] != stamp:
+                # The per-literal work: one estimation pass per
+                # candidate over what the shape already holds.
+                with child_span("price", strategy=label,
+                                candidates=len(variant.candidates)):
+                    binding.memo[variant] = stamp, [
+                        self.estimator.price(candidate.plan, binding)
+                        for candidate in variant.candidates]
+                priced = not lowered
+            plans = binding.memo[variant][1]
+        ranked = sorted(
+            (priced_total(plan.ops, self.calibration, at).total_s(
+                self.estimator.model), index)
+            for index, plan in enumerate(plans))
+        plan = plans[ranked[0][1]]
         with self._lock:
-            self._plans_enumerated += len(lowered)
+            self._plans_enumerated += lowered
+            self._bindings_priced += priced
             self._cache_hits += not lowered
         return plan, plan.build_report(
-            candidates=tuple((variant.candidates[index].label, estimate)
+            candidates=tuple((plans[index].label, estimate)
                              for estimate, index in ranked),
             from_cache=not lowered)
+
+    def _lower(self, prepared: PreparedQuery, candidate: _Candidate,
+               at: str, binding: Binding, bulk_rpc: bool, code_motion: bool,
+               let_sinking: bool) -> None:
+        """Realise and lower ``candidate``, once per shape: what its
+        plan holds beside the operators reads neither statistics nor
+        catalog."""
+        plan = candidate.plan = self.estimator.lower(
+            realize(self._prep(prepared, candidate.strategy, at,
+                               let_sinking),
+                    include=candidate.include, code_motion=code_motion),
+            at, bulk_rpc=bulk_rpc, label=candidate.label, binding=binding)
+        plan.evaluator = Evaluator(plan.decomposition.module,
+                                   self.federation.static)
 
     def _prep(self, prepared: PreparedQuery, strategy: Strategy, at: str,
               let_sinking: bool) -> DecompositionCandidates:
@@ -294,6 +312,7 @@ class QueryPlanner:
                 "cached_plans": len(self._prepared),
                 "cache_hits": self._cache_hits,
                 "plans_enumerated": self._plans_enumerated,
+                "bindings_priced": self._bindings_priced,
                 "calibration": self.calibration.snapshot(),
                 "stats": self.stats.snapshot(),
             }

@@ -51,9 +51,9 @@ from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import cached_serialization, serialize
-from repro.xquery.ast import Expr, Module
+from repro.xquery.ast import Expr, Module, bind
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
-from repro.xquery.prepared import PreparedTable
+from repro.xquery.prepared import Binding, PreparedTable
 from repro.xquery.pretty import pretty
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import RequestMessage, ResponseMessage
@@ -66,7 +66,7 @@ class Peer:
     def __init__(self, name: str):
         self.name = name
         self.documents: dict[str, Document] = {}
-        #: The function bodies shipped here, each compiled once.
+        #: The function bodies shipped here, compiled once per shape.
         self.prepared = PreparedTable()
         self._lock = threading.Lock()
         self._serialize_lock = threading.Lock()
@@ -160,9 +160,15 @@ class RunResult:
     #: :func:`repro.obs.dump_chrome_trace`.
     trace: Span | None = None
 
-    @property
+    #: What the query text bound to its prepared shape's slots.
+    literals: tuple = ()
+
+    @cached_property
     def module(self) -> Module:
-        return self.decomposition.module
+        """The rewritten module as this run's text reads (the shared
+        ``decomposition.module`` holds slots where comparison literals
+        were)."""
+        return bind(self.decomposition.module, self.literals)
 
     @property
     def plan(self):
@@ -290,8 +296,9 @@ class Federation:
         with root_ctx, (self._monitored() if self.monitor is not None
                         else nullcontext()):
             # Fixed strategies go through the same planner entry point
-            # as auto: one prepared query per text amortises parsing,
-            # decomposition and lowering across every run of it.
+            # as auto: one prepared query per shape amortises parsing,
+            # decomposition and lowering across every run of every
+            # text that differs from this one in comparison literals.
             with child_span("plan"):
                 plan, report = self.planner.plan(
                     query, at=at, strategy=strategy, bulk_rpc=bulk_rpc,
@@ -334,7 +341,8 @@ class Federation:
         # Priced once, for the explain-analyze rows and the feedback.
         vectors = run.plan.priced()
         report.analyzer = run.plan.analyzer(vectors, run.actuals,
-                                            result.stats, wall_s)
+                                            result.stats, wall_s,
+                                            report.from_cache)
         result.stats.plan = report
         self.planner.observe(run.plan, result, vectors)
         root = run.tracer.root if run.tracer is not None else None
@@ -357,6 +365,7 @@ class _Run:
                  tracer: Tracer | None = None):
         self.federation = federation
         self.plan = plan
+        self.binding = plan.binding
         self.decomposition = plan.decomposition
         self.origin = plan.origin
         self.bulk_rpc = bulk_rpc
@@ -491,9 +500,10 @@ class _Run:
         ``counter`` carry a scatter worker's private accounting into
         any remote work its shard body triggers."""
         def execute(dest: str, params: list[tuple[str, list]],
-                    body: Expr) -> list:
+                    body: Expr, binding: Binding) -> list:
             results = self._round_trip(from_peer, dest, [params], body,
-                                       stats=stats, remote_counter=counter)
+                                       binding, stats=stats,
+                                       remote_counter=counter)
             return results[0]
         return execute
 
@@ -502,22 +512,25 @@ class _Run:
             return None
 
         def execute_bulk(dest: str, calls: list[list[tuple[str, list]]],
-                         body: Expr) -> list[list]:
+                         body: Expr, binding: Binding) -> list[list]:
             if not calls:
                 return []
-            return self._round_trip(from_peer, dest, calls, body)
+            return self._round_trip(from_peer, dest, calls, body, binding)
         return execute_bulk
 
     def _round_trip(self, from_peer: str, dest: str,
                     calls: list[list[tuple[str, list]]],
-                    body: Expr,
+                    body: Expr, binding: Binding,
                     stats: RunStats | None = None,
                     remote_counter: CostCounter | None = None) -> list[list]:
         """One logical call of ``body`` at ``dest``: a destination
         registered in the cluster catalog is scattered by the router
         into one :meth:`_call_peer` per shard and gathered; a peer is
         called directly, under the contract the plan holds for the
-        site. ``stats`` / ``remote_counter`` are a shard call's private
+        site, with the body rendered once per ``binding`` (the
+        literals of the caller's text: this run's, or — for a call
+        nested in a shipped body — those a peer read off that body).
+        ``stats`` / ``remote_counter`` are a shard call's private
         accounting when the call is nested inside a scatter."""
         parts = split_xrpc_uri(dest)
         dest_name = parts[0] if parts is not None else dest
@@ -528,13 +541,14 @@ class _Run:
         spec = self.federation.collection(dest_name)
         if spec is not None:
             return self.router.scatter(from_peer, spec, calls, body,
-                                       stats=stats, counter=remote_counter)
+                                       binding, stats=stats,
+                                       counter=remote_counter)
         site = self.plan.call_site(body)
-        if site.query_text is None:
-            site.query_text = pretty(body)
         return self._call_peer(
             self.federation.peer(dest_name),  # raises on unknown peer
-            calls, site.query_text, site, stats, remote_counter)
+            calls, binding.once(
+                site, lambda: pretty(bind(body, binding.literals))),
+            site, stats, remote_counter)
 
     def _call_peer(self, peer: Peer,
                    calls: list[list[tuple[str, list]]],
@@ -712,6 +726,7 @@ class _Run:
             xrpc_execute=self._make_xrpc_execute(self.origin),
             xrpc_execute_bulk=self._make_xrpc_execute_bulk(self.origin),
             counter=self.local_counter,
+            binding=self.binding,
         )
         items = self.plan.evaluator.run(env)
 
@@ -728,4 +743,5 @@ class _Run:
         self.actuals.local.sim_s += local_s
         return RunResult(items=items, stats=self.stats,
                          decomposition=self.decomposition,
-                         messages=self.messages)
+                         messages=self.messages,
+                         literals=self.binding.literals)

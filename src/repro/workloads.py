@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 from repro.cluster import ClusterCatalog, create_sharded_collection
 from repro.decompose import Strategy
+from repro.errors import XQuerySyntaxError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation, RunResult
 from repro.xmark import generate_pair
+from repro.xquery.lexer import Lexer, TokenType
 
 #: The benchmark query of Section VII (paper Qn2, XMark-ised).
 BENCHMARK_QUERY = """
@@ -149,14 +151,24 @@ def run_all_strategies(scale: float, seed: int = 20090329,
 TENANT_AGE_THRESHOLDS = (25, 30, 35, 40, 45)
 
 
-def benchmark_query_variant(max_age: int = 40) -> str:
-    """``BENCHMARK_QUERY`` with the tenant's age threshold."""
+def benchmark_query_variant(max_age: int | float | str = 40) -> str:
+    """``BENCHMARK_QUERY`` with the tenant's age threshold (a number,
+    or one numeric literal as text: ``"18.00"``)."""
     anchor = "< 40"
     if anchor not in BENCHMARK_QUERY:
         # Guard against silent template drift: a no-op replace would
         # collapse every tenant onto one threshold without any error.
         raise ValueError(
             f"BENCHMARK_QUERY no longer contains the {anchor!r} anchor")
+    lexer = Lexer(str(max_age))
+    try:
+        kinds = [lexer.next().type, lexer.next().type]
+    except (XQuerySyntaxError, ValueError):
+        kinds = []
+    if kinds not in ([TokenType.INTEGER, TokenType.END],
+                     [TokenType.DOUBLE, TokenType.END]):
+        # Anything else would splice query syntax in, not a threshold.
+        raise ValueError(f"{max_age!r} is not one numeric literal")
     return BENCHMARK_QUERY.replace(anchor, f"< {max_age}")
 
 
@@ -230,7 +242,7 @@ def _to_sharded(query: str) -> str:
 SHARDED_BENCHMARK_QUERY = _to_sharded(BENCHMARK_QUERY)
 
 
-def sharded_query_variant(max_age: int = 40) -> str:
+def sharded_query_variant(max_age: int | float | str = 40) -> str:
     """``SHARDED_BENCHMARK_QUERY`` with the tenant's age threshold."""
     return _to_sharded(benchmark_query_variant(max_age))
 

@@ -23,6 +23,7 @@ from repro.xquery.ast import (
     Module,
     FunctionDecl,
     Literal,
+    LiteralSlot,
     EmptySequence,
     SequenceExpr,
     VarRef,
@@ -59,7 +60,8 @@ from repro.xquery.xdm import (
 )
 
 __all__ = [
-    "Expr", "Module", "FunctionDecl", "Literal", "EmptySequence",
+    "Expr", "Module", "FunctionDecl", "Literal", "LiteralSlot",
+    "EmptySequence",
     "SequenceExpr", "VarRef", "ForExpr", "LetExpr", "IfExpr",
     "TypeswitchExpr", "ComparisonExpr", "ArithmeticExpr", "LogicalExpr",
     "RangeExpr", "QuantifiedExpr", "OrderByExpr", "NodeSetExpr",

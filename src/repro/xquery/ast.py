@@ -108,6 +108,30 @@ class Literal(Expr):
 
     value: str | int | float | bool
 
+    def bound(self, literals: tuple = ()) -> str | int | float | bool:
+        """The value this leaf stands for (whatever the binding)."""
+        return self.value
+
+
+@dataclass
+class LiteralSlot(Expr):
+    """A comparison operand literal of a *prepared* query: the shape
+    keeps the slot, each text of the shape binds its own value to it
+    (see :func:`repro.xquery.prepared.scan`). Deliberately without a
+    ``value``: code that reads a literal's value without a binding at
+    hand fails here instead of reusing the first text's."""
+
+    index: int
+    #: ``"integer"``, ``"double"`` or ``"string"`` — part of the shape.
+    kind: str
+
+    def bound(self, literals: tuple) -> str | int | float:
+        return literals[self.index]
+
+
+#: The two leaves that stand for an atomic constant.
+LITERALS = (Literal, LiteralSlot)
+
 
 @dataclass
 class EmptySequence(Expr):
@@ -445,3 +469,22 @@ class Module:
             if decl.name == name and len(decl.params) == arity:
                 return decl
         return None
+
+
+def bind(node: "Expr | Module", literals: tuple) -> "Expr | Module":
+    """``node`` as one text of its shape reads: every
+    :class:`LiteralSlot` replaced by the :class:`Literal` ``literals``
+    binds to it (rendering, and showing a run its own query). An empty
+    binding has no slot to fill and returns ``node`` itself."""
+    if not literals:
+        return node
+
+    def visit(expr: Expr) -> Expr:
+        if isinstance(expr, LiteralSlot):
+            return Literal(literals[expr.index])
+        return expr.replace_children(visit)
+
+    if isinstance(node, Module):
+        return Module([replace(decl, body=visit(decl.body))
+                       for decl in node.functions], visit(node.body))
+    return visit(node)

@@ -20,6 +20,7 @@ from typing import Any, Callable, Protocol
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
 from repro.xmldb.document import Document
+from repro.xquery.prepared import Binding
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,15 @@ class DocResolver(Protocol):
 
 class XrpcExecutor(Protocol):
     def __call__(self, dest: str, params: list[tuple[str, list]],
-                 body: Any) -> list: ...
+                 body: Any, binding: Binding) -> list: ...
 
 
 def _no_documents(uri: str) -> Document:
     raise XQueryDynamicError(f"no document available at {uri!r}")
 
 
-def _no_xrpc(dest: str, params: list[tuple[str, list]], body: Any) -> list:
+def _no_xrpc(dest: str, params: list[tuple[str, list]], body: Any,
+             binding: Binding) -> list:
     raise XQueryDynamicError(
         f"execute at {dest!r}: no XRPC transport configured")
 
@@ -109,17 +111,22 @@ class DynamicContext:
     context_size: int = 0
     resolve_doc: Callable[[str], Document] = _no_documents
     xrpc_execute: Callable[..., list] = _no_xrpc
-    #: Optional Bulk RPC entry point: (dest, [call-params...], body) ->
-    #: one result sequence per call. None disables bulk batching.
+    #: Optional Bulk RPC entry point: (dest, [call-params...], body,
+    #: binding) -> one result sequence per call. None disables bulk
+    #: batching.
     xrpc_execute_bulk: Callable[..., list] | None = None
     counter: CostCounter = field(default_factory=CostCounter)
+    #: What the text being run binds to its prepared query's slots
+    #: (a :class:`~repro.xquery.ast.LiteralSlot` reads its value here).
+    binding: Binding = field(default_factory=Binding)
 
     def _derive(self, variables: dict[str, list], item: Any = None,
                 position: int = 0, size: int = 0) -> "DynamicContext":
-        """A new context over the same resolvers and counter."""
+        """A new context over the same resolvers, counter and binding."""
         return DynamicContext(variables, item, position, size,
                               self.resolve_doc, self.xrpc_execute,
-                              self.xrpc_execute_bulk, self.counter)
+                              self.xrpc_execute_bulk, self.counter,
+                              self.binding)
 
     def bind(self, name: str, value: list) -> "DynamicContext":
         return self._derive({**self.variables, name: value},

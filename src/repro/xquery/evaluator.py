@@ -101,7 +101,7 @@ from repro.xquery import xdm
 from repro.xquery.ast import (
     VALUE_COMPARISONS, ArithmeticExpr, ComparisonExpr, ConstructorExpr,
     ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall, FunctionDecl,
-    IfExpr, LetExpr, Literal, LogicalExpr, Module, NodeSetExpr,
+    IfExpr, LetExpr, Literal, LiteralSlot, LogicalExpr, Module, NodeSetExpr,
     OrderByExpr, PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr, Step,
     TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr, walk,
 )
@@ -252,6 +252,10 @@ class Evaluator:
     def _eval_Literal(self, expr: Literal, env: DynamicContext) -> list:
         return [expr.value]
 
+    def _eval_LiteralSlot(self, expr: LiteralSlot,
+                          env: DynamicContext) -> list:
+        return [env.binding.literals[expr.index]]
+
     def _eval_EmptySequence(self, expr: EmptySequence,
                             env: DynamicContext) -> list:
         return []
@@ -326,7 +330,7 @@ class Evaluator:
                     # fault of the call itself is not a reason to call
                     # again per binding.
                     result = _chain.from_iterable(env.xrpc_execute_bulk(
-                        *result, expr.body.body))
+                        *result, expr.body.body, env.binding))
                 return list(result)
         if seq:
             _count_fallback(detail)
@@ -1036,7 +1040,7 @@ class Evaluator:
         dest = xdm.string_value(dest_seq[0])
         params = [(param.name, self.evaluate(param.value, env))
                   for param in expr.params]
-        return env.xrpc_execute(dest, params, expr.body)
+        return env.xrpc_execute(dest, params, expr.body, env.binding)
 
 
 def evaluate_module(module: Module, env: DynamicContext,

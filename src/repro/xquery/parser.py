@@ -23,9 +23,10 @@ from repro.errors import UndefinedFunctionError, XQuerySyntaxError
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
     EmptySequence, Expr, ForExpr, FunCall, FunctionDecl, IfExpr, LetExpr,
-    Literal, LogicalExpr, Module, NodeSetExpr, OrderByExpr, OrderSpec, Param,
-    PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr, Step, TypeswitchCase,
-    TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr, XRPCParam,
+    Literal, LiteralSlot, LogicalExpr, Module, NodeSetExpr, OrderByExpr,
+    OrderSpec, Param, PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr,
+    Step, TypeswitchCase, TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
+    XRPCParam,
 )
 from repro.xquery.lexer import Lexer, Token, TokenType
 
@@ -47,22 +48,28 @@ def canonical_function_name(name: str) -> str:
     return name
 
 
-def parse_query(text: str) -> Module:
-    """Parse a main module (prolog + body)."""
-    return _Parser(text).parse_module()
+def parse_query(text: str,
+                slots: dict[int, LiteralSlot] | None = None) -> Module:
+    """Parse a main module (prolog + body). ``slots`` maps the offset
+    of a literal token to the leaf that stands for it in a prepared
+    query (:func:`repro.xquery.prepared.scan` finds them)."""
+    return _Parser(text, slots).parse_module()
 
 
-def parse_expr(text: str) -> Expr:
+def parse_expr(text: str,
+               slots: dict[int, LiteralSlot] | None = None) -> Expr:
     """Parse a single expression (no prolog)."""
-    parser = _Parser(text)
+    parser = _Parser(text, slots)
     expr = parser.parse_expr()
     parser.expect_end()
     return expr
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str,
+                 slots: dict[int, LiteralSlot] | None = None):
         self.lexer = Lexer(text)
+        self.slots = slots or {}
         self.declared_functions: dict[tuple[str, int], FunctionDecl] = {}
 
     # -- token helpers -------------------------------------------------------
@@ -557,12 +564,10 @@ class _Parser:
         if token.type == TokenType.VARIABLE:
             self.next()
             return VarRef(token.text)
-        if token.type == TokenType.STRING:
+        if token.type in (TokenType.STRING, TokenType.INTEGER,
+                          TokenType.DOUBLE):
             self.next()
-            return Literal(token.value)
-        if token.type == TokenType.INTEGER or token.type == TokenType.DOUBLE:
-            self.next()
-            return Literal(token.value)
+            return self.slots.get(token.offset) or Literal(token.value)
 
         if token.is_symbol("("):
             self.next()

@@ -48,8 +48,8 @@ from repro.xmldb import kernels
 from repro.xmldb.node import NodeKind
 from repro.xmldb.values import coerce_number, node_string, value_index
 from repro.xquery.ast import (
-    ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LogicalExpr,
-    PathExpr, VALUE_COMPARISONS, VarRef,
+    LITERALS, ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal,
+    LiteralSlot, LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef,
 )
 from repro.xquery.xdm import (
     COMPARATORS, UntypedAtomic, atomize, general_compare,
@@ -92,8 +92,9 @@ class Probe:
     ``axis == "self"`` probes the anchor node itself (``name`` empty;
     the step's own test supplies the column). ``op == "exists"`` is a
     bare existence test with no right-hand side. The right-hand side is
-    either ``literal`` or the variable ``var``, resolved at filter
-    time.
+    ``literal``, or one of two run-time operands resolved at filter
+    time: the variable ``var``, or what the run's binding holds for
+    the prepared query's ``slot``.
     """
 
     axis: str
@@ -101,6 +102,7 @@ class Probe:
     op: str
     literal: object = None
     var: str | None = None
+    slot: int | None = None
 
     def key(self, step_axis: str, step_test: str) -> str | None:
         """The value-index column this probe reads, given the step the
@@ -155,7 +157,9 @@ class IndexPlan:
         if key is None:
             return None
         if probe.var is None:
-            return vindex.probe(key, probe.op, probe.literal)
+            return vindex.probe(
+                key, probe.op, probe.literal if probe.slot is None
+                else env.binding.literals[probe.slot])
         atoms = atomize(env.lookup(probe.var))
         if not atoms:
             return []
@@ -214,7 +218,7 @@ class _ClosureCtx:
     __slots__ = ("doc", "sindex", "bindings")
 
     def __init__(self, doc: "Document", sindex: "StructuralIndex",
-                 bindings: dict[str, list]):
+                 bindings: dict[str | int, list]):
         self.doc = doc
         self.sindex = sindex
         self.bindings = bindings
@@ -233,7 +237,10 @@ class ClosurePlan:
     def filter(self, doc: "Document", sindex: "StructuralIndex",
                pres: list[int], step_axis: str, step_test: str,
                env: "DynamicContext") -> list[int]:
-        bindings = {name: atomize(env.lookup(name))
+        # A slot's index stands beside the names: one more operand
+        # that is the same for every candidate.
+        bindings = {name: [env.binding.literals[name]]
+                    if isinstance(name, int) else atomize(env.lookup(name))
                     for name in self.var_names}
         ctx = _ClosureCtx(doc, sindex, bindings)
         fn = self.fn
@@ -251,8 +258,8 @@ def _compile_getter(expr: Expr):
     if isinstance(expr, Literal):
         const = [expr.value]
         return (lambda ctx, pre: const), ()
-    if isinstance(expr, VarRef):
-        name = expr.name
+    if isinstance(expr, (VarRef, LiteralSlot)):
+        name = expr.name if isinstance(expr, VarRef) else expr.index
         return (lambda ctx, pre: ctx.bindings[name]), (name,)
     if isinstance(expr, ContextItemExpr):
         return (lambda ctx, pre: _atoms_of_pres(ctx, (pre,))), ()
@@ -441,6 +448,8 @@ def _comparison_probe(expr: ComparisonExpr) -> Probe | None:
         return Probe(axis=axis, name=name, op=op, literal=value)
     if isinstance(rhs, VarRef):
         return Probe(axis=axis, name=name, op=op, var=rhs.name)
+    if isinstance(rhs, LiteralSlot):
+        return Probe(axis=axis, name=name, op=op, slot=rhs.index)
     return None
 
 
@@ -666,9 +675,11 @@ def conjunction_members(expr: Expr) -> list[Expr]:
 
 
 def literal_probe(expr: Expr, var: str | None = None,
-                  pure: bool = False) -> tuple[str, str, object] | None:
+                  pure: bool = False, literals: tuple = ()
+                  ) -> tuple[str, str, object] | None:
     """``(key, op, literal)`` of a comparison between a relative path
-    and a literal — the *necessary condition* recognisers build on.
+    and a literal (a prepared query's slot reads ``literals``) — the
+    *necessary condition* recognisers build on.
 
     ``var`` anchors the path at ``$var`` instead of the context item.
     Unlike :func:`_comparison_probe`, the path may have any number of
@@ -691,9 +702,9 @@ def literal_probe(expr: Expr, var: str | None = None,
     for path_side, other, op in ((expr.left, expr.right, expr.op),
                                  (expr.right, expr.left,
                                   FLIPPED_OPS[expr.op])):
-        if not isinstance(other, Literal):
+        if not isinstance(other, LITERALS):
             continue
-        value = other.value
+        value = other.bound(literals)
         if isinstance(value, bool) or not isinstance(value,
                                                      (str, int, float)):
             continue

@@ -5,8 +5,10 @@ fragment documents, evaluates the shipped function body once per
 (bulk) call, and serialises the response — projecting it first when
 the request carried projection paths. The body arrives as text in
 every request; its ``Evaluator`` (which holds the parsed body) is
-interned in the peer's table, so a call site served twice is compiled
-once.
+interned in the peer's table by the text's *shape*, so a call site is
+compiled once however many comparison literals it is served with: the
+literals a request's text holds are read off it by one scan and handed
+to the evaluation as its binding.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from repro.xmldb.document import Document
 from repro.xquery.ast import Module
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.parser import parse_expr
 from repro.xquery.prepared import PreparedTable
 
 from repro.xrpc.marshal import marshal_result, unmarshal_calls
@@ -43,11 +44,12 @@ class RequestHandler:
 
     def handle(self, request: RequestMessage) -> ResponseMessage:
         """Evaluate (once per call) and marshal the response."""
-        evaluator = self.prepared.intern(
-            (request.query, tuple(sorted(request.static_attrs.items()))),
-            lambda: Evaluator(
-                Module([], parse_expr(request.query)),
+        prepared, binding = self.prepared.intern_text(
+            request.query, tuple(sorted(request.static_attrs.items())),
+            lambda body: Evaluator(
+                Module([], body),
                 StaticContext.from_attributes(request.static_attrs)))
+        evaluator = prepared.value
         body = evaluator.module.body
 
         calls = unmarshal_calls(request.calls, request.fragments,
@@ -59,6 +61,7 @@ class RequestHandler:
                 resolve_doc=self.resolve_doc,
                 xrpc_execute=self.xrpc_execute,
                 counter=self.counter,
+                binding=binding,
             )
             results.append(evaluator.evaluate(body, env))
 

@@ -17,13 +17,14 @@ settings.register_profile("long", max_examples=5000, derandomize=False,
                           print_blob=True, deadline=None)
 
 
-def fuzz_settings(max_examples: int) -> settings:
+def fuzz_settings(max_examples: int, hunt: int | None = None) -> settings:
     """Settings for the parser fuzz tests: small and seeded in tier-1
     (same examples, same verdict, every run), the ``long`` profile's
-    when the CI fuzz job selects it."""
+    when the CI fuzz job selects it (``hunt`` examples of it, for a
+    property whose one example is many federated runs)."""
     long = settings.get_profile("long")
     if settings.default is long:
-        return long
+        return long if hunt is None else settings(long, max_examples=hunt)
     return settings(max_examples=max_examples, derandomize=True,
                     deadline=None)
 

@@ -1,12 +1,14 @@
-"""Compile once: one prepared query per text, on both sides of the wire.
+"""Compile once: one prepared query per shape, on both sides of the wire.
 
 A query text is parsed, analysed and lowered when the planner first
-sees it and looked up ever after; a shipped function body is parsed
-when a peer first sees it. What re-lowers a prepared query is a moved
-stamp (a store, a repartition); calibration only re-ranks its
-candidates. The counting tests wrap the parser and
-the decomposer wherever a ``repro`` module holds them, the way
-``benchmarks/e2e/spans.py`` does.
+sees its *shape* (the text with comparison literals as slots) and
+looked up ever after, whatever literals it comes with; a shipped
+function body is parsed when a peer first sees its shape. What a
+literal costs is one pricing pass when it is first bound. What
+re-prices a prepared query is a moved stamp (a store, a repartition);
+calibration only re-ranks its candidates. The counting tests wrap the
+parser and the decomposer wherever a ``repro`` module holds them, the
+way ``benchmarks/e2e/spans.py`` does.
 """
 
 import importlib.util
@@ -19,8 +21,9 @@ from repro.planner.ir import CallSite
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import (
-    BENCHMARK_QUERY, REFDATA_PEER, TINY_LOOKUP_QUERY, build_federation,
-    build_mixed_federation, refdata_document,
+    BENCHMARK_QUERY, REFDATA_PEER, TINY_LOOKUP_QUERY,
+    benchmark_query_variant, build_federation, build_mixed_federation,
+    refdata_document,
 )
 from repro.xquery.parser import parse_expr, parse_query
 from repro.xquery.pretty import pretty
@@ -199,3 +202,115 @@ def test_concurrent_runs_share_one_prepared_query(monkeypatch):
     snapshot = federation.planner.snapshot()
     assert snapshot["cached_plans"] == 1
     assert snapshot["cache_hits"] == 31
+
+
+# -- plan by shape: a literal is a parameter of the prepared query -------------
+
+
+def _local_oracle(federation):
+    """A one-peer federation holding ``federation``'s two documents,
+    and the rewrite that aims a benchmark text at it."""
+    oracle = Federation()
+    oracle.add_peer("oracle")
+    for name, owner in (("people.xml", "peer1"), ("auctions.xml", "peer2")):
+        oracle.peer("oracle").store(
+            name, federation.peer(owner).serialized(name))
+    return lambda text: serialize_sequence(oracle.run(
+        text.replace("xrpc://peer1/", "").replace("xrpc://peer2/", ""),
+        at="oracle", strategy="data-shipping").items)
+
+
+def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
+    """ROADMAP 3(a)'s exit, counted: the ledger's 200 ``tenant_mix``
+    texts are one shape, so the parser and the decomposer run for the
+    first of them only — on both sides of the wire — and what the
+    other 199 pay is one pricing pass each. Every answer is its own
+    text's."""
+    ledger = _ledger_workloads()
+    texts = [benchmark_query_variant(threshold)
+             for threshold in ledger.TENANT_THRESHOLDS]
+    assert len(set(texts)) == 200
+    federation = build_federation(0.004)
+    local = _local_oracle(federation)
+    expected = [local(text) for text in texts]
+    assert len(set(expected)) > 3        # the thresholds do select
+
+    calls = _count(monkeypatch, parse_query, prepare, realize, parse_expr)
+    with FederationEngine(federation, max_workers=2) as engine:
+        futures = [engine.submit(text, "local", "auto") for text in texts]
+        results = [future.result(timeout=60) for future in futures]
+    assert [serialize_sequence(result.items) for result in results] \
+        == expected
+    # What one text costs at first sight (4 strategies analysed, each
+    # candidate realised once), and nothing per further text.
+    assert len(calls["parse_query"]) == 1
+    assert len(calls["prepare"]) == 4
+    candidates = len(results[0].stats.plan.candidates)
+    assert len(calls["realize"]) == candidates > 4
+    # A peer compiles a body once per shape it is shipped, however
+    # many thresholds it is shipped with.
+    bodies = sum(len(federation.peer(name).prepared)
+                 for name in ("peer1", "peer2", "local"))
+    assert len(calls["parse_expr"]) == bodies <= 2 * candidates
+    snapshot = federation.planner.snapshot()
+    assert snapshot["cached_plans"] == 1
+    assert snapshot["plans_enumerated"] == candidates
+    assert snapshot["cache_hits"] == 199
+    assert snapshot["bindings_priced"] == 199
+    assert [result.stats.plan.from_cache for result in results].count(
+        False) == 1
+    assert {result.literals for result in results} \
+        == {(float(threshold),) for threshold in ledger.TENANT_THRESHOLDS}
+
+
+def test_literals_may_rank_the_shared_candidates_differently():
+    """The histogram selectivity is read per binding, so ``auto`` still
+    prices ``< 18`` and ``< 67`` apart — over the same candidates."""
+    federation = build_federation(0.01)
+    few = federation.run(benchmark_query_variant("18.00"), at="local",
+                         strategy="auto").stats.plan
+    many = federation.run(benchmark_query_variant("67.75"), at="local",
+                          strategy="auto").stats.plan
+    assert few.literals == (18.0,) and many.literals == (67.75,)
+    assert sorted(label for label, _ in few.candidates) \
+        == sorted(label for label, _ in many.candidates)
+    assert dict(few.candidates) != dict(many.candidates)
+    assert few.estimated_bytes < many.estimated_bytes
+    assert "shape planned, literals (18.0)" in few.explain(analyze=True)
+    assert "shape hit, literals (67.75)" in many.explain(analyze=True)
+
+
+def test_store_between_two_literals_reprices_the_shape_once(monkeypatch):
+    """A store moves the stamp for the shape, not per literal: the
+    first lookup after it is the enumeration (every estimate of the
+    shape went stale), a literal met again later pays its pricing pass
+    and is a hit, and nobody parses or decomposes."""
+    federation = build_federation(0.004)
+    planner = federation.planner
+    first, second, third = (benchmark_query_variant(threshold)
+                            for threshold in ("25.00", "35.00", "45.00"))
+    run = lambda text: federation.run(  # noqa: E731
+        text, at="local", strategy="auto")
+    run(first)
+    run(second)
+    before = planner.snapshot()
+    candidates = before["plans_enumerated"]
+    assert (before["cache_hits"], before["bindings_priced"]) == (1, 1)
+
+    calls = _count(monkeypatch, parse_query, prepare, realize, decompose)
+    people = federation.peer("peer1").serialized("people.xml")
+    federation.peer("peer1").store("people.xml", people)
+    assert run(third).stats.plan.from_cache is False
+    after = planner.snapshot()
+    assert after["plans_enumerated"] == 2 * candidates
+    assert after["bindings_priced"] == 1
+
+    assert run(second).stats.plan.from_cache is True     # re-priced: a hit
+    assert run(first).stats.plan.from_cache is True
+    assert run(third).stats.plan.from_cache is True      # nothing to price
+    final = planner.snapshot()
+    assert final["plans_enumerated"] == 2 * candidates
+    assert final["bindings_priced"] == 3
+    assert final["cache_hits"] == 4
+    assert final["cached_plans"] == 1
+    assert not any(calls.values())

@@ -1,9 +1,12 @@
 """The shared Section VII workload module."""
 
+import pytest
+
 from repro.decompose import Strategy
 from repro.workloads import (
-    BENCHMARK_QUERY, DEFAULT_SCALES, build_federation, document_bytes,
-    run_all_strategies, run_strategy,
+    BENCHMARK_QUERY, DEFAULT_SCALES, benchmark_query_variant,
+    build_federation, document_bytes, run_all_strategies, run_strategy,
+    sharded_query_variant,
 )
 
 
@@ -35,3 +38,16 @@ def test_default_scales_are_geometric():
 def test_benchmark_query_text_mentions_both_peers():
     assert "xrpc://peer1/" in BENCHMARK_QUERY
     assert "xrpc://peer2/" in BENCHMARK_QUERY
+
+
+def test_query_variant_takes_one_numeric_literal_only():
+    """The ledger passes thresholds as text (``"18.00"``); whatever is
+    spliced in must lex as exactly one number, or it is a different
+    query, not another tenant's threshold."""
+    for threshold in (25, 2.5, "18.00", "1e3"):
+        assert f"< {threshold})" in benchmark_query_variant(threshold)
+        assert f"< {threshold})" in sharded_query_variant(threshold)
+    for spliced in ("40) or (1", "-5", "", "4 0", "abc", '"40"', "1e+",
+                    "4#"):
+        with pytest.raises(ValueError):
+            benchmark_query_variant(spliced)
