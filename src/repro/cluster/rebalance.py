@@ -45,6 +45,7 @@ from dataclasses import dataclass
 
 from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.cluster.membership import ALIVE, DEAD, EVICTED
+from repro.xmldb.serializer import serialized_byte_length
 
 __all__ = [
     "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
@@ -143,9 +144,9 @@ class LoadScorer:
                 return doc_stats.serialized_bytes
         peer_obj = (self.federation.peers.get(peer)
                     if self.federation is not None else None)
-        if peer_obj is None or local_name not in peer_obj.documents:
-            return 0
-        return len(peer_obj.serialized(local_name).encode())
+        document = (None if peer_obj is None
+                    else peer_obj.documents.get(local_name))
+        return 0 if document is None else serialized_byte_length(document)
 
     def snapshot(self, peers: list[str] | None = None
                  ) -> dict[str, PeerScore]:

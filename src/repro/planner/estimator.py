@@ -151,11 +151,6 @@ class PlanEstimator:
             calibration=self.calibration,
             binding=binding if binding is not None else Binding(),
             bulk_rpc=bulk_rpc,
-            # Value histograms cost an extra statistics pass per
-            # document; only queries that compare values pay it.
-            want_values=any(isinstance(node, ComparisonExpr)
-                            and node.op in VALUE_COMPARISONS
-                            for node in exprs),
         )
         # Projection path analysis is only paid when a site will use it
         # (the engine's by-value/by-fragment hot paths skip it); the
@@ -180,11 +175,6 @@ class PlanEstimator:
             _Estimation(self, plan, binding.literals).run(), binding)
 
     # -- shared pricing helpers ---------------------------------------------
-
-    def document_stats(self, host: str, local_name: str,
-                       with_values: bool = False) -> DocumentStats | None:
-        return self.stats.document_stats(host, local_name,
-                                         with_values=with_values)
 
     def exec_seconds(self, elements: float) -> float:
         return elements * (EXEC_TICKS_PER_ELEMENT * self.model.tick_s
@@ -361,7 +351,7 @@ class _Estimation:
         source document's value histograms; the calibrated default
         when the shape or the histograms give nothing sharper."""
         stats = current.stats
-        if stats is None or stats.values is None:
+        if stats is None:
             return FILTER_SELECTIVITY
         selectivity: float | None = None
         for conjunct in conjunction_members(predicate):
@@ -371,7 +361,7 @@ class _Estimation:
             if probe is None:
                 continue
             key, op, value = probe
-            histogram = stats.values.get(key)
+            histogram = stats.value_histogram(key)
             if histogram is None:
                 continue
             fraction = histogram.selectivity(op, value)
@@ -455,18 +445,15 @@ class _Estimation:
                 and side.steps):
             return None
         volume = env.get(side.input.name)
-        if volume is None or volume.stats is None \
-                or volume.stats.values is None:
+        if volume is None or volume.stats is None:
             return None
         last = side.steps[-1]
         if last.test == "*" or last.test.endswith("()"):
             return None
         key = ("@" + last.test if last.axis == "attribute"
                else last.test)
-        histogram = volume.stats.values.get(key)
-        if histogram is None:
-            return None
-        return (histogram, volume)
+        histogram = volume.stats.value_histogram(key)
+        return None if histogram is None else (histogram, volume)
 
     def _apply_step(self, current: _Vol, axis: str, test: str) -> _Vol:
         stats = current.stats
@@ -585,8 +572,7 @@ class _Estimation:
             owner, local_name = host, uri     # host-relative document
         else:
             owner, local_name = parts
-        stats = self.estimator.document_stats(
-            owner, local_name, with_values=self.plan.want_values)
+        stats = self.estimator.stats.document_stats(owner, local_name)
         if owner != host:
             self._emit_ship(owner, local_name, host, stats)
         self._touch(host, stats, multiplicity)
@@ -652,9 +638,8 @@ class _Estimation:
                 expr.body, collection.name) is None:
             # Not scatter-safe: the router falls back to evaluating at
             # the originator over the merged collection document.
-            stats = self.estimator.document_stats(
-                collection.name, collection.document,
-                with_values=self.plan.want_values)
+            stats = self.estimator.stats.document_stats(
+                collection.name, collection.document)
             self._emit_ship(collection.name, collection.document, host,
                             stats)
             self._touch(host, stats, multiplicity)

@@ -202,8 +202,6 @@ class PhysicalPlan:
     #: slots) and what its runs read their literals from.
     binding: Binding = field(default_factory=Binding)
     bulk_rpc: bool = True
-    #: Some comparison reads a value histogram (statistics to gather).
-    want_values: bool = False
     #: Per-site message semantics, keyed by ``id(xrpc.body)`` — the
     #: handle :class:`~repro.system.federation._Run` has on the wire.
     site_semantics: dict[int, str] = field(default_factory=dict)

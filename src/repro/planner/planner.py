@@ -307,12 +307,14 @@ class QueryPlanner:
     # -- introspection ------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
+        stats = self.stats.snapshot()
         with self._lock:
             return {
                 "cached_plans": len(self._prepared),
                 "cache_hits": self._cache_hits,
                 "plans_enumerated": self._plans_enumerated,
                 "bindings_priced": self._bindings_priced,
+                "stats_keys_built": stats["keys_built"],
                 "calibration": self.calibration.snapshot(),
-                "stats": self.stats.snapshot(),
+                "stats": stats,
             }

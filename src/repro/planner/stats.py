@@ -1,43 +1,45 @@
 """Per-peer document statistics feeding the cost-based planner.
 
-A :class:`DocumentStats` summarises one stored document: its exact
-serialised size, node counts, and a per-tag histogram carrying, for
-every element name, how many instances exist and how many serialised
-bytes their subtrees cover. Attribute values are tracked under
-``@name`` keys and text nodes under ``#text``, so the estimator can
-price projections ("only ``person/@id`` comes back") and atomisations
-("``data($x)`` keeps the text") without touching the documents again.
+A :class:`DocumentStats` is a *view* over what a stored document
+already carries, answered per key and only when a plan reads the key:
 
-Alongside the byte histograms, a document's *value histograms*
-(:class:`ValueHistogram`, one per leaf-element tag and ``@attr`` key)
-summarise the actual content: total and distinct value counts for
-string equality, and an equi-width bucket histogram over the
-numeric-coercible values for range comparisons — the numbers behind
-the estimator's measured predicate selectivities (``age < 40`` prices
-at the observed ~0.42, not a guessed 0.5). They are computed only when
-a query needs them (``with_values=True``): a lowering that compares
-values asks for them and thereby builds them, one that does not never
-reads them — no plan is ever priced "before histograms existed".
+* a tag bucket (:class:`TagStat`: instances of an element name and the
+  serialised bytes their subtrees cover) is the length of the name's
+  pre list in the structural index and the sum of its spans in the
+  memoized serialisation — the one source of byte figures; ``@name``
+  buckets (value bytes) read the value index's attribute pres,
+  ``#text`` the text pres. They price projections ("only
+  ``person/@id`` comes back") and atomisations ("``data($x)`` keeps
+  the text");
+* a *value histogram* (:class:`ValueHistogram`, per leaf-element tag or
+  ``@attr`` key) summarises that key's content: total and distinct
+  value counts for string equality, an equi-width bucket histogram over
+  the numeric-coercible values for range comparisons — the measured
+  predicate selectivities (``age < 40`` prices at the observed ~0.42,
+  not a guessed 0.5) — so the first plan after a store pays for the
+  keys it prices, not for a pass over every node for every key.
 
-The :class:`StatsCatalog` computes stats lazily per ``(host, name)``
-and invalidates them through the same ``Peer.on_store`` hook the
-runtime's result cache uses; a *collection* host (cluster catalog
-virtual name) aggregates its shard fragments' stats. ``version()``
-bumps on every invalidation — it is part of the stamp a prepared
-query's lowered candidates carry, so a re-stored document can never be
-planned against stale statistics.
+The :class:`StatsCatalog` keeps one view per ``(host, name)`` and drops
+it through the same ``Peer.on_store`` hook the runtime's result cache
+uses; a *collection* host (cluster catalog virtual name) gets a view
+that asks each shard fragment's view per key and merges. ``version()``
+bumps on every store — it is part of the stamp a prepared query's
+lowered candidates carry, so a re-stored document can never be planned
+against stale statistics.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from math import isnan
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
+from repro.xmldb.index import structural_index
 from repro.xmldb.node import NodeKind
 from repro.xmldb.serializer import serialized_byte_length, subtree_spans
-from repro.xmldb.values import coerce_number, iter_leaf_values
+from repro.xmldb.values import coerce_number, value_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
@@ -218,162 +220,192 @@ def _rebin(part: "ValueHistogram", low: float, high: float,
             target[slot] += share
 
 
-def build_value_histograms(document: "Document"
-                           ) -> dict[str, ValueHistogram]:
-    """One pass over the document's attributes and leaf elements (see
-    :func:`repro.xmldb.values.iter_leaf_values`), producing the
-    per-key :class:`ValueHistogram` table."""
-    raw: dict[str, list[str]] = {}
-    for key, value in iter_leaf_values(document):
-        raw.setdefault(key, []).append(value)
-    out: dict[str, ValueHistogram] = {}
-    for key, values in raw.items():
-        numbers = [number for value in values
-                   if not isnan(number := coerce_number(value))]
-        if numbers:
-            low, high = min(numbers), max(numbers)
-            buckets = [0] * VALUE_BUCKETS
-            span = high - low
-            for number in numbers:
-                if span <= 0.0:
-                    buckets[0] += 1
-                else:
-                    slot = min(int((number - low) / span * VALUE_BUCKETS),
-                               VALUE_BUCKETS - 1)
-                    buckets[slot] += 1
-            out[key] = ValueHistogram(
-                count=len(values), distinct=len(set(values)),
-                numeric_count=len(numbers), numeric_min=low,
-                numeric_max=high, buckets=tuple(buckets))
-        else:
-            out[key] = ValueHistogram(count=len(values),
-                                      distinct=len(set(values)))
+def _histogram(values: list[str]) -> ValueHistogram | None:
+    """The content summary of one key's values; None for no values."""
+    if not values:
+        return None
+    numbers = [number for value in values
+               if not isnan(number := coerce_number(value))]
+    if not numbers:
+        return ValueHistogram(count=len(values), distinct=len(set(values)))
+    low, high = min(numbers), max(numbers)
+    buckets = [0] * VALUE_BUCKETS
+    span = high - low
+    for number in numbers:
+        slot = 0 if span <= 0.0 else min(
+            int((number - low) / span * VALUE_BUCKETS), VALUE_BUCKETS - 1)
+        buckets[slot] += 1
+    return ValueHistogram(
+        count=len(values), distinct=len(set(values)),
+        numeric_count=len(numbers), numeric_min=low,
+        numeric_max=high, buckets=tuple(buckets))
+
+
+def _leaf_text(document: "Document", pre: int) -> str | None:
+    """The string value of a *leaf* element (the typed fields statistics
+    care about); None for a container, which would smear the histograms."""
+    kinds, values = document.kinds, document.values
+    parts = []
+    for cursor in range(pre + 1, pre + document.sizes[pre] + 1):
+        kind = kinds[cursor]
+        if kind == NodeKind.ELEMENT:
+            return None
+        if kind == NodeKind.TEXT:
+            parts.append(values[cursor])
+    return "".join(parts)
+
+
+def _merged(parts):
+    """Left fold of ``merged`` over the parts that have an answer."""
+    out = None
+    for part in parts:
+        if part is not None:
+            out = part if out is None else out.merged(part)
     return out
 
 
-@dataclass(frozen=True)
 class DocumentStats:
-    """Summary of one document (or an aggregated sharded collection).
+    """Per-key statistics view of one stored document.
 
-    ``values`` is the per-key value-histogram table (see
-    :class:`ValueHistogram`) when the stats were computed
-    ``with_values``; None means value statistics were never requested
-    for this document — the estimator then prices predicates with the
-    calibrated default selectivity.
+    Computed when first read, and then only that key: :meth:`tag` (a
+    name / ``@name`` / ``#text`` bucket) and :meth:`value_histogram` (a
+    leaf-element tag or ``@attr`` key) — None when no node carries the
+    key — ``elements``, and ``column_bytes`` (exact physical bytes of
+    the typed columns, see ``ColumnSet.column_byte_sizes``). Fixed at
+    construction: ``serialized_bytes`` (the text's exact UTF-8 length
+    when the caller has it, its character count if not) and ``nodes``
+    (all stored nodes, attributes included).
+
+    Every answer is memoized on the view. Engine workers share a view
+    and may ask it for one key at once: each computes the same
+    immutable value and the last store into the memo wins — a benign
+    race, as in ``ValueIndex._attribute_pres``; no lock is taken.
     """
 
-    uri: str
-    serialized_bytes: int        # exact length of the serialised text
-    nodes: int                   # all stored nodes (incl. attributes)
-    elements: int                # element nodes only
-    tags: Mapping[str, TagStat]  # name / "@name" / "#text" buckets
-    values: Mapping[str, ValueHistogram] | None = None
-    #: Exact physical bytes of the document's typed columns (the spill
-    #: format's sizes — see ``ColumnSet.column_byte_sizes``); sums over
-    #: shards for a collection view.
-    column_bytes: int = 0
+    def __init__(self, document: "Document", uri: str,
+                 serialized_bytes: int | None = None):
+        starts, ends = subtree_spans(document)
+        chars = ends[0] - starts[0]
+        if serialized_bytes is None:
+            serialized_bytes = chars
+        self.document = document
+        # Spans are character offsets: scaled to the UTF-8 total, subtree
+        # byte figures stay consistent and sum to the true wire size.
+        self._scale = serialized_bytes / chars if chars > 0 else 1.0
+        self._setup(uri, serialized_bytes, len(document))
+
+    def _setup(self, uri: str, serialized_bytes: int, nodes: int) -> None:
+        self.uri = uri
+        self.serialized_bytes = serialized_bytes
+        self.nodes = nodes
+        self._tags: dict[str, TagStat | None] = {}
+        self._values: dict[str, ValueHistogram | None] = {}
 
     def tag(self, name: str) -> TagStat | None:
-        return self.tags.get(name)
+        try:
+            return self._tags[name]
+        except KeyError:
+            stat = self._tags[name] = self._tag(name)
+            return stat
 
     def value_histogram(self, key: str) -> ValueHistogram | None:
-        """The value histogram for ``key`` (tag or ``@attr``), when
-        value statistics were computed."""
-        return None if self.values is None else self.values.get(key)
+        try:
+            return self._values[key]
+        except KeyError:
+            histogram = self._values[key] = self._value_histogram(key)
+            return histogram
+
+    @cached_property
+    def elements(self) -> int:
+        return len(structural_index(self.document).element_pres)
+
+    @cached_property
+    def column_bytes(self) -> int:
+        return self.document.column_bytes()
 
     @property
     def avg_element_bytes(self) -> float:
-        return (self.serialized_bytes / self.elements
-                if self.elements else 0.0)
+        return self.serialized_bytes / self.elements if self.elements else 0.0
+
+    def keys_built(self) -> tuple[list[str], list[str]]:
+        """The tag and value keys answered so far (forces nothing)."""
+        return tuple(sorted(key for key, answer in list(memo.items())
+                            if answer is not None)
+                     for memo in (self._tags, self._values))
+
+    # -- one document: read off its indexes and serialiser spans ------------
+
+    def _tag(self, name: str) -> TagStat | None:
+        document = self.document
+        if name.startswith("@"):
+            pres = value_index(document).attribute_pres(name[1:])
+        elif name == "#text":
+            pres = structural_index(document).text_pres
+        else:
+            # Element subtree figures are exact: the spans the memoized
+            # serialisation recorded — no second length model.
+            pres = structural_index(document).tag_pres.get(name, ())
+            starts, ends = subtree_spans(document)
+            return self._bucket(len(pres),
+                                sum(map(ends.__getitem__, pres))
+                                - sum(map(starts.__getitem__, pres)))
+        return self._bucket(
+            len(pres), sum(map(len, map(document.values.__getitem__, pres))))
+
+    def _bucket(self, count: int, total: int) -> TagStat | None:
+        return TagStat(count, int(total * self._scale)) if count else None
+
+    def _value_histogram(self, key: str) -> ValueHistogram | None:
+        document = self.document
+        if key.startswith("@"):
+            return _histogram(list(map(
+                document.values.__getitem__,
+                value_index(document).attribute_pres(key[1:]))))
+        return _histogram(
+            [text for pre in structural_index(document).tag_pres.get(key, ())
+             if (text := _leaf_text(document, pre)) is not None])
+
+
+class _CollectionStats(DocumentStats):
+    """One logical view of a sharded collection: every key asks each
+    shard's view and merges the answers in shard order."""
+
+    def __init__(self, parts: list[DocumentStats], uri: str):
+        self.parts = parts
+        self._setup(uri, sum(part.serialized_bytes for part in parts),
+                    sum(part.nodes for part in parts))
+
+    def _tag(self, name: str) -> TagStat | None:
+        return _merged(part.tag(name) for part in self.parts)
+
+    def _value_histogram(self, key: str) -> ValueHistogram | None:
+        return _merged(part.value_histogram(key) for part in self.parts)
+
+    @cached_property
+    def elements(self) -> int:
+        return sum(part.elements for part in self.parts)
+
+    @cached_property
+    def column_bytes(self) -> int:
+        return sum(part.column_bytes for part in self.parts)
 
 
 def compute_document_stats(document: "Document", uri: str,
-                           serialized_bytes: int | None = None,
-                           with_values: bool = False) -> DocumentStats:
-    """One O(nodes) pass over the kind/name/value columns (two with
-    ``with_values`` — the second builds the value-histogram table).
-
-    Element subtree byte figures are *exact*: read off the spans the
-    document's memoized serialisation recorded (see
-    :func:`repro.xmldb.serializer.subtree_spans`; the catalog path has
-    serialised the document already, for the exact total). Spans are
-    character offsets, so they are scaled to the UTF-8 total when the
-    caller provides it — subtree byte figures stay mutually consistent
-    and sum to the true wire size.
-    """
-    kinds = document.kinds
-    names = document.names
-    values = document.values
-    count = len(kinds)
-
-    starts, ends = subtree_spans(document)
-    total_chars = ends[0] - starts[0]
-    elements = sum(1 for kind in kinds if kind == NodeKind.ELEMENT)
-    scale = 1.0
-    if serialized_bytes is not None and total_chars > 0:
-        scale = serialized_bytes / total_chars
-
-    counts: dict[str, int] = {}
-    byte_totals: dict[str, int] = {}
-    for pre in range(count):
-        kind = kinds[pre]
-        if kind == NodeKind.ELEMENT:
-            key = names[pre]
-            subtree = ends[pre] - starts[pre]
-        elif kind == NodeKind.ATTRIBUTE:
-            key = "@" + names[pre]
-            subtree = len(values[pre])
-        elif kind == NodeKind.TEXT:
-            key = "#text"
-            subtree = len(values[pre])
-        else:
-            continue
-        counts[key] = counts.get(key, 0) + 1
-        byte_totals[key] = byte_totals.get(key, 0) + subtree
-
-    tags = {
-        key: TagStat(counts[key], int(byte_totals[key] * scale))
-        for key in counts
-    }
-    total = (serialized_bytes if serialized_bytes is not None
-             else total_chars)
-    values = build_value_histograms(document) if with_values else None
-    return DocumentStats(uri=uri, serialized_bytes=total, nodes=count,
-                         elements=elements, tags=tags, values=values,
-                         column_bytes=document.column_bytes())
+                           serialized_bytes: int | None = None
+                           ) -> DocumentStats:
+    """The view over ``document`` (serialising it now if nothing has)."""
+    return DocumentStats(document, uri, serialized_bytes)
 
 
 def merge_document_stats(parts: list[DocumentStats],
                          uri: str) -> DocumentStats:
-    """Aggregate shard-fragment stats into one logical collection view
-    (value histograms merge too, when every part carries them)."""
-    tags: dict[str, TagStat] = {}
-    for part in parts:
-        for name, stat in part.tags.items():
-            existing = tags.get(name)
-            tags[name] = stat if existing is None else existing.merged(stat)
-    values: dict[str, ValueHistogram] | None = None
-    if parts and all(part.values is not None for part in parts):
-        values = {}
-        for part in parts:
-            assert part.values is not None
-            for key, histogram in part.values.items():
-                existing_hist = values.get(key)
-                values[key] = (histogram if existing_hist is None
-                               else existing_hist.merged(histogram))
-    return DocumentStats(
-        uri=uri,
-        serialized_bytes=sum(p.serialized_bytes for p in parts),
-        nodes=sum(p.nodes for p in parts),
-        elements=sum(p.elements for p in parts),
-        tags=tags,
-        values=values,
-        column_bytes=sum(p.column_bytes for p in parts),
-    )
+    """The collection view over its shard fragments' views."""
+    return _CollectionStats(parts, uri)
 
 
 class StatsCatalog:
-    """Lazily computed, store-invalidated document statistics.
+    """The federation's statistics views, built on first lookup and
+    dropped by the store that outdates them.
 
     Thread-safe; shared by one federation's planner across all
     concurrent queries. ``version()`` stamps every lowered plan.
@@ -381,8 +413,9 @@ class StatsCatalog:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._stats: dict[tuple[str, str], DocumentStats] = {}
-        self._collection_keys: set[tuple[str, str]] = set()
+        #: ``(host, name)`` → the view and, for a collection host, the
+        #: catalog spec it was merged under (None for a peer).
+        self._views: dict[tuple[str, str], tuple[DocumentStats, object]] = {}
         self._version = 0
         self._federation: "Federation | None" = None
         self._attached: set[str] = set()
@@ -406,86 +439,69 @@ class StatsCatalog:
             return self._version
 
     def _invalidate(self, peer_name: str, local_name: str) -> None:
+        """Drop the stored document's view and the collection views
+        that hold it as a shard replica — nothing else."""
         with self._lock:
-            stale = [key for key in self._stats
-                     if key[0] == peer_name or key in self._collection_keys]
-            for key in stale:
-                self._stats.pop(key, None)
-                self._collection_keys.discard(key)
+            self._views.pop((peer_name, local_name), None)
+            for key, (_view, spec) in list(self._views.items()):
+                if spec is not None and any(
+                        shard.local_name == local_name
+                        and peer_name in shard.replicas
+                        for shard in spec.shards):
+                    del self._views[key]
             self._version += 1
 
     # -- lookups ------------------------------------------------------------
 
-    def document_stats(self, host: str, local_name: str,
-                       with_values: bool = False) -> DocumentStats | None:
-        """Stats for ``host/local_name``; None when the document (or
+    def document_stats(self, host: str,
+                       local_name: str) -> DocumentStats | None:
+        """The view for ``host/local_name``; None when the document (or
         the host) does not exist. ``host`` may be a cluster collection
-        virtual name, in which case shard-fragment stats are merged.
-
-        ``with_values`` additionally demands the value-histogram table;
-        a cached value-less entry is upgraded in place rather than
-        served as-is.
-        """
-        key = (host, local_name)
-        with self._lock:
-            cached = self._stats.get(key)
-        if cached is not None and (not with_values
-                                   or cached.values is not None):
-            return cached
+        virtual name, in which case the view merges its shards'."""
         federation = self._federation
         if federation is None:
             return None
+        key = (host, local_name)
         spec = federation.collection(host)
-        if spec is not None:
-            stats = self._collection_stats(federation, spec, local_name,
-                                           with_values)
-            is_collection = True
-        else:
-            stats = self._peer_stats(federation, host, local_name,
-                                     with_values)
-            is_collection = False
-        if stats is None:
+        with self._lock:
+            cached = self._views.get(key)
+            version = self._version
+        if cached is not None and cached[1] is spec:
+            return cached[0]
+        view = (self._peer_view(federation, host, local_name) if spec is None
+                else self._collection_view(spec, local_name))
+        if view is None:
             return None
         with self._lock:
-            previous = self._stats.get(key)
-            if previous is not None and (not with_values
-                                         or previous.values is not None):
-                return previous          # racing compute finished first
-            self._stats[key] = stats
-            if is_collection:
-                self._collection_keys.add(key)
-            return stats
+            if self._version != version:
+                return view              # a store raced the build: not kept
+            current = self._views.get(key)
+            if current is None or current[1] is not spec:
+                self._views[key] = current = (view, spec)
+            return current[0]            # a racing build's, if it was first
 
-    def _peer_stats(self, federation: "Federation", host: str,
-                    local_name: str,
-                    with_values: bool = False) -> DocumentStats | None:
+    def _peer_view(self, federation: "Federation", host: str,
+                   local_name: str) -> DocumentStats | None:
         peer = federation.peers.get(host)
-        if peer is None:
-            return None
-        document = peer.documents.get(local_name)
+        document = None if peer is None else peer.documents.get(local_name)
         if document is None:
             return None
-        # Serialising (memoized on the document) records the per-node
-        # spans compute_document_stats reads: byte statistics come free
-        # from the serializer cache instead of a second walk, and the
-        # UTF-8 length is memoized alongside the text.
+        # Serialising (memoized on the document, with its UTF-8 length)
+        # records the per-node spans the view's byte figures read.
         peer.serialized(local_name)
         return compute_document_stats(
-            document, uri=f"xrpc://{host}/{local_name}",
-            serialized_bytes=serialized_byte_length(document),
-            with_values=with_values)
+            document, f"xrpc://{host}/{local_name}",
+            serialized_byte_length(document))
 
-    def _collection_stats(self, federation: "Federation", spec,
-                          local_name: str,
-                          with_values: bool = False) -> DocumentStats | None:
+    def _collection_view(self, spec, local_name: str
+                         ) -> DocumentStats | None:
         if local_name != spec.document:
             return None
         parts: list[DocumentStats] = []
         for shard in spec.shards:
             part = None
             for replica in shard.replicas:
-                part = self._peer_stats(federation, replica,
-                                        shard.local_name, with_values)
+                part = self.document_stats(replica, shard.local_name)
                 if part is not None:
                     break
             if part is None:
@@ -497,16 +513,17 @@ class StatsCatalog:
     # -- introspection ------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
+        """What has been built so far; forces no view and no key."""
         with self._lock:
-            return {
-                "version": self._version,
-                "documents": {
-                    f"{host}/{name}": {
-                        "serialized_bytes": stats.serialized_bytes,
-                        "column_bytes": stats.column_bytes,
-                        "elements": stats.elements,
-                        "nodes": stats.nodes,
-                    }
-                    for (host, name), stats in sorted(self._stats.items())
-                },
-            }
+            version = self._version
+            views = sorted(self._views.items())
+        documents, built = {}, 0
+        for (host, name), (view, _spec) in views:
+            tag_keys, value_keys = view.keys_built()
+            built += len(tag_keys) + len(value_keys)
+            documents[f"{host}/{name}"] = {
+                "serialized_bytes": view.serialized_bytes,
+                "nodes": view.nodes,
+                "tag_keys": tag_keys, "value_keys": value_keys}
+        return {"version": version, "documents": documents,
+                "keys_built": built}

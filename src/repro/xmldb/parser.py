@@ -52,6 +52,10 @@ _TAG = re.compile(
 _CLOSE, _OPEN, _COMMENT, _CDATA = 1, 4, 5, 6
 _REFERENCE = re.compile("&([^;]*)(;?)")
 _DOCTYPE_BRACKET = re.compile(r"[\[\]>]")
+#: What a refused tag still needs after its last whole attribute, in
+#: order (``_diagnose`` names the first one missing).
+_EXPECTED = ((_NAME, "a name"), (re.compile("="), "'='"),
+             (re.compile("[\"']"), "quoted attribute value"))
 
 _K_DOC, _K_ELEM, _K_ATTR, _K_TEXT, _K_COMMENT, _K_PI = map(int, NodeKind)
 
@@ -122,10 +126,9 @@ def _diagnose(text: str, pos: int, open_name: str) -> NoReturn:
     while (attr := _ATTR.match(text, pos)) is not None:
         _attribute(attr, seen)
         pos = attr.end()
-    for part, what in ((_N, "a name"), ("=", "'='"),
-                       ("[\"']", "quoted attribute value")):
+    for part, what in _EXPECTED:
         pos = _WS.match(text, pos).end()
-        step = re.compile(part).match(text, pos)
+        step = part.match(text, pos)
         if step is None:
             raise _error(f"expected {what}", pos)
         pos = step.end()

@@ -290,9 +290,10 @@ def iter_leaf_values(doc: "Document") -> Iterator[tuple[str, str]]:
     element (no element children — the typed fields statistics care
     about; container elements would only smear the histograms).
 
-    One O(nodes) pass; shared by the planner's statistics catalog so
-    its per-tag value histograms and the evaluator's value index agree
-    on what a node's comparable value is.
+    One O(nodes) pass over every key: the definition the planner's
+    per-key value histograms (``planner/stats.py``) are checked against,
+    so they and the evaluator's value index agree on what a node's
+    comparable value is.
     """
     kinds = doc.kinds
     names = doc.names
