@@ -279,7 +279,7 @@ class DocumentStats:
     Every answer is memoized on the view. Engine workers share a view
     and may ask it for one key at once: each computes the same
     immutable value and the last store into the memo wins — a benign
-    race, as in ``ValueIndex._attribute_pres``; no lock is taken.
+    race, as in the parts of a ``StructuralIndex``; no lock is taken.
     """
 
     def __init__(self, document: "Document", uri: str,

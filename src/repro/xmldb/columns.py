@@ -37,6 +37,10 @@ KIND_TYPECODE = "B"
 #: Typecode of the value-blob offset column (one u64 per node + 1).
 OFFSET_TYPECODE = "Q"
 
+#: The name posting tables of one document: element name → sorted pres,
+#: attribute name → sorted pres.
+Postings = tuple[dict[str, array], dict[str, array]]
+
 
 class NameTable:
     """Dense interned-name dictionary: name <-> name-id.
@@ -81,14 +85,20 @@ class ColumnSet:
     in memory, pooled lazy columns when spilled). Lists handed to the
     constructor are coerced into typed arrays once; typed arrays and
     lazy columns pass through untouched.
+
+    ``postings`` is the :data:`Postings` pair the text scanner emits
+    while it appends the columns; None on any other document until the
+    structural index's first name read fills it in with one pass
+    (:meth:`repro.xmldb.index.StructuralIndex.name_postings`).
     """
 
     __slots__ = ("kinds", "names", "values", "sizes", "levels",
-                 "parents", "count")
+                 "parents", "count", "postings")
 
     def __init__(self, kinds: Sequence[int], names: Sequence[str],
                  values: Sequence[str], sizes: Sequence[int],
-                 levels: Sequence[int], parents: Sequence[int]):
+                 levels: Sequence[int], parents: Sequence[int],
+                 postings: Postings | None = None):
         self.kinds = _typed(kinds, KIND_TYPECODE)
         self.names = names
         self.values = values
@@ -96,6 +106,7 @@ class ColumnSet:
         self.levels = _typed(levels, PRE_TYPECODE)
         self.parents = _typed(parents, PRE_TYPECODE)
         self.count = len(self.kinds)
+        self.postings = postings
 
     def __len__(self) -> int:
         return self.count

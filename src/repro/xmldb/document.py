@@ -99,7 +99,8 @@ class Document:
 
     def invalidate_caches(self) -> None:
         """Drop every derived structure (structural index, value index,
-        memoized serialization, ID indexes) and bump the cache epoch.
+        the name postings riding on the columns, memoized
+        serialization, ID indexes) and bump the cache epoch.
 
         Documents are logically immutable — ``Peer.store`` swaps whole
         ``Document`` objects, which invalidates implicitly — but any
@@ -112,6 +113,7 @@ class Document:
         self._structural_index = None
         self._value_index = None
         self._ser_cache = None
+        self.columns.postings = None
 
     @classmethod
     def from_columns(cls, uri: str, columns: ColumnSet) -> "Document":

@@ -1,23 +1,34 @@
 """Structural indexes over the pre/size/level store.
 
-A :class:`StructuralIndex` is built lazily, once, per
+A :class:`StructuralIndex` rides on each
 :class:`~repro.xmldb.document.Document` and answers every axis step —
 all twelve axes, any node test — as array scans over whole context
 sets instead of per-node tree walks — the same lever the paper's host
-system (MonetDB/XQuery's Pathfinder "staircase join") uses.
-:meth:`StructuralIndex.axis_scan` is the one place an axis is applied;
+system (MonetDB/XQuery's Pathfinder "staircase join") uses: name
+postings plus the size / parent columns serve every axis.
+:meth:`StructuralIndex.axis_scan` is the one place an axis is applied —
+a chain from a tree root is a run of steps like any other — and
 :func:`scan_groups` lifts it to node sets spanning several documents
-for the evaluator and the projection-path runtime:
+for the evaluator and the projection-path runtime.
 
-* **tag index** — element name → sorted pre array (names interned, so
-  index keys share storage with the document's name column);
-* **kind arrays** — sorted pre arrays per node kind (elements, texts,
-  comments, all non-attribute nodes) plus a non-attribute *rank*
-  prefix-count used for O(1) XRPC ``nodeid`` addressing;
-* **path summary** — the distinct root-to-node tag paths with a
-  sorted pre list per path, answering whole ``//a//b`` / ``child::a``
-  chains from the document root with a tiny NFA over the path set and
-  one merge of the matching pre lists.
+An index costs what a query reads of it: the index object is empty
+when made and each part is built on its first read, by one pass over
+the columns it needs:
+
+* **name postings** — element name → sorted pre array
+  (``tag_pres``) and attribute name → sorted pre array
+  (``attribute_pres``), names interned so the keys share storage with
+  the document's name column. A document that came from text arrives
+  with both: the scanner emits them while it appends the columns
+  (``ColumnSet.postings``), so a freshly shipped document is never
+  walked a second time. Any other document (built, projected,
+  generated, reopened from a spill) gets them from one pass over
+  ``(kinds, names)``;
+* **kind arrays** — sorted pre arrays per node kind (``element_pres``,
+  ``text_pres``, ``comment_pres``, all non-attribute nodes), one
+  comprehension over ``kinds`` each;
+* **rank** — the non-attribute prefix count used for O(1) XRPC
+  ``nodeid`` addressing, one ``accumulate`` over ``kinds``.
 
 Every scan yields pres in ascending order with no duplicates, i.e. the
 result is *provably in document order* — no step needs a post-sort.
@@ -29,18 +40,23 @@ Indexes ride on the document object itself (documents are logically
 immutable; a :meth:`Peer.store` swaps the whole object, so a stale
 index can never be served) and additionally record the document's
 ``epoch``: code that mutates arrays in place must call
-:meth:`Document.invalidate_caches`, and the accessor rebuilds on an
-epoch mismatch.
+:meth:`Document.invalidate_caches` — which drops the postings on the
+columns too — and the accessor makes a fresh index on an epoch
+mismatch. ``index_builds_total{kind}`` counts index objects made,
+``index_build_seconds_total{kind}`` the time of every part pass and
+value-column build.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb import kernels
+from repro.xmldb.columns import Postings
 from repro.xmldb.kernels import pre_array
 from repro.xmldb.node import Node, NodeKind
 
@@ -54,80 +70,111 @@ _EMPTY = pre_array()
 Groups = list[tuple["Document", Sequence[int]]]
 
 
-class StructuralIndex:
-    """All per-document index structures, built in one array pass."""
+def charge_build(kind: str, started: float) -> None:
+    """Add the wall time since ``started`` to the build-time counter:
+    every part pass and value-column build, whoever read it first."""
+    GLOBAL_REGISTRY.counter(
+        "index_build_seconds_total", "wall seconds spent building indexes",
+        ("kind",)).labels(kind).inc(perf_counter() - started)
 
-    __slots__ = ("doc", "epoch", "tag_pres", "element_pres",
-                 "non_attr_pres", "text_pres", "comment_pres",
-                 "non_attr_rank", "path_of", "path_parent", "path_tag",
-                 "path_pres")
+
+class _part:
+    """A part of the index, built by its method on first read and then
+    a plain instance attribute (a non-data descriptor: later reads
+    never come back here)."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, index: "StructuralIndex | None", owner=None):
+        if index is None:
+            return self
+        started = perf_counter()
+        value = index.__dict__[self.name] = self.build(index)
+        charge_build("structural", started)
+        return value
+
+
+class StructuralIndex:
+    """The per-document index structures, each built on first read by
+    one pass over the columns it needs (page-wise on a pooled
+    document) — a query pays for the parts its plan reads.
+
+    Peers share documents across the engine's workers, and no lock is
+    taken: a part is assigned only once it is whole, two threads that
+    race on a first read build equal immutable arrays, and the last
+    assignment wins (as the name postings on the columns do).
+    """
 
     def __init__(self, doc: "Document"):
         self.doc = doc
         self.epoch = doc.epoch
-        count = doc.count
 
-        tag_pres: dict[str, array] = {}
-        element_pres = pre_array()
-        non_attr_pres = pre_array()
-        text_pres = pre_array()
-        comment_pres = pre_array()
-        # Zero-filled typed columns in one allocation apiece.
-        non_attr_rank = pre_array(bytes(4 * count))
-        path_of = pre_array(bytes(4 * count))
-        path_key: dict[tuple[int, str], int] = {}
-        path_parent: list[int] = []
-        path_tag: list[str] = []
-        path_pres: list[array] = []
+    def name_postings(self) -> Postings:
+        """``(tag_pres, attribute_pres)``: the text scanner's tables
+        when the document came from text, else — built, projected,
+        generated, reopened from a spill — one pass over ``(kinds,
+        names)``, kept on the columns like the scanner's."""
+        columns = self.doc.columns
+        postings = columns.postings
+        if postings is None:
+            postings = {}, {}
+            tables = {NodeKind.ELEMENT: postings[0],
+                      NodeKind.ATTRIBUTE: postings[1]}
+            for pre, (kind, name) in enumerate(zip(columns.kinds,
+                                                   columns.names)):
+                table = tables.get(kind)
+                if table is not None:
+                    bucket = table.get(name)
+                    if bucket is None:
+                        table[name] = bucket = pre_array()
+                    bucket.append(pre)
+            columns.postings = postings
+        return postings
 
+    @_part
+    def tag_pres(self) -> dict[str, array]:
+        """Element name → sorted pres."""
+        return self.name_postings()[0]
+
+    @_part
+    def attribute_pres(self) -> dict[str, array]:
+        """Attribute name → sorted pres."""
+        return self.name_postings()[1]
+
+    def _of_kind(self, wanted: NodeKind) -> array:
+        return pre_array(pre for pre, kind in enumerate(self.doc.kinds)
+                         if kind == wanted)
+
+    @_part
+    def element_pres(self) -> array:
+        return self._of_kind(NodeKind.ELEMENT)
+
+    @_part
+    def text_pres(self) -> array:
+        return self._of_kind(NodeKind.TEXT)
+
+    @_part
+    def comment_pres(self) -> array:
+        return self._of_kind(NodeKind.COMMENT)
+
+    @_part
+    def non_attr_pres(self) -> array:
+        """Every node a child / descendant step can reach."""
         ATTRIBUTE = NodeKind.ATTRIBUTE
-        ELEMENT = NodeKind.ELEMENT
-        TEXT = NodeKind.TEXT
-        COMMENT = NodeKind.COMMENT
-        rank = 0
-        # One zipped pass: column iterators stream page-by-page on a
-        # pooled (spilled) document instead of random-accessing every
-        # row, and skip per-index __getitem__ calls on arrays too.
-        for pre, (kind, name, parent) in enumerate(
-                zip(doc.kinds, doc.names, doc.parents)):
-            if kind != ATTRIBUTE:
-                rank += 1
-                non_attr_pres.append(pre)
-            non_attr_rank[pre] = rank
-            if kind == ELEMENT:
-                element_pres.append(pre)
-                bucket = tag_pres.get(name)
-                if bucket is None:
-                    tag_pres[name] = bucket = pre_array()
-                bucket.append(pre)
-                parent_path = path_of[parent] if parent >= 0 else -1
-                key = (parent_path, name)
-                path_id = path_key.get(key)
-                if path_id is None:
-                    path_id = len(path_parent)
-                    path_key[key] = path_id
-                    path_parent.append(parent_path)
-                    path_tag.append(name)
-                    path_pres.append(pre_array())
-                path_of[pre] = path_id
-                path_pres[path_id].append(pre)
-            else:
-                path_of[pre] = -1
-                if kind == TEXT:
-                    text_pres.append(pre)
-                elif kind == COMMENT:
-                    comment_pres.append(pre)
+        return pre_array(pre for pre, kind in enumerate(self.doc.kinds)
+                         if kind != ATTRIBUTE)
 
-        self.tag_pres = tag_pres
-        self.element_pres = element_pres
-        self.non_attr_pres = non_attr_pres
-        self.text_pres = text_pres
-        self.comment_pres = comment_pres
-        self.non_attr_rank = non_attr_rank
-        self.path_of = path_of
-        self.path_parent = path_parent
-        self.path_tag = path_tag
-        self.path_pres = path_pres
+    @_part
+    def non_attr_rank(self) -> array:
+        """Per pre, how many non-attribute nodes lie at or before it."""
+        ATTRIBUTE = NodeKind.ATTRIBUTE
+        return pre_array(accumulate(kind != ATTRIBUTE
+                                    for kind in self.doc.kinds))
 
     # -- test dispatch -------------------------------------------------------
 
@@ -269,64 +316,6 @@ class StructuralIndex:
         return pre_array(pre for pre in children
                          if pre < pivot[parents[pre]])
 
-    # -- path summary --------------------------------------------------------
-
-    def match_chain(self, chain: Sequence[tuple[str, str]]) -> Sequence[int]:
-        """All pres reachable from the tree root by ``chain`` — a
-        sequence of predicate-free ``("child" | "descendant", name)``
-        steps — via NFA simulation over the path summary.
-
-        Anchoring follows the root node at ``pre == 0``: a document
-        node anchors above the parentless paths, a fragment root
-        element anchors *at* its own path (its tag is not consumed by
-        the chain). Non-element fragment roots have no element paths
-        and match nothing.
-        """
-        path_parent = self.path_parent
-        path_tag = self.path_tag
-        full = len(chain)
-        anchored = self.doc.kinds[0] == NodeKind.ELEMENT
-        root_path = self.path_of[0] if anchored else -1
-        states: list[tuple[int, ...]] = [()] * len(path_parent)
-        matched: list[int] = []
-        for path_id in range(len(path_parent)):
-            if anchored and path_id == root_path:
-                states[path_id] = (0,)
-                continue
-            parent = path_parent[path_id]
-            if parent < 0:
-                base: tuple[int, ...] = () if anchored else (0,)
-            else:
-                base = states[parent]
-            if not base:
-                continue
-            state = _advance(base, path_tag[path_id], chain)
-            states[path_id] = state
-            if state and state[-1] == full:
-                matched.append(path_id)
-        if not matched:
-            return _EMPTY
-        if len(matched) == 1:
-            return self.path_pres[matched[0]]
-        return kernels.merge_sorted([self.path_pres[path_id]
-                                     for path_id in matched])
-
-
-def _advance(states: tuple[int, ...], tag: str,
-             chain: Sequence[tuple[str, str]]) -> tuple[int, ...]:
-    """Consume one path tag: NFA transition over chain positions."""
-    out: set[int] = set()
-    full = len(chain)
-    for position in states:
-        if position >= full:
-            continue
-        axis, name = chain[position]
-        if axis == "descendant":
-            out.add(position)  # the tag is a skipped intermediate
-        if name == "*" or name == tag:
-            out.add(position + 1)
-    return tuple(sorted(out))
-
 
 def group_by_document(nodes: Iterable[Node]) -> Groups:
     """Nodes (any order, duplicates allowed, several documents) as
@@ -365,13 +354,8 @@ def structural_index(doc: "Document") -> StructuralIndex:
     index = doc._structural_index
     if index is not None and index.epoch == doc.epoch:
         return index
-    started = perf_counter()
-    index = StructuralIndex(doc)
-    doc._structural_index = index
+    index = doc._structural_index = StructuralIndex(doc)
     GLOBAL_REGISTRY.counter(
         "index_builds_total", "lazy index constructions",
         ("kind",)).labels("structural").inc()
-    GLOBAL_REGISTRY.counter(
-        "index_build_seconds_total", "wall seconds spent building indexes",
-        ("kind",)).labels("structural").inc(perf_counter() - started)
     return index

@@ -7,6 +7,11 @@ opener of a comment, CDATA section or processing instruction — and the
 node is appended straight into the six columns of a :class:`ColumnSet`.
 The open-element stack is the ``parents`` column itself (a close tag
 pops with ``parents[parent]``) and ``sizes`` is back-patched through it.
+The same loop emits the name postings — element name → pres, attribute
+name → pres — and hands them over on the :class:`ColumnSet`: the lookup
+that finds a name's bucket also yields the interned name, so a parsed
+document needs no second pass before it answers a name test
+(:mod:`repro.xmldb.index`).
 
 Supports the XML the paper's workloads need: elements, attributes in
 either quote, text, the five predefined entities and numeric character
@@ -24,12 +29,14 @@ offset and never returns, so there is a single accept path.
 from __future__ import annotations
 
 import re
+from array import array
 from sys import intern
 from typing import NoReturn
 
 from repro.errors import XmlParseError
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
+from repro.xmldb.kernels import pre_array
 from repro.xmldb.node import NodeKind
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
@@ -94,16 +101,30 @@ def _decode(raw: str, base: int) -> str:
     return _REFERENCE.sub(reference, raw)
 
 
-def _attribute(attr: re.Match, seen: set[str]) -> tuple[str, str]:
-    """``(name, value)`` of one ``_ATTR`` match, checked against ``seen``."""
-    name = intern(attr[1])
+def _posting(table: dict[str, tuple[str, array]],
+             raw: str) -> tuple[str, array]:
+    """``raw``'s ``(interned name, pres)`` entry in a posting table,
+    made on first sight: one lookup interns the name and finds its
+    bucket."""
+    entry = table.get(raw)
+    if entry is None:
+        raw = intern(raw)
+        entry = table[raw] = (raw, pre_array())
+    return entry
+
+
+def _attribute(attr: re.Match, seen: set[str],
+               table: dict[str, tuple[str, array]]) -> tuple[str, str, array]:
+    """``(name, value, pres of the name)`` of one ``_ATTR`` match,
+    checked against ``seen``."""
+    name, pres = _posting(table, attr[1])
     value = attr[attr.lastindex]
     if "&" in value:
         value = _decode(value, attr.start(attr.lastindex))
     if name in seen:
         raise _error(f"duplicate attribute {name!r}", attr.end())
     seen.add(name)
-    return name, value
+    return name, value, pres
 
 
 def _diagnose(text: str, pos: int, open_name: str) -> NoReturn:
@@ -124,7 +145,7 @@ def _diagnose(text: str, pos: int, open_name: str) -> NoReturn:
     pos = name.end()
     seen: set[str] = set()
     while (attr := _ATTR.match(text, pos)) is not None:
-        _attribute(attr, seen)
+        _attribute(attr, seen, {})
         pos = attr.end()
     for part, what in _EXPECTED:
         pos = _WS.match(text, pos).end()
@@ -182,8 +203,14 @@ def _scan(text: str, uri: str, document: bool) -> Document:
         [], [], [], [], [], [])
     kind_, name_, value_, size_, level_, parent_ = (
         column.append for column in columns)
+    # The name postings, emitted as the columns grow: raw name →
+    # (interned name, pres).
+    tags: dict[str, tuple[str, array]] = {}
+    attributes: dict[str, tuple[str, array]] = {}
 
     def node(kind: int, name: str, value: str, level: int, parent: int):
+        """Append one node of a rare kind; elements, attributes and
+        plain text are appended inline."""
         kind_(kind)
         name_(name)
         value_(value)
@@ -198,7 +225,7 @@ def _scan(text: str, uri: str, document: bool) -> Document:
         node(_K_DOC, "", "", 0, -1)
         top, level = 0, 1
     parent = top
-    find, tag = text.find, _TAG.match
+    find, tag, get_tag = text.find, _TAG.match, tags.get
     while True:
         token = tag(text, pos)
         if token is None:
@@ -207,11 +234,25 @@ def _scan(text: str, uri: str, document: bool) -> Document:
         end = token.end()
         if which == _OPEN:
             pre = len(kinds)
-            node(_K_ELEM, intern(token[2]), "", level, parent)
+            name, pres = get_tag(token[2]) or _posting(tags, token[2])
+            pres.append(pre)
+            kind_(_K_ELEM)
+            name_(name)
+            value_("")
+            size_(0)
+            level_(level)
+            parent_(parent)
             if token[3]:
                 seen: set[str] = set()
                 for attr in _ATTR.finditer(text, *token.span(3)):
-                    node(_K_ATTR, *_attribute(attr, seen), level + 1, pre)
+                    name, value, pres = _attribute(attr, seen, attributes)
+                    pres.append(len(kinds))
+                    kind_(_K_ATTR)
+                    name_(name)
+                    value_(value)
+                    size_(0)
+                    level_(level + 1)
+                    parent_(pre)
             if not token[4]:
                 parent = pre
                 level += 1
@@ -254,14 +295,20 @@ def _scan(text: str, uri: str, document: bool) -> Document:
             if kinds[-1] == _K_TEXT and parents[-1] == parent:
                 values[-1] += raw
             else:
-                node(_K_TEXT, "", raw, level, parent)
+                kind_(_K_TEXT)
+                name_("")
+                value_(raw)
+                size_(0)
+                level_(level)
+                parent_(parent)
     if document:
         sizes[0] = len(kinds) - 1
     end = _skip_misc(text, end)
     if end < len(text):
         raise _error("content after root element" if document
                      else "content after fragment element", end)
-    return Document.from_columns(uri, ColumnSet(*columns))
+    postings = dict(tags.values()), dict(attributes.values())
+    return Document.from_columns(uri, ColumnSet(*columns, postings))
 
 
 def parse_document(text: str, uri: str = "") -> Document:

@@ -13,13 +13,17 @@ sorted, duplicate-free pre list.
 
 Columns are built lazily per key on first probe (an element column
 materialises the tag's string values via ``string_value``; attribute
-columns read the value array directly) and are kept in an LRU bounded
-by ``Document.memo_cache_cap``, so a long-lived peer probing many
-distinct keys cannot grow without limit. Like the structural index,
-the whole index rides on the :class:`~repro.xmldb.document.Document`
-object and records its ``epoch``: a ``Peer.store`` swaps the document
-object, in-place mutators call ``invalidate_caches()``, and the
-accessor rebuilds on mismatch — a stale value column is never served.
+columns read the value array directly), over the key's bucket of the
+name postings the structural index keeps — the scanner's own for a
+document that came from text — and are kept in an LRU bounded by
+``Document.memo_cache_cap``, so a long-lived peer probing many
+distinct keys cannot grow without limit. Each column build is timed
+into ``index_build_seconds_total{kind="value"}``. Like the structural
+index, the whole index rides on the
+:class:`~repro.xmldb.document.Document` object and records its
+``epoch``: a ``Peer.store`` swaps the document object, in-place
+mutators call ``invalidate_caches()``, and the accessor rebuilds on
+mismatch — a stale value column is never served.
 
 Comparison semantics match :func:`repro.xquery.xdm.general_compare`
 pair by pair for the shapes the predicate compiler lowers here: node
@@ -38,6 +42,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.obs.metrics import GLOBAL_REGISTRY
+from repro.xmldb.index import charge_build, structural_index
 from repro.xmldb.kernels import (
     difference_sorted, equal_bounds, pre_array, sorted_array,
 )
@@ -160,47 +165,23 @@ class ValueIndex:
     immutable and probed lock-free once handed out).
     """
 
-    __slots__ = ("doc", "epoch", "_columns", "_attr_pres", "_lock")
+    __slots__ = ("doc", "epoch", "_columns", "_lock")
 
     def __init__(self, doc: "Document"):
         self.doc = doc
         self.epoch = doc.epoch
         self._columns: OrderedDict[str, ValueColumn | None] = OrderedDict()
-        self._attr_pres: dict[str, array] | None = None
         self._lock = threading.Lock()
 
     # -- column construction -------------------------------------------------
-
-    def _attribute_pres(self, name: str) -> Sequence[int]:
-        by_name = self._attr_pres
-        if by_name is None:
-            by_name = {}
-            ATTRIBUTE = NodeKind.ATTRIBUTE
-            # Zipped column iterators: streams page-wise on a pooled
-            # (spilled) document.
-            for pre, (kind, node_name) in enumerate(
-                    zip(self.doc.kinds, self.doc.names)):
-                if kind == ATTRIBUTE:
-                    bucket = by_name.get(node_name)
-                    if bucket is None:
-                        by_name[node_name] = bucket = pre_array()
-                    bucket.append(pre)
-            # Benign publish race: concurrent builders produce the
-            # same immutable table; last store wins.
-            self._attr_pres = by_name
-        return by_name.get(name, _EMPTY)
 
     def _build(self, key: str) -> ValueColumn | None:
         doc = self.doc
         if key.startswith("@"):
             values = doc.values
             entries = [(values[pre], pre)
-                       for pre in self._attribute_pres(key[1:])]
+                       for pre in self.attribute_pres(key[1:])]
         else:
-            # Import here: document -> values -> index would otherwise
-            # cycle at module import time.
-            from repro.xmldb.index import structural_index
-
             pres = structural_index(doc).tag_pres.get(key, _EMPTY)
             entries = [(_element_text(doc, pre), pre) for pre in pres]
         if not entries:
@@ -215,7 +196,9 @@ class ValueIndex:
             if key in columns:
                 columns.move_to_end(key)
                 return columns[key]
+        started = perf_counter()
         column = self._build(key)
+        charge_build("value", started)
         with self._lock:
             columns[key] = column
             cap = max(1, self.doc.memo_cache_cap)
@@ -235,8 +218,9 @@ class ValueIndex:
 
     def attribute_pres(self, name: str) -> Sequence[int]:
         """Sorted pres of every attribute named ``name`` (existence
-        probes — no value column is materialised for these)."""
-        return self._attribute_pres(name)
+        probes — no value column is materialised for these): a bucket
+        of the name postings the structural index keeps."""
+        return structural_index(self.doc).attribute_pres.get(name, _EMPTY)
 
     def cached_columns(self) -> int:
         """How many columns the LRU currently retains (tests/metrics)."""
@@ -272,15 +256,10 @@ def value_index(doc: "Document") -> ValueIndex:
     index = doc._value_index
     if index is not None and index.epoch == doc.epoch:
         return index
-    started = perf_counter()
-    index = ValueIndex(doc)
-    doc._value_index = index
+    index = doc._value_index = ValueIndex(doc)
     GLOBAL_REGISTRY.counter(
         "index_builds_total", "lazy index constructions",
         ("kind",)).labels("value").inc()
-    GLOBAL_REGISTRY.counter(
-        "index_build_seconds_total", "wall seconds spent building indexes",
-        ("kind",)).labels("value").inc(perf_counter() - started)
     return index
 
 

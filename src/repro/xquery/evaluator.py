@@ -20,8 +20,9 @@ exec" components of the paper's Figure 8 breakdown.
 
 Path execution is *set-at-a-time*: steps run over sorted pre arrays
 grouped by document, every axis answered by the per-document
-:class:`~repro.xmldb.index.StructuralIndex` (tag/kind/path-summary
-scans through :func:`~repro.xmldb.index.scan_groups`), and no step
+:class:`~repro.xmldb.index.StructuralIndex` (name-posting and
+kind-array scans through :func:`~repro.xmldb.index.scan_groups`, from
+a tree root as from any other context), and no step
 sorts its result because the scans provably yield document order.
 ``Node`` objects are built only at pipeline exits — predicates,
 constructors, results. A path's steps are planned once: the desugared
@@ -632,7 +633,7 @@ class Evaluator:
         iterations (rows) each pre belongs to, then the result is
         zipped back per row — in document order, since pres ascend."""
         contexts = self._lift(expr.input, frame)
-        steps, chain = self._plan(expr, self._path_plan)
+        steps = self._plan(expr, self._path_plan)
         doc = None
         tags: dict[int, list[int]] = {}
         for row, items in enumerate(contexts):
@@ -651,8 +652,6 @@ class Evaluator:
         out: list[list] = [[] for _row in range(frame.size)]
         if doc is None:
             return out
-        if chain and 0 in tags:
-            raise _Unliftable("root-context")  # the path summary's case
         index = structural_index(doc)
         tags = dict(sorted(tags.items()))
         for step in steps:
@@ -822,35 +821,18 @@ class Evaluator:
 
     # -- paths ---------------------------------------------------------------------
 
-    def _path_plan(self, expr: PathExpr) -> tuple[list[Step], list]:
-        """The steps as they run (``//T`` pairs collapsed) and the
-        leading chain the path summary answers whole from a root."""
-        steps = _collapse_steps(expr.steps, lambda step: self._plan(
+    def _path_plan(self, expr: PathExpr) -> list[Step]:
+        """The steps as they run (``//T`` pairs collapsed)."""
+        return _collapse_steps(expr.steps, lambda step: self._plan(
             step, self._step_plan)[0] is not None)
-        return steps, [(step.axis, step.test)
-                       for step in steps[:_chain_prefix_len(steps)]]
 
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
         context = self.evaluate(expr.input, env)
-        steps, chain = self._plan(expr, self._path_plan)
-        start = 0
-        groups: Groups | None = None
-        # Whole-chain prefix from tree roots: answered by the path
-        # summary as one merge of per-path pre lists (the //a//b case).
-        if chain and context and all(isinstance(item, Node)
-                                     and item.pre == 0 for item in context):
-            groups = []
-            for doc, _root in group_by_document(context):
-                pres = structural_index(doc).match_chain(chain)
-                env.counter.nodes_visited += len(pres)
-                if pres:
-                    groups.append((doc, pres))
-            start = len(chain)
-        if groups is None:
-            first = steps[start]
-            xdm.require_nodes(context, f"axis step {first.axis}::{first.test}")
-            groups = group_by_document(context)
-        for step in steps[start:]:
+        steps = self._plan(expr, self._path_plan)
+        xdm.require_nodes(context,
+                          f"axis step {steps[0].axis}::{steps[0].test}")
+        groups = group_by_document(context)
+        for step in steps:
             groups = self._apply_step_groups(step, groups, env)
         return group_nodes(groups)
 
@@ -1086,19 +1068,6 @@ def _collapse_steps(steps: list[Step], compiles) -> list[Step]:
         out.append(step)
         index += 1
     return out
-
-
-def _chain_prefix_len(steps: list[Step]) -> int:
-    """Length of the leading run of predicate-free element-name
-    child/descendant steps — the part the path summary answers whole."""
-    length = 0
-    for step in steps:
-        if step.predicates or step.axis not in ("child", "descendant"):
-            break
-        if step.test != "*" and step.test.endswith("()"):
-            break
-        length += 1
-    return length
 
 
 def math_fmod(x: float, y: float) -> float:

@@ -1,23 +1,36 @@
 """The structural index and the memoized serializer.
 
-Covers the tag/kind arrays, the path-summary chain matcher, nodeid
+Covers the tag/kind arrays (each built on first read, also by two
+threads at once), child / descendant chains from a tree root, nodeid
 ranks, scan-vs-naive-axis agreement on a handcrafted document, cache
-epochs (in-place invalidation), and the store-mutation safety the
-acceptance criteria require: after a ``Peer.store`` no stale index,
-serialisation, or statistic is ever served.
+epochs (in-place invalidation, name postings included), and the
+store-mutation safety the acceptance criteria require: after a
+``Peer.store`` no stale index, serialisation, or statistic is ever
+served.
 """
+
+import sys
+import threading
 
 import pytest
 
+from repro.xmark import generate_pair
 from repro.xmldb.axes import AXES
+from repro.xmldb.document import Document
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.parser import parse_document, parse_fragment
+from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import (
     serialize, serialize_node, serialized_byte_length, subtree_spans,
 )
 
+from repro.xmldb.values import value_index
+
+from tests.oracle import columns as oracle_columns
 from tests.oracle import xquery_reference_walker as oracle
+from tests.oracle.index_reference import ReferenceIndex
+from tests.xmldb.test_index_differential import PARTS, plain
+from tests.xquery.helpers import run
 
 DOC_XML = ('<site><people><person id="p0"><name>Ann</name>'
            '<age>31</age></person><person id="p1"><name>Bob</name>'
@@ -65,56 +78,112 @@ class TestIndexStructures:
             expected += 1
             assert index.nodeid(root, pre) == expected
 
-    def test_path_summary_disjoint_and_exhaustive(self, doc):
-        index = structural_index(doc)
-        seen = []
-        for pres in index.path_pres:
-            seen.extend(pres)
-        assert sorted(seen) == list(index.element_pres)
+    def test_two_threads_reading_every_part_of_a_fresh_document(self):
+        """Peers share documents across the engine's workers: a first
+        read that races another must still see whole parts — with the
+        scanner's postings (even rounds) and through the fallback pass
+        (odd rounds: the same columns, no postings)."""
+        people, _auctions = generate_pair(0.005)
+        text = serialize(people)
+        expected = ReferenceIndex(people)
+        seen: list[tuple[dict, dict]] = []
+        gate = threading.Barrier(2)
+
+        def entries(part) -> int:
+            if isinstance(part, dict):
+                return sum(map(len, part.values()))
+            return len(part)
+
+        def read(doc, order):
+            gate.wait(timeout=30)
+            index = structural_index(doc)
+            reading = {}
+            size = {}
+            for part in order:
+                reading[part] = getattr(index, part)
+                size[part] = entries(reading[part])  # whole when handed out
+            seen.append((reading, size))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_ in range(20):
+                fresh = (Document("bare.xml", *oracle_columns(people))
+                         if round_ % 2 else parse_document(text))
+                threads = [threading.Thread(target=read, args=(fresh, order))
+                           for order in (PARTS, PARTS[1::-1] + PARTS[:1:-1])]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 40
+        for reading, size in seen:
+            assert size == {part: entries(getattr(expected, part))
+                            for part in PARTS}
+            for part, got in reading.items():
+                assert plain(got) == getattr(expected, part), part
 
 
 class TestChainMatching:
+    """A ``child`` / ``descendant`` chain from a tree root runs through
+    ``axis_scan`` like every other step (query-level cases, held to the
+    expectations the path summary's chain matcher was)."""
+
+    def pres(self, doc, query):
+        return [node.pre for node in run(query, {"index.xml": doc})]
+
     def expected(self, doc, names):
         return [pre for pre in range(len(doc))
                 if doc.kinds[pre] == NodeKind.ELEMENT
                 and doc.names[pre] in names]
 
+    def test_root_paths_disjoint_and_exhaustive(self, doc):
+        """Each distinct root-to-element tag path, run as a child chain
+        from the document node, reaches its own elements and no others:
+        together the paths reach every element exactly once."""
+        paths: dict[str, list[int]] = {}
+        for pre in structural_index(doc).element_pres:
+            above = sorted(node.pre for node in oracle.axis_step(
+                Node(doc, pre), "ancestor-or-self", "*"))
+            paths.setdefault("/".join(f"child::{doc.names[step]}"
+                                      for step in above), []).append(pre)
+        assert len(paths) == 11
+        for path, pres in paths.items():
+            assert self.pres(doc, f'doc("index.xml")/{path}') == pres
+
     def test_descendant_chain(self, doc):
-        index = structural_index(doc)
-        pres = index.match_chain([("descendant", "name")])
-        assert list(pres) == self.expected(doc, {"name"})
+        assert self.pres(doc, 'doc("index.xml")/descendant::name') \
+            == self.expected(doc, {"name"})
 
     def test_child_chain_distinguishes_paths(self, doc):
-        index = structural_index(doc)
         # //person/name must not match the item's name.
-        pres = index.match_chain([("descendant", "person"),
-                                  ("child", "name")])
-        names = [Node(doc, pre) for pre in pres]
+        names = run('doc("index.xml")//person/name', {"index.xml": doc})
         assert [n.string_value() for n in names] == ["Ann", "Bob"]
 
     def test_anchored_child_chain(self, doc):
-        index = structural_index(doc)
-        pres = index.match_chain([("child", "site"), ("child", "people"),
-                                  ("child", "person")])
-        assert len(pres) == 2
+        assert len(self.pres(doc, 'doc("index.xml")/child::site'
+                             "/child::people/child::person")) == 2
 
     def test_star_steps(self, doc):
-        index = structural_index(doc)
-        everything = index.match_chain([("descendant", "*")])
-        assert everything == index.element_pres
+        assert self.pres(doc, 'doc("index.xml")/descendant::*') \
+            == list(structural_index(doc).element_pres)
 
     def test_fragment_root_is_anchor_not_match(self):
-        frag = parse_fragment("<a><a><b/></a></a>")
-        index = structural_index(frag)
         # child::a from the fragment root: only the inner a.
-        assert list(index.match_chain([("child", "a")])) == [1]
+        inner = run("(<a><a><b/></a></a>)/child::a")
+        assert [node.pre for node in inner] == [1]
         # descendant::a likewise excludes the root itself.
-        assert list(index.match_chain([("descendant", "a")])) == [1]
+        below = run("(<a><a><b/></a></a>)/descendant::a")
+        assert [node.pre for node in below] == [1]
 
     def test_leaf_fragment_matches_nothing(self):
-        from repro.xmldb.document import Document
+        assert run('(text {"hi"})/child::a') == []
         leaf = Document("leaf", [NodeKind.TEXT], [""], ["hi"], [0], [0], [-1])
-        assert list(structural_index(leaf).match_chain([("child", "a")])) == []
+        assert list(structural_index(leaf).axis_scan(
+            "child", "a", [0])) == []
 
 
 class TestAxisScansAgainstNaive:
@@ -194,6 +263,22 @@ class TestInvalidation:
         assert "ghost" in rebuilt.tag_pres
         assert "<ghost" in serialize(doc)
         assert text.startswith("<site>")
+
+    def test_a_stale_posting_is_never_served(self, doc):
+        """The scanner's postings ride on the columns: an in-place
+        rename must drop them with the index objects."""
+        person = structural_index(doc).tag_pres["person"][0]
+        ids = list(value_index(doc).attribute_pres("id"))
+        assert ids[0] == person + 1 and len(ids) == 3
+        doc.names[person] = "ghost"
+        doc.names[person + 1] = "key"
+        doc.invalidate_caches()
+        assert doc.columns.postings is None
+        tag_pres = structural_index(doc).tag_pres
+        assert list(tag_pres["ghost"]) == [person]
+        assert person not in tag_pres["person"]
+        assert list(value_index(doc).attribute_pres("key")) == [person + 1]
+        assert list(value_index(doc).attribute_pres("id")) == ids[1:]
 
     def test_store_mutation_serves_fresh_index_and_stats(self):
         """The acceptance-criteria store-mutation test: store() swaps

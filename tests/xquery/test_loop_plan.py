@@ -124,3 +124,17 @@ def test_a_shape_that_cannot_lift_is_planned_per_binding_once():
         == [node.pre for node in first]
     assert len(first) == 24
     assert fallbacks() == before + 2
+
+
+def test_a_body_path_from_a_root_binding_is_lifted():
+    """A chain from a tree root is a step like any other: the lifted
+    path answers it (the path summary's ``root-context`` refusal is
+    gone with the summary)."""
+    before = fallbacks()
+    names = evaluate('for $d in doc("people.xml") '
+                     "return $d/child::site/child::people"
+                     "/child::person/child::name", 0.01)
+    assert len(names) == 25
+    assert [node.pre for node in names] == [node.pre for node in evaluate(
+        'doc("people.xml")//person/child::name', 0.01)]
+    assert fallbacks() == before
