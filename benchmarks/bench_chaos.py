@@ -2,7 +2,7 @@
 kill/revive/degrade schedule.
 
 Not a paper figure — this drills the robustness layer end to end: a
-:class:`~repro.cluster.chaos.ChaosSchedule` generated from a fixed
+:class:`~tests.cluster.chaos_harness.ChaosSchedule` generated from a fixed
 seed is interleaved with a live workload against the sharded XMark
 testbed, with the failure detector ticking every step and the repair
 engine re-replicating after each eviction. Every answer is checked
@@ -21,7 +21,6 @@ live workload, in exact virtual milliseconds.
 
 import random
 
-from repro.cluster.chaos import ChaosHarness, ChaosSchedule
 from repro.cluster.membership import MembershipTracker
 from repro.cluster.repair import RepairEngine
 from repro.decompose import Strategy
@@ -32,6 +31,7 @@ from repro.workloads import (
 from repro.xquery.xdm import serialize_sequence
 
 from benchmarks.conftest import on_virtual_wire, print_table, write_json
+from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 
 SEED = 20090329
 SCALE = 0.002

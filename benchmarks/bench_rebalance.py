@@ -22,7 +22,6 @@ percentiles over the chaos workload, in exact virtual milliseconds.
 
 import random
 
-from repro.cluster.chaos import ChaosHarness, ChaosSchedule
 from repro.cluster.membership import MembershipTracker
 from repro.cluster.rebalance import Rebalancer, SplitPlan
 from repro.cluster.repair import RepairEngine
@@ -35,6 +34,7 @@ from repro.workloads import (
 from repro.xquery.xdm import serialize_sequence
 
 from benchmarks.conftest import on_virtual_wire, print_table, write_json
+from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 
 SEED = 20090329
 DRILL_SCALE = 0.01     # hot shard must have >= 4 members to split

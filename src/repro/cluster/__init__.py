@@ -23,9 +23,6 @@ logical collection:
 * :mod:`repro.cluster.repair` — finding and queueing under-replicated
   shard fragments after evictions (the migration executor copies them
   onto healthy peers);
-* :mod:`repro.cluster.chaos` — deterministic seeded fault schedules
-  and the harness that interleaves them with an oracle-checked live
-  workload;
 * :mod:`repro.cluster.rebalance` — the load-aware control loop: one
   shared peer/shard scoring function and migration planning (split a
   hot shard, move a replica to a cooler peer, drain a peer for
@@ -57,9 +54,6 @@ Quickstart::
 
 from repro.cluster.catalog import (
     ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
-)
-from repro.cluster.chaos import (
-    ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule,
 )
 from repro.cluster.gather import (
     aggregate_combiner, concatenate, merge_shard_documents,
@@ -95,7 +89,6 @@ __all__ = [
     "aggregate_combiner", "concatenate", "merge_shard_documents",
     "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker",
     "RepairEngine", "RepairTask",
-    "ChaosEvent", "ChaosSchedule", "ChaosHarness", "ChaosReport",
     "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
     "Rebalancer", "MigrationExecutor", "BoundaryPartitioner",
 ]

@@ -270,9 +270,7 @@ class DocumentStats:
     Computed when first read, and then only that key: :meth:`tag` (a
     name / ``@name`` / ``#text`` bucket) and :meth:`value_histogram` (a
     leaf-element tag or ``@attr`` key) — None when no node carries the
-    key — ``elements``, and ``column_bytes`` (exact physical bytes of
-    the typed columns, see ``ColumnSet.column_byte_sizes``). Fixed at
-    construction: ``serialized_bytes`` (the text's exact UTF-8 length
+    key — and ``elements``. Fixed at construction: ``serialized_bytes`` (the text's exact UTF-8 length
     when the caller has it, its character count if not) and ``nodes``
     (all stored nodes, attributes included).
 
@@ -318,10 +316,6 @@ class DocumentStats:
     @cached_property
     def elements(self) -> int:
         return len(structural_index(self.document).element_pres)
-
-    @cached_property
-    def column_bytes(self) -> int:
-        return self.document.column_bytes()
 
     @property
     def avg_element_bytes(self) -> float:
@@ -384,10 +378,6 @@ class _CollectionStats(DocumentStats):
     @cached_property
     def elements(self) -> int:
         return sum(part.elements for part in self.parts)
-
-    @cached_property
-    def column_bytes(self) -> int:
-        return sum(part.column_bytes for part in self.parts)
 
 
 def compute_document_stats(document: "Document", uri: str,

@@ -23,7 +23,6 @@ from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
-from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation, RunResult
 from repro.xmark import generate_pair
 from repro.xquery.lexer import Lexer, TokenType
@@ -71,37 +70,6 @@ def build_federation(scale: float, seed: int = 20090329,
     federation = Federation(cost_model=cost_model)
     federation.add_peer("peer1").store("people.xml", people)
     federation.add_peer("peer2").store("auctions.xml", auctions)
-    federation.add_peer("local")
-    return federation
-
-
-def build_spilled_federation(scale: float, directory,
-                             seed: int = 20090329,
-                             budget_bytes: int | None = None,
-                             cost_model: CostModel | None = None
-                             ) -> Federation:
-    """:func:`build_federation`, but both documents are staged as
-    XCOL1 spill files in ``directory`` and served through the mmap
-    buffer pool under ``budget_bytes`` (default
-    :data:`repro.xmldb.pool.DEFAULT_POOL_BYTES`) — the
-    larger-than-memory testbed. Queries, strategies and results are
-    identical to the in-memory federation at the same ``(scale,
-    seed)``.
-    """
-    from repro.xmark import spill_pair
-    from repro.xmldb.pool import DEFAULT_POOL_BYTES, open_document
-
-    if budget_bytes is None:
-        budget_bytes = DEFAULT_POOL_BYTES
-    people_path, auctions_path = spill_pair(
-        scale, directory, seed,
-        people_uri="xrpc://peer1/people.xml",
-        auctions_uri="xrpc://peer2/auctions.xml")
-    federation = Federation(cost_model=cost_model)
-    federation.add_peer("peer1").store(
-        "people.xml", open_document(people_path, budget_bytes))
-    federation.add_peer("peer2").store(
-        "auctions.xml", open_document(auctions_path, budget_bytes))
     federation.add_peer("local")
     return federation
 
@@ -314,16 +282,6 @@ return if ($p/attribute::id = "person0") then $p/child::name else ()
 """
 
 
-def sharded_hot_variant(person: int = 0) -> str:
-    """``SHARDED_HOT_QUERY`` re-aimed at another person id (a different
-    tenant's hot key, possibly on a different shard)."""
-    anchor = '"person0"'
-    if anchor not in SHARDED_HOT_QUERY:
-        raise ValueError(
-            f"SHARDED_HOT_QUERY no longer contains the {anchor!r} anchor")
-    return SHARDED_HOT_QUERY.replace(anchor, f'"person{person}"')
-
-
 def sharded_scan_variant(max_age: int = 40) -> str:
     """``SHARDED_SCAN_QUERY`` with the tenant's age threshold."""
     anchor = "< 40"
@@ -442,29 +400,3 @@ def mixed_tenant_jobs(clients: int = 6, rounds: int = 2,
                                   at=at, strategy=strategy))
     return jobs
 
-
-def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
-                     engine: FederationEngine | None = None,
-                     **engine_kwargs) -> tuple[list[RunResult],
-                                               FederationEngine]:
-    """Execute a multi-tenant workload concurrently.
-
-    Returns the per-job results (in job order) plus the engine, whose
-    ``metrics`` / ``summary()`` carry the fleet view. A caller-supplied
-    ``engine`` is reused (and left running); otherwise one is built
-    from ``engine_kwargs`` and shut down before returning.
-    """
-    own_engine = engine is None
-    if engine is None:
-        engine = FederationEngine(federation, **engine_kwargs)
-    elif engine_kwargs:
-        raise ValueError(
-            "engine_kwargs are only used when building a new engine; "
-            f"got both engine= and {sorted(engine_kwargs)}")
-    try:
-        results = engine.run_all(
-            [(job.query, job.at, job.strategy) for job in jobs])
-    finally:
-        if own_engine:
-            engine.shutdown()
-    return results, engine

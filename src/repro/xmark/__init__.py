@@ -12,9 +12,7 @@ in the ``scale`` knob, mirroring XMark's scale factor.
 
 from repro.xmark.generator import (
     XMarkConfig, generate_people, generate_auctions, generate_pair,
-    spill_pair, spill_people, spill_auctions,
 )
 
 __all__ = ["XMarkConfig", "generate_people", "generate_auctions",
-           "generate_pair", "spill_pair", "spill_people",
-           "spill_auctions"]
+           "generate_pair"]

@@ -104,10 +104,6 @@ def generate_people(config: XMarkConfig, uri: str = "people.xml") -> Document:
     ``/site/people/person`` path to the data peer (pass-by-value's only
     legal move on the benchmark query) skips real content.
     """
-    return _people_builder(config, uri).finish()
-
-
-def _people_builder(config: XMarkConfig, uri: str) -> DocumentBuilder:
     rng = random.Random(config.seed)
     builder = DocumentBuilder(uri)
     builder.start_document()
@@ -120,7 +116,7 @@ def _people_builder(config: XMarkConfig, uri: str) -> DocumentBuilder:
     builder.end_element()
     builder.end_element()
     builder.end_document()
-    return builder
+    return builder.finish()
 
 
 def _regions(builder: DocumentBuilder, rng: random.Random,
@@ -212,10 +208,6 @@ def _person(builder: DocumentBuilder, rng: random.Random, index: int,
 def generate_auctions(config: XMarkConfig,
                       uri: str = "auctions.xml") -> Document:
     """Generate the auctions half (site/open_auctions/open_auction...)."""
-    return _auctions_builder(config, uri).finish()
-
-
-def _auctions_builder(config: XMarkConfig, uri: str) -> DocumentBuilder:
     rng = random.Random(config.seed + 1)
     builder = DocumentBuilder(uri)
     builder.start_document()
@@ -226,7 +218,7 @@ def _auctions_builder(config: XMarkConfig, uri: str) -> DocumentBuilder:
     builder.end_element()
     builder.end_element()
     builder.end_document()
-    return builder
+    return builder.finish()
 
 
 def _auction(builder: DocumentBuilder, rng: random.Random, index: int,
@@ -290,57 +282,3 @@ def generate_pair(scale: float, seed: int = 20090329,
     config = XMarkConfig(scale=scale, seed=seed)
     return (generate_people(config, people_uri),
             generate_auctions(config, auctions_uri))
-
-
-# ---------------------------------------------------------------------------
-# Streaming scale-factor mode (columnar spill)
-# ---------------------------------------------------------------------------
-
-
-def spill_people(config: XMarkConfig, path: "str | Path",
-                 uri: str = "people.xml") -> int:
-    """Generate the people half straight into a bare
-    :class:`~repro.xmldb.columns.ColumnSet` and freeze it to ``path``
-    (XCOL1 — see :mod:`repro.xmldb.pool`); returns the file size.
-
-    The builder accumulates typed columns directly — no XML text, no
-    :class:`Document` object, no index/cache slots — so the peak
-    footprint of staging a corpus is one document's raw columns, and
-    the reopened file is served page-wise under the buffer pool.
-    """
-    from repro.xmldb.pool import freeze_columns
-
-    builder = _people_builder(config, uri)
-    return freeze_columns(builder.finish_columns(), uri, path)
-
-
-def spill_auctions(config: XMarkConfig, path: "str | Path",
-                   uri: str = "auctions.xml") -> int:
-    """The auctions half of :func:`spill_people`."""
-    from repro.xmldb.pool import freeze_columns
-
-    builder = _auctions_builder(config, uri)
-    return freeze_columns(builder.finish_columns(), uri, path)
-
-
-def spill_pair(scale: float, directory: "str | Path",
-               seed: int = 20090329,
-               people_uri: str = "people.xml",
-               auctions_uri: str = "auctions.xml"):
-    """Stage the (people, auctions) pair as two XCOL1 spill files in
-    ``directory``, one at a time — the streaming scale-factor mode.
-
-    Returns ``(people_path, auctions_path)``. The files reopen via
-    :func:`repro.xmldb.pool.open_document` under any buffer-pool
-    budget; the data is identical to :func:`generate_pair` at the same
-    ``(scale, seed)``.
-    """
-    from pathlib import Path
-
-    directory = Path(directory)
-    config = XMarkConfig(scale=scale, seed=seed)
-    people_path = directory / "people.xcol"
-    auctions_path = directory / "auctions.xcol"
-    spill_people(config, people_path, people_uri)
-    spill_auctions(config, auctions_path, auctions_uri)
-    return people_path, auctions_path

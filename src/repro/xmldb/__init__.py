@@ -20,19 +20,13 @@ Public entry points:
 * :func:`~repro.xmldb.projection.project` — Algorithm 1.
 * :class:`~repro.xmldb.columns.ColumnSet` /
   :mod:`~repro.xmldb.kernels` — the typed columnar core and its batch
-  kernels.
-* :func:`~repro.xmldb.pool.freeze_to` /
-  :class:`~repro.xmldb.pool.ColumnStore` /
-  :func:`~repro.xmldb.pool.open_document` — the mmap spill format and
-  buffer pool (larger-than-memory serving).
+  kernels (one in-memory physical form: typed arrays plus string
+  lists).
 """
 
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.columns import ColumnSet, NameTable
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.pool import (
-    BufferPool, ColumnStore, freeze_to, open_document,
-)
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize, serialize_node
 from repro.xmldb.compare import deep_equal, document_order_key, is_same_node
@@ -43,11 +37,6 @@ __all__ = [
     "Node",
     "NodeKind",
     "ColumnSet",
-    "NameTable",
-    "BufferPool",
-    "ColumnStore",
-    "freeze_to",
-    "open_document",
     "Document",
     "DocumentBuilder",
     "parse_document",

@@ -22,15 +22,12 @@ from __future__ import annotations
 import itertools
 from array import array
 from sys import intern
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
 from repro.xmldb.kernels import PRE_TYPECODE
 from repro.xmldb.node import Node, NodeKind
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from pathlib import Path
 
 _doc_sequence = itertools.count()
 
@@ -76,8 +73,7 @@ class Document:
         self.uri = uri
         # The six parallel columns are bound as plain attributes (same
         # access cost as before the columnar refactor); ``columns`` is
-        # the physical handle (typed arrays, or pooled lazy columns
-        # for a spilled document).
+        # the physical handle.
         self.columns = columns
         self.kinds = columns.kinds
         self.names = columns.names
@@ -118,8 +114,7 @@ class Document:
     @classmethod
     def from_columns(cls, uri: str, columns: ColumnSet) -> "Document":
         """Wrap an already-built :class:`ColumnSet` (the text scanner,
-        spill reopen, the streaming generator) without re-coercing any
-        column."""
+        the builder) without re-coercing any column."""
         return cls(uri, (), (), (), (), (), (), columns=columns)
 
     # -- basic accessors -----------------------------------------------------
@@ -138,8 +133,7 @@ class Document:
 
     def node(self, pre: int) -> Node:
         # ``count`` is bound once at construction: the bounds check
-        # costs two compares, never a column ``len()`` (which walks
-        # the page table on a pooled column).
+        # costs two compares, never a column ``len()``.
         if not 0 <= pre < self.count:
             raise XmlError(f"pre rank {pre} out of range for {self.uri!r}")
         return Node(self, pre)
@@ -148,26 +142,6 @@ class Document:
         """All nodes in document order (including attributes)."""
         for pre in range(self.count):
             yield Node(self, pre)
-
-    # -- physical layout ------------------------------------------------------
-
-    def column_byte_sizes(self) -> Mapping[str, int]:
-        """Exact per-column physical bytes (see
-        :meth:`ColumnSet.column_byte_sizes`)."""
-        return self.columns.column_byte_sizes()
-
-    def column_bytes(self) -> int:
-        """Total exact columnar footprint in bytes — the figure the
-        planner's statistics catalog records."""
-        return self.columns.byte_size()
-
-    def freeze_to(self, path: "str | Path") -> int:
-        """Spill this document to the page-granular column format at
-        ``path`` (see :mod:`repro.xmldb.pool`); returns the file size
-        in bytes. Reopen with :func:`repro.xmldb.pool.ColumnStore.open`."""
-        from repro.xmldb.pool import freeze_to
-
-        return freeze_to(self, path)
 
     # -- ID/IDREF index (for fn:id / fn:idref) --------------------------------
 
@@ -347,19 +321,14 @@ class DocumentBuilder:
     # -- completion ------------------------------------------------------------------
 
     def finish(self) -> Document:
-        return Document.from_columns(self.uri, self.finish_columns())
-
-    def finish_columns(self) -> ColumnSet:
-        """The built tree as a bare :class:`ColumnSet` — the streaming
-        generator path, which spills column sets without constructing
-        a :class:`Document` (no doc-seq allocation, no cache slots)."""
         if self._stack:
             raise XmlError("finish() with unclosed elements")
         if self._finished:
             raise XmlError("builder already finished")
         self._finished = True
-        return ColumnSet(self._kinds, self._names, self._values,
-                         self._sizes, self._levels, self._parents)
+        return Document.from_columns(self.uri, ColumnSet(
+            self._kinds, self._names, self._values, self._sizes,
+            self._levels, self._parents))
 
 
 def build_fragment_from_node(uri: str, root: Node) -> Document:

@@ -22,7 +22,7 @@ the columns it needs:
   with both: the scanner emits them while it appends the columns
   (``ColumnSet.postings``), so a freshly shipped document is never
   walked a second time. Any other document (built, projected,
-  generated, reopened from a spill) gets them from one pass over
+  generated) gets them from one pass over
   ``(kinds, names)``;
 * **kind arrays** — sorted pre arrays per node kind (``element_pres``,
   ``text_pres``, ``comment_pres``, all non-attribute nodes), one
@@ -101,8 +101,8 @@ class _part:
 
 class StructuralIndex:
     """The per-document index structures, each built on first read by
-    one pass over the columns it needs (page-wise on a pooled
-    document) — a query pays for the parts its plan reads.
+    one pass over the columns it needs — a query pays for the parts its
+    plan reads.
 
     Peers share documents across the engine's workers, and no lock is
     taken: a part is assigned only once it is whole, two threads that
@@ -117,8 +117,8 @@ class StructuralIndex:
     def name_postings(self) -> Postings:
         """``(tag_pres, attribute_pres)``: the text scanner's tables
         when the document came from text, else — built, projected,
-        generated, reopened from a spill — one pass over ``(kinds,
-        names)``, kept on the columns like the scanner's."""
+        generated — one pass over ``(kinds, names)``, kept on the
+        columns like the scanner's."""
         columns = self.doc.columns
         postings = columns.postings
         if postings is None:

@@ -12,8 +12,8 @@ bisect helpers that used to be copy-pasted between
 in here — and every kernel operates on a whole column per call instead
 of per-node Python iteration.
 
-Kernels accept any sorted integer sequence (``list``, stdlib
-:class:`array.array`, a buffer-pool backed lazy column) and return
+Kernels accept any sorted integer sequence (``list`` or stdlib
+:class:`array.array`) and return
 stdlib ``array('i')`` columns, so results chain into further kernels
 without re-boxing every element as a Python object.
 """
@@ -283,8 +283,7 @@ def ensure_sorted(pres: Sequence[int]) -> Sequence[int]:
 
 
 def sorted_array(values: Iterable[int]) -> array:
-    """A sorted typed column from arbitrary (unsorted, possibly lazy)
-    values — the re-sort after a value-ordered slice."""
+    """A sorted typed column from arbitrary (unsorted) values — the re-sort after a value-ordered slice."""
     return pre_array(sorted(values))
 
 

@@ -39,7 +39,7 @@ from array import array
 from collections import OrderedDict
 from math import isnan
 from time import perf_counter
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb.index import charge_build, structural_index
@@ -262,39 +262,3 @@ def value_index(doc: "Document") -> ValueIndex:
         ("kind",)).labels("value").inc()
     return index
 
-
-def iter_leaf_values(doc: "Document") -> Iterator[tuple[str, str]]:
-    """Yield ``(key, value)`` pairs for the histogram-worthy content of
-    a document: every attribute (``@name`` keys) and every *leaf*
-    element (no element children — the typed fields statistics care
-    about; container elements would only smear the histograms).
-
-    One O(nodes) pass over every key: the definition the planner's
-    per-key value histograms (``planner/stats.py``) are checked against,
-    so they and the evaluator's value index agree on what a node's
-    comparable value is.
-    """
-    kinds = doc.kinds
-    names = doc.names
-    values = doc.values
-    sizes = doc.sizes
-    count = len(kinds)
-    for pre in range(count):
-        kind = kinds[pre]
-        if kind == NodeKind.ATTRIBUTE:
-            yield "@" + names[pre], values[pre]
-        elif kind == NodeKind.ELEMENT:
-            end = pre + sizes[pre]
-            has_element_child = False
-            parts: list[str] = []
-            cursor = pre + 1
-            while cursor <= end:
-                child_kind = kinds[cursor]
-                if child_kind == NodeKind.ELEMENT:
-                    has_element_child = True
-                    break
-                if child_kind == NodeKind.TEXT:
-                    parts.append(values[cursor])
-                cursor += sizes[cursor] + 1
-            if not has_element_child:
-                yield names[pre], "".join(parts)

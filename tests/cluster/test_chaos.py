@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterError
-from repro.cluster.chaos import (
+from tests.cluster.chaos_harness import (
     ACTIONS, ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule,
 )
 from repro.cluster.membership import MembershipTracker

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from repro.cluster import (
-    ChaosHarness, ChaosSchedule, InsufficientHealthyPeersError,
-    LoadScorer, MovePlan, Rebalancer, SplitPlan,
-    create_sharded_collection, round_robin_placement,
+    InsufficientHealthyPeersError, LoadScorer, MovePlan, Rebalancer,
+    SplitPlan, create_sharded_collection, round_robin_placement,
 )
 from repro.cluster.membership import MembershipTracker
 from repro.cluster.repair import RepairEngine
@@ -17,6 +16,7 @@ from repro.obs import FleetMonitor
 from repro.obs.console import render_fleet
 from repro.xquery.xdm import serialize_sequence
 
+from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import (
     LIBRARY_CONTAINER, LIBRARY_MEMBER, library_document, make_cluster,
     make_single_owner, virtual_wire,

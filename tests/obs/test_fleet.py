@@ -3,13 +3,13 @@ text console."""
 
 import pytest
 
-from repro.cluster.chaos import ChaosHarness, ChaosSchedule
 from repro.cluster.membership import MembershipTracker
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor, render_fleet
 from repro.runtime import FederationEngine, Transport
 from repro.runtime.clock import REAL_CLOCK, VirtualClock
 
+from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import make_cluster, virtual_wire
 
 SCAN = ('doc("xrpc://books-c/books.xml")'

@@ -4,7 +4,7 @@ as the reference its per-key views are checked against.
 :func:`reference_document_stats` is the old ``compute_document_stats``
 (one loop over every node for all tag buckets) plus the old
 ``build_value_histograms`` (a second pass over
-:func:`repro.xmldb.values.iter_leaf_values` for all value keys);
+:func:`iter_leaf_values` for all value keys);
 :func:`merge_reference_stats` is the old ``merge_document_stats``.
 They answer every key at once into plain dictionaries, so a test can
 ask the view for each present key — and for absent ones — and compare.
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isnan
+from typing import Iterator
 
 from repro.planner.stats import VALUE_BUCKETS, TagStat, ValueHistogram
 from repro.xmldb.document import Document
 from repro.xmldb.node import NodeKind
 from repro.xmldb.serializer import subtree_spans
-from repro.xmldb.values import coerce_number, iter_leaf_values
+from repro.xmldb.values import coerce_number
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,43 @@ class ReferenceStats:
     elements: int
     tags: dict[str, TagStat]
     values: dict[str, ValueHistogram]
-    column_bytes: int
+
+
+def iter_leaf_values(doc: Document) -> Iterator[tuple[str, str]]:
+    """Yield ``(key, value)`` pairs for the histogram-worthy content of
+    a document: every attribute (``@name`` keys) and every *leaf*
+    element (no element children — the typed fields statistics care
+    about; container elements would only smear the histograms).
+
+    One O(nodes) pass over every key: the definition the planner's
+    per-key value histograms (``planner/stats.py``) are checked against,
+    so they and the evaluator's value index agree on what a node's
+    comparable value is.
+    """
+    kinds = doc.kinds
+    names = doc.names
+    values = doc.values
+    sizes = doc.sizes
+    count = len(kinds)
+    for pre in range(count):
+        kind = kinds[pre]
+        if kind == NodeKind.ATTRIBUTE:
+            yield "@" + names[pre], values[pre]
+        elif kind == NodeKind.ELEMENT:
+            end = pre + sizes[pre]
+            has_element_child = False
+            parts: list[str] = []
+            cursor = pre + 1
+            while cursor <= end:
+                child_kind = kinds[cursor]
+                if child_kind == NodeKind.ELEMENT:
+                    has_element_child = True
+                    break
+                if child_kind == NodeKind.TEXT:
+                    parts.append(values[cursor])
+                cursor += sizes[cursor] + 1
+            if not has_element_child:
+                yield names[pre], "".join(parts)
 
 
 def reference_value_histograms(document: Document
@@ -103,8 +140,7 @@ def reference_document_stats(document: Document,
              else total_chars)
     return ReferenceStats(serialized_bytes=total, nodes=count,
                           elements=elements, tags=tags,
-                          values=reference_value_histograms(document),
-                          column_bytes=document.column_bytes())
+                          values=reference_value_histograms(document))
 
 
 def merge_reference_stats(parts: list[ReferenceStats]) -> ReferenceStats:
@@ -122,5 +158,4 @@ def merge_reference_stats(parts: list[ReferenceStats]) -> ReferenceStats:
         serialized_bytes=sum(p.serialized_bytes for p in parts),
         nodes=sum(p.nodes for p in parts),
         elements=sum(p.elements for p in parts),
-        tags=tags, values=values,
-        column_bytes=sum(p.column_bytes for p in parts))
+        tags=tags, values=values)

@@ -329,7 +329,7 @@ def test_concurrent_first_reads_of_one_view_agree():
             answers.append(
                 ([view.tag(key) for key in tag_keys],
                  [view.value_histogram(key) for key in value_keys],
-                 view.elements, view.column_bytes))
+                 view.elements))
         except Exception as error:        # surfaced by the assert below
             errors.append(error)
 
@@ -351,7 +351,7 @@ def test_concurrent_first_reads_of_one_view_agree():
     assert not errors
     expected = ([reference.tags.get(key) for key in tag_keys],
                 [reference.values.get(key) for key in value_keys],
-                reference.elements, reference.column_bytes)
+                reference.elements)
     assert answers == [expected] * 40
 
 

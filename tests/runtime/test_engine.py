@@ -9,10 +9,10 @@ from repro.decompose import Strategy
 from repro.errors import NetworkError
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.transport import Transport
-from repro.system.federation import Federation
+from repro.system.federation import Federation, RunResult
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
-                             build_federation, build_sharded_federation,
-                             multi_tenant_jobs, run_multi_tenant)
+                             TenantJob, build_federation,
+                             build_sharded_federation, multi_tenant_jobs)
 from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
 from repro.xrpc.messages import ResponseMessage
 
@@ -270,6 +270,33 @@ class TestScheduling:
             engine.submit(Q2, "local").result()  # re-attaches
             late.store("extra.xml", "<d/>")
             assert engine.cache.snapshot()["responses"] == 0
+
+
+def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
+                     engine: FederationEngine | None = None,
+                     **engine_kwargs) -> tuple[list[RunResult],
+                                               FederationEngine]:
+    """Execute a multi-tenant workload concurrently.
+
+    Returns the per-job results (in job order) plus the engine, whose
+    ``metrics`` / ``summary()`` carry the fleet view. A caller-supplied
+    ``engine`` is reused (and left running); otherwise one is built
+    from ``engine_kwargs`` and shut down before returning.
+    """
+    own_engine = engine is None
+    if engine is None:
+        engine = FederationEngine(federation, **engine_kwargs)
+    elif engine_kwargs:
+        raise ValueError(
+            "engine_kwargs are only used when building a new engine; "
+            f"got both engine= and {sorted(engine_kwargs)}")
+    try:
+        results = engine.run_all(
+            [(job.query, job.at, job.strategy) for job in jobs])
+    finally:
+        if own_engine:
+            engine.shutdown()
+    return results, engine
 
 
 class TestMultiTenantWorkload:

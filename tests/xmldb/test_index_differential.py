@@ -8,8 +8,8 @@ strategies:
 
 * every part ≡ the reference — for a parsed document, a parsed
   fragment, a ``DocumentBuilder``-built document, a projected one and
-  one reopened from a spill file (the last three carry no scanner
-  postings: the single fallback pass), read in any order;
+  an element shredded out as a message fragment (the last three carry
+  no scanner postings: the single fallback pass), read in any order;
 * the postings the scanner emits ≡ one pass over the finished columns,
   names identical by ``is`` to the interned names in the column;
 * a ``child`` / ``descendant`` chain from a tree root, run step by step
@@ -24,11 +24,11 @@ from sys import intern
 from hypothesis import given, strategies as st
 
 from repro.xmldb.columns import ColumnSet
-from repro.xmldb.document import Document, DocumentBuilder
+from repro.xmldb.document import Document, DocumentBuilder, \
+    build_fragment_from_node
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
-from repro.xmldb.pool import ColumnStore, freeze_to
 from repro.xmldb.projection import project
 from repro.xmldb.values import value_index
 from tests.conftest import fuzz_settings
@@ -104,14 +104,14 @@ def test_projected_parts_match_the_oracle(doc, used, returned, order):
     _agree(result.doc, order)
 
 
-@given(doc=_parsed, order=_orders)
+@given(_parsed, st.integers(0, 10_000), _orders)
 @fuzz_settings(40)
-def test_spilled_parts_match_the_oracle(doc, order, tmp_path_factory):
-    path = tmp_path_factory.mktemp("index") / "doc.xcol"
-    freeze_to(doc, path)
-    with ColumnStore.open(path, budget_bytes=8192) as store:
-        assert store.document.columns.postings is None
-        _agree(store.document, order)
+def test_shredded_parts_match_the_oracle(doc, pick, order):
+    elements = structural_index(doc).element_pres
+    shredded = build_fragment_from_node(
+        "shred.xml", Node(doc, elements[pick % len(elements)]))
+    assert shredded.columns.postings is None
+    _agree(shredded, order)
 
 
 @given(_parsed)
