@@ -3,8 +3,12 @@
 This package implements the XML data model layer the paper's host
 system (MonetDB/XQuery) provides natively: documents stored as arrays
 in document order with O(1) node identity, document-order comparison
-and ancestry tests, the 13 XPath axes, a small well-formedness parser,
-a serialiser, XQuery ``deep-equal``, and the paper's runtime XML
+and ancestry tests, the 13 XPath axes, a shredder on the standard
+library's expat tokenizer (expat reads the text — references, CDATA,
+comments, PIs; a DOCTYPE is skipped unread — and five handlers append
+the nodes to the columns and the names to the name postings, interned
+once; every fault is an ``XmlParseError`` at a ``str`` offset), a
+serialiser, XQuery ``deep-equal``, and the paper's runtime XML
 projection (Algorithm 1).
 
 Public entry points:

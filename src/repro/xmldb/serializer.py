@@ -33,14 +33,19 @@ from repro.xmldb.node import Node, NodeKind
 
 
 def escape_text(value: str) -> str:
-    """Escape character data content."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data content. A ``\r`` is a reference: a parser
+    reads a raw one as a line end (XML 1.0 §2.11)."""
+    return (value.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace("\r", "&#13;"))
 
 
 def escape_attribute(value: str) -> str:
-    """Escape an attribute value (double-quote delimited)."""
+    """Escape an attribute value (double-quote delimited). Tab, line
+    feed and carriage return are references: a parser reads raw ones as
+    spaces (XML 1.0 §3.3.3)."""
     return (value.replace("&", "&amp;").replace("<", "&lt;")
-            .replace('"', "&quot;"))
+            .replace('"', "&quot;").replace("\t", "&#9;")
+            .replace("\n", "&#10;").replace("\r", "&#13;"))
 
 
 class SerializedTree:

@@ -1,9 +1,9 @@
 """Serializer unit tests: escaping, node kinds, attribute handling."""
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.xmldb import axes
-from repro.xmldb.document import Document
+from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import (
@@ -11,6 +11,7 @@ from repro.xmldb.serializer import (
     subtree_spans,
 )
 from tests.conftest import fuzz_settings
+from tests.oracle import COLUMNS
 from tests.oracle.xquery_reference_walker import axis_step
 from tests.xmldb.test_parser_differential import documents, fragments
 
@@ -25,6 +26,59 @@ class TestEscaping:
 
     def test_text_keeps_quotes(self):
         assert escape_text('"quoted"') == '"quoted"'
+
+    def test_line_ends_and_tabs_are_references_where_parsing_folds_them(self):
+        assert escape_text("a\tb\nc\r\nd") == "a\tb\nc&#13;\nd"
+        assert escape_attribute("a\tb\nc\r\nd") == "a&#9;b&#10;c&#13;&#10;d"
+
+
+# What XML 1.0 normalizes on reading, among what must be escaped.
+_values = st.text(alphabet=st.sampled_from("a \t\n\r&<>\"']é"),
+                  min_size=1, max_size=8)
+
+
+@st.composite
+def _trees(draw):
+    builder = DocumentBuilder("r.xml")
+    builder.start_document()
+
+    def element(level: int) -> None:
+        builder.start_element(draw(st.sampled_from(["a", "b", "x:y"])))
+        for index in range(draw(st.integers(0, 2))):
+            builder.attribute(f"at{index}", draw(_values))
+        for _ in range(draw(st.integers(0, 3 if level < 3 else 0))):
+            if draw(st.booleans()):
+                element(level + 1)
+            else:
+                builder.text(draw(_values))
+        builder.end_element()
+
+    element(0)
+    builder.end_document()
+    return builder.finish()
+
+
+class TestRoundTrip:
+    """``parse_fragment(serialize_node(n))`` is ``n``, column for
+    column, whatever the values hold: the escapes cover what XML 1.0
+    normalizes on reading (``\r`` in text; tab, line feed and carriage
+    return in attribute values)."""
+
+    @given(_trees(), st.integers(0, 1_000))
+    @fuzz_settings(150)
+    def test_parse_of_serialize_is_the_node(self, doc, choice):
+        elements = [pre for pre in range(len(doc))
+                    if doc.kinds[pre] == NodeKind.ELEMENT]
+        pre = elements[choice % len(elements)]
+        node = doc.node(pre)
+        reparsed = parse_fragment(serialize_node(node))
+        rows = slice(pre, pre + doc.sizes[pre] + 1)
+        level = doc.levels[pre]
+        expected = [list(getattr(doc, column)[rows]) for column in COLUMNS]
+        expected[4] = [depth - level for depth in expected[4]]
+        expected[5] = [-1] + [parent - pre for parent in expected[5][1:]]
+        assert [list(getattr(reparsed, column)) for column in COLUMNS] \
+            == expected
 
 
 class TestSerialization:
