@@ -607,18 +607,13 @@ class ClusterRouter:
         run = self.run
         evaluator = Evaluator(run.decomposition.module,
                               run.federation.static)
-        results: list[list] = []
-        for params in calls:
-            env = DynamicContext(
-                variables={name: value for name, value in params},
-                resolve_doc=run._resolver(from_peer, stats=stats),
-                xrpc_execute=run._make_xrpc_execute(from_peer, stats=stats,
-                                                    counter=counter),
-                counter=run.local_counter,
-                binding=binding,
-            )
-            results.append(evaluator.evaluate(body, env))
-        return results
+        return evaluator.evaluate_calls(body, DynamicContext(
+            resolve_doc=run._resolver(from_peer, stats=stats),
+            xrpc_execute=run._make_xrpc_execute(from_peer, stats=stats,
+                                                counter=counter),
+            counter=run.local_counter,
+            binding=binding,
+        ), calls)
 
     # -- shard skipping ------------------------------------------------------
 

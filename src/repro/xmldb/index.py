@@ -9,7 +9,8 @@ postings plus the size / parent columns serve every axis.
 :meth:`StructuralIndex.axis_scan` is the one place an axis is applied —
 a chain from a tree root is a run of steps like any other — and
 :func:`scan_groups` lifts it to node sets spanning several documents
-for the evaluator and the projection-path runtime.
+for the projection-path runtime (the evaluator scans per document
+itself, carrying each pre's rows).
 
 An index costs what a query reads of it: the index object is empty
 when made and each part is built on its first read, by one pass over

@@ -1,4 +1,4 @@
-"""Tree-walking evaluator with faithful XDM semantics.
+"""One evaluator: every expression over an iteration table.
 
 The evaluator is deliberately strict about the three properties whose
 preservation under distribution is the paper's subject:
@@ -18,63 +18,53 @@ visited bumps the :class:`~repro.xquery.context.CostCounter`; the
 network simulator turns those ticks into the "local exec"/"remote
 exec" components of the paper's Figure 8 breakdown.
 
-Path execution is *set-at-a-time*: steps run over sorted pre arrays
-grouped by document, every axis answered by the per-document
-:class:`~repro.xmldb.index.StructuralIndex` (name-posting and
-kind-array scans through :func:`~repro.xmldb.index.scan_groups`, from
-a tree root as from any other context), and no step
-sorts its result because the scans provably yield document order.
-``Node`` objects are built only at pipeline exits — predicates,
-constructors, results. A path's steps are planned once: the desugared
-``//T[p]`` pair ``descendant-or-self::node()/child::T[p]`` collapses
-to one ``descendant::T[p]`` scan whenever ``p`` is position-free.
+**Frames.** Every rule evaluates its expression for all rows of a
+:class:`_Frame` at once — loop-lifting, as the paper's MonetDB/XQuery
+substrate evaluates every expression over an iteration table. A row's
+own variables are the frame's columns; what all rows share (resolvers,
+counter, the run's binding, shared variables) is its one ``env``.
+:meth:`Evaluator.evaluate` is a one-row frame: there are no scalar
+rules. Two constructs make wider frames, nesting freely (a loop in a
+loop is tagged by the pair): a binding loop (a row per row × binding)
+and a predicate — a loop over its candidates, each the focus of its row
+(item, position in its context's group, group size). Within a frame a
+sub-expression that reads no column (nor a focus the rows differ in)
+and builds no node is evaluated once and charged once per row; ``if`` /
+``and`` / ``or`` / ``typeswitch`` partition the rows, so a branch sees
+only the rows that reach it; comparisons, calls and constructors apply
+per row.
 
-Predicates are *compiled* once per query (see
-:mod:`repro.xquery.predicates`): recognised comparison shapes become
-value-index probes intersected with the step's candidate pre array,
-residual general predicates become per-node Python closures. A
-positional predicate on a child / attribute / self step is a slice of
-one scan: every candidate has exactly one context there (its parent
-column entry), so the step scans once, groups the candidates by
-context and takes ``[k]`` / ``[last()]`` / ``[position() op k]`` per
-group; other axes keep one scan per context node, candidates in the
-order the axis numbers them.
+**Paths** run set-at-a-time on the per-document
+:class:`~repro.xmldb.index.StructuralIndex`: a step is one
+``axis_scan`` over the union of every row's contexts, the rows carried
+per pre (any axis in a one-row frame; else child, attribute, self and
+parent by the parent column, descendant by subtree interval, any other
+axis one scan per group of rows with equal contexts), in document order
+because pres ascend. ``Node`` objects are built only at path exits. A
+position-free predicate (:func:`~repro.xquery.predicates.position_free`)
+filters the union of all contexts' candidates, by value-index probes
+for a recognised shape (:class:`~repro.xquery.predicates.IndexPlan`);
+``//T[p]`` then runs as one ``descendant::T[p]`` scan. Any other
+predicate is lifted over every context's candidates in the order the
+axis numbers them.
 
-A binding loop (``for``, ``order by``, ``some`` / ``every``) is *one
-operator over its bindings*, chosen once per loop from its shape
-(:meth:`Evaluator._loop_plan`):
+**Binding loops** pick one operator per loop from its shape
+(:meth:`Evaluator._loop_plan`): Bulk RPC (a remote call as the whole
+body ships all iterations in one message), hash join (``if ($dep op
+$invariant)``: the invariant side once, one value-index probe or hash
+set answering every iteration), or lifted. ``some`` / ``every`` run
+their bindings one at a time and stop at the deciding one.
+Whatever may send a message runs row by row in the nested loop's order
+(counted in ``evaluator_loop_fallbacks_total{reason}``), and a lifted
+attempt that raises is undone on the cost counter and rerun row by
+row, so the error raised is the one the nested loop meets first.
 
-* **Bulk RPC** — a remote call as the whole body ships all iterations
-  in one message;
-* **hash join** — ``if ($dep = $invariant) then .. else ..`` evaluates
-  the invariant side once (a remote one sends one message) and answers
-  every iteration from a hash set or one value-index probe;
-* **lifted** — the body runs once for *all* iterations (loop-lifting,
-  as the paper's MonetDB/XQuery substrate does): sub-expressions with
-  no loop variable are evaluated once, paths rooted at a loop or
-  ``let`` variable run each step once over the union of every
-  iteration's contexts with the iterations carried per pre, ``if`` /
-  ``and`` / ``or`` partition the iterations so a branch only sees the
-  bindings that reach it, ``order by`` sorts plain keys once, and
-  comparisons, calls and constructors are applied per iteration to
-  operands already computed;
-* **per-binding** — the nested loop (:meth:`Evaluator._rows`, the one
-  such loop in ``src/``): quantifiers (they stop at the deciding
-  binding), whatever may send a message (a body holding a remote call;
-  the branches of such a join, the operands of such a Bulk RPC), and
-  what a lifted operator cannot answer with the nested loop's parity —
-  non-node or multi-document bindings, nested contexts under a
-  descendant step, other axes, a predicate reading a loop variable, an
-  error (the rerun raises it at the binding the loop would). A loop run
-  this way counts itself in ``evaluator_loop_fallbacks_total{reason}``;
-  so does a loop nested in a lifted body, lifted per outer binding.
-
-The operators charge the cost counter what the nested loop charges, so
-simulated time does not depend on the operator. The per-node tree
-walker and the nested loops this engine replaced are the test oracle
-(``tests/oracle/xquery_reference_walker.py``); the two return
-identical items and differ only in cost-counter tick totals (scans
-count results, compiled filters don't re-dispatch the AST).
+Operators charge the cost counter what the nested loop charges, so
+simulated time does not depend on the operator. The scalar rules, the
+per-node walker and the nested loops this engine replaced are the test
+oracle (``tests/oracle/xquery_reference_walker.py``); the two return
+identical items and differ only in tick totals (scans count results,
+probes don't re-dispatch the AST).
 """
 
 from __future__ import annotations
@@ -93,9 +83,7 @@ from repro.xmldb.compare import (
     is_same_node, node_after, node_before, sort_document_order,
 )
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.index import (
-    Groups, group_by_document, group_nodes, scan_groups, structural_index,
-)
+from repro.xmldb.index import group_by_document, structural_index
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import functions as fn_mod
 from repro.xquery import xdm
@@ -110,7 +98,7 @@ from repro.xmldb.values import value_index
 from repro.xquery.context import DynamicContext, StaticContext
 from repro.xquery.predicates import (
     FLIPPED_OPS, EqualityMatcher, chain_candidates, compile_predicate,
-    dependent_chain, positional_slice, probe_atoms, take_slice,
+    dependent_chain, focus_nodes, position_free, probe_atoms,
 )
 from repro.xquery.scopes import free_variables
 from repro.xquery.types import matches_sequence_type
@@ -126,20 +114,19 @@ _REVERSE_ORDER_AXES = REVERSE_AXES | {"preceding", "preceding-sibling"}
 
 #: Axes on which every candidate has exactly one context node (itself,
 #: or its ``parents`` entry): one scan serves all contexts, and a
-#: positional predicate is a slice of the candidates grouped by it.
+#: candidate's rows are its context's.
 _GROUPED_AXES = frozenset({"child", "attribute", "self"})
 
-_LOOPS = (ForExpr, OrderByExpr, QuantifiedExpr)
+#: The rows of every pre in a one-row frame.
+_ROW_ZERO = (0,)
 
 _sides = lambda expr: (expr.left, expr.right)  # noqa: E731
 
 #: Operators that evaluate every operand and then combine the values
-#: (``_apply_<Type>``): the per-binding residue of a lifted body. The
-#: value reads the operand expressions; a constructor's come from its
-#: plan.
+#: (``_apply_<Type>``), row by row. The value reads the operand
+#: expressions; a constructor's come from its plan.
 _STRICT = {
     SequenceExpr: lambda expr: expr.items,
-    FunCall: lambda expr: expr.args,
     ComparisonExpr: _sides, ArithmeticExpr: _sides, NodeSetExpr: _sides,
     UnaryExpr: lambda expr: (expr.operand,),
     RangeExpr: lambda expr: (expr.start, expr.end),
@@ -148,34 +135,64 @@ _STRICT = {
 
 
 class _Unliftable(Exception):
-    """A lifted operator met something it cannot answer with the nested
-    loop's parity; the loop reruns per binding. ``static`` reasons
-    follow from the body's shape, so the plan stops trying."""
+    """A loop operator met something it cannot answer with the nested
+    loop's parity; the loop runs per binding."""
 
-    def __init__(self, reason: str, static: bool = False):
+    def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-        self.static = static
+
+
+class _Traits(NamedTuple):
+    """What evaluating an expression depends on and does."""
+
+    free: frozenset        # variables it reads
+    fresh: bool            # builds nodes (a declared function might)
+    focus: bool            # reads the focus (outside nested predicates)
+    calls_out: bool        # may send a message
 
 
 class _Frame(NamedTuple):
-    """The bindings of one loop as columns: ``size`` iterations over
-    one shared ``env``; ``columns[name][row]`` is the value of a
-    variable that differs per iteration."""
+    """An iteration table: ``size`` rows over one shared ``env``.
+    ``columns[name][row]`` is the value of a variable that differs per
+    row; ``focus[row]`` is a row's ``(doc, pre, position, size)`` when
+    the rows differ in it (None: the env's context serves every row)."""
 
     env: DynamicContext
     size: int
     columns: dict[str, list]
+    focus: list | None = None
 
     def pick(self, rows) -> "_Frame":
-        """The sub-loop over ``rows``, in that order."""
+        """The rows ``rows``, in that order."""
         return _Frame(self.env, len(rows), {
             name: [column[row] for row in rows]
-            for name, column in self.columns.items()})
+            for name, column in self.columns.items()},
+            None if self.focus is None else [self.focus[row] for row in rows])
 
     def env_at(self, row: int) -> DynamicContext:
-        return self.env.bind_many({name: column[row] for name, column
-                                   in self.columns.items()})
+        """One row as a dynamic context."""
+        env = self.env
+        if self.columns:
+            env = env.bind_many({name: column[row] for name, column
+                                 in self.columns.items()})
+        return env if self.focus is None else _with_focus(env,
+                                                          self.focus[row])
+
+    def expand(self, owners: list[int], columns: dict[str, list],
+               focus: list | None = None) -> "_Frame":
+        """The frame of a construct evaluated in every row: its row
+        ``i`` belongs to row ``owners[i]`` of this one and sees that
+        row's columns, plus ``columns``; ``focus`` replaces the focus
+        (a predicate's candidates), else a row keeps its owner's. A
+        one-row frame hands its row to the shared env."""
+        if self.size == 1:
+            return _Frame(self.env_at(0), len(owners), columns, focus)
+        inherited = {name: [column[owner] for owner in owners]
+                     for name, column in self.columns.items()}
+        if focus is None and self.focus is not None:
+            focus = [self.focus[owner] for owner in owners]
+        return _Frame(self.env, len(owners), {**inherited, **columns}, focus)
 
 
 class Evaluator:
@@ -193,11 +210,12 @@ class Evaluator:
         # each stored beside its node (so an id is never reused while
         # its entry lives): predicate plans per Step, collapsed steps
         # per PathExpr, the operator per binding loop, operands per
-        # constructor; and which sub-expressions of a lifted body are
-        # loop-invariant. Builds are idempotent and land in one dict
-        # assignment: a plan's evaluator is shared by engine workers.
+        # constructor; and each sub-expression's traits. Builds are
+        # idempotent and land in one dict assignment: a plan's
+        # evaluator is shared by engine workers.
         self._plans: dict[int, tuple[object, object]] = {}
-        self._invariants: dict[int, tuple[Expr, frozenset | None]] = {}
+        self._traits_of: dict[int, tuple[Expr, _Traits]] = {}
+        self._rules: dict[type, object] = {}
         self._remote_functions = any(
             isinstance(node, XRPCExpr) for decl in self.module.functions
             for node in walk(decl.body))
@@ -211,23 +229,21 @@ class Evaluator:
     # -- public API ---------------------------------------------------------
 
     def evaluate(self, expr: Expr, env: DynamicContext) -> list:
-        env.counter.ticks += 1
-        kind = type(expr)
-        if kind in _STRICT:
-            values = [self.evaluate(operand, env)
-                      for operand in self._operands(expr)]
-            return getattr(self, f"_apply_{kind.__name__}")(expr, env, values)
-        method = getattr(self, f"_eval_{kind.__name__}", None)
-        if method is None:
-            raise XQueryDynamicError(
-                f"no evaluation rule for {kind.__name__}")
-        return method(expr, env)
+        """``expr`` in ``env``: a one-row frame."""
+        return self._lift(expr, _Frame(env, 1, {}))[0]
 
     def run(self, env: DynamicContext) -> list:
         """Evaluate the module body."""
         return self.evaluate(self.module.body, env)
 
-    def call_function(self, name: str, arity: int, args: list[list],
+    def evaluate_calls(self, body: Expr, env: DynamicContext,
+                       calls: list[list[tuple[str, list]]]) -> list[list]:
+        """``body`` once per call of a Bulk RPC request, its parameters
+        bound."""
+        return [self.evaluate(body, env.bind_many(dict(params)))
+                for params in calls]
+
+    def call_function(self, name: str, arity: int, args,
                       env: DynamicContext) -> list:
         """Apply a declared or built-in function to evaluated arguments."""
         decl = self._functions.get((name, arity))
@@ -248,156 +264,321 @@ class Evaluator:
             return reader(expr)
         return self._plan(expr, self._constructor_plan)[0]
 
+    # -- the frame --------------------------------------------------------------
+
+    def _lift(self, expr: Expr, frame: _Frame) -> list[list]:
+        """``expr`` for every row of ``frame``: one value per row,
+        charged as the nested loop charges (one tick per row per
+        expression)."""
+        if frame.size > 1 and self._invariant(expr, frame):
+            return [self._once(expr, frame)] * frame.size
+        kind = type(expr)
+        rule = self._rules.get(kind)
+        if rule is None:
+            rule = getattr(self, f"_lift_{kind.__name__}", None)
+            if rule is None:
+                raise XQueryDynamicError(
+                    f"no evaluation rule for {kind.__name__}")
+            self._rules[kind] = rule
+        frame.env.counter.ticks += frame.size
+        return rule(expr, frame)
+
+    def _each(self, expr: Expr, frame: _Frame) -> list[list]:
+        """``expr`` over a frame a construct made: lifted — unless it
+        may send a message (then row by row, in the nested loop's
+        order), or raises (undone on the cost counter and rerun row by
+        row, so the error is the one the nested loop meets first)."""
+        if frame.size < 2:
+            return self._lift(expr, frame)
+        if not self._traits(expr).calls_out:
+            mark = frame.env.counter.mark()
+            try:
+                return self._lift(expr, frame)
+            except XQueryError:
+                frame.env.counter.charge_since(mark, 0)
+        return [self._lift(expr, frame.pick((row,)))[0]
+                for row in range(frame.size)]
+
+    def _traits(self, expr: Expr) -> _Traits:
+        entry = self._traits_of.get(id(expr))
+        if entry is None or entry[0] is not expr:
+            nodes = list(walk(expr))
+            declared = any(isinstance(node, FunCall) and (
+                node.name, len(node.args)) in self._functions
+                for node in nodes)
+            entry = self._traits_of[id(expr)] = (expr, _Traits(
+                frozenset(free_variables(expr)),
+                declared or any(isinstance(node, ConstructorExpr)
+                                for node in nodes),
+                any(isinstance(node, ContextItemExpr) or (
+                    isinstance(node, FunCall)
+                    and (node.name, len(node.args)) in fn_mod.FOCUS_FUNCTIONS)
+                    for node in focus_nodes(expr)),
+                any(isinstance(node, XRPCExpr) for node in nodes)
+                or (self._remote_functions and declared)))
+        return entry[1]
+
+    def _invariant(self, expr: Expr, frame: _Frame) -> bool:
+        """True when ``expr`` reads no column (nor the focus, where the
+        rows differ in it) and builds no node: one evaluation serves
+        every row. (A frame of several rows holds no remote call.)"""
+        traits = self._traits(expr)
+        return not traits.fresh and traits.free.isdisjoint(frame.columns) \
+            and not (traits.focus and frame.focus is not None)
+
+    def _once(self, expr: Expr, frame: _Frame) -> list:
+        """A value every row shares: evaluated once, charged once per
+        row it serves."""
+        mark = frame.env.counter.mark()
+        value = self.evaluate(expr, frame.env)
+        frame.env.counter.charge_since(mark, frame.size)
+        return value
+
     # -- leaves -----------------------------------------------------------------
 
-    def _eval_Literal(self, expr: Literal, env: DynamicContext) -> list:
-        return [expr.value]
+    def _lift_Literal(self, expr: Literal, frame: _Frame) -> list[list]:
+        return [[expr.value]] * frame.size
 
-    def _eval_LiteralSlot(self, expr: LiteralSlot,
-                          env: DynamicContext) -> list:
-        return [env.binding.literals[expr.index]]
+    def _lift_LiteralSlot(self, expr: LiteralSlot,
+                          frame: _Frame) -> list[list]:
+        return [[frame.env.binding.literals[expr.index]]] * frame.size
 
-    def _eval_EmptySequence(self, expr: EmptySequence,
-                            env: DynamicContext) -> list:
-        return []
+    def _lift_EmptySequence(self, expr: EmptySequence,
+                            frame: _Frame) -> list[list]:
+        return [[]] * frame.size
 
-    def _eval_VarRef(self, expr: VarRef, env: DynamicContext) -> list:
-        return env.lookup(expr.name)
+    def _lift_VarRef(self, expr: VarRef, frame: _Frame) -> list[list]:
+        column = frame.columns.get(expr.name)
+        if column is not None:
+            return column
+        return [frame.env.lookup(expr.name)] * frame.size
 
-    def _eval_ContextItemExpr(self, expr: ContextItemExpr,
-                              env: DynamicContext) -> list:
-        if env.context_item is None:
+    def _lift_ContextItemExpr(self, expr: ContextItemExpr,
+                              frame: _Frame) -> list[list]:
+        if frame.focus is not None:
+            return [[Node(doc, pre)] for doc, pre, _position, _size
+                    in frame.focus]
+        if frame.env.context_item is None:
             raise XQueryDynamicError("context item is undefined")
-        return [env.context_item]
+        return [[frame.env.context_item]] * frame.size
 
     # -- structure --------------------------------------------------------------
 
-    def _apply_SequenceExpr(self, expr: SequenceExpr, env: DynamicContext,
-                            values: list) -> list:
-        return list(_chain.from_iterable(values))
+    def _lift_strict(self, expr: Expr, frame: _Frame) -> list[list]:
+        operands = [self._lift(operand, frame)
+                    for operand in self._operands(expr)]
+        apply = getattr(self, f"_apply_{type(expr).__name__}")
+        env = frame.env
+        if not operands:
+            return [apply(expr, env, ()) for _row in range(frame.size)]
+        return [apply(expr, env, values) for values in zip(*operands)]
 
-    def _eval_LetExpr(self, expr: LetExpr, env: DynamicContext) -> list:
-        value = self.evaluate(expr.value, env)
-        return self.evaluate(expr.body, env.bind(expr.var, value))
+    _lift_SequenceExpr = _lift_ComparisonExpr = _lift_ArithmeticExpr = \
+        _lift_NodeSetExpr = _lift_UnaryExpr = _lift_RangeExpr = \
+        _lift_ConstructorExpr = _lift_strict
 
-    def _eval_IfExpr(self, expr: IfExpr, env: DynamicContext) -> list:
-        if effective_boolean_value(self.evaluate(expr.cond, env)):
-            return self.evaluate(expr.then_branch, env)
-        return self.evaluate(expr.else_branch, env)
+    def _lift_FunCall(self, expr: FunCall, frame: _Frame) -> list[list]:
+        """Per row over evaluated arguments; a built-in that reads the
+        focus gets each row's, where the rows differ in it."""
+        name, arity = expr.name, len(expr.args)
+        args = [self._lift(arg, frame) for arg in expr.args]
+        rows = zip(*args) if args else [()] * frame.size
+        env = frame.env
+        if frame.focus is not None and (name, arity) \
+                in fn_mod.FOCUS_FUNCTIONS \
+                and (name, arity) not in self._functions:
+            return [self.call_function(name, arity, values,
+                                       _with_focus(env, focus))
+                    for values, focus in zip(rows, frame.focus)]
+        return [self.call_function(name, arity, values, env)
+                for values in rows]
 
-    def _eval_TypeswitchExpr(self, expr: TypeswitchExpr,
-                             env: DynamicContext) -> list:
-        operand = self.evaluate(expr.operand, env)
-        for case in expr.cases:
-            if matches_sequence_type(operand, case.seq_type):
-                case_env = env.bind(case.var, operand) if case.var else env
-                return self.evaluate(case.body, case_env)
-        default_env = (env.bind(expr.default_var, operand)
-                       if expr.default_var else env)
-        return self.evaluate(expr.default_body, default_env)
+    def _lift_LetExpr(self, expr: LetExpr, frame: _Frame) -> list[list]:
+        """A value every row shares joins the env (in a one-row frame,
+        so does the row); any other is a column."""
+        value = self._lift(expr.value, frame)
+        if frame.size == 1:
+            return self._lift(expr.body, _Frame(
+                frame.env_at(0).bind(expr.var, value[0]), 1, {}))
+        if self._invariant(expr.value, frame):
+            return self._lift(expr.body, frame._replace(
+                env=frame.env.bind(expr.var, value[0]),
+                columns={name: column for name, column
+                         in frame.columns.items() if name != expr.var}))
+        return self._lift(expr.body, frame._replace(columns={
+            **frame.columns, expr.var: value}))
 
-    # -- the binding loop: one plan, four operators -----------------------------
+    def _lift_over(self, expr: Expr, frame: _Frame, rows: list[int],
+                   out: list, column: tuple | None = None) -> None:
+        """``expr`` for the rows ``rows`` only, into ``out``;
+        ``column`` binds one more ``(name, values per row)``."""
+        if rows:
+            part = frame if len(rows) == frame.size else frame.pick(rows)
+            if column is not None:
+                name, values = column
+                part = part._replace(columns={
+                    **part.columns, name: [values[row] for row in rows]})
+            for row, value in zip(rows, self._lift(expr, part)):
+                out[row] = value
 
-    def _eval_loop(self, expr, env: DynamicContext) -> list:
-        """``for`` / ``order by`` / ``some`` / ``every``: the bindings
-        become the columns of a :class:`_Frame` and the loop's planned
-        operator runs over all of them. A lifted attempt that cannot
-        keep the nested loop's parity (or raises: the loop decides
-        which binding's error comes first) is undone on the cost
-        counter and the loop reruns per binding, counted."""
-        seq = self.evaluate(expr.seq, env)
-        operator, detail, nested = self._plan(expr, self._loop_plan)
-        columns = {expr.var: [[item] for item in seq]}
+    def _lift_branches(self, verdicts: list, then_branch: Expr,
+                       else_branch: Expr, frame: _Frame) -> list[list]:
+        """Partition the rows by verdict and lift each branch over its
+        own partition: nothing is evaluated for a row the nested loop
+        would not have evaluated it for."""
+        out: list = [None] * frame.size
+        for branch, wanted in ((then_branch, True), (else_branch, False)):
+            self._lift_over(branch, frame,
+                            [row for row, verdict in enumerate(verdicts)
+                             if bool(verdict) is wanted], out)
+        return out
+
+    def _lift_IfExpr(self, expr: IfExpr, frame: _Frame) -> list[list]:
+        return self._lift_branches(
+            [effective_boolean_value(value)
+             for value in self._lift(expr.cond, frame)],
+            expr.then_branch, expr.else_branch, frame)
+
+    def _lift_LogicalExpr(self, expr: LogicalExpr,
+                          frame: _Frame) -> list[list]:
+        decided = expr.op == "or"  # the left verdict that settles it
+        out = [[decided] if effective_boolean_value(value) is decided
+               else None for value in self._lift(expr.left, frame)]
+        rest = [row for row, value in enumerate(out) if value is None]
+        self._lift_over(expr.right, frame, rest, out)
+        for row in rest:
+            out[row] = [effective_boolean_value(out[row])]
+        return out
+
+    def _lift_TypeswitchExpr(self, expr: TypeswitchExpr,
+                             frame: _Frame) -> list[list]:
+        operands = self._lift(expr.operand, frame)
+        branches = [(case.var, case.body) for case in expr.cases] \
+            + [(expr.default_var, expr.default_body)]
+        chosen = [next((index for index, case in enumerate(expr.cases)
+                        if matches_sequence_type(operand, case.seq_type)),
+                       len(expr.cases)) for operand in operands]
+        out: list = [None] * frame.size
+        for index, (var, body) in enumerate(branches):
+            self._lift_over(body, frame,
+                            [row for row, pick in enumerate(chosen)
+                             if pick == index], out,
+                            None if var is None else (var, operands))
+        return out
+
+    # -- binding loops: one plan, three operators -------------------------------
+
+    def _lift_loop(self, expr, frame: _Frame) -> list[list]:
+        """``for`` / ``order by`` / ``some`` / ``every`` in every row:
+        the bindings of all rows become one frame, a row per (row,
+        binding), and the loop's planned operator runs over it. A
+        lifted attempt that raises (the loop decides which binding's
+        error comes first) or cannot keep the nested loop's parity is
+        undone on the cost counter, and the loop reruns per binding."""
+        if frame.size > 1 and self._traits(expr).calls_out:
+            return self._each(expr, frame)
+        seqs = self._lift(expr.seq, frame)
+        owners = [row for row, seq in enumerate(seqs) for _item in seq]
+        columns = {expr.var: [[item] for seq in seqs for item in seq]}
         if getattr(expr, "pos_var", None) is not None:
-            columns[expr.pos_var] = [[position] for position
-                                     in range(1, len(seq) + 1)]
-        frame = _Frame(env, len(seq), columns)
-        if operator == "_loop_bulk" and env.xrpc_execute_bulk is None:
+            columns[expr.pos_var] = [[position] for seq in seqs
+                                     for position in range(1, len(seq) + 1)]
+        inner = frame.expand(owners, columns)
+        if isinstance(expr, QuantifiedExpr):
+            return self._quantify(expr, inner, owners, frame.size)
+        operator, detail, nested = self._plan(expr, self._loop_plan)
+        if operator == "_loop_bulk" and inner.env.xrpc_execute_bulk is None:
             operator, detail = None, "remote-call"
-        if operator is not None and seq:
-            mark = env.counter.mark()
+        done = None
+        if operator is not None and owners:
+            mark = inner.env.counter.mark()
             try:
-                result = getattr(self, operator)(expr, frame, detail)
+                done = getattr(self, operator)(expr, inner, owners, detail)
             except (_Unliftable, XQueryError) as failure:
                 if nested and isinstance(failure, XQueryError):
                     raise  # raised per binding: the nested loop's own
-                env.counter.charge_since(mark, 0)
-                detail = getattr(failure, "reason", "error")
-                if getattr(failure, "static", False):
-                    self._plans[id(expr)] = (expr, (None, detail, True))
+                inner.env.counter.charge_since(mark, 0)
+                detail = getattr(failure, "reason", None)
             else:
                 if operator == "_loop_bulk":
                     # The one message goes out after the attempt: a
                     # fault of the call itself is not a reason to call
                     # again per binding.
-                    result = _chain.from_iterable(env.xrpc_execute_bulk(
-                        *result, expr.body.body, env.binding))
-                return list(result)
-        if seq:
-            _count_fallback(detail)
-        return self._loop_per_binding(expr, frame)
+                    done = range(len(owners)), inner.env.xrpc_execute_bulk(
+                        *done, expr.body.body, inner.env.binding)
+        if done is None:
+            if detail is not None and owners:
+                _count_fallback(detail)
+            done = self._loop_per_binding(expr, inner, owners)
+        order, values = done
+        if frame.size == 1:
+            return [list(_chain.from_iterable(values))]
+        out: list[list] = [[] for _row in range(frame.size)]
+        for row, value in zip(order, values):
+            out[owners[row]].extend(value)
+        return out
 
-    _eval_ForExpr = _eval_OrderByExpr = _eval_QuantifiedExpr = _eval_loop
+    _lift_ForExpr = _lift_OrderByExpr = _lift_QuantifiedExpr = _lift_loop
 
     def _loop_plan(self, expr) -> tuple[str | None, object, bool]:
-        """``(operator method, detail, nested)`` for a binding loop,
-        from its shape: Bulk RPC, hash join (detail: the join shape),
-        lifted, or None — per binding, detail the reason. ``nested``:
-        whatever may send a message is evaluated binding by binding,
-        in the nested loop's order (what it raises is final). A
-        quantifier stops at the deciding binding, so lifting it would
-        evaluate bindings the loop never reaches."""
-        if isinstance(expr, QuantifiedExpr):
-            return None, "quantifier", True
+        """``(operator method, detail, nested)`` for a ``for`` / ``order
+        by``, from its shape: Bulk RPC, hash join (detail: the join
+        shape), lifted, or None — per binding, detail the reason.
+        ``nested``: whatever may send a message is evaluated binding by
+        binding, in the nested loop's order (what it raises is final)."""
         body = expr.body
         if isinstance(expr, ForExpr):
             if expr.pos_var is None and isinstance(body, XRPCExpr):
-                nested = any(map(self._calls_out, _call_operands(body)))
+                nested = any(self._traits(operand).calls_out
+                             for operand in _call_operands(body))
                 return "_loop_bulk", nested, nested
             shape = self._join_shape(expr)
             if shape is not None:
-                nested = self._calls_out(body)
+                nested = self._traits(body).calls_out
                 return "_loop_join", (*shape, nested), nested
-        if any(map(self._calls_out, [body] + [
-                spec.key for spec in getattr(expr, "specs", ())])):
+        if any(self._traits(part).calls_out for part in [body] + [
+                spec.key for spec in getattr(expr, "specs", ())]):
             return None, "remote-call", True
         return "_loop_lifted", None, False
 
-    def _calls_out(self, expr: Expr) -> bool:
-        """True when evaluating ``expr`` may send a message — work whose
-        order and count the nested loop fixes."""
-        return any(
-            isinstance(node, XRPCExpr)
-            or (self._remote_functions and isinstance(node, FunCall)
-                and (node.name, len(node.args)) in self._functions)
-            for node in walk(expr))
-
-    def _rows(self, frame: _Frame):
-        """The per-binding loop, the only one in ``src/``: each
-        iteration's bindings as a dynamic context, one iteration at a
-        time (lazily: a quantifier stops at the deciding binding)."""
-        for row in range(frame.size):
-            yield frame.env_at(row)
-
-    def _loop_per_binding(self, expr, frame: _Frame) -> list:
-        if isinstance(expr, QuantifiedExpr):
-            verdicts = (effective_boolean_value(self.evaluate(expr.cond, env))
-                        for env in self._rows(frame))
-            return [any(verdicts) if expr.quantifier == "some"
-                    else all(verdicts)]
+    def _loop_lifted(self, expr, inner: _Frame, owners: list[int],
+                     _detail=None) -> tuple:
+        """``(order, values)``: the body over the loop's frame, rows
+        sorted first for an ``order by``."""
+        order = range(inner.size)
         if isinstance(expr, OrderByExpr):
-            keys = [[order_key(self.evaluate(spec.key, env))
-                     for spec in expr.specs] for env in self._rows(frame)]
-            frame = frame.pick(_order_rows(list(zip(*keys)), expr.specs))
-        return [item for env in self._rows(frame)
-                for item in self.evaluate(expr.body, env)]
+            order = _order_rows([[order_key(value) for value
+                                  in self._lift(spec.key, inner)]
+                                 for spec in expr.specs], expr.specs, owners)
+            inner = inner.pick(order)
+        return order, self._lift(expr.body, inner)
 
-    def _loop_lifted(self, expr, frame: _Frame, _detail=None):
+    def _loop_per_binding(self, expr, inner: _Frame,
+                          owners: list[int]) -> tuple:
+        """The nested loop: one row at a time, every key before any
+        body (what may send a message keeps its order)."""
+        rows = [inner.pick((row,)) for row in range(inner.size)]
+        order = range(inner.size)
         if isinstance(expr, OrderByExpr):
-            keys = [[order_key(value) for value in self._lift(spec.key, frame)]
-                    for spec in expr.specs]
-            frame = frame.pick(_order_rows(keys, expr.specs))
-        return _chain.from_iterable(self._lift(expr.body, frame))
+            keys = [[order_key(self._lift(spec.key, one)[0])
+                     for spec in expr.specs] for one in rows]
+            order = _order_rows([list(column) for column in zip(*keys)],
+                                expr.specs, owners)
+        return order, [self._lift(expr.body, rows[row])[0] for row in order]
+
+    def _quantify(self, expr: QuantifiedExpr, inner: _Frame,
+                  owners: list[int], size: int) -> list[list]:
+        """``some`` / ``every``: each row's bindings one at a time (a
+        one-row frame each), stopping at the deciding binding."""
+        decided = expr.quantifier == "some"
+        out = [[not decided]] * size
+        for owner, group in itertools.groupby(range(inner.size),
+                                              owners.__getitem__):
+            if any(effective_boolean_value(self._lift(
+                    expr.cond, inner.pick((row,)))[0]) is decided
+                   for row in group):
+                out[owner] = [decided]
+        return out
 
     # -- hash-join operator ------------------------------------------------------
 
@@ -430,24 +611,49 @@ class Evaluator:
                             body.else_branch, chain)
         return None
 
-    def _loop_join(self, expr: ForExpr, frame: _Frame, shape: tuple):
+    def _loop_join(self, expr: ForExpr, inner: _Frame, owners: list[int],
+                   shape: tuple) -> tuple:
         left_dep, cond, then_branch, else_branch, chain, nested = shape
+        dependent_expr, invariant_expr = (
+            _sides(cond) if left_dep else reversed(_sides(cond)))
+
+        mark = inner.env.counter.mark()
 
         def no_join(reason: str):
             if nested:
                 raise _Unliftable(reason)
-            return self._loop_lifted(expr, frame)
+            inner.env.counter.charge_since(mark, 0)  # the invariant side
+            return self._loop_lifted(expr, inner, owners)
 
-        if frame.size < 2:
+        if inner.size < 2:
             return no_join("one-binding")
-        env = frame.env
+        traits = self._traits(invariant_expr)
+        if not traits.free.isdisjoint(inner.columns) \
+                or traits.focus and inner.focus is not None:
+            # The invariant side reads an enclosing row's values (an
+            # outer loop's variable, a candidate's focus): one join per
+            # enclosing row.
+            values: list = []
+            loop = {expr.var, expr.pos_var}
+            for _owner, group in itertools.groupby(range(inner.size),
+                                                   owners.__getitem__):
+                part = inner.pick(list(group))
+                env = part.env.bind_many({
+                    name: column[0] for name, column in part.columns.items()
+                    if name not in loop})
+                if part.focus is not None:
+                    env = _with_focus(env, part.focus[0])
+                values.extend(self._loop_join(expr, _Frame(
+                    env, part.size, {name: part.columns[name]
+                                     for name in loop & part.columns.keys()}),
+                    [0] * part.size, shape)[1])
+            return range(inner.size), values
+        env = inner.env
         op = cond.op if left_dep else FLIPPED_OPS[cond.op]
-        dependent_expr, invariant_expr = (
-            _sides(cond) if left_dep else reversed(_sides(cond)))
         invariant = self.evaluate(invariant_expr, env)
         invariant_atoms = atomize(invariant)
 
-        seq = [value[0] for value in frame.columns[expr.var]]
+        seq = [value[0] for value in inner.columns[expr.var]]
         verdicts = matcher = None
         if chain is not None and all(isinstance(item, Node)
                                      for item in seq):
@@ -470,20 +676,22 @@ class Evaluator:
                 verdict = general_compare(cond.op, left, right)
             return verdict
 
+        order = range(inner.size)
         if not nested:
             if verdicts is None:
-                verdicts = map(verdict_of, self._lift(dependent_expr, frame))
-            return _chain.from_iterable(self._lift_branches(
-                list(verdicts), then_branch, else_branch, frame))
+                verdicts = map(verdict_of, self._lift(dependent_expr, inner))
+            return order, self._lift_branches(
+                list(verdicts), then_branch, else_branch, inner)
         # The body may send a message: the invariant was evaluated
         # once, the rest binding by binding in the nested loop's order.
         out: list = []
-        for row, row_env in enumerate(self._rows(frame)):
+        for row in order:
+            one = inner.pick((row,))
             verdict = (verdicts[row] if verdicts is not None else
-                       verdict_of(self.evaluate(dependent_expr, row_env)))
-            out.extend(self.evaluate(
-                then_branch if verdict else else_branch, row_env))
-        return out
+                       verdict_of(self._lift(dependent_expr, one)[0]))
+            out.append(self._lift(then_branch if verdict else else_branch,
+                                  one)[0])
+        return order, out
 
     def _chain_verdicts(self, chain, op: str, invariant_atoms: list,
                         seq: list, env: DynamicContext) -> list | None:
@@ -509,7 +717,8 @@ class Evaluator:
 
     # -- Bulk RPC operator -------------------------------------------------------
 
-    def _loop_bulk(self, expr: ForExpr, frame: _Frame, nested: bool):
+    def _loop_bulk(self, expr: ForExpr, inner: _Frame, owners: list[int],
+                   nested: bool):
         """Bulk RPC: a remote call nested directly in a for-loop is
         shipped as one message carrying all iterations' parameters
         instead of one synchronous interaction per iteration. Returns
@@ -518,10 +727,11 @@ class Evaluator:
         (``nested``) are evaluated binding by binding."""
         xrpc = expr.body
         operands = _call_operands(xrpc)
-        rows = ([[self.evaluate(operand, env) for operand in operands]
-                 for env in self._rows(frame)] if nested else
-                list(zip(*(self._lift(operand, frame)
-                           for operand in operands))))
+        rows = ([[self._lift(operand, one)[0] for operand in operands]
+                 for one in map(inner.pick, ((row,) for row
+                                             in range(inner.size)))]
+                if nested else list(zip(*(self._lift(operand, inner)
+                                          for operand in operands))))
         if any(len(row[0]) != 1 for row in rows):
             raise _Unliftable("destination")
         destinations = {xdm.string_value(row[0][0]) for row in rows}
@@ -531,197 +741,215 @@ class Evaluator:
             [(param.name, value) for param, value
              in zip(xrpc.params, row[1:])] for row in rows]
 
-    # -- lifted evaluation -------------------------------------------------------
+    # -- paths ---------------------------------------------------------------------
 
-    def _lift(self, expr: Expr, frame: _Frame) -> list[list]:
-        """``expr`` for every iteration of ``frame`` at once: one value
-        per row, charged as the nested loop charges (one tick per
-        binding per expression)."""
-        kind = type(expr)
-        size = frame.size
-        if kind is VarRef and expr.name in frame.columns:
-            frame.env.counter.ticks += size
-            return frame.columns[expr.name]
-        if self._invariant(expr, frame):
-            return [self._once(expr, frame)] * size
-        rule = getattr(self, f"_lift_{kind.__name__}", None)
-        if rule is not None:
-            frame.env.counter.ticks += size
-            return rule(expr, frame)
-        if kind not in _STRICT:
-            # A loop nested in the body is lifted per outer binding;
-            # anything else the classifier does not know runs as is.
-            _count_fallback("nested-loop" if isinstance(expr, _LOOPS)
-                            else "unclassified")
-            return [self.evaluate(expr, env) for env in self._rows(frame)]
-        frame.env.counter.ticks += size
-        operands = [self._lift(operand, frame)
-                    for operand in self._operands(expr)]
-        apply = getattr(self, f"_apply_{kind.__name__}")
-        env = frame.env
-        if not operands:
-            return [apply(expr, env, []) for _row in range(size)]
-        return [apply(expr, env, values) for values in zip(*operands)]
-
-    def _invariant(self, expr: Expr, frame: _Frame) -> bool:
-        """True when ``expr`` reads no per-iteration variable and
-        builds no node (a declared function might): one evaluation
-        serves the loop. (A lifted body holds no remote call.)"""
-        entry = self._invariants.get(id(expr))
-        if entry is None or entry[0] is not expr:
-            fresh = any(
-                isinstance(node, ConstructorExpr)
-                or (isinstance(node, FunCall)
-                    and (node.name, len(node.args)) in self._functions)
-                for node in walk(expr))
-            entry = self._invariants[id(expr)] = (
-                expr, None if fresh else frozenset(free_variables(expr)))
-        return entry[1] is not None and not (entry[1] & frame.columns.keys())
-
-    def _once(self, expr: Expr, frame: _Frame) -> list:
-        """A loop-invariant value: evaluated once, charged once per
-        binding it serves."""
-        mark = frame.env.counter.mark()
-        value = self.evaluate(expr, frame.env)
-        frame.env.counter.charge_since(mark, frame.size)
-        return value
-
-    def _lift_over(self, expr: Expr, frame: _Frame, rows: list[int],
-                   out: list) -> None:
-        """``expr`` for the iterations ``rows`` only, into ``out``."""
-        if rows:
-            part = frame if len(rows) == frame.size else frame.pick(rows)
-            for row, value in zip(rows, self._lift(expr, part)):
-                out[row] = value
-
-    def _lift_branches(self, verdicts: list, then_branch: Expr,
-                       else_branch: Expr, frame: _Frame) -> list[list]:
-        """Partition the iterations by verdict and lift each branch
-        over its own partition: nothing is evaluated for a binding the
-        loop would not have evaluated it for."""
-        out: list = [None] * frame.size
-        for branch, wanted in ((then_branch, True), (else_branch, False)):
-            self._lift_over(branch, frame,
-                            [row for row, verdict in enumerate(verdicts)
-                             if bool(verdict) is wanted], out)
-        return out
-
-    def _lift_IfExpr(self, expr: IfExpr, frame: _Frame) -> list[list]:
-        return self._lift_branches(
-            [effective_boolean_value(value)
-             for value in self._lift(expr.cond, frame)],
-            expr.then_branch, expr.else_branch, frame)
-
-    def _lift_LogicalExpr(self, expr: LogicalExpr,
-                          frame: _Frame) -> list[list]:
-        decided = expr.op == "or"  # the left verdict that settles it
-        out = [[decided] if effective_boolean_value(value) is decided
-               else None for value in self._lift(expr.left, frame)]
-        rest = [row for row, value in enumerate(out) if value is None]
-        self._lift_over(expr.right, frame, rest, out)
-        for row in rest:
-            out[row] = [effective_boolean_value(out[row])]
-        return out
-
-    def _lift_LetExpr(self, expr: LetExpr, frame: _Frame) -> list[list]:
-        return self._lift(expr.body, frame._replace(columns={
-            **frame.columns, expr.var: self._lift(expr.value, frame)}))
+    def _path_plan(self, expr: PathExpr) -> list[Step]:
+        """The steps as they run (``//T`` pairs collapsed)."""
+        return _collapse_steps(expr.steps, lambda step: self._plan(
+            step, self._step_plan)[0] is not None)
 
     def _lift_PathExpr(self, expr: PathExpr, frame: _Frame) -> list[list]:
-        """Every iteration's path in one pass: each step runs once over
-        the union of all iterations' contexts, ``tags`` carrying the
-        iterations (rows) each pre belongs to, then the result is
-        zipped back per row — in document order, since pres ascend."""
+        """Every row's path in one pass per document: each step runs
+        once over the union of all rows' contexts, ``tags`` carrying
+        the rows each pre belongs to (in a one-row frame, ``tags`` is
+        just the pres), then the result is zipped back per row —
+        documents in document order, pres ascending."""
         contexts = self._lift(expr.input, frame)
         steps = self._plan(expr, self._path_plan)
-        doc = None
-        tags: dict[int, list[int]] = {}
-        for row, items in enumerate(contexts):
-            for item in items:
-                if not isinstance(item, Node):
-                    raise _Unliftable("non-node-binding")
-                if item.doc is not doc:
-                    if doc is not None:
-                        raise _Unliftable("multi-document")
-                    doc = item.doc
-                rows = tags.get(item.pre)
-                if rows is None:
-                    tags[item.pre] = [row]
-                elif rows[-1] != row:
-                    rows.append(row)
         out: list[list] = [[] for _row in range(frame.size)]
-        if doc is None:
-            return out
-        index = structural_index(doc)
-        tags = dict(sorted(tags.items()))
-        for step in steps:
-            tags = self._lift_step(step, doc, index, tags, frame)
-            if not tags:
-                return out
-        for pre, rows in tags.items():
-            node = Node(doc, pre)
-            for row in rows:
-                out[row].append(node)
+        for doc, tags in _tag_rows(contexts, steps[0]):
+            index = structural_index(doc)
+            for step in steps:
+                tags = self._lift_step(step, doc, index, tags, frame)
+                if not tags:
+                    break
+            if frame.size == 1:
+                out[0].extend([Node(doc, pre) for pre in tags])
+                continue
+            for pre, rows in tags.items():
+                node = Node(doc, pre)
+                for row in rows:
+                    out[row].append(node)
         return out
 
     def _lift_step(self, step: Step, doc: Document, index,
-                   tags: dict[int, list[int]],
-                   frame: _Frame) -> dict[int, list[int]]:
-        """One step over the union of all iterations' contexts
-        (``tags``: ascending context pre → its rows): child, attribute
-        and self read a result's rows from its one context, parent
-        unions its contexts' rows, descendant(-or-self) go by subtree
-        interval when no context lies inside another."""
-        axis, test = step.axis, step.test
-        plans, _slices, variables = self._plan(step, self._step_plan)
-        if variables & frame.columns.keys():
-            raise _Unliftable("dependent-predicate", static=True)
-        env = frame.env
+                   tags, frame: _Frame):
+        """One step for every row: ``tags`` maps each context pre
+        (ascending) to the rows holding it; so does the result."""
+        plans, variables = self._plan(step, self._step_plan)
+        if plans is None:
+            return self._positional_step(step, doc, index, tags, frame)
+        result = self._scan(step.axis, step.test, doc, index, tags,
+                            frame.size)
+        frame.env.counter.nodes_visited += (
+            len(result) if frame.size == 1
+            else sum(map(len, result.values())))
+        for predicate, plan in zip(step.predicates, plans):
+            if not result:
+                break
+            result = self._filter(predicate, plan, variables, step, doc,
+                                  index, result, frame)
+        return result
+
+    def _scan(self, axis: str, test: str, doc: Document, index,
+              tags, size: int):
+        """The axis from every row's contexts: child, attribute and
+        self read a result's rows from its one context, parent unions
+        its children's rows, descendant(-or-self) go by subtree
+        interval when no context lies inside another; any other axis
+        scans once per group of rows with equal contexts."""
+        if size == 1:
+            return index.axis_scan(axis, test, tags)
         parents = doc.parents
         contexts = list(tags)
-        result: dict[int, list[int]] = {}
         if axis in _GROUPED_AXES:
-            result = {pre: tags[pre if axis == "self" else parents[pre]]
-                      for pre in index.axis_scan(axis, test, contexts)}
-        elif axis == "parent" and not step.predicates:
+            return {pre: tags[pre if axis == "self" else parents[pre]]
+                    for pre in index.axis_scan(axis, test, contexts)}
+        result: dict[int, list[int]] = {}
+        if axis == "parent":
             for pre, rows in tags.items():
                 above = parents[pre]
                 if above >= 0 and index.matches(above, test):
                     seen = result.get(above)
                     result[above] = (rows if seen is None
                                      else sorted({*seen, *rows}))
-            result = dict(sorted(result.items()))
-        elif axis in ("descendant", "descendant-or-self") \
-                and plans is not None:
-            sizes = doc.sizes
-            if any(low + sizes[low] >= high
-                   for low, high in pairwise(contexts)):
-                raise _Unliftable("nested-contexts")
+            return dict(sorted(result.items()))
+        sizes = doc.sizes
+        if axis in ("descendant", "descendant-or-self") and all(
+                low + sizes[low] < high for low, high in pairwise(contexts)):
             cursor = 0
             for pre in index.axis_scan(axis, test, contexts):
                 while pre > contexts[cursor] + sizes[contexts[cursor]]:
                     cursor += 1
                 result[pre] = tags[contexts[cursor]]
+            return result
+        per_row: dict[int, list[int]] = {}
+        for pre, rows in tags.items():
+            for row in rows:
+                per_row.setdefault(row, []).append(pre)
+        groups: dict[tuple, list[int]] = {}
+        for row, pres in per_row.items():
+            groups.setdefault(tuple(pres), []).append(row)
+        for pres, rows in groups.items():
+            for pre in index.axis_scan(axis, test, pres):
+                result.setdefault(pre, []).extend(rows)
+        return {pre: sorted(result[pre]) for pre in sorted(result)}
+
+    def _step_plan(self, step: Step) -> tuple:
+        """``(plans, variables)`` for a step: when every predicate is
+        position-free, per predicate its probe plan (None: lifted over
+        the candidates); else None — all-or-nothing, since a later
+        positional predicate numbers the candidates an earlier one
+        kept *per context*. Plus the variables the predicates read."""
+        variables = frozenset().union(
+            *(free_variables(predicate) for predicate in step.predicates))
+        if all(map(position_free, step.predicates)):
+            return [compile_predicate(predicate)
+                    for predicate in step.predicates], variables
+        return None, variables
+
+    def _filter(self, predicate: Expr, plan, variables: frozenset,
+                step: Step, doc: Document, index, result,
+                frame: _Frame):
+        """A position-free predicate over the union of every context's
+        candidates (``result``: candidate pre → rows): a probe plan
+        when it needs no value that differs per row, else lifted over a
+        row per (row, candidate)."""
+        one = frame.size == 1
+        dependent = not variables.isdisjoint(frame.columns)
+        if plan is not None and (one or not dependent):
+            kept = plan.filter(doc, index, result if one else list(result),
+                               step.axis, step.test, frame.env_at(0)
+                               if dependent else frame.env)
+            if kept is not None:  # None: a value type probes can't take
+                return kept if one else {pre: result[pre] for pre in kept}
+        pairs = ([(pre, 0) for pre in result] if one else
+                 [(pre, row) for pre, rows in result.items() for row in rows])
+        verdicts = self._predicate(predicate, frame,
+                                   [row for _pre, row in pairs],
+                                   [(doc, pre, 1, 1) for pre, _row in pairs])
+        if one:
+            return [pre for pre, verdict in zip(result, verdicts) if verdict]
+        kept: dict[int, list[int]] = {}
+        for (pre, row), verdict in zip(pairs, verdicts):
+            if verdict:
+                kept.setdefault(pre, []).append(row)
+        return kept
+
+    def _positional_step(self, step: Step, doc: Document, index,
+                         tags, frame: _Frame):
+        """A step whose predicates may read the focus position: the
+        candidates of each (row, context) in the order the axis numbers
+        them — one scan for an axis where a candidate has one context,
+        one per context otherwise — and each predicate lifted over all
+        groups at once, positions counted per group."""
+        axis, test = step.axis, step.test
+        one = frame.size == 1
+        by_context: dict[int, list[int]] = {}
+        if axis in _GROUPED_AXES:
+            parents = doc.parents
+            for pre in index.axis_scan(axis, test,
+                                       tags if one else list(tags)):
+                by_context.setdefault(pre if axis == "self" else parents[pre],
+                                      []).append(pre)
         else:
-            raise _Unliftable("axis", static=True)
-        weight = sum(map(len, result.values()))
-        env.counter.nodes_visited += weight
-        if step.predicates and result:
-            if plans is None and weight != len(result):
-                # A positional predicate's ticks are per context; two
-                # iterations sharing one would each owe them.
-                raise _Unliftable("shared-context")
-            kept = self._filter_candidates(step, doc, index, list(result),
-                                           env)
-            if kept is None:
-                raise _Unliftable("predicate-bailed")
-            result = {pre: result[pre] for pre in kept}
-        return result
+            reverse = axis in _REVERSE_ORDER_AXES
+            for context in tags:
+                found = index.axis_scan(axis, test, (context,))
+                if found:
+                    by_context[context] = list(reversed(found) if reverse
+                                               else found)
+        groups = [(row, candidates)
+                  for context, candidates in by_context.items()
+                  for row in (_ROW_ZERO if one else tags[context])]
+        frame.env.counter.nodes_visited += sum(
+            len(candidates) for _row, candidates in groups)
+        for predicate in step.predicates:
+            if not groups:  # no candidate left: nothing is evaluated
+                break
+            count = sum(len(candidates) for _row, candidates in groups)
+            traits = self._traits(predicate)
+            if not (traits.fresh or traits.focus) \
+                    and traits.free.isdisjoint(frame.columns):
+                # One value for every candidate (``[2]``): it keeps a
+                # position, or all or none of each group.
+                value = self._once(predicate, frame._replace(size=count))
+                groups = [(row, kept) for row, candidates in groups
+                          if (kept := _keep(candidates, value))]
+                continue
+            owners = [row for row, candidates in groups for _pre in candidates]
+            focus = [(doc, pre, position, len(candidates))
+                     for _row, candidates in groups
+                     for position, pre in enumerate(candidates, start=1)]
+            verdicts = iter(self._predicate(predicate, frame, owners, focus))
+            groups = [(row, kept) for row, candidates in groups
+                      if (kept := [pre for pre in candidates
+                                   if next(verdicts)])]
+        if one:  # a candidate of several contexts is in each group
+            kept = [pre for _row, candidates in groups for pre in candidates]
+            return sorted(kept if axis in _GROUPED_AXES else set(kept))
+        result: dict[int, set[int]] = {}
+        for row, candidates in groups:
+            for pre in candidates:
+                result.setdefault(pre, set()).add(row)
+        return {pre: sorted(result[pre]) for pre in sorted(result)}
+
+    def _predicate(self, predicate: Expr, frame: _Frame, owners: list[int],
+                   focus: list) -> list[bool]:
+        """A predicate as a loop over its candidates: a row per
+        candidate (of row ``owners[i]``), the candidate its focus; a
+        number keeps the candidate at that position, any other value
+        by its effective boolean value."""
+        values = self._each(predicate, frame.expand(owners, {}, focus))
+        return [value[0] == position if _is_number(value)
+                else effective_boolean_value(value)
+                for value, (_doc, _pre, position, _size)
+                in zip(values, focus)]
 
     # -- operators -------------------------------------------------------------
 
     def _apply_ComparisonExpr(self, expr: ComparisonExpr,
-                              env: DynamicContext, values: list) -> list:
+                              env: DynamicContext, values) -> list:
         left, right = values
         if expr.is_node_comparison:
             if not left or not right:
@@ -738,15 +966,8 @@ class Evaluator:
             return [node_after(left[0], right[0])]
         return [general_compare(expr.op, left, right)]
 
-    def _eval_LogicalExpr(self, expr: LogicalExpr,
-                          env: DynamicContext) -> list:
-        decided = expr.op == "or"  # the left verdict that settles it
-        if effective_boolean_value(self.evaluate(expr.left, env)) is decided:
-            return [decided]
-        return [effective_boolean_value(self.evaluate(expr.right, env))]
-
     def _apply_ArithmeticExpr(self, expr: ArithmeticExpr,
-                              env: DynamicContext, values: list) -> list:
+                              env: DynamicContext, values) -> list:
         left, right = atomize(values[0]), atomize(values[1])
         if not left or not right:
             return []
@@ -783,7 +1004,7 @@ class Evaluator:
         return [result]
 
     def _apply_UnaryExpr(self, expr: UnaryExpr, env: DynamicContext,
-                         values: list) -> list:
+                         values) -> list:
         operand = atomize(values[0])
         if not operand:
             return []
@@ -796,7 +1017,7 @@ class Evaluator:
         return [result]
 
     def _apply_RangeExpr(self, expr: RangeExpr, env: DynamicContext,
-                         values: list) -> list:
+                         values) -> list:
         start, end = atomize(values[0]), atomize(values[1])
         if not start or not end:
             return []
@@ -807,7 +1028,7 @@ class Evaluator:
         return list(range(lo, hi + 1))
 
     def _apply_NodeSetExpr(self, expr: NodeSetExpr, env: DynamicContext,
-                           values: list) -> list:
+                           values) -> list:
         left = xdm.require_nodes(values[0], expr.op)
         right = xdm.require_nodes(values[1], expr.op)
         right_keys = {(id(n.doc), n.pre) for n in right}
@@ -819,147 +1040,9 @@ class Evaluator:
         return sort_document_order(
             [n for n in left if (id(n.doc), n.pre) not in right_keys])
 
-    # -- paths ---------------------------------------------------------------------
-
-    def _path_plan(self, expr: PathExpr) -> list[Step]:
-        """The steps as they run (``//T`` pairs collapsed)."""
-        return _collapse_steps(expr.steps, lambda step: self._plan(
-            step, self._step_plan)[0] is not None)
-
-    def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
-        context = self.evaluate(expr.input, env)
-        steps = self._plan(expr, self._path_plan)
-        xdm.require_nodes(context,
-                          f"axis step {steps[0].axis}::{steps[0].test}")
-        groups = group_by_document(context)
-        for step in steps:
-            groups = self._apply_step_groups(step, groups, env)
-        return group_nodes(groups)
-
-    def _apply_step_groups(self, step: Step, groups: Groups,
-                           env: DynamicContext) -> Groups:
-        """One set-at-a-time step over per-document sorted pre arrays.
-
-        Every axis runs on the structural index and comes out in
-        document order, so no post-step sort happens.
-        """
-        if not step.predicates:
-            out = scan_groups(step.axis, step.test, groups)
-            env.counter.nodes_visited += sum(len(pres) for _doc, pres in out)
-            return out
-        plans = self._plan(step, self._step_plan)[0]
-        out = []
-        for doc, pres in groups:
-            index = structural_index(doc)
-            kept = None
-            if plans is not None or step.axis in _GROUPED_AXES:
-                candidates = index.axis_scan(step.axis, step.test, pres)
-                env.counter.nodes_visited += len(candidates)
-                kept = self._filter_candidates(step, doc, index,
-                                               candidates, env)
-            if kept is None:
-                kept = self._filter_per_context(step, doc, index, pres, env)
-            if kept:
-                out.append((doc, kept))
-        return out
-
-    def _step_plan(self, step: Step) -> tuple:
-        """``(plans, slices, variables)`` for a predicated step:
-        compiled plans for every predicate, or None when any must keep
-        per-context semantics — all-or-nothing, since a later
-        positional predicate filters the candidate list an earlier one
-        produced *per context* — and then, per predicate, the slice a
-        positional shape takes of its group (None: evaluate it); plus
-        the variables the predicates read."""
-        plans = [compile_predicate(predicate)
-                 for predicate in step.predicates]
-        variables = frozenset().union(
-            *(free_variables(predicate) for predicate in step.predicates))
-        if None not in plans:
-            return plans, None, variables
-        shadowed = bool(self._functions.keys()
-                        & {("position", 0), ("last", 0)})
-        return None, [None if shadowed else positional_slice(predicate)
-                      for predicate in step.predicates], variables
-
-    def _filter_candidates(self, step: Step, doc: Document, index,
-                           candidates, env: DynamicContext):
-        """The step's predicates over one scan's candidates (all
-        contexts at once). Compiled plans are position-free, so
-        filtering the union equals the per-context definition; None
-        when a plan bails at runtime (probe value types the index
-        can't answer). Uncompiled predicates — on an axis where each
-        candidate has one context — run per context group: candidates
-        in axis order, a positional shape as a slice charged the ticks
-        its evaluation per candidate would have cost, anything else
-        evaluated with ``(rank in group, group size)``."""
-        plans, slices, _variables = self._plan(step, self._step_plan)
-        if plans is not None:
-            kept = candidates
-            for plan in plans:
-                if not kept:
-                    break
-                kept = plan.filter(doc, index, kept, step.axis, step.test,
-                                   env)
-                if kept is None:
-                    return None
-            return kept
-        parents = doc.parents
-        groups: dict[int, list[int]] = {}
-        for pre in candidates:
-            groups.setdefault(pre if step.axis == "self" else parents[pre],
-                              []).append(pre)
-        kept = []
-        for _context, group in sorted(groups.items()):
-            for predicate, shape in zip(step.predicates, slices):
-                if not group:
-                    break
-                if shape is None:
-                    group = [node.pre for node in self._filter_predicate(
-                        predicate, [Node(doc, pre) for pre in group], env)]
-                else:
-                    env.counter.ticks += shape[2] * len(group)
-                    group = take_slice(group, shape)
-            kept.extend(group)
-        kept.sort()
-        return kept
-
-    def _filter_per_context(self, step: Step, doc: Document, index,
-                            pres, env: DynamicContext) -> list[int]:
-        """Predicates with per-context semantics on an axis where a
-        candidate may have several contexts: candidates are produced
-        one context node at a time, in the order the axis numbers
-        them; the kept pres are merged and re-sorted."""
-        reverse = step.axis in _REVERSE_ORDER_AXES
-        kept: set[int] = set()
-        single = [0]
-        for context_pre in pres:
-            single[0] = context_pre
-            candidate_pres = index.axis_scan(step.axis, step.test, single)
-            env.counter.nodes_visited += len(candidate_pres)
-            candidates = [Node(doc, pre) for pre in
-                          (reversed(candidate_pres) if reverse
-                           else candidate_pres)]
-            for predicate in step.predicates:
-                candidates = self._filter_predicate(predicate, candidates,
-                                                    env)
-            kept.update(node.pre for node in candidates)
-        return sorted(kept)
-
-    def _filter_predicate(self, predicate: Expr, candidates: list,
-                          env: DynamicContext) -> list:
-        size = len(candidates)
-        kept = []
-        for position, item in enumerate(candidates, start=1):
-            pred_env = env.with_context(item, position, size)
-            value = self.evaluate(predicate, pred_env)
-            if len(value) == 1 and isinstance(value[0], (int, float)) \
-                    and not isinstance(value[0], bool):
-                if value[0] == position:
-                    kept.append(item)
-            elif effective_boolean_value(value):
-                kept.append(item)
-        return kept
+    def _apply_SequenceExpr(self, expr: SequenceExpr, env: DynamicContext,
+                            values) -> list:
+        return list(_chain.from_iterable(values))
 
     # -- constructors -----------------------------------------------------------------
 
@@ -978,7 +1061,7 @@ class Evaluator:
                 if operand is not None], False
 
     def _apply_ConstructorExpr(self, expr: ConstructorExpr,
-                               env: DynamicContext, values: list) -> list:
+                               env: DynamicContext, values) -> list:
         operands = iter(values)
         content = [] if expr.content is None else next(operands)
         name = expr.name
@@ -1008,21 +1091,25 @@ class Evaluator:
         builder.end_element()
         return [builder.finish().root]
 
-    # -- functions and XRPC ----------------------------------------------------------------
+    # -- XRPC ---------------------------------------------------------------------------
 
-    def _apply_FunCall(self, expr: FunCall, env: DynamicContext,
-                       values: list) -> list:
-        return self.call_function(expr.name, len(values), values, env)
-
-    def _eval_XRPCExpr(self, expr: XRPCExpr, env: DynamicContext) -> list:
-        dest_seq = self.evaluate(expr.dest, env)
-        if len(dest_seq) != 1:
-            raise XQueryDynamicError("execute at destination must be a "
-                                     "single URI")
-        dest = xdm.string_value(dest_seq[0])
-        params = [(param.name, self.evaluate(param.value, env))
-                  for param in expr.params]
-        return env.xrpc_execute(dest, params, expr.body, env.binding)
+    def _lift_XRPCExpr(self, expr: XRPCExpr, frame: _Frame) -> list[list]:
+        """One remote call per row (a frame of several rows holds no
+        remote call: every construct that makes one runs what may send
+        a message row by row, or ships it as one Bulk RPC)."""
+        dests = self._lift(expr.dest, frame)
+        params = [self._lift(param.value, frame) for param in expr.params]
+        out = []
+        for row, dest_seq in enumerate(dests):
+            if len(dest_seq) != 1:
+                raise XQueryDynamicError("execute at destination must be a "
+                                         "single URI")
+            out.append(frame.env.xrpc_execute(
+                xdm.string_value(dest_seq[0]),
+                [(param.name, values[row])
+                 for param, values in zip(expr.params, params)],
+                expr.body, frame.env.binding))
+        return out
 
 
 def evaluate_module(module: Module, env: DynamicContext,
@@ -1036,6 +1123,55 @@ def evaluate_module(module: Module, env: DynamicContext,
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value: list) -> bool:
+    return len(value) == 1 and isinstance(value[0], (int, float)) \
+        and not isinstance(value[0], bool)
+
+
+def _keep(candidates: list[int], value: list) -> list[int]:
+    """The candidates of one context group a predicate whose value is
+    ``value`` for each of them keeps."""
+    if _is_number(value):
+        position = value[0]
+        return candidates[int(position) - 1:int(position)] \
+            if 1 <= position <= len(candidates) \
+            and position == int(position) else []
+    return candidates if effective_boolean_value(value) else []
+
+
+def _tag_rows(contexts: list[list], step: Step) -> list[tuple]:
+    """The contexts of every row per document, documents in document
+    order: ``(doc, tags)`` with ``tags`` ascending context pre → the
+    rows holding it — or, for one row, the ascending pres."""
+    label = f"axis step {step.axis}::{step.test}"
+    if len(contexts) == 1:
+        try:
+            return group_by_document(contexts[0])
+        except AttributeError:  # an item with no document: not a node
+            xdm.require_nodes(contexts[0], label)
+            raise
+    by_doc: dict[int, tuple[Document, dict[int, list[int]]]] = {}
+    for row, items in enumerate(contexts):
+        for item in items:
+            if not isinstance(item, Node):
+                xdm.require_nodes(items, label)
+            entry = by_doc.get(id(item.doc))
+            if entry is None:
+                entry = by_doc[id(item.doc)] = (item.doc, {})
+            rows = entry[1].get(item.pre)
+            if rows is None:
+                entry[1][item.pre] = [row]
+            elif rows[-1] != row:
+                rows.append(row)
+    return [(doc, dict(sorted(tags.items()))) for doc, tags in sorted(
+        by_doc.values(), key=lambda entry: entry[0].doc_seq)]
+
+
+def _with_focus(env: DynamicContext, focus: tuple) -> DynamicContext:
+    doc, pre, position, size = focus
+    return env.with_context(Node(doc, pre), position, size)
+
+
 def _call_operands(xrpc: XRPCExpr) -> list[Expr]:
     return [xrpc.dest] + [param.value for param in xrpc.params]
 
@@ -1043,7 +1179,7 @@ def _call_operands(xrpc: XRPCExpr) -> list[Expr]:
 def _count_fallback(reason: str) -> None:
     GLOBAL_REGISTRY.counter(
         "evaluator_loop_fallbacks_total",
-        "binding loops (or loops nested in a lifted body) run per binding",
+        "binding loops run per binding (whatever may send a message)",
         ("reason",)).labels(reason).inc()
 
 
@@ -1093,21 +1229,25 @@ def order_key(key_seq: list):
     return _NAN_KEY if atoms[0] != atoms[0] else atoms[0]
 
 
-def _order_rows(keys: list, specs: list) -> list[int]:
-    """The iterations of an ``order by`` in sorted order; ``keys`` is
-    one column of :func:`order_key` values per spec. A column of plain
-    strings, or of numbers, sorts on the keys themselves — one stable
-    pass per spec, last spec first; any other mix compares through
+def _order_rows(keys: list, specs: list, owners: list[int]) -> list[int]:
+    """The rows of an ``order by`` in sorted order, each enclosing
+    row's (``owners``) bindings together; ``keys`` is one column of
+    :func:`order_key` values per spec. A column of plain strings, or
+    of numbers, sorts on the keys themselves — one stable pass per
+    spec, last spec first; any other mix compares through
     :class:`_OrderKey`."""
-    order = list(range(len(keys[0]) if keys else 0))
+    order = list(range(len(owners)))
     if not all(all(isinstance(key, str) for key in column)
                or all(type(key) is int or type(key) is float
                       for key in column) for column in keys):
-        return sorted(order, key=lambda row: _OrderKey(
+        order.sort(key=lambda row: _OrderKey(
             [(column[row], spec.ascending)
              for column, spec in zip(keys, specs)], row))
-    for column, spec in zip(reversed(keys), reversed(specs)):
-        order.sort(key=column.__getitem__, reverse=not spec.ascending)
+    else:
+        for column, spec in zip(reversed(keys), reversed(specs)):
+            order.sort(key=column.__getitem__, reverse=not spec.ascending)
+    if owners and owners[0] != owners[-1]:
+        order.sort(key=owners.__getitem__)
     return order
 
 

@@ -37,11 +37,21 @@ BUILTINS: dict[tuple[str, int], BuiltinImpl] = {}
 #: The built-ins of Problem 5 Classes 3-4 (paper Condition iv).
 NON_DESCENDANT_FUNCTIONS = frozenset({"root", "id", "idref"})
 
+#: (name, arity) of the built-ins that read the focus (context item,
+#: position, size): the evaluator hands each row its own. Populated by
+#: :func:`_register`'s ``focus``.
+FOCUS_FUNCTIONS: set[tuple[str, int]] = set()
 
-def _register(name: str, *arities: int):
+
+def _register(name: str, *arities: int, focus: int | None = None):
+    """Register the decorated built-in under ``name`` at each arity;
+    ``focus`` is the arity at which it reads the focus instead of an
+    argument."""
     def decorator(fn: BuiltinImpl) -> BuiltinImpl:
         for arity in arities:
             BUILTINS[(name, arity)] = fn
+        if focus is not None:
+            FOCUS_FUNCTIONS.add((name, focus))
         return fn
     return decorator
 
@@ -92,7 +102,7 @@ def fn_root(evaluator, env, node_seq):
     return [_single_node(node_seq, "fn:root").root()]
 
 
-@_register("id", 1, 2)
+@_register("id", 1, 2, focus=1)
 def fn_id(evaluator, env, values, node_seq=None):
     if node_seq is None:
         node = env.context_item
@@ -109,7 +119,7 @@ def fn_id(evaluator, env, values, node_seq=None):
     return sort_document_order(out)
 
 
-@_register("idref", 1, 2)
+@_register("idref", 1, 2, focus=1)
 def fn_idref(evaluator, env, values, node_seq=None):
     if node_seq is None:
         node = env.context_item
@@ -297,7 +307,7 @@ def fn_deep_equal(evaluator, env, left, right):
 # ---------------------------------------------------------------------------
 
 
-@_register("string", 0, 1)
+@_register("string", 0, 1, focus=0)
 def fn_string(evaluator, env, seq=None):
     if seq is None:
         item = env.context_item
@@ -316,7 +326,7 @@ def fn_data(evaluator, env, seq):
     return atomize(seq)
 
 
-@_register("number", 0, 1)
+@_register("number", 0, 1, focus=0)
 def fn_number(evaluator, env, seq=None):
     if seq is None:
         item = env.context_item
@@ -345,7 +355,7 @@ def fn_string_join(evaluator, env, seq, sep_seq):
     return [separator.join(string_value(item) for item in atomize(seq))]
 
 
-@_register("string-length", 0, 1)
+@_register("string-length", 0, 1, focus=0)
 def fn_string_length(evaluator, env, seq=None):
     text = fn_string(evaluator, env, seq)[0]
     return [len(text)]
@@ -400,7 +410,7 @@ def fn_substring_after(evaluator, env, source, sep):
     return [text[index + len(needle):] if index >= 0 else ""]
 
 
-@_register("normalize-space", 0, 1)
+@_register("normalize-space", 0, 1, focus=0)
 def fn_normalize_space(evaluator, env, seq=None):
     text = fn_string(evaluator, env, seq)[0]
     return [" ".join(text.split())]
@@ -506,7 +516,7 @@ def fn_round(evaluator, env, seq):
 # ---------------------------------------------------------------------------
 
 
-@_register("local-name", 0, 1)
+@_register("local-name", 0, 1, focus=0)
 def fn_local_name(evaluator, env, seq=None):
     node = _context_or_single(env, seq, "fn:local-name")
     if node is None:
@@ -517,7 +527,7 @@ def fn_local_name(evaluator, env, seq=None):
     return [name]
 
 
-@_register("name", 0, 1)
+@_register("name", 0, 1, focus=0)
 def fn_name(evaluator, env, seq=None):
     node = _context_or_single(env, seq, "fn:name")
     if node is None:
@@ -541,14 +551,14 @@ def _context_or_single(env, seq, who: str) -> Node | None:
 # ---------------------------------------------------------------------------
 
 
-@_register("position", 0)
+@_register("position", 0, focus=0)
 def fn_position(evaluator, env):
     if not env.context_position:
         raise XQueryDynamicError("fn:position: no context")
     return [env.context_position]
 
 
-@_register("last", 0)
+@_register("last", 0, focus=0)
 def fn_last(evaluator, env):
     if not env.context_size:
         raise XQueryDynamicError("fn:last: no context")

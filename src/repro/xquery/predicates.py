@@ -1,36 +1,29 @@
-"""Predicate compilation: recognising comparison shapes once per query.
+"""Predicates: which need their position, and which an index answers.
 
-Evaluated as written, a predicate re-walks its AST for every candidate
-node — ``//person[child::age < 40]`` costs one full recursive
-evaluation per person. This module lowers recognised predicate shapes
-*once* (the compiled plan is cached per ``Step`` by the evaluator) into
-one of two forms:
+A predicate is a loop over its candidates: the evaluator lifts it over
+a frame with one row per candidate, the candidate its focus (see
+:mod:`repro.xquery.evaluator`). This module decides, once per
+``Step``, how much of that loop is needed:
 
-* an :class:`IndexPlan` — a conjunction of value-index probes
-  (``child::T op literal``, ``@a op literal``, ``. op literal``,
-  bare existence tests, and ``$var`` right-hand sides resolved at
-  filter time), applied **set-at-a-time**: one
+* :func:`position_free` — a predicate whose value is a boolean (or a
+  node sequence) and which reads no ``position()`` / ``last()`` keeps a
+  candidate whatever its position, so it filters the union of every
+  context's candidates in one pass (and ``//T[p]`` may run as one
+  ``descendant::T[p]`` scan); any other predicate is lifted over each
+  context's candidates in axis order;
+* :class:`IndexPlan` — a position-free conjunction of value-index
+  probes (``child::T op literal``, ``@a op literal``, ``. op
+  literal``, bare existence tests, and ``$var`` right-hand sides
+  resolved at filter time), applied **set-at-a-time**: one
   :class:`~repro.xmldb.values.ValueIndex` range scan per probe,
   intersected with the step's candidate pre array through the parent
-  pointers / subtree intervals — no per-candidate work at all;
-* a :class:`ClosurePlan` — residual general predicates (multi-step
-  relative paths over any axis, ``or``,
-  ``not()``/``exists()``/``empty()``) compiled into one Python closure
-  per predicate evaluated per candidate: relative paths are chains of
-  :meth:`~repro.xmldb.index.StructuralIndex.axis_scan` calls — no AST
-  re-dispatch, no per-node dynamic context construction.
+  pointers / subtree intervals — no per-candidate work at all.
 
-Positional predicates (numeric values, ``position()``/``last()``) and
-anything else unrecognised compile to ``None`` and keep per-context
-semantics; :func:`positional_slice` recognises the ones that are a
-slice of each context's candidate group.
-
-Compiled comparisons cannot raise type errors the per-context path
-would not: node-derived operands are untyped atomics, which pair with
-every atom type general comparison accepts (see
-``xdm._comparable_pair``), and probe values of unsupported types
-(booleans) make the plan bail to the per-context path at filter time
-instead of guessing.
+Probe plans cannot raise type errors the per-candidate loop would not:
+node-derived operands are untyped atomics, which pair with every atom
+type general comparison accepts (see ``xdm._comparable_pair``), and
+probe values of unsupported types (booleans) make the plan bail to the
+loop at filter time instead of guessing.
 
 The recognisers at the bottom (:func:`conjunction_members`,
 :func:`literal_probe`, :func:`EqualityMatcher`) are shared with the
@@ -42,18 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isnan
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.xmldb import kernels
 from repro.xmldb.node import NodeKind
-from repro.xmldb.values import coerce_number, node_string, value_index
+from repro.xmldb.values import coerce_number, value_index
 from repro.xquery.ast import (
     LITERALS, ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal,
-    LiteralSlot, LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef,
+    LiteralSlot, LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
 )
-from repro.xquery.xdm import (
-    COMPARATORS, UntypedAtomic, atomize, general_compare,
-)
+from repro.xquery.xdm import UntypedAtomic, atomize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
@@ -71,9 +62,10 @@ _PROBE_AXES = frozenset({"self", "child", "attribute", "descendant"})
 #: Step axes whose name test may select elements *and* attributes.
 _EITHER_KIND_AXES = frozenset({"self", "ancestor-or-self"})
 
-_NOT_NAMES = frozenset({"not", "fn:not"})
-_EXISTS_NAMES = frozenset({"exists", "fn:exists"})
-_EMPTY_NAMES = frozenset({"empty", "fn:empty"})
+#: Built-ins whose value is a boolean.
+_BOOLEAN_CALLS = frozenset({"not", "exists", "empty", "boolean", "true",
+                            "false", "contains", "starts-with",
+                            "ends-with", "deep-equal"})
 
 
 def _is_name_test(test: str) -> bool:
@@ -131,7 +123,7 @@ class IndexPlan:
                pres: list[int], step_axis: str, step_test: str,
                env: "DynamicContext") -> list[int] | None:
         """Candidate pres surviving every probe; None to signal the
-        caller to fall back to the per-context path (unsupported
+        caller to loop over the candidates instead (unsupported
         runtime value types, un-keyable self probes)."""
         vindex = value_index(doc)
         kept = pres
@@ -160,27 +152,8 @@ class IndexPlan:
             return vindex.probe(
                 key, probe.op, probe.literal if probe.slot is None
                 else env.binding.literals[probe.slot])
-        atoms = atomize(env.lookup(probe.var))
-        if not atoms:
-            return []
-        union: set[int] | None = None
-        single: list[int] | None = None
-        for atom in atoms:
-            value: object = str(atom) if isinstance(atom, UntypedAtomic) \
-                else atom
-            matched = vindex.probe(key, probe.op, value)
-            if matched is None:
-                return None
-            if single is None and union is None:
-                single = matched
-            else:
-                if union is None:
-                    union = set(single or ())
-                    single = None
-                union.update(matched)
-        if union is not None:
-            return sorted(union)
-        return single if single is not None else []
+        return probe_atoms(vindex, key, probe.op,
+                           atomize(env.lookup(probe.var)))
 
 
 def _intersect(axis: str, doc: "Document", candidates: Sequence[int],
@@ -205,71 +178,6 @@ def _intersect(axis: str, doc: "Document", candidates: Sequence[int],
         if kernels.any_in_interval(matched, pre, pre + sizes[pre]))
 
 
-# ---------------------------------------------------------------------------
-# Closure plans (residual general predicates)
-# ---------------------------------------------------------------------------
-
-
-class _ClosureCtx:
-    """Per-filter-call state shared by a closure's evaluations: the
-    document arrays and the predicate's variable bindings, atomized
-    once for the whole candidate set instead of per node."""
-
-    __slots__ = ("doc", "sindex", "bindings")
-
-    def __init__(self, doc: "Document", sindex: "StructuralIndex",
-                 bindings: dict[str | int, list]):
-        self.doc = doc
-        self.sindex = sindex
-        self.bindings = bindings
-
-
-class ClosurePlan:
-    """One compiled boolean closure, applied per candidate node."""
-
-    __slots__ = ("fn", "var_names")
-
-    def __init__(self, fn: Callable[[_ClosureCtx, int], bool],
-                 var_names: tuple[str, ...]):
-        self.fn = fn
-        self.var_names = var_names
-
-    def filter(self, doc: "Document", sindex: "StructuralIndex",
-               pres: list[int], step_axis: str, step_test: str,
-               env: "DynamicContext") -> list[int]:
-        # A slot's index stands beside the names: one more operand
-        # that is the same for every candidate.
-        bindings = {name: [env.binding.literals[name]]
-                    if isinstance(name, int) else atomize(env.lookup(name))
-                    for name in self.var_names}
-        ctx = _ClosureCtx(doc, sindex, bindings)
-        fn = self.fn
-        return [pre for pre in pres if fn(ctx, pre)]
-
-
-def _atoms_of_pres(ctx: _ClosureCtx, pres: Sequence[int]) -> list:
-    doc = ctx.doc
-    return [UntypedAtomic(node_string(doc, pre)) for pre in pres]
-
-
-def _compile_getter(expr: Expr):
-    """Compile a comparison operand into ``fn(ctx, pre) -> list`` of
-    atoms, plus the variable names it reads; None when unsupported."""
-    if isinstance(expr, Literal):
-        const = [expr.value]
-        return (lambda ctx, pre: const), ()
-    if isinstance(expr, (VarRef, LiteralSlot)):
-        name = expr.name if isinstance(expr, VarRef) else expr.index
-        return (lambda ctx, pre: ctx.bindings[name]), (name,)
-    if isinstance(expr, ContextItemExpr):
-        return (lambda ctx, pre: _atoms_of_pres(ctx, (pre,))), ()
-    steps = _relative_steps(expr)
-    if steps is None:
-        return None
-    walker = _steps_walker(steps)
-    return (lambda ctx, pre: _atoms_of_pres(ctx, walker(ctx, pre))), ()
-
-
 def _relative_steps(expr: Expr, axes: frozenset[str] | None = None
                     ) -> tuple[tuple[str, str], ...] | None:
     """``(axis, test)`` chain of a predicate-free relative path rooted
@@ -286,129 +194,51 @@ def _relative_steps(expr: Expr, axes: frozenset[str] | None = None
     return tuple(out)
 
 
-def _compile_boolean(expr: Expr):
-    """Compile a predicate into ``fn(ctx, pre) -> bool`` plus its
-    variable names; None when the shape is unsupported."""
-    if isinstance(expr, LogicalExpr):
-        left = _compile_boolean(expr.left)
-        right = _compile_boolean(expr.right)
-        if left is None or right is None:
-            return None
-        lfn, lvars = left
-        rfn, rvars = right
-        if expr.op == "and":
-            return (lambda ctx, pre: lfn(ctx, pre) and rfn(ctx, pre)), \
-                lvars + rvars
-        return (lambda ctx, pre: lfn(ctx, pre) or rfn(ctx, pre)), \
-            lvars + rvars
-    if isinstance(expr, ComparisonExpr):
-        if expr.op not in VALUE_COMPARISONS:
-            return None
-        left = _compile_getter(expr.left)
-        right = _compile_getter(expr.right)
-        if left is None or right is None:
-            return None
-        lfn, lvars = left
-        rfn, rvars = right
-        op = expr.op
-        return (lambda ctx, pre: general_compare(
-            op, lfn(ctx, pre), rfn(ctx, pre))), lvars + rvars
-    if isinstance(expr, FunCall) and len(expr.args) == 1:
-        if expr.name in _NOT_NAMES:
-            inner = _compile_boolean(expr.args[0])
-            if inner is None:
-                return None
-            ifn, ivars = inner
-            return (lambda ctx, pre: not ifn(ctx, pre)), ivars
-        if expr.name in _EXISTS_NAMES or expr.name in _EMPTY_NAMES:
-            steps = _relative_steps(expr.args[0])
-            if steps is None:
-                return None
-            want_empty = expr.name in _EMPTY_NAMES
-            walker = _steps_walker(steps)
-            return (lambda ctx, pre:
-                    bool(walker(ctx, pre)) != want_empty), ()
-    steps = _relative_steps(expr)
-    if steps is not None:
-        # Bare path predicate: effective boolean value = non-empty.
-        walker = _steps_walker(steps)
-        return (lambda ctx, pre: bool(walker(ctx, pre))), ()
-    return None
-
-
-def _steps_walker(steps: tuple[tuple[str, str], ...]):
-    def walk(ctx: _ClosureCtx, pre: int) -> Sequence[int]:
-        pres: Sequence[int] = (pre,)
-        for axis, test in steps:
-            pres = ctx.sindex.axis_scan(axis, test, pres)
-            if not pres:
-                return ()
-        return pres
-    return walk
-
-
 # ---------------------------------------------------------------------------
-# Predicate compilation entry point
+# Predicate compilation entry points
 # ---------------------------------------------------------------------------
 
 
-def compile_predicate(expr: Expr) -> IndexPlan | ClosurePlan | None:
-    """The compiled plan for one predicate, or None to keep the
-    per-context evaluation (positional or unrecognised predicates).
+def compile_predicate(expr: Expr) -> IndexPlan | None:
+    """The probe plan of an index-answerable predicate, or None (the
+    evaluator lifts it over the step's candidates).
 
     Plans are position-free by construction: applying them to the
     union of all context nodes' candidates is equivalent to the
-    per-context definition, which is what lets the evaluator run
-    predicated steps set-at-a-time.
+    per-context definition.
     """
     probes = _index_probes(expr)
-    if probes is not None:
-        return IndexPlan(tuple(probes))
-    compiled = _compile_boolean(expr)
-    if compiled is not None:
-        fn, var_names = compiled
-        return ClosurePlan(fn, tuple(dict.fromkeys(var_names)))
-    return None
+    return None if probes is None else IndexPlan(tuple(probes))
 
 
-def positional_slice(expr: Expr) -> tuple[str, object, int] | None:
-    """``(op, k, ticks)`` of a positional predicate that is a slice of
-    its context group — ``[k]``, ``[last()]``, ``[position() op k]``
-    (either operand order) — or None. ``ticks`` is what evaluating the
-    predicate for one candidate costs: one per AST node, all of which
-    such a shape always evaluates."""
-    if isinstance(expr, Literal):
-        return ("=", expr.value, 1) if _is_number(expr.value) else None
-    if isinstance(expr, FunCall):
-        return ("last", None, 1) if (expr.name, expr.args) == ("last", []) \
-            else None
-    if isinstance(expr, ComparisonExpr) and expr.op in VALUE_COMPARISONS:
-        for call, other, op in ((expr.left, expr.right, expr.op),
-                                (expr.right, expr.left,
-                                 FLIPPED_OPS[expr.op])):
-            if isinstance(call, FunCall) and isinstance(other, Literal) \
-                    and (call.name, call.args) == ("position", []) \
-                    and _is_number(other.value):
-                return (op, other.value, 3)
-    return None
+def focus_nodes(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and the sub-expressions evaluated with its focus: not
+    step predicates (each has its own) nor an XRPC body (evaluated at
+    the peer)."""
+    yield expr
+    if isinstance(expr, PathExpr):
+        children = [expr.input]
+    elif isinstance(expr, XRPCExpr):
+        children = [expr.dest] + [param.value for param in expr.params]
+    else:
+        children = expr.child_exprs()
+    for child in children:
+        yield from focus_nodes(child)
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def take_slice(group: list[int], shape: tuple[str, object, int]) -> list[int]:
-    """The candidates of one context group (in axis order) a
-    :func:`positional_slice` shape keeps."""
-    op, k, _ticks = shape
-    if op == "last":
-        return group[-1:]
-    if op == "=":  # NaN and the infinities fail the range test
-        return group[int(k) - 1:int(k)] \
-            if 1 <= k <= len(group) and k == int(k) else []
-    compare = COMPARATORS[op]
-    return [pre for position, pre in enumerate(group, start=1)
-            if compare(position, k)]
+def position_free(expr: Expr) -> bool:
+    """True when a predicate keeps a candidate by a boolean (or a node
+    sequence) that cannot depend on the candidate's position: no
+    ``position()`` / ``last()`` read with this focus. Filtering the
+    union of every context's candidates then is the per-context
+    definition — one pass for all contexts, and ``//T[p]`` may run as
+    ``descendant::T[p]``."""
+    if not (isinstance(expr, (ComparisonExpr, LogicalExpr, PathExpr))
+            or isinstance(expr, FunCall) and expr.name in _BOOLEAN_CALLS):
+        return False
+    return not any(isinstance(node, FunCall) and not node.args
+                   and node.name in ("position", "last")
+                   for node in focus_nodes(expr))
 
 
 def _index_probes(expr: Expr) -> list[Probe] | None:
@@ -732,6 +562,6 @@ def _anchored_path_key(expr: Expr, var: str | None,
 
 
 __all__ = [
-    "ClosurePlan", "EqualityMatcher", "IndexPlan", "Probe",
-    "compile_predicate", "conjunction_members", "literal_probe",
+    "EqualityMatcher", "IndexPlan", "Probe", "compile_predicate",
+    "conjunction_members", "literal_probe", "position_free",
 ]

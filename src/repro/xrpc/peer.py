@@ -54,16 +54,9 @@ class RequestHandler:
 
         calls = unmarshal_calls(request.calls, request.fragments,
                                 base_uri=f"xrpc://{self.peer_name}/msg")
-        results: list[list] = []
-        for params in calls:
-            env = DynamicContext(
-                variables={name: value for name, value in params},
-                resolve_doc=self.resolve_doc,
-                xrpc_execute=self.xrpc_execute,
-                counter=self.counter,
-                binding=binding,
-            )
-            results.append(evaluator.evaluate(body, env))
+        results = evaluator.evaluate_calls(body, DynamicContext(
+            resolve_doc=self.resolve_doc, xrpc_execute=self.xrpc_execute,
+            counter=self.counter, binding=binding), calls)
 
         bundle = marshal_result(results, self.semantics,
                                 request.used_paths, request.returned_paths)

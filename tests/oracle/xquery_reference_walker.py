@@ -10,12 +10,13 @@ Three pieces, each moved out of the library unchanged:
   the full :data:`AXES` table, :func:`matches_node_test` and
   :func:`axis_step` (the last two left the library in PR 18, with the
   message decoder that was their only caller);
-* :class:`ReferenceEvaluator` — ``Evaluator(use_index=False)`` as a
-  subclass: every path is one ``axis_step`` generator per context node
-  plus the document-order sort, every predicate is evaluated per
-  candidate, every ``for`` / ``order by`` / ``some`` / ``every`` is
-  the nested loop the library ran until PR 21 (one evaluation of the
-  body per binding);
+* :class:`ReferenceEvaluator` — the scalar interpreter as a subclass:
+  one rule per expression in one dynamic context (the rules the library
+  ran for a top-level expression before every rule became a rule over
+  a frame), every path one ``axis_step`` generator per context node
+  plus the document-order sort, every predicate evaluated per
+  candidate, every ``for`` / ``order by`` / ``some`` / ``every`` the
+  nested loop (one evaluation of the body per binding);
 * :func:`walk_rel_path` — the per-node loop ``RelPath.evaluate`` ran.
 
 Use :func:`reference_engine` to run a whole federation on the oracle:
@@ -31,16 +32,20 @@ from contextlib import contextmanager
 from typing import Callable, Iterator
 from unittest import mock
 
+from repro.errors import XQueryDynamicError
 from repro.xmldb.axes import attribute, child
 from repro.xmldb.compare import sort_document_order
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import xdm
 from repro.xquery.ast import (
-    ForExpr, OrderByExpr, PathExpr, QuantifiedExpr, Step,
+    ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr,
+    Literal, LiteralSlot, LogicalExpr, OrderByExpr, PathExpr,
+    QuantifiedExpr, Step, TypeswitchExpr, VarRef, XRPCExpr,
 )
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import Evaluator, _OrderKey, order_key
+from repro.xquery.evaluator import _STRICT, Evaluator, _OrderKey, order_key
 from repro.xquery.prepared import PreparedTable
+from repro.xquery.types import matches_sequence_type
 from repro.xquery.xdm import effective_boolean_value
 
 AxisFunction = Callable[[Node], Iterator[Node]]
@@ -205,8 +210,106 @@ def axis_step(node: Node, axis: str, test: str) -> Iterator[Node]:
 
 
 class ReferenceEvaluator(Evaluator):
-    """The naive tree-walking pipeline everywhere: no index scans, no
-    compiled predicates, no loop operators."""
+    """The scalar tree-walking interpreter everywhere: one rule per
+    expression evaluated in one dynamic context, no index scans, no
+    compiled predicates, no loop operators. Only the operators that
+    combine evaluated operands (``_apply_*``, ``call_function``) are
+    the library's."""
+
+    # The scalar rules ``xquery/evaluator.py`` ran for a top-level
+    # expression until every rule became a rule over a frame, moved
+    # here unchanged.
+
+    def evaluate(self, expr: Expr, env: DynamicContext) -> list:
+        env.counter.ticks += 1
+        kind = type(expr)
+        if kind in _STRICT:
+            values = [self.evaluate(operand, env)
+                      for operand in self._operands(expr)]
+            return getattr(self, f"_apply_{kind.__name__}")(expr, env, values)
+        method = getattr(self, f"_eval_{kind.__name__}", None)
+        if method is None:
+            raise XQueryDynamicError(
+                f"no evaluation rule for {kind.__name__}")
+        return method(expr, env)
+
+    def _eval_Literal(self, expr: Literal, env: DynamicContext) -> list:
+        return [expr.value]
+
+    def _eval_LiteralSlot(self, expr: LiteralSlot,
+                          env: DynamicContext) -> list:
+        return [env.binding.literals[expr.index]]
+
+    def _eval_EmptySequence(self, expr: EmptySequence,
+                            env: DynamicContext) -> list:
+        return []
+
+    def _eval_VarRef(self, expr: VarRef, env: DynamicContext) -> list:
+        return env.lookup(expr.name)
+
+    def _eval_ContextItemExpr(self, expr: ContextItemExpr,
+                              env: DynamicContext) -> list:
+        if env.context_item is None:
+            raise XQueryDynamicError("context item is undefined")
+        return [env.context_item]
+
+    def _eval_LetExpr(self, expr: LetExpr, env: DynamicContext) -> list:
+        value = self.evaluate(expr.value, env)
+        return self.evaluate(expr.body, env.bind(expr.var, value))
+
+    def _eval_IfExpr(self, expr: IfExpr, env: DynamicContext) -> list:
+        if effective_boolean_value(self.evaluate(expr.cond, env)):
+            return self.evaluate(expr.then_branch, env)
+        return self.evaluate(expr.else_branch, env)
+
+    def _eval_TypeswitchExpr(self, expr: TypeswitchExpr,
+                             env: DynamicContext) -> list:
+        operand = self.evaluate(expr.operand, env)
+        for case in expr.cases:
+            if matches_sequence_type(operand, case.seq_type):
+                case_env = env.bind(case.var, operand) if case.var else env
+                return self.evaluate(case.body, case_env)
+        default_env = (env.bind(expr.default_var, operand)
+                       if expr.default_var else env)
+        return self.evaluate(expr.default_body, default_env)
+
+    def _eval_LogicalExpr(self, expr: LogicalExpr,
+                          env: DynamicContext) -> list:
+        decided = expr.op == "or"  # the left verdict that settles it
+        if effective_boolean_value(self.evaluate(expr.left, env)) is decided:
+            return [decided]
+        return [effective_boolean_value(self.evaluate(expr.right, env))]
+
+    def _eval_FunCall(self, expr: FunCall, env: DynamicContext) -> list:
+        args = [self.evaluate(arg, env) for arg in expr.args]
+        return self.call_function(expr.name, len(args), args, env)
+
+    def _eval_XRPCExpr(self, expr: XRPCExpr, env: DynamicContext) -> list:
+        dest_seq = self.evaluate(expr.dest, env)
+        if len(dest_seq) != 1:
+            raise XQueryDynamicError("execute at destination must be a "
+                                     "single URI")
+        dest = xdm.string_value(dest_seq[0])
+        params = [(param.name, self.evaluate(param.value, env))
+                  for param in expr.params]
+        return env.xrpc_execute(dest, params, expr.body, env.binding)
+
+    def _filter_predicate(self, predicate: Expr, candidates: list,
+                          env: DynamicContext) -> list:
+        size = len(candidates)
+        kept = []
+        for position, item in enumerate(candidates, start=1):
+            pred_env = env.with_context(item, position, size)
+            value = self.evaluate(predicate, pred_env)
+            if len(value) == 1 and isinstance(value[0], (int, float)) \
+                    and not isinstance(value[0], bool):
+                if value[0] == position:
+                    kept.append(item)
+            elif effective_boolean_value(value):
+                kept.append(item)
+        return kept
+
+    # The per-node path walker.
 
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
         context = self.evaluate(expr.input, env)
