@@ -286,10 +286,6 @@ class ClusterCatalog:
         with self._lock:
             return peer_name in self._down
 
-    def down_peers(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._down)
-
     # -- draining (planned decommission) ------------------------------------
 
     def set_draining(self, peer_name: str, draining: bool = True) -> None:

@@ -260,15 +260,15 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
     """Reassign the response fragments' document sequence numbers in
     shard order.
 
-    ``doc_seq`` (the inter-document order tie-break) is allocated at
-    parse time, and concurrent scatter threads parse their responses in
-    whatever order the wire finishes — so without renumbering, a later
-    document-order sort (a local path step over the gathered items, a
-    ``union``, ``<<``) could interleave shards arbitrarily. The
-    fragments are query-private (unmarshalling always shreds fresh
-    documents, even on cache hits), so the mutation is race-free; the
-    relative order of multiple fragments within one shard's response is
-    preserved.
+    ``doc_seq`` (the inter-document order tie-break) is allocated when
+    ``from_xml`` shreds a payload, and concurrent scatter threads decode
+    their responses in whatever order the wire finishes — so without
+    renumbering, a later document-order sort (a local path step over the
+    gathered items, a ``union``, ``<<``) could interleave shards
+    arbitrarily. The fragments are query-private (each decoding makes
+    fresh documents, even of a cached text), so the mutation is
+    race-free; the relative order of multiple fragments within one
+    shard's response is preserved.
     """
     for outcome in outcomes:
         docs: dict[int, Document] = {}

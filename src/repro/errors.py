@@ -69,10 +69,6 @@ class UndefinedFunctionError(XQueryError):
         self.arity = arity
 
 
-class DecompositionError(ReproError):
-    """Raised when query decomposition cannot produce a valid rewrite."""
-
-
 class XrpcError(ReproError):
     """Base class for XRPC runtime errors."""
 

@@ -50,9 +50,6 @@ class PathSets:
     used: set[RelPath] = field(default_factory=set)
     returned: set[RelPath] = field(default_factory=set)
 
-    def is_empty(self) -> bool:
-        return not self.used and not self.returned
-
 
 @dataclass
 class ProjectionSpec:

@@ -55,10 +55,6 @@ class TagStat:
     count: int = 0
     subtree_bytes: int = 0
 
-    @property
-    def avg_bytes(self) -> float:
-        return self.subtree_bytes / self.count if self.count else 0.0
-
     def merged(self, other: "TagStat") -> "TagStat":
         return TagStat(self.count + other.count,
                        self.subtree_bytes + other.subtree_bytes)

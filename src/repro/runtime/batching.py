@@ -10,12 +10,11 @@ sets can ride in a single ``RequestMessage``.
 first arrival for a batch key becomes the *leader*: it waits up to
 ``window_s`` for other queries to join (or until ``max_calls`` piles
 up), then performs one merged exchange and hands each participant its
-slice of the bulk response. Every participant serialises its slice —
-result items and fragment nodes of the envelope the leader parsed,
-which riders only read — into a private response message: bulk
-identity within each query's slice is preserved (one fragments
-preamble per message), and each participant shreds its own text into
-fragment documents no other thread sees.
+slice of the bulk response, serialised from the leader's decoding of it
+(which riders only read) into a private message: bulk identity within
+each query's slice is preserved (one fragments preamble per message),
+and each participant decodes its own text into documents no other
+thread sees.
 
 Mergeable means the batch key matches exactly: destination peer,
 shipped query text, parameter names, call semantics, static-context

@@ -330,15 +330,3 @@ class DocumentBuilder:
             self._kinds, self._names, self._values, self._sizes,
             self._levels, self._parents))
 
-
-def build_fragment_from_node(uri: str, root: Node) -> Document:
-    """Copy one element's subtree into a fresh fragment document.
-
-    This is message shredding: every fragment and every by-value copy
-    an XRPC message carries becomes its own document — a column slice
-    of the parsed envelope that keeps no reference to it, so the copy
-    has new node identity and no ancestors.
-    """
-    builder = DocumentBuilder(uri)
-    builder.copy_subtree(root)
-    return builder.finish()

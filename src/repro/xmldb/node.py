@@ -122,9 +122,6 @@ class Node:
             return False
         return self.pre < other.pre <= self.pre + self.size
 
-    def is_descendant_of(self, other: "Node") -> bool:
-        return other.is_ancestor_of(self)
-
     def root(self) -> "Node":
         """The root of the containing tree (fn:root semantics)."""
         return Node(self.doc, 0)

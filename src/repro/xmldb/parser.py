@@ -19,7 +19,8 @@ handler also emits the name postings — element name → pres, attribute
 name → pres — and hands them over on the :class:`ColumnSet`: the lookup
 that finds a name's bucket also yields the interned name, so a parsed
 document needs no second pass before it answers a name test
-(:mod:`repro.xmldb.index`).
+(:mod:`repro.xmldb.index`). The XRPC message decoder installs the same
+five (:func:`shred`) mid-parse, for each payload element of an envelope.
 
 Error contract: every rejection is an :class:`XmlParseError`, never a
 bare ``ExpatError``; its message is expat's, and its ``offset`` is a
@@ -31,8 +32,9 @@ from __future__ import annotations
 
 import re
 from array import array
-from pyexpat import ExpatError, ParserCreate, errors
+from pyexpat import ExpatError, ParserCreate, XMLParserType, errors
 from sys import intern
+from typing import Callable
 
 from repro.errors import XmlParseError
 from repro.xmldb.columns import ColumnSet
@@ -111,8 +113,12 @@ def _posting(table: dict[str, tuple[str, array]],
     return entry
 
 
-def _scan(text: str, uri: str, document: bool) -> Document:
-    """Shred ``text``: one element, under a document node if asked."""
+def shred(parser: XMLParserType, document: bool, closed: Callable,
+          uri: str = "") -> Callable:
+    """Install on ``parser`` the handlers that shred one element (under
+    a document node if asked); ``closed`` gets the :class:`Document` at
+    its end tag. Returns the start-tag handler, for a caller installing
+    them mid-parse to hand the element's own start tag to."""
     # Lists while scanning; ColumnSet packs the integer columns once.
     columns = kinds, names, values, sizes, levels, parents = (
         [], [], [], [], [], [])
@@ -168,6 +174,11 @@ def _scan(text: str, uri: str, document: bool) -> Document:
         sizes[parent] = len(kinds) - parent - 1
         parent = parents[parent]
         level -= 1
+        if parent == top:  # the element is whole
+            sizes[0] = len(kinds) - 1
+            postings = dict(tags.values()), dict(attributes.values())
+            closed(Document.from_columns(uri, ColumnSet(*columns,
+                                                        postings)))
 
     def character_data(data: str) -> None:
         # Split only around a CDATA section or a full text buffer.
@@ -190,20 +201,29 @@ def _scan(text: str, uri: str, document: bool) -> Document:
             level_(level)
             parent_(parent)
 
-    def refuse(*_args) -> None:
-        # A fragment has no prolog, and expat never reads a document's
-        # DOCTYPE: it is blanked first.
-        raise _error("expected an element",
-                     _offset(text, parser.CurrentByteIndex))
-
-    parser = ParserCreate()
-    parser.buffer_text = parser.ordered_attributes = True
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = character_data
     parser.CommentHandler = lambda data: node(_K_COMMENT, "", data)
     parser.ProcessingInstructionHandler = lambda target, data: node(
         _K_PI, intern(target), data.strip())
+    return start
+
+
+def parse(text: str, document: bool, install: Callable) -> None:
+    """Run a fresh expat parser, its handlers set by ``install``, over
+    all of ``text`` (a prolog allowed if it is a ``document``); every
+    fault is an :class:`XmlParseError`."""
+    parser = ParserCreate()
+    parser.buffer_text = parser.ordered_attributes = True
+    install(parser)
+
+    def refuse(*_args) -> None:
+        # A fragment has no prolog, and expat never reads a document's
+        # DOCTYPE: it is blanked first.
+        raise _error("expected an element",
+                     _offset(text, parser.CurrentByteIndex))
+
     parser.StartDoctypeDeclHandler = refuse
     if document:
         text = _without_doctype(text)
@@ -220,10 +240,14 @@ def _scan(text: str, uri: str, document: bool) -> Document:
         # cycle, or the parser, the handlers and the scan lists wait
         # for the cyclic collector.
         del parser
-    if document:
-        sizes[0] = len(kinds) - 1
-    postings = dict(tags.values()), dict(attributes.values())
-    return Document.from_columns(uri, ColumnSet(*columns, postings))
+
+
+def _scan(text: str, uri: str, document: bool) -> Document:
+    """Shred ``text``: one element, under a document node if asked."""
+    shredded: list[Document] = []
+    parse(text, document, lambda parser: shred(parser, document,
+                                                shredded.append, uri))
+    return shredded[0]
 
 
 def parse_document(text: str, uri: str = "") -> Document:

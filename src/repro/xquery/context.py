@@ -16,7 +16,7 @@ remote call — the federation injects the function-shipping transport).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
 from repro.xmldb.document import Document
@@ -79,15 +79,6 @@ class CostCounter:
         self.ticks = mark[0] + (self.ticks - mark[0]) * times
         self.nodes_visited = mark[1] + (self.nodes_visited - mark[1]) * times
         self.docs_opened = mark[2] + (self.docs_opened - mark[2]) * times
-
-
-class DocResolver(Protocol):
-    def __call__(self, uri: str) -> Document: ...
-
-
-class XrpcExecutor(Protocol):
-    def __call__(self, dest: str, params: list[tuple[str, list]],
-                 body: Any, binding: Binding) -> list: ...
 
 
 def _no_documents(uri: str) -> Document:

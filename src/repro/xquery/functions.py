@@ -56,10 +56,6 @@ def _register(name: str, *arities: int, focus: int | None = None):
     return decorator
 
 
-def is_builtin(name: str, arity: int) -> bool:
-    return (name, arity) in BUILTINS
-
-
 def _single_node(seq: list, who: str) -> Node:
     if len(seq) != 1 or not isinstance(seq[0], Node):
         raise XQueryTypeError(f"{who} requires exactly one node")

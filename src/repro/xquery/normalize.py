@@ -28,8 +28,8 @@ prose, which assumes a purely functional core):
 from __future__ import annotations
 
 from repro.xquery.ast import (
-    ConstructorExpr, Expr, ForExpr, FunctionDecl, LetExpr, Module,
-    OrderByExpr, PathExpr, QuantifiedExpr, walk,
+    Expr, ForExpr, FunctionDecl, LetExpr, Module, OrderByExpr, PathExpr,
+    QuantifiedExpr,
 )
 from repro.xquery.scopes import ISOLATED, count_references, free_variables, \
     scoped_children
@@ -52,10 +52,6 @@ def sink_lets(expr: Expr) -> Expr:
     if isinstance(expr, LetExpr):
         return _sink_one(expr)
     return expr
-
-
-def _constructs_nodes(expr: Expr) -> bool:
-    return any(isinstance(node, ConstructorExpr) for node in walk(expr))
 
 
 def _sink_one(let: LetExpr) -> Expr:

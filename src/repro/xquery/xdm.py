@@ -29,10 +29,6 @@ class UntypedAtomic(str):
         return f"untyped({str.__repr__(self)})"
 
 
-def is_node(item: Item) -> bool:
-    return isinstance(item, Node)
-
-
 def string_value(item: Item) -> str:
     """fn:string of a single item."""
     if isinstance(item, Node):

@@ -1,14 +1,15 @@
 """The XRPC runtime: SOAP-style messages and the three marshalling
 semantics (pass-by-value, pass-by-fragment, pass-by-projection).
 
-Messages are genuinely serialised to XML text and re-parsed on the
-receiving peer with the :mod:`repro.xmldb` parser — message sizes (the
-paper's bandwidth metric) are the byte lengths of these texts, and the
-(de)serialisation component of the Figure 8 breakdown is charged per
-byte processed. Each message is serialised once (``to_xml``) and parsed
-once (``from_xml``): in between, ``fragments`` lists and element
-:class:`NodeCopy` items hold the root :class:`~repro.xmldb.node.Node`
-of each shipped subtree, not its text.
+Messages are genuinely serialised to XML text and read back on the
+receiving peer — message sizes (the paper's bandwidth metric) are the
+byte lengths of these texts, and the (de)serialisation component of the
+Figure 8 breakdown is charged per byte processed. Each message is
+serialised once (``to_xml``) and read once (``from_xml``: one expat
+pass that shreds each payload with the :mod:`repro.xmldb` scanner's
+handlers into a document of its own): in between, ``fragments`` lists
+and :class:`NodeCopy` items hold the root
+:class:`~repro.xmldb.node.Node` of each shipped subtree, not its text.
 """
 
 from repro.xrpc.messages import (

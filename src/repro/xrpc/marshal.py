@@ -19,12 +19,11 @@
 
 Fragments and element copies are :class:`Node` values on both sides
 (see ``xrpc/messages.py``): marshalling names the root of each subtree
-to ship and leaves the text to ``to_xml``; unmarshalling shreds each
-fragment, and each by-value copy, into its own fresh document by a
-column slice of the parsed envelope
-(:func:`~repro.xmldb.document.build_fragment_from_node`) — new node
-identity per message, no ancestors above the shipped root, no
-reference back to the envelope, and no second parse.
+to ship and leaves the text to ``to_xml``; ``from_xml`` already shreds
+each fragment, and each by-value copy, into a fresh document of its
+own, so unmarshalling hands those documents out under the message's
+URIs — new node identity per decoded message, no ancestors above the
+shipped root, no envelope behind it, and no copy.
 
 The codec owns the ``nodeid`` rank (a node's 1-based position among
 its fragment's non-attribute rows). A message document lives for one
@@ -46,15 +45,15 @@ from repro.errors import XrpcMarshalError
 from repro.paths.analysis import PathSets
 from repro.paths.relpath import RelPath, parse_rel_path
 from repro.xmldb import axes
-from repro.xmldb.document import (
-    Document, DocumentBuilder, build_fragment_from_node,
-)
+from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.projection import project
 from repro.xquery.xdm import UntypedAtomic, format_double
 
-from repro.xrpc.messages import Atomic, AttrRef, Call, Item, NodeCopy, NodeRef
+from repro.xrpc.messages import (
+    LEAF_KINDS, Atomic, AttrRef, Call, Item, NodeCopy, NodeRef,
+)
 
 # ---------------------------------------------------------------------------
 # Atomics
@@ -146,14 +145,15 @@ def marshal_result(results: list[list], semantics: str,
                     semantics, param_paths)
 
 
+_LEAF_COPIES = {kind: name for name, kind in LEAF_KINDS.items()}
+
+
 def _by_value_item(item) -> Item:
     if not isinstance(item, Node):
         return marshal_atomic(item)
     kind = item.kind
-    if kind == NodeKind.ATTRIBUTE:
-        return NodeCopy("attribute", item.name, item.value)
-    if kind == NodeKind.TEXT:
-        return NodeCopy("text", "", item.value)
+    if kind in _LEAF_COPIES:
+        return NodeCopy(_LEAF_COPIES[kind], item.name, item.value)
     if kind == NodeKind.DOCUMENT:
         # A document node ships as its root element.
         for child in axes.child(item):
@@ -381,16 +381,15 @@ def _reference_item(node: Node, plan: _FragmentPlan) -> Item:
 
 
 class _FragmentSpace:
-    """The shredded fragments of one message: each fragment becomes one
-    fresh document, shared by every reference into it — which is what
-    preserves node identity and order within the message. With each
-    goes its nodeid → pre list, read off its kind column."""
+    """The fragments of one decoded message: each is the root of a
+    document of its own, shared by every reference into it — which is
+    what preserves node identity and order within the message. With
+    each goes its nodeid → pre list, read off its kind column."""
 
     def __init__(self, fragments: list[Node], base_uri: str):
-        self.docs: list[Document] = [
-            build_fragment_from_node(f"{base_uri}#fragment{i + 1}", root)
-            for i, root in enumerate(fragments)
-        ]
+        self.docs: list[Document] = [root.doc for root in fragments]
+        for number, doc in enumerate(self.docs, start=1):
+            doc.uri = f"{base_uri}#fragment{number}"
         self.pres = [_nodeid_pres(doc.kinds) for doc in self.docs]
 
     def resolve(self, fragid: int, nodeid: int) -> Node:
@@ -440,7 +439,8 @@ def _unmarshal_sequence(items: list[Item], space: _FragmentSpace,
         if isinstance(item, Atomic):
             out.append(unmarshal_atomic(item))
         elif isinstance(item, NodeCopy):
-            out.append(_shred_copy(item, base_uri))
+            item.content.doc.uri = base_uri
+            out.append(item.content)
         elif isinstance(item, NodeRef):
             out.append(space.resolve(item.fragid, item.nodeid))
         elif isinstance(item, AttrRef):
@@ -449,13 +449,3 @@ def _unmarshal_sequence(items: list[Item], space: _FragmentSpace,
         else:  # pragma: no cover - exhaustive
             raise XrpcMarshalError(f"unknown item {item!r}")
     return out
-
-
-def _shred_copy(item: NodeCopy, base_uri: str) -> Node:
-    """Pass-by-value: each copy becomes its own fragment document."""
-    if item.node_kind == "element":
-        return build_fragment_from_node(base_uri, item.content).root
-    kind, name = ((NodeKind.ATTRIBUTE, item.name)
-                  if item.node_kind == "attribute" else (NodeKind.TEXT, ""))
-    return Document(base_uri, [kind], [name], [item.content],
-                    [0], [0], [-1]).root

@@ -20,20 +20,22 @@ system internals of the participating peers)", so shipping source text
 is precisely the interoperability story of the paper.
 
 A message holds its XML payload as **nodes**, never as text: a
-fragment, or an element copied by value, is the :class:`Node` at the
-root of its subtree — in the source (or projected) document on the
-sending side, in the parsed envelope on the receiving side. So each
-message is serialised once (``to_xml``, the only producer of message
-text) and parsed once (``from_xml``: one ``parse_document`` of the
-envelope, nothing serialised back out of it). Shredding a payload node
-into its own fresh document is ``xrpc/marshal.py``'s half.
+fragment, or a node copied by value, is the :class:`Node` at the root
+of its subtree — in the source (or projected) document on the sending
+side, in a document of its own on the receiving side. So each message
+is serialised once (``to_xml``, the only producer of message text) and
+read once (``from_xml``: one expat pass, nothing serialised back out).
 
-Decoding reads the parsed envelope's **columns** by pre, not node
-handles: children are ``cursor += sizes[cursor] + 1`` from ``pre + 1``,
-attributes the ATTRIBUTE rows right after the element, a string value
-the TEXT rows. Only what leaves the decoder — a fragment root, an
-element copied by value — becomes a ``Node``. A call must hold one
-``xrpc:sequence`` per declared parameter, a response call exactly one.
+Decoding builds no envelope document: its handlers (:class:`_Envelope`)
+fill the message fields, items and call / sequence lists as the tags go
+by, an element's role given by its parent's and its name. Inside an
+``xrpc:fragment`` or a by-value ``xrpc:element`` they hand the parser
+to the scanner's shredding handlers (:func:`repro.xmldb.parser.shred`)
+for that payload alone, so payload documents, leaf copies too, are made
+in text order. The first of each singular part is read, later ones
+skipped; refusals (:class:`XrpcMarshalError`) wait until expat has read
+the whole text, so malformed text is ``parse_document``'s
+``XmlParseError``. A call holds one ``xrpc:sequence`` per parameter.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field
 from repro.errors import XrpcMarshalError
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import parse, shred
 from repro.xmldb.serializer import (
     escape_attribute, escape_text, serialize_node,
 )
@@ -61,16 +63,18 @@ class Atomic:
 class NodeCopy:
     """A pass-by-value node copy.
 
-    ``node_kind`` distinguishes elements from attribute/text copies
-    (standalone attributes have no XML syntax; XRPC wraps them, per
-    footnote 2 of the paper). An element copy holds the element node
-    whose subtree travels; attribute and text copies hold their string
-    value.
+    ``node_kind`` is the copied node's kind (a standalone attribute,
+    text, comment or PI has no XML syntax of its own; XRPC wraps each,
+    per footnote 2 of the paper). An element copy holds the element
+    node whose subtree travels; any other copy holds its string value
+    when encoded, and once decoded every copy holds its node, the root
+    of a document of its own.
     """
 
-    node_kind: str       # "element" | "attribute" | "text"
-    name: str            # attribute name (empty otherwise)
-    content: Node | str  # the element node; else the string value
+    node_kind: str       # "element" | "attribute" | "text" | "comment"
+                         # | "processing-instruction"
+    name: str            # attribute name or PI target (empty otherwise)
+    content: Node | str  # the node; or, encoding, its string value
 
 
 @dataclass(frozen=True)
@@ -147,38 +151,20 @@ class RequestMessage:
 
     @classmethod
     def from_xml(cls, text: str) -> "RequestMessage":
-        doc = parse_document(text, uri="xrpc:request")
-        request = _find_child(doc, _body(doc), "xrpc:request")
+        envelope = _Envelope(text, "xrpc:request")
+        strings, paths = envelope.strings, "paths" in envelope.seen
         # Attribute names were flattened ("xrpc:base-uri" ->
         # "xrpc-base-uri") on the wire; restore the prefix.
         static_attrs = {
             ("xrpc:" + name[len("xrpc-"):] if name.startswith("xrpc-")
              else name): value
-            for name, value in _attributes(doc, request).items()}
-        used_paths: list[str] | None = None
-        returned_paths: list[str] | None = None
-        paths = _elements(doc, request, "xrpc:projection-paths")
-        if paths:
-            used_paths = [_string_value(doc, pre) for pre in
-                          _elements(doc, paths[0], "xrpc:used-path")]
-            returned_paths = [_string_value(doc, pre) for pre in _elements(
-                doc, paths[0], "xrpc:returned-path")]
-        fragments = _fragments_from_xml(doc, request)
-        query = _string_value(doc, _find_child(doc, request, "xrpc:query"))
-        param_names = [_string_value(doc, pre) for pre in _elements(
-            doc, _find_child(doc, request, "xrpc:params"), "xrpc:name")]
-        calls = []
-        for call in _elements(doc, request, "xrpc:call"):
-            sequences = _elements(doc, call, "xrpc:sequence")
-            if len(sequences) != len(param_names):
-                raise XrpcMarshalError(
-                    f"call holds {len(sequences)} sequences for "
-                    f"{len(param_names)} parameters")
-            calls.append(Call([(name, _sequence_from_xml(doc, pre))
-                               for name, pre in zip(param_names, sequences)]))
-        return cls(query=query, param_names=param_names, calls=calls,
-                   fragments=fragments, static_attrs=static_attrs,
-                   used_paths=used_paths, returned_paths=returned_paths)
+            for name, value in envelope.attrs.items()}
+        return cls(query=strings["query"][0], param_names=strings["name"],
+                   calls=[Call(list(zip(strings["name"], sequences)))
+                          for sequences in envelope.calls],
+                   fragments=envelope.fragments, static_attrs=static_attrs,
+                   used_paths=strings["used-path"] if paths else None,
+                   returned_paths=strings["returned-path"] if paths else None)
 
 
 @dataclass
@@ -202,17 +188,9 @@ class ResponseMessage:
 
     @classmethod
     def from_xml(cls, text: str) -> "ResponseMessage":
-        doc = parse_document(text, uri="xrpc:response")
-        response = _find_child(doc, _body(doc), "xrpc:response")
-        fragments = _fragments_from_xml(doc, response)
-        results = []
-        for call in _elements(doc, response, "xrpc:call"):
-            sequences = _elements(doc, call, "xrpc:sequence")
-            if len(sequences) != 1:
-                raise XrpcMarshalError("response call must hold exactly "
-                                       "one sequence")
-            results.append(_sequence_from_xml(doc, sequences[0]))
-        return cls(results=results, fragments=fragments)
+        envelope = _Envelope(text, "xrpc:response")
+        return cls(results=[sequence for sequence, in envelope.calls],
+                   fragments=envelope.fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -236,74 +214,6 @@ def _fragments_to_xml(fragments: list[Node], out: list[str]) -> None:
     out.append("</xrpc:fragments>")
 
 
-# -- decoding: column reads by pre (see the module docstring) ---------------
-
-_ELEMENT = int(NodeKind.ELEMENT)
-_ATTRIBUTE = int(NodeKind.ATTRIBUTE)
-_TEXT = int(NodeKind.TEXT)
-
-
-def _elements(doc: Document, pre: int, name: str | None = None) -> list[int]:
-    """The element children of ``pre`` (named ``name``), in order."""
-    kinds, names, sizes = doc.kinds, doc.names, doc.sizes
-    found = []
-    cursor = pre + 1
-    end = pre + sizes[pre]
-    while cursor <= end:
-        if kinds[cursor] == _ELEMENT and (name is None
-                                          or names[cursor] == name):
-            found.append(cursor)
-        cursor += sizes[cursor] + 1
-    return found
-
-
-def _find_child(doc: Document, pre: int, name: str) -> int:
-    found = _elements(doc, pre, name)
-    if not found:
-        raise XrpcMarshalError(f"missing <{name}> in message")
-    return found[0]
-
-
-def _body(doc: Document) -> int:
-    return _find_child(doc, _find_child(doc, 0, "env:Envelope"), "env:Body")
-
-
-def _attributes(doc: Document, pre: int) -> dict[str, str]:
-    kinds, names, values = doc.kinds, doc.names, doc.values
-    attrs: dict[str, str] = {}
-    cursor = pre + 1
-    while cursor < doc.count and kinds[cursor] == _ATTRIBUTE:
-        attrs[names[cursor]] = values[cursor]
-        cursor += 1
-    return attrs
-
-
-def _string_value(doc: Document, pre: int) -> str:
-    kinds, values = doc.kinds, doc.values
-    return "".join([values[row]
-                    for row in range(pre + 1, pre + doc.sizes[pre] + 1)
-                    if kinds[row] == _TEXT])
-
-
-def _fragments_from_xml(doc: Document, message: int) -> list[Node]:
-    fragments = _find_child(doc, message, "xrpc:fragments")
-    return [_only_element(doc, pre, "a fragment must hold one element")
-            for pre in _elements(doc, fragments, "xrpc:fragment")]
-
-
-def _only_element(doc: Document, wrapper: int, complaint: str) -> Node:
-    """The single element child of a payload wrapper."""
-    kinds, sizes = doc.kinds, doc.sizes
-    end = wrapper + sizes[wrapper]
-    content = wrapper + 1
-    while content <= end and kinds[content] == _ATTRIBUTE:
-        content += 1
-    if content > end or kinds[content] != _ELEMENT \
-            or content + sizes[content] != end:
-        raise XrpcMarshalError(complaint)
-    return Node(doc, content)
-
-
 def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
     out.append("<xrpc:sequence>")
     for item in items:
@@ -311,16 +221,16 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
             out.append(f'<xrpc:atomic type="{item.type_name}">'
                        f"{escape_text(item.lexical)}</xrpc:atomic>")
         elif isinstance(item, NodeCopy):
-            if item.node_kind == "element":
-                out.append(f"<xrpc:element>{serialize_node(item.content)}"
+            kind, content = item.node_kind, item.content
+            if kind == "element":
+                out.append(f"<xrpc:element>{serialize_node(content)}"
                            f"</xrpc:element>")
-            elif item.node_kind == "attribute":
-                out.append(f'<xrpc:attribute name='
-                           f'"{escape_attribute(item.name)}">'
-                           f"{escape_text(item.content)}</xrpc:attribute>")
             else:
-                out.append(f"<xrpc:text>{escape_text(item.content)}"
-                           f"</xrpc:text>")
+                named = (f' name="{escape_attribute(item.name)}"'
+                         if kind in _NAMED else "")
+                value = content if isinstance(content, str) else content.value
+                out.append(f"<xrpc:{kind}{named}>{escape_text(value)}"
+                           f"</xrpc:{kind}>")
         elif isinstance(item, NodeRef):
             out.append(f'<xrpc:element fragid="{item.fragid}" '
                        f'nodeid="{item.nodeid}"/>')
@@ -333,35 +243,162 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
     out.append("</xrpc:sequence>")
 
 
-def _sequence_from_xml(doc: Document, sequence: int) -> list[Item]:
-    return [_item_from_xml(doc, pre) for pre in _elements(doc, sequence)]
+# -- decoding: one expat pass (see the module docstring) ---------------------
+
+#: (parent's role, element name) → the element's role; an element with
+#: no role is skipped, content and all, and refused in a sequence.
+_ROLES = {
+    ("document", "env:Envelope"): "envelope", ("envelope", "env:Body"): "body",
+    ("body", "xrpc:request"): "message", ("body", "xrpc:response"): "message",
+    ("message", "xrpc:projection-paths"): "paths",
+    ("paths", "xrpc:used-path"): "used-path",
+    ("paths", "xrpc:returned-path"): "returned-path",
+    ("message", "xrpc:fragments"): "fragments",
+    ("fragments", "xrpc:fragment"): "fragment",
+    ("message", "xrpc:query"): "query", ("message", "xrpc:params"): "params",
+    ("params", "xrpc:name"): "name", ("message", "xrpc:call"): "call",
+    ("call", "xrpc:sequence"): "sequence",
+}
+#: The parts a message must have (a response, the first four).
+_PARTS = [("envelope", "env:Envelope"), ("body", "env:Body"),
+          ("message", None), ("fragments", "xrpc:fragments"),
+          ("query", "xrpc:query"), ("params", "xrpc:params")]
+#: Roles only the first such element takes.
+_ONCE = frozenset([role for role, _element in _PARTS] + ["paths"])
+#: The copies that travel as their string value (kind → node kind), and
+#: those whose wrapper carries a ``name`` attribute.
+LEAF_KINDS = {"attribute": NodeKind.ATTRIBUTE, "text": NodeKind.TEXT,
+              "comment": NodeKind.COMMENT,
+              "processing-instruction": NodeKind.PROCESSING_INSTRUCTION}
+_NAMED = frozenset({"attribute", "processing-instruction"})
+#: A sequence's items: its child elements, by role (a copy's kind).
+_ROLES.update({("sequence", f"xrpc:{role}"): role
+               for role in ("atomic", "element", *LEAF_KINDS)})
+#: Roles read for their string value.
+_STRINGS = frozenset({"used-path", "returned-path", "query", "name",
+                      "atomic", *LEAF_KINDS})
+#: Roles that must hold exactly one element (and nothing else).
+_WRAPPERS = {"fragment": "a fragment must hold one element",
+             "element": "element copy must hold one element"}
 
 
-def _item_from_xml(doc: Document, pre: int) -> Item:
-    name = doc.names[pre]
-    attrs = _attributes(doc, pre)
-    if name == "xrpc:atomic":
-        return Atomic(attrs.get("type", "xs:string"),
-                      _string_value(doc, pre))
-    if name == "xrpc:element":
-        if "fragid" in attrs:
-            return NodeRef(*_reference_ids(attrs))
-        return NodeCopy("element", "", _only_element(
-            doc, pre, "element copy must hold one element"))
-    if name == "xrpc:attribute":
-        if "fragid" in attrs:
-            return AttrRef(*_reference_ids(attrs), attrs.get("name", ""))
-        return NodeCopy("attribute", attrs.get("name", ""),
-                        _string_value(doc, pre))
-    if name == "xrpc:text":
-        return NodeCopy("text", "", _string_value(doc, pre))
-    raise XrpcMarshalError(f"unknown sequence item <{name}>")
+class _Envelope:
+    """The parts of one message text, read in one expat pass."""
 
+    def __init__(self, text: str, message: str):
+        self.message, self.seen = message, set()
+        self.stack: list[str | None] = ["document"]  # open elements' roles
+        self.refusals: list[str] = []  # the first is raised after parsing
+        self.sink: list[str] | None = None  # the open string's text
+        self.payload: Node | None = None    # the open wrapper's element
+        self.attrs = self.item = {}  # the message element's, an item's
+        #: The string values of the message's own parts, by role.
+        self.strings: dict[str, list[str]] = {
+            "query": [], "name": [], "used-path": [], "returned-path": []}
+        self.fragments: list[Node] = []
+        self.calls: list[list[list[Item]]] = []  # call → sequence → items
+        try:
+            parse(text, True, self._listen)
+        finally:
+            del self.parser  # it holds this reader's bound handlers
+        request = message == "xrpc:request"
+        for role, element in _PARTS if request else _PARTS[:4]:
+            if role not in self.seen:
+                raise XrpcMarshalError(
+                    f"missing <{element or message}> in message")
+        arity = len(self.strings["name"]) if request else 1
+        for sequences in self.calls:
+            if len(sequences) != arity:
+                raise XrpcMarshalError(f"call holds {len(sequences)} "
+                                       f"sequences for {arity} parameters")
+        if self.refusals:
+            raise XrpcMarshalError(self.refusals[0])
 
-def _reference_ids(attrs: dict[str, str]) -> tuple[int, int]:
-    """The ``fragid``/``nodeid`` pair of a by-fragment reference."""
-    try:
-        return int(attrs["fragid"]), int(attrs["nodeid"])
-    except (KeyError, ValueError):
-        raise XrpcMarshalError("a node reference needs integer fragid "
-                               "and nodeid attributes") from None
+    def _listen(self, parser) -> None:
+        self.parser = parser
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.CharacterDataHandler = self.text
+        parser.CommentHandler = parser.ProcessingInstructionHandler = self.misc
+
+    def _landed(self, document: Document) -> None:
+        self.payload = document.root
+        self._listen(self.parser)
+
+    def start(self, name: str, attrs: list[str]) -> None:
+        parent = self.stack[-1]
+        if parent in _WRAPPERS:
+            if self.payload is None:
+                shred(self.parser, False, self._landed)(name, attrs)
+                return  # the shredder has the element up to its end tag
+            self.refusals.append(_WRAPPERS[parent])
+        role = _ROLES.get((parent, name))
+        if role in self.seen or role == "message" and name != self.message:
+            role = None  # a later singular part, or the other message
+        elif role in _ONCE:
+            self.seen.add(role)
+        elif parent == "sequence":
+            role = self._item(role, name, dict(zip(attrs[::2], attrs[1::2])))
+        if role == "message":
+            self.attrs = dict(zip(attrs[::2], attrs[1::2]))
+        elif role == "call":
+            self.calls.append([])
+        elif role == "sequence":
+            self.calls[-1].append([])
+        elif role in _STRINGS:
+            self.sink = []
+        elif role in _WRAPPERS:
+            self.payload = None
+        self.stack.append(role)
+
+    def _item(self, role: str | None, name: str,
+              attrs: dict[str, str]) -> str | None:
+        """The role left to a sequence's item once a reference is read."""
+        if role is None:
+            self.refusals.append(f"unknown sequence item <{name}>")
+        elif role in ("element", "attribute") and "fragid" in attrs:
+            try:
+                ids = int(attrs["fragid"]), int(attrs["nodeid"])
+            except (KeyError, ValueError):
+                self.refusals.append("a node reference needs integer "
+                                     "fragid and nodeid attributes")
+            else:
+                self.calls[-1][-1].append(
+                    NodeRef(*ids) if role == "element"
+                    else AttrRef(*ids, attrs.get("name", "")))
+            return None
+        self.item = attrs
+        return role
+
+    def end(self, _name: str) -> None:
+        role = self.stack.pop()
+        if role in _STRINGS:
+            value, self.sink = "".join(self.sink), None
+            if role in self.strings:
+                self.strings[role].append(value)
+                return
+            name = self.item.get("name", "") if role in _NAMED else ""
+            self.calls[-1][-1].append(
+                Atomic(self.item.get("type", "xs:string"), value)
+                if role == "atomic" else NodeCopy(role, name, Document(
+                    "", [LEAF_KINDS[role]], [name], [value], [0], [0],
+                    [-1]).root))
+        elif role in _WRAPPERS:
+            if self.payload is None:
+                self.refusals.append(_WRAPPERS[role])
+            elif role == "fragment":
+                self.fragments.append(self.payload)
+            else:
+                self.calls[-1][-1].append(
+                    NodeCopy("element", "", self.payload))
+
+    def text(self, data: str) -> None:
+        if self.sink is None:
+            self.misc()
+        else:
+            self.sink.append(data)
+
+    def misc(self, *_args) -> None:
+        """A payload wrapper holds one element and nothing beside it."""
+        if self.stack[-1] in _WRAPPERS:
+            self.refusals.append(_WRAPPERS[self.stack[-1]])

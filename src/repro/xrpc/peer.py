@@ -1,7 +1,7 @@
 """Peer-side request handling: the "HTTP server" box of Figure 1.
 
-A :class:`RequestHandler` shreds a request's parameter payload into
-fragment documents, evaluates the shipped function body once per
+A :class:`RequestHandler` unmarshals a request's parameters (decoding
+shredded its payload), evaluates the shipped function body once per
 (bulk) call, and serialises the response — projecting it first when
 the request carried projection paths. The body arrives as text in
 every request; its ``Evaluator`` (which holds the parsed body) is

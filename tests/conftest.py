@@ -34,6 +34,12 @@ def element(text: str) -> Node:
     return parse_fragment(text).root
 
 
+def over_the_wire(message):
+    """``message`` as its receiver decodes it: every fragment and every
+    by-value copy a document of its own, new for this delivery."""
+    return type(message).from_xml(message.to_xml())
+
+
 def texts(fragments: list[Node]) -> list[str]:
     """A fragments preamble as it will read on the wire."""
     return [serialize_node(fragment) for fragment in fragments]

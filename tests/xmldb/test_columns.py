@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.xmldb import axes, kernels
 from repro.xmldb.axes import AXES
-from repro.xmldb.document import Document, DocumentBuilder, \
-    build_fragment_from_node
+from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import structural_index
 from repro.xmldb.kernels import PRE_TYPECODE, pre_array
 from repro.xmldb.node import Node, NodeKind
@@ -33,6 +32,7 @@ from repro.xquery.context import DynamicContext
 from tests.conftest import fuzz_settings
 from tests.oracle import COLUMNS, columns
 from tests.oracle.xquery_reference_walker import ReferenceEvaluator
+from tests.oracle.xrpc_decoder import build_fragment_from_node
 from tests.xmldb.test_parser_differential import documents, fragments
 from tests.xquery.test_indexed_equivalence import TESTS, xml_trees
 

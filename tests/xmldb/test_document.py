@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import XmlError
-from repro.xmldb.document import Document, DocumentBuilder, \
-    build_fragment_from_node
+from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_document
+from tests.oracle.xrpc_decoder import build_fragment_from_node
 
 
 def build_simple():

@@ -24,8 +24,7 @@ from sys import intern
 from hypothesis import given, strategies as st
 
 from repro.xmldb.columns import ColumnSet
-from repro.xmldb.document import Document, DocumentBuilder, \
-    build_fragment_from_node
+from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
@@ -34,6 +33,7 @@ from repro.xmldb.values import value_index
 from tests.conftest import fuzz_settings
 from tests.oracle import COLUMNS
 from tests.oracle.index_reference import ReferenceIndex
+from tests.oracle.xrpc_decoder import build_fragment_from_node
 from tests.xmldb.test_parser_differential import documents, fragments
 
 PARTS = ("tag_pres", "attribute_pres", "element_pres", "text_pres",

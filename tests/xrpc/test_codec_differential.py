@@ -1,16 +1,18 @@
-"""Differential tests for the column-reading codec.
+"""Round-trip and robustness tests for the message codec.
 
-The decoder (``xrpc/messages.py``) reads the parsed envelope's columns
-by pre instead of walking ``Node`` handles, and the codec
-(``xrpc/marshal.py``) takes nodeid ranks from a kind column instead of
-a structural index. Properties, on the text generators of
-``tests/xmldb/test_parser_differential.py``:
+The decoder (``xrpc/messages.py``) reads an envelope in one expat pass
+and shreds each payload into a document of its own (its equivalence to
+the column decoder it replaced is ``test_decoder_differential.py``),
+and the codec (``xrpc/marshal.py``) takes nodeid ranks from a kind
+column instead of a structural index. Properties, on the text
+generators of ``tests/xmldb/test_parser_differential.py``:
 
 * ``from_xml(to_xml(message))`` is the message — all four item kinds,
-  atomics and copies holding markup characters, bulk calls, static
-  attributes, projection paths; payload nodes compare by serialisation
-  (the decoded ones sit in an envelope with no full text, the encoded
-  ones in a document that has one, so the emitter's two modes meet);
+  copies of all five node kinds, atomics and copies holding markup
+  characters, bulk calls, static attributes, projection paths; payload
+  nodes compare by serialisation (the decoded ones sit in a document
+  with no full text, the encoded ones in a document that has one, so
+  the emitter's two modes meet), decoded leaf copies by string value;
 * an envelope with any one element deleted or duplicated decodes, or
   is refused with ``XrpcMarshalError`` — never a bare ``IndexError`` /
   ``KeyError``, never a silently unbound parameter;
@@ -49,6 +51,9 @@ _items = st.one_of(
     st.builds(NodeCopy, st.just("element"), st.just(""), _payloads),
     st.builds(NodeCopy, st.just("attribute"), _names, _strings),
     st.builds(NodeCopy, st.just("text"), st.just(""), _strings),
+    st.builds(NodeCopy, st.just("comment"), st.just(""), _strings),
+    st.builds(NodeCopy, st.just("processing-instruction"), _names,
+              _strings),
     st.builds(NodeRef, _ids, _ids),
     st.builds(AttrRef, _ids, _ids, _names))
 _sequences = st.lists(_items, max_size=4)
@@ -78,10 +83,13 @@ _responses = st.builds(ResponseMessage,
 
 
 def _comparable(items):
-    """Items with their payload nodes replaced by their text."""
-    return [NodeCopy("element", "", texts([item.content])[0])
-            if isinstance(item, NodeCopy) and item.node_kind == "element"
-            else item for item in items]
+    """Items with each copy's node replaced by its text (an element) or
+    its string value (any other kind, which decodes to a node)."""
+    return [item if not isinstance(item, NodeCopy) else NodeCopy(
+        item.node_kind, item.name,
+        texts([item.content])[0] if item.node_kind == "element"
+        else item.content if isinstance(item.content, str)
+        else item.content.value) for item in items]
 
 
 @given(_requests())

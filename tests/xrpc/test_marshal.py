@@ -4,20 +4,31 @@ attribute to pass-by-value, pass-by-fragment and pass-by-projection."""
 from repro.paths.analysis import PathSets
 from repro.paths.relpath import parse_rel_path
 from repro.xmldb.compare import is_same_node, node_before
+from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_fragment
 from repro.xrpc.marshal import marshal_calls, unmarshal_calls
-from repro.xrpc.messages import NodeRef
-from tests.conftest import texts
+from repro.xrpc.messages import NodeRef, RequestMessage
+from tests.conftest import over_the_wire, texts
 
 
 def by_name(doc, name):
     return next(n for n in doc.nodes() if n.name == name)
 
 
+def received(bundle):
+    """Unmarshal ``bundle`` as its receiver does. Through the wire:
+    fresh identity per message is what decoding the text gives, and
+    ``unmarshal_calls`` hands out the decoded documents, copying
+    nothing."""
+    request = over_the_wire(RequestMessage(
+        query="()", param_names=[name for name, _ in bundle.calls[0].params],
+        calls=bundle.calls, fragments=bundle.fragments))
+    return unmarshal_calls(request.calls, request.fragments, "msg")
+
+
 def ship(calls, semantics, param_paths=None):
-    """Marshal + unmarshal one request (the full copy pipeline)."""
-    bundle = marshal_calls(calls, semantics, param_paths)
-    return unmarshal_calls(bundle.calls, bundle.fragments, "msg")
+    """Marshal, encode, decode and unmarshal one request."""
+    return received(marshal_calls(calls, semantics, param_paths))
 
 
 class TestByValue:
@@ -56,6 +67,14 @@ class TestByValue:
         (call,) = ship([[("p", [attr])]], "by-value")
         shipped = call[0][1][0]
         assert shipped.name == "id" and shipped.value == "v"
+
+    def test_comment_and_processing_instruction_copies(self):
+        doc = parse_fragment("<a><!--c--><?t d?></a>")
+        (call,) = ship([[("p", list(doc.nodes())[1:])]], "by-value")
+        assert [(node.kind, node.name, node.value, node.parent())
+                for node in call[0][1]] == [
+            (NodeKind.COMMENT, "", "c", None),
+            (NodeKind.PROCESSING_INSTRUCTION, "t", "d", None)]
 
 
 class TestByFragment:
@@ -144,7 +163,7 @@ class TestByProjection:
         paths = {"r": PathSets(returned={parse_rel_path("parent::a")})}
         bundle = marshal_calls([[("r", [b])]], "by-projection", paths)
         assert texts(bundle.fragments) == ["<a><b><c/></b></a>"]
-        (call,) = unmarshal_calls(bundle.calls, bundle.fragments, "m")
+        (call,) = received(bundle)
         shipped = call[0][1][0]
         assert shipped.name == "b"
         assert shipped.parent() is not None

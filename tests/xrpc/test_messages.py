@@ -43,7 +43,10 @@ class TestRequestRoundTrip:
             query="$p", param_names=["p"],
             calls=[Call([("p", [NodeCopy("attribute", "id", "v&1")])])])
         (item,) = roundtrip_request(request).calls[0].params[0][1]
-        assert item.name == "id" and item.content == "v&1"
+        # Decoded, a copy holds its node, in a document of its own (made
+        # in text order with the other payload documents), not a string.
+        assert item.name == "id" and item.content.value == "v&1"
+        assert item.content.name == "id" and item.content.pre == 0
 
     def test_fragment_references(self):
         request = RequestMessage(

@@ -1,6 +1,7 @@
-"""One tree per message: an XRPC message is parsed once (the envelope)
-and serialised once (``to_xml``), and what is shredded out of it is
-still its own document every time.
+"""One tree per message: an XRPC message is read once (one expat pass
+over the envelope, shredding its payloads as they go by) and serialised
+once (``to_xml``), and what is shredded out of it is its own document
+every time.
 
 The counting tests wrap the scanner and the serializer wherever a
 ``repro`` module holds them, the way ``benchmarks/e2e/spans.py`` does;
@@ -18,7 +19,9 @@ from repro.workloads import (
     BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY, build_federation,
     build_sharded_federation,
 )
+from repro.xmldb import parser
 from repro.xmldb.compare import is_same_node
+from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize_node
 from repro.xrpc import marshal
@@ -26,7 +29,8 @@ from repro.xrpc.marshal import unmarshal_calls, unmarshal_result
 from repro.xrpc.messages import (
     Call, NodeCopy, NodeRef, RequestMessage, ResponseMessage,
 )
-from tests.conftest import element
+from tests.conftest import element, over_the_wire
+from tests.oracle import columns
 from tests.xrpc.test_peer import handler
 
 
@@ -41,11 +45,14 @@ def _rebind(monkeypatch, original, replacement) -> None:
 
 def _count_codec_calls(monkeypatch) -> dict[str, list]:
     """Calls of ``parse_document`` / ``parse_fragment`` /
-    ``serialize_node`` from now on, and separately those
-    ``serialize_node`` calls made while a decoder (``from_xml``,
-    ``unmarshal_*``) is on the calling thread's stack."""
+    ``serialize_node`` / ``from_xml`` / the expat pass (``parse``) from
+    now on, the ``serialize_node`` calls made while a decoder
+    (``from_xml``, ``unmarshal_*``) is on the calling thread's stack,
+    and every document made that holds an ``env:Envelope`` row."""
     calls = {name: [] for name in ("parse_document", "parse_fragment",
-                                   "serialize_node", "decoding")}
+                                   "serialize_node", "from_xml",
+                                   "expat_pass", "decoding",
+                                   "envelopes")}
     local = threading.local()
 
     def counted(name, fn):
@@ -58,6 +65,8 @@ def _count_codec_calls(monkeypatch) -> dict[str, list]:
 
     def decoder(fn):
         def wrapper(*args, **kwargs):
+            if fn.__name__ == "from_xml":
+                calls["from_xml"].append(1)
             local.depth = getattr(local, "depth", 0) + 1
             try:
                 return fn(*args, **kwargs)
@@ -67,8 +76,16 @@ def _count_codec_calls(monkeypatch) -> dict[str, list]:
 
     for name, fn in (("parse_document", parse_document),
                      ("parse_fragment", parse_fragment),
-                     ("serialize_node", serialize_node)):
+                     ("serialize_node", serialize_node),
+                     ("expat_pass", parser.parse)):
         _rebind(monkeypatch, fn, counted(name, fn))
+    made = Document.__init__
+
+    def init(self, *args, **kwargs):
+        made(self, *args, **kwargs)
+        if "env:Envelope" in self.names:
+            calls["envelopes"].append(self)
+    monkeypatch.setattr(Document, "__init__", init)
     for fn in (marshal.unmarshal_calls, marshal.unmarshal_result):
         _rebind(monkeypatch, fn, decoder(fn))
     for message_type in (RequestMessage, ResponseMessage):
@@ -84,25 +101,27 @@ def _count_codec_calls(monkeypatch) -> dict[str, list]:
         0.01, shard_count=4, replication_factor=2),
         SHARDED_BENCHMARK_QUERY, id="sharded-4x2"),
 ])
-def test_a_message_is_parsed_once_and_nothing_is_serialised_to_decode_it(
+def test_a_message_is_read_in_one_pass_and_nothing_is_serialised_to_decode_it(
         monkeypatch, build, query):
+    # Rewritten when the decoder became one expat pass: a message used
+    # to be one ``parse_document`` of its envelope; now receiving it is
+    # one ``from_xml``, one expat pass and no envelope document, and
+    # a run that ships no document parses no text at all.
     federation = build()
     calls = _count_codec_calls(monkeypatch)
     stats = federation.run(query, at="local",
                            strategy=Strategy.BY_PROJECTION).stats
     assert stats.messages >= 4 and stats.documents_shipped == 0
-    assert len(calls["parse_document"]) == stats.messages
-    assert calls["parse_fragment"] == []
+    assert len(calls["from_xml"]) == stats.messages
+    assert len(calls["expat_pass"]) == stats.messages
+    assert calls["parse_document"] == calls["parse_fragment"] == []
+    assert calls["envelopes"] == []
     assert calls["serialize_node"]  # the encoders' calls were seen
     assert calls["decoding"] == []
 
 
-def _over_the_wire(message):
-    return type(message).from_xml(message.to_xml())
-
-
 def test_two_references_into_one_fragment_are_one_node():
-    response = _over_the_wire(ResponseMessage(
+    response = over_the_wire(ResponseMessage(
         results=[[NodeRef(1, 2)], [NodeRef(1, 2), NodeRef(1, 1)]],
         fragments=[element("<a><b/></a>")]))
     (first,), (second, root) = unmarshal_result(
@@ -112,29 +131,32 @@ def test_two_references_into_one_fragment_are_one_node():
     assert root.is_ancestor_of(first) and first.parent() == root
 
 
-def test_the_same_text_shreds_to_new_documents_every_time():
+def test_the_same_text_decodes_to_new_documents_every_time():
     """A response replayed from the result cache, or a request sent
-    twice, gets fresh node identity per delivery — and so does one
-    parsed message unmarshalled twice."""
+    twice, gets fresh node identity per delivery: each decoding of the
+    text shreds its own documents."""
+    # Was "unmarshalled twice": unmarshalling copied out of the parsed
+    # envelope. Decoding makes the documents now, and unmarshalling
+    # hands them out, so a delivery is a decoding.
     text = ResponseMessage(
         results=[[NodeRef(1, 1), NodeCopy("element", "", element("<v/>"))]],
         fragments=[element("<a/>")]).to_xml()
-    parsed = ResponseMessage.from_xml(text)
     docs = []
-    for response in (parsed, parsed, ResponseMessage.from_xml(text)):
+    for _delivery in range(3):
+        response = ResponseMessage.from_xml(text)
         ((referenced, copied),) = unmarshal_result(
             response.results, response.fragments, "m")
+        assert referenced.doc is response.fragments[0].doc
         docs += [referenced.doc, copied.doc]
     assert len({id(doc) for doc in docs}) == 6
     assert len({doc.doc_seq for doc in docs}) == 6
-    assert parsed.fragments[0].doc not in docs
 
 
 def test_shipped_roots_have_no_ancestors_above_them():
     """``parent::`` from a fragment root or a by-value copy finds
     nothing — not the ``xrpc:fragment`` / ``xrpc:element`` wrapper the
     node sat under in the envelope — and ``root()`` is the node."""
-    request = _over_the_wire(RequestMessage(
+    request = over_the_wire(RequestMessage(
         query=("(count($f/parent::*), count($f/ancestor::node()), "
                "root($f) is $f, count($v/parent::*), "
                "count($v/ancestor::node()), root($v) is $v, "
@@ -144,25 +166,30 @@ def test_shipped_roots_have_no_ancestors_above_them():
                      ("v", [NodeCopy("element", "",
                                      element("<b><c/></b>"))])])],
         fragments=[element("<a><b/></a>")]))
-    assert request.fragments[0].parent().name == "xrpc:fragment"
+    # Was: the root sat under its ``xrpc:fragment`` wrapper in the
+    # parsed envelope. There is no envelope document now: the root's
+    # document holds its payload and nothing else.
+    assert request.fragments[0].parent() is None
+    assert len(request.fragments[0].doc) == 2
     response = handler().handle(request)
     assert unmarshal_result(response.results, response.fragments, "m") == \
         [[0, 0, True, 0, 0, True, 1]]
 
 
-def test_unmarshalled_documents_outlive_the_envelope():
-    """The shredded documents are copies, not views: they hold no
-    reference to the envelope document."""
-    request = _over_the_wire(RequestMessage(
+def test_a_shipped_document_holds_only_its_payload():
+    """Unmarshalling hands out the document decoding shredded for the
+    fragment — its rows, its name postings, no envelope behind it —
+    under the message's URI."""
+    # Was "outlive the envelope": the shipped document was a column
+    # copy of the parsed envelope; now there is nothing to copy from.
+    request = over_the_wire(RequestMessage(
         query="$p", param_names=["p"],
         calls=[Call([("p", [NodeRef(1, 2)])])],
         fragments=[element("<a><b>t</b></a>")]))
-    envelope = request.fragments[0].doc
     (((_name, (shipped,)),),) = unmarshal_calls(
         request.calls, request.fragments, "m")
     doc = shipped.doc
-    assert doc is not envelope and len(doc) == 3
-    for column in ("kinds", "names", "values", "sizes", "levels",
-                   "parents"):
-        assert getattr(doc, column) is not getattr(envelope, column)
+    assert doc is request.fragments[0].doc and doc.uri == "m#fragment1"
+    assert columns(doc) == columns(parse_fragment("<a><b>t</b></a>"))
+    assert doc.columns.postings is not None
     assert serialize_node(shipped) == "<b>t</b>"

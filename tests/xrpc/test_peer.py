@@ -7,7 +7,7 @@ from repro.xmldb.parser import parse_document
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import Call, RequestMessage
 from repro.xrpc.peer import RequestHandler
-from tests.conftest import element
+from tests.conftest import element, over_the_wire
 
 
 def handler(semantics="by-fragment", docs=None):
@@ -26,6 +26,13 @@ def handler(semantics="by-fragment", docs=None):
     return RequestHandler("peer", resolve, no_xrpc, semantics)
 
 
+def answers(response):
+    """The results of ``response`` as its receiver unmarshals them:
+    through the wire, where each delivery decodes fresh documents."""
+    response = over_the_wire(response)
+    return unmarshal_result(response.results, response.fragments, "m")
+
+
 def make_request(query, params=None, calls=None, **kwargs):
     params = params or []
     calls = calls if calls is not None else [Call([])]
@@ -38,8 +45,7 @@ class TestHandling:
         h = handler(docs={"d.xml": "<a><b>7</b></a>"})
         request = make_request('doc("d.xml")/child::a/child::b')
         response = h.handle(request)
-        results = unmarshal_result(response.results, response.fragments,
-                                   "m")
+        results = answers(response)
         assert results[0][0].string_value() == "7"
 
     def test_bulk_calls_evaluated_independently(self):
@@ -50,8 +56,7 @@ class TestHandling:
                                calls=bundle.calls,
                                fragments=bundle.fragments)
         response = h.handle(request)
-        results = unmarshal_result(response.results, response.fragments,
-                                   "m")
+        results = answers(response)
         assert results == [[10], [20], [30]]
 
     def test_static_context_installed_from_message(self):
@@ -60,16 +65,14 @@ class TestHandling:
             "static-base-uri()",
             static_attrs={"xrpc:base-uri": "http://elsewhere/"})
         response = h.handle(request)
-        results = unmarshal_result(response.results, response.fragments,
-                                   "m")
+        results = answers(response)
         assert results == [["http://elsewhere/"]]
 
     def test_projection_request_without_paths_degrades_to_fragment(self):
         h = handler("by-projection", docs={"d.xml": "<a><b/></a>"})
         request = make_request('doc("d.xml")/child::a')
         response = h.handle(request)  # no projection-paths element
-        results = unmarshal_result(response.results, response.fragments,
-                                   "m")
+        results = answers(response)
         assert results[0][0].name == "a"
 
 

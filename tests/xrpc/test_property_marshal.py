@@ -18,7 +18,8 @@ from repro.paths.relpath import parse_rel_path
 from repro.xmldb.compare import deep_equal, is_same_node, node_before
 from repro.xmldb.document import DocumentBuilder
 from repro.xmldb.node import NodeKind
-from repro.xrpc.marshal import marshal_calls, unmarshal_calls
+from repro.xrpc.marshal import marshal_calls
+from tests.xrpc.test_marshal import received
 
 _names = st.sampled_from(["a", "b", "c", "d"])
 
@@ -60,7 +61,7 @@ def test_by_value_preserves_values(pair):
     doc, picks = pair
     calls = [[(f"p{i}", [node]) for i, node in enumerate(picks)]]
     bundle = marshal_calls(calls, "by-value")
-    (out,) = unmarshal_calls(bundle.calls, bundle.fragments, "m")
+    (out,) = received(bundle)
     for (name, shipped), original in zip(out, picks):
         assert deep_equal(shipped[0], original)
 
@@ -71,7 +72,7 @@ def test_by_fragment_preserves_identity_and_order(pair):
     doc, picks = pair
     calls = [[(f"p{i}", [node]) for i, node in enumerate(picks)]]
     bundle = marshal_calls(calls, "by-fragment")
-    (out,) = unmarshal_calls(bundle.calls, bundle.fragments, "m")
+    (out,) = received(bundle)
     shipped = [seq[0] for _name, seq in out]
     for i in range(len(picks)):
         assert deep_equal(shipped[i], picks[i])
@@ -115,7 +116,7 @@ def test_projection_keeps_anchors_and_returned_paths(pair):
     paths = {"p0": PathSets(returned={parse_rel_path("child::a")})}
     calls = [[("p0", [picks[0]])]]
     bundle = marshal_calls(calls, "by-projection", paths)
-    (out,) = unmarshal_calls(bundle.calls, bundle.fragments, "m")
+    (out,) = received(bundle)
     shipped = out[0][1][0]
     # The anchor is addressable and has the right name.
     assert shipped.name == picks[0].name
