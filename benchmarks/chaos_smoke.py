@@ -5,7 +5,7 @@ full observability stack attached:
 
 1. **warmup** — healthy fleet, answers byte-exact vs a single-owner
    oracle, zero failovers.
-2. **degrade** — catalog marks steer two shards exclusively onto a
+2. **degrade** — down marks steer two shards exclusively onto a
    slowed replica; the SLO burn-rate alert must fire exactly once
    (and not flap) while answers stay correct.
 3. **kill → heal** — a replica is killed outright. The failure
@@ -113,20 +113,20 @@ def main(out_dir: str | None = None) -> int:
         # Phase 2 — degrade, not dead: sustained latency breach must
         # fire the burn-rate alert exactly once; the failure detector
         # must NOT kill a slow-but-answering peer.
-        cluster.catalog.mark_down("node1")
-        cluster.catalog.mark_down("node3")
+        cluster.peer_view.mark_down("node1")
+        cluster.peer_view.mark_down("node3")
         cluster.transport.degrade_peer("node2", DEGRADE_S)
         check(run_batch(engine, 6) == {oracle},
               "degrade-phase answers wrong")
         tracker.tick()
-        check(tracker.state("node2") == ALIVE,
+        check(cluster.peer_view.state("node2") == ALIVE,
               f"degraded (not dead) peer misjudged: "
-              f"{tracker.state('node2')}")
+              f"{cluster.peer_view.state('node2')}")
         check(monitor.events.count("alert_fired") == 1,
               f"alert fired {monitor.events.count('alert_fired')}x, "
               "want exactly 1")
-        cluster.catalog.mark_up("node1")
-        cluster.catalog.mark_up("node3")
+        cluster.peer_view.mark_up("node1")
+        cluster.peer_view.mark_up("node3")
         cluster.transport.restore_peer("node2")
         print("phase 2 (degrade): burn-rate alert fired once, "
               "node2 still judged alive")
@@ -137,12 +137,12 @@ def main(out_dir: str | None = None) -> int:
         epoch_before = cluster.catalog.epoch()
         cluster.transport.kill_peer("node1")
         ticks = 0
-        while tracker.state("node1") != EVICTED and ticks < 12:
+        while cluster.peer_view.state("node1") != EVICTED and ticks < 12:
             tracker.tick()
             ticks += 1
-        check(tracker.state("node1") == EVICTED,
+        check(cluster.peer_view.state("node1") == EVICTED,
               f"node1 not evicted after {ticks} ticks "
-              f"(state {tracker.state('node1')})")
+              f"(state {cluster.peer_view.state('node1')})")
         check(cluster.catalog.epoch() > epoch_before,
               "eviction bumped no catalog epoch")
         check(repair.run_until_converged(),
@@ -177,7 +177,8 @@ def main(out_dir: str | None = None) -> int:
         tracker.rejoin("node1")
         for _ in range(3):
             tracker.tick()
-        check(tracker.state("node1") == ALIVE, "revived peer not alive")
+        check(cluster.peer_view.state("node1") == ALIVE,
+              "revived peer not alive")
         check(tracker.converged(), "membership did not re-converge")
         check(run_batch(engine, 4) == {oracle},
               "post-revive answers wrong")

@@ -157,7 +157,7 @@ def main(out_dir: str | None = None) -> int:
     # placement; replication holds on the remaining fleet throughout.
     check(rebalancer.drain("node4"), "drain(node4) stalled")
     rebalancer.collect()
-    scorer = LoadScorer(cluster, catalog=cluster.catalog)
+    scorer = LoadScorer(cluster)
     node4 = scorer.snapshot()["node4"]
     check(node4.fragments == 0,
           f"drained peer still holds {node4.fragments} fragments")

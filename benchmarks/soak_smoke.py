@@ -2,7 +2,7 @@
 
 Drives the churn drill end to end against the sharded XMark cluster
 with the fleet monitor attached: a healthy warmup, a degrade phase
-(catalog marks steer two shards exclusively onto a slowed replica, so
+(down marks steer two shards exclusively onto a slowed replica, so
 health scoring must demote it while the failover count stays zero and
 the SLO burn-rate alert fires exactly once), then a hard kill/revive
 of a healthy replica (failovers must register) — with zero wrong
@@ -87,12 +87,12 @@ def main(out_dir: str | None = None) -> int:
               "failovers during healthy warmup")
         print("phase 1 (warmup): 8 queries, answers correct")
 
-        # Phase 2 — node2 degrades (slow, NOT dead). Catalog marks
+        # Phase 2 — node2 degrades (slow, NOT dead). Down marks
         # steer shards 0/1 onto it exclusively: the breach is
         # sustained, nothing raises, so only health scoring can catch
         # it — and it must, before any request fails.
-        cluster.catalog.mark_down("node1")
-        cluster.catalog.mark_down("node3")
+        cluster.peer_view.mark_down("node1")
+        cluster.peer_view.mark_down("node3")
         cluster.transport.degrade_peer("node2", DEGRADE_S)
         check(run_batch(engine, 6) == {baseline},
               "degrade-phase answers wrong")
@@ -111,8 +111,8 @@ def main(out_dir: str | None = None) -> int:
 
         # Phase 3 — hard churn: heal the marks, restore node2, kill a
         # healthy first-choice replica outright, then revive it.
-        cluster.catalog.mark_up("node1")
-        cluster.catalog.mark_up("node3")
+        cluster.peer_view.mark_up("node1")
+        cluster.peer_view.mark_up("node3")
         cluster.transport.restore_peer("node2")
         cluster.transport.kill_peer("node1")
         check(run_batch(engine, 8) == {baseline},

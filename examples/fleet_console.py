@@ -50,18 +50,18 @@ def main(scale: float = SCALE) -> None:
         run_batch(engine, 8)
         print(render_fleet(monitor, recent_events=4))
 
-        print("\n--- node2 degrades: +80 ms per transmission; catalog "
+        print("\n--- node2 degrades: +80 ms per transmission; down "
               "marks steer two shards onto it (6 queries) ---")
-        cluster.catalog.mark_down("node1")
-        cluster.catalog.mark_down("node3")
+        cluster.peer_view.mark_down("node1")
+        cluster.peer_view.mark_down("node3")
         cluster.transport.degrade_peer("node2", DEGRADE_S)
         run_batch(engine, 6)
         print(render_fleet(monitor, recent_events=6))
 
         print("\n--- node2 restored; node1 killed outright, then "
               "revived (12 queries) ---")
-        cluster.catalog.mark_up("node1")
-        cluster.catalog.mark_up("node3")
+        cluster.peer_view.mark_up("node1")
+        cluster.peer_view.mark_up("node3")
         cluster.transport.restore_peer("node2")
         cluster.transport.kill_peer("node1")
         run_batch(engine, 8)

@@ -16,10 +16,12 @@ logical collection:
   transparent failover, aggregate pushdown;
 * :mod:`repro.cluster.gather` — shard-order-stable result merging and
   shard-document reassembly for data shipping;
-* :mod:`repro.cluster.membership` — the failure detector: probe ticks
-  plus passive transport evidence drive each replica through
-  ``alive → suspect → dead → evicted`` with hysteresis, feeding
-  catalog health marks and placement evictions;
+* :mod:`repro.cluster.membership` — the :class:`PeerView` every
+  liveness question is answered from (may a peer serve, may it accept
+  a replica, in which order), and the failure detector writing into
+  it: probe ticks plus the router's attempts drive each replica
+  through ``alive → suspect → dead → evicted`` with hysteresis, ending
+  in placement evictions;
 * :mod:`repro.cluster.repair` — finding and queueing under-replicated
   shard fragments after evictions (the migration executor copies them
   onto healthy peers);
@@ -59,7 +61,7 @@ from repro.cluster.gather import (
     aggregate_combiner, concatenate, merge_shard_documents,
 )
 from repro.cluster.membership import (
-    ALIVE, DEAD, EVICTED, SUSPECT, MembershipTracker,
+    ALIVE, DEAD, EVICTED, SUSPECT, MembershipTracker, PeerView,
 )
 from repro.cluster.partitioner import (
     HashPartitioner, Partitioner, RangePartitioner, collection_members,
@@ -68,7 +70,7 @@ from repro.cluster.partitioner import (
 from repro.cluster.migrate import BoundaryPartitioner, MigrationExecutor
 from repro.cluster.placement import (
     InsufficientHealthyPeersError, create_sharded_collection,
-    healthy_peers, round_robin_placement, shard_local_name,
+    round_robin_placement, shard_local_name,
 )
 from repro.cluster.rebalance import (
     LoadScorer, MovePlan, PeerScore, Rebalancer, ReplicatePlan, SplitPlan,
@@ -83,11 +85,11 @@ __all__ = [
     "HashPartitioner", "Partitioner", "RangePartitioner",
     "collection_members", "make_partitioner", "partition_document",
     "create_sharded_collection", "round_robin_placement",
-    "shard_local_name", "healthy_peers",
+    "shard_local_name",
     "InsufficientHealthyPeersError",
     "ClusterRouter", "ShardUnavailableError", "rewrite_doc_uris",
     "aggregate_combiner", "concatenate", "merge_shard_documents",
-    "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker",
+    "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker", "PeerView",
     "RepairEngine", "RepairTask",
     "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
     "Rebalancer", "MigrationExecutor", "BoundaryPartitioner",

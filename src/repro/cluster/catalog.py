@@ -11,7 +11,7 @@ and never name shards or replicas; the router resolves the virtual
 host through this catalog at execution time.
 
 Membership is **epoch-versioned**: every mutation (registering or
-dropping a collection, replica health transitions) bumps the catalog
+dropping a collection, a peer marked down or up) bumps the catalog
 epoch. The epoch is woven into the runtime's cache keys so responses
 computed against an older shard layout can never be served after a
 repartition.
@@ -23,11 +23,12 @@ builds on whatever landed since its plan was made and never undoes it.
 The function must be pure — every reader waits on that lock, and a
 call back into the catalog from inside it would deadlock.
 
-Replica health is advisory: :meth:`ClusterCatalog.mark_down` removes a
-peer from replica selection without touching placements, and
-:meth:`mark_up` heals it. The router additionally fails over on live
-transport faults, so an un-marked dead replica costs one failed
-attempt, not a failed query.
+The catalog holds layouts and the epoch only. Whether a placed
+replica may serve is the :class:`~repro.cluster.membership.PeerView`'s
+answer; a down mark it sets or lifts bumps the epoch here
+(:meth:`ClusterCatalog.bump`) without touching placements. The router
+additionally fails over on live transport faults, so an unmarked dead
+replica costs one failed attempt, not a failed query.
 """
 
 from __future__ import annotations
@@ -150,8 +151,6 @@ class ClusterCatalog:
         self._lock = threading.Lock()
         self._epoch = 0
         self._collections: dict[str, CollectionSpec] = {}
-        self._down: set[str] = set()
-        self._draining: set[str] = set()
         self._reasons: dict[str, str] = {}   # collection -> last reason
         #: A :class:`~repro.obs.events.EventLog` installed by a fleet
         #: monitor; every epoch bump emits into it when set.
@@ -259,85 +258,26 @@ class ClusterCatalog:
         with self._lock:
             return list(self._collections.values())
 
-    # -- replica health -----------------------------------------------------
-
-    def mark_down(self, peer_name: str) -> None:
-        """Exclude ``peer_name`` from replica selection."""
-        epoch = None
+    def bump(self, reason: str, **attrs) -> None:
+        """Bump the epoch for a change outside the layouts (a peer's
+        down mark set or lifted): cached responses keyed by the old
+        epoch stop being served."""
         with self._lock:
-            if peer_name not in self._down:
-                self._down.add(peer_name)
-                self._epoch += 1
-                epoch = self._epoch
-        if epoch is not None:
-            self._emit_epoch(epoch, "mark_down", peer=peer_name)
-
-    def mark_up(self, peer_name: str) -> None:
-        epoch = None
-        with self._lock:
-            if peer_name in self._down:
-                self._down.discard(peer_name)
-                self._epoch += 1
-                epoch = self._epoch
-        if epoch is not None:
-            self._emit_epoch(epoch, "mark_up", peer=peer_name)
-
-    def is_down(self, peer_name: str) -> bool:
-        with self._lock:
-            return peer_name in self._down
-
-    # -- draining (planned decommission) ------------------------------------
-
-    def set_draining(self, peer_name: str, draining: bool = True) -> None:
-        """Mark/unmark ``peer_name`` as draining. A draining peer keeps
-        serving the reads it already holds but stops receiving new
-        placements (repair targets, rebalance destinations, fresh
-        collections) while the rebalancer migrates its fragments away.
-        Advisory only — no epoch bump, placements are untouched."""
-        changed = False
-        with self._lock:
-            if draining and peer_name not in self._draining:
-                self._draining.add(peer_name)
-                changed = True
-            elif not draining and peer_name in self._draining:
-                self._draining.discard(peer_name)
-                changed = True
-        if changed and self.events is not None:
-            self.events.emit(
-                "peer_draining" if draining else "peer_undrained",
-                f"peer {peer_name} {'draining for decommission' if draining else 'accepting placements again'}",
-                severity="info", peer=peer_name)
-
-    def is_draining(self, peer_name: str) -> bool:
-        with self._lock:
-            return peer_name in self._draining
-
-    def draining_peers(self) -> frozenset[str]:
-        with self._lock:
-            return frozenset(self._draining)
-
-    def live_replicas(self, shard: ShardInfo) -> tuple[str, ...]:
-        """The shard's replicas not currently marked down (all of them
-        when every replica is marked down — a dead cluster should fail
-        on the wire, not silently on an empty candidate list)."""
-        with self._lock:
-            live = tuple(peer for peer in shard.replicas
-                         if peer not in self._down)
-        return live if live else shard.replicas
+            self._epoch += 1
+            epoch = self._epoch
+        self._emit_epoch(epoch, reason, **attrs)
 
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> dict[str, object]:
         """A JSON-able snapshot for examples, benchmarks, and the
-        operator console: per-shard placements with live-replica
-        counts, plus each collection's replication target and the
-        reason of its last epoch-bumping mutation."""
+        operator console (through :meth:`PeerView.describe`, which adds
+        liveness): per-shard placements, plus each collection's
+        replication target and the reason of its last epoch-bumping
+        mutation."""
         with self._lock:
-            down = set(self._down)
             return {
                 "epoch": self._epoch,
-                "down": sorted(down),
-                "draining": sorted(self._draining),
                 "collections": {
                     spec.name: {
                         "document": spec.document,
@@ -350,10 +290,6 @@ class ClusterCatalog:
                             {"index": s.index,
                              "local_name": s.local_name,
                              "replicas": list(s.replicas),
-                             "live": [r for r in s.replicas
-                                      if r not in down],
-                             "live_count": sum(1 for r in s.replicas
-                                               if r not in down),
                              "members": s.members}
                             for s in spec.shards
                         ],

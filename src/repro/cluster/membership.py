@@ -1,18 +1,35 @@
-"""The membership failure detector: alive → suspect → dead → evicted.
+"""Peer liveness: one view of every peer, and the failure detector that
+writes into it.
 
-PR 2's router *dodges* dead replicas — every query rediscovers the
-same corpse, pays one failed attempt, and fails over. This module
-detects the failure **once**, cluster-wide, and acts through the
-catalog's epoch machinery so routers stop selecting the replica
-entirely:
+:class:`PeerView` is the cluster's one answer to "can this peer
+serve?"; every federation has one (``federation.peer_view``). Its row
+for a peer holds four beliefs: the detector's **state** (alive →
+suspect → dead → evicted); the **down** mark, set by ``mark_down`` or a
+dead verdict and lifted by ``mark_up`` or a revival, each change one
+catalog epoch bump; the **draining** mark of a decommission; and the
+**demotion** the health scorer (:class:`~repro.obs.health.HealthTracker`)
+judges anew whenever the standing is read. The router, repair, migration,
+rebalance, placement and the console ask it and nothing else:
+:meth:`~PeerView.serves` (not down, not held dead or evicted — an
+operator's ``mark_up`` does not overrule a dead verdict),
+:meth:`~PeerView.accepts` a new replica (serves, held alive — not
+suspect — and not draining), and :meth:`~PeerView.order` (healthy
+first, then by load). Evidence arrives through :meth:`PeerView.record`,
+one call per router attempt or detector probe; it stays with whoever
+weighs it (the scorer's latency windows, the detector's failure window
+and ladder), and a view with neither attached records nothing.
 
-* **Evidence** arrives on two channels. *Passive*: the router reports
-  every real attempt's outcome (``record_success`` / ``record_failure``
-  from ``_with_failover``), so workload traffic doubles as detection
-  traffic. *Active*: :meth:`tick` sends one heartbeat-sized probe per
-  watched peer through :meth:`~repro.runtime.transport.Transport.probe`
-  — idle peers keep getting judged, and a revived peer gets noticed
-  without waiting for a query to gamble on it.
+:class:`MembershipTracker`, the failure detector, judges each watched
+peer once, cluster-wide, so routers stop selecting a dead replica
+instead of rediscovering it per query:
+
+* **Evidence** arrives on two channels. *Passive*: every real attempt
+  the router makes, so workload traffic doubles as detection traffic.
+  *Active*: :meth:`MembershipTracker.tick` sends one heartbeat-sized
+  probe per watched peer through
+  :meth:`~repro.runtime.transport.Transport.probe`, so idle peers keep
+  getting judged and a revived peer gets noticed without waiting for a
+  query to gamble on it.
 
 * **Suspicion** is phi-accrual-flavoured, tick-driven and
   deterministic: over the same rolling windows :mod:`repro.obs.health`
@@ -25,10 +42,7 @@ entirely:
   failures; recovery needs ``revive_after`` consecutive successes
   (hysteresis — one lucky probe cannot flap a suspect back to alive).
 
-* **Actions** ride the catalog epochs. Dead ⇒ ``catalog.mark_down``
-  (one epoch bump; every router's replica ordering excludes the peer
-  from then on — no more per-request rediscovery). Alive again ⇒
-  ``mark_up``. After ``evict_after_ticks`` further ticks dead, the
+* **Eviction**: after ``evict_after_ticks`` further ticks dead, the
   peer is **evicted**: removed from every shard placement that has
   another replica (``catalog.update``, reason ``"evict"``), leaving
   under-replicated shards for :class:`~repro.cluster.repair.RepairEngine`
@@ -40,7 +54,7 @@ entirely:
 Every transition emits an event (``membership_suspect`` /
 ``membership_dead`` / ``membership_alive`` / ``replica_evicted``) and
 feeds the ``membership_*`` metrics series. All mutations happen under
-one lock; side effects (catalog calls, events, callbacks) run after it
+one lock; side effects (epoch bumps, events, callbacks) run after it
 is released, in deterministic peer order.
 """
 
@@ -48,7 +62,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from repro.cluster.catalog import ClusterCatalog, ClusterError
 from repro.errors import NetworkError
@@ -56,7 +70,7 @@ from repro.obs.windows import RollingWindowFamily
 from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "EVICTED", "PHI_CEILING",
-           "ReplicaState", "MembershipTracker"]
+           "PeerView", "MembershipTracker"]
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -74,42 +88,153 @@ _EVENT_SEVERITY = {SUSPECT: "warning", DEAD: "error",
 
 
 @dataclass
-class ReplicaState:
-    """One watched peer's current standing."""
+class PeerRow:
+    """What the cluster believes about one peer."""
 
-    peer: str
     state: str = ALIVE
-    phi: float = 0.0
+    down: bool = False
+    draining: bool = False
+    demoted: bool = False
+
+
+class PeerView:
+    """The per-peer table every liveness question is answered from (see
+    the module docstring). A peer without a row is alive, up, not
+    draining and healthy."""
+
+    def __init__(self, catalog: ClusterCatalog | None = None):
+        #: Bumps the epoch when a down mark changes (None: no epochs).
+        self.catalog = catalog
+        #: The health scorer and the failure detector, installed by
+        #: their ``attach``; None ⇒ that evidence is dropped.
+        self.health = self.detector = None
+        self._lock = threading.Lock()
+        self._rows: dict[str, PeerRow] = {}
+
+    # -- questions ------------------------------------------------------------
+
+    def state(self, peer: str) -> str:
+        row = self._rows.get(peer)
+        return ALIVE if row is None else row.state
+
+    def serves(self, peer: str) -> bool:
+        """May the router send ``peer`` a request?"""
+        row = self._rows.get(peer)
+        return row is None or (not row.down
+                               and row.state in (ALIVE, SUSPECT))
+
+    def accepts(self, peer: str) -> bool:
+        """May ``peer`` receive a new replica?"""
+        row = self._rows.get(peer)
+        return row is None or (not row.down and row.state == ALIVE
+                               and not row.draining)
+
+    def healthy(self, peer: str) -> bool:
+        """``peer``'s health standing, first refreshed by the health
+        scorer when one is attached (a demotion or a restoration is
+        written here and emits its event)."""
+        health = self.health
+        if health is None:
+            row = self._rows.get(peer)
+            return row is None or not row.demoted
+        with self._lock:    # one judgment, one event, per transition
+            row = self._rows.setdefault(peer, PeerRow())
+            row.demoted = not health.judge(peer, not row.demoted)
+            return not row.demoted
+
+    def order(self, peers, load) -> list[str]:
+        """``peers`` healthy first, then ascending ``load(peer)``."""
+        return sorted(peers,
+                      key=lambda peer: (not self.healthy(peer), load(peer)))
+
+    # -- operator actions -----------------------------------------------------
+
+    def mark_down(self, peer: str) -> None:
+        """Take ``peer`` out of service (one epoch bump if it was up)."""
+        if self._flip(peer, "down", True) and self.catalog is not None:
+            self.catalog.bump("mark_down", peer=peer)
+
+    def mark_up(self, peer: str) -> None:
+        """Lift ``peer``'s down mark (one epoch bump if it was down)."""
+        if self._flip(peer, "down", False) and self.catalog is not None:
+            self.catalog.bump("mark_up", peer=peer)
+
+    def drain(self, peer: str) -> None:
+        """Stop placing new replicas on ``peer``; it keeps serving the
+        ones it holds while the rebalancer moves them away."""
+        self._set_draining(peer, True)
+
+    def undrain(self, peer: str) -> None:
+        self._set_draining(peer, False)
+
+    def _set_draining(self, peer: str, draining: bool) -> None:
+        events = getattr(self.catalog, "events", None)
+        if self._flip(peer, "draining", draining) and events is not None:
+            events.emit(
+                "peer_draining" if draining else "peer_undrained",
+                f"peer {peer} " + ("draining for decommission" if draining
+                                   else "accepting placements again"),
+                severity="info", peer=peer)
+
+    def _flip(self, peer: str, mark: str, value: bool) -> bool:
+        """Set one of ``peer``'s marks; True when that changed it."""
+        with self._lock:
+            row = self._rows.setdefault(peer, PeerRow())
+            if getattr(row, mark) == value:
+                return False
+            setattr(row, mark, value)
+            return True
+
+    # -- evidence -------------------------------------------------------------
+
+    def record(self, peer: str, seconds: float | None, ok: bool) -> None:
+        """One attempt against ``peer`` that took ``seconds``, or one
+        probe (``seconds`` None: no latency sample), and whether it went
+        through the wire."""
+        if self.health is not None and seconds is not None:
+            self.health.record(peer, seconds, ok)
+        if self.detector is not None:
+            self.detector.observe(peer, ok)
+
+    # -- introspection --------------------------------------------------------
+
+    def describe(self) -> dict[str, object]:
+        """:meth:`ClusterCatalog.describe` plus liveness: the peers
+        marked down and draining, and per shard the ``live`` replicas
+        (those that serve)."""
+        snap = self.catalog.describe()
+        with self._lock:
+            rows = sorted(self._rows.items())
+        snap["down"] = [peer for peer, row in rows if row.down]
+        snap["draining"] = [peer for peer, row in rows if row.draining]
+        for collection in snap["collections"].values():
+            for shard in collection["shards"]:
+                shard["live"] = [peer for peer in shard["replicas"]
+                                 if self.serves(peer)]
+        return snap
+
+
+@dataclass
+class _Ladder:
+    """The detector's evidence counters for one watched peer."""
+
     consecutive_failures: int = 0
     consecutive_successes: int = 0
     dead_ticks: int = 0           # ticks spent dead (drives eviction)
-    transitions: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "peer": self.peer,
-            "state": self.state,
-            "phi": self.phi,
-            "consecutive_failures": self.consecutive_failures,
-            "consecutive_successes": self.consecutive_successes,
-            "dead_ticks": self.dead_ticks,
-            "transitions": self.transitions,
-        }
 
 
 class MembershipTracker:
-    """Tick-driven failure detector over the cluster catalog.
+    """Tick-driven failure detector writing into a :class:`PeerView`.
 
-    Construct standalone (``MembershipTracker(catalog=...,
-    transport=...)``) or wire into a federation with :meth:`attach`,
-    which also auto-watches every peer holding a replica. ``clock``
+    :meth:`attach` wires it into a federation: it adopts the
+    federation's view (until then it keeps a view of its own), wire and
+    clock, and watches every peer holding a replica. ``clock``
     (default: the attached federation's) only drives the evidence
     windows; state transitions are functions of evidence counts and
     :meth:`tick` calls — never time — so chaos schedules replay exactly.
     """
 
-    def __init__(self, catalog: ClusterCatalog | None = None,
-                 transport=None, *, clock=None,
+    def __init__(self, transport=None, *, clock=None,
                  width_s: float = 0.5, buckets: int = 20,
                  window_s: float | None = None,
                  suspect_phi: float = 1.0, min_samples: int = 4,
@@ -126,7 +251,8 @@ class MembershipTracker:
         if evict_after_ticks < 1:
             raise ClusterError(
                 f"evict_after_ticks {evict_after_ticks} must be >= 1")
-        self.catalog = catalog
+        self.view = PeerView()
+        self.view.detector = self
         self.transport = transport
         self.window_s = window_s
         self.suspect_phi = suspect_phi
@@ -142,9 +268,8 @@ class MembershipTracker:
         self._failures = RollingWindowFamily(
             width_s, buckets, clock or REAL_CLOCK, eps=None)
         self._lock = threading.Lock()
-        self._states: dict[str, ReplicaState] = {}
+        self._ladders: dict[str, _Ladder] = {}    # the watched peers
         self._subscribers: list = []
-        self._ticks = 0
         self._init_metrics(metrics)
 
     def _init_metrics(self, metrics) -> None:
@@ -164,25 +289,25 @@ class MembershipTracker:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "MembershipTracker":
-        """Install on ``federation``: adopt its catalog/transport, the
-        wire's clock (and monitor event log + metrics registry when
-        present), watch every replica peer, and let the router feed
-        passive evidence through ``federation.membership``."""
-        if self.catalog is None:
-            self.catalog = federation.catalog
+        """Install on ``federation``: write into its peer view (whose
+        :meth:`PeerView.record` then feeds this detector the router's
+        attempts), adopt its transport, the wire's clock (and monitor
+        event log + metrics registry when present), and watch every
+        replica peer."""
+        self.view = federation.peer_view
+        self.view.detector = self
         if self.transport is None:
             self.transport = federation.transport
         if self._follows_wire:
             # Per-peer windows are born on their first evidence.
             self._failures.clock = federation.transport.clock
-        monitor = getattr(federation, "monitor", None)
+        monitor = federation.monitor
         if self.events is None and monitor is not None:
             self.events = monitor.events
         if self._state_gauge is None:
             self._init_metrics(federation.metrics)
-        federation.membership = self
-        if self.catalog is not None:
-            for spec in self.catalog.collections():
+        if federation.catalog is not None:
+            for spec in federation.catalog.collections():
                 self.watch(*spec.replica_peers)
         return self
 
@@ -195,18 +320,13 @@ class MembershipTracker:
     def watch(self, *peers: str) -> None:
         with self._lock:
             for peer in peers:
-                self._states.setdefault(peer, ReplicaState(peer=peer))
+                self._ladders.setdefault(peer, _Ladder())
 
     # -- reads ----------------------------------------------------------------
 
     def peers(self) -> list[str]:
         with self._lock:
-            return sorted(self._states)
-
-    def state(self, peer: str) -> str:
-        with self._lock:
-            entry = self._states.get(peer)
-            return entry.state if entry is not None else ALIVE
+            return sorted(self._ladders)
 
     def phi(self, peer: str) -> float:
         """The current phi suspicion score (windowed failure mass)."""
@@ -221,34 +341,53 @@ class MembershipTracker:
             return PHI_CEILING
         return min(PHI_CEILING, -math.log10(1.0 - fraction))
 
-    def snapshot(self) -> list[dict]:
-        with self._lock:
-            entries = [dc_replace(entry) for _, entry in
-                       sorted(self._states.items())]
-        for entry in entries:
-            entry.phi = self.phi(entry.peer)
-        return [entry.snapshot() for entry in entries]
-
     def converged(self) -> bool:
         """True when no watched peer is suspect or dead (evicted peers
         are resolved, not pending — the repair engine owns their data)."""
-        with self._lock:
-            return all(entry.state in (ALIVE, EVICTED)
-                       for entry in self._states.values())
+        return all(self.view.state(peer) in (ALIVE, EVICTED)
+                   for peer in self.peers())
 
     # -- evidence -------------------------------------------------------------
 
-    def record_success(self, peer: str) -> None:
-        """Passive evidence: one real attempt against ``peer`` worked."""
-        self._failures.labels(peer).observe(0.0)
-        self._observe(peer, ok=True)
-
-    def record_failure(self, peer: str, error: Exception | None = None
-                       ) -> None:
-        """Passive evidence: one real attempt against ``peer`` failed
-        at the wire level."""
-        self._failures.labels(peer).observe(1.0)
-        self._observe(peer, ok=False)
+    def observe(self, peer: str, ok: bool) -> None:
+        """One attempt's or probe's outcome against ``peer`` (delivered
+        by :meth:`PeerView.record`)."""
+        self._failures.labels(peer).observe(0.0 if ok else 1.0)
+        state = self.view.state
+        transitions = []
+        with self._lock:
+            ladder = self._ladders.setdefault(peer, _Ladder())
+            if state(peer) == EVICTED:
+                return  # terminal until rejoin()
+            if ok:
+                ladder.consecutive_failures = 0
+                ladder.consecutive_successes += 1
+                if (state(peer) in (SUSPECT, DEAD)
+                        and ladder.consecutive_successes
+                        >= self.revive_after):
+                    transitions.append(self._transition(peer, ALIVE))
+            else:
+                ladder.consecutive_successes = 0
+                ladder.consecutive_failures += 1
+                if (state(peer) in (ALIVE, SUSPECT)
+                        and ladder.consecutive_failures >= self.dead_after):
+                    if state(peer) == ALIVE:
+                        transitions.append(
+                            self._transition(peer, SUSPECT))
+                    transitions.append(self._transition(peer, DEAD))
+                elif (state(peer) == ALIVE
+                      and ladder.consecutive_failures
+                      >= self.suspect_after):
+                    transitions.append(self._transition(peer, SUSPECT))
+        if not transitions and not ok and state(peer) == ALIVE \
+                and self.phi(peer) >= self.suspect_phi:
+            # The windowed phi signal: mostly-failing mixed traffic
+            # turns a peer suspect even when successes keep resetting
+            # the consecutive ladder.
+            with self._lock:
+                if state(peer) == ALIVE:
+                    transitions.append(self._transition(peer, SUSPECT))
+        self._apply(transitions)
 
     def tick(self) -> dict[str, str]:
         """One detector round: probe every watched, non-evicted peer
@@ -257,136 +396,87 @@ class MembershipTracker:
         if self.transport is None:
             raise ClusterError("membership tracker has no transport "
                                "to probe through (attach a federation)")
-        with self._lock:
-            self._ticks += 1
-            probe_list = [entry.peer for _, entry in
-                          sorted(self._states.items())
-                          if entry.state != EVICTED]
-        for peer in probe_list:
+        for peer in [peer for peer in self.peers()
+                     if self.view.state(peer) != EVICTED]:
             try:
                 self.transport.probe(peer, self.probe_bytes)
             except NetworkError:
-                if self._probes is not None:
-                    self._probes.labels("fail").inc()
-                self.record_failure(peer)
+                ok = False
             else:
-                if self._probes is not None:
-                    self._probes.labels("ok").inc()
-                self.record_success(peer)
+                ok = True
+            if self._probes is not None:
+                self._probes.labels("ok" if ok else "fail").inc()
+            self.view.record(peer, None, ok)
         self._advance_dead()
-        with self._lock:
-            return {peer: entry.state
-                    for peer, entry in sorted(self._states.items())}
+        return {peer: self.view.state(peer) for peer in self.peers()}
 
     # -- operator actions -----------------------------------------------------
 
     def evict(self, peer: str) -> None:
-        """Force-evict ``peer`` (the auto path calls this after
-        ``evict_after_ticks`` dead ticks)."""
+        """Force-evict a watched ``peer`` (the auto path calls this
+        after ``evict_after_ticks`` dead ticks)."""
         transitions = []
         with self._lock:
-            entry = self._states.get(peer)
-            if entry is None or entry.state == EVICTED:
-                return
-            transitions.append(self._transition(entry, EVICTED))
+            if peer in self._ladders \
+                    and self.view.state(peer) != EVICTED:
+                transitions.append(self._transition(peer, EVICTED))
         self._apply(transitions)
 
     def rejoin(self, peer: str) -> None:
         """Readmit an evicted peer as a fresh, empty member: state
-        resets to alive and the catalog mark clears. Its old fragments
+        resets to alive and its down mark lifts. Its old fragments
         were re-replicated elsewhere; new placements come from repair
         or future resharding."""
         transitions = []
         with self._lock:
-            entry = self._states.setdefault(peer, ReplicaState(peer=peer))
-            if entry.state != ALIVE:
-                entry.consecutive_failures = 0
-                entry.consecutive_successes = 0
-                entry.dead_ticks = 0
-                transitions.append(self._transition(entry, ALIVE))
+            self._ladders.setdefault(peer, _Ladder())
+            if self.view.state(peer) != ALIVE:
+                self._ladders[peer] = _Ladder()
+                transitions.append(self._transition(peer, ALIVE))
         self._apply(transitions)
 
     # -- state machine --------------------------------------------------------
 
-    def _observe(self, peer: str, ok: bool) -> None:
-        transitions = []
-        with self._lock:
-            entry = self._states.setdefault(peer, ReplicaState(peer=peer))
-            if entry.state == EVICTED:
-                return  # terminal until rejoin()
-            if ok:
-                entry.consecutive_failures = 0
-                entry.consecutive_successes += 1
-                if (entry.state in (SUSPECT, DEAD)
-                        and entry.consecutive_successes
-                        >= self.revive_after):
-                    transitions.append(self._transition(entry, ALIVE))
-            else:
-                entry.consecutive_successes = 0
-                entry.consecutive_failures += 1
-                if (entry.state in (ALIVE, SUSPECT)
-                        and entry.consecutive_failures >= self.dead_after):
-                    if entry.state == ALIVE:
-                        transitions.append(
-                            self._transition(entry, SUSPECT))
-                    transitions.append(self._transition(entry, DEAD))
-                elif (entry.state == ALIVE
-                      and entry.consecutive_failures
-                      >= self.suspect_after):
-                    transitions.append(self._transition(entry, SUSPECT))
-        if not transitions and not ok and self.state(peer) == ALIVE \
-                and self.phi(peer) >= self.suspect_phi:
-            # The windowed phi signal: mostly-failing mixed traffic
-            # turns a peer suspect even when successes keep resetting
-            # the consecutive ladder.
-            with self._lock:
-                entry = self._states[peer]
-                if entry.state == ALIVE:
-                    transitions.append(self._transition(entry, SUSPECT))
-        self._apply(transitions)
-
     def _advance_dead(self) -> None:
         transitions = []
         with self._lock:
-            for _, entry in sorted(self._states.items()):
-                if entry.state != DEAD:
+            for peer, ladder in sorted(self._ladders.items()):
+                if self.view.state(peer) != DEAD:
                     continue
-                entry.dead_ticks += 1
+                ladder.dead_ticks += 1
                 if (self.auto_evict
-                        and entry.dead_ticks >= self.evict_after_ticks):
-                    transitions.append(self._transition(entry, EVICTED))
+                        and ladder.dead_ticks >= self.evict_after_ticks):
+                    transitions.append(self._transition(peer, EVICTED))
         self._apply(transitions)
 
-    def _transition(self, entry: ReplicaState, new_state: str):
-        """Record a transition under the lock; side effects happen in
-        :meth:`_apply` after release."""
-        old = entry.state
-        entry.state = new_state
-        entry.transitions += 1
+    def _transition(self, peer: str, new_state: str):
+        """Write a transition into the view under the lock; side
+        effects happen in :meth:`_apply` after release."""
+        row = self.view._rows.setdefault(peer, PeerRow())
+        old, row.state = row.state, new_state
         if new_state == DEAD:
-            entry.dead_ticks = 0
-        return (entry.peer, old, new_state)
+            self._ladders[peer].dead_ticks = 0
+        return (peer, old, new_state)
 
     def _apply(self, transitions) -> None:
-        """Side effects for recorded transitions, in order: catalog
-        epoch bumps, events, metrics, subscriber callbacks."""
+        """Side effects for recorded transitions, in order: the down
+        mark a dead verdict sets and a revival lifts (an epoch bump
+        each), evictions, metrics, events, subscriber callbacks."""
         for peer, old, new_state in transitions:
-            if self.catalog is not None:
-                if new_state == DEAD:
-                    self.catalog.mark_down(peer)
-                elif new_state == ALIVE and old in (DEAD, EVICTED):
-                    self.catalog.mark_up(peer)
-                elif new_state == EVICTED:
-                    self._evict_placements(peer)
+            if new_state == DEAD:
+                self.view.mark_down(peer)
+            elif new_state == ALIVE and old in (DEAD, EVICTED):
+                self.view.mark_up(peer)
+            elif new_state == EVICTED:
+                self._evict_placements(peer)
             if self._state_gauge is not None:
                 self._state_gauge.labels(peer).set(
                     _STATE_CODES[new_state])
                 self._transitions.labels(new_state).inc()
             if self.events is not None:
-                kind = ("replica_evicted" if new_state == EVICTED
-                        else f"membership_{new_state}")
                 self.events.emit(
-                    kind,
+                    "replica_evicted" if new_state == EVICTED
+                    else f"membership_{new_state}",
                     f"peer {peer}: {old} -> {new_state} "
                     f"(phi {self.phi(peer):.2f})",
                     severity=_EVENT_SEVERITY[new_state],
@@ -398,8 +488,12 @@ class MembershipTracker:
         """Remove ``peer`` from every shard placement that still has
         another replica (epoch bump per collection, reason ``evict``).
         Sole-replica shards keep their placement — the data exists,
-        the peer is merely unreachable — and stay behind the catalog's
-        down-mark until repair or rejoin."""
+        the peer is merely unreachable — and the view keeps it from
+        serving until repair or rejoin."""
+        catalog = self.view.catalog
+        if catalog is None:
+            return
+
         def without(spec):
             kept = spec
             for shard in spec.shards:
@@ -408,6 +502,5 @@ class MembershipTracker:
                         r for r in shard.replicas if r != peer))
             return kept if kept is not spec else None
 
-        for spec in self.catalog.collections():
-            self.catalog.update(spec.name, without, reason="evict",
-                                peer=peer)
+        for spec in catalog.collections():
+            catalog.update(spec.name, without, reason="evict", peer=peer)

@@ -6,7 +6,8 @@ a redundant copy — runs here as the same staged protocol behind the
 catalog's epoch machinery:
 
 1. **Copy** the fragment over the existing ship path
-   (``transport.fetch_document`` from a usable replica, ``Peer.store``
+   (``transport.fetch_document`` from a replica the federation's
+   :class:`~repro.cluster.membership.PeerView` lets serve, ``Peer.store``
    at the destination) inside the plan's span (``migrate``; ``repair``
    for a re-replication), with the wire charges bound to it.
 2. **Verify byte-identity** by reading the copy back *over the wire*
@@ -47,7 +48,7 @@ from __future__ import annotations
 import threading
 from dataclasses import replace as dc_replace
 
-from repro.cluster.catalog import ClusterCatalog, ClusterError, ShardInfo
+from repro.cluster.catalog import ClusterError, ShardInfo
 from repro.cluster.gather import merge_shard_documents
 from repro.cluster.partitioner import (
     Partitioner, collection_members, partition_document,
@@ -92,22 +93,19 @@ class MigrationExecutor:
     """Runs migration plans with the copy/verify/cutover/retire
     protocol described in the module docstring."""
 
-    def __init__(self, federation, catalog: ClusterCatalog | None = None,
-                 membership=None, *, events=None, metrics=None,
+    def __init__(self, federation, *, events=None, metrics=None,
                  max_attempts: int = 3):
         if max_attempts < 1:
             raise ClusterError(
                 f"max_attempts {max_attempts} must be >= 1")
         self.federation = federation
-        self.catalog = catalog if catalog is not None else federation.catalog
+        self.catalog = federation.catalog
         if self.catalog is None:
             raise ClusterError("migration executor needs a catalog")
-        self.membership = (membership if membership is not None
-                           else federation.membership)
-        #: The one usability test and load ranking of the federation's
-        #: control plane: the repair engine and the rebalancer read it.
-        self.scorer = LoadScorer(federation, catalog=self.catalog,
-                                 membership=self.membership)
+        self.view = federation.peer_view
+        #: The one load ranking of the federation's control plane: the
+        #: repair engine and the rebalancer read it.
+        self.scorer = LoadScorer(federation)
         self.events = events
         self.max_attempts = max_attempts
         self._lock = threading.Lock()
@@ -186,8 +184,8 @@ class MigrationExecutor:
     def retire_replica(self, collection: str, shard_index: int,
                        peer: str) -> bool:
         """Drop one redundant replica from a shard's placement —
-        guarded: refuses (False) unless the remaining *usable* replicas
-        still meet the collection's ``target_replication``. Pure
+        guarded: refuses (False) unless the remaining replicas that
+        serve still meet the collection's ``target_replication``. Pure
         catalog surgery plus a tombstone; no bytes move."""
         spec = self.catalog.lookup(collection)
         shard = spec.shard(shard_index) if spec is not None else None
@@ -195,7 +193,7 @@ class MigrationExecutor:
             return False
         name = shard.local_name
         usable = {r for r in shard.replicas
-                  if r != peer and self.scorer.usable(r)}
+                  if r != peer and self.view.serves(r)}
 
         def drop(current):
             now = current.shard_named(name)
@@ -354,15 +352,14 @@ class MigrationExecutor:
 
         if stale(shard):
             return None  # dropped, or the layout changed since planning
-        if not self.scorer.usable(plan.target) \
-                or self.catalog.is_draining(plan.target):
+        if not self.view.accepts(plan.target):
             raise PlanAbandoned(
                 f"target {plan.target} is not a usable placement")
-        sources = [r for r in shard.replicas if self.scorer.usable(r)]
+        sources = [r for r in shard.replicas if self.view.serves(r)]
         if not sources:
             raise PlanAbandoned("no live source replica")
-        # A move prefers copying from the replica being moved (it is
-        # usable or it would not be "moved", it would be repaired).
+        # A move prefers copying from the replica being moved (it
+        # serves or it would not be "moved", it would be repaired).
         copy_from = leaving if leaving in sources else sources[0]
         name = shard.local_name
 
@@ -394,8 +391,8 @@ class MigrationExecutor:
             return None
         if leaving is not None:
             self._tombstone(leaving, name)
-        if self.membership is not None:
-            self.membership.watch(plan.target)
+        if self.view.detector is not None:
+            self.view.detector.watch(plan.target)
         return nbytes, dict(source=leaving or copy_from,
                             target=plan.target)
 
@@ -407,7 +404,7 @@ class MigrationExecutor:
         parent = spec.shard(plan.shard_index) if spec is not None else None
         if parent is None:
             return None  # dropped, renumbered or split since planning
-        sources = [r for r in parent.replicas if self.scorer.usable(r)]
+        sources = [r for r in parent.replicas if self.view.serves(r)]
         if not sources:
             raise PlanAbandoned("no live source replica")
         child_names = (f"{parent.local_name}.0", f"{parent.local_name}.1")

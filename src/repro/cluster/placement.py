@@ -5,9 +5,10 @@ cluster collection.
 partitions the source document (:mod:`repro.cluster.partitioner`),
 stores every shard fragment on ``replication_factor`` peers chosen
 round-robin (so consecutive shards land on disjoint replica sets
-whenever the fleet allows it), and registers the resulting
-:class:`~repro.cluster.catalog.CollectionSpec` in the catalog —
-bumping the membership epoch exactly once.
+whenever the fleet allows it) among the peers the federation's
+:class:`~repro.cluster.membership.PeerView` lets accept a replica, and
+registers the resulting :class:`~repro.cluster.catalog.CollectionSpec`
+in the catalog — bumping the membership epoch exactly once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.cluster.catalog import (
 from repro.cluster.partitioner import (
     Partitioner, make_partitioner, partition_document,
 )
-from repro.cluster.rebalance import LoadScorer
 from repro.xmldb.document import Document
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -28,25 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 
 class InsufficientHealthyPeersError(ClusterError):
-    """Too few healthy peers remain to satisfy the requested
-    replication — placing on dead/evicted/draining peers would only
-    fake the replica count."""
+    """Too few peers accept a replica to satisfy the requested
+    replication — placing on down/dead/suspect/draining peers would
+    only fake the replica count."""
 
 
 def shard_local_name(document: str, index: int) -> str:
     """The per-peer document name of one shard fragment."""
     return f"{document}#s{index}"
-
-
-def healthy_peers(peers: list[str], catalog: ClusterCatalog | None = None,
-                  membership=None) -> list[str]:
-    """``peers`` minus everything fresh placements must skip: peers
-    that may not hold or serve a replica (:meth:`LoadScorer.usable`)
-    and peers the catalog marks draining."""
-    scorer = LoadScorer(catalog=catalog, membership=membership)
-    return [name for name in peers
-            if scorer.usable(name)
-            and not (catalog is not None and catalog.is_draining(name))]
 
 
 def round_robin_placement(peers: list[str], shard_count: int,
@@ -97,11 +86,9 @@ def create_sharded_collection(federation: "Federation",
         raise ClusterError("no peers available for shard placement")
     for peer_name in peers:
         federation.peer(peer_name)  # raises on unknown peer
-    # Fresh fragments never land on peers that cannot serve them (or
-    # are on their way out): filter against the catalog's down and
-    # draining marks and the membership tracker's verdicts.
-    usable = healthy_peers(peers, catalog,
-                           getattr(federation, "membership", None))
+    # Fresh fragments land only where the view accepts a replica.
+    usable = [peer for peer in peers
+              if federation.peer_view.accepts(peer)]
     if len(usable) < replication_factor:
         raise InsufficientHealthyPeersError(
             f"collection {name!r} needs {replication_factor} healthy "

@@ -11,13 +11,13 @@ Two pieces live here:
 
 - :class:`LoadScorer` — **the** load-aware scoring function, shared by
   the repair engine's target selection and the rebalancer's planning.
-  It folds every real signal the cluster already emits into one
-  :class:`PeerScore` per peer: fragment bytes from the planner's
+  It folds the cluster's load signals into one :class:`PeerScore` per
+  peer: fragment bytes from the planner's
   :class:`~repro.planner.stats.StatsCatalog` (serialized-size exact,
   memoized), live in-flight exchanges and cumulative served bytes from
-  the transport, the fleet monitor's :class:`HealthTracker` standing,
-  and the catalog's down/draining marks. ``rank()`` orders placement
-  candidates coolest-first.
+  the transport. ``rank()`` keeps the peers the federation's
+  :class:`~repro.cluster.membership.PeerView` lets accept a replica, in
+  the view's order: healthy first, then coolest.
 
 - :class:`Rebalancer` — the control loop. ``plan()`` reads the
   router's per-shard serve counters (``scatter_shard_serves_total``,
@@ -43,8 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from repro.cluster.catalog import ClusterCatalog, ClusterError
-from repro.cluster.membership import ALIVE, DEAD, EVICTED
+from repro.cluster.catalog import ClusterError
 from repro.xmldb.serializer import serialized_byte_length
 
 __all__ = [
@@ -66,9 +65,6 @@ class PeerScore:
     """One peer's standing in the placement order."""
 
     peer: str
-    alive: bool          # usable and membership-ALIVE
-    draining: bool       # marked for decommission: never a target
-    healthy: bool        # fleet-monitor health standing (True if none)
     fragments: int       # shard replicas placed on this peer
     fragment_bytes: int  # serialized bytes of those fragments
     in_flight: int       # live exchanges on the wire right now
@@ -91,30 +87,9 @@ class LoadScorer:
     cluster view at the same instant.
     """
 
-    def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
-                 membership=None, health=None):
+    def __init__(self, federation):
         self.federation = federation
-        self.catalog = catalog if catalog is not None else (
-            getattr(federation, "catalog", None))
-        self.membership = membership if membership is not None else (
-            getattr(federation, "membership", None))
-        if health is None:
-            monitor = getattr(federation, "monitor", None)
-            health = getattr(monitor, "health", None)
-        self.health = health
-
-    # -- usability ----------------------------------------------------------
-
-    def usable(self, peer: str) -> bool:
-        """May this peer hold or serve a replica: not catalog-down and
-        not membership DEAD/EVICTED. The one definition — the repair
-        engine and fresh placements (``healthy_peers``) ask here."""
-        if self.catalog is not None and self.catalog.is_down(peer):
-            return False
-        if self.membership is not None \
-                and self.membership.state(peer) in (DEAD, EVICTED):
-            return False
-        return True
+        self.view = federation.peer_view
 
     # -- signals ------------------------------------------------------------
 
@@ -123,11 +98,11 @@ class LoadScorer:
         the catalog's placements and the planner's statistics."""
         counts: dict[str, int] = {}
         nbytes: dict[str, int] = {}
-        if self.catalog is None:
+        catalog = self.federation.catalog
+        if catalog is None:
             return counts, nbytes
-        stats = getattr(getattr(self.federation, "planner", None),
-                        "stats", None)
-        for spec in self.catalog.collections():
+        stats = self.federation.planner.stats
+        for spec in catalog.collections():
             for shard in spec.shards:
                 for replica in shard.replicas:
                     counts[replica] = counts.get(replica, 0) + 1
@@ -142,51 +117,36 @@ class LoadScorer:
             doc_stats = stats.document_stats(peer, local_name)
             if doc_stats is not None:
                 return doc_stats.serialized_bytes
-        peer_obj = (self.federation.peers.get(peer)
-                    if self.federation is not None else None)
+        peer_obj = self.federation.peers.get(peer)
         document = (None if peer_obj is None
                     else peer_obj.documents.get(local_name))
         return 0 if document is None else serialized_byte_length(document)
 
-    def snapshot(self, peers: list[str] | None = None
-                 ) -> dict[str, PeerScore]:
-        """A point-in-time :class:`PeerScore` per peer (default: every
-        federation peer, sorted)."""
-        if peers is None:
-            if self.federation is None:
-                raise ClusterError("load scorer has no federation")
-            peers = sorted(self.federation.peers)
+    def snapshot(self) -> dict[str, PeerScore]:
+        """A point-in-time :class:`PeerScore` per federation peer, in
+        name order."""
         counts, frag_bytes = self._fragment_load()
-        transport = getattr(self.federation, "transport", None)
-        draining = (self.catalog.draining_peers()
-                    if self.catalog is not None else frozenset())
+        transport = self.federation.transport
         scores: dict[str, PeerScore] = {}
-        for name in peers:
-            in_flight, served = (transport.peer_load(name)
-                                 if transport is not None else (0, 0))
-            alive = self.usable(name) and (
-                self.membership is None
-                or self.membership.state(name) == ALIVE)
-            healthy = self.health is None or self.health.healthy(name)
+        for name in sorted(self.federation.peers):
+            in_flight, served = transport.peer_load(name)
             scores[name] = PeerScore(
-                peer=name, alive=alive, draining=name in draining,
-                healthy=healthy, fragments=counts.get(name, 0),
+                peer=name, fragments=counts.get(name, 0),
                 fragment_bytes=frag_bytes.get(name, 0),
                 in_flight=in_flight, served_bytes=served)
         return scores
 
-    def rank(self, exclude=(), peers: list[str] | None = None
-             ) -> list[str]:
-        """Placement targets, coolest first: alive, non-draining peers
-        outside ``exclude``, healthy before demoted, then ascending
-        load, fragment count, and name (the deterministic tie-break)."""
+    def rank(self, exclude=()) -> list[str]:
+        """Placement targets, coolest first: the peers outside
+        ``exclude`` that the view lets accept a replica, in its order
+        (healthy before demoted), then ascending load, fragment count,
+        and name (the deterministic tie-break)."""
+        scores = self.snapshot()
         excluded = set(exclude)
-        candidates = [s for name, s in self.snapshot(peers).items()
-                      if name not in excluded and s.alive
-                      and not s.draining]
-        candidates.sort(key=lambda s: (0 if s.healthy else 1, s.load,
-                                       s.fragments, s.peer))
-        return [s.peer for s in candidates]
+        ordered = self.view.order(scores, lambda name: (
+            scores[name].load, scores[name].fragments, name))
+        return [name for name in ordered
+                if name not in excluded and self.view.accepts(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +211,7 @@ class Rebalancer:
     — both children of a split must hold at least this many members.
     """
 
-    def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
-                 membership=None, *, events=None, metrics=None,
+    def __init__(self, *, events=None, metrics=None,
                  hot_share: float = 0.5, spread_factor: float = 1.5,
                  min_split_members: int = 2, max_plans_per_step: int = 2):
         if not 0.0 < hot_share <= 1.0:
@@ -264,11 +223,7 @@ class Rebalancer:
         if min_split_members < 1:
             raise ClusterError(
                 f"min_split_members {min_split_members} must be >= 1")
-        self.federation = federation
-        self.catalog = catalog if catalog is not None else (
-            getattr(federation, "catalog", None))
-        self.membership = membership if membership is not None else (
-            getattr(federation, "membership", None))
+        self.federation = self.catalog = self.view = None
         self.events = events
         self.metrics = metrics
         self.hot_share = hot_share
@@ -276,9 +231,7 @@ class Rebalancer:
         self.min_split_members = min_split_members
         self.max_plans_per_step = max_plans_per_step
         #: Both are the federation's shared ones once attached.
-        self.scorer = LoadScorer(federation, catalog=self.catalog,
-                                 membership=self.membership)
-        self.executor = None
+        self.scorer = self.executor = None
         self._lock = threading.Lock()
         self._last_heat: dict[tuple, float] = {}
         self._drains = 0
@@ -296,23 +249,20 @@ class Rebalancer:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "Rebalancer":
-        """Install on ``federation``: adopt its catalog / membership /
+        """Install on ``federation``: adopt its catalog / peer view /
         monitor / metrics and its migration executor, expose as
         ``federation.rebalancer``."""
         from repro.cluster.migrate import MigrationExecutor
         self.federation = federation
-        if self.catalog is None:
-            self.catalog = federation.catalog
-        if self.membership is None:
-            self.membership = getattr(federation, "membership", None)
-        monitor = getattr(federation, "monitor", None)
+        self.catalog = federation.catalog
+        self.view = federation.peer_view
+        monitor = federation.monitor
         if self.events is None and monitor is not None:
             self.events = monitor.events
         if self._m_plans is None:
             self._init_metrics(federation.metrics)
         self.executor = MigrationExecutor.shared(
-            federation, catalog=self.catalog, membership=self.membership,
-            events=self.events, metrics=self.metrics)
+            federation, events=self.events, metrics=self.metrics)
         self.scorer = self.executor.scorer
         federation.rebalancer = self
         return self
@@ -328,10 +278,8 @@ class Rebalancer:
     def heat(self) -> dict[tuple[str, str], float]:
         """Cumulative served round trips per ``(collection, shard
         local_name)``, from the router's counters."""
-        registry = self.metrics if self.metrics is not None else (
-            getattr(self.federation, "metrics", None))
-        metric = (registry.get("scatter_shard_serves_total")
-                  if registry is not None else None)
+        metric = (self.metrics.get("scatter_shard_serves_total")
+                  if self.metrics is not None else None)
         if metric is None:
             return {}
         return {labels: series.value
@@ -355,8 +303,7 @@ class Rebalancer:
         ``max_plans_per_step`` plans are returned, splits first (a
         split creates the mobility a later move needs).
         """
-        if self.catalog is None:
-            raise ClusterError("rebalancer has no catalog")
+        self._require_executor()
         delta = self._heat_delta()
         plans: list = []
         plans.extend(self._plan_splits(delta))
@@ -401,8 +348,8 @@ class Rebalancer:
         return plans
 
     def _plan_moves(self, delta) -> list[MovePlan]:
-        scores = self.scorer.snapshot()
-        alive = [s for s in scores.values() if s.alive and not s.draining]
+        alive = [s for s in self.scorer.snapshot().values()
+                 if self.view.accepts(s.peer)]
         if len(alive) < 2:
             return []
         mean_load = sum(s.load for s in alive) / len(alive)
@@ -476,10 +423,8 @@ class Rebalancer:
         then migrate every replica it holds — a guarded retire when the
         shard is already at target without it, a full move otherwise.
         True when the peer ended the call holding no placements."""
-        if self.catalog is None:
-            raise ClusterError("rebalancer has no catalog")
         executor = self._require_executor()
-        self.catalog.set_draining(peer, True)
+        self.view.drain(peer)
         with self._lock:
             self._drains += 1
         if self.events is not None:
@@ -520,9 +465,8 @@ class Rebalancer:
 
     def undrain(self, peer: str) -> None:
         """Return a draining peer to placement eligibility."""
-        if self.catalog is None:
-            raise ClusterError("rebalancer has no catalog")
-        self.catalog.set_draining(peer, False)
+        self._require_executor()
+        self.view.undrain(peer)
 
     def _placements_on(self, peer: str) -> list[tuple[str, int]]:
         return [(spec.name, shard.index)
@@ -553,8 +497,7 @@ class Rebalancer:
         executor = self._require_executor()
         for spec, shard, _serves in self._shards_by_heat(self.heat(),
                                                          min_members=0):
-            sources = [r for r in shard.replicas
-                       if self.scorer.usable(r)]
+            sources = [r for r in shard.replicas if self.view.serves(r)]
             targets = self.scorer.rank(exclude=set(shard.replicas))
             if not sources or not targets:
                 continue

@@ -11,8 +11,9 @@ for which a repair is one more migration (a
 verify, cutover with reason ``"repair"``, rollback when the shard was
 split or moved mid-copy).
 
-1. :meth:`RepairEngine.scan` counts each shard's *usable* replicas
-   (present, not catalog-down, not membership dead/evicted) and
+1. :meth:`RepairEngine.scan` counts each shard's replicas that the
+   federation's :class:`~repro.cluster.membership.PeerView` lets serve
+   (not marked down, not held dead or evicted by the detector) and
    enqueues one :class:`RepairTask` per under-replicated shard into a
    **bounded**, de-duplicating queue (overflow is dropped loudly:
    ``repair_queue_full`` event, ``repair_failed`` metric).
@@ -24,7 +25,7 @@ split or moved mid-copy).
 3. **Retry is the queue's**: a wire fault mid-copy abandons the
    attempt; the task is re-enqueued up to ``max_attempts`` and waits
    for the next ``process()``, which re-selects source *and* target
-   against the then-current membership view.
+   against the then-current peer view.
 
 Events: ``repair_started`` / ``repair_completed`` / ``repair_failed``;
 metrics: the ``repair_*`` series; each copy runs in a ``repair`` span.
@@ -36,7 +37,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro.cluster.catalog import ClusterCatalog, ClusterError
+from repro.cluster.catalog import ClusterError
 from repro.cluster.membership import EVICTED
 from repro.cluster.migrate import MigrationExecutor, PlanAbandoned
 from repro.cluster.rebalance import ReplicatePlan
@@ -61,26 +62,21 @@ class RepairTask:
 class RepairEngine:
     """Restores every shard to its collection's target replication.
 
-    Construct standalone (``RepairEngine(federation, catalog=...)``)
-    or wire with :meth:`attach`, which also subscribes to the
-    membership tracker: every eviction triggers a scan, and (with
-    ``auto_repair``, the default) immediate processing — detect, evict,
-    re-replicate, serve, without an operator in the loop.
+    Wire with :meth:`attach`, which also subscribes to the federation's
+    failure detector when one is attached: every eviction triggers a
+    scan, and (with ``auto_repair``, the default) immediate processing
+    — detect, evict, re-replicate, serve, without an operator in the
+    loop.
     """
 
-    def __init__(self, federation=None, catalog: ClusterCatalog | None = None,
-                 membership=None, *, max_queue: int = 64,
-                 max_attempts: int = 3, auto_repair: bool = True,
-                 events=None, metrics=None):
+    def __init__(self, *, max_queue: int = 64, max_attempts: int = 3,
+                 auto_repair: bool = True, events=None, metrics=None):
         if max_queue < 1:
             raise ClusterError(f"max_queue {max_queue} must be >= 1")
         if max_attempts < 1:
             raise ClusterError(
                 f"max_attempts {max_attempts} must be >= 1")
-        self.federation = federation
-        self.catalog = catalog if catalog is not None else (
-            federation.catalog if federation is not None else None)
-        self.membership = membership
+        self.federation = self.catalog = None
         self.max_queue = max_queue
         self.max_attempts = max_attempts
         self.auto_repair = auto_repair
@@ -118,23 +114,22 @@ class RepairEngine:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "RepairEngine":
-        """Install on ``federation``: adopt its catalog / membership /
-        monitor event log / metrics registry, expose as
-        ``federation.repair``, and subscribe to membership evictions."""
+        """Install on ``federation``: adopt its catalog / monitor event
+        log / metrics registry and its migration executor, expose as
+        ``federation.repair``, and subscribe to its detector's
+        evictions."""
         self.federation = federation
-        if self.catalog is None:
-            self.catalog = federation.catalog
-        if self.membership is None:
-            self.membership = getattr(federation, "membership", None)
-        monitor = getattr(federation, "monitor", None)
+        self.catalog = federation.catalog
+        monitor = federation.monitor
         if self.events is None and monitor is not None:
             self.events = monitor.events
         if self._m_depth is None:
             self._init_metrics(federation.metrics)
         federation.repair = self
         self._executor()
-        if self.membership is not None:
-            self.membership.subscribe(self._on_membership)
+        detector = federation.peer_view.detector
+        if detector is not None:
+            detector.subscribe(self._on_membership)
         return self
 
     def _executor(self) -> MigrationExecutor:
@@ -144,8 +139,7 @@ class RepairEngine:
             if self.federation is None:
                 raise ClusterError("repair engine has no federation")
             self.executor = MigrationExecutor.shared(
-                self.federation, catalog=self.catalog,
-                membership=self.membership, events=self.events,
+                self.federation, events=self.events,
                 metrics=self.federation.metrics)
         return self.executor
 
@@ -174,11 +168,11 @@ class RepairEngine:
         if self.catalog is None:
             raise ClusterError("repair engine has no catalog")
         enqueued = 0
-        scorer = self._executor().scorer
+        serves = self._executor().view.serves
         for spec in self.catalog.collections():
             target = spec.target_replication
             for shard in spec.shards:
-                usable = [r for r in shard.replicas if scorer.usable(r)]
+                usable = [r for r in shard.replicas if serves(r)]
                 if len(usable) >= target:
                     continue
                 if self._enqueue(RepairTask(spec.name, shard.index)):
@@ -260,7 +254,7 @@ class RepairEngine:
         if shard is None:
             return False  # dropped or renumbered since the scan
         executor = self._executor()
-        usable = [r for r in shard.replicas if executor.scorer.usable(r)]
+        usable = [r for r in shard.replicas if executor.view.serves(r)]
         if len(usable) >= spec.target_replication:
             return False  # healed since the scan (revival, earlier task)
         if not usable:

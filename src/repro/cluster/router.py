@@ -30,10 +30,11 @@ router takes over:
    shard call gets a private :class:`RunStats` / :class:`CostCounter`
    so the accounting stays race-free; they are merged in shard order
    after the gather, keeping the run's totals deterministic.
-3. **replica selection** — per shard, live replicas (catalog health)
-   are ordered by the transport's live load (in-flight exchanges,
-   then total bytes served, then placement order), so the least-loaded
-   replica serves the call.
+3. **replica selection** — per shard, the replicas the federation's
+   :class:`~repro.cluster.membership.PeerView` lets serve, healthy
+   first, then by the transport's live load (in-flight exchanges, then
+   total bytes served, then placement order), so the least-loaded
+   healthy replica serves the call.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
    (injected faults, killed peers) moves the call to the next replica
    in the order; each switch increments ``RunStats.failovers``. Only
@@ -70,7 +71,6 @@ from repro.errors import (
 )
 from repro.runtime.transport import RetryPolicy
 from repro.net.stats import RunStats
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, bind_stats_span, child_span
 from repro.xmldb.document import Document, fresh_doc_seq
 from repro.xmldb.node import Node
@@ -234,7 +234,7 @@ class _PreparedScatter:
     the entry holds both, so neither address can be reused while it
     lives (a nested scatter's body belongs to a peer's LRU table, not
     to the running plan). A layout change installs a new frozen spec
-    and so re-prepares; a health-only epoch bump moves nothing read
+    and so re-prepares; a liveness-only epoch bump moves nothing read
     here.
     """
 
@@ -319,22 +319,15 @@ class ClusterRouter:
         self.run = run
         self.catalog = catalog
         self.transport = run.transport
-        # A bare stub run (tests probing replica_order alone) has no
-        # federation; fall back to a private registry.
-        federation = getattr(run, "federation", None)
-        metrics = (federation.metrics if federation is not None
-                   else MetricsRegistry())
-        # Continuous observability (None ⇒ disabled, zero extra work):
-        # the health tracker re-orders replica selection, the event log
-        # records failovers and skips.
-        monitor = getattr(federation, "monitor", None)
-        self.monitor = monitor
+        federation = run.federation
+        metrics = federation.metrics
+        #: Which replicas may serve and in what order; every attempt's
+        #: outcome goes back to it as evidence.
+        self.view = federation.peer_view
+        # The fleet monitor's event log (None ⇒ disabled, zero extra
+        # work) records failovers and skips.
+        monitor = federation.monitor
         self.events = monitor.events if monitor is not None else None
-        self.health = monitor.health if monitor is not None else None
-        # Passive failure-detection evidence: every attempt outcome
-        # feeds the membership tracker (when one is attached), so the
-        # detector converges from live traffic between probe ticks.
-        self.membership = getattr(federation, "membership", None)
         self._scatter_calls = metrics.counter(
             "scatter_calls_total", "scatter fan-outs per collection",
             ("collection",))
@@ -388,29 +381,28 @@ class ClusterRouter:
     # -- replica selection --------------------------------------------------
 
     def replica_order(self, shard: ShardInfo) -> list[str]:
-        """Live replicas, healthy-then-least-loaded first.
+        """The replicas that may serve, healthy-then-least-loaded first.
 
-        The leading key is the fleet monitor's health standing (when a
-        monitor is attached): a *degrading* replica — alive, answering,
-        but demoted by its windowed score — sorts behind every healthy
-        one, so it stops receiving first-choice traffic before it ever
-        fails a request. Within a health bucket, order is the live load
+        A *degrading* replica — alive, answering, but demoted by its
+        windowed health score — sorts behind every healthy one, so it
+        stops receiving first-choice traffic before it ever fails a
+        request. Within a health bucket, order is the live load
         (in-flight exchanges, then total bytes served, then placement
         order as the deterministic tie-break). Demoted replicas stay in
         the order: they are still the failover path of last resort.
         """
-        live = self.catalog.live_replicas(shard)
         peer_load = self.transport.peer_load
-        health = self.health
+        return self.view.order(
+            self._serving(shard),
+            lambda peer: (*peer_load(peer), shard.replicas.index(peer)))
 
-        def load_key(peer: str) -> tuple[int, int, int, int]:
-            in_flight, total_bytes = peer_load(peer)
-            demoted = (0 if health is None or health.healthy(peer)
-                       else 1)
-            return (demoted, in_flight, total_bytes,
-                    shard.replicas.index(peer))
-
-        return sorted(live, key=load_key)
+    def _serving(self, shard: ShardInfo) -> list[str]:
+        """The shard's replicas the view lets serve (all of them when it
+        lets none — a dead cluster should fail on the wire, not silently
+        on an empty candidate list)."""
+        serves = self.view.serves
+        return ([peer for peer in shard.replicas if serves(peer)]
+                or list(shard.replicas))
 
     # -- scatter-gather over XRPC -------------------------------------------
 
@@ -627,10 +619,11 @@ class ClusterRouter:
         The in-process simulation reads the replica's document
         directly — the stand-in for what a deployed system would keep
         catalog-side (per-shard value synopses / bloom filters). Only
-        *live* replicas are consulted, so a fully-failed shard still
-        surfaces its ClusterError instead of being silently skipped.
+        replicas that may serve are consulted, so a fully-failed shard
+        still surfaces its ClusterError instead of being silently
+        skipped.
         """
-        for replica in self.catalog.live_replicas(shard):
+        for replica in self._serving(shard):
             peer = self.run.federation.peers.get(replica)
             if peer is None:
                 continue
@@ -666,17 +659,18 @@ class ClusterRouter:
         propagate immediately — they are not :class:`NetworkError`\\ s
         and must never burn retries or trigger failover.
 
-        Every attempt's seconds and outcome feed the per-peer health
-        windows, and (when a membership tracker is attached) wire-fault
-        outcomes feed its suspicion ladder as passive evidence.
+        Every attempt that succeeds or meets a wire fault is evidence
+        for the peer view (health windows, the detector's ladder): one
+        :meth:`PeerView.record` each. A replica that answered with an
+        error of its own (no such document, a nested scatter that
+        failed) is no evidence about its liveness.
         """
         order = self.replica_order(shard)
         policy = self.catalog.retry_policy or _DEFAULT_RETRY
         rng: random.Random | None = None   # seeded at the first retry
         budget = policy.budget
         last_error: NetworkError | None = None
-        health = self.health
-        membership = self.membership
+        record = self.view.record
         clock = self.transport.clock
         for position, replica in enumerate(order):
             for try_index in range(max(1, policy.attempts)):
@@ -684,13 +678,9 @@ class ClusterRouter:
                 try:
                     result = attempt(replica, outcome)
                 except NetworkError as exc:
-                    if health is not None:
-                        health.record(replica, clock() - started,
-                                      ok=False)
-                    if membership is not None and isinstance(
-                            exc, (TransientNetworkError,
-                                  PeerUnavailableError)):
-                        membership.record_failure(replica, exc)
+                    if isinstance(exc, (TransientNetworkError,
+                                        PeerUnavailableError)):
+                        record(replica, clock() - started, False)
                     last_error = exc
                     if isinstance(exc, TransientNetworkError) \
                             and try_index + 1 < policy.attempts \
@@ -705,11 +695,7 @@ class ClusterRouter:
                         continue
                     break  # fatal fault or retries spent: fail over
                 else:
-                    if health is not None:
-                        health.record(replica, clock() - started,
-                                      ok=True)
-                    if membership is not None:
-                        membership.record_success(replica)
+                    record(replica, clock() - started, True)
                     return result
             if position + 1 < len(order):
                 outcome.failovers += 1

@@ -39,7 +39,8 @@ over time       Figure 7/9's bytes and latency as rolling windows —
 per peer        Figure 8's "who is slow" as live health — windowed
                 mean/p95 latency and error rate per replica
                 (:class:`HealthTracker`), scored against the fleet
-                baseline and fed back into replica selection.
+                baseline; the demotions it judges live in the cluster's
+                peer view and order replica selection.
 as objectives   Figure 9's latency target as an :class:`SLO` with
                 multi-window burn-rate alerting (:class:`SLOMonitor`).
 as events       the churn behind the numbers — failovers, epoch bumps,
@@ -67,8 +68,8 @@ Modules:
   bounded-error quantile sketch;
 * :mod:`repro.obs.events` — the typed fleet event log;
 * :mod:`repro.obs.slo` — declarative SLOs with burn-rate alerting;
-* :mod:`repro.obs.health` — per-peer health scoring (the failure
-  detector the router's replica selection consults);
+* :mod:`repro.obs.health` — per-peer health scoring, judging the
+  demotions the cluster's peer view holds for replica selection;
 * :mod:`repro.obs.profile` — the collapsed-stack sampling profiler;
 * :mod:`repro.obs.fleet` — :class:`FleetMonitor`, the one-call wiring
   of all of the above into a federation;

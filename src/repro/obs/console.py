@@ -50,7 +50,7 @@ def render_fleet(monitor, window_s: float | None = None,
         f"latency     : p50 {_ms(queries['p50'])} | "
         f"p95 {_ms(queries['p95'])} | p99 {_ms(queries['p99'])}")
 
-    peers = sorted(monitor.health.snapshot(), key=lambda p: p["peer"])
+    peers = sorted(monitor.peer_health(), key=lambda p: p["peer"])
     if peers:
         lines.append("peers:")
         width = max(len(p["peer"]) for p in peers)
@@ -66,10 +66,9 @@ def render_fleet(monitor, window_s: float | None = None,
                 f"{_ms(peer['mean_latency_s']):>9}  "
                 f"{_ms(peer['p95_latency_s']):>9}")
 
-    catalog = getattr(getattr(monitor, "federation", None),
-                      "catalog", None)
-    if catalog is not None:
-        lines.extend(_topology_lines(catalog))
+    view = getattr(monitor.federation, "peer_view", None)
+    if view is not None and view.catalog is not None:
+        lines.extend(_topology_lines(view.describe()))
 
     states = monitor.slo.states()
     if states:
@@ -93,24 +92,23 @@ def render_fleet(monitor, window_s: float | None = None,
     return "\n".join(lines)
 
 
-def _topology_lines(catalog) -> list[str]:
-    """The catalog's shard map, one line per shard: placements, live
-    replica counts against the collection target, and the reason of
-    the last epoch bump — the operator's view of a migration as it
-    cuts over."""
-    snap = catalog.describe()
+def _topology_lines(snap: dict) -> list[str]:
+    """The shard map of :meth:`PeerView.describe`, one line per shard:
+    placements, live replica counts against the collection target, and
+    the reason of the last epoch bump — the operator's view of a
+    migration as it cuts over."""
     lines = [f"topology    : epoch {snap['epoch']}"
              + (f" | down {','.join(snap['down'])}" if snap["down"]
                 else "")
              + (f" | draining {','.join(snap['draining'])}"
-                if snap.get("draining") else "")]
+                if snap["draining"] else "")]
     for name, coll in sorted(snap["collections"].items()):
         target = coll.get("target_replication", 0)
         lines.append(
             f"  {name} [{coll['partitioning']}] rf={target} "
             f"last={coll.get('last_reason', '?')}")
         for shard in coll["shards"]:
-            live = shard.get("live_count", len(shard["replicas"]))
+            live = len(shard["live"])
             flag = "" if live >= target else "  UNDER-REPLICATED"
             lines.append(
                 f"    s{shard['index']} {shard['local_name']} "

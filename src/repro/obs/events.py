@@ -13,34 +13,47 @@ reading the JSONL) and the monotonic reading spans use (so
 :func:`repro.obs.export.chrome_trace_events` can place events on the
 span timeline as instant markers) — both virtual on a ``VirtualClock``.
 
-Event kinds emitted by the wired subsystems:
+Event kinds emitted by the wired subsystems (a tier-1 test scans
+``src/`` for every ``emit`` and checks this table against it):
 
-========================  =====================================================
-kind                      emitted by
-========================  =====================================================
-``failover``              router retry after a replica raised ``NetworkError``
-``peer_down``             ``Transport.kill_peer`` / catalog ``mark_down``
-``peer_up``               ``Transport.revive_peer`` / catalog ``mark_up``
-``peer_degraded``         ``Transport.degrade_peer`` (latency injection)
-``peer_restored``         ``Transport.restore_peer``
-``epoch_bump``            catalog topology change (register/replace/drop/mark)
-``cache_invalidation``    ``ResultCache.invalidate_peer`` dropping entries
-``shard_skip``            router skipping a shard on an index/statistics probe
-``slow_query``            monitor: wall time over the slow threshold
-``health_demoted``        health tracker score fell below the demote threshold
-``health_restored``       health tracker score recovered past restore threshold
-``alert_fired``           SLO burn-rate rule breached (once per breach)
-``alert_resolved``        burn rate fell back under the resolve ratio
-``membership_suspect``    failure detector: replica entered *suspect*
-``membership_dead``       failure detector: replica declared *dead*
-``membership_alive``      failure detector: replica revived / rejoined
-``replica_evicted``       detector evicted a replica from shard placements
-``partial_result``        scatter answered around a dead shard (partial=allow)
-``repair_started``        repair engine began re-replicating a fragment
-``repair_completed``      fragment re-replicated and registered
-``repair_failed``         repair attempt abandoned (source died, no target)
-``repair_queue_full``     bounded repair queue dropped a task
-========================  =====================================================
+===============================  ==============================================
+kind                             emitted by
+===============================  ==============================================
+``failover``                     router: a replica raised ``NetworkError``
+``peer_down``                    ``Transport.kill_peer``
+``peer_up``                      ``Transport.revive_peer``
+``peer_degraded``                ``Transport.degrade_peer`` (latency injection)
+``peer_restored``                ``Transport.restore_peer``
+``epoch_bump``                   catalog register / update / drop, and the
+                                 peer view's ``mark_down`` / ``mark_up`` (the
+                                 detector's dead / revived verdicts included)
+``peer_draining``                peer view ``drain`` (a rebalancer drain)
+``peer_undrained``               peer view ``undrain``
+``cache_invalidation``           ``ResultCache.invalidate_peer`` dropped some
+``shard_skip``                   router skipped a shard on a value-index probe
+``slow_query``                   monitor: wall time over the slow threshold
+``health_demoted``               health scorer: score fell below demote
+``health_restored``              health scorer: score recovered past restore
+``alert_fired``                  SLO burn-rate rule breached (once per breach)
+``alert_resolved``               burn rate fell back under the resolve ratio
+``membership_suspect``           failure detector: replica entered *suspect*
+``membership_dead``              failure detector: replica declared *dead*
+``membership_alive``             failure detector: replica revived / rejoined
+``replica_evicted``              detector evicted a replica from placements
+``partial_result``               scatter answered around a dead shard
+``repair_started``               repair engine began re-replicating a fragment
+``repair_completed``             fragment re-replicated and registered
+``repair_failed``                repair attempt abandoned (source died, ...)
+``repair_queue_full``            bounded repair queue dropped a task
+``rebalance_planned``            rebalancer planned a split or a move
+``rebalance_completed``          executor cut a split / move / retire over
+``rebalance_failed``             migration attempt aborted or abandoned
+``rebalance_retired``            executor removed a superseded fragment copy
+``rebalance_noop``               a chaos split / move found nothing to do
+``rebalance_drain_started``      rebalancer began draining a peer
+``rebalance_drain_completed``    the drained peer holds no placement
+``rebalance_drain_stalled``      drain ended with placements left
+===============================  ==============================================
 """
 
 from __future__ import annotations

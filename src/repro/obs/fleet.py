@@ -10,8 +10,8 @@ continuous layer on top:
 * the typed event log every wired subsystem emits into
   (:mod:`repro.obs.events`),
 * SLO burn-rate alerting (:mod:`repro.obs.slo`),
-* per-peer health scoring the router consults
-  (:mod:`repro.obs.health`),
+* per-peer health scoring, whose demotions the federation's peer view
+  holds and the router's replica order reads (:mod:`repro.obs.health`),
 * a sampling profiler folding every Nth span tree
   (:mod:`repro.obs.profile`),
 * windowed rates over the registry's cumulative counters
@@ -19,7 +19,8 @@ continuous layer on top:
 
 Wiring is opt-in and one call: ``monitor.attach(federation)`` sets
 ``federation.monitor``, hands the event log to the federation's wire
-and catalog, and puts the monitor on the wire's clock. Every
+and catalog, the health scorer to its peer view, and puts the monitor
+on the wire's clock. Every
 instrumented site guards with a single ``is None`` check, preserving
 the zero-cost-when-disabled discipline — a federation without a
 monitor pays one attribute read per query, and the hot evaluator
@@ -62,7 +63,6 @@ class FleetMonitor:
     def __init__(self, clock: Clock | None = None, width_s: float = 1.0,
                  buckets: int = 60, slow_query_s: float | None = None,
                  profile_every: int = 0, event_capacity: int = 1024,
-                 health: HealthTracker | None = None,
                  slo: SLOMonitor | None = None):
         self._follows_wire = clock is None
         self.clock = clock if clock is not None else REAL_CLOCK
@@ -74,9 +74,8 @@ class FleetMonitor:
         now = self.now   # read per call: :meth:`wire` may swap the clock
         self.latency = RollingWindow(width_s, buckets, now, eps=0.01)
         self.errors = RollingWindow(width_s, buckets, now, eps=None)
-        self.health = health if health is not None else HealthTracker(
-            events=self.events, clock=now, width_s=width_s,
-            buckets=buckets)
+        self.health = HealthTracker(events=self.events, clock=now,
+                                    width_s=width_s, buckets=buckets)
         self.slo = slo if slo is not None else SLOMonitor(
             events=self.events, clock=now)
         self.profiler = Profiler()
@@ -92,12 +91,14 @@ class FleetMonitor:
 
     def attach(self, federation) -> "FleetMonitor":
         """Install this monitor on ``federation``: the execution layer
-        records queries, the wire and catalog emit events, and the
-        registry's counters get windowed rates. Attach before building
-        engines/catalogs where possible; ``Federation.attach_catalog``
-        re-wires a catalog attached later."""
+        records queries, the wire and catalog emit events, the peer view
+        scores every router attempt here, and the registry's counters
+        get windowed rates. Attach before building engines/catalogs
+        where possible; ``Federation.attach_catalog`` re-wires a catalog
+        attached later."""
         self.federation = federation
         federation.monitor = self
+        federation.peer_view.health = self.health
         self.wire(federation.transport)
         if federation.catalog is not None:
             federation.catalog.events = self.events
@@ -148,6 +149,14 @@ class FleetMonitor:
     def uptime_s(self) -> float:
         return self.clock() - self.started_s
 
+    def peer_health(self) -> list[dict]:
+        """Every scored peer's health, each with its standing in the
+        attached federation's peer view (healthy while unattached)."""
+        view = getattr(self.federation, "peer_view", None)
+        return [dict(entry, healthy=view is None
+                     or view.healthy(entry["peer"]))
+                for entry in self.health.snapshot()]
+
     def error_rate(self, window_s: float | None = None) -> float:
         count = self.errors.count(window_s)
         return self.errors.sum(window_s) / count if count else 0.0
@@ -158,7 +167,7 @@ class FleetMonitor:
             "uptime_s": self.uptime_s(),
             "queries": self.latency.snapshot(window_s),
             "error_rate": self.error_rate(window_s),
-            "peers": self.health.snapshot(),
+            "peers": self.peer_health(),
             "slos": self.slo.snapshot(),
             "event_counts": self.events.counts(),
             "profile_samples": self.profiler.samples,

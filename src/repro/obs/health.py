@@ -1,14 +1,16 @@
-"""Per-peer health scoring from windowed stats: the failure *detector*.
+"""Per-peer health scoring from windowed stats.
 
 ``Transport.kill_peer`` makes a peer loudly dead — requests raise and
 the router fails over. The harder operational case is the *degrading*
 replica: still answering, but slower every second (GC thrash, noisy
 neighbour, saturated link). Nothing raises, so failover counts stay
-flat while tail latency climbs. This module is the precursor to
-ROADMAP item 5's failure detector: it watches per-peer rolling windows
-and produces a health score the :class:`~repro.cluster.router.ClusterRouter`
-consults in ``replica_order``, so selection de-prefers a degrading
-replica *before* it ever fails a request.
+flat while tail latency climbs. This module scores each peer from
+rolling windows of the router's attempts and judges its standing; the
+standing itself lives in the federation's
+:class:`~repro.cluster.membership.PeerView`, which asks
+:meth:`HealthTracker.judge` whenever it is read and sorts a demoted
+replica behind every healthy one in ``replica_order``, so selection
+de-prefers a degrading replica *before* it ever fails a request.
 
 Score model, per peer over the window:
 
@@ -29,7 +31,7 @@ flap the routing order. Both transitions emit events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindowFamily
@@ -40,35 +42,26 @@ __all__ = ["PeerHealth", "HealthTracker"]
 
 @dataclass
 class PeerHealth:
-    """One peer's current standing."""
+    """One peer's current score and the windowed numbers behind it."""
 
     peer: str
     score: float = 1.0
-    healthy: bool = True
     samples: int = 0
     error_rate: float = 0.0
     mean_latency_s: float = 0.0
     p95_latency_s: float = 0.0
 
     def snapshot(self) -> dict:
-        return {
-            "peer": self.peer,
-            "score": self.score,
-            "healthy": self.healthy,
-            "samples": self.samples,
-            "error_rate": self.error_rate,
-            "mean_latency_s": self.mean_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-        }
+        return asdict(self)
 
 
 class HealthTracker:
     """Scores peers from windowed latency/error observations.
 
     ``record(peer, latency_s, ok)`` is the single ingest point (the
-    router calls it per attempt); reads recompute scores lazily from
-    the rolling windows, so a peer that stops receiving traffic ages
-    out as its buckets rotate away.
+    peer view forwards every router attempt); reads recompute scores
+    lazily from the rolling windows, so a peer that stops receiving
+    traffic ages out as its buckets rotate away.
     """
 
     def __init__(self, events: EventLog | None = None,
@@ -95,7 +88,6 @@ class HealthTracker:
                                             eps=0.01)
         self._errors = RollingWindowFamily(width_s, buckets, clock,
                                            eps=None)
-        self._healthy: dict[str, bool] = {}
 
     # -- ingest ---------------------------------------------------------------
 
@@ -136,51 +128,51 @@ class HealthTracker:
         return means[(len(means) - 1) // 2]
 
     def health(self, peer: str) -> PeerHealth:
-        """Recompute ``peer``'s standing from the current windows,
-        applying demote/restore hysteresis (and emitting events on
-        transitions)."""
+        """``peer``'s score from the current windows (1.0 until it has
+        ``min_samples`` samples)."""
         samples, mean, p95, error_rate = self._windowed(peer)
         state = PeerHealth(peer=peer, samples=samples,
                            error_rate=error_rate, mean_latency_s=mean,
                            p95_latency_s=p95)
-        if samples < self.min_samples:
-            # Not enough evidence to indict: score stays 1.0 but the
-            # peer keeps any prior demotion until data clears it.
-            state.healthy = self._healthy.get(peer, True)
-            return state
-        latency_factor = 1.0
-        fleet = self.baseline()
-        if fleet > 0.0 and mean > self.latency_tolerance * fleet:
-            latency_factor = (self.latency_tolerance * fleet) / mean
-        state.score = max(0.0, (1.0 - error_rate) * latency_factor)
+        if samples >= self.min_samples:
+            latency_factor = 1.0
+            fleet = self.baseline()
+            if fleet > 0.0 and mean > self.latency_tolerance * fleet:
+                latency_factor = (self.latency_tolerance * fleet) / mean
+            state.score = max(0.0, (1.0 - error_rate) * latency_factor)
+        return state
 
-        was_healthy = self._healthy.get(peer, True)
-        if was_healthy and state.score < self.demote_below:
-            self._healthy[peer] = False
+    def judge(self, peer: str, healthy: bool) -> bool:
+        """``peer``'s standing, given its standing so far: demoted when
+        its score falls below ``demote_below``, restored once it
+        recovers past ``restore_above``, kept as it was in between and
+        while there is too little evidence to judge. A change emits
+        ``health_demoted`` / ``health_restored``."""
+        state = self.health(peer)
+        if state.samples < self.min_samples:
+            return healthy
+        if healthy and state.score < self.demote_below:
             if self.events is not None:
                 self.events.emit(
                     "health_demoted",
                     f"peer {peer}: score {state.score:.2f} below "
                     f"{self.demote_below:g} (mean latency "
-                    f"{mean * 1000:.2f} ms vs fleet "
-                    f"{fleet * 1000:.2f} ms, errors "
-                    f"{error_rate:.0%})",
+                    f"{state.mean_latency_s * 1000:.2f} ms vs fleet "
+                    f"{self.baseline() * 1000:.2f} ms, errors "
+                    f"{state.error_rate:.0%})",
                     severity="warning", peer=peer, score=state.score,
-                    mean_latency_s=mean, error_rate=error_rate)
-        elif not was_healthy and state.score > self.restore_above:
-            self._healthy[peer] = True
+                    mean_latency_s=state.mean_latency_s,
+                    error_rate=state.error_rate)
+            return False
+        if not healthy and state.score > self.restore_above:
             if self.events is not None:
                 self.events.emit(
                     "health_restored",
                     f"peer {peer}: score recovered to "
                     f"{state.score:.2f}",
                     severity="info", peer=peer, score=state.score)
-        state.healthy = self._healthy.get(peer, True)
-        return state
-
-    def healthy(self, peer: str) -> bool:
-        """Routing predicate: refreshes the score, returns standing."""
-        return self.health(peer).healthy
+            return True
+        return healthy
 
     def peers(self) -> list[str]:
         return self._latency.names()

@@ -184,6 +184,12 @@ def _label_sort_key(item: tuple) -> tuple[str, ...]:
     return tuple(str(part) for part in item[0])
 
 
+def label_key(labels: tuple) -> str:
+    """One labeled series' name in snapshots and windowed rates: its
+    label values joined by commas."""
+    return ",".join(str(part) for part in labels)
+
+
 class LabeledMetric:
     """A family of series keyed by label values (``labels("peer1")`` or
     ``labels(peer="peer1")`` — positional follows the declared order)."""
@@ -312,7 +318,7 @@ class MetricsRegistry:
             if labels:
                 series = metric.series()
                 out[name] = {
-                    ",".join(str(part) for part in key):
+                    label_key(key):
                         (child.snapshot_value() if kind == "histogram"
                          else child.value)
                     for key, child in sorted(series.items(),

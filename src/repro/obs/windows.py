@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.obs.metrics import LabeledMetric
+from repro.obs.metrics import LabeledMetric, label_key
 from repro.runtime.clock import REAL_CLOCK
 
 
@@ -362,9 +362,8 @@ class RegistryWindows:
                 metric = registry.get(name)
                 if isinstance(metric, LabeledMetric):
                     for key, child in metric.series().items():
-                        self._feed(self.series_key(
-                            name, ",".join(str(part) for part in key)),
-                            child.value)
+                        self._feed(self.series_key(name, label_key(key)),
+                                   child.value)
                 else:
                     self._feed(name, metric.value)
 

@@ -32,6 +32,7 @@ from functools import cached_property
 from typing import Callable
 
 from repro.cluster.catalog import ClusterCatalog, CollectionSpec
+from repro.cluster.membership import PeerView
 from repro.cluster.router import ClusterRouter
 from repro.decompose import DecompositionResult, Strategy, strategy_label
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
@@ -199,6 +200,9 @@ class Federation:
             self.metrics = MetricsRegistry()
         self.peers: dict[str, Peer] = {}
         self.catalog = catalog
+        #: What the cluster believes about each peer — the one answer
+        #: to "can this peer serve?" (:mod:`repro.cluster.membership`).
+        self.peer_view = PeerView(catalog)
         #: The attached :class:`~repro.obs.fleet.FleetMonitor` (set by
         #: ``monitor.attach(federation)``; None ⇒ continuous
         #: observability off, at the cost of one attribute check per
@@ -207,10 +211,8 @@ class Federation:
         self.transport = (transport if transport is not None
                           else Transport(self.cost_model,
                                          metrics=self.metrics))
-        #: The attached failure detector / repair engine (set by
-        #: ``MembershipTracker.attach`` / ``RepairEngine.attach``;
-        #: None ⇒ no self-healing, the pre-PR-9 behaviour).
-        self.membership = None
+        #: The attached repair engine (set by ``RepairEngine.attach``;
+        #: None ⇒ no self-healing).
         self.repair = None
         #: The cost-based planner and its table of prepared queries.
         self.planner = QueryPlanner(self)
@@ -247,7 +249,7 @@ class Federation:
         """Install the cluster catalog: host names registered in it are
         resolved as sharded collections (scatter-gather) instead of
         peers from now on."""
-        self.catalog = catalog
+        self.catalog = self.peer_view.catalog = catalog
         if self.monitor is not None and catalog.events is None:
             # A monitor attached before the catalog existed still gets
             # the catalog's epoch-bump events.

@@ -256,21 +256,18 @@ class ChaosHarness:
     """
 
     def __init__(self, federation, schedule: ChaosSchedule, *,
-                 queries: list[tuple[str, str]],
-                 membership=None, repair=None, rebalancer=None,
-                 serialize=None, at: str = "local", strategy=None,
+                 queries: list[tuple[str, str]], serialize=None,
+                 at: str = "local", strategy=None,
                  convergence_ticks: int = 24, steady_passes: int = 2):
         if not queries:
             raise ClusterError("chaos harness needs at least one query")
         self.federation = federation
         self.schedule = schedule
         self.queries = list(queries)
-        self.membership = membership if membership is not None \
-            else getattr(federation, "membership", None)
-        self.repair = repair if repair is not None \
-            else getattr(federation, "repair", None)
-        self.rebalancer = rebalancer if rebalancer is not None \
-            else getattr(federation, "rebalancer", None)
+        self.view = federation.peer_view
+        self.membership = self.view.detector
+        self.repair = federation.repair
+        self.rebalancer = getattr(federation, "rebalancer", None)
         if self.membership is None:
             raise ClusterError("chaos harness needs a membership tracker")
         if self.rebalancer is None and any(
@@ -311,7 +308,7 @@ class ChaosHarness:
             # An evicted peer's probes stopped (eviction is terminal
             # for the detector); revival models a restarted process
             # re-announcing itself to the membership.
-            if self.membership.state(event.peer) == EVICTED:
+            if self.view.state(event.peer) == EVICTED:
                 self.membership.rejoin(event.peer)
         elif event.action == "degrade":
             transport.degrade_peer(event.peer, event.extra_latency_s)

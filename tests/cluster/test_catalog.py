@@ -1,9 +1,10 @@
-"""Catalog semantics: registration, epoch versioning, replica health."""
+"""Catalog semantics: registration, epoch versioning, and the epoch
+bumps of the peer view's down marks."""
 
 import pytest
 
 from repro.cluster import (
-    ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
+    ClusterCatalog, ClusterError, CollectionSpec, PeerView, ShardInfo,
 )
 from repro.obs.events import EventLog
 
@@ -37,14 +38,15 @@ def test_duplicate_registration_rejected():
 
 def test_epoch_bumps_on_every_mutation():
     catalog = ClusterCatalog()
+    view = PeerView(catalog)
     epochs = [catalog.epoch()]
     catalog.register(spec("c1"))
     epochs.append(catalog.epoch())
     catalog.replace(spec("c1", shards=3))
     epochs.append(catalog.epoch())
-    catalog.mark_down("p1")
+    view.mark_down("p1")
     epochs.append(catalog.epoch())
-    catalog.mark_up("p1")
+    view.mark_up("p1")
     epochs.append(catalog.epoch())
     catalog.drop("c1")
     epochs.append(catalog.epoch())
@@ -53,11 +55,12 @@ def test_epoch_bumps_on_every_mutation():
 
 def test_mark_down_is_idempotent_for_the_epoch():
     catalog = ClusterCatalog()
-    catalog.mark_down("p1")
+    view = PeerView(catalog)
+    view.mark_down("p1")
     epoch = catalog.epoch()
-    catalog.mark_down("p1")       # already down: no membership change
+    view.mark_down("p1")          # already down: no membership change
     assert catalog.epoch() == epoch
-    catalog.mark_up("p2")         # already up: no membership change
+    view.mark_up("p2")            # already up: no membership change
     assert catalog.epoch() == epoch
 
 
@@ -126,20 +129,18 @@ def test_update_failing_fn_leaves_spec_and_epoch_untouched():
         catalog.update("c1", boom)
     assert catalog.get("c1") is before
     assert catalog.epoch() == epoch
-    catalog.mark_down("p0")               # the lock was released
+    catalog.bump("mark_down", peer="p0")  # the lock was released
     assert catalog.epoch() == epoch + 1
 
 
-def test_live_replicas_skip_down_peers():
-    catalog = ClusterCatalog()
+def test_down_peers_do_not_serve():
+    view = PeerView(ClusterCatalog())
     shard = spec().shards[0]          # replicas (p0, p1)
-    assert catalog.live_replicas(shard) == ("p0", "p1")
-    catalog.mark_down("p0")
-    assert catalog.live_replicas(shard) == ("p1",)
-    # All replicas down: selection falls back to the full set so the
-    # failure surfaces on the wire, not as an empty candidate list.
-    catalog.mark_down("p1")
-    assert catalog.live_replicas(shard) == ("p0", "p1")
+    assert [p for p in shard.replicas if view.serves(p)] == ["p0", "p1"]
+    view.mark_down("p0")
+    assert [p for p in shard.replicas if view.serves(p)] == ["p1"]
+    view.mark_up("p0")
+    assert view.serves("p0")
 
 
 def test_spec_validation():
@@ -153,10 +154,14 @@ def test_spec_validation():
 def test_describe_snapshot():
     catalog = ClusterCatalog()
     catalog.register(spec("c1"))
-    catalog.mark_down("p9")
-    snap = catalog.describe()
-    assert snap["down"] == ["p9"]
+    view = PeerView(catalog)
+    view.mark_down("p9")
+    view.mark_down("p1")
+    snap = view.describe()
+    assert snap["down"] == ["p1", "p9"]
     assert snap["collections"]["c1"]["shards"][0]["replicas"] == ["p0", "p1"]
+    assert snap["collections"]["c1"]["shards"][0]["live"] == ["p0"]
+    assert "down" not in catalog.describe()
 
 
 def test_collection_properties():

@@ -190,9 +190,9 @@ def test_harness_requires_membership_and_queries():
     schedule = ChaosSchedule.generate(random.Random(0), NODES)
     with pytest.raises(ClusterError, match="membership"):
         ChaosHarness(cluster, schedule, queries=oracle_queries())
+    MembershipTracker().attach(cluster)
     with pytest.raises(ClusterError, match="quer"):
-        ChaosHarness(cluster, schedule, queries=[],
-                     membership=MembershipTracker().attach(cluster))
+        ChaosHarness(cluster, schedule, queries=[])
 
 
 # -- failover accounting parity ----------------------------------------------

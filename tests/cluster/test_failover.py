@@ -52,10 +52,10 @@ def test_revive_restores_service():
 
 
 def test_mark_down_steers_without_wire_faults():
-    """Catalog health marks avoid the failed attempt entirely: no
-    failovers are recorded because the down peer is never tried."""
+    """Down marks avoid the failed attempt entirely: no failovers are
+    recorded because the down peer is never tried."""
     cluster = make_cluster()
-    cluster.catalog.mark_down("node2")
+    cluster.peer_view.mark_down("node2")
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
     assert result.stats.failovers == 0
@@ -83,6 +83,7 @@ def test_least_loaded_replica_selected():
 
     stub = _RunStub()
     stub.transport = transport
+    stub.federation = cluster
     router = ClusterRouter(stub, catalog)
     # Untouched fleet: placement order breaks the tie.
     assert router.replica_order(shard)[0] == "node1"
@@ -90,8 +91,12 @@ def test_least_loaded_replica_selected():
     transport._count_message("node1", 50_000)
     assert router.replica_order(shard)[0] == "node2"
     # A peer marked down is not considered at all.
-    catalog.mark_down("node2")
+    cluster.peer_view.mark_down("node2")
     assert router.replica_order(shard) == ["node1"]
+    # All replicas down: selection falls back to the full set so the
+    # failure surfaces on the wire, not as an empty candidate list.
+    cluster.peer_view.mark_down("node1")
+    assert router.replica_order(shard) == ["node2", "node1"]
 
 
 def test_failovers_surface_in_engine_metrics():

@@ -192,7 +192,7 @@ def test_modes_agree_on_a_partial_answer(shard_threads):
         # load order).
         cluster.transport.kill_peer(replica)
         waiting.kill_peer(replica)
-        cluster.catalog.mark_down(replica)
+        cluster.peer_view.mark_down(replica)
     inline = cluster.run(SCAN, at="local")
     assert not _pooled(shard_threads)
     del shard_threads[:]
@@ -251,10 +251,10 @@ def test_layout_change_re_prepares_exactly_once(preparation_calls):
     expected = serialize_sequence(cluster.run(SCAN, at="local").items)
     assert preparation_calls["unwrap_collection_xrpc"] == 1
 
-    # A health-only epoch bump moves nothing a preparation read.
+    # A liveness-only epoch bump moves nothing a preparation read.
     epoch = catalog.epoch()
-    catalog.mark_down("node1")
-    catalog.mark_up("node1")
+    cluster.peer_view.mark_down("node1")
+    cluster.peer_view.mark_up("node1")
     assert catalog.epoch() == epoch + 2
     cluster.run(SCAN, at="local")
     assert preparation_calls["unwrap_collection_xrpc"] == 1

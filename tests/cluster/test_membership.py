@@ -1,7 +1,6 @@
 """The failure detector's state machine: evidence, hysteresis,
-eviction, and catalog side effects."""
+eviction, and its writes into the peer view."""
 
-from repro.cluster import ClusterCatalog
 from repro.cluster.membership import (
     ALIVE, DEAD, EVICTED, PHI_CEILING, SUSPECT, MembershipTracker,
 )
@@ -19,10 +18,11 @@ def test_attach_watches_replica_peers():
     cluster = make_cluster()
     tracker = make_tracker(cluster)
     assert tracker.peers() == ["node1", "node2", "node3", "node4"]
-    assert cluster.membership is tracker
+    assert cluster.peer_view.detector is tracker
+    assert tracker.view is cluster.peer_view
     # An unwatched peer defaults to alive — absence of evidence is not
     # evidence of absence.
-    assert tracker.state("local") == ALIVE
+    assert tracker.view.state("local") == ALIVE
 
 
 def test_probe_ladder_alive_suspect_dead_evicted():
@@ -45,8 +45,8 @@ def test_dead_marks_catalog_down():
     epoch = cluster.catalog.epoch()
     for _ in range(4):
         tracker.tick()
-    assert tracker.state("node2") == DEAD
-    assert cluster.catalog.is_down("node2")
+    assert tracker.view.state("node2") == DEAD
+    assert "node2" in cluster.peer_view.describe()["down"]
     assert cluster.catalog.epoch() > epoch
 
 
@@ -57,7 +57,7 @@ def test_eviction_rewrites_placements_and_bumps_epoch():
     epoch = cluster.catalog.epoch()
     for _ in range(6):
         tracker.tick()
-    assert tracker.state("node1") == EVICTED
+    assert tracker.view.state("node1") == EVICTED
     spec = cluster.catalog.get("books-c")
     assert all("node1" not in shard.replicas for shard in spec.shards)
     # Every shard keeps its surviving replica — no placement was lost.
@@ -77,7 +77,7 @@ def test_sole_replica_shard_keeps_placement():
     cluster.transport.kill_peer("node1")
     for _ in range(6):
         tracker.tick()
-    assert tracker.state("node1") == EVICTED
+    assert tracker.view.state("node1") == EVICTED
     spec = cluster.catalog.get("books-c")
     for index in victim_shards:
         assert spec.shards[index].replicas == ("node1",)
@@ -92,13 +92,13 @@ def test_flap_revives_without_dying():
     tracker.tick()
     tracker.tick()
     tracker.tick()
-    assert tracker.state("node3") == SUSPECT
+    assert tracker.view.state("node3") == SUSPECT
     cluster.transport.revive_peer("node3")
     tracker.tick()
-    assert tracker.state("node3") == SUSPECT   # one success is luck
+    assert tracker.view.state("node3") == SUSPECT   # one success is luck
     tracker.tick()
-    assert tracker.state("node3") == ALIVE     # two is a pattern
-    assert not cluster.catalog.is_down("node3")
+    assert tracker.view.state("node3") == ALIVE     # two is a pattern
+    assert "node3" not in cluster.peer_view.describe()["down"]
     assert tracker.converged()
 
 
@@ -107,13 +107,13 @@ def test_passive_evidence_alone_detects():
     cluster = make_cluster()
     tracker = make_tracker(cluster)
     for _ in range(4):
-        tracker.record_failure("node4")
-    assert tracker.state("node4") == DEAD
-    assert cluster.catalog.is_down("node4")
+        cluster.peer_view.record("node4", None, False)
+    assert tracker.view.state("node4") == DEAD
+    assert "node4" in cluster.peer_view.describe()["down"]
     for _ in range(2):
-        tracker.record_success("node4")
-    assert tracker.state("node4") == ALIVE
-    assert not cluster.catalog.is_down("node4")
+        cluster.peer_view.record("node4", None, True)
+    assert tracker.view.state("node4") == ALIVE
+    assert "node4" not in cluster.peer_view.describe()["down"]
 
 
 def test_phi_suspicion_catches_mixed_traffic():
@@ -124,12 +124,12 @@ def test_phi_suspicion_catches_mixed_traffic():
     tracker = make_tracker(cluster, suspect_after=3, dead_after=9,
                            suspect_phi=0.5)
     for _ in range(2):
-        tracker.record_failure("node2")
-        tracker.record_success("node2")   # resets the ladder
-        tracker.record_failure("node2")
-        tracker.record_failure("node2")
+        cluster.peer_view.record("node2", None, False)
+        cluster.peer_view.record("node2", None, True)   # resets the ladder
+        cluster.peer_view.record("node2", None, False)
+        cluster.peer_view.record("node2", None, False)
     assert tracker.phi("node2") >= 0.5
-    assert tracker.state("node2") == SUSPECT
+    assert tracker.view.state("node2") == SUSPECT
 
 
 def test_phi_bounds():
@@ -137,10 +137,10 @@ def test_phi_bounds():
     tracker = make_tracker(cluster)
     assert tracker.phi("node1") == 0.0            # no samples yet
     for _ in range(6):
-        tracker.record_failure("node1")
+        cluster.peer_view.record("node1", None, False)
     assert tracker.phi("node1") == PHI_CEILING    # 100% failures
     for _ in range(6):
-        tracker.record_success("node1")
+        cluster.peer_view.record("node1", None, True)
     assert tracker.phi("node1") < 1.0
 
 
@@ -148,12 +148,12 @@ def test_eviction_is_terminal_until_rejoin():
     cluster = make_cluster()
     tracker = make_tracker(cluster)
     tracker.evict("node1")
-    assert tracker.state("node1") == EVICTED
-    tracker.record_success("node1")
-    assert tracker.state("node1") == EVICTED       # successes ignored
+    assert tracker.view.state("node1") == EVICTED
+    cluster.peer_view.record("node1", None, True)
+    assert tracker.view.state("node1") == EVICTED       # successes ignored
     tracker.rejoin("node1")
-    assert tracker.state("node1") == ALIVE
-    assert not cluster.catalog.is_down("node1")
+    assert tracker.view.state("node1") == ALIVE
+    assert "node1" not in cluster.peer_view.describe()["down"]
 
 
 def test_subscribers_see_transitions_in_order():
@@ -186,11 +186,12 @@ def test_events_and_metrics_emitted():
 
 
 def test_standalone_tracker_without_federation():
-    """The tracker works against a bare catalog + transport pair."""
+    """Unattached, the tracker judges into a view of its own over a
+    bare transport."""
     cluster = make_cluster()
-    tracker = MembershipTracker(catalog=cluster.catalog,
-                                transport=cluster.transport,
+    tracker = MembershipTracker(transport=cluster.transport,
                                 events=EventLog())
+    assert tracker.view is not cluster.peer_view
     tracker.watch("node1", "node2")
     assert tracker.peers() == ["node1", "node2"]
     states = tracker.tick()
@@ -201,6 +202,6 @@ def test_tick_without_transport_fails_loudly():
     import pytest
 
     from repro.cluster import ClusterError
-    tracker = MembershipTracker(catalog=ClusterCatalog())
+    tracker = MembershipTracker()
     with pytest.raises(ClusterError, match="transport"):
         tracker.tick()

@@ -69,8 +69,8 @@ def test_scorer_ranks_cool_peers_first():
 def test_scorer_excludes_down_draining_and_excluded():
     cluster = make_cluster()
     scorer = LoadScorer(cluster)
-    cluster.catalog.mark_down("node1")
-    cluster.catalog.set_draining("node2", True)
+    cluster.peer_view.mark_down("node1")
+    cluster.peer_view.drain("node2")
     ranked = scorer.rank(exclude={"node3"})
     assert "node1" not in ranked
     assert "node2" not in ranked
@@ -83,7 +83,7 @@ def test_repair_targets_through_shared_scorer():
     never a re-replication target even when it is the emptiest."""
     cluster = make_cluster()
     repair = RepairEngine(auto_repair=False).attach(cluster)
-    cluster.catalog.set_draining("local", True)
+    cluster.peer_view.drain("local")
     spec = cluster.catalog.get("books-c")
     candidates = repair.executor.scorer.rank(
         exclude=set(spec.shards[0].replicas))
@@ -146,9 +146,9 @@ def test_drain_empties_peer_and_keeps_replication():
             assert shard.local_name in cluster.peer(replica).documents
     assert run_scan(cluster) == want
     # Undrain restores placement eligibility.
-    assert cluster.catalog.is_draining("node1")
+    assert not cluster.peer_view.accepts("node1")
     rebalancer.undrain("node1")
-    assert not cluster.catalog.is_draining("node1")
+    assert cluster.peer_view.accepts("node1")
 
 
 # -- planning ----------------------------------------------------------------
@@ -205,8 +205,8 @@ def test_round_robin_insufficient_peers_is_typed():
 
 def test_create_collection_skips_unhealthy_peers():
     cluster = make_cluster()
-    cluster.catalog.mark_down("node1")
-    cluster.catalog.set_draining("node2", True)
+    cluster.peer_view.mark_down("node1")
+    cluster.peer_view.drain("node2")
     spec = create_sharded_collection(
         cluster, cluster.catalog, name="books2-c",
         document=library_document("xrpc://books2-c/books.xml"),
@@ -219,9 +219,9 @@ def test_create_collection_skips_unhealthy_peers():
 
 def test_create_collection_raises_when_too_few_healthy():
     cluster = make_cluster()
-    cluster.catalog.mark_down("node1")
-    cluster.catalog.mark_down("node2")
-    cluster.catalog.mark_down("node3")
+    cluster.peer_view.mark_down("node1")
+    cluster.peer_view.mark_down("node2")
+    cluster.peer_view.mark_down("node3")
     with pytest.raises(InsufficientHealthyPeersError):
         create_sharded_collection(
             cluster, cluster.catalog, name="books2-c",
@@ -237,18 +237,18 @@ def test_create_collection_raises_when_too_few_healthy():
 
 def test_describe_reports_live_counts_and_reason():
     cluster = make_cluster()
-    cluster.catalog.mark_down("node1")
-    snap = cluster.catalog.describe()
+    cluster.peer_view.mark_down("node1")
+    snap = cluster.peer_view.describe()
     coll = snap["collections"]["books-c"]
     assert coll["last_reason"] == "register"
     assert coll["target_replication"] == 2
     shard0 = coll["shards"][0]       # placed on node1+node2
     assert shard0["live"] == ["node2"]
-    assert shard0["live_count"] == 1
+    assert snap["down"] == ["node1"]
     rebalancer = attach_rebalancer(cluster)
-    cluster.catalog.mark_up("node1")
+    cluster.peer_view.mark_up("node1")
     assert rebalancer.move("books-c", 0, "node1")
-    snap = cluster.catalog.describe()
+    snap = cluster.peer_view.describe()
     assert snap["collections"]["books-c"]["last_reason"] == "rebalance"
 
 
@@ -259,8 +259,8 @@ def test_console_renders_topology():
     assert "topology" in text
     assert "books-c [range] rf=2" in text
     assert "books.xml#s0" in text
-    cluster.catalog.mark_down("node1")
-    cluster.catalog.set_draining("node4", True)
+    cluster.peer_view.mark_down("node1")
+    cluster.peer_view.drain("node4")
     text = render_fleet(monitor)
     assert "UNDER-REPLICATED" in text
     assert "draining node4" in text
@@ -340,7 +340,7 @@ def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
         live = [r for r in shard.replicas
-                if not cluster.catalog.is_down(r)]
+                if cluster.peer_view.serves(r)]
         assert len(live) >= spec.target_replication
     assert rebalancer.stats()["drains"] == 1
 

@@ -25,10 +25,10 @@ def expected_items():
 def evict(cluster, tracker, peer):
     cluster.transport.kill_peer(peer)
     for _ in range(8):
-        if tracker.state(peer) == EVICTED:
+        if tracker.view.state(peer) == EVICTED:
             break
         tracker.tick()
-    assert tracker.state(peer) == EVICTED
+    assert tracker.view.state(peer) == EVICTED
 
 
 def test_scan_finds_under_replicated_shards():
@@ -111,7 +111,7 @@ def test_no_healthy_target_fails_loudly():
     cluster = make_cluster(nodes=["node1", "node2"])
     tracker = MembershipTracker().attach(cluster)
     repair = RepairEngine(auto_repair=False).attach(cluster)
-    cluster.catalog.mark_down("local")            # only spare target
+    cluster.peer_view.mark_down("local")            # only spare target
     evict(cluster, tracker, "node1")
     repair.scan()
     assert repair.process() == 0

@@ -208,6 +208,10 @@ def test_query_errors_never_retry_or_fail_over():
     cluster = make_cluster()
     tracker = MembershipTracker().attach(cluster)
     cluster.catalog.retry_policy = RetryPolicy(attempts=4, budget=16)
+    outcomes = []
+    record = cluster.peer_view.record
+    cluster.peer_view.record = lambda peer, seconds, ok: (
+        outcomes.append(ok), record(peer, seconds, ok))
 
     bad_query = ('doc("xrpc://books-c/books.xml")'
                  "/child::library/child::books/child::book/child::year"
@@ -227,9 +231,8 @@ def test_query_errors_never_retry_or_fail_over():
     assert snapshot.get("scatter_failovers_total", {}) \
         in ({}, {"books-c": 0})
     # No wire-fault evidence was fed to the failure detector.
-    assert all(entry["consecutive_failures"] == 0
-               for entry in tracker.snapshot())
-    assert all(tracker.state(peer) == ALIVE
+    assert False not in outcomes
+    assert all(tracker.view.state(peer) == ALIVE
                for peer in tracker.peers())
 
 

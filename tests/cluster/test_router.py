@@ -94,7 +94,7 @@ def test_catalog_epoch_invalidates_cached_responses(cluster):
                           batch_window_s=0) as engine:
         engine.submit(SCAN, at="local").result()
         hits_before = engine.cache.stats.hits
-        cluster.catalog.mark_down("node9")   # membership epoch bump
+        cluster.peer_view.mark_down("node9")   # membership epoch bump
         third = engine.submit(SCAN, at="local").result()
         # New epoch -> new cache keys -> recomputed on the wire.
         assert third.stats.cache_hits == 0

@@ -1,10 +1,16 @@
 """The typed event log: ring bounds, cumulative counts, JSONL export."""
 
+import ast
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cluster.membership import ALIVE, DEAD, SUSPECT
+from repro.obs import events as events_module
 from repro.obs.events import EventLog
 from repro.runtime.clock import VirtualClock
 
@@ -85,3 +91,33 @@ class TestEventLog:
         assert parsed[0]["kind"] == "epoch_bump"
         assert parsed[0]["attrs"]["epoch"] == 2
         assert parsed[1]["kind"] == "shard_skip"
+
+
+def emitted_kinds() -> set[str]:
+    """Every event kind ``src/`` emits: the string literals an
+    ``….emit(kind, …)`` call passes (both branches of a conditional),
+    plus the detector's ``membership_{state}`` family, which is
+    formatted."""
+    kinds = {f"membership_{state}" for state in (ALIVE, SUSPECT, DEAD)}
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                continue
+            kind = node.args[0]
+            branches = ([kind.body, kind.orelse]
+                        if isinstance(kind, ast.IfExp) else [kind])
+            kinds.update(branch.value for branch in branches
+                         if isinstance(branch, ast.Constant)
+                         and isinstance(branch.value, str))
+    return kinds
+
+
+def test_every_emitted_kind_is_documented():
+    documented = set(re.findall(r"^``(\w+)``", events_module.__doc__,
+                                re.MULTILINE))
+    emitted = emitted_kinds()
+    assert len(emitted) >= 30       # the scan itself still finds them
+    assert emitted - documented == set(), "undocumented event kinds"
+    assert documented - emitted == set(), "documented, never emitted"

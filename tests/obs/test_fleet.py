@@ -58,9 +58,9 @@ class TestFleetMonitorWiring:
     def test_catalog_changes_emit_epoch_bumps(self):
         cluster = make_cluster()
         monitor = FleetMonitor().attach(cluster)
-        cluster.catalog.mark_down("node2")
-        cluster.catalog.mark_down("node2")  # no transition, no epoch
-        cluster.catalog.mark_up("node2")
+        cluster.peer_view.mark_down("node2")
+        cluster.peer_view.mark_down("node2")  # no transition, no epoch
+        cluster.peer_view.mark_up("node2")
         bumps = monitor.events.recent(kind="epoch_bump")
         assert [e.attrs["reason"] for e in bumps] == ["mark_down",
                                                      "mark_up"]
@@ -278,15 +278,15 @@ class TestConsole:
         assert "events" not in text
 
     def test_render_full_fleet(self):
-        clock = VirtualClock()
-        monitor = FleetMonitor(clock=clock)
+        cluster = make_cluster(transport=virtual_wire())
+        monitor = FleetMonitor().attach(cluster)
         monitor.add_slo(SLO(name="lat", target=0.9, threshold_s=0.05),
                         BurnRatePolicy(long_s=10.0, short_s=1.0,
                                        threshold=5.0, min_requests=5))
         for _ in range(10):
             monitor.record_query(0.2)
-            monitor.health.record("node1", 0.001)
-            monitor.health.record("node2", 0.100)
+            cluster.peer_view.record("node1", 0.001, True)
+            cluster.peer_view.record("node2", 0.100, True)
         text = render_fleet(monitor)
         assert "10 queries" in text
         assert "latency     : p50" in text

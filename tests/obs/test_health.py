@@ -1,17 +1,24 @@
-"""Per-peer health scoring: baselines, demotion hysteresis, events."""
+"""Per-peer health scoring: baselines, demotion hysteresis, events.
+
+The tracker scores; the standing it judges lives in a peer view, which
+asks the tracker whenever it is read (``view.healthy``)."""
 
 import pytest
 
+from repro.cluster.membership import PeerView
 from repro.obs.events import EventLog
 from repro.obs.health import HealthTracker
 from repro.runtime.clock import VirtualClock
 
 
 def make_tracker(**kwargs):
+    """A health tracker, attached to a peer view that holds its
+    standings."""
     clock = VirtualClock()
     events = EventLog(clock=clock)
-    tracker = HealthTracker(events=events, clock=clock, **kwargs)
-    return tracker, events, clock
+    view = PeerView()
+    view.health = HealthTracker(events=events, clock=clock, **kwargs)
+    return view, events, clock
 
 
 def feed(tracker, peer, latency_s, n=5, ok=True):
@@ -28,36 +35,35 @@ class TestHealthScoring:
             HealthTracker(latency_tolerance=0.5)
 
     def test_fresh_peer_is_healthy(self):
-        tracker, _, _ = make_tracker()
-        assert tracker.healthy("never-seen")
-        state = tracker.health("never-seen")
+        view, _, _ = make_tracker()
+        assert view.healthy("never-seen")
+        state = view.health.health("never-seen")
         assert state.score == 1.0
         assert state.samples == 0
 
     def test_uniform_fleet_scores_full(self):
-        tracker, events, _ = make_tracker()
+        view, events, _ = make_tracker()
         for peer in ("node1", "node2", "node3"):
-            feed(tracker, peer, 0.001)
+            feed(view.health, peer, 0.001)
         for peer in ("node1", "node2", "node3"):
-            assert tracker.health(peer).score == 1.0
-            assert tracker.healthy(peer)
+            assert view.health.health(peer).score == 1.0
+            assert view.healthy(peer)
         assert events.counts() == {}
 
     def test_degrading_peer_is_demoted(self):
         """A slow-but-answering replica is demoted on latency alone —
         the case failover counting can never catch."""
-        tracker, events, _ = make_tracker()
-        feed(tracker, "node1", 0.001)
-        feed(tracker, "node2", 0.050)  # 50x the fleet baseline
-        feed(tracker, "node3", 0.001)
-        state = tracker.health("node2")
+        view, events, _ = make_tracker()
+        feed(view.health, "node1", 0.001)
+        feed(view.health, "node2", 0.050)  # 50x the fleet baseline
+        feed(view.health, "node3", 0.001)
+        state = view.health.health("node2")
         # latency_factor = 3 * 0.001 / 0.050 = 0.06
         assert state.score == pytest.approx(0.06, rel=0.05)
-        assert not state.healthy
-        assert not tracker.healthy("node2")
+        assert not view.healthy("node2")
         assert events.count("health_demoted") == 1
-        assert tracker.healthy("node1")
-        assert tracker.healthy("node3")
+        assert view.healthy("node1")
+        assert view.healthy("node3")
 
     def test_zero_baseline_never_demotes(self):
         """The trap a zero-delay virtual wire sets. Peers whose every
@@ -66,91 +72,91 @@ class TestHealthScoring:
         compared against itself, scores 1.0 and is never demoted. A
         virtual-time drill must therefore charge modelled network time
         (``tests/cluster/conftest.py::virtual_wire``: ``time_scale=1.0``)."""
-        tracker, events, _ = make_tracker()
-        feed(tracker, "node1", 0.0)
-        feed(tracker, "node2", 0.080)
-        feed(tracker, "node3", 0.0)
-        assert tracker.baseline() == 0.080
-        state = tracker.health("node2")
-        assert state.score == 1.0 and state.healthy
+        view, events, _ = make_tracker()
+        feed(view.health, "node1", 0.0)
+        feed(view.health, "node2", 0.080)
+        feed(view.health, "node3", 0.0)
+        assert view.health.baseline() == 0.080
+        state = view.health.health("node2")
+        assert state.score == 1.0 and view.healthy("node2")
         assert events.count("health_demoted") == 0
         # Any positive healthy latency restores the comparison.
-        feed(tracker, "node1", 0.001)
-        feed(tracker, "node3", 0.001)
-        assert not tracker.healthy("node2")
+        feed(view.health, "node1", 0.001)
+        feed(view.health, "node3", 0.001)
+        assert not view.healthy("node2")
 
     def test_lower_median_baseline_resists_the_outlier(self):
         """Two-peer fleet: the degraded peer must not drag the
         baseline up and excuse itself."""
-        tracker, _, _ = make_tracker()
-        feed(tracker, "good", 0.001)
-        feed(tracker, "bad", 0.100)
+        view, _, _ = make_tracker()
+        feed(view.health, "good", 0.001)
+        feed(view.health, "bad", 0.100)
         # Lower median of [0.001, 0.100] is 0.001, not the midpoint.
-        assert tracker.baseline() == pytest.approx(0.001)
-        assert not tracker.healthy("bad")
-        assert tracker.healthy("good")
+        assert view.health.baseline() == pytest.approx(0.001)
+        assert not view.healthy("bad")
+        assert view.healthy("good")
 
     def test_error_rate_lowers_score(self):
-        tracker, events, _ = make_tracker()
-        feed(tracker, "node1", 0.001, n=10)
-        feed(tracker, "node2", 0.001, n=4, ok=True)
-        feed(tracker, "node2", 0.001, n=6, ok=False)
-        state = tracker.health("node2")
+        view, events, _ = make_tracker()
+        feed(view.health, "node1", 0.001, n=10)
+        feed(view.health, "node2", 0.001, n=4, ok=True)
+        feed(view.health, "node2", 0.001, n=6, ok=False)
+        state = view.health.health("node2")
         assert state.error_rate == pytest.approx(0.6)
         assert state.score == pytest.approx(0.4)
-        assert not state.healthy
+        assert not view.healthy("node2")
         assert events.count("health_demoted") == 1
 
     def test_min_samples_keeps_prior_standing(self):
-        tracker, _, clock = make_tracker(min_samples=3, buckets=5)
-        feed(tracker, "node1", 0.001, n=10)
-        feed(tracker, "node2", 0.100, n=10)
-        assert not tracker.healthy("node2")
+        view, _, clock = make_tracker(min_samples=3, buckets=5)
+        feed(view.health, "node1", 0.001, n=10)
+        feed(view.health, "node2", 0.100, n=10)
+        assert not view.healthy("node2")
         # Its traffic ages out: 1 fresh sample is not enough evidence
         # to clear the demotion.
         clock.advance(10.0)
-        tracker.record("node2", 0.001)
-        state = tracker.health("node2")
+        view.health.record("node2", 0.001)
+        state = view.health.health("node2")
         assert state.samples == 1
-        assert not state.healthy
+        assert not view.healthy("node2")
 
     def test_restore_needs_hysteresis_margin(self):
-        tracker, events, clock = make_tracker(buckets=5)
-        feed(tracker, "node1", 0.001, n=20)
-        feed(tracker, "node2", 0.100, n=10)
-        assert not tracker.healthy("node2")
+        view, events, clock = make_tracker(buckets=5)
+        feed(view.health, "node1", 0.001, n=20)
+        feed(view.health, "node2", 0.100, n=10)
+        assert not view.healthy("node2")
         # Recovery: the old slow samples age out, fresh fast traffic
         # replaces them, and the peer is restored (score > 0.8).
         clock.advance(10.0)
-        feed(tracker, "node1", 0.001, n=20)
-        feed(tracker, "node2", 0.001, n=10)
-        assert tracker.healthy("node2")
+        feed(view.health, "node1", 0.001, n=20)
+        feed(view.health, "node2", 0.001, n=10)
+        assert view.healthy("node2")
         assert events.count("health_restored") == 1
         assert events.count("health_demoted") == 1
 
     def test_score_oscillation_does_not_flap_events(self):
         """Scores wobbling between demote (0.5) and restore (0.8)
         thresholds must not emit repeated transitions."""
-        tracker, events, _ = make_tracker()
-        feed(tracker, "node1", 0.001, n=20)
-        feed(tracker, "node2", 0.001, n=4, ok=True)
-        feed(tracker, "node2", 0.001, n=6, ok=False)  # score 0.4
-        assert not tracker.healthy("node2")
+        view, events, _ = make_tracker()
+        feed(view.health, "node1", 0.001, n=20)
+        feed(view.health, "node2", 0.001, n=4, ok=True)
+        feed(view.health, "node2", 0.001, n=6, ok=False)  # score 0.4
+        assert not view.healthy("node2")
         # More good traffic lifts the score into the dead band
         # (0.5 < score < 0.8): still demoted, no new events.
-        feed(tracker, "node2", 0.001, n=10, ok=True)
-        state = tracker.health("node2")
+        feed(view.health, "node2", 0.001, n=10, ok=True)
+        state = view.health.health("node2")
         assert 0.5 < state.score < 0.8
-        assert not state.healthy
+        assert not view.healthy("node2")
         for _ in range(5):
-            tracker.health("node2")
+            view.healthy("node2")
         assert events.count("health_demoted") == 1
         assert events.count("health_restored") == 0
 
     def test_snapshot_lists_all_peers(self):
-        tracker, _, _ = make_tracker()
-        feed(tracker, "b", 0.001)
-        feed(tracker, "a", 0.001)
-        snap = tracker.snapshot()
+        view, _, _ = make_tracker()
+        feed(view.health, "b", 0.001)
+        feed(view.health, "a", 0.001)
+        snap = view.health.snapshot()
         assert [entry["peer"] for entry in snap] == ["a", "b"]
-        assert all(entry["healthy"] for entry in snap)
+        assert all(view.healthy(entry["peer"]) for entry in snap)

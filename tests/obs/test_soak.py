@@ -62,13 +62,13 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         assert summary["failovers"] == 0
         assert monitor.events.count("alert_fired") == 0
 
-        # Phase 2 — node2 degrades (slow, NOT dead). Catalog marks
+        # Phase 2 — node2 degrades (slow, NOT dead). Down marks
         # steer shards 0/1 onto it exclusively, so every query pays the
         # injected latency: the breach is sustained and deterministic.
         # Nothing raises, so failover counting can never catch this;
         # health scoring must, before any request fails.
-        cluster.catalog.mark_down("node1")
-        cluster.catalog.mark_down("node3")
+        cluster.peer_view.mark_down("node1")
+        cluster.peer_view.mark_down("node3")
         cluster.transport.degrade_peer("node2", DEGRADE_S)
         # 12 degraded queries: enough that the long-window bad
         # fraction breaches decisively even after the larger warmup.
@@ -82,7 +82,7 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         # demotion happened *before* any failed request could.
         assert engine.metrics.summary()["failovers"] == 0
         assert monitor.events.count("failover") == 0
-        assert not monitor.health.healthy("node2")
+        assert not cluster.peer_view.healthy("node2")
         # A demoted replica that is a shard's only live copy still
         # serves it (last resort), so answers stayed correct above.
 
@@ -95,8 +95,8 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         # node2's windows still hold the slow history: the router sorts
         # the demoted replica last (failover path of last resort, never
         # first choice) wherever an alternative exists.
-        cluster.catalog.mark_up("node1")
-        cluster.catalog.mark_up("node3")
+        cluster.peer_view.mark_up("node1")
+        cluster.peer_view.mark_up("node3")
         stub = type("Stub", (), {})()
         stub.transport = cluster.transport
         stub.federation = cluster
