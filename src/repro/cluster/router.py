@@ -29,7 +29,8 @@ router takes over:
    round trip is skipped outright (``RunStats.shards_skipped``). Each
    shard call gets a private :class:`RunStats` / :class:`CostCounter`
    so the accounting stays race-free; they are merged in shard order
-   after the gather, keeping the run's totals deterministic.
+   after the gather — also when a shard failed, before its error is
+   raised — keeping the run's totals deterministic.
 3. **replica selection** — per shard, the replicas the federation's
    :class:`~repro.cluster.membership.PeerView` lets serve, healthy
    first, then by the transport's live load (in-flight exchanges, then
@@ -37,8 +38,9 @@ router takes over:
    healthy replica serves the call.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
    (injected faults, killed peers) moves the call to the next replica
-   in the order; each switch increments ``RunStats.failovers``. Only
-   when every replica fails does the query fail.
+   in the order; each switch is counted in the shard call's
+   ``per_shard`` entry (``RunStats.failovers`` sums them). Only when
+   every replica fails does the query fail.
 5. **gather** — :func:`~repro.cluster.gather.gather_plan` picks the
    combinator: shard-major concatenation for map-shaped bodies
    (document order under range partitioning), addition for
@@ -48,6 +50,12 @@ router takes over:
    positional predicates, ``position()``) are *not* scattered: they
    fall back to exact evaluation at the originator over the merged
    collection document.
+
+The router counts into the run's :class:`RunStats` only: each shard
+call files one ``per_shard`` entry (calls, skips, retries, failovers,
+bytes, the shard's ``local_name``). The registry's ``scatter_*`` series
+— the rebalancer's per-shard heat among them — are folded from the
+finished run at the end of ``Federation.run``.
 
 Scatter-safety contract: a sharded collection is addressed through its
 *members* (the partitioned elements). Queries returning spine elements
@@ -70,7 +78,7 @@ from repro.errors import (
     NetworkError, PeerUnavailableError, TransientNetworkError,
 )
 from repro.runtime.transport import RetryPolicy
-from repro.net.stats import RunStats
+from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import Span, bind_stats_span, child_span
 from repro.xmldb.document import Document, fresh_doc_seq
 from repro.xmldb.node import Node
@@ -281,34 +289,31 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
 
 
 class ScatterOutcome:
-    """One shard call's private accounting, merged after the gather."""
+    """One shard call's private accounting, merged after the gather:
+    its results (or the error it ended with), its :class:`RunStats`
+    and :class:`CostCounter`, and ``entry`` — the call's own
+    ``per_shard`` entry, filed into ``stats`` when the call ends."""
 
-    __slots__ = ("results", "stats", "counter", "failovers", "retries")
+    __slots__ = ("results", "stats", "counter", "entry", "error")
 
-    def __init__(self) -> None:
+    def __init__(self, shard: ShardInfo) -> None:
         self.results: list[list] = []
         self.stats = RunStats()
         self.counter = CostCounter()
-        self.failovers = 0
-        self.retries = 0
+        self.entry = {"shard": shard.local_name, "calls": 1,
+                      "failovers": 0, "retries": 0, "skipped": 0,
+                      "partial": 0, "failed": 0}
+        self.error: Exception | None = None
 
-
-def _shard_entry(outcome: ScatterOutcome, partial: bool = False) -> dict:
-    """One shard call's ``RunStats.per_shard`` entry. ("skips" is the
-    numeric twin of the "skipped" flag — it survives cross-query
-    merging, where booleans OR.)"""
-    stats = outcome.stats
-    return {
-        "bytes": stats.total_transferred_bytes,
-        "messages": stats.messages,
-        "sim_s": stats.times.total,
-        "cache_hits": stats.cache_hits,
-        "failovers": outcome.failovers,
-        "retries": outcome.retries,
-        "skips": stats.shards_skipped,
-        "skipped": bool(stats.shards_skipped),
-        "partial": partial,
-    }
+    def file(self, key: str) -> "ScatterOutcome":
+        """Complete the entry from the call's stats (bytes, messages
+        and seconds include nested work) and file it under ``key``."""
+        stats, entry = self.stats, self.entry
+        entry.update(bytes=stats.total_transferred_bytes,
+                     messages=stats.messages, sim_s=stats.times.total,
+                     cache_hits=stats.cache_hits)
+        fold_entry(stats.per_shard, key, entry)
+        return self
 
 
 class ClusterRouter:
@@ -320,7 +325,6 @@ class ClusterRouter:
         self.catalog = catalog
         self.transport = run.transport
         federation = run.federation
-        metrics = federation.metrics
         #: Which replicas may serve and in what order; every attempt's
         #: outcome goes back to it as evidence.
         self.view = federation.peer_view
@@ -328,55 +332,6 @@ class ClusterRouter:
         # work) records failovers and skips.
         monitor = federation.monitor
         self.events = monitor.events if monitor is not None else None
-        self._scatter_calls = metrics.counter(
-            "scatter_calls_total", "scatter fan-outs per collection",
-            ("collection",))
-        self._scatter_skips = metrics.counter(
-            "scatter_shards_skipped_total",
-            "shard round trips proven empty by value-index probes",
-            ("collection",))
-        self._scatter_failovers = metrics.counter(
-            "scatter_failovers_total",
-            "replica switches after wire faults", ("collection",))
-        self._scatter_retries = metrics.counter(
-            "scatter_retries_total",
-            "in-place retries after transient wire faults",
-            ("collection",))
-        self._scatter_partials = metrics.counter(
-            "scatter_partial_shards_total",
-            "shards answered as flagged-empty under partial=allow",
-            ("collection",))
-        # Per-shard heat: the rebalancer's primary signal. Labeled by
-        # the shard's *local_name* (stable across split renumbering —
-        # indexes shift when a split inserts a shard, local names
-        # never do). Skipped shards served nothing and are not
-        # counted.
-        self._shard_serves = metrics.counter(
-            "scatter_shard_serves_total",
-            "shard round trips actually served (skips excluded)",
-            ("collection", "shard"))
-        self._shard_seconds = metrics.counter(
-            "scatter_shard_seconds_total",
-            "simulated wire seconds spent serving each shard",
-            ("collection", "shard"))
-        self._shard_bytes = metrics.counter(
-            "scatter_shard_bytes_total",
-            "wire bytes served from each shard",
-            ("collection", "shard"))
-
-    def _note_shard_serve(self, spec: CollectionSpec, shard: ShardInfo,
-                          outcome: "ScatterOutcome") -> None:
-        """Record one served shard round trip into the per-shard heat
-        counters the rebalancer reads."""
-        self._shard_serves.labels(spec.name, shard.local_name).inc()
-        sim_s = outcome.stats.times.total
-        if sim_s > 0:
-            self._shard_seconds.labels(spec.name,
-                                       shard.local_name).inc(sim_s)
-        nbytes = outcome.stats.total_transferred_bytes
-        if nbytes > 0:
-            self._shard_bytes.labels(spec.name,
-                                     shard.local_name).inc(nbytes)
 
     # -- replica selection --------------------------------------------------
 
@@ -451,11 +406,9 @@ class ClusterRouter:
                     # filter selects nothing here: the shard's
                     # contribution is exactly one empty sequence per
                     # call, with no round trip at all.
-                    outcome = ScatterOutcome()
+                    outcome = ScatterOutcome(shard)
                     outcome.results = [[] for _ in calls]
-                    outcome.stats.shards_skipped = 1
-                    outcome.stats.per_shard[shard_key] = _shard_entry(
-                        outcome)
+                    outcome.entry["skipped"] = 1
                     if self.events is not None:
                         self.events.emit(
                             "shard_skip",
@@ -463,7 +416,7 @@ class ClusterRouter:
                             f"probe proved the member filter empty",
                             severity="info", collection=spec.name,
                             shard=shard.index)
-                    return outcome
+                    return outcome.file(shard_key)
                 return self._serve_shard(
                     spec, shard, scatter_span,
                     lambda replica, outcome: run._call_peer(
@@ -474,24 +427,19 @@ class ClusterRouter:
                     partial_answer=[[] for _ in calls])
 
             outcomes = self._fan_out(len(spec.shards), call_shard)
-            self._merge_outcomes(spec, outcomes, stats=stats,
-                                 counter=counter)
-            skipped = sum(o.stats.shards_skipped for o in outcomes)
-            partials = sum(o.stats.partial_shards for o in outcomes)
-            self._scatter_calls.labels(spec.name).inc()
-            if skipped:
-                self._scatter_skips.labels(spec.name).inc(skipped)
-            if partials:
-                self._scatter_partials.labels(spec.name).inc(partials)
+            if stats is None:
+                stats = run.stats
+            stats.scatters[spec.name] = stats.scatters.get(spec.name, 0) + 1
+            self._merge_outcomes(outcomes, stats=stats, counter=counter)
             if scatter_span is not None:
-                per_shard: dict[str, dict] = {}
+                spent = RunStats()
                 for outcome in outcomes:
-                    per_shard.update(outcome.stats.per_shard)
+                    spent.merge(outcome.stats)
                 scatter_span.set(
-                    shards_skipped=skipped,
-                    failovers=sum(o.failovers for o in outcomes),
-                    retries=sum(o.retries for o in outcomes),
-                    partial_shards=partials, per_shard=per_shard)
+                    shards_skipped=spent.shards_skipped,
+                    failovers=spent.failovers, retries=spent.retries,
+                    partial_shards=spent.partial_shards,
+                    per_shard=spent.per_shard)
             _renumber_shard_fragments(outcomes)
             return prepared.combine(
                 [outcome.results for outcome in outcomes])
@@ -522,7 +470,7 @@ class ClusterRouter:
                     outcome.stats)])
 
         outcomes = self._fan_out(len(spec.shards), fetch_shard)
-        self._merge_outcomes(spec, outcomes, stats=stats)
+        self._merge_outcomes(outcomes, stats=stats)
         fetched = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
             parse_document(text,
@@ -543,46 +491,49 @@ class ClusterRouter:
                      ) -> ScatterOutcome:
         """Run ``attempt(replica, outcome)`` for one shard under its
         ``shard`` span, with retry/failover over the replicas and
-        private accounting, then file the ``per_shard`` entry and the
-        shard's heat.
+        private accounting, then file the shard's ``per_shard`` entry.
+        An error the call ends with is kept on the outcome (raised
+        once the finished outcomes are merged).
 
         ``partial_answer`` is what a shard with zero serving replicas
         contributes under the catalog's ``partial="allow"`` policy;
         None (a document fetch, which cannot leave holes) always
-        raises :class:`ShardUnavailableError` instead.
+        fails with :class:`ShardUnavailableError` instead.
         """
-        outcome = ScatterOutcome()
+        outcome = ScatterOutcome(shard)
         shard_key = f"{spec.name}#s{shard.index}"
-        partial = False
-        # A pool thread has no ambient span; the explicit parent hands
-        # it the tree.
-        with child_span("shard", parent=parent_span, shard=shard.index,
-                        collection=spec.name) as shard_span, \
-                bind_stats_span(outcome.stats, shard_span):
-            try:
-                outcome.results = self._with_failover(
-                    shard, outcome, attempt, collection=spec.name)
-            except ShardUnavailableError:
-                if partial_answer is None \
-                        or self.catalog.partial_policy != "allow":
-                    raise
-                # Graceful degradation: answer () per call and flag
-                # the hole instead of failing the whole query.
-                partial = True
-                outcome.results = partial_answer
-                outcome.stats.partial_shards = 1
-                if self.events is not None:
-                    self.events.emit(
-                        "partial_result",
-                        f"shard {shard_key} unavailable; "
-                        f"returning flagged partial answer "
-                        f"(partial=allow)",
-                        severity="warning",
-                        collection=spec.name, shard=shard.index)
-        outcome.stats.per_shard[shard_key] = _shard_entry(
-            outcome, partial=partial)
-        self._note_shard_serve(spec, shard, outcome)
-        return outcome
+        try:
+            # A pool thread has no ambient span; the explicit parent
+            # hands it the tree.
+            with child_span("shard", parent=parent_span,
+                            shard=shard.index,
+                            collection=spec.name) as shard_span, \
+                    bind_stats_span(outcome.stats, shard_span):
+                try:
+                    outcome.results = self._with_failover(
+                        shard, outcome, attempt, collection=spec.name)
+                except ShardUnavailableError:
+                    if partial_answer is None \
+                            or self.catalog.partial_policy != "allow":
+                        raise
+                    # Graceful degradation: answer () per call and
+                    # flag the hole instead of failing the whole query.
+                    outcome.results = partial_answer
+                    outcome.entry["partial"] = 1
+                    if self.events is not None:
+                        self.events.emit(
+                            "partial_result",
+                            f"shard {shard_key} unavailable; "
+                            f"returning flagged partial answer "
+                            f"(partial=allow)",
+                            severity="warning",
+                            collection=spec.name, shard=shard.index)
+        except Exception as exc:
+            # Not swallowed: _merge_outcomes raises it once the finished
+            # calls' accounting is merged.
+            outcome.error = exc
+            outcome.entry["failed"] = 1
+        return outcome.file(shard_key)
 
     # -- local fallback ------------------------------------------------------
 
@@ -686,7 +637,7 @@ class ClusterRouter:
                             and try_index + 1 < policy.attempts \
                             and budget > 0:
                         budget -= 1
-                        outcome.retries += 1
+                        outcome.entry["retries"] += 1
                         if rng is None:
                             rng = random.Random(policy.seed)
                         delay = policy.backoff_s(try_index, rng)
@@ -698,7 +649,7 @@ class ClusterRouter:
                     record(replica, clock() - started, True)
                     return result
             if position + 1 < len(order):
-                outcome.failovers += 1
+                outcome.entry["failovers"] += 1
                 if self.events is not None:
                     self.events.emit(
                         "failover",
@@ -716,45 +667,44 @@ class ClusterRouter:
     def _fan_out(self, count: int,
                  call: Callable[[int], ScatterOutcome]
                  ) -> list[ScatterOutcome]:
-        """Run ``call(0..count-1)``, results in shard order: inline
-        unless a transmission can sleep, else on a pool bounded by
-        ``catalog.max_scatter_parallelism``. Threads overlap waiting,
-        not Python: on the never-sleeping loopback wire a 4-shard
-        scatter measured 16-18 ms pooled (GIL hand-offs — a shared
-        pool read the same) against 10-11 ms inline. The pool is
-        per-scatter: a shared one could deadlock on nested scatters."""
+        """Run ``call(0..count-1)``, outcomes in shard order: inline
+        (up to the first that failed) unless a transmission can sleep,
+        else on a pool bounded by ``catalog.max_scatter_parallelism``.
+        Threads overlap waiting, not Python: on the never-sleeping
+        loopback wire a 4-shard scatter measured 16-18 ms pooled (GIL
+        hand-offs — a shared pool read the same) against 10-11 ms
+        inline. The pool is per-scatter: a shared one could deadlock on
+        nested scatters."""
         parallelism = min(count, max(1, self.catalog.max_scatter_parallelism))
         if parallelism <= 1 or not self.transport.can_sleep():
-            return [call(index) for index in range(count)]
+            outcomes = []
+            for index in range(count):
+                outcomes.append(call(index))
+                if outcomes[-1].error is not None:
+                    break
+            return outcomes
         with ThreadPoolExecutor(
                 max_workers=parallelism,
                 thread_name_prefix="cluster-scatter") as pool:
             return list(pool.map(call, range(count)))
 
-    def _merge_outcomes(self, spec: CollectionSpec,
-                        outcomes: list[ScatterOutcome],
+    def _merge_outcomes(self, outcomes: list[ScatterOutcome],
                         stats: RunStats | None = None,
                         counter: CostCounter | None = None) -> None:
         """Fold the shard calls' private accounting into the caller's
         targets (the run's by default), in shard order — deterministic
-        totals under concurrency — and count the fan-out's replica
-        switches and retries against the collection."""
+        totals under concurrency — then raise the first shard's error,
+        so a failed scatter still accounts for what it spent."""
         if stats is None:
             stats = self.run.stats
         if counter is None:
             counter = self.run.remote_counter
-        stats.scatter_shards += len(spec.shards)
-        failovers = retries = 0
+        error = None
         for outcome in outcomes:
             stats.merge(outcome.stats)
-            failovers += outcome.failovers
-            retries += outcome.retries
             counter.ticks += outcome.counter.ticks
             counter.nodes_visited += outcome.counter.nodes_visited
             counter.docs_opened += outcome.counter.docs_opened
-        stats.failovers += failovers
-        stats.retries += retries
-        if failovers:
-            self._scatter_failovers.labels(spec.name).inc(failovers)
-        if retries:
-            self._scatter_retries.labels(spec.name).inc(retries)
+            error = error or outcome.error
+        if error is not None:
+            raise error

@@ -6,14 +6,21 @@ Figure 7's y-axis ("total size of XML documents plus total size of XML
 messages transferred among peers"); :class:`TimeBreakdown` is the
 five-component stack of Figure 8.
 
+A run's ``RunStats`` is the only place its numbers are counted. Each
+shard call files one ``per_shard`` entry (bytes, messages, retries,
+failovers, skips, the shard's ``local_name``) and the run-level cluster
+totals are sums over those entries; each plan operator's actuals (a
+call site by ``site_id``, a ship by ``(owner, local_name)``) are
+``per_op`` entries, which explain-analyze reads. Both dictionaries are
+folded by one function, :func:`fold_entry`. Everything counted across
+queries — the registry's ``scatter_*`` / ``query_*`` series — is
+folded from a finished run at the end of ``Federation.run``.
+
 Observability hooks: a run traced via ``Federation.run(trace=True)``
 binds the active :class:`~repro.obs.trace.Span` to ``RunStats.span``,
 and :meth:`RunStats.charge` — the one way simulated time enters
 :attr:`times` — charges the same amount into that span, so the trace's
-component leaves sum to these totals by construction. ``per_shard``
-keeps the cluster router's private per-shard accounting (bytes,
-messages, skips, failovers) that a plain :meth:`merge` would otherwise
-flatten away.
+component leaves sum to these totals by construction.
 """
 
 from __future__ import annotations
@@ -123,17 +130,17 @@ class PlanReport:
         return out
 
 
-def merge_shard_breakdown(target: dict[str, dict], key: str,
-                          entry: dict) -> None:
-    """Fold one shard's sub-breakdown into ``target[key]`` (numeric
-    fields add; booleans OR)."""
+def fold_entry(target: dict, key: object, entry: dict) -> None:
+    """Fold ``entry`` into ``target[key]``: numbers add, a string (a
+    shard's ``local_name``) keeps its first value. The one merge of
+    ``per_shard`` and ``per_op`` entries."""
     existing = target.get(key)
     if existing is None:
         target[key] = dict(entry)
         return
     for name, value in entry.items():
-        if isinstance(value, bool):
-            existing[name] = existing.get(name, False) or value
+        if isinstance(value, str):
+            existing.setdefault(name, value)
         else:
             existing[name] = existing.get(name, 0) + value
 
@@ -149,22 +156,23 @@ class RunStats:
     documents_shipped: int = 0
     cache_hits: int = 0          # round trips / shipments served from
     cache_saved_bytes: int = 0   # the runtime's shared result cache
-    scatter_shards: int = 0      # per-shard calls issued by the cluster
-    shards_skipped: int = 0      # scatter calls avoided by value-index
-                                 # probes proving the shard empty
-    failovers: int = 0           # replica switches after wire faults
-    retries: int = 0             # same-replica retries of transient faults
-    partial_shards: int = 0      # shards absent from the answer under
-                                 # the partial="allow" degradation policy
     times: TimeBreakdown = field(default_factory=TimeBreakdown)
     #: The physical plan that produced this run (set by the federation
     #: for every execution; ``merge`` keeps the receiver's — shard
     #: calls report under the run that scattered them).
     plan: PlanReport | None = None
-    #: Per-shard sub-breakdown (``"collection#sN"`` → bytes/messages/
-    #: skips/failovers/sim seconds), kept through :meth:`merge` so the
-    #: router's private shard accounting stays attributable.
+    #: One entry per shard (``"collection#sN"``), filed by the cluster
+    #: router per shard call: ``shard`` (its ``local_name``), ``calls``,
+    #: ``bytes`` / ``messages`` / ``sim_s`` / ``cache_hits`` (inclusive
+    #: of nested work), and the call's own ``failovers``, ``retries``,
+    #: ``skipped``, ``partial`` and ``failed`` counts.
     per_shard: dict[str, dict] = field(default_factory=dict)
+    #: Per-operator actuals for explain-analyze: a call site's entry
+    #: under its ``site_id``, a ship's under ``(owner, local_name)``
+    #: (``bytes`` / ``calls`` / ``sim_s`` / ``wall_s`` / ``cache_hits``).
+    per_op: dict[object, dict] = field(default_factory=dict)
+    #: Scatter fan-outs per collection.
+    scatters: dict[str, int] = field(default_factory=dict)
     #: The trace span charges against these stats attribute to (bound
     #: by the run layer while tracing; never merged, never exported).
     span: object | None = field(default=None, repr=False, compare=False)
@@ -174,6 +182,21 @@ class RunStats:
         """Figure 7's metric: documents + messages over the wire."""
         return self.document_bytes + self.message_bytes
 
+    def _shard_total(self, name: str) -> int:
+        return sum(entry.get(name, 0) for entry in self.per_shard.values())
+
+    # The run's cluster totals: sums of its shard calls' entries.
+    scatter_shards = property(lambda self: self._shard_total("calls"),
+                              doc="shard calls, skipped ones included")
+    shards_skipped = property(lambda self: self._shard_total("skipped"),
+                              doc="shard calls proven empty by a probe")
+    failovers = property(lambda self: self._shard_total("failovers"),
+                         doc="replica switches after wire faults")
+    retries = property(lambda self: self._shard_total("retries"),
+                       doc="same-replica retries of transient faults")
+    partial_shards = property(lambda self: self._shard_total("partial"),
+                              doc="shards absent under partial=allow")
+
     def record_document_shipped(self, size: int) -> None:
         self.document_bytes += size
         self.documents_shipped += 1
@@ -181,6 +204,10 @@ class RunStats:
     def record_message(self, size: int) -> None:
         self.message_bytes += size
         self.messages += 1
+
+    def record_op(self, key: object, **actuals) -> None:
+        """Add one operator's actuals to its ``per_op`` entry."""
+        fold_entry(self.per_op, key, actuals)
 
     def charge(self, component: str, seconds: float,
                nbytes: int = 0) -> None:
@@ -204,7 +231,7 @@ class RunStats:
         gives each scattered shard call a private RunStats and merges
         them in shard order, keeping totals deterministic under
         concurrency). The receiver keeps its own ``plan`` and ``span``;
-        ``per_shard`` sub-breakdowns accumulate by shard identity."""
+        ``per_shard`` and ``per_op`` entries fold by key."""
         self.document_bytes += other.document_bytes
         self.message_bytes += other.message_bytes
         self.messages += other.messages
@@ -212,18 +239,17 @@ class RunStats:
         self.documents_shipped += other.documents_shipped
         self.cache_hits += other.cache_hits
         self.cache_saved_bytes += other.cache_saved_bytes
-        self.scatter_shards += other.scatter_shards
-        self.shards_skipped += other.shards_skipped
-        self.failovers += other.failovers
-        self.retries += other.retries
-        self.partial_shards += other.partial_shards
         self.times.shred += other.times.shred
         self.times.local_exec += other.times.local_exec
         self.times.serialize += other.times.serialize
         self.times.remote_exec += other.times.remote_exec
         self.times.network += other.times.network
         for key, entry in other.per_shard.items():
-            merge_shard_breakdown(self.per_shard, key, entry)
+            fold_entry(self.per_shard, key, entry)
+        for key, entry in other.per_op.items():
+            fold_entry(self.per_op, key, entry)
+        for collection, count in other.scatters.items():
+            self.scatters[collection] = self.scatters.get(collection, 0) + count
 
     def summary(self) -> dict[str, object]:
         out: dict[str, object] = {

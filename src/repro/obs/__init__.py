@@ -6,18 +6,22 @@ per query instead of per benchmark run:
 
 ==========  ==============================================================
 Figure 7    total transferred bytes — ``RunStats.total_transferred_bytes``;
-            per peer: the ``wire_message_bytes_total`` /
-            ``wire_document_bytes_total`` counters; per operator: the
-            ``bytes`` attribute on ``rpc`` / ``ship`` spans and the
-            ``actual_bytes`` column of ``plan.explain(analyze=True)``.
+            across runs: ``query_transferred_bytes_total``; per peer:
+            the ``wire_message_bytes_total`` /
+            ``wire_document_bytes_total`` counters; per shard:
+            ``RunStats.per_shard``; per operator: the ``bytes``
+            attribute on ``rpc`` / ``ship`` spans and the
+            ``RunStats.per_op`` entries behind the ``actual_bytes``
+            column of ``plan.explain(analyze=True)``.
 Figure 8    the five-component time breakdown — ``RunStats.times``;
             per span: the ``shred`` / ``local_exec`` / ``serialize`` /
             ``remote_exec`` / ``network`` *component leaf spans*, whose
             ``sim_s`` sum reproduces the run totals exactly
             (``Span.component_totals()``).
 Figure 9    execution time per strategy — the ``query`` root span's
-            wall duration, the ``query_latency_seconds`` histogram,
-            and the estimated-vs-actual totals in the analyzed plan.
+            wall duration, the ``query_latency_seconds`` histogram
+            (one observation per completed ``Federation.run``), and
+            the estimated-vs-actual totals in the analyzed plan.
 Figure 10   projection precision — the ``used_paths`` / ``returned``
             attributes on by-projection ``rpc`` spans (request sizes
             carry the pruned fragment bytes).
@@ -31,11 +35,12 @@ The paper's figures are steady-state aggregates; the *continuous*
 layer reads the same measurements over time:
 
 ==============  ==========================================================
-over time       Figure 7/9's bytes and latency as rolling windows —
-                ``FleetMonitor.latency`` p50/p95/p99 per window
-                (:class:`RollingWindow` + :class:`QuantileSketch`),
-                ``RegistryWindows.rate("wire_message_bytes_total",
-                peer)`` for windowed wire throughput per peer.
+over time       Figure 9's latency and the error rate as rolling
+                windows — ``FleetMonitor.latency`` p50/p95/p99 and
+                ``FleetMonitor.errors`` per window
+                (:class:`RollingWindow` + :class:`QuantileSketch`), fed
+                by every ``Federation.run`` at the seam that also folds
+                the run's ``RunStats`` into the registry.
 per peer        Figure 8's "who is slow" as live health — windowed
                 mean/p95 latency and error rate per replica
                 (:class:`HealthTracker`), scored against the fleet
@@ -79,8 +84,7 @@ Modules:
 
 from repro.obs.console import render_fleet
 from repro.obs.events import Event, EventLog
-from repro.obs.explain import (ActualsBook, OpActual, OpAnalysis,
-                               PlanAnalysis, render_analysis)
+from repro.obs.explain import OpAnalysis, PlanAnalysis, render_analysis
 from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
                               dump_trace, render_tree, span_to_dict,
                               validate_chrome_trace)
@@ -93,11 +97,11 @@ from repro.obs.slo import SLO, AlertState, BurnRatePolicy, SLOMonitor
 from repro.obs.trace import (COMPONENTS, NOOP_TRACER, NoopTracer, Span,
                              Tracer, bind_stats_span, child_span,
                              current_span)
-from repro.obs.windows import (QuantileSketch, RegistryWindows,
-                               RollingWindow, RollingWindowFamily)
+from repro.obs.windows import (QuantileSketch, RollingWindow,
+                               RollingWindowFamily)
 
 __all__ = [
-    "ActualsBook", "OpActual", "OpAnalysis", "PlanAnalysis",
+    "OpAnalysis", "PlanAnalysis",
     "render_analysis",
     "chrome_trace_events", "dump_chrome_trace", "dump_trace",
     "render_tree", "span_to_dict", "validate_chrome_trace",
@@ -106,8 +110,7 @@ __all__ = [
     "COMPONENTS", "NOOP_TRACER", "NoopTracer", "Span", "Tracer",
     "bind_stats_span", "child_span", "current_span",
     "Event", "EventLog",
-    "QuantileSketch", "RegistryWindows", "RollingWindow",
-    "RollingWindowFamily",
+    "QuantileSketch", "RollingWindow", "RollingWindowFamily",
     "SLO", "AlertState", "BurnRatePolicy", "SLOMonitor",
     "HealthTracker", "PeerHealth",
     "Profiler", "collapse_spans",

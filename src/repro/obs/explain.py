@@ -6,7 +6,9 @@ now the only feedback was run-level (``BENCH_planner.json`` tables and
 the :class:`~repro.planner.feedback.CalibrationBook`'s aggregate
 factors). This module closes the loop per query: the run layer records
 what each operator *actually* did — wire bytes, calls, simulated
-seconds, wall seconds — into an :class:`ActualsBook`, and
+seconds, wall seconds — as ``per_op`` entries of the run's
+:class:`~repro.net.stats.RunStats` (a shard call records into its
+private stats, merged with the rest of its accounting), and
 ``RunStats.plan.explain(analyze=True)`` renders the estimated-vs-actual
 tree, so a :class:`CalibrationBook` misprediction is inspectable on
 the very query that suffered it.
@@ -17,8 +19,8 @@ Attribution keys match the plan IR's own handles:
   router aliases its per-shard rewritten bodies back to the logical
   site, so a ScatterGather operator's actuals are the sum over shards;
 * document ships key by ``(owner, local_name)``;
-* local evaluation is the run-level remainder (exec seconds computed
-  from the cost counters at the end of the run).
+* local evaluation is the run-level remainder (the ``local_exec``
+  seconds computed from the cost counters at the end of the run).
 
 Simulated seconds per call site are *inclusive* (nested shipping or
 recursive round trips triggered by the remote body count toward the
@@ -27,70 +29,7 @@ site that triggered them), mirroring how the estimator prices sites.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-
-
-@dataclass
-class OpActual:
-    """What one plan operator actually did during a run."""
-
-    bytes: int = 0           # wire bytes (messages or shipped documents)
-    calls: int = 0           # function applications / ship count
-    sim_s: float = 0.0       # simulated seconds (inclusive)
-    wall_s: float = 0.0      # wall-clock seconds (inclusive)
-    cache_hits: int = 0      # round trips / ships served by the cache
-
-    def merge(self, other: "OpActual") -> None:
-        self.bytes += other.bytes
-        self.calls += other.calls
-        self.sim_s += other.sim_s
-        self.wall_s += other.wall_s
-        self.cache_hits += other.cache_hits
-
-
-class ActualsBook:
-    """Thread-safe per-run recorder of operator actuals (scatter
-    workers record concurrently for the same logical site)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._sites: dict[int, OpActual] = {}
-        self._ships: dict[tuple[str, str], OpActual] = {}
-        self.local = OpActual()
-
-    def record_site(self, site_id: int, *, bytes: int = 0, calls: int = 0,
-                    sim_s: float = 0.0, wall_s: float = 0.0,
-                    cache_hits: int = 0) -> None:
-        delta = OpActual(bytes=bytes, calls=calls, sim_s=sim_s,
-                         wall_s=wall_s, cache_hits=cache_hits)
-        with self._lock:
-            existing = self._sites.get(site_id)
-            if existing is None:
-                self._sites[site_id] = delta
-            else:
-                existing.merge(delta)
-
-    def record_ship(self, owner: str, local_name: str, *, bytes: int = 0,
-                    sim_s: float = 0.0, wall_s: float = 0.0,
-                    cache_hits: int = 0) -> None:
-        delta = OpActual(bytes=bytes, calls=1, sim_s=sim_s, wall_s=wall_s,
-                         cache_hits=cache_hits)
-        with self._lock:
-            key = (owner, local_name)
-            existing = self._ships.get(key)
-            if existing is None:
-                self._ships[key] = delta
-            else:
-                existing.merge(delta)
-
-    def site(self, site_id: int) -> OpActual | None:
-        with self._lock:
-            return self._sites.get(site_id)
-
-    def ship(self, owner: str, local_name: str) -> OpActual | None:
-        with self._lock:
-            return self._ships.get((owner, local_name))
 
 
 @dataclass(frozen=True)

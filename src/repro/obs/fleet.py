@@ -13,9 +13,7 @@ continuous layer on top:
 * per-peer health scoring, whose demotions the federation's peer view
   holds and the router's replica order reads (:mod:`repro.obs.health`),
 * a sampling profiler folding every Nth span tree
-  (:mod:`repro.obs.profile`),
-* windowed rates over the registry's cumulative counters
-  (:class:`~repro.obs.windows.RegistryWindows`).
+  (:mod:`repro.obs.profile`).
 
 Wiring is opt-in and one call: ``monitor.attach(federation)`` sets
 ``federation.monitor``, hands the event log to the federation's wire
@@ -35,7 +33,7 @@ from repro.obs.events import EventLog
 from repro.obs.health import HealthTracker
 from repro.obs.profile import Profiler
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-from repro.obs.windows import RegistryWindows, RollingWindow
+from repro.obs.windows import RollingWindow
 from repro.runtime.clock import REAL_CLOCK, Clock
 
 __all__ = ["FleetMonitor"]
@@ -66,8 +64,6 @@ class FleetMonitor:
                  slo: SLOMonitor | None = None):
         self._follows_wire = clock is None
         self.clock = clock if clock is not None else REAL_CLOCK
-        self.width_s = width_s
-        self.buckets = buckets
         self.slow_query_s = slow_query_s
         self.profile_every = profile_every
         self.events = EventLog(capacity=event_capacity, clock=self.clock)
@@ -79,7 +75,6 @@ class FleetMonitor:
         self.slo = slo if slo is not None else SLOMonitor(
             events=self.events, clock=now)
         self.profiler = Profiler()
-        self.registry_windows: RegistryWindows | None = None
         self.federation = None
         self.started_s = self.clock()
         self._sample_counter = itertools.count(1)
@@ -90,20 +85,18 @@ class FleetMonitor:
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "FleetMonitor":
-        """Install this monitor on ``federation``: the execution layer
-        records queries, the wire and catalog emit events, the peer view
-        scores every router attempt here, and the registry's counters
-        get windowed rates. Attach before building engines/catalogs
-        where possible; ``Federation.attach_catalog`` re-wires a catalog
-        attached later."""
+        """Install this monitor on ``federation``: every run is recorded
+        here when it ends, the wire and catalog emit events, and the
+        peer view scores every router attempt here. Attach before
+        building engines/catalogs where possible;
+        ``Federation.attach_catalog`` re-wires a catalog attached
+        later."""
         self.federation = federation
         federation.monitor = self
         federation.peer_view.health = self.health
         self.wire(federation.transport)
         if federation.catalog is not None:
             federation.catalog.events = self.events
-        self.registry_windows = RegistryWindows(
-            federation.metrics, self.width_s, self.buckets, self.now)
         return self
 
     def wire(self, transport) -> None:

@@ -3,21 +3,25 @@ labeled series, one uniform read path for every layer's counters.
 
 Before this module, counts were smeared across the stack — the
 transport kept private wire/in-flight dicts, the result cache its own
-``CacheStats``, the router incremented ``RunStats`` fields, the index
-layers counted nothing. Now each layer registers typed series in a
-:class:`MetricsRegistry` (the federation owns one; module-level code
-like the index builders uses the process-global registry) and every
-consumer — benchmarks, tests, ``FederationEngine.summary()`` — reads
-the same ``snapshot()`` / ``render_text()`` export.
+``CacheStats``, the index layers counted nothing. Now each layer
+registers typed series in a :class:`MetricsRegistry` (the federation
+owns one; module-level code like the index builders uses the
+process-global registry) and every consumer — benchmarks, tests,
+``FederationEngine.summary()`` — reads the same ``snapshot()`` /
+``render_text()`` export. What one query did is counted in its
+:class:`~repro.net.stats.RunStats`; the ``query_*`` and ``scatter_*``
+series are folded from each finished run at the end of
+``Federation.run``.
 
 Naming convention (one prefix per layer, so registries can be shared):
 
 =============  ==========================================================
 ``wire_*``     transport truth (messages, bytes, in-flight) per peer
 ``cache_*``    result-cache hits/misses/evictions/invalidations
-``scatter_*``  cluster router fan-out, skips, failovers per collection
+``scatter_*``  cluster fan-out, skips, failovers per collection, heat
+               per shard
 ``index_*``    structural/value index builds (count and seconds)
-``query_*``    engine-level per-query aggregation (latency, plans)
+``query_*``    per-query aggregation (latency, plans) over every run
 =============  ==========================================================
 
 All primitives are thread-safe (one small lock per series; series
@@ -184,12 +188,6 @@ def _label_sort_key(item: tuple) -> tuple[str, ...]:
     return tuple(str(part) for part in item[0])
 
 
-def label_key(labels: tuple) -> str:
-    """One labeled series' name in snapshots and windowed rates: its
-    label values joined by commas."""
-    return ",".join(str(part) for part in labels)
-
-
 class LabeledMetric:
     """A family of series keyed by label values (``labels("peer1")`` or
     ``labels(peer="peer1")`` — positional follows the declared order)."""
@@ -294,15 +292,6 @@ class MetricsRegistry:
             entry = self._metrics.get(name)
         return entry[2] if entry is not None else None
 
-    def kinds(self) -> dict[str, str]:
-        """Name → kind ("counter"/"gauge"/"histogram") for every
-        registered metric — lets windowed consumers
-        (:class:`~repro.obs.windows.RegistryWindows`) pick the series
-        whose deltas are meaningful."""
-        with self._lock:
-            return {name: entry[0]
-                    for name, entry in self._metrics.items()}
-
     # -- the uniform read path ------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
@@ -318,7 +307,7 @@ class MetricsRegistry:
             if labels:
                 series = metric.series()
                 out[name] = {
-                    label_key(key):
+                    ",".join(map(str, key)):
                         (child.snapshot_value() if kind == "histogram"
                          else child.value)
                     for key, child in sorted(series.items(),

@@ -22,12 +22,6 @@ are failovers happening right now". This module provides that layer:
   the whole ring clears everything.
 * :class:`RollingWindowFamily` — per-label windows (one per peer),
   created lazily, sharing one configuration.
-* :class:`RegistryWindows` — windowed ``rate()`` over the cumulative
-  counters of a :class:`~repro.obs.metrics.MetricsRegistry`: each
-  :meth:`~RegistryWindows.sample` (every read takes one first) feeds
-  counter *deltas* into rolling windows, so the console can show
-  "wire bytes/s per peer over the last 10s" from the same series the
-  cumulative snapshot exports.
 
 Everything here is thread-safe (one lock per window) and allocation-
 light; nothing registers timers or threads, so an unused window is
@@ -39,7 +33,6 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.obs.metrics import LabeledMetric, label_key
 from repro.runtime.clock import REAL_CLOCK
 
 
@@ -324,73 +317,3 @@ class RollingWindowFamily:
     def names(self) -> list[str]:
         with self._lock:
             return sorted(self._windows)
-
-
-class RegistryWindows:
-    """Windowed rates over a registry's cumulative counters.
-
-    Each :meth:`sample` feeds the *delta* of every counter series
-    (plain and labeled) since the last sample into a rolling window
-    keyed ``name`` or ``name{label}``. :meth:`rate` then answers "how
-    fast is this counter moving over the last N seconds" — the reading
-    the cumulative snapshot cannot give. Reads sample first, so the
-    query path never does, and only counters are read (a histogram
-    summary sorts its whole observation list); a counter that appears
-    to move backwards (registry swapped underneath) resets its
-    baseline without feeding a negative delta.
-    """
-
-    def __init__(self, registry, width_s: float = 1.0, buckets: int = 60,
-                 clock=REAL_CLOCK):
-        self.registry = registry
-        self.windows = RollingWindowFamily(width_s, buckets, clock,
-                                           eps=None)
-        self._last: dict[str, float] = {}
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def series_key(name: str, label: str | None = None) -> str:
-        return f"{name}{{{label}}}" if label is not None else name
-
-    def sample(self) -> None:
-        """Feed counter deltas since the last sample into the windows."""
-        registry = self.registry
-        with self._lock:
-            for name, kind in registry.kinds().items():
-                if kind != "counter":
-                    continue
-                metric = registry.get(name)
-                if isinstance(metric, LabeledMetric):
-                    for key, child in metric.series().items():
-                        self._feed(self.series_key(name, label_key(key)),
-                                   child.value)
-                else:
-                    self._feed(name, metric.value)
-
-    def _feed(self, key: str, value: float) -> None:
-        last = self._last.get(key)
-        self._last[key] = value
-        if last is None:
-            # First sighting: the cumulative value predates the window.
-            return
-        delta = value - last
-        if delta > 0:
-            self.windows.labels(key).observe(value=delta)
-
-    def rate(self, name: str, label: str | None = None,
-             window_s: float | None = None) -> float:
-        """Counter units per second over the window (0.0 for series
-        that never moved between two samples)."""
-        self.sample()
-        window = self.windows.get(self.series_key(name, label))
-        if window is None:
-            return 0.0
-        covered = window.covered_s(window_s)
-        return window.sum(window_s) / covered if covered > 0 else 0.0
-
-    def delta(self, name: str, label: str | None = None,
-              window_s: float | None = None) -> float:
-        """Counter units accumulated over the window."""
-        self.sample()
-        window = self.windows.get(self.series_key(name, label))
-        return window.sum(window_s) if window is not None else 0.0

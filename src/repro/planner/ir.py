@@ -34,9 +34,7 @@ from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
 from repro.net.stats import PlanReport, RunStats
-from repro.obs.explain import (
-    ActualsBook, OpAnalysis, PlanAnalysis, describe_lookup,
-)
+from repro.obs.explain import OpAnalysis, PlanAnalysis, describe_lookup
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.prepared import Binding, PreparedTable
@@ -287,23 +285,27 @@ class PhysicalPlan:
             explain_text=self.explain(),
         )
 
-    def analyzer(self, vectors: list[CostVector], actuals: ActualsBook,
-                 stats: RunStats, wall_s: float,
+    def analyzer(self, vectors: list[CostVector], stats: RunStats,
+                 wall_s: float,
                  from_cache: bool) -> Callable[[], PlanAnalysis]:
         """What builds a finished run's explain-analyze rows from the
         operators' estimates as :meth:`priced` at the end of the run
-        (every run's feedback moves the factors) and the run's totals,
-        read now; the rows are rendered when someone reads them."""
-        return partial(self._analysis, vectors, actuals, stats.times.total,
-                       stats.total_transferred_bytes, wall_s, from_cache)
+        (every run's feedback moves the factors) and the run's
+        ``per_op`` actuals and totals, read now; the rows are rendered
+        when someone reads them."""
+        local = {"sim_s": stats.times.local_exec}
+        return partial(self._analysis, vectors, stats.per_op, local,
+                       stats.times.total, stats.total_transferred_bytes,
+                       wall_s, from_cache)
 
-    def _analysis(self, vectors: list[CostVector], actuals: ActualsBook,
+    def _analysis(self, vectors: list[CostVector],
+                  per_op: dict[object, dict], local: dict,
                   actual_s: float, actual_bytes: int, wall_s: float,
                   from_cache: bool) -> PlanAnalysis:
         """The explain-analyze rows: each operator's estimate next to
-        what the run's :class:`~repro.obs.explain.ActualsBook` recorded
-        for it (scatter shards alias back to their logical site, so a
-        ScatterGather row sums its per-shard round trips)."""
+        the run's ``per_op`` entry for it (scatter shards record under
+        their logical site, so a ScatterGather row sums its per-shard
+        round trips; local evaluation is the run's ``local_exec``)."""
         rows: list[OpAnalysis] = []
         total = CostVector()
         for op, vector in zip(self.ops, vectors):
@@ -311,14 +313,14 @@ class PhysicalPlan:
             est_s = vector.total_s(self.model)
             est_bytes = vector.wire_bytes
             if isinstance(op, LocalEval):
-                actual = actuals.local
+                actual = local
                 est_calls = 0.0
             elif isinstance(op, ShipDocument):
-                actual = actuals.ship(op.owner, op.local_name)
+                actual = per_op.get((op.owner, op.local_name))
                 est_calls = float(op.shards or 1)
             else:  # XrpcCall, possibly wrapped in BulkBatch/ScatterGather
                 call = op if isinstance(op, XrpcCall) else op.call
-                actual = actuals.site(call.site_id)
+                actual = per_op.get(call.site_id)
                 est_calls = call.calls
             if actual is None:
                 rows.append(OpAnalysis(describe=op.describe(), est_s=est_s,
@@ -328,10 +330,11 @@ class PhysicalPlan:
                 rows.append(OpAnalysis(
                     describe=op.describe(), est_s=est_s,
                     est_bytes=est_bytes, est_calls=est_calls,
-                    actual_s=actual.sim_s, actual_bytes=actual.bytes,
-                    actual_calls=actual.calls,
-                    actual_wall_s=actual.wall_s,
-                    cache_hits=actual.cache_hits))
+                    actual_s=actual["sim_s"],
+                    actual_bytes=actual.get("bytes", 0),
+                    actual_calls=actual.get("calls", 0),
+                    actual_wall_s=actual.get("wall_s", 0.0),
+                    cache_hits=actual.get("cache_hits", 0)))
         return PlanAnalysis(
             label=self.label,
             rows=tuple(rows),

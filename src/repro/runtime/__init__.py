@@ -22,7 +22,7 @@ from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.engine import EngineClosedError, FederationEngine
-from repro.runtime.metrics import MetricsAggregator, QueryRecord, percentile
+from repro.runtime.metrics import MetricsAggregator, QueryRecord
 from repro.runtime.transport import (FaultInjectedError, FaultPlan,
                                      PeerDownError, RequestTimeoutError,
                                      RetryPolicy, Transport)
@@ -32,7 +32,7 @@ __all__ = [
     "CacheStats", "ResultCache",
     "Clock", "VirtualClock",
     "EngineClosedError", "FederationEngine",
-    "MetricsAggregator", "QueryRecord", "percentile",
+    "MetricsAggregator", "QueryRecord",
     "FaultInjectedError", "FaultPlan", "PeerDownError",
     "RequestTimeoutError", "RetryPolicy", "Transport",
 ]

@@ -15,7 +15,8 @@ a runtime serving many queries at once:
   ``Peer.store``) and a :class:`~repro.runtime.batching.BulkBatcher`
   that coalesces same-shape round trips across queries;
 * a :class:`~repro.runtime.metrics.MetricsAggregator` recording every
-  query for the fleet-level summary.
+  query for the fleet-level summary (the registry's ``query_*``
+  series are counted by ``Federation.run`` itself).
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ class FederationEngine:
                  max_workers: int = 8,
                  max_in_flight: int | None = None,
                  cache: "ResultCache | bool" = True,
-                 batch_window_s: float = 0.002,
-                 metrics: MetricsAggregator | None = None):
+                 batch_window_s: float = 0.002):
         self.federation = federation
         self._owns_cache = cache is True
         if cache is True:
@@ -90,8 +90,9 @@ class FederationEngine:
                                     worth_waiting=lambda:
                                     self.executing > 1)
                         if batch_window_s > 0 else None)
-        self.metrics = (metrics if metrics is not None
-                        else MetricsAggregator(metrics=federation.metrics))
+        #: Every query's record; the registry's ``query_*`` series are
+        #: the federation's, folded at the end of each run.
+        self.metrics = MetricsAggregator()
         self.max_in_flight = (max_in_flight if max_in_flight is not None
                               else 2 * max_workers)
         self._admission = BoundedSemaphore(self.max_in_flight)

@@ -9,13 +9,9 @@ into the numbers ``benchmarks/bench_throughput.py`` sweeps: queries/sec
 over the busy interval, wall-clock p50/p95/p99, simulated-time totals,
 and transferred bytes.
 
-The aggregator is now a *consumer* of the unified
-:class:`~repro.obs.metrics.MetricsRegistry`: each recorded query also
-feeds the ``query_*`` series (latency histogram, per-plan counters,
-byte totals), so ``registry.snapshot()`` carries the fleet view next
-to the transport's ``wire_*`` and the cache's ``cache_*`` truth.
-:func:`percentile` is re-exported from its canonical home in
-:mod:`repro.obs.metrics` for existing importers.
+The aggregator writes no registry series: every ``query_*`` series is
+folded from the finished run at the end of ``Federation.run``, for
+engine and standalone runs alike.
 """
 
 from __future__ import annotations
@@ -24,9 +20,9 @@ import threading
 from dataclasses import dataclass
 
 from repro.net.stats import RunStats
-from repro.obs.metrics import MetricsRegistry, percentile
+from repro.obs.metrics import percentile
 
-__all__ = ["percentile", "QueryRecord", "MetricsAggregator"]
+__all__ = ["QueryRecord", "MetricsAggregator"]
 
 
 @dataclass
@@ -51,41 +47,15 @@ class QueryRecord:
 
 
 class MetricsAggregator:
-    """Thread-safe accumulator of :class:`QueryRecord`, publishing the
-    ``query_*`` series into ``metrics`` (private registry if omitted)."""
+    """Thread-safe accumulator of :class:`QueryRecord`."""
 
-    def __init__(self, metrics: MetricsRegistry | None = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self.records: list[QueryRecord] = []
         self._lock = threading.Lock()
-        self._completed = self.metrics.counter(
-            "query_completed_total", "queries that finished cleanly")
-        self._failed = self.metrics.counter(
-            "query_failed_total", "queries that raised")
-        self._latency = self.metrics.histogram(
-            "query_latency_seconds", "wall-clock seconds per query")
-        self._bytes = self.metrics.counter(
-            "query_transferred_bytes_total",
-            "Figure 7 bytes summed over completed queries")
-        self._sim_s = self.metrics.counter(
-            "query_simulated_seconds_total",
-            "Figure 8 simulated seconds summed over completed queries")
-        self._plans = self.metrics.counter(
-            "query_plans_total", "executions per physical plan label",
-            ("plan",))
 
     def record(self, record: QueryRecord) -> None:
         with self._lock:
             self.records.append(record)
-        if record.ok and record.stats is not None:
-            self._completed.inc()
-            self._latency.observe(record.wall_s)
-            self._bytes.inc(record.stats.total_transferred_bytes)
-            self._sim_s.inc(record.stats.times.total)
-            if record.plan is not None:
-                self._plans.labels(record.plan).inc()
-        else:
-            self._failed.inc()
 
     # -- reductions ---------------------------------------------------------
 
@@ -145,21 +115,16 @@ class MetricsAggregator:
         struggled; this view (parsed from the router's per-shard keys,
         ``"collection#sN"``) says *where*, so the console and SLO rules
         can name the collection. Sorted for deterministic export."""
+        fields = {"shard_calls": "calls", "failovers": "failovers",
+                  "shards_skipped": "skipped", "bytes": "bytes",
+                  "cache_hits": "cache_hits"}
         per_collection: dict[str, dict] = {}
         for record in completed:
             for shard_key, entry in record.stats.per_shard.items():
-                collection = shard_key.rsplit("#s", 1)[0]
-                agg = per_collection.get(collection)
-                if agg is None:
-                    agg = per_collection[collection] = {
-                        "shard_calls": 0, "failovers": 0,
-                        "shards_skipped": 0, "bytes": 0,
-                        "cache_hits": 0}
-                agg["shard_calls"] += 1
-                agg["failovers"] += entry.get("failovers", 0)
-                agg["shards_skipped"] += entry.get("skips", 0)
-                agg["bytes"] += entry.get("bytes", 0)
-                agg["cache_hits"] += entry.get("cache_hits", 0)
+                agg = per_collection.setdefault(
+                    shard_key.rsplit("#s", 1)[0], dict.fromkeys(fields, 0))
+                for name, field in fields.items():
+                    agg[name] += entry.get(field, 0)
         return dict(sorted(per_collection.items()))
 
     def format_summary(self) -> str:

@@ -26,7 +26,7 @@ cluster's scatter-gather :class:`~repro.cluster.router.ClusterRouter`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -41,7 +41,6 @@ from repro.errors import (
 )
 from repro.net.costmodel import CostModel
 from repro.net.stats import PlanReport, RunStats
-from repro.obs.explain import ActualsBook
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, bind_stats_span, child_span
 from repro.planner.ir import CallSite, PhysicalPlan
@@ -187,11 +186,12 @@ class Federation:
                  metrics: MetricsRegistry | None = None):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.static = static if static is not None else StaticContext()
-        # One registry per federation: the default transport's wire_*
-        # series, the engine's cache_*/query_* series and the router's
-        # scatter_* series all land in it. An injected transport keeps
-        # its own registry, which becomes the federation's unless the
-        # caller passed one explicitly.
+        # One registry per federation: the transport's wire_* and the
+        # engine cache's cache_* series count live (replica ranking
+        # reads them mid-query); the query_* and scatter_* series are
+        # folded from each finished run (:class:`_RunSeries`). An
+        # injected transport keeps its own registry, which becomes the
+        # federation's unless the caller passed one explicitly.
         if metrics is not None:
             self.metrics = metrics
         elif transport is not None:
@@ -291,26 +291,36 @@ class Federation:
         leaves) into ``RunResult.trace``; off by default and zero-cost
         when off.
         """
-        tracer = Tracer(self.transport.clock) if trace else None
+        clock = self.transport.clock
+        started = clock()
+        tracer = Tracer(clock) if trace else None
         root_ctx = (tracer.start("query", at=at,
                                  strategy=strategy_label(strategy))
                     if tracer is not None else nullcontext())
-        with root_ctx, (self._monitored() if self.monitor is not None
-                        else nullcontext()):
-            # Fixed strategies go through the same planner entry point
-            # as auto: one prepared query per shape amortises parsing,
-            # decomposition and lowering across every run of every
-            # text that differs from this one in comparison literals.
-            with child_span("plan"):
-                plan, report = self.planner.plan(
-                    query, at=at, strategy=strategy, bulk_rpc=bulk_rpc,
-                    code_motion=code_motion, let_sinking=let_sinking)
-            # The plan is shared by every run of this text (read-only).
-            result = self._execute(
-                _Run(self, plan, bulk_rpc, keep_message_xml,
-                     result_cache=result_cache, batcher=batcher,
-                     tracer=tracer),
-                report)
+        run = None
+        ok = False
+        try:
+            with root_ctx:
+                # Fixed strategies go through the same planner entry
+                # point as auto: one prepared query per shape amortises
+                # parsing, decomposition and lowering across every run
+                # of every text that differs from this one in
+                # comparison literals.
+                with child_span("plan"):
+                    plan, report = self.planner.plan(
+                        query, at=at, strategy=strategy,
+                        bulk_rpc=bulk_rpc, code_motion=code_motion,
+                        let_sinking=let_sinking)
+                # The plan is shared by every run of this text
+                # (read-only).
+                run = _Run(self, plan, bulk_rpc, keep_message_xml,
+                           result_cache=result_cache, batcher=batcher,
+                           tracer=tracer)
+                result = self._execute(run, report)
+            ok = True
+        finally:
+            self._account(run.stats if run is not None else None,
+                          clock() - started, ok)
         # The root span closed when the context exited; only a closed
         # tree folds into stable profiler stacks.
         if (self.monitor is not None and tracer is not None
@@ -318,20 +328,19 @@ class Federation:
             self.monitor.observe_trace(tracer.root)
         return result
 
-    @contextmanager
-    def _monitored(self):
-        """One query as the attached fleet monitor sees it — its
-        seconds and whether it raised (queries that die in parsing or
-        planning are part of the fleet's error stream too)."""
-        clock = self.transport.clock
-        started = clock()
-        ok = False
-        try:
-            yield
-            ok = True
-        finally:
-            if self.monitor is not None:
-                self.monitor.record_query(clock() - started, ok=ok)
+    @cached_property
+    def _series(self) -> "_RunSeries":
+        return _RunSeries(self.metrics)
+
+    def _account(self, stats: RunStats | None, seconds: float,
+                 ok: bool) -> None:
+        """The one seam between a finished run — completed or failed,
+        in parsing and planning too (then ``stats`` is None) — and
+        everything counted across runs: the registry's ``query_*`` /
+        ``scatter_*`` series and the attached fleet monitor."""
+        self._series.fold(stats, seconds, ok)
+        if self.monitor is not None:
+            self.monitor.record_query(seconds, ok=ok)
 
     def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
         """Evaluate a planned run, then attach the plan's report and
@@ -342,8 +351,7 @@ class Federation:
         wall_s = run.clock() - started
         # Priced once, for the explain-analyze rows and the feedback.
         vectors = run.plan.priced()
-        report.analyzer = run.plan.analyzer(vectors, run.actuals,
-                                            result.stats, wall_s,
+        report.analyzer = run.plan.analyzer(vectors, result.stats, wall_s,
                                             report.from_cache)
         result.stats.plan = report
         self.planner.observe(run.plan, result, vectors)
@@ -386,9 +394,6 @@ class _Run:
         self.local_counter = CostCounter()
         self.remote_counter = CostCounter()
         self._shipped_docs: dict[tuple[str, str], Document] = {}
-        #: Per-operator actuals for explain-analyze (always recorded —
-        #: one timestamped dict update per round trip / ship).
-        self.actuals = ActualsBook()
 
     @cached_property
     def router(self) -> ClusterRouter:
@@ -426,7 +431,8 @@ class _Run:
         ``owner`` is a peer, or a sharded collection — then every shard
         ships from a live replica (failing over on wire faults) and the
         logical document is reassembled. Everything around the fetch
-        (per-run memo, shared result cache, ``ship`` span, actuals) is
+        (per-run memo, shared result cache, ``ship`` span, the ship's
+        ``per_op`` actuals) is
         the same for both.
         """
         if stats is None:
@@ -474,9 +480,9 @@ class _Run:
                 stats.cache_hits += 1
                 stats.cache_saved_bytes += size
                 self._shipped_docs[key] = document
-                self.actuals.record_ship(
-                    owner, local_name, bytes=0,
-                    wall_s=self.clock() - wall0, cache_hits=1)
+                stats.record_op((owner, local_name), bytes=0, calls=1,
+                                sim_s=0.0, wall_s=self.clock() - wall0,
+                                cache_hits=1)
                 return document
         sim0 = stats.times.total
         with child_span("ship", owner=owner, doc=local_name,
@@ -484,9 +490,9 @@ class _Run:
             document, size = fetch(ship_span)
             if ship_span is not None:
                 ship_span.set(bytes=size)
-        self.actuals.record_ship(owner, local_name, bytes=size,
-                                 sim_s=stats.times.total - sim0,
-                                 wall_s=self.clock() - wall0)
+        stats.record_op((owner, local_name), bytes=size, calls=1,
+                        sim_s=stats.times.total - sim0,
+                        wall_s=self.clock() - wall0, cache_hits=0)
         self._shipped_docs[key] = document
         if cache is not None:
             cache.store_document(requester, owner, cache_name, document,
@@ -564,7 +570,8 @@ class _Run:
         *deliver* it (the shared result cache, then the cross-query
         batcher, then the transport's wire — each either answers or
         passes on) → parse the response text → unmarshal → *record*
-        (stats, ``rpc`` span, actuals, message log, cache store).
+        (stats and the site's ``per_op`` actuals, ``rpc`` span, message
+        log, cache store).
 
         ``query_text`` is the function body as shipped and ``site`` its
         call site's contract — for a shard call, the shard-local text
@@ -711,7 +718,7 @@ class _Run:
                     self.result_cache.store_response(
                         cache_key, response_xml, response_bytes,
                         epoch=cache_epoch)
-            self.actuals.record_site(
+            stats.record_op(
                 site.site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,
                 calls=0 if cached else len(calls),
@@ -742,8 +749,88 @@ class _Run:
         # components were charged per rpc/ship span as they happened).
         self.stats.charge("local_exec", local_s)
         self.stats.charge("remote_exec", remote_s)
-        self.actuals.local.sim_s += local_s
         return RunResult(items=items, stats=self.stats,
                          decomposition=self.decomposition,
                          messages=self.messages,
                          literals=self.binding.literals)
+
+
+class _RunSeries:
+    """The registry series counted across runs. Each is registered here
+    and nowhere else, and moves only in :meth:`fold`, from a finished
+    run's :class:`RunStats`."""
+
+    def __init__(self, metrics: MetricsRegistry):
+        counter = metrics.counter
+        self.completed = counter("query_completed_total",
+                                 "queries that finished cleanly")
+        self.failed = counter("query_failed_total", "queries that raised")
+        self.latency = metrics.histogram(
+            "query_latency_seconds", "wall-clock seconds per query")
+        self.bytes = counter(
+            "query_transferred_bytes_total",
+            "Figure 7 bytes summed over completed queries")
+        self.sim_s = counter(
+            "query_simulated_seconds_total",
+            "Figure 8 simulated seconds summed over completed queries")
+        self.plans = counter("query_plans_total",
+                             "executions per physical plan label",
+                             ("plan",))
+        self.scatters = counter("scatter_calls_total",
+                                "scatter fan-outs per collection",
+                                ("collection",))
+        #: ``per_shard`` entry field → its per-collection series.
+        self.per_collection = {
+            field: counter(name, help_text, ("collection",))
+            for field, name, help_text in (
+                ("skipped", "scatter_shards_skipped_total",
+                 "shard round trips proven empty by value-index probes"),
+                ("failovers", "scatter_failovers_total",
+                 "replica switches after wire faults"),
+                ("retries", "scatter_retries_total",
+                 "in-place retries after transient wire faults"),
+                ("partial", "scatter_partial_shards_total",
+                 "shards answered as flagged-empty under partial=allow"))}
+        # Per-shard heat, the rebalancer's primary signal: labeled by
+        # the shard's local_name (stable across split renumbering —
+        # indexes shift when a split inserts a shard, local names
+        # never do). Skipped and failed calls served nothing.
+        self.per_shard = [
+            counter(name, help_text, ("collection", "shard"))
+            for name, help_text in (
+                ("scatter_shard_serves_total",
+                 "shard round trips actually served (skips excluded)"),
+                ("scatter_shard_seconds_total",
+                 "simulated wire seconds spent serving each shard"),
+                ("scatter_shard_bytes_total",
+                 "wire bytes served from each shard"))]
+
+    def fold(self, stats: RunStats | None, seconds: float,
+             ok: bool) -> None:
+        """Count one finished run: ``query_*`` per run (latency, bytes,
+        seconds and plan of completed runs only), ``scatter_*`` from
+        every run's entries (a failed run spent too). A series is only
+        touched by a non-zero amount, so none exists before it moves."""
+        if ok:
+            self.completed.inc()
+            self.latency.observe(seconds)
+            self.bytes.inc(stats.total_transferred_bytes)
+            self.sim_s.inc(stats.times.total)
+            if stats.plan is not None:
+                self.plans.labels(stats.plan.strategy).inc()
+        else:
+            self.failed.inc()
+        if stats is None:
+            return
+        for collection, count in stats.scatters.items():
+            self.scatters.labels(collection).inc(count)
+        for key, entry in stats.per_shard.items():
+            collection = key.rsplit("#s", 1)[0]
+            for field, series in self.per_collection.items():
+                if entry[field]:
+                    series.labels(collection).inc(entry[field])
+            served = entry["calls"] - entry["skipped"] - entry["failed"]
+            for series, amount in zip(self.per_shard, (
+                    served, entry["sim_s"], entry["bytes"])):
+                if amount > 0:
+                    series.labels(collection, entry["shard"]).inc(amount)

@@ -181,6 +181,27 @@ def test_modes_agree_on_a_nested_scatter(shard_threads):
         == {"people-c", "auctions-c"}
 
 
+def test_nested_scatter_counts_each_shard_call_once():
+    """Every view of a run's shard calls is a sum of one record: the
+    engine's per-collection calls, the registry's serves and the run's
+    ``scatter_shards`` agree (the engine once counted merged per-shard
+    entries, 4 on ``auctions-c`` where 8 calls were made)."""
+    federation = build_sharded_federation(0.02)
+    with FederationEngine(federation, max_workers=1) as engine:
+        result = engine.submit(NESTED, "local",
+                               Strategy.BY_FRAGMENT).result()
+    per_collection = engine.metrics.summary()["per_collection"]
+    calls = {name: agg["shard_calls"]
+             for name, agg in per_collection.items()}
+    serves: dict[str, int] = {}
+    for label, value in federation.metrics.snapshot()[
+            "scatter_shard_serves_total"].items():
+        collection = label.split(",")[0]
+        serves[collection] = serves.get(collection, 0) + value
+    assert result.stats.scatter_shards == 12
+    assert calls == serves == {"auctions-c": 8, "people-c": 4}
+
+
 def test_modes_agree_on_a_partial_answer(shard_threads):
     cluster = make_cluster()
     cluster.catalog.set_partial_policy("allow")

@@ -158,8 +158,9 @@ def test_shared_budget_bounds_total_retries():
     cluster = flaky_cluster(100, RetryPolicy(attempts=4, budget=3))
     with pytest.raises(ClusterError):
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    # The failed run still accounts for the retries it spent.
     summary = cluster.metrics.snapshot().get("scatter_retries_total", {})
-    assert summary.get("books-c", 0) <= 3 * 4   # budget × shards
+    assert 1 <= summary.get("books-c", 0) <= 3 * 4   # budget × shards
 
 
 # -- per-attempt timeouts ----------------------------------------------------

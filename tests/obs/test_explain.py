@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.decompose import Strategy
-from repro.net.stats import PlanReport
-from repro.obs.explain import (ActualsBook, OpActual, OpAnalysis,
-                               PlanAnalysis, render_analysis)
+from repro.net.stats import PlanReport, RunStats
+from repro.obs.explain import OpAnalysis, PlanAnalysis, render_analysis
 from repro.runtime.cache import ResultCache
 from repro.workloads import (SHARDED_BENCHMARK_QUERY, TINY_LOOKUP_QUERY,
                              build_mixed_federation,
@@ -14,30 +13,42 @@ from repro.workloads import (SHARDED_BENCHMARK_QUERY, TINY_LOOKUP_QUERY,
 TOLERANCE = 1e-9
 
 
-class TestActualsBook:
+class TestOperatorActuals:
+    """Per-operator actuals are ``RunStats.per_op`` entries, folded by
+    the same merge as the per-shard ones."""
+
     def test_site_records_merge(self):
-        book = ActualsBook()
-        book.record_site(1, bytes=10, calls=1, sim_s=0.5)
-        book.record_site(1, bytes=5, calls=2, sim_s=0.25, cache_hits=1)
-        actual = book.site(1)
-        assert (actual.bytes, actual.calls) == (15, 3)
-        assert abs(actual.sim_s - 0.75) < TOLERANCE
-        assert actual.cache_hits == 1
-        assert book.site(2) is None
+        stats = RunStats()
+        stats.record_op(1, bytes=10, calls=1, sim_s=0.5)
+        stats.record_op(1, bytes=5, calls=2, sim_s=0.25, cache_hits=1)
+        actual = stats.per_op[1]
+        assert (actual["bytes"], actual["calls"]) == (15, 3)
+        assert abs(actual["sim_s"] - 0.75) < TOLERANCE
+        assert actual["cache_hits"] == 1
+        assert 2 not in stats.per_op
 
     def test_ship_records_count_calls(self):
-        book = ActualsBook()
-        book.record_ship("owner", "d.xml", bytes=100)
-        book.record_ship("owner", "d.xml", bytes=50)
-        actual = book.ship("owner", "d.xml")
-        assert actual.bytes == 150 and actual.calls == 2
-        assert book.ship("owner", "other.xml") is None
+        stats = RunStats()
+        stats.record_op(("owner", "d.xml"), bytes=100, calls=1)
+        stats.record_op(("owner", "d.xml"), bytes=50, calls=1)
+        actual = stats.per_op[("owner", "d.xml")]
+        assert actual["bytes"] == 150 and actual["calls"] == 2
+        assert ("owner", "other.xml") not in stats.per_op
 
     def test_merge(self):
-        left = OpActual(bytes=1, calls=1, sim_s=1.0, wall_s=2.0)
-        left.merge(OpActual(bytes=2, calls=3, sim_s=0.5, cache_hits=4))
-        assert (left.bytes, left.calls, left.cache_hits) == (3, 4, 4)
-        assert abs(left.sim_s - 1.5) < TOLERANCE
+        left, right = RunStats(), RunStats()
+        left.record_op(7, bytes=1, calls=1, sim_s=1.0, wall_s=2.0)
+        right.record_op(7, bytes=2, calls=3, sim_s=0.5, cache_hits=4)
+        right.record_op(8, bytes=9, calls=1)
+        left.merge(right)
+        actual = left.per_op[7]
+        assert (actual["bytes"], actual["calls"],
+                actual["cache_hits"]) == (3, 4, 4)
+        assert abs(actual["sim_s"] - 1.5) < TOLERANCE
+        assert left.per_op[8] == {"bytes": 9, "calls": 1}
+        # The merge copies: the source's entry stays its own.
+        left.per_op[8]["bytes"] += 1
+        assert right.per_op[8]["bytes"] == 9
 
 
 class TestOpAnalysis:

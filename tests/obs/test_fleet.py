@@ -24,8 +24,6 @@ class TestFleetMonitorWiring:
         assert cluster.monitor is monitor
         assert cluster.transport.events is monitor.events
         assert cluster.catalog.events is monitor.events
-        assert monitor.registry_windows is not None
-        assert monitor.registry_windows.registry is cluster.metrics
 
     def test_unmonitored_federation_stays_unwired(self):
         cluster = make_cluster()
@@ -205,40 +203,26 @@ class TestQueryRecording:
     def test_query_path_takes_no_registry_snapshot(self, monkeypatch):
         """A monitored query used to pay one full ``registry.snapshot()``
         — three sorts of the ever-growing latency observation list — to
-        feed windows nothing read. The counters are sampled when a
-        rate is read instead, and only counters are read."""
+        feed windows nothing read. The fold at the end of a run moves
+        only the series it counts."""
         cluster = make_cluster(transport=virtual_wire())
-        monitor = FleetMonitor().attach(cluster)
-        calls = {"snapshot": 0, "kinds": 0}
+        FleetMonitor().attach(cluster)
+        calls = {"snapshot": 0}
+        original = cluster.metrics.snapshot
 
-        def counting(name):
-            original = getattr(cluster.metrics, name)
+        def counting():
+            calls["snapshot"] += 1
+            return original()
 
-            def wrapper():
-                calls[name] += 1
-                return original()
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cluster.metrics, name, counting(name))
+        monkeypatch.setattr(cluster.metrics, "snapshot", counting)
         with FederationEngine(cluster, max_workers=1,
                               cache=False) as engine:
-            for _ in range(3):
+            for _ in range(7):
                 engine.submit(SCAN, "local").result()
-            assert calls == {"snapshot": 0, "kinds": 0}
-            # Read: the first sighting is the baseline, as before.
-            windows = monitor.registry_windows
-            assert windows.delta("scatter_calls_total", "books-c") == 0.0
-            for _ in range(4):
-                engine.submit(SCAN, "local").result()
-            assert windows.delta("scatter_calls_total", "books-c") == 4.0
-            assert windows.rate("scatter_calls_total", "books-c") > 0.0
-            assert windows.delta("query_completed_total") == 4.0
-        assert calls["snapshot"] == 0 and calls["kinds"] == 4
-        # The latency histogram (and every gauge) is never summarised.
-        assert windows.windows.names() and all(
-            "latency" not in name and "in_flight" not in name
-            for name in windows.windows.names())
+        assert calls["snapshot"] == 0
+        assert cluster.metrics.get("scatter_calls_total").get(
+            "books-c").value == 7
+        assert cluster.metrics.get("query_completed_total").value == 7
 
     def test_failed_run_records_an_error(self):
         cluster = make_cluster()

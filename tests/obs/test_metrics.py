@@ -40,10 +40,6 @@ class TestPercentile:
         percentile(values, 95)
         assert values == [3.0, 1.0, 2.0]
 
-    def test_runtime_reexport_is_the_same_function(self):
-        from repro.runtime.metrics import percentile as reexported
-        assert reexported is percentile
-
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
            st.floats(0, 100))
     def test_bounded_by_min_and_max(self, values, q):
@@ -152,14 +148,6 @@ class TestRegistry:
         counter = registry.counter("thing_total")
         assert registry.get("thing_total") is counter
         assert registry.get("absent") is None
-
-    def test_kinds(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total")
-        registry.gauge("g")
-        registry.histogram("h")
-        assert registry.kinds() == {"c_total": "counter", "g": "gauge",
-                                    "h": "histogram"}
 
     def test_mixed_type_labels_render_without_raising(self):
         """Series whose label values mix strings and integers (peer

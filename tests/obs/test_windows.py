@@ -7,10 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.windows import (
-    QuantileSketch, RegistryWindows, RollingWindow, RollingWindowFamily,
-)
+from repro.obs.windows import QuantileSketch, RollingWindow, RollingWindowFamily
 from repro.runtime.clock import VirtualClock
 
 
@@ -267,72 +264,3 @@ class TestRollingWindowFamily:
         assert family.names() == ["node1", "node2"]
         assert family.get("absent") is None
         assert family.get("node1").sum() == 1.0
-
-
-class TestRegistryWindows:
-
-    def test_counter_deltas_feed_windowed_rate(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        counter = registry.counter("ops_total")
-        windows = RegistryWindows(registry, width_s=1.0, buckets=10,
-                                  clock=clock)
-        counter.inc(10)
-        windows.sample()      # first sighting: baseline only
-        assert windows.delta("ops_total") == 0.0
-        counter.inc(30)
-        clock.advance(1.0)
-        windows.sample()
-        assert windows.delta("ops_total") == 30.0
-        # The per-series window is born when its first delta lands, so
-        # it has lived one bucket here: 30 ops over 1s.
-        assert windows.rate("ops_total") == pytest.approx(30.0)
-        clock.advance(1.0)
-        windows.sample()      # no new increments
-        assert windows.rate("ops_total") == pytest.approx(15.0)
-
-    def test_labeled_counters_get_per_series_windows(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        counter = registry.counter("bytes_total", labels=("peer",))
-        windows = RegistryWindows(registry, clock=clock)
-        counter.labels("p1").inc(5)
-        windows.sample()
-        counter.labels("p1").inc(7)
-        counter.labels("p2").inc(3)
-        windows.sample()
-        assert windows.delta("bytes_total", "p1") == 7.0
-        # p2's first sighting set its baseline; no delta yet.
-        assert windows.delta("bytes_total", "p2") == 0.0
-
-    def test_gauges_and_histograms_are_skipped(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        registry.gauge("level").set(100)
-        registry.histogram("lat").observe(1.0)
-        windows = RegistryWindows(registry, clock=clock)
-        windows.sample()
-        windows.sample()
-        assert windows.windows.names() == []
-
-    def test_backwards_counter_resets_baseline(self):
-        clock = VirtualClock()
-        registry = MetricsRegistry()
-        registry.counter("ops_total").inc(100)
-        windows = RegistryWindows(registry, clock=clock)
-        windows.sample()
-        # Swap the registry underneath: the counter restarts from 0.
-        fresh = MetricsRegistry()
-        fresh_counter = fresh.counter("ops_total")
-        windows.registry = fresh
-        fresh_counter.inc(2)
-        windows.sample()      # 2 < 100: reset, no negative delta
-        assert windows.delta("ops_total") == 0.0
-        fresh_counter.inc(5)
-        windows.sample()
-        assert windows.delta("ops_total") == 5.0
-
-    def test_unknown_series_reads_zero(self):
-        windows = RegistryWindows(MetricsRegistry(), clock=VirtualClock())
-        assert windows.rate("never_sampled") == 0.0
-        assert windows.delta("never_sampled") == 0.0

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.stats import RunStats
-from repro.runtime.metrics import MetricsAggregator, QueryRecord, percentile
+from repro.obs.metrics import percentile
+from repro.runtime.metrics import MetricsAggregator, QueryRecord
 
 
 class TestPercentile:
