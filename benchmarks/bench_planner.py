@@ -21,8 +21,8 @@ from repro.workloads import (
     mixed_tenant_jobs,
 )
 
-from benchmarks.conftest import SCALES, STRATEGY_ORDER, print_table, \
-    write_json
+from benchmarks.conftest import print_table, write_json
+from benchmarks.figures import SCALES, STRATEGY_ORDER
 
 #: Acceptance band: auto's simulated cost vs. the best fixed strategy.
 AUTO_TOLERANCE = 1.10

@@ -1,14 +1,7 @@
-"""Shared benchmark helpers.
-
-Each ``bench_fig*.py`` regenerates one figure of the paper's Section
-VII: it prints the same series the figure plots (so the shape can be
-compared directly) and registers one representative timing with
-pytest-benchmark.
-
-Scales are laptop-sized; the paper's 10-160 MB documents map onto the
-same x2 geometric sweep at ~40-700 KB. Only relative behaviour is
-meaningful.
-"""
+"""Shared benchmark helpers: a results table on stdout, a
+machine-readable ``BENCH_{name}.json`` per benchmark, and the replayable
+virtual wire of the drills. The paper's figures are
+``benchmarks/figures.py``."""
 
 from __future__ import annotations
 
@@ -16,23 +9,7 @@ import json
 import os
 from pathlib import Path
 
-import pytest
-
-from repro.decompose import Strategy
 from repro.runtime import Transport, VirtualClock
-from repro.workloads import run_all_strategies
-
-#: The x2 geometric sweep mirroring XMark factors 0.1 .. 1.6.
-SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04)
-
-STRATEGY_ORDER = (Strategy.DATA_SHIPPING, Strategy.BY_VALUE,
-                  Strategy.BY_FRAGMENT, Strategy.BY_PROJECTION)
-
-
-@pytest.fixture(scope="session")
-def sweep():
-    """All four strategies over the full scale sweep (computed once)."""
-    return {scale: run_all_strategies(scale) for scale in SCALES}
 
 
 def on_virtual_wire(federation):

@@ -5,8 +5,10 @@ Usage::
     python benchmarks/reach.py
 
 Drives the six ledger workloads (``benchmarks/e2e/run.py --smoke
---trace``), every ``examples/*.py`` and the Figure 7–11 + ablation
-benches, each in a fresh interpreter with a ``sitecustomize`` hook on
+--trace``), every ``examples/*.py`` and the figure test
+(``tests/integration/test_figures.py``: Figures 7–11 and the
+ablations, recomputed without rewriting ``benchmarks/figures.json``),
+each in a fresh interpreter with a ``sitecustomize`` hook on
 ``PYTHONPATH``. The hook installs ``sys.setprofile`` /
 ``threading.setprofile`` and, at exit, dumps ``(file, firstlineno,
 name)`` of every code object it saw called, one file per process, so
@@ -33,12 +35,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-
-#: The benches whose series are the paper's figures, plus the
-#: ablations (pytest-benchmark timings off: one round each).
-FIGURE_BENCHES = ("bench_fig7_bandwidth.py", "bench_fig8_breakdown.py",
-                  "bench_fig9_exectime.py", "bench_fig10_precision.py",
-                  "bench_fig11_projtime.py", "bench_ablations.py")
 
 _HOOK = '''\
 import atexit, json, os, sys, threading
@@ -74,10 +70,9 @@ def drivers() -> list[tuple[str, list[str]]]:
              "--out", "{tmp}/ledger"])]
     out += [(f"examples/{path.name}", [python, f"examples/{path.name}"])
             for path in sorted((ROOT / "examples").glob("*.py"))]
-    out.append(("figure + ablation benches",
+    out.append(("figure test",
                 [python, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "--benchmark-disable",
-                 *(f"benchmarks/{name}" for name in FIGURE_BENCHES)]))
+                 "tests/integration/test_figures.py"]))
     return out
 
 

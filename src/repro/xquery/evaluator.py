@@ -59,12 +59,16 @@ Whatever may send a message runs row by row in the nested loop's order
 attempt that raises is undone on the cost counter and rerun row by
 row, so the error raised is the one the nested loop meets first.
 
-Operators charge the cost counter what the nested loop charges, so
-simulated time does not depend on the operator. The scalar rules, the
-per-node walker and the nested loops this engine replaced are the test
-oracle (``tests/oracle/xquery_reference_walker.py``); the two return
-identical items and differ only in tick totals (scans count results,
-probes don't re-dispatch the AST).
+Bulk RPC and the lifted operator charge the cost counter what the
+nested loop charges. The hash join charges less where a value-index
+probe answers it (:meth:`Evaluator._chain_verdicts`): only the nodes
+the probe matched, not the dependent side per binding. So simulated
+time does depend on the operator there; the exec cells of Figures 8 / 9
+in ``benchmarks/figures.json`` pin what the join charges. The scalar
+rules, the per-node walker and the nested loops this engine replaced
+are the test oracle (``tests/oracle/xquery_reference_walker.py``); the
+two return identical items and differ only in tick totals (scans count
+results, probes don't re-dispatch the AST).
 """
 
 from __future__ import annotations

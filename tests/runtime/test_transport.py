@@ -85,19 +85,25 @@ class TestFaultPolicy:
 
 
 class TestDelayPolicy:
-    def test_extra_latency_costs_wall_clock(self):
-        """The one case here that really sleeps: the real ``Clock``
-        path. Everything else about delays runs on virtual time."""
-        fast = make_federation(Transport())
-        slow = make_federation(Transport(extra_latency_s=0.02))
-        start = time.perf_counter()
-        fast.run(Q2, at="local")
-        fast_s = time.perf_counter() - start
-        start = time.perf_counter()
-        result = slow.run(Q2, at="local")
-        slow_s = time.perf_counter() - start
-        # Q2 needs at least one round trip = 2 transmissions = 40ms.
-        assert slow_s >= fast_s + 0.03
+    def test_extra_latency_sleeps_on_the_real_clock(self):
+        """The real ``Clock`` path: every transmission sleeps the extra
+        latency once (``tests/runtime/test_clock.py`` checks that a
+        real sleep sleeps). Everything else about delays runs on
+        virtual time."""
+        slept = []
+
+        class RecordingClock(Clock):
+            __slots__ = ()
+
+            def sleep(self, seconds):
+                slept.append(seconds)
+
+        transport = Transport(clock=RecordingClock(), extra_latency_s=0.02)
+        assert transport.can_sleep()
+        result = make_federation(transport).run(Q2, at="local")
+        # Q2 needs at least one round trip = 2 transmissions.
+        assert result.stats.messages >= 2
+        assert slept == [0.02] * result.stats.messages
         assert result.items
 
     def test_extra_latency_is_exact_on_virtual_time(self):

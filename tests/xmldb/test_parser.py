@@ -1,7 +1,6 @@
 """XML parser unit tests: well-formedness, entities, errors."""
 
 import gc
-import time
 from pyexpat import ExpatError, XMLParserType
 
 import pytest
@@ -269,14 +268,16 @@ class TestDoctype:
         assert text[info.value.offset:].startswith(entity)
 
     def test_billion_laughs_fails_fast(self):
+        """The error is at the first ``&lol9;`` reference itself: the
+        scan stopped there, before expanding anything."""
         lol = ['<!ENTITY lol0 "lol">'] + [
             f'<!ENTITY lol{n} "{f"&lol{n - 1};" * 10}">' for n in range(1, 10)]
         for body in ("&lol9;", '<b x="&lol9;"/>'):
             text = f"<!DOCTYPE r [{''.join(lol)}]><r>{body}</r>"
-            started = time.perf_counter()
-            with pytest.raises(XmlParseError, match="unknown entity &lol9;"):
+            with pytest.raises(XmlParseError,
+                               match="unknown entity &lol9;") as info:
                 parse_document(text)
-            assert time.perf_counter() - started < 0.1
+            assert info.value.offset == text.index("&lol9;")
 
     def test_external_entities_are_never_resolved(self, tmp_path):
         secret = tmp_path / "secret.txt"
