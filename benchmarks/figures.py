@@ -23,6 +23,7 @@ from repro import (Evaluator, Federation, Strategy, TimeBreakdown,
                    parse_query, sequences_deep_equal, serialize_sequence)
 from repro.paths.relpath import parse_rel_path
 from repro.workloads import (BENCHMARK_QUERY, build_federation,
+                             build_mixed_federation, mixed_tenant_jobs,
                              run_all_strategies, run_strategy)
 from repro.xmark import XMarkConfig, generate_people
 from repro.xmldb.projection import project
@@ -39,6 +40,8 @@ SCALES = (0.0025, 0.005, 0.01, 0.02, 0.04)
 #: Figures 10-11 project the people document alone, at the first four.
 PROJECTION_SCALES = SCALES[:-1]
 ABLATION_SCALE = 0.01
+#: The planner's tenant mix: twelve jobs of three shapes at scale 0.01.
+MIXED_SCALE = 0.01
 STRATEGY_ORDER = (Strategy.DATA_SHIPPING, Strategy.BY_VALUE,
                   Strategy.BY_FRAGMENT, Strategy.BY_PROJECTION)
 
@@ -57,7 +60,30 @@ def strategy_cells(scale: float) -> dict:
             **stats.times.as_dict(), "total": stats.times.total,
             "items": len(items), "equals_data_shipping":
                 sequences_deep_equal(shipped.result.items, items)}
+    # The cost-based planner, cold, on a federation of its own.
+    auto = build_federation(scale).run(BENCHMARK_QUERY, at="local",
+                                       strategy="auto")
+    plan = auto.stats.plan
+    cells["auto"] = {"chosen_plan": plan.strategy,
+                     "estimated_s": plan.estimated_s,
+                     "actual_s": auto.stats.times.total,
+                     "estimated_bytes": plan.estimated_bytes,
+                     "actual_bytes": auto.stats.total_transferred_bytes}
     return cells
+
+
+def mixed_tenant_cells() -> dict:
+    """The planner's tenant mix (semijoin, tiny lookup, cross query):
+    each strategy's simulated total over the same twelve jobs."""
+    def total(strategy) -> float:
+        federation, seconds = build_mixed_federation(MIXED_SCALE), 0.0
+        for job in mixed_tenant_jobs(clients=6, rounds=2):
+            seconds += federation.run(job.query, at=job.at,
+                                      strategy=strategy).stats.times.total
+        return seconds
+
+    return {label: total(strategy) for label, strategy in (
+        *((s.value, s) for s in STRATEGY_ORDER), ("auto", "auto"))}
 
 
 def projection(doc, runtime: bool):
@@ -145,7 +171,8 @@ def compute() -> dict:
     return {"figures_7_9": {str(s): strategy_cells(s) for s in SCALES},
             "figures_10_11": {str(s): projection_cells(s)
                               for s in PROJECTION_SCALES},
-            "ablations": ablation_cells()}
+            "ablations": ablation_cells(),
+            "mixed_tenants_s": mixed_tenant_cells()}
 
 
 def render(figures: dict) -> str:
@@ -162,7 +189,11 @@ def render(figures: dict) -> str:
             if key.endswith("_s") else f"{key.replace('_', ' ')} {value}"
             for key, value in cells.items())
 
+    def ms(seconds: float) -> str:
+        return f"{seconds * 1000:.2f}"
+
     stack = (*TimeBreakdown().as_dict(), "total")
+    fixed, mixed = [s.value for s in STRATEGY_ORDER], figures["mixed_tenants_s"]
     return BEGIN + table(
         "Figures 7-9: per query, by document size and strategy (simulated ms)",
         ["docs total", "strategy", "KB on wire", "messages", "docs", *stack],
@@ -179,7 +210,17 @@ def render(figures: dict) -> str:
         ["ablation", "variant", "counted cells"],
         [[name.replace("_", " "), variant, text(cells)]
          for name, variants in figures["ablations"].items()
-         for variant, cells in variants.items()]) + END
+         for variant, cells in variants.items()]) + table(
+        "Cost-based planner: a cold `auto` per scale (simulated ms), and "
+        f"the mixed tenant workload's total (scale {MIXED_SCALE}, 12 jobs)",
+        ["workload", "auto chose", "auto estimate", "auto", "best fixed"],
+        [[f"Figures 7-9, scale {s}", auto["chosen_plan"],
+          ms(auto["estimated_s"]), ms(auto["actual_s"]),
+          ms(min(row[x]["total"] for x in fixed))]
+         for s in SCALES for row in (figures["figures_7_9"][str(s)],)
+         for auto in (row["auto"],)] + [[
+            "mixed tenants", "per query", "", ms(mixed["auto"]),
+            ms(min(mixed[x] for x in fixed))]]) + END
 
 
 def diagnostics() -> None:

@@ -5,9 +5,11 @@ Usage::
     python benchmarks/reach.py
 
 Drives the six ledger workloads (``benchmarks/e2e/run.py --smoke
---trace``), every ``examples/*.py`` and the figure test
-(``tests/integration/test_figures.py``: Figures 7–11 and the
-ablations, recomputed without rewriting ``benchmarks/figures.json``),
+--trace``), every ``examples/*.py``, the figure test
+(``tests/integration/test_figures.py``: Figures 7–11, the ablations
+and the planner cells, recomputed without rewriting
+``benchmarks/figures.json``) and the drill test
+(``tests/integration/test_drills.py``: the five cluster drills),
 each in a fresh interpreter with a ``sitecustomize`` hook on
 ``PYTHONPATH``. The hook installs ``sys.setprofile`` /
 ``threading.setprofile`` and, at exit, dumps ``(file, firstlineno,
@@ -70,9 +72,10 @@ def drivers() -> list[tuple[str, list[str]]]:
              "--out", "{tmp}/ledger"])]
     out += [(f"examples/{path.name}", [python, f"examples/{path.name}"])
             for path in sorted((ROOT / "examples").glob("*.py"))]
-    out.append(("figure test",
-                [python, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                 "tests/integration/test_figures.py"]))
+    out += [(f"{name} test", [python, "-m", "pytest", "-q", "-p",
+                              "no:cacheprovider",
+                              f"tests/integration/test_{name}s.py"])
+            for name in ("figure", "drill")]
     return out
 
 

@@ -121,12 +121,6 @@ class CollectionSpec:
         return tuple(sorted(peers))
 
     @property
-    def order_stable(self) -> bool:
-        """True when concatenating per-shard results in shard order
-        reproduces the logical document order (range partitioning)."""
-        return self.partitioning == "range"
-
-    @property
     def target_replication(self) -> int:
         """The replica count repair restores every shard to: the
         declared factor, or (legacy specs) the widest placement."""
@@ -231,15 +225,6 @@ class ClusterCatalog:
                 **attrs) -> None:
         """Swap in a whole new layout, whatever the current one is."""
         self.update(spec.name, lambda _current: spec, reason, **attrs)
-
-    def drop(self, name: str) -> None:
-        with self._lock:
-            if self._collections.pop(name, None) is None:
-                raise ClusterError(f"unknown collection {name!r}")
-            self._reasons.pop(name, None)
-            self._epoch += 1
-            epoch = self._epoch
-        self._emit_epoch(epoch, "drop", collection=name)
 
     def get(self, name: str) -> CollectionSpec:
         with self._lock:

@@ -380,12 +380,6 @@ class Rebalancer:
 
     # -- execution ------------------------------------------------------------
 
-    def step(self) -> int:
-        """One control-loop turn: plan, then execute. Returns how many
-        migrations completed."""
-        executor = self._require_executor()
-        return sum(1 for plan in self.plan() if executor.execute(plan))
-
     def split(self, collection: str, shard_index: int,
               at_member: int | None = None) -> bool:
         """Split one shard explicitly (operator command). ``at_member``

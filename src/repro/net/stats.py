@@ -75,7 +75,8 @@ class PlanReport:
 
     Attached to :class:`RunStats` for *every* run — fixed strategies
     get the trivial single-candidate report — so estimated-vs-actual
-    tables (``BENCH_planner.json``) need nothing but the stats object.
+    cells (the ``auto`` cells of ``benchmarks/figures.json``) need
+    nothing but the stats object.
     After execution the federation attaches what builds the
     per-operator :class:`~repro.obs.explain.PlanAnalysis`; the rows are
     built when :attr:`analysis` is first read (most runs' never are),

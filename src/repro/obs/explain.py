@@ -2,9 +2,10 @@
 
 The planner's :class:`~repro.planner.ir.PhysicalPlan` carries one
 predicted :class:`~repro.net.estimate.CostVector` per operator; until
-now the only feedback was run-level (``BENCH_planner.json`` tables and
-the :class:`~repro.planner.feedback.CalibrationBook`'s aggregate
-factors). This module closes the loop per query: the run layer records
+now the only feedback was run-level (a run's estimate against its
+simulated total, and the
+:class:`~repro.planner.feedback.CalibrationBook`'s aggregate factors).
+This module closes the loop per query: the run layer records
 what each operator *actually* did — wire bytes, calls, simulated
 seconds, wall seconds — as ``per_op`` entries of the run's
 :class:`~repro.net.stats.RunStats` (a shard call records into its

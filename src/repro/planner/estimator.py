@@ -114,8 +114,12 @@ _BOOLEAN = _Vol(items=1.0, bytes=8.0)
 
 
 def _combine(volumes: list[_Vol]) -> _Vol:
-    items = sum(v.items for v in volumes)
-    total = sum(v.bytes for v in volumes)
+    # Plain + in order, not sum(): 3.12's sum() compensates float
+    # rounding, and an estimate must not depend on the interpreter.
+    items = total = 0
+    for volume in volumes:
+        items += volume.items
+        total += volume.bytes
     stats = next((v.stats for v in volumes if v.stats is not None), None)
     tags = {v.tag for v in volumes if v.tag is not None}
     tag = tags.pop() if len(tags) == 1 else None
@@ -654,8 +658,10 @@ class _Estimation:
         response = response.per_item() if calls > 1 else response
 
         # Request payload per the site's message semantics.
-        param_bytes = sum(v.bytes for v in param_volumes.values())
-        param_items = sum(v.items for v in param_volumes.values())
+        param_bytes = param_items = 0
+        for volume in param_volumes.values():   # plain +, as in _combine
+            param_bytes += volume.bytes
+            param_items += volume.items
         path_count = 0
         if semantics == "by-projection" and spec is not None:
             factors = [self.estimator.projection_factor(paths)

@@ -70,8 +70,8 @@ class CalibrationBook:
             self._observations += 1
 
     def snapshot(self) -> dict[str, float]:
-        """Factors keyed ``"kind:peer:semantics"`` (for tests, examples
-        and ``BENCH_planner.json``)."""
+        """Factors keyed ``"kind:peer:semantics"`` (for tests and
+        examples)."""
         with self._lock:
             return {
                 ":".join(part for part in key): round(value, 6)

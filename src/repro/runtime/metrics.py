@@ -5,9 +5,8 @@ and cache effectiveness.
 The seed measures one query at a time; a concurrent runtime needs the
 fleet view. :class:`MetricsAggregator` collects one
 :class:`QueryRecord` per completed (or failed) query and reduces them
-into the numbers ``benchmarks/bench_throughput.py`` sweeps: queries/sec
-over the busy interval, wall-clock p50/p95/p99, simulated-time totals,
-and transferred bytes.
+into the engine's summary: queries/sec over the busy interval,
+wall-clock p50/p95/p99, simulated-time totals, and transferred bytes.
 
 The aggregator writes no registry series: every ``query_*`` series is
 folded from the finished run at the end of ``Federation.run``, for

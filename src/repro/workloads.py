@@ -160,8 +160,7 @@ def multi_tenant_jobs(clients: int = 8, rounds: int = 2,
                       seed: int = 20090329,
                       strategy: Strategy = Strategy.BY_PROJECTION,
                       at: str = "local",
-                      rng: random.Random | None = None,
-                      query_variant=benchmark_query_variant
+                      rng: random.Random | None = None
                       ) -> list[TenantJob]:
     """N clients × M rounds of benchmark-query variants.
 
@@ -172,16 +171,13 @@ def multi_tenant_jobs(clients: int = 8, rounds: int = 2,
     benchmark cell's job list is byte-identical run to run. With more
     jobs than thresholds, repeats are guaranteed, which is what makes
     the workload exercise cross-query caching.
-
-    ``query_variant`` maps a threshold to the query text — the sharded
-    workload passes :func:`sharded_query_variant` to aim the same
-    tenant mix at a cluster.
     """
     if rng is None:
         rng = random.Random(seed)
     return [
         TenantJob(client=client, round=rnd,
-                  query=query_variant(rng.choice(TENANT_AGE_THRESHOLDS)),
+                  query=benchmark_query_variant(
+                      rng.choice(TENANT_AGE_THRESHOLDS)),
                   at=at, strategy=strategy)
         for rnd in range(rounds)
         for client in range(clients)
@@ -189,7 +185,7 @@ def multi_tenant_jobs(clients: int = 8, rounds: int = 2,
 
 
 # ---------------------------------------------------------------------------
-# Sharded multi-tenant workload (cluster layer)
+# Sharded workload (cluster layer)
 # ---------------------------------------------------------------------------
 
 #: Virtual host names of the two benchmark collections.
@@ -291,35 +287,8 @@ def sharded_scan_variant(max_age: int = 40) -> str:
     return SHARDED_SCAN_QUERY.replace(anchor, f"< {max_age}")
 
 
-def sharded_scan_jobs(clients: int = 8, rounds: int = 2,
-                      seed: int = 20090329,
-                      strategy: Strategy = Strategy.BY_FRAGMENT,
-                      at: str = "local",
-                      rng: random.Random | None = None) -> list[TenantJob]:
-    """The tenant mix over :func:`sharded_scan_variant` — the cluster
-    benchmark's scaling workload."""
-    return multi_tenant_jobs(clients=clients, rounds=rounds, seed=seed,
-                             strategy=strategy, at=at, rng=rng,
-                             query_variant=sharded_scan_variant)
-
-
-def sharded_tenant_jobs(clients: int = 8, rounds: int = 2,
-                        seed: int = 20090329,
-                        strategy: Strategy = Strategy.BY_PROJECTION,
-                        at: str = "local",
-                        rng: random.Random | None = None
-                        ) -> list[TenantJob]:
-    """The multi-tenant tenant mix aimed at the sharded collections:
-    same thresholds, same seeded draw order as
-    :func:`multi_tenant_jobs`, so sharded and single-owner cells of a
-    benchmark sweep execute the same logical workload."""
-    return multi_tenant_jobs(clients=clients, rounds=rounds, seed=seed,
-                             strategy=strategy, at=at, rng=rng,
-                             query_variant=sharded_query_variant)
-
-
 # ---------------------------------------------------------------------------
-# Mixed multi-tenant workload (planner benchmark)
+# Mixed multi-tenant workload (the planner's figure cells)
 # ---------------------------------------------------------------------------
 
 #: The reference-data peer of the mixed workload.
@@ -376,7 +345,7 @@ def mixed_tenant_jobs(clients: int = 6, rounds: int = 2,
                       strategy: Strategy | str = "auto",
                       at: str = "local",
                       rng: random.Random | None = None) -> list[TenantJob]:
-    """The planner benchmark's tenant mix: every round, each client
+    """The planner's tenant mix: every round, each client
     draws one of three job shapes — the Section VII semijoin (big
     documents, decomposition wins), the tiny reference lookup (data
     shipping wins), or the cross query (a mixed plan wins). A single

@@ -4,9 +4,8 @@ Every hot scan the structural/value execution engine performs reduces
 to a handful of array-shaped primitives: bisect range scans over a
 sorted pre column, subtree-interval sweeps (the staircase-join core),
 child scans with a parent-pointer filter, ancestor climbs over the
-parent column, k-way merges of sorted pre
-lists, sorted-set algebra, and the document-order sort with its
-already-sorted fast path. This module is their single home — the
+parent column, k-way merges of sorted pre lists, sorted-set algebra
+and the document-order sort. This module is their single home — the
 bisect helpers that used to be copy-pasted between
 :mod:`repro.xmldb.index` and :mod:`repro.xmldb.values` both now call
 in here — and every kernel operates on a whole column per call instead
@@ -23,7 +22,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import merge as _heapq_merge
-from itertools import pairwise
 from typing import Iterable, Sequence
 
 #: Typecode of every pre/size/level/parent column: 32-bit signed ints
@@ -258,28 +256,6 @@ def difference_sorted(a: Sequence[int], b: Sequence[int]) -> array:
 # ---------------------------------------------------------------------------
 # Order kernels
 # ---------------------------------------------------------------------------
-
-
-def is_strictly_sorted(pres: Sequence[int]) -> bool:
-    """True when the column is strictly ascending (document order,
-    duplicate-free) — the provably-sorted fast-path test."""
-    return all(x < y for x, y in pairwise(pres))
-
-
-def ensure_sorted(pres: Sequence[int]) -> Sequence[int]:
-    """Document-order sort kernel: the input itself (no copy) when it
-    is already strictly ascending, else a sorted duplicate-free typed
-    copy."""
-    if is_strictly_sorted(pres):
-        return pres
-    out = pre_array()
-    append = out.append
-    last = -1
-    for pre in sorted(pres):
-        if pre != last:
-            append(pre)
-            last = pre
-    return out
 
 
 def sorted_array(values: Iterable[int]) -> array:

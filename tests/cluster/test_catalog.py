@@ -48,8 +48,6 @@ def test_epoch_bumps_on_every_mutation():
     epochs.append(catalog.epoch())
     view.mark_up("p1")
     epochs.append(catalog.epoch())
-    catalog.drop("c1")
-    epochs.append(catalog.epoch())
     assert epochs == sorted(set(epochs)), "every mutation bumps the epoch"
 
 
@@ -64,12 +62,10 @@ def test_mark_down_is_idempotent_for_the_epoch():
     assert catalog.epoch() == epoch
 
 
-def test_replace_and_drop_require_registration():
+def test_replace_requires_registration():
     catalog = ClusterCatalog()
     with pytest.raises(ClusterError):
         catalog.replace(spec("ghost"))
-    with pytest.raises(ClusterError):
-        catalog.drop("ghost")
 
 
 def test_update_hands_fn_the_spec_current_at_call_time():
@@ -167,8 +163,3 @@ def test_describe_snapshot():
 def test_collection_properties():
     s = spec()
     assert s.replica_peers == ("p0", "p1", "p2")
-    assert s.order_stable          # range by default
-    hashed = CollectionSpec(name="h", document="d", container_path=("r",),
-                            member="m", shards=s.shards,
-                            partitioning="hash")
-    assert not hashed.order_stable

@@ -20,8 +20,8 @@ import pytest
 
 from repro.decompose import Strategy
 from repro.workloads import (
-    BENCHMARK_QUERY, build_federation, build_sharded_federation,
-    benchmark_query_variant, sharded_query_variant,
+    BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY, build_federation,
+    build_sharded_federation, benchmark_query_variant, sharded_query_variant,
 )
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc.messages import RequestMessage
@@ -146,6 +146,21 @@ def test_xmark_benchmark_equivalence(strategy, max_age, xmark_cluster,
                                         strategy=Strategy.BY_FRAGMENT)
         assert sharded.stats.message_bytes \
             < by_fragment.stats.message_bytes
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_projection_ships_less_than_fragment_on_a_small_fleet(shards):
+    """The shard rewrite once cost a call site its projection paths, and
+    by-projection shipped by-fragment's bytes; 4 shards are checked
+    above."""
+    cluster = build_sharded_federation(0.01, shard_count=shards,
+                                       replication_factor=shards,
+                                       node_count=shards)
+    projection, fragment = (
+        cluster.run(SHARDED_BENCHMARK_QUERY, at="local",
+                    strategy=strategy).stats.message_bytes
+        for strategy in (Strategy.BY_PROJECTION, Strategy.BY_FRAGMENT))
+    assert projection < fragment
 
 
 def _projection_paths(message) -> tuple[tuple[str, ...], tuple[str, ...]]:

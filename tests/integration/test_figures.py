@@ -7,6 +7,7 @@ from itertools import pairwise
 
 import pytest
 
+from benchmarks.conftest import moved_cells
 from benchmarks.figures import FIGURES_JSON, README, SCALES, compute, render
 
 STRATEGIES = ("data-shipping", "by-value", "by-fragment", "by-projection")
@@ -23,18 +24,9 @@ def rows(figures):
     return [figures["figures_7_9"][str(scale)] for scale in SCALES]
 
 
-def _cells(tree, path=""):
-    for key, value in tree.items():
-        yield from (_cells(value, f"{path}{key}/") if isinstance(value, dict)
-                    else [(path + key, value)])
-
-
 def test_every_cell_equals_the_pinned_file_and_readme(figures):
     pinned = json.loads(FIGURES_JSON.read_text())
-    now, then = dict(_cells(figures)), dict(_cells(pinned))
-    moved = [f"{cell}: pinned {then.get(cell)!r}, now {now.get(cell)!r}"
-             for cell in sorted(now.keys() | then.keys())
-             if now.get(cell) != then.get(cell)]
+    moved = moved_cells(figures, pinned)
     assert not moved, "\n".join(moved)
     assert render(pinned) in README.read_text()
 
@@ -113,3 +105,18 @@ def test_ablations(figures):
     walk = encoding["pointer walk"]
     assert encoding["pre/size interval"]["hits"] == walk["hits"]
     assert walk["parent_steps"] > 3000
+
+
+def test_auto_within_ten_percent_of_the_best_fixed_strategy(rows):
+    # A cold planner picks per call site from document statistics.
+    for row in rows:
+        auto = row["auto"]
+        assert auto["actual_s"] <= 1.10 * min(row[s]["total"]
+                                              for s in STRATEGIES)
+        assert auto["chosen_plan"] and auto["estimated_s"] > 0
+
+
+def test_auto_beats_every_fixed_strategy_on_the_mixed_tenants(figures):
+    # No fixed strategy is right for all three job shapes.
+    totals = figures["mixed_tenants_s"]
+    assert totals["auto"] < min(totals[s] for s in STRATEGIES)

@@ -314,6 +314,14 @@ class TestMultiTenantWorkload:
                 run_multi_tenant(federation, [], engine=engine,
                                  max_workers=4)
 
+    def test_repeated_tenant_queries_hit_the_cache_on_one_worker(self):
+        _results, engine = run_multi_tenant(
+            build_federation(0.0025), multi_tenant_jobs(clients=8, rounds=2),
+            max_workers=1)
+        summary = engine.metrics.summary()
+        assert summary["cache_hits"] > 0
+        assert summary["cache_saved_bytes"] > 0
+
     def test_run_multi_tenant_end_to_end(self):
         federation = build_federation(0.0025)
         jobs = multi_tenant_jobs(clients=4, rounds=2)

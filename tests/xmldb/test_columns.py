@@ -18,6 +18,7 @@ from array import array
 
 from hypothesis import given, settings, strategies as st
 
+from repro.xmark.generator import XMarkConfig, generate_people
 from repro.xmldb import axes, kernels
 from repro.xmldb.axes import AXES
 from repro.xmldb.document import Document, DocumentBuilder
@@ -26,6 +27,7 @@ from repro.xmldb.kernels import PRE_TYPECODE, pre_array
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize_node
+from repro.xmldb.values import value_index
 from repro.xquery.ast import Step
 from repro.xquery.context import DynamicContext
 
@@ -90,17 +92,6 @@ def test_range_scan_matches_filter(column, low, high):
 
 
 @given(values=st.lists(st.integers(0, 40), max_size=20))
-def test_ensure_sorted_is_sorted_distinct_and_keeps_sorted_input(values):
-    ordered = kernels.ensure_sorted(values)
-    assert list(ordered) == sorted(set(values))
-    assert kernels.is_strictly_sorted(ordered)
-    assert kernels.is_strictly_sorted(values) == \
-        (values == sorted(set(values)))
-    if kernels.is_strictly_sorted(values):
-        assert ordered is values
-
-
-@given(values=st.lists(st.integers(0, 40), max_size=20))
 def test_sorted_array_and_as_pre_array_are_typed(values):
     ordered = kernels.sorted_array(values)
     assert ordered.typecode == PRE_TYPECODE
@@ -159,6 +150,32 @@ def test_children_of_matches_parent_filter(doc, data):
     wanted = set(contexts)
     expected = [p for p in candidates if doc.parents[p] in wanted]
     assert list(got) == expected
+
+
+def test_kernels_equal_per_node_scans_on_an_xmark_document():
+    doc = generate_people(XMarkConfig(scale=0.2))
+    tags, sizes, kinds = structural_index(doc).tag_pres, doc.sizes, doc.kinds
+    contexts = kernels.merge_sorted([tags["regions"], tags["people"]])
+    swept = kernels.subtree_sweep(tags["name"], contexts, sizes)
+    assert list(swept) == [
+        pre for context in contexts
+        for pre in range(context + 1, context + sizes[context] + 1)
+        if kinds[pre] == NodeKind.ELEMENT and doc.names[pre] == "name"]
+    ages = kernels.children_of(tags["age"], tags["person"], sizes,
+                               doc.parents)
+    assert list(ages) == [child.pre for pre in tags["person"]
+                          for child in axes.child(Node(doc, pre))
+                          if child.name == "age"]
+    young = value_index(doc).probe("age", "<", 40.0)
+    assert list(young) == [pre for pre in ages
+                           if float(doc.values[pre + 1]) < 40.0]
+    columns = [tags[tag] for tag in ("person", "item", "category", "name",
+                                     "text", "age")]
+    merged = kernels.merge_sorted(columns)
+    assert list(merged) == sorted({pre for column in columns
+                                   for pre in column})
+    assert [len(swept), len(ages), len(young), len(merged)] \
+        == [998, 500, 217, 3054]
 
 
 # ---------------------------------------------------------------------------

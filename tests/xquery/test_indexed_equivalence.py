@@ -22,6 +22,7 @@ import pytest
 from repro.decompose import Strategy
 from repro.paths.relpath import PSEUDO_STEPS, RelPath, RelStep
 from repro.workloads import BENCHMARK_QUERY, build_federation
+from repro.xmark import generate_pair
 from repro.xmldb.axes import AXES
 from repro.xmldb.compare import sort_document_order
 from repro.xmldb.document import DocumentBuilder
@@ -206,3 +207,57 @@ def test_xmark_corpus_end_to_end(strategy):
     baseline = run_naive(federation, BENCHMARK_QUERY, "local")
     result = federation.run(BENCHMARK_QUERY, at="local", strategy=strategy)
     assert sequences_deep_equal(baseline.items, result.items), strategy
+
+
+#: XMark path, predicate and join queries (scale 0.02) with their answer
+#: sizes: descendant-heavy chains, value probes, a semijoin and a
+#: tiny-table lookup, the shapes the index layers were built for.
+XMARK_BATTERY = [
+    ('count(doc("people.xml")//person)', 1),
+    ('doc("people.xml")//person/name', 50),
+    ('doc("people.xml")//profile//interest', 118),
+    ('doc("auctions.xml")//open_auction//bidder/increase', 132),
+    ('doc("auctions.xml")//annotation//description//text()', 60),
+    ('doc("auctions.xml")//seller/attribute::person', 60),
+    ('doc("people.xml")/child::site/child::people/child::person', 50),
+    ('doc("people.xml")//person[descendant::age < 40]/name', 19),
+    ('doc("people.xml")//person[child::age < 40]/child::name', 19),
+    ('doc("people.xml")//person[attribute::id = "person7"]', 1),
+    ('doc("auctions.xml")//open_auction[child::type = "Featured"]'
+     '/child::seller', 18),
+    ('doc("auctions.xml")//open_auction'
+     '[child::privacy = "Yes" and child::type = "Dutch"]/child::current', 7),
+    ('doc("people.xml")//person[descendant::city = "Amsterdam"]'
+     '/child::name', 5),
+    ("""(let $t := (let $s := doc("people.xml")
+                            /child::site/child::people/child::person
+                return for $x in $s
+                       return if ($x/child::age < 40) then $x else ())
+     return for $e in doc("auctions.xml")/descendant::open_auction
+            return if ($e/child::seller/attribute::person
+                       = $t/attribute::id)
+                   then $e/child::annotation else ())/child::author""", 24),
+    ('for $p in doc("people.xml")/child::site/child::people/child::person'
+     ' return if ($p/child::address/child::country = "Belgium")'
+     ' then $p/child::name else ()', 6),
+]
+
+
+@pytest.fixture(scope="module")
+def xmark_docs():
+    people, auctions = generate_pair(0.02)
+    return {"people.xml": people, "auctions.xml": auctions}
+
+
+@pytest.mark.parametrize("query, items", XMARK_BATTERY)
+def test_xmark_battery_indexed_equals_naive(xmark_docs, query, items):
+    module = parse_query(query)
+
+    def run(engine) -> list:
+        return [(item.doc.uri, item.pre) if isinstance(item, Node) else item
+                for item in engine(module).run(DynamicContext(
+                    resolve_doc=xmark_docs.__getitem__))]
+
+    indexed = run(Evaluator)
+    assert indexed == run(ReferenceEvaluator)
+    assert len(indexed) == items
