@@ -274,9 +274,10 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
     renumbering, a later document-order sort (a local path step over the
     gathered items, a ``union``, ``<<``) could interleave shards
     arbitrarily. The fragments are query-private (each decoding makes
-    fresh documents, even of a cached text), so the mutation is
-    race-free; the relative order of multiple fragments within one
-    shard's response is preserved.
+    fresh documents, and a cache hit new ones over the stored columns,
+    never the stored documents), so the mutation is race-free; the
+    relative order of multiple fragments within one shard's response is
+    preserved.
     """
     for outcome in outcomes:
         docs: dict[int, Document] = {}

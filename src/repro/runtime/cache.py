@@ -2,16 +2,18 @@
 
 Two kinds of entries, both bounded by LRU:
 
-* **response entries** — the serialised XML of one XRPC response, keyed
-  by ``(dest peer, request digest, projection-path signature)``. The
-  digest covers the exact request text (shipped query body, static
-  context, marshalled parameter fragments), so a hit is only possible
-  for a byte-identical request; the projection signature is kept
-  explicit in the key so by-projection responses for different
-  used/returned path sets never alias. On a hit the cached text is
-  re-parsed by the consuming query, which gives it fresh fragment
-  documents — node identity stays private per query, so concurrent
-  readers never share mutable state.
+* **response entries** — one XRPC response as decoded, with the byte
+  length it had on the wire, keyed by ``(dest peer, request digest,
+  projection-path signature)``. The digest covers the exact request
+  text (shipped query body, static context, marshalled parameter
+  fragments), so a hit is only possible for a byte-identical request;
+  the projection signature is kept explicit in the key so
+  by-projection responses for different used/returned path sets never
+  alias. A hit decodes nothing: the consuming query takes
+  :meth:`~repro.xrpc.messages.ResponseMessage.fresh` of the stored
+  message, new documents over the shared (never mutated) columns — so
+  node identity stays private per query, and the stored documents
+  never reach a query.
 * **document entries** — shipped-and-shredded documents, keyed by
   ``(requester, owner, document)``. A hit skips the serialise /
   network / shred charges of data shipping entirely.
@@ -130,9 +132,9 @@ class ResultCache:
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
         self._epoch = 0
-        #: ResponseKey -> (response XML text, its byte length)
+        #: ResponseKey -> (stored response, its wire byte length)
         self._responses: OrderedDict[ResponseKey,
-                                     tuple[str, int]] = OrderedDict()
+                                     tuple[object, int]] = OrderedDict()
         #: (requester, owner, local_name) -> (Document, serialized bytes)
         self._documents: OrderedDict[tuple[str, str, str],
                                      tuple["Document", int]] = OrderedDict()
@@ -150,8 +152,8 @@ class ResultCache:
     # -- responses ----------------------------------------------------------
 
     def lookup_response(self, key: ResponseKey,
-                        request_bytes: int = 0) -> str | None:
-        """The cached response text, or None. ``request_bytes`` sizes the
+                        request_bytes: int = 0) -> object | None:
+        """The stored response, or None. ``request_bytes`` sizes the
         request that a hit keeps off the wire (for ``saved_bytes``)."""
         with self._lock:
             entry = self._responses.get(key)
@@ -163,16 +165,19 @@ class ResultCache:
             self._saved_bytes.inc(request_bytes + entry[1])
             return entry[0]
 
-    def store_response(self, key: ResponseKey, response_xml: str,
+    def store_response(self, key: ResponseKey, response: object,
                        response_bytes: int | None = None,
                        epoch: int | None = None) -> None:
-        """Keep the text with its byte length: hits never re-encode."""
+        """Keep ``response``, handed back as is by a hit, and the wire
+        bytes a hit saves (by default those of ``response`` as text).
+        The federation stores the decoded message with its byte
+        length, so hits never re-encode."""
         if response_bytes is None:
-            response_bytes = len(response_xml.encode())
+            response_bytes = len(response.encode())
         with self._lock:
             if epoch is not None and epoch != self._epoch:
                 return  # stale: an invalidation raced the computation
-            self._responses[key] = (response_xml, response_bytes)
+            self._responses[key] = (response, response_bytes)
             self._responses.move_to_end(key)
             while len(self._responses) > self.max_responses:
                 self._responses.popitem(last=False)

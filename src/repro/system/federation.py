@@ -569,7 +569,8 @@ class _Run:
         Every round trip takes the same path: build the request →
         *deliver* it (the shared result cache, then the cross-query
         batcher, then the transport's wire — each either answers or
-        passes on) → parse the response text → unmarshal → *record*
+        passes on) → decode the response text (a cache hit answers
+        with a decoded response, copied fresh) → unmarshal → *record*
         (stats and the site's ``per_op`` actuals, ``rpc`` span, message
         log, cache store).
 
@@ -640,17 +641,20 @@ class _Run:
                     request_bytes=None if merged else request_bytes)
 
             # -- deliver: each step answers or passes on ----------------
-            response_xml = response_bytes = cache_key = cache_epoch = None
+            response_xml = response_bytes = hit = None
+            cache_key = cache_epoch = kept = None
             if self.result_cache is not None:
                 cache_epoch = self.result_cache.epoch()
                 cache_key = response_key(cache_scope or peer.name,
                                          semantics, request_xml,
                                          used_paths, returned_paths,
                                          shard_epoch=shard_epoch)
-                response_xml = self.result_cache.lookup_response(
+                hit = self.result_cache.lookup_response(
                     cache_key, request_bytes)
-            cached = response_xml is not None
-            if response_xml is None and self.batcher is not None:
+            cached = hit is not None
+            if cached:
+                stored, response_bytes = hit
+            elif self.batcher is not None:
                 # Only a batch leader reaches the wire, and its merged
                 # exchange is charged to no single query (a throwaway
                 # RunStats, which carries no span either, so traced
@@ -667,22 +671,30 @@ class _Run:
                               semantics, static_attrs,
                               used_paths, returned_paths),
                     calls, lambda merged: exchange(merged, RunStats())[0])
-            if response_xml is None:
+            else:
                 response_xml, response_bytes = exchange(calls, stats)
             if response_bytes is None:
-                # Cached, or this run's share of a batch: not yet measured.
+                # This run's share of a batch: not yet measured.
                 response_bytes = len(response_xml.encode())
 
-            # -- parse --------------------------------------------------
-            # A cached text is shredded into fresh fragment documents
-            # like any other, so node identity stays per-query.
-            parsed = ResponseMessage.from_xml(response_xml)
-            if len(parsed.results) != len(calls):
-                raise XrpcMarshalError(
-                    f"response from {peer.name} answers "
-                    f"{len(parsed.results)} calls, {len(calls)} were sent")
+            # -- decode: once per message that crossed the wire ---------
+            if cached:
+                # New documents over the stored columns, so node
+                # identity stays per query.
+                response = stored.fresh()
+            else:
+                response = ResponseMessage.from_xml(response_xml)
+                if len(response.results) != len(calls):
+                    raise XrpcMarshalError(
+                        f"response from {peer.name} answers "
+                        f"{len(response.results)} calls, "
+                        f"{len(calls)} were sent")
+                if cache_key is not None:
+                    # Copied before unmarshal renames this run's
+                    # documents: the cache never holds a query's own.
+                    kept = response.fresh()
             results = unmarshal_result(
-                parsed.results, parsed.fragments,
+                response.results, response.fragments,
                 base_uri=f"{XRPC_SCHEME}{peer.name}/response")
 
             # -- record -------------------------------------------------
@@ -714,9 +726,9 @@ class _Run:
                     request_xml=request_xml if self.keep_message_xml else "",
                     response_xml=response_xml if self.keep_message_xml else "",
                 ))
-                if cache_key is not None:
+                if kept is not None:
                     self.result_cache.store_response(
-                        cache_key, response_xml, response_bytes,
+                        cache_key, (kept, response_bytes), response_bytes,
                         epoch=cache_epoch)
             stats.record_op(
                 site.site_id,

@@ -53,6 +53,11 @@ class Document:
 
     Use :class:`DocumentBuilder` (or the parser / generator modules) to
     construct instances; the raw constructor trusts its arrays.
+
+    One :class:`ColumnSet` may back several documents (each hit on a
+    cached XRPC response wraps the stored columns in new ones), so the
+    columns are never mutated in place; only their name postings may be
+    filled in, with the tables any reader would build.
     """
 
     __slots__ = ("uri", "columns", "kinds", "names", "values", "sizes",
@@ -99,9 +104,10 @@ class Document:
         serialization, ID indexes) and bump the cache epoch.
 
         Documents are logically immutable — ``Peer.store`` swaps whole
-        ``Document`` objects, which invalidates implicitly — but any
-        code that mutates the arrays in place must call this so a
-        stale index or serialization is never served.
+        ``Document`` objects, which invalidates implicitly — and
+        nothing in the package calls this; code that mutated the
+        arrays in place (of columns backing no other document) would
+        have to, so a stale index or serialization is never served.
         """
         self.epoch += 1
         self._id_index = None

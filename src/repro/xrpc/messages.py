@@ -192,6 +192,19 @@ class ResponseMessage:
         return cls(results=[sequence for sequence, in envelope.calls],
                    fragments=envelope.fragments)
 
+    def fresh(self) -> "ResponseMessage":
+        """This decoded message as a new decoding would give it: each
+        payload's columns in a new document, made in ``from_xml``'s
+        order (fragments, then copies by item), the items shared."""
+        def wrap(node: Node) -> Node:
+            return Document.from_columns(node.doc.uri, node.doc.columns).root
+        fragments = [wrap(root) for root in self.fragments]
+        return ResponseMessage(
+            results=[[NodeCopy(item.node_kind, item.name, wrap(item.content))
+                      if isinstance(item, NodeCopy) else item
+                      for item in items] for items in self.results],
+            fragments=fragments)
+
 
 # ---------------------------------------------------------------------------
 # Wire helpers

@@ -1,13 +1,25 @@
 """Result-cache correctness: keys, LRU bounds, counters, and — the
 load-bearing part — invalidation through ``Peer.store``."""
 
+import sys
+import threading
+
+import pytest
+from hypothesis import given
+
+from repro.errors import ReproError
 from repro.runtime.cache import ResultCache, response_key
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
+from repro.workloads import SHARDED_SCAN_QUERY, build_sharded_federation
+from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document
 from repro.xquery.xdm import serialize_sequence
+from repro.xrpc.messages import NodeCopy, ResponseMessage
 
-from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
+from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
+from tests.planner.test_shape_equivalence import _federation, _on_peers
+from tests.xquery.test_flwor_differential import _documents, _queries
 
 
 def make_federation():
@@ -187,3 +199,247 @@ class TestInvalidation:
         cache.store_response(response_key("B", "by-fragment", "<r/>", None, None), "<x/>")
         federation.peer("A").store("extra.xml", "<d/>")
         assert cache.stats.invalidations == 1
+
+
+# ---------------------------------------------------------------------------
+# Hits: a stored decoded response, new documents per hit
+# ---------------------------------------------------------------------------
+
+#: The four exams of ``COURSE_XML`` in reverse document order, as nodes
+#: of peer B; each call ships its own copies / fragment.
+EXAMS = ('declare function exams() as node()* '
+         '{ reverse(doc("xrpc://B/course42.xml")'
+         '/child::enroll/child::exam) }; ')
+#: Three identical calls in one run: the first misses, the other two
+#: hit the entry it stored.
+THRICE = (EXAMS + 'let $a := execute at {"B"} { exams() } '
+          'let $b := execute at {"B"} { exams() } '
+          'let $c := execute at {"B"} { exams() } '
+          'return (count($a | $b | $c), '
+          'subsequence($b, 1, 1) is subsequence($c, 1, 1))')
+#: The response's items, then a path over them: the path sorts by
+#: document order, so it reads the order of the response's documents.
+SORTED = (EXAMS + 'let $r := execute at {"B"} { exams() } '
+          'return ($r, $r/self::exam/child::grade)')
+
+
+def payload_documents(message) -> list:
+    """A decoded response's documents: its fragments', its copies'."""
+    return [root.doc for root in message.fragments] + [
+        item.content.doc for items in message.results for item in items
+        if isinstance(item, NodeCopy)]
+
+
+def stored_documents(cache: ResultCache) -> list:
+    """Every payload document of every stored response."""
+    return [doc for (message, _size), _bytes in cache._responses.values()
+            for doc in payload_documents(message)]
+
+
+def columns_of(doc) -> tuple:
+    """What a stored document's columns hold, by value."""
+    columns = doc.columns
+    postings = columns.postings
+    return (bytes(columns.kinds), bytes(columns.sizes),
+            bytes(columns.levels), bytes(columns.parents),
+            list(columns.names), list(columns.values),
+            None if postings is None
+            else (sorted(postings[0]), sorted(postings[1])))
+
+
+class _Snapshotting(ResultCache):
+    """A cache that keeps each stored response's columns as stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored: list[tuple] = []
+
+    def store_response(self, key, response, response_bytes=None,
+                       epoch=None):
+        message, _size = response
+        self.stored.extend((doc, columns_of(doc))
+                           for doc in payload_documents(message))
+        super().store_response(key, response, response_bytes, epoch)
+
+
+def document_ranks(items: list) -> list[int]:
+    """Each node item's rank among the items' documents by ``doc_seq``."""
+    seqs = sorted({item.doc.doc_seq for item in items
+                   if isinstance(item, Node)})
+    return [seqs.index(item.doc.doc_seq) for item in items
+            if isinstance(item, Node)]
+
+
+class TestNodeIdentityUnderHits:
+    """Cache on ≡ cache off: a hit gives the query documents of its
+    own, in the order a decoding of the response text would."""
+
+    @pytest.mark.parametrize("strategy", ["by-value", "by-fragment"])
+    def test_hits_inside_one_run_are_distinct_nodes(self, strategy):
+        plain = make_federation().run(THRICE, at="local", strategy=strategy)
+        federation = make_federation()
+        cache = ResultCache()
+        result = federation.run(THRICE, at="local", strategy=strategy,
+                                result_cache=cache)
+        assert result.stats.cache_hits == 2
+        assert plain.items == [12, False]
+        assert result.items == plain.items
+
+    def test_repeated_text_shares_no_document(self):
+        with FederationEngine(make_federation(), max_workers=1,
+                              batch_window_s=0.0) as engine:
+            first = engine.submit(Q2, "local", "by-fragment").result()
+            second = engine.submit(Q2, "local", "by-fragment").result()
+            stored = {id(doc) for doc in stored_documents(engine.cache)}
+        assert second.stats.cache_hits > 0
+        assert serialize_sequence(second.items) == \
+            serialize_sequence(first.items)
+        first_docs = {id(item.doc) for item in first.items}
+        second_docs = {id(item.doc) for item in second.items}
+        assert not first_docs & second_docs
+        assert not (first_docs | second_docs) & stored
+
+    def test_a_hit_decodes_nothing(self, monkeypatch):
+        federation = make_federation()
+        cache = ResultCache()
+        federation.run(Q2, at="local", result_cache=cache)
+        decodes = []
+        decode = ResponseMessage.from_xml.__func__
+        monkeypatch.setattr(ResponseMessage, "from_xml", classmethod(
+            lambda cls, text: decodes.append(text) or decode(cls, text)))
+        hit = federation.run(Q2, at="local", result_cache=cache)
+        assert hit.stats.cache_hits > 0 and hit.stats.rpc_calls == 0
+        assert decodes == []
+
+    @pytest.mark.parametrize("strategy", ["by-value", "by-fragment"])
+    def test_hit_documents_come_in_decoding_order(self, strategy):
+        plain = make_federation().run(SORTED, at="local", strategy=strategy)
+        federation, cache = make_federation(), ResultCache()
+        miss = federation.run(SORTED, at="local", strategy=strategy,
+                              result_cache=cache)
+        hit = federation.run(SORTED, at="local", strategy=strategy,
+                             result_cache=cache)
+        assert hit.stats.cache_hits > 0 and hit.stats.rpc_calls == 0
+        copies = strategy == "by-value"
+        assert len(stored_documents(cache)) > 1
+        expected = serialize_sequence(plain.items)
+        assert serialize_sequence(miss.items) == expected
+        assert serialize_sequence(hit.items) == expected
+        # By value each exam is a document, made in item order (the
+        # exams reversed), so the sorted grades read D C B A; by
+        # fragment all four are one fragment, in source order.
+        assert expected.endswith(
+            "<grade>D</grade> <grade>C</grade> <grade>B</grade> "
+            "<grade>A</grade>" if copies else
+            "<grade>A</grade> <grade>B</grade> <grade>C</grade> "
+            "<grade>D</grade>")
+        assert document_ranks(hit.items) == document_ranks(miss.items) \
+            == document_ranks(plain.items)
+
+    def test_sharded_hit_gathers_shard_major(self, monkeypatch):
+        query = f"({SHARDED_SCAN_QUERY})/child::name"
+        plain = build_sharded_federation(0.005).run(query, at="local")
+        federation = build_sharded_federation(0.005)
+        # A wire that can wait: the scatter fans out over threads.
+        federation.transport.extra_latency_s = 0.001
+        with FederationEngine(federation, max_workers=2,
+                              batch_window_s=0.0) as engine:
+            miss = engine.submit(query, "local").result()
+            shards = miss.stats.scatter_shards
+            stored = stored_documents(engine.cache)
+            seqs = [doc.doc_seq for doc in stored]
+            # The shard call first to copy its entry copies it last:
+            # only the gather's renumbering puts its documents first.
+            fresh, lock, arrived, copied = (
+                ResponseMessage.fresh, threading.Lock(), [], [])
+            others_copied = threading.Event()
+
+            def first_copies_last(message):
+                with lock:
+                    arrived.append(message)
+                    first = len(arrived) == 1
+                if first:
+                    others_copied.wait(timeout=10)
+                copy = fresh(message)
+                with lock:
+                    copied.append(message)
+                    if not first and len(copied) == shards - 1:
+                        others_copied.set()
+                return copy
+
+            monkeypatch.setattr(ResponseMessage, "fresh", first_copies_last)
+            hit = engine.submit(query, "local").result()
+            # The gather renumbered the hit's own documents only.
+            assert [doc.doc_seq for doc in stored] == seqs
+        assert others_copied.is_set()
+        assert hit.stats.cache_hits == shards > 1
+        assert not {id(item.doc) for item in hit.items} & \
+            {id(doc) for doc in stored}
+        expected = serialize_sequence(plain.items)
+        assert serialize_sequence(miss.items) == expected
+        assert serialize_sequence(hit.items) == expected
+        assert document_ranks(hit.items) == document_ranks(miss.items) \
+            == document_ranks(plain.items)
+
+
+def test_shared_columns_stay_as_stored_under_concurrency():
+    """Four workers over interleaved repeats of three texts: every
+    answer is the cache-off one, and no hit wrote to the columns it
+    shares with the stored response."""
+    jobs = [(Q2, "by-projection"), (Q2, "by-value"),
+            (SORTED, "by-fragment")]
+    expected = {job: serialize_sequence(make_federation().run(
+        job[0], at="local", strategy=job[1]).items) for job in jobs}
+    order = [jobs[(i * 7 + i // 3) % 3] for i in range(210)]
+    cache = _Snapshotting()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with FederationEngine(make_federation(), max_workers=4,
+                              cache=cache) as engine:
+            futures = [engine.submit(text, "local", strategy)
+                       for text, strategy in order]
+            answers = [serialize_sequence(future.result(timeout=60).items)
+                       for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [expected[job] for job in order]
+    assert cache.stats.hits > len(order) // 2
+    assert cache.stored
+    for doc, snapshot in cache.stored:
+        assert columns_of(doc) == snapshot
+
+
+def _observe(federation: Federation, text: str, strategy: str,
+             cache: ResultCache | None) -> tuple:
+    """The answer (or the error class) and each call site's calls and
+    cache hits."""
+    try:
+        result = federation.run(text, at="local", strategy=strategy,
+                                result_cache=cache)
+    except ReproError as error:
+        return ("error", type(error).__name__), {}
+    # A call site's actuals are keyed by its site id, a ship's by
+    # (owner, local_name): only the call sites are compared.
+    return serialize_sequence(result.items), {
+        key: (op["calls"], op["cache_hits"])
+        for key, op in result.stats.per_op.items()
+        if not isinstance(key, tuple)}
+
+
+@given(text=_queries(), documents=_documents)
+@fuzz_settings(40)
+def test_generated_queries_answer_the_same_from_the_cache(text, documents):
+    """A generated query, run twice through one fresh cache under each
+    decomposing strategy: the second run answers from the cache — each
+    call site makes no call, and its hits are the first run's calls (and
+    hits) — and its answer is the first run's and a cache-free run's."""
+    text = _on_peers(text)
+    for strategy in ("by-value", "by-fragment", "by-projection"):
+        plain, _ops = _observe(_federation(documents), text, strategy, None)
+        federation, cache = _federation(documents), ResultCache()
+        first, first_ops = _observe(federation, text, strategy, cache)
+        second, second_ops = _observe(federation, text, strategy, cache)
+        assert second == first == plain, (strategy, text)
+        assert second_ops == {key: (0, calls + hits) for key, (calls, hits)
+                              in first_ops.items()}, (strategy, text)
