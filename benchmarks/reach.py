@@ -16,8 +16,9 @@ each in a fresh interpreter with a ``sitecustomize`` hook on
 name)`` of every code object it saw called, one file per process, so
 the ledger's fresh-interpreter workers and every pool thread are seen.
 
-Then it parses ``src/repro`` and prints, per module, the lines of
-functions none of those processes called. A function's lines are its
+Then it parses ``src/repro`` and prints, per module and per package,
+the lines of functions none of those processes called, and the twenty
+largest such functions as ``lines  repro/<module>:<line> <name>``. A function's lines are its
 ``def`` span (decorators included) minus the spans of the functions
 nested in it, so every line is counted once. A diagnostic, not a gate:
 the exit code is 1 only when a driven program failed (its processes
@@ -125,13 +126,17 @@ def main() -> int:
                 for file, line, name in json.loads(dump.read_text())}
 
     rows = []
+    dark = []
     by_package: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     for path in sorted(SRC.rglob("*.py")):
         functions = function_lines(path)
         lines = sum(functions.values())
-        missed = sum(count for (name, first), count in functions.items()
-                     if (str(path), first, name) not in seen)
         module = path.relative_to(SRC)
+        unseen = [(count, f"repro/{module}:{first} {name}")
+                  for (name, first), count in functions.items()
+                  if (str(path), first, name) not in seen]
+        dark += unseen
+        missed = sum(count for count, _where in unseen)
         rows.append((missed, lines, f"repro/{module}"))
         package = by_package[module.parts[0] if len(module.parts) > 1
                              else "(top level)"]
@@ -145,6 +150,9 @@ def main() -> int:
     for package, (missed, lines) in sorted(by_package.items(),
                                            key=lambda item: -item[1][0]):
         print(f"{missed:>9} {lines:>6}  {package}")
+    print(f"\n{'lines':>9}  largest unreached functions")
+    for count, where in sorted(dark, key=lambda item: -item[0])[:20]:
+        print(f"{count:>9}  {where}")
     unreached = sum(row[0] for row in rows)
     total = sum(row[1] for row in rows)
     print(f"\nunreached function lines: {unreached} of {total} "

@@ -46,6 +46,14 @@ class CostVector:
         self.queue_s += other.queue_s
         return self
 
+    @classmethod
+    def total_of(cls, vectors) -> "CostVector":
+        """A new vector: ``vectors`` added in order."""
+        total = cls()
+        for vector in vectors:
+            total.add(vector)
+        return total
+
     @property
     def wire_bytes(self) -> float:
         """Figure 7's metric, predicted: documents + messages."""

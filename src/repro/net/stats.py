@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
-from repro.obs.explain import PlanAnalysis, render_analysis
+from repro.obs.explain import (PlanAnalysis, describe_lookup,
+                               render_analysis)
 
 
 @dataclass
@@ -68,44 +68,77 @@ class TimeBreakdown:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class PlanReport:
     """The planner's verdict for one run: which physical plan executed
-    and what it was predicted to cost.
+    and what it was predicted to cost — a view over the plan and the
+    per-operator vectors that picked it.
 
     Attached to :class:`RunStats` for *every* run — fixed strategies
     get the trivial single-candidate report — so estimated-vs-actual
     cells (the ``auto`` cells of ``benchmarks/figures.json``) need
-    nothing but the stats object.
-    After execution the federation attaches what builds the
-    per-operator :class:`~repro.obs.explain.PlanAnalysis`; the rows are
-    built when :attr:`analysis` is first read (most runs' never are),
-    and :meth:`explain` with ``analyze=True`` renders them.
+    nothing but the stats object. Nothing is copied out of the plan or
+    priced again, and nothing is rendered until it is read: after the
+    run the federation hands over its actuals with :meth:`finish`, and
+    the per-operator :class:`~repro.obs.explain.PlanAnalysis` is built
+    when :attr:`analysis` is first read (most runs' never are).
     """
 
-    strategy: str                 # chosen plan label, e.g. "by-projection"
-    estimated_s: float = 0.0      # predicted simulated seconds
-    estimated_bytes: int = 0      # predicted wire bytes (Figure 7 metric)
-    #: The lookup ran no parser, no ``prepare``/``realize`` and no
-    #: structural lowering (pricing a shape for literals seen for the
-    #: first time still counts: the shape was prepared).
-    from_cache: bool = False
-    #: The values the text bound to its prepared shape's slots.
-    literals: tuple = ()
+    #: The :class:`~repro.planner.ir.PhysicalPlan` that ran (it owns
+    #: the operator types, so it renders them).
+    plan: object
+    #: Its operators' cost vectors as priced when the planner picked it.
+    vectors: list
     #: Every candidate the planner priced: ``(label, estimated_s)``,
     #: cheapest first. Fixed-strategy runs carry just their own entry.
     candidates: tuple[tuple[str, float], ...] = ()
-    explain_text: str = ""        # operator-level plan rendering
-    #: Builds the per-operator estimated-vs-actual rows from what the
-    #: run recorded; set by the federation after the run (a report is
-    #: built per run and belongs to it).
-    analyzer: Callable[[], PlanAnalysis] | None = field(
-        default=None, repr=False, compare=False)
+    #: False on the shape's first lookup and on the first after a store
+    #: or repartition moved its stamp (that one only re-prices: no
+    #: parser, decomposer or lowerer runs); True on every other lookup.
+    from_cache: bool = False
+    _actuals: tuple | None = field(default=None, init=False, repr=False)
+    _analysis: PlanAnalysis | None = field(default=None, init=False,
+                                           repr=False)
+
+    strategy = property(lambda self: self.plan.label,
+                        doc="the chosen plan's label, e.g. by-projection")
+    literals = property(lambda self: self.plan.binding.literals,
+                        doc="the values the text bound to its shape's slots")
+    estimated_s = property(lambda self: self.total.total_s(self.plan.model),
+                           doc="predicted simulated seconds")
+    estimated_bytes = property(lambda self: int(self.total.wire_bytes),
+                               doc="predicted wire bytes (Figure 7)")
 
     @cached_property
+    def total(self):
+        """The plan's cost vector: the sum of :attr:`vectors`."""
+        from repro.net.estimate import CostVector  # it imports this module
+        return CostVector.total_of(self.vectors)
+
+    def finish(self, stats: RunStats, wall_s: float) -> None:
+        """Hand over the finished run's actuals: its ``per_op`` entries
+        and totals, read now, so the report holds no reference to the
+        stats it is attached to."""
+        self._actuals = (stats.per_op, stats.times.local_exec,
+                         stats.times.total, stats.total_transferred_bytes,
+                         wall_s)
+
+    @property
     def analysis(self) -> PlanAnalysis | None:
-        """Per-operator estimated-vs-actual rows (None before the run)."""
-        return self.analyzer() if self.analyzer is not None else None
+        """Per-operator estimated-vs-actual rows (None before
+        :meth:`finish`)."""
+        if self._analysis is None and self._actuals is not None:
+            per_op, local_s, actual_s, actual_bytes, wall_s = self._actuals
+            self._analysis = PlanAnalysis(
+                label=self.strategy,
+                rows=self.plan.analysis_rows(self.vectors, per_op, local_s),
+                est_total_s=self.estimated_s,
+                est_total_bytes=float(self.estimated_bytes),
+                actual_total_s=actual_s,
+                actual_total_bytes=actual_bytes,
+                wall_s=wall_s,
+                lookup=describe_lookup(self.from_cache, self.literals))
+        return self._analysis
 
     def explain(self, analyze: bool = False) -> str:
         """The operator-level plan rendering; with ``analyze=True``,
@@ -114,9 +147,8 @@ class PlanReport:
         when no actuals were recorded)."""
         if analyze and self.analysis is not None:
             return render_analysis(self.analysis)
-        if analyze:
-            return self.explain_text + "\n  (no actuals recorded)"
-        return self.explain_text
+        text = self.plan.explain(self.vectors, self.total)
+        return text + "\n  (no actuals recorded)" if analyze else text
 
     def as_dict(self) -> dict[str, object]:
         out: dict[str, object] = {

@@ -68,7 +68,9 @@ Modules:
   (:func:`dump_trace`, :func:`dump_chrome_trace`) plus the schema
   validator CI runs over captured traces;
 * :mod:`repro.obs.explain` — per-operator estimated-vs-actual
-  accounting behind ``RunStats.plan.explain(analyze=True)``;
+  accounting behind ``RunStats.plan.explain(analyze=True)``, built
+  when first read from the vectors that picked the plan and the run's
+  ``per_op`` actuals;
 * :mod:`repro.obs.windows` — rolling time-window aggregation with a
   bounded-error quantile sketch;
 * :mod:`repro.obs.events` — the typed fleet event log;

@@ -1,18 +1,17 @@
 """Explain-analyze: estimated-vs-actual accounting per plan operator.
 
-The planner's :class:`~repro.planner.ir.PhysicalPlan` carries one
-predicted :class:`~repro.net.estimate.CostVector` per operator; until
-now the only feedback was run-level (a run's estimate against its
-simulated total, and the
-:class:`~repro.planner.feedback.CalibrationBook`'s aggregate factors).
-This module closes the loop per query: the run layer records
-what each operator *actually* did — wire bytes, calls, simulated
-seconds, wall seconds — as ``per_op`` entries of the run's
-:class:`~repro.net.stats.RunStats` (a shard call records into its
-private stats, merged with the rest of its accounting), and
+A run's :class:`~repro.net.stats.PlanReport` keeps the
+:class:`~repro.net.estimate.CostVector` each operator of its
+:class:`~repro.planner.ir.PhysicalPlan` was priced at when the planner
+picked it. The run layer records what each operator *actually* did —
+wire bytes, calls, simulated seconds, wall seconds — as ``per_op``
+entries of the run's :class:`~repro.net.stats.RunStats` (a shard call
+records into its private stats, merged with the rest of its
+accounting). When ``RunStats.plan.analysis`` is first read the plan
+pairs the two per operator (:class:`OpAnalysis` rows), and
 ``RunStats.plan.explain(analyze=True)`` renders the estimated-vs-actual
-tree, so a :class:`CalibrationBook` misprediction is inspectable on
-the very query that suffered it.
+tree, so a :class:`~repro.planner.feedback.CalibrationBook`
+misprediction is inspectable on the very query that suffered it.
 
 Attribution keys match the plan IR's own handles:
 

@@ -19,8 +19,10 @@ Factors are keyed ``(kind, peer, semantics)``:
   originating at ``origin``.
 
 Factors are applied when a plan is *priced*
-(:func:`~repro.planner.ir.priced`), never when it is lowered: a moving
-factor re-ranks a prepared query's candidates and invalidates nothing.
+(:func:`~repro.planner.ir.priced`, once per lookup), never when it is
+lowered: a moving factor re-ranks a prepared query's candidates and
+invalidates nothing, and a finished run's report keeps the vectors it
+was picked by.
 """
 
 from __future__ import annotations

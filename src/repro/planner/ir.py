@@ -12,9 +12,11 @@ interaction the rewritten module will perform becomes a typed operator
 carries the :class:`~repro.net.estimate.CostVector` the estimator
 predicted for it; the plan's total prices the candidate.
 
-Operators are factor-free: a plan prices itself (:func:`priced`) under
-the :class:`~repro.planner.feedback.CalibrationBook`'s current factors
-whenever it is read, so feedback never re-lowers one.
+Operators are factor-free: a plan prices itself under the
+:class:`~repro.planner.feedback.CalibrationBook`'s current factors once
+per lookup, when the planner ranks it, so feedback never re-lowers one;
+the run's :class:`~repro.net.stats.PlanReport` keeps those vectors and
+has the plan render them when it is read.
 
 The run layer reads two things from a plan: each call site's wire
 contract (:meth:`PhysicalPlan.call_site` — per-site message semantics
@@ -27,14 +29,11 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
-from repro.net.stats import PlanReport, RunStats
-from repro.obs.explain import OpAnalysis, PlanAnalysis, describe_lookup
+from repro.obs.explain import OpAnalysis
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.prepared import Binding, PreparedTable
@@ -175,21 +174,13 @@ def priced(op, book: CalibrationBook, origin: str) -> CostVector:
                       raw.queue_s)
 
 
-def priced_total(ops: list, book: CalibrationBook,
-                 origin: str) -> CostVector:
-    total = CostVector()
-    for op in ops:
-        total.add(priced(op, book, origin))
-    return total
-
-
 @dataclass
 class PhysicalPlan:
     """One executable candidate: a decomposition plus its priced ops.
 
-    The operators are priced for one literal binding of the prepared
-    query's shape; everything else is the shape's and is shared by
-    the plans :meth:`bound` makes for its other bindings."""
+    The operators are estimated for one literal binding of the
+    prepared query's shape; everything else is the shape's and is
+    shared by the plans :meth:`bound` makes for its other bindings."""
 
     label: str
     strategy: Strategy
@@ -208,7 +199,7 @@ class PhysicalPlan:
     #: by the run layer instead of re-analysing the module per run.
     projection_specs: dict[int, object] = field(default_factory=dict)
     model: CostModel = field(default_factory=CostModel)
-    #: The live book: every read prices under its current factors.
+    #: The live book: :meth:`priced` reads its current factors.
     calibration: CalibrationBook = field(default_factory=CalibrationBook)
     #: For ``decomposition.module``; built when the candidate is lowered.
     evaluator: Evaluator | None = None
@@ -240,80 +231,39 @@ class PhysicalPlan:
         plan.ops, plan.binding = ops, binding
         return plan
 
-    @property
-    def estimated_s(self) -> float:
-        return self.vector.total_s(self.model)
-
-    @property
-    def estimated_bytes(self) -> int:
-        return int(self.vector.wire_bytes)
-
     def priced(self) -> list[CostVector]:
-        """Every operator's vector under the current factors."""
+        """Every operator's vector under the current factors: the one
+        way a plan prices itself (once per lookup, by the planner)."""
         return [priced(op, self.calibration, self.origin)
                 for op in self.ops]
 
-    @property
-    def vector(self) -> CostVector:
-        """The plan total under the current calibration factors."""
-        return priced_total(self.ops, self.calibration, self.origin)
-
-    def explain(self) -> str:
-        """Operator-level rendering for docs, examples and reports."""
-        total = self.vector
+    def explain(self, vectors: list[CostVector], total: CostVector) -> str:
+        """Operator-level rendering of this plan as priced by
+        ``vectors`` (which sum to ``total``): a report's ``explain()``."""
         lines = [
             f"plan {self.label}: est {total.total_s(self.model) * 1e3:.2f}"
             f"ms, ~{_fmt_bytes(total.wire_bytes)} on the wire"
         ]
-        for index, (op, vector) in enumerate(zip(self.ops, self.priced()),
+        for index, (op, vector) in enumerate(zip(self.ops, vectors),
                                              start=1):
             lines.append(f"  {index}. {op.describe()} "
                          f"[est {vector.total_s(self.model) * 1e3:.2f}ms]")
         return "\n".join(lines)
 
-    def build_report(self, candidates: tuple[tuple[str, float], ...],
-                     from_cache: bool) -> PlanReport:
-        """This plan as priced right now, for a run's ``RunStats``."""
-        vector = self.vector
-        return PlanReport(
-            strategy=self.label,
-            estimated_s=vector.total_s(self.model),
-            estimated_bytes=int(vector.wire_bytes),
-            from_cache=from_cache,
-            literals=self.binding.literals,
-            candidates=candidates,
-            explain_text=self.explain(),
-        )
-
-    def analyzer(self, vectors: list[CostVector], stats: RunStats,
-                 wall_s: float,
-                 from_cache: bool) -> Callable[[], PlanAnalysis]:
-        """What builds a finished run's explain-analyze rows from the
-        operators' estimates as :meth:`priced` at the end of the run
-        (every run's feedback moves the factors) and the run's
-        ``per_op`` actuals and totals, read now; the rows are rendered
-        when someone reads them."""
-        local = {"sim_s": stats.times.local_exec}
-        return partial(self._analysis, vectors, stats.per_op, local,
-                       stats.times.total, stats.total_transferred_bytes,
-                       wall_s, from_cache)
-
-    def _analysis(self, vectors: list[CostVector],
-                  per_op: dict[object, dict], local: dict,
-                  actual_s: float, actual_bytes: int, wall_s: float,
-                  from_cache: bool) -> PlanAnalysis:
-        """The explain-analyze rows: each operator's estimate next to
-        the run's ``per_op`` entry for it (scatter shards record under
-        their logical site, so a ScatterGather row sums its per-shard
-        round trips; local evaluation is the run's ``local_exec``)."""
+    def analysis_rows(self, vectors: list[CostVector],
+                      per_op: dict[object, dict],
+                      local_s: float) -> tuple[OpAnalysis, ...]:
+        """The explain-analyze rows: each operator's estimate in
+        ``vectors`` next to the run's ``per_op`` entry for it (scatter
+        shards record under their logical site, so a ScatterGather row
+        sums its per-shard round trips; local evaluation is the run's
+        ``local_s``)."""
         rows: list[OpAnalysis] = []
-        total = CostVector()
         for op, vector in zip(self.ops, vectors):
-            total.add(vector)
             est_s = vector.total_s(self.model)
             est_bytes = vector.wire_bytes
             if isinstance(op, LocalEval):
-                actual = local
+                actual = {"sim_s": local_s}
                 est_calls = 0.0
             elif isinstance(op, ShipDocument):
                 actual = per_op.get((op.owner, op.local_name))
@@ -335,13 +285,4 @@ class PhysicalPlan:
                     actual_calls=actual.get("calls", 0),
                     actual_wall_s=actual.get("wall_s", 0.0),
                     cache_hits=actual.get("cache_hits", 0)))
-        return PlanAnalysis(
-            label=self.label,
-            rows=tuple(rows),
-            est_total_s=total.total_s(self.model),
-            est_total_bytes=float(int(total.wire_bytes)),
-            actual_total_s=actual_s,
-            actual_total_bytes=actual_bytes,
-            wall_s=wall_s,
-            lookup=describe_lookup(from_cache, self.binding.literals),
-        )
+        return tuple(rows)

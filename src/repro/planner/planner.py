@@ -19,17 +19,19 @@ federation's bounded table:
    statistics nor catalog either.
 
 Estimates do, so they are stamped (catalog epoch, statistics version);
-a moved stamp re-prices, nothing more.
+a moved stamp re-prices and lowers nothing, yet counts as an
+enumeration (``from_cache=False``, ``plans_enumerated`` += candidates).
 
 What a literal decides is kept per :class:`~repro.xquery.prepared.Binding`
 of the shape (a small LRU): every candidate's factor-free operators as
 priced for the bound values — one estimation pass each on the binding's
 first sight, reading the histogram selectivity of *its* threshold — and
-the body texts its runs ship. The cheapest candidate is picked on
-*every* lookup under the :class:`~repro.planner.feedback.CalibrationBook`'s
-current factors, so two bindings of one shape may run different
-candidates; ties go to enumeration order: data-shipping → by-value →
-by-fragment → by-projection → mixed.
+the body texts its runs ship. Every lookup prices each candidate once
+under the :class:`~repro.planner.feedback.CalibrationBook`'s current
+factors; the cheapest, with its vectors, is the run's report, so two
+bindings of one shape may run different candidates; ties go to
+enumeration order: data-shipping → by-value → by-fragment →
+by-projection → mixed.
 
 After the run, observed bytes/seconds feed back into the calibration
 factors, which re-rank the next lookup and invalidate nothing.
@@ -51,7 +53,6 @@ from repro.planner.estimator import PlanEstimator
 from repro.planner.feedback import CalibrationBook
 from repro.planner.ir import (
     BulkBatch, PhysicalPlan, ScatterGather, ShipDocument, XrpcCall,
-    priced_total,
 )
 from repro.planner.stats import StatsCatalog
 from repro.xquery.ast import Module
@@ -127,10 +128,11 @@ class QueryPlanner:
              ) -> tuple[PhysicalPlan, PlanReport]:
         """The plan for ``query`` originating at ``at`` (what its shape
         fixes is shared by every run of the shape, read-only; its
-        operators are priced for the literals ``query`` binds) and this
-        call's report: the plan as priced right now, ``from_cache``
-        when the lookup ran neither parser, decomposer nor lowerer — a
-        pricing pass for a binding seen for the first time is a hit."""
+        operators are estimated for the literals ``query`` binds) and
+        this call's report over the vectors that ranked it.
+        ``from_cache`` is False on a shape's first lookup and on the
+        first after a moved stamp, which only re-prices; pricing a
+        binding seen for the first time is a hit."""
         self.stats.attach(self.federation)
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
@@ -171,16 +173,17 @@ class QueryPlanner:
                         for candidate in variant.candidates]
                 priced = not lowered
             plans = binding.memo[variant][1]
+        vectors = [plan.priced() for plan in plans]
         ranked = sorted(
-            (priced_total(plan.ops, self.calibration, at).total_s(
-                self.estimator.model), index)
-            for index, plan in enumerate(plans))
-        plan = plans[ranked[0][1]]
+            (CostVector.total_of(ops).total_s(plan.model), index)
+            for index, (plan, ops) in enumerate(zip(plans, vectors)))
+        chosen = ranked[0][1]
         with self._lock:
             self._plans_enumerated += lowered
             self._bindings_priced += priced
             self._cache_hits += not lowered
-        return plan, plan.build_report(
+        return plans[chosen], PlanReport(
+            plans[chosen], vectors[chosen],
             candidates=tuple((plans[index].label, estimate)
                              for estimate, index in ranked),
             from_cache=not lowered)
@@ -240,10 +243,13 @@ class QueryPlanner:
     def observe(self, plan: PhysicalPlan, result: "RunResult",
                 vectors: list[CostVector]) -> None:
         """Compare ``plan``'s estimates (``vectors``: its operators as
-        priced at the end of the run) with the observed
+        priced when the lookup picked it) with the observed
         :class:`~repro.net.stats.RunStats` and nudge the calibration
         factors. Runs served (partly) from the result cache are
-        skipped — their wire truth is not the plan's doing."""
+        skipped — their wire truth is not the plan's doing. This is
+        the only writer of factors: with several workers another run's
+        feedback may land between the pick and this call, and the
+        estimate judged is still the one that picked the plan."""
         stats = result.stats
         if stats.cache_hits > 0:
             return
@@ -254,9 +260,7 @@ class QueryPlanner:
         # observed/estimated ratio is apportioned uniformly across the
         # plan's ship operators — each owner still gets its own factor
         # (multi-owner plans, e.g. the Figure 7-9 semijoin, included).
-        vector = CostVector()
-        for priced in vectors:
-            vector.add(priced)
+        vector = CostVector.total_of(vectors)
         if stats.document_bytes:
             for op in plan.ops:
                 if isinstance(op, ShipDocument) and op.document_bytes:

@@ -3,10 +3,12 @@ runtime-level metrics: throughput, latency percentiles, bytes per peer,
 and cache effectiveness.
 
 The seed measures one query at a time; a concurrent runtime needs the
-fleet view. :class:`MetricsAggregator` collects one
-:class:`QueryRecord` per completed (or failed) query and reduces them
-into the engine's summary: queries/sec over the busy interval,
-wall-clock p50/p95/p99, simulated-time totals, and transferred bytes.
+fleet view. :class:`MetricsAggregator` keeps one :class:`QueryRecord`
+per completed (or failed) query, and folds each completed run's
+:class:`~repro.net.stats.RunStats` into the engine's summary as it is
+recorded (no record keeps its stats): queries/sec over the busy
+interval, wall-clock p50/p95/p99, simulated-time totals, and
+transferred bytes.
 
 The aggregator writes no registry series: every ``query_*`` series is
 folded from the finished run at the end of ``Federation.run``, for
@@ -16,7 +18,7 @@ engine and standalone runs alike.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.net.stats import RunStats
 from repro.obs.metrics import percentile
@@ -30,7 +32,9 @@ class QueryRecord:
 
     started_at: float            # perf_counter timestamps
     finished_at: float
-    stats: RunStats | None       # None when the query failed
+    #: None when the query failed, and in every record the aggregator
+    #: keeps (it folds the run's numbers in and drops the stats).
+    stats: RunStats | None
     strategy: str = ""           # requested ("auto" stays "auto")
     at: str = ""
     error: str | None = None
@@ -45,48 +49,73 @@ class QueryRecord:
         return self.error is None
 
 
+#: The :class:`~repro.net.stats.RunStats` totals :meth:`summary` reports.
+_SUMS = ("total_transferred_bytes", "simulated_time_s", "cache_hits",
+         "cache_saved_bytes", "scatter_shards", "failovers", "retries",
+         "partial_shards")
+#: ``per_collection`` name -> the ``per_shard`` entry field it sums.
+_SHARD_FIELDS = {"shard_calls": "calls", "failovers": "failovers",
+                 "shards_skipped": "skipped", "bytes": "bytes",
+                 "cache_hits": "cache_hits"}
+
+
 class MetricsAggregator:
     """Thread-safe accumulator of :class:`QueryRecord`."""
 
     def __init__(self) -> None:
         self.records: list[QueryRecord] = []
         self._lock = threading.Lock()
+        self._latencies: list[float] = []     # completed queries only
+        self._sums = dict.fromkeys(_SUMS, 0)
+        # Cluster accounting re-attributed per collection: the global
+        # ``failovers`` / ``shards_skipped`` totals say *that* the fleet
+        # struggled; this view (parsed from the router's per-shard keys,
+        # ``"collection#sN"``) says *where*, so the console and SLO
+        # rules can name the collection.
+        self._per_collection: dict[str, dict] = {}
+        self._plans: dict[str, int] = {}
 
     def record(self, record: QueryRecord) -> None:
+        stats, record = record.stats, replace(record, stats=None)
         with self._lock:
             self.records.append(record)
+            if not record.ok or stats is None:
+                return
+            self._latencies.append(record.wall_s)
+            for name in _SUMS:
+                self._sums[name] += (stats.times.total
+                                     if name == "simulated_time_s"
+                                     else getattr(stats, name))
+            for shard_key, entry in stats.per_shard.items():
+                agg = self._per_collection.setdefault(
+                    shard_key.rsplit("#s", 1)[0],
+                    dict.fromkeys(_SHARD_FIELDS, 0))
+                for name, field in _SHARD_FIELDS.items():
+                    agg[name] += entry.get(field, 0)
+            if record.plan is not None:
+                self._plans[record.plan] = self._plans.get(record.plan, 0) + 1
 
     # -- reductions ---------------------------------------------------------
 
     def summary(self) -> dict[str, object]:
         """The fleet view over everything recorded so far."""
         with self._lock:
-            records = list(self.records)
-        completed = [r for r in records if r.ok and r.stats is not None]
-        failed = len(records) - len(completed)
-        latencies = [r.wall_s for r in completed]
-        busy_s = 0.0
-        if records:
-            busy_s = (max(r.finished_at for r in records)
-                      - min(r.started_at for r in records))
-        throughput = len(completed) / busy_s if busy_s > 0 else 0.0
-        total_bytes = sum(r.stats.total_transferred_bytes
-                          for r in completed)
-        simulated_s = sum(r.stats.times.total for r in completed)
-        cache_hits = sum(r.stats.cache_hits for r in completed)
-        cache_saved = sum(r.stats.cache_saved_bytes for r in completed)
-        scatter_shards = sum(r.stats.scatter_shards for r in completed)
-        failovers = sum(r.stats.failovers for r in completed)
-        retries = sum(r.stats.retries for r in completed)
-        partial_shards = sum(r.stats.partial_shards for r in completed)
-        per_collection = self._per_collection(completed)
-        plans: dict[str, int] = {}
-        for record in completed:
-            if record.plan is not None:
-                plans[record.plan] = plans.get(record.plan, 0) + 1
+            records = len(self.records)
+            busy_s = 0.0
+            if records:
+                busy_s = (max(r.finished_at for r in self.records)
+                          - min(r.started_at for r in self.records))
+            latencies = list(self._latencies)
+            sums = dict(self._sums)
+            # Sorted for deterministic export.
+            per_collection = {name: dict(agg) for name, agg
+                              in sorted(self._per_collection.items())}
+            plans = dict(self._plans)
+        completed = len(latencies)
+        throughput = completed / busy_s if busy_s > 0 else 0.0
         return {
-            "queries": len(completed),
-            "failed": failed,
+            "queries": completed,
+            "failed": records - completed,
             "busy_s": busy_s,
             "throughput_qps": throughput,
             "latency_s": {
@@ -95,36 +124,10 @@ class MetricsAggregator:
                 "p99": percentile(latencies, 99),
                 "max": max(latencies) if latencies else 0.0,
             },
-            "total_transferred_bytes": total_bytes,
-            "simulated_time_s": simulated_s,
-            "cache_hits": cache_hits,
-            "cache_saved_bytes": cache_saved,
-            "scatter_shards": scatter_shards,
-            "failovers": failovers,
-            "retries": retries,
-            "partial_shards": partial_shards,
+            **sums,
             "per_collection": per_collection,
             "plans": plans,
         }
-
-    @staticmethod
-    def _per_collection(completed: list[QueryRecord]) -> dict[str, dict]:
-        """Cluster accounting re-attributed per collection: the global
-        ``failovers`` / ``shards_skipped`` totals say *that* the fleet
-        struggled; this view (parsed from the router's per-shard keys,
-        ``"collection#sN"``) says *where*, so the console and SLO rules
-        can name the collection. Sorted for deterministic export."""
-        fields = {"shard_calls": "calls", "failovers": "failovers",
-                  "shards_skipped": "skipped", "bytes": "bytes",
-                  "cache_hits": "cache_hits"}
-        per_collection: dict[str, dict] = {}
-        for record in completed:
-            for shard_key, entry in record.stats.per_shard.items():
-                agg = per_collection.setdefault(
-                    shard_key.rsplit("#s", 1)[0], dict.fromkeys(fields, 0))
-                for name, field in fields.items():
-                    agg[name] += entry.get(field, 0)
-        return dict(sorted(per_collection.items()))
 
     def format_summary(self) -> str:
         """A short human-readable block for examples and benchmarks."""

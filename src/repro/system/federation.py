@@ -343,18 +343,14 @@ class Federation:
             self.monitor.record_query(seconds, ok=ok)
 
     def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
-        """Evaluate a planned run, then attach the plan's report and
-        per-operator actuals, feed the planner's calibration and label
-        the trace root."""
+        """Evaluate a planned run, then hand the plan's report its
+        actuals, feed the planner's calibration with the vectors that
+        picked the plan and label the trace root."""
         started = run.clock()
         result = run.execute()
-        wall_s = run.clock() - started
-        # Priced once, for the explain-analyze rows and the feedback.
-        vectors = run.plan.priced()
-        report.analyzer = run.plan.analyzer(vectors, result.stats, wall_s,
-                                            report.from_cache)
+        report.finish(result.stats, run.clock() - started)
         result.stats.plan = report
-        self.planner.observe(run.plan, result, vectors)
+        self.planner.observe(run.plan, result, report.vectors)
         root = run.tracer.root if run.tracer is not None else None
         if root is not None:
             root.set(strategy=result.stats.plan.strategy,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.decompose import Strategy
-from repro.net.stats import PlanReport, RunStats
+from repro.net.stats import RunStats
 from repro.obs.explain import OpAnalysis, PlanAnalysis, render_analysis
+from repro.planner.ir import ScatterGather
 from repro.runtime.cache import ResultCache
 from repro.workloads import (SHARDED_BENCHMARK_QUERY, TINY_LOOKUP_QUERY,
                              build_mixed_federation,
@@ -131,10 +134,47 @@ class TestAnalyzedRuns:
         assert analyzed != plain
 
     def test_explain_analyze_without_analysis(self):
-        report = PlanReport(strategy="x", estimated_s=1.0,
-                            estimated_bytes=10, explain_text="plan x: est")
-        assert report.explain() == "plan x: est"
-        assert "(no actuals recorded)" in report.explain(analyze=True)
+        """A report read before the run hands it its actuals renders
+        the estimate-only text."""
+        federation = build_sharded_federation(0.002)
+        _plan, report = federation.planner.plan(
+            SHARDED_BENCHMARK_QUERY, at="local", strategy="by-projection")
+        assert report.analysis is None
+        assert report.explain().startswith("plan by-projection: est ")
+        assert report.explain(analyze=True) \
+            == report.explain() + "\n  (no actuals recorded)"
+
+    def test_a_report_is_a_record(self):
+        """Feedback after a run moves the factors, not that run's
+        report: its estimates, texts and summary stay what picked the
+        plan, read before or after the move. A twin federation that
+        never moves its book is the reference."""
+        moved, twin = (build_sharded_federation(0.002) for _ in range(2))
+        first, reference = (
+            federation.run(SHARDED_BENCHMARK_QUERY, at="local",
+                           strategy="by-projection")
+            for federation in (moved, twin))
+        report = first.stats.plan
+        before = report.explain(), report.estimated_s
+
+        book = moved.planner.calibration
+        for op in report.plan.ops:
+            if isinstance(op, ScatterGather):
+                book.observe("msg", op.call.dest, op.call.semantics,
+                             1.0, 9.0)
+        book.observe("exec", report.plan.origin, "", 1.0, 9.0)
+        assert report.plan.priced() != report.vectors
+
+        def masked(text):
+            return re.sub(r"\(wall [^)]*\)", "(wall -)", text)
+
+        assert (report.explain(), report.estimated_s) == before
+        for read in (first, reference):
+            assert read.stats.plan.explain() == before[0]
+        assert masked(report.explain(analyze=True)) \
+            == masked(reference.stats.plan.explain(analyze=True))
+        assert first.stats.summary()["plan"] \
+            == reference.stats.summary()["plan"]
 
     def test_render_never_exercised_row(self):
         analysis = PlanAnalysis(

@@ -3,6 +3,7 @@
 from repro.decompose import Strategy, decompose
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
+from repro.net.stats import PlanReport
 from repro.planner.ir import (
     BulkBatch, LocalEval, ScatterGather, ShipDocument, XrpcCall,
 )
@@ -17,6 +18,11 @@ from repro.xquery.parser import parse_query
 def lower(federation, query, strategy, at="local"):
     decomposition = decompose(parse_query(query), strategy, local_host=at)
     return federation.planner.estimator.lower(decomposition, at)
+
+
+def report(plan):
+    """``plan`` as priced under its book's current factors."""
+    return PlanReport(plan, plan.priced())
 
 
 class TestCostVector:
@@ -105,17 +111,17 @@ class TestLowering:
         paper's ordering: shipping > by-value > fragment > projection."""
         federation = build_federation(0.01)
         totals = [
-            lower(federation, BENCHMARK_QUERY, strategy).estimated_s
+            report(lower(federation, BENCHMARK_QUERY, strategy)).estimated_s
             for strategy in (Strategy.DATA_SHIPPING, Strategy.BY_VALUE,
                              Strategy.BY_FRAGMENT, Strategy.BY_PROJECTION)
         ]
         assert totals[0] > totals[1] > totals[2] > totals[3]
 
     def test_estimates_scale_with_documents(self):
-        small = lower(build_federation(0.003), BENCHMARK_QUERY,
-                      Strategy.DATA_SHIPPING)
-        large = lower(build_federation(0.01), BENCHMARK_QUERY,
-                      Strategy.DATA_SHIPPING)
+        small = report(lower(build_federation(0.003), BENCHMARK_QUERY,
+                             Strategy.DATA_SHIPPING))
+        large = report(lower(build_federation(0.01), BENCHMARK_QUERY,
+                             Strategy.DATA_SHIPPING))
         assert large.estimated_s > small.estimated_s
         assert large.estimated_bytes > small.estimated_bytes
 
@@ -133,7 +139,7 @@ class TestLowering:
     def test_explain_renders_operators(self):
         federation = build_federation(0.003)
         plan = lower(federation, BENCHMARK_QUERY, Strategy.BY_PROJECTION)
-        text = plan.explain()
+        text = report(plan).explain()
         assert "plan by-projection" in text
         assert "xrpc-call by-projection -> peer1" in text
 

@@ -16,8 +16,11 @@ import sys
 from pathlib import Path
 
 from repro.decompose.strategy import decompose, prepare, realize
+from repro.planner import ir
 from repro.planner import planner as planner_module
-from repro.planner.ir import CallSite
+from repro.planner.ir import (
+    BulkBatch, CallSite, LocalEval, ScatterGather, ShipDocument, XrpcCall,
+)
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import (
@@ -314,3 +317,37 @@ def test_store_between_two_literals_reprices_the_shape_once(monkeypatch):
     assert final["cache_hits"] == 4
     assert final["cached_plans"] == 1
     assert not any(calls.values())
+
+
+def test_one_pricing_per_lookup(monkeypatch):
+    """A warm lookup prices each candidate's operators once, nothing
+    prices the plan after the run, and no operator is rendered until
+    the report's ``explain()`` is read."""
+    federation = build_federation(0.02)
+    variant = benchmark_query_variant(30)
+    for text, strategy in ((BENCHMARK_QUERY, "by-projection"),
+                           (variant, "auto")):
+        federation.run(text, at="local", strategy=strategy)
+    calls = _count(monkeypatch, ir.priced)
+    rendered = []
+    for op_type in (LocalEval, ShipDocument, XrpcCall, BulkBatch,
+                    ScatterGather):
+        def describe(op, _original=op_type.describe):
+            rendered.append(1)
+            return _original(op)
+        monkeypatch.setattr(op_type, "describe", describe)
+
+    fixed = federation.run(BENCHMARK_QUERY, at="local",
+                           strategy="by-projection").stats.plan
+    assert len(calls["priced"]) == len(fixed.plan.ops) == 3
+    calls["priced"].clear()
+    auto = federation.run(variant, at="local", strategy="auto").stats.plan
+    # Eight candidates of three operators each: a local evaluation and
+    # one operator per document, however each document is reached.
+    assert len(auto.candidates) == 8 and len(auto.plan.ops) == 3
+    assert len(calls["priced"]) == 8 * 3
+    assert auto.from_cache and fixed.from_cache
+
+    assert rendered == []
+    assert fixed.explain().startswith("plan by-projection")
+    assert len(rendered) > 0

@@ -196,6 +196,7 @@ class TestMeasuredSelectivity:
         [18, 70]) must price near the measured ~0.42, not the 0.5
         default — visible as the if-condition selectivity applied to
         the estimated response volume."""
+        from repro.net.stats import PlanReport
         from repro.workloads import BENCHMARK_QUERY, build_federation
 
         federation = build_federation(0.01)
@@ -206,7 +207,7 @@ class TestMeasuredSelectivity:
         ages = stats.value_histogram("age")
         measured = ages.selectivity("<", 40)
         assert 0.30 < measured < 0.55
-        assert plan.estimated_s > 0.0
+        assert PlanReport(plan, plan.priced()).estimated_s > 0.0
 
     def test_histograms_appearing_invalidate_nothing(self):
         """A lowering that compares values builds the histograms it

@@ -1,10 +1,18 @@
 """Fleet metrics: percentile math and cross-query aggregation."""
 
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.net.stats import RunStats
 from repro.obs.metrics import percentile
+from repro.runtime.engine import FederationEngine
 from repro.runtime.metrics import MetricsAggregator, QueryRecord
+
+from tests.conftest import Q2
+from tests.runtime.test_engine import make_federation
 
 
 class TestPercentile:
@@ -92,3 +100,47 @@ class TestAggregator:
         assert "throughput" in text
         assert "p95" in text
         assert "cache" in text
+
+
+class TestRecordsKeepNoStats:
+    def test_engine_drops_a_runs_stats_with_its_result(self):
+        """The aggregator folds a run's numbers when it is recorded and
+        keeps the record without its stats: a result dropped by its
+        caller takes its ``RunStats`` (and plan report) with it."""
+        with FederationEngine(make_federation(), max_workers=1) as engine:
+            result = engine.submit(Q2, "local").result()
+            stats = weakref.ref(result.stats)
+            summary = engine.metrics.summary()
+            assert summary["queries"] == 1
+            assert summary["total_transferred_bytes"] \
+                == result.stats.total_transferred_bytes
+            assert engine.metrics.records[0].stats is None
+            del result
+            assert stats() is None
+            assert engine.metrics.summary() == summary
+
+    def test_concurrent_records_lose_no_update(self):
+        """Eight threads on a short switch interval: every run's numbers
+        are folded exactly once."""
+        metrics = MetricsAggregator()
+
+        def client():
+            for _ in range(200):
+                metrics.record(record(0.0, 1.0, message_bytes=3,
+                                      cache_hits=1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        summary = metrics.summary()
+        assert summary["queries"] == len(metrics.records) == 1600
+        assert summary["total_transferred_bytes"] == 3 * 1600
+        assert summary["cache_hits"] == 1600
