@@ -33,7 +33,7 @@ from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize, serialize_node
-from repro.xmldb.compare import deep_equal, document_order_key, is_same_node
+from repro.xmldb.compare import deep_equal, is_same_node
 from repro.xmldb.projection import project, ProjectionResult
 from repro.xmldb.values import ValueIndex, value_index
 
@@ -48,7 +48,6 @@ __all__ = [
     "serialize",
     "serialize_node",
     "deep_equal",
-    "document_order_key",
     "is_same_node",
     "project",
     "ProjectionResult",

@@ -20,29 +20,29 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import KIND_ATTRIBUTE, KIND_ELEMENT, Node
 
 
 def child(node: Node) -> Iterator[Node]:
     doc = node.doc
-    if node.kind == NodeKind.ATTRIBUTE:
+    if doc.kinds[node.pre] == KIND_ATTRIBUTE:
         return
     end = node.pre + node.size
     cursor = node.pre + 1
     while cursor <= end:
-        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
+        if doc.kinds[cursor] != KIND_ATTRIBUTE:
             yield Node(doc, cursor)
         cursor += doc.sizes[cursor] + 1
 
 
 def attribute(node: Node) -> Iterator[Node]:
     doc = node.doc
-    if node.kind != NodeKind.ELEMENT:
+    if doc.kinds[node.pre] != KIND_ELEMENT:
         return
     end = node.pre + node.size
     cursor = node.pre + 1
     while cursor <= end:
-        if doc.kinds[cursor] != NodeKind.ATTRIBUTE:
+        if doc.kinds[cursor] != KIND_ATTRIBUTE:
             return  # attributes precede all other children
         yield Node(doc, cursor)
         cursor += 1

@@ -16,19 +16,14 @@ def is_same_node(left: Node, right: Node) -> bool:
     return left.doc is right.doc and left.pre == right.pre
 
 
-def document_order_key(node: Node) -> tuple[int, int]:
-    """Sort key establishing a stable total document order."""
-    return node.order_key()
-
-
 def node_before(left: Node, right: Node) -> bool:
     """XQuery ``<<``."""
-    return document_order_key(left) < document_order_key(right)
+    return left.order_key() < right.order_key()
 
 
 def node_after(left: Node, right: Node) -> bool:
     """XQuery ``>>``."""
-    return document_order_key(left) > document_order_key(right)
+    return left.order_key() > right.order_key()
 
 
 def sort_document_order(nodes: list[Node]) -> list[Node]:
@@ -46,7 +41,7 @@ def sort_document_order(nodes: list[Node]) -> list[Node]:
         return nodes
     seen: set[tuple[int, int]] = set()
     out: list[Node] = []
-    for node in sorted(nodes, key=document_order_key):
+    for node in sorted(nodes, key=Node.order_key):
         key = (id(node.doc), node.pre)
         if key not in seen:
             seen.add(key)

@@ -14,7 +14,8 @@ descendant, following, ...).
 Documents are logically immutable once built. *Fragment* documents —
 parentless trees produced by element construction or by shredding XRPC
 message payloads — are ordinary documents whose ``pre == 0`` node is an
-element rather than a document node.
+element rather than a document node. A document is always one tree
+(a frame's constructors cut one set of columns into a document per row).
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from __future__ import annotations
 import itertools
 from array import array
 from sys import intern
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
 from repro.xmldb.kernels import PRE_TYPECODE
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import (
+    KIND_ATTRIBUTE, KIND_COMMENT, KIND_DOCUMENT, KIND_ELEMENT, KIND_PI,
+    KIND_TEXT, Node,
+)
 
 _doc_sequence = itertools.count()
 
@@ -51,8 +55,7 @@ def fresh_doc_seq() -> int:
 class Document:
     """One shredded XML tree (document or parentless fragment).
 
-    Use :class:`DocumentBuilder` (or the parser / generator modules) to
-    construct instances; the raw constructor trusts its arrays.
+    The constructor wraps one built :class:`ColumnSet` as it is.
 
     One :class:`ColumnSet` may back several documents (each hit on a
     cached XRPC response wraps the stored columns in new ones), so the
@@ -65,15 +68,8 @@ class Document:
                  "memo_cache_cap", "_id_index", "_idref_index",
                  "_structural_index", "_value_index", "_ser_cache")
 
-    def __init__(self, uri: str, kinds: Sequence[NodeKind],
-                 names: Sequence[str], values: Sequence[str],
-                 sizes: Sequence[int], levels: Sequence[int],
-                 parents: Sequence[int],
-                 columns: ColumnSet | None = None):
-        if columns is None:
-            columns = ColumnSet(kinds, names, values, sizes, levels,
-                                parents)
-        if not len(columns):
+    def __init__(self, uri: str, columns: ColumnSet):
+        if not columns.count:
             raise XmlError("a document must contain at least one node")
         self.uri = uri
         # The six parallel columns are bound as plain attributes (same
@@ -117,12 +113,6 @@ class Document:
         self._ser_cache = None
         self.columns.postings = None
 
-    @classmethod
-    def from_columns(cls, uri: str, columns: ColumnSet) -> "Document":
-        """Wrap an already-built :class:`ColumnSet` (the text scanner,
-        the builder) without re-coercing any column."""
-        return cls(uri, (), (), (), (), (), (), columns=columns)
-
     # -- basic accessors -----------------------------------------------------
 
     def __len__(self) -> int:
@@ -135,7 +125,7 @@ class Document:
     @property
     def is_fragment(self) -> bool:
         """True for parentless trees (no document node at the top)."""
-        return self.kinds[0] != NodeKind.DOCUMENT
+        return self.kinds[0] != KIND_DOCUMENT
 
     def node(self, pre: int) -> Node:
         # ``count`` is bound once at construction: the bounds check
@@ -155,7 +145,7 @@ class Document:
         ids: dict[str, int] = {}
         idrefs: dict[str, list[int]] = {}
         for pre, kind in enumerate(self.kinds):
-            if kind != NodeKind.ATTRIBUTE:
+            if kind != KIND_ATTRIBUTE:
                 continue
             name = self.names[pre]
             owner = self.parents[pre]
@@ -198,6 +188,10 @@ class DocumentBuilder:
 
     ``size`` values are back-patched when an element closes, so building
     is a single pass.
+
+    Trees may be built one after another (a node started with none
+    open begins one); pres, levels and parents are tree-local, so
+    :meth:`finish_trees` cuts each tree's columns out as they are.
     """
 
     def __init__(self, uri: str = ""):
@@ -211,14 +205,16 @@ class DocumentBuilder:
         self._levels = array(PRE_TYPECODE)
         self._parents = array(PRE_TYPECODE)
         self._stack: list[int] = []  # pre ranks of open nodes
+        self._roots: list[int] = []  # pre rank of each tree's root
+        self._base = 0  # the current tree's root
         self._has_content: list[bool] = []  # parallel to _stack
         self._finished = False
 
     # -- low-level append ------------------------------------------------------
 
-    def _append(self, kind: NodeKind, name: str, value: str) -> int:
+    def _append(self, kind: int, name: str, value: str) -> int:
         pre = len(self._kinds)
-        parent = self._stack[-1] if self._stack else -1
+        parent = self._parent(kind)
         self._kinds.append(kind)
         self._names.append(name)
         self._values.append(value)
@@ -227,63 +223,67 @@ class DocumentBuilder:
         self._parents.append(parent)
         return pre
 
+    def _parent(self, kind: int) -> int:
+        """The open node's tree-local pre, which a node of ``kind`` gives
+        content unless it is an attribute; with none open, -1: the node
+        begins a tree."""
+        if self._stack:
+            if kind != KIND_ATTRIBUTE:
+                self._has_content[-1] = True
+            return self._stack[-1] - self._base
+        self._base = len(self._kinds)
+        self._roots.append(self._base)
+        return -1
+
+    def _open(self, kind: int, name: str) -> None:
+        self._stack.append(self._append(kind, name, ""))
+        self._has_content.append(False)
+
     # -- events ------------------------------------------------------------------
 
     def start_document(self) -> None:
-        if self._kinds:
+        if self._stack:
             raise XmlError("document node must be the first node")
-        pre = self._append(NodeKind.DOCUMENT, "", "")
-        self._stack.append(pre)
-        self._has_content.append(False)
+        self._open(KIND_DOCUMENT, "")
 
     def start_element(self, name: str) -> None:
-        if self._has_content:
-            self._has_content[-1] = True
         # Interned names make name tests identity comparisons and let
         # every document / tag-index key share one string per tag.
-        pre = self._append(NodeKind.ELEMENT, intern(name), "")
-        self._stack.append(pre)
-        self._has_content.append(False)
+        self._open(KIND_ELEMENT, intern(name))
 
     def attribute(self, name: str, value: str) -> None:
-        if not self._stack or self._kinds[self._stack[-1]] != NodeKind.ELEMENT:
+        if not self._stack or self._kinds[self._stack[-1]] != KIND_ELEMENT:
             raise XmlError("attribute outside an open element")
         if self._has_content[-1]:
             raise XmlError(f"attribute {name!r} after element content")
-        self._append(NodeKind.ATTRIBUTE, intern(name), value)
+        self._append(KIND_ATTRIBUTE, intern(name), value)
 
     def text(self, content: str) -> None:
         if not content:
             return
-        if self._has_content:
-            self._has_content[-1] = True
         # Merge adjacent text nodes, as the XDM requires.
         last = len(self._kinds) - 1
-        if (last >= 0 and self._kinds[last] == NodeKind.TEXT
-                and self._parents[last] == (self._stack[-1] if self._stack else -1)):
+        if (self._stack and self._kinds[last] == KIND_TEXT
+                and self._parents[last] == self._stack[-1] - self._base):
             self._values[last] += content
             return
-        self._append(NodeKind.TEXT, "", content)
+        self._append(KIND_TEXT, "", content)
 
     def comment(self, content: str) -> None:
-        if self._has_content:
-            self._has_content[-1] = True
-        self._append(NodeKind.COMMENT, "", content)
+        self._append(KIND_COMMENT, "", content)
 
     def processing_instruction(self, target: str, content: str) -> None:
-        if self._has_content:
-            self._has_content[-1] = True
-        self._append(NodeKind.PROCESSING_INSTRUCTION, intern(target), content)
+        self._append(KIND_PI, intern(target), content)
 
     def end_element(self) -> None:
-        if not self._stack or self._kinds[self._stack[-1]] != NodeKind.ELEMENT:
+        if not self._stack or self._kinds[self._stack[-1]] != KIND_ELEMENT:
             raise XmlError("end_element without matching start_element")
         pre = self._stack.pop()
         self._has_content.pop()
         self._sizes[pre] = len(self._kinds) - pre - 1
 
     def end_document(self) -> None:
-        if len(self._stack) != 1 or self._kinds[self._stack[0]] != NodeKind.DOCUMENT:
+        if len(self._stack) != 1 or self._kinds[self._stack[0]] != KIND_DOCUMENT:
             raise XmlError("unbalanced document")
         pre = self._stack.pop()
         self._has_content.pop()
@@ -299,14 +299,12 @@ class DocumentBuilder:
         consequences the paper analyses.
         """
         src = node.doc
-        if self._has_content and node.kind != NodeKind.ATTRIBUTE:
-            self._has_content[-1] = True
         base_level = len(self._stack)
         start = node.pre
         end = node.pre + src.sizes[node.pre]
         src_level0 = src.levels[start]
-        offset = len(self._kinds) - start
-        parent_of_root = self._stack[-1] if self._stack else -1
+        parent_of_root = self._parent(src.kinds[start])
+        offset = len(self._kinds) - self._base - start
         stop = end + 1
         # Kinds/names/values/sizes copy verbatim: whole-column slice
         # extends instead of per-node appends.
@@ -318,21 +316,33 @@ class DocumentBuilder:
         if shift == 0:
             self._levels.extend(src.levels[start:stop])
         else:
-            self._levels.extend(level + shift
-                                for level in src.levels[start:stop])
+            self._levels.extend([level + shift
+                                 for level in src.levels[start:stop]])
         self._parents.append(parent_of_root)
-        self._parents.extend(parent + offset
-                             for parent in src.parents[start + 1:stop])
+        self._parents.extend([parent + offset
+                              for parent in src.parents[start + 1:stop]])
 
     # -- completion ------------------------------------------------------------------
 
     def finish(self) -> Document:
+        """The one tree built, as a document."""
+        trees = self.finish_trees()
+        if len(trees) != 1:
+            raise XmlError("a document must hold exactly one tree")
+        return Document(self.uri, trees[0])
+
+    def finish_trees(self) -> list[ColumnSet]:
+        """The columns of each tree built, in the order built."""
         if self._stack:
             raise XmlError("finish() with unclosed elements")
         if self._finished:
             raise XmlError("builder already finished")
         self._finished = True
-        return Document.from_columns(self.uri, ColumnSet(
-            self._kinds, self._names, self._values, self._sizes,
-            self._levels, self._parents))
+        columns = (self._kinds, self._names, self._values, self._sizes,
+                   self._levels, self._parents)
+        if len(self._roots) == 1:
+            return [ColumnSet(*columns)]
+        bounds = itertools.pairwise(self._roots + [len(self._kinds)])
+        return [ColumnSet(*[column[start:stop] for column in columns])
+                for start, stop in bounds]
 

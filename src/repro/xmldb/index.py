@@ -59,7 +59,9 @@ from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb import kernels
 from repro.xmldb.columns import Postings
 from repro.xmldb.kernels import pre_array
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import (
+    KIND_ATTRIBUTE, KIND_COMMENT, KIND_ELEMENT, KIND_TEXT, Node, NodeKind,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
@@ -198,10 +200,10 @@ class StructuralIndex:
             return True
         kind = self.doc.kinds[pre]
         if test == "text()":
-            return kind == NodeKind.TEXT
+            return kind == KIND_TEXT
         if test == "comment()":
-            return kind == NodeKind.COMMENT
-        if kind != NodeKind.ELEMENT and kind != NodeKind.ATTRIBUTE:
+            return kind == KIND_COMMENT
+        if kind != KIND_ELEMENT and kind != KIND_ATTRIBUTE:
             return False
         if test == "*":
             return True
@@ -281,11 +283,11 @@ class StructuralIndex:
             return _EMPTY
         out = pre_array()
         for owner in pres:
-            if kinds[owner] != NodeKind.ELEMENT:
+            if kinds[owner] != KIND_ELEMENT:
                 continue
             cursor = owner + 1
             # Attributes are stored contiguously right after the owner.
-            while cursor < count and kinds[cursor] == NodeKind.ATTRIBUTE:
+            while cursor < count and kinds[cursor] == KIND_ATTRIBUTE:
                 if not by_name or names[cursor] == test:
                     out.append(cursor)
                 cursor += 1
@@ -301,7 +303,7 @@ class StructuralIndex:
         pivot: dict[int, int] = {}
         for pre in pres:
             parent = parents[pre]
-            if parent < 0 or kinds[pre] == NodeKind.ATTRIBUTE:
+            if parent < 0 or kinds[pre] == KIND_ATTRIBUTE:
                 continue
             if following:
                 pivot.setdefault(parent, pre)

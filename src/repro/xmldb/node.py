@@ -4,13 +4,14 @@ A node is identified by the :class:`~repro.xmldb.document.Document` it
 lives in plus its preorder rank (``pre``). Handles are value objects:
 two handles compare equal iff they denote the same node in the same
 document — which is exactly XQuery's node identity (the ``is``
-operator). Copying a subtree into a new document creates new nodes with
-fresh identity, which is the root cause of the paper's Problems 1-4.
+operator). A handle is two slots, immutable by contract: nothing
+assigns them after ``__init__``. Copying a subtree into a new document
+creates new nodes with fresh identity, which is the root cause of the
+paper's Problems 1-4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
@@ -38,8 +39,27 @@ class NodeKind(IntEnum):
 #: enum member (``node.kind.name`` etc.) without an enum call per read.
 _KIND_OF = tuple(NodeKind)
 
+#: The kind bytes as plain ints, for per-node loops: a member read off
+#: ``NodeKind`` costs five plain attribute reads, and a byte column
+#: appends an int faster than an enum member.
+(KIND_DOCUMENT, KIND_ELEMENT, KIND_ATTRIBUTE, KIND_TEXT, KIND_COMMENT,
+ KIND_PI) = map(int, NodeKind)
 
-@dataclass(frozen=True, slots=True)
+
+def node_string(doc: "Document", pre: int) -> str:
+    """The XDM string value of the node at ``pre`` off the columns (what
+    atomization yields): its value, or a document's or element's
+    concatenated descendant text."""
+    kinds, values = doc.kinds, doc.values
+    if kinds[pre] > KIND_ELEMENT:
+        return values[pre]
+    end = pre + 1 + doc.sizes[pre]
+    if end == pre + 2 and kinds[pre + 1] == KIND_TEXT:
+        return values[pre + 1]
+    return "".join([values[p] for p in range(pre + 1, end)
+                    if kinds[p] == KIND_TEXT])
+
+
 class Node:
     """A handle on one node: a ``(document, pre)`` pair.
 
@@ -47,8 +67,11 @@ class Node:
     encoding of the backing document.
     """
 
-    doc: "Document"
-    pre: int
+    __slots__ = ("doc", "pre")
+
+    def __init__(self, doc: "Document", pre: int):
+        self.doc = doc
+        self.pre = pre
 
     # -- identity and order ------------------------------------------------
 
@@ -130,16 +153,7 @@ class Node:
 
     def string_value(self) -> str:
         """The XDM string value (concatenated descendant text)."""
-        kind = self.kind
-        if kind in (NodeKind.ATTRIBUTE, NodeKind.TEXT, NodeKind.COMMENT,
-                    NodeKind.PROCESSING_INSTRUCTION):
-            return self.value
-        doc = self.doc
-        kinds = doc.kinds
-        values = doc.values
-        return "".join(
-            values[p] for p in range(self.pre + 1, self.pre + 1 + self.size)
-            if kinds[p] == NodeKind.TEXT)
+        return node_string(self.doc, self.pre)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = self.kind

@@ -40,7 +40,10 @@ from repro.errors import XmlParseError
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.kernels import pre_array
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import (
+    KIND_ATTRIBUTE, KIND_COMMENT, KIND_DOCUMENT, KIND_ELEMENT, KIND_PI,
+    KIND_TEXT,
+)
 
 # XMLDecl? Misc* before a DOCTYPE, each construct matched one way only
 # so a refused prolog fails in linear time.
@@ -52,8 +55,6 @@ _DOCTYPE_BRACKET = re.compile(r"[\[\]>]")
 _UNKNOWN = re.compile(r"&(?!lt;|gt;|amp;|quot;|apos;|#)[^;]*;")
 #: What may precede a fault inside a reference, from its ``&`` on.
 _REFERENCE_HEAD = re.compile(r"&#?[\w.:\-]*")
-
-_K_DOC, _K_ELEM, _K_ATTR, _K_TEXT, _K_COMMENT, _K_PI = map(int, NodeKind)
 
 
 def _error(message: str, offset: int) -> XmlParseError:
@@ -134,7 +135,7 @@ def shred(parser: XMLParserType, document: bool, closed: Callable,
     # root element; ``level`` is the depth of ``parent``'s children.
     top, level = -1, 0
     if document:
-        kind_(_K_DOC)
+        kind_(KIND_DOCUMENT)
         name_("")
         value_("")
         size_(0)
@@ -148,7 +149,7 @@ def shred(parser: XMLParserType, document: bool, closed: Callable,
         pre = len(kinds)
         name, pres = get_tag(name) or _posting(tags, name)
         pres.append(pre)
-        kind_(_K_ELEM)
+        kind_(KIND_ELEMENT)
         name_(name)
         value_("")
         size_(0)
@@ -160,7 +161,7 @@ def shred(parser: XMLParserType, document: bool, closed: Callable,
                 name, pres = get_attribute(name) or _posting(attributes,
                                                              name)
                 pres.append(len(kinds))
-                kind_(_K_ATTR)
+                kind_(KIND_ATTRIBUTE)
                 name_(name)
                 value_(value)
                 size_(0)
@@ -177,15 +178,14 @@ def shred(parser: XMLParserType, document: bool, closed: Callable,
         if parent == top:  # the element is whole
             sizes[0] = len(kinds) - 1
             postings = dict(tags.values()), dict(attributes.values())
-            closed(Document.from_columns(uri, ColumnSet(*columns,
-                                                        postings)))
+            closed(Document(uri, ColumnSet(*columns, postings)))
 
     def character_data(data: str) -> None:
         # Split only around a CDATA section or a full text buffer.
-        if kinds[-1] == _K_TEXT and parents[-1] == parent:
+        if kinds[-1] == KIND_TEXT and parents[-1] == parent:
             values[-1] += data
         else:
-            kind_(_K_TEXT)
+            kind_(KIND_TEXT)
             name_("")
             value_(data)
             size_(0)
@@ -204,9 +204,9 @@ def shred(parser: XMLParserType, document: bool, closed: Callable,
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.CharacterDataHandler = character_data
-    parser.CommentHandler = lambda data: node(_K_COMMENT, "", data)
+    parser.CommentHandler = lambda data: node(KIND_COMMENT, "", data)
     parser.ProcessingInstructionHandler = lambda target, data: node(
-        _K_PI, intern(target), data.strip())
+        KIND_PI, intern(target), data.strip())
     return start
 
 

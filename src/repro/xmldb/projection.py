@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from repro.errors import XmlError
-from repro.xmldb.columns import KIND_TYPECODE
+from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.kernels import PRE_TYPECODE
 from repro.xmldb.node import Node, NodeKind
@@ -182,11 +182,10 @@ def _materialize(source: Document, order: list[int],
             sizes[new_pre] = bisect_right(
                 rows, pre + source.sizes[pre], new_pre) - new_pre - 1
 
-    doc = Document(
-        f"{source.uri}#projected",
+    doc = Document(f"{source.uri}#projected", ColumnSet(
         array(KIND_TYPECODE, map(source.kinds.__getitem__, rows)),
         list(map(source.names.__getitem__, rows)),
         list(map(source.values.__getitem__, rows)),
-        sizes, levels, parents)
+        sizes, levels, parents))
     return ProjectionResult(doc=doc, pre_map=pre_map,
                             kept=len(rows), total=len(source))

@@ -29,7 +29,9 @@ import threading
 from collections import OrderedDict
 
 from repro.xmldb.document import Document
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import (
+    KIND_ATTRIBUTE, KIND_COMMENT, KIND_ELEMENT, KIND_PI, KIND_TEXT, Node,
+)
 
 
 def escape_text(value: str) -> str:
@@ -165,9 +167,6 @@ def subtree_spans(doc: Document) -> tuple[list[int], list[int]]:
 # The emitter
 # ---------------------------------------------------------------------------
 
-# The kind bytes as plain ints, in ``NodeKind`` order.
-_DOCUMENT, _ELEMENT, _ATTRIBUTE, _TEXT, _COMMENT, _PI = map(int, NodeKind)
-
 
 def _emit(doc: Document, first: int, last: int,
           starts: list[int] | None = None,
@@ -192,7 +191,7 @@ def _emit(doc: Document, first: int, last: int,
             range(first, stop), doc.kinds[first:stop],
             doc.names[first:stop], doc.values[first:stop],
             doc.sizes[first:stop]):
-        if kind == _ATTRIBUTE:
+        if kind == KIND_ATTRIBUTE:
             text = escape_attribute(value)
             if spans:
                 starts[pre] = start = length + (len(name) + 3 if tag_open
@@ -207,15 +206,15 @@ def _emit(doc: Document, first: int, last: int,
                 tag_open = False
             if spans:
                 starts[pre] = length
-            if kind == _ELEMENT:
+            if kind == KIND_ELEMENT:
                 text = f"<{name}"
                 pending.append((pre + size, pre, name))
                 tag_open = True
-            elif kind == _TEXT:
+            elif kind == KIND_TEXT:
                 text = escape_text(value)
-            elif kind == _COMMENT:
+            elif kind == KIND_COMMENT:
                 text = f"<!--{value}-->"
-            elif kind == _PI:
+            elif kind == KIND_PI:
                 text = f"<?{name} {value}?>"
             else:  # the document node has no text of its own
                 text = ""

@@ -46,7 +46,7 @@ from repro.xmldb.index import charge_build, structural_index
 from repro.xmldb.kernels import (
     difference_sorted, equal_bounds, pre_array, sorted_array,
 )
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import node_string
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
@@ -183,7 +183,7 @@ class ValueIndex:
                        for pre in self.attribute_pres(key[1:])]
         else:
             pres = structural_index(doc).tag_pres.get(key, _EMPTY)
-            entries = [(_element_text(doc, pre), pre) for pre in pres]
+            entries = [(node_string(doc, pre), pre) for pre in pres]
         if not entries:
             return None
         return ValueColumn(key, entries)
@@ -225,29 +225,6 @@ class ValueIndex:
     def cached_columns(self) -> int:
         """How many columns the LRU currently retains (tests/metrics)."""
         return len(self._columns)
-
-
-def _element_text(doc: "Document", pre: int) -> str:
-    """String value of an element: concatenated descendant text."""
-    kinds = doc.kinds
-    values = doc.values
-    end = pre + doc.sizes[pre]
-    parts = [values[cursor]
-             for cursor in range(pre + 1, end + 1)
-             if kinds[cursor] == NodeKind.TEXT]
-    if len(parts) == 1:
-        return parts[0]
-    return "".join(parts)
-
-
-def node_string(doc: "Document", pre: int) -> str:
-    """The XDM string value of the node at ``pre`` straight off the
-    arrays (what atomization yields, without building a Node)."""
-    kind = doc.kinds[pre]
-    if kind in (NodeKind.ATTRIBUTE, NodeKind.TEXT, NodeKind.COMMENT,
-                NodeKind.PROCESSING_INSTRUCTION):
-        return doc.values[pre]
-    return _element_text(doc, pre)
 
 
 def value_index(doc: "Document") -> ValueIndex:

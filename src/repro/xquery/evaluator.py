@@ -31,8 +31,9 @@ and a predicate — a loop over its candidates, each the focus of its row
 sub-expression that reads no column (nor a focus the rows differ in)
 and builds no node is evaluated once and charged once per row; ``if`` /
 ``and`` / ``or`` / ``typeswitch`` partition the rows, so a branch sees
-only the rows that reach it; comparisons, calls and constructors apply
-per row.
+only the rows that reach it; comparisons, calls and text / attribute
+constructors apply per row; element constructors build all rows' trees
+in one pass, one document per row.
 
 **Paths** run set-at-a-time on the per-document
 :class:`~repro.xmldb.index.StructuralIndex`: a step is one
@@ -86,9 +87,10 @@ from repro.xmldb.axes import REVERSE_AXES, child
 from repro.xmldb.compare import (
     is_same_node, node_after, node_before, sort_document_order,
 )
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import group_by_document, structural_index
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_TEXT, Node
 from repro.xquery import functions as fn_mod
 from repro.xquery import xdm
 from repro.xquery.ast import (
@@ -128,13 +130,12 @@ _sides = lambda expr: (expr.left, expr.right)  # noqa: E731
 
 #: Operators that evaluate every operand and then combine the values
 #: (``_apply_<Type>``), row by row. The value reads the operand
-#: expressions; a constructor's come from its plan.
+#: expressions.
 _STRICT = {
     SequenceExpr: lambda expr: expr.items,
     ComparisonExpr: _sides, ArithmeticExpr: _sides, NodeSetExpr: _sides,
     UnaryExpr: lambda expr: (expr.operand,),
     RangeExpr: lambda expr: (expr.start, expr.end),
-    ConstructorExpr: None,
 }
 
 
@@ -262,12 +263,6 @@ class Evaluator:
             return builtin(self, env, *args)
         raise UndefinedFunctionError(name, arity)
 
-    def _operands(self, expr: Expr):
-        reader = _STRICT[type(expr)]
-        if reader is not None:
-            return reader(expr)
-        return self._plan(expr, self._constructor_plan)[0]
-
     # -- the frame --------------------------------------------------------------
 
     def _lift(self, expr: Expr, frame: _Frame) -> list[list]:
@@ -370,7 +365,7 @@ class Evaluator:
 
     def _lift_strict(self, expr: Expr, frame: _Frame) -> list[list]:
         operands = [self._lift(operand, frame)
-                    for operand in self._operands(expr)]
+                    for operand in _STRICT[type(expr)](expr)]
         apply = getattr(self, f"_apply_{type(expr).__name__}")
         env = frame.env
         if not operands:
@@ -378,8 +373,7 @@ class Evaluator:
         return [apply(expr, env, values) for values in zip(*operands)]
 
     _lift_SequenceExpr = _lift_ComparisonExpr = _lift_ArithmeticExpr = \
-        _lift_NodeSetExpr = _lift_UnaryExpr = _lift_RangeExpr = \
-        _lift_ConstructorExpr = _lift_strict
+        _lift_NodeSetExpr = _lift_UnaryExpr = _lift_RangeExpr = _lift_strict
 
     def _lift_FunCall(self, expr: FunCall, frame: _Frame) -> list[list]:
         """Per row over evaluated arguments; a built-in that reads the
@@ -1000,7 +994,8 @@ class Evaluator:
         elif op == "mod":
             if y == 0:
                 raise XQueryDynamicError("modulo by zero")
-            result = math_fmod(x, y)
+            # XQuery mod keeps the sign of the dividend.
+            result = math.fmod(x, y)
         else:  # pragma: no cover - parser restricts ops
             raise XQueryDynamicError(f"unknown operator {op!r}")
         if both_int and result == int(result):
@@ -1053,8 +1048,8 @@ class Evaluator:
     def _constructor_plan(self, expr: ConstructorExpr) -> tuple:
         """``(operand expressions, inline)``. Planning an element marks
         the attribute constructors directly inside its content inline:
-        they hand ``_build_content`` a ``(name, value)`` pair instead
-        of building a one-row document for it to read them from."""
+        they hand the tree builder a ``(name, value)`` pair instead of
+        building a one-row document for it to read them from."""
         if expr.kind == "element" and expr.content is not None:
             for item in getattr(expr.content, "items", (expr.content,)):
                 if isinstance(item, ConstructorExpr) \
@@ -1064,36 +1059,78 @@ class Evaluator:
         return [operand for operand in (expr.content, expr.name_expr)
                 if operand is not None], False
 
-    def _apply_ConstructorExpr(self, expr: ConstructorExpr,
-                               env: DynamicContext, values) -> list:
-        operands = iter(values)
-        content = [] if expr.content is None else next(operands)
-        name = expr.name
-        if name is None and expr.name_expr is not None:
-            name_seq = next(operands)
-            name = xdm.string_value(name_seq[0]) if name_seq else ""
+    def _lift_ConstructorExpr(self, expr: ConstructorExpr,
+                              frame: _Frame) -> list[list]:
+        """Text and attribute constructors apply per row. An element or
+        document constructor builds every row's tree in one pass of one
+        builder, cut into a parentless document per row (fragment URIs
+        and document order taken in row order). Attribute items become
+        attributes; other nodes are deep-copied (a document node's
+        children stand in for it); adjacent atomics join into one text
+        node, separated by spaces; adjacent text nodes merge and empty
+        ones are dropped (XQuery 1.0 §3.7.1.3)."""
+        operands = [self._lift(operand, frame) for operand
+                    in self._plan(expr, self._constructor_plan)[0]]
+        contents = operands[0] if expr.content is not None \
+            else [()] * frame.size
+        names = [xdm.string_value(seq[0]) if seq else ""
+                 for seq in operands[-1]] \
+            if expr.name is None and expr.name_expr is not None \
+            else [expr.name] * frame.size
+        if expr.kind in ("text", "attribute"):
+            return [self._leaf(expr, name, content)
+                    for name, content in zip(names, contents)]
+        builder = DocumentBuilder()
+        document = expr.kind == "document"
+        for name, content in zip(names, contents):
+            if document:
+                builder.start_document()
+            else:
+                builder.start_element(name or "element")
+            atoms: list[str] = []
+            for item in content:
+                if type(item) is tuple:  # an inline attribute constructor's
+                    builder.attribute(*item)
+                    continue
+                if type(item) is not Node:
+                    atoms.append(xdm.string_value(item))
+                    continue
+                kind = item.doc.kinds[item.pre]
+                if kind == KIND_ATTRIBUTE:
+                    builder.attribute(item.name, item.value)
+                    continue
+                if atoms:
+                    builder.text(" ".join(atoms))
+                    atoms = []
+                for top in child(item) if kind == KIND_DOCUMENT \
+                        else (item,):
+                    if top.doc.kinds[top.pre] == KIND_TEXT:
+                        builder.text(top.value)
+                    else:
+                        builder.copy_subtree(top)
+            builder.text(" ".join(atoms))
+            if document:
+                builder.end_document()
+            else:
+                builder.end_element()
+        return [[Document(_fragment_uri(), columns).root]
+                for columns in builder.finish_trees()]
 
+    def _leaf(self, expr: ConstructorExpr, name: str | None,
+              content: list) -> list:
+        """A text or attribute constructor in one row: the string values
+        of its content's atoms, joined by spaces."""
+        value = " ".join([xdm.string_value(item) for item in content])
         if expr.kind == "text":
-            text = " ".join(xdm.string_value(i) for i in atomize(content))
-            return [_make_leaf_fragment(NodeKind.TEXT, "", text)]
-        if expr.kind == "attribute":
-            value = " ".join(xdm.string_value(i) for i in atomize(content))
+            if not content:
+                return []
+            kind, name = KIND_TEXT, ""
+        else:
+            kind, name = KIND_ATTRIBUTE, name or "attr"
             if self._plan(expr, self._constructor_plan)[1]:
-                return [(name or "attr", value)]
-            return [_make_leaf_fragment(NodeKind.ATTRIBUTE, name or "attr",
-                                        value)]
-        if expr.kind == "document":
-            builder = DocumentBuilder(_fragment_uri())
-            builder.start_document()
-            _build_content(builder, content)
-            builder.end_document()
-            return [builder.finish().root]
-        # element
-        builder = DocumentBuilder(_fragment_uri())
-        builder.start_element(name or "element")
-        _build_content(builder, content)
-        builder.end_element()
-        return [builder.finish().root]
+                return [(name, value)]
+        return [Document(_fragment_uri(), ColumnSet(
+            [kind], [name], [value], [0], [0], [-1])).root]
 
     # -- XRPC ---------------------------------------------------------------------------
 
@@ -1210,11 +1247,6 @@ def _collapse_steps(steps: list[Step], compiles) -> list[Step]:
     return out
 
 
-def math_fmod(x: float, y: float) -> float:
-    """XQuery mod keeps the sign of the dividend (like math.fmod)."""
-    return math.fmod(x, y)
-
-
 #: The order-by key of a NaN: below every value, above the empty
 #: sequence, equal to itself (XQuery 1.0 §3.8.3).
 _NAN_KEY = object()
@@ -1296,37 +1328,3 @@ def _order_less(a, b) -> bool:
 
 def _fragment_uri() -> str:
     return f"fragment:{next(_fragment_counter)}"
-
-
-def _make_leaf_fragment(kind: NodeKind, name: str, value: str) -> Node:
-    doc = Document(_fragment_uri(), [kind], [name], [value], [0], [0], [-1])
-    return doc.root
-
-
-def _build_content(builder: DocumentBuilder, content: list) -> None:
-    """Implement element-content processing: attribute items become
-    attributes, nodes are deep-copied, adjacent atomics join into one
-    text node separated by spaces."""
-    pending_atoms: list[str] = []
-
-    def flush_atoms() -> None:
-        if pending_atoms:
-            builder.text(" ".join(pending_atoms))
-            pending_atoms.clear()
-
-    for item in content:
-        if type(item) is tuple:  # an inline attribute constructor's
-            builder.attribute(*item)
-        elif isinstance(item, Node):
-            if item.kind == NodeKind.ATTRIBUTE:
-                builder.attribute(item.name, item.value)
-                continue
-            flush_atoms()
-            if item.kind == NodeKind.DOCUMENT:
-                for top in child(item):
-                    builder.copy_subtree(top)
-            else:
-                builder.copy_subtree(item)
-        else:
-            pending_atoms.append(xdm.string_value(item))
-    flush_atoms()

@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import XrpcMarshalError
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse, shred
@@ -197,7 +198,7 @@ class ResponseMessage:
         payload's columns in a new document, made in ``from_xml``'s
         order (fragments, then copies by item), the items shared."""
         def wrap(node: Node) -> Node:
-            return Document.from_columns(node.doc.uri, node.doc.columns).root
+            return Document(node.doc.uri, node.doc.columns).root
         fragments = [wrap(root) for root in self.fragments]
         return ResponseMessage(
             results=[[NodeCopy(item.node_kind, item.name, wrap(item.content))
@@ -394,8 +395,8 @@ class _Envelope:
             self.calls[-1][-1].append(
                 Atomic(self.item.get("type", "xs:string"), value)
                 if role == "atomic" else NodeCopy(role, name, Document(
-                    "", [LEAF_KINDS[role]], [name], [value], [0], [0],
-                    [-1]).root))
+                    "", ColumnSet([LEAF_KINDS[role]], [name], [value], [0],
+                                  [0], [-1])).root))
         elif role in _WRAPPERS:
             if self.payload is None:
                 self.refusals.append(_WRAPPERS[role])

@@ -8,6 +8,7 @@ type is imported from the library.
 from __future__ import annotations
 
 from repro.errors import XmlError
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.projection import ProjectionResult
@@ -151,7 +152,7 @@ def _materialize(source: Document, keep: list[bool],
         parent = parents[new_pre]
         sizes[parent] += sizes[new_pre] + 1
 
-    doc = Document(f"{source.uri}#projected", kinds, names, values,
-                   sizes, levels, parents)
+    doc = Document(f"{source.uri}#projected", ColumnSet(
+        kinds, names, values, sizes, levels, parents))
     return ProjectionResult(doc=doc, pre_map=pre_map,
                             kept=len(kinds), total=len(source))

@@ -264,7 +264,7 @@ def _scan(text: str, uri: str, document: bool) -> Document:
     if end < len(text):
         raise _error("content after root element" if document
                      else "content after fragment element", end)
-    return Document.from_columns(uri, ColumnSet(*columns))
+    return Document(uri, ColumnSet(*columns))
 
 
 def parse_document(text: str, uri: str = "") -> Document:

@@ -16,7 +16,8 @@ Three pieces, each moved out of the library unchanged:
   a frame), every path one ``axis_step`` generator per context node
   plus the document-order sort, every predicate evaluated per
   candidate, every ``for`` / ``order by`` / ``some`` / ``every`` the
-  nested loop (one evaluation of the body per binding);
+  nested loop (one evaluation of the body per binding), every element
+  and document constructor one ``DocumentBuilder`` per row;
 * :func:`walk_rel_path` — the per-node loop ``RelPath.evaluate`` ran.
 
 Use :func:`reference_engine` to run a whole federation on the oracle:
@@ -35,15 +36,18 @@ from unittest import mock
 from repro.errors import XQueryDynamicError
 from repro.xmldb.axes import attribute, child
 from repro.xmldb.compare import sort_document_order
+from repro.xmldb.document import DocumentBuilder
 from repro.xmldb.node import Node, NodeKind
 from repro.xquery import xdm
 from repro.xquery.ast import (
-    ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr,
-    Literal, LiteralSlot, LogicalExpr, OrderByExpr, PathExpr,
-    QuantifiedExpr, Step, TypeswitchExpr, VarRef, XRPCExpr,
+    ConstructorExpr, ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall,
+    IfExpr, LetExpr, Literal, LiteralSlot, LogicalExpr, OrderByExpr,
+    PathExpr, QuantifiedExpr, Step, TypeswitchExpr, VarRef, XRPCExpr,
 )
 from repro.xquery.context import DynamicContext
-from repro.xquery.evaluator import _STRICT, Evaluator, _OrderKey, order_key
+from repro.xquery.evaluator import (
+    _STRICT, Evaluator, _fragment_uri, _OrderKey, order_key,
+)
 from repro.xquery.prepared import PreparedTable
 from repro.xquery.types import matches_sequence_type
 from repro.xquery.xdm import effective_boolean_value
@@ -213,8 +217,8 @@ class ReferenceEvaluator(Evaluator):
     """The scalar tree-walking interpreter everywhere: one rule per
     expression evaluated in one dynamic context, no index scans, no
     compiled predicates, no loop operators. Only the operators that
-    combine evaluated operands (``_apply_*``, ``call_function``) are
-    the library's."""
+    combine evaluated operands (``_apply_*``, ``_leaf``,
+    ``call_function``) are the library's."""
 
     # The scalar rules ``xquery/evaluator.py`` ran for a top-level
     # expression until every rule became a rule over a frame, moved
@@ -225,7 +229,7 @@ class ReferenceEvaluator(Evaluator):
         kind = type(expr)
         if kind in _STRICT:
             values = [self.evaluate(operand, env)
-                      for operand in self._operands(expr)]
+                      for operand in _STRICT[kind](expr)]
             return getattr(self, f"_apply_{kind.__name__}")(expr, env, values)
         method = getattr(self, f"_eval_{kind.__name__}", None)
         if method is None:
@@ -309,6 +313,38 @@ class ReferenceEvaluator(Evaluator):
                 kept.append(item)
         return kept
 
+    # The per-row element and document constructors
+    # ``xquery/evaluator.py`` applied (one ``DocumentBuilder`` per row)
+    # until a frame built every row's tree in one pass, moved here
+    # unchanged but for text nodes in the content: they merge into an
+    # adjacent text node and are dropped when empty (XQuery 1.0
+    # §3.7.1.3), as ``DocumentBuilder.text`` does. Text and attribute
+    # constructors are the library's one-row rule (``_leaf``).
+
+    def _eval_ConstructorExpr(self, expr: ConstructorExpr,
+                              env: DynamicContext) -> list:
+        operands = iter([self.evaluate(operand, env) for operand
+                         in self._plan(expr, self._constructor_plan)[0]])
+        content = [] if expr.content is None else next(operands)
+        name = expr.name
+        if name is None and expr.name_expr is not None:
+            name_seq = next(operands)
+            name = xdm.string_value(name_seq[0]) if name_seq else ""
+        if expr.kind in ("text", "attribute"):
+            return self._leaf(expr, name, content)
+        if expr.kind == "document":
+            builder = DocumentBuilder(_fragment_uri())
+            builder.start_document()
+            _build_content(builder, content)
+            builder.end_document()
+            return [builder.finish().root]
+        # element
+        builder = DocumentBuilder(_fragment_uri())
+        builder.start_element(name or "element")
+        _build_content(builder, content)
+        builder.end_element()
+        return [builder.finish().root]
+
     # The per-node path walker.
 
     def _eval_PathExpr(self, expr: PathExpr, env: DynamicContext) -> list:
@@ -376,6 +412,41 @@ class ReferenceEvaluator(Evaluator):
         for _keys, _index, item in decorated:
             out.extend(self.evaluate(expr.body, env.bind(expr.var, [item])))
         return out
+
+
+def _build_content(builder: DocumentBuilder, content: list) -> None:
+    """Implement element-content processing: attribute items become
+    attributes, nodes are deep-copied, adjacent atomics join into one
+    text node separated by spaces."""
+    pending_atoms: list[str] = []
+
+    def flush_atoms() -> None:
+        if pending_atoms:
+            builder.text(" ".join(pending_atoms))
+            pending_atoms.clear()
+
+    def copy(node: Node) -> None:
+        if node.kind == NodeKind.TEXT:
+            builder.text(node.value)  # merges, and drops an empty one
+        else:
+            builder.copy_subtree(node)
+
+    for item in content:
+        if type(item) is tuple:  # an inline attribute constructor's
+            builder.attribute(*item)
+        elif isinstance(item, Node):
+            if item.kind == NodeKind.ATTRIBUTE:
+                builder.attribute(item.name, item.value)
+                continue
+            flush_atoms()
+            if item.kind == NodeKind.DOCUMENT:
+                for top in child(item):
+                    copy(top)
+            else:
+                copy(item)
+        else:
+            pending_atoms.append(xdm.string_value(item))
+    flush_atoms()
 
 
 @contextmanager

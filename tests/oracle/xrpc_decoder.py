@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.errors import XrpcMarshalError
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document
@@ -210,8 +211,9 @@ def _copy(item: Item) -> Item:
     if item.node_kind == "element":
         root = build_fragment_from_node("", item.content).root
     else:
-        root = Document("", [_LEAF_KINDS[item.node_kind]], [item.name],
-                        [item.content], [0], [0], [-1]).root
+        root = Document("", ColumnSet([_LEAF_KINDS[item.node_kind]],
+                                      [item.name], [item.content], [0], [0],
+                                      [-1])).root
     return NodeCopy(item.node_kind, item.name, root)
 
 

@@ -199,7 +199,7 @@ def test_builder_accumulates_typed_arrays(doc):
     for name in ("sizes", "levels", "parents"):
         assert getattr(doc.columns, name).typecode == PRE_TYPECODE, name
     assert isinstance(doc.names, list) and isinstance(doc.values, list)
-    wrapped = Document.from_columns("again.xml", doc.columns)
+    wrapped = Document("again.xml", doc.columns)
     for name in COLUMNS:
         assert getattr(wrapped, name) is getattr(doc, name), name
 

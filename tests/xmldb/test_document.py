@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import XmlError
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import Node, NodeKind
 from repro.xmldb.parser import parse_document
 from tests.oracle.xrpc_decoder import build_fragment_from_node
 
@@ -98,6 +99,37 @@ class TestBuilder:
         assert doc.is_fragment
         assert doc.root.kind == NodeKind.ELEMENT
 
+    def test_trees_built_one_after_another_are_cut_apart(self):
+        builder = DocumentBuilder()
+        source = build_simple()
+        for name in ("r", "s"):
+            builder.start_element(name)
+            builder.attribute("n", name)
+            builder.copy_subtree(source.node(3))  # <b>hello</b>
+            builder.text("t")
+            builder.end_element()
+        builder.start_document()
+        builder.text("u")
+        builder.end_document()
+        trees = builder.finish_trees()
+        assert [list(tree.parents) for tree in trees] == [
+            [-1, 0, 0, 2, 0], [-1, 0, 0, 2, 0], [-1, 0]]
+        assert [list(tree.levels) for tree in trees] == [
+            [0, 1, 1, 2, 1], [0, 1, 1, 2, 1], [0, 1]]
+        assert [list(tree.sizes) for tree in trees] == [
+            [4, 0, 1, 0, 0], [4, 0, 1, 0, 0], [1, 0]]
+        assert [tree.names[0] for tree in trees] == ["r", "s", ""]
+
+    def test_finish_wants_exactly_one_tree(self):
+        builder = DocumentBuilder()
+        for _ in range(2):
+            builder.start_element("a")
+            builder.end_element()
+        with pytest.raises(XmlError):
+            builder.finish()
+        with pytest.raises(XmlError):
+            DocumentBuilder().finish()
+
 
 class TestCopySubtree:
     def test_copy_creates_fresh_identity(self):
@@ -159,10 +191,41 @@ class TestFragmentFromNode:
         assert frag is not doc and frag.doc_seq > doc.doc_seq
 
 
+class TestNodeHandle:
+    """A handle is two slots: no ``__dict__``, identity by document
+    and pre, order by ``(doc_seq, pre)``."""
+
+    def test_two_slots_and_no_dict(self):
+        node = build_simple().node(1)
+        assert Node.__slots__ == ("doc", "pre")
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(AttributeError):
+            node.other = 1
+
+    def test_equal_handles_compare_and_hash_equal(self):
+        doc = build_simple()
+        assert Node(doc, 2) == doc.node(2) and Node(doc, 2) != Node(doc, 3)
+        assert hash(Node(doc, 2)) == hash(doc.node(2))
+        assert len({Node(doc, 2), doc.node(2), Node(doc, 3)}) == 2
+
+    def test_same_pre_in_two_documents_differs(self):
+        first, second = build_simple(), build_simple()
+        assert Node(first, 1) != Node(second, 1)
+        assert Node(first, 1) != "not a node"
+
+    def test_order_is_doc_seq_then_pre(self):
+        first, second = build_simple(), build_simple()
+        assert Node(first, 3) < Node(first, 4) < Node(second, 0)
+        assert not Node(second, 0) < Node(first, 4)
+        assert Node(first, 3).order_key() == (first.doc_seq, 3)
+        assert sorted([Node(second, 1), Node(first, 2), Node(first, 1)]) \
+            == [Node(first, 1), Node(first, 2), Node(second, 1)]
+
+
 class TestDocument:
     def test_empty_rejected(self):
         with pytest.raises(XmlError):
-            Document("u", [], [], [], [], [], [])
+            Document("u", ColumnSet([], [], [], [], [], []))
 
     def test_node_range_checked(self):
         doc = build_simple()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.xmark import generate_pair
 from repro.xmldb.axes import AXES
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import Node, NodeKind
@@ -108,7 +109,8 @@ class TestIndexStructures:
         sys.setswitchinterval(1e-5)
         try:
             for round_ in range(20):
-                fresh = (Document("bare.xml", *oracle_columns(people))
+                fresh = (Document("bare.xml", ColumnSet(
+                             *oracle_columns(people)))
                          if round_ % 2 else parse_document(text))
                 threads = [threading.Thread(target=read, args=(fresh, order))
                            for order in (PARTS, PARTS[1::-1] + PARTS[:1:-1])]
@@ -181,7 +183,8 @@ class TestChainMatching:
 
     def test_leaf_fragment_matches_nothing(self):
         assert run('(text {"hi"})/child::a') == []
-        leaf = Document("leaf", [NodeKind.TEXT], [""], ["hi"], [0], [0], [-1])
+        leaf = Document("leaf", ColumnSet([NodeKind.TEXT], [""], ["hi"],
+                                          [0], [0], [-1]))
         assert list(structural_index(leaf).axis_scan(
             "child", "a", [0])) == []
 

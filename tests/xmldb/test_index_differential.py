@@ -117,7 +117,7 @@ def test_shredded_parts_match_the_oracle(doc, pick, order):
 @given(_parsed)
 @fuzz_settings(200)
 def test_scanner_postings_equal_one_pass_over_the_columns(doc):
-    bare = Document.from_columns(doc.uri, ColumnSet(
+    bare = Document(doc.uri, ColumnSet(
         *(getattr(doc, column) for column in COLUMNS)))
     assert bare.columns.postings is None
     emitted = doc.columns.postings

@@ -3,6 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.xmldb import axes
+from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
@@ -134,7 +135,7 @@ class TestOneEmitter:
         starts, ends = subtree_spans(doc)
         # Same columns, no memoized text: every pre > 0 is emitted
         # afresh from its own rows.
-        bare = Document.from_columns(doc.uri, doc.columns)
+        bare = Document(doc.uri, doc.columns)
         for pre in range(len(doc) - 1, -1, -1):
             assert full[starts[pre]:ends[pre]] == \
                 serialize_node(bare.node(pre))
@@ -145,6 +146,7 @@ class TestOneEmitter:
         for kind, value, text in (
                 (NodeKind.ATTRIBUTE, 'a"<&>', "a&quot;&lt;&amp;>"),
                 (NodeKind.TEXT, 'a"<&>', 'a"&lt;&amp;&gt;')):
-            doc = Document("m", [kind], ["n"], [value], [0], [0], [-1])
+            doc = Document("m", ColumnSet([kind], ["n"], [value], [0], [0],
+                                          [-1]))
             assert serialize(doc) == serialize_node(doc.root) == text
             assert subtree_spans(doc) == ([0], [len(text)])

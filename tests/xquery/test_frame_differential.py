@@ -3,7 +3,10 @@ that used to fall back to the scalar rules: every one of the twelve
 axes under a loop, positional predicates on any axis, predicates that
 read a loop variable, loops nested in loops (two-level lifting),
 joins whose invariant side reads the outer variable, quantifiers, and
-predicates that raise (on an empty step nothing is evaluated).
+predicates that raise (on an empty step nothing is evaluated). And
+element / document constructors under loops of 0, 1, 2 and many rows
+(every row's tree built in one pass), their results navigated across
+rows.
 
 Property: ``Evaluator`` ≡ ``ReferenceEvaluator`` (the scalar rules,
 per-node walker and nested loops) on the result items, or on the error
@@ -16,11 +19,15 @@ from hypothesis import given, strategies as st
 
 from repro.obs.metrics import GLOBAL_REGISTRY
 from repro.xmldb.parser import parse_document
+from repro.xquery.context import DynamicContext
+from repro.errors import XmlError
 from repro.xquery.ast import (
-    ComparisonExpr, ContextItemExpr, EmptySequence, ForExpr, FunCall, IfExpr,
-    Literal, PathExpr, QuantifiedExpr, Step, VarRef,
+    ComparisonExpr, ConstructorExpr, ContextItemExpr, EmptySequence, ForExpr,
+    FunCall, IfExpr, LetExpr, Literal, NodeSetExpr, PathExpr, QuantifiedExpr,
+    SequenceExpr, Step, VarRef,
 )
 from repro.xquery.evaluator import Evaluator
+from repro.xquery.parser import parse_query
 from repro.xquery.pretty import pretty
 
 from tests.conftest import fuzz_settings
@@ -159,3 +166,111 @@ def test_a_raising_predicate_on_an_empty_step_is_not_evaluated():
                  "return $x/following-sibling::nosuch[last()][error()]"):
         assert outcome(Evaluator, text, pair) \
             == outcome(ReferenceEvaluator, text, pair) == ("items", []), text
+
+
+def _path(var: str, *steps: tuple[str, str]) -> PathExpr:
+    return PathExpr(VarRef(var), [Step(axis, test) for axis, test in steps])
+
+
+#: One item of a constructor's content, in the row of ``$x`` (a node of
+#: a generated document) at position ``$i``: atomics, the row's node,
+#: its children, texts and attributes, a document node, text /
+#: document / element constructors, and attribute constructors inline
+#: (directly in the content) with static or computed names.
+_content_items = st.sampled_from([
+    Literal("a"), Literal(""), Literal(2), VarRef("i"),
+    _path("x", ("self", "node()")),
+    _path("x", ("child", "node()")),
+    _path("x", ("child", "text()")),
+    _path("x", ("attribute", "*")),
+    _doc("d2"),
+    ConstructorExpr("text", None, None, VarRef("i")),
+    ConstructorExpr("text", None, None, Literal("")),
+    ConstructorExpr("text", None, None, EmptySequence()),
+    ConstructorExpr("document", None, None, _path("x", ("child", "node()"))),
+    ConstructorExpr("element", "e", None, VarRef("i")),
+    ConstructorExpr("attribute", "k", None, VarRef("i")),
+    ConstructorExpr("attribute", None, FunCall(
+        "concat", [Literal("k"), VarRef("i")]), Literal("v")),
+])
+
+#: What each query returns about the rows' trees ``$r``: the trees,
+#: their parents (none), roots (themselves), every horizontal axis
+#: (never reaching another row), identity, and union (document order
+#: across rows, as the rows come).
+_navigations = [
+    VarRef("r"),
+    _path("r", ("parent", "node()")),
+    ForExpr("y", VarRef("r"), ComparisonExpr(
+        "is", FunCall("root", [VarRef("y")]), VarRef("y"))),
+    _path("r", ("following", "*")),
+    _path("r", ("preceding", "*")),
+    _path("r", ("descendant-or-self", "node()"), ("following", "node()")),
+    _path("r", ("descendant", "node()"), ("preceding", "node()")),
+    _path("r", ("following-sibling", "node()")),
+    _path("r", ("child", "node()"), ("following-sibling", "node()")),
+    _path("r", ("child", "node()"), ("preceding-sibling", "node()")),
+    ForExpr("y", VarRef("r"), ForExpr("z", VarRef("r"), ComparisonExpr(
+        "is", VarRef("y"), VarRef("z")))),
+    NodeSetExpr("union", FunCall("reverse", [VarRef("r")]),
+                _path("r", ("child", "node()"))),
+    FunCall("count", [_path("r", ("descendant-or-self", "node()"))]),
+]
+
+
+@st.composite
+def _constructor_queries(draw):
+    """``let $r := for $x at $i in (0, 1, 2 or 8 nodes) return
+    <element or document> return <navigation of $r>``."""
+    content = draw(st.lists(_content_items, max_size=4))
+    body = SequenceExpr(content) if len(content) != 1 else content[0]
+    kind = draw(st.sampled_from(["element", "element", "document"]))
+    name = draw(st.sampled_from(["r", None]))
+    constructor = ConstructorExpr(
+        kind, name if kind == "element" else None,
+        FunCall("concat", [Literal("r"), VarRef("i")])
+        if kind == "element" and name is None else None,
+        body if content else None)
+    rows = PathExpr(_doc(draw(st.sampled_from(["d1", "d2"]))), [
+        Step("descendant-or-self", "node()")])
+    count = draw(st.sampled_from([0, 1, 2, 8]))
+    return pretty(LetExpr("r", ForExpr(
+        "x", FunCall("subsequence", [rows, Literal(1), Literal(count)]),
+        constructor, pos_var="i"), draw(st.sampled_from(_navigations))))
+
+
+def constructed(engine, text: str, documents) -> tuple:
+    """``outcome``, and an attribute-after-content error's message:
+    it names the row's attribute, so the row that failed first."""
+    verdict = outcome(engine, text, documents)
+    if verdict != ("error", "XmlError"):
+        return verdict
+    store = dict(zip(("d1", "d2"), documents))
+    try:
+        engine(parse_query(text)).run(
+            DynamicContext(resolve_doc=store.__getitem__))
+    except XmlError as error:
+        return verdict + (str(error),)
+    raise AssertionError(f"{text} raised once, not twice")
+
+
+@given(text=_constructor_queries(), documents=_documents)
+@fuzz_settings(200)
+def test_lifted_constructors_equal_the_per_row_rule(text, documents):
+    """An element or document constructor over a frame (one pass, one
+    document per row) ≡ the per-row rule, and so do the trees under
+    every axis that could reach another row."""
+    assert constructed(Evaluator, text, documents) \
+        == constructed(ReferenceEvaluator, text, documents), text
+
+
+def test_attribute_after_content_fails_at_the_same_row():
+    """The first row whose attribute follows content decides the error,
+    in the frame as in the per-row rule."""
+    pair = (parse_document("<r><a/><a>t</a><a/></r>", "d1.xml"),
+            parse_document("<r/>", "d2.xml"))
+    text = ('for $x at $i in doc("d1")//a return '
+            'element e {$x/node(), attribute {concat("k", $i)} {1}}')
+    assert constructed(Evaluator, text, pair) \
+        == constructed(ReferenceEvaluator, text, pair) \
+        == ("error", "XmlError", "attribute 'k2' after element content")
