@@ -102,7 +102,7 @@ def under_replicated(fed, gone: str) -> int:
     """Shards with fewer live replicas than their target, ``gone``
     not counted."""
     return [len([r for r in shard.replicas if r != gone])
-            < spec.target_replication for spec in fed.catalog.collections()
+            < spec.replication_factor for spec in fed.catalog.collections()
             for shard in spec.shards].count(True)
 
 

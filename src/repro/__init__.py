@@ -18,9 +18,6 @@ Quickstart::
     print(result.stats.summary())
 """
 
-# ``runtime`` first: obs takes its clock from ``repro.runtime.clock`` and is
-# reached, via xmldb, half-way through importing xquery, which runtime needs.
-from repro.runtime import FederationEngine, ResultCache, Transport
 from repro.cluster import (ClusterCatalog, CollectionSpec,
                            create_sharded_collection)
 from repro.decompose import AUTO, Strategy, decompose
@@ -31,6 +28,7 @@ from repro.obs import (MetricsRegistry, Span, Tracer, dump_chrome_trace,
                        dump_trace, render_tree)
 from repro.planner import (CalibrationBook, PhysicalPlan, QueryPlanner,
                            StatsCatalog)
+from repro.runtime import FederationEngine, ResultCache, Transport
 from repro.system.federation import Federation, Peer, RunResult
 from repro.xmldb import Document, Node, parse_document, parse_fragment
 from repro.xquery import Evaluator, parse_query, pretty

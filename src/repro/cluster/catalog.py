@@ -80,10 +80,10 @@ class CollectionSpec:
     container_path: tuple[str, ...]
     member: str
     shards: tuple[ShardInfo, ...]
+    #: The replica count the repair engine restores every shard to
+    #: after evictions.
+    replication_factor: int
     partitioning: str = "range"   # "range" | "hash"
-    #: The replication target the repair engine restores shards to
-    #: after evictions (0 ⇒ infer the widest current placement).
-    replication_factor: int = 0
 
     def __post_init__(self) -> None:
         if not self.shards:
@@ -120,28 +120,13 @@ class CollectionSpec:
         peers = {peer for shard in self.shards for peer in shard.replicas}
         return tuple(sorted(peers))
 
-    @property
-    def target_replication(self) -> int:
-        """The replica count repair restores every shard to: the
-        declared factor, or (legacy specs) the widest placement."""
-        if self.replication_factor > 0:
-            return self.replication_factor
-        return max(len(shard.replicas) for shard in self.shards)
-
 
 class ClusterCatalog:
-    """Thread-safe registry of sharded collections.
-
-    ``max_scatter_parallelism`` caps how many shard calls one scatter
-    fans out at a time (the cluster's admission knob, tuned by
-    :class:`~repro.runtime.engine.FederationEngine`).
-    """
+    """Thread-safe registry of sharded collections."""
 
     PARTIAL_POLICIES = ("error", "allow")
 
-    def __init__(self, max_scatter_parallelism: int = 8,
-                 partial: str = "error", retry_policy=None):
-        self.max_scatter_parallelism = max_scatter_parallelism
+    def __init__(self, partial: str = "error"):
         self._lock = threading.Lock()
         self._epoch = 0
         self._collections: dict[str, CollectionSpec] = {}
@@ -156,7 +141,7 @@ class ClusterCatalog:
         self.partial_policy = self._check_partial(partial)
         #: The router's :class:`~repro.runtime.transport.RetryPolicy`
         #: for transient wire faults (None ⇒ the router's default).
-        self.retry_policy = retry_policy
+        self.retry_policy = None
         #: The router's prepared scatters, one per (function body,
         #: collection layout) — see ``router._PreparedScatter``.
         self.prepared = PreparedTable()
@@ -268,7 +253,6 @@ class ClusterCatalog:
                         "document": spec.document,
                         "partitioning": spec.partitioning,
                         "replication_factor": spec.replication_factor,
-                        "target_replication": spec.target_replication,
                         "last_reason": self._reasons.get(spec.name,
                                                          "register"),
                         "shards": [

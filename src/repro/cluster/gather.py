@@ -26,7 +26,7 @@ from repro.cluster.partitioner import find_container
 from repro.xmldb.axes import attribute as attribute_axis
 from repro.xmldb.axes import child as child_axis
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import KIND_DOCUMENT, KIND_ELEMENT, Node
 from repro.xquery.ast import (
     Expr, ForExpr, FunCall, LetExpr, Literal, OrderByExpr, PathExpr,
     QuantifiedExpr, walk,
@@ -236,7 +236,7 @@ def merge_shard_documents(shard_docs: list[Document], uri: str,
     containers = [find_container(doc, container_path)
                   for doc in shard_docs]
     builder = DocumentBuilder(uri)
-    has_doc_node = base.root.kind == NodeKind.DOCUMENT
+    has_doc_node = base.root.kind == KIND_DOCUMENT
     if has_doc_node:
         top = _first_element(base.root)
     else:
@@ -254,7 +254,7 @@ def merge_shard_documents(shard_docs: list[Document], uri: str,
 
 def _first_element(node: Node) -> Node | None:
     for child in child_axis(node):
-        if child.kind == NodeKind.ELEMENT:
+        if child.kind == KIND_ELEMENT:
             return child
     return None
 
@@ -266,7 +266,7 @@ def _copy_merged(builder: DocumentBuilder, node: Node, container_pre: int,
         builder.attribute(attr.name, attr.value)
     on_spine = node.pre <= container_pre
     for child in child_axis(node):
-        covers = (child.kind == NodeKind.ELEMENT and on_spine
+        covers = (child.kind == KIND_ELEMENT and on_spine
                   and child.pre <= container_pre
                   and container_pre <= child.pre + child.size)
         if covers:

@@ -32,17 +32,18 @@ instead of rediscovering it per query:
   query to gamble on it.
 
 * **Suspicion** is phi-accrual-flavoured, tick-driven and
-  deterministic: over the same rolling windows :mod:`repro.obs.health`
+  deterministic: over a rolling window of the kind :mod:`repro.obs.health`
   uses, the failure fraction ``f`` maps to ``phi = -log10(1 - f)``
   (0.3 at 50 % failures, 1 at 90 %, ~`PHI_CEILING` at 100 %). A peer
-  turns **suspect** when ``phi >= suspect_phi`` with enough window
-  samples *or* after ``suspect_after`` consecutive failures — the
-  consecutive ladder keeps detection latency bounded by probe ticks
-  rather than window width. **Dead** needs ``dead_after`` consecutive
-  failures; recovery needs ``revive_after`` consecutive successes
-  (hysteresis — one lucky probe cannot flap a suspect back to alive).
+  turns **suspect** when ``phi >= SUSPECT_PHI`` (1) with at least
+  ``MIN_SAMPLES`` (4) window samples *or* after ``SUSPECT_AFTER`` (2)
+  consecutive failures — the consecutive ladder keeps detection latency
+  bounded by probe ticks rather than window width. **Dead** needs
+  ``DEAD_AFTER`` (4) consecutive failures; recovery needs
+  ``REVIVE_AFTER`` (2) consecutive successes (hysteresis — one lucky
+  probe cannot flap a suspect back to alive).
 
-* **Eviction**: after ``evict_after_ticks`` further ticks dead, the
+* **Eviction**: after ``EVICT_AFTER_TICKS`` (2) further ticks dead, the
   peer is **evicted**: removed from every shard placement that has
   another replica (``catalog.update``, reason ``"evict"``), leaving
   under-replicated shards for :class:`~repro.cluster.repair.RepairEngine`
@@ -64,10 +65,9 @@ import math
 import threading
 from dataclasses import dataclass
 
-from repro.cluster.catalog import ClusterCatalog, ClusterError
+from repro.cluster.catalog import ClusterCatalog
 from repro.errors import NetworkError
 from repro.obs.windows import RollingWindowFamily
-from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "EVICTED", "PHI_CEILING",
            "PeerView", "MembershipTracker"]
@@ -82,6 +82,20 @@ _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
 
 #: phi for a window that is 100 % failures (``-log10(0)`` clamped).
 PHI_CEILING = 16.0
+
+#: The failure window: ``BUCKETS`` buckets of ``WIDTH_S`` seconds.
+WIDTH_S = 0.5
+BUCKETS = 20
+#: Suspect at this phi, once the window holds ``MIN_SAMPLES`` samples.
+SUSPECT_PHI = 1.0
+MIN_SAMPLES = 4
+#: The consecutive-evidence ladder (see the module docstring).
+SUSPECT_AFTER = 2
+DEAD_AFTER = 4
+REVIVE_AFTER = 2
+EVICT_AFTER_TICKS = 2
+#: The size of one heartbeat probe.
+PROBE_BYTES = 64
 
 _EVENT_SEVERITY = {SUSPECT: "warning", DEAD: "error",
                    ALIVE: "info", EVICTED: "error"}
@@ -226,56 +240,36 @@ class _Ladder:
 class MembershipTracker:
     """Tick-driven failure detector writing into a :class:`PeerView`.
 
-    :meth:`attach` wires it into a federation: it adopts the
-    federation's view (until then it keeps a view of its own), wire and
-    clock, and watches every peer holding a replica. ``clock``
-    (default: the attached federation's) only drives the evidence
-    windows; state transitions are functions of evidence counts and
-    :meth:`tick` calls — never time — so chaos schedules replay exactly.
+    :meth:`attach` wires it into a federation before any use: it adopts
+    the federation's view, wire and clock, and watches every peer
+    holding a replica. The clock only drives the evidence window; state
+    transitions are functions of evidence counts and :meth:`tick` calls
+    — never time — so chaos schedules replay exactly.
     """
 
-    def __init__(self, transport=None, *, clock=None,
-                 width_s: float = 0.5, buckets: int = 20,
-                 window_s: float | None = None,
-                 suspect_phi: float = 1.0, min_samples: int = 4,
-                 suspect_after: int = 2, dead_after: int = 4,
-                 revive_after: int = 2, evict_after_ticks: int = 2,
-                 auto_evict: bool = True, probe_bytes: int = 64,
-                 events=None, metrics=None):
-        if not 1 <= suspect_after <= dead_after:
-            raise ClusterError(
-                f"need 1 <= suspect_after ({suspect_after}) <= "
-                f"dead_after ({dead_after})")
-        if revive_after < 1:
-            raise ClusterError(f"revive_after {revive_after} must be >= 1")
-        if evict_after_ticks < 1:
-            raise ClusterError(
-                f"evict_after_ticks {evict_after_ticks} must be >= 1")
-        self.view = PeerView()
-        self.view.detector = self
-        self.transport = transport
-        self.window_s = window_s
-        self.suspect_phi = suspect_phi
-        self.min_samples = min_samples
-        self.suspect_after = suspect_after
-        self.dead_after = dead_after
-        self.revive_after = revive_after
-        self.evict_after_ticks = evict_after_ticks
-        self.auto_evict = auto_evict
-        self.probe_bytes = probe_bytes
-        self.events = events
-        self._follows_wire = clock is None
-        self._failures = RollingWindowFamily(
-            width_s, buckets, clock or REAL_CLOCK, eps=None)
+    def __init__(self):
+        self.view = self.transport = self.events = None
+        self._failures = None
         self._lock = threading.Lock()
         self._ladders: dict[str, _Ladder] = {}    # the watched peers
         self._subscribers: list = []
-        self._init_metrics(metrics)
 
-    def _init_metrics(self, metrics) -> None:
-        self._state_gauge = self._transitions = self._probes = None
-        if metrics is None:
-            return
+    # -- wiring ---------------------------------------------------------------
+
+    def attach(self, federation) -> "MembershipTracker":
+        """Install on ``federation``: write into its peer view (whose
+        :meth:`PeerView.record` then feeds this detector the router's
+        attempts), adopt its transport, the wire's clock, the monitor's
+        event log when one is attached and the metrics registry, and
+        watch every replica peer."""
+        self.view = federation.peer_view
+        self.view.detector = self
+        self.transport = federation.transport
+        self._failures = RollingWindowFamily(
+            WIDTH_S, BUCKETS, federation.transport.clock, eps=None)
+        monitor = federation.monitor
+        self.events = monitor.events if monitor is not None else None
+        metrics = federation.metrics
         self._state_gauge = metrics.gauge(
             "membership_state",
             "0=alive 1=suspect 2=dead 3=evicted", ("peer",))
@@ -285,27 +279,6 @@ class MembershipTracker:
         self._probes = metrics.counter(
             "membership_probes_total", "heartbeat probes by outcome",
             ("outcome",))
-
-    # -- wiring ---------------------------------------------------------------
-
-    def attach(self, federation) -> "MembershipTracker":
-        """Install on ``federation``: write into its peer view (whose
-        :meth:`PeerView.record` then feeds this detector the router's
-        attempts), adopt its transport, the wire's clock (and monitor
-        event log + metrics registry when present), and watch every
-        replica peer."""
-        self.view = federation.peer_view
-        self.view.detector = self
-        if self.transport is None:
-            self.transport = federation.transport
-        if self._follows_wire:
-            # Per-peer windows are born on their first evidence.
-            self._failures.clock = federation.transport.clock
-        monitor = federation.monitor
-        if self.events is None and monitor is not None:
-            self.events = monitor.events
-        if self._state_gauge is None:
-            self._init_metrics(federation.metrics)
         if federation.catalog is not None:
             for spec in federation.catalog.collections():
                 self.watch(*spec.replica_peers)
@@ -333,10 +306,10 @@ class MembershipTracker:
         window = self._failures.get(peer)
         if window is None:
             return 0.0
-        samples = window.count(self.window_s)
-        if samples < self.min_samples:
+        samples = window.count()
+        if samples < MIN_SAMPLES:
             return 0.0
-        fraction = window.sum(self.window_s) / samples
+        fraction = window.sum() / samples
         if fraction >= 1.0:
             return PHI_CEILING
         return min(PHI_CEILING, -math.log10(1.0 - fraction))
@@ -363,24 +336,22 @@ class MembershipTracker:
                 ladder.consecutive_failures = 0
                 ladder.consecutive_successes += 1
                 if (state(peer) in (SUSPECT, DEAD)
-                        and ladder.consecutive_successes
-                        >= self.revive_after):
+                        and ladder.consecutive_successes >= REVIVE_AFTER):
                     transitions.append(self._transition(peer, ALIVE))
             else:
                 ladder.consecutive_successes = 0
                 ladder.consecutive_failures += 1
                 if (state(peer) in (ALIVE, SUSPECT)
-                        and ladder.consecutive_failures >= self.dead_after):
+                        and ladder.consecutive_failures >= DEAD_AFTER):
                     if state(peer) == ALIVE:
                         transitions.append(
                             self._transition(peer, SUSPECT))
                     transitions.append(self._transition(peer, DEAD))
                 elif (state(peer) == ALIVE
-                      and ladder.consecutive_failures
-                      >= self.suspect_after):
+                      and ladder.consecutive_failures >= SUSPECT_AFTER):
                     transitions.append(self._transition(peer, SUSPECT))
         if not transitions and not ok and state(peer) == ALIVE \
-                and self.phi(peer) >= self.suspect_phi:
+                and self.phi(peer) >= SUSPECT_PHI:
             # The windowed phi signal: mostly-failing mixed traffic
             # turns a peer suspect even when successes keep resetting
             # the consecutive ladder.
@@ -393,19 +364,15 @@ class MembershipTracker:
         """One detector round: probe every watched, non-evicted peer
         (deterministic name order), advance dead peers toward eviction.
         Returns the post-tick state per peer."""
-        if self.transport is None:
-            raise ClusterError("membership tracker has no transport "
-                               "to probe through (attach a federation)")
         for peer in [peer for peer in self.peers()
                      if self.view.state(peer) != EVICTED]:
             try:
-                self.transport.probe(peer, self.probe_bytes)
+                self.transport.probe(peer, PROBE_BYTES)
             except NetworkError:
                 ok = False
             else:
                 ok = True
-            if self._probes is not None:
-                self._probes.labels("ok" if ok else "fail").inc()
+            self._probes.labels("ok" if ok else "fail").inc()
             self.view.record(peer, None, ok)
         self._advance_dead()
         return {peer: self.view.state(peer) for peer in self.peers()}
@@ -413,8 +380,8 @@ class MembershipTracker:
     # -- operator actions -----------------------------------------------------
 
     def evict(self, peer: str) -> None:
-        """Force-evict a watched ``peer`` (the auto path calls this
-        after ``evict_after_ticks`` dead ticks)."""
+        """Force-evict a watched ``peer`` (the tick does this after
+        ``EVICT_AFTER_TICKS`` dead ticks)."""
         transitions = []
         with self._lock:
             if peer in self._ladders \
@@ -444,8 +411,7 @@ class MembershipTracker:
                 if self.view.state(peer) != DEAD:
                     continue
                 ladder.dead_ticks += 1
-                if (self.auto_evict
-                        and ladder.dead_ticks >= self.evict_after_ticks):
+                if ladder.dead_ticks >= EVICT_AFTER_TICKS:
                     transitions.append(self._transition(peer, EVICTED))
         self._apply(transitions)
 
@@ -469,10 +435,8 @@ class MembershipTracker:
                 self.view.mark_up(peer)
             elif new_state == EVICTED:
                 self._evict_placements(peer)
-            if self._state_gauge is not None:
-                self._state_gauge.labels(peer).set(
-                    _STATE_CODES[new_state])
-                self._transitions.labels(new_state).inc()
+            self._state_gauge.labels(peer).set(_STATE_CODES[new_state])
+            self._transitions.labels(new_state).inc()
             if self.events is not None:
                 self.events.emit(
                     "replica_evicted" if new_state == EVICTED

@@ -36,7 +36,7 @@ attempt rolls back every document it stored (direct object removal —
 it works even when the destination's transport is down).
 :meth:`MigrationExecutor.attempt` is that single attempt (the repair
 queue calls it and keeps its own retry rule);
-:meth:`~MigrationExecutor.execute` retries it up to ``max_attempts``,
+:meth:`~MigrationExecutor.execute` retries it up to :data:`MAX_ATTEMPTS`,
 sources re-resolved each time, then gives up loudly (event + metric,
 catalog untouched). A plan that no longer matches the live spec — the
 shard healed, moved or split since planning or during the copy — is a
@@ -63,6 +63,9 @@ from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
 __all__ = ["MigrationExecutor", "BoundaryPartitioner", "PlanAbandoned"]
+
+#: How many attempts :meth:`MigrationExecutor.execute` gives one plan.
+MAX_ATTEMPTS = 3
 
 
 class PlanAbandoned(Exception):
@@ -91,13 +94,11 @@ class BoundaryPartitioner(Partitioner):
 
 class MigrationExecutor:
     """Runs migration plans with the copy/verify/cutover/retire
-    protocol described in the module docstring."""
+    protocol described in the module docstring, emitting into the
+    federation's monitor event log (when one is attached) and metrics
+    registry."""
 
-    def __init__(self, federation, *, events=None, metrics=None,
-                 max_attempts: int = 3):
-        if max_attempts < 1:
-            raise ClusterError(
-                f"max_attempts {max_attempts} must be >= 1")
+    def __init__(self, federation):
         self.federation = federation
         self.catalog = federation.catalog
         if self.catalog is None:
@@ -106,8 +107,8 @@ class MigrationExecutor:
         #: The one load ranking of the federation's control plane: the
         #: repair engine and the rebalancer read it.
         self.scorer = LoadScorer(federation)
-        self.events = events
-        self.max_attempts = max_attempts
+        monitor = federation.monitor
+        self.events = monitor.events if monitor is not None else None
         self._lock = threading.Lock()
         #: Superseded fragments awaiting physical removal:
         #: ``(peer_name, local_name)`` pairs.
@@ -115,33 +116,31 @@ class MigrationExecutor:
         self._completed: dict[str, int] = {}
         self._failed = 0
         self._collected = 0
-        self._m_migrations = self._m_bytes = None
-        if metrics is not None:
-            self._m_migrations = metrics.counter(
-                "rebalance_migrations_total",
-                "migration attempts by operation and outcome",
-                ("op", "outcome"))
-            self._m_bytes = metrics.counter(
-                "rebalance_bytes_total",
-                "fragment bytes shipped by migrations", ("op",))
+        self._m_migrations = federation.metrics.counter(
+            "rebalance_migrations_total",
+            "migration attempts by operation and outcome",
+            ("op", "outcome"))
+        self._m_bytes = federation.metrics.counter(
+            "rebalance_bytes_total",
+            "fragment bytes shipped by migrations", ("op",))
 
     # -- public API -----------------------------------------------------------
 
     @classmethod
-    def shared(cls, federation, **kwargs) -> "MigrationExecutor":
+    def shared(cls, federation) -> "MigrationExecutor":
         """The federation's one executor: the attached repair engine's
         or rebalancer's when there is one (one tombstone list, one
-        scorer), else a new one built from ``kwargs``."""
+        scorer), else a new one."""
         for owner in (getattr(federation, "repair", None),
                       getattr(federation, "rebalancer", None)):
             if owner is not None and owner.executor is not None:
                 return owner.executor
-        return cls(federation, **kwargs)
+        return cls(federation)
 
     def execute(self, plan) -> bool:
         """Run one plan to completion, no-op, or give-up. True only
         when a cutover happened."""
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 done = self.attempt(plan)
             except PlanAbandoned as exc:
@@ -149,7 +148,7 @@ class MigrationExecutor:
             except NetworkError as exc:
                 self._emit_failed(
                     plan, f"aborted: {type(exc).__name__} (attempt "
-                          f"{attempt}/{self.max_attempts})",
+                          f"{attempt}/{MAX_ATTEMPTS})",
                     "warning", error=type(exc).__name__)
                 continue
             if done is not None:
@@ -185,7 +184,7 @@ class MigrationExecutor:
                        peer: str) -> bool:
         """Drop one redundant replica from a shard's placement —
         guarded: refuses (False) unless the remaining replicas that
-        serve still meet the collection's ``target_replication``. Pure
+        serve still meet the collection's ``replication_factor``. Pure
         catalog surgery plus a tombstone; no bytes move."""
         spec = self.catalog.lookup(collection)
         shard = spec.shard(shard_index) if spec is not None else None
@@ -201,7 +200,7 @@ class MigrationExecutor:
                 return None
             remaining = tuple(r for r in now.replicas if r != peer)
             if len(usable.intersection(remaining)) \
-                    < current.target_replication:
+                    < current.replication_factor:
                 return None
             return current.placing(now, remaining)
 
@@ -268,8 +267,7 @@ class MigrationExecutor:
     def _give_up(self, plan, reason: str) -> bool:
         with self._lock:
             self._failed += 1
-        if self._m_migrations is not None:
-            self._m_migrations.labels(plan.op, "failed").inc()
+        self._m_migrations.labels(plan.op, "failed").inc()
         self._emit_failed(plan, f"abandoned: {reason}", "error",
                           reason=reason)
         return False
@@ -286,10 +284,9 @@ class MigrationExecutor:
     def _note_done(self, op: str, *, nbytes: int, **attrs) -> None:
         with self._lock:
             self._completed[op] = self._completed.get(op, 0) + 1
-        if self._m_migrations is not None:
-            self._m_migrations.labels(op, "completed").inc()
-            if nbytes:
-                self._m_bytes.labels(op).inc(nbytes)
+        self._m_migrations.labels(op, "completed").inc()
+        if nbytes:
+            self._m_bytes.labels(op).inc(nbytes)
         if self.events is not None:
             detail = " ".join(f"{k}={v}" for k, v in attrs.items())
             self.events.emit("rebalance_completed",

@@ -32,7 +32,7 @@ from repro.xmldb.axes import attribute as attribute_axis
 from repro.xmldb.axes import child as child_axis
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import structural_index
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import KIND_DOCUMENT, KIND_ELEMENT, Node
 
 
 class Partitioner:
@@ -105,7 +105,7 @@ def find_container(document: Document,
     """The member container element reached by following
     ``container_path`` (first matching child at each step)."""
     node = document.root
-    if node.kind == NodeKind.DOCUMENT:
+    if node.kind == KIND_DOCUMENT:
         node = _first_element_child(node)
     if node is None or node.name != container_path[0]:
         raise ClusterError(
@@ -122,7 +122,7 @@ def find_container(document: Document,
 
 def _first_element_child(node: Node) -> Node | None:
     for candidate in child_axis(node):
-        if candidate.kind == NodeKind.ELEMENT:
+        if candidate.kind == KIND_ELEMENT:
             return candidate
     return None
 
@@ -178,7 +178,7 @@ def partition_document(document: Document,
         uri = (uri_for_shard(shard) if uri_for_shard is not None
                else f"{document.uri}#s{shard}")
         builder = DocumentBuilder(uri)
-        if document.root.kind == NodeKind.DOCUMENT:
+        if document.root.kind == KIND_DOCUMENT:
             builder.start_document()
             top: Node | None = _first_element_child(document.root)
         else:
@@ -186,7 +186,7 @@ def partition_document(document: Document,
         assert top is not None
         _copy_shard(builder, top, spine, container.pre, member,
                     keep=by_shard[shard], full=(shard == 0))
-        if document.root.kind == NodeKind.DOCUMENT:
+        if document.root.kind == KIND_DOCUMENT:
             builder.end_document()
         out.append((builder.finish(), len(by_shard[shard])))
     return out
@@ -196,7 +196,7 @@ def _spine_pres(container: Node) -> set[int]:
     """Pre ranks of the container and its element ancestors."""
     spine = {container.pre}
     parent = container.parent()
-    while parent is not None and parent.kind == NodeKind.ELEMENT:
+    while parent is not None and parent.kind == KIND_ELEMENT:
         spine.add(parent.pre)
         parent = parent.parent()
     return spine
@@ -216,7 +216,7 @@ def _copy_shard(builder: DocumentBuilder, node: Node, spine: set[int],
         builder.attribute(attr.name, attr.value)
     for child in child_axis(node):
         is_member = (node.pre == container_pre
-                     and child.kind == NodeKind.ELEMENT
+                     and child.kind == KIND_ELEMENT
                      and child.name == member)
         if is_member:
             if child.pre in keep:

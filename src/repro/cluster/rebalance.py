@@ -24,9 +24,10 @@ Two pieces live here:
   labeled by shard *local name* so identity survives split
   renumbering) as heat deltas since the previous planning pass and
   emits migration plans: :class:`SplitPlan` when one shard absorbs
-  more than ``hot_share`` of a collection's traffic, :class:`MovePlan`
-  when the hottest peer carries more than ``spread_factor`` times the
-  mean load. ``drain()``/``undrain()`` run planned decommissions.
+  more than :data:`HOT_SHARE` of a collection's traffic,
+  :class:`MovePlan` when the hottest peer carries more than
+  :data:`SPREAD_FACTOR` times the mean load. ``drain()``/``undrain()``
+  run planned decommissions.
   Execution is delegated to the federation's one
   :class:`~repro.cluster.migrate.MigrationExecutor` (shared with the
   repair engine), which owns the staged copy → verify → cutover →
@@ -58,6 +59,17 @@ INFLIGHT_BYTES_WEIGHT = 65536
 #: Cumulative served wire bytes are the long-run traffic signal; they
 #: grow without bound, so they enter the score damped.
 SERVED_BYTES_WEIGHT = 0.25
+
+#: A shard absorbing more than this fraction of its collection's serves
+#: (since the last planning pass) is split-hot.
+HOT_SHARE = 0.5
+#: A peer carrying more than this multiple of the mean alive-peer load
+#: sheds its hottest shard.
+SPREAD_FACTOR = 1.5
+#: Both children of a planned split hold at least this many members.
+MIN_SPLIT_MEMBERS = 2
+#: At most this many plans per planning pass, splits first.
+MAX_PLANS_PER_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -202,67 +214,34 @@ class ReplicatePlan:
 
 
 class Rebalancer:
-    """Scores the fleet, emits migration plans, and executes them.
+    """Scores the fleet, emits migration plans, and executes them
+    (:meth:`attach` it to a federation first)."""
 
-    ``hot_share`` — a shard absorbing more than this fraction of its
-    collection's serves (since the last planning pass) is split-hot.
-    ``spread_factor`` — a peer carrying more than this multiple of the
-    mean alive-peer load sheds its hottest shard. ``min_split_members``
-    — both children of a split must hold at least this many members.
-    """
-
-    def __init__(self, *, events=None, metrics=None,
-                 hot_share: float = 0.5, spread_factor: float = 1.5,
-                 min_split_members: int = 2, max_plans_per_step: int = 2):
-        if not 0.0 < hot_share <= 1.0:
-            raise ClusterError(
-                f"hot_share {hot_share} must be in (0, 1]")
-        if spread_factor < 1.0:
-            raise ClusterError(
-                f"spread_factor {spread_factor} must be >= 1")
-        if min_split_members < 1:
-            raise ClusterError(
-                f"min_split_members {min_split_members} must be >= 1")
+    def __init__(self):
         self.federation = self.catalog = self.view = None
-        self.events = events
-        self.metrics = metrics
-        self.hot_share = hot_share
-        self.spread_factor = spread_factor
-        self.min_split_members = min_split_members
-        self.max_plans_per_step = max_plans_per_step
+        self.events = self.metrics = self._m_plans = None
         #: Both are the federation's shared ones once attached.
         self.scorer = self.executor = None
         self._lock = threading.Lock()
         self._last_heat: dict[tuple, float] = {}
         self._drains = 0
-        self._m_plans = None
-        self._init_metrics(metrics)
-
-    def _init_metrics(self, metrics) -> None:
-        if metrics is None:
-            return
-        self.metrics = metrics
-        self._m_plans = metrics.counter(
-            "rebalance_plans_total", "migration plans emitted",
-            ("op",))
 
     # -- wiring ---------------------------------------------------------------
 
     def attach(self, federation) -> "Rebalancer":
         """Install on ``federation``: adopt its catalog / peer view /
-        monitor / metrics and its migration executor, expose as
-        ``federation.rebalancer``."""
+        monitor event log / metrics and its migration executor, expose
+        as ``federation.rebalancer``."""
         from repro.cluster.migrate import MigrationExecutor
         self.federation = federation
         self.catalog = federation.catalog
         self.view = federation.peer_view
         monitor = federation.monitor
-        if self.events is None and monitor is not None:
-            self.events = monitor.events
-        if self._m_plans is None:
-            self._init_metrics(federation.metrics)
-        self.executor = MigrationExecutor.shared(
-            federation, events=self.events, metrics=self.metrics)
+        self.events = monitor.events if monitor is not None else None
+        self.metrics = federation.metrics
+        self._m_plans = self.metrics.counter(
+            "rebalance_plans_total", "migration plans emitted", ("op",))
+        self.executor = MigrationExecutor.shared(federation)
         self.scorer = self.executor.scorer
         federation.rebalancer = self
         return self
@@ -278,8 +257,7 @@ class Rebalancer:
     def heat(self) -> dict[tuple[str, str], float]:
         """Cumulative served round trips per ``(collection, shard
         local_name)``, from the router's counters."""
-        metric = (self.metrics.get("scatter_shard_serves_total")
-                  if self.metrics is not None else None)
+        metric = self.metrics.get("scatter_shard_serves_total")
         if metric is None:
             return {}
         return {labels: series.value
@@ -300,7 +278,7 @@ class Rebalancer:
 
         Consumes the heat window: serve counts observed by this call
         will not be re-counted by the next. At most
-        ``max_plans_per_step`` plans are returned, splits first (a
+        :data:`MAX_PLANS_PER_STEP` plans are returned, splits first (a
         split creates the mobility a later move needs).
         """
         self._require_executor()
@@ -308,10 +286,9 @@ class Rebalancer:
         plans: list = []
         plans.extend(self._plan_splits(delta))
         plans.extend(self._plan_moves(delta))
-        plans = plans[:self.max_plans_per_step]
+        plans = plans[:MAX_PLANS_PER_STEP]
         for plan in plans:
-            if self._m_plans is not None:
-                self._m_plans.labels(plan.op).inc()
+            self._m_plans.labels(plan.op).inc()
             if self.events is not None:
                 self.events.emit(
                     "rebalance_planned",
@@ -339,9 +316,9 @@ class Rebalancer:
         for (collection, _), serves in delta.items():
             totals[collection] = totals.get(collection, 0.0) + serves
         for spec, shard, serves in self._shards_by_heat(
-                delta, min_members=2 * self.min_split_members):
+                delta, min_members=2 * MIN_SPLIT_MEMBERS):
             total = totals.get(spec.name, 0.0)
-            if total <= 0 or serves / total < self.hot_share:
+            if total <= 0 or serves / total < HOT_SHARE:
                 continue
             plans.append(SplitPlan(spec.name, shard.index,
                                    at_member=shard.members // 2))
@@ -357,7 +334,7 @@ class Rebalancer:
         plans: list[MovePlan] = []
         for peer_score in hot:
             if mean_load <= 0 \
-                    or peer_score.load <= self.spread_factor * mean_load:
+                    or peer_score.load <= SPREAD_FACTOR * mean_load:
                 break
             plan = self._move_off(peer_score.peer, delta)
             if plan is not None:

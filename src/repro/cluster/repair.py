@@ -3,7 +3,7 @@ their re-replication.
 
 Eviction (``cluster/membership.py``) removes a dead peer from shard
 placements; what remains is a cluster serving some shards from fewer
-replicas than :attr:`CollectionSpec.target_replication` promises. This
+replicas than :attr:`CollectionSpec.replication_factor` promises. This
 module decides *what* to heal and *when*. The bytes are moved by the
 federation's one :class:`~repro.cluster.migrate.MigrationExecutor`,
 for which a repair is one more migration (a
@@ -15,17 +15,18 @@ split or moved mid-copy).
    federation's :class:`~repro.cluster.membership.PeerView` lets serve
    (not marked down, not held dead or evicted by the detector) and
    enqueues one :class:`RepairTask` per under-replicated shard into a
-   **bounded**, de-duplicating queue (overflow is dropped loudly:
-   ``repair_queue_full`` event, ``repair_failed`` metric).
+   **bounded** (:data:`MAX_QUEUE`), de-duplicating queue (overflow is
+   dropped loudly: ``repair_queue_full`` event, ``repair_failed``
+   metric).
 2. :meth:`process` drains the tasks queued at call time, in order.
    Each re-checks the live spec first (healed by an earlier task, a
    revived replica or a raced eviction ⇒ no-op), picks the coolest
    target the executor's scorer ranks, and gives the executor **one**
    attempt.
 3. **Retry is the queue's**: a wire fault mid-copy abandons the
-   attempt; the task is re-enqueued up to ``max_attempts`` and waits
-   for the next ``process()``, which re-selects source *and* target
-   against the then-current peer view.
+   attempt; the task is re-enqueued up to :data:`MAX_ATTEMPTS` and
+   waits for the next ``process()``, which re-selects source *and*
+   target against the then-current peer view.
 
 Events: ``repair_started`` / ``repair_completed`` / ``repair_failed``;
 metrics: the ``repair_*`` series; each copy runs in a ``repair`` span.
@@ -44,6 +45,11 @@ from repro.cluster.rebalance import ReplicatePlan
 from repro.errors import NetworkError
 
 __all__ = ["RepairTask", "RepairEngine"]
+
+#: The queue's bound: a task enqueued beyond it is dropped loudly.
+MAX_QUEUE = 64
+#: Attempts per task before the queue gives it up.
+MAX_ATTEMPTS = 3
 
 
 @dataclass
@@ -69,32 +75,18 @@ class RepairEngine:
     loop.
     """
 
-    def __init__(self, *, max_queue: int = 64, max_attempts: int = 3,
-                 auto_repair: bool = True, events=None, metrics=None):
-        if max_queue < 1:
-            raise ClusterError(f"max_queue {max_queue} must be >= 1")
-        if max_attempts < 1:
-            raise ClusterError(
-                f"max_attempts {max_attempts} must be >= 1")
-        self.federation = self.catalog = None
-        self.max_queue = max_queue
-        self.max_attempts = max_attempts
+    def __init__(self, *, auto_repair: bool = True):
+        self.federation = self.catalog = self.events = None
         self.auto_repair = auto_repair
-        self.events = events
-        #: Moves the bytes and owns the scorer; resolved on first use.
+        #: Moves the bytes and owns the scorer: the federation's one.
         self.executor: MigrationExecutor | None = None
         self._lock = threading.Lock()
         self._queue: deque[RepairTask] = deque()
         self._queued: set[tuple[str, int]] = set()
         self._completed = 0
         self._failed = 0
-        self._init_metrics(metrics)
 
     def _init_metrics(self, metrics) -> None:
-        self._m_enqueued = self._m_completed = None
-        self._m_failed = self._m_bytes = self._m_depth = None
-        if metrics is None:
-            return
         self._m_enqueued = metrics.counter(
             "repair_enqueued_total", "repair tasks enqueued",
             ("collection",))
@@ -121,27 +113,14 @@ class RepairEngine:
         self.federation = federation
         self.catalog = federation.catalog
         monitor = federation.monitor
-        if self.events is None and monitor is not None:
-            self.events = monitor.events
-        if self._m_depth is None:
-            self._init_metrics(federation.metrics)
+        self.events = monitor.events if monitor is not None else None
+        self._init_metrics(federation.metrics)
         federation.repair = self
-        self._executor()
+        self.executor = MigrationExecutor.shared(federation)
         detector = federation.peer_view.detector
         if detector is not None:
             detector.subscribe(self._on_membership)
         return self
-
-    def _executor(self) -> MigrationExecutor:
-        """The federation's one migration executor (adopted from the
-        rebalancer when that attached first)."""
-        if self.executor is None:
-            if self.federation is None:
-                raise ClusterError("repair engine has no federation")
-            self.executor = MigrationExecutor.shared(
-                self.federation, events=self.events,
-                metrics=self.federation.metrics)
-        return self.executor
 
     def _on_membership(self, peer: str, old: str, new_state: str) -> None:
         if new_state != EVICTED:
@@ -168,9 +147,9 @@ class RepairEngine:
         if self.catalog is None:
             raise ClusterError("repair engine has no catalog")
         enqueued = 0
-        serves = self._executor().view.serves
+        serves = self.executor.view.serves
         for spec in self.catalog.collections():
-            target = spec.target_replication
+            target = spec.replication_factor
             for shard in spec.shards:
                 usable = [r for r in shard.replicas if serves(r)]
                 if len(usable) >= target:
@@ -183,7 +162,7 @@ class RepairEngine:
         with self._lock:
             if task.key in self._queued:
                 return False
-            overflow = len(self._queue) >= self.max_queue
+            overflow = len(self._queue) >= MAX_QUEUE
             if overflow:
                 self._failed += 1
             else:
@@ -191,19 +170,17 @@ class RepairEngine:
                 self._queued.add(task.key)
             depth = len(self._queue)
         if overflow:
-            if self._m_failed is not None:
-                self._m_failed.labels(task.collection).inc()
+            self._m_failed.labels(task.collection).inc()
             if self.events is not None:
                 self.events.emit(
                     "repair_queue_full",
-                    f"repair queue full ({self.max_queue}); dropping "
+                    f"repair queue full ({MAX_QUEUE}); dropping "
                     f"{task.collection}#s{task.shard_index}",
                     severity="error", collection=task.collection,
                     shard=task.shard_index)
             return False
-        if self._m_enqueued is not None:
-            self._m_enqueued.labels(task.collection).inc()
-            self._m_depth.set(depth)
+        self._m_enqueued.labels(task.collection).inc()
+        self._m_depth.set(depth)
         return True
 
     def _pop(self) -> RepairTask | None:
@@ -213,8 +190,7 @@ class RepairEngine:
             task = self._queue.popleft()
             self._queued.discard(task.key)
             depth = len(self._queue)
-        if self._m_depth is not None:
-            self._m_depth.set(depth)
+        self._m_depth.set(depth)
         return task
 
     # -- processing -----------------------------------------------------------
@@ -253,9 +229,9 @@ class RepairEngine:
         shard = spec.shard(task.shard_index) if spec is not None else None
         if shard is None:
             return False  # dropped or renumbered since the scan
-        executor = self._executor()
+        executor = self.executor
         usable = [r for r in shard.replicas if executor.view.serves(r)]
-        if len(usable) >= spec.target_replication:
+        if len(usable) >= spec.replication_factor:
             return False  # healed since the scan (revival, earlier task)
         if not usable:
             return self._give_up(task, "no live source replica")
@@ -282,9 +258,9 @@ class RepairEngine:
             task.attempts += 1
             self._emit_failed(
                 task, f"from {source} aborted: {type(exc).__name__} "
-                      f"(attempt {task.attempts}/{self.max_attempts})",
+                      f"(attempt {task.attempts}/{MAX_ATTEMPTS})",
                 "warning", source=source, error=type(exc).__name__)
-            if task.attempts < self.max_attempts:
+            if task.attempts < MAX_ATTEMPTS:
                 self._enqueue(task)
             else:
                 self._give_up(task, "max attempts exhausted")
@@ -294,9 +270,8 @@ class RepairEngine:
         nbytes, source = done[0], done[1]["source"]
         with self._lock:
             self._completed += 1
-        if self._m_completed is not None:
-            self._m_completed.labels(task.collection).inc()
-            self._m_bytes.labels(task.collection).inc(nbytes)
+        self._m_completed.labels(task.collection).inc()
+        self._m_bytes.labels(task.collection).inc(nbytes)
         if self.events is not None:
             self.events.emit(
                 "repair_completed",
@@ -310,8 +285,7 @@ class RepairEngine:
     def _give_up(self, task: RepairTask, reason: str) -> bool:
         with self._lock:
             self._failed += 1
-        if self._m_failed is not None:
-            self._m_failed.labels(task.collection).inc()
+        self._m_failed.labels(task.collection).inc()
         self._emit_failed(task, f"abandoned: {reason}", "error",
                           reason=reason)
         return False

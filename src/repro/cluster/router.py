@@ -17,7 +17,7 @@ router takes over:
    skip probes once per binding of the body's comparison literals) and
    a warm scatter does per op only what differs per shard. The round
    trips run on a thread
-   pool (bounded by ``catalog.max_scatter_parallelism``) only when a
+   pool (bounded by :data:`MAX_SCATTER_PARALLELISM`) only when a
    transmission can sleep (:meth:`Transport.can_sleep`): shard calls
    are CPU-bound Python, so waiting is all threads can overlap; on a
    wire that never waits they run inline. Before fanning out,
@@ -103,6 +103,9 @@ _DOC_FUNCTIONS = ("doc", "fn:doc")
 #: in-place retries per replica before failing over, zero base backoff
 #: (the simulated wire has no real congestion to wait out).
 _DEFAULT_RETRY = RetryPolicy()
+
+#: How many shard calls of one scatter run at a time on threads.
+MAX_SCATTER_PARALLELISM = 8
 
 
 class ShardUnavailableError(ClusterError):
@@ -670,13 +673,13 @@ class ClusterRouter:
                  ) -> list[ScatterOutcome]:
         """Run ``call(0..count-1)``, outcomes in shard order: inline
         (up to the first that failed) unless a transmission can sleep,
-        else on a pool bounded by ``catalog.max_scatter_parallelism``.
+        else on a pool bounded by :data:`MAX_SCATTER_PARALLELISM`.
         Threads overlap waiting, not Python: on the never-sleeping
         loopback wire a 4-shard scatter measured 16-18 ms pooled (GIL
         hand-offs — a shared pool read the same) against 10-11 ms
         inline. The pool is per-scatter: a shared one could deadlock on
         nested scatters."""
-        parallelism = min(count, max(1, self.catalog.max_scatter_parallelism))
+        parallelism = min(count, MAX_SCATTER_PARALLELISM)
         if parallelism <= 1 or not self.transport.can_sleep():
             outcomes = []
             for index in range(count):

@@ -103,7 +103,7 @@ def _topology_lines(snap: dict) -> list[str]:
              + (f" | draining {','.join(snap['draining'])}"
                 if snap["draining"] else "")]
     for name, coll in sorted(snap["collections"].items()):
-        target = coll.get("target_replication", 0)
+        target = coll["replication_factor"]
         lines.append(
             f"  {name} [{coll['partitioning']}] rf={target} "
             f"last={coll.get('last_reason', '?')}")

@@ -64,11 +64,14 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.runtime.clock import REAL_CLOCK, Clock
+from repro.clock import REAL_CLOCK, Clock
 
 __all__ = ["Event", "EventLog"]
 
 _SEVERITIES = ("info", "warning", "error")
+
+#: How many of the newest events the ring keeps.
+CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,16 @@ class Event:
 class EventLog:
     """Thread-safe bounded ring of :class:`Event`.
 
-    ``capacity`` bounds memory: the ring keeps the newest events, and
-    :meth:`counts` keeps cumulative per-kind totals that survive
+    :data:`CAPACITY` bounds memory: the ring keeps the newest events,
+    and :meth:`counts` keeps cumulative per-kind totals that survive
     eviction (the soak test's "alert fired exactly once" is asserted
     against the totals, not the ring). ``clock`` supplies both
     timestamps.
     """
 
-    def __init__(self, capacity: int = 1024, clock: Clock = REAL_CLOCK):
-        if capacity < 1:
-            raise ValueError(f"capacity {capacity} must be >= 1")
-        self.capacity = capacity
+    def __init__(self, clock: Clock = REAL_CLOCK):
         self.clock = clock
-        self._ring: deque[Event] = deque(maxlen=capacity)
+        self._ring: deque[Event] = deque(maxlen=CAPACITY)
         self._counts: dict[str, int] = {}
         self._seq = itertools.count()
         self._lock = threading.Lock()

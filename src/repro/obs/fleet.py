@@ -18,7 +18,7 @@ continuous layer on top:
 Wiring is opt-in and one call: ``monitor.attach(federation)`` sets
 ``federation.monitor``, hands the event log to the federation's wire
 and catalog, the health scorer to its peer view, and puts the monitor
-on the wire's clock. Every
+on the wire's clock (the real one until then). Every
 instrumented site guards with a single ``is None`` check, preserving
 the zero-cost-when-disabled discipline — a federation without a
 monitor pays one attribute read per query, and the hot evaluator
@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 
+from repro.clock import REAL_CLOCK, Clock
 from repro.obs.events import EventLog
-from repro.obs.health import HealthTracker
+from repro.obs.health import BUCKETS, WIDTH_S, HealthTracker
 from repro.obs.profile import Profiler
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
 from repro.obs.windows import RollingWindow
-from repro.runtime.clock import REAL_CLOCK, Clock
 
 __all__ = ["FleetMonitor"]
 
@@ -52,28 +52,24 @@ class FleetMonitor:
         monitor.events.export_jsonl("events.jsonl")
         monitor.profiler.write_folded("profile.folded")
 
-    ``clock`` drives every window and timestamp; left out, it is the
-    attached federation's (the real one until :meth:`attach`).
-    ``profile_every=N`` makes the engine trace (and the profiler fold)
-    every Nth query; 0 disables sampling.
+    The attached federation's wire clock drives every window and
+    timestamp (the real one until :meth:`attach`). ``slow_query_s``
+    (None: off) is the latency above which a query emits
+    ``slow_query``; ``profile_every=N`` makes the engine trace (and the
+    profiler fold) every Nth query; 0 disables sampling.
     """
 
-    def __init__(self, clock: Clock | None = None, width_s: float = 1.0,
-                 buckets: int = 60, slow_query_s: float | None = None,
-                 profile_every: int = 0, event_capacity: int = 1024,
-                 slo: SLOMonitor | None = None):
-        self._follows_wire = clock is None
-        self.clock = clock if clock is not None else REAL_CLOCK
+    def __init__(self, slow_query_s: float | None = None,
+                 profile_every: int = 0):
+        self.clock: Clock = REAL_CLOCK
         self.slow_query_s = slow_query_s
         self.profile_every = profile_every
-        self.events = EventLog(capacity=event_capacity, clock=self.clock)
-        now = self.now   # read per call: :meth:`wire` may swap the clock
-        self.latency = RollingWindow(width_s, buckets, now, eps=0.01)
-        self.errors = RollingWindow(width_s, buckets, now, eps=None)
-        self.health = HealthTracker(events=self.events, clock=now,
-                                    width_s=width_s, buckets=buckets)
-        self.slo = slo if slo is not None else SLOMonitor(
-            events=self.events, clock=now)
+        self.events = EventLog(clock=self.clock)
+        now = self.now   # read per call: :meth:`wire` swaps the clock
+        self.latency = RollingWindow(WIDTH_S, BUCKETS, now, eps=0.01)
+        self.errors = RollingWindow(WIDTH_S, BUCKETS, now, eps=None)
+        self.health = HealthTracker(events=self.events, clock=now)
+        self.slo = SLOMonitor(events=self.events, clock=now)
         self.profiler = Profiler()
         self.federation = None
         self.started_s = self.clock()
@@ -101,11 +97,10 @@ class FleetMonitor:
 
     def wire(self, transport) -> None:
         """``transport`` is the federation's wire from now on: its
-        events land here and, no ``clock=`` given, so does its clock."""
+        events land here, and the monitor runs on its clock."""
         transport.events = self.events
-        if self._follows_wire:
-            self.clock = self.events.clock = transport.clock
-            self.started_s = self.clock()
+        self.clock = self.events.clock = transport.clock
+        self.started_s = self.clock()
 
     def add_slo(self, slo: SLO, policy: BurnRatePolicy | None = None):
         return self.slo.add(slo, policy)

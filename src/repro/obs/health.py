@@ -17,15 +17,15 @@ Score model, per peer over the window:
 ``score = (1 - error_rate) * latency_factor``
 
 where ``latency_factor`` is 1.0 while the peer's windowed mean latency
-stays within ``latency_tolerance``× the fleet baseline, and decays as
-``tolerance * baseline / mean`` beyond it. The baseline is the *lower
+stays within :data:`LATENCY_TOLERANCE`× the fleet baseline, and decays
+as ``tolerance * baseline / mean`` beyond it. The baseline is the *lower
 median* of all peers' windowed means — a robust centre that an
 outlier cannot drag upward, so one degraded peer in a two-peer fleet
 still scores against the healthy peer's latency.
 
 Demotion has hysteresis: a peer is demoted when its score falls below
-``demote_below`` and restored only after recovering past the higher
-``restore_above``, so scores oscillating around one threshold cannot
+:data:`DEMOTE_BELOW` and restored only after recovering past the higher
+:data:`RESTORE_ABOVE`, so scores oscillating around one threshold cannot
 flap the routing order. Both transitions emit events.
 """
 
@@ -33,11 +33,24 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.clock import REAL_CLOCK
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindowFamily
-from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["PeerHealth", "HealthTracker"]
+
+#: The rolling windows' shape (the fleet monitor's query windows share
+#: it): ``BUCKETS`` buckets of ``WIDTH_S`` seconds.
+WIDTH_S = 1.0
+BUCKETS = 60
+#: A mean latency within this multiple of the fleet baseline costs a
+#: peer no score.
+LATENCY_TOLERANCE = 3.0
+#: Demoted below the first score, restored above the second.
+DEMOTE_BELOW = 0.5
+RESTORE_ABOVE = 0.8
+#: Fewer windowed samples than this leave a peer's standing as it was.
+MIN_SAMPLES = 3
 
 
 @dataclass
@@ -64,29 +77,11 @@ class HealthTracker:
     traffic ages out as its buckets rotate away.
     """
 
-    def __init__(self, events: EventLog | None = None,
-                 clock=REAL_CLOCK, width_s: float = 1.0,
-                 buckets: int = 30, window_s: float | None = None,
-                 latency_tolerance: float = 3.0,
-                 demote_below: float = 0.5, restore_above: float = 0.8,
-                 min_samples: int = 3):
-        if not 0.0 < demote_below <= restore_above <= 1.0:
-            raise ValueError(
-                f"thresholds demote_below={demote_below} "
-                f"restore_above={restore_above} must satisfy "
-                "0 < demote <= restore <= 1")
-        if latency_tolerance < 1.0:
-            raise ValueError(
-                f"latency_tolerance {latency_tolerance} must be >= 1")
+    def __init__(self, events: EventLog | None = None, clock=REAL_CLOCK):
         self.events = events
-        self.window_s = window_s
-        self.latency_tolerance = latency_tolerance
-        self.demote_below = demote_below
-        self.restore_above = restore_above
-        self.min_samples = min_samples
-        self._latency = RollingWindowFamily(width_s, buckets, clock,
+        self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, clock,
                                             eps=0.01)
-        self._errors = RollingWindowFamily(width_s, buckets, clock,
+        self._errors = RollingWindowFamily(WIDTH_S, BUCKETS, clock,
                                            eps=None)
 
     # -- ingest ---------------------------------------------------------------
@@ -104,16 +99,16 @@ class HealthTracker:
         errors = self._errors.get(peer)
         if latency is None:
             return 0, 0.0, 0.0, 0.0
-        samples = latency.count(self.window_s)
+        samples = latency.count()
         if samples == 0:
             return 0, 0.0, 0.0, 0.0
-        mean = latency.mean(self.window_s)
-        p95 = latency.quantile(95, self.window_s)
+        mean = latency.mean()
+        p95 = latency.quantile(95)
         error_rate = 0.0
         if errors is not None:
-            error_count = errors.count(self.window_s)
+            error_count = errors.count()
             if error_count:
-                error_rate = errors.sum(self.window_s) / error_count
+                error_rate = errors.sum() / error_count
         return samples, mean, p95, error_rate
 
     def baseline(self) -> float:
@@ -129,34 +124,34 @@ class HealthTracker:
 
     def health(self, peer: str) -> PeerHealth:
         """``peer``'s score from the current windows (1.0 until it has
-        ``min_samples`` samples)."""
+        :data:`MIN_SAMPLES` samples)."""
         samples, mean, p95, error_rate = self._windowed(peer)
         state = PeerHealth(peer=peer, samples=samples,
                            error_rate=error_rate, mean_latency_s=mean,
                            p95_latency_s=p95)
-        if samples >= self.min_samples:
+        if samples >= MIN_SAMPLES:
             latency_factor = 1.0
             fleet = self.baseline()
-            if fleet > 0.0 and mean > self.latency_tolerance * fleet:
-                latency_factor = (self.latency_tolerance * fleet) / mean
+            if fleet > 0.0 and mean > LATENCY_TOLERANCE * fleet:
+                latency_factor = (LATENCY_TOLERANCE * fleet) / mean
             state.score = max(0.0, (1.0 - error_rate) * latency_factor)
         return state
 
     def judge(self, peer: str, healthy: bool) -> bool:
         """``peer``'s standing, given its standing so far: demoted when
-        its score falls below ``demote_below``, restored once it
-        recovers past ``restore_above``, kept as it was in between and
+        its score falls below :data:`DEMOTE_BELOW`, restored once it
+        recovers past :data:`RESTORE_ABOVE`, kept as it was in between and
         while there is too little evidence to judge. A change emits
         ``health_demoted`` / ``health_restored``."""
         state = self.health(peer)
-        if state.samples < self.min_samples:
+        if state.samples < MIN_SAMPLES:
             return healthy
-        if healthy and state.score < self.demote_below:
+        if healthy and state.score < DEMOTE_BELOW:
             if self.events is not None:
                 self.events.emit(
                     "health_demoted",
                     f"peer {peer}: score {state.score:.2f} below "
-                    f"{self.demote_below:g} (mean latency "
+                    f"{DEMOTE_BELOW:g} (mean latency "
                     f"{state.mean_latency_s * 1000:.2f} ms vs fleet "
                     f"{self.baseline() * 1000:.2f} ms, errors "
                     f"{state.error_rate:.0%})",
@@ -164,7 +159,7 @@ class HealthTracker:
                     mean_latency_s=state.mean_latency_s,
                     error_rate=state.error_rate)
             return False
-        if not healthy and state.score > self.restore_above:
+        if not healthy and state.score > RESTORE_ABOVE:
             if self.events is not None:
                 self.events.emit(
                     "health_restored",

@@ -26,11 +26,11 @@ events on transitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.clock import REAL_CLOCK
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindow
-from repro.runtime.clock import REAL_CLOCK
 
 __all__ = ["SLO", "BurnRatePolicy", "AlertState", "SLOMonitor"]
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import threading
 from contextvars import ContextVar
 
-from repro.runtime.clock import REAL_CLOCK, Clock
+from repro.clock import REAL_CLOCK, Clock
 
 #: The TimeBreakdown components a span may be charged with (Figure 8's
 #: five categories; leaf spans carry exactly these names).

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import threading
 
-from repro.runtime.clock import REAL_CLOCK
+from repro.clock import REAL_CLOCK
 
 
 class QuantileSketch:

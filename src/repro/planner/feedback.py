@@ -41,9 +41,7 @@ LIMIT = 64.0
 class CalibrationBook:
     """Thread-safe per-peer calibration factors (default 1.0)."""
 
-    def __init__(self, alpha: float = ALPHA, limit: float = LIMIT):
-        self.alpha = alpha
-        self.limit = limit
+    def __init__(self):
         self._lock = threading.Lock()
         self._factors: dict[Key, float] = {}
         self._observations = 0
@@ -66,8 +64,8 @@ class CalibrationBook:
         with self._lock:
             key = (kind, peer, semantics)
             current = self._factors.get(key, 1.0)
-            updated = current * math.pow(ratio, self.alpha)
-            updated = min(max(updated, 1.0 / self.limit), self.limit)
+            updated = current * math.pow(ratio, ALPHA)
+            updated = min(max(updated, 1.0 / LIMIT), LIMIT)
             self._factors[key] = updated
             self._observations += 1
 

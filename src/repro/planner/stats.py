@@ -37,7 +37,7 @@ from math import isnan
 from typing import TYPE_CHECKING
 
 from repro.xmldb.index import structural_index
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import KIND_ELEMENT, KIND_TEXT
 from repro.xmldb.serializer import serialized_byte_length, subtree_spans
 from repro.xmldb.values import coerce_number, value_index
 
@@ -244,9 +244,9 @@ def _leaf_text(document: "Document", pre: int) -> str | None:
     parts = []
     for cursor in range(pre + 1, pre + document.sizes[pre] + 1):
         kind = kinds[cursor]
-        if kind == NodeKind.ELEMENT:
+        if kind == KIND_ELEMENT:
             return None
-        if kind == NodeKind.TEXT:
+        if kind == KIND_TEXT:
             parts.append(values[cursor])
     return "".join(parts)
 

@@ -3,8 +3,9 @@
 The seed executes one federated query at a time; this package turns it
 into a runtime that serves many queries concurrently over shared peers:
 
-* :mod:`repro.runtime.clock` — the one seam time enters through
-  (:class:`Clock`; :class:`VirtualClock` for replayable drills);
+* :class:`Clock` / :class:`VirtualClock`, re-exported from the leaf
+  module :mod:`repro.clock` — the one seam time enters through
+  (:class:`VirtualClock` for replayable drills);
 * :mod:`repro.runtime.transport` — the wire: one :class:`Transport`
   per federation, delay and fault policy as data (loopback by default);
 * :mod:`repro.runtime.engine` — :class:`FederationEngine`, a
@@ -18,9 +19,9 @@ into a runtime that serves many queries concurrently over shared peers:
   cache aggregation across queries.
 """
 
+from repro.clock import Clock, VirtualClock
 from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
-from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.metrics import MetricsAggregator, QueryRecord
 from repro.runtime.transport import (FaultInjectedError, FaultPlan,

@@ -8,13 +8,13 @@ sets can ride in a single ``RequestMessage``.
 
 :class:`BulkBatcher` implements this with a small batching window. The
 first arrival for a batch key becomes the *leader*: it waits up to
-``window_s`` for other queries to join (or until ``max_calls`` piles
-up), then performs one merged exchange and hands each participant its
-slice of the bulk response, serialised from the leader's decoding of it
-(which riders only read) into a private message: bulk identity within
-each query's slice is preserved (one fragments preamble per message),
-and each participant decodes its own text into documents no other
-thread sees.
+``window_s`` for other queries to join (or until :data:`MAX_CALLS`
+calls pile up), then performs one merged exchange and hands each
+participant its slice of the bulk response, serialised from the
+leader's decoding of it (which riders only read) into a private
+message: bulk identity within each query's slice is preserved (one
+fragments preamble per message), and each participant decodes its own
+text into documents no other thread sees.
 
 Mergeable means the batch key matches exactly: destination peer,
 shipped query text, parameter names, call semantics, static-context
@@ -34,6 +34,9 @@ from repro.xrpc.messages import AttrRef, NodeRef, ResponseMessage
 #: Raw calls as the evaluator hands them over: one list of
 #: (param name, value sequence) pairs per call.
 RawCalls = list[list[tuple[str, list]]]
+
+#: A batch this many calls long closes without waiting out its window.
+MAX_CALLS = 64
 
 
 def batch_key(dest: str, query: str, param_names: list[str],
@@ -64,10 +67,9 @@ class _Batch:
 class BulkBatcher:
     """Coalesces concurrent same-key round trips into one exchange."""
 
-    def __init__(self, window_s: float = 0.002, max_calls: int = 64,
+    def __init__(self, window_s: float = 0.002,
                  worth_waiting: Callable[[], bool] | None = None):
         self.window_s = window_s
-        self.max_calls = max_calls
         #: Optional predicate consulted before a leader opens its
         #: window: the engine wires this to "another query is in
         #: flight", so a lone query never pays the window's latency.
@@ -101,14 +103,14 @@ class BulkBatcher:
                 slot = (start, start + len(calls))
                 batch.participants += 1
                 self.coalesced += 1
-                if len(batch.calls) >= self.max_calls:
+                if len(batch.calls) >= MAX_CALLS:
                     batch.full.set()
                 leader = False
             else:
                 batch = _Batch(calls)
                 slot = (0, len(calls))
                 self._pending[key] = batch
-                if len(batch.calls) >= self.max_calls:
+                if len(batch.calls) >= MAX_CALLS:
                     batch.full.set()
                 leader = True
 

@@ -43,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: (dest scope, semantics, request digest, projection sig, shard epoch).
 ResponseKey = tuple[str, str, str, tuple[str, ...], int]
 
+#: The LRU bounds: response entries, document entries.
+MAX_RESPONSES = 256
+MAX_DOCUMENTS = 32
+
 
 def response_key(dest: str, semantics: str, request_xml: str,
                  used_paths: list[str] | None,
@@ -110,11 +114,8 @@ class ResultCache:
     :class:`CacheStats` view existing callers read.
     """
 
-    def __init__(self, max_responses: int = 256, max_documents: int = 32,
-                 metrics: MetricsRegistry | None = None,
+    def __init__(self, metrics: MetricsRegistry | None = None,
                  events=None):
-        self.max_responses = max_responses
-        self.max_documents = max_documents
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: A :class:`~repro.obs.events.EventLog`; invalidation sweeps
         #: emit into it when set (the engine wires the federation
@@ -179,7 +180,7 @@ class ResultCache:
                 return  # stale: an invalidation raced the computation
             self._responses[key] = (response, response_bytes)
             self._responses.move_to_end(key)
-            while len(self._responses) > self.max_responses:
+            while len(self._responses) > MAX_RESPONSES:
                 self._responses.popitem(last=False)
                 self._evictions.inc()
 
@@ -205,7 +206,7 @@ class ResultCache:
                 return  # stale: an invalidation raced the computation
             self._documents[(requester, owner, local_name)] = (document, size)
             self._documents.move_to_end((requester, owner, local_name))
-            while len(self._documents) > self.max_documents:
+            while len(self._documents) > MAX_DOCUMENTS:
                 self._documents.popitem(last=False)
                 self._evictions.inc()
 

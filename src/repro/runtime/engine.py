@@ -7,8 +7,9 @@ a runtime serving many queries at once:
 * a worker pool executes queries concurrently (documents are immutable
   once stored, so evaluation is read-shared);
 * **admission control** — a bounded semaphore caps in-flight queries;
-  :meth:`submit` blocks once ``max_in_flight`` queries are queued or
-  running, which is the back-pressure a production front door needs;
+  :meth:`submit` blocks once ``max_in_flight`` (twice the workers)
+  queries are queued or running, which is the back-pressure a
+  production front door needs;
 * **per-peer request queues** — the transport's per-peer concurrency
   gates bound how many exchanges hammer one peer at a time;
 * a shared :class:`~repro.runtime.cache.ResultCache` (invalidated by
@@ -54,15 +55,14 @@ class FederationEngine:
     instance to share one across engines, or ``False`` to disable.
     ``batch_window_s`` > 0 enables cross-query bulk coalescing.
 
-    Over a sharded federation, worker threads × the catalog's
-    ``max_scatter_parallelism`` bounds this engine's total concurrent
-    exchanges; the per-peer gates still bound how many land on one
-    replica.
+    Over a sharded federation, worker threads ×
+    :data:`~repro.cluster.router.MAX_SCATTER_PARALLELISM` bounds this
+    engine's total concurrent exchanges; the per-peer gates still bound
+    how many land on one replica.
     """
 
     def __init__(self, federation: "Federation", *,
                  max_workers: int = 8,
-                 max_in_flight: int | None = None,
                  cache: "ResultCache | bool" = True,
                  batch_window_s: float = 0.002):
         self.federation = federation
@@ -93,8 +93,8 @@ class FederationEngine:
         #: Every query's record; the registry's ``query_*`` series are
         #: the federation's, folded at the end of each run.
         self.metrics = MetricsAggregator()
-        self.max_in_flight = (max_in_flight if max_in_flight is not None
-                              else 2 * max_workers)
+        #: Queries admitted (running or queued) before submit() blocks.
+        self.max_in_flight = 2 * max_workers
         self._admission = BoundedSemaphore(self.max_in_flight)
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers,

@@ -36,13 +36,13 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.clock import REAL_CLOCK, Clock
 from repro.errors import (
     NetworkError, PeerUnavailableError, TransientNetworkError,
 )
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.obs.metrics import MetricsRegistry
-from repro.runtime.clock import REAL_CLOCK, Clock
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle

@@ -38,7 +38,7 @@ from math import isnan
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.xmldb import kernels
-from repro.xmldb.node import NodeKind
+from repro.xmldb.node import KIND_ATTRIBUTE, KIND_ELEMENT
 from repro.xmldb.values import coerce_number, value_index
 from repro.xquery.ast import (
     LITERALS, ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal,
@@ -480,8 +480,8 @@ def chain_candidates(doc: "Document",
             prev_axis, prev_test = steps[index - 1]
             # The node this level's step started from must itself be a
             # result of the previous step: right kind, right name.
-            want_kind = (NodeKind.ATTRIBUTE if prev_axis == "attribute"
-                         else NodeKind.ELEMENT)
+            want_kind = (KIND_ATTRIBUTE if prev_axis == "attribute"
+                         else KIND_ELEMENT)
             anchors = {pre for pre in anchors
                        if kinds[pre] == want_kind
                        and names[pre] == prev_test}

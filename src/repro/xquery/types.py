@@ -8,7 +8,8 @@ types never match, so typeswitch falls through to ``default``.
 
 from __future__ import annotations
 
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
+                               KIND_TEXT, Node)
 from repro.xquery.xdm import UntypedAtomic
 
 
@@ -26,16 +27,16 @@ def _matches_item(item: object, item_type: str) -> bool:
     if item_type == "node()":
         return isinstance(item, Node)
     if item_type == "text()":
-        return isinstance(item, Node) and item.kind == NodeKind.TEXT
+        return isinstance(item, Node) and item.kind == KIND_TEXT
     if item_type == "document-node()":
-        return isinstance(item, Node) and item.kind == NodeKind.DOCUMENT
+        return isinstance(item, Node) and item.kind == KIND_DOCUMENT
     if item_type.startswith("element"):
-        if not isinstance(item, Node) or item.kind != NodeKind.ELEMENT:
+        if not isinstance(item, Node) or item.kind != KIND_ELEMENT:
             return False
         inner = item_type[len("element"):].strip("()").strip()
         return inner in ("", "*") or item.name == inner
     if item_type.startswith("attribute"):
-        if not isinstance(item, Node) or item.kind != NodeKind.ATTRIBUTE:
+        if not isinstance(item, Node) or item.kind != KIND_ATTRIBUTE:
             return False
         inner = item_type[len("attribute"):].strip("()").strip()
         return inner in ("", "*") or item.name == inner

@@ -47,7 +47,8 @@ from repro.paths.relpath import RelPath, parse_rel_path
 from repro.xmldb import axes
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.index import structural_index
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
+                               Node, NodeKind)
 from repro.xmldb.projection import project
 from repro.xquery.xdm import UntypedAtomic, format_double
 
@@ -154,10 +155,10 @@ def _by_value_item(item) -> Item:
     kind = item.kind
     if kind in _LEAF_COPIES:
         return NodeCopy(_LEAF_COPIES[kind], item.name, item.value)
-    if kind == NodeKind.DOCUMENT:
+    if kind == KIND_DOCUMENT:
         # A document node ships as its root element.
         for child in axes.child(item):
-            if child.kind == NodeKind.ELEMENT:
+            if child.kind == KIND_ELEMENT:
                 return NodeCopy("element", "", child)
         raise XrpcMarshalError("document node without root element")
     return NodeCopy("element", "", item)
@@ -165,7 +166,7 @@ def _by_value_item(item) -> Item:
 
 #: Indexed by node kind: 1 for the rows a ``nodeid`` counts (a
 #: fragment's ``descendant-or-self::node()``, attributes excluded).
-_COUNTED = tuple(int(kind != NodeKind.ATTRIBUTE) for kind in NodeKind)
+_COUNTED = tuple(int(kind != KIND_ATTRIBUTE) for kind in NodeKind)
 
 
 def _nodeid_ranks(kinds: Sequence[int]) -> list[int]:
@@ -318,7 +319,7 @@ def _containment_fragment(doc: Document, nodes: list[Node],
         if pre > current_end:
             roots.append(pre)
             current_end = pre + doc.sizes[pre]
-    if len(roots) == 1 and doc.kinds[roots[0]] == NodeKind.ELEMENT:
+    if len(roots) == 1 and doc.kinds[roots[0]] == KIND_ELEMENT:
         return _FragmentPlan(fragid, roots[0], doc, None,
                              structural_index(doc).non_attr_rank)
     # Several disjoint maximal nodes: ship their subtrees under one
@@ -346,7 +347,7 @@ def _projected_fragment(doc: Document, nodes: list[Node],
     result = project(anchor_used, returned)
     if result is None:  # pragma: no cover - nodes is never empty here
         raise XrpcMarshalError("empty projection")
-    if result.doc.kinds[0] != NodeKind.ELEMENT:
+    if result.doc.kinds[0] != KIND_ELEMENT:
         # The LCA trim reached a non-element (e.g. a lone text node);
         # fragments must be element-rooted, fall back to containment.
         return _containment_fragment(doc, nodes + used + returned, fragid)
@@ -357,19 +358,19 @@ def _projected_fragment(doc: Document, nodes: list[Node],
 def _anchor_pre(node: Node) -> int:
     """The element pre anchoring a node reference: attributes are
     addressed through their owner element (footnote 2)."""
-    if node.kind == NodeKind.ATTRIBUTE:
+    if node.kind == KIND_ATTRIBUTE:
         return node.doc.parents[node.pre]
-    if node.kind == NodeKind.DOCUMENT:
+    if node.kind == KIND_DOCUMENT:
         # Reference the root element instead.
         for pre in range(1, len(node.doc)):
-            if node.doc.kinds[pre] == NodeKind.ELEMENT:
+            if node.doc.kinds[pre] == KIND_ELEMENT:
                 return pre
         raise XrpcMarshalError("document without root element")
     return node.pre
 
 
 def _reference_item(node: Node, plan: _FragmentPlan) -> Item:
-    if node.kind == NodeKind.ATTRIBUTE:
+    if node.kind == KIND_ATTRIBUTE:
         return AttrRef(plan.fragid, plan.nodeid(_anchor_pre(node)),
                        node.name)
     return NodeRef(plan.fragid, plan.nodeid(_anchor_pre(node)))

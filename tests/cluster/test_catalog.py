@@ -12,7 +12,7 @@ from repro.obs.events import EventLog
 def spec(name: str = "c", shards: int = 2) -> CollectionSpec:
     return CollectionSpec(
         name=name, document="d.xml", container_path=("root", "items"),
-        member="item",
+        member="item", replication_factor=2,
         shards=tuple(
             ShardInfo(index=i, local_name=f"d.xml#s{i}",
                       replicas=(f"p{i}", f"p{i + 1}"))
@@ -142,7 +142,7 @@ def test_down_peers_do_not_serve():
 def test_spec_validation():
     with pytest.raises(ClusterError):
         CollectionSpec(name="c", document="d", container_path=("r",),
-                       member="m", shards=())
+                       member="m", shards=(), replication_factor=1)
     with pytest.raises(ClusterError):
         ShardInfo(index=0, local_name="x", replicas=())
 

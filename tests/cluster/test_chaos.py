@@ -154,7 +154,7 @@ def test_chaos_race_zero_wrong_answers(seed):
     # Every eviction the race produced must have been repaired back to
     # target replication.
     spec = cluster.catalog.get("books-c")
-    assert all(len(s.replicas) >= spec.target_replication
+    assert all(len(s.replicas) >= spec.replication_factor
                for s in spec.shards), seed
 
 

@@ -131,8 +131,9 @@ def test_degraded_peer_turns_loopback_threaded_until_restored(
 
 
 def test_parallelism_bound_still_applies_to_threads(shard_threads):
-    cluster = make_cluster()
-    cluster.catalog.max_scatter_parallelism = 1
+    """A one-shard scatter's bound is one thread: it runs inline, also
+    on a wire that waits."""
+    cluster = make_cluster(shard_count=1)
     cluster.transport = _waiting_wire(cluster)
     cluster.run(SCAN, at="local")
     assert not _pooled(shard_threads)

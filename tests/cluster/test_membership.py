@@ -2,16 +2,16 @@
 eviction, and its writes into the peer view."""
 
 from repro.cluster.membership import (
-    ALIVE, DEAD, EVICTED, PHI_CEILING, SUSPECT, MembershipTracker,
+    ALIVE, DEAD, EVICTED, PHI_CEILING, SUSPECT, SUSPECT_PHI,
+    MembershipTracker,
 )
 from repro.obs import FleetMonitor
-from repro.obs.events import EventLog
 
 from tests.cluster.conftest import make_cluster
 
 
-def make_tracker(cluster, **kwargs):
-    return MembershipTracker(**kwargs).attach(cluster)
+def make_tracker(cluster):
+    return MembershipTracker().attach(cluster)
 
 
 def test_attach_watches_replica_peers():
@@ -32,18 +32,18 @@ def test_probe_ladder_alive_suspect_dead_evicted():
 
     states = [tracker.tick()["node1"] for _ in range(6)]
     assert states[0] == ALIVE          # one failure is not a pattern
-    assert states[1] == SUSPECT        # suspect_after=2
-    assert states[3] == DEAD           # dead_after=4
-    assert EVICTED in states           # evict_after_ticks=2 later
+    assert states[1] == SUSPECT        # SUSPECT_AFTER = 2
+    assert states[3] == DEAD           # DEAD_AFTER = 4
+    assert EVICTED in states           # EVICT_AFTER_TICKS = 2 later
     assert states[-1] == EVICTED
 
 
 def test_dead_marks_catalog_down():
     cluster = make_cluster()
-    tracker = make_tracker(cluster, auto_evict=False)
+    tracker = make_tracker(cluster)
     cluster.transport.kill_peer("node2")
     epoch = cluster.catalog.epoch()
-    for _ in range(4):
+    for _ in range(4):             # dead on the 4th, not yet evicted
         tracker.tick()
     assert tracker.view.state("node2") == DEAD
     assert "node2" in cluster.peer_view.describe()["down"]
@@ -85,7 +85,7 @@ def test_sole_replica_shard_keeps_placement():
 
 def test_flap_revives_without_dying():
     """A peer that comes back inside the dead window never turns dead:
-    hysteresis needs revive_after consecutive successes, then heals."""
+    hysteresis needs REVIVE_AFTER consecutive successes, then heals."""
     cluster = make_cluster()
     tracker = make_tracker(cluster)
     cluster.transport.kill_peer("node3")
@@ -119,16 +119,18 @@ def test_passive_evidence_alone_detects():
 def test_phi_suspicion_catches_mixed_traffic():
     """Mostly-failing mixed traffic turns a peer suspect through the
     windowed phi signal even though successes keep resetting the
-    consecutive-failure ladder."""
+    consecutive-failure ladder: a peer revived by two successes after
+    twenty failures turns suspect on its first failure again, one rung
+    short of the ladder's two."""
     cluster = make_cluster()
-    tracker = make_tracker(cluster, suspect_after=3, dead_after=9,
-                           suspect_phi=0.5)
+    tracker = make_tracker(cluster)
+    for _ in range(20):
+        cluster.peer_view.record("node2", None, False)
     for _ in range(2):
-        cluster.peer_view.record("node2", None, False)
         cluster.peer_view.record("node2", None, True)   # resets the ladder
-        cluster.peer_view.record("node2", None, False)
-        cluster.peer_view.record("node2", None, False)
-    assert tracker.phi("node2") >= 0.5
+    assert tracker.view.state("node2") == ALIVE
+    cluster.peer_view.record("node2", None, False)
+    assert tracker.phi("node2") >= SUSPECT_PHI          # 21 of 23 failed
     assert tracker.view.state("node2") == SUSPECT
 
 
@@ -184,24 +186,3 @@ def test_events_and_metrics_emitted():
     assert snapshot["membership_probes_total"]["fail"] >= 4
     assert snapshot["membership_transitions_total"]["evicted"] == 1
 
-
-def test_standalone_tracker_without_federation():
-    """Unattached, the tracker judges into a view of its own over a
-    bare transport."""
-    cluster = make_cluster()
-    tracker = MembershipTracker(transport=cluster.transport,
-                                events=EventLog())
-    assert tracker.view is not cluster.peer_view
-    tracker.watch("node1", "node2")
-    assert tracker.peers() == ["node1", "node2"]
-    states = tracker.tick()
-    assert states == {"node1": ALIVE, "node2": ALIVE}
-
-
-def test_tick_without_transport_fails_loudly():
-    import pytest
-
-    from repro.cluster import ClusterError
-    tracker = MembershipTracker()
-    with pytest.raises(ClusterError, match="transport"):
-        tracker.tick()

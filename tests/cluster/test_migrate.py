@@ -242,7 +242,7 @@ def test_kill_mid_move_converges(victim_is_target, threshold, data):
     assert repair.run_until_converged()
     spec_final = catalog.get("books-c")
     for s in spec_final.shards:
-        assert len(s.replicas) >= spec_final.target_replication
+        assert len(s.replicas) >= spec_final.replication_factor
         for replica in s.replicas:
             assert s.local_name in federation.peer(replica).documents
     result = federation.run(SCAN, at="local",
@@ -315,11 +315,11 @@ def reshape_mid_repair(repaired: str, other: str, split: bool) -> None:
         assert repair.stats()["completed"] == 1
     else:
         # Whole again (or queued for another try).
-        assert len(healed.replicas) >= spec.target_replication \
+        assert len(healed.replicas) >= spec.replication_factor \
             or repair.pending() > 0
     assert repair.run_until_converged()
     spec = catalog.get("books-c")
-    assert all(len(s.replicas) >= spec.target_replication
+    assert all(len(s.replicas) >= spec.replication_factor
                for s in spec.shards)
     oracle = make_single_owner().run(
         SCAN.replace("xrpc://books-c", "xrpc://owner"), at="local",
@@ -356,7 +356,7 @@ def test_give_up_emits_failure_and_leaves_catalog_alone():
     transport = KillAfter(CostModel(), victim=None)
     federation, catalog = make_recorded_cluster(members=6,
                                                 transport=transport)
-    executor = MigrationExecutor(federation, max_attempts=2)
+    executor = MigrationExecutor(federation)
     spec = catalog.get("books-c")
     shard = spec.shards[0]
     target = next(p for p in ("node1", "node2", "node3", "node4")

@@ -44,9 +44,10 @@ SCAN = ('doc("xrpc://books-c/books.xml")'
 
 def wired_cluster():
     """A virtual-wire cluster with the fleet monitor and the detector
-    attached, and the oracle listening to its event log."""
+    attached, and the oracle listening to its event log (it replays
+    after every step, far fewer events than the log's ring keeps)."""
     cluster = make_cluster(transport=virtual_wire())
-    monitor = FleetMonitor(event_capacity=1 << 16).attach(cluster)
+    monitor = FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
     return cluster, LivenessReference(monitor.events)
 
@@ -183,7 +184,7 @@ def test_mark_up_does_not_overrule_a_dead_verdict():
     the mark lifts (one epoch bump), the peer still serves nothing
     until the detector sees it alive again."""
     cluster = make_cluster()
-    MembershipTracker(auto_evict=False).attach(cluster)
+    MembershipTracker().attach(cluster)
     view = cluster.peer_view
     dead(cluster, "node2")
     epoch = cluster.catalog.epoch()
@@ -195,8 +196,8 @@ def test_mark_up_does_not_overrule_a_dead_verdict():
     assert all(message.dest != "node2" for message in result.messages)
     assert result.stats.failovers == 0
     cluster.transport.revive_peer("node2")
-    for _ in range(2):
-        view.detector.tick()
+    for _ in range(2):          # two successes, before a tick evicts it
+        view.record("node2", None, True)
     assert view.state("node2") == ALIVE and view.serves("node2")
 
 

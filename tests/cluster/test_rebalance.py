@@ -141,7 +141,7 @@ def test_drain_empties_peer_and_keeps_replication():
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
         assert "node1" not in shard.replicas
-        assert len(shard.replicas) >= spec.target_replication
+        assert len(shard.replicas) >= spec.replication_factor
         for replica in shard.replicas:
             assert shard.local_name in cluster.peer(replica).documents
     assert run_scan(cluster) == want
@@ -156,7 +156,7 @@ def test_drain_empties_peer_and_keeps_replication():
 
 def test_plan_splits_the_hot_shard():
     """A shard absorbing all the traffic (shard skipping proves the
-    others cold) crosses hot_share and gets a split plan."""
+    others cold) crosses HOT_SHARE and gets a split plan."""
     cluster = make_cluster(shard_count=2)
     rebalancer = attach_rebalancer(cluster)
     rebalancer.plan()  # baseline the heat window
@@ -172,9 +172,14 @@ def test_plan_splits_the_hot_shard():
 
 
 def test_plan_moves_off_the_hottest_peer():
+    """node1 serves shard 0 alone while node2 is down: its served bytes
+    lift it past the spread factor times the mean load."""
     cluster = make_cluster()
     rebalancer = attach_rebalancer(cluster)
-    rebalancer.spread_factor = 1.0
+    cluster.peer_view.mark_down("node2")
+    for _ in range(4):
+        run_scan(cluster, HOT)   # b0 lives in shard 0; the rest skip
+    cluster.peer_view.mark_up("node2")
     plans = rebalancer.plan()
     moves = [p for p in plans if isinstance(p, MovePlan)]
     assert moves
@@ -243,7 +248,7 @@ def test_describe_reports_live_counts_and_reason():
     snap = cluster.peer_view.describe()
     coll = snap["collections"]["books-c"]
     assert coll["last_reason"] == "register"
-    assert coll["target_replication"] == 2
+    assert coll["replication_factor"] == 2
     shard0 = coll["shards"][0]       # placed on node1+node2
     assert shard0["live"] == ["node2"]
     assert snap["down"] == ["node1"]
@@ -343,7 +348,7 @@ def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
     for shard in spec.shards:
         live = [r for r in shard.replicas
                 if cluster.peer_view.serves(r)]
-        assert len(live) >= spec.target_replication
+        assert len(live) >= spec.replication_factor
     assert rebalancer.stats()["drains"] == 1
 
     # The drill replays: same report (latency percentiles included),

@@ -2,14 +2,19 @@
 
 import pytest
 
-from repro.cluster import ClusterError
+from repro.cluster import ClusterError, create_sharded_collection
 from repro.cluster.membership import EVICTED, MembershipTracker
-from repro.cluster.repair import RepairEngine, RepairTask
+from repro.cluster.repair import (
+    MAX_ATTEMPTS, MAX_QUEUE, RepairEngine, RepairTask,
+)
 from repro.decompose import Strategy
 from repro.obs import FleetMonitor
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import make_cluster, make_single_owner
+from tests.cluster.conftest import (
+    LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, library_document,
+    make_cluster, make_single_owner,
+)
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -51,7 +56,7 @@ def test_process_restores_target_replication():
     assert cluster.catalog.epoch() > epoch
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
-        assert len(shard.replicas) >= spec.target_replication
+        assert len(shard.replicas) >= spec.replication_factor
         assert "node1" not in shard.replicas
         # Every registered replica actually holds the fragment.
         for replica in shard.replicas:
@@ -71,7 +76,7 @@ def test_eviction_triggers_auto_repair():
     evict(cluster, tracker, "node2")
     assert repair.stats() == {"pending": 0, "completed": 2, "failed": 0}
     spec = cluster.catalog.get("books-c")
-    assert all(len(s.replicas) >= spec.target_replication
+    assert all(len(s.replicas) >= spec.replication_factor
                for s in spec.shards)
 
 
@@ -93,15 +98,16 @@ def test_source_death_mid_copy_reenqueues_then_gives_up():
     loudly instead of spinning."""
     cluster = make_cluster()
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False, max_attempts=2).attach(cluster)
+    repair = RepairEngine(auto_repair=False).attach(cluster)
     evict(cluster, tracker, "node1")
     # Kill the surviving sources at the transport level only — the
     # catalog still lists them, so the copy starts and then dies.
     for peer in ("node2", "node3", "node4"):
         cluster.transport.kill_peer(peer)
-    assert repair.process() == 0
-    assert repair.pending() == 2                  # re-enqueued once
-    assert repair.process() == 0                  # second attempt fails
+    for _ in range(MAX_ATTEMPTS - 1):
+        assert repair.process() == 0
+        assert repair.pending() == 2              # re-enqueued
+    assert repair.process() == 0                  # the last attempt fails
     stats = repair.stats()
     assert stats["pending"] == 0
     assert stats["failed"] == 2
@@ -119,12 +125,21 @@ def test_no_healthy_target_fails_loudly():
 
 
 def test_bounded_queue_drops_loudly():
-    cluster = make_cluster()
+    """Thirteen 10-shard collections place 65 shards on node1: evicting
+    it leaves one more under-replicated shard than the queue holds."""
+    cluster = make_cluster(shard_count=10)
+    for index in range(12):
+        create_sharded_collection(
+            cluster, cluster.catalog, name=f"books{index}-c",
+            document=library_document(f"xrpc://books{index}-c/books.xml"),
+            document_name=f"books{index}.xml",
+            container_path=LIBRARY_CONTAINER, member=LIBRARY_MEMBER,
+            shard_count=10, replication_factor=2, peers=NODES)
     tracker = MembershipTracker().attach(cluster)
     monitor = FleetMonitor().attach(cluster)
-    repair = RepairEngine(auto_repair=False, max_queue=1).attach(cluster)
-    evict(cluster, tracker, "node1")              # 2 under-replicated
-    assert repair.pending() == 1
+    repair = RepairEngine(auto_repair=False).attach(cluster)
+    evict(cluster, tracker, "node1")              # 65 under-replicated
+    assert repair.pending() == MAX_QUEUE == 64
     assert monitor.events.count("repair_queue_full") == 1
 
 
@@ -170,11 +185,7 @@ def test_run_until_converged():
     assert repair.pending() == 0
 
 
-def test_constructor_validation():
-    with pytest.raises(ClusterError):
-        RepairEngine(max_queue=0)
-    with pytest.raises(ClusterError):
-        RepairEngine(max_attempts=0)
+def test_scan_without_a_catalog_fails_loudly():
     with pytest.raises(ClusterError, match="catalog"):
         RepairEngine().scan()
     assert RepairTask("books-c", 3).key == ("books-c", 3)

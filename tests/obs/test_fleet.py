@@ -3,17 +3,25 @@ text console."""
 
 import pytest
 
+from repro.clock import REAL_CLOCK, VirtualClock
+from repro.cluster import membership
 from repro.cluster.membership import MembershipTracker
 from repro.decompose import Strategy
-from repro.obs import SLO, BurnRatePolicy, FleetMonitor, render_fleet
+from repro.obs import SLO, BurnRatePolicy, FleetMonitor, health, render_fleet
 from repro.runtime import FederationEngine, Transport
-from repro.runtime.clock import REAL_CLOCK, VirtualClock
 
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import make_cluster, virtual_wire
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
+
+
+def on_virtual_wire(**options) -> FleetMonitor:
+    """A monitor on a virtual wire of its own (no federation)."""
+    monitor = FleetMonitor(**options)
+    monitor.wire(virtual_wire())
+    return monitor
 
 
 class TestFleetMonitorWiring:
@@ -72,10 +80,10 @@ class TestOneClockOneWire:
     def test_attached_monitor_runs_on_the_wires_clock(self):
         cluster = make_cluster(transport=virtual_wire())
         clock = cluster.transport.clock
-        monitor = FleetMonitor(width_s=1.0, buckets=4)
+        monitor = FleetMonitor()
         assert monitor.clock is REAL_CLOCK          # until attached
         monitor.add_slo(SLO("latency", target=0.5, threshold_s=0.010))
-        monitor.attach(cluster)                     # no clock= handed over
+        monitor.attach(cluster)
         assert monitor.clock is monitor.events.clock is clock
         clock.advance(100.0)
         cluster.transport.kill_peer("node2")
@@ -87,15 +95,9 @@ class TestOneClockOneWire:
         monitor.record_query(0.020)
         assert monitor.latency.count() == 1
         assert monitor.slo.states()[0].window.count() == 1
-        clock.advance(4.0)
+        clock.advance(health.WIDTH_S * health.BUCKETS)
         assert monitor.latency.count() == 0
-        assert monitor.uptime_s() == 104.0
-
-    def test_explicit_clock_wins_over_the_wires(self):
-        own = VirtualClock(7.0)
-        cluster = make_cluster(transport=virtual_wire())
-        monitor = FleetMonitor(clock=own).attach(cluster)
-        assert monitor.clock is monitor.events.clock is own
+        assert monitor.uptime_s() == 100.0 + health.WIDTH_S * health.BUCKETS
 
     def test_measured_latency_is_virtual(self):
         """The seconds fed into the windows are read off the same
@@ -130,12 +132,13 @@ class TestOneClockOneWire:
     def test_membership_and_harness_run_on_the_wires_clock(self):
         cluster = make_cluster(transport=virtual_wire())
         clock = cluster.transport.clock
-        tracker = MembershipTracker(width_s=0.5, buckets=4).attach(cluster)
+        tracker = MembershipTracker().attach(cluster)
         cluster.transport.kill_peer("node2")
         for _ in range(4):
             tracker.tick()
         assert tracker.phi("node2") > 0.0
-        clock.advance(10.0)             # the evidence ages out, virtually
+        # The evidence ages out, virtually.
+        clock.advance(membership.WIDTH_S * membership.BUCKETS)
         assert tracker.phi("node2") == 0.0
         cluster.transport.revive_peer("node2")
         tracker.rejoin("node2")
@@ -154,8 +157,7 @@ class TestOneClockOneWire:
 class TestQueryRecording:
 
     def test_record_query_feeds_windows_and_slo(self):
-        clock = VirtualClock()
-        monitor = FleetMonitor(clock=clock)
+        monitor = on_virtual_wire()
         monitor.add_slo(SLO(name="lat", target=0.9, threshold_s=0.05),
                         BurnRatePolicy(long_s=10.0, short_s=1.0,
                                        threshold=5.0, min_requests=5))
@@ -168,7 +170,7 @@ class TestQueryRecording:
         assert monitor.error_rate() == pytest.approx(1 / 11)
 
     def test_slow_query_event_has_threshold(self):
-        monitor = FleetMonitor(clock=VirtualClock(), slow_query_s=0.1)
+        monitor = on_virtual_wire(slow_query_s=0.1)
         monitor.record_query(0.05)
         monitor.record_query(0.5)
         monitor.record_query(0.5, ok=False)  # failures are not "slow"
@@ -177,14 +179,14 @@ class TestQueryRecording:
         assert event.attrs["wall_s"] == 0.5
 
     def test_should_sample_trace_cadence(self):
-        monitor = FleetMonitor(clock=VirtualClock(), profile_every=3)
+        monitor = FleetMonitor(profile_every=3)
         decisions = [monitor.should_sample_trace() for _ in range(9)]
         assert decisions == [False, False, True] * 3
-        off = FleetMonitor(clock=VirtualClock())
+        off = FleetMonitor()
         assert not any(off.should_sample_trace() for _ in range(10))
 
     def test_snapshot_is_plain_data(self):
-        monitor = FleetMonitor(clock=VirtualClock())
+        monitor = on_virtual_wire()
         monitor.record_query(0.01)
         snap = monitor.snapshot()
         assert snap["queries"]["count"] == 1
@@ -254,7 +256,7 @@ class TestQueryRecording:
 class TestConsole:
 
     def test_render_empty_monitor(self):
-        monitor = FleetMonitor(clock=VirtualClock())
+        monitor = on_virtual_wire()
         text = render_fleet(monitor)
         assert text.startswith("== fleet @ 0.0s up | 0 queries")
         assert "peers:" not in text
@@ -281,8 +283,7 @@ class TestConsole:
         assert "[error] alert_fired" in text
 
     def test_render_is_deterministic(self):
-        clock = VirtualClock()
-        monitor = FleetMonitor(clock=clock)
+        monitor = on_virtual_wire()
         monitor.record_query(0.01)
         monitor.health.record("b", 0.001)
         monitor.health.record("a", 0.001)
@@ -292,7 +293,7 @@ class TestConsole:
         assert text.index("  a ") < text.index("  b ")
 
     def test_recent_events_limit(self):
-        monitor = FleetMonitor(clock=VirtualClock())
+        monitor = on_virtual_wire()
         for index in range(12):
             monitor.events.emit("tick", f"t{index}")
         text = render_fleet(monitor, recent_events=3)

@@ -3,9 +3,9 @@ hysteresis against flapping."""
 
 import pytest
 
+from repro.clock import VirtualClock
 from repro.obs.events import EventLog
 from repro.obs.slo import SLO, BurnRatePolicy, SLOMonitor
-from repro.runtime.clock import VirtualClock
 
 
 def make_monitor(clock=None, **policy_kwargs):

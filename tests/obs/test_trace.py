@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import json
 
+from repro.clock import VirtualClock
 from repro.decompose import Strategy
 from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
                               dump_trace, load_and_validate, render_tree,
                               span_to_dict, spans_in, validate_chrome_trace)
 from repro.obs.trace import (COMPONENTS, Span, Tracer, bind_stats_span,
                              child_span, current_span)
-from repro.runtime.clock import VirtualClock
 from repro.workloads import SHARDED_BENCHMARK_QUERY, build_sharded_federation
 from tests.cluster.conftest import make_cluster
 

@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clock import VirtualClock
 from repro.obs.windows import QuantileSketch, RollingWindow, RollingWindowFamily
-from repro.runtime.clock import VirtualClock
 
 
 def exact_percentile(values, q):

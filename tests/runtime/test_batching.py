@@ -6,7 +6,9 @@ import pytest
 
 from repro.decompose import Strategy
 from repro.errors import XrpcMarshalError
-from repro.runtime.batching import BulkBatcher, _split_response, batch_key
+from repro.runtime.batching import (
+    MAX_CALLS, BulkBatcher, _split_response, batch_key,
+)
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xquery.xdm import sequences_deep_equal
 from repro.xrpc.messages import Atomic, NodeRef, ResponseMessage
@@ -114,13 +116,13 @@ class TestCoalescing:
         assert parsed.results == [[Atomic("xs:integer", "3")]]
 
     def test_max_calls_closes_the_batch_early(self):
-        batcher = BulkBatcher(window_s=60.0, max_calls=1)
+        batcher = BulkBatcher(window_s=60.0)
         sizes = []
-        # window is a minute, but max_calls=1 fires immediately.
+        # The window is a minute, but MAX_CALLS calls fire immediately.
         batcher.execute(
             batch_key("B", "$x", ["x"], "by-value", {}, None, None),
-            call_with(3), echoing_exchange(sizes))
-        assert sizes == [1]
+            call_with(3) * MAX_CALLS, echoing_exchange(sizes))
+        assert sizes == [MAX_CALLS]
 
     def test_bulk_calls_keep_their_slice(self):
         """A participant contributing several calls gets exactly its

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 
 from repro.errors import ReproError
-from repro.runtime.cache import ResultCache, response_key
+from repro.runtime.cache import (
+    MAX_DOCUMENTS, MAX_RESPONSES, ResultCache, response_key,
+)
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import SHARDED_SCAN_QUERY, build_sharded_federation
@@ -83,35 +85,39 @@ class TestLruAndCounters:
         assert cache.stats.hit_rate == 0.5
         assert cache.stats.saved_bytes == 10 + len("<resp/>")
 
+    @staticmethod
+    def _keys(count):
+        return [response_key("B", "by-fragment", f"<req n='{i}'/>", None,
+                             None) for i in range(count)]
+
     def test_response_lru_eviction(self):
-        cache = ResultCache(max_responses=2)
-        keys = [response_key("B", "by-fragment", f"<req n='{i}'/>", None, None)
-                for i in range(3)]
+        cache = ResultCache()
+        keys = self._keys(MAX_RESPONSES + 1)
         for i, key in enumerate(keys):
             cache.store_response(key, f"<resp n='{i}'/>")
         assert cache.lookup_response(keys[0]) is None  # evicted
         assert cache.lookup_response(keys[1]) is not None
-        assert cache.lookup_response(keys[2]) is not None
+        assert cache.lookup_response(keys[-1]) is not None
         assert cache.stats.evictions == 1
 
     def test_lookup_refreshes_lru_order(self):
-        cache = ResultCache(max_responses=2)
-        keys = [response_key("B", "by-fragment", f"<req n='{i}'/>", None, None)
-                for i in range(3)]
-        cache.store_response(keys[0], "a")
-        cache.store_response(keys[1], "b")
+        cache = ResultCache()
+        *keys, last = self._keys(MAX_RESPONSES + 1)
+        for i, key in enumerate(keys):
+            cache.store_response(key, str(i))
         cache.lookup_response(keys[0])          # 0 becomes most recent
-        cache.store_response(keys[2], "c")      # evicts 1, not 0
-        assert cache.lookup_response(keys[0]) == "a"
+        cache.store_response(last, "last")      # evicts 1, not 0
+        assert cache.lookup_response(keys[0]) == "0"
         assert cache.lookup_response(keys[1]) is None
 
     def test_document_entries_bounded(self):
-        cache = ResultCache(max_documents=1)
+        cache = ResultCache()
         doc = parse_document("<d/>", uri="d.xml")
-        cache.store_document("local", "A", "one.xml", doc, 4)
-        cache.store_document("local", "A", "two.xml", doc, 4)
-        assert cache.lookup_document("local", "A", "one.xml") is None
-        assert cache.lookup_document("local", "A", "two.xml") == (doc, 4)
+        names = [f"{i}.xml" for i in range(MAX_DOCUMENTS + 1)]
+        for name in names:
+            cache.store_document("local", "A", name, doc, 4)
+        assert cache.lookup_document("local", "A", names[0]) is None
+        assert cache.lookup_document("local", "A", names[-1]) == (doc, 4)
 
 
 class TestInvalidation:

@@ -7,12 +7,12 @@ import time
 from pathlib import Path
 
 import repro
-from repro.runtime.clock import REAL_CLOCK, Clock, VirtualClock
+from repro.clock import REAL_CLOCK, Clock, VirtualClock
 
 #: Besides the seam itself, two measurement-only stopwatches: they time
 #: CPU work into the process-global registry the ledger reads, decide
 #: nothing, and have no federation (so no clock) in reach.
-TIME_IMPORTERS = {"runtime/clock.py", "xmldb/index.py", "xmldb/values.py"}
+TIME_IMPORTERS = {"clock.py", "xmldb/index.py", "xmldb/values.py"}
 
 
 class TestClock:

@@ -146,42 +146,34 @@ class TestDeliveryPathParity:
 
 class TestScheduling:
     def test_admission_control_bounds_in_flight(self):
-        """With max_in_flight=1 the runtime never evaluates two queries
-        at once, however many are submitted."""
-        active = []
-        peak = []
-        lock = threading.Lock()
+        """``max_in_flight`` (twice the workers) queries are admitted;
+        the next submit() blocks until one of them finishes."""
+        gate = threading.Event()
 
-        class TrackingTransport(Transport):
-            def exchange(self, peer, request, handle, stats, **kwargs):
-                with lock:
-                    active.append(1)
-                    peak.append(len(active))
-                try:
-                    return super().exchange(peer, request, handle, stats,
-                                            **kwargs)
-                finally:
-                    with lock:
-                        active.pop()
+        class GatedTransport(Transport):
+            def exchange(self, *args, **kwargs):
+                gate.wait()
+                return super().exchange(*args, **kwargs)
 
         federation = make_federation()
-        federation.transport = TrackingTransport(federation.cost_model)
-        engine = FederationEngine(federation, max_workers=4,
-                                  max_in_flight=1,
+        federation.transport = GatedTransport(federation.cost_model)
+        engine = FederationEngine(federation, max_workers=1,
                                   cache=False, batch_window_s=0.0)
-
-        # submit() itself blocks, so drive it from producer threads.
-        def run_one():
-            engine.submit(Q2, "local").result()
-
-        producers = [threading.Thread(target=run_one) for _ in range(4)]
-        for producer in producers:
-            producer.start()
-        for producer in producers:
-            producer.join()
+        assert engine.max_in_flight == 2
+        admitted = [engine.submit(Q2, "local") for _ in range(2)]
+        assert engine.in_flight == 2
+        late = []
+        producer = threading.Thread(
+            target=lambda: late.append(engine.submit(Q2, "local")))
+        producer.start()
+        producer.join(timeout=0.05)
+        assert producer.is_alive() and not late     # blocked in submit()
+        gate.set()
+        producer.join()
+        for future in admitted + late:
+            future.result()
         engine.shutdown()
-        assert max(peak) == 1  # never two queries on the wire at once
-        assert engine.metrics.summary()["queries"] == 4
+        assert engine.metrics.summary()["queries"] == 3
 
     def test_run_all_preserves_job_order(self):
         jobs = [(Q2, "local", strategy) for strategy in Strategy] * 2
@@ -213,8 +205,7 @@ class TestScheduling:
         federation = make_federation()
         federation.transport = Transport(federation.cost_model,
                                          extra_latency_s=0.01)
-        with FederationEngine(federation, max_workers=1,
-                              max_in_flight=2) as engine:
+        with FederationEngine(federation, max_workers=1) as engine:
             blocker = engine.submit(Q2, "local")
             queued = engine.submit(Q2, "local")
             assert queued.cancel()

@@ -7,10 +7,10 @@ import time
 
 import pytest
 
+from repro.clock import Clock, VirtualClock
 from repro.errors import NetworkError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
-from repro.runtime.clock import Clock, VirtualClock
 from repro.runtime.transport import (FaultInjectedError, FaultPlan,
                                      RequestTimeoutError, Transport)
 from repro.system.federation import Federation
