@@ -38,6 +38,7 @@ def main(scale: float = SCALE) -> None:
         stats = run.stats
         print(f"  {strategy.value:15s} {len(run.items):4d} results  "
               f"{stats.scatter_shards:2d} shard calls  "
+              f"{stats.messages:2d} messages  "
               f"{stats.total_transferred_bytes / 1024:7.1f} KB")
 
     count_query = ('count(doc("xrpc://people-c/people.xml")'
@@ -48,8 +49,11 @@ def main(scale: float = SCALE) -> None:
           f"({run.stats.scatter_shards} per-shard counts summed, "
           f"{run.stats.message_bytes} message bytes total)")
 
-    print("\nKilling node2 (replica of two shards) ...")
-    federation.transport.kill_peer("node2")
+    # A scatter sends one Bulk RPC per peer of the least cover of its
+    # shards (node1 + node3, or node2 + node4), rotating with the
+    # load: here the next cover holds node1.
+    print("\nKilling node1 (replica of two shards) ...")
+    federation.transport.kill_peer("node1")
     run = federation.run(SHARDED_BENCHMARK_QUERY, at="local",
                          strategy=Strategy.BY_PROJECTION)
     served = sorted({m.dest for m in run.messages})

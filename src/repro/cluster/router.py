@@ -6,41 +6,39 @@ document fetch) whose destination is a catalog virtual host, the
 router takes over:
 
 1. **rewrite** — the shipped body's ``doc("xrpc://{collection}/{doc}")``
-   references are rewritten per shard to the shard fragment's *local*
-   name (``doc("people.xml#s2")``), which resolves in the executing
-   replica's own document space. The rewritten request is therefore
-   byte-identical across replicas of one shard, so any replica can
-   serve any replica's cached response.
-2. **scatter** — one round trip per shard, in shard order. The
-   rewrite depends only on the body and the collection's layout, so it
-   is prepared once (:class:`_PreparedScatter`; the shard texts and
-   skip probes once per binding of the body's comparison literals) and
-   a warm scatter does per op only what differs per shard. The round
-   trips run on a thread
-   pool (bounded by :data:`MAX_SCATTER_PARALLELISM`) only when a
-   transmission can sleep (:meth:`Transport.can_sleep`): shard calls
-   are CPU-bound Python, so waiting is all threads can overlap; on a
-   wire that never waits they run inline. Before fanning out,
-   member-filter bodies
+   references become ``doc($shard)``, a parameter (named afresh: no
+   variable of the body can capture it) each call binds to a shard
+   fragment's *local* name (``"people.xml#s2"``), which resolves in the
+   executing replica's own document space. One text serves every shard
+   and replica, so any replica's cached response for the same shards
+   serves all. It depends only on the body and the collection's layout,
+   so it is prepared once (:class:`_PreparedScatter`; text and skip
+   probes once per binding of the body's comparison literals).
+2. **cover** — member-filter bodies
    (``for $m in coll return if ($m/... op literal) then .. else ()``)
-   are probed against each shard's local value index
+   are first probed against each shard's local value index
    (:func:`shard_skip_probes`): a shard where provably no node
-   satisfies the filter contributes exactly ``()`` per call, so its
-   round trip is skipped outright (``RunStats.shards_skipped``). Each
-   shard call gets a private :class:`RunStats` / :class:`CostCounter`
-   so the accounting stays race-free; they are merged in shard order
-   after the gather — also when a shard failed, before its error is
-   raised — keeping the run's totals deterministic.
-3. **replica selection** — per shard, the replicas the federation's
-   :class:`~repro.cluster.membership.PeerView` lets serve, healthy
-   first, then by the transport's live load (in-flight exchanges, then
-   total bytes served, then placement order), so the least-loaded
-   healthy replica serves the call.
+   satisfies the filter contributes exactly ``()`` per call and is
+   skipped (``RunStats.shards_skipped``). The rest go to the fewest
+   serving peers that together hold them (:func:`shard_cover`), ties
+   broken by :meth:`ClusterRouter.replica_order`'s key — healthy
+   first, then the live load — so successive scatters rotate over the
+   covers and every replica keeps getting traffic and health evidence.
+3. **scatter** — one Bulk RPC per cover peer, one call per (originator
+   call × shard it serves); the response's results split back per
+   shard. The round trips run on a thread pool (bounded by
+   :data:`MAX_SCATTER_PARALLELISM`) only when a transmission can sleep
+   (:meth:`Transport.can_sleep`): they are CPU-bound Python, so waiting
+   is all threads can overlap. Each keeps a private :class:`RunStats`
+   / :class:`CostCounter`, merged in shard order after the gather —
+   also when a shard failed, before its error is raised — keeping the
+   run's totals deterministic.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
-   (injected faults, killed peers) moves the call to the next replica
-   in the order; each switch is counted in the shard call's
-   ``per_shard`` entry (``RunStats.failovers`` sums them). Only when
-   every replica fails does the query fail.
+   (injected faults, killed peers), once in-place retries are spent,
+   re-covers the round trip's shards over their untried serving
+   replicas; each moved shard counts one failover in its ``per_shard``
+   entry. A shard every replica failed is unavailable (an error, or a
+   flagged ``()`` under ``partial="allow"``).
 5. **gather** — :func:`~repro.cluster.gather.gather_plan` picks the
    combinator: shard-major concatenation for map-shaped bodies
    (document order under range partitioning), addition for
@@ -52,10 +50,11 @@ router takes over:
    collection document.
 
 The router counts into the run's :class:`RunStats` only: each shard
-call files one ``per_shard`` entry (calls, skips, retries, failovers,
-bytes, the shard's ``local_name``). The registry's ``scatter_*`` series
-— the rebalancer's per-shard heat among them — are folded from the
-finished run at the end of ``Federation.run``.
+files one ``per_shard`` entry (calls, skips, retries, failovers, its
+share of bytes, messages and seconds, the shard's ``local_name``). The
+registry's ``scatter_*`` series — the rebalancer's per-shard heat
+among them — are folded from the finished run at the end of
+``Federation.run``.
 
 Scatter-safety contract: a sharded collection is addressed through its
 *members* (the partitioned elements). Queries returning spine elements
@@ -67,7 +66,8 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Collection, Sequence, TypeVar
 
 from repro.cluster.catalog import (
     ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
@@ -99,12 +99,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 _DOC_FUNCTIONS = ("doc", "fn:doc")
 
+#: The shard parameter's name, or its stem when the body spells it.
+SHARD_PARAMETER = "shard"
+
+_Item = TypeVar("_Item")
+
 #: Router-level default when the catalog carries no policy: a couple of
 #: in-place retries per replica before failing over, zero base backoff
 #: (the simulated wire has no real congestion to wait out).
 _DEFAULT_RETRY = RetryPolicy()
 
-#: How many shard calls of one scatter run at a time on threads.
+#: How many round trips of one scatter run at a time on threads.
 MAX_SCATTER_PARALLELISM = 8
 
 
@@ -115,17 +120,20 @@ class ShardUnavailableError(ClusterError):
 
 
 def rewrite_doc_uris(expr: Expr,
-                     mapping: Callable[[str], str | None]) -> Expr:
+                     mapping: Callable[[str], str | Expr | None]) -> Expr:
     """Rebuild ``expr`` with every literal ``doc(uri)`` argument passed
-    through ``mapping`` (None keeps the original URI)."""
+    through ``mapping``: a string is the new URI, an expression the new
+    argument, None keeps the original URI."""
     def visit(node: Expr) -> Expr:
         if (isinstance(node, FunCall) and node.name in _DOC_FUNCTIONS
                 and len(node.args) == 1):
             arg = node.args[0]
             if isinstance(arg, Literal) and isinstance(arg.value, str):
                 replacement = mapping(arg.value)
+                if isinstance(replacement, str):
+                    replacement = Literal(replacement)
                 if replacement is not None:
-                    return FunCall(node.name, [Literal(replacement)])
+                    return FunCall(node.name, [replacement])
         return node.replace_children(visit)
     return visit(expr)
 
@@ -220,26 +228,51 @@ def _rooted_in_collection(expr: Expr, collection: str,
     return False
 
 
-def _shard_uri(uri: str, spec: CollectionSpec,
-               shard: ShardInfo) -> str | None:
-    parts = split_xrpc_uri(uri)
-    if parts is None or parts[0] != spec.name:
-        return None
-    if parts[1] != spec.document:
-        raise ClusterError(
-            f"collection {spec.name!r} has no document {parts[1]!r} "
-            f"(expected {spec.document!r})")
-    # Relative URI: resolves in the executing replica's own document
-    # space, keeping the request byte-identical across replicas.
-    return shard.local_name
+def shard_cover(items: Sequence[_Item],
+                serving: Callable[[_Item], list[str]],
+                rank: Callable[[list[str]], list[str]] = list
+                ) -> list[tuple[str, list[_Item]]]:
+    """The fewest peers that together serve every one of ``items``
+    (shards, or what stands for them), as ``(peer, its items)`` pairs
+    ordered by their first item.
+
+    ``serving(item)`` lists the peers that may serve an item, ``rank``
+    orders candidates (given in name order) best first. Of the least
+    covers, the one whose peers rank best (best peer first) wins; each
+    item goes to its best-ranked cover peer. An item's only server is
+    in every cover, so the exact search runs over the other peers.
+    """
+    options = [serving(item) for item in items]
+    ranked = rank(sorted({peer for peers in options for peer in peers}))
+    forced = {peers[0] for peers in options if len(peers) == 1}
+    free = [peer for peer in ranked if peer not in forced]
+    for size in range(len(free) + 1):
+        for extra in combinations(free, size):
+            chosen = forced.union(extra)
+            if all(not chosen.isdisjoint(peers) for peers in options):
+                groups: dict[str, list[_Item]] = {}
+                for item, peers in zip(items, options):
+                    peer = next(p for p in ranked
+                                if p in chosen and p in peers)
+                    groups.setdefault(peer, []).append(item)
+                return list(groups.items())
+    raise ClusterError("an item has no serving peer")
+
+
+def serving_replicas(view, shard: ShardInfo) -> list[str]:
+    """The shard's replicas ``view`` lets serve (all of them when it
+    lets none — a dead cluster should fail on the wire, not silently on
+    an empty candidate list)."""
+    return ([peer for peer in shard.replicas if view.serves(peer)]
+            or list(shard.replicas))
 
 
 class _PreparedScatter:
     """What a scatter of ``body`` over ``spec`` needs and no op changes:
     the unwrapped body and its gather combinator (None: not
     scatter-safe, evaluated at the originator); and, per binding of
-    the body's literals (:meth:`bound`), the shard-skip probes and
-    each shard's shipped text.
+    the body's literals (:meth:`bound`), the shard-skip probes, the
+    shard parameter's name and the one shipped text.
 
     Interned in ``catalog.prepared`` under ``(id(body), id(spec))``;
     the entry holds both, so neither address can be reused while it
@@ -256,15 +289,32 @@ class _PreparedScatter:
         self.unwrapped = unwrap_collection_xrpc(body, spec.name)
         self.combine = gather_plan(self.unwrapped, spec.name)
 
-    def bound(self, literals: tuple
-              ) -> tuple[list[tuple[str, str, object]], list[str]]:
-        """``(probes, shard texts)`` for a scatter-safe body whose
-        slots hold ``literals``."""
+    def bound(self, literals: tuple, param_names: list[str]
+              ) -> tuple[list[tuple[str, str, object]], str, str]:
+        """``(probes, shard parameter, text)`` for a scatter-safe body
+        whose slots hold ``literals``, called with ``param_names``. The
+        parameter is named so that the text spells no ``$`` + name and
+        no call parameter is called so: nothing in the body can capture
+        it."""
         spec, body = self.spec, bind(self.unwrapped, literals)
-        return shard_skip_probes(body, spec.name), [
-            pretty(rewrite_doc_uris(
-                body, lambda uri, s=shard: _shard_uri(uri, spec, s)))
-            for shard in spec.shards]
+        spelled = pretty(body)
+        name, suffix = SHARD_PARAMETER, 0
+        while f"${name}" in spelled or name in param_names:
+            suffix += 1
+            name = f"{SHARD_PARAMETER}{suffix}"
+
+        def parameter(uri: str) -> Expr | None:
+            parts = split_xrpc_uri(uri)
+            if parts is None or parts[0] != spec.name:
+                return None
+            if parts[1] != spec.document:
+                raise ClusterError(
+                    f"collection {spec.name!r} has no document "
+                    f"{parts[1]!r} (expected {spec.document!r})")
+            return VarRef(name)
+
+        return (shard_skip_probes(body, spec.name), name,
+                pretty(rewrite_doc_uris(body, parameter)))
 
 
 def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
@@ -293,31 +343,47 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
 
 
 class ScatterOutcome:
-    """One shard call's private accounting, merged after the gather:
-    its results (or the error it ended with), its :class:`RunStats`
-    and :class:`CostCounter`, and ``entry`` — the call's own
-    ``per_shard`` entry, filed into ``stats`` when the call ends."""
+    """One shard's part of a scatter or a collection fetch: its results
+    (or the error it ended with), what is left of its retry budget, its
+    backoff draw, and ``entry`` — its ``per_shard`` entry, filed into
+    the caller's stats when the scatter is merged."""
 
-    __slots__ = ("results", "stats", "counter", "entry", "error")
+    __slots__ = ("shard", "results", "entry", "error", "budget", "rng")
 
-    def __init__(self, shard: ShardInfo) -> None:
-        self.results: list[list] = []
-        self.stats = RunStats()
-        self.counter = CostCounter()
+    def __init__(self, shard: ShardInfo, budget: int) -> None:
+        self.shard = shard
+        self.results: list = []
         self.entry = {"shard": shard.local_name, "calls": 1,
                       "failovers": 0, "retries": 0, "skipped": 0,
-                      "partial": 0, "failed": 0}
+                      "partial": 0, "failed": 0, "bytes": 0,
+                      "messages": 0, "sim_s": 0.0, "cache_hits": 0}
         self.error: Exception | None = None
+        self.budget = budget
+        self.rng: random.Random | None = None   # seeded at a first retry
 
-    def file(self, key: str) -> "ScatterOutcome":
-        """Complete the entry from the call's stats (bytes, messages
-        and seconds include nested work) and file it under ``key``."""
-        stats, entry = self.stats, self.entry
-        entry.update(bytes=stats.total_transferred_bytes,
-                     messages=stats.messages, sim_s=stats.times.total,
-                     cache_hits=stats.cache_hits)
-        fold_entry(stats.per_shard, key, entry)
-        return self
+
+def _share(group: list[ScatterOutcome], stats: RunStats) -> None:
+    """Split one round trip's accounting (``stats``, nested work
+    included) over the entries of the shards it served, by call share:
+    each carries the same calls, so each gets an equal part, an
+    integer's remainder going one unit each to the first shards. The
+    sums over ``per_shard`` stay the run's totals."""
+    count = len(group)
+    totals = (("bytes", stats.total_transferred_bytes),
+              ("messages", stats.messages),
+              ("cache_hits", stats.cache_hits))
+    for index, outcome in enumerate(group):
+        entry = outcome.entry
+        for name, total in totals:
+            entry[name] += total // count + (index < total % count)
+        entry["sim_s"] += stats.times.total / count
+
+
+#: ``attempt(replica, shards, stats, counter)``: one round trip to
+#: ``replica`` serving ``shards``, one result per shard.
+_Attempt = Callable[[str, list[ShardInfo], RunStats, CostCounter], list]
+#: The private accounting of each round trip one group took.
+_Spent = list[tuple[RunStats, CostCounter]]
 
 
 class ClusterRouter:
@@ -348,20 +414,34 @@ class ClusterRouter:
         request. Within a health bucket, order is the live load
         (in-flight exchanges, then total bytes served, then placement
         order as the deterministic tie-break). Demoted replicas stay in
-        the order: they are still the failover path of last resort.
+        the order: they are still the failover path of last resort. A
+        cover ranks its candidate peers by the same key.
         """
-        peer_load = self.transport.peer_load
-        return self.view.order(
-            self._serving(shard),
-            lambda peer: (*peer_load(peer), shard.replicas.index(peer)))
+        return self._rank(serving_replicas(self.view, shard), [shard])
 
-    def _serving(self, shard: ShardInfo) -> list[str]:
-        """The shard's replicas the view lets serve (all of them when it
-        lets none — a dead cluster should fail on the wire, not silently
-        on an empty candidate list)."""
-        serves = self.view.serves
-        return ([peer for peer in shard.replicas if serves(peer)]
-                or list(shard.replicas))
+    def _rank(self, peers: list[str], shards: list[ShardInfo]
+              ) -> list[str]:
+        peer_load = self.transport.peer_load
+        return self.view.order(peers, lambda peer: (
+            *peer_load(peer),
+            min(s.replicas.index(peer) for s in shards
+                if peer in s.replicas)))
+
+    def _cover(self, outcomes: list[ScatterOutcome],
+               tried: Collection[str] = ()
+               ) -> list[tuple[str, list[ScatterOutcome]]]:
+        """:func:`shard_cover` of ``outcomes``' shards over their
+        serving replicas not ``tried``, ranked as replicas are."""
+        shards = [outcome.shard for outcome in outcomes]
+        return shard_cover(
+            outcomes,
+            lambda outcome: [peer for peer in serving_replicas(
+                self.view, outcome.shard) if peer not in tried],
+            lambda peers: self._rank(peers, shards))
+
+    def _outcomes(self, spec: CollectionSpec) -> list[ScatterOutcome]:
+        budget = (self.catalog.retry_policy or _DEFAULT_RETRY).budget
+        return [ScatterOutcome(shard, budget) for shard in spec.shards]
 
     # -- scatter-gather over XRPC -------------------------------------------
 
@@ -372,7 +452,7 @@ class ClusterRouter:
                 counter: CostCounter | None = None) -> list[list]:
         """Execute one XRPC call site against every shard and gather
         (``binding``: the literals of the caller's text, and where what
-        they decide — probes, shard texts — is kept).
+        they decide — probes, the shipped text — is kept).
 
         Bodies that are not scatter-safe (global order/position
         constructs, non-additive aggregates, collection re-references
@@ -381,7 +461,7 @@ class ClusterRouter:
         semantics at data-shipping cost.
 
         ``stats``/``counter`` are the caller's accounting targets (the
-        run's by default; a shard call's private ones when this call
+        run's by default; a round trip's private ones when this call
         site is nested inside another scatter).
         """
         run = self.run
@@ -395,55 +475,54 @@ class ClusterRouter:
             return self._evaluate_locally(from_peer, calls,
                                           prepared.unwrapped, binding,
                                           stats=stats, counter=counter)
-        probes, shard_texts = binding.once(
-            prepared, lambda: prepared.bound(binding.literals))
-        skip = [bool(probes) and self._shard_provably_empty(shard, probes)
-                for shard in spec.shards]
+        probes, parameter, text = binding.once(
+            prepared, lambda: prepared.bound(
+                binding.literals, [name for name, _seq in calls[0]]
+                if calls else []))
+        outcomes = self._outcomes(spec)
+        for outcome in outcomes:
+            if probes and self._shard_provably_empty(outcome.shard, probes):
+                # The shard-local value index proved the member filter
+                # selects nothing here: the shard's contribution is
+                # exactly one empty sequence per call, with no round
+                # trip at all.
+                outcome.results = [[] for _ in calls]
+                outcome.entry["skipped"] = 1
+                self.emit("shard_skip", spec, outcome.shard,
+                          " skipped: value-index probe proved the member "
+                          "filter empty", severity="info")
+        groups = self._cover([outcome for outcome in outcomes
+                              if not outcome.entry["skipped"]])
+
+        def call_group(replica: str, shards: list[ShardInfo],
+                       call_stats: RunStats,
+                       call_counter: CostCounter) -> list[list[list]]:
+            # Shard-major: the response's results split back per shard.
+            results = run._call_peer(
+                run.federation.peer(replica),
+                [[*call, (parameter, [shard.local_name])]
+                 for shard in shards for call in calls],
+                text, site, call_stats, call_counter,
+                cache_scope=spec.name, shard_epoch=epoch)
+            width = len(calls)
+            return [results[at:at + width]
+                    for at in range(0, width * len(shards), width)]
 
         with child_span("scatter", collection=spec.name,
-                        shards=len(spec.shards)) as scatter_span:
-            def call_shard(index: int) -> ScatterOutcome:
-                shard = spec.shards[index]
-                shard_key = f"{spec.name}#s{shard.index}"
-                if skip[index]:
-                    # The shard-local value index proved the member
-                    # filter selects nothing here: the shard's
-                    # contribution is exactly one empty sequence per
-                    # call, with no round trip at all.
-                    outcome = ScatterOutcome(shard)
-                    outcome.results = [[] for _ in calls]
-                    outcome.entry["skipped"] = 1
-                    if self.events is not None:
-                        self.events.emit(
-                            "shard_skip",
-                            f"shard {shard_key} skipped: value-index "
-                            f"probe proved the member filter empty",
-                            severity="info", collection=spec.name,
-                            shard=shard.index)
-                    return outcome.file(shard_key)
-                return self._serve_shard(
-                    spec, shard, scatter_span,
-                    lambda replica, outcome: run._call_peer(
-                        run.federation.peer(replica), calls,
-                        shard_texts[index], site,
-                        outcome.stats, outcome.counter,
-                        cache_scope=shard_key, shard_epoch=epoch),
-                    partial_answer=[[] for _ in calls])
-
-            outcomes = self._fan_out(len(spec.shards), call_shard)
+                        shards=len(spec.shards),
+                        peers=len(groups)) as scatter_span:
             if stats is None:
                 stats = run.stats
             stats.scatters[spec.name] = stats.scatters.get(spec.name, 0) + 1
-            self._merge_outcomes(outcomes, stats=stats, counter=counter)
+            own = self._serve(spec, outcomes, groups, scatter_span,
+                              call_group, [[] for _ in calls],
+                              stats=stats, counter=counter)
             if scatter_span is not None:
-                spent = RunStats()
-                for outcome in outcomes:
-                    spent.merge(outcome.stats)
                 scatter_span.set(
-                    shards_skipped=spent.shards_skipped,
-                    failovers=spent.failovers, retries=spent.retries,
-                    partial_shards=spent.partial_shards,
-                    per_shard=spent.per_shard)
+                    shards_skipped=own.shards_skipped,
+                    failovers=own.failovers, retries=own.retries,
+                    partial_shards=own.partial_shards,
+                    per_shard=own.per_shard)
             _renumber_shard_fragments(outcomes)
             return prepared.combine(
                 [outcome.results for outcome in outcomes])
@@ -459,22 +538,23 @@ class ClusterRouter:
         logical document. Returns ``(document, total wire bytes)``.
         ``parent_span`` is the caller's ``ship`` span; shard fetches
         become its children (a fetch may run on a pool thread with no
-        ambient span, so the handoff is explicit)."""
+        ambient span, so the handoff is explicit). A document is one
+        transmission: each shard is a round trip of its own."""
         if local_name != spec.document:
             raise ClusterError(
                 f"collection {spec.name!r} has no document "
                 f"{local_name!r} (expected {spec.document!r})")
 
-        def fetch_shard(index: int) -> ScatterOutcome:
-            shard = spec.shards[index]
-            return self._serve_shard(
-                spec, shard, parent_span,
-                lambda replica, outcome: [self.transport.fetch_document(
-                    self.run.federation.peer(replica), shard.local_name,
-                    outcome.stats)])
+        def fetch(replica: str, shards: list[ShardInfo],
+                  fetch_stats: RunStats, _counter: CostCounter) -> list:
+            peer = self.run.federation.peer(replica)
+            return [[self.transport.fetch_document(
+                peer, shard.local_name, fetch_stats)] for shard in shards]
 
-        outcomes = self._fan_out(len(spec.shards), fetch_shard)
-        self._merge_outcomes(outcomes, stats=stats)
+        outcomes = self._outcomes(spec)
+        groups = [group for outcome in outcomes
+                  for group in self._cover([outcome])]
+        self._serve(spec, outcomes, groups, parent_span, fetch, stats=stats)
         fetched = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
             parse_document(text,
@@ -486,58 +566,95 @@ class ClusterRouter:
             container_path=spec.container_path)
         return merged, sum(size for _text, size in fetched)
 
-    # -- one shard call (shared by scatter and document fetch) --------------
+    # -- one round trip per group (shared by scatter and document fetch) ----
 
-    def _serve_shard(self, spec: CollectionSpec, shard: ShardInfo,
-                     parent_span: "Span | None",
-                     attempt: Callable[[str, "ScatterOutcome"], list],
-                     partial_answer: list | None = None
-                     ) -> ScatterOutcome:
-        """Run ``attempt(replica, outcome)`` for one shard under its
-        ``shard`` span, with retry/failover over the replicas and
-        private accounting, then file the shard's ``per_shard`` entry.
-        An error the call ends with is kept on the outcome (raised
-        once the finished outcomes are merged).
+    def _serve_group(self, spec: CollectionSpec, replica: str,
+                     group: list[ScatterOutcome],
+                     parent_span: "Span | None", attempt: _Attempt,
+                     partial_answer: list | None = None) -> _Spent:
+        """One round trip serving ``group``'s shards at ``replica``
+        under its ``shard`` span, retried in place, with private
+        accounting (shared into the shards' entries). A wire fault
+        re-covers the shards over their serving replicas not yet tried
+        and serves them there, each moved shard counting one failover.
+        An error a shard ends with is kept on its outcome (raised once
+        the finished outcomes are merged).
 
         ``partial_answer`` is what a shard with zero serving replicas
-        contributes under the catalog's ``partial="allow"`` policy;
-        None (a document fetch, which cannot leave holes) always
-        fails with :class:`ShardUnavailableError` instead.
+        left contributes under the catalog's ``partial="allow"``
+        policy; None (a document fetch, which cannot leave holes)
+        always fails with :class:`ShardUnavailableError` instead.
         """
-        outcome = ScatterOutcome(shard)
-        shard_key = f"{spec.name}#s{shard.index}"
-        try:
-            # A pool thread has no ambient span; the explicit parent
-            # hands it the tree.
-            with child_span("shard", parent=parent_span,
-                            shard=shard.index,
-                            collection=spec.name) as shard_span, \
-                    bind_stats_span(outcome.stats, shard_span):
-                try:
-                    outcome.results = self._with_failover(
-                        shard, outcome, attempt, collection=spec.name)
-                except ShardUnavailableError:
-                    if partial_answer is None \
-                            or self.catalog.partial_policy != "allow":
-                        raise
-                    # Graceful degradation: answer () per call and
-                    # flag the hole instead of failing the whole query.
-                    outcome.results = partial_answer
-                    outcome.entry["partial"] = 1
-                    if self.events is not None:
-                        self.events.emit(
-                            "partial_result",
-                            f"shard {shard_key} unavailable; "
-                            f"returning flagged partial answer "
-                            f"(partial=allow)",
-                            severity="warning",
-                            collection=spec.name, shard=shard.index)
-        except Exception as exc:
-            # Not swallowed: _merge_outcomes raises it once the finished
-            # calls' accounting is merged.
-            outcome.error = exc
+        spent: _Spent = []
+        tried: set[str] = set()
+        trips = [(replica, group)]
+        for replica, group in trips:      # failovers append re-covers
+            stats, counter = RunStats(), CostCounter()
+            spent.append((stats, counter))
+            try:
+                # A pool thread has no ambient span; the explicit
+                # parent hands it the tree.
+                with child_span("shard", parent=parent_span,
+                                collection=spec.name, peer=replica,
+                                shards=[o.shard.index for o in group]) \
+                        as shard_span, bind_stats_span(stats, shard_span):
+                    results = self._with_retries(replica, group, attempt,
+                                                 stats, counter)
+                for outcome, result in zip(group, results):
+                    outcome.results = result
+            except NetworkError as fault:
+                tried.add(replica)
+                moving = [outcome for outcome in group
+                          if not self._unavailable(spec, outcome, tried,
+                                                   fault, partial_answer)]
+                for peer, moved in self._cover(moving, tried):
+                    for outcome in moved:
+                        outcome.entry["failovers"] += 1
+                        self.emit(
+                            "failover", spec, outcome.shard,
+                            f": {replica} failed ({type(fault).__name__}),"
+                            f" trying {peer}", replica=replica, next=peer)
+                    trips.append((peer, moved))
+            except Exception as exc:
+                for outcome in group:
+                    outcome.error = exc
+                    outcome.entry["failed"] = 1
+            _share(group, stats)
+        return spent
+
+    def _unavailable(self, spec: CollectionSpec, outcome: ScatterOutcome,
+                     tried: set[str], fault: NetworkError,
+                     partial_answer: list | None) -> bool:
+        """False while ``outcome``'s shard has a serving replica not
+        ``tried``; else settle it — a flagged partial answer under
+        ``partial="allow"``, an error otherwise — and say True."""
+        serving = serving_replicas(self.view, outcome.shard)
+        if not tried.issuperset(serving):
+            return False
+        if partial_answer is None or self.catalog.partial_policy != "allow":
+            error = ShardUnavailableError(
+                f"all {len(serving)} replicas of shard "
+                f"{outcome.shard.index} ({', '.join(serving)}) failed")
+            error.__cause__ = fault
+            outcome.error = error
             outcome.entry["failed"] = 1
-        return outcome.file(shard_key)
+            return True
+        # Graceful degradation: answer () per call and flag the hole
+        # instead of failing the whole query.
+        outcome.results = partial_answer
+        outcome.entry["partial"] = 1
+        self.emit("partial_result", spec, outcome.shard,
+                  " unavailable; returning flagged partial answer "
+                  "(partial=allow)")
+        return True
+
+    def emit(self, kind: str, spec: CollectionSpec, shard: ShardInfo,
+              text: str, severity: str = "warning", **attrs) -> None:
+        """One ``kind`` event about ``shard``, when a monitor listens."""
+        if self.events is not None:
+            self.events.emit(kind, f"shard {spec.name}#s{shard.index}{text}",
+                             severity=severity, collection=spec.name,
+                             shard=shard.index, **attrs)
 
     # -- local fallback ------------------------------------------------------
 
@@ -578,7 +695,7 @@ class ClusterRouter:
         still surfaces its ClusterError instead of being silently
         skipped.
         """
-        for replica in self._serving(shard):
+        for replica in serving_replicas(self.view, shard):
             peer = self.run.federation.peers.get(replica)
             if peer is None:
                 continue
@@ -595,24 +712,22 @@ class ClusterRouter:
 
     # -- internals ----------------------------------------------------------
 
-    def _with_failover(self, shard: ShardInfo, outcome: ScatterOutcome,
-                       attempt: Callable[[str, ScatterOutcome], list],
-                       collection: str = "") -> list:
-        """Run ``attempt(replica, outcome)`` against replicas in
-        health-then-load order.
+    def _with_retries(self, replica: str, group: list[ScatterOutcome],
+                      attempt: _Attempt, stats: RunStats,
+                      counter: CostCounter) -> list:
+        """Run ``attempt`` against ``replica`` for ``group``'s shards.
 
         *Transient* wire faults (injected faults, request timeouts —
-        :class:`~repro.errors.TransientNetworkError`) are first retried
-        **in place** on the same replica under the catalog's
+        :class:`~repro.errors.TransientNetworkError`) are retried **in
+        place** under the catalog's
         :class:`~repro.runtime.transport.RetryPolicy`: up to
-        ``attempts`` tries per replica, drawing from one shared
-        ``budget`` across the whole shard call, with seeded-jitter
-        exponential backoff between tries. *Fatal* faults
-        (:class:`PeerDownError` — the peer is gone, retrying the same
-        wire is pointless) skip straight to the next replica; each
-        replica switch is a counted failover. Query-level errors
-        propagate immediately — they are not :class:`NetworkError`\\ s
-        and must never burn retries or trigger failover.
+        ``attempts`` tries, while every shard of the group has some of
+        its own ``budget`` left (a retry spends one of each and counts
+        in each entry), with seeded-jitter exponential backoff. Any
+        other :class:`~repro.errors.NetworkError` (a fatal
+        :class:`PeerDownError`, or retries spent) is raised for the
+        caller to fail over; query-level errors are not, and never
+        burn retries or trigger failover.
 
         Every attempt that succeeds or meets a wire fault is evidence
         for the peer view (health windows, the detector's ladder): one
@@ -620,95 +735,90 @@ class ClusterRouter:
         error of its own (no such document, a nested scatter that
         failed) is no evidence about its liveness.
         """
-        order = self.replica_order(shard)
         policy = self.catalog.retry_policy or _DEFAULT_RETRY
-        rng: random.Random | None = None   # seeded at the first retry
-        budget = policy.budget
-        last_error: NetworkError | None = None
         record = self.view.record
         clock = self.transport.clock
-        for position, replica in enumerate(order):
-            for try_index in range(max(1, policy.attempts)):
-                started = clock()
-                try:
-                    result = attempt(replica, outcome)
-                except NetworkError as exc:
-                    if isinstance(exc, (TransientNetworkError,
-                                        PeerUnavailableError)):
-                        record(replica, clock() - started, False)
-                    last_error = exc
-                    if isinstance(exc, TransientNetworkError) \
-                            and try_index + 1 < policy.attempts \
-                            and budget > 0:
-                        budget -= 1
-                        outcome.entry["retries"] += 1
-                        if rng is None:
-                            rng = random.Random(policy.seed)
-                        delay = policy.backoff_s(try_index, rng)
-                        if delay > 0:
-                            clock.sleep(delay)
-                        continue
-                    break  # fatal fault or retries spent: fail over
-                else:
-                    record(replica, clock() - started, True)
-                    return result
-            if position + 1 < len(order):
-                outcome.entry["failovers"] += 1
-                if self.events is not None:
-                    self.events.emit(
-                        "failover",
-                        f"shard {collection}#s{shard.index}: "
-                        f"{replica} failed "
-                        f"({type(last_error).__name__}), trying "
-                        f"{order[position + 1]}",
-                        severity="warning", collection=collection,
-                        shard=shard.index, replica=replica,
-                        next=order[position + 1])
-        raise ShardUnavailableError(
-            f"all {len(order)} replicas of shard {shard.index} "
-            f"({', '.join(order)}) failed") from last_error
+        shards = [outcome.shard for outcome in group]
+        lead = group[0]       # its draw paces the group's backoff
+        for try_index in range(max(1, policy.attempts)):
+            started = clock()
+            try:
+                result = attempt(replica, shards, stats, counter)
+            except NetworkError as exc:
+                if isinstance(exc, (TransientNetworkError,
+                                    PeerUnavailableError)):
+                    record(replica, clock() - started, False)
+                if not (isinstance(exc, TransientNetworkError)
+                        and try_index + 1 < policy.attempts
+                        and all(o.budget > 0 for o in group)):
+                    raise
+                for outcome in group:
+                    outcome.budget -= 1
+                    outcome.entry["retries"] += 1
+                if lead.rng is None:
+                    lead.rng = random.Random(policy.seed)
+                delay = policy.backoff_s(try_index, lead.rng)
+                if delay > 0:
+                    clock.sleep(delay)
+            else:
+                record(replica, clock() - started, True)
+                return result
+        raise AssertionError("unreachable: the last try raises")
 
-    def _fan_out(self, count: int,
-                 call: Callable[[int], ScatterOutcome]
-                 ) -> list[ScatterOutcome]:
-        """Run ``call(0..count-1)``, outcomes in shard order: inline
-        (up to the first that failed) unless a transmission can sleep,
-        else on a pool bounded by :data:`MAX_SCATTER_PARALLELISM`.
+    def _serve(self, spec: CollectionSpec, outcomes: list[ScatterOutcome],
+               groups: list[tuple[str, list[ScatterOutcome]]],
+               parent_span: "Span | None", attempt: _Attempt,
+               partial_answer: list | None = None,
+               stats: RunStats | None = None,
+               counter: CostCounter | None = None) -> RunStats:
+        """Serve ``groups`` — inline (up to the first that failed)
+        unless a transmission can sleep, else on a pool bounded by
+        :data:`MAX_SCATTER_PARALLELISM` — then fold the round trips'
+        private accounting and the entries of the shards skipped or
+        served (in shard order) into the caller's targets (the run's by
+        default), and raise the first shard's error: totals are
+        deterministic under concurrency, and a failed scatter still
+        accounts for what it spent. Returns what was folded in.
+
         Threads overlap waiting, not Python: on the never-sleeping
-        loopback wire a 4-shard scatter measured 16-18 ms pooled (GIL
-        hand-offs — a shared pool read the same) against 10-11 ms
-        inline. The pool is per-scatter: a shared one could deadlock on
+        loopback wire their hand-offs only add to the round trips' own
+        time. The pool is per-scatter: a shared one could deadlock on
         nested scatters."""
-        parallelism = min(count, MAX_SCATTER_PARALLELISM)
-        if parallelism <= 1 or not self.transport.can_sleep():
-            outcomes = []
-            for index in range(count):
-                outcomes.append(call(index))
-                if outcomes[-1].error is not None:
-                    break
-            return outcomes
-        with ThreadPoolExecutor(
-                max_workers=parallelism,
-                thread_name_prefix="cluster-scatter") as pool:
-            return list(pool.map(call, range(count)))
+        def serve(group: tuple[str, list[ScatterOutcome]]) -> _Spent:
+            return self._serve_group(spec, *group, parent_span, attempt,
+                                     partial_answer)
 
-    def _merge_outcomes(self, outcomes: list[ScatterOutcome],
-                        stats: RunStats | None = None,
-                        counter: CostCounter | None = None) -> None:
-        """Fold the shard calls' private accounting into the caller's
-        targets (the run's by default), in shard order — deterministic
-        totals under concurrency — then raise the first shard's error,
-        so a failed scatter still accounts for what it spent."""
-        if stats is None:
-            stats = self.run.stats
+        parallelism = min(len(groups), MAX_SCATTER_PARALLELISM)
+        if parallelism <= 1 or not self.transport.can_sleep():
+            spent = []
+            for group in groups:
+                spent.append(serve(group))
+                if any(outcome.error is not None for outcome in group[1]):
+                    break
+        else:
+            with ThreadPoolExecutor(
+                    max_workers=parallelism,
+                    thread_name_prefix="cluster-scatter") as pool:
+                spent = list(pool.map(serve, groups))
         if counter is None:
             counter = self.run.remote_counter
+        own = RunStats()
+        for call_stats, call_counter in (trip for trips in spent
+                                         for trip in trips):
+            own.merge(call_stats)
+            counter.ticks += call_counter.ticks
+            counter.nodes_visited += call_counter.nodes_visited
+            counter.docs_opened += call_counter.docs_opened
+        ran = {id(outcome) for _replica, group in groups[:len(spent)]
+               for outcome in group}
         error = None
         for outcome in outcomes:
-            stats.merge(outcome.stats)
-            counter.ticks += outcome.counter.ticks
-            counter.nodes_visited += outcome.counter.nodes_visited
-            counter.docs_opened += outcome.counter.docs_opened
-            error = error or outcome.error
+            if outcome.entry["skipped"] or id(outcome) in ran:
+                fold_entry(own.per_shard,
+                           f"{spec.name}#s{outcome.shard.index}",
+                           outcome.entry)
+                error = error or outcome.error
+        (self.run.stats if stats is None else stats).merge(own)
         if error is not None:
             raise error
+        return own

@@ -7,14 +7,15 @@ messages transferred among peers"); :class:`TimeBreakdown` is the
 five-component stack of Figure 8.
 
 A run's ``RunStats`` is the only place its numbers are counted. Each
-shard call files one ``per_shard`` entry (bytes, messages, retries,
-failovers, skips, the shard's ``local_name``) and the run-level cluster
-totals are sums over those entries; each plan operator's actuals (a
-call site by ``site_id``, a ship by ``(owner, local_name)``) are
-``per_op`` entries, which explain-analyze reads. Both dictionaries are
-folded by one function, :func:`fold_entry`. Everything counted across
-queries — the registry's ``scatter_*`` / ``query_*`` series — is
-folded from a finished run at the end of ``Federation.run``.
+shard call files one ``per_shard`` entry (its share of bytes and
+messages, retries, failovers, skips, the shard's ``local_name``) and
+the run-level cluster totals are sums over those entries; each plan
+operator's actuals (a call site by ``site_id``, a ship by ``(owner,
+local_name)``) are ``per_op`` entries, which explain-analyze reads.
+Both dictionaries are folded by one function, :func:`fold_entry`.
+Everything counted across queries — the registry's ``scatter_*`` /
+``query_*`` series — is folded from a finished run at the end of
+``Federation.run``.
 
 Observability hooks: a run traced via ``Federation.run(trace=True)``
 binds the active :class:`~repro.obs.trace.Span` to ``RunStats.span``,
@@ -195,10 +196,10 @@ class RunStats:
     #: calls report under the run that scattered them).
     plan: PlanReport | None = None
     #: One entry per shard (``"collection#sN"``), filed by the cluster
-    #: router per shard call: ``shard`` (its ``local_name``), ``calls``,
-    #: ``bytes`` / ``messages`` / ``sim_s`` / ``cache_hits`` (inclusive
-    #: of nested work), and the call's own ``failovers``, ``retries``,
-    #: ``skipped``, ``partial`` and ``failed`` counts.
+    #: router: ``shard`` (its ``local_name``), ``calls``, its share of
+    #: its round trips' ``bytes`` / ``messages`` / ``sim_s`` /
+    #: ``cache_hits`` (nested work included), and its own ``failovers``,
+    #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts.
     per_shard: dict[str, dict] = field(default_factory=dict)
     #: Per-operator actuals for explain-analyze: a call site's entry
     #: under its ``site_id``, a ship's under ``(owner, local_name)``
@@ -261,7 +262,7 @@ class RunStats:
 
     def merge(self, other: "RunStats") -> None:
         """Fold another accounting into this one (the cluster router
-        gives each scattered shard call a private RunStats and merges
+        gives each round trip of a scatter a private RunStats and merges
         them in shard order, keeping totals deterministic under
         concurrency). The receiver keeps its own ``plan`` and ``span``;
         ``per_shard`` and ``per_op`` entries fold by key."""

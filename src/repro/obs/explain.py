@@ -5,8 +5,8 @@ A run's :class:`~repro.net.stats.PlanReport` keeps the
 :class:`~repro.planner.ir.PhysicalPlan` was priced at when the planner
 picked it. The run layer records what each operator *actually* did —
 wire bytes, calls, simulated seconds, wall seconds — as ``per_op``
-entries of the run's :class:`~repro.net.stats.RunStats` (a shard call
-records into its private stats, merged with the rest of its
+entries of the run's :class:`~repro.net.stats.RunStats` (a scatter's
+round trip records into its private stats, merged with the rest of its
 accounting). When ``RunStats.plan.analysis`` is first read the plan
 pairs the two per operator (:class:`OpAnalysis` rows), and
 ``RunStats.plan.explain(analyze=True)`` renders the estimated-vs-actual

@@ -8,8 +8,8 @@ A :class:`Tracer` produces one span tree per query::
       rpc                      <- one XRPC round trip (dest, semantics)
         serialize / network    <- component leaves (simulated seconds)
       scatter                  <- cluster fan-out over a collection
-        shard                  <- one shard call (skip / failover attrs)
-          rpc                  <- the round trip the shard issued
+        shard                  <- one round trip (its peer and shards)
+          rpc                  <- the Bulk RPC it issued
       ship                     <- a data-shipped document
       local_exec / remote_exec <- component leaves on the query root
 

@@ -28,9 +28,11 @@ multiplications, applied by :func:`~repro.planner.ir.priced`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.cluster.gather import gather_plan
+from repro.cluster.router import serving_replicas, shard_cover
 from repro.decompose import DecompositionResult
 from repro.decompose.points import split_xrpc_uri
 from repro.paths.analysis import (
@@ -707,14 +709,16 @@ class _Estimation:
 
         op: object = call
         if collection is not None:
-            shards = collection.shard_count
-            call.vector.messages *= shards
-            call.vector.message_bytes += request_bytes * (shards - 1)
-            call.vector.message_bytes += (RESPONSE_ENVELOPE_BYTES
-                                          * (shards - 1))
+            # One message pair per cover peer, as the router sends.
+            peers = len(shard_cover(collection.shards, partial(
+                serving_replicas, self.federation.peer_view)))
+            call.vector.messages *= peers
+            call.vector.message_bytes += (
+                (request_bytes + RESPONSE_ENVELOPE_BYTES) * (peers - 1))
             call.vector.queue_s = self.estimator.scatter_queue_seconds(
                 collection.replica_peers)
-            op = ScatterGather(collection=collection.name, shards=shards,
+            op = ScatterGather(collection=collection.name,
+                               shards=collection.shard_count, peers=peers,
                                call=call)
         elif bulk and calls > 1.0:
             op = BulkBatch(call=call)

@@ -112,10 +112,13 @@ class BulkBatch:
 @dataclass
 class ScatterGather:
     """The wrapped call site's destination is a sharded collection:
-    one round trip per shard, least-loaded replica each."""
+    one Bulk RPC per peer of the least cover of its shards (the
+    router's :func:`~repro.cluster.router.shard_cover`), each carrying
+    one call per (call × shard that peer serves)."""
 
     collection: str
     shards: int
+    peers: int
     call: XrpcCall
 
     @property
@@ -123,8 +126,8 @@ class ScatterGather:
         return self.call.vector
 
     def describe(self) -> str:
-        return (f"scatter-gather {self.collection} x{self.shards} "
-                f"[{self.call.describe()}]")
+        return (f"scatter-gather {self.collection} x{self.shards} shards "
+                f"on {self.peers} peers [{self.call.describe()}]")
 
 
 class CallSite:

@@ -59,9 +59,10 @@ def response_key(dest: str, semantics: str, request_xml: str,
     and by-fragment runs of the same query produce byte-identical
     requests whose responses use different wire formats.
 
-    For cluster scatter calls ``dest`` is the logical shard identity
-    (``collection#sN``, not the replica that served it — replicas hold
-    identical fragments, so any replica's response serves all) and
+    For cluster scatter calls ``dest`` is the collection, not the
+    replica that served it (the request names the shards its calls
+    read, and replicas hold identical fragments, so any replica's
+    response for the same shards serves all) and
     ``shard_epoch`` is the catalog membership epoch, so entries from
     before a repartition can never be served after it. Plain
     peer-to-peer calls use ``-1``.

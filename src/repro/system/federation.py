@@ -402,7 +402,7 @@ class _Run:
     def _resolver(self, peer_name: str, stats: RunStats | None = None):
         """Document resolution at ``peer_name``; ``stats`` overrides the
         accounting target so nested shipping triggered inside a scatter
-        worker charges that shard call's private RunStats."""
+        worker charges that round trip's private RunStats."""
         def resolve(uri: str) -> Document:
             owner, local_name = self._locate(uri, peer_name)
             if owner == peer_name:
@@ -529,12 +529,12 @@ class _Run:
                     remote_counter: CostCounter | None = None) -> list[list]:
         """One logical call of ``body`` at ``dest``: a destination
         registered in the cluster catalog is scattered by the router
-        into one :meth:`_call_peer` per shard and gathered; a peer is
+        into one :meth:`_call_peer` per cover peer and gathered; a peer is
         called directly, under the contract the plan holds for the
         site, with the body rendered once per ``binding`` (the
         literals of the caller's text: this run's, or — for a call
         nested in a shipped body — those a peer read off that body).
-        ``stats`` / ``remote_counter`` are a shard call's private
+        ``stats`` / ``remote_counter`` are a round trip's private
         accounting when the call is nested inside a scatter."""
         parts = split_xrpc_uri(dest)
         dest_name = parts[0] if parts is not None else dest
@@ -571,11 +571,11 @@ class _Run:
         log, cache store).
 
         ``query_text`` is the function body as shipped and ``site`` its
-        call site's contract — for a shard call, the shard-local text
-        under the logical site's contract. ``cache_scope`` /
-        ``shard_epoch`` key the response cache by shard identity +
+        call site's contract — for a scatter, the text whose calls name
+        their shards, under the logical site's contract. ``cache_scope``
+        / ``shard_epoch`` key the response cache by collection +
         membership epoch instead of the replica that happened to serve
-        it; a shard call's ``stats`` / ``remote_counter`` are private
+        it; a scatter's ``stats`` / ``remote_counter`` are private
         (merged deterministically after the gather).
         """
         semantics = site.semantics
@@ -732,7 +732,7 @@ class _Run:
                 calls=0 if cached else len(calls),
                 sim_s=stats.times.total - sim0,
                 wall_s=self.clock() - wall0,
-                cache_hits=len(calls) if cached else 0)
+                cache_hits=int(cached))
             return results
 
     # -- top-level execution --------------------------------------------------------

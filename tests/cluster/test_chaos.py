@@ -203,7 +203,7 @@ def test_failover_events_match_stats():
     the dashboards and the return value must never disagree."""
     cluster = make_cluster()
     monitor = FleetMonitor().attach(cluster)
-    cluster.transport.kill_peer("node2")
+    cluster.transport.kill_peer("node1")    # a peer of the first cover
     result = cluster.run(SCAN, at="local",
                          strategy=Strategy.BY_PROJECTION)
     [(query, expected)] = oracle_queries()[:1]

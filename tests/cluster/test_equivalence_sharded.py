@@ -14,10 +14,19 @@ Two corpora:
 Hash partitioning is checked separately: shard-major gather order is
 not document order, so equivalence there is set-level plus exact for
 order-insensitive (aggregate / order-by) queries.
+
+A scatter is one Bulk RPC per peer of the least cover of its shards;
+a generated-layout property checks that grouping against the single
+owner, the message count against the cover and the per-shard
+accounting against the run's totals.
 """
 
-import pytest
+import functools
 
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.cluster.router import serving_replicas, shard_cover
 from repro.decompose import Strategy
 from repro.workloads import (
     BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY, build_federation,
@@ -26,7 +35,10 @@ from repro.workloads import (
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc.messages import RequestMessage
 
-from tests.cluster.conftest import make_cluster, make_single_owner
+from tests.cluster.conftest import (
+    make_cluster, make_single_owner, virtual_wire,
+)
+from tests.conftest import fuzz_settings
 
 # -- library battery --------------------------------------------------------
 
@@ -135,10 +147,12 @@ def test_xmark_benchmark_equivalence(strategy, max_age, xmark_cluster,
         assert sharded.stats.scatter_shards >= 8   # both call sites
     if strategy is Strategy.BY_PROJECTION:
         # The shard rewrite must not cost a call site its contract:
-        # all 8 shard requests carry the used/returned paths the
-        # single-owner requests carry, so the scatter still ships less
-        # than by-fragment does.
-        assert len(sharded.messages) == 8
+        # all 4 requests (one per cover peer, 2 per call site; 8 shard
+        # calls) carry the used/returned paths the single-owner
+        # requests carry, so the scatter still ships less than
+        # by-fragment does.
+        assert len(sharded.messages) == 4
+        assert sum(m.calls for m in sharded.messages) == 8
         assert {_projection_paths(m) for m in sharded.messages} \
             == {_projection_paths(m) for m in baseline.messages}
         by_fragment = xmark_cluster.run(sharded_query_variant(max_age),
@@ -193,3 +207,94 @@ def test_unsharded_query_text_unchanged():
         "xrpc://people-c/people.xml", "xrpc://peer1/people.xml").replace(
         "xrpc://auctions-c/auctions.xml", "xrpc://peer2/auctions.xml") \
         == BENCHMARK_QUERY.replace("< 40", "< 40")
+
+
+# -- grouped round trips over generated layouts ------------------------------
+
+#: Scatter-safe shapes: a member map, a filter whose value-index probes
+#: may skip shards, and an additive aggregate.
+GROUPED_QUERIES = (LIBRARY_QUERIES[1], LIBRARY_QUERIES[2],
+                   LIBRARY_QUERIES[4])
+
+
+def _layout_and_fault(data, shard_count, replication_factor, node_count,
+                      partitioning):
+    """A cluster over ``node_count`` nodes on the virtual wire, and at
+    most one peer killed (on the wire; ``known``: also marked down) or
+    degraded — never the last live replica of a shard."""
+    nodes = [f"node{i}" for i in range(1, node_count + 1)]
+    cluster = make_cluster(shard_count, replication_factor, partitioning,
+                           nodes=nodes, transport=virtual_wire())
+    shards = cluster.catalog.get("books-c").shards
+    fault = data.draw(st.sampled_from(["none", "kill", "degrade"]))
+    spare = [peer for peer in nodes
+             if all(set(shard.replicas) - {peer} for shard in shards)]
+    dead = None
+    if fault == "kill" and spare:
+        dead = data.draw(st.sampled_from(spare))
+        cluster.transport.kill_peer(dead)
+        if data.draw(st.booleans()):
+            cluster.peer_view.mark_down(dead)
+    elif fault == "degrade":
+        cluster.transport.degrade_peer(data.draw(st.sampled_from(nodes)),
+                                       0.002)
+    return cluster, dead
+
+
+@functools.lru_cache(maxsize=None)
+def _single_owner_items(query: str, strategy: Strategy) -> tuple:
+    items = make_single_owner().run(query.format(host="xrpc://owner"),
+                                    at="local", strategy=strategy).items
+    return tuple(serialize_sequence([item]) for item in items)
+
+
+@fuzz_settings(40, hunt=400)
+@given(shard_count=st.integers(1, 6), replication_factor=st.integers(1, 3),
+       extra_nodes=st.integers(0, 5),
+       partitioning=st.sampled_from(["range", "hash"]),
+       query=st.sampled_from(GROUPED_QUERIES), data=st.data())
+def test_grouped_scatter_equals_single_owner(shard_count,
+                                             replication_factor,
+                                             extra_nodes, partitioning,
+                                             query, data):
+    node_count = min(replication_factor + extra_nodes, 6)
+    cluster, dead = _layout_and_fault(data, shard_count, replication_factor,
+                                      node_count, partitioning)
+    spec = cluster.catalog.get("books-c")
+    view = cluster.peer_view
+    for strategy in Strategy:
+        sharded = cluster.run(query.format(host="xrpc://books-c"),
+                              at="local", strategy=strategy)
+        items = tuple(serialize_sequence([item]) for item in sharded.items)
+        baseline = _single_owner_items(query, strategy)
+        if partitioning == "range":
+            assert items == baseline
+        else:   # shard-major gather: the same items, in shard order
+            assert sorted(items) == sorted(baseline)
+        stats = sharded.stats
+        entries = stats.per_shard.values()
+        assert sum(e["bytes"] for e in entries) \
+            == stats.total_transferred_bytes
+        assert sum(e["messages"] for e in entries) == stats.messages
+        assert sum(e["sim_s"] for e in entries) == pytest.approx(
+            stats.times.total - stats.times.local_exec
+            - stats.times.remote_exec)
+        if not strategy.decomposes:
+            continue
+        served = [spec.shard_named(e["shard"]) for e in entries
+                  if not e["skipped"]]
+        cover = shard_cover(served, lambda shard: [
+            peer for peer in serving_replicas(view, shard) if peer != dead])
+        # One logged round trip (two messages) per cover peer, one call
+        # per shard it serves.
+        assert stats.messages == 2 * len(sharded.messages)
+        assert sum(m.calls for m in sharded.messages) == len(served)
+        # The least cover of the live replicas is the fewest round
+        # trips; it is what is sent unless a dead peer was tried first
+        # (a failed attempt sends nothing, and its shards' re-cover may
+        # take more round trips than the least cover).
+        if stats.failovers == 0:
+            assert stats.messages == 2 * len(cover)
+        else:
+            assert dead is not None
+            assert stats.messages >= 2 * len(cover)

@@ -2,7 +2,7 @@
 and no AST rewrite or pretty-print on a warm plan.
 
 No wall-clock assertion anywhere — fan-out mode is read off the thread
-a shard call runs on, preparation off call counts.
+a round trip runs on, preparation off call counts.
 """
 
 import dataclasses
@@ -46,21 +46,21 @@ execute at {"people-c"} { young() }
 
 @pytest.fixture
 def shard_threads(monkeypatch):
-    """Names of the threads shard calls (scatter and document fetch
-    alike) ran on."""
+    """Names of the threads round trips (a scatter's one per cover
+    peer, a document fetch's one per shard) ran on."""
     names: list[str] = []
-    serve = ClusterRouter._serve_shard
+    serve = ClusterRouter._serve_group
 
     def recording(self, *args, **kwargs):
         names.append(threading.current_thread().name)
         return serve(self, *args, **kwargs)
 
-    monkeypatch.setattr(ClusterRouter, "_serve_shard", recording)
+    monkeypatch.setattr(ClusterRouter, "_serve_group", recording)
     return names
 
 
 def _pooled(names: list[str]) -> bool:
-    """True when every shard call ran on a scatter pool thread, False
+    """True when every round trip ran on a scatter pool thread, False
     when every one ran on the caller's; anything mixed fails."""
     pooled = {name.startswith("cluster-scatter") for name in names}
     assert len(pooled) == 1, names
@@ -84,9 +84,11 @@ def test_loopback_scatter_and_fetch_start_no_thread(strategy,
     cluster = make_cluster()
     result = cluster.run(SCAN, at="local", strategy=strategy)
     assert result.stats.scatter_shards == 4
-    assert result.stats.documents_shipped \
-        == (4 if strategy is Strategy.DATA_SHIPPING else 0)
-    assert len(shard_threads) == 4 and not _pooled(shard_threads)
+    shipping = strategy is Strategy.DATA_SHIPPING
+    assert result.stats.documents_shipped == (4 if shipping else 0)
+    # A fetch ships each shard; a scatter calls each of its 2 cover peers.
+    assert len(shard_threads) == (4 if shipping else 2)
+    assert not _pooled(shard_threads)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.BY_PROJECTION,
@@ -96,7 +98,9 @@ def test_wire_that_can_wait_fans_out_over_threads(strategy,
     cluster = make_cluster()
     cluster.transport = _waiting_wire(cluster)
     cluster.run(SCAN, at="local", strategy=strategy)
-    assert len(shard_threads) == 4 and _pooled(shard_threads)
+    assert len(shard_threads) \
+        == (4 if strategy is Strategy.DATA_SHIPPING else 2)
+    assert _pooled(shard_threads)
 
 
 def test_zero_delay_policy_stays_inline(shard_threads):
@@ -177,7 +181,10 @@ def test_modes_agree_on_a_nested_scatter(shard_threads):
                          shard_threads)
     nested = inline.stats.scatter_shards - 4
     assert nested > 0 and nested % 4 == 0
-    assert inline.stats.messages == 2 * inline.stats.scatter_shards
+    # One message pair per cover peer, one call per (call × shard).
+    assert inline.stats.messages == 2 * len(inline.messages)
+    assert sum(m.calls for m in inline.messages) \
+        == inline.stats.scatter_shards - inline.stats.shards_skipped
     assert {key.split("#")[0] for key in inline.stats.per_shard} \
         == {"people-c", "auctions-c"}
 
@@ -258,7 +265,7 @@ def test_warm_scatter_prepares_nothing(preparation_calls):
     cold = federation.run(SHARDED_BENCHMARK_QUERY, at="local")
     assert preparation_calls == {
         "unwrap_collection_xrpc": 2, "gather_plan": 2,
-        "shard_skip_probes": 2, "rewrite_doc_uris": 8, "pretty": 8}
+        "shard_skip_probes": 2, "rewrite_doc_uris": 2, "pretty": 4}
     for name in _PREPARATION:
         preparation_calls[name] = 0
     warm = federation.run(SHARDED_BENCHMARK_QUERY, at="local")
@@ -289,7 +296,7 @@ def test_layout_change_re_prepares_exactly_once(preparation_calls):
         result = cluster.run(SCAN, at="local")
         assert serialize_sequence(result.items) == expected
     assert preparation_calls["unwrap_collection_xrpc"] == 2
-    assert preparation_calls["pretty"] == 8
+    assert preparation_calls["pretty"] == 4
 
 
 def test_nested_scatter_body_is_prepared_once_per_peer_parse(
@@ -327,7 +334,7 @@ def test_concurrent_first_scatters_share_one_preparation(
     finally:
         sys.setswitchinterval(interval)
     assert preparation_calls["unwrap_collection_xrpc"] == 2
-    assert preparation_calls["pretty"] == 8
+    assert preparation_calls["pretty"] == 4
     expected = serialize_sequence(
         build_sharded_federation(0.004, shard_count=4,
                                  replication_factor=2)

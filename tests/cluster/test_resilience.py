@@ -108,15 +108,17 @@ def test_transient_fault_retried_in_place():
 
 def test_backoff_is_spent_on_the_wires_clock():
     """node1 drops its first two transmissions, both inside the one
-    shard call that tries it first: retry 0 backs off 0.25 s, retry 1
-    0.5 s, and nothing else on a loopback wire takes any time."""
+    round trip that tries it first (shards 0 and 3 of the cover, so
+    each retry counts for both shards): retry 0 backs off 0.25 s,
+    retry 1 0.5 s, and nothing else on a loopback wire takes any
+    time."""
     cluster = flaky_cluster(
         2, RetryPolicy(attempts=3, budget=8, base_backoff_s=0.25,
                        max_backoff_s=1.0, jitter=0.0),
         peers=["node1"], clock=VirtualClock())
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
-    assert (result.stats.retries, result.stats.failovers) == (2, 0)
+    assert (result.stats.retries, result.stats.failovers) == (4, 0)
     assert cluster.transport.clock.now == 0.75
 
 
@@ -145,7 +147,7 @@ def test_peer_down_skips_straight_to_failover():
     abandoned after one attempt."""
     cluster = make_cluster()
     cluster.catalog.retry_policy = RetryPolicy(attempts=4, budget=16)
-    cluster.transport.kill_peer("node2")
+    cluster.transport.kill_peer("node1")    # a peer of the first cover
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
     assert result.stats.retries == 0

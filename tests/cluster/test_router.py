@@ -73,20 +73,26 @@ def test_collection_name_collisions_rejected(cluster):
 
 
 def test_response_cache_keys_by_shard_identity(cluster):
-    """Any replica's cached response serves every replica: after the
-    first run populates the cache, the whole fleet can die and the
-    query is still answered (no wire traffic at all)."""
+    """Any replica's cached response serves every replica: a grouped
+    response is keyed by collection, shard set and epoch, not by the
+    peer that served it. The two minimal covers of a 4 x 2 layout
+    (node1 + node3, node2 + node4) group the shards differently and
+    alternate with the load; once both have run, the whole fleet can
+    die and the query is still answered (no wire traffic at all)."""
     with FederationEngine(cluster, max_workers=2,
                           batch_window_s=0) as engine:
         first = engine.submit(SCAN, at="local").result()
-        assert first.stats.cache_hits == 0
+        other = engine.submit(SCAN, at="local").result()
+        assert first.stats.cache_hits == other.stats.cache_hits == 0
+        assert {m.dest for m in first.messages + other.messages} \
+            == {"node1", "node2", "node3", "node4"}
         for node in ("node1", "node2", "node3", "node4"):
             cluster.transport.kill_peer(node)
-        second = engine.submit(SCAN, at="local").result()
-        assert serialize_sequence(second.items) \
+        third = engine.submit(SCAN, at="local").result()
+        assert serialize_sequence(third.items) \
             == serialize_sequence(first.items)
-        assert second.stats.cache_hits == 4
-        assert second.stats.failovers == 0
+        assert third.stats.cache_hits == 2        # one per cover peer
+        assert third.stats.failovers == 0
 
 
 def test_catalog_epoch_invalidates_cached_responses(cluster):
@@ -292,3 +298,64 @@ def test_skip_never_hides_dynamic_errors(cluster, single_owner):
                          at="local", strategy=Strategy.DATA_SHIPPING)
     with pytest.raises(XQueryTypeError):
         cluster.run(raising, at="local", strategy=Strategy.BY_FRAGMENT)
+
+
+# -- one round trip per cover peer --------------------------------------------
+
+
+def test_cover_rotates_over_every_replica():
+    """Ties between the covers of a 4 x 2 layout (node1 + node3,
+    node2 + node4) break by the live load, so successive scatters
+    rotate: over 200 seeded runs every node serves and the counted wire
+    bytes per node stay within a factor of 2 (a cover fixed by name
+    order would leave node2 and node4 idle, and a degraded replica
+    there would never be demoted)."""
+    import random
+
+    from repro.workloads import (
+        build_sharded_federation, sharded_query_variant,
+    )
+    federation = build_sharded_federation(0.004, shard_count=4,
+                                          replication_factor=2)
+    rng = random.Random(41)
+    for _ in range(200):
+        result = federation.run(
+            sharded_query_variant(rng.choice((25, 30, 35, 40, 45))),
+            at="local", strategy=Strategy.BY_PROJECTION)
+        assert len(result.messages) == 4          # 2 peers x 2 sites
+    served = {peer: entry["total_bytes"] for peer, entry
+              in federation.transport.wire_summary().items()}
+    assert set(served) == {"node1", "node2", "node3", "node4"}
+    assert max(served.values()) <= 2 * min(served.values())
+
+
+def test_shard_parameter_is_never_a_body_variable(cluster, single_owner):
+    """The shipped body binds ``$shard`` — the shard parameter's own
+    name — around the collection's ``doc()``: the router names the
+    parameter afresh, so the user's binding captures nothing and every
+    shard still reads its own fragment."""
+    from repro.cluster.router import SHARD_PARAMETER
+    from repro.xrpc.messages import RequestMessage
+
+    template = """
+    declare function titles() as item()* {
+      let $VAR := 2005
+      return for $b in doc("xrpc://HOST/books.xml")
+                 /child::library/child::books/child::book
+             return if ($b/child::year < $VAR) then $b/child::title else ()
+    };
+    execute at {"HOST"} { titles() }
+    """.replace("VAR", SHARD_PARAMETER)
+    for strategy in Strategy:
+        sharded = cluster.run(template.replace("HOST", "books-c"),
+                              at="local", strategy=strategy,
+                              keep_message_xml=True)
+        baseline = single_owner.run(template.replace("HOST", "owner"),
+                                    at="local", strategy=strategy)
+        assert serialize_sequence(sharded.items) \
+            == serialize_sequence(baseline.items)
+        assert len(sharded.items) == 5
+        for message in sharded.messages:
+            request = RequestMessage.from_xml(message.request_xml)
+            assert SHARD_PARAMETER not in request.param_names
+            assert f"{SHARD_PARAMETER}1" in request.param_names

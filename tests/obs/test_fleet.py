@@ -123,7 +123,7 @@ class TestOneClockOneWire:
         cluster.transport = Transport(cluster.cost_model)
         assert cluster.transport.events is monitor.events
         with FederationEngine(cluster, max_workers=2, cache=False) as engine:
-            cluster.transport.kill_peer("node2")
+            cluster.transport.kill_peer("node1")    # in the first cover
             engine.submit(SCAN, "local").result()
         assert monitor.events.count("peer_down") == 1
         assert monitor.events.count("failover") >= 1

@@ -50,12 +50,15 @@ def test_interleaved_engine_queries_never_cross_attribute():
                        - getattr(result.stats.times, component)) \
                 < TOLERANCE, component
         # The scatter fan-out landed under this query's root, not a
-        # neighbour's: one shard span per round trip actually made
-        # (value-index probes may skip provably empty shards).
+        # neighbour's: one shard span per round trip actually made —
+        # one per cover peer (value-index probes may skip provably
+        # empty shards), each naming the shards it served.
         scatter = root.find("scatter")
         assert scatter is not None
         served = scatter.attrs["shards"] - scatter.attrs["shards_skipped"]
-        assert len(scatter.find_all("shard")) == served > 0
+        spans = scatter.find_all("shard")
+        assert len(spans) == scatter.attrs["peers"] > 0
+        assert sum(len(span.attrs["shards"]) for span in spans) == served
     # Distinct runs produced distinct span objects (no shared tree).
     roots = {id(result.trace) for result in results}
     assert len(roots) == len(results)

@@ -132,9 +132,12 @@ class TestLowering:
         scatters = [op for op in plan.ops
                     if isinstance(op, ScatterGather)]
         assert scatters, "collection call sites must lower to scatters"
-        assert all(op.shards == 4 for op in scatters)
-        # Fan-out multiplies message count.
-        assert all(op.call.vector.messages == 2 * 4 for op in scatters)
+        assert all(op.shards == 4 and op.peers == 2 for op in scatters)
+        # Fan-out multiplies message count by the cover's size: 4
+        # shards x 2 replicas round-robin on 4 nodes are covered by 2.
+        assert all(op.call.vector.messages == 2 * 2 for op in scatters)
+        assert all("x4 shards on 2 peers" in op.describe()
+                   for op in scatters)
 
     def test_explain_renders_operators(self):
         federation = build_federation(0.003)
