@@ -95,9 +95,9 @@ def projection(doc, runtime: bool):
         module.body, DynamicContext(resolve_doc=lambda uri: doc))
     paths = ["attribute::id"] + [
         "child::age", "child::age/descendant::text()"] * (not runtime)
-    return project([*persons, *(node for path in paths for node
-                                in parse_rel_path(path).evaluate(persons))],
-                   [])
+    nodes = [*persons, *(node for path in paths
+                         for node in parse_rel_path(path).evaluate(persons))]
+    return project(doc, [node.pre for node in nodes], [])
 
 
 def projection_cells(scale: float) -> dict:

@@ -30,7 +30,7 @@ def project_for(doc, context_nodes):
     used = list(context_nodes)
     for path in (parse_rel_path("attribute::id"),):
         used.extend(path.evaluate(context_nodes))
-    return project(used, [])
+    return project(doc, [node.pre for node in used], [])
 
 
 def main() -> None:

@@ -10,12 +10,12 @@ This package derives, for every ``XRPCExpr`` in a decomposed query:
   can project the response.
 """
 
-from repro.paths.relpath import RelPath, RelStep, parse_rel_path
-from repro.paths.analysis import (
-    ProjectionSpec, PathSets, analyze_module, evaluate_rel_paths,
+from repro.paths.relpath import (
+    CompiledPaths, RelPath, RelStep, compile_paths, parse_rel_path,
 )
+from repro.paths.analysis import ProjectionSpec, PathSets, analyze_module
 
 __all__ = [
-    "RelPath", "RelStep", "parse_rel_path",
-    "ProjectionSpec", "PathSets", "analyze_module", "evaluate_rel_paths",
+    "RelPath", "RelStep", "parse_rel_path", "CompiledPaths",
+    "compile_paths", "ProjectionSpec", "PathSets", "analyze_module",
 ]

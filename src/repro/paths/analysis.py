@@ -300,16 +300,3 @@ def _all_exprs(module: Module):
         yield from walk(decl.body)
     yield from walk(module.body)
 
-
-def evaluate_rel_paths(paths: set[RelPath], context: list) -> list:
-    """Evaluate a set of relative paths against a runtime context
-    sequence, uniting the results (the union() cascade of Section
-    VI-B)."""
-    from repro.xmldb.compare import sort_document_order
-    from repro.xmldb.node import Node
-
-    nodes = [item for item in context if isinstance(item, Node)]
-    out: list[Node] = []
-    for path in paths:
-        out.extend(path.evaluate(nodes))
-    return sort_document_order(out)

@@ -34,6 +34,7 @@ from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
 from repro.obs.explain import OpAnalysis
+from repro.paths.relpath import compile_paths
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.prepared import Binding, PreparedTable
@@ -137,11 +138,12 @@ class CallSite:
     on explicitly — a scatter's shard-local rewrites of that body are
     new objects, so nothing may look the contract up by their
     identity. The paths are relative to parameters and result, hence
-    valid for every rewrite unchanged. The site holds its body, so the
-    address it is keyed by cannot be reused while it lives. The body's
-    shipped text depends on the literals a run binds: the run layer
-    renders it once per :class:`~repro.xquery.prepared.Binding`, keyed
-    by this site."""
+    valid for every rewrite unchanged; each parameter's are compiled
+    into one prefix trie when the site is built. The site holds its
+    body, so the address it is keyed by cannot be reused while it
+    lives. The body's shipped text depends on the literals a run
+    binds: the run layer renders it once per
+    :class:`~repro.xquery.prepared.Binding`, keyed by this site."""
 
     __slots__ = ("semantics", "body", "site_id",
                  "param_paths", "used_paths", "returned_paths")
@@ -152,7 +154,9 @@ class CallSite:
         self.site_id = id(body)      # id(xrpc.body): the explain key
         self.param_paths = self.used_paths = self.returned_paths = None
         if semantics == "by-projection" and spec is not None:
-            self.param_paths = spec.param_paths
+            self.param_paths = {
+                name: compile_paths(sets.used, sets.returned)
+                for name, sets in spec.param_paths.items()}
             self.used_paths = sorted(
                 str(p) for p in spec.result_paths.used)
             self.returned_paths = sorted(

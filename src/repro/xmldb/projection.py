@@ -1,8 +1,9 @@
 """Runtime XML projection — Algorithm 1 of the paper (Section VI-B).
 
-Given the *used* node set ``U`` and *returned* node set ``R`` (already
-materialised by evaluating the relative projection paths against the
-runtime parameter/result sequences), produce the projected document
+Given a source document and, as pre ranks in it, the *used* node set
+``U`` and *returned* node set ``R`` (the codec gathers them per
+document by evaluating a call site's compiled projection paths against
+the runtime parameter/result sequences), produce the projected document
 ``D'`` containing:
 
 * every projection node,
@@ -22,8 +23,8 @@ single pres (projection nodes, their ancestor chains) plus one
 ``[pre, pre + size]`` run per returned subtree, the LCA trim walks
 that sorted list, and the projected document is one gather per column
 over the kept pres in ascending order. Nothing is allocated or scanned
-per *source* node, so projecting 39 nodes out of a large document
-costs what 39 nodes cost.
+per *source* node — nor a node handle per projection node — so
+projecting 39 nodes out of a large document costs what 39 rows cost.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import itemgetter
+from typing import Iterable
 
 from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.kernels import PRE_TYPECODE
-from repro.xmldb.node import Node, NodeKind
+from repro.xmldb.node import NodeKind
 
 
 @dataclass(frozen=True)
@@ -57,24 +60,21 @@ class ProjectionResult:
     total: int = 0
 
 
-def project(used: list[Node], returned: list[Node],
+def project(source: Document, used: Iterable[int], returned: Iterable[int],
             keep_attributes: bool = False) -> ProjectionResult | None:
-    """Run Algorithm 1. Returns None when both input sets are empty.
+    """Run Algorithm 1 on ``source`` for the nodes at the ``used`` and
+    ``returned`` pres (any order, duplicates allowed). Returns None
+    when both sets are empty.
 
-    All nodes must belong to the same document. ``keep_attributes``
-    additionally retains the attributes of kept *ancestor* elements
-    (the schema-aware variant sketched at the end of Section VI-B);
-    the default matches the paper's base algorithm.
+    ``keep_attributes`` additionally retains the attributes of kept
+    *ancestor* elements (the schema-aware variant sketched at the end
+    of Section VI-B); the default matches the paper's base algorithm.
     """
-    nodes = [*used, *returned]
-    if not nodes:
+    returned_pres = set(returned)
+    projection_pres = returned_pres.union(used)  # U ∪ R (line 1)
+    if not projection_pres:
         return None
-    source = nodes[0].doc
-    if any(node.doc is not source for node in nodes):
-        raise XmlError("projection nodes must share one document")
     kinds, sizes, parents = source.kinds, source.sizes, source.parents
-    projection_pres = {node.pre for node in nodes}  # U ∪ R (line 1)
-    returned_pres = {node.pre for node in returned}
 
     kept: set[int] = set()      # rows kept one by one
     runs: dict[int, int] = {}   # returned subtree: first row -> last row
@@ -165,17 +165,20 @@ def _materialize(source: Document, order: list[int],
         else:
             rows.extend(range(pre, last + 1))
     pre_map = dict(zip(rows, range(len(rows))))
+    # One gather of the kept rows, applied to every column.
+    gather = itemgetter(*rows) if len(rows) > 1 \
+        else lambda column: (column[rows[0]],)
     # Full ancestor chains are kept: a row's new parent is its source
     # parent (the new root's is not kept), its depth below the new
     # root the one it had.
     parents = array(PRE_TYPECODE, map(
-        pre_map.get, map(source.parents.__getitem__, rows), repeat(-1)))
+        pre_map.get, gather(source.parents), repeat(-1)))
     top = source.levels[rows[0]]
-    levels = array(PRE_TYPECODE, [level - top for level in map(
-        source.levels.__getitem__, rows)])
+    levels = array(PRE_TYPECODE,
+                   [level - top for level in gather(source.levels)])
     # A run keeps its sizes; a single row's subtree shrank to the kept
     # rows that lie inside it.
-    sizes = array(PRE_TYPECODE, map(source.sizes.__getitem__, rows))
+    sizes = array(PRE_TYPECODE, gather(source.sizes))
     for pre in order:
         if pre not in runs:
             new_pre = pre_map[pre]
@@ -183,9 +186,8 @@ def _materialize(source: Document, order: list[int],
                 rows, pre + source.sizes[pre], new_pre) - new_pre - 1
 
     doc = Document(f"{source.uri}#projected", ColumnSet(
-        array(KIND_TYPECODE, map(source.kinds.__getitem__, rows)),
-        list(map(source.names.__getitem__, rows)),
-        list(map(source.values.__getitem__, rows)),
+        array(KIND_TYPECODE, gather(source.kinds)),
+        list(gather(source.names)), list(gather(source.values)),
         sizes, levels, parents))
     return ProjectionResult(doc=doc, pre_map=pre_map,
                             kept=len(rows), total=len(source))

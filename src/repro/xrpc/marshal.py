@@ -17,6 +17,16 @@
   preserved up to the lowest common ancestor, so reverse/horizontal
   axes and fn:root/fn:id work on the receiving side.
 
+A call site's paths are fixed when it is compiled, so the codec takes
+them compiled (:class:`~repro.paths.relpath.CompiledPaths`: one prefix
+trie per parameter, built by the originator with the call site and
+interned by a peer per tuple of path texts) and a message costs per
+row and per item only: each parameter sequence is grouped by document
+once, each trie stage is one axis scan per document, the stages' pres
+are gathered into one used and one returned pre set per document for
+``project()``, and each distinct item pre gets its reference once,
+read off the fragment plan's rank column.
+
 Fragments and element copies are :class:`Node` values on both sides
 (see ``xrpc/messages.py``): marshalling names the root of each subtree
 to ship and leaves the text to ``to_xml``; ``from_xml`` already shreds
@@ -38,17 +48,18 @@ an axis scan later asks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
-from typing import Sequence
+from itertools import accumulate, chain, compress, count
+from typing import Iterable, Sequence
 
 from repro.errors import XrpcMarshalError
-from repro.paths.analysis import PathSets
-from repro.paths.relpath import RelPath, parse_rel_path
+from repro.paths.relpath import (
+    RETURNED, USED, CompiledPaths, RelPath, compile_paths,
+)
 from repro.xmldb import axes
 from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.index import structural_index
+from repro.xmldb.index import group_by_document, structural_index
 from repro.xmldb.node import (KIND_ATTRIBUTE, KIND_DOCUMENT, KIND_ELEMENT,
-                               Node, NodeKind)
+                               Node)
 from repro.xmldb.projection import project
 from repro.xquery.xdm import UntypedAtomic, format_double
 
@@ -75,9 +86,16 @@ def marshal_atomic(value) -> Atomic:
     raise XrpcMarshalError(f"cannot marshal atomic {type(value).__name__}")
 
 
+#: ``xs:boolean``'s lexical space, whitespace collapsed.
+_BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
 def unmarshal_atomic(item: Atomic):
     if item.type_name == "xs:boolean":
-        return item.lexical == "true"
+        value = _BOOLEANS.get(item.lexical.strip(" \t\n\r"))
+        if value is None:
+            raise XrpcMarshalError(f"malformed xs:boolean {item.lexical!r}")
+        return value
     try:
         if item.type_name == "xs:integer":
             return int(item.lexical)
@@ -107,43 +125,37 @@ class MarshalResult:
 
 
 def marshal_calls(calls: list[list[tuple[str, list]]], semantics: str,
-                  param_paths: dict[str, PathSets] | None = None
+                  param_paths: dict[str, CompiledPaths] | None = None
                   ) -> MarshalResult:
     """Marshal the parameter sequences of one (bulk) request.
 
     ``calls`` is a list of calls, each a list of ``(param_name,
     sequence)`` pairs. ``semantics`` is one of ``by-value``,
     ``by-fragment``, ``by-projection``; the latter consumes
-    ``param_paths`` (relative used/returned paths per parameter).
+    ``param_paths`` (the call site's compiled used/returned paths per
+    parameter; a parameter without any ships its nodes whole).
     """
     return _marshal(calls, semantics, param_paths or {})
 
 
 def marshal_result(results: list[list], semantics: str,
-                   used_paths: list[str] | None,
-                   returned_paths: list[str] | None) -> MarshalResult:
+                   paths: CompiledPaths | None) -> MarshalResult:
     """Marshal the result sequences of one (bulk) request, one per
     call, for the response message.
 
     All results share one fragments preamble, so identity is preserved
     across bulk calls (the Bulk RPC guarantee of Section V). Under
-    by-projection the request's projection paths are evaluated against
-    the result sequences to project the response fragments; a request
-    without them is answered in by-fragment format ("the absence or
-    presence of this element determines whether the response should be
-    in the original ... format").
+    by-projection ``paths`` — the request's projection paths, compiled
+    — are evaluated against the result sequences to project the
+    response fragments; a request without them (``None``) is answered
+    in by-fragment format ("the absence or presence of this element
+    determines whether the response should be in the original ...
+    format").
     """
-    param_paths = {}
-    if semantics == "by-projection":
-        if used_paths is None and returned_paths is None:
-            semantics = "by-fragment"
-        else:
-            param_paths["result"] = PathSets(
-                used={parse_rel_path(p) for p in used_paths or []},
-                returned={parse_rel_path(p) for p in returned_paths or []},
-            )
+    if paths is None and semantics == "by-projection":
+        semantics = "by-fragment"
     return _marshal([[("result", result)] for result in results],
-                    semantics, param_paths)
+                    semantics, {"result": paths})
 
 
 _LEAF_COPIES = {kind: name for name, kind in LEAF_KINDS.items()}
@@ -155,30 +167,27 @@ def _by_value_item(item) -> Item:
     kind = item.kind
     if kind in _LEAF_COPIES:
         return NodeCopy(_LEAF_COPIES[kind], item.name, item.value)
-    if kind == KIND_DOCUMENT:
-        # A document node ships as its root element.
-        for child in axes.child(item):
-            if child.kind == KIND_ELEMENT:
-                return NodeCopy("element", "", child)
-        raise XrpcMarshalError("document node without root element")
+    if kind == KIND_DOCUMENT:  # it ships as its root element
+        return NodeCopy("element", "", Node(item.doc, _root_element(item.doc)))
     return NodeCopy("element", "", item)
 
 
-#: Indexed by node kind: 1 for the rows a ``nodeid`` counts (a
-#: fragment's ``descendant-or-self::node()``, attributes excluded).
-_COUNTED = tuple(int(kind != KIND_ATTRIBUTE) for kind in NodeKind)
+#: A ``bytes.translate`` table over kind bytes: 1 for the rows a
+#: ``nodeid`` counts (a fragment's ``descendant-or-self::node()``,
+#: attributes excluded), so a kind column maps in one C pass.
+_COUNTED = bytes(int(kind != KIND_ATTRIBUTE) for kind in range(256))
 
 
 def _nodeid_ranks(kinds: Sequence[int]) -> list[int]:
     """Per row, the number of counted rows up to and including it."""
-    return list(accumulate(map(_COUNTED.__getitem__, kinds)))
+    return list(accumulate(bytes(kinds).translate(_COUNTED)))
 
 
 def _nodeid_pres(kinds: Sequence[int]) -> list[int]:
     """The counted rows in order: ``pres[nodeid - 1]`` is the row a
     nodeid names in a fragment rooted at row 0."""
     return list(compress(range(len(kinds)),
-                         map(_COUNTED.__getitem__, kinds)))
+                         bytes(kinds).translate(_COUNTED)))
 
 
 @dataclass
@@ -191,17 +200,39 @@ class _FragmentPlan:
     pre_map: dict[int, int] | None      # source pre -> projected pre
     ranks: Sequence[int]                # _nodeid_ranks of ``doc``
 
-    def nodeid(self, source_pre: int) -> int:
-        """1-based index of the node among the fragment's
-        ``descendant::node()`` enumeration (attributes excluded),
-        where index 1 is the fragment root itself — an O(1) rank
-        difference."""
-        pre = source_pre if self.pre_map is None else self.pre_map[source_pre]
-        return self.ranks[pre] - self.ranks[self.root_pre] + 1
+    def references(self, source: Document,
+                   anchors: dict[int, int]) -> dict[int, Item]:
+        """The reference item of each source pre in ``anchors`` (which
+        maps it to its anchor pre). A ``nodeid`` is the 1-based index
+        of the anchor among the fragment's ``descendant::node()``
+        enumeration (attributes excluded), index 1 the fragment root
+        itself — an O(1) difference of two ranks."""
+        kinds, names, ranks, pre_map = (source.kinds, source.names,
+                                        self.ranks, self.pre_map)
+        base, fragid = ranks[self.root_pre] - 1, self.fragid
+        out: dict[int, Item] = {}
+        for pre, anchor in anchors.items():
+            nodeid = ranks[anchor if pre_map is None
+                           else pre_map[anchor]] - base
+            out[pre] = (AttrRef(fragid, nodeid, names[pre])
+                        if kinds[pre] == KIND_ATTRIBUTE
+                        else NodeRef(fragid, nodeid))
+        return out
+
+
+@dataclass
+class _Source:
+    """One source document's share of a message: the pres of its node
+    items and, by-projection, of what the paths reached from them."""
+
+    doc: Document
+    items: set[int] = field(default_factory=set)
+    used: set[int] = field(default_factory=set)
+    returned: set[int] = field(default_factory=set)
 
 
 def _marshal(calls: list[list[tuple[str, list]]], semantics: str,
-             param_paths: dict[str, PathSets]) -> MarshalResult:
+             param_paths: dict[str, CompiledPaths]) -> MarshalResult:
     # Shared by marshal_calls and marshal_result, which never call each
     # other: a tracer wrapping the public pair sees one marshal per
     # message.
@@ -212,110 +243,87 @@ def _marshal(calls: list[list[tuple[str, list]]], semantics: str,
             for call in calls
         ])
 
-    # 1. Gather all node items, grouped by source document.
-    by_doc: dict[int, list[Node]] = {}
-    docs: dict[int, Document] = {}
+    # 1. Gather the node items' pres per source document and, by
+    #    projection, run each parameter's compiled paths over them:
+    #    one grouping per sequence, one scan per stage and document.
+    projecting = semantics == "by-projection"
+    sources: dict[int, _Source] = {}
     for call in calls:
         for name, seq in call:
-            for item in seq:
-                if isinstance(item, Node):
-                    by_doc.setdefault(id(item.doc), []).append(item)
-                    docs[id(item.doc)] = item.doc
+            groups = group_by_document(
+                [item for item in seq if isinstance(item, Node)])
+            for doc, pres in groups:
+                source = sources.get(id(doc))
+                if source is None:
+                    source = sources[id(doc)] = _Source(doc)
+                source.items.update(pres)
+            if projecting and groups:
+                for joins, reached in param_paths.get(
+                        name, _WHOLE).evaluate(groups):
+                    for doc, pres in reached:
+                        source = sources[id(doc)]
+                        if joins & USED:
+                            source.used.update(pres)
+                        if joins & RETURNED:
+                            source.returned.update(pres)
 
-    # 2. Evaluate projection paths (by-projection) per parameter.
-    used_by_doc: dict[int, list[Node]] = {}
-    returned_by_doc: dict[int, list[Node]] = {}
-    if semantics == "by-projection":
-        for call in calls:
-            for name, seq in call:
-                sets = param_paths.get(name)
-                nodes = [i for i in seq if isinstance(i, Node)]
-                if not nodes:
-                    continue
-                if sets is None:
-                    sets = PathSets(returned={RelPath()})
-                _evaluate_paths_into(nodes, sets, used_by_doc,
-                                     returned_by_doc, docs)
+    # 2. Build one fragment per source document, in document order,
+    #    and the reference of each distinct item pre into it.
+    fragments: list[Node] = []
+    references: dict[int, dict[int, Item]] = {}
+    for fragid, source in enumerate(
+            sorted(sources.values(), key=lambda s: s.doc.doc_seq), start=1):
+        anchors = _anchors(source.doc, source.items)
+        plan = (_projected_fragment(source, anchors, fragid) if projecting
+                else _containment_fragment(source.doc, anchors.values(),
+                                           fragid))
+        fragments.append(Node(plan.doc, plan.root_pre))
+        references[id(source.doc)] = plan.references(source.doc, anchors)
 
-    # 3. Build one fragment per source document.
-    plans: dict[int, _FragmentPlan] = {}
-    ordered_docs = sorted(docs.values(), key=lambda d: d.doc_seq)
-    for fragid, doc in enumerate(ordered_docs, start=1):
-        doc_key = id(doc)
-        nodes = by_doc[doc_key]
-        if semantics == "by-projection":
-            plans[doc_key] = _projected_fragment(
-                doc, nodes,
-                used_by_doc.get(doc_key, []),
-                returned_by_doc.get(doc_key, []),
-                fragid)
-        else:
-            plans[doc_key] = _containment_fragment(doc, nodes, fragid)
-
-    # 4. Emit items as references into the fragments.
+    # 3. Emit items: a node is its reference, an atomic its value.
     return MarshalResult(
-        [Call([(name, [_reference_item(item, plans[id(item.doc)])
+        [Call([(name, [references[id(item.doc)][item.pre]
                        if isinstance(item, Node) else marshal_atomic(item)
                        for item in seq])
                for name, seq in call])
          for call in calls],
-        [Node(plan.doc, plan.root_pre) for plan in plans.values()])
+        fragments)
 
 
-def _evaluate_paths_into(nodes: list[Node], sets: PathSets,
-                         used_by_doc: dict[int, list[Node]],
-                         returned_by_doc: dict[int, list[Node]],
-                         docs: dict[int, Document]) -> None:
-    """Runtime path evaluation: used/returned node sets per document.
-
-    The nodes themselves always join the used set — they are the
-    anchors the fragid/nodeid references point at. Additionally, every
-    path *prefix* ending in a reverse/horizontal or pseudo step
-    contributes its results as used anchors: the receiving peer must
-    find those upward/sideways targets in the fragment, so the
-    Algorithm 1 LCA trim may not cut them away (this realises the
-    paper's "taking the lowest common ancestor of those" for fn:root
-    and friends)."""
-    for node in nodes:
-        used_by_doc.setdefault(id(node.doc), []).append(node)
-
-    def add(groups, target: dict[int, list[Node]]) -> None:
-        for doc, pres in groups:
-            target.setdefault(id(doc), []).extend(
-                Node(doc, pre) for pre in pres)
-            docs[id(doc)] = doc
-
-    def record(path: RelPath, target: dict[int, list[Node]]) -> None:
-        # One left-to-right walk: stages[i] is the result of the prefix
-        # steps[:i], the last one the path's own.
-        stages = path.stages(nodes)
-        add(stages[-1], target)
-        for step, reached in zip(path.steps[:-1], stages[1:]):
-            if step.axis in _NON_DOWNWARD:
-                add(reached, used_by_doc)
-
-    for path in sets.used:
-        record(path, used_by_doc)
-    for path in sets.returned:
-        record(path, returned_by_doc)
+#: The paths of a parameter the call site has none for: the nodes
+#: themselves, returned (shipped whole).
+_WHOLE = compile_paths(returned=[RelPath()])
 
 
-_NON_DOWNWARD = frozenset({
-    "parent", "ancestor", "ancestor-or-self", "preceding",
-    "preceding-sibling", "following", "following-sibling",
-    "root()", "id()", "idref()",
-})
+def _anchors(doc: Document, pres: Iterable[int]) -> dict[int, int]:
+    """Per pre, the element pre anchoring a reference to it: an
+    attribute is addressed through its owner element (footnote 2), a
+    document node through its root element."""
+    kinds, parents = doc.kinds, doc.parents
+    out: dict[int, int] = {}
+    for pre in pres:
+        kind = kinds[pre]
+        out[pre] = (parents[pre] if kind == KIND_ATTRIBUTE
+                    else _root_element(doc) if kind == KIND_DOCUMENT
+                    else pre)
+    return out
 
 
-def _containment_fragment(doc: Document, nodes: list[Node],
+def _root_element(doc: Document) -> int:
+    for pre in range(1, len(doc)):
+        if doc.kinds[pre] == KIND_ELEMENT:
+            return pre
+    raise XrpcMarshalError("document without root element")
+
+
+def _containment_fragment(doc: Document, anchor_pres: Iterable[int],
                           fragid: int) -> _FragmentPlan:
     """Pass-by-fragment: ship the maximal nodes once, in document
     order ("if a sent node is a descendant of another one, it is not
     serialized twice")."""
-    element_pres = sorted({_anchor_pre(node) for node in nodes})
     roots: list[int] = []
     current_end = -1
-    for pre in element_pres:
+    for pre in sorted(set(anchor_pres)):
         if pre > current_end:
             roots.append(pre)
             current_end = pre + doc.sizes[pre]
@@ -339,41 +347,21 @@ def _containment_fragment(doc: Document, nodes: list[Node],
                          _nodeid_ranks(forest.kinds))
 
 
-def _projected_fragment(doc: Document, nodes: list[Node],
-                        used: list[Node], returned: list[Node],
+def _projected_fragment(source: _Source, anchors: dict[int, int],
                         fragid: int) -> _FragmentPlan:
-    """Pass-by-projection: Algorithm 1 over the used/returned sets."""
-    anchor_used = [Node(doc, _anchor_pre(n)) for n in nodes] + used
-    result = project(anchor_used, returned)
-    if result is None:  # pragma: no cover - nodes is never empty here
-        raise XrpcMarshalError("empty projection")
+    """Pass-by-projection: Algorithm 1 over the used/returned sets —
+    the items are used, and so are their anchors."""
+    doc = source.doc
+    result = project(doc, chain(anchors.values(), source.items, source.used),
+                     source.returned)      # never None: items is not empty
     if result.doc.kinds[0] != KIND_ELEMENT:
         # The LCA trim reached a non-element (e.g. a lone text node);
         # fragments must be element-rooted, fall back to containment.
-        return _containment_fragment(doc, nodes + used + returned, fragid)
+        return _containment_fragment(doc, _anchors(
+            doc, source.items | source.used | source.returned).values(),
+            fragid)
     return _FragmentPlan(fragid, 0, result.doc, result.pre_map,
                          _nodeid_ranks(result.doc.kinds))
-
-
-def _anchor_pre(node: Node) -> int:
-    """The element pre anchoring a node reference: attributes are
-    addressed through their owner element (footnote 2)."""
-    if node.kind == KIND_ATTRIBUTE:
-        return node.doc.parents[node.pre]
-    if node.kind == KIND_DOCUMENT:
-        # Reference the root element instead.
-        for pre in range(1, len(node.doc)):
-            if node.doc.kinds[pre] == KIND_ELEMENT:
-                return pre
-        raise XrpcMarshalError("document without root element")
-    return node.pre
-
-
-def _reference_item(node: Node, plan: _FragmentPlan) -> Item:
-    if node.kind == KIND_ATTRIBUTE:
-        return AttrRef(plan.fragid, plan.nodeid(_anchor_pre(node)),
-                       node.name)
-    return NodeRef(plan.fragid, plan.nodeid(_anchor_pre(node)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,20 @@ is serialised once (``to_xml``, the only producer of message text) and
 read once (``from_xml``: one expat pass, nothing serialised back out).
 
 Decoding builds no envelope document: its handlers (:class:`_Envelope`)
-fill the message fields, items and call / sequence lists as the tags go
-by, an element's role given by its parent's and its name. Inside an
-``xrpc:fragment`` or a by-value ``xrpc:element`` they hand the parser
-to the scanner's shredding handlers (:func:`repro.xmldb.parser.shred`)
-for that payload alone, so payload documents, leaf copies too, are made
-in text order. The first of each singular part is read, later ones
-skipped; refusals (:class:`XrpcMarshalError`) wait until expat has read
-the whole text, so malformed text is ``parse_document``'s
-``XmlParseError``. A call holds one ``xrpc:sequence`` per parameter.
+fill the message fields and call / sequence lists as the tags go by,
+an envelope element's role given by its parent's and its name. When an
+``xrpc:sequence`` opens they hand the parser to the item handlers,
+which read each item in one step — a reference, atomic or leaf copy
+straight from expat's ordered attribute list, no role or attribute
+dictionary per item — and hand it back at the sequence's end tag.
+Inside an ``xrpc:fragment`` or a by-value ``xrpc:element`` the parser
+goes to the scanner's shredding handlers
+(:func:`repro.xmldb.parser.shred`) for that payload alone, so payload
+documents, leaf copies too, are made in text order. The first of each
+singular part is read, later ones skipped; refusals
+(:class:`XrpcMarshalError`) wait until expat has read the whole text,
+so malformed text is ``parse_document``'s ``XmlParseError``. A call
+holds one ``xrpc:sequence`` per parameter.
 """
 
 from __future__ import annotations
@@ -260,7 +265,7 @@ def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
 # -- decoding: one expat pass (see the module docstring) ---------------------
 
 #: (parent's role, element name) → the element's role; an element with
-#: no role is skipped, content and all, and refused in a sequence.
+#: no role is skipped, content and all.
 _ROLES = {
     ("document", "env:Envelope"): "envelope", ("envelope", "env:Body"): "body",
     ("body", "xrpc:request"): "message", ("body", "xrpc:response"): "message",
@@ -279,25 +284,41 @@ _PARTS = [("envelope", "env:Envelope"), ("body", "env:Body"),
           ("query", "xrpc:query"), ("params", "xrpc:params")]
 #: Roles only the first such element takes.
 _ONCE = frozenset([role for role, _element in _PARTS] + ["paths"])
+#: Roles read for their string value.
+_STRINGS = frozenset({"used-path", "returned-path", "query", "name"})
 #: The copies that travel as their string value (kind → node kind), and
 #: those whose wrapper carries a ``name`` attribute.
 LEAF_KINDS = {"attribute": NodeKind.ATTRIBUTE, "text": NodeKind.TEXT,
               "comment": NodeKind.COMMENT,
               "processing-instruction": NodeKind.PROCESSING_INSTRUCTION}
 _NAMED = frozenset({"attribute", "processing-instruction"})
-#: A sequence's items: its child elements, by role (a copy's kind).
-_ROLES.update({("sequence", f"xrpc:{role}"): role
-               for role in ("atomic", "element", *LEAF_KINDS)})
-#: Roles read for their string value.
-_STRINGS = frozenset({"used-path", "returned-path", "query", "name",
-                      "atomic", *LEAF_KINDS})
-#: Roles that must hold exactly one element (and nothing else).
-_WRAPPERS = {"fragment": "a fragment must hold one element",
-             "element": "element copy must hold one element"}
+#: A sequence's items by element name: the kind, and for one read for
+#: its string value the attribute labelling it (an atomic's type, a
+#: named copy's name) and the label's default.
+_ITEMS = {"xrpc:atomic": ("atomic", "type", "xs:string"),
+          "xrpc:element": ("element", None, ""),
+          **{f"xrpc:{kind}": (kind, "name" if kind in _NAMED else None, "")
+             for kind in LEAF_KINDS}}
+_FRAGMENT = "a fragment must hold one element"
+_COPY = "element copy must hold one element"
+
+
+def _attribute(attrs: list[str], name: str) -> str | None:
+    """Attribute ``name``'s value in expat's ordered list, or None."""
+    index = -1
+    try:
+        while True:
+            index = attrs.index(name, index + 1)
+            if not index & 1:        # a name, not a value
+                return attrs[index + 1]
+    except ValueError:
+        return None
 
 
 class _Envelope:
-    """The parts of one message text, read in one expat pass."""
+    """The parts of one message text, read in one expat pass: the
+    envelope by a role machine (a role per open element), a sequence's
+    items by the item handlers, from its start tag to its end tag."""
 
     def __init__(self, text: str, message: str):
         self.message, self.seen = message, set()
@@ -305,12 +326,16 @@ class _Envelope:
         self.refusals: list[str] = []  # the first is raised after parsing
         self.sink: list[str] | None = None  # the open string's text
         self.payload: Node | None = None    # the open wrapper's element
-        self.attrs = self.item = {}  # the message element's, an item's
+        self.attrs: dict[str, str] = {}     # the message element's
         #: The string values of the message's own parts, by role.
         self.strings: dict[str, list[str]] = {
             "query": [], "name": [], "used-path": [], "returned-path": []}
         self.fragments: list[Node] = []
         self.calls: list[list[list[Item]]] = []  # call → sequence → items
+        #: The open sequence's items (None outside one), the depth below
+        #: it, and the open item's kind (None: content skipped) and label.
+        self.items: list[Item] | None = None
+        self.depth, self.kind, self.label = 0, None, ""
         try:
             parse(text, True, self._listen)
         finally:
@@ -329,9 +354,12 @@ class _Envelope:
             raise XrpcMarshalError(self.refusals[0])
 
     def _listen(self, parser) -> None:
+        """The envelope's handlers on ``parser``, or in a sequence the
+        item reader's."""
         self.parser = parser
-        parser.StartElementHandler = self.start
-        parser.EndElementHandler = self.end
+        reading = self.items is not None
+        parser.StartElementHandler = self.item if reading else self.start
+        parser.EndElementHandler = self.item_end if reading else self.end
         parser.CharacterDataHandler = self.text
         parser.CommentHandler = parser.ProcessingInstructionHandler = self.misc
 
@@ -341,70 +369,94 @@ class _Envelope:
 
     def start(self, name: str, attrs: list[str]) -> None:
         parent = self.stack[-1]
-        if parent in _WRAPPERS:
+        if parent == "fragment":
             if self.payload is None:
                 shred(self.parser, False, self._landed)(name, attrs)
                 return  # the shredder has the element up to its end tag
-            self.refusals.append(_WRAPPERS[parent])
+            self.refusals.append(_FRAGMENT)
         role = _ROLES.get((parent, name))
         if role in self.seen or role == "message" and name != self.message:
             role = None  # a later singular part, or the other message
         elif role in _ONCE:
             self.seen.add(role)
-        elif parent == "sequence":
-            role = self._item(role, name, dict(zip(attrs[::2], attrs[1::2])))
         if role == "message":
             self.attrs = dict(zip(attrs[::2], attrs[1::2]))
         elif role == "call":
             self.calls.append([])
         elif role == "sequence":
-            self.calls[-1].append([])
+            self.items = []
+            self.calls[-1].append(self.items)
+            self._listen(self.parser)
         elif role in _STRINGS:
             self.sink = []
-        elif role in _WRAPPERS:
+        elif role == "fragment":
             self.payload = None
         self.stack.append(role)
-
-    def _item(self, role: str | None, name: str,
-              attrs: dict[str, str]) -> str | None:
-        """The role left to a sequence's item once a reference is read."""
-        if role is None:
-            self.refusals.append(f"unknown sequence item <{name}>")
-        elif role in ("element", "attribute") and "fragid" in attrs:
-            try:
-                ids = int(attrs["fragid"]), int(attrs["nodeid"])
-            except (KeyError, ValueError):
-                self.refusals.append("a node reference needs integer "
-                                     "fragid and nodeid attributes")
-            else:
-                self.calls[-1][-1].append(
-                    NodeRef(*ids) if role == "element"
-                    else AttrRef(*ids, attrs.get("name", "")))
-            return None
-        self.item = attrs
-        return role
 
     def end(self, _name: str) -> None:
         role = self.stack.pop()
         if role in _STRINGS:
-            value, self.sink = "".join(self.sink), None
-            if role in self.strings:
-                self.strings[role].append(value)
-                return
-            name = self.item.get("name", "") if role in _NAMED else ""
-            self.calls[-1][-1].append(
-                Atomic(self.item.get("type", "xs:string"), value)
-                if role == "atomic" else NodeCopy(role, name, Document(
-                    "", ColumnSet([LEAF_KINDS[role]], [name], [value], [0],
-                                  [0], [-1])).root))
-        elif role in _WRAPPERS:
+            self.strings[role].append("".join(self.sink))
+            self.sink = None
+        elif role == "fragment":
             if self.payload is None:
-                self.refusals.append(_WRAPPERS[role])
-            elif role == "fragment":
-                self.fragments.append(self.payload)
+                self.refusals.append(_FRAGMENT)
             else:
-                self.calls[-1][-1].append(
-                    NodeCopy("element", "", self.payload))
+                self.fragments.append(self.payload)
+
+    def item(self, name: str, attrs: list[str]) -> None:
+        """A start tag in a sequence: an item read in one step, or what
+        an item holds."""
+        depth, self.depth = self.depth, self.depth + 1
+        if depth:
+            if depth == 1 and self.kind == "element":  # a copy's payload
+                if self.payload is None:
+                    self.depth = 1  # the shredder has it up to its end tag
+                    shred(self.parser, False, self._landed)(name, attrs)
+                else:
+                    self.refusals.append(_COPY)
+            return
+        self.kind, label, default = _ITEMS.get(name, (None, None, ""))
+        if self.kind is None:
+            self.refusals.append(f"unknown sequence item <{name}>")
+        elif self.kind in ("element", "attribute") and (
+                fragid := _attribute(attrs, "fragid")) is not None:
+            kind, self.kind = self.kind, None  # a reference: no content
+            try:
+                ids = int(fragid), int(_attribute(attrs, "nodeid"))
+            except (TypeError, ValueError):
+                self.refusals.append("a node reference needs integer "
+                                     "fragid and nodeid attributes")
+            else:
+                self.items.append(NodeRef(*ids) if kind == "element" else
+                                  AttrRef(*ids, _attribute(attrs, "name")
+                                          or ""))
+        elif self.kind == "element":
+            self.payload = None
+        else:
+            label = label and _attribute(attrs, label)
+            self.label = default if label is None else label
+            self.sink = []
+
+    def item_end(self, name: str) -> None:
+        self.depth -= 1
+        if self.depth < 0:  # the sequence's own end tag
+            self.depth, self.items = 0, None
+            self._listen(self.parser)
+            self.end(name)
+        elif self.depth == 0 and self.sink is not None:
+            value, self.sink, kind, label = ("".join(self.sink), None,
+                                             self.kind, self.label)
+            self.items.append(
+                Atomic(label, value) if kind == "atomic"
+                else NodeCopy(kind, label, Document("", ColumnSet(
+                    [LEAF_KINDS[kind]], [label], [value], [0], [0],
+                    [-1])).root))
+        elif self.depth == 0 and self.kind == "element":
+            if self.payload is None:
+                self.refusals.append(_COPY)
+            else:
+                self.items.append(NodeCopy("element", "", self.payload))
 
     def text(self, data: str) -> None:
         if self.sink is None:
@@ -414,5 +466,7 @@ class _Envelope:
 
     def misc(self, *_args) -> None:
         """A payload wrapper holds one element and nothing beside it."""
-        if self.stack[-1] in _WRAPPERS:
-            self.refusals.append(_WRAPPERS[self.stack[-1]])
+        if self.stack[-1] == "fragment":
+            self.refusals.append(_FRAGMENT)
+        elif self.depth == 1 and self.kind == "element":
+            self.refusals.append(_COPY)

@@ -8,13 +8,16 @@ every request; its ``Evaluator`` (which holds the parsed body) is
 interned in the peer's table by the text's *shape*, so a call site is
 compiled once however many comparison literals it is served with: the
 literals a request's text holds are read off it by one scan and handed
-to the evaluation as its binding.
+to the evaluation as its binding. The projection paths arrive as text
+too, and their compiled trie is interned in the same table by the
+request's tuple of path texts.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.paths.relpath import compile_paths, parse_rel_path
 from repro.xmldb.document import Document
 from repro.xquery.ast import Module
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
@@ -58,8 +61,17 @@ class RequestHandler:
             resolve_doc=self.resolve_doc, xrpc_execute=self.xrpc_execute,
             counter=self.counter, binding=binding), calls)
 
-        bundle = marshal_result(results, self.semantics,
-                                request.used_paths, request.returned_paths)
+        paths = None  # none asked for: a by-fragment answer
+        if self.semantics == "by-projection" and (
+                request.used_paths is not None
+                or request.returned_paths is not None):
+            used = tuple(request.used_paths or ())
+            returned = tuple(request.returned_paths or ())
+            paths = self.prepared.intern(
+                ("projection-paths", used, returned),
+                lambda: compile_paths(map(parse_rel_path, used),
+                                      map(parse_rel_path, returned)))
+        bundle = marshal_result(results, self.semantics, paths)
         return ResponseMessage(
             results=[call.params[0][1] for call in bundle.calls],
             fragments=bundle.fragments)

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from repro.decompose.strategy import decompose, prepare, realize
+from repro.paths.relpath import compile_paths
 from repro.planner import ir
 from repro.planner import planner as planner_module
 from repro.planner.ir import (
@@ -31,6 +32,7 @@ from repro.workloads import (
 from repro.xquery.parser import parse_expr, parse_query
 from repro.xquery.pretty import pretty
 from repro.xquery.xdm import serialize_sequence
+from repro.xrpc import peer as peer_module
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
 from tests.xrpc.test_one_parse_per_message import _rebind
@@ -85,7 +87,9 @@ def test_local_paths_texts_are_parsed_once(monkeypatch):
 
 def test_shipped_body_is_parsed_once_per_peer(monkeypatch):
     """By-projection ships one body to each of two peers; a second run
-    ships the same two texts and neither peer parses again."""
+    ships the same two texts and neither peer parses again. Each peer's
+    table holds the body and the compiled result paths its request
+    carried."""
     federation = build_federation(0.003)
     calls = _count(monkeypatch, parse_expr)
     first = federation.run(BENCHMARK_QUERY, at="local",
@@ -98,7 +102,7 @@ def test_shipped_body_is_parsed_once_per_peer(monkeypatch):
     assert serialize_sequence(first.items) \
         == serialize_sequence(second.items)
     assert [len(federation.peer(name).prepared)
-            for name in ("peer1", "peer2", "local")] == [1, 1, 0]
+            for name in ("peer1", "peer2", "local")] == [2, 2, 0]
 
 
 def test_shipped_text_is_rendered_once_per_call_site(monkeypatch):
@@ -239,6 +243,9 @@ def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
     assert len(set(expected)) > 3        # the thresholds do select
 
     calls = _count(monkeypatch, parse_query, prepare, realize, parse_expr)
+    compiled = []     # the result path sets the peers compiled
+    monkeypatch.setattr(peer_module, "compile_paths", lambda *args: (
+        compiled.append(1), compile_paths(*args))[1])
     with FederationEngine(federation, max_workers=2) as engine:
         futures = [engine.submit(text, "local", "auto") for text in texts]
         results = [future.result(timeout=60) for future in futures]
@@ -251,9 +258,11 @@ def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
     candidates = len(results[0].stats.plan.candidates)
     assert len(calls["realize"]) == candidates > 4
     # A peer compiles a body once per shape it is shipped, however
-    # many thresholds it is shipped with.
-    bodies = sum(len(federation.peer(name).prepared)
-                 for name in ("peer1", "peer2", "local"))
+    # many thresholds it is shipped with (its table also holds the
+    # result path sets it compiled, once each).
+    entries = sum(len(federation.peer(name).prepared)
+                  for name in ("peer1", "peer2", "local"))
+    bodies = entries - len(compiled)
     assert len(calls["parse_expr"]) == bodies <= 2 * candidates
     snapshot = federation.planner.snapshot()
     assert snapshot["cached_plans"] == 1

@@ -97,9 +97,9 @@ def test_built_parts_match_the_oracle(doc, order):
 @fuzz_settings(100)
 def test_projected_parts_match_the_oracle(doc, used, returned, order):
     elements = structural_index(doc).element_pres
-    result = project(
-        [Node(doc, elements[pick % len(elements)]) for pick in used],
-        [Node(doc, elements[pick % len(elements)]) for pick in returned])
+    result = project(doc,
+                     [elements[pick % len(elements)] for pick in used],
+                     [elements[pick % len(elements)] for pick in returned])
     assert result.doc.columns.postings is None
     _agree(result.doc, order)
 

@@ -20,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from repro.decompose import Strategy
-from repro.paths.relpath import PSEUDO_STEPS, RelPath, RelStep
+from repro.paths.relpath import (
+    PSEUDO_STEPS, RelPath, RelStep, compile_paths,
+)
 from repro.workloads import BENCHMARK_QUERY, build_federation
 from repro.xmark import generate_pair
 from repro.xmldb.axes import AXES
@@ -108,16 +110,22 @@ _rel_steps = st.one_of(
 @fuzz_settings(200)
 def test_rel_path_equals_walker(context, steps):
     """``RelPath.evaluate`` ≡ the per-node walk, and every stage of
-    its one pass ≡ evaluating that prefix on its own. (The walker
-    handed the context of a zero-step path back as given; as a node
-    set — all its callers took — it is the same.)"""
+    the path's compiled trie (each prefix joining, so each is
+    yielded) ≡ evaluating that prefix on its own. (The walker handed
+    the context of a zero-step path back as given; as a node set — all
+    its callers took — it is the same.)"""
     path = RelPath(tuple(steps))
 
     def walked(prefix):
         return keys(sort_document_order(walk_rel_path(prefix, context)))
 
     assert keys(path.evaluate(context)) == walked(steps)
-    for length, stage in enumerate(path.stages(context)):
+    prefixes = compile_paths(used=[RelPath(tuple(steps[:length]))
+                                   for length in range(len(steps) + 1)])
+    stages = [groups for _joins, groups
+              in prefixes.evaluate(group_by_document(context))]
+    assert len(stages) == len(steps) + 1
+    for length, stage in enumerate(stages):
         assert keys(group_nodes(stage)) == walked(steps[:length])
 
 

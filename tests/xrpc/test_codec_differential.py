@@ -157,6 +157,8 @@ def test_codec_ranks_are_the_structural_index(text):
     assert _nodeid_pres(doc.kinds) == list(index.non_attr_pres)
     for root in index.element_pres:
         plan = _FragmentPlan(1, root, doc, None, _nodeid_ranks(doc.kinds))
-        for pre in range(root, root + doc.sizes[root] + 1):
-            if doc.kinds[pre] != NodeKind.ATTRIBUTE:
-                assert plan.nodeid(pre) == index.nodeid(root, pre)
+        subtree = [pre for pre in range(root, root + doc.sizes[root] + 1)
+                   if doc.kinds[pre] != NodeKind.ATTRIBUTE]
+        references = plan.references(doc, {pre: pre for pre in subtree})
+        for pre in subtree:
+            assert references[pre].nodeid == index.nodeid(root, pre)

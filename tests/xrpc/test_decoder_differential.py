@@ -19,8 +19,10 @@ and both sides must give the same one:
 Texts: the message generators of ``test_codec_differential.py``, every
 one-element edit of their envelopes, an envelope part (misplaced,
 repeated or malformed) after every tag, markup pieces spliced in after
-any tag, a few character edits anywhere, and a DOCTYPE in front
-(blanked unread, as ``parse_document`` blanks it). Tier-1 runs a small seeded
+any tag, item elements as another peer might write them spliced into a
+sequence (attributes permuted, extra or missing, ids that are no
+integers, any content), a few character edits anywhere, and a DOCTYPE
+in front (blanked unread, as ``parse_document`` blanks it). Tier-1 runs a small seeded
 sample; CI's ``fuzz`` job runs it under ``--hypothesis-profile=long``.
 """
 
@@ -152,6 +154,56 @@ def test_an_envelope_part_after_any_tag_decodes_or_refuses_alike(message):
     for piece in _PARTS:
         for text in _after_each_tag(message.to_xml(), piece):
             _agree(type(message), text)
+
+
+#: A sequence item's element, its attributes in any order, some of
+#: them missing or not ours, their values no integers, its content
+#: anything: what the item reader must read, or refuse, as the column
+#: decoder does (a ``name``-less reference and a ``type``-less atomic
+#: among them).
+_ITEM_TAGS = ["xrpc:element", "xrpc:attribute", "xrpc:atomic", "xrpc:text",
+              "xrpc:comment", "xrpc:processing-instruction", "xrpc:sequence",
+              "xrpc:fragment"]
+_ITEM_ATTRIBUTES = ["fragid", "nodeid", "name", "type", "stray"]
+_item_values = st.sampled_from(["1", "2", "3", " 1 ", "x", "", "-1",
+                                "xs:integer", "a&amp;b", "fragid", "name"])
+_item_content = st.sampled_from(
+    ["", "t", "<a/>", "<a>b</a>", "<a/><b/>", "t<a/>", "<a/>t", "<!--c-->",
+     "<?p d?><a/>", "<xrpc:atomic>1</xrpc:atomic>"]) | _element()
+
+
+@st.composite
+def _item_elements(draw) -> str:
+    tag = draw(st.sampled_from(_ITEM_TAGS))
+    names = draw(st.permutations(_ITEM_ATTRIBUTES))[
+        :draw(st.integers(0, len(_ITEM_ATTRIBUTES)))]
+    attributes = "".join(f' {name}="{draw(_item_values)}"'
+                         for name in names)
+    return f"<{tag}{attributes}>{draw(_item_content)}</{tag}>"
+
+
+def _in_each_sequence(text: str, piece: str):
+    """``text`` with ``piece`` as the first, then the last, item of
+    each sequence."""
+    for tag in ("<xrpc:sequence>", "</xrpc:sequence>"):
+        at = text.find(tag)
+        while at >= 0:
+            cut = at + len(tag) if tag[1] != "/" else at
+            yield text[:cut] + piece + text[cut:]
+            at = text.find(tag, at + 1)
+
+
+@given(_messages, st.lists(st.tuples(st.integers(0, 10_000),
+                                     _item_elements()),
+                           min_size=1, max_size=3))
+@fuzz_settings(150)
+def test_items_written_otherwise_decode_or_refuse_alike(message, splices):
+    text = message.to_xml()
+    for position, piece in splices:
+        texts = list(_in_each_sequence(text, piece))
+        if texts:
+            text = texts[position % len(texts)]
+    _agree(type(message), text)
 
 
 _edits = st.tuples(st.integers(0, 10_000), st.sampled_from("sid"),

@@ -1,13 +1,17 @@
 """Marshalling semantics: exactly the behaviours Sections II, V and VI
 attribute to pass-by-value, pass-by-fragment and pass-by-projection."""
 
-from repro.paths.analysis import PathSets
-from repro.paths.relpath import parse_rel_path
+import pytest
+
+from repro.errors import XrpcMarshalError
+from repro.paths.relpath import compile_paths, parse_rel_path
 from repro.xmldb.compare import is_same_node, node_before
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_fragment
-from repro.xrpc.marshal import marshal_calls, unmarshal_calls
-from repro.xrpc.messages import NodeRef, RequestMessage
+from repro.xrpc.marshal import (
+    marshal_calls, unmarshal_atomic, unmarshal_calls,
+)
+from repro.xrpc.messages import Atomic, NodeRef, RequestMessage
 from tests.conftest import over_the_wire, texts
 
 
@@ -29,6 +33,24 @@ def received(bundle):
 def ship(calls, semantics, param_paths=None):
     """Marshal, encode, decode and unmarshal one request."""
     return received(marshal_calls(calls, semantics, param_paths))
+
+
+class TestAtomics:
+    """An atomic arrives from another peer in any lexical form its
+    type allows (XML Schema's, whitespace collapsed)."""
+
+    @pytest.mark.parametrize("lexical, value", [
+        ("true", True), ("1", True), (" true ", True), ("\n1\t", True),
+        ("false", False), ("0", False), (" false\r\n", False),
+    ])
+    def test_booleans_read_the_whole_lexical_space(self, lexical, value):
+        assert unmarshal_atomic(Atomic("xs:boolean", lexical)) is value
+
+    @pytest.mark.parametrize("lexical", [
+        "yes", "", "TRUE", "tr ue", "2", "01", "\u00a0true"])
+    def test_other_booleans_are_refused(self, lexical):
+        with pytest.raises(XrpcMarshalError, match="malformed xs:boolean"):
+            unmarshal_atomic(Atomic("xs:boolean", lexical))
 
 
 class TestByValue:
@@ -141,9 +163,9 @@ class TestByProjection:
     def test_used_paths_keep_anchor_without_descendants(self):
         doc = parse_fragment("<a><p><id>1</id><big><x/><y/></big></p></a>")
         p = by_name(doc, "p")
-        paths = {"t": PathSets(
-            used={parse_rel_path("child::id"),
-                  parse_rel_path("child::id/descendant::text()")})}
+        paths = {"t": compile_paths(
+            used=[parse_rel_path("child::id"),
+                  parse_rel_path("child::id/descendant::text()")])}
         bundle = marshal_calls([[("t", [p])]], "by-projection", paths)
         assert "<big>" not in texts(bundle.fragments)[0]
         assert "<id>1</id>" in texts(bundle.fragments)[0]
@@ -151,7 +173,7 @@ class TestByProjection:
     def test_returned_paths_keep_subtrees(self):
         doc = parse_fragment("<a><p><keep><deep/></keep><drop/></p></a>")
         p = by_name(doc, "p")
-        paths = {"t": PathSets(returned={parse_rel_path("child::keep")})}
+        paths = {"t": compile_paths(returned=[parse_rel_path("child::keep")])}
         bundle = marshal_calls([[("t", [p])]], "by-projection", paths)
         assert "<deep/>" in texts(bundle.fragments)[0]
         assert "<drop/>" not in texts(bundle.fragments)[0]
@@ -160,7 +182,7 @@ class TestByProjection:
         """Figure 5: the b node travels with its enclosing a."""
         doc = parse_fragment("<a><b><c/></b></a>")
         b = by_name(doc, "b")
-        paths = {"r": PathSets(returned={parse_rel_path("parent::a")})}
+        paths = {"r": compile_paths(returned=[parse_rel_path("parent::a")])}
         bundle = marshal_calls([[("r", [b])]], "by-projection", paths)
         assert texts(bundle.fragments) == ["<a><b><c/></b></a>"]
         (call,) = received(bundle)
@@ -174,7 +196,7 @@ class TestByProjection:
             "<a><p><id>1</id>" + "<filler>x</filler>" * 50 + "</p></a>")
         p = by_name(doc, "p")
         fragment = marshal_calls([[("t", [p])]], "by-fragment")
-        paths = {"t": PathSets(used={parse_rel_path("child::id")})}
+        paths = {"t": compile_paths(used=[parse_rel_path("child::id")])}
         projected = marshal_calls([[("t", [p])]], "by-projection", paths)
         assert len(texts(projected.fragments)[0]) < len(texts(fragment.fragments)[0]) / 5
 

@@ -13,8 +13,7 @@ For random trees and random parameter selections:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.paths.analysis import PathSets
-from repro.paths.relpath import parse_rel_path
+from repro.paths.relpath import compile_paths, parse_rel_path
 from repro.xmldb.compare import deep_equal, is_same_node, node_before
 from repro.xmldb.document import DocumentBuilder
 from repro.xmldb.node import NodeKind
@@ -113,7 +112,7 @@ def test_by_fragment_never_ships_a_node_twice(pair):
 @settings(max_examples=60, deadline=None)
 def test_projection_keeps_anchors_and_returned_paths(pair):
     doc, picks = pair
-    paths = {"p0": PathSets(returned={parse_rel_path("child::a")})}
+    paths = {"p0": compile_paths(returned=[parse_rel_path("child::a")])}
     calls = [[("p0", [picks[0]])]]
     bundle = marshal_calls(calls, "by-projection", paths)
     (out,) = received(bundle)
