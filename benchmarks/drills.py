@@ -30,8 +30,7 @@ sys.path[:0] = [path for path in (str(ROOT), str(ROOT / "src"))
 
 from benchmarks.conftest import print_table
 from repro.cluster.membership import EVICTED, MembershipTracker
-from repro.cluster.rebalance import LoadScorer, Rebalancer, SplitPlan
-from repro.cluster.repair import RepairEngine
+from repro.cluster.rebalance import LoadScorer, Reconciler, SplitPlan
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor
 from repro.runtime import FederationEngine
@@ -115,7 +114,7 @@ def event_lines(monitor) -> list:
 def chaos_drill() -> dict:
     fed, monitor = cluster(SCALE, slo=True)
     tracker = MembershipTracker().attach(fed)
-    repair = RepairEngine().attach(fed)
+    reconciler = Reconciler().attach(fed)
     expected, view = oracle(SCALE, SHARDED_SCAN_QUERY), fed.peer_view
     cells = {"lost_fragments": [
         "node1" in shard.replicas for spec in fed.catalog.collections()
@@ -137,8 +136,8 @@ def chaos_drill() -> dict:
         view.mark_up("node1")
         view.mark_up("node3")
         fed.transport.restore_peer("node2")
-        # Kill node1: probe ticks walk it to eviction, and repair
-        # re-replicates what it held.
+        # Kill node1: probe ticks walk it to eviction, and the
+        # reconciler re-replicates what it held.
         epoch = fed.catalog.epoch()
         fed.transport.kill_peer("node1")
         ticks = 0
@@ -147,8 +146,9 @@ def chaos_drill() -> dict:
             ticks += 1
         cells.update(ticks_to_eviction=ticks, killed_state=view.state("node1"),
                      eviction_epochs=fed.catalog.epoch() - epoch,
-                     repair_converged=repair.run_until_converged(),
-                     repairs_completed=repair.stats()["completed"],
+                     repair_converged=reconciler.reconcile() == 0,
+                     repairs_completed=reconciler.stats()[
+                         "repairs_completed"],
                      under_replicated=under_replicated(fed, "node1"))
         before = failovers()
         cells["healed_exact"] = exact(queries, 8, expected)
@@ -170,8 +170,7 @@ def chaos_drill() -> dict:
 def rebalance_drill() -> dict:
     fed, monitor = cluster(REBALANCE_SCALE)
     MembershipTracker().attach(fed)
-    RepairEngine(auto_repair=False).attach(fed)
-    rebalancer = Rebalancer().attach(fed)
+    reconciler = Reconciler().attach(fed)
     scan, hot = (oracle(REBALANCE_SCALE, query)
                  for query in (SHARDED_SCAN_QUERY, SHARDED_HOT_QUERY))
     cells: dict = {}
@@ -182,36 +181,36 @@ def rebalance_drill() -> dict:
         return len(items[-1])
 
     answers("warmup_exact", SHARDED_SCAN_QUERY, scan, 4)
-    rebalancer.plan()   # drain the warmup's heat
+    reconciler.plan()   # drain the warmup's heat
     # Hot skew: the heat nominates one shard, and its split changes
     # no answer.
     shards = len(fed.catalog.get("people-c").shards)
     answers("hot_exact", SHARDED_HOT_QUERY, hot, 12)
-    plans = rebalancer.plan()
+    plans = reconciler.plan()
     splits = [p for p in plans if isinstance(p, SplitPlan)
               and p.collection == "people-c"]
     cells.update(split_plans=len(splits), splits_completed=[
-        rebalancer.executor.execute(plan) for plan in splits].count(True))
+        reconciler.executor.execute(plan) for plan in splits].count(True))
     for plan in plans:
         if plan not in splits:
             # A companion move may have gone stale behind the split's
             # renumbering: best effort.
-            rebalancer.executor.execute(plan)
+            reconciler.executor.execute(plan)
     cells["people_shards"] = [shards, len(fed.catalog.get("people-c").shards)]
     answers("split_scan_exact", SHARDED_SCAN_QUERY, scan)
     answers("split_hot_exact", SHARDED_HOT_QUERY, hot)
     # Move a replica of s0: the retired copy stays until collect().
     shard = fed.catalog.get("people-c").shards[0]
     source = fed.peer(shard.replicas[0])
-    cells["move_completed"] = rebalancer.move("people-c", shard.index,
+    cells["move_completed"] = reconciler.move("people-c", shard.index,
                                               shard.replicas[0])
     cells["retired_copy_kept"] = shard.local_name in source.documents
-    cells["move_collected"] = rebalancer.collect()
+    cells["move_collected"] = reconciler.collect()
     cells["retired_copy_left"] = shard.local_name in source.documents
     answers("move_exact", SHARDED_SCAN_QUERY, scan)
     # Decommission node4: every placement it held retires or moves.
-    cells["drain_completed"] = rebalancer.drain("node4")
-    cells["drain_collected"] = rebalancer.collect()
+    cells["drain_completed"] = reconciler.drain("node4")
+    cells["drain_collected"] = reconciler.collect()
     cells.update(
         drained_fragments=LoadScorer(fed).snapshot()["node4"].fragments,
         drained_documents=len(fed.peer("node4").documents),
@@ -219,7 +218,10 @@ def rebalance_drill() -> dict:
     cells["result_items"] = answers("drain_scan_exact", SHARDED_SCAN_QUERY,
                                     scan)
     answers("drain_hot_exact", SHARDED_HOT_QUERY, hot)
-    return {**cells, **rebalancer.stats(), **{
+    stats = reconciler.stats()
+    # This drill evicts nothing: its cells are the migration counters.
+    del stats["repairs_completed"], stats["repairs_failed"]
+    return {**cells, **stats, **{
         kind: monitor.events.count(kind)
         for kind in ("rebalance_planned", "rebalance_retired")},
         "events": event_lines(monitor)}
@@ -268,9 +270,7 @@ def soak(reshard: bool) -> dict:
                for query in (SHARDED_SCAN_QUERY, COUNT_QUERY)]
     fed, monitor = cluster(SCALE)
     MembershipTracker().attach(fed)
-    RepairEngine().attach(fed)
-    if reshard:
-        Rebalancer().attach(fed)
+    Reconciler().attach(fed)
     schedule = ChaosSchedule.generate(
         random.Random(SEED), NODES, steps=SOAK_STEPS,
         **({"splits": 2, "moves": 3, "drains": 1} if reshard else {}))

@@ -22,13 +22,13 @@ logical collection:
   it: probe ticks plus the router's attempts drive each replica
   through ``alive → suspect → dead → evicted`` with hysteresis, ending
   in placement evictions;
-* :mod:`repro.cluster.repair` — finding and queueing under-replicated
-  shard fragments after evictions (the migration executor copies them
-  onto healthy peers);
-* :mod:`repro.cluster.rebalance` — the load-aware control loop: one
-  shared peer/shard scoring function and migration planning (split a
-  hot shard, move a replica to a cooler peer, drain a peer for
-  decommission);
+* :mod:`repro.cluster.rebalance` — the one placement loop: one
+  load-aware scoring function, and the :class:`Reconciler` that diffs
+  the desired placement (every shard at its replication factor of
+  serving replicas, nothing on a draining peer) against the catalog
+  and runs what the diff yields — re-replicating after evictions,
+  draining a peer for decommission — beside the heat policy's
+  migrations (split a hot shard, move a replica to a cooler peer);
 * :mod:`repro.cluster.migrate` — the one way a placement changes
   peers (replicate, move, split, retire), staged behind the epoch
   machinery: copy → byte-identity verify → atomic cutover → lazy
@@ -73,9 +73,9 @@ from repro.cluster.placement import (
     round_robin_placement, shard_local_name,
 )
 from repro.cluster.rebalance import (
-    LoadScorer, MovePlan, PeerScore, Rebalancer, ReplicatePlan, SplitPlan,
+    LoadScorer, MovePlan, PeerScore, Reconciler, ReplicatePlan, RetirePlan,
+    SplitPlan,
 )
-from repro.cluster.repair import RepairEngine, RepairTask
 from repro.cluster.router import (
     ClusterRouter, ShardUnavailableError, rewrite_doc_uris,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "ClusterRouter", "ShardUnavailableError", "rewrite_doc_uris",
     "aggregate_combiner", "concatenate", "merge_shard_documents",
     "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker", "PeerView",
-    "RepairEngine", "RepairTask",
-    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
-    "Rebalancer", "MigrationExecutor", "BoundaryPartitioner",
+    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "RetirePlan",
+    "ReplicatePlan", "Reconciler", "MigrationExecutor", "BoundaryPartitioner",
 ]

@@ -80,7 +80,7 @@ class CollectionSpec:
     container_path: tuple[str, ...]
     member: str
     shards: tuple[ShardInfo, ...]
-    #: The replica count the repair engine restores every shard to
+    #: The replica count the reconciler restores every shard to
     #: after evictions.
     replication_factor: int
     partitioning: str = "range"   # "range" | "hash"

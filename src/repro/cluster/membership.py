@@ -8,8 +8,8 @@ suspect → dead → evicted); the **down** mark, set by ``mark_down`` or a
 dead verdict and lifted by ``mark_up`` or a revival, each change one
 catalog epoch bump; the **draining** mark of a decommission; and the
 **demotion** the health scorer (:class:`~repro.obs.health.HealthTracker`)
-judges anew whenever the standing is read. The router, repair, migration,
-rebalance, placement and the console ask it and nothing else:
+judges anew whenever the standing is read. The router, the reconciler,
+migration, placement and the console ask it and nothing else:
 :meth:`~PeerView.serves` (not down, not held dead or evicted — an
 operator's ``mark_up`` does not overrule a dead verdict),
 :meth:`~PeerView.accepts` a new replica (serves, held alive — not
@@ -46,7 +46,7 @@ instead of rediscovering it per query:
 * **Eviction**: after ``EVICT_AFTER_TICKS`` (2) further ticks dead, the
   peer is **evicted**: removed from every shard placement that has
   another replica (``catalog.update``, reason ``"evict"``), leaving
-  under-replicated shards for :class:`~repro.cluster.repair.RepairEngine`
+  under-replicated shards for :class:`~repro.cluster.rebalance.Reconciler`
   to heal — subscribers are notified per transition. A shard whose
   *only* replica is the dead peer keeps its placement (data is not
   forgotten, merely unreachable); serving it is the partial-results
@@ -143,6 +143,11 @@ class PeerView:
         return row is None or (not row.down and row.state == ALIVE
                                and not row.draining)
 
+    def draining(self, peer: str) -> bool:
+        """Is ``peer`` being decommissioned (placements leaving it)?"""
+        row = self._rows.get(peer)
+        return row is not None and row.draining
+
     def healthy(self, peer: str) -> bool:
         """``peer``'s health standing, first refreshed by the health
         scorer when one is attached (a demotion or a restoration is
@@ -175,7 +180,7 @@ class PeerView:
 
     def drain(self, peer: str) -> None:
         """Stop placing new replicas on ``peer``; it keeps serving the
-        ones it holds while the rebalancer moves them away."""
+        ones it holds while the reconciler moves them away."""
         self._set_draining(peer, True)
 
     def undrain(self, peer: str) -> None:
@@ -287,7 +292,7 @@ class MembershipTracker:
     def subscribe(self, callback) -> None:
         """``callback(peer, old_state, new_state)`` after every
         transition (called outside the tracker lock, in deterministic
-        order; the repair engine subscribes for dead/evicted)."""
+        order; the reconciler subscribes for evictions)."""
         self._subscribers.append(callback)
 
     def watch(self, *peers: str) -> None:
@@ -316,7 +321,7 @@ class MembershipTracker:
 
     def converged(self) -> bool:
         """True when no watched peer is suspect or dead (evicted peers
-        are resolved, not pending — the repair engine owns their data)."""
+        are resolved, not pending — the reconciler owns their data)."""
         return all(self.view.state(peer) in (ALIVE, EVICTED)
                    for peer in self.peers())
 
@@ -392,8 +397,8 @@ class MembershipTracker:
     def rejoin(self, peer: str) -> None:
         """Readmit an evicted peer as a fresh, empty member: state
         resets to alive and its down mark lifts. Its old fragments
-        were re-replicated elsewhere; new placements come from repair
-        or future resharding."""
+        were re-replicated elsewhere; new placements come from the
+        reconciler or future resharding."""
         transitions = []
         with self._lock:
             self._ladders.setdefault(peer, _Ladder())
@@ -453,7 +458,7 @@ class MembershipTracker:
         another replica (epoch bump per collection, reason ``evict``).
         Sole-replica shards keep their placement — the data exists,
         the peer is merely unreachable — and the view keeps it from
-        serving until repair or rejoin."""
+        serving until a repair or a rejoin."""
         catalog = self.view.catalog
         if catalog is None:
             return

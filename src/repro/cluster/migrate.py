@@ -34,13 +34,16 @@ catalog's epoch machinery:
 Failure discipline: a :class:`~repro.errors.NetworkError` during an
 attempt rolls back every document it stored (direct object removal —
 it works even when the destination's transport is down).
-:meth:`MigrationExecutor.attempt` is that single attempt (the repair
-queue calls it and keeps its own retry rule);
-:meth:`~MigrationExecutor.execute` retries it up to :data:`MAX_ATTEMPTS`,
-sources re-resolved each time, then gives up loudly (event + metric,
-catalog untouched). A plan that no longer matches the live spec — the
-shard healed, moved or split since planning or during the copy — is a
-rolled-back no-op.
+:meth:`~MigrationExecutor.execute` is the one attempt policy: it
+retries up to :data:`MAX_ATTEMPTS` times, sources re-resolved each
+time, then gives up loudly (event + metric, catalog untouched). A plan
+that no longer matches the live spec — the shard healed, moved or split
+since planning or during the copy, or its target no longer serves at
+the cutover — is a rolled-back no-op. Each plan reports in its own
+vocabulary: a :class:`~repro.cluster.rebalance.ReplicatePlan` as
+``repair_started`` / ``repair_completed`` / ``repair_failed`` and the
+``repair_*`` metrics, every other plan as ``rebalance_completed`` /
+``rebalance_failed`` and the ``rebalance_*`` metrics.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from repro.cluster.partitioner import (
     Partitioner, collection_members, partition_document,
 )
 from repro.cluster.rebalance import (
-    LoadScorer, MovePlan, ReplicatePlan, SplitPlan,
+    MovePlan, ReplicatePlan, RetirePlan, SplitPlan,
 )
 from repro.errors import NetworkError
 from repro.net.stats import RunStats
@@ -64,7 +67,8 @@ from repro.xmldb.serializer import serialize
 
 __all__ = ["MigrationExecutor", "BoundaryPartitioner", "PlanAbandoned"]
 
-#: How many attempts :meth:`MigrationExecutor.execute` gives one plan.
+#: How many attempts :meth:`MigrationExecutor.execute` gives one plan:
+#: the cluster's one retry policy.
 MAX_ATTEMPTS = 3
 
 
@@ -104,113 +108,71 @@ class MigrationExecutor:
         if self.catalog is None:
             raise ClusterError("migration executor needs a catalog")
         self.view = federation.peer_view
-        #: The one load ranking of the federation's control plane: the
-        #: repair engine and the rebalancer read it.
-        self.scorer = LoadScorer(federation)
         monitor = federation.monitor
         self.events = monitor.events if monitor is not None else None
         self._lock = threading.Lock()
         #: Superseded fragments awaiting physical removal:
         #: ``(peer_name, local_name)`` pairs.
         self.tombstones: list[tuple[str, str]] = []
+        #: Plans cut over / given up, by op.
         self._completed: dict[str, int] = {}
-        self._failed = 0
+        self._failed: dict[str, int] = {}
         self._collected = 0
-        self._m_migrations = federation.metrics.counter(
+        metrics = federation.metrics
+        self._m_migrations = metrics.counter(
             "rebalance_migrations_total",
             "migration attempts by operation and outcome",
             ("op", "outcome"))
-        self._m_bytes = federation.metrics.counter(
+        self._m_bytes = metrics.counter(
             "rebalance_bytes_total",
             "fragment bytes shipped by migrations", ("op",))
+        self._m_repaired = metrics.counter(
+            "repair_completed_total", "fragments re-replicated",
+            ("collection",))
+        self._m_repair_failed = metrics.counter(
+            "repair_failed_total",
+            "re-replications abandoned (no live source, no healthy "
+            "target, attempts exhausted)", ("collection",))
+        self._m_repair_bytes = metrics.counter(
+            "repair_bytes_total", "fragment bytes shipped by repair",
+            ("collection",))
 
     # -- public API -----------------------------------------------------------
 
-    @classmethod
-    def shared(cls, federation) -> "MigrationExecutor":
-        """The federation's one executor: the attached repair engine's
-        or rebalancer's when there is one (one tombstone list, one
-        scorer), else a new one."""
-        for owner in (getattr(federation, "repair", None),
-                      getattr(federation, "rebalancer", None)):
-            if owner is not None and owner.executor is not None:
-                return owner.executor
-        return cls(federation)
-
     def execute(self, plan) -> bool:
-        """Run one plan to completion, no-op, or give-up. True only
-        when a cutover happened."""
+        """Run one plan to completion, no-op, or give-up, under the one
+        attempt policy. True only when a cutover happened."""
         for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
-                done = self.attempt(plan)
+                done = self._attempt(plan, attempt)
             except PlanAbandoned as exc:
                 return self._give_up(plan, str(exc))
-            except NetworkError as exc:
-                self._emit_failed(
-                    plan, f"aborted: {type(exc).__name__} (attempt "
-                          f"{attempt}/{MAX_ATTEMPTS})",
-                    "warning", error=type(exc).__name__)
-                continue
+            except NetworkError:
+                continue    # reported by _spanned, rolled back
             if done is not None:
-                self._note_done(plan.op, nbytes=done[0],
-                                collection=plan.collection,
-                                shard=plan.shard_index, **done[1])
+                self._note_done(plan, *done)
             return done is not None
         return self._give_up(plan, "max attempts exhausted")
 
-    def attempt(self, plan) -> tuple[int, dict] | None:
-        """One copy → verify → cutover attempt, reporting nothing.
-        Returns ``(bytes placed, what the cutover did)``, or None when
-        the plan is stale (nothing changed, nothing left stored).
-        Raises :class:`PlanAbandoned`, or the :class:`NetworkError`
-        that aborted it; either way what it stored is rolled back."""
-        if isinstance(plan, (MovePlan, ReplicatePlan)):
-            run = self._place_attempt
-        elif isinstance(plan, SplitPlan):
-            run = self._split_attempt
-        else:
-            raise TypeError(f"unknown migration plan {plan!r}")
+    def _attempt(self, plan, attempt: int) -> tuple[int, dict] | None:
+        """One copy → verify → cutover attempt. Returns ``(bytes
+        placed, what the cutover did)``, or None when the plan is stale
+        (nothing changed, nothing left stored). Raises
+        :class:`PlanAbandoned`, or the :class:`NetworkError` that
+        aborted it; either way what it stored is rolled back."""
+        run = {MovePlan: self._place_attempt,
+               ReplicatePlan: self._place_attempt,
+               SplitPlan: self._split_attempt,
+               RetirePlan: self._retire_attempt}[type(plan)]
         placed: list[tuple[str, str]] = []
         done = None
         try:
-            done = run(plan, placed)
+            done = run(plan, attempt, placed)
         finally:
             if done is None:  # stale, abandoned or aborted: roll back
                 for peer_name, local_name in placed:
                     self._remove_unplaced(peer_name, local_name)
         return done
-
-    def retire_replica(self, collection: str, shard_index: int,
-                       peer: str) -> bool:
-        """Drop one redundant replica from a shard's placement —
-        guarded: refuses (False) unless the remaining replicas that
-        serve still meet the collection's ``replication_factor``. Pure
-        catalog surgery plus a tombstone; no bytes move."""
-        spec = self.catalog.lookup(collection)
-        shard = spec.shard(shard_index) if spec is not None else None
-        if shard is None:
-            return False
-        name = shard.local_name
-        usable = {r for r in shard.replicas
-                  if r != peer and self.view.serves(r)}
-
-        def drop(current):
-            now = current.shard_named(name)
-            if now is None or peer not in now.replicas:
-                return None
-            remaining = tuple(r for r in now.replicas if r != peer)
-            if len(usable.intersection(remaining)) \
-                    < current.replication_factor:
-                return None
-            return current.placing(now, remaining)
-
-        if self.catalog.update(collection, drop, "rebalance", op="retire",
-                               shard=shard_index, peer=peer) is None:
-            return False
-        self._tombstone(peer, name)
-        self._note_done("retire", collection=collection,
-                        shard=shard_index, peer=peer, nbytes=0)
-        return True
 
     def collect(self) -> int:
         """Physically remove tombstoned fragments whose placement no
@@ -235,10 +197,14 @@ class MigrationExecutor:
 
     def stats(self) -> dict[str, int]:
         with self._lock:
-            return {"splits": self._completed.get("split", 0),
-                    "moves": self._completed.get("move", 0),
-                    "retires": self._completed.get("retire", 0),
-                    "migrations_failed": self._failed,
+            completed, failed = self._completed, self._failed
+            return {"splits": completed.get("split", 0),
+                    "moves": completed.get("move", 0),
+                    "retires": completed.get("retire", 0),
+                    "migrations_failed": sum(failed.values())
+                    - failed.get("replicate", 0),
+                    "repairs_completed": completed.get("replicate", 0),
+                    "repairs_failed": failed.get("replicate", 0),
                     "tombstones": len(self.tombstones),
                     "collected": self._collected}
 
@@ -249,16 +215,12 @@ class MigrationExecutor:
         — unless the catalog places it there: a racing cutover
         re-placed it, it is not garbage. Direct object removal: it
         works even when the peer's transport is down."""
-        if self._still_placed(peer_name, local_name):
+        if any(peer_name in shard.replicas
+               for spec in self.catalog.collections()
+               for shard in spec.shards if shard.local_name == local_name):
             return False
         peer = self.federation.peers.get(peer_name)
         return peer is not None and peer.remove(local_name)
-
-    def _still_placed(self, peer_name: str, local_name: str) -> bool:
-        return any(peer_name in shard.replicas
-                   for spec in self.catalog.collections()
-                   for shard in spec.shards
-                   if shard.local_name == local_name)
 
     def _tombstone(self, peer_name: str, local_name: str) -> None:
         with self._lock:
@@ -266,50 +228,86 @@ class MigrationExecutor:
 
     def _give_up(self, plan, reason: str) -> bool:
         with self._lock:
-            self._failed += 1
-        self._m_migrations.labels(plan.op, "failed").inc()
+            self._failed[plan.op] = self._failed.get(plan.op, 0) + 1
+        if plan.family == "repair":
+            self._m_repair_failed.labels(plan.collection).inc()
+        else:
+            self._m_migrations.labels(plan.op, "failed").inc()
         self._emit_failed(plan, f"abandoned: {reason}", "error",
                           reason=reason)
         return False
 
     def _emit_failed(self, plan, what: str, severity: str, **attrs) -> None:
+        if self.events is None:
+            return
+        repair = plan.family == "repair"
+        self.events.emit(
+            "repair_failed" if repair else "rebalance_failed",
+            f"{'repair' if repair else plan.op} of {plan.collection}"
+            f"#s{plan.shard_index} {what}", severity=severity,
+            collection=plan.collection, shard=plan.shard_index,
+            **(attrs if repair else dict(op=plan.op, **attrs)))
+
+    def _note_done(self, plan, nbytes: int, done: dict) -> None:
+        """Count a cutover in its family's series, and report it."""
+        with self._lock:
+            self._completed[plan.op] = self._completed.get(plan.op, 0) + 1
+        attrs = dict(collection=plan.collection, shard=plan.shard_index)
+        repair = plan.family == "repair"
+        if repair:
+            self._m_repaired.labels(plan.collection).inc()
+            self._m_repair_bytes.labels(plan.collection).inc(nbytes)
+            message = (f"{plan.collection}#s{plan.shard_index} "
+                       f"re-replicated onto {plan.target}")
+            attrs.update(source=done["source"], dest=plan.target)
+        else:
+            self._m_migrations.labels(plan.op, "completed").inc()
+            if nbytes:
+                self._m_bytes.labels(plan.op).inc(nbytes)
+            attrs.update(done)
+            message = f"{plan.op} completed: " + " ".join(
+                f"{k}={v}" for k, v in attrs.items())
+            attrs["op"] = plan.op
         if self.events is not None:
             self.events.emit(
-                "rebalance_failed",
-                f"{plan.op} of {plan.collection}#s{plan.shard_index} "
-                f"{what}", severity=severity, op=plan.op,
-                collection=plan.collection, shard=plan.shard_index,
-                **attrs)
+                "repair_completed" if repair else "rebalance_completed",
+                f"{message} ({nbytes} bytes)", severity="info",
+                bytes=nbytes, **attrs)
 
-    def _note_done(self, op: str, *, nbytes: int, **attrs) -> None:
-        with self._lock:
-            self._completed[op] = self._completed.get(op, 0) + 1
-        self._m_migrations.labels(op, "completed").inc()
-        if nbytes:
-            self._m_bytes.labels(op).inc(nbytes)
-        if self.events is not None:
-            detail = " ".join(f"{k}={v}" for k, v in attrs.items())
-            self.events.emit("rebalance_completed",
-                             f"{op} completed: {detail} "
-                             f"({nbytes} bytes)",
-                             severity="info", op=op, bytes=nbytes,
-                             **attrs)
-
-    def _spanned(self, plan, attrs: dict, work):
+    def _spanned(self, plan, attempt: int, attrs: dict, work):
         """Run ``work(stats) -> (result, bytes)`` inside the plan's
         span — under the ambient trace when one exists, else under a
-        private tracer folded into the fleet monitor."""
+        private tracer folded into the fleet monitor — reporting a
+        repair's start and any attempt's abort."""
+        source = attrs["source"]
+        if plan.family == "repair" and self.events is not None:
+            self.events.emit(
+                "repair_started",
+                f"re-replicating {plan.collection}#s{plan.shard_index} "
+                f"{source} -> {plan.target} (attempt {attempt})",
+                severity="info", collection=plan.collection,
+                shard=plan.shard_index, source=source, dest=plan.target)
         stats = RunStats()
         monitor = self.federation.monitor
         tracer = (Tracer(self.federation.transport.clock)
                   if current_span() is None and monitor is not None
                   else None)
         start = tracer.start if tracer is not None else child_span
-        with start(plan.span, op=plan.op, **attrs) as span, \
-                bind_stats_span(stats, span):
-            result = work(stats)
-            if span is not None:
-                span.set(bytes=result[1])
+        try:
+            with start(plan.span, op=plan.op, **attrs) as span, \
+                    bind_stats_span(stats, span):
+                result = work(stats)
+                if span is not None:
+                    span.set(bytes=result[1])
+        except NetworkError as exc:
+            error = type(exc).__name__
+            what = f"aborted: {error} (attempt {attempt}/{MAX_ATTEMPTS})"
+            if plan.family == "repair":     # a repair names its source
+                self._emit_failed(plan, f"from {source} {what}", "warning",
+                                  source=source, error=error)
+            else:
+                self._emit_failed(plan, what, "warning", error=error)
+            raise
         if tracer is not None:
             monitor.observe_trace(tracer.root)
         return result
@@ -335,7 +333,8 @@ class MigrationExecutor:
 
     # -- replicate / move -----------------------------------------------------
 
-    def _place_attempt(self, plan, placed: list[tuple[str, str]]):
+    def _place_attempt(self, plan, attempt: int,
+                       placed: list[tuple[str, str]]):
         """Place a verified copy of the shard on ``plan.target`` and
         add it to the placement; a move is that plus dropping
         ``plan.source`` in the same cutover."""
@@ -349,12 +348,14 @@ class MigrationExecutor:
 
         if stale(shard):
             return None  # dropped, or the layout changed since planning
-        if not self.view.accepts(plan.target):
-            raise PlanAbandoned(
-                f"target {plan.target} is not a usable placement")
         sources = [r for r in shard.replicas if self.view.serves(r)]
         if not sources:
             raise PlanAbandoned("no live source replica")
+        if plan.target is None:
+            raise PlanAbandoned("no healthy target peer")
+        if not self.view.accepts(plan.target):
+            raise PlanAbandoned(
+                f"target {plan.target} is not a usable placement")
         # A move prefers copying from the replica being moved (it
         # serves or it would not be "moved", it would be repaired).
         copy_from = leaving if leaving in sources else sources[0]
@@ -366,15 +367,16 @@ class MigrationExecutor:
             return None, len(text.encode())
 
         _, nbytes = self._spanned(
-            plan, dict(collection=spec.name, shard=shard.index,
-                       source=copy_from, dest=plan.target), work)
+            plan, attempt, dict(collection=spec.name, shard=shard.index,
+                                source=copy_from, dest=plan.target), work)
 
         def cutover(current):
-            # The copy may have taken long enough for a repair or
-            # another migration to land: decide against `current`.
+            # The copy may have taken long enough for a repair, another
+            # migration or an eviction to land: decide against
+            # `current`, and place the target only if it still serves.
             now = current.shard_named(name)
-            if stale(now):
-                return None  # split, moved or placed by someone else
+            if stale(now) or not self.view.serves(plan.target):
+                return None  # split, moved, placed, or target gone
             if leaving is None:
                 return current.placing(now, now.replicas + (plan.target,))
             return current.placing(now, tuple(
@@ -395,7 +397,7 @@ class MigrationExecutor:
 
     # -- split ----------------------------------------------------------------
 
-    def _split_attempt(self, plan: SplitPlan,
+    def _split_attempt(self, plan: SplitPlan, attempt: int,
                        placed: list[tuple[str, str]]):
         spec = self.catalog.lookup(plan.collection)
         parent = spec.shard(plan.shard_index) if spec is not None else None
@@ -448,14 +450,21 @@ class MigrationExecutor:
             return (counts, at), total
 
         (counts, at), nbytes = self._spanned(
-            plan, dict(collection=spec.name, shard=parent.index,
-                       source=sources[0]), work)
+            plan, attempt, dict(collection=spec.name, shard=parent.index,
+                                source=sources[0]), work)
+        kept: list[str] = []
 
         def cutover(current):
             # Swap the parent — re-found by its stable local name —
             # for its two children, renumbering the shards after it.
-            if current.shard_named(parent.local_name) is None:
-                return None  # parent gone (raced split)
+            # The children go on the copies' peers that still hold the
+            # parent and still serve: an eviction mid-copy drops one.
+            now = current.shard_named(parent.local_name)
+            kept[:] = [] if now is None else [
+                r for r in sources
+                if r in now.replicas and self.view.serves(r)]
+            if not kept:
+                return None  # parent gone (raced split), or no holder
             shards: list[ShardInfo] = []
             for s in current.shards:
                 if s.local_name != parent.local_name:
@@ -464,7 +473,7 @@ class MigrationExecutor:
                 for name, count in zip(child_names, counts):
                     shards.append(ShardInfo(
                         index=len(shards), local_name=name,
-                        replicas=tuple(sources), members=count))
+                        replicas=tuple(kept), members=count))
             return dc_replace(current, shards=tuple(shards))
 
         before = self.catalog.update(
@@ -474,4 +483,37 @@ class MigrationExecutor:
             return None
         for replica in before.shard_named(parent.local_name).replicas:
             self._tombstone(replica, parent.local_name)
+        for peer_name, local_name in placed:
+            if peer_name not in kept:    # copied, but never placed
+                self._remove_unplaced(peer_name, local_name)
         return nbytes, dict(at_member=at, children=list(child_names))
+
+    # -- retire ---------------------------------------------------------------
+
+    def _retire_attempt(self, plan: RetirePlan, attempt: int,
+                        placed: list[tuple[str, str]]):
+        """Drop ``plan.peer`` from the placement unless the replicas
+        left that serve would fall short of the replication factor
+        (then the plan is stale)."""
+        spec = self.catalog.lookup(plan.collection)
+        shard = spec.shard(plan.shard_index) if spec is not None else None
+        if shard is None:
+            return None
+        name, peer = shard.local_name, plan.peer
+
+        def drop(current):
+            now = current.shard_named(name)
+            if now is None or peer not in now.replicas:
+                return None
+            remaining = tuple(r for r in now.replicas if r != peer)
+            if sum(map(self.view.serves, remaining)) \
+                    < current.replication_factor:
+                return None
+            return current.placing(now, remaining)
+
+        if self.catalog.update(plan.collection, drop, plan.reason,
+                               op=plan.op, shard=plan.shard_index,
+                               peer=peer) is None:
+            return None
+        self._tombstone(peer, name)
+        return 0, dict(peer=peer)

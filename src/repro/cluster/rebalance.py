@@ -1,42 +1,43 @@
-"""Load-aware rebalancing: scoring peers and shards, planning moves.
+"""The cluster's one placement loop: scoring peers, planning
+migrations, and reconciling the catalog with the desired placement.
 
-PR 9's repair loop restores *replication*; this module restores
-*balance*. It closes the remaining half of the elastic-operations
-story: a hot shard can split while serving traffic, a loaded peer can
-shed replicas onto a cooler one, and a peer can drain to empty for a
-planned decommission — all behind the catalog's epoch machinery, so
-in-flight scatters only ever see the old or the new placement.
+Every way the cluster decides where a fragment should live runs here,
+in the controller style: diff the desired state against the observed
+one, and run what the diff yields. Two pieces:
 
-Two pieces live here:
-
-- :class:`LoadScorer` — **the** load-aware scoring function, shared by
-  the repair engine's target selection and the rebalancer's planning.
-  It folds the cluster's load signals into one :class:`PeerScore` per
-  peer: fragment bytes from the planner's
+- :class:`LoadScorer` — **the** load-aware scoring function. It folds
+  the cluster's load signals into one :class:`PeerScore` per peer:
+  fragment bytes from the planner's
   :class:`~repro.planner.stats.StatsCatalog` (serialized-size exact,
   memoized), live in-flight exchanges and cumulative served bytes from
   the transport. ``rank()`` keeps the peers the federation's
   :class:`~repro.cluster.membership.PeerView` lets accept a replica, in
   the view's order: healthy first, then coolest.
 
-- :class:`Rebalancer` — the control loop. ``plan()`` reads the
-  router's per-shard serve counters (``scatter_shard_serves_total``,
-  labeled by shard *local name* so identity survives split
-  renumbering) as heat deltas since the previous planning pass and
-  emits migration plans: :class:`SplitPlan` when one shard absorbs
-  more than :data:`HOT_SHARE` of a collection's traffic,
-  :class:`MovePlan` when the hottest peer carries more than
-  :data:`SPREAD_FACTOR` times the mean load. ``drain()``/``undrain()``
-  run planned decommissions.
-  Execution is delegated to the federation's one
-  :class:`~repro.cluster.migrate.MigrationExecutor` (shared with the
-  repair engine), which owns the staged copy → verify → cutover →
-  retire protocol and its rollback/retry discipline.
+- :class:`Reconciler` — the controller. :meth:`~Reconciler.reconcile`
+  compares the catalog and the peer view against the desired state
+  (every shard has ``replication_factor`` serving replicas, and no
+  draining peer holds a placement) and runs, in catalog order, what
+  the difference yields: a :class:`ReplicatePlan` for a short shard;
+  for a replica on a draining peer, a guarded retire, or a
+  :class:`MovePlan` when the retire is refused. It runs on every
+  eviction the failure detector reports, inside ``drain()``, and when
+  called. The catalog is the backlog: a shard still short after a
+  give-up is found again by the next reconcile. The heat policy
+  (``plan()``: :class:`SplitPlan` when one shard absorbs more than
+  :data:`HOT_SHARE` of a collection's traffic, :class:`MovePlan` when
+  the hottest peer carries more than :data:`SPREAD_FACTOR` times the
+  mean load), the operator commands and the chaos picks choose their
+  targets through the same one function, the coolest peer ``rank()``
+  offers. Every plan runs through the federation's one
+  :class:`~repro.cluster.migrate.MigrationExecutor`, which owns the
+  staged copy → verify → cutover → retire protocol and its one attempt
+  policy.
 
 Everything is deterministic given a deterministic workload: scoring
 reads point-in-time snapshots, ties break on names, and the chaos
-harness's ``chaos_split``/``chaos_move`` picks use cumulative heat so
-a replayed schedule reshapes the cluster identically.
+picks (``chaos_split``/``chaos_move``) use cumulative heat so a
+replayed schedule reshapes the cluster identically.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ import threading
 from dataclasses import dataclass
 
 from repro.cluster.catalog import ClusterError
-from repro.xmldb.serializer import serialized_byte_length
+from repro.cluster.membership import EVICTED
 
 __all__ = [
-    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "ReplicatePlan",
-    "Rebalancer",
+    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "RetirePlan",
+    "ReplicatePlan", "Reconciler",
 ]
 
 #: One in-flight exchange weighs like this many resident fragment
@@ -91,62 +92,35 @@ class PeerScore:
 
 
 class LoadScorer:
-    """The one load-aware scoring function repair and rebalance share.
+    """The one load-aware scoring function of the placement loop.
 
     Signals are read fresh on every call — a scorer holds no state, so
-    two callers (the repair engine picking a re-replication target, the
-    rebalancer picking a move destination) always agree on the same
-    cluster view at the same instant.
+    every target the loop picks (a re-replication's, a move's) is read
+    off the same cluster view at the instant it is picked.
     """
 
     def __init__(self, federation):
         self.federation = federation
         self.view = federation.peer_view
 
-    # -- signals ------------------------------------------------------------
-
-    def _fragment_load(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Per-peer placed-fragment count and serialized bytes, from
-        the catalog's placements and the planner's statistics."""
-        counts: dict[str, int] = {}
-        nbytes: dict[str, int] = {}
-        catalog = self.federation.catalog
-        if catalog is None:
-            return counts, nbytes
-        stats = self.federation.planner.stats
-        for spec in catalog.collections():
-            for shard in spec.shards:
-                for replica in shard.replicas:
-                    counts[replica] = counts.get(replica, 0) + 1
-                    nbytes[replica] = (
-                        nbytes.get(replica, 0)
-                        + self._fragment_bytes(stats, replica,
-                                               shard.local_name))
-        return counts, nbytes
-
-    def _fragment_bytes(self, stats, peer: str, local_name: str) -> int:
-        if stats is not None:
-            doc_stats = stats.document_stats(peer, local_name)
-            if doc_stats is not None:
-                return doc_stats.serialized_bytes
-        peer_obj = self.federation.peers.get(peer)
-        document = (None if peer_obj is None
-                    else peer_obj.documents.get(local_name))
-        return 0 if document is None else serialized_byte_length(document)
-
     def snapshot(self) -> dict[str, PeerScore]:
         """A point-in-time :class:`PeerScore` per federation peer, in
-        name order."""
-        counts, frag_bytes = self._fragment_load()
-        transport = self.federation.transport
-        scores: dict[str, PeerScore] = {}
-        for name in sorted(self.federation.peers):
-            in_flight, served = transport.peer_load(name)
-            scores[name] = PeerScore(
-                peer=name, fragments=counts.get(name, 0),
-                fragment_bytes=frag_bytes.get(name, 0),
-                in_flight=in_flight, served_bytes=served)
-        return scores
+        name order: fragments from the catalog's placements, their
+        bytes from the planner's statistics, load from the wire."""
+        counts: dict[str, int] = {}
+        nbytes: dict[str, int] = {}
+        stats = self.federation.planner.stats
+        for spec in self.federation.catalog.collections():
+            for shard in spec.shards:
+                for replica in shard.replicas:
+                    view = stats.document_stats(replica, shard.local_name)
+                    counts[replica] = counts.get(replica, 0) + 1
+                    nbytes[replica] = nbytes.get(replica, 0) + (
+                        0 if view is None else view.serialized_bytes)
+        load = self.federation.transport.peer_load
+        return {name: PeerScore(name, counts.get(name, 0),
+                                nbytes.get(name, 0), *load(name))
+                for name in sorted(self.federation.peers)}
 
     def rank(self, exclude=()) -> list[str]:
         """Placement targets, coolest first: the peers outside
@@ -161,25 +135,30 @@ class LoadScorer:
                 if name not in excluded and self.view.accepts(name)]
 
 
+
+
 # ---------------------------------------------------------------------------
 # Migration plans. Beside its fields a plan carries its vocabulary: ``op``
 # labels it, ``reason`` annotates the cutover's epoch bump, ``span`` names
-# the trace span its copy runs in.
+# the trace span its copy runs in, and ``family`` names its events and
+# metrics (the ``repair_*`` or the ``rebalance_*`` series).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MovePlan:
     """Move one shard replica ``source`` → ``target`` (copy, verify,
-    cut over, retire the source copy)."""
+    cut over, retire the source copy). ``target`` None: no peer could
+    take it, and the executor gives the plan up."""
 
     collection: str
     shard_index: int
     source: str
-    target: str
+    target: str | None
     op = "move"
     reason = "rebalance"
     span = "migrate"
+    family = "rebalance"
 
 
 @dataclass(frozen=True)
@@ -193,34 +172,54 @@ class SplitPlan:
     op = "split"
     reason = "rebalance"
     span = "migrate"
+    family = "rebalance"
+
+
+@dataclass(frozen=True)
+class RetirePlan:
+    """Drop ``peer``'s replica of one shard — guarded: a no-op unless
+    the replicas left that serve still meet the replication factor.
+    Catalog surgery plus a tombstone; no bytes move."""
+
+    collection: str
+    shard_index: int
+    peer: str
+    op = "retire"
+    reason = "rebalance"
+    span = "migrate"
+    family = "rebalance"
 
 
 @dataclass(frozen=True)
 class ReplicatePlan:
     """Add a replica of one shard on ``target`` — a move that drops
-    nothing (copy, verify, cut over). The repair engine's plan."""
+    nothing (copy, verify, cut over). A repair: what the reconciler
+    runs for a short shard."""
 
     collection: str
     shard_index: int
-    target: str
+    target: str | None
     op = "replicate"
     reason = "repair"
     span = "repair"
+    family = "repair"
 
 
 # ---------------------------------------------------------------------------
-# The control loop
+# The controller
 # ---------------------------------------------------------------------------
 
 
-class Rebalancer:
-    """Scores the fleet, emits migration plans, and executes them
-    (:meth:`attach` it to a federation first)."""
+class Reconciler:
+    """Keeps the catalog at the desired placement and runs the heat
+    policy's and the operator's migrations (:meth:`attach` it to a
+    federation first)."""
 
     def __init__(self):
-        self.federation = self.catalog = self.view = None
+        self.catalog = self.view = None
         self.events = self.metrics = self._m_plans = None
-        #: Both are the federation's shared ones once attached.
+        #: The federation's one migration executor, and the one scorer
+        #: every target is picked by.
         self.scorer = self.executor = None
         self._lock = threading.Lock()
         self._last_heat: dict[tuple, float] = {}
@@ -228,12 +227,12 @@ class Rebalancer:
 
     # -- wiring ---------------------------------------------------------------
 
-    def attach(self, federation) -> "Rebalancer":
-        """Install on ``federation``: adopt its catalog / peer view /
-        monitor event log / metrics and its migration executor, expose
-        as ``federation.rebalancer``."""
+    def attach(self, federation) -> "Reconciler":
+        """Install on ``federation`` as ``federation.reconciler``: adopt
+        its catalog / peer view / monitor event log / metrics, own its
+        migration executor, and reconcile on every eviction its failure
+        detector reports (when one is attached)."""
         from repro.cluster.migrate import MigrationExecutor
-        self.federation = federation
         self.catalog = federation.catalog
         self.view = federation.peer_view
         monitor = federation.monitor
@@ -241,16 +240,64 @@ class Rebalancer:
         self.metrics = federation.metrics
         self._m_plans = self.metrics.counter(
             "rebalance_plans_total", "migration plans emitted", ("op",))
-        self.executor = MigrationExecutor.shared(federation)
-        self.scorer = self.executor.scorer
-        federation.rebalancer = self
+        self.executor = MigrationExecutor(federation)
+        self.scorer = LoadScorer(federation)
+        federation.reconciler = self
+        if self.view.detector is not None:
+            self.view.detector.subscribe(self._on_membership)
         return self
 
-    def _require_executor(self):
-        if self.executor is None:
-            raise ClusterError("rebalancer has no migration executor "
-                               "(call attach() first)")
-        return self.executor
+    def _on_membership(self, peer: str, old: str, new_state: str) -> None:
+        if new_state == EVICTED:
+            self.reconcile()
+
+    # -- the reconcile step ---------------------------------------------------
+
+    def reconcile(self) -> int:
+        """Run what the difference between the desired placement and
+        the catalog yields, shard by shard in catalog order, re-reading
+        the difference after every plan, until a pass changes nothing.
+        Returns how many plans that last pass found (0: nothing to
+        do)."""
+        while True:
+            found = done = 0
+            for spec in self.catalog.collections():
+                for index in range(len(spec.shards)):
+                    tried: list = []
+                    while (plan := self._diff(spec.name, index)) \
+                            is not None and plan not in tried:
+                        tried.append(plan)
+                        done += self.executor.execute(plan)
+                    found += len(tried)
+            if not done:
+                return found
+
+    def _diff(self, collection: str, index: int):
+        """The first plan that takes shard ``index`` of ``collection``
+        toward the desired state as the catalog and the view stand now
+        (None: it is there): a replica where it is short; else, for a
+        replica on a draining peer, a retire when the replicas left
+        that serve still meet the factor, a move when they do not."""
+        spec = self.catalog.lookup(collection)
+        shard = None if spec is None else spec.shard(index)
+        if shard is None:
+            return None
+        serving = [r for r in shard.replicas if self.view.serves(r)]
+        if len(serving) < spec.replication_factor:
+            return ReplicatePlan(collection, index,
+                                 self._target(shard) if serving else None)
+        peer = next(filter(self.view.draining, shard.replicas), None)
+        if peer is None:
+            return None
+        if len(serving) - (peer in serving) >= spec.replication_factor:
+            return RetirePlan(collection, index, peer)
+        return MovePlan(collection, index, peer, self._target(shard))
+
+    def _target(self, shard) -> str | None:
+        """The one target choice: the coolest peer that may take a
+        replica of ``shard`` and does not hold one (None: no peer may)."""
+        targets = self.scorer.rank(exclude=shard.replicas)
+        return targets[0] if targets else None
 
     # -- heat -----------------------------------------------------------------
 
@@ -271,7 +318,7 @@ class Rebalancer:
         return {labels: value - last.get(labels, 0.0)
                 for labels, value in current.items()}
 
-    # -- planning -------------------------------------------------------------
+    # -- the heat policy ------------------------------------------------------
 
     def plan(self) -> list:
         """Migration plans for the current imbalance (may be empty).
@@ -281,7 +328,6 @@ class Rebalancer:
         :data:`MAX_PLANS_PER_STEP` plans are returned, splits first (a
         split creates the mobility a later move needs).
         """
-        self._require_executor()
         delta = self._heat_delta()
         plans: list = []
         plans.extend(self._plan_splits(delta))
@@ -348,23 +394,20 @@ class Rebalancer:
                                                          min_members=0):
             if source not in shard.replicas:
                 continue
-            targets = self.scorer.rank(exclude=set(shard.replicas))
-            if not targets:
-                continue
-            return MovePlan(spec.name, shard.index, source=source,
-                            target=targets[0])
+            target = self._target(shard)
+            if target is not None:
+                return MovePlan(spec.name, shard.index, source, target)
         return None
 
-    # -- execution ------------------------------------------------------------
+    # -- operator commands ----------------------------------------------------
 
     def split(self, collection: str, shard_index: int,
               at_member: int | None = None) -> bool:
-        """Split one shard explicitly (operator command). ``at_member``
-        defaults to the member midpoint."""
-        executor = self._require_executor()
+        """Split one shard explicitly. ``at_member`` defaults to the
+        member midpoint."""
         if at_member is None:
             at_member = self._shard(collection, shard_index).members // 2
-        return executor.execute(
+        return self.executor.execute(
             SplitPlan(collection, shard_index, at_member=at_member))
 
     def _shard(self, collection: str, shard_index: int):
@@ -378,23 +421,15 @@ class Rebalancer:
              target: str | None = None) -> bool:
         """Move one replica explicitly. ``target`` defaults to the
         coolest peer not already holding the shard."""
-        executor = self._require_executor()
         if target is None:
-            shard = self._shard(collection, shard_index)
-            targets = self.scorer.rank(exclude=set(shard.replicas))
-            if not targets:
-                return False
-            target = targets[0]
-        return executor.execute(
-            MovePlan(collection, shard_index, source=source,
-                     target=target))
+            target = self._target(self._shard(collection, shard_index))
+        return self.executor.execute(
+            MovePlan(collection, shard_index, source, target))
 
     def drain(self, peer: str) -> bool:
         """Decommission ``peer``: mark it draining (no new placements),
-        then migrate every replica it holds — a guarded retire when the
-        shard is already at target without it, a full move otherwise.
-        True when the peer ended the call holding no placements."""
-        executor = self._require_executor()
+        then reconcile until it holds nothing. True when the peer ended
+        the call holding no placements."""
         self.view.drain(peer)
         with self._lock:
             self._drains += 1
@@ -402,83 +437,53 @@ class Rebalancer:
             self.events.emit("rebalance_drain_started",
                              f"draining peer {peer}", severity="info",
                              peer=peer)
-        progressed = True
-        while progressed:
-            progressed = False
-            for spec in self.catalog.collections():
-                # Re-read per shard: each cutover rewrites the spec.
-                for shard in list(self.catalog.get(spec.name).shards):
-                    if peer not in shard.replicas:
-                        continue
-                    # Redundant here ⇒ retire (the executor's guard
-                    # decides); else move it to the coolest non-holder.
-                    done = executor.retire_replica(
-                        spec.name, shard.index, peer)
-                    if not done:
-                        targets = self.scorer.rank(
-                            exclude=set(shard.replicas))
-                        done = bool(targets) and executor.execute(
-                            MovePlan(spec.name, shard.index, source=peer,
-                                     target=targets[0]))
-                    progressed = progressed or done
-        remaining = self._placements_on(peer)
-        drained = not remaining
+        self.reconcile()
+        remaining = [shard for spec in self.catalog.collections()
+                     for shard in spec.shards if peer in shard.replicas]
         if self.events is not None:
             self.events.emit(
-                "rebalance_drain_completed" if drained
-                else "rebalance_drain_stalled",
+                "rebalance_drain_stalled" if remaining
+                else "rebalance_drain_completed",
                 f"peer {peer} "
-                + ("drained to zero placements" if drained else
-                   f"still holds {len(remaining)} placements"),
-                severity="info" if drained else "warning", peer=peer,
+                + (f"still holds {len(remaining)} placements" if remaining
+                   else "drained to zero placements"),
+                severity="warning" if remaining else "info", peer=peer,
                 remaining=len(remaining))
-        return drained
+        return not remaining
 
     def undrain(self, peer: str) -> None:
         """Return a draining peer to placement eligibility."""
-        self._require_executor()
         self.view.undrain(peer)
 
-    def _placements_on(self, peer: str) -> list[tuple[str, int]]:
-        return [(spec.name, shard.index)
-                for spec in self.catalog.collections()
-                for shard in spec.shards if peer in shard.replicas]
-
-    # -- chaos hooks ----------------------------------------------------------
+    # -- chaos picks ----------------------------------------------------------
 
     def chaos_split(self) -> bool:
         """A deterministic split pick for the chaos harness: the
         cumulatively hottest splittable shard (ties: most members,
         then names). No-op (False) when nothing is splittable."""
-        executor = self._require_executor()
         for spec, shard, _serves in self._shards_by_heat(
                 self.heat(), min_members=2):
-            return executor.execute(SplitPlan(
+            return self.executor.execute(SplitPlan(
                 spec.name, shard.index, at_member=shard.members // 2))
-        if self.events is not None:
-            self.events.emit("rebalance_noop",
-                             "chaos split: no splittable shard",
-                             severity="info", op="split")
-        return False
+        return self._noop("split", "chaos split: no splittable shard")
 
     def chaos_move(self) -> bool:
         """A deterministic move pick for the chaos harness: hottest
-        shard (cumulative heat) with a usable non-holder target. No-op
-        (False) when every placement is pinned."""
-        executor = self._require_executor()
+        shard (cumulative heat) with a serving replica and a target.
+        No-op (False) when every placement is pinned."""
         for spec, shard, _serves in self._shards_by_heat(self.heat(),
                                                          min_members=0):
             sources = [r for r in shard.replicas if self.view.serves(r)]
-            targets = self.scorer.rank(exclude=set(shard.replicas))
-            if not sources or not targets:
-                continue
-            return executor.execute(MovePlan(
-                spec.name, shard.index, source=sources[0],
-                target=targets[0]))
+            target = self._target(shard)
+            if sources and target is not None:
+                return self.executor.execute(MovePlan(
+                    spec.name, shard.index, sources[0], target))
+        return self._noop("move", "chaos move: no movable placement")
+
+    def _noop(self, op: str, message: str) -> bool:
         if self.events is not None:
-            self.events.emit("rebalance_noop",
-                             "chaos move: no movable placement",
-                             severity="info", op="move")
+            self.events.emit("rebalance_noop", message, severity="info",
+                             op=op)
         return False
 
     # -- bookkeeping ----------------------------------------------------------
@@ -486,12 +491,9 @@ class Rebalancer:
     def collect(self) -> int:
         """Physically retire tombstoned fragments (safe between
         queries — see :meth:`MigrationExecutor.collect`)."""
-        executor = self._require_executor()
-        return executor.collect()
+        return self.executor.collect()
 
     def stats(self) -> dict[str, int]:
-        executor_stats = (self.executor.stats()
-                          if self.executor is not None else {})
         with self._lock:
             drains = self._drains
-        return {"drains": drains, **executor_stats}
+        return {"drains": drains, **self.executor.stats()}

@@ -52,7 +52,7 @@ router takes over:
 The router counts into the run's :class:`RunStats` only: each shard
 files one ``per_shard`` entry (calls, skips, retries, failovers, its
 share of bytes, messages and seconds, the shard's ``local_name``). The
-registry's ``scatter_*`` series — the rebalancer's per-shard heat
+registry's ``scatter_*`` series — the reconciler's per-shard heat
 among them — are folded from the finished run at the end of
 ``Federation.run``.
 

@@ -27,7 +27,7 @@ kind                             emitted by
 ``epoch_bump``                   catalog register / update / drop, and the
                                  peer view's ``mark_down`` / ``mark_up`` (the
                                  detector's dead / revived verdicts included)
-``peer_draining``                peer view ``drain`` (a rebalancer drain)
+``peer_draining``                peer view ``drain`` (a reconciler drain)
 ``peer_undrained``               peer view ``undrain``
 ``cache_invalidation``           ``ResultCache.invalidate_peer`` dropped some
 ``shard_skip``                   router skipped a shard on a value-index probe
@@ -41,16 +41,15 @@ kind                             emitted by
 ``membership_alive``             failure detector: replica revived / rejoined
 ``replica_evicted``              detector evicted a replica from placements
 ``partial_result``               scatter answered around a dead shard
-``repair_started``               repair engine began re-replicating a fragment
+``repair_started``               executor began re-replicating a fragment
 ``repair_completed``             fragment re-replicated and registered
-``repair_failed``                repair attempt abandoned (source died, ...)
-``repair_queue_full``            bounded repair queue dropped a task
-``rebalance_planned``            rebalancer planned a split or a move
+``repair_failed``                repair attempt aborted or abandoned
+``rebalance_planned``            reconciler planned a split or a move
 ``rebalance_completed``          executor cut a split / move / retire over
 ``rebalance_failed``             migration attempt aborted or abandoned
 ``rebalance_retired``            executor removed a superseded fragment copy
 ``rebalance_noop``               a chaos split / move found nothing to do
-``rebalance_drain_started``      rebalancer began draining a peer
+``rebalance_drain_started``      reconciler began draining a peer
 ``rebalance_drain_completed``    the drained peer holds no placement
 ``rebalance_drain_stalled``      drain ended with placements left
 ===============================  ==============================================

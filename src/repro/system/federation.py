@@ -211,9 +211,10 @@ class Federation:
         self.transport = (transport if transport is not None
                           else Transport(self.cost_model,
                                          metrics=self.metrics))
-        #: The attached repair engine (set by ``RepairEngine.attach``;
-        #: None ⇒ no self-healing).
-        self.repair = None
+        #: The attached placement controller (set by
+        #: ``Reconciler.attach``; None ⇒ no self-healing, no
+        #: rebalancing).
+        self.reconciler = None
         #: The cost-based planner and its table of prepared queries.
         self.planner = QueryPlanner(self)
 
@@ -799,7 +800,7 @@ class _RunSeries:
                  "in-place retries after transient wire faults"),
                 ("partial", "scatter_partial_shards_total",
                  "shards answered as flagged-empty under partial=allow"))}
-        # Per-shard heat, the rebalancer's primary signal: labeled by
+        # Per-shard heat, the reconciler's primary signal: labeled by
         # the shard's local_name (stable across split renumbering —
         # indexes shift when a split inserts a shard, local names
         # never do). Skipped and failed calls served nothing.

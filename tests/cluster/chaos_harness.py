@@ -19,14 +19,15 @@ of one seed give equal reports and byte-identical event JSONL.
   replica), and degrades add latency without killing.
 - :class:`ChaosHarness` — interleaves the schedule with a live
   workload. Each step applies due events, advances the failure
-  detector one probe tick, lets the repair engine drain, runs one
-  query, and checks the answer **against a single-owner oracle**
-  (byte-exact serialized comparison). After the schedule it drives
-  the cluster to convergence (membership settled, repair queue empty)
-  and then runs a steady-state pass in which any failover is a bug —
-  the healed cluster must route around nothing. After every step (and
-  once more at the end) it also checks *placement truth*: every
-  replica the catalog places holds its fragment.
+  detector one probe tick (an eviction makes the reconciler heal),
+  runs one query, and checks the answer **against a single-owner
+  oracle** (byte-exact serialized comparison). After the schedule it
+  drives the cluster to convergence (membership settled, and a
+  reconcile finds nothing to do) and then runs a steady-state pass in
+  which any failover is a bug — the healed cluster must route around
+  nothing. After every step (and once more at the end) it also checks
+  *placement truth*: every replica the catalog places holds its
+  fragment.
 
 :class:`ChaosReport` carries the verdict: wrong answers (must be 0),
 failovers/retries/partials during turbulence (informational),
@@ -49,8 +50,8 @@ __all__ = ["ChaosEvent", "ChaosSchedule", "ChaosHarness", "ChaosReport"]
 ACTIONS = ("kill", "revive", "degrade", "restore",
            "split", "move", "drain", "undrain")
 
-#: Rebalance operations dispatched to a :class:`Rebalancer` instead of
-#: the transport. ``split``/``move`` carry no peer (the rebalancer
+#: Rebalance operations dispatched to a :class:`Reconciler` instead of
+#: the transport. ``split``/``move`` carry no peer (the reconciler
 #: picks deterministically from cumulative heat); ``drain``/``undrain``
 #: name the decommission target.
 REBALANCE_ACTIONS = ("split", "move", "drain", "undrain")
@@ -62,7 +63,7 @@ class ChaosEvent:
 
     step: int
     action: str      # one of ACTIONS
-    peer: str        # "" for split/move (rebalancer picks the victim)
+    peer: str        # "" for split/move (reconciler picks the victim)
     extra_latency_s: float = 0.0   # degrade only
 
     def __post_init__(self) -> None:
@@ -266,15 +267,14 @@ class ChaosHarness:
         self.queries = list(queries)
         self.view = federation.peer_view
         self.membership = self.view.detector
-        self.repair = federation.repair
-        self.rebalancer = getattr(federation, "rebalancer", None)
+        self.reconciler = federation.reconciler
         if self.membership is None:
             raise ClusterError("chaos harness needs a membership tracker")
-        if self.rebalancer is None and any(
+        if self.reconciler is None and any(
                 e.action in REBALANCE_ACTIONS for e in schedule.events):
             raise ClusterError(
                 "schedule contains rebalance actions but no "
-                "rebalancer is attached")
+                "reconciler is attached")
         if serialize is None:
             from repro.xquery.xdm import serialize_sequence
             serialize = serialize_sequence
@@ -315,13 +315,13 @@ class ChaosHarness:
         elif event.action == "restore":
             transport.restore_peer(event.peer)
         elif event.action == "split":
-            self.rebalancer.chaos_split()
+            self.reconciler.chaos_split()
         elif event.action == "move":
-            self.rebalancer.chaos_move()
+            self.reconciler.chaos_move()
         elif event.action == "drain":
-            self.rebalancer.drain(event.peer)
+            self.reconciler.drain(event.peer)
         elif event.action == "undrain":
-            self.rebalancer.undrain(event.peer)
+            self.reconciler.undrain(event.peer)
 
     # -- the run --------------------------------------------------------------
 
@@ -331,31 +331,27 @@ class ChaosHarness:
             for event in self.schedule.due(step):
                 self.apply(event)
             self.membership.tick()
-            if self.repair is not None:
-                self.repair.process()
             self._query(step, report)
-            if self.rebalancer is not None:
+            if self.reconciler is not None:
                 # Queries are sequential here, so nothing is in
                 # flight between steps: superseded fragments can
                 # physically retire now.
-                self.rebalancer.collect()
+                self.reconciler.collect()
             report.phantom_replicas += self._phantom_replicas()
         report.converged = self._converge(report)
         self._steady_state(report)
         report.phantom_replicas += self._phantom_replicas()
-        if self.repair is not None:
-            stats = self.repair.stats()
-            report.repairs_completed = stats["completed"]
-            report.repairs_failed = stats["failed"]
-        if self.rebalancer is not None:
-            self.rebalancer.collect()
-            stats = self.rebalancer.stats()
-            report.splits = stats.get("splits", 0)
-            report.moves = stats.get("moves", 0)
-            report.drains = stats.get("drains", 0)
-            report.retires = stats.get("retires", 0)
-            report.migrations_failed = stats.get("migrations_failed", 0)
-            report.fragments_collected = stats.get("collected", 0)
+        if self.reconciler is not None:
+            self.reconciler.collect()
+            stats = self.reconciler.stats()
+            report.repairs_completed = stats["repairs_completed"]
+            report.repairs_failed = stats["repairs_failed"]
+            report.splits = stats["splits"]
+            report.moves = stats["moves"]
+            report.drains = stats["drains"]
+            report.retires = stats["retires"]
+            report.migrations_failed = stats["migrations_failed"]
+            report.fragments_collected = stats["collected"]
         report.evictions = self._evictions
         report.rejoins = self._rejoins
         return report
@@ -400,15 +396,12 @@ class ChaosHarness:
             report.steady_failovers += result.stats.failovers
 
     def _converge(self, report: ChaosReport) -> bool:
-        """Tick until the detector settles and repair drains."""
+        """Tick until the detector settles and a reconcile finds
+        nothing to do."""
         for tick in range(self.convergence_ticks):
             self.membership.tick()
-            if self.repair is not None:
-                self.repair.scan()
-                self.repair.process()
-            settled = self.membership.converged()
-            drained = self.repair is None or self.repair.pending() == 0
-            if settled and drained:
+            idle = self.reconciler is None or self.reconciler.reconcile() == 0
+            if self.membership.converged() and idle:
                 report.convergence_ticks = tick + 1
                 return True
         report.convergence_ticks = self.convergence_ticks

@@ -13,7 +13,7 @@ from tests.cluster.chaos_harness import (
     ACTIONS, ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule,
 )
 from repro.cluster.membership import MembershipTracker
-from repro.cluster.repair import RepairEngine
+from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.obs import FleetMonitor
 from repro.xquery.xdm import serialize_sequence
@@ -47,7 +47,7 @@ def oracle_queries() -> list[tuple[str, str]]:
 def healing_cluster():
     cluster = make_cluster()
     MembershipTracker().attach(cluster)
-    RepairEngine().attach(cluster)
+    Reconciler().attach(cluster)
     return cluster
 
 
@@ -169,7 +169,7 @@ def test_harness_replay_identical_reports(tmp_path):
         cluster = make_cluster(transport=virtual_wire())
         monitor = FleetMonitor().attach(cluster)
         MembershipTracker().attach(cluster)
-        RepairEngine().attach(cluster)
+        Reconciler().attach(cluster)
         schedule = ChaosSchedule.generate(random.Random(7), NODES,
                                           steps=30, degrade_rate=0.3)
         assert {"kill", "degrade"} <= {e.action for e in schedule.events}

@@ -11,13 +11,15 @@ Three invariants the executor must hold under any input:
    inside ``update``, before any reader can observe the state).
 3. **Mid-migration deaths converge** — killing the copy source or the
    destination at any point yields either a completed cutover or a
-   clean give-up with the catalog untouched; after revival the repair
-   loop restores target replication and answers stay byte-exact.
+   clean give-up with the catalog untouched; after revival a reconcile
+   finds target replication whole and answers stay byte-exact.
 4. **Placement truth under interleaving** — a split or move of
    another shard landing while a re-replication's copy is in flight
    leaves every placed replica holding its fragment and nothing stored
    that is not placed (the cutover re-finds its shard by name in the
-   spec current at the cutover, never by a plan-time index).
+   spec current at the cutover, never by a plan-time index), and an
+   eviction landing mid-copy never puts the evicted peer into the
+   placement the cutover publishes.
 """
 
 import threading
@@ -31,8 +33,7 @@ from repro.cluster import (
     partition_document,
 )
 from repro.cluster.membership import EVICTED, MembershipTracker
-from repro.cluster.rebalance import Rebalancer
-from repro.cluster.repair import RepairEngine
+from repro.cluster.rebalance import Reconciler, ReplicatePlan, RetirePlan
 from repro.decompose import Strategy
 from repro.net.costmodel import CostModel
 from repro.runtime.transport import Transport
@@ -209,8 +210,7 @@ def test_kill_mid_move_converges(victim_is_target, threshold, data):
     transport = KillAfter(CostModel())
     federation, catalog = make_recorded_cluster(members=8,
                                                 transport=transport)
-    RepairEngine(auto_repair=False).attach(federation)
-    rebalancer = Rebalancer().attach(federation)
+    reconciler = Reconciler().attach(federation)
     spec = catalog.get("books-c")
     shard = data.draw(st.sampled_from(spec.shards))
     source = shard.replicas[0]
@@ -222,7 +222,7 @@ def test_kill_mid_move_converges(victim_is_target, threshold, data):
     transport.threshold = threshold
     plan = MovePlan("books-c", shard.index, source=source,
                     target=target)
-    rebalancer.executor.execute(plan)   # may complete or give up
+    reconciler.executor.execute(plan)   # may complete or give up
 
     # Whatever happened, the victim's death never dropped the shard
     # below its pre-migration live count: give-up leaves the catalog
@@ -234,12 +234,11 @@ def test_kill_mid_move_converges(victim_is_target, threshold, data):
                 if not transport.is_down(r)]
     assert len(live_now) >= pre_live - (
         1 if not victim_is_target else 0)
-    # The dead peer revives; repair restores target replication and
-    # the collection answers byte-exactly everywhere.
+    # The dead peer revives; a reconcile finds target replication
+    # whole and the collection answers byte-exactly everywhere.
     for peer in ("node1", "node2", "node3", "node4"):
         transport.revive_peer(peer)
-    repair = federation.repair
-    assert repair.run_until_converged()
+    assert reconciler.reconcile() == 0
     spec_final = catalog.get("books-c")
     for s in spec_final.shards:
         assert len(s.replicas) >= spec_final.replication_factor
@@ -268,27 +267,22 @@ def interleave(transport, trigger: str, action) -> None:
 
 
 def reshape_mid_repair(repaired: str, other: str, split: bool) -> None:
-    """Evict node1 (it held ``#s0`` and ``#s3``), then let shard
+    """Evict node1 (it held ``#s0`` and ``#s3``), and let shard
     ``other`` split or move while the repair copy of ``repaired`` is
-    in flight, and check placement truth afterwards. (Repair runs
-    ``#s0`` first, then ``#s3``.)"""
+    in flight, then check placement truth. (Repair runs ``#s0`` first,
+    then ``#s3``.)"""
     cluster = make_cluster()
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    rebalancer = Rebalancer().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
     catalog = cluster.catalog
-    cluster.transport.kill_peer("node1")
-    while tracker.view.state("node1") != EVICTED:
-        tracker.tick()
-    assert repair.pending() == 2
 
     def reshape():
         shard = next(s for s in catalog.get("books-c").shards
                      if s.local_name == other)
         if split:
-            assert rebalancer.split("books-c", shard.index)
+            assert reconciler.split("books-c", shard.index)
         else:
-            assert rebalancer.move("books-c", shard.index,
+            assert reconciler.move("books-c", shard.index,
                                    shard.replicas[0])
 
     def stored():
@@ -297,30 +291,25 @@ def reshape_mid_repair(repaired: str, other: str, split: bool) -> None:
 
     before = stored()
     interleave(cluster.transport, repaired, reshape)
-    repair.process()
-    rebalancer.collect()      # superseded copies retire lazily
+    cluster.transport.kill_peer("node1")
+    while tracker.view.state("node1") != EVICTED:
+        tracker.tick()
+    reconciler.collect()      # superseded copies retire lazily
 
     spec = catalog.get("books-c")
     placed = {(replica, shard.local_name)
               for shard in spec.shards for replica in shard.replicas}
     # Every replica the catalog places holds its fragment, and nothing
-    # was stored that is neither placed, rolled back nor retired.
+    # was stored that is neither placed, rolled back nor retired (a
+    # repaired shard that split mid-copy made its copy a stale,
+    # rolled-back no-op).
     assert placed <= stored()
     assert stored() - before <= placed
-    healed = next((s for s in spec.shards if s.local_name == repaired),
-                  None)
-    if healed is None:
-        # The repaired shard itself split: its copy was a stale,
-        # rolled-back no-op; only the other task completed.
-        assert repair.stats()["completed"] == 1
-    else:
-        # Whole again (or queued for another try).
-        assert len(healed.replicas) >= spec.replication_factor \
-            or repair.pending() > 0
-    assert repair.run_until_converged()
-    spec = catalog.get("books-c")
+    # The eviction's reconcile went on until nothing was short: the
+    # children of a split it raced were healed on its next pass.
     assert all(len(s.replicas) >= spec.replication_factor
                for s in spec.shards)
+    assert reconciler.reconcile() == 0
     oracle = make_single_owner().run(
         SCAN.replace("xrpc://books-c", "xrpc://owner"), at="local",
         strategy=Strategy.BY_PROJECTION)
@@ -399,8 +388,8 @@ def test_retire_refuses_to_break_replication():
     spec = catalog.get("books-c")
     shard = spec.shards[0]
     # At exactly target replication: retiring any replica must refuse.
-    assert not executor.retire_replica("books-c", shard.index,
-                                       shard.replicas[0])
+    assert not executor.execute(RetirePlan("books-c", shard.index,
+                                           shard.replicas[0]))
     # Over-replicate by hand, then retiring works.
     federation.peer("node4").store(
         shard.local_name,
@@ -411,6 +400,63 @@ def test_retire_refuses_to_break_replication():
         with_replicas(s, s.replicas + ("node4",))
         if s.index == shard.index else s for s in spec.shards)
     catalog.replace(dc_replace(spec, shards=wider), reason="test")
-    assert executor.retire_replica("books-c", shard.index, "node4")
+    assert executor.execute(RetirePlan("books-c", shard.index, "node4"))
     spec_now = catalog.get("books-c")
     assert "node4" not in spec_now.shards[shard.index].replicas
+
+
+# -- an eviction landing between the copy and the cutover --------------------
+
+
+def evict_on_fetch(cluster, tracker, victim: str, owner: str):
+    """Force-evict ``victim`` inside the first document fetch from peer
+    ``owner`` (a target's first fetch is its read-back), and return a
+    fresh executor for the plan under test."""
+    fetch, pending = cluster.transport.fetch_document, [victim]
+
+    def fetch_document(peer, local_name, stats):
+        if peer.name == owner and pending:
+            tracker.evict(pending.pop())
+        return fetch(peer, local_name, stats)
+
+    cluster.transport.fetch_document = fetch_document
+    return MigrationExecutor(cluster)
+
+
+def test_split_children_skip_a_source_evicted_mid_copy():
+    """``#s0`` (node1, node2) splits; node2 is evicted while the parent
+    is read off node1. The children go on node1 alone, and the copies
+    stored on node2 are removed, not placed."""
+    cluster = make_cluster()
+    tracker = MembershipTracker().attach(cluster)
+    executor = evict_on_fetch(cluster, tracker, "node2", owner="node1")
+    assert executor.execute(SplitPlan("books-c", 0, at_member=1))
+    children = [s for s in cluster.catalog.get("books-c").shards
+                if s.local_name.startswith("books.xml#s0.")]
+    assert [s.replicas for s in children] == [("node1",), ("node1",)]
+    assert not [name for name in cluster.peer("node2").documents
+                if name.startswith("books.xml#s0.")]
+
+
+def test_move_to_a_target_evicted_after_its_read_back_is_a_noop():
+    """Swapping an evicted target in for a live source would leave
+    ``#s0`` one serving replica where it had two: the move is stale,
+    rolled back, and the placement keeps its source."""
+    cluster = make_cluster()
+    tracker = MembershipTracker().attach(cluster)
+    executor = evict_on_fetch(cluster, tracker, "node3", owner="node3")
+    assert not executor.execute(MovePlan("books-c", 0, "node1", "node3"))
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node1", "node2")
+    assert "books.xml#s0" not in cluster.peer("node3").documents
+    assert executor.stats()["moves"] == 0
+
+
+def test_repair_onto_a_target_evicted_after_its_read_back_is_a_noop():
+    cluster = make_cluster()
+    tracker = MembershipTracker().attach(cluster)
+    tracker.evict("node1")                        # #s0 left on node2
+    executor = evict_on_fetch(cluster, tracker, "node3", owner="node3")
+    assert not executor.execute(ReplicatePlan("books-c", 0, "node3"))
+    assert cluster.catalog.get("books-c").shards[0].replicas == ("node2",)
+    assert "books.xml#s0" not in cluster.peer("node3").documents

@@ -20,10 +20,9 @@ from hypothesis import given, strategies as st
 
 from repro.cluster import (
     InsufficientHealthyPeersError, LoadScorer, MembershipTracker,
-    Rebalancer, create_sharded_collection,
+    Reconciler, create_sharded_collection,
 )
 from repro.cluster.membership import ALIVE, DEAD, EVICTED, SUSPECT
-from repro.cluster.repair import RepairEngine
 from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.errors import NetworkError
@@ -109,8 +108,7 @@ class CheckedHarness(ChaosHarness):
 @pytest.mark.parametrize("seed", [20090329, 7, 11])
 def test_view_equals_reference_over_chaos_schedules(seed):
     cluster, oracle = wired_cluster()
-    RepairEngine().attach(cluster)
-    Rebalancer().attach(cluster)
+    Reconciler().attach(cluster)
     schedule = ChaosSchedule.generate(
         random.Random(seed), NODES, steps=24, degrade_rate=0.3,
         extra_latency_s=0.05, splits=1, moves=1, drains=1)

@@ -4,22 +4,24 @@ topology introspection, and chaos-schedule rebalance ops."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster import (
-    InsufficientHealthyPeersError, LoadScorer, MovePlan, Rebalancer,
+    InsufficientHealthyPeersError, LoadScorer, MovePlan, Reconciler,
     SplitPlan, create_sharded_collection, round_robin_placement,
 )
-from repro.cluster.membership import MembershipTracker
-from repro.cluster.repair import RepairEngine
+from repro.cluster.membership import EVICTED, MembershipTracker
 from repro.decompose import Strategy
 from repro.obs import FleetMonitor
 from repro.obs.console import render_fleet
 from repro.xquery.xdm import serialize_sequence
 
+from tests.conftest import fuzz_settings
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import (
-    LIBRARY_CONTAINER, LIBRARY_MEMBER, library_document, make_cluster,
-    make_single_owner, virtual_wire,
+    LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, library_document,
+    make_cluster, make_single_owner, virtual_wire,
 )
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
@@ -44,11 +46,10 @@ def run_scan(cluster, query=SCAN):
     return serialize_sequence(result.items)
 
 
-def attach_rebalancer(cluster) -> Rebalancer:
+def attach_reconciler(cluster) -> Reconciler:
     FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
-    RepairEngine(auto_repair=False).attach(cluster)
-    return Rebalancer().attach(cluster)
+    return Reconciler().attach(cluster)
 
 
 # -- scoring -----------------------------------------------------------------
@@ -82,13 +83,17 @@ def test_repair_targets_through_shared_scorer():
     """Repair's candidate ranking is the scorer's: a draining peer is
     never a re-replication target even when it is the emptiest."""
     cluster = make_cluster()
-    repair = RepairEngine(auto_repair=False).attach(cluster)
+    tracker = MembershipTracker().attach(cluster)
+    Reconciler().attach(cluster)
     cluster.peer_view.drain("local")
+    cluster.transport.kill_peer("node1")
+    while cluster.peer_view.state("node1") != EVICTED:
+        tracker.tick()
     spec = cluster.catalog.get("books-c")
-    candidates = repair.executor.scorer.rank(
-        exclude=set(spec.shards[0].replicas))
-    assert "local" not in candidates
-    assert set(candidates) <= {"node2", "node3", "node4"}
+    placed = {peer for shard in spec.shards for peer in shard.replicas}
+    assert placed == {"node2", "node3", "node4"}
+    assert all(len(s.replicas) == spec.replication_factor
+               for s in spec.shards)
 
 
 # -- explicit operations -----------------------------------------------------
@@ -96,11 +101,11 @@ def test_repair_targets_through_shared_scorer():
 
 def test_split_keeps_answers_exact():
     cluster = make_cluster(shard_count=2)
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     want = expected()
     assert run_scan(cluster) == want
     epoch = cluster.catalog.epoch()
-    assert rebalancer.split("books-c", 0)
+    assert reconciler.split("books-c", 0)
     assert cluster.catalog.epoch() > epoch
     spec = cluster.catalog.get("books-c")
     assert spec.shard_count == 3
@@ -113,12 +118,12 @@ def test_split_keeps_answers_exact():
 
 def test_move_keeps_answers_exact_and_retires_source():
     cluster = make_cluster()
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     want = expected()
     spec = cluster.catalog.get("books-c")
     source = spec.shards[0].replicas[0]
     local_name = spec.shards[0].local_name
-    assert rebalancer.move("books-c", 0, source)
+    assert reconciler.move("books-c", 0, source)
     spec = cluster.catalog.get("books-c")
     assert source not in spec.shards[0].replicas
     assert len(spec.shards[0].replicas) == 2
@@ -126,17 +131,17 @@ def test_move_keeps_answers_exact_and_retires_source():
     # pinned to the old epoch may still need it.
     assert local_name in cluster.peer(source).documents
     assert run_scan(cluster) == want
-    assert rebalancer.collect() == 1
+    assert reconciler.collect() == 1
     assert local_name not in cluster.peer(source).documents
     assert run_scan(cluster) == want
 
 
 def test_drain_empties_peer_and_keeps_replication():
     cluster = make_cluster()
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     want = expected()
-    assert rebalancer.drain("node1")
-    rebalancer.collect()
+    assert reconciler.drain("node1")
+    reconciler.collect()
     assert cluster.peer("node1").documents == {}
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
@@ -147,7 +152,7 @@ def test_drain_empties_peer_and_keeps_replication():
     assert run_scan(cluster) == want
     # Undrain restores placement eligibility.
     assert not cluster.peer_view.accepts("node1")
-    rebalancer.undrain("node1")
+    reconciler.undrain("node1")
     assert cluster.peer_view.accepts("node1")
 
 
@@ -158,11 +163,11 @@ def test_plan_splits_the_hot_shard():
     """A shard absorbing all the traffic (shard skipping proves the
     others cold) crosses HOT_SHARE and gets a split plan."""
     cluster = make_cluster(shard_count=2)
-    rebalancer = attach_rebalancer(cluster)
-    rebalancer.plan()  # baseline the heat window
+    reconciler = attach_reconciler(cluster)
+    reconciler.plan()  # baseline the heat window
     for _ in range(4):
         run_scan(cluster, HOT)   # b0 lives in shard 0; shard 1 skips
-    plans = rebalancer.plan()
+    plans = reconciler.plan()
     splits = [p for p in plans if isinstance(p, SplitPlan)]
     assert splits and splits[0].collection == "books-c"
     spec = cluster.catalog.get("books-c")
@@ -175,27 +180,27 @@ def test_plan_moves_off_the_hottest_peer():
     """node1 serves shard 0 alone while node2 is down: its served bytes
     lift it past the spread factor times the mean load."""
     cluster = make_cluster()
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     cluster.peer_view.mark_down("node2")
     for _ in range(4):
         run_scan(cluster, HOT)   # b0 lives in shard 0; the rest skip
     cluster.peer_view.mark_up("node2")
-    plans = rebalancer.plan()
+    plans = reconciler.plan()
     moves = [p for p in plans if isinstance(p, MovePlan)]
     assert moves
     want = expected()
-    assert rebalancer.executor.execute(moves[0])
+    assert reconciler.executor.execute(moves[0])
     assert run_scan(cluster) == want
 
 
 def test_planned_migrations_run_to_completion():
     cluster = make_cluster(shard_count=2)
-    rebalancer = attach_rebalancer(cluster)
-    rebalancer.plan()
+    reconciler = attach_reconciler(cluster)
+    reconciler.plan()
     for _ in range(4):
         run_scan(cluster, HOT)
-    completed = [rebalancer.executor.execute(plan)
-                 for plan in rebalancer.plan()]
+    completed = [reconciler.executor.execute(plan)
+                 for plan in reconciler.plan()]
     assert any(completed)
     assert cluster.catalog.get("books-c").shard_count >= 3
     assert run_scan(cluster) == expected()
@@ -252,9 +257,9 @@ def test_describe_reports_live_counts_and_reason():
     shard0 = coll["shards"][0]       # placed on node1+node2
     assert shard0["live"] == ["node2"]
     assert snap["down"] == ["node1"]
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     cluster.peer_view.mark_up("node1")
-    assert rebalancer.move("books-c", 0, "node1")
+    assert reconciler.move("books-c", 0, "node1")
     snap = cluster.peer_view.describe()
     assert snap["collections"]["books-c"]["last_reason"] == "rebalance"
 
@@ -284,13 +289,13 @@ def test_console_without_federation_still_renders():
 
 def test_router_records_per_shard_serves():
     cluster = make_cluster(shard_count=2)
-    rebalancer = attach_rebalancer(cluster)
+    reconciler = attach_reconciler(cluster)
     run_scan(cluster)
-    heat = rebalancer.heat()
+    heat = reconciler.heat()
     assert heat.get(("books-c", "books.xml#s0"), 0) >= 1
     assert heat.get(("books-c", "books.xml#s1"), 0) >= 1
     run_scan(cluster, HOT)       # shard 1 proven empty: skipped
-    after = rebalancer.heat()
+    after = reconciler.heat()
     assert after[("books-c", "books.xml#s0")] > heat[
         ("books-c", "books.xml#s0")]
     assert after[("books-c", "books.xml#s1")] == heat[
@@ -323,8 +328,7 @@ def resharding_drill(log_path):
     monitor = FleetMonitor().attach(cluster)
     membership = MembershipTracker().attach(cluster)
     membership.watch(*nodes)
-    RepairEngine().attach(cluster)
-    rebalancer = Rebalancer().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
     schedule = ChaosSchedule.generate(
         random.Random(20090329), nodes, steps=24, splits=1, moves=2,
         drains=1)
@@ -334,11 +338,11 @@ def resharding_drill(log_path):
                            strategy=Strategy.BY_PROJECTION)
     report = harness.run()
     monitor.events.export_jsonl(log_path)
-    return cluster, rebalancer, report
+    return cluster, reconciler, report
 
 
 def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
-    cluster, rebalancer, report = resharding_drill(tmp_path / "a.jsonl")
+    cluster, reconciler, report = resharding_drill(tmp_path / "a.jsonl")
     assert report.ok, report.as_dict()
     assert report.wrong_answers == 0
     assert report.splits + report.moves + report.retires >= 1
@@ -349,7 +353,7 @@ def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
         live = [r for r in shard.replicas
                 if cluster.peer_view.serves(r)]
         assert len(live) >= spec.replication_factor
-    assert rebalancer.stats()["drains"] == 1
+    assert reconciler.stats()["drains"] == 1
 
     # The drill replays: same report (latency percentiles included),
     # same event log byte for byte.
@@ -358,3 +362,64 @@ def test_chaos_with_resharding_zero_wrong_answers(tmp_path):
     assert report.p50_ms > 0.0
     first_log = (tmp_path / "a.jsonl").read_bytes()
     assert first_log and first_log == (tmp_path / "b.jsonl").read_bytes()
+
+
+class PlacementCheckedHarness(ChaosHarness):
+    """Checks the placement after every event and every query: an
+    evicted peer is placed only as a shard's sole replica (what
+    eviction keeps), and a drained peer holds nothing until it is
+    undrained."""
+
+    drained: set
+
+    def apply(self, event):
+        super().apply(event)
+        if event.action == "undrain":
+            self.drained.discard(event.peer)
+        self.check()
+
+    def _query(self, step, report, steady=False):
+        super()._query(step, report, steady)
+        self.check()
+
+    def check(self):
+        view = self.view
+        shards = [shard for spec in self.federation.catalog.collections()
+                  for shard in spec.shards]
+        for shard in shards:
+            for peer in shard.replicas:
+                if view.state(peer) == EVICTED:
+                    assert shard.replicas == (peer,), shard
+        holders = {peer for shard in shards for peer in shard.replicas}
+        self.drained |= {peer for peer in self.federation.peers
+                         if view.draining(peer) and peer not in holders}
+        assert not self.drained & holders, (self.drained, holders)
+
+
+@fuzz_settings(8, hunt=300)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       splits=st.integers(min_value=0, max_value=2),
+       moves=st.integers(min_value=0, max_value=3),
+       drains=st.integers(min_value=0, max_value=2))
+def test_placement_holds_over_generated_resharding_schedules(
+        seed, splits, moves, drains):
+    """After any seeded resharding schedule converges, every shard has
+    its replication factor of serving replicas; along the way an
+    evicted peer is never placed beside another replica, and a drained
+    peer holds nothing until it is undrained."""
+    cluster = make_cluster(shard_count=2, transport=virtual_wire())
+    MembershipTracker().attach(cluster)
+    Reconciler().attach(cluster)
+    schedule = ChaosSchedule.generate(
+        random.Random(seed), NODES, steps=24, splits=splits, moves=moves,
+        drains=drains)
+    harness = PlacementCheckedHarness(cluster, schedule,
+                                      queries=[(SCAN, expected())],
+                                      strategy=Strategy.BY_PROJECTION)
+    harness.drained = set()
+    report = harness.run()
+    assert report.converged, report.as_dict()
+    spec = cluster.catalog.get("books-c")
+    for shard in spec.shards:
+        live = [r for r in shard.replicas if cluster.peer_view.serves(r)]
+        assert len(live) >= spec.replication_factor, shard

@@ -1,20 +1,17 @@
-"""The repair engine: re-replication, bounded queue, cancellation."""
+"""Repair: the reconciler re-replicating short shards after evictions."""
 
 import pytest
 
-from repro.cluster import ClusterError, create_sharded_collection
+from repro.cluster import ClusterError
 from repro.cluster.membership import EVICTED, MembershipTracker
-from repro.cluster.repair import (
-    MAX_ATTEMPTS, MAX_QUEUE, RepairEngine, RepairTask,
-)
+from repro.cluster.migrate import MAX_ATTEMPTS
+from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.obs import FleetMonitor
+from repro.system.federation import Federation
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import (
-    LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, library_document,
-    make_cluster, make_single_owner,
-)
+from tests.cluster.conftest import make_cluster, make_single_owner
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -36,24 +33,30 @@ def evict(cluster, tracker, peer):
     assert tracker.view.state(peer) == EVICTED
 
 
-def test_scan_finds_under_replicated_shards():
-    cluster = make_cluster()
-    tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    assert repair.scan() == 0                     # healthy fleet
-    evict(cluster, tracker, "node1")              # held shards 0 and 3
-    assert repair.pending() == 2
-    assert repair.scan() == 0                     # no duplicates
+def serving(cluster, shard) -> list[str]:
+    return [r for r in shard.replicas if cluster.peer_view.serves(r)]
 
 
-def test_process_restores_target_replication():
+def test_reconcile_finds_nothing_on_a_healthy_fleet():
     cluster = make_cluster()
-    tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    evict(cluster, tracker, "node1")
+    MembershipTracker().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
     epoch = cluster.catalog.epoch()
-    assert repair.process() == 2
+    assert reconciler.reconcile() == 0
+    assert cluster.catalog.epoch() == epoch
+
+
+def test_eviction_restores_target_replication():
+    cluster = make_cluster()
+    tracker = MembershipTracker().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
+    epoch = cluster.catalog.epoch()
+    evict(cluster, tracker, "node1")              # held shards 0 and 3
     assert cluster.catalog.epoch() > epoch
+    assert reconciler.stats()["repairs_completed"] == 2
+    # Healed shards are not healed again.
+    assert reconciler.reconcile() == 0
+    assert reconciler.stats()["repairs_completed"] == 2
     spec = cluster.catalog.get("books-c")
     for shard in spec.shards:
         assert len(shard.replicas) >= spec.replication_factor
@@ -67,94 +70,95 @@ def test_process_restores_target_replication():
     assert result.stats.failovers == 0
 
 
-def test_eviction_triggers_auto_repair():
+def test_eviction_triggers_repair():
     """The membership subscription closes the loop with no operator:
-    evict → scan → re-replicate, in one transition callback."""
+    evict → reconcile → re-replicate, in one transition callback."""
     cluster = make_cluster()
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
     evict(cluster, tracker, "node2")
-    assert repair.stats() == {"pending": 0, "completed": 2, "failed": 0}
+    stats = reconciler.stats()
+    assert (stats["repairs_completed"], stats["repairs_failed"]) == (2, 0)
     spec = cluster.catalog.get("books-c")
     assert all(len(s.replicas) >= spec.replication_factor
                for s in spec.shards)
 
 
-def test_repair_skips_healed_shards():
+def test_reconcile_heals_what_an_unwatched_eviction_left():
+    """A reconciler attached before the detector does not hear its
+    evictions; the next reconcile finds the short shards in the
+    catalog and heals them."""
     cluster = make_cluster()
+    reconciler = Reconciler().attach(cluster)
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
     evict(cluster, tracker, "node1")
-    assert repair.pending() == 2
-    assert repair.process(max_tasks=1) == 1
-    # Re-scan between batches must not re-enqueue the healed shard.
-    assert repair.scan() == 0
-    assert repair.process() == 1
+    assert reconciler.stats()["repairs_completed"] == 0
+    assert reconciler.reconcile() == 0
+    assert reconciler.stats()["repairs_completed"] == 2
+    spec = cluster.catalog.get("books-c")
+    assert all(len(serving(cluster, s)) >= spec.replication_factor
+               for s in spec.shards)
 
 
-def test_source_death_mid_copy_reenqueues_then_gives_up():
-    """The only live source dying aborts the copy; the task retries
-    (re-resolving source and target) up to max_attempts, then fails
-    loudly instead of spinning."""
-    cluster = make_cluster()
+def test_source_death_mid_copy_fails_then_heals_from_the_other_replica():
+    """The source dying under the copy aborts every attempt: the pass
+    reports ``repair_failed`` and leaves the catalog alone. Once the
+    dead source is evicted too, the next reconcile heals the shard from
+    the replica left."""
+    cluster = make_cluster(replication_factor=3)
+    monitor = FleetMonitor().attach(cluster)
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    evict(cluster, tracker, "node1")
-    # Kill the surviving sources at the transport level only — the
-    # catalog still lists them, so the copy starts and then dies.
-    for peer in ("node2", "node3", "node4"):
-        cluster.transport.kill_peer(peer)
-    for _ in range(MAX_ATTEMPTS - 1):
-        assert repair.process() == 0
-        assert repair.pending() == 2              # re-enqueued
-    assert repair.process() == 0                  # the last attempt fails
-    stats = repair.stats()
-    assert stats["pending"] == 0
-    assert stats["failed"] == 2
+    reconciler = Reconciler().attach(cluster)
+    shard0 = cluster.catalog.get("books-c").shards[0]
+    assert shard0.replicas == ("node1", "node2", "node3")
+    # node2, the first source of #s0 once node1 leaves, dies at the
+    # wire only: the view still lets it serve, so the copy starts.
+    cluster.transport.kill_peer("node2")
+    tracker.evict("node1")
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node2", "node3")
+    assert reconciler.stats()["repairs_failed"] >= 1
+    aborted = monitor.events.recent(kind="repair_failed")
+    assert [e.severity for e in aborted[:MAX_ATTEMPTS + 1]] \
+        == ["warning"] * MAX_ATTEMPTS + ["error"]
+    assert aborted[0].message == (
+        "repair of books-c#s0 from node2 aborted: PeerDownError "
+        f"(attempt 1/{MAX_ATTEMPTS})")
+    assert all("books.xml#s0" not in cluster.peer(p).documents
+               for p in ("node4", "local"))
+    tracker.evict("node2")
+    spec = cluster.catalog.get("books-c")
+    assert all(len(serving(cluster, s)) >= spec.replication_factor
+               for s in spec.shards)
+    assert reconciler.reconcile() == 0
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
 
 
 def test_no_healthy_target_fails_loudly():
     cluster = make_cluster(nodes=["node1", "node2"])
+    monitor = FleetMonitor().attach(cluster)
     tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
+    reconciler = Reconciler().attach(cluster)
     cluster.peer_view.mark_down("local")            # only spare target
     evict(cluster, tracker, "node1")
-    repair.scan()
-    assert repair.process() == 0
-    assert repair.stats()["failed"] > 0
-
-
-def test_bounded_queue_drops_loudly():
-    """Thirteen 10-shard collections place 65 shards on node1: evicting
-    it leaves one more under-replicated shard than the queue holds."""
-    cluster = make_cluster(shard_count=10)
-    for index in range(12):
-        create_sharded_collection(
-            cluster, cluster.catalog, name=f"books{index}-c",
-            document=library_document(f"xrpc://books{index}-c/books.xml"),
-            document_name=f"books{index}.xml",
-            container_path=LIBRARY_CONTAINER, member=LIBRARY_MEMBER,
-            shard_count=10, replication_factor=2, peers=NODES)
-    tracker = MembershipTracker().attach(cluster)
-    monitor = FleetMonitor().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    evict(cluster, tracker, "node1")              # 65 under-replicated
-    assert repair.pending() == MAX_QUEUE == 64
-    assert monitor.events.count("repair_queue_full") == 1
+    assert reconciler.reconcile() > 0
+    assert reconciler.stats()["repairs_failed"] > 0
+    assert monitor.events.recent(kind="repair_failed")[-1].attrs[
+        "reason"] == "no healthy target peer"
 
 
 def test_repair_events_and_metrics():
     cluster = make_cluster()
     monitor = FleetMonitor().attach(cluster)
     tracker = MembershipTracker().attach(cluster)
-    RepairEngine().attach(cluster)
+    Reconciler().attach(cluster)
     evict(cluster, tracker, "node1")
     assert monitor.events.count("repair_started") == 2
     assert monitor.events.count("repair_completed") == 2
     snapshot = cluster.metrics.snapshot()
     assert snapshot["repair_completed_total"]["books-c"] == 2
     assert snapshot["repair_bytes_total"]["books-c"] > 0
-    assert snapshot["repair_queue_depth"] == 0
     # Repair traffic shows up in the profiler like any other work.
     assert "repair" in monitor.profiler.folded("wall")
     # The executor moves the bytes, but a repair keeps its own
@@ -176,16 +180,6 @@ def test_repair_events_and_metrics():
                monitor.events.recent(kind="repair_completed")) == fragments
 
 
-def test_run_until_converged():
-    cluster = make_cluster()
-    tracker = MembershipTracker().attach(cluster)
-    repair = RepairEngine(auto_repair=False).attach(cluster)
-    evict(cluster, tracker, "node1")
-    assert repair.run_until_converged()
-    assert repair.pending() == 0
-
-
-def test_scan_without_a_catalog_fails_loudly():
+def test_attach_without_a_catalog_fails_loudly():
     with pytest.raises(ClusterError, match="catalog"):
-        RepairEngine().scan()
-    assert RepairTask("books-c", 3).key == ("books-c", 3)
+        Reconciler().attach(Federation())

@@ -16,8 +16,7 @@ from hypothesis import given, strategies as st
 import repro.system.federation as federation_module
 from repro.cluster import ClusterError
 from repro.cluster.membership import MembershipTracker
-from repro.cluster.rebalance import Rebalancer
-from repro.cluster.repair import RepairEngine
+from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
 from repro.obs import FleetMonitor
@@ -109,7 +108,7 @@ def _chaos(seed, steps=30):
     cluster = make_cluster(transport=virtual_wire())
     FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
-    RepairEngine().attach(cluster)
+    Reconciler().attach(cluster)
     return cluster, ChaosSchedule.generate(
         random.Random(seed), NODES, steps=steps, degrade_rate=0.3)
 
@@ -118,8 +117,7 @@ def _resharding(seed, steps=24):
     cluster = make_cluster(shard_count=2, transport=virtual_wire())
     FleetMonitor().attach(cluster)
     MembershipTracker().attach(cluster)
-    RepairEngine().attach(cluster)
-    Rebalancer().attach(cluster)
+    Reconciler().attach(cluster)
     return cluster, ChaosSchedule.generate(
         random.Random(seed), NODES, steps=steps, splits=1, moves=2,
         drains=1)
@@ -128,7 +126,7 @@ def _resharding(seed, steps=24):
 def _kill_heavy(seed, steps=24):
     cluster = make_cluster(transport=virtual_wire())
     MembershipTracker().attach(cluster)
-    RepairEngine().attach(cluster)
+    Reconciler().attach(cluster)
     return cluster, ChaosSchedule.generate(
         random.Random(seed), NODES, steps=steps, kill_rate=0.35)
 

@@ -393,14 +393,14 @@ def test_load_scorer_reads_fragment_bytes_without_forcing_a_key():
     catalog = federation.planner.stats
     shard = federation.catalog.get("people-c").shards[0]
     replica = shard.replicas[0]
-    document = federation.peer(replica).documents[shard.local_name]
-    exact = len(serialize(document).encode())
-    scorer = LoadScorer(federation)
-    # Unattached statistics answer nothing: the memoized length serves.
-    assert scorer._fragment_bytes(catalog, replica, shard.local_name) \
-        == scorer._fragment_bytes(None, replica, shard.local_name) == exact
-    assert scorer._fragment_bytes(None, replica, "nope.xml") == 0
-    catalog.attach(federation)
-    assert scorer.snapshot()[replica].fragment_bytes >= exact
+    held = [s.local_name for spec in federation.catalog.collections()
+            for s in spec.shards if replica in s.replicas]
+    documents = federation.peer(replica).documents
+    exact = sum(len(serialize(documents[name]).encode()) for name in held)
+    scores = LoadScorer(federation).snapshot()
+    # Each placed fragment counts at its serialized length; a peer that
+    # holds none counts nothing.
+    assert scores[replica].fragment_bytes == exact
+    assert scores["local"].fragment_bytes == scores["local"].fragments == 0
     assert catalog.document_stats(
         replica, shard.local_name).keys_built() == ([], [])

@@ -15,9 +15,8 @@ PINNED = {
     ("repro.cluster.membership", "PeerView"): ("catalog",),
     ("repro.obs.health", "HealthTracker"): ("events", "clock"),
     ("repro.obs.fleet", "FleetMonitor"): ("slow_query_s", "profile_every"),
-    ("repro.cluster.rebalance", "Rebalancer"): (),
+    ("repro.cluster.rebalance", "Reconciler"): (),
     ("repro.cluster.rebalance", "LoadScorer"): ("federation",),
-    ("repro.cluster.repair", "RepairEngine"): ("auto_repair",),
     ("repro.cluster.migrate", "MigrationExecutor"): ("federation",),
     ("repro.cluster.catalog", "ClusterCatalog"): ("partial",),
     ("repro.cluster.router", "ClusterRouter"): ("run", "catalog"),
