@@ -63,7 +63,8 @@ Modules:
   span trees with contextvar nesting and simulated-time charge leaves;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` labeled
-  series (and the canonical :func:`percentile`);
+  series, and :class:`QuantileSketch`, the bounded-error quantile
+  sketch behind every histogram and rolling window;
 * :mod:`repro.obs.export` — JSON and Chrome trace-event exporters
   (:func:`dump_trace`, :func:`dump_chrome_trace`) plus the schema
   validator CI runs over captured traces;
@@ -71,8 +72,8 @@ Modules:
   accounting behind ``RunStats.plan.explain(analyze=True)``, built
   when first read from the vectors that picked the plan and the run's
   ``per_op`` actuals;
-* :mod:`repro.obs.windows` — rolling time-window aggregation with a
-  bounded-error quantile sketch;
+* :mod:`repro.obs.windows` — rolling time-window aggregation, one
+  sketch per time bucket;
 * :mod:`repro.obs.events` — the typed fleet event log;
 * :mod:`repro.obs.slo` — declarative SLOs with burn-rate alerting;
 * :mod:`repro.obs.health` — per-peer health scoring, judging the
@@ -93,14 +94,14 @@ from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
 from repro.obs.fleet import FleetMonitor
 from repro.obs.health import HealthTracker, PeerHealth
 from repro.obs.metrics import (GLOBAL_REGISTRY, Counter, Gauge, Histogram,
-                               MetricsRegistry, global_registry, percentile)
+                               MetricsRegistry, QuantileSketch,
+                               global_registry)
 from repro.obs.profile import Profiler, collapse_spans
 from repro.obs.slo import SLO, AlertState, BurnRatePolicy, SLOMonitor
 from repro.obs.trace import (COMPONENTS, NOOP_TRACER, NoopTracer, Span,
                              Tracer, bind_stats_span, child_span,
                              current_span)
-from repro.obs.windows import (QuantileSketch, RollingWindow,
-                               RollingWindowFamily)
+from repro.obs.windows import RollingWindow, RollingWindowFamily
 
 __all__ = [
     "OpAnalysis", "PlanAnalysis",
@@ -108,11 +109,11 @@ __all__ = [
     "chrome_trace_events", "dump_chrome_trace", "dump_trace",
     "render_tree", "span_to_dict", "validate_chrome_trace",
     "GLOBAL_REGISTRY", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "global_registry", "percentile",
+    "MetricsRegistry", "QuantileSketch", "global_registry",
     "COMPONENTS", "NOOP_TRACER", "NoopTracer", "Span", "Tracer",
     "bind_stats_span", "child_span", "current_span",
     "Event", "EventLog",
-    "QuantileSketch", "RollingWindow", "RollingWindowFamily",
+    "RollingWindow", "RollingWindowFamily",
     "SLO", "AlertState", "BurnRatePolicy", "SLOMonitor",
     "HealthTracker", "PeerHealth",
     "Profiler", "collapse_spans",

@@ -66,7 +66,7 @@ class FleetMonitor:
         self.profile_every = profile_every
         self.events = EventLog(clock=self.clock)
         now = self.now   # read per call: :meth:`wire` swaps the clock
-        self.latency = RollingWindow(WIDTH_S, BUCKETS, now, eps=0.01)
+        self.latency = RollingWindow(WIDTH_S, BUCKETS, now)
         self.errors = RollingWindow(WIDTH_S, BUCKETS, now, eps=None)
         self.health = HealthTracker(events=self.events, clock=now)
         self.slo = SLOMonitor(events=self.events, clock=now)

@@ -79,8 +79,7 @@ class HealthTracker:
 
     def __init__(self, events: EventLog | None = None, clock=REAL_CLOCK):
         self.events = events
-        self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, clock,
-                                            eps=0.01)
+        self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, clock)
         self._errors = RollingWindowFamily(WIDTH_S, BUCKETS, clock,
                                            eps=None)
 

@@ -25,41 +25,117 @@ Naming convention (one prefix per layer, so registries can be shared):
 =============  ==========================================================
 
 All primitives are thread-safe (one small lock per series; series
-creation locks the registry). Histograms keep exact observations (the
-fleet sizes here are thousands, not billions), so percentiles are
-exact — the same :func:`percentile` the runtime metrics always used,
-now canonically housed here.
+creation locks the registry). A histogram is one
+:class:`QuantileSketch`: its memory does not grow with the observation
+count, its count / sum / mean / max are exact, and its p50 / p95 / p99
+are nearest-rank within relative error :data:`EPS`. The sketch is the
+one quantile implementation in the package; the fleet windows keep
+one per time bucket and merge them on read.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
+#: Relative error of every quantile a histogram or a rolling window
+#: reports.
+EPS = 0.01
 
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) with linear interpolation.
 
-    Edge cases: an empty list yields 0.0; a single value is every
-    percentile of itself; ``q`` outside [0, 100] raises; the input
-    need not be sorted (and is never mutated).
+class QuantileSketch:
+    """Bounded-relative-error quantile sketch for non-negative streams.
+
+    Values are assigned to logarithmic buckets with ratio
+    ``gamma = (1 + eps) / (1 - eps)``; a bucket's representative value
+    (the geometric midpoint ``2 * gamma**i / (gamma + 1)``) is within
+    relative error ``eps`` of every value in the bucket, so the
+    nearest-rank quantile estimate is within ``eps`` of the true item
+    at that rank. Non-positive values (clock underflow artefacts) land
+    in a dedicated zero bucket and report as ``0.0``.
     """
-    if not values:
-        return 0.0
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile {q} out of range")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    weight = rank - low
-    low_v, high_v = ordered[low], ordered[high]
-    if weight == 0.0 or low_v == high_v:
-        # Interpolating a*(1-w) + b*w between equal subnormals can
-        # round both products to zero; answer exactly instead.
-        return low_v
-    return low_v + (high_v - low_v) * weight
+
+    __slots__ = ("eps", "_gamma", "_log_gamma", "_buckets", "_zero",
+                 "count", "sum", "min", "max")
+
+    def __init__(self, eps: float = EPS):
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps {eps} out of range (0, 1)")
+        self.eps = eps
+        self._gamma = (1.0 + eps) / (1.0 - eps)
+        self._log_gamma = math.log(self._gamma)
+        self._buckets: dict[int, int] = {}
+        self._zero = 0
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+
+    def add(self, value: float, count: int = 1) -> None:
+        if count <= 0:
+            return
+        self.count += count
+        self.sum += value * count
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value <= 0.0:
+            self._zero += count
+            return
+        index = math.ceil(math.log(value) / self._log_gamma)
+        self._buckets[index] = self._buckets.get(index, 0) + count
+
+    def merge(self, other: "QuantileSketch") -> None:
+        """Fold ``other`` into this sketch (exact: bucket counts add).
+        Requires the same ``eps`` (bucket boundaries must line up)."""
+        if other.eps != self.eps:
+            raise ValueError(
+                f"cannot merge sketches with eps {other.eps} into {self.eps}")
+        if other.count == 0:
+            return
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self._zero += other._zero
+        for index, count in other._buckets.items():
+            self._buckets[index] = self._buckets.get(index, 0) + count
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-th percentile (0-100, nearest rank) within
+        relative error ``eps``; 0.0 on an empty sketch."""
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile {q} out of range")
+        if self.count == 0:
+            return 0.0
+        rank = max(1, math.ceil(q / 100.0 * self.count))
+        if rank <= self._zero:
+            return max(0.0, self.min)
+        seen = self._zero
+        estimate = self.max
+        for index in sorted(self._buckets):
+            seen += self._buckets[index]
+            if seen >= rank:
+                estimate = 2.0 * self._gamma ** index / (self._gamma + 1.0)
+                break
+        # Clamping into the observed range can only reduce the error.
+        return min(max(estimate, self.min, 0.0), self.max)
+
+    def snapshot(self) -> dict[str, float]:
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "mean": self.mean,
+            "p50": self.quantile(50),
+            "p95": self.quantile(95),
+            "p99": self.quantile(99),
+            "max": self.max if self.count else 0.0,
+        }
 
 
 class _Series:
@@ -121,60 +197,22 @@ class Gauge(_Series):
 
 
 class Histogram(_Series):
-    """Exact-observation histogram: count, sum, min/max, percentiles."""
+    """A summary of observations: count, sum, mean, max and p50 / p95 /
+    p99, held in one :class:`QuantileSketch`."""
 
-    __slots__ = ("_values", "_count", "_sum")
+    __slots__ = ("_sketch",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._values: list[float] = []
-        self._count = 0
-        self._sum = 0.0
+        self._sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
         with self._lock:
-            self._values.append(value)
-            self._count += 1
-            self._sum += value
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
-
-    @property
-    def max(self) -> float:
-        with self._lock:
-            return max(self._values) if self._values else 0.0
-
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            values = list(self._values)
-        return percentile(values, q)
+            self._sketch.add(value)
 
     def snapshot_value(self) -> dict[str, float]:
         with self._lock:
-            values = list(self._values)
-            count, total = self._count, self._sum
-        return {
-            "count": count,
-            "sum": total,
-            "mean": total / count if count else 0.0,
-            "p50": percentile(values, 50),
-            "p95": percentile(values, 95),
-            "p99": percentile(values, 99),
-            "max": max(values) if values else 0.0,
-        }
+            return self._sketch.snapshot()
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

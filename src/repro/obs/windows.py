@@ -3,13 +3,13 @@
 PR 6's :class:`~repro.obs.metrics.MetricsRegistry` answers *cumulative*
 questions — totals since process start. Fleet operations need the
 *windowed* view: "what is the p99 over the last 30 seconds", "how fast
-are failovers happening right now". This module provides that layer:
+are failovers happening right now". This module provides that layer,
+over the registry's :class:`~repro.obs.metrics.QuantileSketch`
+(DDSketch-style logarithmic buckets: any quantile of a non-negative
+stream within relative error ``eps`` in O(log range) memory, and
+sketches merge exactly — which is what makes per-bucket percentiles
+composable into per-window percentiles):
 
-* :class:`QuantileSketch` — a bounded-error quantile sketch
-  (DDSketch-style logarithmic buckets): any quantile of a non-negative
-  stream is answered within relative error ``eps`` using O(log range)
-  memory, and sketches merge exactly — which is what makes per-bucket
-  percentiles composable into per-window percentiles.
 * :class:`RollingWindow` — a ring of ``buckets`` time buckets, each
   ``width_s`` seconds wide on the supplied ``clock`` (real time by
   default; tests and drills pass a ``VirtualClock``). Observations
@@ -34,101 +34,7 @@ import math
 import threading
 
 from repro.clock import REAL_CLOCK
-
-
-class QuantileSketch:
-    """Bounded-relative-error quantile sketch for non-negative streams.
-
-    Values are assigned to logarithmic buckets with ratio
-    ``gamma = (1 + eps) / (1 - eps)``; a bucket's representative value
-    (the geometric midpoint ``2 * gamma**i / (gamma + 1)``) is within
-    relative error ``eps`` of every value in the bucket, so the
-    nearest-rank quantile estimate is within ``eps`` of the true item
-    at that rank. Non-positive values (clock underflow artefacts) land
-    in a dedicated zero bucket and report as ``0.0``.
-    """
-
-    __slots__ = ("eps", "_gamma", "_log_gamma", "_buckets", "_zero",
-                 "count", "sum", "min", "max")
-
-    def __init__(self, eps: float = 0.01):
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps {eps} out of range (0, 1)")
-        self.eps = eps
-        self._gamma = (1.0 + eps) / (1.0 - eps)
-        self._log_gamma = math.log(self._gamma)
-        self._buckets: dict[int, int] = {}
-        self._zero = 0
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, value: float, count: int = 1) -> None:
-        if count <= 0:
-            return
-        self.count += count
-        self.sum += value * count
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        if value <= 0.0:
-            self._zero += count
-            return
-        index = math.ceil(math.log(value) / self._log_gamma)
-        self._buckets[index] = self._buckets.get(index, 0) + count
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold ``other`` into this sketch (exact: bucket counts add).
-        Requires the same ``eps`` (bucket boundaries must line up)."""
-        if other.eps != self.eps:
-            raise ValueError(
-                f"cannot merge sketches with eps {other.eps} into {self.eps}")
-        if other.count == 0:
-            return
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self._zero += other._zero
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100, nearest rank) within
-        relative error ``eps``; 0.0 on an empty sketch."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} out of range")
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q / 100.0 * self.count))
-        if rank <= self._zero:
-            return max(0.0, self.min)
-        seen = self._zero
-        estimate = self.max
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
-            if seen >= rank:
-                estimate = 2.0 * self._gamma ** index / (self._gamma + 1.0)
-                break
-        # Clamping into the observed range can only reduce the error.
-        return min(max(estimate, self.min, 0.0), self.max)
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "mean": self.mean,
-            "p50": self.quantile(50),
-            "p95": self.quantile(95),
-            "p99": self.quantile(99),
-            "max": self.max if self.count else 0.0,
-        }
+from repro.obs.metrics import EPS, QuantileSketch
 
 
 class _Bucket:
@@ -167,7 +73,7 @@ class RollingWindow:
     """
 
     def __init__(self, width_s: float = 1.0, buckets: int = 60,
-                 clock=REAL_CLOCK, eps: float | None = 0.01):
+                 clock=REAL_CLOCK, eps: float | None = EPS):
         if width_s <= 0:
             raise ValueError(f"width_s {width_s} must be positive")
         if buckets < 1:
@@ -291,7 +197,7 @@ class RollingWindowFamily:
     shared configuration."""
 
     def __init__(self, width_s: float = 1.0, buckets: int = 60,
-                 clock=REAL_CLOCK, eps: float | None = 0.01):
+                 clock=REAL_CLOCK, eps: float | None = EPS):
         self.width_s = width_s
         self.buckets = buckets
         self.clock = clock

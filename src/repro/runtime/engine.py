@@ -15,9 +15,10 @@ a runtime serving many queries at once:
 * a shared :class:`~repro.runtime.cache.ResultCache` (invalidated by
   ``Peer.store``) and a :class:`~repro.runtime.batching.BulkBatcher`
   that coalesces same-shape round trips across queries;
-* a :class:`~repro.runtime.metrics.MetricsAggregator` recording every
-  query for the fleet-level summary (the registry's ``query_*``
-  series are counted by ``Federation.run`` itself).
+* a :class:`~repro.runtime.metrics.MetricsAggregator` folding every
+  query into the fleet-level summary and keeping the newest records
+  (the registry's ``query_*`` series are counted by ``Federation.run``
+  itself).
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class FederationEngine:
                                     worth_waiting=lambda:
                                     self.executing > 1)
                         if batch_window_s > 0 else None)
-        #: Every query's record; the registry's ``query_*`` series are
-        #: the federation's, folded at the end of each run.
+        #: Every query folded in, the newest records kept; the
+        #: registry's ``query_*`` series are the federation's, folded at
+        #: the end of each run.
         self.metrics = MetricsAggregator()
         #: Queries admitted (running or queued) before submit() blocks.
         self.max_in_flight = 2 * max_workers
@@ -222,16 +224,17 @@ class FederationEngine:
         except BaseException as exc:
             self.metrics.record(QueryRecord(
                 started_at=started, finished_at=clock(),
-                stats=None, strategy=label, at=at,
-                error=f"{type(exc).__name__}: {exc}"))
+                strategy=label, at=at,
+                error=f"{type(exc).__name__}: {exc}"), None)
             raise
         finally:
             self._finish_one()
         self.metrics.record(QueryRecord(
             started_at=started, finished_at=clock(),
-            stats=result.stats, strategy=label, at=at,
+            strategy=label, at=at,
             plan=(result.stats.plan.strategy
-                  if result.stats.plan is not None else None)))
+                  if result.stats.plan is not None else None)),
+            result.stats)
         return result
 
     # -- introspection ------------------------------------------------------

@@ -3,12 +3,13 @@ runtime-level metrics: throughput, latency percentiles, bytes per peer,
 and cache effectiveness.
 
 The seed measures one query at a time; a concurrent runtime needs the
-fleet view. :class:`MetricsAggregator` keeps one :class:`QueryRecord`
-per completed (or failed) query, and folds each completed run's
-:class:`~repro.net.stats.RunStats` into the engine's summary as it is
-recorded (no record keeps its stats): queries/sec over the busy
-interval, wall-clock p50/p95/p99, simulated-time totals, and
-transferred bytes.
+fleet view. :class:`MetricsAggregator` folds each query as it is
+recorded and keeps the folds, not the queries: queries/sec over the
+busy interval (first start to last finish), wall-clock p50/p95/p99 (a
+:class:`~repro.obs.metrics.QuantileSketch`), simulated-time totals,
+and transferred bytes. Of the :class:`QueryRecord` themselves it keeps
+the newest :data:`CAPACITY`, so a long-running engine's memory does not
+grow with its query count.
 
 The aggregator writes no registry series: every ``query_*`` series is
 folded from the finished run at the end of ``Federation.run``, for
@@ -17,11 +18,13 @@ engine and standalone runs alike.
 
 from __future__ import annotations
 
+import math
 import threading
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 
 from repro.net.stats import RunStats
-from repro.obs.metrics import percentile
+from repro.obs.metrics import QuantileSketch
 
 __all__ = ["QueryRecord", "MetricsAggregator"]
 
@@ -32,9 +35,6 @@ class QueryRecord:
 
     started_at: float            # perf_counter timestamps
     finished_at: float
-    #: None when the query failed, and in every record the aggregator
-    #: keeps (it folds the run's numbers in and drops the stats).
-    stats: RunStats | None
     strategy: str = ""           # requested ("auto" stays "auto")
     at: str = ""
     error: str | None = None
@@ -49,6 +49,11 @@ class QueryRecord:
         return self.error is None
 
 
+#: How many of the newest records :attr:`MetricsAggregator.records`
+#: keeps: above the end-to-end ledger's largest closed-loop block (30
+#: ops x 2 clients), whose records it reads back by index.
+CAPACITY = 256
+
 #: The :class:`~repro.net.stats.RunStats` totals :meth:`summary` reports.
 _SUMS = ("total_transferred_bytes", "simulated_time_s", "cache_hits",
          "cache_saved_bytes", "scatter_shards", "failovers", "retries",
@@ -59,13 +64,51 @@ _SHARD_FIELDS = {"shard_calls": "calls", "failovers": "failovers",
                  "cache_hits": "cache_hits"}
 
 
-class MetricsAggregator:
-    """Thread-safe accumulator of :class:`QueryRecord`."""
+class RecordRing:
+    """The newest :data:`CAPACITY` records, indexed as if none had been
+    dropped: ``len()`` counts every record ever appended (a monotone
+    cursor), ``ring[i:]`` is the kept records from absolute index ``i``
+    on, and ``ring[i]`` raises :class:`IndexError` once record ``i`` has
+    been dropped."""
 
     def __init__(self) -> None:
-        self.records: list[QueryRecord] = []
+        self._kept: deque[QueryRecord] = deque(maxlen=CAPACITY)
+        self._count = 0
         self._lock = threading.Lock()
-        self._latencies: list[float] = []     # completed queries only
+
+    def append(self, record: QueryRecord) -> None:
+        with self._lock:
+            self._kept.append(record)
+            self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        with self._lock:
+            return iter(list(self._kept))
+
+    def __getitem__(self, index):
+        with self._lock:
+            kept, wanted = list(self._kept), range(self._count)[index]
+            first = self._count - len(kept)
+        if isinstance(index, slice):
+            return [kept[n - first] for n in wanted if n >= first]
+        if wanted < first:
+            raise IndexError(f"record {index} is no longer kept")
+        return kept[wanted - first]
+
+
+class MetricsAggregator:
+    """Thread-safe fold of :class:`QueryRecord` and their runs' stats."""
+
+    def __init__(self) -> None:
+        self.records = RecordRing()
+        self._lock = threading.Lock()
+        self._latency = QuantileSketch()      # completed queries only
+        # The busy interval, folded over every record.
+        self._first_start = math.inf
+        self._last_finish = -math.inf
         self._sums = dict.fromkeys(_SUMS, 0)
         # Cluster accounting re-attributed per collection: the global
         # ``failovers`` / ``shards_skipped`` totals say *that* the fleet
@@ -75,13 +118,16 @@ class MetricsAggregator:
         self._per_collection: dict[str, dict] = {}
         self._plans: dict[str, int] = {}
 
-    def record(self, record: QueryRecord) -> None:
-        stats, record = record.stats, replace(record, stats=None)
+    def record(self, record: QueryRecord, stats: RunStats | None) -> None:
+        """Fold one query in; ``stats`` is its run's (None when it
+        failed) and is not kept."""
         with self._lock:
             self.records.append(record)
+            self._first_start = min(self._first_start, record.started_at)
+            self._last_finish = max(self._last_finish, record.finished_at)
             if not record.ok or stats is None:
                 return
-            self._latencies.append(record.wall_s)
+            self._latency.add(record.wall_s)
             for name in _SUMS:
                 self._sums[name] += (stats.times.total
                                      if name == "simulated_time_s"
@@ -101,29 +147,22 @@ class MetricsAggregator:
         """The fleet view over everything recorded so far."""
         with self._lock:
             records = len(self.records)
-            busy_s = 0.0
-            if records:
-                busy_s = (max(r.finished_at for r in self.records)
-                          - min(r.started_at for r in self.records))
-            latencies = list(self._latencies)
+            # No record yet: -inf - inf, so 0.0.
+            busy_s = max(0.0, self._last_finish - self._first_start)
+            latency = self._latency.snapshot()
             sums = dict(self._sums)
             # Sorted for deterministic export.
             per_collection = {name: dict(agg) for name, agg
                               in sorted(self._per_collection.items())}
             plans = dict(self._plans)
-        completed = len(latencies)
+        completed = latency["count"]
         throughput = completed / busy_s if busy_s > 0 else 0.0
         return {
             "queries": completed,
             "failed": records - completed,
             "busy_s": busy_s,
             "throughput_qps": throughput,
-            "latency_s": {
-                "p50": percentile(latencies, 50),
-                "p95": percentile(latencies, 95),
-                "p99": percentile(latencies, 99),
-                "max": max(latencies) if latencies else 0.0,
-            },
+            "latency_s": {q: latency[q] for q in ("p50", "p95", "p99", "max")},
             **sums,
             "per_collection": per_collection,
             "plans": plans,

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 
 from repro.cluster.catalog import ClusterError
 from repro.cluster.membership import ALIVE, DEAD, EVICTED
-from repro.obs.metrics import percentile
 
-__all__ = ["ChaosEvent", "ChaosSchedule", "ChaosHarness", "ChaosReport"]
+__all__ = ["ChaosEvent", "ChaosSchedule", "ChaosHarness", "ChaosReport",
+           "percentile"]
 
 ACTIONS = ("kill", "revive", "degrade", "restore",
            "split", "move", "drain", "undrain")
@@ -55,6 +55,34 @@ ACTIONS = ("kill", "revive", "degrade", "restore",
 #: picks deterministically from cumulative heat); ``drain``/``undrain``
 #: name the decommission target.
 REBALANCE_ACTIONS = ("split", "move", "drain", "undrain")
+
+
+def percentile(values: list[float], q: float) -> float:
+    """The ``q``-th percentile (0-100) with linear interpolation: the
+    exact figure behind a drill's ``p50_ms`` / ``p95_ms`` / ``p99_ms``
+    in ``benchmarks/drills.json``, over the harness's own latency list.
+
+    Edge cases: an empty list yields 0.0; a single value is every
+    percentile of itself; ``q`` outside [0, 100] raises; the input
+    need not be sorted (and is never mutated).
+    """
+    if not values:
+        return 0.0
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile {q} out of range")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (q / 100.0) * (len(ordered) - 1)
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    weight = rank - low
+    low_v, high_v = ordered[low], ordered[high]
+    if weight == 0.0 or low_v == high_v:
+        # Interpolating a*(1-w) + b*w between equal subnormals can
+        # round both products to zero; answer exactly instead.
+        return low_v
+    return low_v + (high_v - low_v) * weight
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """The chaos harness: schedule generation invariants (property-
 tested), deterministic replay, seeded kill/revive races against the
-single-owner oracle, and failover accounting parity."""
+single-owner oracle, failover accounting parity, and the exact
+percentile behind a drill's latency cells."""
 
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterError
 from tests.cluster.chaos_harness import (
     ACTIONS, ChaosEvent, ChaosHarness, ChaosReport, ChaosSchedule,
+    percentile,
 )
 from repro.cluster.membership import MembershipTracker
 from repro.cluster.rebalance import Reconciler
@@ -210,3 +212,48 @@ def test_failover_events_match_stats():
     assert serialize_sequence(result.items) == expected
     assert result.stats.failovers >= 1
     assert monitor.events.count("failover") == result.stats.failovers
+
+
+class TestPercentile:
+    @pytest.mark.parametrize("values, q, expected", [
+        # Empty: 0.0 at every q.
+        ([], 0, 0.0), ([], 50, 0.0), ([], 95, 0.0), ([], 100, 0.0),
+        # One value is every percentile of itself.
+        ([7.5], 0, 7.5), ([7.5], 1, 7.5), ([7.5], 50, 7.5),
+        ([7.5], 99, 7.5), ([7.5], 100, 7.5),
+        ([3.5], 50, 3.5), ([3.5], 99, 3.5),
+        # Endpoints and the median, from unsorted input.
+        ([4.0, 1.0, 3.0, 2.0], 0, 1.0), ([4.0, 1.0, 3.0, 2.0], 100, 4.0),
+        ([4.0, 1.0, 3.0, 2.0], 50, 2.5), ([1.0, 2.0, 3.0, 4.0], 50, 2.5),
+        ([5.0, 1.0, 3.0], 0, 1.0), ([5.0, 1.0, 3.0], 100, 5.0),
+        # Linear interpolation between neighbours.
+        ([0.0, 10.0], 25, 2.5), ([0.0, 10.0], 75, 7.5),
+    ])
+    def test_value(self, values, q, expected):
+        assert percentile(values, q) == expected
+
+    @pytest.mark.parametrize("q", [-0.1, 100.1, 101])
+    def test_out_of_range_raises(self, q):
+        with pytest.raises(ValueError):
+            percentile([1.0], q)
+
+    def test_p95_on_uniform_grid(self):
+        values = [float(i) for i in range(1, 101)]
+        assert percentile(values, 95) == pytest.approx(95.05)
+
+    def test_input_not_mutated(self):
+        values = [3.0, 1.0, 2.0]
+        percentile(values, 95)
+        assert values == [3.0, 1.0, 2.0]
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
+           st.floats(0, 100))
+    def test_bounded_by_min_and_max(self, values, q):
+        result = percentile(values, q)
+        epsilon = 1e-9 * max(1.0, abs(min(values)), abs(max(values)))
+        assert min(values) - epsilon <= result <= max(values) + epsilon
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_monotone_in_q(self, values):
+        points = [percentile(values, q) for q in (0, 25, 50, 75, 100)]
+        assert points == sorted(points)

@@ -1,56 +1,10 @@
-"""The metrics registry primitives and the canonical percentile."""
+"""The metrics registry primitives."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               percentile)
-
-
-class TestPercentile:
-    def test_empty_is_zero(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([], 0) == 0.0
-        assert percentile([], 100) == 0.0
-
-    def test_single_value_is_every_percentile(self):
-        for q in (0, 1, 50, 99, 100):
-            assert percentile([7.5], q) == 7.5
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], -0.1)
-        with pytest.raises(ValueError):
-            percentile([1.0], 100.1)
-
-    def test_endpoints_and_median(self):
-        values = [4.0, 1.0, 3.0, 2.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == 2.5
-
-    def test_linear_interpolation(self):
-        assert percentile([0.0, 10.0], 25) == 2.5
-        assert percentile([0.0, 10.0], 75) == 7.5
-
-    def test_input_not_mutated(self):
-        values = [3.0, 1.0, 2.0]
-        percentile(values, 95)
-        assert values == [3.0, 1.0, 2.0]
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-           st.floats(0, 100))
-    def test_bounded_by_min_and_max(self, values, q):
-        result = percentile(values, q)
-        epsilon = 1e-9 * max(1.0, abs(min(values)), abs(max(values)))
-        assert min(values) - epsilon <= result <= max(values) + epsilon
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
-    def test_monotone_in_q(self, values):
-        points = [percentile(values, q) for q in (0, 25, 50, 75, 100)]
-        assert points == sorted(points)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestPrimitives:
@@ -78,7 +32,8 @@ class TestPrimitives:
         assert summary["count"] == 4
         assert summary["sum"] == 10.0
         assert summary["mean"] == 2.5
-        assert summary["p50"] == 2.5
+        # Nearest rank within the sketch's 1 %: the 2nd of 4 values.
+        assert summary["p50"] == pytest.approx(2.0, rel=0.01)
         assert summary["max"] == 4.0
 
 

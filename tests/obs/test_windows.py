@@ -5,10 +5,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.clock import VirtualClock
 from repro.obs.windows import QuantileSketch, RollingWindow, RollingWindowFamily
+
+from tests.conftest import fuzz_settings
 
 
 def exact_percentile(values, q):
@@ -86,7 +88,7 @@ class TestQuantileSketch:
                     f"seed={seed} q={q}: |{estimate} - {exact}| "
                     f"> {bound}")
 
-    @settings(max_examples=60, deadline=None)
+    @fuzz_settings(60)
     @given(values=st.lists(
         st.floats(min_value=1e-9, max_value=1e9,
                   allow_nan=False, allow_infinity=False),
