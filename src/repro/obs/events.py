@@ -29,7 +29,8 @@ kind                             emitted by
                                  detector's dead / revived verdicts included)
 ``peer_draining``                peer view ``drain`` (a reconciler drain)
 ``peer_undrained``               peer view ``undrain``
-``cache_invalidation``           ``ResultCache.invalidate_peer`` dropped some
+``cache_invalidation``           result cache: a newer store generation dropped
+                                 some entries
 ``shard_skip``                   router skipped a shard on a value-index probe
 ``slow_query``                   monitor: wall time over the slow threshold
 ``health_demoted``               health scorer: score fell below demote

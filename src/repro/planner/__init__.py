@@ -11,7 +11,8 @@ with its observed :class:`~repro.net.stats.RunStats`.
 Modules:
 
 * :mod:`repro.planner.stats` — per-peer document statistics
-  (:class:`StatsCatalog`), invalidated by ``Peer.on_store``;
+  (:class:`StatsCatalog`), each view kept with the document it
+  describes;
 * :mod:`repro.planner.ir` — the typed physical-plan IR
   (:class:`PhysicalPlan` and its operators);
 * :mod:`repro.planner.estimator` — lowering a decomposition into a

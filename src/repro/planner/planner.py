@@ -18,9 +18,10 @@ federation's bounded table:
    projection specs, the shared evaluator — which reads neither
    statistics nor catalog either.
 
-Estimates do, so they are stamped (catalog epoch, statistics version);
-a moved stamp re-prices and lowers nothing, yet counts as an
-enumeration (``from_cache=False``, ``plans_enumerated`` += candidates).
+Estimates do, so they are stamped (catalog epoch, the federation's
+store generation); a moved stamp re-prices and lowers nothing, yet
+counts as an enumeration (``from_cache=False``, ``plans_enumerated``
++= candidates).
 
 What a literal decides is kept per :class:`~repro.xquery.prepared.Binding`
 of the shape (a small LRU): every candidate's factor-free operators as
@@ -108,9 +109,8 @@ class QueryPlanner:
 
     def __init__(self, federation: "Federation"):
         self.federation = federation
-        self.stats = StatsCatalog()
+        self.stats = StatsCatalog(federation)
         self.calibration = CalibrationBook()
-        self.stats.attach(federation)
         self.estimator = PlanEstimator(federation, self.stats,
                                        self.calibration)
         self._prepared = PreparedTable()
@@ -133,7 +133,6 @@ class QueryPlanner:
         ``from_cache`` is False on a shape's first lookup and on the
         first after a moved stamp, which only re-prices; pricing a
         binding seen for the first time is a hit."""
-        self.stats.attach(self.federation)
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
         entry, binding = self._prepared.intern_text(
@@ -149,7 +148,7 @@ class QueryPlanner:
                     self._candidates(prepared, choice, at, let_sinking))
             # Read before lowering: a store racing it must re-lower.
             stamp = (catalog.epoch() if catalog is not None else -1,
-                     self.stats.version())
+                     self.federation.generation())
             if variant.stamp is None:
                 with child_span("enumerate", strategy=label,
                                 candidates=len(variant.candidates)):

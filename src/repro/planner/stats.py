@@ -19,17 +19,18 @@ already carries, answered per key and only when a plan reads the key:
   not a guessed 0.5) — so the first plan after a store pays for the
   keys it prices, not for a pass over every node for every key.
 
-The :class:`StatsCatalog` keeps one view per ``(host, name)`` and drops
-it through the same ``Peer.on_store`` hook the runtime's result cache
-uses; a *collection* host (cluster catalog virtual name) gets a view
-that asks each shard fragment's view per key and merges. ``version()``
-bumps on every store — it is part of the stamp a prepared query's
-lowered candidates carry, so a re-stored document can never be planned
-against stale statistics.
+A document's view rides on the stored
+:class:`~repro.xmldb.document.Document` object, as its indexes do, so a
+``Peer.store`` — which swaps the object — takes exactly that view with
+it. A *collection* host (cluster catalog virtual name) gets a view that
+asks each shard fragment's view per key and merges; the
+:class:`StatsCatalog` keeps it while its spec and every shard replica's
+document are the ones it was merged from (compared by identity).
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -390,52 +391,18 @@ def merge_document_stats(parts: list[DocumentStats],
 
 
 class StatsCatalog:
-    """The federation's statistics views, built on first lookup and
-    dropped by the store that outdates them.
+    """The statistics views of one federation's documents, built on
+    first lookup. Thread-safe; shared by the federation's planner
+    across all concurrent queries."""
 
-    Thread-safe; shared by one federation's planner across all
-    concurrent queries. ``version()`` stamps every lowered plan.
-    """
-
-    def __init__(self) -> None:
+    def __init__(self, federation: "Federation"):
+        self.federation = federation
         self._lock = threading.Lock()
-        #: ``(host, name)`` → the view and, for a collection host, the
-        #: catalog spec it was merged under (None for a peer).
-        self._views: dict[tuple[str, str], tuple[DocumentStats, object]] = {}
-        self._version = 0
-        self._federation: "Federation | None" = None
-        self._attached: set[str] = set()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def attach(self, federation: "Federation") -> None:
-        """Register invalidation listeners on every peer (idempotent;
-        call again after adding peers, as the planner does)."""
-        self._federation = federation
-        for name, peer in list(federation.peers.items()):
-            with self._lock:
-                if name in self._attached:
-                    continue
-                self._attached.add(name)
-            peer.on_store(self._invalidate)
-
-    def version(self) -> int:
-        """Bumped by every invalidation (a stored document, anywhere)."""
-        with self._lock:
-            return self._version
-
-    def _invalidate(self, peer_name: str, local_name: str) -> None:
-        """Drop the stored document's view and the collection views
-        that hold it as a shard replica — nothing else."""
-        with self._lock:
-            self._views.pop((peer_name, local_name), None)
-            for key, (_view, spec) in list(self._views.items()):
-                if spec is not None and any(
-                        shard.local_name == local_name
-                        and peer_name in shard.replicas
-                        for shard in spec.shards):
-                    del self._views[key]
-            self._version += 1
+        #: ``(host, name)`` of a collection → its merged view, the
+        #: catalog spec it was merged under and what :meth:`_sources`
+        #: read before merging.
+        self._views: dict[tuple[str, str],
+                          tuple[DocumentStats, object, tuple]] = {}
 
     # -- lookups ------------------------------------------------------------
 
@@ -444,40 +411,49 @@ class StatsCatalog:
         """The view for ``host/local_name``; None when the document (or
         the host) does not exist. ``host`` may be a cluster collection
         virtual name, in which case the view merges its shards'."""
-        federation = self._federation
-        if federation is None:
-            return None
+        spec = self.federation.collection(host)
+        if spec is None:
+            return self._peer_view(host, local_name)
         key = (host, local_name)
-        spec = federation.collection(host)
+        sources = self._sources(spec)
         with self._lock:
             cached = self._views.get(key)
-            version = self._version
-        if cached is not None and cached[1] is spec:
+        if cached is not None and cached[1] is spec \
+                and _same(cached[2], sources):
             return cached[0]
-        view = (self._peer_view(federation, host, local_name) if spec is None
-                else self._collection_view(spec, local_name))
-        if view is None:
-            return None
-        with self._lock:
-            if self._version != version:
-                return view              # a store raced the build: not kept
-            current = self._views.get(key)
-            if current is None or current[1] is not spec:
-                self._views[key] = current = (view, spec)
-            return current[0]            # a racing build's, if it was first
+        view = self._collection_view(spec, local_name)
+        if view is not None:
+            with self._lock:
+                self._views[key] = (view, spec, sources)
+        return view
 
-    def _peer_view(self, federation: "Federation", host: str,
-                   local_name: str) -> DocumentStats | None:
-        peer = federation.peers.get(host)
+    def _peer_view(self, host: str, local_name: str) -> DocumentStats | None:
+        peer = self.federation.peers.get(host)
         document = None if peer is None else peer.documents.get(local_name)
         if document is None:
             return None
+        view = document.stats_view
+        if view is not None:
+            return view
         # Serialising (memoized on the document, with its UTF-8 length)
         # records the per-node spans the view's byte figures read.
         peer.serialized(local_name)
-        return compute_document_stats(
+        view = compute_document_stats(
             document, f"xrpc://{host}/{local_name}",
             serialized_byte_length(document))
+        with self._lock:
+            if document.stats_view is None:
+                document.stats_view = view
+            return document.stats_view    # a racing build's, if first
+
+    def _sources(self, spec) -> tuple:
+        """The document every shard replica of ``spec`` stores now (None
+        where it stores none), in shard and replica order."""
+        peers = self.federation.peers
+        return tuple(
+            None if (peer := peers.get(replica)) is None
+            else peer.documents.get(shard.local_name)
+            for shard in spec.shards for replica in shard.replicas)
 
     def _collection_view(self, spec, local_name: str
                          ) -> DocumentStats | None:
@@ -499,17 +475,30 @@ class StatsCatalog:
     # -- introspection ------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
-        """What has been built so far; forces no view and no key."""
+        """What has been built for the stored documents and the current
+        collections; forces no view and no key."""
+        views = {f"{host}/{name}": document.stats_view
+                 for host, peer in list(self.federation.peers.items())
+                 for name, document in list(peer.documents.items())
+                 if document.stats_view is not None}
         with self._lock:
-            version = self._version
-            views = sorted(self._views.items())
+            collections = list(self._views.items())
+        for (host, name), (view, spec, sources) in collections:
+            if self.federation.collection(host) is spec \
+                    and _same(sources, self._sources(spec)):
+                views[f"{host}/{name}"] = view
         documents, built = {}, 0
-        for (host, name), (view, _spec) in views:
+        for name, view in sorted(views.items()):
             tag_keys, value_keys = view.keys_built()
             built += len(tag_keys) + len(value_keys)
-            documents[f"{host}/{name}"] = {
+            documents[name] = {
                 "serialized_bytes": view.serialized_bytes,
                 "nodes": view.nodes,
                 "tag_keys": tag_keys, "value_keys": value_keys}
-        return {"version": version, "documents": documents,
-                "keys_built": built}
+        return {"documents": documents, "keys_built": built}
+
+
+def _same(documents: tuple, others: tuple) -> bool:
+    """Whether two :meth:`StatsCatalog._sources` readings of one spec
+    hold the very same documents."""
+    return all(map(operator.is_, documents, others))

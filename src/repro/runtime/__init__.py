@@ -12,7 +12,7 @@ into a runtime that serves many queries concurrently over shared peers:
   thread-pool scheduler with admission control and per-peer capacity
   gates;
 * :mod:`repro.runtime.cache` — a projection-aware result/fragment
-  cache shared across queries, invalidated by ``Peer.store``;
+  cache shared across queries, current by the store generation;
 * :mod:`repro.runtime.batching` — cross-query Bulk-RPC coalescing,
   extending the paper's bulk idea across query boundaries;
 * :mod:`repro.runtime.metrics` — throughput / latency-percentile /

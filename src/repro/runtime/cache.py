@@ -18,11 +18,13 @@ Two kinds of entries, both bounded by LRU:
   ``(requester, owner, document)``. A hit skips the serialise /
   network / shred charges of data shipping entirely.
 
-Invalidation is conservative: :meth:`ResultCache.attach` hooks
-``Peer.store``, and a store on *any* peer drops that peer's document
-entries plus **all** response entries — a response from peer B may
-transitively depend on documents shipped from peer A (nested ``execute
-at``), so per-peer response invalidation would be unsound.
+Invalidation is by version, as an HTTP validator's: each call carries
+the store generation its caller read before computing — the
+federation's for a response (one from peer B may depend on documents
+shipped from peer A by a nested ``execute at``), the owner's for a
+document (a collection's is the federation's). The first call under a
+newer generation drops every entry of its scope; a store under an
+older one is discarded.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from typing import TYPE_CHECKING
 from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.system.federation import Federation, Peer
     from repro.xmldb.document import Document
 
 #: Key of one response entry:
@@ -46,6 +47,10 @@ ResponseKey = tuple[str, str, str, tuple[str, ...], int]
 #: The LRU bounds: response entries, document entries.
 MAX_RESPONSES = 256
 MAX_DOCUMENTS = 32
+
+#: The generation scope of every response entry (a document entry's is
+#: its owner's name).
+RESPONSES = ""
 
 
 def response_key(dest: str, semantics: str, request_xml: str,
@@ -129,140 +134,121 @@ class ResultCache:
         self._evictions = self.metrics.counter(
             "cache_evictions_total", "entries dropped by LRU bounds")
         self._invalidations = self.metrics.counter(
-            "cache_invalidations_total", "entries dropped by store hooks")
+            "cache_invalidations_total",
+            "entries dropped by a newer store generation")
         self._saved_bytes = self.metrics.counter(
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
-        self._epoch = 0
+        #: Generation scope (:data:`RESPONSES` or an owner) -> the
+        #: newest generation a call under it has carried.
+        self._generations: dict[str, int] = {}
         #: ResponseKey -> (stored response, its wire byte length)
         self._responses: OrderedDict[ResponseKey,
                                      tuple[object, int]] = OrderedDict()
         #: (requester, owner, local_name) -> (Document, serialized bytes)
         self._documents: OrderedDict[tuple[str, str, str],
                                      tuple["Document", int]] = OrderedDict()
-        #: id(peer) -> (peer, registered listener), for detach().
-        self._attached: dict[int, tuple["Peer", object]] = {}
 
-    def epoch(self) -> int:
-        """The invalidation epoch. Capture it *before* computing a value
-        and pass it to ``store_*``: if an invalidation lands in between,
-        the store is discarded rather than re-populating the cache with
-        data derived from pre-invalidation documents."""
-        with self._lock:
-            return self._epoch
-
-    # -- responses ----------------------------------------------------------
-
-    def lookup_response(self, key: ResponseKey,
-                        request_bytes: int = 0) -> object | None:
-        """The stored response, or None. ``request_bytes`` sizes the
-        request that a hit keeps off the wire (for ``saved_bytes``)."""
-        with self._lock:
-            entry = self._responses.get(key)
-            if entry is None:
-                self._misses.inc()
-                return None
-            self._responses.move_to_end(key)
-            self._hits.inc()
-            self._saved_bytes.inc(request_bytes + entry[1])
-            return entry[0]
-
-    def store_response(self, key: ResponseKey, response: object,
-                       response_bytes: int | None = None,
-                       epoch: int | None = None) -> None:
-        """Keep ``response``, handed back as is by a hit, and the wire
-        bytes a hit saves (by default those of ``response`` as text).
-        The federation stores the decoded message with its byte
-        length, so hits never re-encode."""
-        if response_bytes is None:
-            response_bytes = len(response.encode())
-        with self._lock:
-            if epoch is not None and epoch != self._epoch:
-                return  # stale: an invalidation raced the computation
-            self._responses[key] = (response, response_bytes)
-            self._responses.move_to_end(key)
-            while len(self._responses) > MAX_RESPONSES:
-                self._responses.popitem(last=False)
-                self._evictions.inc()
-
-    # -- shipped documents --------------------------------------------------
-
-    def lookup_document(self, requester: str, owner: str,
-                        local_name: str) -> tuple["Document", int] | None:
-        with self._lock:
-            entry = self._documents.get((requester, owner, local_name))
-            if entry is None:
-                self._misses.inc()
-                return None
-            self._documents.move_to_end((requester, owner, local_name))
-            self._hits.inc()
-            self._saved_bytes.inc(entry[1])
-            return entry
-
-    def store_document(self, requester: str, owner: str, local_name: str,
-                       document: "Document", size: int,
-                       epoch: int | None = None) -> None:
-        with self._lock:
-            if epoch is not None and epoch != self._epoch:
-                return  # stale: an invalidation raced the computation
-            self._documents[(requester, owner, local_name)] = (document, size)
-            self._documents.move_to_end((requester, owner, local_name))
-            while len(self._documents) > MAX_DOCUMENTS:
-                self._documents.popitem(last=False)
-                self._evictions.inc()
-
-    # -- invalidation -------------------------------------------------------
-
-    def invalidate_peer(self, peer_name: str) -> None:
-        """Called when ``peer_name`` (re)stores a document: drop its
-        document entries and, conservatively, every response entry."""
-        with self._lock:
-            self._epoch += 1
-            doomed = [key for key in self._documents if key[1] == peer_name]
+    def _sweep(self, scope: str, generation: int) -> int:
+        """Note ``generation`` for ``scope`` and drop the entries a newer
+        one outdates (call with the lock held); how many it dropped."""
+        if generation <= self._generations.get(scope, 0):
+            return 0
+        self._generations[scope] = generation
+        if scope == RESPONSES:
+            dropped = len(self._responses)
+            self._responses.clear()
+        else:
+            doomed = [key for key in self._documents if key[1] == scope]
             for key in doomed:
                 del self._documents[key]
-            dropped = len(doomed) + len(self._responses)
-            self._responses.clear()
-            if dropped:
-                self._invalidations.inc(dropped)
-        # Emit outside the lock: the event sink locks internally and
-        # must never nest inside cache-internal critical sections.
+            dropped = len(doomed)
+        self._invalidations.inc(dropped)
+        return dropped
+
+    def _report(self, scope: str, generation: int, dropped: int) -> None:
+        """One event per sweep that dropped entries. Called outside the
+        lock: the event sink locks internally and must never nest
+        inside cache-internal critical sections."""
         if dropped and self.events is not None:
             self.events.emit(
                 "cache_invalidation",
-                f"store on {peer_name} dropped {dropped} cache entries",
-                severity="info", peer=peer_name, dropped=dropped)
+                f"store generation {generation} dropped {dropped} "
+                f"{scope or 'response'} cache entries",
+                severity="info", scope=scope or "responses",
+                generation=generation, dropped=dropped)
 
-    def attach(self, federation: "Federation") -> None:
-        """Hook invalidation into every current peer's ``store`` (safe to
-        call repeatedly and concurrently; new peers are picked up on the
-        next call)."""
-        # Snapshot first: submit() calls this while other threads may be
-        # adding peers, and each peer must be claimed under the lock so
-        # concurrent attaches never double-register a listener.
-        for peer in list(federation.peers.values()):
-            def listener(peer_name: str, _name: str) -> None:
-                self.invalidate_peer(peer_name)
-
-            # Register under the cache lock so a concurrent detach()
-            # can never miss a listener claimed-but-not-yet-registered.
-            # Lock order is cache -> peer everywhere (store() calls
-            # listeners with the peer lock released), so no deadlock.
-            with self._lock:
-                if id(peer) in self._attached:
-                    continue
-                peer.on_store(listener)
-                self._attached[id(peer)] = (peer, listener)
-
-    def detach(self) -> None:
-        """Unhook this cache from every peer it attached to — call when
-        retiring a cache so long-lived federations don't accumulate
-        dead invalidation listeners."""
+    def _lookup(self, table: OrderedDict, scope: str, key, generation: int,
+                request_bytes: int = 0) -> tuple | None:
         with self._lock:
-            attached = list(self._attached.values())
-            self._attached.clear()
-        for peer, listener in attached:
-            peer.remove_on_store(listener)
+            dropped = self._sweep(scope, generation)
+            entry = table.get(key)
+            if entry is None:
+                self._misses.inc()
+            else:
+                table.move_to_end(key)
+                self._hits.inc()
+                self._saved_bytes.inc(request_bytes + entry[1])
+        self._report(scope, generation, dropped)
+        return entry
+
+    def _store(self, table: OrderedDict, bound: int, scope: str, key,
+               entry: tuple, generation: int) -> None:
+        with self._lock:
+            dropped = self._sweep(scope, generation)
+            # Computed under ``generation``: kept unless a newer store
+            # has been seen since.
+            if generation == self._generations.get(scope, 0):
+                table[key] = entry
+                table.move_to_end(key)
+                while len(table) > bound:
+                    table.popitem(last=False)
+                    self._evictions.inc()
+        self._report(scope, generation, dropped)
+
+    # -- responses ----------------------------------------------------------
+
+    def lookup_response(self, key: ResponseKey, request_bytes: int = 0,
+                        generation: int = 0) -> object | None:
+        """The stored response, or None. ``request_bytes`` sizes the
+        request that a hit keeps off the wire (for ``saved_bytes``);
+        ``generation`` is the federation's, read before the lookup."""
+        entry = self._lookup(self._responses, RESPONSES, key, generation,
+                             request_bytes)
+        return None if entry is None else entry[0]
+
+    def store_response(self, key: ResponseKey, response: object,
+                       response_bytes: int | None = None,
+                       generation: int = 0) -> None:
+        """Keep ``response``, handed back as is by a hit, and the wire
+        bytes a hit saves (by default those of ``response`` as text),
+        unless a store newer than ``generation`` — the federation's,
+        read before computing it — has been seen. The federation stores
+        the decoded message with its byte length, so hits never
+        re-encode."""
+        if response_bytes is None:
+            response_bytes = len(response.encode())
+        self._store(self._responses, MAX_RESPONSES, RESPONSES, key,
+                    (response, response_bytes), generation)
+
+    # -- shipped documents --------------------------------------------------
+
+    def lookup_document(self, requester: str, owner: str, local_name: str,
+                        generation: int = 0
+                        ) -> tuple["Document", int] | None:
+        """The shipped document and its size, or None; ``generation``
+        is the owner's, read before the lookup."""
+        return self._lookup(self._documents, owner,
+                            (requester, owner, local_name), generation)
+
+    def store_document(self, requester: str, owner: str, local_name: str,
+                       document: "Document", size: int,
+                       generation: int = 0) -> None:
+        """Keep a shipped document unless a store on its owner newer
+        than ``generation`` has been seen."""
+        self._store(self._documents, MAX_DOCUMENTS, owner,
+                    (requester, owner, local_name), (document, size),
+                    generation)
 
     # -- introspection ------------------------------------------------------
 

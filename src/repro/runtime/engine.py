@@ -12,8 +12,8 @@ a runtime serving many queries at once:
   production front door needs;
 * **per-peer request queues** — the transport's per-peer concurrency
   gates bound how many exchanges hammer one peer at a time;
-* a shared :class:`~repro.runtime.cache.ResultCache` (invalidated by
-  ``Peer.store``) and a :class:`~repro.runtime.batching.BulkBatcher`
+* a shared :class:`~repro.runtime.cache.ResultCache` (current by the
+  store generation) and a :class:`~repro.runtime.batching.BulkBatcher`
   that coalesces same-shape round trips across queries;
 * a :class:`~repro.runtime.metrics.MetricsAggregator` folding every
   query into the fleet-level summary and keeping the newest records
@@ -67,7 +67,6 @@ class FederationEngine:
                  cache: "ResultCache | bool" = True,
                  batch_window_s: float = 0.002):
         self.federation = federation
-        self._owns_cache = cache is True
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
             # the federation's registry, next to the wire_* truth, and
@@ -102,8 +101,6 @@ class FederationEngine:
             max_workers=max_workers,
             thread_name_prefix="federation-engine")
         self._closed = False
-        if self.cache is not None:
-            self.cache.attach(federation)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -116,10 +113,6 @@ class FederationEngine:
     def shutdown(self, wait: bool = True) -> None:
         self._closed = True
         self._pool.shutdown(wait=wait)
-        if self._owns_cache and self.cache is not None:
-            # Engine-private cache: unhook its invalidation listeners so
-            # a long-lived federation doesn't fan out to dead caches.
-            self.cache.detach()
 
     # -- submission ---------------------------------------------------------
 
@@ -137,9 +130,6 @@ class FederationEngine:
         if self._closed:
             raise EngineClosedError("engine is shut down")
         strategy = Strategy.coerce(strategy)
-        if self.cache is not None:
-            # Pick up peers added since construction.
-            self.cache.attach(self.federation)
         self._admission.acquire()
         with self._in_flight_lock:
             self._in_flight += 1

@@ -14,7 +14,8 @@ federation's one :class:`~repro.runtime.transport.Transport` (loopback
 by default), which also keeps its clock;
 :class:`~repro.runtime.engine.FederationEngine`
 runs many queries concurrently over one federation, so peers are
-thread-safe and ``Peer.store`` notifies listeners (cache invalidation).
+thread-safe, and every ``Peer.store`` moves the store generation the
+caches of derived data compare (:meth:`Federation.generation`).
 
 Host resolution is catalog-aware: a destination registered in an
 attached :class:`~repro.cluster.catalog.ClusterCatalog` is a *virtual*
@@ -29,7 +30,6 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from repro.cluster.catalog import ClusterCatalog, CollectionSpec
 from repro.cluster.membership import PeerView
@@ -68,23 +68,10 @@ class Peer:
         self.documents: dict[str, Document] = {}
         #: The function bodies shipped here, compiled once per shape.
         self.prepared = PreparedTable()
+        #: Stores, and removals that removed something, so far.
+        self.generation = 0
         self._lock = threading.Lock()
         self._serialize_lock = threading.Lock()
-        self._store_listeners: list[Callable[[str, str], None]] = []
-
-    def on_store(self, listener: Callable[[str, str], None]) -> None:
-        """Register a ``(peer_name, local_name)`` callback fired after
-        every :meth:`store` — the runtime cache invalidation hook."""
-        with self._lock:
-            self._store_listeners.append(listener)
-
-    def remove_on_store(self, listener: Callable[[str, str], None]) -> None:
-        """Unregister a :meth:`on_store` listener (no-op if absent)."""
-        with self._lock:
-            try:
-                self._store_listeners.remove(listener)
-            except ValueError:
-                pass
 
     def store(self, local_name: str, content: str | Document) -> "Peer":
         """Register a document under a local name (chainable)."""
@@ -95,21 +82,16 @@ class Peer:
                 content, uri=f"{XRPC_SCHEME}{self.name}/{local_name}")
         with self._lock:
             self.documents[local_name] = document
-            listeners = list(self._store_listeners)
-        for listener in listeners:
-            listener(self.name, local_name)
+            self.generation += 1
         return self
 
     def remove(self, local_name: str) -> bool:
-        """Drop a document (migration retirement). Fires the same
-        ``(peer_name, local_name)`` listeners as :meth:`store`, so the
-        runtime caches and statistics invalidate identically. Returns
-        False when the name was absent (idempotent retirement)."""
+        """Drop a document (migration retirement); a removal moves the
+        generation as a store does. Returns False when the name was
+        absent (idempotent retirement)."""
         with self._lock:
             present = self.documents.pop(local_name, None) is not None
-            listeners = list(self._store_listeners) if present else []
-        for listener in listeners:
-            listener(self.name, local_name)
+            self.generation += present
         return present
 
     def document(self, local_name: str) -> Document:
@@ -245,6 +227,11 @@ class Federation:
             return self.peers[name]
         except KeyError:
             raise NetworkError(f"unknown peer {name!r}") from None
+
+    def generation(self) -> int:
+        """The store generation: the sum of the peers' own, which only
+        grows (peers never leave)."""
+        return sum(peer.generation for peer in list(self.peers.values()))
 
     def attach_catalog(self, catalog: ClusterCatalog) -> ClusterCatalog:
         """Install the cluster catalog: host names registered in it are
@@ -445,7 +432,11 @@ class _Run:
             return cached
         wall0 = self.clock()
         cache = self.result_cache
-        cache_epoch = cache.epoch() if cache is not None else None
+        if cache is not None:
+            # A merged document reads every shard replica: it lives for
+            # the federation's generation, a peer's for the peer's.
+            generation = (self.federation.peer(owner).generation
+                          if spec is None else self.federation.generation())
         if spec is None:
             cache_name, span_attrs = local_name, {}
 
@@ -457,13 +448,7 @@ class _Run:
                         text, uri=f"{XRPC_SCHEME}{owner}/{local_name}"),
                         size)
         else:
-            # The shared cache's name carries its invalidation epoch
-            # too: peer stores can't target the collection scope
-            # (invalidate_peer keys on physical peer names), so any
-            # store anywhere must make merged-document entries
-            # unreachable — a shard re-store would otherwise serve a
-            # stale merge.
-            cache_name = f"{local_name}{version}.i{cache_epoch}"
+            cache_name = f"{local_name}{version}"
             span_attrs = {"shards": len(spec.shards)}
 
             def fetch(ship_span: Span | None) -> tuple[Document, int]:
@@ -471,7 +456,8 @@ class _Run:
                     spec, local_name, stats=stats, parent_span=ship_span)
 
         if cache is not None:
-            entry = cache.lookup_document(requester, owner, cache_name)
+            entry = cache.lookup_document(requester, owner, cache_name,
+                                          generation)
             if entry is not None:
                 document, size = entry
                 stats.cache_hits += 1
@@ -493,7 +479,7 @@ class _Run:
         self._shipped_docs[key] = document
         if cache is not None:
             cache.store_document(requester, owner, cache_name, document,
-                                 size, epoch=cache_epoch)
+                                 size, generation)
         return document
 
     # -- XRPC transport ---------------------------------------------------------
@@ -639,15 +625,15 @@ class _Run:
 
             # -- deliver: each step answers or passes on ----------------
             response_xml = response_bytes = hit = None
-            cache_key = cache_epoch = kept = None
+            cache_key = generation = kept = None
             if self.result_cache is not None:
-                cache_epoch = self.result_cache.epoch()
+                generation = self.federation.generation()
                 cache_key = response_key(cache_scope or peer.name,
                                          semantics, request_xml,
                                          used_paths, returned_paths,
                                          shard_epoch=shard_epoch)
                 hit = self.result_cache.lookup_response(
-                    cache_key, request_bytes)
+                    cache_key, request_bytes, generation)
             cached = hit is not None
             if cached:
                 stored, response_bytes = hit
@@ -726,7 +712,7 @@ class _Run:
                 if kept is not None:
                     self.result_cache.store_response(
                         cache_key, (kept, response_bytes), response_bytes,
-                        epoch=cache_epoch)
+                        generation)
             stats.record_op(
                 site.site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,

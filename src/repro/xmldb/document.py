@@ -35,11 +35,10 @@ from repro.xmldb.node import (
 
 _doc_sequence = itertools.count()
 
-#: Default bound for the per-document memo caches (serializer subtree
-#: memo entries, value-index columns). Large enough that single-query
+#: Bound of each per-document memo cache (serializer subtree memo
+#: entries, value-index columns). Large enough that single-query
 #: working sets never evict, small enough that a long-lived peer under
-#: a multi-tenant workload stays bounded. Override per document via
-#: ``Document.memo_cache_cap``.
+#: a multi-tenant workload stays bounded.
 DEFAULT_MEMO_CACHE_CAP = 1024
 
 
@@ -57,6 +56,10 @@ class Document:
 
     The constructor wraps one built :class:`ColumnSet` as it is.
 
+    What is derived from a document (indexes, serialisation, the
+    planner's statistics view) is memoized on it and never invalidated:
+    a ``Peer.store`` replaces the whole object.
+
     One :class:`ColumnSet` may back several documents (each hit on a
     cached XRPC response wraps the stored columns in new ones), so the
     columns are never mutated in place; only their name postings may be
@@ -64,9 +67,9 @@ class Document:
     """
 
     __slots__ = ("uri", "columns", "kinds", "names", "values", "sizes",
-                 "levels", "parents", "count", "doc_seq", "epoch",
-                 "memo_cache_cap", "_id_index", "_idref_index",
-                 "_structural_index", "_value_index", "_ser_cache")
+                 "levels", "parents", "count", "doc_seq", "stats_view",
+                 "_id_index", "_idref_index", "_structural_index",
+                 "_value_index", "_ser_cache")
 
     def __init__(self, uri: str, columns: ColumnSet):
         if not columns.count:
@@ -84,34 +87,14 @@ class Document:
         self.parents = columns.parents
         self.count = columns.count
         self.doc_seq = next(_doc_sequence)
-        self.epoch = 0
-        #: Bound on the unbounded-growth memo caches riding on this
-        #: document (serializer subtree memo, value-index columns).
-        self.memo_cache_cap = DEFAULT_MEMO_CACHE_CAP
+        #: The planner's statistics view of this document, built by
+        #: :class:`~repro.planner.stats.StatsCatalog` on first read.
+        self.stats_view = None
         self._id_index: dict[str, int] | None = None
         self._idref_index: dict[str, list[int]] | None = None
         self._structural_index = None
         self._value_index = None
         self._ser_cache = None
-
-    def invalidate_caches(self) -> None:
-        """Drop every derived structure (structural index, value index,
-        the name postings riding on the columns, memoized
-        serialization, ID indexes) and bump the cache epoch.
-
-        Documents are logically immutable — ``Peer.store`` swaps whole
-        ``Document`` objects, which invalidates implicitly — and
-        nothing in the package calls this; code that mutated the
-        arrays in place (of columns backing no other document) would
-        have to, so a stale index or serialization is never served.
-        """
-        self.epoch += 1
-        self._id_index = None
-        self._idref_index = None
-        self._structural_index = None
-        self._value_index = None
-        self._ser_cache = None
-        self.columns.postings = None
 
     # -- basic accessors -----------------------------------------------------
 

@@ -37,13 +37,9 @@ Reverse and horizontal axes read the ``parents`` column, whose entry
 for a tree root is -1: on a shipped fragment they find exactly the
 ancestors and siblings the message carried (the paper's Problem 1).
 
-Indexes ride on the document object itself (documents are logically
-immutable; a :meth:`Peer.store` swaps the whole object, so a stale
-index can never be served) and additionally record the document's
-``epoch``: code that mutates arrays in place must call
-:meth:`Document.invalidate_caches` — which drops the postings on the
-columns too — and the accessor makes a fresh index on an epoch
-mismatch. ``index_builds_total{kind}`` counts index objects made,
+Indexes ride on the document object itself (documents are immutable;
+a :meth:`Peer.store` swaps the whole object, so a stale index can never
+be served). ``index_builds_total{kind}`` counts index objects made,
 ``index_build_seconds_total{kind}`` the time of every part pass and
 value-column build.
 """
@@ -115,7 +111,6 @@ class StructuralIndex:
 
     def __init__(self, doc: "Document"):
         self.doc = doc
-        self.epoch = doc.epoch
 
     def name_postings(self) -> Postings:
         """``(tag_pres, attribute_pres)``: the text scanner's tables
@@ -352,10 +347,9 @@ def group_nodes(groups: Groups) -> list[Node]:
 
 
 def structural_index(doc: "Document") -> StructuralIndex:
-    """The document's index, built on first use and rebuilt when the
-    document's cache epoch moved (see ``Document.invalidate_caches``)."""
+    """The document's index, built on first use."""
     index = doc._structural_index
-    if index is not None and index.epoch == doc.epoch:
+    if index is not None:
         return index
     index = doc._structural_index = StructuralIndex(doc)
     GLOBAL_REGISTRY.counter(

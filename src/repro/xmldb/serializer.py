@@ -11,10 +11,8 @@ the text, so later subtree requests (bulk-RPC fragments, by-value
 copies, shard bodies) are string slices instead of tree re-walks. The
 spans also hand the planner's :class:`~repro.planner.stats.StatsCatalog`
 exact per-subtree byte figures for free. Caches ride on the
-:class:`~repro.xmldb.document.Document` object keyed by its cache
-epoch — a ``Peer.store`` swaps the document object and any in-place
-mutation must call ``Document.invalidate_caches``, so stale text is
-never served.
+:class:`~repro.xmldb.document.Document` object — a ``Peer.store``
+swaps the object, so stale text is never served.
 
 There is one producer of XML text, :func:`_emit`: a single loop over a
 subtree's rows with the open elements on an explicit stack. The
@@ -28,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.xmldb.document import Document
+from repro.xmldb.document import DEFAULT_MEMO_CACHE_CAP, Document
 from repro.xmldb.node import (
     KIND_ATTRIBUTE, KIND_COMMENT, KIND_ELEMENT, KIND_PI, KIND_TEXT, Node,
 )
@@ -57,15 +55,15 @@ class SerializedTree:
     per-pre subtree spans (attribute spans cover the escaped value
     between its quotes, matching ``serialize_node`` on an attribute);
     ``memo`` caches subtree strings requested before (or independent
-    of) a full serialisation, LRU-bounded by the document's
-    ``memo_cache_cap`` so span-less fragment churn stays bounded.
+    of) a full serialisation, LRU-bounded by
+    :data:`DEFAULT_MEMO_CACHE_CAP` so span-less fragment churn stays
+    bounded.
     """
 
-    __slots__ = ("epoch", "full", "starts", "ends", "memo",
-                 "memo_lock", "byte_length")
+    __slots__ = ("full", "starts", "ends", "memo", "memo_lock",
+                 "byte_length")
 
-    def __init__(self, epoch: int):
-        self.epoch = epoch
+    def __init__(self):
         self.full: str | None = None
         self.starts: list[int] | None = None
         self.ends: list[int] | None = None
@@ -78,9 +76,8 @@ class SerializedTree:
 
 def _tree(doc: Document) -> SerializedTree:
     cache = doc._ser_cache
-    if cache is None or cache.epoch != doc.epoch:
-        cache = SerializedTree(doc.epoch)
-        doc._ser_cache = cache
+    if cache is None:
+        cache = doc._ser_cache = SerializedTree()
     return cache
 
 
@@ -126,8 +123,7 @@ def serialize_node(node: Node) -> str:
     text = _emit(doc, pre, pre + doc.sizes[pre])
     with cache.memo_lock:
         cache.memo[pre] = text
-        cap = max(1, doc.memo_cache_cap)
-        while len(cache.memo) > cap:
+        while len(cache.memo) > DEFAULT_MEMO_CACHE_CAP:
             cache.memo.popitem(last=False)
     return text
 
@@ -136,9 +132,7 @@ def cached_serialization(doc: Document) -> str | None:
     """The memoized full text if a current one exists, else None —
     a lock-free fast path for callers that serialise under a lock."""
     cache = doc._ser_cache
-    if cache is None or cache.epoch != doc.epoch:
-        return None
-    return cache.full
+    return None if cache is None else cache.full
 
 
 def serialized_byte_length(doc: Document) -> int:
@@ -156,7 +150,7 @@ def subtree_spans(doc: Document) -> tuple[list[int], list[int]]:
     subtree length — the statistics catalog reads these instead of
     re-walking."""
     cache = doc._ser_cache
-    if cache is None or cache.epoch != doc.epoch or cache.full is None:
+    if cache is None or cache.full is None:
         serialize(doc)
         cache = doc._ser_cache
     assert cache.starts is not None and cache.ends is not None

@@ -16,14 +16,12 @@ materialises the tag's string values via ``string_value``; attribute
 columns read the value array directly), over the key's bucket of the
 name postings the structural index keeps — the scanner's own for a
 document that came from text — and are kept in an LRU bounded by
-``Document.memo_cache_cap``, so a long-lived peer probing many
-distinct keys cannot grow without limit. Each column build is timed
-into ``index_build_seconds_total{kind="value"}``. Like the structural
-index, the whole index rides on the
-:class:`~repro.xmldb.document.Document` object and records its
-``epoch``: a ``Peer.store`` swaps the document object, in-place
-mutators call ``invalidate_caches()``, and the accessor rebuilds on
-mismatch — a stale value column is never served.
+:data:`~repro.xmldb.document.DEFAULT_MEMO_CACHE_CAP`, so a long-lived
+peer probing many distinct keys cannot grow without limit. Each column
+build is timed into ``index_build_seconds_total{kind="value"}``. Like
+the structural index, the whole index rides on the
+:class:`~repro.xmldb.document.Document` object: a ``Peer.store`` swaps
+the object, so a stale value column is never served.
 
 Comparison semantics match :func:`repro.xquery.xdm.general_compare`
 pair by pair for the shapes the predicate compiler lowers here: node
@@ -42,6 +40,7 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from repro.obs.metrics import GLOBAL_REGISTRY
+from repro.xmldb.document import DEFAULT_MEMO_CACHE_CAP
 from repro.xmldb.index import charge_build, structural_index
 from repro.xmldb.kernels import (
     difference_sorted, equal_bounds, pre_array, sorted_array,
@@ -159,17 +158,16 @@ class ValueIndex:
     Keys are element tag names (column over the elements' string
     values — concatenated descendant text, as atomization defines) and
     ``@name`` attribute names (column over attribute values). The
-    per-key column cache is an LRU bounded by the document's
-    ``memo_cache_cap``; peers share documents across concurrent
+    per-key column cache is an LRU bounded by
+    :data:`DEFAULT_MEMO_CACHE_CAP`; peers share documents across concurrent
     queries, so the LRU mutations are lock-guarded (built columns are
     immutable and probed lock-free once handed out).
     """
 
-    __slots__ = ("doc", "epoch", "_columns", "_lock")
+    __slots__ = ("doc", "_columns", "_lock")
 
     def __init__(self, doc: "Document"):
         self.doc = doc
-        self.epoch = doc.epoch
         self._columns: OrderedDict[str, ValueColumn | None] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -201,8 +199,7 @@ class ValueIndex:
         charge_build("value", started)
         with self._lock:
             columns[key] = column
-            cap = max(1, self.doc.memo_cache_cap)
-            while len(columns) > cap:
+            while len(columns) > DEFAULT_MEMO_CACHE_CAP:
                 columns.popitem(last=False)
         return column
 
@@ -228,10 +225,9 @@ class ValueIndex:
 
 
 def value_index(doc: "Document") -> ValueIndex:
-    """The document's value index, built on first use and rebuilt when
-    the cache epoch moved (see ``Document.invalidate_caches``)."""
+    """The document's value index, built on first use."""
     index = doc._value_index
-    if index is not None and index.epoch == doc.epoch:
+    if index is not None:
         return index
     index = doc._value_index = ValueIndex(doc)
     GLOBAL_REGISTRY.counter(

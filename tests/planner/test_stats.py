@@ -68,36 +68,32 @@ class TestComputeDocumentStats:
 class TestStatsCatalog:
     def test_lazy_lookup_and_caching(self):
         federation = make_federation()
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         stats = catalog.document_stats("A", "people.xml")
         assert stats is not None and stats.tag("person").count == 2
         assert catalog.document_stats("A", "people.xml") is stats
 
     def test_missing_document_and_peer(self):
         federation = make_federation()
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         assert catalog.document_stats("A", "nope.xml") is None
         assert catalog.document_stats("ghost", "people.xml") is None
 
-    def test_store_invalidates_and_bumps_version(self):
+    def test_store_invalidates_and_bumps_generation(self):
         federation = make_federation()
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         before = catalog.document_stats("A", "people.xml")
-        version = catalog.version()
+        generation = federation.generation()
         federation.peer("A").store(
             "people.xml", "<people><person/></people>")
-        assert catalog.version() > version
+        assert federation.generation() > generation
         after = catalog.document_stats("A", "people.xml")
         assert after is not before
         assert after.tag("person").count == 1
 
     def test_collection_stats_merge_shards(self):
         federation = build_sharded_federation(0.003, shard_count=3)
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         merged = catalog.document_stats("people-c", "people.xml")
         assert merged is not None
         # The merged view must cover every member of every shard.
@@ -108,7 +104,6 @@ class TestStatsCatalog:
     def test_federation_planner_exposes_stats(self):
         federation = make_federation()
         stats = federation.planner.stats
-        stats.attach(federation)
         assert stats.document_stats("A", "people.xml") is not None
 
 
@@ -171,8 +166,7 @@ class TestValueHistograms:
 
     def test_catalog_view_answers_tags_and_values_alike(self):
         federation = make_federation()
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         view = catalog.document_stats("A", "people.xml")
         assert view.tag("age").count == 1
         assert view.value_histogram("age") is view.value_histogram("age")
@@ -181,8 +175,7 @@ class TestValueHistograms:
 
     def test_sharded_collection_merges_value_histograms(self):
         federation = build_sharded_federation(0.004, shard_count=2)
-        catalog = StatsCatalog()
-        catalog.attach(federation)
+        catalog = StatsCatalog(federation)
         stats = catalog.document_stats("people-c", "people.xml")
         ages = stats.value_histogram("age")
         assert ages is not None
@@ -244,9 +237,7 @@ class TestMeasuredSelectivity:
 
 
 def attached(federation) -> StatsCatalog:
-    catalog = StatsCatalog()
-    catalog.attach(federation)
-    return catalog
+    return StatsCatalog(federation)
 
 
 class TestInvalidatesWhatWasStored:
@@ -256,9 +247,9 @@ class TestInvalidatesWhatWasStored:
         catalog = attached(federation)
         people = catalog.document_stats("A", "people.xml")
         other = catalog.document_stats("A", "other.xml")
-        version = catalog.version()
+        generation = federation.generation()
         federation.peer("A").store("people.xml", "<people/>")
-        assert catalog.version() == version + 1
+        assert federation.generation() == generation + 1
         assert catalog.document_stats("A", "other.xml") is other
         assert catalog.document_stats("A", "people.xml") is not people
 
@@ -266,9 +257,9 @@ class TestInvalidatesWhatWasStored:
         federation = build_sharded_federation(0.003, shard_count=2)
         catalog = attached(federation)
         merged = catalog.document_stats("people-c", "people.xml")
-        version = catalog.version()
+        generation = federation.generation()
         federation.peer("local").store("scratch.xml", "<s/>")
-        assert catalog.version() == version + 1
+        assert federation.generation() == generation + 1
         assert catalog.document_stats("people-c", "people.xml") is merged
 
     def test_collection_view_goes_with_a_store_on_any_shard_replica(self):
@@ -286,6 +277,24 @@ class TestInvalidatesWhatWasStored:
         assert again.tag("person") == merged.tag("person")
         assert catalog.document_stats("auctions-c",
                                       "auctions.xml") is auctions
+
+    def test_a_view_rides_on_its_document(self):
+        federation = make_federation()
+        view = attached(federation).document_stats("A", "people.xml")
+        assert federation.peer("A").documents["people.xml"].stats_view \
+            is view
+        assert StatsCatalog(federation).document_stats(
+            "A", "people.xml") is view
+
+    def test_collection_view_goes_with_a_removal_on_a_shard_replica(self):
+        federation = build_sharded_federation(0.003, shard_count=2)
+        catalog = attached(federation)
+        merged = catalog.document_stats("people-c", "people.xml")
+        shard = federation.catalog.get("people-c").shards[0]
+        assert federation.peer(shard.replicas[-1]).remove(shard.local_name)
+        again = catalog.document_stats("people-c", "people.xml")
+        assert again is not merged
+        assert again.tag("person") == merged.tag("person")
 
     def test_collection_view_follows_its_catalog_spec(self):
         """A layout change replaces the (frozen) spec: the view merged

@@ -1,13 +1,15 @@
 """Result-cache correctness: keys, LRU bounds, counters, and — the
-load-bearing part — invalidation through ``Peer.store``."""
+load-bearing part — invalidation by the store generation a
+``Peer.store`` moves."""
 
 import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
+from repro.obs.events import EventLog
 from repro.runtime.cache import (
     MAX_DOCUMENTS, MAX_RESPONSES, ResultCache, response_key,
 )
@@ -16,12 +18,15 @@ from repro.system.federation import Federation
 from repro.workloads import SHARDED_SCAN_QUERY, build_sharded_federation
 from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document
+from repro.xmldb.serializer import serialize
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc.messages import NodeCopy, ResponseMessage
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
 from tests.planner.test_shape_equivalence import _federation, _on_peers
-from tests.xquery.test_flwor_differential import _documents, _queries
+from tests.xquery.test_flwor_differential import (
+    _documents, _queries, _trees,
+)
 
 
 def make_federation():
@@ -59,7 +64,6 @@ class TestResponseKey:
 
         federation = make_federation()
         cache = ResultCache()
-        cache.attach(federation)
         by_value = federation.run(Q2, at="local",
                                   strategy=Strategy.BY_VALUE,
                                   result_cache=cache)
@@ -120,22 +124,49 @@ class TestLruAndCounters:
         assert cache.lookup_document("local", "A", names[-1]) == (doc, 4)
 
 
+#: A replacement ``course42.xml`` whose every grade is Z.
+ALL_Z_COURSE = """<enroll>
+ <exam id="s2"><grade>Z</grade></exam>
+ <exam id="s1"><grade>Z</grade></exam>
+</enroll>"""
+
+
 class TestInvalidation:
-    def test_invalidate_peer_drops_documents_and_all_responses(self):
+    def test_newer_generation_drops_its_owners_documents_and_all_responses(
+            self):
         cache = ResultCache()
         doc = parse_document("<d/>", uri="d.xml")
-        cache.store_document("local", "A", "students.xml", doc, 4)
-        cache.store_document("local", "B", "course42.xml", doc, 4)
-        cache.store_response(response_key("B", "by-fragment", "<req/>", None, None), "<r/>")
-        cache.invalidate_peer("A")
+        key = response_key("B", "by-fragment", "<req/>", None, None)
+        cache.store_document("local", "A", "students.xml", doc, 4, 1)
+        cache.store_document("local", "B", "course42.xml", doc, 4, 1)
+        cache.store_response(key, "<r/>", generation=2)
+        # A store on A: A's generation 1 -> 2, the federation's 2 -> 3.
         # A's document gone; B's kept; responses dropped wholesale
         # (they may transitively depend on any peer's documents).
-        assert cache.lookup_document("local", "A", "students.xml") is None
-        assert cache.lookup_document("local", "B", "course42.xml") \
+        assert cache.lookup_document("local", "A", "students.xml", 2) \
+            is None
+        assert cache.lookup_document("local", "B", "course42.xml", 1) \
             is not None
-        assert cache.lookup_response(
-            response_key("B", "by-fragment", "<req/>", None, None)) is None
+        assert cache.lookup_response(key, generation=3) is None
         assert cache.stats.invalidations == 2
+        assert cache.stats.evictions == 0
+
+    def test_a_sweep_emits_one_event(self):
+        events = EventLog()
+        cache = ResultCache(events=events)
+        for n in range(3):
+            cache.store_response(
+                response_key("B", "by-fragment", f"<r n='{n}'/>", None,
+                             None), "<x/>", generation=1)
+        assert cache.lookup_response(
+            response_key("B", "by-fragment", "<r/>", None, None),
+            generation=2) is None
+        cache.lookup_response(
+            response_key("B", "by-fragment", "<r/>", None, None),
+            generation=3)         # nothing left to drop: no event
+        sweeps = [event for event in events.recent()
+                  if event.kind == "cache_invalidation"]
+        assert [event.attrs["dropped"] for event in sweeps] == [3]
 
     def test_peer_store_invalidates_serialized_text_cache(self):
         federation = make_federation()
@@ -147,9 +178,8 @@ class TestInvalidation:
         assert "<people/>" in after
 
     def test_peer_store_invalidates_runtime_fragment_cache(self):
-        """The satellite requirement: a store reaches both the
-        serialized-text cache and the engine's result cache, and later
-        queries see the new data."""
+        """A store reaches both the serialized-text cache and the
+        engine's result cache, and later queries see the new data."""
         federation = make_federation()
         with FederationEngine(federation, max_workers=2,
                               batch_window_s=0.0) as engine:
@@ -162,49 +192,82 @@ class TestInvalidation:
             assert serialize_sequence(repeat.items) == \
                 serialize_sequence(first.items)
 
-            # Update course42.xml: every grade becomes Z.
-            federation.peer("B").store("course42.xml", """<enroll>
- <exam id="s2"><grade>Z</grade></exam>
- <exam id="s1"><grade>Z</grade></exam>
-</enroll>""")
-            assert engine.cache.snapshot()["responses"] == 0
-
+            federation.peer("B").store("course42.xml", ALL_Z_COURSE)
             fresh = engine.submit(Q2, "local").result()
+            assert fresh.stats.cache_hits == 0
             text = serialize_sequence(fresh.items)
             assert text != serialize_sequence(first.items)
             assert "Z" in text
 
-    def test_stale_epoch_store_is_discarded(self):
-        """A value computed before an invalidation must not re-populate
-        the cache after it (the store/invalidate race)."""
+    def test_peer_store_invalidates_a_cache_passed_to_run(self):
+        """A cache handed straight to ``Federation.run`` registers
+        nowhere, and a store still outdates what it holds."""
+        federation, cache = make_federation(), ResultCache()
+        first = federation.run(Q2, at="local", result_cache=cache)
+        federation.peer("B").store("course42.xml", ALL_Z_COURSE)
+        plain = make_federation()
+        plain.peer("B").store("course42.xml", ALL_Z_COURSE)
+        expected = serialize_sequence(plain.run(Q2, at="local").items)
+        again = federation.run(Q2, at="local", result_cache=cache)
+        assert again.stats.cache_hits == 0
+        assert serialize_sequence(again.items) == expected
+        assert expected != serialize_sequence(first.items)
+
+    def test_generation_counts_stores_and_removals_that_removed(self):
+        federation = make_federation()
+        peer = federation.peer("A")
+        assert (peer.generation, federation.generation()) == (1, 2)
+        peer.store("students.xml", STUDENTS_XML)
+        assert not peer.remove("absent.xml")
+        assert (peer.generation, federation.generation()) == (2, 3)
+        assert peer.remove("students.xml")
+        late = federation.add_peer("C").store("d.xml", "<d/>")
+        assert (peer.generation, late.generation) == (3, 1)
+        assert federation.generation() == 5
+
+    def test_a_collection_document_lives_for_the_federation_generation(
+            self):
+        """A merged document reads every shard replica, so a store on
+        any peer outdates it; a peer's own document outlives a store
+        elsewhere."""
+        query = f"count({SHARDED_SCAN_QUERY})"
+        federation, cache = build_sharded_federation(0.003), ResultCache()
+        federation.add_peer("plain").store("d.xml", "<d><e/></d>")
+
+        def ships(text):
+            result = federation.run(text, at="local",
+                                    strategy="data-shipping",
+                                    result_cache=cache)
+            return result.items, result.stats.cache_hits
+
+        both = f'({query}, count(doc("xrpc://plain/d.xml")//e))'
+        first, hits = ships(both)
+        assert hits == 0
+        assert ships(both) == (first, 2)
+        federation.peer("local").store("scratch.xml", "<s/>")
+        assert ships(both) == (first, 1)     # only the peer's document
+
+    def test_stale_generation_store_is_discarded(self):
+        """A value computed before a store must not re-populate the
+        cache after it (the store/compute race)."""
         cache = ResultCache()
         key = response_key("B", "by-fragment", "<req/>", None, None)
-        epoch = cache.epoch()
-        cache.invalidate_peer("B")  # lands mid-computation
-        cache.store_response(key, "<stale/>", epoch=epoch)
-        assert cache.lookup_response(key) is None
+        cache.lookup_response(key, generation=1)     # computing under 1
+        cache.lookup_response(key, generation=2)     # a store landed
+        cache.store_response(key, "<stale/>", generation=1)
+        assert cache.lookup_response(key, generation=2) is None
 
         doc = parse_document("<d/>", uri="d.xml")
-        epoch = cache.epoch()
-        cache.invalidate_peer("A")
-        cache.store_document("local", "A", "d.xml", doc, 4, epoch=epoch)
-        assert cache.lookup_document("local", "A", "d.xml") is None
+        cache.lookup_document("local", "A", "d.xml", 2)
+        cache.store_document("local", "A", "d.xml", doc, 4, 1)
+        assert cache.lookup_document("local", "A", "d.xml", 2) is None
 
-    def test_current_epoch_store_is_kept(self):
+    def test_current_generation_store_is_kept(self):
         cache = ResultCache()
         key = response_key("B", "by-fragment", "<req/>", None, None)
-        cache.store_response(key, "<fresh/>", epoch=cache.epoch())
-        assert cache.lookup_response(key) == "<fresh/>"
-
-    def test_attach_is_idempotent(self):
-        federation = make_federation()
-        cache = ResultCache()
-        cache.attach(federation)
-        cache.attach(federation)
-        assert len(federation.peer("A")._store_listeners) == 1
-        cache.store_response(response_key("B", "by-fragment", "<r/>", None, None), "<x/>")
-        federation.peer("A").store("extra.xml", "<d/>")
-        assert cache.stats.invalidations == 1
+        cache.lookup_response(key, generation=5)
+        cache.store_response(key, "<fresh/>", generation=5)
+        assert cache.lookup_response(key, generation=5) == "<fresh/>"
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +324,11 @@ class _Snapshotting(ResultCache):
         self.stored: list[tuple] = []
 
     def store_response(self, key, response, response_bytes=None,
-                       epoch=None):
+                       generation=0):
         message, _size = response
         self.stored.extend((doc, columns_of(doc))
                            for doc in payload_documents(message))
-        super().store_response(key, response, response_bytes, epoch)
+        super().store_response(key, response, response_bytes, generation)
 
 
 def document_ranks(items: list) -> list[int]:
@@ -453,3 +516,50 @@ def test_generated_queries_answer_the_same_from_the_cache(text, documents):
         assert second == first == plain, (strategy, text)
         assert second_ops == {key: (0, calls + hits) for key, (calls, hits)
                               in first_ops.items()}, (strategy, text)
+
+
+def _agrees_with(view, reference) -> bool:
+    """Whether ``view`` answers every key it built as ``reference``."""
+    tag_keys, value_keys = view.keys_built()
+    return ((view.serialized_bytes, view.nodes)
+            == (reference.serialized_bytes, reference.nodes)
+            and all(view.tag(key) == reference.tag(key) for key in tag_keys)
+            and all(view.value_histogram(key)
+                    == reference.value_histogram(key)
+                    for key in value_keys))
+
+
+@given(text=_queries(), documents=_documents, replacement=_trees(),
+       which=st.sampled_from([("A", "d1", 0), ("B", "d2", 1)]))
+@fuzz_settings(25, hunt=2000)
+def test_generated_queries_stay_current_across_a_store(
+        text, documents, replacement, which):
+    """A generated query through one cache under each decomposing
+    strategy, one of its documents re-stored with another generated
+    document, the query again: every answer is a cache-free run's over
+    the documents stored at the time, and after the store each
+    statistics view the planner reads is the stored document's and
+    answers as a fresh catalog's."""
+    text = _on_peers(text)
+    peer, name, index = which
+    restored = list(documents)
+    restored[index] = replacement
+    federation, cache = _federation(documents), ResultCache()
+    strategies = ("by-value", "by-fragment", "by-projection")
+    for strategy in strategies:
+        plain, _ops = _observe(_federation(documents), text, strategy, None)
+        answer, _ops = _observe(federation, text, strategy, cache)
+        assert answer == plain, (strategy, text)
+    federation.peer(peer).store(name, serialize(replacement))
+    fresh = _federation(restored).planner.stats
+    for strategy in strategies:
+        plain, _ops = _observe(_federation(restored), text, strategy, None)
+        answer, _ops = _observe(federation, text, strategy, cache)
+        assert answer == plain, (strategy, text)
+        for host, local_name in (("A", "d1"), ("B", "d2")):
+            view = federation.planner.stats.document_stats(host, local_name)
+            assert view.document is \
+                federation.peer(host).documents[local_name]
+            assert _agrees_with(
+                view, fresh.document_stats(host, local_name)), \
+                (strategy, host, text)

@@ -1,7 +1,9 @@
 """Engine correctness under concurrency: N parallel submissions must
 be indistinguishable (result-wise) from sequential ``Federation.run``."""
 
+import gc
 import threading
+import weakref
 
 import pytest
 
@@ -215,36 +217,32 @@ class TestScheduling:
             engine.run_all([(Q2, "local")] * 2)
             assert engine.in_flight == 0
 
-    @staticmethod
-    def _cache_listeners(peer):
-        """Store listeners registered by a ResultCache (the planner's
-        StatsCatalog keeps its own persistent listener on the peer)."""
-        from repro.planner.stats import StatsCatalog
-
-        return [listener for listener in peer._store_listeners
-                if not isinstance(getattr(listener, "__self__", None),
-                                  StatsCatalog)]
-
-    def test_shutdown_detaches_owned_cache_listeners(self):
+    def test_a_retired_engine_leaves_its_cache_to_the_collector(self):
         federation = make_federation()
-        peer = federation.peer("A")
         engine = FederationEngine(federation, max_workers=1)
         engine.submit(Q2, "local").result()
-        assert len(self._cache_listeners(peer)) == 1
+        cache = weakref.ref(engine.cache)
         engine.shutdown()
-        assert self._cache_listeners(peer) == []
+        del engine
+        gc.collect()
+        assert cache() is None
 
-    def test_shutdown_keeps_shared_cache_attached(self):
+    def test_a_shared_cache_outlives_its_engine_and_stays_current(self):
         from repro.runtime.cache import ResultCache
 
-        federation = make_federation()
-        shared = ResultCache()
-        engine = FederationEngine(federation, max_workers=1, cache=shared)
-        engine.submit(Q2, "local").result()
-        engine.shutdown()
-        assert len(self._cache_listeners(federation.peer("A"))) == 1
-        shared.detach()
-        assert self._cache_listeners(federation.peer("A")) == []
+        federation, shared = make_federation(), ResultCache()
+        with FederationEngine(federation, max_workers=1,
+                              cache=shared) as engine:
+            first = engine.submit(Q2, "local").result()
+        federation.peer("B").store(
+            "course42.xml", COURSE_XML.replace(">B<", ">Z<"))
+        with FederationEngine(federation, max_workers=1,
+                              cache=shared) as engine:
+            fresh = engine.submit(Q2, "local").result()
+        assert fresh.stats.cache_hits == 0
+        assert serialize_sequence(fresh.items) != \
+            serialize_sequence(first.items)
+        assert "Z" in serialize_sequence(fresh.items)
 
     def test_submit_after_shutdown_raises(self):
         engine = FederationEngine(make_federation(), max_workers=1)
@@ -252,15 +250,17 @@ class TestScheduling:
         with pytest.raises(EngineClosedError):
             engine.submit(Q2, "local")
 
-    def test_peers_added_after_construction_are_hooked(self):
+    def test_a_store_on_a_peer_added_after_construction_counts(self):
         federation = make_federation()
         with FederationEngine(federation, max_workers=2) as engine:
             engine.submit(Q2, "local").result()
             assert engine.cache.snapshot()["responses"] > 0
             late = federation.add_peer("C")
-            engine.submit(Q2, "local").result()  # re-attaches
+            assert engine.submit(Q2, "local").result().stats.cache_hits
             late.store("extra.xml", "<d/>")
-            assert engine.cache.snapshot()["responses"] == 0
+            again = engine.submit(Q2, "local").result()
+            assert again.stats.cache_hits == 0
+            assert engine.cache.stats.invalidations > 0
 
 
 def run_multi_tenant(federation: Federation, jobs: list[TenantJob],

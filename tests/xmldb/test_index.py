@@ -25,8 +25,6 @@ from repro.xmldb.serializer import (
     serialize, serialize_node, serialized_byte_length, subtree_spans,
 )
 
-from repro.xmldb.values import value_index
-
 from tests.oracle import columns as oracle_columns
 from tests.oracle import xquery_reference_walker as oracle
 from tests.oracle.index_reference import ReferenceIndex
@@ -252,60 +250,28 @@ class TestSerializerMemoization:
                 Node(reference, pre))
 
 
-class TestInvalidation:
-    def test_invalidate_caches_bumps_epoch_and_rebuilds(self, doc):
-        index = structural_index(doc)
-        text = serialize(doc)
-        # In-place mutation (not something the code base does, but the
-        # contract the caches defend against): rename an element.
-        person = index.tag_pres["person"][0]
-        doc.names[person] = "ghost"
-        doc.invalidate_caches()
-        rebuilt = structural_index(doc)
-        assert rebuilt is not index
-        assert "ghost" in rebuilt.tag_pres
-        assert "<ghost" in serialize(doc)
-        assert text.startswith("<site>")
+def test_store_swap_serves_fresh_index_and_stats():
+    """store() swaps the document object, so index, serialisation and
+    statistics all reflect the new content with no explicit
+    invalidation."""
+    from repro.planner.stats import StatsCatalog
+    from repro.system.federation import Federation
 
-    def test_a_stale_posting_is_never_served(self, doc):
-        """The scanner's postings ride on the columns: an in-place
-        rename must drop them with the index objects."""
-        person = structural_index(doc).tag_pres["person"][0]
-        ids = list(value_index(doc).attribute_pres("id"))
-        assert ids[0] == person + 1 and len(ids) == 3
-        doc.names[person] = "ghost"
-        doc.names[person + 1] = "key"
-        doc.invalidate_caches()
-        assert doc.columns.postings is None
-        tag_pres = structural_index(doc).tag_pres
-        assert list(tag_pres["ghost"]) == [person]
-        assert person not in tag_pres["person"]
-        assert list(value_index(doc).attribute_pres("key")) == [person + 1]
-        assert list(value_index(doc).attribute_pres("id")) == ids[1:]
+    federation = Federation()
+    peer = federation.add_peer("A")
+    peer.store("d.xml", "<people><person/><person/></people>")
+    federation.add_peer("local")
+    catalog = StatsCatalog(federation)
 
-    def test_store_mutation_serves_fresh_index_and_stats(self):
-        """The acceptance-criteria store-mutation test: store() swaps
-        the document object, so index, serialisation and statistics
-        all reflect the new content with no explicit invalidation."""
-        from repro.planner.stats import StatsCatalog
-        from repro.system.federation import Federation
+    query = 'count(doc("xrpc://A/d.xml")//person)'
+    assert federation.run(query, at="local").items == [2]
+    before = catalog.document_stats("A", "d.xml")
+    assert before.tag("person").count == 2
+    generation = federation.generation()
 
-        federation = Federation()
-        peer = federation.add_peer("A")
-        peer.store("d.xml", "<people><person/><person/></people>")
-        federation.add_peer("local")
-        catalog = StatsCatalog()
-        catalog.attach(federation)
-
-        query = 'count(doc("xrpc://A/d.xml")//person)'
-        assert federation.run(query, at="local").items == [2]
-        before = catalog.document_stats("A", "d.xml")
-        assert before.tag("person").count == 2
-        version = catalog.version()
-
-        peer.store("d.xml", "<people><person/></people>")
-        assert federation.run(query, at="local").items == [1]
-        after = catalog.document_stats("A", "d.xml")
-        assert after.tag("person").count == 1
-        assert catalog.version() > version
-        assert "person" in peer.serialized("d.xml")
+    peer.store("d.xml", "<people><person/></people>")
+    assert federation.run(query, at="local").items == [1]
+    after = catalog.document_stats("A", "d.xml")
+    assert after.tag("person").count == 1
+    assert federation.generation() > generation
+    assert "person" in peer.serialized("d.xml")

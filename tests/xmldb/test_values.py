@@ -1,8 +1,8 @@
-"""Value-index units: typed probes, laziness, LRU caps, invalidation."""
+"""Value-index units: typed probes, laziness, LRU caps."""
 
 import pytest
 
-from repro.xmldb.document import DEFAULT_MEMO_CACHE_CAP
+from repro.xmldb import serializer, values
 from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize_node
@@ -80,26 +80,8 @@ class TestProbes:
 
 
 class TestCaching:
-    def test_index_cached_until_epoch_moves(self, doc):
-        first = value_index(doc)
-        assert value_index(doc) is first
-        doc.invalidate_caches()
-        rebuilt = value_index(doc)
-        assert rebuilt is not first
-
-    def test_mutation_with_invalidation_reprobes(self, doc):
-        index = value_index(doc)
-        target = index.probe("name", "=", "bow")[0]
-        doc.values[target + 1] = "sling"   # the text node under <name>
-        doc.invalidate_caches()
-        assert list(value_index(doc).probe("name", "=", "bow")) == []
-        assert len(value_index(doc).probe("name", "=", "sling")) == 1
-
-    def test_default_cap_exposed(self, doc):
-        assert doc.memo_cache_cap == DEFAULT_MEMO_CACHE_CAP
-
-    def test_column_lru_bounded_by_cap(self, doc):
-        doc.memo_cache_cap = 2
+    def test_column_lru_bounded_by_cap(self, doc, monkeypatch):
+        monkeypatch.setattr(values, "DEFAULT_MEMO_CACHE_CAP", 2)
         index = value_index(doc)
         for key in ("name", "price", "@id", "@grade", "item"):
             index.probe(key, "=", "x")
@@ -107,8 +89,8 @@ class TestCaching:
         # Evicted columns rebuild transparently with correct answers.
         assert len(index.probe("name", "=", "axe")) == 2
 
-    def test_serializer_memo_bounded_by_cap(self, doc):
-        doc.memo_cache_cap = 3
+    def test_serializer_memo_bounded_by_cap(self, doc, monkeypatch):
+        monkeypatch.setattr(serializer, "DEFAULT_MEMO_CACHE_CAP", 3)
         items = pres_of(doc, "item") + pres_of(doc, "name")
         texts = [serialize_node(Node(doc, pre)) for pre in items]
         memo = doc._ser_cache.memo

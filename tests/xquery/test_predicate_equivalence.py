@@ -16,9 +16,9 @@ Four layers:
 * corpora — the library and XMark federations give deep-equal results
   for predicate/join queries under all four fixed strategies plus
   ``auto``, against a naive-engine baseline;
-* invalidation — an in-place store mutation plus ``invalidate_caches``
-  rebuilds the value index (results change accordingly and keep
-  matching the naive engine); a ``Peer.store`` swap re-plans too.
+* a ``Peer.store`` swap — the next run reads the new document's value
+  index (results change accordingly and keep matching the naive
+  engine) and re-plans.
 """
 
 from hypothesis import given, strategies as st
@@ -190,24 +190,6 @@ def test_self_probe_does_not_confuse_attribute_and_element_columns(step):
     assert len(Evaluator(module).run(env)) == 1
 
 
-def test_invalidation_after_inplace_mutation():
-    from repro.xmldb.parser import parse_document
-
-    doc = parse_document(STUDENTS_XML, uri="d")
-    query = "doc('d')//person[name = 'Ann']/id"
-    assert_query_agrees(query, doc)
-    # Rename Ann -> Zoe in place; the value index must rebuild.
-    target = next(n for n in doc.nodes()
-                  if n.name == "name" and n.string_value() == "Ann")
-    doc.values[target.pre + 1] = "Zoe"
-    doc.invalidate_caches()
-    assert_query_agrees(query, doc)
-    assert_query_agrees("doc('d')//person[name = 'Zoe']/id", doc)
-    module = parse_query("doc('d')//person[name = 'Zoe']/id")
-    env = DynamicContext(resolve_doc=lambda uri: doc)
-    assert len(Evaluator(module).run(env)) == 1
-
-
 # ---------------------------------------------------------------------------
 # Corpora, end to end, all strategies + auto
 # ---------------------------------------------------------------------------
@@ -274,8 +256,8 @@ def test_xmark_corpus_end_to_end(strategy, query):
 
 def test_store_swap_invalidates_value_indexes_end_to_end():
     """A Peer.store replaces the document object: the next run (auto,
-    re-planned thanks to the stats-version cache key) probes fresh
-    value indexes and sees the new content."""
+    re-planned because the store moved the federation's generation)
+    probes fresh value indexes and sees the new content."""
     from repro.system.federation import Federation
 
     federation = Federation()
