@@ -97,13 +97,16 @@ class PlanReport:
     #: or repartition moved its stamp (that one only re-prices: no
     #: parser, decomposer or lowerer runs); True on every other lookup.
     from_cache: bool = False
+    #: The :class:`~repro.xquery.prepared.Binding` of the text that was
+    #: planned: the run reads its literals from it.
+    binding: object = None
     _actuals: tuple | None = field(default=None, init=False, repr=False)
     _analysis: PlanAnalysis | None = field(default=None, init=False,
                                            repr=False)
 
     strategy = property(lambda self: self.plan.label,
                         doc="the chosen plan's label, e.g. by-projection")
-    literals = property(lambda self: self.plan.binding.literals,
+    literals = property(lambda self: self.binding.literals,
                         doc="the values the text bound to its shape's slots")
     estimated_s = property(lambda self: self.total.total_s(self.plan.model),
                            doc="predicted simulated seconds")

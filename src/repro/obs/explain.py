@@ -111,9 +111,9 @@ def _fmt_ms(value: float | None) -> str:
 
 def describe_lookup(from_cache: bool, literals: tuple) -> str:
     """What the planner did for this text of the plan's shape: on a
-    ``shape hit`` it looked the prepared shape up and at most priced
-    it for ``literals`` (the residual per-literal work, counted in
-    ``planner.snapshot()["bindings_priced"]``)."""
+    ``shape hit`` it looked the prepared shape up and ranked its
+    candidates as priced for the shape, whatever ``literals`` the text
+    binds (they are shown, not priced)."""
     return (f"{'shape hit' if from_cache else 'shape planned'}, literals "
             f"({', '.join(map(repr, literals))})")
 

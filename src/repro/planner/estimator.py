@@ -1,10 +1,13 @@
 """Lowering a decomposition into a priced :class:`PhysicalPlan`.
 
 Lowering has a structural half, done once per plan shape (call-site
-contracts, projection specs), and a pricing pass, done once per
-literal binding of that shape (:meth:`PlanEstimator.price`). The
-pricing pass walks the rewritten module once, doing two jobs at the
-same altitude the evaluator will work at:
+contracts, projection specs), and a pricing pass, done once per shape
+and statistics stamp (:meth:`PlanEstimator.lower`, and
+:meth:`PlanEstimator.reprice` when a store moved the stamp). A text's
+literals take no part: a comparison against a slot prices the same
+whatever value the text binds, so a shape has one price. The pricing
+pass walks the rewritten module once, doing two jobs at the same
+altitude the evaluator will work at:
 
 * **volume estimation** — an abstract interpretation where the value
   of an expression is a ``(items, bytes)`` volume, resolved against
@@ -20,13 +23,14 @@ same altitude the evaluator will work at:
   model arithmetic the transport charges at run time.
 
 Unknowable quantities (predicate selectivity, projection compression)
-start at calibrated defaults. Lowering is factor-free: the per-peer
+are calibrated defaults. Lowering is factor-free: the per-peer
 :class:`~repro.planner.feedback.CalibrationBook` corrections are final
 multiplications, applied by :func:`~repro.planner.ir.priced`.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -45,16 +49,12 @@ from repro.planner.ir import (
 )
 from repro.planner.stats import DocumentStats, StatsCatalog
 from repro.xquery.ast import (
-    LITERALS, VALUE_COMPARISONS, ArithmeticExpr, ComparisonExpr,
-    ConstructorExpr, ContextItemExpr, EmptySequence, Expr, ForExpr, FunCall,
-    IfExpr, LetExpr, Literal, LogicalExpr, NodeSetExpr, OrderByExpr,
-    PathExpr, QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr,
-    UnaryExpr, VarRef, XRPCExpr, walk,
+    ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
+    EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
+    LiteralSlot, LogicalExpr, NodeSetExpr, OrderByExpr, PathExpr,
+    QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr,
+    VarRef, XRPCExpr, walk,
 )
-from repro.xquery.predicates import (
-    FLIPPED_OPS, conjunction_members, literal_probe,
-)
-from repro.xquery.prepared import Binding
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
@@ -71,13 +71,12 @@ PER_ITEM_OVERHEAD_BYTES = 25.0
 FRAGMENT_REF_BYTES = 20.0
 #: One serialised projection path in a request header.
 PATH_OVERHEAD_BYTES = 30.0
-#: Selectivity of one predicate / conditional filter when the value
-#: histograms have nothing sharper (see ``_Estimation._predicate_selectivity``
-#: / ``_condition_selectivity`` for the measured path).
+#: Selectivity of one step predicate / conditional filter, whatever it
+#: compares: the one selectivity there is.
 FILTER_SELECTIVITY = 0.5
 #: Fraction of a subtree's bytes that survive atomisation.
 TEXT_FRACTION = 0.35
-#: Byte shrink per path step when no histogram is available.
+#: Byte shrink per path step when the document has no statistics.
 STEP_BYTES_FACTOR = 0.6
 #: Response/request compression from runtime projection when the
 #: projection paths give nothing sharper.
@@ -113,6 +112,10 @@ class _Vol:
 
 _EMPTY = _Vol()
 _BOOLEAN = _Vol(items=1.0, bytes=8.0)
+#: A literal slot by its kind: one atom, whatever value a text binds.
+_SLOT = {"integer": _Vol(items=1.0, bytes=8.0),
+         "double": _Vol(items=1.0, bytes=8.0),
+         "string": _Vol(items=1.0, bytes=16.0)}
 
 
 def _combine(volumes: list[_Vol]) -> _Vol:
@@ -140,11 +143,11 @@ class PlanEstimator:
         self.model = federation.cost_model
 
     def lower(self, decomposition: DecompositionResult, origin: str,
-              bulk_rpc: bool = True, label: str | None = None,
-              binding: Binding | None = None) -> PhysicalPlan:
+              bulk_rpc: bool = True, label: str | None = None
+              ) -> PhysicalPlan:
         """Lower one decomposition into a plan — what its shape fixes:
-        the call-site contracts and projection specs — priced for the
-        text that binds ``binding``'s literals to the shape's slots."""
+        the call-site contracts and projection specs — priced against
+        the statistics as they are now."""
         module = decomposition.module
         exprs = [node for decl in module.functions
                  for node in walk(decl.body)] + list(walk(module.body))
@@ -155,7 +158,6 @@ class PlanEstimator:
             origin=origin,
             model=self.model,
             calibration=self.calibration,
-            binding=binding if binding is not None else Binding(),
             bulk_rpc=bulk_rpc,
         )
         # Projection path analysis is only paid when a site will use it
@@ -170,15 +172,16 @@ class PlanEstimator:
                 for node in calls if id(node) in specs)
         plan.site_semantics.update(
             (id(node.body), plan.default_semantics) for node in calls)
-        plan.ops = _Estimation(self, plan, plan.binding.literals).run()
+        plan.ops = _Estimation(self, plan).run()
         return plan
 
-    def price(self, plan: PhysicalPlan, binding: Binding) -> PhysicalPlan:
-        """``plan`` for another text of its shape: one estimation pass
-        reading ``binding``'s literals where the shape has slots (a
-        histogram selectivity per comparison), the rest shared."""
-        return plan.bound(
-            _Estimation(self, plan, binding.literals).run(), binding)
+    def reprice(self, plan: PhysicalPlan) -> PhysicalPlan:
+        """``plan`` priced against the statistics as they are now (a
+        store moved them): new operators, the rest shared. ``plan``
+        itself is left as it is for the runs that picked it."""
+        repriced = copy(plan)
+        repriced.ops = _Estimation(self, repriced).run()
+        return repriced
 
     # -- shared pricing helpers ---------------------------------------------
 
@@ -211,16 +214,14 @@ class PlanEstimator:
 
 class _Estimation:
     """One pricing pass over a lowered plan's module: volume
-    interpretation + operator emission under one literal binding."""
+    interpretation + operator emission."""
 
-    def __init__(self, estimator: PlanEstimator, plan: PhysicalPlan,
-                 literals: tuple):
+    def __init__(self, estimator: PlanEstimator, plan: PhysicalPlan):
         self.estimator = estimator
         self.federation = estimator.federation
         self.plan = plan
         self.module = plan.decomposition.module
         self.origin = plan.origin
-        self.literals = literals
         self.ops: list = []
         self._shipped: set[tuple[str, str, str]] = set()
         #: Elements touched per execution host (exec estimation).
@@ -244,9 +245,10 @@ class _Estimation:
             return env.get(expr.name, _EMPTY)
         if isinstance(expr, PathExpr):
             return self._visit_path(expr, env, host, multiplicity)
-        if isinstance(expr, LITERALS):
-            return _Vol(items=1.0,
-                        bytes=float(len(str(expr.bound(self.literals)))))
+        if isinstance(expr, Literal):
+            return _Vol(items=1.0, bytes=float(len(str(expr.value))))
+        if isinstance(expr, LiteralSlot):
+            return _SLOT[expr.kind]
         if isinstance(expr, EmptySequence):
             return _EMPTY
         if isinstance(expr, ContextItemExpr):
@@ -269,9 +271,7 @@ class _Estimation:
             return body.scaled(iterations)
         if isinstance(expr, IfExpr):
             self.visit(expr.cond, env, host, multiplicity)
-            selectivity = self._condition_selectivity(expr.cond, env)
-            if selectivity is None:
-                selectivity = FILTER_SELECTIVITY
+            selectivity = FILTER_SELECTIVITY
             then = self.visit(expr.then_branch, env, host,
                               multiplicity * selectivity)
             other = self.visit(expr.else_branch, env, host,
@@ -347,119 +347,8 @@ class _Estimation:
             for predicate in step.predicates:
                 self.visit(predicate, {**env, ".": current.per_item()},
                            host, multiplicity * max(current.items, 1.0))
-                current = current.scaled(
-                    self._predicate_selectivity(predicate, current))
+                current = current.scaled(FILTER_SELECTIVITY)
         return current
-
-    def _predicate_selectivity(self, predicate: Expr,
-                               current: _Vol) -> float:
-        """Measured selectivity of one step predicate, read off the
-        source document's value histograms; the calibrated default
-        when the shape or the histograms give nothing sharper."""
-        stats = current.stats
-        if stats is None:
-            return FILTER_SELECTIVITY
-        selectivity: float | None = None
-        for conjunct in conjunction_members(predicate):
-            probe = literal_probe(conjunct, literals=self.literals)
-            if probe is None:
-                probe = self._self_probe(conjunct, current)
-            if probe is None:
-                continue
-            key, op, value = probe
-            histogram = stats.value_histogram(key)
-            if histogram is None:
-                continue
-            fraction = histogram.selectivity(op, value)
-            if fraction is None:
-                continue
-            selectivity = (fraction if selectivity is None
-                           else selectivity * fraction)
-        return FILTER_SELECTIVITY if selectivity is None else selectivity
-
-    def _self_probe(self, conjunct: Expr,
-                    current: _Vol) -> tuple[str, str, object] | None:
-        """``. op literal`` against the step's own tag histogram."""
-        if current.tag is None or not isinstance(conjunct,
-                                                 ComparisonExpr) \
-                or conjunct.op not in VALUE_COMPARISONS:
-            return None
-        for side, other, op in ((conjunct.left, conjunct.right,
-                                 conjunct.op),
-                                (conjunct.right, conjunct.left,
-                                 FLIPPED_OPS[conjunct.op])):
-            if isinstance(side, ContextItemExpr) \
-                    and isinstance(other, LITERALS):
-                value = other.bound(self.literals)
-                if isinstance(value, (str, int, float)) \
-                        and not isinstance(value, bool):
-                    return (current.tag, op, value)
-        return None
-
-    def _condition_selectivity(self, cond: Expr,
-                               env: dict[str, _Vol]) -> float | None:
-        """Measured selectivity of an ``if`` condition: comparisons of
-        ``$var/...path`` sides against literals (histogram lookups) or
-        against another sequence (equality semijoin: ``|right| /
-        distinct(left)``). None when nothing is recognised — the
-        caller falls back to the calibrated default.
-        """
-        if isinstance(cond, LogicalExpr):
-            left = self._condition_selectivity(cond.left, env)
-            right = self._condition_selectivity(cond.right, env)
-            if left is None and right is None:
-                return None
-            left = FILTER_SELECTIVITY if left is None else left
-            right = FILTER_SELECTIVITY if right is None else right
-            if cond.op == "and":
-                return left * right
-            return 1.0 - (1.0 - left) * (1.0 - right)
-        if not isinstance(cond, ComparisonExpr) \
-                or cond.op not in VALUE_COMPARISONS:
-            return None
-        left = self._histogram_of_side(cond.left, env)
-        right = self._histogram_of_side(cond.right, env)
-        if left is not None:
-            histogram, _vol = left
-            if isinstance(cond.right, LITERALS):
-                value = cond.right.bound(self.literals)
-                if not isinstance(value, bool) \
-                        and isinstance(value, (str, int, float)):
-                    return histogram.selectivity(cond.op, value)
-                return None
-            if right is not None and cond.op == "=":
-                # Value-equality semijoin: each left item survives with
-                # probability |right values| / |distinct left values|.
-                _right_hist, right_vol = right
-                return min(1.0, max(right_vol.items, 1.0)
-                           / max(histogram.distinct, 1))
-            return None
-        if right is not None and isinstance(cond.left, LITERALS):
-            histogram, _vol = right
-            value = cond.left.bound(self.literals)
-            if not isinstance(value, bool) \
-                    and isinstance(value, (str, int, float)):
-                return histogram.selectivity(FLIPPED_OPS[cond.op], value)
-        return None
-
-    def _histogram_of_side(self, side: Expr, env: dict[str, _Vol]):
-        """``(histogram, bound _Vol)`` when ``side`` is a relative path
-        from an environment variable whose source document carries
-        value histograms for the path's last named step."""
-        if not (isinstance(side, PathExpr)
-                and isinstance(side.input, VarRef)
-                and side.steps):
-            return None
-        volume = env.get(side.input.name)
-        if volume is None or volume.stats is None:
-            return None
-        last = side.steps[-1]
-        if last.test == "*" or last.test.endswith("()"):
-            return None
-        key = ("@" + last.test if last.axis == "attribute"
-               else last.test)
-        histogram = volume.stats.value_histogram(key)
-        return None if histogram is None else (histogram, volume)
 
     def _apply_step(self, current: _Vol, axis: str, test: str) -> _Vol:
         stats = current.stats

@@ -27,7 +27,6 @@ compiled for its module.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 
 from repro.decompose import DecompositionResult, Strategy
@@ -37,7 +36,7 @@ from repro.obs.explain import OpAnalysis
 from repro.paths.relpath import compile_paths
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.prepared import Binding, PreparedTable
+from repro.xquery.prepared import PreparedTable
 
 
 def _fmt_bytes(value: float) -> str:
@@ -183,20 +182,16 @@ def priced(op, book: CalibrationBook, origin: str) -> CostVector:
 
 @dataclass
 class PhysicalPlan:
-    """One executable candidate: a decomposition plus its priced ops.
-
-    The operators are estimated for one literal binding of the
-    prepared query's shape; everything else is the shape's and is
-    shared by the plans :meth:`bound` makes for its other bindings."""
+    """One executable candidate: a decomposition plus its priced ops,
+    shared by every text of the prepared query's shape (a run reads
+    its literals from its own :class:`~repro.xquery.prepared.Binding`,
+    which the planner's report carries)."""
 
     label: str
     strategy: Strategy
     decomposition: DecompositionResult
     origin: str
     ops: list = field(default_factory=list)
-    #: What ``ops`` were priced for (the values bound to the shape's
-    #: slots) and what its runs read their literals from.
-    binding: Binding = field(default_factory=Binding)
     bulk_rpc: bool = True
     #: Per-site message semantics, keyed by ``id(xrpc.body)`` — the
     #: handle :class:`~repro.system.federation._Run` has on the wire.
@@ -230,13 +225,6 @@ class PhysicalPlan:
         return self.sites.intern(id(body), lambda: CallSite(
             self.semantics_for(id(body)),
             self.projection_specs.get(id(body)), body))
-
-    def bound(self, ops: list, binding: Binding) -> "PhysicalPlan":
-        """This plan as priced for another binding: ``ops`` are its
-        own, call sites, specs and evaluator the shape's."""
-        plan = copy(self)
-        plan.ops, plan.binding = ops, binding
-        return plan
 
     def priced(self) -> list[CostVector]:
         """Every operator's vector under the current factors: the one

@@ -21,16 +21,14 @@ federation's bounded table:
 Estimates do, so they are stamped (catalog epoch, the federation's
 store generation); a moved stamp re-prices and lowers nothing, yet
 counts as an enumeration (``from_cache=False``, ``plans_enumerated``
-+= candidates).
-
-What a literal decides is kept per :class:`~repro.xquery.prepared.Binding`
-of the shape (a small LRU): every candidate's factor-free operators as
-priced for the bound values — one estimation pass each on the binding's
-first sight, reading the histogram selectivity of *its* threshold — and
-the body texts its runs ship. Every lookup prices each candidate once
-under the :class:`~repro.planner.feedback.CalibrationBook`'s current
-factors; the cheapest, with its vectors, is the run's report, so two
-bindings of one shape may run different candidates; ties go to
++= candidates). A literal decides no estimate: each candidate is
+priced once per shape and stamp, and every text of the shape shares
+its factor-free operators. What a literal does decide — the body texts
+a run ships — hangs off the text's
+:class:`~repro.xquery.prepared.Binding`, which the report carries to
+the run. Every lookup prices each candidate once under the
+:class:`~repro.planner.feedback.CalibrationBook`'s current factors;
+the cheapest, with its vectors, is the run's report; ties go to
 enumeration order: data-shipping → by-value → by-fragment →
 by-projection → mixed.
 
@@ -58,7 +56,7 @@ from repro.planner.ir import (
 from repro.planner.stats import StatsCatalog
 from repro.xquery.ast import Module
 from repro.xquery.evaluator import Evaluator
-from repro.xquery.prepared import Binding, PreparedTable
+from repro.xquery.prepared import PreparedTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation, RunResult
@@ -81,7 +79,7 @@ class _Candidate:
     strategy: Strategy
     #: The insertion points realised (None: all); the rest data-ship.
     include: list[InsertionPlan] | None = None
-    #: Its lowering (as priced for the binding that was seen first).
+    #: Its lowering, priced at its variant's stamp.
     plan: PhysicalPlan | None = None
 
 
@@ -117,7 +115,6 @@ class QueryPlanner:
         self._lock = threading.Lock()
         self._plans_enumerated = 0
         self._cache_hits = 0
-        self._bindings_priced = 0
 
     # -- planning -----------------------------------------------------------
 
@@ -126,13 +123,11 @@ class QueryPlanner:
              bulk_rpc: bool = True, code_motion: bool = True,
              let_sinking: bool = True
              ) -> tuple[PhysicalPlan, PlanReport]:
-        """The plan for ``query`` originating at ``at`` (what its shape
-        fixes is shared by every run of the shape, read-only; its
-        operators are estimated for the literals ``query`` binds) and
-        this call's report over the vectors that ranked it.
+        """The plan for ``query`` originating at ``at`` (shared by every
+        text of its shape, read-only) and this call's report over the
+        vectors that ranked it, carrying the text's binding.
         ``from_cache`` is False on a shape's first lookup and on the
-        first after a moved stamp, which only re-prices; pricing a
-        binding seen for the first time is a hit."""
+        first after a moved stamp, which only re-prices."""
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
         entry, binding = self._prepared.intern_text(
@@ -140,55 +135,45 @@ class QueryPlanner:
             prolog=True)
         prepared: PreparedQuery = entry.value
         catalog = self.federation.catalog
-        lowered = priced = 0
         with entry.lock:
             variant = prepared.variants.get(label)
             if variant is None:
                 variant = prepared.variants[label] = _Variant(
                     self._candidates(prepared, choice, at, let_sinking))
-            # Read before lowering: a store racing it must re-lower.
+            # Read before pricing: a store racing it must re-price.
             stamp = (catalog.epoch() if catalog is not None else -1,
                      self.federation.generation())
-            if variant.stamp is None:
+            enumerated = variant.stamp != stamp
+            if enumerated:
+                # First sight, or every estimate of the shape went
+                # stale (a store, a repartition): an enumeration.
                 with child_span("enumerate", strategy=label,
                                 candidates=len(variant.candidates)):
                     for candidate in variant.candidates:
-                        self._lower(prepared, candidate, at, binding,
-                                    bulk_rpc, code_motion, let_sinking)
-                binding.memo[variant] = stamp, [
-                    candidate.plan for candidate in variant.candidates]
-            if variant.stamp != stamp:
-                # First sight, or every estimate of the shape went
-                # stale (a store, a repartition): an enumeration.
+                        if candidate.plan is None:
+                            self._lower(prepared, candidate, at, bulk_rpc,
+                                        code_motion, let_sinking)
+                        else:
+                            candidate.plan = self.estimator.reprice(
+                                candidate.plan)
                 variant.stamp = stamp
-                lowered = len(variant.candidates)
-            if binding.memo.get(variant, (None,))[0] != stamp:
-                # The per-literal work: one estimation pass per
-                # candidate over what the shape already holds.
-                with child_span("price", strategy=label,
-                                candidates=len(variant.candidates)):
-                    binding.memo[variant] = stamp, [
-                        self.estimator.price(candidate.plan, binding)
-                        for candidate in variant.candidates]
-                priced = not lowered
-            plans = binding.memo[variant][1]
+            plans = [candidate.plan for candidate in variant.candidates]
         vectors = [plan.priced() for plan in plans]
         ranked = sorted(
             (CostVector.total_of(ops).total_s(plan.model), index)
             for index, (plan, ops) in enumerate(zip(plans, vectors)))
         chosen = ranked[0][1]
         with self._lock:
-            self._plans_enumerated += lowered
-            self._bindings_priced += priced
-            self._cache_hits += not lowered
+            self._plans_enumerated += len(plans) if enumerated else 0
+            self._cache_hits += not enumerated
         return plans[chosen], PlanReport(
             plans[chosen], vectors[chosen],
             candidates=tuple((plans[index].label, estimate)
                              for estimate, index in ranked),
-            from_cache=not lowered)
+            from_cache=not enumerated, binding=binding)
 
     def _lower(self, prepared: PreparedQuery, candidate: _Candidate,
-               at: str, binding: Binding, bulk_rpc: bool, code_motion: bool,
+               at: str, bulk_rpc: bool, code_motion: bool,
                let_sinking: bool) -> None:
         """Realise and lower ``candidate``, once per shape: what its
         plan holds beside the operators reads neither statistics nor
@@ -197,7 +182,7 @@ class QueryPlanner:
             realize(self._prep(prepared, candidate.strategy, at,
                                let_sinking),
                     include=candidate.include, code_motion=code_motion),
-            at, bulk_rpc=bulk_rpc, label=candidate.label, binding=binding)
+            at, bulk_rpc=bulk_rpc, label=candidate.label)
         plan.evaluator = Evaluator(plan.decomposition.module,
                                    self.federation.static)
 
@@ -316,7 +301,6 @@ class QueryPlanner:
                 "cached_plans": len(self._prepared),
                 "cache_hits": self._cache_hits,
                 "plans_enumerated": self._plans_enumerated,
-                "bindings_priced": self._bindings_priced,
                 "stats_keys_built": stats["keys_built"],
                 "calibration": self.calibration.snapshot(),
                 "stats": stats,

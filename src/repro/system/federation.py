@@ -299,9 +299,11 @@ class Federation:
                         query, at=at, strategy=strategy,
                         bulk_rpc=bulk_rpc, code_motion=code_motion,
                         let_sinking=let_sinking)
-                # The plan is shared by every run of this text
-                # (read-only).
-                run = _Run(self, plan, bulk_rpc, keep_message_xml,
+                # The plan is shared by every text of its shape
+                # (read-only); the run reads this text's literals from
+                # the binding the lookup interned.
+                run = _Run(self, plan, report.binding, bulk_rpc,
+                           keep_message_xml,
                            result_cache=result_cache, batcher=batcher,
                            tracer=tracer)
                 result = self._execute(run, report)
@@ -353,13 +355,13 @@ class _Run:
     """State for one federated execution."""
 
     def __init__(self, federation: Federation, plan: PhysicalPlan,
-                 bulk_rpc: bool, keep_message_xml: bool,
+                 binding: Binding, bulk_rpc: bool, keep_message_xml: bool,
                  result_cache: ResultCache | None = None,
                  batcher: BulkBatcher | None = None,
                  tracer: Tracer | None = None):
         self.federation = federation
         self.plan = plan
-        self.binding = plan.binding
+        self.binding = binding
         self.decomposition = plan.decomposition
         self.origin = plan.origin
         self.bulk_rpc = bulk_rpc

@@ -288,6 +288,9 @@ class OrderSpec:
 
     key: Expr
     ascending: bool = True
+    #: ``empty greatest``: the empty sequence sorts above every value
+    #: (and NaN just below it); the default is ``empty least``.
+    empty_greatest: bool = False
 
 
 @dataclass
@@ -313,7 +316,8 @@ class OrderByExpr(Expr):
         return OrderByExpr(
             self.var,
             mapper(self.seq),
-            [OrderSpec(mapper(s.key), s.ascending) for s in self.specs],
+            [OrderSpec(mapper(s.key), s.ascending, s.empty_greatest)
+             for s in self.specs],
             mapper(self.body),
         )
 

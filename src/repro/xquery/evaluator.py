@@ -1247,7 +1247,7 @@ def _collapse_steps(steps: list[Step], compiles) -> list[Step]:
     return out
 
 
-#: The order-by key of a NaN: below every value, above the empty
+#: The order-by key of a NaN: between the values and the empty
 #: sequence, equal to itself (XQuery 1.0 §3.8.3).
 _NAN_KEY = object()
 
@@ -1277,8 +1277,8 @@ def _order_rows(keys: list, specs: list, owners: list[int]) -> list[int]:
                or all(type(key) is int or type(key) is float
                       for key in column) for column in keys):
         order.sort(key=lambda row: _OrderKey(
-            [(column[row], spec.ascending)
-             for column, spec in zip(keys, specs)], row))
+            [(column[row], spec) for column, spec in zip(keys, specs)],
+            row))
     else:
         for column, spec in zip(reversed(keys), reversed(specs)):
             order.sort(key=column.__getitem__, reverse=not spec.ascending)
@@ -1288,8 +1288,9 @@ def _order_rows(keys: list, specs: list, owners: list[int]) -> list[int]:
 
 
 class _OrderKey:
-    """Comparison wrapper implementing order-by semantics: per-key
-    ascending/descending with empty-least, stable by input position."""
+    """Comparison wrapper implementing order-by semantics: per key
+    ``(value, OrderSpec)``, ascending / descending with empty least or
+    greatest, stable by input position."""
 
     __slots__ = ("keys", "index")
 
@@ -1298,11 +1299,11 @@ class _OrderKey:
         self.index = index
 
     def __lt__(self, other: "_OrderKey") -> bool:
-        for (a, ascending), (b, _b_asc) in zip(self.keys, other.keys):
+        for (a, spec), (b, _spec) in zip(self.keys, other.keys):
             if _order_equal(a, b):
                 continue
-            before = _order_less(a, b)
-            return before if ascending else not before
+            before = _order_less(a, b, spec.empty_greatest)
+            return before if spec.ascending else not before
         return self.index < other.index
 
 
@@ -1315,11 +1316,12 @@ def _order_equal(a, b) -> bool:
         return xdm.string_value(a) == xdm.string_value(b)
 
 
-def _order_less(a, b) -> bool:
+def _order_less(a, b, empty_greatest: bool) -> bool:
+    # Empty least: () < NaN < values; empty greatest: values < NaN < ().
     if a is None or b is None:
-        return a is None  # empty-least
+        return (a is None) is not empty_greatest
     if a is _NAN_KEY or b is _NAN_KEY:
-        return a is _NAN_KEY
+        return (a is _NAN_KEY) is not empty_greatest
     try:
         return xdm.value_compare("<", a, b)
     except Exception:

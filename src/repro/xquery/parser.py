@@ -278,12 +278,17 @@ class _Parser:
             order_specs = []
             while True:
                 key = self.parse_expr_single()
-                ascending = True
-                if self.accept_name("descending"):
-                    ascending = False
-                else:
+                ascending = not self.accept_name("descending")
+                if ascending:
                     self.accept_name("ascending")
-                order_specs.append(OrderSpec(key, ascending))
+                empty_greatest = False
+                if self.accept_name("empty"):
+                    empty_greatest = bool(self.accept_name("greatest"))
+                    if not empty_greatest:
+                        self.expect_name("least")
+                if self.peek().is_name("collation"):
+                    raise self.error("order by collation is not supported")
+                order_specs.append(OrderSpec(key, ascending, empty_greatest))
                 if not self.accept_symbol(","):
                     break
         elif self.peek().is_name("stable") and self.peek(1).is_name("order"):
@@ -326,12 +331,20 @@ class _Parser:
 
     def parse_quantified(self) -> Expr:
         quantifier = self.next().text
-        var = self.expect_variable()
-        self.expect_name("in")
-        seq = self.parse_expr_single()
+        bindings = []
+        while True:
+            var = self.expect_variable()
+            self.expect_name("in")
+            bindings.append((var, self.parse_expr_single()))
+            if not self.accept_symbol(","):
+                break
         self.expect_name("satisfies")
-        cond = self.parse_expr_single()
-        return QuantifiedExpr(quantifier, var, seq, cond)
+        result = self.parse_expr_single()
+        # ``some $a in X, $b in Y satisfies C`` is ``some $a in X
+        # satisfies some $b in Y satisfies C`` (and so for ``every``).
+        for var, seq in reversed(bindings):
+            result = QuantifiedExpr(quantifier, var, seq, result)
+        return result
 
     def parse_if(self) -> Expr:
         self.expect_name("if")

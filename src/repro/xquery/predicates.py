@@ -26,9 +26,8 @@ probe values of unsupported types (booleans) make the plan bail to the
 loop at filter time instead of guessing.
 
 The recognisers at the bottom (:func:`conjunction_members`,
-:func:`literal_probe`, :func:`EqualityMatcher`) are shared with the
-cost-based planner (measured predicate selectivities) and the cluster
-router (shard-skip probing).
+:func:`literal_probe`) are shared with the cluster router (shard-skip
+probing).
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from repro.xmldb import kernels
 from repro.xmldb.node import KIND_ATTRIBUTE, KIND_ELEMENT
 from repro.xmldb.values import coerce_number, value_index
 from repro.xquery.ast import (
-    LITERALS, ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal,
-    LiteralSlot, LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
+    ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LiteralSlot,
+    LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
 )
 from repro.xquery.xdm import UntypedAtomic, atomize
 
@@ -492,7 +491,7 @@ def chain_candidates(doc: "Document",
 
 
 # ---------------------------------------------------------------------------
-# Shared recognisers (planner selectivity, cluster shard skipping)
+# Shared recognisers (cluster shard skipping)
 # ---------------------------------------------------------------------------
 
 
@@ -505,11 +504,10 @@ def conjunction_members(expr: Expr) -> list[Expr]:
 
 
 def literal_probe(expr: Expr, var: str | None = None,
-                  pure: bool = False, literals: tuple = ()
-                  ) -> tuple[str, str, object] | None:
+                  pure: bool = False) -> tuple[str, str, object] | None:
     """``(key, op, literal)`` of a comparison between a relative path
-    and a literal (a prepared query's slot reads ``literals``) — the
-    *necessary condition* recognisers build on.
+    and a literal — the *necessary condition* recognisers build on. A
+    prepared query's slot is no literal here: bind the body first.
 
     ``var`` anchors the path at ``$var`` instead of the context item.
     Unlike :func:`_comparison_probe`, the path may have any number of
@@ -532,9 +530,9 @@ def literal_probe(expr: Expr, var: str | None = None,
     for path_side, other, op in ((expr.left, expr.right, expr.op),
                                  (expr.right, expr.left,
                                   FLIPPED_OPS[expr.op])):
-        if not isinstance(other, LITERALS):
+        if not isinstance(other, Literal):
             continue
-        value = other.bound(literals)
+        value = other.value
         if isinstance(value, bool) or not isinstance(value,
                                                      (str, int, float)):
             continue

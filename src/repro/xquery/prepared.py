@@ -6,11 +6,12 @@ with every numeric or string literal that is an operand of a value /
 general comparison replaced by a typed slot — and the literals the text
 binds to those slots. Everything derived from the text alone is derived
 once per shape and kept in a :class:`PreparedTable`: the planner's
-:class:`~repro.planner.planner.PreparedQuery`, and a peer's
+:class:`~repro.planner.planner.PreparedQuery` (its candidates and their
+prices too: a literal moves no estimate), and a peer's
 :class:`~repro.xquery.evaluator.Evaluator` per function body it is
 shipped (XRPC ships the body as text in *every* request). What a
-literal decides — a histogram selectivity, the body text as shipped —
-hangs off a :class:`Binding`, kept in a small LRU on the shape.
+literal decides — the body text as shipped — hangs off a
+:class:`Binding`, kept in a small LRU on the shape.
 
 The scan is one pass over the text (memoized per text), not a parse,
 so it only proposes:
@@ -173,8 +174,8 @@ def _lru(entries: OrderedDict, key: Hashable, make: Callable[[], object]):
 
 class Binding:
     """One tuple of literals bound to a shape's slots, and what only
-    the literals decide (a body's text as shipped, the planner's priced
-    operators), each made once per binding: :meth:`once` keys it by the
+    the literals decide (a body's text as shipped, a scatter's shard
+    probes), each made once per binding: :meth:`once` keys it by the
     object it was made for and keeps that object, so no address is
     reused under a live entry."""
 

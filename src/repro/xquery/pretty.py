@@ -95,6 +95,7 @@ def _render(expr: Expr) -> str:
     if isinstance(expr, OrderByExpr):
         specs = ", ".join(
             _render(spec.key) + ("" if spec.ascending else " descending")
+            + (" empty greatest" if spec.empty_greatest else "")
             for spec in expr.specs)
         return (f"for ${expr.var} in {_render_operand(expr.seq)} "
                 f"order by {specs} return {_render_operand(expr.body)}")

@@ -405,7 +405,7 @@ class ReferenceEvaluator(Evaluator):
             keys = []
             for spec in expr.specs:
                 keys.append((order_key(self.evaluate(spec.key, item_env)),
-                             spec.ascending))
+                             spec))
             decorated.append((keys, index, item))
         decorated.sort(key=lambda entry: _OrderKey(entry[0], entry[1]))
         out: list = []

@@ -3,10 +3,10 @@
 A query text is parsed, analysed and lowered when the planner first
 sees its *shape* (the text with comparison literals as slots) and
 looked up ever after, whatever literals it comes with; a shipped
-function body is parsed when a peer first sees its shape. What a
-literal costs is one pricing pass when it is first bound. What
-re-prices a prepared query is a moved stamp (a store, a repartition);
-calibration only re-ranks its candidates. The counting tests wrap the
+function body is parsed when a peer first sees its shape. A literal
+costs no pricing pass: a shape has one price. What re-prices a
+prepared query is a moved stamp (a store, a repartition); calibration
+only re-ranks its candidates. The counting tests wrap the
 parser and the decomposer wherever a ``repro`` module holds them, the
 way ``benchmarks/e2e/spans.py`` does.
 """
@@ -230,9 +230,8 @@ def _local_oracle(federation):
 def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
     """ROADMAP 3(a)'s exit, counted: the ledger's 200 ``tenant_mix``
     texts are one shape, so the parser and the decomposer run for the
-    first of them only — on both sides of the wire — and what the
-    other 199 pay is one pricing pass each. Every answer is its own
-    text's."""
+    first of them only — on both sides of the wire — and the other 199
+    are lookups that price nothing. Every answer is its own text's."""
     ledger = _ledger_workloads()
     texts = [benchmark_query_variant(threshold)
              for threshold in ledger.TENANT_THRESHOLDS]
@@ -268,35 +267,41 @@ def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
     assert snapshot["cached_plans"] == 1
     assert snapshot["plans_enumerated"] == candidates
     assert snapshot["cache_hits"] == 199
-    assert snapshot["bindings_priced"] == 199
     assert [result.stats.plan.from_cache for result in results].count(
         False) == 1
     assert {result.literals for result in results} \
         == {(float(threshold),) for threshold in ledger.TENANT_THRESHOLDS}
 
 
-def test_literals_may_rank_the_shared_candidates_differently():
-    """The histogram selectivity is read per binding, so ``auto`` still
-    prices ``< 18`` and ``< 67`` apart — over the same candidates."""
+def test_literals_of_one_shape_share_candidates_ranking_and_estimates():
+    """A literal prices nothing: ``< 18`` and ``< 67`` get the same
+    candidates, in the same order, at the same estimates (on a fresh
+    calibration each, so no feedback tells them apart), and explain
+    still shows each text its own literals."""
+    few = build_federation(0.01).run(
+        benchmark_query_variant("18.00"), at="local",
+        strategy="auto").stats.plan
     federation = build_federation(0.01)
-    few = federation.run(benchmark_query_variant("18.00"), at="local",
-                         strategy="auto").stats.plan
     many = federation.run(benchmark_query_variant("67.75"), at="local",
                           strategy="auto").stats.plan
     assert few.literals == (18.0,) and many.literals == (67.75,)
-    assert sorted(label for label, _ in few.candidates) \
-        == sorted(label for label, _ in many.candidates)
-    assert dict(few.candidates) != dict(many.candidates)
-    assert few.estimated_bytes < many.estimated_bytes
+    assert few.candidates == many.candidates
+    assert few.plan.label == many.plan.label
+    assert (few.estimated_s, few.estimated_bytes) \
+        == (many.estimated_s, many.estimated_bytes)
     assert "shape planned, literals (18.0)" in few.explain(analyze=True)
-    assert "shape hit, literals (67.75)" in many.explain(analyze=True)
+    again = federation.run(benchmark_query_variant("18.00"), at="local",
+                           strategy="auto").stats.plan
+    assert "shape hit, literals (18.0)" in again.explain(analyze=True)
+    assert again.plan is many.plan
 
 
 def test_store_between_two_literals_reprices_the_shape_once(monkeypatch):
     """A store moves the stamp for the shape, not per literal: the
     first lookup after it is the enumeration (every estimate of the
-    shape went stale), a literal met again later pays its pricing pass
-    and is a hit, and nobody parses or decomposes."""
+    shape went stale, and is re-priced once), every other literal's
+    lookup is a hit that prices nothing, and nobody parses or
+    decomposes."""
     federation = build_federation(0.004)
     planner = federation.planner
     first, second, third = (benchmark_query_variant(threshold)
@@ -307,22 +312,25 @@ def test_store_between_two_literals_reprices_the_shape_once(monkeypatch):
     run(second)
     before = planner.snapshot()
     candidates = before["plans_enumerated"]
-    assert (before["cache_hits"], before["bindings_priced"]) == (1, 1)
+    assert before["cache_hits"] == 1
 
     calls = _count(monkeypatch, parse_query, prepare, realize, decompose)
+    priced, reprice = [], planner.estimator.reprice
+    monkeypatch.setattr(planner.estimator, "reprice", lambda plan: (
+        priced.append(1), reprice(plan))[1])
     people = federation.peer("peer1").serialized("people.xml")
     federation.peer("peer1").store("people.xml", people)
     assert run(third).stats.plan.from_cache is False
     after = planner.snapshot()
     assert after["plans_enumerated"] == 2 * candidates
-    assert after["bindings_priced"] == 1
+    assert len(priced) == candidates
 
-    assert run(second).stats.plan.from_cache is True     # re-priced: a hit
+    assert run(second).stats.plan.from_cache is True
     assert run(first).stats.plan.from_cache is True
-    assert run(third).stats.plan.from_cache is True      # nothing to price
+    assert run(third).stats.plan.from_cache is True
     final = planner.snapshot()
     assert final["plans_enumerated"] == 2 * candidates
-    assert final["bindings_priced"] == 3
+    assert len(priced) == candidates
     assert final["cache_hits"] == 4
     assert final["cached_plans"] == 1
     assert not any(calls.values())

@@ -1,4 +1,4 @@
-"""StatsCatalog: histograms, laziness, and store invalidation."""
+"""StatsCatalog: tag buckets, laziness, and store invalidation."""
 
 import gc
 import sys
@@ -107,105 +107,29 @@ class TestStatsCatalog:
         assert stats.document_stats("A", "people.xml") is not None
 
 
-class TestValueHistograms:
+class TestPerKeyViews:
     def _stats(self):
         document = parse_document(DOC, uri="t.xml")
         return compute_document_stats(document, "t.xml")
 
     def test_built_per_key_on_first_read(self):
         stats = self._stats()
-        assert stats.keys_built() == ([], [])
-        assert stats.value_histogram("age").count == 1
+        assert stats.keys_built() == []
         assert stats.tag("person").count == 2
-        assert stats.value_histogram("nope") is None
-        assert stats.keys_built() == (["person"], ["age"])
+        assert stats.tag("nope") is None
+        assert stats.keys_built() == ["person"]
 
-    def test_histogram_fields(self):
-        stats = self._stats()
-        ages = stats.value_histogram("age")
-        assert ages.count == 1 and ages.numeric_count == 1
-        assert ages.numeric_min == ages.numeric_max == 30.0
-        names = stats.value_histogram("name")
-        assert names.count == 2 and names.distinct == 2
-        assert names.numeric_count == 0
-        assert stats.value_histogram("@id").count == 1
-        # Container elements carry no value histogram.
-        assert stats.value_histogram("people") is None
-
-    def test_selectivity_equality_and_range(self):
-        from repro.planner.stats import ValueHistogram
-
-        hist = ValueHistogram(count=100, distinct=50, numeric_count=100,
-                              numeric_min=0.0, numeric_max=100.0,
-                              buckets=(25, 25, 0, 0, 25, 0, 0, 25))
-        assert abs(hist.selectivity("=", "x") - 0.02) < 1e-9
-        assert 0.35 < hist.selectivity("<", 50) < 0.65
-        low = hist.selectivity("<", 10)
-        high = hist.selectivity("<", 90)
-        assert low < high
-        assert abs(hist.selectivity(">", 50)
-                   + hist.selectivity("<=", 50) - 1.0) < 0.01
-        # String range comparisons have no ordering statistics.
-        assert hist.selectivity("<", "x") is None
-
-    def test_histogram_merge(self):
-        from repro.planner.stats import ValueHistogram
-
-        a = ValueHistogram(count=10, distinct=10, numeric_count=10,
-                           numeric_min=0.0, numeric_max=9.0,
-                           buckets=(2, 1, 1, 1, 1, 1, 1, 2))
-        b = ValueHistogram(count=10, distinct=10, numeric_count=10,
-                           numeric_min=10.0, numeric_max=19.0,
-                           buckets=(2, 1, 1, 1, 1, 1, 1, 2))
-        merged = a.merged(b)
-        assert merged.count == 20 and merged.numeric_count == 20
-        assert merged.numeric_min == 0.0 and merged.numeric_max == 19.0
-        assert sum(merged.buckets) == 20
-        # Roughly half the mass below the midpoint.
-        assert 0.3 < merged.selectivity("<", 9.5) < 0.7
-
-    def test_catalog_view_answers_tags_and_values_alike(self):
+    def test_catalog_view_answers_each_key_once(self):
         federation = make_federation()
         catalog = StatsCatalog(federation)
         view = catalog.document_stats("A", "people.xml")
-        assert view.tag("age").count == 1
-        assert view.value_histogram("age") is view.value_histogram("age")
+        assert view.tag("age") is view.tag("age")
         # One view per document, whatever was read off it first.
         assert catalog.document_stats("A", "people.xml") is view
 
-    def test_sharded_collection_merges_value_histograms(self):
-        federation = build_sharded_federation(0.004, shard_count=2)
-        catalog = StatsCatalog(federation)
-        stats = catalog.document_stats("people-c", "people.xml")
-        ages = stats.value_histogram("age")
-        assert ages is not None
-        assert ages.count == stats.tag("age").count
-        assert 18.0 <= ages.numeric_min < ages.numeric_max <= 70.0
-
-
-class TestMeasuredSelectivity:
-    def test_age_filter_prices_with_measured_selectivity(self):
-        """The benchmark condition (age < 40 over ages uniform in
-        [18, 70]) must price near the measured ~0.42, not the 0.5
-        default — visible as the if-condition selectivity applied to
-        the estimated response volume."""
-        from repro.net.stats import PlanReport
-        from repro.workloads import BENCHMARK_QUERY, build_federation
-
-        federation = build_federation(0.01)
-        plan, _report = federation.planner.plan(
-            BENCHMARK_QUERY, at="local", strategy="auto")
-        catalog = federation.planner.stats
-        stats = catalog.document_stats("peer1", "people.xml")
-        ages = stats.value_histogram("age")
-        measured = ages.selectivity("<", 40)
-        assert 0.30 < measured < 0.55
-        assert PlanReport(plan, plan.priced()).estimated_s > 0.0
-
-    def test_histograms_appearing_invalidate_nothing(self):
-        """A lowering that compares values builds the histograms it
-        reads, and one that does not never reads them — so a query is
-        priced the same whether or not another query's histograms
+    def test_keys_appearing_invalidate_nothing(self):
+        """A lowering builds the keys it reads, and only those — so a
+        query is priced the same whether or not another query's keys
         already exist, and their appearing re-lowers nothing."""
         built_by = {}
 
@@ -230,10 +154,10 @@ class TestMeasuredSelectivity:
         after = plan_in_order(with_values, no_values)
         for query in (no_values, with_values):
             assert before[query].candidates == after[query].candidates
-        # Either order built the same keys: three buckets, one histogram.
+        # Either order built the same keys: the paths' buckets.
         assert built_by[no_values, with_values] \
             == built_by[with_values, no_values] \
-            == (["name", "people", "person"], ["name"])
+            == ["name", "people", "person"]
 
 
 def attached(federation) -> StatsCatalog:
@@ -330,16 +254,13 @@ def test_concurrent_first_reads_of_one_view_agree():
     exact = len(serialize(document).encode())
     reference = reference_document_stats(document, exact)
     tag_keys = sorted(reference.tags) + ["nope", "@nope"]
-    value_keys = sorted(reference.values) + ["people", "@nope"]
     answers, errors = [], []
 
     def read(view, start):
         try:
             start.wait(timeout=10)
             answers.append(
-                ([view.tag(key) for key in tag_keys],
-                 [view.value_histogram(key) for key in value_keys],
-                 view.elements))
+                ([view.tag(key) for key in tag_keys], view.elements))
         except Exception as error:        # surfaced by the assert below
             errors.append(error)
 
@@ -360,7 +281,6 @@ def test_concurrent_first_reads_of_one_view_agree():
         sys.setswitchinterval(interval)
     assert not errors
     expected = ([reference.tags.get(key) for key in tag_keys],
-                [reference.values.get(key) for key in value_keys],
                 reference.elements)
     assert answers == [expected] * 40
 
@@ -374,7 +294,7 @@ class TestCatalogExplainsItsRebuild:
         snapshot = catalog.snapshot()
         assert snapshot["documents"]["A/people.xml"] == {
             "serialized_bytes": len(DOC), "nodes": len(document),
-            "tag_keys": [], "value_keys": []}
+            "tag_keys": []}
         assert snapshot["keys_built"] == 0
         assert "elements" not in vars(view)
         assert document._structural_index is None
@@ -392,9 +312,8 @@ class TestCatalogExplainsItsRebuild:
         snapshot = instance.federation.planner.snapshot()
         people = snapshot["stats"]["documents"]["peer1/people.xml"]
         assert people["tag_keys"] == ["age", "people", "person", "site"]
-        assert people["value_keys"] == ["age"]
         assert snapshot["stats_keys_built"] \
-            == snapshot["stats"]["keys_built"] >= 5
+            == snapshot["stats"]["keys_built"] >= 4
 
 
 def test_load_scorer_reads_fragment_bytes_without_forcing_a_key():
@@ -412,4 +331,4 @@ def test_load_scorer_reads_fragment_bytes_without_forcing_a_key():
     assert scores[replica].fragment_bytes == exact
     assert scores["local"].fragment_bytes == scores["local"].fragments == 0
     assert catalog.document_stats(
-        replica, shard.local_name).keys_built() == ([], [])
+        replica, shard.local_name).keys_built() == []

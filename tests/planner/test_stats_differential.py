@@ -6,15 +6,19 @@ printed XML text (comments, PIs, CDATA, both quote styles, non-ASCII
 names and content, so the UTF-8 scale is not 1), value trees (duplicate,
 numeric, padded and empty values on elements and attributes) and
 builder trees (mixed content, fragments and document nodes). Property:
-for every key the reference has, the view answers the same bucket and
-the same histogram; for keys it has not, None; the scalar figures are
-equal; and a collection view over 1–4 shards equals the reference
-merge of the shards' references.
+for every key the reference has, the view answers the same bucket; for
+keys it has not, None; the scalar figures are equal; and a collection
+view over 1–4 shards equals the reference merge of the shards'
+references.
 
 Tier-1 runs a small seeded sample; CI's ``fuzz`` job runs the same
 tests under ``--hypothesis-profile=long``. The pinned numbers at the
-end were taken from the commit before the views existed: every
-candidate estimate of the ledger's queries, bit for bit.
+end are every candidate estimate of the ledger's queries, bit for bit:
+taken from the commit before the views existed, and re-taken when the
+value histograms left: a predicate now prices at the one filter
+selectivity, so the estimates of the texts that compare a value (the
+semijoin, sharded or not, and the two local texts reading ``age <
+40``) moved; no ranking did.
 """
 
 from hypothesis import given, strategies as st
@@ -47,12 +51,9 @@ _ABSENT = ("nope", "@nope", "#nope", "@", "", "text()", "*")
 def _agree(view, reference) -> None:
     assert (view.serialized_bytes, view.nodes, view.elements) == (
         reference.serialized_bytes, reference.nodes, reference.elements)
-    for key in (*reference.tags, *reference.values, *_ABSENT, "#text"):
+    for key in (*reference.tags, *_ABSENT, "#text"):
         assert view.tag(key) == reference.tags.get(key), key
-        assert view.value_histogram(key) == reference.values.get(key), key
-    tag_keys, value_keys = view.keys_built()
-    assert tag_keys == sorted(reference.tags)
-    assert value_keys == sorted(reference.values)
+    assert view.keys_built() == sorted(reference.tags)
 
 
 @given(_documents, st.booleans())
@@ -87,31 +88,31 @@ def test_xmark_documents_key_for_key():
 # -- estimates, as they were before the views --------------------------------
 
 _BENCHMARK = (
-    ("by-projection", 0.0016220786707058822),
-    ("by-fragment", 0.0021457784964705883),
-    ("by-projection+ship[peer1]", 0.0033419276255294114),
-    ("by-projection+ship[peer2]", 0.0034052761983529405),
-    ("by-fragment+ship[peer1]", 0.0035528799458823526),
-    ("by-fragment+ship[peer2]", 0.0037298019317647054),
+    ("by-projection", 0.001628233725),
+    ("by-fragment", 0.002168517),
+    ("by-projection+ship[peer1]", 0.0033455303249999998),
+    ("by-projection+ship[peer2]", 0.0034097173499999995),
+    ("by-fragment+ship[peer1]", 0.0035571614999999994),
+    ("by-fragment+ship[peer2]", 0.003750739499999999),
     ("by-value", 0.004188368999999999),
-    ("data-shipping", 0.005087470411764705),
+    ("data-shipping", 0.005087534999999999),
 )
 #: Priced at one message pair per cover peer (2 for 4 shards x 2
 #: replicas on 4 nodes) since a scatter became one Bulk RPC per peer.
 _SHARDED = (
-    ("by-projection", 0.0029399602150588233),
-    ("by-fragment", 0.0034280669011764703),
-    ("by-projection+ship[auctions-c]", 0.004956650010352941),
-    ("by-projection+ship[people-c]", 0.004958782879058822),
-    ("by-fragment+ship[people-c]", 0.005175305251764706),
-    ("by-fragment+ship[auctions-c]", 0.005249811571764705),
-    ("data-shipping", 0.00690567950420168),
-    ("by-value", 0.00693533450420168),
+    ("by-projection", 0.0029609871),
+    ("by-fragment", 0.0034936395),
+    ("by-projection+ship[auctions-c]", 0.00496851735),
+    ("by-projection+ship[people-c]", 0.00497803665),
+    ("by-fragment+ship[people-c]", 0.005198187),
+    ("by-fragment+ship[auctions-c]", 0.0053057595),
+    ("data-shipping", 0.006906608999999999),
+    ("by-value", 0.006936263999999999),
 )
 #: One number per ``LOCAL_QUERIES`` text: on one peer nothing ships, so
 #: the four strategies' candidates are priced alike.
 _LOCAL = (0.00011574, 0.00013167, 0.000172215, 0.000326115,
-          0.00012322384615384615, 0.0002695520486656201, 0.000160065,
+          0.00012465, 0.000270315, 0.000160065,
           0.00016074, 0.00013365, 0.00012465, 0.00012465)
 _LOCAL_LABELS = ("data-shipping", "by-value", "by-fragment",
                  "by-projection")

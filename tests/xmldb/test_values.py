@@ -7,7 +7,6 @@ from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize_node
 from repro.xmldb.values import coerce_number, node_string, value_index
-from tests.oracle.stats_reference import iter_leaf_values
 
 DOC = """<shop>
  <item id="a1" grade="7"><price>10</price><name>axe</name></item>
@@ -103,14 +102,6 @@ class TestHelpers:
     def test_coerce_number(self):
         assert coerce_number(" 42 ") == 42.0
         assert coerce_number("abc") != coerce_number("abc")  # NaN
-
-    def test_iter_leaf_values_covers_attrs_and_leaves(self, doc):
-        pairs = list(iter_leaf_values(doc))
-        keys = {key for key, _value in pairs}
-        assert "@id" in keys and "price" in keys and "name" in keys
-        # Container elements (shop, item) are not histogram material.
-        assert "shop" not in keys and "item" not in keys
-        assert ("name", "axe") in pairs
 
     def test_node_string_kinds(self):
         doc = parse_document('<a x="v"><!--c-->text</a>', uri="k")

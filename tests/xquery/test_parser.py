@@ -9,6 +9,10 @@ from repro.xquery.ast import (
     SequenceExpr, TypeswitchExpr, VarRef, XRPCExpr,
 )
 from repro.xquery.parser import parse_expr, parse_query
+from repro.xquery.pretty import pretty
+from repro.xquery.xdm import serialize_sequence
+
+from tests.xquery.helpers import run
 
 
 class TestPrimaries:
@@ -102,6 +106,37 @@ class TestFLWOR:
         with pytest.raises(XQuerySyntaxError):
             parse_expr("for $x in (1), $y in (2) order by $x return $x")
 
+    @pytest.mark.parametrize("modifiers,expected", [
+        ("", ["", "x", "1", "2"]),
+        ("empty least", ["", "x", "1", "2"]),
+        ("empty greatest", ["1", "2", "x", ""]),
+        ("descending", ["2", "1", "x", ""]),
+        ("descending empty greatest", ["", "x", "2", "1"]),
+    ])
+    def test_order_by_empty_modifier(self, modifiers, expected):
+        """XQuery 1.0 §3.8.3: empty least orders () < NaN < values,
+        empty greatest values < NaN < (); descending reverses either.
+        The default stays empty least. (``<k>x</k>`` keys NaN.)"""
+        text = ("for $x in (<a><k>2</k></a>, <a/>, <a><k>x</k></a>, "
+                "<a><k>1</k></a>) "
+                "order by (if ($x/k) then number($x/k) else ()) "
+                f"{modifiers} return string($x/k)")
+        expr = parse_expr(text)
+        assert expr.specs[0].empty_greatest == ("greatest" in modifiers)
+        assert [str(item) for item in run(text)] == expected
+
+    def test_order_by_modifiers_round_trip(self):
+        expr = parse_expr("for $x in (3, 1) order by $x descending "
+                          "empty greatest, -$x empty least return $x")
+        assert [spec.empty_greatest for spec in expr.specs] \
+            == [True, False]
+        assert parse_expr(pretty(expr)) == expr
+
+    def test_order_by_collation_is_refused(self):
+        with pytest.raises(XQuerySyntaxError, match="collation"):
+            parse_expr('for $x in (1, 2) order by $x collation "c" '
+                       "return $x")
+
 
 class TestControl:
     def test_if(self):
@@ -112,6 +147,21 @@ class TestControl:
         expr = parse_expr("some $x in (1, 2) satisfies $x = 2")
         assert isinstance(expr, QuantifiedExpr)
         assert expr.quantifier == "some"
+
+    @pytest.mark.parametrize("quantifier,expected", [
+        ("some", "true"), ("every", "false")])
+    def test_several_bindings_nest(self, quantifier, expected):
+        """XQuery 1.0 §3.11: each binding after the first is a
+        quantifier of its own inside the previous one's condition."""
+        text = (f"{quantifier} $a in (1, 2), $b in ($a, 3) "
+                "satisfies $a + $b = 4")
+        expr = parse_expr(text)
+        inner = expr.cond
+        assert (expr.quantifier, expr.var, inner.quantifier, inner.var) \
+            == (quantifier, "a", quantifier, "b")
+        assert isinstance(inner.cond, ComparisonExpr)
+        assert parse_expr(pretty(expr)) == expr
+        assert serialize_sequence(run(text)) == expected
 
     def test_typeswitch(self):
         expr = parse_expr(
