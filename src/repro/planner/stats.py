@@ -5,14 +5,16 @@ already carries, answered per key and only when a plan reads the key:
 a tag bucket (:class:`TagStat`: instances of an element name and the
 serialised bytes their subtrees cover) is the length of the name's pre
 list in the structural index and the sum of its spans in the memoized
-serialisation — the one source of byte figures; ``@name`` buckets
-(value bytes) read the value index's attribute pres, ``#text`` the
-text pres. They price projections ("only ``person/@id`` comes back")
-and atomisations ("``data($x)`` keeps the text"), so the first plan
-after a store pays for the keys it prices, not for a pass over every
-node for every key. Nothing summarises a key's *values*: a predicate
-prices at one selectivity whatever literal it compares with, so a
-shape has one price.
+serialisation — the one source of byte figures (a canonical stored
+text is that serialisation from ``Peer.store`` on, so the first plan
+after a store emits no text); ``@name`` buckets (value bytes) read the
+value index's attribute pres, ``#text`` the text pres. They price
+projections ("only ``person/@id`` comes back") and atomisations
+("``data($x)`` keeps the text"), so the first plan after a store pays
+for the keys it prices, not for a pass over every node for every key.
+Nothing summarises a key's *values*: a predicate prices at one
+selectivity whatever literal it compares with, so a shape has one
+price.
 
 A document's view rides on the stored
 :class:`~repro.xmldb.document.Document` object, as its indexes do, so a
@@ -32,6 +34,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.xmldb.index import structural_index
+from repro.xmldb.node import KIND_ELEMENT
 from repro.xmldb.serializer import serialized_byte_length, subtree_spans
 from repro.xmldb.values import value_index
 
@@ -106,7 +109,7 @@ class DocumentStats:
 
     @cached_property
     def elements(self) -> int:
-        return len(structural_index(self.document).element_pres)
+        return self.document.kinds.count(KIND_ELEMENT)
 
     @property
     def avg_element_bytes(self) -> float:
@@ -160,7 +163,8 @@ class _CollectionStats(DocumentStats):
 def compute_document_stats(document: "Document", uri: str,
                            serialized_bytes: int | None = None
                            ) -> DocumentStats:
-    """The view over ``document`` (serialising it now if nothing has)."""
+    """The view over ``document`` (serialising it now if nothing has:
+    a canonical stored text already is its serialisation)."""
     return DocumentStats(document, uri, serialized_bytes)
 
 
@@ -215,8 +219,9 @@ class StatsCatalog:
         view = document.stats_view
         if view is not None:
             return view
-        # Serialising (memoized on the document, with its UTF-8 length)
-        # records the per-node spans the view's byte figures read.
+        # Serialising (memoized on the document, with its UTF-8 length;
+        # adopted at the store for a canonical text) records the
+        # per-node spans the view's byte figures read.
         peer.serialized(local_name)
         view = compute_document_stats(
             document, f"xrpc://{host}/{local_name}",

@@ -49,7 +49,7 @@ from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import ResultCache, response_key
 from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
-from repro.xmldb.parser import parse_document
+from repro.xmldb.parser import parse_document, parse_stored
 from repro.xmldb.serializer import cached_serialization, serialize
 from repro.xquery.ast import Expr, Module, bind
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
@@ -74,11 +74,13 @@ class Peer:
         self._serialize_lock = threading.Lock()
 
     def store(self, local_name: str, content: str | Document) -> "Peer":
-        """Register a document under a local name (chainable)."""
+        """Register a document under a local name (chainable). A text
+        already in the serializer's canonical form is adopted as the
+        document's serialisation, so no read re-serialises it."""
         if isinstance(content, Document):
             document = content
         else:
-            document = parse_document(
+            document = parse_stored(
                 content, uri=f"{XRPC_SCHEME}{self.name}/{local_name}")
         with self._lock:
             self.documents[local_name] = document
@@ -106,10 +108,11 @@ class Peer:
         document = self.document(local_name)
         # The text is memoized on the document object itself (see
         # xmldb.serializer), so a store() — which swaps the object —
-        # can never leave a stale write-back behind. Memoized reads
-        # stay lock-free; the per-peer lock only stops concurrent
-        # first-touch queries from redundantly serialising the same
-        # (potentially large) document.
+        # can never leave a stale write-back behind; a canonical stored
+        # text is that memo from the start. Memoized reads stay
+        # lock-free; the per-peer lock only stops concurrent first-touch
+        # queries from redundantly serialising the same (potentially
+        # large) document.
         cached = cached_serialization(document)
         if cached is not None:
             return cached

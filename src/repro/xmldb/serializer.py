@@ -18,7 +18,11 @@ There is one producer of XML text, :func:`_emit`: a single loop over a
 subtree's rows with the open elements on an explicit stack. The
 whole-document pass runs it over every row and records the spans; a
 subtree request on a document with no full text runs the same loop
-over ``[pre, pre + size]`` without them.
+over ``[pre, pre + size]`` without them. The one other source of a
+document's text is its input, adopted when it is proven to be what
+``_emit`` would make (:func:`adopt_serialization`): a ``Peer.store``
+of a canonical text — a text this serializer wrote, shipped or copied
+— seeds the memo and its spans at the parse, so no read emits it.
 """
 
 from __future__ import annotations
@@ -96,6 +100,17 @@ def serialize(doc: Document) -> str:
         cache.starts, cache.ends = starts, ends
         cache.full = text
     return cache.full
+
+
+def adopt_serialization(doc: Document, text: str, starts: list[int],
+                        ends: list[int]) -> None:
+    """Take ``text``, with every node's span in it, as ``doc``'s
+    serialisation: for a text proven to be exactly what :func:`_emit`
+    would make of ``doc`` (:func:`~repro.xmldb.parser.parse_stored`),
+    so nothing emits it."""
+    cache = _tree(doc)
+    cache.starts, cache.ends = starts, ends
+    cache.full = text
 
 
 def serialize_node(node: Node) -> str:

@@ -39,7 +39,7 @@ from repro.net.costmodel import CostModel
 from repro.runtime.transport import Transport
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
-from repro.xmldb.serializer import serialize
+from repro.xmldb.serializer import cached_serialization, serialize
 
 from repro.xquery.xdm import serialize_sequence
 
@@ -380,6 +380,22 @@ def test_stale_plans_are_noops():
     assert not executor.execute(SplitPlan("books-c", 99, at_member=1))
     assert catalog.epoch() == epoch
     assert executor.stats()["migrations_failed"] == 0
+
+
+def test_a_moved_replica_keeps_the_copied_text_as_its_serialization(
+        whole_emits):
+    """The target stores the source's text, which is canonical: the
+    read-back and later queries slice it, nothing emits the copy."""
+    federation, catalog = make_recorded_cluster(members=6)
+    shard = catalog.get("books-c").shards[0]
+    target = next(node for node in ("node1", "node2", "node3", "node4")
+                  if node not in shard.replicas)
+    assert MigrationExecutor(federation).execute(MovePlan(
+        "books-c", shard.index, source=shard.replicas[0], target=target))
+    federation.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    copy = federation.peer(target).document(shard.local_name)
+    assert cached_serialization(copy) is not None
+    assert whole_emits(copy) == 0
 
 
 def test_retire_refuses_to_break_replication():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from repro.system.federation import Federation
+from repro.xmldb import serializer
 from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import serialize_node
@@ -27,6 +28,22 @@ def fuzz_settings(max_examples: int, hunt: int | None = None) -> settings:
         return long if hunt is None else settings(long, max_examples=hunt)
     return settings(max_examples=max_examples, derandomize=True,
                     deadline=None)
+
+
+@pytest.fixture
+def whole_emits(monkeypatch):
+    """``whole_emits(doc)``: how many times the serializer's emitter
+    has run over all of ``doc``'s rows since the fixture was made."""
+    runs = []
+    emit = serializer._emit
+
+    def counting(doc, first, last, *spans):
+        if first == 0 and last == doc.count - 1:
+            runs.append(doc)
+        return emit(doc, first, last, *spans)
+
+    monkeypatch.setattr(serializer, "_emit", counting)
+    return lambda doc: sum(run is doc for run in runs)
 
 
 def element(text: str) -> Node:

@@ -9,6 +9,8 @@ from repro.runtime.transport import Transport
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
                              build_federation, build_sharded_federation)
+from repro.xmark import generate_pair
+from repro.xmldb.serializer import serialize
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc.messages import ResponseMessage
 
@@ -38,6 +40,31 @@ class TestPeers:
     def test_store_is_chainable_and_parses(self, fed):
         doc = fed.peer("p1").document("d.xml")
         assert doc.uri == "xrpc://p1/d.xml"
+
+
+class TestStoredTextIsItsSerialization:
+    """Counted, not timed: the first run after a store of a canonical
+    text emits none of the stored documents (the store adopted each
+    text) and builds no element list; a text in any other spelling is
+    emitted once, on its first read."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.BY_PROJECTION,
+                                          Strategy.DATA_SHIPPING])
+    @pytest.mark.parametrize("prolog, emits",
+                             [("", 0), ('<?xml version="1.0"?>', 1)])
+    def test_the_first_run_after_a_store(self, whole_emits, strategy,
+                                         prolog, emits):
+        federation = build_federation(0.01)
+        stored = list(zip(("peer1", "peer2"), ("people.xml", "auctions.xml"),
+                          generate_pair(0.01, 7)))
+        for peer, name, document in stored:
+            federation.peer(peer).store(name, prolog + serialize(document))
+        federation.run(BENCHMARK_QUERY, at="local", strategy=strategy)
+        for peer, name, _document in stored:
+            document = federation.peer(peer).document(name)
+            assert whole_emits(document) == emits
+            index = document._structural_index
+            assert index is None or "element_pres" not in vars(index)
 
 
 class TestLocalResolution:

@@ -1,15 +1,18 @@
 """Serializer unit tests: escaping, node kinds, attribute handling."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.errors import XmlParseError
+from repro.system.federation import Peer
 from repro.xmldb import axes
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_document, parse_fragment
 from repro.xmldb.serializer import (
-    escape_attribute, escape_text, serialize, serialize_node,
-    subtree_spans,
+    cached_serialization, escape_attribute, escape_text, serialize,
+    serialize_node, serialized_byte_length, subtree_spans,
 )
 from tests.conftest import fuzz_settings
 from tests.oracle import COLUMNS
@@ -150,3 +153,107 @@ class TestOneEmitter:
                                           [-1]))
             assert serialize(doc) == serialize_node(doc.root) == text
             assert subtree_spans(doc) == ([0], [len(text)])
+
+
+#: Spellings a canonical text must not gain, and some it may.
+_EDITS = [" ", "\n", "\r", "'", '"', "=", "/", ">", "<b/>", "</b>", "x",
+          "<!--c-->", "<?p x?>", "<![CDATA[z]]>", "&amp;", "&#38;", "&gt;",
+          "&quot;", "&#10;", "&#xA;", "é"]
+
+
+def _seeded(doc: Document) -> bool:
+    return cached_serialization(doc) is not None
+
+
+def _pi_free(doc: Document) -> bool:
+    return NodeKind.PROCESSING_INSTRUCTION not in doc.kinds
+
+
+class TestAdoptedSerialization:
+    """A stored text that is exactly what the serializer makes of its
+    document is adopted as that serialisation: ``Peer.store`` seeds the
+    memo at the parse with what a from-scratch emit would record, and
+    any other spelling takes the lazy path."""
+
+    @given(_trees() | documents().map(parse_document))
+    @fuzz_settings(150)
+    def test_a_stored_canonical_text_seeds_the_emitters_memo(self, doc):
+        text = serialize(doc)
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        assert _seeded(stored) == _pi_free(stored)  # a PI never is
+        bare = Document(stored.uri, stored.columns)  # nothing memoized
+        assert serialize(stored) == serialize(bare) == text
+        assert subtree_spans(stored) == subtree_spans(bare)
+        assert serialized_byte_length(stored) == \
+            serialized_byte_length(bare)
+        fresh = Document(stored.uri, stored.columns)  # span-less emits
+        for pre in range(len(stored)):
+            assert serialize_node(stored.node(pre)) == \
+                serialize_node(fresh.node(pre))
+
+    @given(_trees() | documents().map(parse_document),
+           st.lists(st.tuples(st.floats(0, 1), st.sampled_from(_EDITS)),
+                    min_size=1, max_size=3))
+    @fuzz_settings(150)
+    def test_an_edited_text_is_adopted_exactly_when_canonical(self, doc,
+                                                              edits):
+        """A few characters inserted into a canonical text: whatever
+        still parses is adopted if and only if it is still canonical,
+        and then with exact spans."""
+        text = serialize(doc)
+        for where, piece in edits:
+            at = int(where * len(text))
+            text = text[:at] + piece + text[at:]
+        try:
+            expected = parse_document(text)
+        except XmlParseError:
+            return
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        canonical = serialize(expected) == text
+        assert _seeded(stored) == (canonical and _pi_free(stored))
+        if _seeded(stored):
+            assert subtree_spans(stored) == subtree_spans(expected)
+
+    @pytest.mark.parametrize("text", [
+        "<a x='1'/>",                       # single-quoted attribute
+        "<a></a>",                          # empty element, end tag
+        '<a x="1" />', '<a  x="1"/>', "<a></a >",  # space inside a tag
+        "<a>&#65;</a>", "<a>&#x26;</a>",    # character references
+        "<a>&#38;</a>", '<a x="&#xA;"/>',   # ... of the escapes' length
+        '<a x="&gt;"/>', "<a>&quot;</a>",   # needless escapes
+        "<a>1 > 0</a>",                     # raw > in text
+        '<a x="1\n2"/>', '<a x="1\t2"/>',   # raw whitespace in a value
+        "<a><![CDATA[x]]></a>",             # CDATA section
+        "<a>x\r\ny</a>", "<a>x\ry</a>",     # raw carriage returns
+        '<?xml version="1.0"?><a/>',        # XML declaration
+        "<!DOCTYPE a><a/>",                 # DOCTYPE
+        "<!--c--><a/>", "<a/><!--c-->",     # comment outside the root
+        " <a/>", "<a/>\n",                  # space outside the root
+        "<a><?pi  x?></a>",                 # PI with extra whitespace
+        "<a>é&#233;</a>",                   # non-ASCII, and a reference
+    ])
+    def test_other_spellings_are_serialised_afresh(self, text):
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        assert not _seeded(stored)
+        assert serialize(stored) == serialize(parse_document(text)) != text
+
+    def test_a_text_with_a_pi_is_never_adopted(self):
+        text = "<a><?pi x?></a>"
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        assert not _seeded(stored)
+        assert serialize(stored) == text
+
+    def test_a_non_ascii_text_is_adopted_and_counted_in_bytes(self):
+        text = '<é a="ü">€</é>'
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        assert _seeded(stored)
+        assert subtree_spans(stored) == ([0, 0, 6, 9], [14, 14, 7, 10])
+        assert serialized_byte_length(stored) == len(text.encode()) == 19
+
+    def test_a_deep_canonical_text_is_adopted(self):
+        depth = 20_000
+        text = "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
+        stored = Peer("p").store("d.xml", text).document("d.xml")
+        assert _seeded(stored)
+        assert subtree_spans(stored)[1][1:4] == [len(text),
+                                                 len(text) - 4, len(text) - 8]
