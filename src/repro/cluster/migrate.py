@@ -322,7 +322,9 @@ class MigrationExecutor:
                         text: str, stats: RunStats,
                         placed: list[tuple[str, str]]) -> None:
         """Store and read back over the wire; byte mismatch or a dead
-        destination both raise :class:`NetworkError`."""
+        destination both raise :class:`NetworkError`. A canonical copy
+        is adopted as its own serialisation, so its read-back checks
+        the transport, not the store's round trip."""
         self.federation.peer(peer_name).store(local_name, text)
         placed.append((peer_name, local_name))
         echoed = self._fetch_text(peer_name, local_name, stats)

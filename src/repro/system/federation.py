@@ -49,8 +49,10 @@ from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import ResultCache, response_key
 from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
-from repro.xmldb.parser import parse_document, parse_stored
-from repro.xmldb.serializer import cached_serialization, serialize
+from repro.xmldb.parser import parse_document
+from repro.xmldb.serializer import (
+    adopt_serialization, cached_serialization, serialize,
+)
 from repro.xquery.ast import Expr, Module, bind
 from repro.xquery.context import CostCounter, DynamicContext, StaticContext
 from repro.xquery.prepared import Binding, PreparedTable
@@ -80,8 +82,9 @@ class Peer:
         if isinstance(content, Document):
             document = content
         else:
-            document = parse_stored(
+            document = parse_document(
                 content, uri=f"{XRPC_SCHEME}{self.name}/{local_name}")
+            adopt_serialization(document, content)
         with self._lock:
             self.documents[local_name] = document
             self.generation += 1

@@ -22,12 +22,6 @@ document needs no second pass before it answers a name test
 (:mod:`repro.xmldb.index`). The XRPC message decoder installs the same
 five (:func:`shred`) mid-parse, for each payload element of an envelope.
 
-A stored text (:func:`parse_stored`, for ``Peer.store``) is shredded by
-a copy of those handlers that also lays out each row's span as the
-serializer would; when the text proves canonical the text and the
-spans become the document's serialisation. Shipped documents and
-message payloads keep the plain handlers and pay for neither.
-
 Error contract: every rejection is an :class:`XmlParseError`, never a
 bare ``ExpatError``; its message is expat's, and its ``offset`` is a
 ``str`` index (expat counts UTF-8 bytes) — for a bad entity or
@@ -50,7 +44,6 @@ from repro.xmldb.node import (
     KIND_ATTRIBUTE, KIND_COMMENT, KIND_DOCUMENT, KIND_ELEMENT, KIND_PI,
     KIND_TEXT,
 )
-from repro.xmldb.serializer import adopt_serialization
 
 # XMLDecl? Misc* before a DOCTYPE, each construct matched one way only
 # so a refused prolog fails in linear time.
@@ -265,141 +258,3 @@ def parse_document(text: str, uri: str = "") -> Document:
 def parse_fragment(text: str, uri: str = "") -> Document:
     """Parse one element as a parentless fragment document."""
     return _scan(text, uri, document=False)
-
-
-_NAME = r"[\w.:-]++"
-#: Text spelt token for token as the serializer spells what expat reads
-#: from it: the root's start tag first (no prolog), ` name="…"`
-#: attributes, ``/>`` for an element with no content, no ``\r``, only
-#: the references the escapes make, and no PI or CDATA section.
-#: Possessive throughout: linear on any input.
-_CANONICAL = re.compile(
-    rf'(?=<{_NAME})(?:<{_NAME}(?: {_NAME}="(?:[^"<&\t\n\r]++'
-    r'|&(?:amp|lt|quot|#9|#10|#13);)*+")*+(?:/>|>(?!</))'
-    rf"|</{_NAME}>"
-    r"|(?:[^<>&\r]++|&(?:amp|lt|gt|#13);)++"
-    r"|<!--(?:[^-\r]++|-(?!-))*+-->)*+")
-
-
-def _shred_stored(parser: XMLParserType, text: str, closed: Callable,
-                  uri: str, starts: list[int], ends: list[int]) -> None:
-    """:func:`shred` for a whole document that also appends each row's
-    span in ``text`` to ``starts`` / ``ends``, laid out as the
-    serializer lays the row out: the spans it would record, if ``text``
-    is canonical — which its caller decides after. A span is read off
-    the row and the text (a text ends at the next ``<``, an attribute
-    value at the next ``"``), not off expat's offsets."""
-    columns = kinds, names, values, sizes, levels, parents = (
-        [KIND_DOCUMENT], [""], [""], [0], [0], [-1])  # the document node
-    kind_, name_, value_, size_, level_, parent_ = (
-        column.append for column in columns)
-    span_start, span_end, find = starts.append, ends.append, text.find
-    tags: dict[str, tuple[str, array]] = {}
-    attributes: dict[str, tuple[str, array]] = {}
-    get_tag, get_attribute = tags.get, attributes.get
-    parent, level = 0, 1
-    # Per open element, its first content row; where the next row's
-    # text begins.
-    contents: list[int] = []
-    cursor = 0
-
-    def start(name: str, attrs: list[str]) -> None:
-        nonlocal parent, level, cursor
-        pre = len(kinds)
-        span_start(cursor)
-        span_end(0)
-        at = cursor + 1 + len(name)
-        name, pres = get_tag(name) or _posting(tags, name)
-        pres.append(pre)
-        kind_(KIND_ELEMENT)
-        name_(name)
-        value_("")
-        size_(0)
-        level_(level)
-        parent_(parent)
-        if attrs:
-            pairs = iter(attrs)
-            for name, value in zip(pairs, pairs):
-                at += len(name) + 3  # ` name="`
-                span_start(at)
-                at = find('"', at)
-                span_end(at)
-                at += 1
-                name, pres = get_attribute(name) or _posting(attributes,
-                                                             name)
-                pres.append(len(kinds))
-                kind_(KIND_ATTRIBUTE)
-                name_(name)
-                value_(value)
-                size_(0)
-                level_(level + 1)
-                parent_(pre)
-        cursor = at + 1  # past ``>``, or at the ``>`` of ``/>``
-        contents.append(len(kinds))
-        parent = pre
-        level += 1
-
-    def end(name: str) -> None:
-        nonlocal parent, level, cursor
-        # ``</name>`` after content, else the ``>`` that ends ``/>``.
-        cursor += len(name) + 3 if len(kinds) > contents.pop() else 1
-        ends[parent] = cursor
-        sizes[parent] = len(kinds) - parent - 1
-        parent = parents[parent]
-        level -= 1
-        if parent == 0:  # the root element is whole
-            sizes[0] = len(kinds) - 1
-            postings = dict(tags.values()), dict(attributes.values())
-            closed(Document(uri, ColumnSet(*columns, postings)))
-
-    def character_data(data: str) -> None:
-        nonlocal cursor
-        if kinds[-1] == KIND_TEXT and parents[-1] == parent:
-            values[-1] += data
-        else:
-            span_start(cursor)
-            cursor = find("<", cursor)
-            span_end(cursor)
-            kind_(KIND_TEXT)
-            name_("")
-            value_(data)
-            size_(0)
-            level_(level)
-            parent_(parent)
-
-    def node(kind: int, name: str, value: str) -> None:
-        nonlocal cursor
-        if parent != 0:
-            span_start(cursor)
-            # ``<!--value-->``; a text with a PI is never canonical.
-            cursor += len(value) + 7
-            span_end(cursor)
-            kind_(kind)
-            name_(name)
-            value_(value)
-            size_(0)
-            level_(level)
-            parent_(parent)
-
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
-    parser.CharacterDataHandler = character_data
-    parser.CommentHandler = lambda data: node(KIND_COMMENT, "", data)
-    parser.ProcessingInstructionHandler = lambda target, data: node(
-        KIND_PI, intern(target), data.strip())
-
-
-def parse_stored(text: str, uri: str = "") -> Document:
-    """:func:`parse_document`, with ``text`` (and every node's span in
-    it) adopted as the document's serialisation when it is provably
-    what :func:`~repro.xmldb.serializer.serialize` would make: its root
-    element the whole text, and every token in canonical spelling —
-    decided by expat's reading and :data:`_CANONICAL`, never by lengths
-    alone."""
-    shredded: list[Document] = []
-    starts, ends = [0], [len(text)]
-    parse(text, True, lambda parser: _shred_stored(
-        parser, text, shredded.append, uri, starts, ends))
-    if ends[1] == len(text) and _CANONICAL.fullmatch(text):
-        adopt_serialization(shredded[0], text, starts, ends)
-    return shredded[0]

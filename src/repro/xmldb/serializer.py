@@ -19,14 +19,16 @@ subtree's rows with the open elements on an explicit stack. The
 whole-document pass runs it over every row and records the spans; a
 subtree request on a document with no full text runs the same loop
 over ``[pre, pre + size]`` without them. The one other source of a
-document's text is its input, adopted when it is proven to be what
-``_emit`` would make (:func:`adopt_serialization`): a ``Peer.store``
-of a canonical text — a text this serializer wrote, shipped or copied
-— seeds the memo and its spans at the parse, so no read emits it.
+document's text is the text it was parsed from, adopted when it is
+proven to be what ``_emit`` would make (:func:`adopt_serialization`):
+a ``Peer.store`` of a canonical text — one this serializer wrote,
+shipped or copied — seeds the memo and its spans at the store, so no
+read emits it.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from collections import OrderedDict
 
@@ -102,15 +104,20 @@ def serialize(doc: Document) -> str:
     return cache.full
 
 
-def adopt_serialization(doc: Document, text: str, starts: list[int],
-                        ends: list[int]) -> None:
-    """Take ``text``, with every node's span in it, as ``doc``'s
-    serialisation: for a text proven to be exactly what :func:`_emit`
-    would make of ``doc`` (:func:`~repro.xmldb.parser.parse_stored`),
-    so nothing emits it."""
-    cache = _tree(doc)
-    cache.starts, cache.ends = starts, ends
-    cache.full = text
+def adopt_serialization(doc: Document, text: str) -> None:
+    """Take ``text``, the text ``doc`` was parsed from, as its
+    serialisation when it provably is what :func:`_emit` would make of
+    ``doc``: the root's start tag first, no :data:`_NONCANONICAL`
+    token, and the root element, laid out from the rows
+    (:func:`_layout`), ending where the text ends. Any other text is
+    serialised on first read."""
+    if (text.endswith(">") and _ROOT_FIRST.match(text)
+            and not _NONCANONICAL.search(text)):
+        spans = _layout(doc, text)
+        if spans is not None:
+            cache = _tree(doc)
+            cache.starts, cache.ends = spans
+            cache.full = text
 
 
 def serialize_node(node: Node) -> str:
@@ -170,6 +177,79 @@ def subtree_spans(doc: Document) -> tuple[list[int], list[int]]:
         cache = doc._ser_cache
     assert cache.starts is not None and cache.ends is not None
     return cache.starts, cache.ends
+
+
+# ---------------------------------------------------------------------------
+# Adopting a canonical text
+# ---------------------------------------------------------------------------
+
+_NAME = r"[\w.:-]+"
+_ROOT_FIRST = re.compile(r"<[\w.:-]")
+#: A ``<`` that does not open a token spelt as :func:`_emit` spells
+#: what a parser reads from it, followed by canonical text up to the
+#: next ``<``: ` name="…"` attributes, ``/>`` for an element with no
+#: content, no ``\r``, only the references the escapes make, no PI or
+#: CDATA section, and no ``<`` in a comment. Every run stops at a
+#: ``<``, so a search reads each character about once, accepted or not.
+_NONCANONICAL = re.compile(
+    rf'<(?!(?:/{_NAME}>|{_NAME}(?: {_NAME}="[^"<&\t\n\r]*'
+    r'(?:&(?:amp|lt|quot|#9|#10|#13);[^"<&\t\n\r]*)*")*(?:/>|>(?!</))'
+    r"|!--[^-<\r]*(?:-[^-<\r]+)*-->)"
+    r"[^<>&\r]*(?:&(?:amp|lt|gt|#13);[^<>&\r]*)*(?:<|\Z))")
+
+
+def _layout(doc: Document, text: str
+            ) -> tuple[list[int], list[int]] | None:
+    """The spans :func:`_emit` records for document ``doc``, laid out
+    over ``text`` in :func:`_emit`'s order, or None if the root element
+    does not end where ``text`` does. Each span is read off the row and
+    the text (a text ends at the next ``<``, an attribute value at the
+    next ``"``), so it is exact when every token of ``text`` is
+    canonical and the root's start tag opens it."""
+    count = doc.count
+    starts = [0] * count
+    ends = [0] * count
+    ends[0] = len(text)
+    find = text.find
+    at = 0
+    # The open elements' (enclosing last row, pre, end tag length) and
+    # the innermost one's last row.
+    pending: list[tuple[int, int, int]] = []
+    closing = 0
+    tag_open = False
+    for pre, kind, name, value, size in zip(
+            range(1, count), doc.kinds[1:], doc.names[1:],
+            doc.values[1:], doc.sizes[1:]):
+        if kind == KIND_ATTRIBUTE:
+            at += len(name) + 3  # ` name="`
+            starts[pre] = at
+            at = ends[pre] = find('"', at)
+            at += 1
+            if pre != closing:
+                continue
+        else:
+            if tag_open:
+                at += 1
+                tag_open = False
+            starts[pre] = at
+            if kind == KIND_ELEMENT:
+                at += 1 + len(name)
+                if size:
+                    pending.append((closing, pre, len(name) + 3))
+                    closing = pre + size
+                    tag_open = True
+                    continue
+                at = ends[pre] = at + 2  # ``/>``
+            elif kind == KIND_TEXT:
+                at = ends[pre] = find("<", at)
+            else:  # ``<!--value-->``; a text with a PI is never canonical
+                at = ends[pre] = at + len(value) + 7
+        while pre == closing:
+            closing, done, end_tag = pending.pop()
+            at += 2 if tag_open else end_tag
+            tag_open = False
+            ends[done] = at
+    return (starts, ends) if ends[1] == len(text) else None
 
 
 # ---------------------------------------------------------------------------

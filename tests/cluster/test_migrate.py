@@ -38,6 +38,7 @@ from repro.decompose import Strategy
 from repro.net.costmodel import CostModel
 from repro.runtime.transport import Transport
 from repro.system.federation import Federation
+from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import cached_serialization, serialize
 
@@ -385,17 +386,21 @@ def test_stale_plans_are_noops():
 def test_a_moved_replica_keeps_the_copied_text_as_its_serialization(
         whole_emits):
     """The target stores the source's text, which is canonical: the
-    read-back and later queries slice it, nothing emits the copy."""
+    read-back and later queries slice it, nothing emits the copy. The
+    read-back compares the adopted text with itself, so the round trip
+    is checked here: the copy's rows serialise to that text."""
     federation, catalog = make_recorded_cluster(members=6)
     shard = catalog.get("books-c").shards[0]
     target = next(node for node in ("node1", "node2", "node3", "node4")
                   if node not in shard.replicas)
+    text = federation.peer(shard.replicas[0]).serialized(shard.local_name)
     assert MigrationExecutor(federation).execute(MovePlan(
         "books-c", shard.index, source=shard.replicas[0], target=target))
     federation.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     copy = federation.peer(target).document(shard.local_name)
-    assert cached_serialization(copy) is not None
+    assert cached_serialization(copy) == text
     assert whole_emits(copy) == 0
+    assert serialize(Document(copy.uri, copy.columns)) == text
 
 
 def test_retire_refuses_to_break_replication():

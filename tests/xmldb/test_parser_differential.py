@@ -131,18 +131,6 @@ def test_parse_document_matches_the_oracle(text):
     _check("parse_document", text)
 
 
-@given(documents())
-@fuzz_settings(150)
-def test_the_stored_text_parse_matches_the_oracle(text):
-    """``parse_stored`` shreds with its own copy of the handlers: the
-    same columns and postings as ``parse_document``."""
-    new = scanner.parse_stored(text, uri="d.xml")
-    assert columns(new) == columns(oracle.parse_document(text, uri="d.xml"))
-    assert new.uri == "d.xml" and not new.is_fragment
-    assert new.columns.postings == \
-        scanner.parse_document(text).columns.postings
-
-
 @given(fragments())
 @fuzz_settings(150)
 def test_parse_fragment_matches_the_oracle(text):

@@ -193,10 +193,4 @@ def test_edited_documents_fail_where_the_oracle_fails(text, edits, name):
             text = text[:index] + character + text[index:]
         else:
             text = text[:index] + text[index + 1:]
-    new = _agrees_with_oracle(text, name)
-    if name == "parse_document":  # the stored-text parse: same outcome
-        stored = outcome(scanner.parse_stored, text)
-        if isinstance(new, XmlParseError):
-            assert (str(stored), stored.offset) == (str(new), new.offset)
-        else:
-            assert stored == new
+    _agrees_with_oracle(text, name)
