@@ -43,8 +43,7 @@ def main() -> None:
 
         cache = engine.cache.snapshot()
         print("\n--- result cache ---")
-        print(f"entries     : {cache['responses']} responses, "
-              f"{cache['documents']} documents")
+        print(f"entries     : {cache['responses']} responses")
         print(f"hit rate    : {cache['hit_rate'] * 100:.0f}% "
               f"({cache['hits']} hits / {cache['misses']} misses)")
         print(f"saved       : {cache['saved_bytes']} bytes of wire traffic")

@@ -127,6 +127,9 @@ class ClusterCatalog:
     PARTIAL_POLICIES = ("error", "allow")
 
     def __init__(self, partial: str = "error"):
+        if partial not in self.PARTIAL_POLICIES:
+            raise ClusterError(
+                f"partial policy {partial!r} not in {self.PARTIAL_POLICIES}")
         self._lock = threading.Lock()
         self._epoch = 0
         self._collections: dict[str, CollectionSpec] = {}
@@ -138,24 +141,13 @@ class ClusterCatalog:
         #: ``"error"`` fails the query (exact semantics, the default);
         #: ``"allow"`` lets scatter return a *flagged* partial answer
         #: (``RunStats.partial_shards`` counts the holes).
-        self.partial_policy = self._check_partial(partial)
+        self.partial_policy = partial
         #: The router's :class:`~repro.runtime.transport.RetryPolicy`
         #: for transient wire faults (None ⇒ the router's default).
         self.retry_policy = None
         #: The router's prepared scatters, one per (function body,
         #: collection layout) — see ``router._PreparedScatter``.
         self.prepared = PreparedTable()
-
-    @classmethod
-    def _check_partial(cls, policy: str) -> str:
-        if policy not in cls.PARTIAL_POLICIES:
-            raise ClusterError(
-                f"partial policy {policy!r} not in {cls.PARTIAL_POLICIES}")
-        return policy
-
-    def set_partial_policy(self, policy: str) -> None:
-        """Switch the zero-live-replica degradation policy."""
-        self.partial_policy = self._check_partial(policy)
 
     def _emit_epoch(self, epoch: int, reason: str, **attrs) -> None:
         """Emit an epoch-bump event (called with the lock released —

@@ -21,7 +21,7 @@ router takes over:
    satisfies the filter contributes exactly ``()`` per call and is
    skipped (``RunStats.shards_skipped``). The rest go to the fewest
    serving peers that together hold them (:func:`shard_cover`), ties
-   broken by :meth:`ClusterRouter.replica_order`'s key — healthy
+   broken by the replica ranking (``ClusterRouter._rank``) — healthy
    first, then the live load — so successive scatters rotate over the
    covers and every replica keeps getting traffic and health evidence.
 3. **scatter** — one Bulk RPC per cover peer, one call per (originator
@@ -405,8 +405,10 @@ class ClusterRouter:
 
     # -- replica selection --------------------------------------------------
 
-    def replica_order(self, shard: ShardInfo) -> list[str]:
-        """The replicas that may serve, healthy-then-least-loaded first.
+    def _rank(self, peers: list[str], shards: list[ShardInfo]
+              ) -> list[str]:
+        """``peers`` (serving replicas of ``shards``), healthy-then-
+        least-loaded first.
 
         A *degrading* replica — alive, answering, but demoted by its
         windowed health score — sorts behind every healthy one, so it
@@ -414,13 +416,8 @@ class ClusterRouter:
         request. Within a health bucket, order is the live load
         (in-flight exchanges, then total bytes served, then placement
         order as the deterministic tie-break). Demoted replicas stay in
-        the order: they are still the failover path of last resort. A
-        cover ranks its candidate peers by the same key.
+        the order: they are still the failover path of last resort.
         """
-        return self._rank(serving_replicas(self.view, shard), [shard])
-
-    def _rank(self, peers: list[str], shards: list[ShardInfo]
-              ) -> list[str]:
         peer_load = self.transport.peer_load
         return self.view.order(peers, lambda peer: (
             *peer_load(peer),

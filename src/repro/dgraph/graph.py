@@ -100,10 +100,6 @@ class DGraph:
         self._parse_descendants[vid] = result
         return result
 
-    def parse_depends(self, x: int, y: int) -> bool:
-        """x parse-depends-on y: y reachable from x via parse edges only."""
-        return y in self.parse_descendants(x)
-
     def depends_set(self, vid: int) -> frozenset[int]:
         """All vertices reachable from ``vid`` via parse and varref
         edges (the paper's full "depends on" relation)."""
@@ -135,22 +131,7 @@ class DGraph:
         self._parse_descendants.clear()
         self._depends_cache.clear()
 
-    # -- paper predicates -----------------------------------------------------------
-
-    def use_result(self, n: int, rs: int) -> bool:
-        """useResult(n, rs): a consumer *outside* rs's subgraph depends
-        on rs (i.e. on the shipped result)."""
-        if n in self.parse_descendants(rs):
-            return False
-        return self.depends(n, rs)
-
-    def use_param(self, n: int, rs: int) -> bool:
-        """useParam(n, rs) <=> n is inside rs's subgraph and depends on
-        a vertex outside it (i.e. on a shipped parameter)."""
-        subgraph = self.parse_descendants(rs)
-        if n not in subgraph:
-            return False
-        return bool(self.depends_set(n) - subgraph)
+    # -- inspection -----------------------------------------------------------
 
     def by_rule(self, *rules: str) -> list[Vertex]:
         return [v for v in self.vertices if v.rule in rules]

@@ -191,7 +191,7 @@ class RunStats:
     messages: int = 0            # network interactions (message count)
     rpc_calls: int = 0           # function applications (bulk counts >1)
     documents_shipped: int = 0
-    cache_hits: int = 0          # round trips / shipments served from
+    cache_hits: int = 0          # round trips served from
     cache_saved_bytes: int = 0   # the runtime's shared result cache
     times: TimeBreakdown = field(default_factory=TimeBreakdown)
     #: The physical plan that produced this run (set by the federation

@@ -34,7 +34,6 @@ off-screen beats a marker silently dropped).
 from __future__ import annotations
 
 import json
-from typing import Iterable
 
 from repro.obs.trace import Span
 
@@ -196,13 +195,6 @@ def validate_chrome_trace(document: dict) -> list[str]:
     return problems
 
 
-def load_and_validate(path) -> list[str]:
-    """Read a Chrome trace from disk and validate it (CI helper)."""
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    return validate_chrome_trace(document)
-
-
 def render_tree(span: Span, max_depth: int | None = None,
                 _depth: int = 0) -> str:
     """A compact text rendering of the span tree (README excerpts)::
@@ -233,8 +225,3 @@ def render_tree(span: Span, max_depth: int | None = None,
         for child in list(span.children):
             lines.append(render_tree(child, max_depth, _depth + 1))
     return "\n".join(lines)
-
-
-def spans_in(events: Iterable[dict], name: str) -> list[dict]:
-    """Convenience filter over exported events (tests)."""
-    return [event for event in events if event.get("name") == name]

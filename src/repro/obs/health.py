@@ -9,7 +9,7 @@ rolling windows of the router's attempts and judges its standing; the
 standing itself lives in the federation's
 :class:`~repro.cluster.membership.PeerView`, which asks
 :meth:`HealthTracker.judge` whenever it is read and sorts a demoted
-replica behind every healthy one in ``replica_order``, so selection
+replica behind every healthy one in the router's ranking, so selection
 de-prefers a degrading replica *before* it ever fails a request.
 
 Score model, per peer over the window:

@@ -178,9 +178,6 @@ class Span:
                 return span
         return None
 
-    def find_all(self, name: str) -> list["Span"]:
-        return [span for span in self.iter_spans() if span.name == name]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if not self.closed else f"{self.duration_s * 1e3:.2f}ms"
         return f"<Span {self.name} {state} attrs={self.attrs!r}>"

@@ -1,30 +1,27 @@
-"""A projection-aware result/fragment cache shared across queries.
+"""A projection-aware cache of XRPC responses shared across queries.
 
-Two kinds of entries, both bounded by LRU:
+One entry is one XRPC response as decoded, with the byte length it had
+on the wire, keyed by ``(dest peer, request digest, projection-path
+signature)`` and bounded by LRU. The digest covers the exact request
+text (shipped query body, static context, marshalled parameter
+fragments), so a hit is only possible for a byte-identical request;
+the projection signature is kept explicit in the key so by-projection
+responses for different used/returned path sets never alias. A hit
+decodes nothing: the consuming query takes
+:meth:`~repro.xrpc.messages.ResponseMessage.fresh` of the stored
+message, new documents over the shared (never mutated) columns — so
+node identity stays private per query, and the stored documents never
+reach a query.
 
-* **response entries** — one XRPC response as decoded, with the byte
-  length it had on the wire, keyed by ``(dest peer, request digest,
-  projection-path signature)``. The digest covers the exact request
-  text (shipped query body, static context, marshalled parameter
-  fragments), so a hit is only possible for a byte-identical request;
-  the projection signature is kept explicit in the key so
-  by-projection responses for different used/returned path sets never
-  alias. A hit decodes nothing: the consuming query takes
-  :meth:`~repro.xrpc.messages.ResponseMessage.fresh` of the stored
-  message, new documents over the shared (never mutated) columns — so
-  node identity stays private per query, and the stored documents
-  never reach a query.
-* **document entries** — shipped-and-shredded documents, keyed by
-  ``(requester, owner, document)``. A hit skips the serialise /
-  network / shred charges of data shipping entirely.
+Shipped documents are not cached: data shipping fetches and shreds
+every remote document each query reads, as the paper's baseline counts
+it (one ship per document per run).
 
 Invalidation is by version, as an HTTP validator's: each call carries
-the store generation its caller read before computing — the
-federation's for a response (one from peer B may depend on documents
-shipped from peer A by a nested ``execute at``), the owner's for a
-document (a collection's is the federation's). The first call under a
-newer generation drops every entry of its scope; a store under an
-older one is discarded.
+the federation's store generation, read before computing (a response
+from peer B may depend on documents shipped from peer A by a nested
+``execute at``). The first call under a newer generation drops every
+entry; a store under an older one is discarded.
 """
 
 from __future__ import annotations
@@ -33,24 +30,15 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.xmldb.document import Document
 
 #: Key of one response entry:
 #: (dest scope, semantics, request digest, projection sig, shard epoch).
 ResponseKey = tuple[str, str, str, tuple[str, ...], int]
 
-#: The LRU bounds: response entries, document entries.
+#: The LRU bound on response entries.
 MAX_RESPONSES = 256
-MAX_DOCUMENTS = 32
-
-#: The generation scope of every response entry (a document entry's is
-#: its owner's name).
-RESPONSES = ""
 
 
 def response_key(dest: str, semantics: str, request_xml: str,
@@ -111,7 +99,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """LRU response/document cache, safe for concurrent queries.
+    """LRU response cache, safe for concurrent queries.
 
     Accounting lives as ``cache_*`` counters in a
     :class:`~repro.obs.metrics.MetricsRegistry` (pass the federation's
@@ -139,34 +127,24 @@ class ResultCache:
         self._saved_bytes = self.metrics.counter(
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
-        #: Generation scope (:data:`RESPONSES` or an owner) -> the
-        #: newest generation a call under it has carried.
-        self._generations: dict[str, int] = {}
+        #: The newest federation generation a call has carried.
+        self._generation = 0
         #: ResponseKey -> (stored response, its wire byte length)
         self._responses: OrderedDict[ResponseKey,
                                      tuple[object, int]] = OrderedDict()
-        #: (requester, owner, local_name) -> (Document, serialized bytes)
-        self._documents: OrderedDict[tuple[str, str, str],
-                                     tuple["Document", int]] = OrderedDict()
 
-    def _sweep(self, scope: str, generation: int) -> int:
-        """Note ``generation`` for ``scope`` and drop the entries a newer
-        one outdates (call with the lock held); how many it dropped."""
-        if generation <= self._generations.get(scope, 0):
+    def _sweep(self, generation: int) -> int:
+        """Note ``generation`` and drop the entries a newer one outdates
+        (call with the lock held); how many it dropped."""
+        if generation <= self._generation:
             return 0
-        self._generations[scope] = generation
-        if scope == RESPONSES:
-            dropped = len(self._responses)
-            self._responses.clear()
-        else:
-            doomed = [key for key in self._documents if key[1] == scope]
-            for key in doomed:
-                del self._documents[key]
-            dropped = len(doomed)
+        self._generation = generation
+        dropped = len(self._responses)
+        self._responses.clear()
         self._invalidations.inc(dropped)
         return dropped
 
-    def _report(self, scope: str, generation: int, dropped: int) -> None:
+    def _report(self, generation: int, dropped: int) -> None:
         """One event per sweep that dropped entries. Called outside the
         lock: the event sink locks internally and must never nest
         inside cache-internal critical sections."""
@@ -174,47 +152,25 @@ class ResultCache:
             self.events.emit(
                 "cache_invalidation",
                 f"store generation {generation} dropped {dropped} "
-                f"{scope or 'response'} cache entries",
-                severity="info", scope=scope or "responses",
+                "response cache entries",
+                severity="info", scope="responses",
                 generation=generation, dropped=dropped)
-
-    def _lookup(self, table: OrderedDict, scope: str, key, generation: int,
-                request_bytes: int = 0) -> tuple | None:
-        with self._lock:
-            dropped = self._sweep(scope, generation)
-            entry = table.get(key)
-            if entry is None:
-                self._misses.inc()
-            else:
-                table.move_to_end(key)
-                self._hits.inc()
-                self._saved_bytes.inc(request_bytes + entry[1])
-        self._report(scope, generation, dropped)
-        return entry
-
-    def _store(self, table: OrderedDict, bound: int, scope: str, key,
-               entry: tuple, generation: int) -> None:
-        with self._lock:
-            dropped = self._sweep(scope, generation)
-            # Computed under ``generation``: kept unless a newer store
-            # has been seen since.
-            if generation == self._generations.get(scope, 0):
-                table[key] = entry
-                table.move_to_end(key)
-                while len(table) > bound:
-                    table.popitem(last=False)
-                    self._evictions.inc()
-        self._report(scope, generation, dropped)
-
-    # -- responses ----------------------------------------------------------
 
     def lookup_response(self, key: ResponseKey, request_bytes: int = 0,
                         generation: int = 0) -> object | None:
         """The stored response, or None. ``request_bytes`` sizes the
         request that a hit keeps off the wire (for ``saved_bytes``);
         ``generation`` is the federation's, read before the lookup."""
-        entry = self._lookup(self._responses, RESPONSES, key, generation,
-                             request_bytes)
+        with self._lock:
+            dropped = self._sweep(generation)
+            entry = self._responses.get(key)
+            if entry is None:
+                self._misses.inc()
+            else:
+                self._responses.move_to_end(key)
+                self._hits.inc()
+                self._saved_bytes.inc(request_bytes + entry[1])
+        self._report(generation, dropped)
         return None if entry is None else entry[0]
 
     def store_response(self, key: ResponseKey, response: object,
@@ -228,27 +184,17 @@ class ResultCache:
         re-encode."""
         if response_bytes is None:
             response_bytes = len(response.encode())
-        self._store(self._responses, MAX_RESPONSES, RESPONSES, key,
-                    (response, response_bytes), generation)
-
-    # -- shipped documents --------------------------------------------------
-
-    def lookup_document(self, requester: str, owner: str, local_name: str,
-                        generation: int = 0
-                        ) -> tuple["Document", int] | None:
-        """The shipped document and its size, or None; ``generation``
-        is the owner's, read before the lookup."""
-        return self._lookup(self._documents, owner,
-                            (requester, owner, local_name), generation)
-
-    def store_document(self, requester: str, owner: str, local_name: str,
-                       document: "Document", size: int,
-                       generation: int = 0) -> None:
-        """Keep a shipped document unless a store on its owner newer
-        than ``generation`` has been seen."""
-        self._store(self._documents, MAX_DOCUMENTS, owner,
-                    (requester, owner, local_name), (document, size),
-                    generation)
+        with self._lock:
+            dropped = self._sweep(generation)
+            # Computed under ``generation``: kept unless a newer store
+            # has been seen since.
+            if generation == self._generation:
+                self._responses[key] = (response, response_bytes)
+                self._responses.move_to_end(key)
+                while len(self._responses) > MAX_RESPONSES:
+                    self._responses.popitem(last=False)
+                    self._evictions.inc()
+        self._report(generation, dropped)
 
     # -- introspection ------------------------------------------------------
 
@@ -264,12 +210,11 @@ class ResultCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._responses) + len(self._documents)
+            return len(self._responses)
 
     def snapshot(self) -> dict[str, object]:
         with self._lock:
             return {
                 "responses": len(self._responses),
-                "documents": len(self._documents),
                 **self.stats.as_dict(),
             }

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from threading import BoundedSemaphore
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.decompose import Strategy, strategy_label
 from repro.runtime.batching import BulkBatcher
@@ -167,29 +167,6 @@ class FederationEngine:
             self._executing -= 1
         self._release_one()
 
-    def run_all(self, jobs: Iterable[tuple], *,
-                strategy: Strategy = Strategy.BY_PROJECTION,
-                return_exceptions: bool = False) -> list:
-        """Submit every ``(query, at)`` (or ``(query, at, strategy)``)
-        job and block until all finish; results come back in job order.
-        """
-        futures = []
-        for job in jobs:
-            if len(job) >= 3:
-                query, at, job_strategy = job[0], job[1], job[2]
-            else:
-                query, at, job_strategy = job[0], job[1], strategy
-            futures.append(self.submit(query, at, job_strategy))
-        results = []
-        for future in futures:
-            if return_exceptions:
-                error = future.exception()
-                results.append(error if error is not None
-                               else future.result())
-            else:
-                results.append(future.result())
-        return results
-
     # -- worker body --------------------------------------------------------
 
     def _run_one(self, query: str, at: str, strategy: "Strategy | str",
@@ -226,19 +203,3 @@ class FederationEngine:
                   if result.stats.plan is not None else None)),
             result.stats)
         return result
-
-    # -- introspection ------------------------------------------------------
-
-    def summary(self) -> dict[str, object]:
-        """Metrics, wire truth, cache and batching state in one dict,
-        plus the federation registry's uniform ``snapshot()``."""
-        out: dict[str, object] = {"metrics": self.metrics.summary(),
-                                  "wire": self.federation.transport
-                                  .wire_summary(),
-                                  "registry":
-                                      self.federation.metrics.snapshot()}
-        if self.cache is not None:
-            out["cache"] = self.cache.snapshot()
-        if self.batcher is not None:
-            out["batching"] = self.batcher.snapshot()
-        return out

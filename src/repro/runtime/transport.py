@@ -281,12 +281,6 @@ class Transport:
                 self._gates[peer_name] = gate
         return gate
 
-    def set_request_timeout(self, timeout_s: float | None) -> None:
-        """Set (or clear) the per-attempt timeout."""
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s {timeout_s} must be > 0")
-        self.request_timeout_s = timeout_s
-
     def _gated_transmit(self, peer_name: str, size: int) -> None:
         """One transmission under the peer's capacity gate: consult the
         fault plan, then spend the delay policy's seconds on the clock.

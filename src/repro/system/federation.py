@@ -423,15 +423,16 @@ class _Run:
         ``owner`` is a peer, or a sharded collection — then every shard
         ships from a live replica (failing over on wire faults) and the
         logical document is reassembled. Everything around the fetch
-        (per-run memo, shared result cache, ``ship`` span, the ship's
-        ``per_op`` actuals) is
-        the same for both.
+        (per-run memo, ``ship`` span, the ship's ``per_op`` actuals) is
+        the same for both. Nothing outlives the run: a run ships each
+        document it reads once, as the paper's data-shipping baseline
+        counts it.
         """
         if stats is None:
             stats = self.stats
         spec = self.federation.collection(owner)
-        # A collection's entries are keyed by the catalog's membership
-        # epoch, so a repartition invalidates them.
+        # A collection's document is keyed by the catalog's membership
+        # epoch, so a repartition mid-run ships it again.
         version = ("" if spec is None
                    else f"@e{self.federation.catalog.epoch()}")
         key = (requester, f"{owner}/{local_name}{version}")
@@ -439,14 +440,8 @@ class _Run:
         if cached is not None:
             return cached
         wall0 = self.clock()
-        cache = self.result_cache
-        if cache is not None:
-            # A merged document reads every shard replica: it lives for
-            # the federation's generation, a peer's for the peer's.
-            generation = (self.federation.peer(owner).generation
-                          if spec is None else self.federation.generation())
         if spec is None:
-            cache_name, span_attrs = local_name, {}
+            span_attrs = {}
 
             def fetch(ship_span: Span | None) -> tuple[Document, int]:
                 with bind_stats_span(stats, ship_span):
@@ -456,25 +451,12 @@ class _Run:
                         text, uri=f"{XRPC_SCHEME}{owner}/{local_name}"),
                         size)
         else:
-            cache_name = f"{local_name}{version}"
             span_attrs = {"shards": len(spec.shards)}
 
             def fetch(ship_span: Span | None) -> tuple[Document, int]:
                 return self.router.fetch_collection_document(
                     spec, local_name, stats=stats, parent_span=ship_span)
 
-        if cache is not None:
-            entry = cache.lookup_document(requester, owner, cache_name,
-                                          generation)
-            if entry is not None:
-                document, size = entry
-                stats.cache_hits += 1
-                stats.cache_saved_bytes += size
-                self._shipped_docs[key] = document
-                stats.record_op((owner, local_name), bytes=0, calls=1,
-                                sim_s=0.0, wall_s=self.clock() - wall0,
-                                cache_hits=1)
-                return document
         sim0 = stats.times.total
         with child_span("ship", owner=owner, doc=local_name,
                         to=requester, **span_attrs) as ship_span:
@@ -485,9 +467,6 @@ class _Run:
                         sim_s=stats.times.total - sim0,
                         wall_s=self.clock() - wall0, cache_hits=0)
         self._shipped_docs[key] = document
-        if cache is not None:
-            cache.store_document(requester, owner, cache_name, document,
-                                 size, generation)
         return document
 
     # -- XRPC transport ---------------------------------------------------------

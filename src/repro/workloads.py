@@ -278,15 +278,6 @@ return if ($p/attribute::id = "person0") then $p/child::name else ()
 """
 
 
-def sharded_scan_variant(max_age: int = 40) -> str:
-    """``SHARDED_SCAN_QUERY`` with the tenant's age threshold."""
-    anchor = "< 40"
-    if anchor not in SHARDED_SCAN_QUERY:
-        raise ValueError(
-            f"SHARDED_SCAN_QUERY no longer contains the {anchor!r} anchor")
-    return SHARDED_SCAN_QUERY.replace(anchor, f"< {max_age}")
-
-
 # ---------------------------------------------------------------------------
 # Mixed multi-tenant workload (the planner's figure cells)
 # ---------------------------------------------------------------------------

@@ -105,11 +105,6 @@ class Document:
     def root(self) -> Node:
         return Node(self, 0)
 
-    @property
-    def is_fragment(self) -> bool:
-        """True for parentless trees (no document node at the top)."""
-        return self.kinds[0] != KIND_DOCUMENT
-
     def node(self, pre: int) -> Node:
         # ``count`` is bound once at construction: the bounds check
         # costs two compares, never a column ``len()``.

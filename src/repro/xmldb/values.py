@@ -219,10 +219,6 @@ class ValueIndex:
         of the name postings the structural index keeps."""
         return structural_index(self.doc).attribute_pres.get(name, _EMPTY)
 
-    def cached_columns(self) -> int:
-        """How many columns the LRU currently retains (tests/metrics)."""
-        return len(self._columns)
-
 
 def value_index(doc: "Document") -> ValueIndex:
     """The document's value index, built on first use."""

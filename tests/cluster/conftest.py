@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterCatalog, create_sharded_collection
+from repro.cluster.router import (ClusterRouter, ScatterOutcome,
+                                  serving_replicas)
 from repro.runtime import Transport, VirtualClock
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
@@ -28,6 +30,21 @@ LIBRARY_XML = (
 LIBRARY_CONTAINER = ("library", "books")
 LIBRARY_MEMBER = "book"
 NODES = ["node1", "node2", "node3", "node4"]
+
+
+def cover_order(cluster, shard) -> list[str]:
+    """The serving replicas of ``shard`` in the order one-shard covers
+    pick them, each re-cover passing over the replicas picked before —
+    the router's failover sequence, ranked healthy first, then by live
+    load, then by placement."""
+    stub = type("Run", (), {})()
+    stub.transport, stub.federation = cluster.transport, cluster
+    router = ClusterRouter(stub, cluster.catalog)
+    outcome, order = ScatterOutcome(shard, 0), []
+    for _replica in serving_replicas(router.view, shard):
+        [(peer, _outcomes)] = router._cover([outcome], order)
+        order.append(peer)
+    return order
 
 
 def library_document(uri: str = "xrpc://books-c/books.xml"):

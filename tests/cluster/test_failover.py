@@ -4,13 +4,13 @@ load-based routing."""
 import pytest
 
 from repro.cluster import ClusterError
-from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.net.stats import RunStats
 from repro.runtime import FederationEngine, PeerDownError, Transport
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import make_cluster, make_single_owner
+from tests.cluster.conftest import (cover_order, make_cluster,
+                                   make_single_owner)
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -75,30 +75,19 @@ def test_data_shipping_failover():
 
 def test_least_loaded_replica_selected():
     cluster = make_cluster()
-    transport = cluster.transport
-    catalog = cluster.catalog
-    spec = catalog.get("books-c")
-    shard = spec.shards[0]                 # replicas (node1, node2)
-
-    class _RunStub:
-        pass
-
-    stub = _RunStub()
-    stub.transport = transport
-    stub.federation = cluster
-    router = ClusterRouter(stub, catalog)
+    shard = cluster.catalog.get("books-c").shards[0]  # (node1, node2)
     # Untouched fleet: placement order breaks the tie.
-    assert router.replica_order(shard)[0] == "node1"
+    assert cover_order(cluster, shard)[0] == "node1"
     # Load node1's wire counters: node2 becomes the lighter replica.
-    transport._count_message("node1", 50_000)
-    assert router.replica_order(shard)[0] == "node2"
+    cluster.transport._count_message("node1", 50_000)
+    assert cover_order(cluster, shard)[0] == "node2"
     # A peer marked down is not considered at all.
     cluster.peer_view.mark_down("node2")
-    assert router.replica_order(shard) == ["node1"]
+    assert cover_order(cluster, shard) == ["node1"]
     # All replicas down: selection falls back to the full set so the
     # failure surfaces on the wire, not as an empty candidate list.
     cluster.peer_view.mark_down("node1")
-    assert router.replica_order(shard) == ["node2", "node1"]
+    assert cover_order(cluster, shard) == ["node2", "node1"]
 
 
 def test_failovers_surface_in_engine_metrics():

@@ -212,7 +212,7 @@ def test_nested_scatter_counts_each_shard_call_once():
 
 def test_modes_agree_on_a_partial_answer(shard_threads):
     cluster = make_cluster()
-    cluster.catalog.set_partial_policy("allow")
+    cluster.catalog.partial_policy = "allow"
     dead = cluster.catalog.get("books-c").shards[0]
     waiting = _waiting_wire(cluster)
     for replica in dead.replicas:

@@ -23,15 +23,14 @@ from repro.cluster import (
     Reconciler, create_sharded_collection,
 )
 from repro.cluster.membership import ALIVE, DEAD, EVICTED, SUSPECT
-from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.errors import NetworkError
 from repro.obs import FleetMonitor
 
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import (
-    LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, library_document,
-    make_cluster, virtual_wire,
+    LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, cover_order,
+    library_document, make_cluster, virtual_wire,
 )
 from tests.conftest import fuzz_settings
 from tests.oracle.liveness_reference import LivenessReference
@@ -53,12 +52,9 @@ def wired_cluster():
 
 def assert_view_matches(cluster, oracle: LivenessReference) -> None:
     view = cluster.peer_view
-    stub = type("Run", (), {})()
-    stub.transport, stub.federation = cluster.transport, cluster
-    router = ClusterRouter(stub, cluster.catalog)
     # Read the view first: a health read may emit the demotion the
     # oracle then replays.
-    orders = {shard.local_name: router.replica_order(shard)
+    orders = {shard.local_name: cover_order(cluster, shard)
               for shard in cluster.catalog.get("books-c").shards}
     scorer = LoadScorer(cluster)
     scores = scorer.snapshot()

@@ -173,7 +173,7 @@ def test_request_timeout_is_transient():
     retryable timeout after waiting out exactly the timeout."""
     cluster = make_cluster()
     cluster.transport.degrade_peer("node1", 0.050)
-    cluster.transport.set_request_timeout(0.005)
+    cluster.transport.request_timeout_s = 0.005
     with pytest.raises(RequestTimeoutError) as exc_info:
         cluster.transport.probe("node1")
     assert exc_info.value.delay_s >= 0.050
@@ -182,21 +182,26 @@ def test_request_timeout_is_transient():
     cluster.transport.probe("node2")
 
 
+def test_cleared_request_timeout_waits_out_a_slow_peer():
+    """``request_timeout_s = None`` clears the timeout: the slow peer
+    that timed out before now answers after its full wire delay."""
+    cluster = make_cluster()
+    cluster.transport.degrade_peer("node1", 0.050)
+    cluster.transport.request_timeout_s = 0.005
+    with pytest.raises(RequestTimeoutError):
+        cluster.transport.probe("node1")
+    cluster.transport.request_timeout_s = None
+    assert cluster.transport.probe("node1") >= 0.050
+
+
 def test_timeout_fails_over_to_healthy_replica():
     cluster = make_cluster()
     cluster.catalog.retry_policy = RetryPolicy(attempts=2, budget=4)
     cluster.transport.degrade_peer("node1", 0.050)
-    cluster.transport.set_request_timeout(0.005)
+    cluster.transport.request_timeout_s = 0.005
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
     assert result.stats.retries + result.stats.failovers > 0
-
-
-def test_set_request_timeout_validation():
-    cluster = make_cluster()
-    with pytest.raises(ValueError):
-        cluster.transport.set_request_timeout(0.0)
-    cluster.transport.set_request_timeout(None)   # clearing is fine
 
 
 # -- query errors never retry or fail over (error parity) --------------------
@@ -246,11 +251,7 @@ def test_partial_policy_validation():
     from repro.cluster import ClusterCatalog
     with pytest.raises(ClusterError):
         ClusterCatalog(partial="sometimes")
-    catalog = ClusterCatalog()
-    with pytest.raises(ClusterError):
-        catalog.set_partial_policy("maybe")
-    catalog.set_partial_policy("allow")
-    assert catalog.partial_policy == "allow"
+    assert ClusterCatalog(partial="allow").partial_policy == "allow"
 
 
 def test_partial_error_is_default():
@@ -266,7 +267,7 @@ def test_partial_allow_returns_flagged_holes():
     monitor = FleetMonitor().attach(cluster)
     cluster.transport.kill_peer("node2")
     cluster.transport.kill_peer("node3")
-    cluster.catalog.set_partial_policy("allow")
+    cluster.catalog.partial_policy = "allow"
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     full = expected_items()
     got = serialize_sequence(result.items)
@@ -281,7 +282,7 @@ def test_partial_allow_returns_flagged_holes():
 
 def test_partial_allow_leaves_healthy_queries_exact():
     cluster = make_cluster()
-    cluster.catalog.set_partial_policy("allow")
+    cluster.catalog.partial_policy = "allow"
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
     assert result.stats.partial_shards == 0

@@ -107,7 +107,10 @@ def test_catalog_epoch_invalidates_cached_responses(cluster):
         assert engine.cache.stats.hits == hits_before
 
 
-def test_data_shipping_merges_and_caches_collection(cluster, single_owner):
+def test_data_shipping_merges_collection_on_every_run(cluster,
+                                                     single_owner):
+    """Each data-shipping run ships and merges every shard, engine cache
+    or not: shipped documents are never served from the cache."""
     expected = single_owner.run(SCAN_OWNER, at="local",
                                 strategy=Strategy.DATA_SHIPPING)
     with FederationEngine(cluster, max_workers=2,
@@ -119,8 +122,10 @@ def test_data_shipping_merges_and_caches_collection(cluster, single_owner):
         assert first.stats.documents_shipped == 4   # one per shard
         second = engine.submit(SCAN, at="local",
                                strategy=Strategy.DATA_SHIPPING).result()
-        assert second.stats.cache_hits >= 1          # merged doc reused
-        assert second.stats.documents_shipped == 0
+        assert serialize_sequence(second.items) \
+            == serialize_sequence(expected.items)
+        assert second.stats.cache_hits == 0
+        assert second.stats.documents_shipped == 4
 
 
 def test_collection_reference_outside_generator_falls_back(cluster,
@@ -146,11 +151,10 @@ def test_collection_reference_outside_generator_falls_back(cluster,
     assert sharded.stats.documents_shipped == 4
 
 
-def test_shard_restore_invalidates_merged_document_cache(cluster):
-    """Regression: merged-document cache entries live under the
-    collection scope, which peer-store invalidation can't target by
-    name — the invalidation epoch woven into the entry name must make
-    them unreachable after any store."""
+def test_shard_restore_is_read_by_the_next_data_shipping_run(cluster):
+    """A data-shipping run through an engine after a shard's replicas
+    are re-stored merges the stored shard, not the one the run before
+    it read."""
     from repro.xmldb.parser import parse_document
     COUNT = ('count(doc("xrpc://books-c/books.xml")'
              "/child::library/child::books/child::book)")

@@ -81,12 +81,12 @@ class TestStructure:
 
 
 class TestReachability:
-    def test_parse_depends(self):
+    def test_parse_descendants(self):
         graph = build_dgraph(parse_query("let $s := 1 return $s"))
         let = vertices_of(graph, "LetExpr")[0]
         literal = vertices_of(graph, "Literal")[0]
-        assert graph.parse_depends(let.vid, literal.vid)
-        assert not graph.parse_depends(literal.vid, let.vid)
+        assert literal.vid in graph.parse_descendants(let.vid)
+        assert let.vid not in graph.parse_descendants(literal.vid)
 
     def test_depends_follows_varrefs(self):
         graph = build_dgraph(parse_query(
@@ -98,16 +98,6 @@ class TestReachability:
         body_ref = [v for v in vertices_of(graph, "VarRef")
                     if v.val == "$x"][-1]
         assert graph.depends(body_ref.vid, doc_call.vid)
-
-    def test_use_result_excludes_inside(self):
-        graph = build_dgraph(parse_query('doc("u")/child::a'))
-        step = vertices_of(graph, "AxisStep")[0]
-        doc_call = vertices_of(graph, "FunCall")[0]
-        # The step itself is not "using the result" of its own subtree
-        # root from outside.
-        assert not graph.use_result(step.vid, step.vid)
-        assert graph.use_result(step.vid, doc_call.vid) is False \
-            or True  # doc is inside the step's subgraph
 
 
 class TestFigure2:

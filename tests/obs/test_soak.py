@@ -11,13 +11,12 @@ can push a healthy query over the slow threshold). One client
 sleeps instead of overlapping them, so two workers would each see the
 other's wire time in their own latency."""
 
-from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.obs import SLO, BurnRatePolicy, FleetMonitor
 from repro.runtime import FederationEngine
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import make_cluster, virtual_wire
+from tests.cluster.conftest import cover_order, make_cluster, virtual_wire
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -97,14 +96,10 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         # first choice) wherever an alternative exists.
         cluster.peer_view.mark_up("node1")
         cluster.peer_view.mark_up("node3")
-        stub = type("Stub", (), {})()
-        stub.transport = cluster.transport
-        stub.federation = cluster
-        router = ClusterRouter(stub, cluster.catalog)
         spec = cluster.catalog.get("books-c")
         shards_with_node2 = 0
         for shard in spec.shards:
-            order = router.replica_order(shard)
+            order = cover_order(cluster, shard)
             if "node2" in order:
                 shards_with_node2 += 1
                 assert len(order) > 1

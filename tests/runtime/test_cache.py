@@ -1,6 +1,6 @@
-"""Result-cache correctness: keys, LRU bounds, counters, and — the
-load-bearing part — invalidation by the store generation a
-``Peer.store`` moves."""
+"""Result-cache correctness: keys, LRU bounds, counters, that shipped
+documents stay out of it, and — the load-bearing part — invalidation
+by the store generation a ``Peer.store`` moves."""
 
 import sys
 import threading
@@ -10,14 +10,12 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
 from repro.obs.events import EventLog
-from repro.runtime.cache import (
-    MAX_DOCUMENTS, MAX_RESPONSES, ResultCache, response_key,
-)
+from repro.runtime.cache import MAX_RESPONSES, ResultCache, response_key
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
-from repro.workloads import SHARDED_SCAN_QUERY, build_sharded_federation
+from repro.workloads import (BENCHMARK_QUERY, SHARDED_SCAN_QUERY,
+                             build_federation, build_sharded_federation)
 from repro.xmldb.node import Node
-from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc.messages import NodeCopy, ResponseMessage
@@ -114,14 +112,29 @@ class TestLruAndCounters:
         assert cache.lookup_response(keys[0]) == "0"
         assert cache.lookup_response(keys[1]) is None
 
-    def test_document_entries_bounded(self):
-        cache = ResultCache()
-        doc = parse_document("<d/>", uri="d.xml")
-        names = [f"{i}.xml" for i in range(MAX_DOCUMENTS + 1)]
-        for name in names:
-            cache.store_document("local", "A", name, doc, 4)
-        assert cache.lookup_document("local", "A", names[0]) is None
-        assert cache.lookup_document("local", "A", names[-1]) == (doc, 4)
+
+def test_data_shipping_ships_every_run_through_an_engine():
+    """Data shipping is the paper's baseline: through a cached engine
+    each run fetches and shreds every remote document it reads, as a
+    standalone run does; only XRPC responses are served from the
+    cache."""
+    with FederationEngine(build_federation(0.005), max_workers=1,
+                          batch_window_s=0.0) as engine:
+        ships = [engine.submit(BENCHMARK_QUERY, "local",
+                               "data-shipping").result().stats
+                 for _ in range(2)]
+        projections = [engine.submit(BENCHMARK_QUERY, "local",
+                                     "by-projection").result().stats
+                       for _ in range(2)]
+    alone = build_federation(0.005).run(BENCHMARK_QUERY, at="local",
+                                        strategy="data-shipping").stats
+    for stats in ships:
+        assert (stats.documents_shipped, stats.document_bytes,
+                stats.cache_hits) == (2, alone.document_bytes, 0)
+    assert alone.documents_shipped == 2
+    assert projections[0].cache_hits == 0
+    assert projections[1].cache_hits == 2
+    assert projections[1].rpc_calls == 0
 
 
 #: A replacement ``course42.xml`` whose every grade is Z.
@@ -132,23 +145,15 @@ ALL_Z_COURSE = """<enroll>
 
 
 class TestInvalidation:
-    def test_newer_generation_drops_its_owners_documents_and_all_responses(
-            self):
+    def test_newer_generation_drops_all_responses(self):
         cache = ResultCache()
-        doc = parse_document("<d/>", uri="d.xml")
         key = response_key("B", "by-fragment", "<req/>", None, None)
-        cache.store_document("local", "A", "students.xml", doc, 4, 1)
-        cache.store_document("local", "B", "course42.xml", doc, 4, 1)
         cache.store_response(key, "<r/>", generation=2)
-        # A store on A: A's generation 1 -> 2, the federation's 2 -> 3.
-        # A's document gone; B's kept; responses dropped wholesale
-        # (they may transitively depend on any peer's documents).
-        assert cache.lookup_document("local", "A", "students.xml", 2) \
-            is None
-        assert cache.lookup_document("local", "B", "course42.xml", 1) \
-            is not None
+        # A store anywhere moves the federation's generation 2 -> 3:
+        # responses are dropped wholesale (they may transitively
+        # depend on any peer's documents).
         assert cache.lookup_response(key, generation=3) is None
-        assert cache.stats.invalidations == 2
+        assert cache.stats.invalidations == 1
         assert cache.stats.evictions == 0
 
     def test_a_sweep_emits_one_event(self):
@@ -225,28 +230,6 @@ class TestInvalidation:
         assert (peer.generation, late.generation) == (3, 1)
         assert federation.generation() == 5
 
-    def test_a_collection_document_lives_for_the_federation_generation(
-            self):
-        """A merged document reads every shard replica, so a store on
-        any peer outdates it; a peer's own document outlives a store
-        elsewhere."""
-        query = f"count({SHARDED_SCAN_QUERY})"
-        federation, cache = build_sharded_federation(0.003), ResultCache()
-        federation.add_peer("plain").store("d.xml", "<d><e/></d>")
-
-        def ships(text):
-            result = federation.run(text, at="local",
-                                    strategy="data-shipping",
-                                    result_cache=cache)
-            return result.items, result.stats.cache_hits
-
-        both = f'({query}, count(doc("xrpc://plain/d.xml")//e))'
-        first, hits = ships(both)
-        assert hits == 0
-        assert ships(both) == (first, 2)
-        federation.peer("local").store("scratch.xml", "<s/>")
-        assert ships(both) == (first, 1)     # only the peer's document
-
     def test_stale_generation_store_is_discarded(self):
         """A value computed before a store must not re-populate the
         cache after it (the store/compute race)."""
@@ -256,11 +239,6 @@ class TestInvalidation:
         cache.lookup_response(key, generation=2)     # a store landed
         cache.store_response(key, "<stale/>", generation=1)
         assert cache.lookup_response(key, generation=2) is None
-
-        doc = parse_document("<d/>", uri="d.xml")
-        cache.lookup_document("local", "A", "d.xml", 2)
-        cache.store_document("local", "A", "d.xml", doc, 4, 1)
-        assert cache.lookup_document("local", "A", "d.xml", 2) is None
 
     def test_current_generation_store_is_kept(self):
         cache = ResultCache()

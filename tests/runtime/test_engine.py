@@ -177,21 +177,15 @@ class TestScheduling:
         engine.shutdown()
         assert engine.metrics.summary()["queries"] == 3
 
-    def test_run_all_preserves_job_order(self):
+    def test_each_future_carries_its_jobs_strategy(self):
         jobs = [(Q2, "local", strategy) for strategy in Strategy] * 2
         with FederationEngine(make_federation(), max_workers=4) as engine:
-            results = engine.run_all(jobs)
+            futures = [engine.submit(*job) for job in jobs]
+            results = [future.result() for future in futures]
         assert [r.decomposition.strategy for r in results] == \
             [job[2] for job in jobs]
 
     BAD_QUERY = 'doc("xrpc://missing/d.xml")/child::a'
-
-    def test_run_all_return_exceptions(self):
-        jobs = [(Q2, "local"), (self.BAD_QUERY, "local")]
-        with FederationEngine(make_federation(), max_workers=2) as engine:
-            results = engine.run_all(jobs, return_exceptions=True)
-        assert serialize_sequence(results[0].items)
-        assert isinstance(results[1], NetworkError)
 
     def test_failures_recorded_and_raised(self):
         with FederationEngine(make_federation(), max_workers=2) as engine:
@@ -201,6 +195,20 @@ class TestScheduling:
         summary = engine.metrics.summary()
         assert summary["failed"] == 1
         assert summary["queries"] == 0
+
+    def test_a_failing_query_leaves_its_neighbours_results(self):
+        expected = serialize_sequence(
+            make_federation().run(Q2, at="local").items)
+        with FederationEngine(make_federation(), max_workers=2) as engine:
+            good = engine.submit(Q2, "local")
+            bad = engine.submit(self.BAD_QUERY, "local")
+            after = engine.submit(Q2, "local")
+            with pytest.raises(NetworkError):
+                bad.result()
+            assert serialize_sequence(good.result().items) == expected
+            assert serialize_sequence(after.result().items) == expected
+        summary = engine.metrics.summary()
+        assert (summary["queries"], summary["failed"]) == (2, 1)
 
     def test_cancelled_future_releases_admission_slot(self):
         """Cancelling a queued query must not leak its in-flight slot."""
@@ -214,7 +222,8 @@ class TestScheduling:
             blocker.result()
             # Both slots must be free again: two more submits succeed
             # without blocking (a leaked slot would deadlock here).
-            engine.run_all([(Q2, "local")] * 2)
+            for future in [engine.submit(Q2, "local") for _ in range(2)]:
+                future.result()
             assert engine.in_flight == 0
 
     def test_a_retired_engine_leaves_its_cache_to_the_collector(self):
@@ -270,7 +279,7 @@ def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
     """Execute a multi-tenant workload concurrently.
 
     Returns the per-job results (in job order) plus the engine, whose
-    ``metrics`` / ``summary()`` carry the fleet view. A caller-supplied
+    ``metrics`` carry the fleet view. A caller-supplied
     ``engine`` is reused (and left running); otherwise one is built
     from ``engine_kwargs`` and shut down before returning.
     """
@@ -282,8 +291,9 @@ def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
             "engine_kwargs are only used when building a new engine; "
             f"got both engine= and {sorted(engine_kwargs)}")
     try:
-        results = engine.run_all(
-            [(job.query, job.at, job.strategy) for job in jobs])
+        futures = [engine.submit(job.query, job.at, job.strategy)
+                   for job in jobs]
+        results = [future.result() for future in futures]
     finally:
         if own_engine:
             engine.shutdown()

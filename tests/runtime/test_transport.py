@@ -136,7 +136,7 @@ class TestDelayPolicy:
     def test_timeout_waits_out_exactly_the_timeout(self):
         clock = VirtualClock()
         transport = Transport(clock=clock, extra_latency_s=2.0)
-        transport.set_request_timeout(0.5)
+        transport.request_timeout_s = 0.5
         with pytest.raises(RequestTimeoutError) as exc_info:
             transport.probe("A")
         assert clock.now == 0.5

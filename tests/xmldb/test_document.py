@@ -96,7 +96,6 @@ class TestBuilder:
         builder.start_element("a")
         builder.end_element()
         doc = builder.finish()
-        assert doc.is_fragment
         assert doc.root.kind == NodeKind.ELEMENT
 
     def test_trees_built_one_after_another_are_cut_apart(self):
@@ -185,7 +184,7 @@ class TestFragmentFromNode:
         doc = parse_document("<r><a><b/></a></r>")
         a = next(n for n in doc.nodes() if n.name == "a")
         frag = build_fragment_from_node("f", a)
-        assert frag.is_fragment and frag.uri == "f"
+        assert frag.root.kind == NodeKind.ELEMENT and frag.uri == "f"
         assert frag.root.name == "a" and frag.root.parent() is None
         assert list(frag.levels) == [0, 1] and list(frag.parents) == [-1, 0]
         assert frag is not doc and frag.doc_seq > doc.doc_seq

@@ -306,7 +306,7 @@ class TestDoctype:
 class TestFragment:
     def test_fragment_root_is_element(self):
         doc = parse_fragment("<a><b/></a>")
-        assert doc.is_fragment
+        assert doc.root.kind == NodeKind.ELEMENT
         assert doc.root.name == "a"
 
     def test_fragment_rejects_document_extras(self):

@@ -120,7 +120,7 @@ def _check(parse_name: str, text: str) -> None:
     old = getattr(oracle, parse_name)(text, uri="d.xml")
     assert columns(new) == columns(old)
     assert serialize(new) == serialize(old)
-    assert new.uri == old.uri and new.is_fragment == old.is_fragment
+    assert new.uri == old.uri
     assert all(name is intern_name for name, intern_name
                in zip(new.names, old.names))  # both interned
 

@@ -38,7 +38,7 @@ def _outcome(run):
     if result is None:
         return None
     return (columns(result.doc), result.pre_map, result.kept,
-            result.total, result.doc.uri, result.doc.is_fragment)
+            result.total, result.doc.uri)
 
 
 def _agree(doc, used, returned, keep_attributes) -> None:

@@ -7,7 +7,7 @@ accepts — printed as *text* by the generators of
 ``tests/xmldb/test_parser_differential.py`` and spliced raw into a
 request and a response envelope — the document unmarshalling hands out
 is the one ``parse_fragment`` builds from the same element text: same
-six columns, same name postings, same ``is_fragment``, byte-equal
+six columns (so the same root kind), same name postings, byte-equal
 ``serialize()``, and the message's URI.
 
 Tier-1 runs a small seeded sample; CI's ``fuzz`` job runs it under
@@ -44,7 +44,7 @@ def postings(doc):
 def _same_document(new, old) -> None:
     assert columns(new) == columns(old)
     assert postings(new) == postings(old)
-    assert (new.uri, new.is_fragment) == (old.uri, old.is_fragment)
+    assert new.uri == old.uri
     assert serialize(new) == serialize(old)
 
 
