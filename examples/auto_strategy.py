@@ -95,8 +95,8 @@ def act_three_feedback() -> None:
         if plan.strategy == best[1]:
             print(f"    converged after {attempt} runs "
                   f"(calibration: "
-                  f"{federation.planner.calibration.observations} "
-                  f"observations)")
+                  f"{federation.planner.calibration.version} "
+                  f"factor writes)")
             break
 
 

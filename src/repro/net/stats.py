@@ -89,7 +89,7 @@ class PlanReport:
     #: the operator types, so it renders them).
     plan: object
     #: Its operators' cost vectors as priced when the planner picked it.
-    vectors: list
+    vectors: tuple
     #: Every candidate the planner priced: ``(label, estimated_s)``,
     #: cheapest first. Fixed-strategy runs carry just their own entry.
     candidates: tuple[tuple[str, float], ...] = ()

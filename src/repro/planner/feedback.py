@@ -19,10 +19,12 @@ Factors are keyed ``(kind, peer, semantics)``:
   originating at ``origin``.
 
 Factors are applied when a plan is *priced*
-(:func:`~repro.planner.ir.priced`, once per lookup), never when it is
-lowered: a moving factor re-ranks a prepared query's candidates and
-invalidates nothing, and a finished run's report keeps the vectors it
-was picked by.
+(:func:`~repro.planner.ir.priced`), never when it is lowered: the
+planner prices a shape's candidates once per (stamp, :attr:`version`)
+— every factor write bumps the version — so a moving factor re-ranks a
+prepared query's candidates at its next lookup and invalidates
+nothing, and a finished run's report keeps the vectors it was picked
+by.
 """
 
 from __future__ import annotations
@@ -44,16 +46,14 @@ class CalibrationBook:
     def __init__(self):
         self._lock = threading.Lock()
         self._factors: dict[Key, float] = {}
-        self._observations = 0
+        #: Factor writes so far, bumped under the lock by each one and
+        #: read without it: a pricing that read the version before it
+        #: read a factor is current while the version has not moved.
+        self.version = 0
 
     def factor(self, kind: str, peer: str, semantics: str = "") -> float:
         with self._lock:
             return self._factors.get((kind, peer, semantics), 1.0)
-
-    @property
-    def observations(self) -> int:
-        with self._lock:
-            return self._observations
 
     def observe(self, kind: str, peer: str, semantics: str,
                 estimated: float, observed: float) -> None:
@@ -67,7 +67,7 @@ class CalibrationBook:
             updated = current * math.pow(ratio, ALPHA)
             updated = min(max(updated, 1.0 / LIMIT), LIMIT)
             self._factors[key] = updated
-            self._observations += 1
+            self.version += 1
 
     def snapshot(self) -> dict[str, float]:
         """Factors keyed ``"kind:peer:semantics"`` (for tests and

@@ -13,8 +13,9 @@ carries the :class:`~repro.net.estimate.CostVector` the estimator
 predicted for it; the plan's total prices the candidate.
 
 Operators are factor-free: a plan prices itself under the
-:class:`~repro.planner.feedback.CalibrationBook`'s current factors once
-per lookup, when the planner ranks it, so feedback never re-lowers one;
+:class:`~repro.planner.feedback.CalibrationBook`'s current factors when
+the planner ranks it (once per stamp and book version), so feedback
+never re-lowers one;
 the run's :class:`~repro.net.stats.PlanReport` keeps those vectors and
 has the plan render them when it is read.
 
@@ -226,13 +227,15 @@ class PhysicalPlan:
             self.semantics_for(id(body)),
             self.projection_specs.get(id(body)), body))
 
-    def priced(self) -> list[CostVector]:
+    def priced(self) -> tuple[CostVector, ...]:
         """Every operator's vector under the current factors: the one
-        way a plan prices itself (once per lookup, by the planner)."""
-        return [priced(op, self.calibration, self.origin)
-                for op in self.ops]
+        way a plan prices itself (by the planner, when it ranks; the
+        reports of every lookup the ranking serves share the tuple)."""
+        return tuple(priced(op, self.calibration, self.origin)
+                     for op in self.ops)
 
-    def explain(self, vectors: list[CostVector], total: CostVector) -> str:
+    def explain(self, vectors: tuple[CostVector, ...],
+                total: CostVector) -> str:
         """Operator-level rendering of this plan as priced by
         ``vectors`` (which sum to ``total``): a report's ``explain()``."""
         lines = [
@@ -245,7 +248,7 @@ class PhysicalPlan:
                          f"[est {vector.total_s(self.model) * 1e3:.2f}ms]")
         return "\n".join(lines)
 
-    def analysis_rows(self, vectors: list[CostVector],
+    def analysis_rows(self, vectors: tuple[CostVector, ...],
                       per_op: dict[object, dict],
                       local_s: float) -> tuple[OpAnalysis, ...]:
         """The explain-analyze rows: each operator's estimate in

@@ -26,21 +26,23 @@ priced once per shape and stamp, and every text of the shape shares
 its factor-free operators. What a literal does decide — the body texts
 a run ships — hangs off the text's
 :class:`~repro.xquery.prepared.Binding`, which the report carries to
-the run. Every lookup prices each candidate once under the
-:class:`~repro.planner.feedback.CalibrationBook`'s current factors;
-the cheapest, with its vectors, is the run's report; ties go to
-enumeration order: data-shipping → by-value → by-fragment →
-by-projection → mixed.
+the run. The candidates are priced under the
+:class:`~repro.planner.feedback.CalibrationBook`'s current factors
+once per (stamp, book version) and the ranking is kept: a lookup that
+finds neither moved multiplies nothing. The cheapest candidate, with
+its vectors, is the run's report; ties go to enumeration order:
+data-shipping → by-value → by-fragment → by-projection → mixed.
 
 After the run, observed bytes/seconds feed back into the calibration
-factors, which re-rank the next lookup and invalidate nothing.
+factors; a write bumps the book's version, which re-ranks the next
+lookup and invalidates nothing.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.decompose import (
     DecompositionCandidates, InsertionPlan, Strategy, prepare, realize,
@@ -83,13 +85,27 @@ class _Candidate:
     plan: PhysicalPlan | None = None
 
 
+class _Ranking(NamedTuple):
+    """What a pricing of a variant's candidates decided, shared by
+    the reports of every lookup it serves (so nothing in it is
+    mutable)."""
+
+    #: ``(stamp, calibration version)`` read before the pricing.
+    key: tuple
+    plan: PhysicalPlan
+    vectors: tuple[CostVector, ...]
+    candidates: tuple[tuple[str, float], ...]
+
+
 @dataclass(eq=False)
 class _Variant:
-    """One requested strategy's candidates, and the stamp their
-    estimates were last known to be current at."""
+    """One requested strategy's candidates, the stamp their
+    estimates were last known to be current at, and their last
+    ranking."""
 
     candidates: list[_Candidate]
     stamp: tuple[int, int] | None = None
+    ranking: _Ranking | None = None
 
 
 class PreparedQuery:
@@ -127,7 +143,9 @@ class QueryPlanner:
         text of its shape, read-only) and this call's report over the
         vectors that ranked it, carrying the text's binding.
         ``from_cache`` is False on a shape's first lookup and on the
-        first after a moved stamp, which only re-prices."""
+        first after a moved stamp, which only re-prices. A lookup that
+        finds the stamp and the calibration version of the variant's
+        last ranking reuses it and prices nothing."""
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
         entry, binding = self._prepared.intern_text(
@@ -158,18 +176,25 @@ class QueryPlanner:
                                 candidate.plan)
                 variant.stamp = stamp
             plans = [candidate.plan for candidate in variant.candidates]
-        vectors = [plan.priced() for plan in plans]
-        ranked = sorted(
-            (CostVector.total_of(ops).total_s(plan.model), index)
-            for index, (plan, ops) in enumerate(zip(plans, vectors)))
-        chosen = ranked[0][1]
+        # Read before pricing: feedback racing it leaves a stale key,
+        # and the next lookup re-prices.
+        key = (stamp, self.calibration.version)
+        ranking = variant.ranking
+        if ranking is None or ranking.key != key:
+            vectors = [plan.priced() for plan in plans]
+            ranked = sorted(
+                (CostVector.total_of(ops).total_s(plan.model), index)
+                for index, (plan, ops) in enumerate(zip(plans, vectors)))
+            chosen = ranked[0][1]
+            ranking = variant.ranking = _Ranking(
+                key, plans[chosen], vectors[chosen],
+                tuple((plans[index].label, estimate)
+                      for estimate, index in ranked))
         with self._lock:
             self._plans_enumerated += len(plans) if enumerated else 0
             self._cache_hits += not enumerated
-        return plans[chosen], PlanReport(
-            plans[chosen], vectors[chosen],
-            candidates=tuple((plans[index].label, estimate)
-                             for estimate, index in ranked),
+        return ranking.plan, PlanReport(
+            ranking.plan, ranking.vectors, candidates=ranking.candidates,
             from_cache=not enumerated, binding=binding)
 
     def _lower(self, prepared: PreparedQuery, candidate: _Candidate,
@@ -225,7 +250,7 @@ class QueryPlanner:
     # -- adaptive feedback --------------------------------------------------
 
     def observe(self, plan: PhysicalPlan, result: "RunResult",
-                vectors: list[CostVector]) -> None:
+                vectors: tuple[CostVector, ...]) -> None:
         """Compare ``plan``'s estimates (``vectors``: its operators as
         priced when the lookup picked it) with the observed
         :class:`~repro.net.stats.RunStats` and nudge the calibration

@@ -8,7 +8,8 @@ list in the structural index and the sum of its spans in the memoized
 serialisation — the one source of byte figures (a canonical stored
 text is that serialisation from ``Peer.store`` on, so the first plan
 after a store emits no text); ``@name`` buckets (value bytes) read the
-value index's attribute pres, ``#text`` the text pres. They price
+value index's attribute pres, ``#text`` the kind column (its text
+rows' count and value bytes, no pre list built). They price
 projections ("only ``person/@id`` comes back") and atomisations
 ("``data($x)`` keeps the text"), so the first plan after a store pays
 for the keys it prices, not for a pass over every node for every key.
@@ -31,10 +32,11 @@ import operator
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from repro.xmldb.index import structural_index
-from repro.xmldb.node import KIND_ELEMENT
+from repro.xmldb.node import KIND_ELEMENT, KIND_TEXT
 from repro.xmldb.serializer import serialized_byte_length, subtree_spans
 from repro.xmldb.values import value_index
 
@@ -64,6 +66,10 @@ def _merged(parts):
         if part is not None:
             out = part if out is None else out.merged(part)
     return out
+
+
+#: ``bytes(kinds).translate(_TEXT_ROWS)`` is 1 on text rows, 0 elsewhere.
+_TEXT_ROWS = bytes(kind == KIND_TEXT for kind in range(256))
 
 
 class DocumentStats:
@@ -127,7 +133,10 @@ class DocumentStats:
         if name.startswith("@"):
             pres = value_index(document).attribute_pres(name[1:])
         elif name == "#text":
-            pres = structural_index(document).text_pres
+            kinds = document.kinds
+            texts = compress(document.values,
+                             bytes(kinds).translate(_TEXT_ROWS))
+            return self._bucket(kinds.count(KIND_TEXT), sum(map(len, texts)))
         else:
             # Element subtree figures are exact: the spans the memoized
             # serialisation recorded — no second length model.

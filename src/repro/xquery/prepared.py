@@ -43,6 +43,11 @@ from repro.xquery.parser import parse_expr, parse_query
 #: end-to-end ledger's ``tenant_mix`` workload — one shape bound to 200
 #: thresholds — is defined against the second use.)
 PLAN_CACHE_SIZE = 128
+#: Texts :func:`scan` remembers. One memo serves both sides of the
+#: wire — the planner's query texts and the peers' shipped body texts —
+#: so it holds several tables' worth: ``tenant_mix`` scans 200 texts of
+#: each kind.
+SCAN_CACHE_SIZE = 4 * PLAN_CACHE_SIZE
 
 # -- the scan -----------------------------------------------------------------
 
@@ -84,7 +89,7 @@ class Shape(NamedTuple):
     slots: tuple[tuple[int, str], ...]
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
 def scan(text: str) -> Shape:
     """``text``'s shape and the literals it binds (see the module
     docstring for what becomes a slot and what makes the scan decline).

@@ -1,18 +1,25 @@
 """QueryPlanner behaviour: aliases, plan reports, cache, feedback."""
 
+from functools import cache
+
+from hypothesis import given, strategies as st
 import pytest
 
 from repro.decompose import AUTO, Strategy
+from repro.net.estimate import CostVector
 from repro.planner import feedback
 from repro.planner.feedback import CalibrationBook
+from repro.planner.planner import PreparedQuery
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import (
     BENCHMARK_QUERY, MIXED_CROSS_QUERY, TINY_LOOKUP_QUERY,
-    build_federation, build_mixed_federation,
+    benchmark_query_variant, build_federation, build_mixed_federation,
 )
+from repro.xmark import generate_pair
+from repro.xmldb.serializer import serialize
 
-from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
+from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
 
 
 def q2_federation() -> Federation:
@@ -169,7 +176,28 @@ class TestCalibrationBook:
         book.observe("msg", "A", "by-value", 0.0, 10.0)
         book.observe("msg", "A", "by-value", 10.0, 0.0)
         assert book.factor("msg", "A", "by-value") == 1.0
-        assert book.observations == 0
+        assert book.version == 0
+
+    def test_version_bumps_once_per_factor_write(self):
+        """The planner keys its ranking by the version: every write
+        moves it, by one, even one that lands on the factor it had."""
+        book = CalibrationBook()
+        assert book.version == 0
+        book.observe("msg", "A", "by-value", 100.0, 400.0)
+        assert book.version == 1
+        book.observe("doc", "B", "", 10.0, 10.0)
+        assert book.version == 2 and book.factor("doc", "B") == 1.0
+        for _ in range(50):
+            book.observe("exec", "C", "", 1.0, 1e9)
+        assert book.version == 52
+
+    def test_ignored_observation_keeps_the_version(self):
+        book = CalibrationBook()
+        book.observe("exec", "A", "", 1.0, 2.0)
+        for estimated, observed in ((0.0, 10.0), (10.0, 0.0),
+                                    (-1.0, 5.0)):
+            book.observe("exec", "A", "", estimated, observed)
+            assert book.version == 1
 
 
 class TestAdaptiveFeedback:
@@ -203,7 +231,7 @@ class TestAdaptiveFeedback:
             result = federation.run(query, at="local", strategy="auto")
             chosen.append(result.stats.plan.strategy)
         assert chosen[-1] == "data-shipping", chosen
-        assert federation.planner.calibration.observations > 0
+        assert federation.planner.calibration.version > 0
 
     def test_calibration_in_snapshot(self):
         federation = build_federation(0.003)
@@ -211,3 +239,74 @@ class TestAdaptiveFeedback:
         snapshot = federation.planner.snapshot()
         assert snapshot["calibration"]
         assert snapshot["stats"]["documents"]
+
+
+# -- the ranking memo against a fresh pricing ---------------------------------
+
+#: Three texts of one shape, and the run options ``federation.run`` uses.
+_TEXTS = tuple(benchmark_query_variant(threshold)
+               for threshold in ("20.00", "35.00", "50.00"))
+_OPTIONS = ("local", True, True, True)
+
+_lookups = st.tuples(st.just("lookup"), st.integers(0, len(_TEXTS) - 1))
+#: A factor write on a generated key (often one no plan reads), or an
+#: observation the book ignores (a zero ratio).
+_observations = st.tuples(
+    st.just("observe"), st.sampled_from(["msg", "doc", "exec"]),
+    st.sampled_from(["peer1", "peer2", "local"]),
+    st.sampled_from(["", "by-value", "by-fragment", "by-projection"]),
+    st.one_of(st.just(0.0), st.floats(0.05, 20.0)))
+#: Which of two people documents (this scale's, a smaller one) to store.
+_stores = st.tuples(st.just("store"), st.booleans())
+
+
+@cache
+def _people(small: bool) -> str:
+    """A people document's text, stored (and so parsed) afresh by each
+    federation."""
+    people, _ = generate_pair(0.002 if small else 0.004, 20090329,
+                              people_uri="xrpc://peer1/people.xml",
+                              auctions_uri="xrpc://peer2/auctions.xml")
+    return serialize(people)
+
+
+def _fresh_ranking(planner, text):
+    """The candidates of ``text``'s ``auto`` variant priced now, under
+    the book's current factors: per candidate its ``(label, estimate)``
+    and vectors, cheapest first, ties in enumeration order."""
+    entry, _ = planner._prepared.intern_text(text, _OPTIONS, PreparedQuery,
+                                             prolog=True)
+    plans = [candidate.plan
+             for candidate in entry.value.variants["auto"].candidates]
+    priced = [(CostVector.total_of(vectors).total_s(plan.model), index,
+               plan.label, vectors)
+              for index, (plan, vectors) in enumerate(
+                  (plan, plan.priced()) for plan in plans)]
+    return sorted(priced, key=lambda row: row[:2])
+
+
+@given(steps=st.lists(st.one_of(_lookups, _observations, _stores),
+                      min_size=1, max_size=14))
+@fuzz_settings(40, hunt=500)
+def test_memoized_ranking_equals_a_fresh_pricing(steps):
+    """Lookups of one shape's texts under ``auto``, factor writes and
+    stores in any order: after every lookup the report's candidates,
+    chosen plan and vectors are what pricing every candidate afresh
+    under the current factors gives, whether the lookup reused the
+    variant's ranking or made a new one."""
+    federation = build_federation(0.004)
+    planner = federation.planner
+    for step in steps:
+        if step[0] == "store":
+            federation.peer("peer1").store("people.xml", _people(step[1]))
+        elif step[0] == "observe":
+            planner.calibration.observe(*step[1:4], 1.0, step[4])
+        else:
+            text = _TEXTS[step[1]]
+            plan, report = planner.plan(text, "local", "auto")
+            fresh = _fresh_ranking(planner, text)
+            assert report.candidates == tuple(
+                (label, estimate) for estimate, _, label, _ in fresh)
+            assert plan is report.plan
+            assert report.strategy == fresh[0][2]
+            assert report.vectors == fresh[0][3]

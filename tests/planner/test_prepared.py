@@ -30,6 +30,7 @@ from repro.workloads import (
     refdata_document,
 )
 from repro.xquery.parser import parse_expr, parse_query
+from repro.xquery.prepared import SCAN_CACHE_SIZE, scan
 from repro.xquery.pretty import pretty
 from repro.xquery.xdm import serialize_sequence
 from repro.xrpc import peer as peer_module
@@ -273,6 +274,30 @@ def test_two_hundred_thresholds_are_one_prepared_query(monkeypatch):
         == {(float(threshold),) for threshold in ledger.TENANT_THRESHOLDS}
 
 
+def test_a_second_sweep_of_the_tenant_texts_scans_nothing():
+    """``scan``'s memo holds both sides of the wire for the ledger's
+    ``tenant_mix``: its 200 query texts and the 200 body texts the
+    peers are shipped. After one sweep through an engine (no result
+    cache, so the second sweep ships every body again) the second
+    misses on none of them."""
+    ledger = _ledger_workloads()
+    texts = [benchmark_query_variant(threshold)
+             for threshold in ledger.TENANT_THRESHOLDS]
+    federation = build_federation(0.004)
+    scan.cache_clear()
+    misses = []
+    for _ in range(2):
+        before = scan.cache_info().misses
+        with FederationEngine(federation, max_workers=2,
+                              cache=False) as engine:
+            for future in [engine.submit(text, "local", "auto")
+                           for text in texts]:
+                future.result(timeout=60)
+        misses.append(scan.cache_info().misses - before)
+    assert misses[0] >= 2 * len(texts) and misses[1] == 0
+    assert scan.cache_info().maxsize == SCAN_CACHE_SIZE
+
+
 def test_literals_of_one_shape_share_candidates_ranking_and_estimates():
     """A literal prices nothing: ``< 18`` and ``< 67`` get the same
     candidates, in the same order, at the same estimates (on a fresh
@@ -336,15 +361,18 @@ def test_store_between_two_literals_reprices_the_shape_once(monkeypatch):
     assert not any(calls.values())
 
 
-def test_one_pricing_per_lookup(monkeypatch):
-    """A warm lookup prices each candidate's operators once, nothing
-    prices the plan after the run, and no operator is rendered until
-    the report's ``explain()`` is read."""
+def test_one_pricing_per_stamp_and_calibration_version(monkeypatch):
+    """A shape's candidates are priced once per (stamp, calibration
+    version): a second lookup with no feedback between the two prices
+    nothing and returns the same plan, ranking and vectors; a factor
+    write re-prices each candidate once at the next lookup, and so does
+    a store. Nothing prices the plan after a run, and no operator is
+    rendered until the report's ``explain()`` is read."""
     federation = build_federation(0.02)
-    variant = benchmark_query_variant(30)
-    for text, strategy in ((BENCHMARK_QUERY, "by-projection"),
-                           (variant, "auto")):
-        federation.run(text, at="local", strategy=strategy)
+    planner, book = federation.planner, federation.planner.calibration
+    first, second = (benchmark_query_variant(threshold)
+                     for threshold in (30, 40))
+    federation.run(first, at="local", strategy="auto")
     calls = _count(monkeypatch, ir.priced)
     rendered = []
     for op_type in (LocalEval, ShipDocument, XrpcCall, BulkBatch,
@@ -354,17 +382,44 @@ def test_one_pricing_per_lookup(monkeypatch):
             return _original(op)
         monkeypatch.setattr(op_type, "describe", describe)
 
-    fixed = federation.run(BENCHMARK_QUERY, at="local",
-                           strategy="by-projection").stats.plan
-    assert len(calls["priced"]) == len(fixed.plan.ops) == 3
-    calls["priced"].clear()
-    auto = federation.run(variant, at="local", strategy="auto").stats.plan
-    # Eight candidates of three operators each: a local evaluation and
-    # one operator per document, however each document is reached.
-    assert len(auto.candidates) == 8 and len(auto.plan.ops) == 3
-    assert len(calls["priced"]) == 8 * 3
-    assert auto.from_cache and fixed.from_cache
+    def lookup(text):
+        """``text``'s report, and the ``ir.priced`` calls it made."""
+        calls["priced"].clear()
+        report = planner.plan(text, "local", "auto")[1]
+        return report, len(calls["priced"])
 
+    # The run's feedback wrote factors: the next lookup re-ranks. Eight
+    # candidates of three operators each: a local evaluation and one
+    # operator per document, however each document is reached.
+    warm, priced = lookup(first)
+    assert len(warm.candidates) == 8 and len(warm.plan.ops) == 3
+    assert priced == 8 * 3 and warm.from_cache
+    again, priced = lookup(second)
+    assert priced == 0 and again.from_cache
+    assert again.literals == (40.0,) and warm.literals == (30.0,)
+    assert again.plan is warm.plan
+    assert again.candidates == warm.candidates
+    assert again.vectors is warm.vectors
+
+    version = book.version
+    book.observe("exec", "local", "", 1.0, 4.0)
+    assert book.version == version + 1
+    moved, priced = lookup(first)
+    assert priced == 8 * 3 and moved.from_cache
+    assert moved.candidates != warm.candidates
+    assert lookup(second)[1] == 0
+
+    people = federation.peer("peer1").serialized("people.xml")
+    federation.peer("peer1").store("people.xml", people)
+    stored, priced = lookup(second)
+    assert priced == 8 * 3 and not stored.from_cache
+    assert lookup(first)[1] == 0
+
+    # A warm run prices nothing: its feedback writes factors after it.
+    calls["priced"].clear()
+    run = federation.run(first, at="local", strategy="auto").stats.plan
+    assert calls["priced"] == [] and run.vectors is stored.vectors
+    assert book.version > version + 1
     assert rendered == []
-    assert fixed.explain().startswith("plan by-projection")
+    assert run.explain().startswith(f"plan {run.strategy}")
     assert len(rendered) > 0
