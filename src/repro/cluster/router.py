@@ -77,6 +77,7 @@ from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
     NetworkError, PeerUnavailableError, TransientNetworkError,
 )
+from repro.runtime.cache import ReadSet
 from repro.runtime.transport import RetryPolicy
 from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import Span, bind_stats_span, child_span
@@ -446,7 +447,8 @@ class ClusterRouter:
                 calls: list[list[tuple[str, list]]],
                 body: Expr, binding: Binding,
                 stats: RunStats | None = None,
-                counter: CostCounter | None = None) -> list[list]:
+                counter: CostCounter | None = None,
+                reads: ReadSet | None = None) -> list[list]:
         """Execute one XRPC call site against every shard and gather
         (``binding``: the literals of the caller's text, and where what
         they decide — probes, the shipped text — is kept).
@@ -459,9 +461,17 @@ class ClusterRouter:
 
         ``stats``/``counter`` are the caller's accounting targets (the
         run's by default; a round trip's private ones when this call
-        site is nested inside another scatter).
+        site is nested inside another scatter). ``reads``, the read set
+        of the exchange making the call, notes every replica of every
+        shard (the skip probes read them too); each round trip's cache
+        entry is validated by the replicas of the shards it serves, as
+        any of them may serve it next.
         """
         run = self.run
+        if reads is not None:
+            reads.note_all(run.federation.generations(
+                replica for shard in spec.shards
+                for replica in shard.replicas))
         epoch = self.catalog.epoch()
         # The contract belongs to the body the plan knows: resolve it
         # before anything below looks at a rewrite of that body.
@@ -471,7 +481,8 @@ class ClusterRouter:
         if prepared.combine is None:
             return self._evaluate_locally(from_peer, calls,
                                           prepared.unwrapped, binding,
-                                          stats=stats, counter=counter)
+                                          stats=stats, counter=counter,
+                                          reads=reads)
         probes, parameter, text = binding.once(
             prepared, lambda: prepared.bound(
                 binding.literals, [name for name, _seq in calls[0]]
@@ -500,7 +511,10 @@ class ClusterRouter:
                 [[*call, (parameter, [shard.local_name])]
                  for shard in shards for call in calls],
                 text, site, call_stats, call_counter,
-                cache_scope=spec.name, shard_epoch=epoch)
+                cache_scope=spec.name, shard_epoch=epoch,
+                replicas=(replica for shard in shards
+                          for replica in shard.replicas),
+                reads=reads)
             width = len(calls)
             return [results[at:at + width]
                     for at in range(0, width * len(shards), width)]
@@ -659,7 +673,8 @@ class ClusterRouter:
                           calls: list[list[tuple[str, list]]],
                           body: Expr, binding: Binding,
                           stats: RunStats | None = None,
-                          counter: CostCounter | None = None) -> list[list]:
+                          counter: CostCounter | None = None,
+                          reads: ReadSet | None = None) -> list[list]:
         """Evaluate a non-scatter-safe body at the originator, with the
         collection resolved through the run's document resolver (which
         ships and merges the shards, with caching and failover). Exact
@@ -669,9 +684,10 @@ class ClusterRouter:
         evaluator = Evaluator(run.decomposition.module,
                               run.federation.static)
         return evaluator.evaluate_calls(body, DynamicContext(
-            resolve_doc=run._resolver(from_peer, stats=stats),
+            resolve_doc=run._resolver(from_peer, stats=stats, reads=reads),
             xrpc_execute=run._make_xrpc_execute(from_peer, stats=stats,
-                                                counter=counter),
+                                                counter=counter,
+                                                reads=reads),
             counter=run.local_counter,
             binding=binding,
         ), calls)

@@ -3,7 +3,7 @@
 Metrics say *how much*; events say *what happened and when*. The
 runtime emits one :class:`Event` per operationally interesting
 transition — a failover, a peer kill/recover, a catalog epoch bump, a
-cache invalidation sweep, a shard skipped by a probe, a query over the
+cached response a store outdated, a shard skipped by a probe, a query over the
 slow threshold, an SLO alert firing or resolving — into one
 :class:`EventLog` owned by the fleet monitor. The log is a bounded
 deque (old events fall off; cumulative per-kind counts survive
@@ -29,8 +29,9 @@ kind                             emitted by
                                  detector's dead / revived verdicts included)
 ``peer_draining``                peer view ``drain`` (a reconciler drain)
 ``peer_undrained``               peer view ``undrain``
-``cache_invalidation``           result cache: a newer store generation dropped
-                                 some entries
+``cache_invalidation``           result cache: a lookup dropped an entry a
+                                 store outdated (one per entry, naming the
+                                 stored peer)
 ``shard_skip``                   router skipped a shard on a value-index probe
 ``slow_query``                   monitor: wall time over the slow threshold
 ``health_demoted``               health scorer: score fell below demote

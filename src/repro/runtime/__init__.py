@@ -12,7 +12,8 @@ into a runtime that serves many queries concurrently over shared peers:
   thread-pool scheduler with admission control and per-peer capacity
   gates;
 * :mod:`repro.runtime.cache` — a projection-aware result/fragment
-  cache shared across queries, current by the store generation;
+  cache shared across queries, each entry current while the peers it
+  read are;
 * :mod:`repro.runtime.batching` — cross-query Bulk-RPC coalescing,
   extending the paper's bulk idea across query boundaries;
 * :mod:`repro.runtime.metrics` — throughput / latency-percentile /

@@ -17,11 +17,15 @@ Shipped documents are not cached: data shipping fetches and shreds
 every remote document each query reads, as the paper's baseline counts
 it (one ship per document per run).
 
-Invalidation is by version, as an HTTP validator's: each call carries
-the federation's store generation, read before computing (a response
-from peer B may depend on documents shipped from peer A by a nested
-``execute at``). The first call under a newer generation drops every
-entry; a store under an older one is discarded.
+Invalidation is per entry, as an HTTP cache validates a response
+against what it depends on (RFC 9110 §8.8): each entry carries
+*validators*, the ``(peer, generation)`` of every peer whose documents
+its computation read — at the destination, shipped into its body, in a
+nested ``execute at``, or as a replica of a scattered shard — each
+generation read before that peer's documents (a :class:`ReadSet`
+gathers them while the response is computed). A lookup serves the
+entry only while every validator is current and drops it otherwise,
+so a store outdates the responses that read its peer and no other.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -37,8 +42,15 @@ from repro.obs.metrics import MetricsRegistry
 #: (dest scope, semantics, request digest, projection sig, shard epoch).
 ResponseKey = tuple[str, str, str, tuple[str, ...], int]
 
+#: An entry's validators: ``(peer, generation)`` per peer it read.
+Validators = tuple[tuple[str, int], ...]
+
 #: The LRU bound on response entries.
 MAX_RESPONSES = 256
+
+#: A generation no peer ever has (they start at 0 and only grow): a
+#: validator holding it is never current.
+STALE = -1
 
 
 def response_key(dest: str, semantics: str, request_xml: str,
@@ -98,6 +110,45 @@ class CacheStats:
         }
 
 
+class ReadSet:
+    """The validators one computation gathers while it runs: each peer
+    whose documents it read (or looked for), with the generation read
+    before them. Every note reaches the ``enclosing`` set too — the
+    computation of the exchange that made this one's call — so an
+    entry's validators cover its nested calls, hit or miss.
+
+    Noted from a scatter's threads without a lock: ``setdefault`` is
+    atomic, and a peer noted at two generations — the computation read
+    both sides of a store — is pinned to :data:`STALE` for good.
+    """
+
+    __slots__ = ("_seen", "_enclosing")
+
+    def __init__(self, enclosing: "ReadSet | None" = None) -> None:
+        self._seen: dict[str, int] = {}
+        self._enclosing = enclosing
+
+    def note(self, peer: str, generation: int) -> None:
+        if self._seen.setdefault(peer, generation) != generation:
+            self._seen[peer] = STALE
+        if self._enclosing is not None:
+            self._enclosing.note(peer, generation)
+
+    def note_all(self, validators: Validators) -> None:
+        for peer, generation in validators:
+            self.note(peer, generation)
+
+    @property
+    def validators(self) -> Validators:
+        return tuple(self._seen.items())
+
+    @property
+    def storable(self) -> bool:
+        """Whether a response computed under this set may be kept: no
+        peer is :data:`STALE`."""
+        return STALE not in self._seen.values()
+
+
 class ResultCache:
     """LRU response cache, safe for concurrent queries.
 
@@ -111,9 +162,9 @@ class ResultCache:
     def __init__(self, metrics: MetricsRegistry | None = None,
                  events=None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: A :class:`~repro.obs.events.EventLog`; invalidation sweeps
-        #: emit into it when set (the engine wires the federation
-        #: monitor's log through here).
+        #: A :class:`~repro.obs.events.EventLog`; each outdated entry
+        #: a lookup drops emits into it when set (the engine wires the
+        #: federation monitor's log through here).
         self.events = events
         self._hits = self.metrics.counter(
             "cache_hits_total", "result-cache lookups served")
@@ -123,78 +174,66 @@ class ResultCache:
             "cache_evictions_total", "entries dropped by LRU bounds")
         self._invalidations = self.metrics.counter(
             "cache_invalidations_total",
-            "entries dropped by a newer store generation")
+            "entries dropped by a store on a peer they read")
         self._saved_bytes = self.metrics.counter(
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
-        #: The newest federation generation a call has carried.
-        self._generation = 0
-        #: ResponseKey -> (stored response, its wire byte length)
-        self._responses: OrderedDict[ResponseKey,
-                                     tuple[object, int]] = OrderedDict()
-
-    def _sweep(self, generation: int) -> int:
-        """Note ``generation`` and drop the entries a newer one outdates
-        (call with the lock held); how many it dropped."""
-        if generation <= self._generation:
-            return 0
-        self._generation = generation
-        dropped = len(self._responses)
-        self._responses.clear()
-        self._invalidations.inc(dropped)
-        return dropped
-
-    def _report(self, generation: int, dropped: int) -> None:
-        """One event per sweep that dropped entries. Called outside the
-        lock: the event sink locks internally and must never nest
-        inside cache-internal critical sections."""
-        if dropped and self.events is not None:
-            self.events.emit(
-                "cache_invalidation",
-                f"store generation {generation} dropped {dropped} "
-                "response cache entries",
-                severity="info", scope="responses",
-                generation=generation, dropped=dropped)
+        #: ResponseKey -> (stored response, its wire byte length,
+        #: its validators)
+        self._responses: OrderedDict[
+            ResponseKey, tuple[object, int, Validators]] = OrderedDict()
 
     def lookup_response(self, key: ResponseKey, request_bytes: int = 0,
-                        generation: int = 0) -> object | None:
+                        current: Callable[[str], int] | None = None
+                        ) -> object | None:
         """The stored response, or None. ``request_bytes`` sizes the
         request that a hit keeps off the wire (for ``saved_bytes``);
-        ``generation`` is the federation's, read before the lookup."""
+        ``current(peer)`` is that peer's generation now, which each of
+        the entry's validators must equal for it to be served — an
+        entry a store outdated is dropped instead."""
+        outdated = None
         with self._lock:
-            dropped = self._sweep(generation)
             entry = self._responses.get(key)
+            if entry is not None:
+                outdated = next((peer for peer, generation in entry[2]
+                                 if current(peer) != generation), None)
+                if outdated is not None:
+                    del self._responses[key]
+                    self._invalidations.inc()
+                    entry = None
             if entry is None:
                 self._misses.inc()
             else:
                 self._responses.move_to_end(key)
                 self._hits.inc()
                 self._saved_bytes.inc(request_bytes + entry[1])
-        self._report(generation, dropped)
+        if outdated is not None and self.events is not None:
+            # Outside the lock: the event sink locks internally and
+            # must never nest inside cache-internal critical sections.
+            self.events.emit(
+                "cache_invalidation",
+                f"a store on {outdated} outdated a cached response "
+                f"from {key[0]}",
+                severity="info", scope="responses", peer=outdated,
+                dest=key[0])
         return None if entry is None else entry[0]
 
     def store_response(self, key: ResponseKey, response: object,
                        response_bytes: int | None = None,
-                       generation: int = 0) -> None:
-        """Keep ``response``, handed back as is by a hit, and the wire
-        bytes a hit saves (by default those of ``response`` as text),
-        unless a store newer than ``generation`` — the federation's,
-        read before computing it — has been seen. The federation stores
+                       validators: Validators = ()) -> None:
+        """Keep ``response``, handed back as is by a hit while its
+        ``validators`` are current, and the wire bytes a hit saves (by
+        default those of ``response`` as text). The federation stores
         the decoded message with its byte length, so hits never
         re-encode."""
         if response_bytes is None:
             response_bytes = len(response.encode())
         with self._lock:
-            dropped = self._sweep(generation)
-            # Computed under ``generation``: kept unless a newer store
-            # has been seen since.
-            if generation == self._generation:
-                self._responses[key] = (response, response_bytes)
-                self._responses.move_to_end(key)
-                while len(self._responses) > MAX_RESPONSES:
-                    self._responses.popitem(last=False)
-                    self._evictions.inc()
-        self._report(generation, dropped)
+            self._responses[key] = (response, response_bytes, validators)
+            self._responses.move_to_end(key)
+            while len(self._responses) > MAX_RESPONSES:
+                self._responses.popitem(last=False)
+                self._evictions.inc()
 
     # -- introspection ------------------------------------------------------
 

@@ -12,8 +12,9 @@ a runtime serving many queries at once:
   production front door needs;
 * **per-peer request queues** — the transport's per-peer concurrency
   gates bound how many exchanges hammer one peer at a time;
-* a shared :class:`~repro.runtime.cache.ResultCache` (current by the
-  store generation) and a :class:`~repro.runtime.batching.BulkBatcher`
+* a shared :class:`~repro.runtime.cache.ResultCache` (each entry current
+  while the peers it read are) and a
+  :class:`~repro.runtime.batching.BulkBatcher`
   that coalesces same-shape round trips across queries;
 * a :class:`~repro.runtime.metrics.MetricsAggregator` folding every
   query into the fleet-level summary and keeping the newest records
@@ -70,8 +71,8 @@ class FederationEngine:
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
             # the federation's registry, next to the wire_* truth, and
-            # its invalidation sweeps into an attached fleet monitor's
-            # event log.
+            # its invalidations into an attached fleet monitor's event
+            # log.
             monitor = federation.monitor
             self.cache: ResultCache | None = ResultCache(
                 metrics=federation.metrics,

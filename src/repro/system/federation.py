@@ -14,8 +14,10 @@ federation's one :class:`~repro.runtime.transport.Transport` (loopback
 by default), which also keeps its clock;
 :class:`~repro.runtime.engine.FederationEngine`
 runs many queries concurrently over one federation, so peers are
-thread-safe, and every ``Peer.store`` moves the store generation the
-caches of derived data compare (:meth:`Federation.generation`).
+thread-safe, and every ``Peer.store`` moves that peer's generation:
+a cached response is current while the generation of every peer it
+read is (:meth:`Federation.generation_of`), the planner's estimates
+while their sum is (:meth:`Federation.generation`).
 
 Host resolution is catalog-aware: a destination registered in an
 attached :class:`~repro.cluster.catalog.ClusterCatalog` is a *virtual*
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
+from typing import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,7 +49,9 @@ from repro.obs.trace import Span, Tracer, bind_stats_span, child_span
 from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
 from repro.runtime.batching import BulkBatcher, batch_key
-from repro.runtime.cache import ResultCache, response_key
+from repro.runtime.cache import (
+    STALE, ReadSet, ResultCache, Validators, response_key,
+)
 from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
 from repro.xmldb.parser import parse_document
@@ -239,6 +244,17 @@ class Federation:
         grows (peers never leave)."""
         return sum(peer.generation for peer in list(self.peers.values()))
 
+    def generation_of(self, name: str) -> int:
+        """Peer ``name``'s store generation; 0 for a name no peer has
+        yet, where a peer added under it starts."""
+        peer = self.peers.get(name)
+        return 0 if peer is None else peer.generation
+
+    def generations(self, names: Iterable[str]) -> Validators:
+        """``(name, generation)`` of each of ``names``, read now."""
+        return tuple((name, self.generation_of(name))
+                     for name in dict.fromkeys(names))
+
     def attach_catalog(self, catalog: ClusterCatalog) -> ClusterCatalog:
         """Install the cluster catalog: host names registered in it are
         resolved as sharded collections (scatter-gather) instead of
@@ -385,7 +401,10 @@ class _Run:
         self.messages: list[MessageLog] = []
         self.local_counter = CostCounter()
         self.remote_counter = CostCounter()
-        self._shipped_docs: dict[tuple[str, str], Document] = {}
+        #: (requester, document) -> the shipped document and the
+        #: validators read before its fetch (none without a cache).
+        self._shipped_docs: dict[tuple[str, str],
+                                 tuple[Document, Validators]] = {}
 
     @cached_property
     def router(self) -> ClusterRouter:
@@ -395,16 +414,24 @@ class _Run:
 
     # -- document resolution (data shipping) -----------------------------------
 
-    def _resolver(self, peer_name: str, stats: RunStats | None = None):
+    def _resolver(self, peer_name: str, stats: RunStats | None = None,
+                  reads: ReadSet | None = None):
         """Document resolution at ``peer_name``; ``stats`` overrides the
         accounting target so nested shipping triggered inside a scatter
-        worker charges that round trip's private RunStats."""
+        worker charges that round trip's private RunStats. ``reads``
+        (a cacheable exchange's) notes each owner resolved, found or
+        not."""
         def resolve(uri: str) -> Document:
             owner, local_name = self._locate(uri, peer_name)
             if owner == peer_name:
-                return self.federation.peer(owner).document(local_name)
+                peer = self.federation.peer(owner)
+                if reads is not None:
+                    # Before the document: a store racing this read
+                    # outdates whatever is computed from it.
+                    reads.note(owner, peer.generation)
+                return peer.document(local_name)
             return self._ship_document(owner, local_name, peer_name,
-                                       stats=stats)
+                                       stats=stats, reads=reads)
         return resolve
 
     def _locate(self, uri: str, requester: str) -> tuple[str, str]:
@@ -417,7 +444,8 @@ class _Run:
 
     def _ship_document(self, owner: str, local_name: str,
                        requester: str,
-                       stats: RunStats | None = None) -> Document:
+                       stats: RunStats | None = None,
+                       reads: ReadSet | None = None) -> Document:
         """Data shipping: fetch, transfer, and shred a whole document.
 
         ``owner`` is a peer, or a sharded collection — then every shard
@@ -426,7 +454,9 @@ class _Run:
         (per-run memo, ``ship`` span, the ship's ``per_op`` actuals) is
         the same for both. Nothing outlives the run: a run ships each
         document it reads once, as the paper's data-shipping baseline
-        counts it.
+        counts it. ``reads`` notes the owner (a collection's every
+        replica) at the generation read before the fetch, a memoized
+        ship's included.
         """
         if stats is None:
             stats = self.stats
@@ -436,9 +466,20 @@ class _Run:
         version = ("" if spec is None
                    else f"@e{self.federation.catalog.epoch()}")
         key = (requester, f"{owner}/{local_name}{version}")
-        cached = self._shipped_docs.get(key)
-        if cached is not None:
-            return cached
+        shipped = self._shipped_docs.get(key)
+        if shipped is not None:
+            if reads is not None:
+                reads.note_all(shipped[1])
+            return shipped[0]
+        # Read before the fetch, and noted whether it finds the
+        # document or not.
+        validators = () if self.result_cache is None else \
+            self.federation.generations(
+                [owner] if spec is None else
+                [replica for shard in spec.shards
+                 for replica in shard.replicas])
+        if reads is not None:
+            reads.note_all(validators)
         wall0 = self.clock()
         if spec is None:
             span_attrs = {}
@@ -466,22 +507,25 @@ class _Run:
         stats.record_op((owner, local_name), bytes=size, calls=1,
                         sim_s=stats.times.total - sim0,
                         wall_s=self.clock() - wall0, cache_hits=0)
-        self._shipped_docs[key] = document
+        self._shipped_docs[key] = document, validators
         return document
 
     # -- XRPC transport ---------------------------------------------------------
 
     def _make_xrpc_execute(self, from_peer: str,
                            stats: RunStats | None = None,
-                           counter: CostCounter | None = None):
+                           counter: CostCounter | None = None,
+                           reads: ReadSet | None = None):
         """Nested ``execute at`` from ``from_peer``; ``stats`` /
         ``counter`` carry a scatter worker's private accounting into
-        any remote work its shard body triggers."""
+        any remote work its shard body triggers, ``reads`` the calling
+        exchange's read set."""
         def execute(dest: str, params: list[tuple[str, list]],
                     body: Expr, binding: Binding) -> list:
             results = self._round_trip(from_peer, dest, [params], body,
                                        binding, stats=stats,
-                                       remote_counter=counter)
+                                       remote_counter=counter,
+                                       reads=reads)
             return results[0]
         return execute
 
@@ -500,7 +544,8 @@ class _Run:
                     calls: list[list[tuple[str, list]]],
                     body: Expr, binding: Binding,
                     stats: RunStats | None = None,
-                    remote_counter: CostCounter | None = None) -> list[list]:
+                    remote_counter: CostCounter | None = None,
+                    reads: ReadSet | None = None) -> list[list]:
         """One logical call of ``body`` at ``dest``: a destination
         registered in the cluster catalog is scattered by the router
         into one :meth:`_call_peer` per cover peer and gathered; a peer is
@@ -509,7 +554,8 @@ class _Run:
         literals of the caller's text: this run's, or — for a call
         nested in a shipped body — those a peer read off that body).
         ``stats`` / ``remote_counter`` are a round trip's private
-        accounting when the call is nested inside a scatter."""
+        accounting when the call is nested inside a scatter; ``reads``
+        is the read set of the exchange that makes the call."""
         parts = split_xrpc_uri(dest)
         dest_name = parts[0] if parts is not None else dest
         if stats is None:
@@ -520,20 +566,22 @@ class _Run:
         if spec is not None:
             return self.router.scatter(from_peer, spec, calls, body,
                                        binding, stats=stats,
-                                       counter=remote_counter)
+                                       counter=remote_counter, reads=reads)
         site = self.plan.call_site(body)
         return self._call_peer(
             self.federation.peer(dest_name),  # raises on unknown peer
             calls, binding.once(
                 site, lambda: pretty(bind(body, binding.literals))),
-            site, stats, remote_counter)
+            site, stats, remote_counter, reads=reads)
 
     def _call_peer(self, peer: Peer,
                    calls: list[list[tuple[str, list]]],
                    query_text: str, site: CallSite,
                    stats: RunStats, remote_counter: CostCounter,
                    cache_scope: str | None = None,
-                   shard_epoch: int | None = None) -> list[list]:
+                   shard_epoch: int | None = None,
+                   replicas: Iterable[str] = (),
+                   reads: ReadSet | None = None) -> list[list]:
         """One network interaction: marshal, ship, execute, ship back.
 
         Every round trip takes the same path: build the request →
@@ -551,6 +599,11 @@ class _Run:
         membership epoch instead of the replica that happened to serve
         it; a scatter's ``stats`` / ``remote_counter`` are private
         (merged deterministically after the gather).
+
+        With a cache, the exchange gathers its own :class:`ReadSet`
+        (its entry's validators: ``replicas``, the peers its evaluation
+        reads documents of, its nested calls' sets), and every note
+        reaches ``reads``, the set of the exchange making this call.
         """
         semantics = site.semantics
         param_paths = site.param_paths
@@ -597,9 +650,11 @@ class _Run:
                 # measured length) is reused.
                 handler = RequestHandler(
                     peer_name=peer.name,
-                    resolve_doc=self._resolver(peer.name, stats=stats),
+                    resolve_doc=self._resolver(peer.name, stats=stats,
+                                               reads=own),
                     xrpc_execute=self._make_xrpc_execute(
-                        peer.name, stats=stats, counter=remote_counter),
+                        peer.name, stats=stats, counter=remote_counter,
+                        reads=own),
                     semantics=semantics,
                     counter=remote_counter,
                     prepared=peer.prepared,
@@ -612,18 +667,21 @@ class _Run:
 
             # -- deliver: each step answers or passes on ----------------
             response_xml = response_bytes = hit = None
-            cache_key = generation = kept = None
+            cache_key = kept = own = None
             if self.result_cache is not None:
-                generation = self.federation.generation()
+                own = ReadSet(reads)
+                own.note_all(self.federation.generations(replicas))
                 cache_key = response_key(cache_scope or peer.name,
                                          semantics, request_xml,
                                          used_paths, returned_paths,
                                          shard_epoch=shard_epoch)
                 hit = self.result_cache.lookup_response(
-                    cache_key, request_bytes, generation)
+                    cache_key, request_bytes,
+                    self.federation.generation_of)
             cached = hit is not None
             if cached:
-                stored, response_bytes = hit
+                stored, response_bytes, validators = hit
+                own.note_all(validators)
             elif self.batcher is not None:
                 # Only a batch leader reaches the wire, and its merged
                 # exchange is charged to no single query (a throwaway
@@ -636,11 +694,23 @@ class _Run:
                 # round trips) runs through the leader's resolver and
                 # counters, so under coalescing the leader's RunStats
                 # over-report and riders' under-report that share.
+                led = []
+
+                def lead(merged: list[list[tuple[str, list]]]) -> str:
+                    led.append(merged)
+                    return exchange(merged, RunStats())[0]
+
                 response_xml = self.batcher.execute(
                     batch_key(peer.name, query_text, param_names,
                               semantics, static_attrs,
                               used_paths, returned_paths),
-                    calls, lambda merged: exchange(merged, RunStats())[0])
+                    calls, lead)
+                if not led and own is not None:
+                    # A rider: what the merged evaluation read went
+                    # into the leader's set, so nothing computed from
+                    # this response is kept, here or by an enclosing
+                    # exchange.
+                    own.note(peer.name, STALE)
             else:
                 response_xml, response_bytes = exchange(calls, stats)
             if response_bytes is None:
@@ -659,7 +729,7 @@ class _Run:
                         f"response from {peer.name} answers "
                         f"{len(response.results)} calls, "
                         f"{len(calls)} were sent")
-                if cache_key is not None:
+                if cache_key is not None and own.storable:
                     # Copied before unmarshal renames this run's
                     # documents: the cache never holds a query's own.
                     kept = response.fresh()
@@ -697,9 +767,10 @@ class _Run:
                     response_xml=response_xml if self.keep_message_xml else "",
                 ))
                 if kept is not None:
+                    validators = own.validators
                     self.result_cache.store_response(
-                        cache_key, (kept, response_bytes), response_bytes,
-                        generation)
+                        cache_key, (kept, response_bytes, validators),
+                        response_bytes, validators)
             stats.record_op(
                 site.site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,

@@ -27,9 +27,12 @@ the columns it needs:
   ``(kinds, names)``;
 * **kind arrays** — sorted pre arrays per node kind (``element_pres``,
   ``text_pres``, ``comment_pres``, all non-attribute nodes), one
-  comprehension over ``kinds`` each;
+  ``bytes.translate`` of ``kinds`` and a ``compress`` each;
 * **rank** — the non-attribute prefix count used for O(1) XRPC
-  ``nodeid`` addressing, one ``accumulate`` over ``kinds``.
+  ``nodeid`` addressing, one ``accumulate`` over the same translation.
+
+A child or descendant step from contexts with no content (attributes,
+texts, empty elements) answers empty before any of these is read.
 
 Every scan yields pres in ascending order with no duplicates, i.e. the
 result is *provably in document order* — no step needs a post-sort.
@@ -47,7 +50,7 @@ value-column build.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, compress
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -63,6 +66,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
 
 _EMPTY = pre_array()
+
+
+def _kind_rows(*kinds: int) -> bytes:
+    """A ``bytes.translate`` table over kind bytes: 1 for ``kinds``."""
+    return bytes(kind in kinds for kind in range(256))
+
+
+_ELEMENT_ROWS = _kind_rows(KIND_ELEMENT)
+_TEXT_ROWS = _kind_rows(KIND_TEXT)
+_COMMENT_ROWS = _kind_rows(KIND_COMMENT)
+#: Every kind but attributes: what a child / descendant step reaches.
+_CONTENT_ROWS = _kind_rows(*(kind for kind in range(256)
+                             if kind != KIND_ATTRIBUTE))
 
 #: Per-document sorted duplicate-free pre columns, documents in
 #: document-order (``doc_seq``) position: a node set, set-at-a-time.
@@ -144,35 +160,35 @@ class StructuralIndex:
         """Attribute name → sorted pres."""
         return self.name_postings()[1]
 
-    def _of_kind(self, wanted: NodeKind) -> array:
-        return pre_array(pre for pre, kind in enumerate(self.doc.kinds)
-                         if kind == wanted)
+    def _rows(self, table: bytes) -> array:
+        """The pres whose kind ``table`` maps to 1: one C pass over the
+        kind column."""
+        kinds = self.doc.kinds
+        return pre_array(compress(range(len(kinds)),
+                                  bytes(kinds).translate(table)))
 
     @_part
     def element_pres(self) -> array:
-        return self._of_kind(NodeKind.ELEMENT)
+        return self._rows(_ELEMENT_ROWS)
 
     @_part
     def text_pres(self) -> array:
-        return self._of_kind(NodeKind.TEXT)
+        return self._rows(_TEXT_ROWS)
 
     @_part
     def comment_pres(self) -> array:
-        return self._of_kind(NodeKind.COMMENT)
+        return self._rows(_COMMENT_ROWS)
 
     @_part
     def non_attr_pres(self) -> array:
         """Every node a child / descendant step can reach."""
-        ATTRIBUTE = NodeKind.ATTRIBUTE
-        return pre_array(pre for pre, kind in enumerate(self.doc.kinds)
-                         if kind != ATTRIBUTE)
+        return self._rows(_CONTENT_ROWS)
 
     @_part
     def non_attr_rank(self) -> array:
         """Per pre, how many non-attribute nodes lie at or before it."""
-        ATTRIBUTE = NodeKind.ATTRIBUTE
-        return pre_array(accumulate(kind != ATTRIBUTE
-                                    for kind in self.doc.kinds))
+        return pre_array(accumulate(
+            bytes(self.doc.kinds).translate(_CONTENT_ROWS)))
 
     # -- test dispatch -------------------------------------------------------
 
@@ -227,10 +243,14 @@ class StructuralIndex:
             return self._matching(test, pres)
         if axis == "attribute":
             return self._attribute_scan(test, pres)
-        if axis == "child":
-            return kernels.children_of(self._candidates(test), pres,
-                                       doc.sizes, doc.parents)
-        if axis == "descendant":
+        if axis == "child" or axis == "descendant":
+            if self._contentless(pres):
+                # Leaves only (attributes, texts, empty elements): the
+                # candidate pool is never read, nor built.
+                return _EMPTY
+            if axis == "child":
+                return kernels.children_of(self._candidates(test), pres,
+                                           doc.sizes, doc.parents)
             return kernels.subtree_sweep(self._candidates(test), pres,
                                          doc.sizes)
         if axis == "descendant-or-self":
@@ -265,6 +285,19 @@ class StructuralIndex:
                                                   -1, last - 1)
                 if pre + sizes[pre] < last)
         raise ValueError(f"unknown axis {axis!r}")
+
+    def _contentless(self, pres: Sequence[int]) -> bool:
+        """Whether no context has a child: each subtree is the node
+        alone or it and its own attributes (stored right after it, so
+        a subtree ending on one ends with no content)."""
+        doc = self.doc
+        kinds, sizes, parents = doc.kinds, doc.sizes, doc.parents
+        for pre in pres:
+            last = pre + sizes[pre]
+            if last != pre and (kinds[last] != KIND_ATTRIBUTE
+                                or parents[last] != pre):
+                return False
+        return True
 
     def _matching(self, test: str, pres: Sequence[int]) -> array:
         return pre_array(pre for pre in pres if self.matches(pre, test))

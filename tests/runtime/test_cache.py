@@ -1,6 +1,6 @@
 """Result-cache correctness: keys, LRU bounds, counters, that shipped
 documents stay out of it, and — the load-bearing part — invalidation
-by the store generation a ``Peer.store`` moves."""
+per entry, by the generations of the peers its computation read."""
 
 import sys
 import threading
@@ -10,7 +10,10 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ReproError
 from repro.obs.events import EventLog
-from repro.runtime.cache import MAX_RESPONSES, ResultCache, response_key
+from repro.runtime.batching import BulkBatcher
+from repro.runtime.cache import (
+    MAX_RESPONSES, STALE, ReadSet, ResultCache, response_key,
+)
 from repro.runtime.engine import FederationEngine
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_SCAN_QUERY,
@@ -144,34 +147,58 @@ ALL_Z_COURSE = """<enroll>
 </enroll>"""
 
 
-class TestInvalidation:
-    def test_newer_generation_drops_all_responses(self):
-        cache = ResultCache()
-        key = response_key("B", "by-fragment", "<req/>", None, None)
-        cache.store_response(key, "<r/>", generation=2)
-        # A store anywhere moves the federation's generation 2 -> 3:
-        # responses are dropped wholesale (they may transitively
-        # depend on any peer's documents).
-        assert cache.lookup_response(key, generation=3) is None
-        assert cache.stats.invalidations == 1
-        assert cache.stats.evictions == 0
+def rpc_outcomes(result) -> list[tuple[str, str]]:
+    """Each traced round trip's destination and cache outcome."""
+    return sorted((span.attrs["dest"], span.attrs["cache"])
+                  for span in result.trace.iter_spans()
+                  if span.name == "rpc")
 
-    def test_a_sweep_emits_one_event(self):
+
+def _answer_after(store, text: str = Q2, strategy: str = "by-projection",
+                  federation=None) -> str:
+    """``text``'s answer on a fresh federation after ``store``."""
+    federation = federation or make_federation()
+    store(federation)
+    return serialize_sequence(federation.run(text, at="local",
+                                             strategy=strategy).items)
+
+
+def _generations(**peers):
+    return lambda name: peers[name]
+
+
+class TestInvalidation:
+    def test_a_store_drops_only_the_entries_that_read_its_peer(self):
+        cache = ResultCache()
+        read_a, read_b = (response_key(peer, "by-fragment", "<req/>", None,
+                                       None) for peer in "AB")
+        cache.store_response(read_a, "<a/>", validators=(("A", 1),))
+        cache.store_response(read_b, "<b/>", validators=(("B", 1),))
+        # A store on B moves B's generation 1 -> 2 and A's not at all.
+        after = _generations(A=1, B=2)
+        assert cache.lookup_response(read_b, current=after) is None
+        assert cache.lookup_response(read_a, current=after) == "<a/>"
+        assert cache.lookup_response(read_b, current=after) is None
+        assert (cache.stats.invalidations, cache.stats.evictions,
+                cache.stats.hits, len(cache)) == (1, 0, 1, 1)
+
+    def test_each_outdated_entry_emits_one_event_naming_its_peer(self):
         events = EventLog()
         cache = ResultCache(events=events)
-        for n in range(3):
-            cache.store_response(
-                response_key("B", "by-fragment", f"<r n='{n}'/>", None,
-                             None), "<x/>", generation=1)
-        assert cache.lookup_response(
-            response_key("B", "by-fragment", "<r/>", None, None),
-            generation=2) is None
-        cache.lookup_response(
-            response_key("B", "by-fragment", "<r/>", None, None),
-            generation=3)         # nothing left to drop: no event
-        sweeps = [event for event in events.recent()
-                  if event.kind == "cache_invalidation"]
-        assert [event.attrs["dropped"] for event in sweeps] == [3]
+        keys = [response_key("B", "by-fragment", f"<r n='{n}'/>", None,
+                             None) for n in range(3)]
+        for key, validators in zip(keys, [(("B", 1),),
+                                          (("A", 1), ("C", 1)),
+                                          (("B", 1), ("C", 1))]):
+            cache.store_response(key, "<x/>", validators=validators)
+        after = _generations(A=1, B=1, C=2)     # a store on C
+        assert [cache.lookup_response(key, current=after)
+                for key in keys + keys] == ["<x/>", None, None] * 2
+        outdated = [event for event in events.recent()
+                    if event.kind == "cache_invalidation"]
+        assert [(event.attrs["peer"], event.attrs["dest"])
+                for event in outdated] == [("C", "B"), ("C", "B")]
+        assert cache.stats.invalidations == 2
 
     def test_peer_store_invalidates_serialized_text_cache(self):
         federation = make_federation()
@@ -183,38 +210,44 @@ class TestInvalidation:
         assert "<people/>" in after
 
     def test_peer_store_invalidates_runtime_fragment_cache(self):
-        """A store reaches both the serialized-text cache and the
-        engine's result cache, and later queries see the new data."""
+        """A store on B reaches the engine's result cache: Q2's call to
+        B misses, its call to A (which read nothing of B) still hits,
+        and the answer is a fresh federation's."""
         federation = make_federation()
         with FederationEngine(federation, max_workers=2,
                               batch_window_s=0.0) as engine:
-            first = engine.submit(Q2, "local").result()
-            assert engine.cache.snapshot()["responses"] > 0
+            first = engine.submit(Q2, "local", trace=True).result()
+            assert rpc_outcomes(first) == [("A", "miss"), ("B", "miss")]
 
             # Repeat: answered from cache, same answer.
-            repeat = engine.submit(Q2, "local").result()
-            assert repeat.stats.cache_hits > 0
+            repeat = engine.submit(Q2, "local", trace=True).result()
+            assert rpc_outcomes(repeat) == [("A", "hit"), ("B", "hit")]
             assert serialize_sequence(repeat.items) == \
                 serialize_sequence(first.items)
 
             federation.peer("B").store("course42.xml", ALL_Z_COURSE)
-            fresh = engine.submit(Q2, "local").result()
-            assert fresh.stats.cache_hits == 0
+            fresh = engine.submit(Q2, "local", trace=True).result()
+            assert rpc_outcomes(fresh) == [("A", "hit"), ("B", "miss")]
+            assert fresh.stats.cache_hits == 1
             text = serialize_sequence(fresh.items)
+            assert text == _answer_after(lambda federation: federation.peer(
+                "B").store("course42.xml", ALL_Z_COURSE))
             assert text != serialize_sequence(first.items)
             assert "Z" in text
+            assert engine.cache.stats.invalidations == 1
 
     def test_peer_store_invalidates_a_cache_passed_to_run(self):
         """A cache handed straight to ``Federation.run`` registers
-        nowhere, and a store still outdates what it holds."""
+        nowhere, and a store still outdates the entries that read the
+        stored peer, and only those."""
         federation, cache = make_federation(), ResultCache()
         first = federation.run(Q2, at="local", result_cache=cache)
         federation.peer("B").store("course42.xml", ALL_Z_COURSE)
-        plain = make_federation()
-        plain.peer("B").store("course42.xml", ALL_Z_COURSE)
-        expected = serialize_sequence(plain.run(Q2, at="local").items)
-        again = federation.run(Q2, at="local", result_cache=cache)
-        assert again.stats.cache_hits == 0
+        expected = _answer_after(lambda federation: federation.peer(
+            "B").store("course42.xml", ALL_Z_COURSE))
+        again = federation.run(Q2, at="local", result_cache=cache,
+                               trace=True)
+        assert rpc_outcomes(again) == [("A", "hit"), ("B", "miss")]
         assert serialize_sequence(again.items) == expected
         assert expected != serialize_sequence(first.items)
 
@@ -226,26 +259,231 @@ class TestInvalidation:
         assert not peer.remove("absent.xml")
         assert (peer.generation, federation.generation()) == (2, 3)
         assert peer.remove("students.xml")
+        assert federation.generation_of("C") == 0     # no such peer yet
         late = federation.add_peer("C").store("d.xml", "<d/>")
         assert (peer.generation, late.generation) == (3, 1)
         assert federation.generation() == 5
+        assert federation.generations(["C", "A", "C"]) == (("C", 1),
+                                                           ("A", 3))
 
-    def test_stale_generation_store_is_discarded(self):
-        """A value computed before a store must not re-populate the
-        cache after it (the store/compute race)."""
+    def test_an_entry_read_before_a_store_is_never_served(self):
+        """A value computed before a store must not be served after it
+        (the store/compute race): its validators name the generation
+        read before the documents, which the store has moved on."""
         cache = ResultCache()
         key = response_key("B", "by-fragment", "<req/>", None, None)
-        cache.lookup_response(key, generation=1)     # computing under 1
-        cache.lookup_response(key, generation=2)     # a store landed
-        cache.store_response(key, "<stale/>", generation=1)
-        assert cache.lookup_response(key, generation=2) is None
+        cache.store_response(key, "<stale/>", validators=(("B", 1),))
+        assert cache.lookup_response(key, current=_generations(B=2)) \
+            is None
+        assert cache.lookup_response(key, current=_generations(B=1)) \
+            is None                  # dropped, not kept for a rollback
+        assert (cache.stats.invalidations, cache.stats.hits) == (1, 0)
 
-    def test_current_generation_store_is_kept(self):
+    def test_an_entry_with_current_validators_is_served(self):
         cache = ResultCache()
         key = response_key("B", "by-fragment", "<req/>", None, None)
-        cache.lookup_response(key, generation=5)
-        cache.store_response(key, "<fresh/>", generation=5)
-        assert cache.lookup_response(key, generation=5) == "<fresh/>"
+        cache.store_response(key, "<fresh/>",
+                             validators=(("A", 5), ("B", 3)))
+        current = _generations(A=5, B=3, C=9)
+        assert [cache.lookup_response(key, current=current)
+                for _ in range(2)] == ["<fresh/>"] * 2
+        # An entry that read no documents is current under any store.
+        bare = response_key("C", "by-fragment", "<req/>", None, None)
+        cache.store_response(bare, "<none/>")
+        assert cache.lookup_response(bare, current=current) == "<none/>"
+        assert (cache.stats.hits, cache.stats.invalidations) == (3, 0)
+
+
+def _three_peers() -> Federation:
+    federation = Federation()
+    federation.add_peer("B").store("b.xml", "<r><x/></r>")
+    federation.add_peer("C").store("c.xml", "<r><x/><x/><x/></r>")
+    federation.add_peer("local")
+    return federation
+
+
+def _store_one_x(federation: Federation) -> None:
+    federation.peer("C").store("c.xml", "<r><x/></r>")
+
+
+#: A call to B whose body calls C: its answer reads C's document.
+NESTED = ('declare function g() as xs:integer '
+          '{ count(doc("xrpc://C/c.xml")/child::r/child::x) }; '
+          'declare function f() as xs:integer { (execute at {"C"} { g() })'
+          ' + count(doc("xrpc://B/b.xml")/child::r/child::x) }; '
+          'execute at {"B"} { f() }')
+#: A call to B whose body ships C's document to B.
+SHIPPING = ('declare function f($i as xs:integer) as xs:integer '
+            '{ $i + count(doc("xrpc://C/c.xml")/child::r/child::x) }; ')
+
+
+def test_a_read_set_noted_from_many_threads_loses_no_conflict():
+    """Eight threads note into one chain of read sets, each peer once
+    per thread: a peer they all note at one generation keeps it, a peer
+    noted at two is STALE in both sets, whatever the interleaving."""
+    outer = ReadSet()
+    inner = ReadSet(outer)
+    barrier = threading.Barrier(8)
+
+    def noter(index):
+        barrier.wait()
+        for round_ in range(2000):
+            inner.note(f"agreed{round_}", 7)
+            inner.note(f"split{round_}", index % 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=noter, args=(index,))
+                   for index in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for read_set in (inner, outer):
+        assert dict(read_set.validators) == {
+            **{f"agreed{n}": 7 for n in range(2000)},
+            **{f"split{n}": STALE for n in range(2000)}}
+        assert not read_set.storable
+
+
+class TestValidators:
+    """Each entry is outdated by a store on any peer its computation
+    read, however it read it — and by no other."""
+
+    def _twice_then_store(self, federation, text, store,
+                          strategy="data-shipping"):
+        """``text`` run twice through one cache, ``store``, once more:
+        the last run's answer and round trips, and the cache."""
+        cache = ResultCache()
+        for _ in range(2):
+            federation.run(text, at="local", strategy=strategy,
+                           result_cache=cache)
+        store(federation)
+        result = federation.run(text, at="local", strategy=strategy,
+                                result_cache=cache, trace=True)
+        return serialize_sequence(result.items), rpc_outcomes(result), cache
+
+    def test_a_store_on_a_nested_peer_outdates_the_outer_entry(self):
+        answer, outcomes, cache = self._twice_then_store(
+            _three_peers(), NESTED, _store_one_x)
+        assert outcomes == [("B", "miss"), ("C", "miss")]
+        assert answer == _answer_after(_store_one_x, NESTED,
+                                       "data-shipping", _three_peers())
+        assert answer == "2"
+        assert cache.stats.invalidations == 2
+
+    def test_a_store_on_the_peer_a_body_shipped_from_outdates_it(self):
+        text = SHIPPING + 'execute at {"B"} { f(0) }'
+        answer, outcomes, _cache = self._twice_then_store(
+            _three_peers(), text, _store_one_x)
+        assert (answer, outcomes) == ("1", [("B", "miss")])
+
+    def test_a_store_racing_the_computation_is_never_served(self):
+        """C's generation is read before its document ships: a store
+        landing right after the ship outdates the entry computed from
+        the old text."""
+        text = SHIPPING + 'execute at {"B"} { f(0) }'
+        federation, cache = _three_peers(), ResultCache()
+        wire, raced = federation.transport, []
+        fetch = wire.fetch_document
+
+        def then_store(owner, local_name, stats):
+            shipped = fetch(owner, local_name, stats)
+            if not raced:
+                raced.append(local_name)
+                _store_one_x(federation)
+            return shipped
+
+        wire.fetch_document = then_store
+        first = federation.run(text, at="local", strategy="data-shipping",
+                               result_cache=cache)
+        again = federation.run(text, at="local", strategy="data-shipping",
+                               result_cache=cache, trace=True)
+        assert (first.items, raced) == ([3], ["c.xml"])
+        assert (again.items, rpc_outcomes(again)) == ([1], [("B", "miss")])
+
+    def test_a_scatter_entry_is_outdated_by_a_store_on_any_replica(self):
+        """Any replica of a response's shards may serve it next: a store
+        on one that did not serve it outdates it too."""
+        federation = build_sharded_federation(
+            0.005, shard_count=2, replication_factor=2, node_count=2)
+        federation.peer_view.mark_down("node2")     # node1 serves all
+        shard = federation.collection("people-c").shards[0]
+        assert shard.replicas == ("node1", "node2")
+        idle = federation.peer("node2")
+        answer, outcomes, cache = self._twice_then_store(
+            federation, SHARDED_SCAN_QUERY,
+            lambda _federation: idle.store(
+                shard.local_name, idle.documents[shard.local_name]),
+            strategy="by-projection")
+        assert outcomes == [("node1", "miss")]
+        assert cache.stats.invalidations == 1
+        assert answer == serialize_sequence(build_sharded_federation(
+            0.005, shard_count=2, replication_factor=2,
+            node_count=2).run(SHARDED_SCAN_QUERY, at="local").items)
+
+    def test_a_peer_that_lacked_a_document_outdates_the_entry(self):
+        """B's body scatters over a collection one of whose shards its
+        only replica lacks: B's response holds the partial answer, and
+        the replica's store of the shard outdates it."""
+        count = ('declare function m() as xs:integer '
+                 '{ count(doc("xrpc://people-c/people.xml")'
+                 '/child::site/child::people/child::person) }; '
+                 'declare function n() as xs:integer '
+                 '{ execute at {"people-c"} { m() } }; '
+                 'execute at {"B"} { n() }')
+        federation = build_sharded_federation(
+            0.005, shard_count=2, replication_factor=1, node_count=2)
+        federation.add_peer("B")
+        federation.catalog.partial_policy = "allow"
+        whole = federation.run(count, at="local", strategy="data-shipping")
+        shard = federation.collection("people-c").shards[0]
+        owner = federation.peer(shard.replicas[0])
+        document = owner.documents[shard.local_name]
+        owner.remove(shard.local_name)
+        answer, outcomes, _cache = self._twice_then_store(
+            federation, count,
+            lambda _federation: owner.store(shard.local_name, document))
+        assert ("B", "miss") in outcomes
+        assert answer == serialize_sequence(whole.items)
+
+    def test_a_batcher_rider_stores_nothing(self):
+        """Two texts of one shape coalesce at B; the leader's entry
+        carries what the merged evaluation read (C's document), the
+        rider keeps nothing, and after a store on C both answer
+        afresh."""
+        texts = [SHIPPING + f'for $i in ({low}, {low + 1}) '
+                 'return execute at {"B"} { f($i) }' for low in (1, 3)]
+        federation, cache = _three_peers(), ResultCache()
+        batcher, barrier = BulkBatcher(window_s=0.5), threading.Barrier(2)
+        answers = {}
+
+        def tenant(text):
+            barrier.wait()
+            answers[text] = federation.run(
+                text, at="local", strategy="data-shipping",
+                result_cache=cache, batcher=batcher).items
+
+        threads = [threading.Thread(target=tenant, args=(text,))
+                   for text in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert batcher.snapshot()["coalesced"] == 1
+        assert [answers[text] for text in texts] == [[4, 5], [6, 7]]
+        assert len(cache) == 1
+        _store_one_x(federation)
+        again = [federation.run(text, at="local", strategy="data-shipping",
+                                result_cache=cache, trace=True)
+                 for text in texts]
+        assert [result.items for result in again] == [[2, 3], [4, 5]]
+        assert [rpc_outcomes(result) for result in again] == \
+            [[("B", "miss")]] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +517,7 @@ def payload_documents(message) -> list:
 
 def stored_documents(cache: ResultCache) -> list:
     """Every payload document of every stored response."""
-    return [doc for (message, _size), _bytes in cache._responses.values()
+    return [doc for (message, *_), *_ in cache._responses.values()
             for doc in payload_documents(message)]
 
 
@@ -302,11 +540,11 @@ class _Snapshotting(ResultCache):
         self.stored: list[tuple] = []
 
     def store_response(self, key, response, response_bytes=None,
-                       generation=0):
-        message, _size = response
+                       validators=()):
+        message, _size, _validators = response
         self.stored.extend((doc, columns_of(doc))
                            for doc in payload_documents(message))
-        super().store_response(key, response, response_bytes, generation)
+        super().store_response(key, response, response_bytes, validators)
 
 
 def document_ranks(items: list) -> list[int]:
@@ -538,3 +776,47 @@ def test_generated_queries_stay_current_across_a_store(
             assert _agrees_with(
                 view, fresh.document_stats(host, local_name)), \
                 (strategy, host, text)
+
+
+#: Where a store of the schedule lands: a peer and document the
+#: generated queries read, or ``U``, a peer none of them reads.
+_STORE_SITES = [("A", "d1", 0), ("B", "d2", 1), ("U", "u", None)]
+
+
+@given(text=_queries(), documents=_documents,
+       schedule=st.lists(st.tuples(st.sampled_from(_STORE_SITES),
+                                   _trees()), min_size=2, max_size=4))
+@fuzz_settings(15, hunt=1000)
+def test_generated_queries_stay_current_across_stores(
+        text, documents, schedule):
+    """A generated query through one cache under each decomposing
+    strategy after each store of a schedule over three peers, one of
+    which no query reads: every answer is a cache-free run's over the
+    documents stored at the time, and after a store on the unread peer
+    each call site hits as a repeat would — its hits are the previous
+    run's calls and hits."""
+    text = _on_peers(text)
+    strategies = ("by-value", "by-fragment", "by-projection")
+    federation, cache = _federation(documents), ResultCache()
+    federation.add_peer("U").store("u", "<u/>")
+    stored = list(documents)
+    previous = {}
+    for strategy in strategies:
+        plain, _ops = _observe(_federation(stored), text, strategy, None)
+        answer, previous[strategy] = _observe(federation, text, strategy,
+                                              cache)
+        assert answer == plain, (strategy, text)
+    for (peer, name, index), replacement in schedule:
+        federation.peer(peer).store(name, serialize(replacement))
+        if index is not None:
+            stored[index] = replacement
+        for strategy in strategies:
+            plain, _ops = _observe(_federation(stored), text, strategy,
+                                   None)
+            answer, ops = _observe(federation, text, strategy, cache)
+            assert answer == plain, (strategy, peer, text)
+            if index is None:
+                assert ops == {key: (0, calls + hits) for key, (calls, hits)
+                               in previous[strategy].items()}, \
+                    (strategy, text)
+            previous[strategy] = ops

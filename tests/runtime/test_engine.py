@@ -238,17 +238,23 @@ class TestScheduling:
 
     def test_a_shared_cache_outlives_its_engine_and_stays_current(self):
         from repro.runtime.cache import ResultCache
+        from tests.runtime.test_cache import rpc_outcomes
 
         federation, shared = make_federation(), ResultCache()
         with FederationEngine(federation, max_workers=1,
                               cache=shared) as engine:
             first = engine.submit(Q2, "local").result()
-        federation.peer("B").store(
-            "course42.xml", COURSE_XML.replace(">B<", ">Z<"))
+        course = COURSE_XML.replace(">B<", ">Z<")
+        federation.peer("B").store("course42.xml", course)
         with FederationEngine(federation, max_workers=1,
                               cache=shared) as engine:
-            fresh = engine.submit(Q2, "local").result()
-        assert fresh.stats.cache_hits == 0
+            fresh = engine.submit(Q2, "local", trace=True).result()
+        # The entry of the call to A read nothing of B: still served.
+        assert rpc_outcomes(fresh) == [("A", "hit"), ("B", "miss")]
+        plain = make_federation()
+        plain.peer("B").store("course42.xml", course)
+        assert serialize_sequence(fresh.items) == \
+            serialize_sequence(plain.run(Q2, at="local").items)
         assert serialize_sequence(fresh.items) != \
             serialize_sequence(first.items)
         assert "Z" in serialize_sequence(fresh.items)
@@ -260,16 +266,31 @@ class TestScheduling:
             engine.submit(Q2, "local")
 
     def test_a_store_on_a_peer_added_after_construction_counts(self):
+        """A late peer's store outdates the entries that read that peer,
+        and nothing else."""
+        from tests.runtime.test_cache import rpc_outcomes
+
+        count_at_c = ('declare function n() as xs:integer '
+                      '{ count(doc("xrpc://C/extra.xml")/child::d/child::e) }; '
+                      'execute at {"C"} { n() }')
         federation = make_federation()
         with FederationEngine(federation, max_workers=2) as engine:
             engine.submit(Q2, "local").result()
             assert engine.cache.snapshot()["responses"] > 0
             late = federation.add_peer("C")
-            assert engine.submit(Q2, "local").result().stats.cache_hits
-            late.store("extra.xml", "<d/>")
-            again = engine.submit(Q2, "local").result()
-            assert again.stats.cache_hits == 0
-            assert engine.cache.stats.invalidations > 0
+            late.store("extra.xml", "<d><e/></d>")
+            counted = engine.submit(count_at_c, "local", "data-shipping",
+                                    trace=True).result()
+            assert (counted.items, rpc_outcomes(counted)) == \
+                ([1], [("C", "miss")])
+            late.store("extra.xml", "<d><e/><e/></d>")
+            again = engine.submit(Q2, "local", trace=True).result()
+            assert rpc_outcomes(again) == [("A", "hit"), ("B", "hit")]
+            recounted = engine.submit(count_at_c, "local", "data-shipping",
+                                      trace=True).result()
+            assert (recounted.items, rpc_outcomes(recounted)) == \
+                ([2], [("C", "miss")])
+            assert engine.cache.stats.invalidations == 1
 
 
 def run_multi_tenant(federation: Federation, jobs: list[TenantJob],

@@ -275,3 +275,44 @@ def test_store_swap_serves_fresh_index_and_stats():
     assert after.tag("person").count == 1
     assert federation.generation() > generation
     assert "person" in peer.serialized("d.xml")
+
+
+def test_a_step_from_leaves_builds_no_candidate_pool():
+    """By-projection's used path ``attribute::id/descendant::text()``
+    steps from attributes: on a newly stored people document it builds
+    no ``text_pres``, and every axis from leaf contexts (attributes,
+    texts, empty elements) still equals the naive walker."""
+    from repro.workloads import benchmark_query_variant, build_federation
+    from repro.xmark.generator import XMarkConfig, generate_people
+    from repro.xquery.ast import Step
+    from repro.xquery.context import DynamicContext
+
+    federation = build_federation(0.02)
+    peer = federation.peer("peer1")
+    peer.store("people.xml", serialize(generate_people(
+        XMarkConfig(scale=0.02, seed=7), "xrpc://peer1/people.xml")))
+    federation.run(benchmark_query_variant(30), at="local",
+                   strategy="by-projection")
+    doc = peer.documents["people.xml"]
+    index = structural_index(doc)
+    assert "text_pres" not in vars(index)
+
+    kinds, sizes, parents = doc.kinds, doc.sizes, doc.parents
+    leaves = {kind: [pre for pre in range(doc.count)
+                     if kinds[pre] == kind and all(
+                         kinds[row] == NodeKind.ATTRIBUTE
+                         and parents[row] == pre
+                         for row in range(pre + 1, pre + sizes[pre] + 1))]
+              for kind in (NodeKind.ATTRIBUTE, NodeKind.TEXT,
+                           NodeKind.ELEMENT)}
+    assert all(leaves.values())
+    samples = [pres[:: max(1, len(pres) // 3)][:3]
+               for pres in leaves.values()]
+    walker, env = oracle.ReferenceEvaluator(), DynamicContext()
+    for pres in samples + [sorted(sum(samples, []))]:
+        for axis in sorted(AXES):
+            for test in ("node()", "*", "text()", "name", "id"):
+                naive = walker._apply_step(
+                    Step(axis, test), [Node(doc, pre) for pre in pres], env)
+                assert list(index.axis_scan(axis, test, pres)) == \
+                    [node.pre for node in naive], (axis, test, pres)
