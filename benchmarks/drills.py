@@ -88,6 +88,12 @@ def engine(fed) -> FederationEngine:
                             batch_window_s=0.0)
 
 
+def total(fed, name: str) -> int:
+    """A registry series of ``fed``, summed over its labels."""
+    value = fed.metrics.snapshot().get(name, 0)
+    return sum(value.values()) if isinstance(value, dict) else value
+
+
 def exact(engine, n: int, expected: str) -> bool:
     """Run ``n`` scans through the engine: do they all answer
     ``expected``?"""
@@ -121,7 +127,7 @@ def chaos_drill() -> dict:
         for shard in spec.shards].count(True)}
     with engine(fed) as queries:
         def failovers() -> int:
-            return queries.metrics.summary()["failovers"]
+            return total(fed, "scatter_failovers_total")
 
         cells["warmup_exact"] = exact(queries, 8, expected)
         cells["warmup_failovers"] = failovers()
@@ -161,7 +167,7 @@ def chaos_drill() -> dict:
         cells.update(revived_state=view.state("node1"),
                      converged=tracker.converged(),
                      revived_exact=exact(queries, 4, expected),
-                     failed=queries.metrics.summary()["failed"])
+                     failed=total(fed, "query_failed_total"))
     return {**cells, **{kind: monitor.events.count(kind) for kind in (
         "alert_fired", "replica_evicted", "repair_completed")},
         "events": event_lines(monitor)}
@@ -233,9 +239,8 @@ def soak_drill() -> dict:
         fed.run(SHARDED_SCAN_QUERY, **BY_PROJECTION).items)
     cells: dict = {}
     with engine(fed) as queries:
-        summary = queries.metrics.summary
         cells["warmup_exact"] = exact(queries, 8, expected)
-        cells["warmup_failovers"] = summary()["failovers"]
+        cells["warmup_failovers"] = total(fed, "scatter_failovers_total")
         # node2 slows down, and down marks steer two shards onto it:
         # only health scoring can catch it, before anything fails.
         fed.peer_view.mark_down("node1")
@@ -245,7 +250,7 @@ def soak_drill() -> dict:
         cells["demoted"] = sorted({event.attrs["peer"] for event in
                                    monitor.events.recent(
                                        kind="health_demoted")})
-        cells["degrade_failovers"] = summary()["failovers"]
+        cells["degrade_failovers"] = total(fed, "scatter_failovers_total")
         cells["degrade_alerts"] = monitor.events.count("alert_fired")
         # Hard churn: heal, then kill a healthy first choice and revive.
         fed.peer_view.mark_up("node1")
@@ -253,10 +258,10 @@ def soak_drill() -> dict:
         fed.transport.restore_peer("node2")
         fed.transport.kill_peer("node1")
         cells["kill_exact"] = exact(queries, 8, expected)
-        cells["kill_failovers"] = summary()["failovers"]
+        cells["kill_failovers"] = total(fed, "scatter_failovers_total")
         fed.transport.revive_peer("node1")
         cells["revived_exact"] = exact(queries, 4, expected)
-        cells["failed"] = summary()["failed"]
+        cells["failed"] = total(fed, "query_failed_total")
     return {**cells, "alert_fired": monitor.events.count("alert_fired"),
             "health_demoted": monitor.events.count("health_demoted"),
             "profile_samples": monitor.profiler.samples,

@@ -38,8 +38,18 @@ def main() -> None:
         sizes = [len(result.items) for result in results]
         print(f"result sizes: {min(sizes)}-{max(sizes)} items "
               f"across {len(results)} queries")
+        # Every run is counted once, in the federation's registry.
+        totals = federation.metrics.snapshot()
+        latency = totals["query_latency_seconds"]
         print("\n--- fleet metrics ---")
-        print(engine.metrics.format_summary())
+        print(f"queries     : {totals['query_completed_total']} completed, "
+              f"{totals['query_failed_total']} failed")
+        print(f"latency     : p50 {latency['p50'] * 1000:.2f} ms | "
+              f"p95 {latency['p95'] * 1000:.2f} ms | "
+              f"p99 {latency['p99'] * 1000:.2f} ms")
+        print(f"transferred : {totals['query_transferred_bytes_total']} "
+              f"bytes ({totals['query_simulated_seconds_total'] * 1000:.2f}"
+              " ms simulated)")
 
         cache = engine.cache.snapshot()
         print("\n--- result cache ---")

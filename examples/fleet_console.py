@@ -68,7 +68,10 @@ def main(scale: float = SCALE) -> None:
         cluster.transport.revive_peer("node1")
         run_batch(engine, 4)
         print(render_fleet(monitor, recent_events=6))
-        print(f"\nEngine summary: {engine.metrics.format_summary()}")
+        totals = cluster.metrics.snapshot()
+        print(f"\nRegistry: {totals['query_completed_total']} completed, "
+              f"{totals['query_failed_total']} failed, failovers per "
+              f"collection {totals.get('scatter_failovers_total', {})}")
 
     print(f"\nSampling profiler ({monitor.profiler.samples} sampled "
           "traces, sim-weighted collapsed stacks):")

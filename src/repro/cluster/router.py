@@ -77,7 +77,7 @@ from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
     NetworkError, PeerUnavailableError, TransientNetworkError,
 )
-from repro.runtime.cache import ReadSet
+from repro.runtime.cache import STALE, ReadSet
 from repro.runtime.transport import RetryPolicy
 from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import Span, bind_stats_span, child_span
@@ -528,6 +528,11 @@ class ClusterRouter:
             own = self._serve(spec, outcomes, groups, scatter_span,
                               call_group, [[] for _ in calls],
                               stats=stats, counter=counter)
+            if own.partial_shards and reads is not None:
+                # A partial answer is kept by no exchange, this one's
+                # or an enclosing one's: each run meets the lost shard
+                # itself, and its partial_shards say so.
+                reads.note(spec.name, STALE)
             if scatter_span is not None:
                 scatter_span.set(
                     shards_skipped=own.shards_skipped,

@@ -21,7 +21,9 @@ Naming convention (one prefix per layer, so registries can be shared):
 ``scatter_*``  cluster fan-out, skips, failovers per collection, heat
                per shard
 ``index_*``    structural/value index builds (count and seconds)
-``query_*``    per-query aggregation (latency, plans) over every run
+``query_*``    the one fold of finished runs (completed, failed,
+               latency, bytes, simulated seconds, plans), engine and
+               standalone runs alike: nothing else totals runs
 =============  ==========================================================
 
 All primitives are thread-safe (one small lock per series; series

@@ -16,15 +16,16 @@ into a runtime that serves many queries concurrently over shared peers:
   read are;
 * :mod:`repro.runtime.batching` — cross-query Bulk-RPC coalescing,
   extending the paper's bulk idea across query boundaries;
-* :mod:`repro.runtime.metrics` — throughput / latency-percentile /
-  cache aggregation across queries.
+* :mod:`repro.runtime.metrics` — when each engine run started and
+  finished (what the runs did is the federation registry's ``query_*``
+  / ``scatter_*`` / ``cache_*`` series).
 """
 
 from repro.clock import Clock, VirtualClock
 from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.engine import EngineClosedError, FederationEngine
-from repro.runtime.metrics import MetricsAggregator, QueryRecord
+from repro.runtime.metrics import QueryRecord
 from repro.runtime.transport import (FaultInjectedError, FaultPlan,
                                      PeerDownError, RequestTimeoutError,
                                      RetryPolicy, Transport)
@@ -34,7 +35,7 @@ __all__ = [
     "CacheStats", "ResultCache",
     "Clock", "VirtualClock",
     "EngineClosedError", "FederationEngine",
-    "MetricsAggregator", "QueryRecord",
+    "QueryRecord",
     "FaultInjectedError", "FaultPlan", "PeerDownError",
     "RequestTimeoutError", "RetryPolicy", "Transport",
 ]

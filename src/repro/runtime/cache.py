@@ -190,16 +190,23 @@ class ResultCache:
         request that a hit keeps off the wire (for ``saved_bytes``);
         ``current(peer)`` is that peer's generation now, which each of
         the entry's validators must equal for it to be served — an
-        entry a store outdated is dropped instead."""
+        entry a store outdated is dropped instead — or :data:`STALE`
+        while the peer is unreachable: the miss a hit stands in for
+        would not answer as the entry did, so it is not served, and
+        kept."""
         outdated = None
         with self._lock:
             entry = self._responses.get(key)
             if entry is not None:
-                outdated = next((peer for peer, generation in entry[2]
-                                 if current(peer) != generation), None)
+                now = [current(peer) for peer, _generation in entry[2]]
+                outdated = next((peer for (peer, generation), at
+                                 in zip(entry[2], now)
+                                 if at not in (generation, STALE)), None)
                 if outdated is not None:
                     del self._responses[key]
                     self._invalidations.inc()
+                    entry = None
+                elif STALE in now:
                     entry = None
             if entry is None:
                 self._misses.inc()

@@ -16,10 +16,9 @@ a runtime serving many queries at once:
   while the peers it read are) and a
   :class:`~repro.runtime.batching.BulkBatcher`
   that coalesces same-shape round trips across queries;
-* a :class:`~repro.runtime.metrics.MetricsAggregator` folding every
-  query into the fleet-level summary and keeping the newest records
-  (the registry's ``query_*`` series are counted by ``Federation.run``
-  itself).
+* :attr:`FederationEngine.metrics`, when each run started and
+  finished; every count is the federation registry's, folded by
+  ``Federation.run`` itself.
 """
 
 from __future__ import annotations
@@ -29,10 +28,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from threading import BoundedSemaphore
 from typing import TYPE_CHECKING
 
-from repro.decompose import Strategy, strategy_label
+from repro.decompose import Strategy
 from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import ResultCache
-from repro.runtime.metrics import MetricsAggregator, QueryRecord
+from repro.runtime.metrics import EngineMetrics, QueryRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation, RunResult
@@ -50,8 +49,8 @@ class FederationEngine:
         engine = FederationEngine(federation, max_workers=8)
         futures = [engine.submit(query, at="local") for _ in range(32)]
         results = [f.result() for f in futures]
-        print(engine.metrics.format_summary())
         engine.shutdown()
+        totals = federation.metrics.snapshot()    # query_*, cache_*, ...
 
     ``cache=True`` (default) creates a :class:`ResultCache`; pass an
     instance to share one across engines, or ``False`` to disable.
@@ -91,10 +90,9 @@ class FederationEngine:
                                     worth_waiting=lambda:
                                     self.executing > 1)
                         if batch_window_s > 0 else None)
-        #: Every query folded in, the newest records kept; the
-        #: registry's ``query_*`` series are the federation's, folded at
-        #: the end of each run.
-        self.metrics = MetricsAggregator()
+        #: When each run started and finished, the newest kept; what
+        #: the runs did is the federation registry's.
+        self.metrics = EngineMetrics()
         #: Queries admitted (running or queued) before submit() blocks.
         self.max_in_flight = 2 * max_workers
         self._admission = BoundedSemaphore(self.max_in_flight)
@@ -174,7 +172,6 @@ class FederationEngine:
                  run_kwargs: dict) -> "RunResult":
         clock = self.federation.transport.clock
         started = clock()
-        label = strategy_label(strategy)
         monitor = self.federation.monitor
         if (monitor is not None and "trace" not in run_kwargs
                 and monitor.should_sample_trace()):
@@ -184,23 +181,13 @@ class FederationEngine:
         with self._in_flight_lock:
             self._executing += 1
         try:
-            result = self.federation.run(
+            return self.federation.run(
                 query, at=at, strategy=strategy,
                 result_cache=self.cache,
                 batcher=self.batcher,
                 **run_kwargs)
-        except BaseException as exc:
-            self.metrics.record(QueryRecord(
-                started_at=started, finished_at=clock(),
-                strategy=label, at=at,
-                error=f"{type(exc).__name__}: {exc}"), None)
-            raise
         finally:
+            # Completed or failed, one record, before the future
+            # resolves: a closed-loop caller reads it right after.
+            self.metrics.records.append(QueryRecord(started, clock()))
             self._finish_one()
-        self.metrics.record(QueryRecord(
-            started_at=started, finished_at=clock(),
-            strategy=label, at=at,
-            plan=(result.stats.plan.strategy
-                  if result.stats.plan is not None else None)),
-            result.stats)
-        return result

@@ -250,6 +250,13 @@ class Federation:
         peer = self.peers.get(name)
         return 0 if peer is None else peer.generation
 
+    def current_generation(self, name: str) -> int:
+        """What a cached response that read peer ``name`` is checked
+        against: its generation, or :data:`STALE` while the wire cannot
+        reach it."""
+        return (STALE if self.transport.is_down(name)
+                else self.generation_of(name))
+
     def generations(self, names: Iterable[str]) -> Validators:
         """``(name, generation)`` of each of ``names``, read now."""
         return tuple((name, self.generation_of(name))
@@ -670,14 +677,15 @@ class _Run:
             cache_key = kept = own = None
             if self.result_cache is not None:
                 own = ReadSet(reads)
-                own.note_all(self.federation.generations(replicas))
+                own.note_all(self.federation.generations(
+                    (peer.name, *replicas)))
                 cache_key = response_key(cache_scope or peer.name,
                                          semantics, request_xml,
                                          used_paths, returned_paths,
                                          shard_epoch=shard_epoch)
                 hit = self.result_cache.lookup_response(
                     cache_key, request_bytes,
-                    self.federation.generation_of)
+                    self.federation.current_generation)
             cached = hit is not None
             if cached:
                 stored, response_bytes, validators = hit

@@ -11,6 +11,7 @@ from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (cover_order, make_cluster,
                                    make_single_owner)
+from tests.oracle.accounting_reference import registry_series
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -90,19 +91,19 @@ def test_least_loaded_replica_selected():
     assert cover_order(cluster, shard) == ["node2", "node1"]
 
 
-def test_failovers_surface_in_engine_metrics():
+def test_failovers_surface_in_the_registry():
     cluster = make_cluster()
     cluster.transport = Transport(cluster.cost_model)
     cluster.transport.kill_peer("node4")
     with FederationEngine(cluster, max_workers=4) as engine:
         futures = [engine.submit(SCAN, at="local") for _ in range(6)]
-        for future in futures:
-            assert serialize_sequence(future.result().items) \
-                == expected_items()
-        summary = engine.metrics.summary()
-    assert summary["failed"] == 0
-    assert summary["failovers"] >= 1
-    assert summary["scatter_shards"] == 6 * 4
+        results = [future.result() for future in futures]
+    for result in results:
+        assert serialize_sequence(result.items) == expected_items()
+    series = registry_series(cluster.metrics)
+    assert series["query_failed_total"] == 0
+    assert series["scatter_failovers_total"]["books-c"] >= 1
+    assert sum(result.stats.scatter_shards for result in results) == 6 * 4
 
 
 def test_peer_down_error_is_network_error():

@@ -191,16 +191,18 @@ def test_modes_agree_on_a_nested_scatter(shard_threads):
 
 def test_nested_scatter_counts_each_shard_call_once():
     """Every view of a run's shard calls is a sum of one record: the
-    engine's per-collection calls, the registry's serves and the run's
-    ``scatter_shards`` agree (the engine once counted merged per-shard
-    entries, 4 on ``auctions-c`` where 8 calls were made)."""
+    run's per-collection calls, the registry's serves and the run's
+    ``scatter_shards`` agree (a second fold of engine runs once counted
+    merged per-shard entries, 4 on ``auctions-c`` where 8 calls were
+    made)."""
     federation = build_sharded_federation(0.02)
     with FederationEngine(federation, max_workers=1) as engine:
         result = engine.submit(NESTED, "local",
                                Strategy.BY_FRAGMENT).result()
-    per_collection = engine.metrics.summary()["per_collection"]
-    calls = {name: agg["shard_calls"]
-             for name, agg in per_collection.items()}
+    calls: dict[str, int] = {}
+    for key, entry in result.stats.per_shard.items():
+        collection = key.rsplit("#s", 1)[0]
+        calls[collection] = calls.get(collection, 0) + entry["calls"]
     serves: dict[str, int] = {}
     for label, value in federation.metrics.snapshot()[
             "scatter_shard_serves_total"].items():

@@ -77,8 +77,10 @@ def test_response_cache_keys_by_shard_identity(cluster):
     response is keyed by collection, shard set and epoch, not by the
     peer that served it. The two minimal covers of a 4 x 2 layout
     (node1 + node3, node2 + node4) group the shards differently and
-    alternate with the load; once both have run, the whole fleet can
-    die and the query is still answered (no wire traffic at all)."""
+    alternate with the load; once both have run, the query is answered
+    with no wire traffic at all. A hit is the miss it
+    replays, so once the whole fleet is dead no response is served:
+    the query fails as it would without a cache."""
     with FederationEngine(cluster, max_workers=2,
                           batch_window_s=0) as engine:
         first = engine.submit(SCAN, at="local").result()
@@ -86,13 +88,16 @@ def test_response_cache_keys_by_shard_identity(cluster):
         assert first.stats.cache_hits == other.stats.cache_hits == 0
         assert {m.dest for m in first.messages + other.messages} \
             == {"node1", "node2", "node3", "node4"}
+        for _ in range(2):
+            again = engine.submit(SCAN, at="local").result()
+            assert serialize_sequence(again.items) \
+                == serialize_sequence(first.items)
+            assert again.stats.cache_hits == 2    # one per cover peer
+            assert again.messages == []
         for node in ("node1", "node2", "node3", "node4"):
             cluster.transport.kill_peer(node)
-        third = engine.submit(SCAN, at="local").result()
-        assert serialize_sequence(third.items) \
-            == serialize_sequence(first.items)
-        assert third.stats.cache_hits == 2        # one per cover peer
-        assert third.stats.failovers == 0
+        with pytest.raises(ClusterError):
+            engine.submit(SCAN, at="local").result()
 
 
 def test_catalog_epoch_invalidates_cached_responses(cluster):

@@ -8,6 +8,7 @@ plain fold in ``tests/oracle/accounting_reference.py``.
 from __future__ import annotations
 
 import random
+import threading
 from contextlib import contextmanager
 
 import pytest
@@ -20,9 +21,10 @@ from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
 from repro.obs import FleetMonitor
-from repro.runtime import FaultPlan, RetryPolicy, Transport
+from repro.runtime import FaultPlan, FederationEngine, RetryPolicy, Transport
 from repro.workloads import (
-    SHARDED_BENCHMARK_QUERY, build_sharded_federation,
+    SHARDED_BENCHMARK_QUERY, SHARDED_SCAN_QUERY, build_sharded_federation,
+    sharded_query_variant,
 )
 
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
@@ -42,26 +44,26 @@ def recorded_runs():
     """``(federation, stats, ok)`` of every ``Federation.run`` inside
     the block, read off the run objects rather than the seam that
     folds them (a run that failed before it was planned has no
-    stats)."""
+    stats). Runs on several threads at once are told apart by their
+    thread, which makes a run's ``_Run`` and calls its ``run``."""
     runs: list[tuple[object, object, bool]] = []
-    started: list[object] = []
+    started = threading.local()
     init = federation_module._Run.__init__
     run = federation_module.Federation.run
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        started.append(self.stats)
+        started.stats = self.stats
 
     def recording_run(self, *args, **kwargs):
-        before = len(started)
+        started.stats = None
         ok = False
         try:
             result = run(self, *args, **kwargs)
             ok = True
             return result
         finally:
-            runs.append((self, started[before] if len(started) > before
-                         else None, ok))
+            runs.append((self, started.stats, ok))
 
     federation_module._Run.__init__ = recording_init
     federation_module.Federation.run = recording_run
@@ -165,6 +167,32 @@ def test_series_are_the_fold_of_bulk_and_per_call_runs(runs):
                        strategy=Strategy.BY_PROJECTION, bulk_rpc=bulk_rpc)
         assert_folded(federation, runs)
     assert len(own(federation, runs)) == 2
+
+
+def test_engine_runs_are_folded_once(runs):
+    """A batch through an engine with its cache and batcher, over a
+    cluster with one replica dead and one query that fails: each run is
+    folded once, by the federation, and nowhere else."""
+    federation = build_sharded_federation(0.004, shard_count=4,
+                                          replication_factor=2)
+    federation.transport.kill_peer("node1")
+    texts = [SHARDED_BENCHMARK_QUERY, SHARDED_SCAN_QUERY,
+             sharded_query_variant(30)] * 3 + ["for $x in"]
+    with FederationEngine(federation, max_workers=2) as engine:
+        futures = [engine.submit(text, "local") for text in texts]
+        failed = 0
+        for future in futures:
+            try:
+                future.result()
+            except XQuerySyntaxError:
+                failed += 1
+    assert failed == 1
+    assert len(own(federation, runs)) == len(engine.metrics.records) == 10
+    assert_folded(federation, runs)
+    series = registry_series(federation.metrics)
+    assert series["query_failed_total"] == 1
+    assert series["scatter_failovers_total"]
+    assert engine.cache.stats.lookups > 0
 
 
 def test_failed_runs_are_folded_too(runs):

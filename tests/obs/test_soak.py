@@ -17,6 +17,7 @@ from repro.runtime import FederationEngine
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import cover_order, make_cluster, virtual_wire
+from tests.oracle.accounting_reference import registry_series
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -26,6 +27,12 @@ SCAN = ('doc("xrpc://books-c/books.xml")'
 #: those) breach the latency SLO.
 DEGRADE_S = 0.080
 SLOW_S = 0.030
+
+
+def failovers(cluster) -> int:
+    """Replica switches so far, summed over the collections."""
+    return sum(registry_series(cluster.metrics)[
+        "scatter_failovers_total"].values())
 
 
 def run_batch(engine, n):
@@ -56,9 +63,8 @@ def test_soak_churn_degrade_and_alert(tmp_path):
                           batch_window_s=0.0) as engine:
         # Phase 1 — healthy warmup: correct answers, no churn events.
         assert run_batch(engine, 16) == {baseline}
-        summary = engine.metrics.summary()
-        assert summary["failed"] == 0
-        assert summary["failovers"] == 0
+        assert registry_series(cluster.metrics)["query_failed_total"] == 0
+        assert failovers(cluster) == 0
         assert monitor.events.count("alert_fired") == 0
 
         # Phase 2 — node2 degrades (slow, NOT dead). Down marks
@@ -79,7 +85,7 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         assert {e.attrs["peer"] for e in demotions} == {"node2"}
         # The detector fired while the failover count is still zero:
         # demotion happened *before* any failed request could.
-        assert engine.metrics.summary()["failovers"] == 0
+        assert failovers(cluster) == 0
         assert monitor.events.count("failover") == 0
         assert not cluster.peer_view.healthy("node2")
         # A demoted replica that is a shard's only live copy still
@@ -114,16 +120,16 @@ def test_soak_churn_degrade_and_alert(tmp_path):
         cluster.transport.restore_peer("node2")
         cluster.transport.kill_peer("node1")
         assert run_batch(engine, 8) == {baseline}
-        assert engine.metrics.summary()["failovers"] >= 1
+        assert failovers(cluster) >= 1
         assert monitor.events.count("failover") >= 1
         cluster.transport.revive_peer("node1")
         assert run_batch(engine, 4) == {baseline}
 
-        summary = engine.metrics.summary()
-        assert summary["failed"] == 0
-        per_collection = summary["per_collection"]["books-c"]
-        assert per_collection["failovers"] == summary["failovers"]
-        assert per_collection["shard_calls"] > 0
+        series = registry_series(cluster.metrics)
+        assert series["query_failed_total"] == 0
+        assert series["scatter_failovers_total"] == {
+            "books-c": failovers(cluster)}
+        assert sum(series["scatter_shard_serves_total"].values()) > 0
 
     # The breach never aged out of the 60s long window, so the alert
     # could not flap: still exactly one fire over the whole soak.

@@ -77,8 +77,8 @@ class TestStrategyCoercion:
             assert auto.stats.plan is not None
             with pytest.raises(ValueError, match="valid strategies"):
                 engine.submit(Q2, "local", "warp-speed")
-        summary = engine.metrics.summary()
-        assert sum(summary["plans"].values()) == 2
+        plans = federation.metrics.snapshot()["query_plans_total"]
+        assert sum(plans.values()) == 2
 
 
 class TestPlanReports:

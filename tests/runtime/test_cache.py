@@ -2,11 +2,13 @@
 documents stay out of it, and — the load-bearing part — invalidation
 per entry, by the generations of the peers its computation read."""
 
+import functools
+import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import ReproError
 from repro.obs.events import EventLog
@@ -426,30 +428,67 @@ class TestValidators:
             0.005, shard_count=2, replication_factor=2,
             node_count=2).run(SHARDED_SCAN_QUERY, at="local").items)
 
-    def test_a_peer_that_lacked_a_document_outdates_the_entry(self):
-        """B's body scatters over a collection one of whose shards its
-        only replica lacks: B's response holds the partial answer, and
-        the replica's store of the shard outdates it."""
-        count = ('declare function m() as xs:integer '
-                 '{ count(doc("xrpc://people-c/people.xml")'
-                 '/child::site/child::people/child::person) }; '
-                 'declare function n() as xs:integer '
-                 '{ execute at {"people-c"} { m() } }; '
-                 'execute at {"B"} { n() }')
+    #: B's body scatters over ``people-c`` and counts its persons.
+    NESTED_COUNT = ('declare function m() as xs:integer '
+                    '{ count(doc("xrpc://people-c/people.xml")'
+                    '/child::site/child::people/child::person) }; '
+                    'declare function n() as xs:integer '
+                    '{ execute at {"people-c"} { m() } }; '
+                    'execute at {"B"} { n() }')
+
+    def _lacking_shard(self):
+        """A federation whose ``people-c`` shard 0 its only replica
+        lacks (partial answers allowed), the whole answer, and a call
+        that stores the shard back."""
         federation = build_sharded_federation(
             0.005, shard_count=2, replication_factor=1, node_count=2)
         federation.add_peer("B")
         federation.catalog.partial_policy = "allow"
-        whole = federation.run(count, at="local", strategy="data-shipping")
+        whole = federation.run(self.NESTED_COUNT, at="local",
+                               strategy="data-shipping")
         shard = federation.collection("people-c").shards[0]
         owner = federation.peer(shard.replicas[0])
         document = owner.documents[shard.local_name]
         owner.remove(shard.local_name)
-        answer, outcomes, _cache = self._twice_then_store(
-            federation, count,
-            lambda _federation: owner.store(shard.local_name, document))
-        assert ("B", "miss") in outcomes
-        assert answer == serialize_sequence(whole.items)
+        return (federation, serialize_sequence(whole.items),
+                lambda: owner.store(shard.local_name, document))
+
+    def _run(self, federation, cache):
+        result = federation.run(self.NESTED_COUNT, at="local",
+                                strategy="data-shipping",
+                                result_cache=cache, trace=True)
+        outcomes = sorted((span.attrs["dest"], span.attrs.get("cache"))
+                          for span in result.trace.iter_spans()
+                          if span.name == "rpc")
+        return serialize_sequence(result.items), \
+            result.stats.partial_shards, outcomes
+
+    def test_a_partial_answer_is_labelled_partial_on_every_run(self):
+        """A scatter nested in B's body loses a shard: every run through
+        the cache says so, and once the shard is back the next run
+        answers whole."""
+        federation, whole, restore = self._lacking_shard()
+        cache = ResultCache()
+        first, second = (self._run(federation, cache)[:2] for _ in range(2))
+        assert first == second
+        assert first[1] == 1 and first[0] != whole
+        restore()
+        assert self._run(federation, cache)[:2] == (whole, 0)
+
+    def test_a_partial_answer_is_stored_by_no_enclosing_exchange(self):
+        """B's response holds a partial answer, so B's exchange stores
+        nothing; the round trip of the shard that answered is kept, and
+        once the lost shard is back B's whole answer is."""
+        federation, _whole, restore = self._lacking_shard()
+        cache = ResultCache()
+        outcomes = [self._run(federation, cache)[2] for _ in range(2)]
+        restore()
+        outcomes += [self._run(federation, cache)[2] for _ in range(2)]
+        assert outcomes == [
+            [("B", "miss"), ("node1", None), ("node2", "miss")],
+            [("B", "miss"), ("node1", None), ("node2", "hit")],
+            [("B", "miss"), ("node1", "miss"), ("node2", "hit")],
+            [("B", "hit")]]
 
     def test_a_batcher_rider_stores_nothing(self):
         """Two texts of one shape coalesce at B; the leader's entry
@@ -820,3 +859,124 @@ def test_generated_queries_stay_current_across_stores(
                                in previous[strategy].items()}, \
                     (strategy, text)
             previous[strategy] = ops
+
+
+# ---------------------------------------------------------------------------
+# A cached engine answers as a cache-free twin, whatever the fleet does
+# ---------------------------------------------------------------------------
+
+_NODES = ("node1", "node2", "node3")
+
+#: (text, strategy): a scan and a count the originator scatters, and a
+#: count B's body scatters (its exchange with B is cached whole).
+_SCHEDULE_QUERIES = (
+    (SHARDED_SCAN_QUERY, "by-projection"),
+    ('count(doc("xrpc://people-c/people.xml")'
+     "/child::site/child::people/child::person)", "by-projection"),
+    (TestValidators.NESTED_COUNT, "data-shipping"),
+)
+
+_query = st.tuples(st.just("query"),
+                   st.integers(0, len(_SCHEDULE_QUERIES) - 1),
+                   st.sampled_from(["fail", "allow"]))
+_step = st.one_of(
+    _query, _query,
+    st.tuples(st.just("store"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["kill", "revive"]),
+              st.sampled_from([*_NODES, "B"])),
+    st.tuples(st.sampled_from(["down", "up"]), st.sampled_from(_NODES)),
+)
+
+
+def _scheduled_federation(replication_factor: int = 2):
+    federation = build_sharded_federation(
+        0.002, shard_count=3, replication_factor=replication_factor,
+        node_count=3)
+    federation.add_peer("B")
+    return federation
+
+
+@functools.cache
+def _original_shard(local_name: str) -> str:
+    """A ``people-c`` shard's text as built (the same under either
+    replication factor: it decides placement only)."""
+    federation = _scheduled_federation()
+    shard = next(shard for shard in federation.collection("people-c").shards
+                 if shard.local_name == local_name)
+    return serialize(federation.peer(shard.replicas[0]).documents[local_name])
+
+
+def _aged(text: str, shift: int) -> str:
+    """``text`` with every ``age`` ``shift`` × 17 years on (mod 100)."""
+    return re.sub(r"<age>(\d+)</age>",
+                  lambda m: f"<age>{(int(m[1]) + 17 * shift) % 100}</age>",
+                  text)
+
+
+def _apply(federation, step) -> None:
+    kind, *args = step
+    if kind == "store":
+        # Every replica of the shard gets the same text: replicas hold
+        # identical fragments, whichever serves.
+        index, shift = args
+        shard = federation.collection("people-c").shards[index]
+        text = _aged(_original_shard(shard.local_name), shift)
+        for replica in shard.replicas:
+            federation.peer(replica).store(shard.local_name, text)
+    elif kind in ("kill", "revive"):
+        getattr(federation.transport, f"{kind}_peer")(args[0])
+    elif kind == "down":
+        federation.peer_view.mark_down(args[0])
+    elif kind == "up":
+        federation.peer_view.mark_up(args[0])
+
+
+def _answer(run) -> tuple:
+    """Items and ``partial_shards``, or the type of the error raised."""
+    try:
+        result = run()
+    except ReproError as error:
+        return ("error", type(error).__name__)
+    return serialize_sequence(result.items), result.stats.partial_shards
+
+
+@given(replication_factor=st.integers(1, 2),
+       schedule=st.lists(_step, min_size=4, max_size=14))
+# A shard's one replica dies under B's partial answer and comes back:
+# served from the cache, the answer said whole and held the gap.
+@example(replication_factor=1,
+         schedule=[("kill", "node1"), ("query", 2, "allow"),
+                   ("revive", "node1"), ("query", 2, "allow")])
+# Both replicas of a shard die: a response cached while they lived
+# answered whole where the wire raises.
+@example(replication_factor=2,
+         schedule=[("query", 0, "fail"), ("kill", "node1"),
+                   ("kill", "node2"), ("query", 0, "fail")])
+# B dies: its response, which read no document of B's own, was
+# served where the wire raises.
+@example(replication_factor=2,
+         schedule=[("query", 2, "fail"), ("kill", "B"),
+                   ("query", 2, "fail")])
+@fuzz_settings(25, hunt=2000)
+def test_a_cached_engine_answers_as_a_cache_free_twin(replication_factor,
+                                                      schedule):
+    """A generated schedule of queries under both partial policies,
+    stores, kills and revivals, down and up marks, given to an engine
+    with its cache and to a cache-free twin federation: after every
+    step each answers the same items with the same ``partial_shards``,
+    or raises the same type of error."""
+    cached, twin = (_scheduled_federation(replication_factor)
+                    for _ in range(2))
+    with FederationEngine(cached, max_workers=1) as engine:
+        for step in schedule:
+            if step[0] != "query":
+                _apply(cached, step)
+                _apply(twin, step)
+                continue
+            text, strategy = _SCHEDULE_QUERIES[step[1]]
+            cached.catalog.partial_policy = twin.catalog.partial_policy \
+                = step[2]
+            assert _answer(lambda: engine.submit(
+                text, "local", strategy).result()) == _answer(
+                lambda: twin.run(text, at="local", strategy=strategy)), \
+                (step, schedule)

@@ -19,6 +19,7 @@ from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
 from repro.xrpc.messages import ResponseMessage
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
+from tests.oracle.accounting_reference import registry_series
 
 CONCURRENCY = 8
 
@@ -48,13 +49,15 @@ class TestConcurrentCorrectness:
         byte-identical to one sequential run, cache and batching on."""
         expected = serialize_sequence(
             build_federation(0.0025).run(BENCHMARK_QUERY, at="local").items)
-        with FederationEngine(build_federation(0.0025),
+        federation = build_federation(0.0025)
+        with FederationEngine(federation,
                               max_workers=CONCURRENCY) as engine:
             futures = [engine.submit(BENCHMARK_QUERY, "local")
                        for _ in range(CONCURRENCY)]
             for future in futures:
                 assert serialize_sequence(future.result().items) == expected
-        assert engine.metrics.summary()["queries"] == CONCURRENCY
+        assert registry_series(federation.metrics)[
+            "query_completed_total"] == CONCURRENCY
 
     def test_repeated_queries_hit_the_cache(self):
         with FederationEngine(make_federation(), max_workers=2) as engine:
@@ -175,7 +178,8 @@ class TestScheduling:
         for future in admitted + late:
             future.result()
         engine.shutdown()
-        assert engine.metrics.summary()["queries"] == 3
+        assert registry_series(federation.metrics)[
+            "query_completed_total"] == 3
 
     def test_each_future_carries_its_jobs_strategy(self):
         jobs = [(Q2, "local", strategy) for strategy in Strategy] * 2
@@ -188,18 +192,21 @@ class TestScheduling:
     BAD_QUERY = 'doc("xrpc://missing/d.xml")/child::a'
 
     def test_failures_recorded_and_raised(self):
-        with FederationEngine(make_federation(), max_workers=2) as engine:
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=2) as engine:
             future = engine.submit(self.BAD_QUERY, "local")
             with pytest.raises(NetworkError):
                 future.result()
-        summary = engine.metrics.summary()
-        assert summary["failed"] == 1
-        assert summary["queries"] == 0
+        series = registry_series(federation.metrics)
+        assert series["query_failed_total"] == 1
+        assert series["query_completed_total"] == 0
+        assert len(engine.metrics.records) == 1
 
     def test_a_failing_query_leaves_its_neighbours_results(self):
         expected = serialize_sequence(
             make_federation().run(Q2, at="local").items)
-        with FederationEngine(make_federation(), max_workers=2) as engine:
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=2) as engine:
             good = engine.submit(Q2, "local")
             bad = engine.submit(self.BAD_QUERY, "local")
             after = engine.submit(Q2, "local")
@@ -207,8 +214,9 @@ class TestScheduling:
                 bad.result()
             assert serialize_sequence(good.result().items) == expected
             assert serialize_sequence(after.result().items) == expected
-        summary = engine.metrics.summary()
-        assert (summary["queries"], summary["failed"]) == (2, 1)
+        series = registry_series(federation.metrics)
+        assert (series["query_completed_total"],
+                series["query_failed_total"]) == (2, 1)
 
     def test_cancelled_future_releases_admission_slot(self):
         """Cancelling a queued query must not leak its in-flight slot."""
@@ -299,8 +307,8 @@ def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
                                                FederationEngine]:
     """Execute a multi-tenant workload concurrently.
 
-    Returns the per-job results (in job order) plus the engine, whose
-    ``metrics`` carry the fleet view. A caller-supplied
+    Returns the per-job results (in job order) plus the engine (the
+    federation's registry counts the runs). A caller-supplied
     ``engine`` is reused (and left running); otherwise one is built
     from ``engine_kwargs`` and shut down before returning.
     """
@@ -340,18 +348,17 @@ class TestMultiTenantWorkload:
         _results, engine = run_multi_tenant(
             build_federation(0.0025), multi_tenant_jobs(clients=8, rounds=2),
             max_workers=1)
-        summary = engine.metrics.summary()
-        assert summary["cache_hits"] > 0
-        assert summary["cache_saved_bytes"] > 0
+        assert engine.cache.stats.hits > 0
+        assert engine.cache.stats.saved_bytes > 0
 
     def test_run_multi_tenant_end_to_end(self):
         federation = build_federation(0.0025)
         jobs = multi_tenant_jobs(clients=4, rounds=2)
         results, engine = run_multi_tenant(federation, jobs, max_workers=4)
         assert len(results) == len(jobs)
-        summary = engine.metrics.summary()
-        assert summary["queries"] == len(jobs)
-        assert summary["failed"] == 0
+        series = registry_series(federation.metrics)
+        assert series["query_completed_total"] == len(jobs)
+        assert series["query_failed_total"] == 0
         assert engine.cache.stats.hit_rate > 0
         # Identical jobs produced identical results.
         by_query: dict[str, str] = {}

@@ -1,5 +1,6 @@
-"""Fleet metrics: cross-query aggregation, and memory that does not grow
-with the query count."""
+"""Fleet metrics: an engine run is counted once, in the federation's
+registry, and what the engine keeps of its runs does not grow with the
+query count."""
 
 import gc
 import sys
@@ -10,103 +11,106 @@ import weakref
 import pytest
 
 from repro.clock import VirtualClock
-from repro.net.stats import RunStats
+from repro.errors import NetworkError
 from repro.runtime.engine import FederationEngine
-from repro.runtime.metrics import CAPACITY, MetricsAggregator, QueryRecord
+from repro.runtime.metrics import CAPACITY, EngineMetrics, QueryRecord
 from repro.runtime.transport import Transport
 from repro.workloads import BENCHMARK_QUERY, build_federation
 
 from tests.conftest import Q2
+from tests.oracle.accounting_reference import registry_series
 from tests.runtime.test_engine import make_federation
 
-
-def record(metrics, start, end, *, message_bytes=0, cache_hits=0, saved=0,
-           error=None):
-    stats = None
-    if error is None:
-        stats = RunStats(message_bytes=message_bytes,
-                         cache_hits=cache_hits, cache_saved_bytes=saved)
-    metrics.record(QueryRecord(started_at=start, finished_at=end,
-                               strategy="by-projection", at="local",
-                               error=error), stats)
+BAD_QUERY = 'doc("xrpc://missing/d.xml")/child::a'
 
 
-class TestAggregator:
-    def test_empty_summary(self):
-        summary = MetricsAggregator().summary()
-        assert summary["queries"] == 0
-        assert summary["throughput_qps"] == 0.0
-        assert summary["latency_s"]["p95"] == 0.0
+class TestTheRegistryCountsEngineRuns:
+    def test_an_idle_engine_has_counted_nothing(self):
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=1) as engine:
+            pass
+        assert len(engine.metrics.records) == 0
+        series = registry_series(federation.metrics)
+        assert series["query_completed_total"] == 0
+        assert series["query_latency_seconds"] == 0
 
-    def test_throughput_over_busy_interval(self):
-        metrics = MetricsAggregator()
-        # Two overlapping queries spanning 0.0 .. 2.0 seconds.
-        record(metrics, 0.0, 1.5, message_bytes=100)
-        record(metrics, 0.5, 2.0, message_bytes=300)
-        summary = metrics.summary()
-        assert summary["queries"] == 2
-        assert summary["busy_s"] == pytest.approx(2.0)
-        assert summary["throughput_qps"] == pytest.approx(1.0)
-        assert summary["total_transferred_bytes"] == 400
+    def test_bytes_are_the_runs_sum(self):
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=2,
+                              cache=False) as engine:
+            results = [future.result() for future in
+                       [engine.submit(Q2, "local") for _ in range(2)]]
+        series = registry_series(federation.metrics)
+        assert series["query_completed_total"] == 2
+        assert series["query_transferred_bytes_total"] == sum(
+            result.stats.total_transferred_bytes for result in results)
 
-    def test_latency_percentiles(self):
-        metrics = MetricsAggregator()
-        for wall in (0.1, 0.2, 0.3, 0.4):
-            record(metrics, 0.0, wall)
-        latency = metrics.summary()["latency_s"]
-        # Nearest rank within the sketch's 1 %: the 2nd of 4 values.
-        assert latency["p50"] == pytest.approx(0.2, rel=0.01)
-        assert latency["max"] == pytest.approx(0.4)
+    def test_latency_is_the_records_spans_on_the_virtual_wire(self):
+        """One worker on a virtual wire: nothing but the run moves the
+        clock, so each run's registry latency is its record's span."""
+        federation = make_federation()
+        federation.transport = Transport(clock=VirtualClock(),
+                                         time_scale=1.0)
+        with FederationEngine(federation, max_workers=1) as engine:
+            for _ in range(4):
+                engine.submit(Q2, "local").result()
+        spans = [r.finished_at - r.started_at for r in engine.metrics.records]
+        latency = federation.metrics.snapshot()["query_latency_seconds"]
+        assert latency["count"] == len(spans) == 4
+        assert latency["sum"] == pytest.approx(sum(spans))
+        assert latency["max"] == pytest.approx(max(spans))
+        assert latency["max"] > 0
 
     def test_failures_counted_separately(self):
-        metrics = MetricsAggregator()
-        record(metrics, 0.0, 1.0)
-        record(metrics, 0.0, 0.5, error="NetworkError: boom")
-        summary = metrics.summary()
-        assert summary["queries"] == 1
-        assert summary["failed"] == 1
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=2) as engine:
+            engine.submit(Q2, "local").result()
+            assert len(engine.metrics.records) == 1
+            with pytest.raises(NetworkError):
+                engine.submit(BAD_QUERY, "local").result()
+            # Each run's one record is in before its future resolves.
+            assert len(engine.metrics.records) == 2
+        series = registry_series(federation.metrics)
+        assert series["query_completed_total"] == 1
+        assert series["query_failed_total"] == 1
 
-    def test_cache_totals(self):
-        metrics = MetricsAggregator()
-        record(metrics, 0.0, 1.0, cache_hits=2, saved=50)
-        record(metrics, 0.0, 1.0, cache_hits=1, saved=25)
-        summary = metrics.summary()
-        assert summary["cache_hits"] == 3
-        assert summary["cache_saved_bytes"] == 75
-
-    def test_format_summary_mentions_the_headlines(self):
-        metrics = MetricsAggregator()
-        record(metrics, 0.0, 0.25, message_bytes=10, cache_hits=1, saved=5)
-        text = metrics.format_summary()
-        assert "throughput" in text
-        assert "p95" in text
-        assert "cache" in text
+    def test_cache_totals_are_the_runs_sum(self):
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=1) as engine:
+            results = [engine.submit(Q2, "local").result()
+                       for _ in range(3)]
+        hits = sum(result.stats.cache_hits for result in results)
+        assert hits > 0
+        assert engine.cache.stats.hits == hits
+        assert engine.cache.stats.saved_bytes == sum(
+            result.stats.cache_saved_bytes for result in results)
 
 
 class TestRecordsKeepNoStats:
     def test_engine_drops_a_runs_stats_with_its_result(self):
-        """The aggregator folds a run's numbers when it is recorded and
-        keeps the record without its stats: a result dropped by its
-        caller takes its ``RunStats`` (and plan report) with it."""
-        with FederationEngine(make_federation(), max_workers=1) as engine:
+        """A run is folded into the registry when it finishes, and the
+        engine keeps its record without its stats: a result dropped by
+        its caller takes its ``RunStats`` (and plan report) with it."""
+        federation = make_federation()
+        with FederationEngine(federation, max_workers=1) as engine:
             result = engine.submit(Q2, "local").result()
             stats = weakref.ref(result.stats)
-            summary = engine.metrics.summary()
-            assert summary["queries"] == 1
-            assert summary["total_transferred_bytes"] \
+            series = registry_series(federation.metrics)
+            assert series["query_completed_total"] == 1
+            assert series["query_transferred_bytes_total"] \
                 == result.stats.total_transferred_bytes
             del result
             assert stats() is None
-            assert engine.metrics.summary() == summary
+            assert registry_series(federation.metrics) == series
 
-    def test_concurrent_records_lose_no_update(self):
-        """Eight threads on a short switch interval: every run's numbers
-        are folded exactly once."""
-        metrics = MetricsAggregator()
+    def test_concurrent_appends_lose_no_record(self):
+        """Eight threads on a short switch interval: every record is
+        counted and the newest are kept."""
+        metrics = EngineMetrics()
 
         def client():
-            for _ in range(200):
-                record(metrics, 0.0, 1.0, message_bytes=3, cache_hits=1)
+            for n in range(200):
+                metrics.records.append(QueryRecord(float(n), n + 0.5))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -119,19 +123,16 @@ class TestRecordsKeepNoStats:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        summary = metrics.summary()
-        assert summary["queries"] == len(metrics.records) == 1600
-        assert summary["total_transferred_bytes"] == 3 * 1600
-        assert summary["cache_hits"] == 1600
+        assert len(metrics.records) == 1600
+        assert len(metrics.records[0:]) == CAPACITY
 
 
 class TestNothingGrowsWithTheQueryCount:
     def test_records_are_a_ring_indexed_from_the_first_record(self):
-        metrics = MetricsAggregator()
+        records = EngineMetrics().records
         total = CAPACITY + 44
         for n in range(total):
-            record(metrics, float(n), n + 0.5)
-        records = metrics.records
+            records.append(QueryRecord(float(n), n + 0.5))
         assert len(records) == total
         assert [r.started_at for r in records[0:]] \
             == [float(n) for n in range(44, total)]
@@ -141,7 +142,6 @@ class TestNothingGrowsWithTheQueryCount:
         assert records[-1].started_at == total - 1.0
         with pytest.raises(IndexError):
             records[43]
-        assert metrics.summary()["busy_s"] == pytest.approx(total - 0.5)
 
     def test_a_long_running_engine_stops_growing(self):
         """Two equal intervals of benchmark queries after the records
