@@ -21,10 +21,6 @@ class Clock:
 
     __slots__ = ()
 
-    #: A sleep passes wall time that other threads can overlap (what
-    #: ``Transport.can_sleep`` asks before a scatter spends threads).
-    blocking = True
-
     __call__ = staticmethod(time.perf_counter)
     sleep = staticmethod(time.sleep)
     wall = staticmethod(time.time)
@@ -40,8 +36,6 @@ class VirtualClock(Clock):
     overlapping them: a virtual-time drill runs one client at a time."""
 
     __slots__ = ("now", "_lock")
-
-    blocking = False
 
     #: ``wall()`` at ``now == 0`` (2009-03-29Z): fixed, so logs replay.
     EPOCH = 1238284800.0

@@ -26,13 +26,12 @@ router takes over:
    covers and every replica keeps getting traffic and health evidence.
 3. **scatter** — one Bulk RPC per cover peer, one call per (originator
    call × shard it serves); the response's results split back per
-   shard. The round trips run on a thread pool (bounded by
-   :data:`MAX_SCATTER_PARALLELISM`) only when a transmission can sleep
-   (:meth:`Transport.can_sleep`): they are CPU-bound Python, so waiting
-   is all threads can overlap. Each keeps a private :class:`RunStats`
-   / :class:`CostCounter`, merged in shard order after the gather —
-   also when a shard failed, before its error is raised — keeping the
-   run's totals deterministic.
+   shard. The round trips run one after another on the calling thread,
+   in cover order, and stop after the first that ends with an error.
+   Each keeps a private :class:`RunStats` / :class:`CostCounter`,
+   merged after the gather — also when a shard failed, before its
+   error is raised — so each shard's ``per_shard`` entry holds its
+   share of its round trip.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
    (injected faults, killed peers), once in-place retries are spent,
    re-covers the round trip's shards over their untried serving
@@ -65,7 +64,6 @@ scatter-gather caveat, documented rather than policed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Collection, Sequence, TypeVar
 
@@ -80,7 +78,7 @@ from repro.errors import (
 from repro.runtime.cache import STALE, ReadSet
 from repro.runtime.transport import RetryPolicy
 from repro.net.stats import RunStats, fold_entry
-from repro.obs.trace import Span, bind_stats_span, child_span
+from repro.obs.trace import bind_stats_span, child_span
 from repro.xmldb.document import Document, fresh_doc_seq
 from repro.xmldb.node import Node
 from repro.xmldb.parser import parse_document
@@ -109,9 +107,6 @@ _Item = TypeVar("_Item")
 #: in-place retries per replica before failing over, zero base backoff
 #: (the simulated wire has no real congestion to wait out).
 _DEFAULT_RETRY = RetryPolicy()
-
-#: How many round trips of one scatter run at a time on threads.
-MAX_SCATTER_PARALLELISM = 8
 
 
 class ShardUnavailableError(ClusterError):
@@ -323,11 +318,11 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
     shard order.
 
     ``doc_seq`` (the inter-document order tie-break) is allocated when
-    ``from_xml`` shreds a payload, and concurrent scatter threads decode
-    their responses in whatever order the wire finishes — so without
-    renumbering, a later document-order sort (a local path step over the
-    gathered items, a ``union``, ``<<``) could interleave shards
-    arbitrarily. The fragments are query-private (each decoding makes
+    ``from_xml`` shreds a payload, and the round trips decode their
+    responses in cover order (a peer's shards together, failovers last)
+    — so without renumbering, a later document-order sort (a local path
+    step over the gathered items, a ``union``, ``<<``) could interleave
+    shards. The fragments are query-private (each decoding makes
     fresh documents, and a cache hit new ones over the stored columns,
     never the stored documents), so the mutation is race-free; the
     relative order of multiple fragments within one shard's response is
@@ -525,8 +520,8 @@ class ClusterRouter:
             if stats is None:
                 stats = run.stats
             stats.scatters[spec.name] = stats.scatters.get(spec.name, 0) + 1
-            own = self._serve(spec, outcomes, groups, scatter_span,
-                              call_group, [[] for _ in calls],
+            own = self._serve(spec, outcomes, groups, call_group,
+                              [[] for _ in calls],
                               stats=stats, counter=counter)
             if own.partial_shards and reads is not None:
                 # A partial answer is kept by no exchange, this one's
@@ -547,15 +542,13 @@ class ClusterRouter:
 
     def fetch_collection_document(self, spec: CollectionSpec,
                                   local_name: str,
-                                  stats: RunStats | None = None,
-                                  parent_span: "Span | None" = None
+                                  stats: RunStats | None = None
                                   ) -> tuple[Document, int]:
         """Ship every shard from a live replica and reassemble the
         logical document. Returns ``(document, total wire bytes)``.
-        ``parent_span`` is the caller's ``ship`` span; shard fetches
-        become its children (a fetch may run on a pool thread with no
-        ambient span, so the handoff is explicit). A document is one
-        transmission: each shard is a round trip of its own."""
+        Shard fetches become children of the caller's ``ship`` span. A
+        document is one transmission: each shard is a round trip of its
+        own."""
         if local_name != spec.document:
             raise ClusterError(
                 f"collection {spec.name!r} has no document "
@@ -570,7 +563,7 @@ class ClusterRouter:
         outcomes = self._outcomes(spec)
         groups = [group for outcome in outcomes
                   for group in self._cover([outcome])]
-        self._serve(spec, outcomes, groups, parent_span, fetch, stats=stats)
+        self._serve(spec, outcomes, groups, fetch, stats=stats)
         fetched = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
             parse_document(text,
@@ -585,8 +578,7 @@ class ClusterRouter:
     # -- one round trip per group (shared by scatter and document fetch) ----
 
     def _serve_group(self, spec: CollectionSpec, replica: str,
-                     group: list[ScatterOutcome],
-                     parent_span: "Span | None", attempt: _Attempt,
+                     group: list[ScatterOutcome], attempt: _Attempt,
                      partial_answer: list | None = None) -> _Spent:
         """One round trip serving ``group``'s shards at ``replica``
         under its ``shard`` span, retried in place, with private
@@ -608,10 +600,8 @@ class ClusterRouter:
             stats, counter = RunStats(), CostCounter()
             spent.append((stats, counter))
             try:
-                # A pool thread has no ambient span; the explicit
-                # parent hands it the tree.
-                with child_span("shard", parent=parent_span,
-                                collection=spec.name, peer=replica,
+                with child_span("shard", collection=spec.name,
+                                peer=replica,
                                 shards=[o.shard.index for o in group]) \
                         as shard_span, bind_stats_span(stats, shard_span):
                     results = self._with_retries(replica, group, attempt,
@@ -785,50 +775,32 @@ class ClusterRouter:
 
     def _serve(self, spec: CollectionSpec, outcomes: list[ScatterOutcome],
                groups: list[tuple[str, list[ScatterOutcome]]],
-               parent_span: "Span | None", attempt: _Attempt,
-               partial_answer: list | None = None,
+               attempt: _Attempt, partial_answer: list | None = None,
                stats: RunStats | None = None,
                counter: CostCounter | None = None) -> RunStats:
-        """Serve ``groups`` — inline (up to the first that failed)
-        unless a transmission can sleep, else on a pool bounded by
-        :data:`MAX_SCATTER_PARALLELISM` — then fold the round trips'
+        """Serve ``groups`` one after another on the calling thread, up
+        to the first that ends with an error, then fold the round trips'
         private accounting and the entries of the shards skipped or
         served (in shard order) into the caller's targets (the run's by
-        default), and raise the first shard's error: totals are
-        deterministic under concurrency, and a failed scatter still
-        accounts for what it spent. Returns what was folded in.
-
-        Threads overlap waiting, not Python: on the never-sleeping
-        loopback wire their hand-offs only add to the round trips' own
-        time. The pool is per-scatter: a shared one could deadlock on
-        nested scatters."""
-        def serve(group: tuple[str, list[ScatterOutcome]]) -> _Spent:
-            return self._serve_group(spec, *group, parent_span, attempt,
-                                     partial_answer)
-
-        parallelism = min(len(groups), MAX_SCATTER_PARALLELISM)
-        if parallelism <= 1 or not self.transport.can_sleep():
-            spent = []
-            for group in groups:
-                spent.append(serve(group))
-                if any(outcome.error is not None for outcome in group[1]):
-                    break
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=parallelism,
-                    thread_name_prefix="cluster-scatter") as pool:
-                spent = list(pool.map(serve, groups))
+        default), and raise the first shard's error: a failed scatter
+        still accounts for what it spent, and no round trip reaches a
+        group after it. Returns what was folded in."""
+        spent: _Spent = []
+        ran: set[int] = set()
+        for replica, group in groups:
+            spent += self._serve_group(spec, replica, group, attempt,
+                                       partial_answer)
+            ran.update(id(outcome) for outcome in group)
+            if any(outcome.error is not None for outcome in group):
+                break
         if counter is None:
             counter = self.run.remote_counter
         own = RunStats()
-        for call_stats, call_counter in (trip for trips in spent
-                                         for trip in trips):
+        for call_stats, call_counter in spent:
             own.merge(call_stats)
             counter.ticks += call_counter.ticks
             counter.nodes_visited += call_counter.nodes_visited
             counter.docs_opened += call_counter.docs_opened
-        ran = {id(outcome) for _replica, group in groups[:len(spent)]
-               for outcome in group}
         error = None
         for outcome in outcomes:
             if outcome.entry["skipped"] or id(outcome) in ran:

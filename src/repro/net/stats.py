@@ -265,9 +265,9 @@ class RunStats:
 
     def merge(self, other: "RunStats") -> None:
         """Fold another accounting into this one (the cluster router
-        gives each round trip of a scatter a private RunStats and merges
-        them in shard order, keeping totals deterministic under
-        concurrency). The receiver keeps its own ``plan`` and ``span``;
+        gives each round trip of a scatter a private RunStats, shared
+        into its shards' ``per_shard`` entries, and merges them after
+        the gather). The receiver keeps its own ``plan`` and ``span``;
         ``per_shard`` and ``per_op`` entries fold by key."""
         self.document_bytes += other.document_bytes
         self.message_bytes += other.message_bytes

@@ -9,8 +9,8 @@ Two serialisations of one :class:`~repro.obs.trace.Span` tree:
   trace-event format (``chrome://tracing`` / https://ui.perfetto.dev):
   one complete ``"ph": "X"`` event per span, ``ts``/``dur`` in
   microseconds relative to the root, ``tid`` mapped to compact
-  per-thread ids so the engine's worker threads and the router's
-  scatter pools land on separate rows. Component leaves (simulated
+  per-thread ids so the engine's worker threads land on separate
+  rows. Component leaves (simulated
   seconds, not wall time) are exported under ``"cat": "simulated"``
   with their simulated duration, so the Figure 8 stack is visible as
   flame-graph blocks next to the wall-clock spans that charged it.

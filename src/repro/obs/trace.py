@@ -14,10 +14,10 @@ A :class:`Tracer` produces one span tree per query::
       local_exec / remote_exec <- component leaves on the query root
 
 Nesting uses a :mod:`contextvars` variable, so the thread-pool engine
-(one worker thread per query), the router's scatter fan-out (explicit
-``parent=`` handoff into pool threads) and bulk-RPC batching (charges
-follow the *stats* object, see below) all attribute work to the right
-query even when many run at once.
+(one worker thread per query, whose scatters and shard round trips run
+on that thread) and bulk-RPC batching (charges follow the *stats*
+object, see below) attribute work to the right query even when many
+run at once.
 
 Two attribution channels exist on purpose:
 
@@ -65,9 +65,9 @@ class Span:
     Attributes are typed-but-free-form (``set(shard=2, bytes=123)``);
     ``charge`` accumulates simulated seconds/bytes per TimeBreakdown
     component, materialised as leaf child spans on :meth:`close`.
-    Thread-safe: scatter workers may set attributes and charge a parent
-    concurrently. A span reads the clock it was opened on (a child
-    span: its parent's).
+    Thread-safe: a lock guards children, attributes and charges, so a
+    tree may be read from a thread other than the one building it. A
+    span reads the clock it was opened on (a child span: its parent's).
     """
 
     __slots__ = ("name", "attrs", "start_s", "end_s", "children",
@@ -221,16 +221,14 @@ class _NoopSpanContext:
 _NOOP_CONTEXT = _NoopSpanContext()
 
 
-def child_span(name: str, parent: Span | None = None,
-               **attrs) -> "_SpanContext | _NoopSpanContext":
-    """Open a span under ``parent`` (default: the context's current
-    span). When there is no active span — tracing off — this returns a
-    shared no-op context manager whose ``as`` value is ``None``, so
-    instrumentation sites cost one context-variable read."""
+def child_span(name: str, **attrs) -> "_SpanContext | _NoopSpanContext":
+    """Open a span under the context's current span. When there is no
+    active span — tracing off — this returns a shared no-op context
+    manager whose ``as`` value is ``None``, so instrumentation sites
+    cost one context-variable read."""
+    parent = _current_span.get()
     if parent is None:
-        parent = _current_span.get()
-        if parent is None:
-            return _NOOP_CONTEXT
+        return _NOOP_CONTEXT
     return _SpanContext(Span(name, attrs or None, clock=parent.clock),
                         parent)
 

@@ -56,10 +56,10 @@ class FederationEngine:
     instance to share one across engines, or ``False`` to disable.
     ``batch_window_s`` > 0 enables cross-query bulk coalescing.
 
-    Over a sharded federation, worker threads ×
-    :data:`~repro.cluster.router.MAX_SCATTER_PARALLELISM` bounds this
-    engine's total concurrent exchanges; the per-peer gates still bound
-    how many land on one replica.
+    A query's scatters run their round trips on its worker thread, so
+    ``max_workers`` bounds this engine's concurrent exchanges, sharded
+    federation or not; the per-peer gates still bound how many land on
+    one replica.
     """
 
     def __init__(self, federation: "Federation", *,

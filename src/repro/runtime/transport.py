@@ -18,11 +18,9 @@ a **delay policy** (``time_scale`` × the cost model's network time —
 injected), a **fault policy** (``faults``, a seeded :class:`FaultPlan`)
 and the **clock** the delays are spent on.
 
-:meth:`~Transport.can_sleep` says whether concurrent callers have
-anything to overlap: on the real clock, whenever the delay policy can
-produce a delay (a sleeping thread releases the GIL); on a
-``VirtualClock``, never — a virtual sleep passes no wall time — so a
-virtual-time scatter runs inline and its event order is replayable.
+Whatever the policy, a transmission is spent on its caller's thread:
+a scatter's round trips follow one another, each sleeping its own
+delay, so on a ``VirtualClock`` a drill's event order is replayable.
 
 The peer-side work arrives as a ``handle`` callable (a bound
 :meth:`~repro.xrpc.peer.RequestHandler.handle`), which keeps this
@@ -259,15 +257,6 @@ class Transport:
             self.events.emit("peer_restored",
                              f"peer {peer_name} latency restored",
                              severity="info", peer=peer_name)
-
-    def can_sleep(self) -> bool:
-        """Whether a transmission on this wire can spend wall-clock
-        time waiting — the only thing concurrent callers could overlap
-        (peer-side evaluation is Python under the GIL). The scatter
-        router fans out over threads only when this holds."""
-        return self.clock.blocking and (
-            self.time_scale > 0 or self.extra_latency_s > 0
-            or bool(self._slow))
 
     # -- one transmission ---------------------------------------------------
 

@@ -488,27 +488,19 @@ class _Run:
         if reads is not None:
             reads.note_all(validators)
         wall0 = self.clock()
-        if spec is None:
-            span_attrs = {}
-
-            def fetch(ship_span: Span | None) -> tuple[Document, int]:
+        sim0 = stats.times.total
+        span_attrs = {} if spec is None else {"shards": len(spec.shards)}
+        with child_span("ship", owner=owner, doc=local_name,
+                        to=requester, **span_attrs) as ship_span:
+            if spec is None:
                 with bind_stats_span(stats, ship_span):
                     text, size = self.transport.fetch_document(
                         self.federation.peer(owner), local_name, stats)
-                    return (parse_document(
-                        text, uri=f"{XRPC_SCHEME}{owner}/{local_name}"),
-                        size)
-        else:
-            span_attrs = {"shards": len(spec.shards)}
-
-            def fetch(ship_span: Span | None) -> tuple[Document, int]:
-                return self.router.fetch_collection_document(
-                    spec, local_name, stats=stats, parent_span=ship_span)
-
-        sim0 = stats.times.total
-        with child_span("ship", owner=owner, doc=local_name,
-                        to=requester, **span_attrs) as ship_span:
-            document, size = fetch(ship_span)
+                    document = parse_document(
+                        text, uri=f"{XRPC_SCHEME}{owner}/{local_name}")
+            else:
+                document, size = self.router.fetch_collection_document(
+                    spec, local_name, stats=stats)
             if ship_span is not None:
                 ship_span.set(bytes=size)
         stats.record_op((owner, local_name), bytes=size, calls=1,
@@ -524,7 +516,7 @@ class _Run:
                            counter: CostCounter | None = None,
                            reads: ReadSet | None = None):
         """Nested ``execute at`` from ``from_peer``; ``stats`` /
-        ``counter`` carry a scatter worker's private accounting into
+        ``counter`` carry a shard round trip's private accounting into
         any remote work its shard body triggers, ``reads`` the calling
         exchange's read set."""
         def execute(dest: str, params: list[tuple[str, list]],

@@ -46,8 +46,8 @@ def fresh_doc_seq() -> int:
     """Allocate the next document sequence number (inter-document
     order tie-break). The cluster gather renumbers shard response
     fragments in shard order with this, so document order across
-    shards is shard-major regardless of which scatter thread happened
-    to parse its response first."""
+    shards is shard-major whichever cover peer's response was parsed
+    first."""
     return next(_doc_sequence)
 
 

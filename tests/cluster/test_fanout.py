@@ -1,8 +1,9 @@
-"""What a scatter pays per op: threads only on a wire that can wait,
-and no AST rewrite or pretty-print on a warm plan.
+"""What a scatter pays per op: its round trips on the calling thread,
+whatever the wire, and no AST rewrite or pretty-print on a warm plan.
 
-No wall-clock assertion anywhere — fan-out mode is read off the thread
-a round trip runs on, preparation off call counts.
+No wall-clock assertion anywhere — where a round trip ran is read off
+its thread, how many ran off the wire's exchange calls, preparation off
+call counts.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import repro.cluster.router as router_module
 import repro.system.federation as federation_module
 from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
+from repro.errors import XQueryDynamicError
 from repro.runtime import FederationEngine, Transport, VirtualClock
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, build_sharded_federation,
@@ -59,133 +61,141 @@ def shard_threads(monkeypatch):
     return names
 
 
-def _pooled(names: list[str]) -> bool:
-    """True when every round trip ran on a scatter pool thread, False
-    when every one ran on the caller's; anything mixed fails."""
-    pooled = {name.startswith("cluster-scatter") for name in names}
-    assert len(pooled) == 1, names
-    if not pooled.pop():
-        assert set(names) == {threading.current_thread().name}
-        return False
-    return True
+@pytest.fixture
+def exchanges(monkeypatch):
+    """The peers ``Transport.exchange`` was called for, in call order."""
+    peers: list[str] = []
+    exchange = Transport.exchange
+
+    def recording(self, peer, *args, **kwargs):
+        peers.append(peer.name)
+        return exchange(self, peer, *args, **kwargs)
+
+    monkeypatch.setattr(Transport, "exchange", recording)
+    return peers
 
 
-def _waiting_wire(federation) -> Transport:
+def _sleeping_wire(federation) -> Transport:
     return Transport(federation.cost_model, extra_latency_s=0.0002)
 
 
-# -- selection ---------------------------------------------------------------
+def _time_scaled_wire(federation) -> Transport:
+    return Transport(federation.cost_model, time_scale=0.1)
 
 
+def _degraded_loopback(federation) -> Transport:
+    transport = Transport(federation.cost_model)
+    transport.degrade_peer("node3", 0.0002)
+    return transport
+
+
+def _virtual_wire(federation) -> Transport:
+    transport = Transport(federation.cost_model, clock=VirtualClock(),
+                          time_scale=1.0, extra_latency_s=0.0002)
+    transport.degrade_peer("node3", 0.0002)
+    return transport
+
+
+WIRES = {
+    "loopback": lambda federation: federation.transport,
+    "extra-latency": _sleeping_wire,
+    "time-scale": _time_scaled_wire,
+    "degraded-peer": _degraded_loopback,
+    "virtual-clock": _virtual_wire,
+}
+
+
+# -- one thread ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("wire", sorted(WIRES))
 @pytest.mark.parametrize("strategy", [Strategy.BY_PROJECTION,
                                       Strategy.DATA_SHIPPING])
-def test_loopback_scatter_and_fetch_start_no_thread(strategy,
-                                                    shard_threads):
+def test_every_wire_serves_on_the_calling_thread(wire, strategy,
+                                                 shard_threads):
     cluster = make_cluster()
+    cluster.transport = WIRES[wire](cluster)
     result = cluster.run(SCAN, at="local", strategy=strategy)
     assert result.stats.scatter_shards == 4
     shipping = strategy is Strategy.DATA_SHIPPING
     assert result.stats.documents_shipped == (4 if shipping else 0)
     # A fetch ships each shard; a scatter calls each of its 2 cover peers.
     assert len(shard_threads) == (4 if shipping else 2)
-    assert not _pooled(shard_threads)
+    assert set(shard_threads) == {threading.current_thread().name}
+    if wire == "virtual-clock":
+        assert cluster.transport.clock.now > 0.0
 
 
-@pytest.mark.parametrize("strategy", [Strategy.BY_PROJECTION,
-                                      Strategy.DATA_SHIPPING])
-def test_wire_that_can_wait_fans_out_over_threads(strategy,
-                                                  shard_threads):
+#: A shipped body over every book; data shipping decomposes nothing,
+#: so it runs as written: one Bulk RPC per cover peer.
+PER_BOOK = """
+declare function per_book() as item()* {
+  for $b in doc("xrpc://books-c/books.xml")/child::library/child::books
+            /child::book
+  return %s
+};
+execute at {"books-c"} { per_book() }
+"""
+
+
+@pytest.mark.parametrize("wire", ["loopback", "extra-latency"])
+def test_an_error_stops_the_scatter_at_its_group(wire, exchanges):
+    """A query-level error ends the scatter with the cover group that
+    raised it: no round trip reaches a later group, on a wire that
+    sleeps exactly as on the loopback."""
     cluster = make_cluster()
-    cluster.transport = _waiting_wire(cluster)
-    cluster.run(SCAN, at="local", strategy=strategy)
-    assert len(shard_threads) \
-        == (4 if strategy is Strategy.DATA_SHIPPING else 2)
-    assert _pooled(shard_threads)
+    cluster.transport = WIRES[wire](cluster)
+    cluster.run(PER_BOOK % "exactly-one($b/child::title)", at="local",
+                strategy=Strategy.DATA_SHIPPING)
+    assert len(exchanges) == len(set(exchanges)) == 2   # two groups
+    del exchanges[:]
+    # Every member raises: a book has three children.
+    with pytest.raises(XQueryDynamicError, match="exactly-one"):
+        cluster.run(PER_BOOK % "exactly-one($b/child::*)", at="local",
+                    strategy=Strategy.DATA_SHIPPING)
+    assert len(exchanges) == 1
 
 
-def test_zero_delay_policy_stays_inline(shard_threads):
-    cluster = make_cluster()
-    cluster.transport = Transport(cluster.cost_model, time_scale=0.0,
-                                  extra_latency_s=0.0)
-    cluster.run(SCAN, at="local")
-    assert not _pooled(shard_threads)
-
-
-def test_virtual_wire_stays_inline_whatever_its_delay(shard_threads):
-    """A virtual sleep passes no wall time for threads to overlap."""
-    cluster = make_cluster()
-    cluster.transport = Transport(cluster.cost_model, clock=VirtualClock(),
-                                  time_scale=1.0, extra_latency_s=0.0002)
-    cluster.transport.degrade_peer("node3", 0.0002)
-    cluster.run(SCAN, at="local")
-    assert not _pooled(shard_threads)
-    assert cluster.transport.clock.now > 0.0
-
-
-def test_degraded_peer_turns_loopback_threaded_until_restored(
-        shard_threads):
-    cluster = make_cluster()
-    cluster.transport.degrade_peer("node3", 0.0002)
-    cluster.run(SCAN, at="local")
-    assert _pooled(shard_threads)
-    del shard_threads[:]
-    cluster.transport.restore_peer("node3")
-    cluster.run(SCAN, at="local")
-    assert not _pooled(shard_threads)
-
-
-def test_parallelism_bound_still_applies_to_threads(shard_threads):
-    """A one-shard scatter's bound is one thread: it runs inline, also
-    on a wire that waits."""
-    cluster = make_cluster(shard_count=1)
-    cluster.transport = _waiting_wire(cluster)
-    cluster.run(SCAN, at="local")
-    assert not _pooled(shard_threads)
-
-
-# -- both modes account identically ------------------------------------------
+# -- a sleeping wire accounts as the loopback does -----------------------------
 
 
 def _comparable(result) -> tuple[str, dict]:
+    """Items and ``summary()``, ``per_shard`` entries included."""
     summary = result.stats.summary()
     del summary["plan"]          # estimates read the live replica load
     return serialize_sequence(result.items), summary
 
 
-def _both_modes(federation, query, strategy, shard_threads):
-    inline = federation.run(query, at="local", strategy=strategy)
-    assert not _pooled(shard_threads)
-    del shard_threads[:]
-    federation.transport = _waiting_wire(federation)
-    threaded = federation.run(query, at="local", strategy=strategy)
-    assert _pooled(shard_threads)
-    assert _comparable(threaded) == _comparable(inline)
-    return inline
+def _sleeping_agrees(federation, query, strategy):
+    loopback = federation.run(query, at="local", strategy=strategy)
+    federation.transport = _sleeping_wire(federation)
+    sleeping = federation.run(query, at="local", strategy=strategy)
+    assert _comparable(sleeping) == _comparable(loopback)
+    return loopback
 
 
-def test_modes_agree_on_the_paper_query(shard_threads):
+def test_sleeping_wire_agrees_on_the_paper_query():
     federation = build_sharded_federation(0.004, shard_count=4,
                                           replication_factor=2)
-    inline = _both_modes(federation, SHARDED_BENCHMARK_QUERY,
-                         Strategy.BY_PROJECTION, shard_threads)
-    assert inline.stats.scatter_shards == 8
-    assert len(inline.stats.per_shard) == 8
+    loopback = _sleeping_agrees(federation, SHARDED_BENCHMARK_QUERY,
+                                Strategy.BY_PROJECTION)
+    assert loopback.stats.scatter_shards == 8
+    assert len(loopback.stats.per_shard) == 8
 
 
-def test_modes_agree_on_a_nested_scatter(shard_threads):
+def test_sleeping_wire_agrees_on_a_nested_scatter():
     federation = build_sharded_federation(0.004, shard_count=4,
                                           replication_factor=2)
     # Data shipping decomposes nothing, so the two literal
     # ``execute at`` sites run exactly as written.
-    inline = _both_modes(federation, NESTED, Strategy.DATA_SHIPPING,
-                         shard_threads)
-    nested = inline.stats.scatter_shards - 4
+    loopback = _sleeping_agrees(federation, NESTED, Strategy.DATA_SHIPPING)
+    nested = loopback.stats.scatter_shards - 4
     assert nested > 0 and nested % 4 == 0
     # One message pair per cover peer, one call per (call × shard).
-    assert inline.stats.messages == 2 * len(inline.messages)
-    assert sum(m.calls for m in inline.messages) \
-        == inline.stats.scatter_shards - inline.stats.shards_skipped
-    assert {key.split("#")[0] for key in inline.stats.per_shard} \
+    assert loopback.stats.messages == 2 * len(loopback.messages)
+    assert sum(m.calls for m in loopback.messages) \
+        == loopback.stats.scatter_shards - loopback.stats.shards_skipped
+    assert {key.split("#")[0] for key in loopback.stats.per_shard} \
         == {"people-c", "auctions-c"}
 
 
@@ -212,28 +222,25 @@ def test_nested_scatter_counts_each_shard_call_once():
     assert calls == serves == {"auctions-c": 8, "people-c": 4}
 
 
-def test_modes_agree_on_a_partial_answer(shard_threads):
+def test_sleeping_wire_agrees_on_a_partial_answer():
     cluster = make_cluster()
     cluster.catalog.partial_policy = "allow"
     dead = cluster.catalog.get("books-c").shards[0]
-    waiting = _waiting_wire(cluster)
+    sleeping = _sleeping_wire(cluster)
     for replica in dead.replicas:
         # Down on both wires, and marked down so the surviving shards
         # never try them first (which would make failovers depend on
         # load order).
         cluster.transport.kill_peer(replica)
-        waiting.kill_peer(replica)
+        sleeping.kill_peer(replica)
         cluster.peer_view.mark_down(replica)
-    inline = cluster.run(SCAN, at="local")
-    assert not _pooled(shard_threads)
-    del shard_threads[:]
-    cluster.transport = waiting
-    threaded = cluster.run(SCAN, at="local")
-    assert _pooled(shard_threads)
-    assert _comparable(threaded) == _comparable(inline)
-    assert inline.stats.partial_shards == 1
-    assert inline.stats.per_shard["books-c#s0"]["partial"]
-    assert 0 < len(inline.items) < 10
+    loopback = cluster.run(SCAN, at="local")
+    cluster.transport = sleeping
+    asleep = cluster.run(SCAN, at="local")
+    assert _comparable(asleep) == _comparable(loopback)
+    assert loopback.stats.partial_shards == 1
+    assert loopback.stats.per_shard["books-c#s0"]["partial"]
+    assert 0 < len(loopback.items) < 10
 
 
 # -- one preparation per (body, layout) --------------------------------------

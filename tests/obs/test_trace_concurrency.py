@@ -1,6 +1,6 @@
 """Interleaved traced queries must never cross-attribute: each trace's
-component leaves reproduce *its own* run's RunStats, worker threads and
-scatter pools included."""
+component leaves reproduce *its own* run's RunStats, however the engine's
+worker threads interleave."""
 
 from __future__ import annotations
 

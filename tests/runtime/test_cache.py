@@ -10,6 +10,7 @@ import threading
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.cluster.router import ClusterRouter
 from repro.errors import ReproError
 from repro.obs.events import EventLog
 from repro.runtime.batching import BulkBatcher
@@ -664,7 +665,7 @@ class TestNodeIdentityUnderHits:
         query = f"({SHARDED_SCAN_QUERY})/child::name"
         plain = build_sharded_federation(0.005).run(query, at="local")
         federation = build_sharded_federation(0.005)
-        # A wire that can wait: the scatter fans out over threads.
+        # A wire that sleeps: its round trips run inline all the same.
         federation.transport.extra_latency_s = 0.001
         with FederationEngine(federation, max_workers=2,
                               batch_window_s=0.0) as engine:
@@ -676,30 +677,23 @@ class TestNodeIdentityUnderHits:
             trips = len(miss.messages)
             stored = stored_documents(engine.cache)
             seqs = [doc.doc_seq for doc in stored]
-            # The round trip first to copy its entry copies it last:
-            # only the gather's renumbering puts its documents first.
-            fresh, lock, arrived, copied = (
-                ResponseMessage.fresh, threading.Lock(), [], [])
-            others_copied = threading.Event()
+            # Round trips copy their entries in cover order, a peer's
+            # shards together: only the gather's renumbering puts
+            # shard 3's documents after shards 1 and 2.
+            copied = []
+            serve = ClusterRouter._serve_group
 
-            def first_copies_last(message):
-                with lock:
-                    arrived.append(message)
-                    first = len(arrived) == 1
-                if first:
-                    others_copied.wait(timeout=10)
-                copy = fresh(message)
-                with lock:
-                    copied.append(message)
-                    if not first and len(copied) == trips - 1:
-                        others_copied.set()
-                return copy
+            def recording(router, spec, replica, group, *args):
+                copied.extend(outcome.shard.index for outcome in group)
+                return serve(router, spec, replica, group, *args)
 
-            monkeypatch.setattr(ResponseMessage, "fresh", first_copies_last)
+            monkeypatch.setattr(ClusterRouter, "_serve_group", recording)
             hit = engine.submit(query, "local").result()
             # The gather renumbered the hit's own documents only.
             assert [doc.doc_seq for doc in stored] == seqs
-        assert others_copied.is_set()
+        assert copied == [0, 3, 1, 2]
+        ranks = document_ranks(hit.items)
+        assert ranks == sorted(ranks) and len(set(ranks)) > 1
         assert hit.stats.cache_hits == trips > 1
         assert not {id(item.doc) for item in hit.items} & \
             {id(doc) for doc in stored}

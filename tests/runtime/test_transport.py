@@ -32,7 +32,6 @@ class TestLoopback:
         transport = Federation().transport
         assert type(transport) is Transport
         assert transport.time_scale == 0.0 and transport.faults is None
-        assert not transport.can_sleep()
 
     def test_seed_accounting_preserved(self):
         """The extracted wire charges exactly what the seed charged
@@ -99,7 +98,6 @@ class TestDelayPolicy:
                 slept.append(seconds)
 
         transport = Transport(clock=RecordingClock(), extra_latency_s=0.02)
-        assert transport.can_sleep()
         result = make_federation(transport).run(Q2, at="local")
         # Q2 needs at least one round trip = 2 transmissions.
         assert result.stats.messages >= 2
@@ -150,17 +148,6 @@ class TestDelayPolicy:
         with pytest.raises(FaultInjectedError):
             transport.probe("A")
         assert clock.now == 0.0
-
-    def test_can_sleep_asks_the_policy_and_the_clock(self):
-        assert not Transport().can_sleep()
-        assert Transport(time_scale=0.05).can_sleep()
-        assert Transport(extra_latency_s=0.001).can_sleep()
-        degraded = Transport()
-        degraded.degrade_peer("A", 0.001)
-        assert degraded.can_sleep()
-        # A virtual sleep passes no wall time for threads to overlap.
-        assert not Transport(clock=VirtualClock(), time_scale=1.0,
-                             extra_latency_s=0.001).can_sleep()
 
     def test_identical_stats_whatever_the_delay_policy(self):
         """Waited time differs; simulated accounting must not."""
