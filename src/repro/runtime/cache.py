@@ -1,17 +1,18 @@
-"""A projection-aware cache of XRPC responses shared across queries.
+"""A cache of XRPC responses shared across queries.
 
-One entry is one XRPC response as decoded, with the byte length it had
-on the wire, keyed by ``(dest peer, request digest, projection-path
-signature)`` and bounded by LRU. The digest covers the exact request
-text (shipped query body, static context, marshalled parameter
-fragments), so a hit is only possible for a byte-identical request;
-the projection signature is kept explicit in the key so by-projection
-responses for different used/returned path sets never alias. A hit
-decodes nothing: the consuming query takes
-:meth:`~repro.xrpc.messages.ResponseMessage.fresh` of the stored
-message, new documents over the shared (never mutated) columns — so
-node identity stays private per query, and the stored documents never
-reach a query.
+One entry is one round trip as its miss resolved it
+(:class:`StoredResponse`), keyed by ``(dest peer, semantics, shard
+epoch, request key)`` and bounded by LRU. The request key is
+:attr:`~repro.xrpc.messages.RequestMessage.key`, the marshalled
+request's parts (shipped query body, parameter names, static context,
+projection paths, each fragment's and element copy's serialization,
+each call's items): equal for two requests exactly when their texts
+are, so a hit is only possible for a request whose text would be the
+same, and it writes no text. A hit decodes and unmarshals nothing: the
+consuming query takes :meth:`StoredResponse.replay`, new documents over
+the stored (never mutated) columns with the items mapped onto them —
+so node identity stays private per query, and the stored documents
+never reach a query.
 
 Shipped documents are not cached: data shipping fetches and shreds
 every remote document each query reads, as the paper's baseline counts
@@ -30,17 +31,19 @@ so a store outdates the responses that read its peer and no other.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable
 
 from repro.obs.metrics import MetricsRegistry
+from repro.xmldb.document import Document
+from repro.xmldb.node import Node
+from repro.xrpc.messages import NodeCopy, ResponseMessage
 
 #: Key of one response entry:
-#: (dest scope, semantics, request digest, projection sig, shard epoch).
-ResponseKey = tuple[str, str, str, tuple[str, ...], int]
+#: (dest scope, semantics, shard epoch, request key).
+ResponseKey = tuple[str, str, int, Hashable]
 
 #: An entry's validators: ``(peer, generation)`` per peer it read.
 Validators = tuple[tuple[str, int], ...]
@@ -53,16 +56,15 @@ MAX_RESPONSES = 256
 STALE = -1
 
 
-def response_key(dest: str, semantics: str, request_xml: str,
-                 used_paths: list[str] | None,
-                 returned_paths: list[str] | None,
+def response_key(dest: str, semantics: str, request: Hashable,
                  shard_epoch: int | None = None) -> ResponseKey:
-    """Cache key for one round trip's response.
+    """Cache key for one round trip's response; ``request`` is the
+    request's :attr:`~repro.xrpc.messages.RequestMessage.key`.
 
-    ``semantics`` must be part of the key: the request XML carries no
+    ``semantics`` must be part of the key: the request carries no
     semantics marker (the handler receives it out-of-band), so by-value
-    and by-fragment runs of the same query produce byte-identical
-    requests whose responses use different wire formats.
+    and by-fragment runs of the same query produce identical requests
+    whose responses use different wire formats.
 
     For cluster scatter calls ``dest`` is the collection, not the
     replica that served it (the request names the shards its calls
@@ -72,12 +74,52 @@ def response_key(dest: str, semantics: str, request_xml: str,
     before a repartition can never be served after it. Plain
     peer-to-peer calls use ``-1``.
     """
-    digest = hashlib.sha256(request_xml.encode()).hexdigest()
-    signature = tuple(
-        [f"u:{p}" for p in used_paths or []]
-        + [f"r:{p}" for p in returned_paths or []])
-    return (dest, semantics, digest, signature,
-            -1 if shard_epoch is None else shard_epoch)
+    return (dest, semantics, -1 if shard_epoch is None else shard_epoch,
+            request)
+
+
+class StoredResponse:
+    """One round trip as its miss resolved it: the byte lengths its
+    request and response had on the wire, its validators, the
+    response's payload documents in ``from_xml``'s order (fragments,
+    then copies by item) — new documents over the decoded columns, so
+    the cache never holds a query's own — and each result item as
+    ``(payload index, pre)`` or its atomic value."""
+
+    __slots__ = ("request_bytes", "response_bytes", "validators",
+                 "documents", "fragments", "results")
+
+    def __init__(self, response: ResponseMessage, results: list[list],
+                 request_bytes: int, response_bytes: int,
+                 validators: Validators):
+        payloads = [root.doc for root in response.fragments] + [
+            item.content.doc for items in response.results
+            for item in items if isinstance(item, NodeCopy)]
+        at = {id(doc): index for index, doc in enumerate(payloads)}
+        self.request_bytes = request_bytes
+        self.response_bytes = response_bytes
+        self.validators = validators
+        self.documents = tuple(Document(doc.uri, doc.columns)
+                               for doc in payloads)
+        self.fragments = len(response.fragments)
+        self.results = tuple(
+            tuple((at[id(item.doc)], item.pre) if isinstance(item, Node)
+                  else item for item in items)
+            for items in results)
+
+    def replay(self, base_uri: str) -> list[list]:
+        """The results as decoding and unmarshalling the response text
+        again would give them: a new document over each payload's
+        columns, made in decoding order and named as unmarshalling
+        names it, each node item on its own."""
+        fragments = self.fragments
+        documents = [Document(f"{base_uri}#fragment{number}"
+                              if number <= fragments else base_uri,
+                              stored.columns)
+                     for number, stored in enumerate(self.documents, 1)]
+        return [[Node(documents[item[0]], item[1])
+                 if isinstance(item, tuple) else item for item in items]
+                for items in self.results]
 
 
 @dataclass
@@ -117,9 +159,8 @@ class ReadSet:
     computation of the exchange that made this one's call — so an
     entry's validators cover its nested calls, hit or miss.
 
-    Noted from a scatter's threads without a lock: ``setdefault`` is
-    atomic, and a peer noted at two generations — the computation read
-    both sides of a store — is pinned to :data:`STALE` for good.
+    A peer noted at two generations — the computation read both sides
+    of a store — is pinned to :data:`STALE` for good.
     """
 
     __slots__ = ("_seen", "_enclosing")
@@ -178,22 +219,20 @@ class ResultCache:
         self._saved_bytes = self.metrics.counter(
             "cache_saved_bytes_total", "wire bytes avoided by hits")
         self._lock = threading.Lock()
-        #: ResponseKey -> (stored response, its wire byte length,
-        #: its validators)
+        #: ResponseKey -> (stored response, the wire bytes a hit
+        #: saves, its validators)
         self._responses: OrderedDict[
             ResponseKey, tuple[object, int, Validators]] = OrderedDict()
 
-    def lookup_response(self, key: ResponseKey, request_bytes: int = 0,
+    def lookup_response(self, key: ResponseKey,
                         current: Callable[[str], int] | None = None
                         ) -> object | None:
-        """The stored response, or None. ``request_bytes`` sizes the
-        request that a hit keeps off the wire (for ``saved_bytes``);
-        ``current(peer)`` is that peer's generation now, which each of
-        the entry's validators must equal for it to be served — an
-        entry a store outdated is dropped instead — or :data:`STALE`
-        while the peer is unreachable: the miss a hit stands in for
-        would not answer as the entry did, so it is not served, and
-        kept."""
+        """The stored response, or None. ``current(peer)`` is that
+        peer's generation now, which each of the entry's validators
+        must equal for it to be served — an entry a store outdated is
+        dropped instead — or :data:`STALE` while the peer is
+        unreachable: the miss a hit stands in for would not answer as
+        the entry did, so it is not served, and kept."""
         outdated = None
         with self._lock:
             entry = self._responses.get(key)
@@ -213,7 +252,7 @@ class ResultCache:
             else:
                 self._responses.move_to_end(key)
                 self._hits.inc()
-                self._saved_bytes.inc(request_bytes + entry[1])
+                self._saved_bytes.inc(entry[1])
         if outdated is not None and self.events is not None:
             # Outside the lock: the event sink locks internally and
             # must never nest inside cache-internal critical sections.
@@ -226,17 +265,13 @@ class ResultCache:
         return None if entry is None else entry[0]
 
     def store_response(self, key: ResponseKey, response: object,
-                       response_bytes: int | None = None,
+                       saved_bytes: int = 0,
                        validators: Validators = ()) -> None:
         """Keep ``response``, handed back as is by a hit while its
-        ``validators`` are current, and the wire bytes a hit saves (by
-        default those of ``response`` as text). The federation stores
-        the decoded message with its byte length, so hits never
-        re-encode."""
-        if response_bytes is None:
-            response_bytes = len(response.encode())
+        ``validators`` are current, with the wire bytes each hit saves
+        (its round trip's request and response)."""
         with self._lock:
-            self._responses[key] = (response, response_bytes, validators)
+            self._responses[key] = (response, saved_bytes, validators)
             self._responses.move_to_end(key)
             while len(self._responses) > MAX_RESPONSES:
                 self._responses.popitem(last=False)

@@ -35,9 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.clock import REAL_CLOCK, Clock
-from repro.errors import (
-    NetworkError, PeerUnavailableError, TransientNetworkError,
-)
+from repro.errors import PeerUnavailableError, TransientNetworkError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.obs.metrics import MetricsRegistry

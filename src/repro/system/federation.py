@@ -50,7 +50,8 @@ from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
 from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import (
-    STALE, ReadSet, ResultCache, Validators, response_key,
+    STALE, ReadSet, ResultCache, StoredResponse, Validators,
+    response_key,
 )
 from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
@@ -583,13 +584,15 @@ class _Run:
                    reads: ReadSet | None = None) -> list[list]:
         """One network interaction: marshal, ship, execute, ship back.
 
-        Every round trip takes the same path: build the request →
-        *deliver* it (the shared result cache, then the cross-query
-        batcher, then the transport's wire — each either answers or
-        passes on) → decode the response text (a cache hit answers
-        with a decoded response, copied fresh) → unmarshal → *record*
-        (stats and the site's ``per_op`` actuals, ``rpc`` span, message
-        log, cache store).
+        Every round trip takes the same path: marshal the request →
+        *deliver* it: the shared result cache, keyed by the marshalled
+        request, answers with the results its miss resolved
+        (:meth:`~repro.runtime.cache.StoredResponse.replay`: no request
+        text, no decoding, no unmarshalling); otherwise the request text
+        goes out through the cross-query batcher or the transport's
+        wire, and the response text is decoded once and unmarshalled →
+        *record* (stats and the site's ``per_op`` actuals, ``rpc``
+        span, message log, cache store).
 
         ``query_text`` is the function body as shipped and ``site`` its
         call site's contract — for a scatter, the text whose calls name
@@ -625,9 +628,10 @@ class _Run:
 
             param_names = [name for name, _seq in calls[0]] if calls else []
             static_attrs = self.federation.static.to_attributes()
+            base_uri = f"{XRPC_SCHEME}{peer.name}/response"
 
-            def request_text(raw_calls: list[list[tuple[str, list]]]
-                             ) -> str:
+            def request(raw_calls: list[list[tuple[str, list]]]
+                        ) -> RequestMessage:
                 bundle = marshal_calls(raw_calls, semantics, param_paths)
                 return RequestMessage(
                     query=query_text,
@@ -637,10 +641,9 @@ class _Run:
                     static_attrs=static_attrs,
                     used_paths=used_paths,
                     returned_paths=returned_paths,
-                ).to_xml()
+                )
 
-            request_xml = request_text(calls)
-            request_bytes = len(request_xml.encode())
+            message = request(calls)
 
             def exchange(wire_calls: list[list[tuple[str, list]]],
                          charge_to: RunStats) -> tuple[str, int]:
@@ -660,28 +663,34 @@ class _Run:
                 )
                 merged = len(wire_calls) != len(calls)
                 return self.transport.exchange(
-                    peer, request_text(wire_calls) if merged else request_xml,
+                    peer,
+                    request(wire_calls).to_xml() if merged else request_xml,
                     handler.handle, charge_to,
                     request_bytes=None if merged else request_bytes)
 
             # -- deliver: each step answers or passes on ----------------
-            response_xml = response_bytes = hit = None
-            cache_key = kept = own = None
+            stored = cache_key = own = None
             if self.result_cache is not None:
                 own = ReadSet(reads)
                 own.note_all(self.federation.generations(
                     (peer.name, *replicas)))
                 cache_key = response_key(cache_scope or peer.name,
-                                         semantics, request_xml,
-                                         used_paths, returned_paths,
+                                         semantics, message.key,
                                          shard_epoch=shard_epoch)
-                hit = self.result_cache.lookup_response(
-                    cache_key, request_bytes,
-                    self.federation.current_generation)
-            cached = hit is not None
+                stored = self.result_cache.lookup_response(
+                    cache_key, self.federation.current_generation)
+            cached = stored is not None
+            if not cached:  # only a miss writes the request text
+                request_xml = message.to_xml()
+                request_bytes = len(request_xml.encode())
+                response_bytes = None
             if cached:
-                stored, response_bytes, validators = hit
-                own.note_all(validators)
+                own.note_all(stored.validators)
+                request_bytes = stored.request_bytes
+                response_bytes = stored.response_bytes
+                # New documents over the stored columns, so node
+                # identity stays per query.
+                results = stored.replay(base_uri)
             elif self.batcher is not None:
                 # Only a batch leader reaches the wire, and its merged
                 # exchange is charged to no single query (a throwaway
@@ -718,24 +727,15 @@ class _Run:
                 response_bytes = len(response_xml.encode())
 
             # -- decode: once per message that crossed the wire ---------
-            if cached:
-                # New documents over the stored columns, so node
-                # identity stays per query.
-                response = stored.fresh()
-            else:
+            if not cached:
                 response = ResponseMessage.from_xml(response_xml)
                 if len(response.results) != len(calls):
                     raise XrpcMarshalError(
                         f"response from {peer.name} answers "
                         f"{len(response.results)} calls, "
                         f"{len(calls)} were sent")
-                if cache_key is not None and own.storable:
-                    # Copied before unmarshal renames this run's
-                    # documents: the cache never holds a query's own.
-                    kept = response.fresh()
-            results = unmarshal_result(
-                response.results, response.fragments,
-                base_uri=f"{XRPC_SCHEME}{peer.name}/response")
+                results = unmarshal_result(
+                    response.results, response.fragments, base_uri)
 
             # -- record -------------------------------------------------
             if cached:
@@ -766,11 +766,13 @@ class _Run:
                     request_xml=request_xml if self.keep_message_xml else "",
                     response_xml=response_xml if self.keep_message_xml else "",
                 ))
-                if kept is not None:
+                if cache_key is not None and own.storable:
                     validators = own.validators
                     self.result_cache.store_response(
-                        cache_key, (kept, response_bytes, validators),
-                        response_bytes, validators)
+                        cache_key,
+                        StoredResponse(response, results, request_bytes,
+                                       response_bytes, validators),
+                        request_bytes + response_bytes, validators)
             stats.record_op(
                 site.site_id,
                 bytes=stats.message_bytes + stats.document_bytes - bytes0,

@@ -25,6 +25,9 @@ of its subtree — in the source (or projected) document on the sending
 side, in a document of its own on the receiving side. So each message
 is serialised once (``to_xml``, the only producer of message text) and
 read once (``from_xml``: one expat pass, nothing serialised back out).
+A request's text is written from its :attr:`RequestMessage.key`, the
+text's parts before escaping, each payload serialized once: the result
+cache keys a round trip by it, so a hit writes no text.
 
 Decoding builds no envelope document: its handlers (:class:`_Envelope`)
 fill the message fields and call / sequence lists as the tags go by,
@@ -46,6 +49,7 @@ holds one ``xrpc:sequence`` per parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import XrpcMarshalError
 from repro.xmldb.columns import ColumnSet
@@ -125,31 +129,48 @@ class RequestMessage:
     used_paths: list[str] | None = None
     returned_paths: list[str] | None = None
 
+    @cached_property
+    def key(self) -> tuple:
+        """The parts of this request's text, unescaped, in text order —
+        equal for two requests exactly when their texts are, so a cache
+        keys a round trip by it without writing the text. Each fragment
+        and element copy is in it as its serialization, which
+        :meth:`to_xml` writes from here: a request is not changed once
+        its key is read."""
+        used, returned = self.used_paths, self.returned_paths
+        attrs = self.static_attrs
+        return (tuple([(name.replace(":", "-"), attrs[name])
+                       for name in sorted(attrs)]),
+                None if used is None and returned is None
+                else (tuple(used or ()), tuple(returned or ())),
+                tuple(map(serialize_node, self.fragments)),
+                self.query, tuple(self.param_names),
+                tuple([tuple([_item_keys(items) for _name, items
+                              in call.params]) for call in self.calls]))
+
     def to_xml(self) -> str:
+        attrs, paths, fragments, query, names, calls = self.key
         out = [_ENVELOPE_OPEN, "<xrpc:request"]
-        out.extend(f' {key.replace(":", "-")}='
-                   f'"{escape_attribute(self.static_attrs[key])}"'
-                   for key in sorted(self.static_attrs))
+        out.extend(f' {name}="{escape_attribute(value)}"'
+                   for name, value in attrs)
         out.append(">")
-        if self.used_paths is not None or self.returned_paths is not None:
+        if paths is not None:
             out.append("<xrpc:projection-paths>")
             out.extend(f"<xrpc:used-path>{escape_text(path)}"
-                       f"</xrpc:used-path>"
-                       for path in self.used_paths or [])
+                       f"</xrpc:used-path>" for path in paths[0])
             out.extend(f"<xrpc:returned-path>{escape_text(path)}"
-                       f"</xrpc:returned-path>"
-                       for path in self.returned_paths or [])
+                       f"</xrpc:returned-path>" for path in paths[1])
             out.append("</xrpc:projection-paths>")
-        _fragments_to_xml(self.fragments, out)
-        out.append(f"<xrpc:query>{escape_text(self.query)}</xrpc:query>")
+        _fragments_to_xml(fragments, out)
+        out.append(f"<xrpc:query>{escape_text(query)}</xrpc:query>")
         out.append("<xrpc:params>")
         out.extend(f"<xrpc:name>{escape_text(name)}</xrpc:name>"
-                   for name in self.param_names)
+                   for name in names)
         out.append("</xrpc:params>")
-        for call in self.calls:
+        for call in calls:
             out.append("<xrpc:call>")
-            for _name, items in call.params:
-                _sequence_to_xml(items, out)
+            for keys in call:
+                _sequence_to_xml(keys, out)
             out.append("</xrpc:call>")
         out.append("</xrpc:request>")
         out.append(_ENVELOPE_CLOSE)
@@ -183,10 +204,10 @@ class ResponseMessage:
 
     def to_xml(self) -> str:
         out = [_ENVELOPE_OPEN, "<xrpc:response>"]
-        _fragments_to_xml(self.fragments, out)
+        _fragments_to_xml(list(map(serialize_node, self.fragments)), out)
         for items in self.results:
             out.append("<xrpc:call>")
-            _sequence_to_xml(items, out)
+            _sequence_to_xml(_item_keys(items), out)
             out.append("</xrpc:call>")
         out.append("</xrpc:response>")
         out.append(_ENVELOPE_CLOSE)
@@ -197,19 +218,6 @@ class ResponseMessage:
         envelope = _Envelope(text, "xrpc:response")
         return cls(results=[sequence for sequence, in envelope.calls],
                    fragments=envelope.fragments)
-
-    def fresh(self) -> "ResponseMessage":
-        """This decoded message as a new decoding would give it: each
-        payload's columns in a new document, made in ``from_xml``'s
-        order (fragments, then copies by item), the items shared."""
-        def wrap(node: Node) -> Node:
-            return Document(node.doc.uri, node.doc.columns).root
-        fragments = [wrap(root) for root in self.fragments]
-        return ResponseMessage(
-            results=[[NodeCopy(item.node_kind, item.name, wrap(item.content))
-                      if isinstance(item, NodeCopy) else item
-                      for item in items] for items in self.results],
-            fragments=fragments)
 
 
 # ---------------------------------------------------------------------------
@@ -223,42 +231,65 @@ _ENVELOPE_OPEN = ('<env:Envelope xmlns:env='
 _ENVELOPE_CLOSE = "</env:Body></env:Envelope>"
 
 
-def _fragments_to_xml(fragments: list[Node], out: list[str]) -> None:
+def _fragments_to_xml(fragments: list[str], out: list[str]) -> None:
+    """The preamble around the fragments' serializations."""
     if not fragments:
         out.append("<xrpc:fragments/>")
         return
     out.append("<xrpc:fragments>")
-    out.extend(f"<xrpc:fragment>{serialize_node(fragment)}</xrpc:fragment>"
+    out.extend(f"<xrpc:fragment>{fragment}</xrpc:fragment>"
                for fragment in fragments)
     out.append("</xrpc:fragments>")
 
 
-def _sequence_to_xml(items: list[Item], out: list[str]) -> None:
-    out.append("<xrpc:sequence>")
+def _item_keys(items: list[Item]) -> tuple[tuple, ...]:
+    """Each item as the parts of its text, tagged by its kind: an
+    atomic's type and lexical, a reference's ids (and name), a copy's
+    name and value — an element copy's its serialization."""
+    keys = []
     for item in items:
         if isinstance(item, Atomic):
-            out.append(f'<xrpc:atomic type="{item.type_name}">'
-                       f"{escape_text(item.lexical)}</xrpc:atomic>")
+            keys.append(("atomic", item.type_name, item.lexical))
+        elif isinstance(item, NodeRef):
+            keys.append(("node-ref", item.fragid, item.nodeid))
+        elif isinstance(item, AttrRef):
+            keys.append(("attribute-ref", item.fragid, item.nodeid,
+                         item.name))
         elif isinstance(item, NodeCopy):
             kind, content = item.node_kind, item.content
             if kind == "element":
-                out.append(f"<xrpc:element>{serialize_node(content)}"
-                           f"</xrpc:element>")
+                keys.append((kind, serialize_node(content)))
             else:
-                named = (f' name="{escape_attribute(item.name)}"'
-                         if kind in _NAMED else "")
-                value = content if isinstance(content, str) else content.value
-                out.append(f"<xrpc:{kind}{named}>{escape_text(value)}"
-                           f"</xrpc:{kind}>")
-        elif isinstance(item, NodeRef):
-            out.append(f'<xrpc:element fragid="{item.fragid}" '
-                       f'nodeid="{item.nodeid}"/>')
-        elif isinstance(item, AttrRef):
-            out.append(f'<xrpc:attribute fragid="{item.fragid}" '
-                       f'nodeid="{item.nodeid}" '
-                       f'name="{escape_attribute(item.name)}"/>')
+                keys.append((kind, item.name if kind in _NAMED else "",
+                             content if isinstance(content, str)
+                             else content.value))
         else:  # pragma: no cover - exhaustive
             raise XrpcMarshalError(f"unknown item {item!r}")
+    return tuple(keys)
+
+
+def _sequence_to_xml(keys: tuple[tuple, ...], out: list[str]) -> None:
+    """A sequence's text, written from its items' keys."""
+    out.append("<xrpc:sequence>")
+    for key in keys:
+        kind = key[0]
+        if kind == "atomic":
+            out.append(f'<xrpc:atomic type="{key[1]}">'
+                       f"{escape_text(key[2])}</xrpc:atomic>")
+        elif kind == "node-ref":
+            out.append(f'<xrpc:element fragid="{key[1]}" '
+                       f'nodeid="{key[2]}"/>')
+        elif kind == "attribute-ref":
+            out.append(f'<xrpc:attribute fragid="{key[1]}" '
+                       f'nodeid="{key[2]}" '
+                       f'name="{escape_attribute(key[3])}"/>')
+        elif kind == "element":
+            out.append(f"<xrpc:element>{key[1]}</xrpc:element>")
+        else:
+            named = (f' name="{escape_attribute(key[1])}"'
+                     if kind in _NAMED else "")
+            out.append(f"<xrpc:{kind}{named}>{escape_text(key[2])}"
+                       f"</xrpc:{kind}>")
     out.append("</xrpc:sequence>")
 
 

@@ -18,13 +18,16 @@ from repro.runtime.cache import (
     MAX_RESPONSES, STALE, ReadSet, ResultCache, response_key,
 )
 from repro.runtime.engine import FederationEngine
+from repro.system import federation as federation_module
 from repro.system.federation import Federation
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_SCAN_QUERY,
                              build_federation, build_sharded_federation)
 from repro.xmldb.node import Node
 from repro.xmldb.serializer import serialize
+from repro.xquery.context import StaticContext
 from repro.xquery.xdm import serialize_sequence
-from repro.xrpc.messages import NodeCopy, ResponseMessage
+from repro.xrpc import marshal as marshal_module
+from repro.xrpc.messages import Call, RequestMessage, ResponseMessage
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
 from tests.planner.test_shape_equivalence import _federation, _on_peers
@@ -41,27 +44,35 @@ def make_federation():
     return federation
 
 
+def request(**fields) -> RequestMessage:
+    """A one-call request for ``f()``, with ``fields`` set."""
+    return RequestMessage(**{"query": "f()", "param_names": [],
+                             "calls": [Call()], **fields})
+
+
 class TestResponseKey:
     def test_identical_requests_share_a_key(self):
-        assert response_key("B", "by-fragment", "<xml/>", None, None) == \
-            response_key("B", "by-fragment", "<xml/>", None, None)
+        assert response_key("B", "by-fragment", request().key) == \
+            response_key("B", "by-fragment", request().key)
 
     def test_projection_signature_separates_entries(self):
-        base = response_key("B", "by-fragment", "<xml/>", None, None)
-        used = response_key("B", "by-fragment", "<xml/>", ["child::a"], None)
-        returned = response_key("B", "by-fragment", "<xml/>", None, ["child::a"])
+        base = response_key("B", "by-fragment", request().key)
+        used = response_key("B", "by-fragment",
+                            request(used_paths=["child::a"]).key)
+        returned = response_key("B", "by-fragment",
+                                request(returned_paths=["child::a"]).key)
         assert len({base, used, returned}) == 3
 
     def test_dest_peer_separates_entries(self):
-        assert response_key("A", "by-fragment", "<xml/>", None, None) != \
-            response_key("B", "by-fragment", "<xml/>", None, None)
+        assert response_key("A", "by-fragment", request().key) != \
+            response_key("B", "by-fragment", request().key)
 
     def test_semantics_separates_entries(self):
-        """By-value and by-fragment requests are byte-identical on the
-        wire (semantics travels out-of-band), but their responses use
-        different formats — they must never share a cache entry."""
-        assert response_key("B", "by-value", "<xml/>", None, None) != \
-            response_key("B", "by-fragment", "<xml/>", None, None)
+        """By-value and by-fragment requests are identical (semantics
+        travels out-of-band), but their responses use different
+        formats — they must never share a cache entry."""
+        assert response_key("B", "by-value", request().key) != \
+            response_key("B", "by-fragment", request().key)
 
     def test_mixed_strategy_runs_never_share_responses(self):
         from repro.decompose import Strategy
@@ -84,10 +95,10 @@ class TestResponseKey:
 class TestLruAndCounters:
     def test_hit_and_miss_counters(self):
         cache = ResultCache()
-        key = response_key("B", "by-fragment", "<req/>", None, None)
+        key = response_key("B", "by-fragment", "<req/>")
         assert cache.lookup_response(key) is None
-        cache.store_response(key, "<resp/>")
-        assert cache.lookup_response(key, request_bytes=10) == "<resp/>"
+        cache.store_response(key, "<resp/>", saved_bytes=10 + len("<resp/>"))
+        assert cache.lookup_response(key) == "<resp/>"
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -95,8 +106,8 @@ class TestLruAndCounters:
 
     @staticmethod
     def _keys(count):
-        return [response_key("B", "by-fragment", f"<req n='{i}'/>", None,
-                             None) for i in range(count)]
+        return [response_key("B", "by-fragment", f"<req n='{i}'/>")
+                for i in range(count)]
 
     def test_response_lru_eviction(self):
         cache = ResultCache()
@@ -173,8 +184,8 @@ def _generations(**peers):
 class TestInvalidation:
     def test_a_store_drops_only_the_entries_that_read_its_peer(self):
         cache = ResultCache()
-        read_a, read_b = (response_key(peer, "by-fragment", "<req/>", None,
-                                       None) for peer in "AB")
+        read_a, read_b = (response_key(peer, "by-fragment", "<req/>")
+                          for peer in "AB")
         cache.store_response(read_a, "<a/>", validators=(("A", 1),))
         cache.store_response(read_b, "<b/>", validators=(("B", 1),))
         # A store on B moves B's generation 1 -> 2 and A's not at all.
@@ -188,8 +199,8 @@ class TestInvalidation:
     def test_each_outdated_entry_emits_one_event_naming_its_peer(self):
         events = EventLog()
         cache = ResultCache(events=events)
-        keys = [response_key("B", "by-fragment", f"<r n='{n}'/>", None,
-                             None) for n in range(3)]
+        keys = [response_key("B", "by-fragment", f"<r n='{n}'/>")
+                for n in range(3)]
         for key, validators in zip(keys, [(("B", 1),),
                                           (("A", 1), ("C", 1)),
                                           (("B", 1), ("C", 1))]):
@@ -274,7 +285,7 @@ class TestInvalidation:
         (the store/compute race): its validators name the generation
         read before the documents, which the store has moved on."""
         cache = ResultCache()
-        key = response_key("B", "by-fragment", "<req/>", None, None)
+        key = response_key("B", "by-fragment", "<req/>")
         cache.store_response(key, "<stale/>", validators=(("B", 1),))
         assert cache.lookup_response(key, current=_generations(B=2)) \
             is None
@@ -284,14 +295,14 @@ class TestInvalidation:
 
     def test_an_entry_with_current_validators_is_served(self):
         cache = ResultCache()
-        key = response_key("B", "by-fragment", "<req/>", None, None)
+        key = response_key("B", "by-fragment", "<req/>")
         cache.store_response(key, "<fresh/>",
                              validators=(("A", 5), ("B", 3)))
         current = _generations(A=5, B=3, C=9)
         assert [cache.lookup_response(key, current=current)
                 for _ in range(2)] == ["<fresh/>"] * 2
         # An entry that read no documents is current under any store.
-        bare = response_key("C", "by-fragment", "<req/>", None, None)
+        bare = response_key("C", "by-fragment", "<req/>")
         cache.store_response(bare, "<none/>")
         assert cache.lookup_response(bare, current=current) == "<none/>"
         assert (cache.stats.hits, cache.stats.invalidations) == (3, 0)
@@ -527,7 +538,7 @@ class TestValidators:
 
 
 # ---------------------------------------------------------------------------
-# Hits: a stored decoded response, new documents per hit
+# Hits: a stored resolved response, new documents per hit
 # ---------------------------------------------------------------------------
 
 #: The four exams of ``COURSE_XML`` in reverse document order, as nodes
@@ -548,17 +559,11 @@ SORTED = (EXAMS + 'let $r := execute at {"B"} { exams() } '
           'return ($r, $r/self::exam/child::grade)')
 
 
-def payload_documents(message) -> list:
-    """A decoded response's documents: its fragments', its copies'."""
-    return [root.doc for root in message.fragments] + [
-        item.content.doc for items in message.results for item in items
-        if isinstance(item, NodeCopy)]
-
-
 def stored_documents(cache: ResultCache) -> list:
-    """Every payload document of every stored response."""
-    return [doc for (message, *_), *_ in cache._responses.values()
-            for doc in payload_documents(message)]
+    """Every payload document of every stored response, each response's
+    in decoding order."""
+    return [doc for (stored, *_) in cache._responses.values()
+            for doc in stored.documents]
 
 
 def columns_of(doc) -> tuple:
@@ -579,12 +584,10 @@ class _Snapshotting(ResultCache):
         super().__init__()
         self.stored: list[tuple] = []
 
-    def store_response(self, key, response, response_bytes=None,
-                       validators=()):
-        message, _size, _validators = response
+    def store_response(self, key, response, saved_bytes=0, validators=()):
         self.stored.extend((doc, columns_of(doc))
-                           for doc in payload_documents(message))
-        super().store_response(key, response, response_bytes, validators)
+                           for doc in response.documents)
+        super().store_response(key, response, saved_bytes, validators)
 
 
 def document_ranks(items: list) -> list[int]:
@@ -677,21 +680,21 @@ class TestNodeIdentityUnderHits:
             trips = len(miss.messages)
             stored = stored_documents(engine.cache)
             seqs = [doc.doc_seq for doc in stored]
-            # Round trips copy their entries in cover order, a peer's
+            # Round trips replay their entries in cover order, a peer's
             # shards together: only the gather's renumbering puts
             # shard 3's documents after shards 1 and 2.
-            copied = []
+            replayed = []
             serve = ClusterRouter._serve_group
 
             def recording(router, spec, replica, group, *args):
-                copied.extend(outcome.shard.index for outcome in group)
+                replayed.extend(outcome.shard.index for outcome in group)
                 return serve(router, spec, replica, group, *args)
 
             monkeypatch.setattr(ClusterRouter, "_serve_group", recording)
             hit = engine.submit(query, "local").result()
             # The gather renumbered the hit's own documents only.
             assert [doc.doc_seq for doc in stored] == seqs
-        assert copied == [0, 3, 1, 2]
+        assert replayed == [0, 3, 1, 2]
         ranks = document_ranks(hit.items)
         assert ranks == sorted(ranks) and len(set(ranks)) > 1
         assert hit.stats.cache_hits == trips > 1
@@ -730,6 +733,100 @@ def test_shared_columns_stay_as_stored_under_concurrency():
     assert cache.stored
     for doc, snapshot in cache.stored:
         assert columns_of(doc) == snapshot
+
+
+#: The grades of the exams whose ids the people of the originator's
+#: ``{doc}`` hold: by value, each person travels as an element copy.
+GRADES = ('declare function grades($p as node()*) as node()* '
+          '{ doc("xrpc://B/course42.xml")/child::enroll/child::exam'
+          '[attribute::id = $p/child::id]/child::grade }; '
+          'let $p := doc("xrpc://local/{doc}")/child::people/child::person '
+          'return execute at {"B"} { grades($p) }')
+
+
+def grades(doc: str) -> str:
+    return GRADES.replace("{doc}", doc)
+
+
+class TestHitsReplayTheirMiss:
+    """A hit is keyed by the marshalled request: it writes no request
+    text, decodes and unmarshals nothing, and saves what its miss's
+    round trips cost."""
+
+    @staticmethod
+    def _warm(monkeypatch) -> tuple:
+        """A Q2 miss, then its hit with each encode, unmarshal and
+        nodeid table counted, and the registry's saved bytes in
+        between."""
+        federation = make_federation()
+        cache = ResultCache(federation.metrics)
+        miss = federation.run(Q2, at="local", result_cache=cache)
+        saved = federation.metrics.get("cache_saved_bytes_total")
+        before = saved.value
+        called = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: called.append(
+                name) or original(*args))
+
+        counting(RequestMessage, "to_xml")
+        counting(federation_module, "unmarshal_result")
+        counting(marshal_module, "unmarshal_result")
+        counting(marshal_module, "_nodeid_pres")
+        hit = federation.run(Q2, at="local", result_cache=cache)
+        return miss, hit, called, saved.value - before
+
+    def test_a_warm_run_writes_no_request_and_unmarshals_nothing(
+            self, monkeypatch):
+        miss, hit, called, _saved = self._warm(monkeypatch)
+        assert hit.stats.cache_hits == len(miss.messages) > 0
+        assert hit.stats.rpc_calls == 0 and hit.messages == []
+        assert called == []
+        assert serialize_sequence(hit.items) == \
+            serialize_sequence(miss.items) != ""
+
+    def test_a_warm_run_saves_its_miss_round_trips(self, monkeypatch):
+        miss, hit, _called, saved = self._warm(monkeypatch)
+        round_trips = sum(message.request_bytes + message.response_bytes
+                          for message in miss.messages)
+        assert hit.stats.cache_saved_bytes == saved == round_trips > 0
+
+    def test_equal_content_from_another_document_hits(self):
+        federation = make_federation()
+        (federation.peer("local").store("students.xml", STUDENTS_XML)
+         .store("copy.xml", STUDENTS_XML))
+        cache = ResultCache()
+        first, second = (federation.run(grades(doc), at="local",
+                                        strategy="by-value",
+                                        result_cache=cache)
+                         for doc in ("students.xml", "copy.xml"))
+        assert first.stats.cache_hits == 0 and first.stats.rpc_calls > 0
+        assert second.stats.cache_hits > 0 and second.stats.rpc_calls == 0
+        assert serialize_sequence(second.items) == \
+            serialize_sequence(first.items) != ""
+
+    def test_one_character_or_a_static_attribute_misses(self):
+        federation = make_federation()
+        (federation.peer("local").store("students.xml", STUDENTS_XML)
+         .store("typo.xml",
+                STUDENTS_XML.replace("<name>Dot<", "<name>Dog<")))
+        cache = ResultCache()
+
+        def run(doc: str):
+            return federation.run(grades(doc), at="local",
+                                  strategy="by-value", result_cache=cache)
+
+        first = run("students.xml")
+        typo = run("typo.xml")
+        federation.static = StaticContext(
+            current_datetime="2009-03-29T12:00:01Z")
+        later = run("students.xml")
+        for result in (first, typo, later):
+            assert result.stats.cache_hits == 0
+            assert result.stats.rpc_calls == first.stats.rpc_calls > 0
+            assert serialize_sequence(result.items) == \
+                serialize_sequence(first.items) != ""
 
 
 def _observe(federation: Federation, text: str, strategy: str,
