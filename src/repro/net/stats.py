@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from repro.obs.explain import (PlanAnalysis, describe_lookup,
                                render_analysis)
@@ -69,30 +70,48 @@ class TimeBreakdown:
         }
 
 
+class Ranking(NamedTuple):
+    """What a pricing of a prepared variant's candidates decided,
+    shared by the reports of every lookup it serves (so nothing in it
+    is mutable)."""
+
+    #: The cheapest candidate's :class:`~repro.planner.ir.PhysicalPlan`
+    #: (it owns the operator types, so it renders them).
+    plan: object
+    #: Its operators' cost vectors as priced by this ranking.
+    vectors: tuple
+    #: Every candidate priced: ``(label, estimated_s)``, cheapest first.
+    candidates: tuple[tuple[str, float], ...] = ()
+    #: ``(stamp, calibration version)`` read before the pricing.
+    key: tuple = ()
+
+
 @dataclass(eq=False)
 class PlanReport:
     """The planner's verdict for one run: which physical plan executed
-    and what it was predicted to cost — a view over the plan and the
-    per-operator vectors that picked it.
+    and what it was predicted to cost — a view over the
+    :class:`Ranking` that picked the plan.
 
     Attached to :class:`RunStats` for *every* run — fixed strategies
     get the trivial single-candidate report — so estimated-vs-actual
     cells (the ``auto`` cells of ``benchmarks/figures.json``) need
-    nothing but the stats object. Nothing is copied out of the plan or
-    priced again, and nothing is rendered until it is read: after the
-    run the federation hands over its actuals with :meth:`finish`, and
-    the per-operator :class:`~repro.obs.explain.PlanAnalysis` is built
-    when :attr:`analysis` is first read (most runs' never are).
+    nothing but the stats object. Nothing is copied out of the ranking,
+    and nothing is priced or rendered until it is read: a fixed
+    strategy's lookup after a store re-prices nothing, and its report
+    is ranked when :attr:`plan`, :attr:`vectors`, :attr:`candidates` or
+    an estimate is first read — so such a report first read after a
+    later store is priced on the statistics current at that read.
+    After the run the federation hands over its actuals with
+    :meth:`finish`, and the per-operator
+    :class:`~repro.obs.explain.PlanAnalysis` is built when
+    :attr:`analysis` is first read (most runs' never are).
     """
 
-    #: The :class:`~repro.planner.ir.PhysicalPlan` that ran (it owns
-    #: the operator types, so it renders them).
-    plan: object
-    #: Its operators' cost vectors as priced when the planner picked it.
-    vectors: tuple
-    #: Every candidate the planner priced: ``(label, estimated_s)``,
-    #: cheapest first. Fixed-strategy runs carry just their own entry.
-    candidates: tuple[tuple[str, float], ...] = ()
+    #: The chosen plan's label, e.g. by-projection.
+    strategy: str
+    #: The :class:`Ranking` that picked the plan, or a callable making
+    #: it when the report is first read.
+    ranking: object
     #: False on the shape's first lookup and on the first after a store
     #: or repartition moved its stamp (that one only re-prices: no
     #: parser, decomposer or lowerer runs); True on every other lookup.
@@ -104,8 +123,17 @@ class PlanReport:
     _analysis: PlanAnalysis | None = field(default=None, init=False,
                                            repr=False)
 
-    strategy = property(lambda self: self.plan.label,
-                        doc="the chosen plan's label, e.g. by-projection")
+    @cached_property
+    def _ranked(self) -> Ranking:
+        ranking = self.ranking
+        return ranking() if callable(ranking) else ranking
+
+    plan = property(lambda self: self._ranked.plan,
+                    doc="the plan the vectors price")
+    vectors = property(lambda self: self._ranked.vectors,
+                       doc="its operators' cost vectors")
+    candidates = property(lambda self: self._ranked.candidates,
+                          doc="every candidate priced, cheapest first")
     literals = property(lambda self: self.binding.literals,
                         doc="the values the text bound to its shape's slots")
     estimated_s = property(lambda self: self.total.total_s(self.plan.model),

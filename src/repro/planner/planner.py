@@ -28,10 +28,15 @@ a run ships — hangs off the text's
 :class:`~repro.xquery.prepared.Binding`, which the report carries to
 the run. The candidates are priced under the
 :class:`~repro.planner.feedback.CalibrationBook`'s current factors
-once per (stamp, book version) and the ranking is kept: a lookup that
-finds neither moved multiplies nothing. The cheapest candidate, with
-its vectors, is the run's report; ties go to enumeration order:
-data-shipping → by-value → by-fragment → by-projection → mixed.
+once per (stamp, book version) and the ranking is kept: a ranking
+that finds neither moved multiplies nothing. ``auto`` ranks at the
+lookup, and its cheapest candidate, with its vectors, is the run's
+report; ties go to enumeration order: data-shipping → by-value →
+by-fragment → by-projection → mixed. A fixed strategy has one
+candidate, whose lowered plan runs whatever the stamp: a lookup that
+finds it priced at an older stamp re-prices nothing, and its report
+runs the same ranking when first read (most runs' feedback does, a
+run served from the result cache never).
 
 After the run, observed bytes/seconds feed back into the calibration
 factors; a write bumps the book's version, which re-ranks the next
@@ -42,13 +47,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.decompose import (
     DecompositionCandidates, InsertionPlan, Strategy, prepare, realize,
 )
 from repro.net.estimate import CostVector
-from repro.net.stats import PlanReport
+from repro.net.stats import PlanReport, Ranking
 from repro.obs.trace import child_span
 from repro.planner.estimator import PlanEstimator
 from repro.planner.feedback import CalibrationBook
@@ -81,31 +87,20 @@ class _Candidate:
     strategy: Strategy
     #: The insertion points realised (None: all); the rest data-ship.
     include: list[InsertionPlan] | None = None
-    #: Its lowering, priced at its variant's stamp.
+    #: Its lowering, priced at its variant's ``priced`` stamp.
     plan: PhysicalPlan | None = None
-
-
-class _Ranking(NamedTuple):
-    """What a pricing of a variant's candidates decided, shared by
-    the reports of every lookup it serves (so nothing in it is
-    mutable)."""
-
-    #: ``(stamp, calibration version)`` read before the pricing.
-    key: tuple
-    plan: PhysicalPlan
-    vectors: tuple[CostVector, ...]
-    candidates: tuple[tuple[str, float], ...]
 
 
 @dataclass(eq=False)
 class _Variant:
-    """One requested strategy's candidates, the stamp their
-    estimates were last known to be current at, and their last
+    """One requested strategy's candidates, the stamp of its last
+    lookup, the stamp their estimates were priced at, and their last
     ranking."""
 
     candidates: list[_Candidate]
     stamp: tuple[int, int] | None = None
-    ranking: _Ranking | None = None
+    priced: tuple[int, int] | None = None
+    ranking: Ranking | None = None
 
 
 class PreparedQuery:
@@ -143,59 +138,84 @@ class QueryPlanner:
         text of its shape, read-only) and this call's report over the
         vectors that ranked it, carrying the text's binding.
         ``from_cache`` is False on a shape's first lookup and on the
-        first after a moved stamp, which only re-prices. A lookup that
-        finds the stamp and the calibration version of the variant's
-        last ranking reuses it and prices nothing."""
+        first after a moved stamp. A lookup ranks its candidates
+        (:meth:`_rank`), except a fixed strategy's whose one candidate
+        a moved stamp left stale: that prices nothing, and its report
+        re-prices and ranks the candidate when first read."""
         choice = Strategy.coerce(strategy)
         label = choice.value if isinstance(choice, Strategy) else choice
         entry, binding = self._prepared.intern_text(
             query, (at, bulk_rpc, code_motion, let_sinking), PreparedQuery,
             prolog=True)
         prepared: PreparedQuery = entry.value
-        catalog = self.federation.catalog
         with entry.lock:
             variant = prepared.variants.get(label)
             if variant is None:
                 variant = prepared.variants[label] = _Variant(
                     self._candidates(prepared, choice, at, let_sinking))
             # Read before pricing: a store racing it must re-price.
-            stamp = (catalog.epoch() if catalog is not None else -1,
-                     self.federation.generation())
-            enumerated = variant.stamp != stamp
-            if enumerated:
-                # First sight, or every estimate of the shape went
-                # stale (a store, a repartition): an enumeration.
+            stamp = self._stamp()
+            if variant.priced is None:
                 with child_span("enumerate", strategy=label,
                                 candidates=len(variant.candidates)):
                     for candidate in variant.candidates:
-                        if candidate.plan is None:
-                            self._lower(prepared, candidate, at, bulk_rpc,
-                                        code_motion, let_sinking)
-                        else:
-                            candidate.plan = self.estimator.reprice(
-                                candidate.plan)
-                variant.stamp = stamp
-            plans = [candidate.plan for candidate in variant.candidates]
-        # Read before pricing: feedback racing it leaves a stale key,
-        # and the next lookup re-prices.
+                        self._lower(prepared, candidate, at, bulk_rpc,
+                                    code_motion, let_sinking)
+                variant.priced = stamp
+            # First sight, or every estimate of the shape went stale (a
+            # store, a repartition): an enumeration.
+            enumerated = variant.stamp != stamp
+            variant.stamp = stamp
+            stale = variant.priced != stamp
+        with self._lock:
+            self._plans_enumerated += (len(variant.candidates)
+                                       if enumerated else 0)
+            self._cache_hits += not enumerated
+        if stale and isinstance(choice, Strategy):
+            # Its one lowered plan runs whatever the stamp: the report
+            # re-prices it if it is read.
+            plan = variant.candidates[0].plan
+            ranking = partial(self._rank, entry, variant)
+        else:
+            ranking = self._rank(entry, variant)
+            plan = ranking.plan
+        return plan, PlanReport(plan.label, ranking,
+                                from_cache=not enumerated, binding=binding)
+
+    def _stamp(self) -> tuple[int, int]:
+        catalog = self.federation.catalog
+        return (catalog.epoch() if catalog is not None else -1,
+                self.federation.generation())
+
+    def _rank(self, entry, variant: _Variant) -> Ranking:
+        """``variant``'s ranking under the statistics and factors as
+        they are now: its last one if neither the stamp nor the
+        calibration version moved since, else its candidates re-priced
+        if a store moved the stamp they were priced at, then priced
+        under the current factors, cheapest first."""
+        # Read before pricing: a store or feedback racing it leaves a
+        # stale key, and the next ranking re-prices.
+        stamp = self._stamp()
         key = (stamp, self.calibration.version)
         ranking = variant.ranking
-        if ranking is None or ranking.key != key:
-            vectors = [plan.priced() for plan in plans]
-            ranked = sorted(
-                (CostVector.total_of(ops).total_s(plan.model), index)
-                for index, (plan, ops) in enumerate(zip(plans, vectors)))
-            chosen = ranked[0][1]
-            ranking = variant.ranking = _Ranking(
-                key, plans[chosen], vectors[chosen],
-                tuple((plans[index].label, estimate)
-                      for estimate, index in ranked))
-        with self._lock:
-            self._plans_enumerated += len(plans) if enumerated else 0
-            self._cache_hits += not enumerated
-        return ranking.plan, PlanReport(
-            ranking.plan, ranking.vectors, candidates=ranking.candidates,
-            from_cache=not enumerated, binding=binding)
+        if ranking is not None and ranking.key == key:
+            return ranking
+        with entry.lock:
+            if variant.priced != stamp:
+                for candidate in variant.candidates:
+                    candidate.plan = self.estimator.reprice(candidate.plan)
+                variant.priced = stamp
+            plans = [candidate.plan for candidate in variant.candidates]
+        vectors = [plan.priced() for plan in plans]
+        ranked = sorted(
+            (CostVector.total_of(ops).total_s(plan.model), index)
+            for index, (plan, ops) in enumerate(zip(plans, vectors)))
+        chosen = ranked[0][1]
+        ranking = variant.ranking = Ranking(
+            plans[chosen], vectors[chosen],
+            tuple((plans[index].label, estimate)
+                  for estimate, index in ranked), key)
+        return ranking
 
     def _lower(self, prepared: PreparedQuery, candidate: _Candidate,
                at: str, bulk_rpc: bool, code_motion: bool,
@@ -249,19 +269,21 @@ class QueryPlanner:
 
     # -- adaptive feedback --------------------------------------------------
 
-    def observe(self, plan: PhysicalPlan, result: "RunResult",
-                vectors: tuple[CostVector, ...]) -> None:
-        """Compare ``plan``'s estimates (``vectors``: its operators as
-        priced when the lookup picked it) with the observed
+    def observe(self, report: PlanReport, result: "RunResult") -> None:
+        """Compare the estimates of ``report`` (its plan's operators as
+        priced when it was ranked) with the observed
         :class:`~repro.net.stats.RunStats` and nudge the calibration
         factors. Runs served (partly) from the result cache are
-        skipped — their wire truth is not the plan's doing. This is
-        the only writer of factors: with several workers another run's
-        feedback may land between the pick and this call, and the
-        estimate judged is still the one that picked the plan."""
+        skipped — their wire truth is not the plan's doing — and leave
+        a fixed strategy's report unpriced. This is the only writer of
+        factors: with several workers another run's feedback may land
+        between the pick and this call, and the estimate judged is
+        still the one that picked the plan."""
         stats = result.stats
         if stats.cache_hits > 0:
             return
+        # Read before the first factor write, which would price them.
+        plan, vectors = report.plan, report.vectors
         if result.messages:
             self._observe_messages(plan, result)
 

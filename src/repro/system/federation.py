@@ -83,8 +83,8 @@ class Peer:
 
     def store(self, local_name: str, content: str | Document) -> "Peer":
         """Register a document under a local name (chainable). A text
-        already in the serializer's canonical form is adopted as the
-        document's serialisation, so no read re-serialises it."""
+        is parsed and left on the document, whose first serialisation
+        read adopts it if it is in the serializer's canonical form."""
         if isinstance(content, Document):
             document = content
         else:
@@ -118,10 +118,10 @@ class Peer:
         # The text is memoized on the document object itself (see
         # xmldb.serializer), so a store() — which swaps the object —
         # can never leave a stale write-back behind; a canonical stored
-        # text is that memo from the start. Memoized reads stay
-        # lock-free; the per-peer lock only stops concurrent first-touch
-        # queries from redundantly serialising the same (potentially
-        # large) document.
+        # text becomes that memo at the first touch, which adopts it.
+        # Memoized reads stay lock-free; the per-peer lock only stops
+        # concurrent first-touch queries from redundantly serialising
+        # (or adopting) the same (potentially large) document.
         cached = cached_serialization(document)
         if cached is not None:
             return cached
@@ -364,13 +364,13 @@ class Federation:
 
     def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
         """Evaluate a planned run, then hand the plan's report its
-        actuals, feed the planner's calibration with the vectors that
-        picked the plan and label the trace root."""
+        actuals and to the planner's feedback, and label the trace
+        root."""
         started = run.clock()
         result = run.execute()
         report.finish(result.stats, run.clock() - started)
         result.stats.plan = report
-        self.planner.observe(run.plan, result, report.vectors)
+        self.planner.observe(report, result)
         root = run.tracer.root if run.tracer is not None else None
         if root is not None:
             root.set(strategy=result.stats.plan.strategy,

@@ -21,9 +21,10 @@ subtree request on a document with no full text runs the same loop
 over ``[pre, pre + size]`` without them. The one other source of a
 document's text is the text it was parsed from, adopted when it is
 proven to be what ``_emit`` would make (:func:`adopt_serialization`):
-a ``Peer.store`` of a canonical text — one this serializer wrote,
-shipped or copied — seeds the memo and its spans at the store, so no
-read emits it.
+a ``Peer.store`` leaves the text it parsed on the document, and the
+first serialisation read takes a canonical one — one this serializer
+wrote, shipped or copied — as the memo and lays out its spans, so no
+read emits it. A store that nothing reads as text derives nothing.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ class SerializedTree:
     ``memo`` caches subtree strings requested before (or independent
     of) a full serialisation, LRU-bounded by
     :data:`DEFAULT_MEMO_CACHE_CAP` so span-less fragment churn stays
-    bounded.
+    bounded. ``source`` is the text the document was parsed from until
+    the first serialisation read adopts or drops it.
     """
 
     __slots__ = ("full", "starts", "ends", "memo", "memo_lock",
-                 "byte_length")
+                 "byte_length", "source")
 
     def __init__(self):
         self.full: str | None = None
@@ -78,6 +80,7 @@ class SerializedTree:
         # structural mutations (move_to_end / eviction) need the lock.
         self.memo_lock = threading.Lock()
         self.byte_length: int | None = None
+        self.source: str | None = None
 
 
 def _tree(doc: Document) -> SerializedTree:
@@ -94,7 +97,7 @@ def serialize(doc: Document) -> str:
     repeated calls (statistics, shipping, fragment slicing) are free.
     """
     cache = _tree(doc)
-    if cache.full is None:
+    if cache.full is None and not _adopted(doc, cache):
         starts = [0] * doc.count
         ends = [0] * doc.count
         text = _emit(doc, 0, doc.count - 1, starts, ends)
@@ -105,19 +108,27 @@ def serialize(doc: Document) -> str:
 
 
 def adopt_serialization(doc: Document, text: str) -> None:
-    """Take ``text``, the text ``doc`` was parsed from, as its
+    """Leave ``text``, the text ``doc`` was parsed from, on ``doc`` as
+    its pending source. The first serialisation read takes it as the
     serialisation when it provably is what :func:`_emit` would make of
-    ``doc``: the root's start tag first, no :data:`_NONCANONICAL`
-    token, and the root element, laid out from the rows
-    (:func:`_layout`), ending where the text ends. Any other text is
-    serialised on first read."""
-    if (text.endswith(">") and _ROOT_FIRST.match(text)
-            and not _NONCANONICAL.search(text)):
-        spans = _layout(doc, text)
-        if spans is not None:
-            cache = _tree(doc)
-            cache.starts, cache.ends = spans
-            cache.full = text
+    ``doc`` (:func:`_adopted`); any other text is serialised then, as
+    if none had been left."""
+    _tree(doc).source = text
+
+
+def _adopted(doc: Document, cache: SerializedTree) -> bool:
+    """Whether the pending source is the serialisation, checked once:
+    the root's start tag first, no :data:`_NONCANONICAL` token, and
+    the root element, laid out from the rows (:func:`_layout`), ending
+    where the text ends. Adopting seeds the memo and its spans."""
+    text, cache.source = cache.source, None
+    spans = (_layout(doc, text) if text is not None and text.endswith(">")
+             and _ROOT_FIRST.match(text) and not _NONCANONICAL.search(text)
+             else None)
+    if spans is not None:
+        cache.starts, cache.ends = spans
+        cache.full = text
+    return spans is not None
 
 
 def serialize_node(node: Node) -> str:
@@ -134,7 +145,8 @@ def serialize_node(node: Node) -> str:
     if pre == 0:
         return serialize(doc)
     cache = _tree(doc)
-    if cache.full is not None:
+    if cache.full is not None or (cache.source is not None
+                                  and _adopted(doc, cache)):
         assert cache.starts is not None and cache.ends is not None
         return cache.full[cache.starts[pre]:cache.ends[pre]]
     with cache.memo_lock:
@@ -152,7 +164,9 @@ def serialize_node(node: Node) -> str:
 
 def cached_serialization(doc: Document) -> str | None:
     """The memoized full text if a current one exists, else None —
-    a lock-free fast path for callers that serialise under a lock."""
+    a lock-free fast path for callers that serialise under a lock. It
+    adopts nothing: a stored text is the memo only once a serialisation
+    read took it."""
     cache = doc._ser_cache
     return None if cache is None else cache.full
 
@@ -167,10 +181,10 @@ def serialized_byte_length(doc: Document) -> int:
 
 def subtree_spans(doc: Document) -> tuple[list[int], list[int]]:
     """Per-pre ``(starts, ends)`` character spans of the full
-    serialisation, memoized with it (serialising now if that has not
-    happened yet). ``ends[p] - starts[p]`` is the exact serialised
-    subtree length — the statistics catalog reads these instead of
-    re-walking."""
+    serialisation, memoized with it (serialising, or adopting the
+    stored text, now if neither has happened yet). ``ends[p] -
+    starts[p]`` is the exact serialised subtree length — the
+    statistics catalog reads these instead of re-walking."""
     cache = doc._ser_cache
     if cache is None or cache.full is None:
         serialize(doc)

@@ -3,7 +3,7 @@
 from repro.decompose import Strategy, decompose
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
-from repro.net.stats import PlanReport
+from repro.net.stats import PlanReport, Ranking
 from repro.planner.ir import (
     BulkBatch, LocalEval, ScatterGather, ShipDocument, XrpcCall,
 )
@@ -22,7 +22,7 @@ def lower(federation, query, strategy, at="local"):
 
 def report(plan):
     """``plan`` as priced under its book's current factors."""
-    return PlanReport(plan, plan.priced())
+    return PlanReport(plan.label, Ranking(plan, plan.priced()))
 
 
 class TestCostVector:

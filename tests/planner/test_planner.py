@@ -17,6 +17,7 @@ from repro.workloads import (
     benchmark_query_variant, build_federation, build_mixed_federation,
 )
 from repro.xmark import generate_pair
+from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML, fuzz_settings
@@ -248,7 +249,10 @@ _TEXTS = tuple(benchmark_query_variant(threshold)
                for threshold in ("20.00", "35.00", "50.00"))
 _OPTIONS = ("local", True, True, True)
 
-_lookups = st.tuples(st.just("lookup"), st.integers(0, len(_TEXTS) - 1))
+#: ``auto`` and the four fixed strategies.
+_STRATEGIES = (AUTO,) + tuple(strategy.value for strategy in Strategy)
+_lookups = st.tuples(st.just("lookup"), st.integers(0, len(_TEXTS) - 1),
+                     st.sampled_from(_STRATEGIES))
 #: A factor write on a generated key (often one no plan reads), or an
 #: observation the book ignores (a zero ratio).
 _observations = st.tuples(
@@ -256,28 +260,31 @@ _observations = st.tuples(
     st.sampled_from(["peer1", "peer2", "local"]),
     st.sampled_from(["", "by-value", "by-fragment", "by-projection"]),
     st.one_of(st.just(0.0), st.floats(0.05, 20.0)))
-#: Which of two people documents (this scale's, a smaller one) to store.
-_stores = st.tuples(st.just("store"), st.booleans())
+#: Which of three people documents (this scale's, two smaller ones) to
+#: store, and whether as its canonical text or as a parsed document.
+_stores = st.tuples(st.just("store"), st.sampled_from([0.004, 0.003, 0.002]),
+                    st.booleans())
 
 
 @cache
-def _people(small: bool) -> str:
+def _people(scale: float) -> str:
     """A people document's text, stored (and so parsed) afresh by each
     federation."""
-    people, _ = generate_pair(0.002 if small else 0.004, 20090329,
+    people, _ = generate_pair(scale, 20090329,
                               people_uri="xrpc://peer1/people.xml",
                               auctions_uri="xrpc://peer2/auctions.xml")
     return serialize(people)
 
 
-def _fresh_ranking(planner, text):
-    """The candidates of ``text``'s ``auto`` variant priced now, under
-    the book's current factors: per candidate its ``(label, estimate)``
-    and vectors, cheapest first, ties in enumeration order."""
+def _fresh_ranking(planner, text, strategy):
+    """The candidates of ``text``'s ``strategy`` variant priced afresh
+    now, under the current statistics and factors: per candidate its
+    ``(label, estimate)`` and vectors, cheapest first, ties in
+    enumeration order."""
     entry, _ = planner._prepared.intern_text(text, _OPTIONS, PreparedQuery,
                                              prolog=True)
-    plans = [candidate.plan
-             for candidate in entry.value.variants["auto"].candidates]
+    plans = [planner.estimator.reprice(candidate.plan)
+             for candidate in entry.value.variants[strategy].candidates]
     priced = [(CostVector.total_of(vectors).total_s(plan.model), index,
                plan.label, vectors)
               for index, (plan, vectors) in enumerate(
@@ -287,26 +294,33 @@ def _fresh_ranking(planner, text):
 
 @given(steps=st.lists(st.one_of(_lookups, _observations, _stores),
                       min_size=1, max_size=14))
-@fuzz_settings(40, hunt=500)
+@fuzz_settings(60, hunt=500)
 def test_memoized_ranking_equals_a_fresh_pricing(steps):
-    """Lookups of one shape's texts under ``auto``, factor writes and
-    stores in any order: after every lookup the report's candidates,
-    chosen plan and vectors are what pricing every candidate afresh
-    under the current factors gives, whether the lookup reused the
-    variant's ranking or made a new one."""
+    """Lookups of one shape's texts under ``auto`` or a fixed
+    strategy, factor writes and stores of a text or a document in any
+    order: after every lookup the report's candidates, chosen plan,
+    vectors and estimate are what pricing every candidate afresh
+    under the current statistics and factors gives, whether the lookup
+    reused the variant's ranking, made a new one, or (a fixed
+    strategy) left the pricing to the report's first read."""
     federation = build_federation(0.004)
     planner = federation.planner
     for step in steps:
         if step[0] == "store":
-            federation.peer("peer1").store("people.xml", _people(step[1]))
+            text = _people(step[1])
+            federation.peer("peer1").store(
+                "people.xml", text if step[2] else parse_document(
+                    text, uri="xrpc://peer1/people.xml"))
         elif step[0] == "observe":
             planner.calibration.observe(*step[1:4], 1.0, step[4])
         else:
-            text = _TEXTS[step[1]]
-            plan, report = planner.plan(text, "local", "auto")
-            fresh = _fresh_ranking(planner, text)
+            text, strategy = _TEXTS[step[1]], step[2]
+            plan, report = planner.plan(text, "local", strategy)
+            fresh = _fresh_ranking(planner, text, strategy)
             assert report.candidates == tuple(
                 (label, estimate) for estimate, _, label, _ in fresh)
-            assert plan is report.plan
+            assert report.plan.decomposition is plan.decomposition
+            assert plan is report.plan or strategy != AUTO
             assert report.strategy == fresh[0][2]
             assert report.vectors == fresh[0][3]
+            assert report.estimated_s == fresh[0][0]

@@ -7,12 +7,14 @@ import weakref
 from dataclasses import replace
 
 from repro.cluster import LoadScorer
+from repro.net.estimate import CostVector
 from repro.planner.stats import (
     StatsCatalog, compute_document_stats, merge_document_stats,
 )
 from repro.system.federation import Federation
 from repro.workloads import build_sharded_federation
 from repro.xmark import generate_pair
+from repro.xmldb import serializer
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
@@ -300,6 +302,10 @@ class TestCatalogExplainsItsRebuild:
         assert document._structural_index is None
 
     def test_first_read_after_a_store_builds_only_what_its_plan_prices(self):
+        """The read after the store has no result-cache hit (its
+        auctions request carries the new version's persons), so its
+        feedback prices its plan: that builds the four keys the plan
+        prices, and nothing else."""
         ledger = _ledger_workloads()
         instance = ledger.WORKLOADS["store_churn"].build()
         try:
@@ -314,6 +320,49 @@ class TestCatalogExplainsItsRebuild:
         assert people["tag_keys"] == ["age", "people", "person", "site"]
         assert snapshot["stats_keys_built"] \
             == snapshot["stats"]["keys_built"] >= 4
+
+    def test_a_read_with_a_cache_hit_derives_nothing_from_a_store(
+            self, monkeypatch):
+        """Once each version's auctions response is cached, a store and
+        a read whose auctions call hits: the feedback skips the run, so
+        nothing re-prices the fixed plan, lays out the stored text or
+        builds a key of the stored document's statistics. The report is
+        priced when first read, once, as an eager pricing would."""
+        ledger = _ledger_workloads()
+        instance = ledger.WORKLOADS["store_churn"].build()
+        text = ledger.CHURN_TEXTS[0]
+        planner = instance.federation.planner
+        try:
+            for warm in ledger.CHURN_TEXTS:
+                instance.query(warm)
+            for version in (1, 2):
+                instance.store(version)
+                instance.query(text)
+            calls = []
+            reprice, layout = planner.estimator.reprice, serializer._layout
+            monkeypatch.setattr(planner.estimator, "reprice", lambda plan: (
+                calls.append("reprice"), reprice(plan))[1])
+            monkeypatch.setattr(serializer, "_layout", lambda doc, text: (
+                calls.append("layout"), layout(doc, text))[1])
+            instance.store(1)
+            result = instance.query(text)
+        finally:
+            instance.close()
+        assert result.stats.cache_hits > 0
+        assert calls == []
+        documents = planner.snapshot()["stats"]["documents"]
+        assert "peer1/people.xml" not in documents
+
+        report = result.stats.plan
+        estimated = report.estimated_bytes
+        # The pricing reads the stored people's spans: that adopts it.
+        assert calls == ["reprice", "layout"]
+        eager = reprice(report.plan).priced()
+        assert report.vectors == eager
+        assert estimated == int(CostVector.total_of(eager).wire_bytes)
+        assert report.candidates == (
+            (report.strategy, CostVector.total_of(eager).total_s(
+                report.plan.model)),)
 
 
 def test_load_scorer_reads_fragment_bytes_without_forcing_a_key():

@@ -1,11 +1,16 @@
 """Serializer unit tests: escaping, node kinds, attribute handling."""
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import XmlParseError
 from repro.system.federation import Peer
-from repro.xmldb import axes
+from repro.xmark import generate_pair
+from repro.xmldb import axes, serializer
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
 from repro.xmldb.node import NodeKind
@@ -161,8 +166,10 @@ _EDITS = [" ", "\n", "\r", "'", '"', "=", "/", ">", "<b/>", "</b>",
           "&#38;", "&gt;", "&quot;", "&#10;", "&#xA;", "é"]
 
 
-def _seeded(doc: Document) -> bool:
-    return cached_serialization(doc) is not None
+def _seeded(doc: Document, text: str) -> bool:
+    """Whether the first serialisation read of ``doc`` adopted ``text``,
+    the text it was stored from (later reads answer the same)."""
+    return serialize(doc) is text
 
 
 def _adoptable(doc: Document) -> bool:
@@ -174,16 +181,79 @@ def _adoptable(doc: Document) -> bool:
 
 class TestAdoptedSerialization:
     """A stored text that is exactly what the serializer makes of its
-    document is adopted as that serialisation: ``Peer.store`` seeds the
-    memo with what a from-scratch emit would record, and any other
-    spelling takes the lazy path."""
+    document is adopted as that serialisation: ``Peer.store`` leaves it
+    on the document, the first serialisation read seeds the memo with
+    what a from-scratch emit would record, and any other spelling takes
+    the lazy path."""
+
+    def test_the_first_read_adopts_what_the_store_left(self, monkeypatch):
+        """``Peer.store`` only parses: the canonical check and the span
+        layout run at the first ``Peer.serialized``, once, which
+        returns the stored string itself with ``_emit``'s spans."""
+        checks = []
+        canonical, layout = serializer._NONCANONICAL, serializer._layout
+        monkeypatch.setattr(serializer, "_NONCANONICAL", SimpleNamespace(
+            search=lambda text: (checks.append("search"),
+                                 canonical.search(text))[1]))
+        monkeypatch.setattr(serializer, "_layout", lambda doc, text: (
+            checks.append("layout"), layout(doc, text))[1])
+        text = serialize(generate_pair(0.002)[0])
+        peer = Peer("p").store("d.xml", text)
+        stored = peer.document("d.xml")
+        assert checks == []
+        assert cached_serialization(stored) is None
+        assert peer.serialized("d.xml") is text
+        assert checks == ["search", "layout"]
+        starts, ends = [0] * len(stored), [0] * len(stored)
+        assert serializer._emit(stored, 0, len(stored) - 1,
+                                starts, ends) == text
+        assert subtree_spans(stored) == (starts, ends)
+        assert peer.serialized("d.xml") is text
+        assert checks == ["search", "layout"]
+
+    def test_racing_first_reads_adopt_once(self, monkeypatch):
+        """Threads racing a store's first ``Peer.serialized`` all get
+        the stored text, laid out once per store."""
+        layouts = []
+        layout = serializer._layout
+        monkeypatch.setattr(serializer, "_layout", lambda doc, text: (
+            layouts.append(1), layout(doc, text))[1])
+        text = serialize(generate_pair(0.002)[0])
+        answers, errors = [], []
+
+        def read(peer, start):
+            try:
+                start.wait(timeout=10)
+                answers.append(peer.serialized("d.xml"))
+            except Exception as error:    # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                peer = Peer("p").store("d.xml", text)
+                start = threading.Barrier(8)
+                threads = [threading.Thread(target=read, args=(peer, start))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(answers) == 40
+        assert all(answer is text for answer in answers)
+        assert len(layouts) == 5
 
     @given(_trees() | documents().map(parse_document))
     @fuzz_settings(150)
     def test_a_stored_canonical_text_seeds_the_emitters_memo(self, doc):
         text = serialize(doc)
         stored = Peer("p").store("d.xml", text).document("d.xml")
-        assert _seeded(stored) == _adoptable(stored)
+        assert _seeded(stored, text) == _adoptable(stored)
         bare = Document(stored.uri, stored.columns)  # nothing memoized
         assert serialize(stored) == serialize(bare) == text
         assert subtree_spans(stored) == subtree_spans(bare)
@@ -213,8 +283,8 @@ class TestAdoptedSerialization:
             return
         stored = Peer("p").store("d.xml", text).document("d.xml")
         canonical = serialize(expected) == text
-        assert _seeded(stored) == (canonical and _adoptable(stored))
-        if _seeded(stored):
+        assert _seeded(stored, text) == (canonical and _adoptable(stored))
+        if _seeded(stored, text):
             assert subtree_spans(stored) == subtree_spans(expected)
 
     @pytest.mark.parametrize("text", [
@@ -237,20 +307,20 @@ class TestAdoptedSerialization:
     ])
     def test_other_spellings_are_serialised_afresh(self, text):
         stored = Peer("p").store("d.xml", text).document("d.xml")
-        assert not _seeded(stored)
+        assert not _seeded(stored, text)
         assert serialize(stored) == serialize(parse_document(text)) != text
 
     @pytest.mark.parametrize("text", ["<a><?pi x?></a>",
                                       "<a><!--<b/>--></a>"])
     def test_a_pi_or_a_comment_holding_lt_is_never_adopted(self, text):
         stored = Peer("p").store("d.xml", text).document("d.xml")
-        assert not _seeded(stored)
+        assert not _seeded(stored, text)
         assert serialize(stored) == text
 
     def test_a_non_ascii_text_is_adopted_and_counted_in_bytes(self):
         text = '<é a="ü">€</é>'
         stored = Peer("p").store("d.xml", text).document("d.xml")
-        assert _seeded(stored)
+        assert _seeded(stored, text)
         assert subtree_spans(stored) == ([0, 0, 6, 9], [14, 14, 7, 10])
         assert serialized_byte_length(stored) == len(text.encode()) == 19
 
@@ -258,6 +328,6 @@ class TestAdoptedSerialization:
         depth = 20_000
         text = "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
         stored = Peer("p").store("d.xml", text).document("d.xml")
-        assert _seeded(stored)
+        assert _seeded(stored, text)
         assert subtree_spans(stored)[1][1:4] == [len(text),
                                                  len(text) - 4, len(text) - 8]
