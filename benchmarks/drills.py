@@ -82,10 +82,8 @@ def cluster(scale: float, slo: bool = False):
 
 def engine(fed) -> FederationEngine:
     """One worker (a shared virtual timeline adds concurrent sleeps),
-    no cache and no batching (a cache hit feeds the health scorer a
-    0 ms sample)."""
-    return FederationEngine(fed, max_workers=1, cache=False,
-                            batch_window_s=0.0)
+    no cache (a cache hit feeds the health scorer a 0 ms sample)."""
+    return FederationEngine(fed, max_workers=1, cache=False)
 
 
 def total(fed, name: str) -> int:

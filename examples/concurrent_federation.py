@@ -4,9 +4,8 @@ Run:  PYTHONPATH=src python examples/concurrent_federation.py
 
 Eight tenants fire benchmark-query variants at the same two XMark data
 peers through a :class:`FederationEngine`: a thread-pool scheduler with
-admission control, a shared projection-aware result cache, and
-cross-query Bulk-RPC batching, over a wire whose delay policy takes
-real wall-clock time.
+admission control and a shared projection-aware result cache, over a
+wire whose delay policy takes real wall-clock time.
 """
 
 import os
@@ -57,12 +56,6 @@ def main() -> None:
         print(f"hit rate    : {cache['hit_rate'] * 100:.0f}% "
               f"({cache['hits']} hits / {cache['misses']} misses)")
         print(f"saved       : {cache['saved_bytes']} bytes of wire traffic")
-
-        batching = engine.batcher.snapshot()
-        print("\n--- cross-query bulk batching ---")
-        print(f"round trips : {batching['round_trips']} requested, "
-              f"{batching['exchanges']} sent "
-              f"({batching['coalesced']} coalesced)")
 
         print("\n--- wire bytes per peer ---")
         for peer, wire in federation.transport.wire_summary().items():

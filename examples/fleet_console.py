@@ -44,8 +44,7 @@ def main(scale: float = SCALE) -> None:
         BurnRatePolicy(long_s=60.0, short_s=1.0, threshold=2.0,
                        min_requests=5))
 
-    with FederationEngine(cluster, max_workers=2, cache=False,
-                          batch_window_s=0.0) as engine:
+    with FederationEngine(cluster, max_workers=2, cache=False) as engine:
         print("\n--- healthy warmup (8 queries) ---")
         run_batch(engine, 8)
         print(render_fleet(monitor, recent_events=4))

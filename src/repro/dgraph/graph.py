@@ -314,8 +314,8 @@ class _Builder:
             vertex = graph.add("Constructor", expr.kind, expr, parent)
             if expr.name_expr is not None:
                 self._build(expr.name_expr, vertex.vid, env)
-            if expr.content is not None:
-                self._build(expr.content, vertex.vid, env)
+            for part in expr.content:
+                self._build(part, vertex.vid, env)
             return vertex
 
         if isinstance(expr, FunCall):

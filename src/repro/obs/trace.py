@@ -15,9 +15,8 @@ A :class:`Tracer` produces one span tree per query::
 
 Nesting uses a :mod:`contextvars` variable, so the thread-pool engine
 (one worker thread per query, whose scatters and shard round trips run
-on that thread) and bulk-RPC batching (charges follow the *stats*
-object, see below) attribute work to the right query even when many
-run at once.
+on that thread) attributes work to the right query even when many run
+at once.
 
 Two attribution channels exist on purpose:
 

@@ -183,11 +183,11 @@ class _Analyzer:
         if isinstance(expr, ConstructorExpr):
             if expr.name_expr is not None:
                 self.mark_used(self.analyze(expr.name_expr, env))
-            if expr.content is not None:
+            for part in expr.content:
                 # Content is copied into the constructed tree: the
                 # copies include descendants, so the inputs are
                 # "returned" in the projection sense.
-                self.mark_returned(self.analyze(expr.content, env))
+                self.mark_returned(self.analyze(part, env))
             return _EMPTY
         if isinstance(expr, FunCall):
             return self._analyze_funcall(expr, env)

@@ -324,9 +324,8 @@ class _Estimation:
         if isinstance(expr, ConstructorExpr):
             if expr.name_expr is not None:
                 self.visit(expr.name_expr, env, host, multiplicity)
-            content = (_EMPTY if expr.content is None
-                       else self.visit(expr.content, env, host,
-                                       multiplicity))
+            content = _combine([self.visit(part, env, host, multiplicity)
+                                for part in expr.content])
             overhead = 2.0 * len(expr.name or "e") + 5.0
             return _Vol(items=1.0, bytes=content.bytes + overhead)
         if isinstance(expr, FunCall):

@@ -14,15 +14,12 @@ into a runtime that serves many queries concurrently over shared peers:
 * :mod:`repro.runtime.cache` — a projection-aware result/fragment
   cache shared across queries, each entry current while the peers it
   read are;
-* :mod:`repro.runtime.batching` — cross-query Bulk-RPC coalescing,
-  extending the paper's bulk idea across query boundaries;
 * :mod:`repro.runtime.metrics` — when each engine run started and
   finished (what the runs did is the federation registry's ``query_*``
   / ``scatter_*`` / ``cache_*`` series).
 """
 
 from repro.clock import Clock, VirtualClock
-from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.metrics import QueryRecord
@@ -31,7 +28,6 @@ from repro.runtime.transport import (FaultInjectedError, FaultPlan,
                                      RetryPolicy, Transport)
 
 __all__ = [
-    "BulkBatcher",
     "CacheStats", "ResultCache",
     "Clock", "VirtualClock",
     "EngineClosedError", "FederationEngine",

@@ -13,9 +13,7 @@ a runtime serving many queries at once:
 * **per-peer request queues** — the transport's per-peer concurrency
   gates bound how many exchanges hammer one peer at a time;
 * a shared :class:`~repro.runtime.cache.ResultCache` (each entry current
-  while the peers it read are) and a
-  :class:`~repro.runtime.batching.BulkBatcher`
-  that coalesces same-shape round trips across queries;
+  while the peers it read are);
 * :attr:`FederationEngine.metrics`, when each run started and
   finished; every count is the federation registry's, folded by
   ``Federation.run`` itself.
@@ -29,7 +27,6 @@ from threading import BoundedSemaphore
 from typing import TYPE_CHECKING
 
 from repro.decompose import Strategy
-from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import EngineMetrics, QueryRecord
 
@@ -39,6 +36,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 class EngineClosedError(RuntimeError):
     """submit() after shutdown()."""
+
+
+class _NoBatcher:
+    """No round trip is shared across queries, so none is coalesced."""
+
+    @staticmethod
+    def snapshot() -> dict[str, int]:
+        return {"round_trips": 0, "coalesced": 0}
 
 
 class FederationEngine:
@@ -54,7 +59,8 @@ class FederationEngine:
 
     ``cache=True`` (default) creates a :class:`ResultCache`; pass an
     instance to share one across engines, or ``False`` to disable.
-    ``batch_window_s`` > 0 enables cross-query bulk coalescing.
+    Every round trip is its own query's: a query's Bulk RPC merges the
+    calls of its own loops, never another query's.
 
     A query's scatters run their round trips on its worker thread, so
     ``max_workers`` bounds this engine's concurrent exchanges, sharded
@@ -62,10 +68,13 @@ class FederationEngine:
     one replica.
     """
 
+    #: Read by the end-to-end ledger's worker (``batch_merge_ratio``,
+    #: always 0 now); ROADMAP item 9(a) removes it with that read.
+    batcher = _NoBatcher()
+
     def __init__(self, federation: "Federation", *,
                  max_workers: int = 8,
-                 cache: "ResultCache | bool" = True,
-                 batch_window_s: float = 0.002):
+                 cache: "ResultCache | bool" = True):
         self.federation = federation
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
@@ -81,15 +90,7 @@ class FederationEngine:
         else:
             self.cache = cache
         self._in_flight = 0
-        self._executing = 0
         self._in_flight_lock = threading.Lock()
-        # A window is only worth paying when another query is actually
-        # *executing* (not merely queued behind the worker pool): a
-        # rider can only arrive from a concurrently running query.
-        self.batcher = (BulkBatcher(window_s=batch_window_s,
-                                    worth_waiting=lambda:
-                                    self.executing > 1)
-                        if batch_window_s > 0 else None)
         #: When each run started and finished, the newest kept; what
         #: the runs did is the federation registry's.
         self.metrics = EngineMetrics()
@@ -150,21 +151,10 @@ class FederationEngine:
         with self._in_flight_lock:
             return self._in_flight
 
-    @property
-    def executing(self) -> int:
-        """Queries currently running on a worker thread."""
-        with self._in_flight_lock:
-            return self._executing
-
     def _release_one(self) -> None:
         with self._in_flight_lock:
             self._in_flight -= 1
         self._admission.release()
-
-    def _finish_one(self) -> None:
-        with self._in_flight_lock:
-            self._executing -= 1
-        self._release_one()
 
     # -- worker body --------------------------------------------------------
 
@@ -178,16 +168,12 @@ class FederationEngine:
             # The fleet monitor's sampling profiler: trace every Nth
             # query; an explicit trace= from the caller always wins.
             run_kwargs = {**run_kwargs, "trace": True}
-        with self._in_flight_lock:
-            self._executing += 1
         try:
             return self.federation.run(
                 query, at=at, strategy=strategy,
-                result_cache=self.cache,
-                batcher=self.batcher,
-                **run_kwargs)
+                result_cache=self.cache, **run_kwargs)
         finally:
             # Completed or failed, one record, before the future
             # resolves: a closed-loop caller reads it right after.
             self.metrics.records.append(QueryRecord(started, clock()))
-            self._finish_one()
+            self._release_one()

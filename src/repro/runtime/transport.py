@@ -1,6 +1,6 @@
 """The wire: the ship/execute/ship-back slice of a round trip, the
-last step of ``_Run._call_peer``'s delivery chain (result cache, then
-batcher, then here) and of ``_ship_document``.
+step after a result-cache miss in ``_Run._call_peer``, and the fetch
+of ``_ship_document``.
 
 :class:`Transport` is the only transport class, and a federation owns
 one (``federation.transport``). It moves both SOAP-style XML texts,
@@ -336,8 +336,7 @@ class Transport:
 
     def exchange(self, peer: "Peer", request_xml: str,
                  handle: Callable[[RequestMessage], ResponseMessage],
-                 stats: RunStats,
-                 request_bytes: int | None = None) -> tuple[str, int]:
+                 stats: RunStats, request_bytes: int) -> tuple[str, int]:
         """Ship the serialised request to ``peer``, run ``handle`` on
         its re-parsed form there, ship the response back; returns the
         response text (the requester parses it) and its byte length.
@@ -350,8 +349,6 @@ class Transport:
             # those bytes were genuinely attempted.)
             raise PeerDownError(f"peer {peer.name!r} is down",
                                 peer=peer.name)
-        if request_bytes is None:
-            request_bytes = len(request_xml.encode())
         self.charge_message(stats, request_bytes)
 
         in_flight = self._wire_in_flight.labels(peer.name)

@@ -48,7 +48,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, bind_stats_span, child_span
 from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
-from repro.runtime.batching import BulkBatcher, batch_key
 from repro.runtime.cache import (
     STALE, ReadSet, ResultCache, StoredResponse, Validators,
     response_key,
@@ -290,7 +289,6 @@ class Federation:
             let_sinking: bool = True,
             keep_message_xml: bool = False,
             result_cache: ResultCache | None = None,
-            batcher: BulkBatcher | None = None,
             trace: bool = False) -> RunResult:
         """Parse, decompose and execute ``query`` at peer ``at``.
 
@@ -300,9 +298,9 @@ class Federation:
         a *mixed* plan shipping some documents while decomposing
         others, and records its estimate in ``RunStats.plan``).
 
-        ``result_cache`` and ``batcher`` are injected by
+        ``result_cache`` is injected by
         :class:`~repro.runtime.engine.FederationEngine` for cross-query
-        reuse and coalescing, and stay off for standalone runs.
+        reuse, and stays off for standalone runs.
 
         ``trace=True`` records a per-query span tree (``query`` →
         ``plan`` / ``rpc`` / ``scatter`` / ``ship`` with component
@@ -334,8 +332,7 @@ class Federation:
                 # the binding the lookup interned.
                 run = _Run(self, plan, report.binding, bulk_rpc,
                            keep_message_xml,
-                           result_cache=result_cache, batcher=batcher,
-                           tracer=tracer)
+                           result_cache=result_cache, tracer=tracer)
                 result = self._execute(run, report)
             ok = True
         finally:
@@ -387,7 +384,6 @@ class _Run:
     def __init__(self, federation: Federation, plan: PhysicalPlan,
                  binding: Binding, bulk_rpc: bool, keep_message_xml: bool,
                  result_cache: ResultCache | None = None,
-                 batcher: BulkBatcher | None = None,
                  tracer: Tracer | None = None):
         self.federation = federation
         self.plan = plan
@@ -399,7 +395,6 @@ class _Run:
         self.transport = federation.transport
         self.clock = self.transport.clock
         self.result_cache = result_cache
-        self.batcher = batcher
         self.tracer = tracer
         self.stats = RunStats()
         if tracer is not None and tracer.root is not None:
@@ -589,8 +584,8 @@ class _Run:
         request, answers with the results its miss resolved
         (:meth:`~repro.runtime.cache.StoredResponse.replay`: no request
         text, no decoding, no unmarshalling); otherwise the request text
-        goes out through the cross-query batcher or the transport's
-        wire, and the response text is decoded once and unmarshalled →
+        goes out on the transport's wire, and the response text is
+        decoded once and unmarshalled →
         *record* (stats and the site's ``per_op`` actuals, ``rpc``
         span, message log, cache store).
 
@@ -627,48 +622,19 @@ class _Run:
                                  returned=len(returned_paths))
 
             param_names = [name for name, _seq in calls[0]] if calls else []
-            static_attrs = self.federation.static.to_attributes()
+            bundle = marshal_calls(calls, semantics, param_paths)
+            message = RequestMessage(
+                query=query_text,
+                param_names=param_names,
+                calls=bundle.calls,
+                fragments=bundle.fragments,
+                static_attrs=self.federation.static.to_attributes(),
+                used_paths=used_paths,
+                returned_paths=returned_paths,
+            )
             base_uri = f"{XRPC_SCHEME}{peer.name}/response"
 
-            def request(raw_calls: list[list[tuple[str, list]]]
-                        ) -> RequestMessage:
-                bundle = marshal_calls(raw_calls, semantics, param_paths)
-                return RequestMessage(
-                    query=query_text,
-                    param_names=param_names,
-                    calls=bundle.calls,
-                    fragments=bundle.fragments,
-                    static_attrs=static_attrs,
-                    used_paths=used_paths,
-                    returned_paths=returned_paths,
-                )
-
-            message = request(calls)
-
-            def exchange(wire_calls: list[list[tuple[str, list]]],
-                         charge_to: RunStats) -> tuple[str, int]:
-                # ``wire_calls`` longer than our own means the batcher
-                # merged riders in; otherwise the built text (and its
-                # measured length) is reused.
-                handler = RequestHandler(
-                    peer_name=peer.name,
-                    resolve_doc=self._resolver(peer.name, stats=stats,
-                                               reads=own),
-                    xrpc_execute=self._make_xrpc_execute(
-                        peer.name, stats=stats, counter=remote_counter,
-                        reads=own),
-                    semantics=semantics,
-                    counter=remote_counter,
-                    prepared=peer.prepared,
-                )
-                merged = len(wire_calls) != len(calls)
-                return self.transport.exchange(
-                    peer,
-                    request(wire_calls).to_xml() if merged else request_xml,
-                    handler.handle, charge_to,
-                    request_bytes=None if merged else request_bytes)
-
-            # -- deliver: each step answers or passes on ----------------
+            # -- deliver: the cache answers, or the wire does ----------
             stored = cache_key = own = None
             if self.result_cache is not None:
                 own = ReadSet(reads)
@@ -680,10 +646,6 @@ class _Run:
                 stored = self.result_cache.lookup_response(
                     cache_key, self.federation.current_generation)
             cached = stored is not None
-            if not cached:  # only a miss writes the request text
-                request_xml = message.to_xml()
-                request_bytes = len(request_xml.encode())
-                response_bytes = None
             if cached:
                 own.note_all(stored.validators)
                 request_bytes = stored.request_bytes
@@ -691,43 +653,35 @@ class _Run:
                 # New documents over the stored columns, so node
                 # identity stays per query.
                 results = stored.replay(base_uri)
-            elif self.batcher is not None:
-                # Only a batch leader reaches the wire, and its merged
-                # exchange is charged to no single query (a throwaway
-                # RunStats, which carries no span either, so traced
-                # runs never double-count it): each participant
-                # accounts for its private messages in the record step
-                # below, while the transport's wire counters record the
-                # truth. Known accounting skew: nested work the merged
-                # evaluation triggers (document shipping, recursive
-                # round trips) runs through the leader's resolver and
-                # counters, so under coalescing the leader's RunStats
-                # over-report and riders' under-report that share.
-                led = []
+                # -- record: nothing on the wire, only the local
+                # deserialisation is charged.
+                saved_bytes = request_bytes + response_bytes
+                stats.cache_hits += 1
+                stats.cache_saved_bytes += saved_bytes
+                stats.charge("serialize",
+                             self.federation.cost_model.deserialize_time(
+                                 response_bytes))
+                if rpc_span is not None:
+                    rpc_span.set(cache="hit", saved_bytes=saved_bytes)
+            else:  # only a miss writes the request text
+                request_xml = message.to_xml()
+                request_bytes = len(request_xml.encode())
+                handler = RequestHandler(
+                    peer_name=peer.name,
+                    resolve_doc=self._resolver(peer.name, stats=stats,
+                                               reads=own),
+                    xrpc_execute=self._make_xrpc_execute(
+                        peer.name, stats=stats, counter=remote_counter,
+                        reads=own),
+                    semantics=semantics,
+                    counter=remote_counter,
+                    prepared=peer.prepared,
+                )
+                response_xml, response_bytes = self.transport.exchange(
+                    peer, request_xml, handler.handle, stats,
+                    request_bytes=request_bytes)
 
-                def lead(merged: list[list[tuple[str, list]]]) -> str:
-                    led.append(merged)
-                    return exchange(merged, RunStats())[0]
-
-                response_xml = self.batcher.execute(
-                    batch_key(peer.name, query_text, param_names,
-                              semantics, static_attrs,
-                              used_paths, returned_paths),
-                    calls, lead)
-                if not led and own is not None:
-                    # A rider: what the merged evaluation read went
-                    # into the leader's set, so nothing computed from
-                    # this response is kept, here or by an enclosing
-                    # exchange.
-                    own.note(peer.name, STALE)
-            else:
-                response_xml, response_bytes = exchange(calls, stats)
-            if response_bytes is None:
-                # This run's share of a batch: not yet measured.
-                response_bytes = len(response_xml.encode())
-
-            # -- decode: once per message that crossed the wire ---------
-            if not cached:
+                # -- decode: once per message that crossed the wire -----
                 response = ResponseMessage.from_xml(response_xml)
                 if len(response.results) != len(calls):
                     raise XrpcMarshalError(
@@ -737,22 +691,7 @@ class _Run:
                 results = unmarshal_result(
                     response.results, response.fragments, base_uri)
 
-            # -- record -------------------------------------------------
-            if cached:
-                # Served from the shared cache: nothing on the wire,
-                # only the local deserialisation is charged.
-                saved_bytes = request_bytes + response_bytes
-                stats.cache_hits += 1
-                stats.cache_saved_bytes += saved_bytes
-                stats.charge("serialize",
-                             self.federation.cost_model.deserialize_time(
-                                 response_bytes))
-                if rpc_span is not None:
-                    rpc_span.set(cache="hit", saved_bytes=saved_bytes)
-            else:
-                if self.batcher is not None:
-                    self.transport.charge_message(stats, request_bytes)
-                    self.transport.charge_message(stats, response_bytes)
+                # -- record ---------------------------------------------
                 stats.rpc_calls += len(calls)
                 if rpc_span is not None:
                     rpc_span.set(cache="miss" if cache_key is not None

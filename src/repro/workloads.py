@@ -9,8 +9,8 @@ people and auctions documents live on two different peers.
 The multi-tenant generator at the bottom turns this into a concurrent
 workload: N clients issue ``BENCHMARK_QUERY`` *variants* (the age
 threshold is the tenant's parameter) against the same shared XMark
-documents, so repeated thresholds exercise the runtime's result cache
-and simultaneous ones its cross-query batcher.
+documents, so repeated thresholds exercise the runtime's result
+cache.
 """
 
 from __future__ import annotations

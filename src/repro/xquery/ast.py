@@ -380,14 +380,17 @@ class ConstructorExpr(Expr):
 
     ``kind`` is one of ``element``, ``attribute``, ``document``,
     ``text``. ``name`` is a constant QName or None when ``name_expr``
-    computes the name. ``content`` is the content expression (None for
-    empty content).
+    computes the name. ``content`` lists the content parts, each of
+    which joins its own atoms into a text node (XQuery 1.0 §3.7.1.3):
+    none for empty content, one for a computed constructor, and for a
+    direct element (``<a>…</a>``) one per attribute, text run, nested
+    element and enclosed expression.
     """
 
     kind: str
     name: str | None
     name_expr: Expr | None
-    content: Expr | None
+    content: list[Expr]
 
 
 @dataclass

@@ -1046,18 +1046,20 @@ class Evaluator:
     # -- constructors -----------------------------------------------------------------
 
     def _constructor_plan(self, expr: ConstructorExpr) -> tuple:
-        """``(operand expressions, inline)``. Planning an element marks
-        the attribute constructors directly inside its content inline:
+        """``(operand expressions, inline)``: the content parts, then
+        the name expression if any. Planning an element marks the
+        attribute constructors directly inside its content inline:
         they hand the tree builder a ``(name, value)`` pair instead of
         building a one-row document for it to read them from."""
-        if expr.kind == "element" and expr.content is not None:
-            for item in getattr(expr.content, "items", (expr.content,)):
-                if isinstance(item, ConstructorExpr) \
-                        and item.kind == "attribute":
-                    self._plans[id(item)] = (
-                        item, (self._constructor_plan(item)[0], True))
-        return [operand for operand in (expr.content, expr.name_expr)
-                if operand is not None], False
+        if expr.kind == "element":
+            for part in expr.content:
+                for item in getattr(part, "items", (part,)):
+                    if isinstance(item, ConstructorExpr) \
+                            and item.kind == "attribute":
+                        self._plans[id(item)] = (
+                            item, (self._constructor_plan(item)[0], True))
+        return expr.content + ([] if expr.name_expr is None
+                               else [expr.name_expr]), False
 
     def _lift_ConstructorExpr(self, expr: ConstructorExpr,
                               frame: _Frame) -> list[list]:
@@ -1066,49 +1068,50 @@ class Evaluator:
         builder, cut into a parentless document per row (fragment URIs
         and document order taken in row order). Attribute items become
         attributes; other nodes are deep-copied (a document node's
-        children stand in for it); adjacent atomics join into one text
-        node, separated by spaces; adjacent text nodes merge and empty
-        ones are dropped (XQuery 1.0 §3.7.1.3)."""
-        operands = [self._lift(operand, frame) for operand
-                    in self._plan(expr, self._constructor_plan)[0]]
-        contents = operands[0] if expr.content is not None \
-            else [()] * frame.size
+        children stand in for it); adjacent atomics of one content part
+        join into one text node, separated by spaces; adjacent text
+        nodes merge and empty ones are dropped (XQuery 1.0 §3.7.1.3)."""
+        parts = [self._lift(operand, frame) for operand
+                 in self._plan(expr, self._constructor_plan)[0]]
+        computed = parts.pop() if expr.name_expr is not None else None
         names = [xdm.string_value(seq[0]) if seq else ""
-                 for seq in operands[-1]] \
-            if expr.name is None and expr.name_expr is not None \
+                 for seq in computed] \
+            if expr.name is None and computed is not None \
             else [expr.name] * frame.size
         if expr.kind in ("text", "attribute"):
             return [self._leaf(expr, name, content)
-                    for name, content in zip(names, contents)]
+                    for name, content in zip(
+                        names, parts[0] if parts else [()] * frame.size)]
         builder = DocumentBuilder()
         document = expr.kind == "document"
-        for name, content in zip(names, contents):
+        for row, name in enumerate(names):
             if document:
                 builder.start_document()
             else:
                 builder.start_element(name or "element")
-            atoms: list[str] = []
-            for item in content:
-                if type(item) is tuple:  # an inline attribute constructor's
-                    builder.attribute(*item)
-                    continue
-                if type(item) is not Node:
-                    atoms.append(xdm.string_value(item))
-                    continue
-                kind = item.doc.kinds[item.pre]
-                if kind == KIND_ATTRIBUTE:
-                    builder.attribute(item.name, item.value)
-                    continue
-                if atoms:
-                    builder.text(" ".join(atoms))
-                    atoms = []
-                for top in child(item) if kind == KIND_DOCUMENT \
-                        else (item,):
-                    if top.doc.kinds[top.pre] == KIND_TEXT:
-                        builder.text(top.value)
-                    else:
-                        builder.copy_subtree(top)
-            builder.text(" ".join(atoms))
+            for part in parts:
+                atoms: list[str] = []
+                for item in part[row]:
+                    if type(item) is tuple:  # an inline attribute's
+                        builder.attribute(*item)
+                        continue
+                    if type(item) is not Node:
+                        atoms.append(xdm.string_value(item))
+                        continue
+                    kind = item.doc.kinds[item.pre]
+                    if kind == KIND_ATTRIBUTE:
+                        builder.attribute(item.name, item.value)
+                        continue
+                    if atoms:
+                        builder.text(" ".join(atoms))
+                        atoms = []
+                    for top in child(item) if kind == KIND_DOCUMENT \
+                            else (item,):
+                        if top.doc.kinds[top.pre] == KIND_TEXT:
+                            builder.text(top.value)
+                        else:
+                            builder.copy_subtree(top)
+                builder.text(" ".join(atoms))
             if document:
                 builder.end_document()
             else:

@@ -621,7 +621,8 @@ class _Parser:
         if name in ("document", "text") and self.peek(1).is_symbol("{"):
             kind = self.next().text
             self.expect_symbol("{")
-            content = None if self.peek().is_symbol("}") else self.parse_expr()
+            content = [] if self.peek().is_symbol("}") \
+                else [self.parse_expr()]
             self.expect_symbol("}")
             return ConstructorExpr(kind, None, None, content)
 
@@ -657,7 +658,7 @@ class _Parser:
             name_expr = self.parse_expr()
             self.expect_symbol("}")
         self.expect_symbol("{")
-        content = None if self.peek().is_symbol("}") else self.parse_expr()
+        content = [] if self.peek().is_symbol("}") else [self.parse_expr()]
         self.expect_symbol("}")
         return ConstructorExpr(kind, name, name_expr, content)
 
@@ -697,8 +698,7 @@ class _Parser:
                 raise XQuerySyntaxError("unterminated constructor", pos)
             if text.startswith("/>", pos):
                 return ConstructorExpr("element", name, None,
-                                       SequenceExpr(content) if content
-                                       else None), pos + 2
+                                       content), pos + 2
             if text[pos] == ">":
                 pos += 1
                 break
@@ -734,13 +734,11 @@ class _Parser:
             if pos > chunk_start:
                 value_parts.append(Literal(text[chunk_start:pos]))
             pos += 1
-            attr_content: Expr | None
-            if not value_parts:
-                attr_content = None
-            elif len(value_parts) == 1:
-                attr_content = value_parts[0]
+            attr_content: list[Expr]
+            if len(value_parts) <= 1:
+                attr_content = value_parts
             else:
-                attr_content = FunCall("concat", value_parts)
+                attr_content = [FunCall("concat", value_parts)]
             content.append(
                 ConstructorExpr("attribute", attr_name, None, attr_content))
 
@@ -754,7 +752,7 @@ class _Parser:
                 raw = text[chunk_start:pos]
                 if raw.strip():
                     content.append(ConstructorExpr("text", None, None,
-                                                   Literal(raw)))
+                                                   [Literal(raw)]))
                 if text.startswith("</", pos):
                     pos += 2
                     close_start = pos
@@ -765,9 +763,8 @@ class _Parser:
                         raise XQuerySyntaxError(
                             f"mismatched </{close_name}> for <{name}>", pos)
                     pos += 1
-                    return ConstructorExpr(
-                        "element", name, None,
-                        SequenceExpr(content) if content else None), pos
+                    return ConstructorExpr("element", name, None,
+                                           content), pos
                 child, pos = self._scan_element(text, pos)
                 content.append(child)
                 chunk_start = pos
@@ -775,7 +772,7 @@ class _Parser:
                 raw = text[chunk_start:pos]
                 if raw.strip():
                     content.append(ConstructorExpr("text", None, None,
-                                                   Literal(raw)))
+                                                   [Literal(raw)]))
                 inner, pos = self._scan_embedded_expr(text, pos)
                 content.append(inner)
                 chunk_start = pos

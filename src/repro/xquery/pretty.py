@@ -109,13 +109,16 @@ def _render(expr: Expr) -> str:
             rendered += f"/{step.axis}::{step.test}{predicates}"
         return rendered
     if isinstance(expr, ConstructorExpr):
+        if len(expr.content) > 1:  # only a direct element, named
+            parts = "".join(f"{{{_render(part)}}}" for part in expr.content)
+            return f"<{expr.name}>{parts}</{expr.name}>"
         if expr.name is not None:
             head = f"{expr.kind} {expr.name}"
         elif expr.name_expr is not None:
             head = f"{expr.kind} {{{_render(expr.name_expr)}}}"
         else:
             head = expr.kind
-        content = "" if expr.content is None else _render(expr.content)
+        content = "".join(_render(part) for part in expr.content)
         return f"{head} {{{content}}}"
     if isinstance(expr, FunCall):
         args = ", ".join(_render(arg) for arg in expr.args)

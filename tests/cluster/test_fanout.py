@@ -334,8 +334,7 @@ def test_concurrent_first_scatters_share_one_preparation(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with FederationEngine(federation, max_workers=8, cache=False,
-                              batch_window_s=0) as engine:
+        with FederationEngine(federation, max_workers=8, cache=False) as engine:
             futures = [engine.submit(SHARDED_BENCHMARK_QUERY, "local")
                        for _ in range(24)]
             outputs = [serialize_sequence(f.result(timeout=60).items)

@@ -81,8 +81,7 @@ def test_response_cache_keys_by_shard_identity(cluster):
     with no wire traffic at all. A hit is the miss it
     replays, so once the whole fleet is dead no response is served:
     the query fails as it would without a cache."""
-    with FederationEngine(cluster, max_workers=2,
-                          batch_window_s=0) as engine:
+    with FederationEngine(cluster, max_workers=2) as engine:
         first = engine.submit(SCAN, at="local").result()
         other = engine.submit(SCAN, at="local").result()
         assert first.stats.cache_hits == other.stats.cache_hits == 0
@@ -101,8 +100,7 @@ def test_response_cache_keys_by_shard_identity(cluster):
 
 
 def test_catalog_epoch_invalidates_cached_responses(cluster):
-    with FederationEngine(cluster, max_workers=2,
-                          batch_window_s=0) as engine:
+    with FederationEngine(cluster, max_workers=2) as engine:
         engine.submit(SCAN, at="local").result()
         hits_before = engine.cache.stats.hits
         cluster.peer_view.mark_down("node9")   # membership epoch bump
@@ -118,8 +116,7 @@ def test_data_shipping_merges_collection_on_every_run(cluster,
     or not: shipped documents are never served from the cache."""
     expected = single_owner.run(SCAN_OWNER, at="local",
                                 strategy=Strategy.DATA_SHIPPING)
-    with FederationEngine(cluster, max_workers=2,
-                          batch_window_s=0) as engine:
+    with FederationEngine(cluster, max_workers=2) as engine:
         first = engine.submit(SCAN, at="local",
                               strategy=Strategy.DATA_SHIPPING).result()
         assert serialize_sequence(first.items) \
@@ -163,8 +160,7 @@ def test_shard_restore_is_read_by_the_next_data_shipping_run(cluster):
     from repro.xmldb.parser import parse_document
     COUNT = ('count(doc("xrpc://books-c/books.xml")'
              "/child::library/child::books/child::book)")
-    with FederationEngine(cluster, max_workers=2,
-                          batch_window_s=0) as engine:
+    with FederationEngine(cluster, max_workers=2) as engine:
         first = engine.submit(COUNT, at="local",
                               strategy=Strategy.DATA_SHIPPING).result()
         assert first.items == [10]
@@ -186,7 +182,7 @@ def test_shard_restore_is_read_by_the_next_data_shipping_run(cluster):
 def test_concurrent_batched_scatter_keeps_shard_order():
     """Regression: shard response fragments are renumbered in shard
     order after the gather. Without that, concurrent queries (whose
-    batching windows scramble which scatter thread parses first) got
+    threads interleave, so any scatter may parse first) got
     arbitrary inter-shard document order, so a local suffix path step
     over the gathered items re-sorted across shards — a permuted
     result sequence."""

@@ -170,7 +170,7 @@ def test_series_are_the_fold_of_bulk_and_per_call_runs(runs):
 
 
 def test_engine_runs_are_folded_once(runs):
-    """A batch through an engine with its cache and batcher, over a
+    """A batch through an engine with its cache, over a
     cluster with one replica dead and one query that fails: each run is
     folded once, by the federation, and nowhere else."""
     federation = build_sharded_federation(0.004, shard_count=4,

@@ -57,10 +57,9 @@ def test_soak_churn_degrade_and_alert(tmp_path):
                     strategy=Strategy.BY_PROJECTION).items)
 
     # Cache hits bypass the wire, so they feed ~0 ms samples into
-    # health windows; batching adds timing noise. Both off keeps the
-    # degraded peer's latency signal clean for deterministic scoring.
-    with FederationEngine(cluster, max_workers=1, cache=False,
-                          batch_window_s=0.0) as engine:
+    # health windows. Off keeps the degraded peer's latency signal
+    # clean for deterministic scoring.
+    with FederationEngine(cluster, max_workers=1, cache=False) as engine:
         # Phase 1 — healthy warmup: correct answers, no churn events.
         assert run_batch(engine, 16) == {baseline}
         assert registry_series(cluster.metrics)["query_failed_total"] == 0

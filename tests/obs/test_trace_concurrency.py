@@ -35,12 +35,11 @@ def assert_well_formed(root) -> None:
 def test_interleaved_engine_queries_never_cross_attribute():
     """N concurrent traced queries through the thread-pool engine:
     each trace sums to its own stats (the acceptance invariant, under
-    interleaving). Cache and batching off so every run does real wire
-    work that could be mis-attributed."""
+    interleaving). Cache off so every run does real wire work that could
+    be mis-attributed."""
     federation = build_sharded_federation(0.002)
     thresholds = [25, 30, 35, 40, 45, 50, 55, 60]
-    with FederationEngine(federation, max_workers=4, cache=False,
-                          batch_window_s=0.0) as engine:
+    with FederationEngine(federation, max_workers=4, cache=False) as engine:
         futures = [engine.submit(sharded_scan_variant(age), "local",
                                  "by-fragment", trace=True)
                    for age in thresholds for _ in range(2)]

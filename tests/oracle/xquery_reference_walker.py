@@ -318,31 +318,32 @@ class ReferenceEvaluator(Evaluator):
     # until a frame built every row's tree in one pass, moved here
     # unchanged but for text nodes in the content: they merge into an
     # adjacent text node and are dropped when empty (XQuery 1.0
-    # §3.7.1.3), as ``DocumentBuilder.text`` does. Text and attribute
-    # constructors are the library's one-row rule (``_leaf``).
+    # §3.7.1.3), as ``DocumentBuilder.text`` does, and each content
+    # part joins its own atoms. Text and attribute constructors are the
+    # library's one-row rule (``_leaf``).
 
     def _eval_ConstructorExpr(self, expr: ConstructorExpr,
                               env: DynamicContext) -> list:
-        operands = iter([self.evaluate(operand, env) for operand
-                         in self._plan(expr, self._constructor_plan)[0]])
-        content = [] if expr.content is None else next(operands)
+        parts = [self.evaluate(operand, env) for operand
+                 in self._plan(expr, self._constructor_plan)[0]]
         name = expr.name
-        if name is None and expr.name_expr is not None:
-            name_seq = next(operands)
-            name = xdm.string_value(name_seq[0]) if name_seq else ""
+        if expr.name_expr is not None:
+            name_seq = parts.pop()
+            if name is None:
+                name = xdm.string_value(name_seq[0]) if name_seq else ""
         if expr.kind in ("text", "attribute"):
-            return self._leaf(expr, name, content)
-        if expr.kind == "document":
-            builder = DocumentBuilder(_fragment_uri())
-            builder.start_document()
-            _build_content(builder, content)
-            builder.end_document()
-            return [builder.finish().root]
-        # element
+            return self._leaf(expr, name, parts[0] if parts else [])
         builder = DocumentBuilder(_fragment_uri())
-        builder.start_element(name or "element")
-        _build_content(builder, content)
-        builder.end_element()
+        if expr.kind == "document":
+            builder.start_document()
+        else:
+            builder.start_element(name or "element")
+        for part in parts:
+            _build_content(builder, part)
+        if expr.kind == "document":
+            builder.end_document()
+        else:
+            builder.end_element()
         return [builder.finish().root]
 
     # The per-node path walker.

@@ -196,8 +196,7 @@ def test_concurrent_runs_share_one_prepared_query(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with FederationEngine(federation, max_workers=8, cache=False,
-                              batch_window_s=0.0) as engine:
+        with FederationEngine(federation, max_workers=8, cache=False) as engine:
             futures = [engine.submit(BENCHMARK_QUERY, "local",
                                      "by-fragment") for _ in range(32)]
             answers = [serialize_sequence(future.result(timeout=60).items)

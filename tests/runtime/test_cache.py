@@ -13,7 +13,6 @@ from hypothesis import example, given, strategies as st
 from repro.cluster.router import ClusterRouter
 from repro.errors import ReproError
 from repro.obs.events import EventLog
-from repro.runtime.batching import BulkBatcher
 from repro.runtime.cache import (
     MAX_RESPONSES, STALE, ReadSet, ResultCache, response_key,
 )
@@ -135,8 +134,7 @@ def test_data_shipping_ships_every_run_through_an_engine():
     each run fetches and shreds every remote document it reads, as a
     standalone run does; only XRPC responses are served from the
     cache."""
-    with FederationEngine(build_federation(0.005), max_workers=1,
-                          batch_window_s=0.0) as engine:
+    with FederationEngine(build_federation(0.005), max_workers=1) as engine:
         ships = [engine.submit(BENCHMARK_QUERY, "local",
                                "data-shipping").result().stats
                  for _ in range(2)]
@@ -228,8 +226,7 @@ class TestInvalidation:
         B misses, its call to A (which read nothing of B) still hits,
         and the answer is a fresh federation's."""
         federation = make_federation()
-        with FederationEngine(federation, max_workers=2,
-                              batch_window_s=0.0) as engine:
+        with FederationEngine(federation, max_workers=2) as engine:
             first = engine.submit(Q2, "local", trace=True).result()
             assert rpc_outcomes(first) == [("A", "miss"), ("B", "miss")]
 
@@ -502,40 +499,6 @@ class TestValidators:
             [("B", "miss"), ("node1", "miss"), ("node2", "hit")],
             [("B", "hit")]]
 
-    def test_a_batcher_rider_stores_nothing(self):
-        """Two texts of one shape coalesce at B; the leader's entry
-        carries what the merged evaluation read (C's document), the
-        rider keeps nothing, and after a store on C both answer
-        afresh."""
-        texts = [SHIPPING + f'for $i in ({low}, {low + 1}) '
-                 'return execute at {"B"} { f($i) }' for low in (1, 3)]
-        federation, cache = _three_peers(), ResultCache()
-        batcher, barrier = BulkBatcher(window_s=0.5), threading.Barrier(2)
-        answers = {}
-
-        def tenant(text):
-            barrier.wait()
-            answers[text] = federation.run(
-                text, at="local", strategy="data-shipping",
-                result_cache=cache, batcher=batcher).items
-
-        threads = [threading.Thread(target=tenant, args=(text,))
-                   for text in texts]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert batcher.snapshot()["coalesced"] == 1
-        assert [answers[text] for text in texts] == [[4, 5], [6, 7]]
-        assert len(cache) == 1
-        _store_one_x(federation)
-        again = [federation.run(text, at="local", strategy="data-shipping",
-                                result_cache=cache, trace=True)
-                 for text in texts]
-        assert [result.items for result in again] == [[2, 3], [4, 5]]
-        assert [rpc_outcomes(result) for result in again] == \
-            [[("B", "miss")]] * 2
-
 
 # ---------------------------------------------------------------------------
 # Hits: a stored resolved response, new documents per hit
@@ -614,8 +577,7 @@ class TestNodeIdentityUnderHits:
         assert result.items == plain.items
 
     def test_repeated_text_shares_no_document(self):
-        with FederationEngine(make_federation(), max_workers=1,
-                              batch_window_s=0.0) as engine:
+        with FederationEngine(make_federation(), max_workers=1) as engine:
             first = engine.submit(Q2, "local", "by-fragment").result()
             second = engine.submit(Q2, "local", "by-fragment").result()
             stored = {id(doc) for doc in stored_documents(engine.cache)}
@@ -670,8 +632,7 @@ class TestNodeIdentityUnderHits:
         federation = build_sharded_federation(0.005)
         # A wire that sleeps: its round trips run inline all the same.
         federation.transport.extra_latency_s = 0.001
-        with FederationEngine(federation, max_workers=2,
-                              batch_window_s=0.0) as engine:
+        with FederationEngine(federation, max_workers=2) as engine:
             miss = engine.submit(query, "local").result()
             # The two covers of the 4 x 2 layout alternate with the
             # load, and a grouped response is keyed by its shard set:

@@ -13,7 +13,8 @@ from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.transport import Transport
 from repro.system.federation import Federation, RunResult
 from repro.workloads import (BENCHMARK_QUERY, SHARDED_BENCHMARK_QUERY,
-                             TenantJob, build_federation,
+                             TENANT_AGE_THRESHOLDS, TenantJob,
+                             benchmark_query_variant, build_federation,
                              build_sharded_federation, multi_tenant_jobs)
 from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
 from repro.xrpc.messages import ResponseMessage
@@ -46,7 +47,7 @@ class TestConcurrentCorrectness:
 
     def test_parallel_benchmark_query_matches_sequential(self):
         """The acceptance smoke test: 8 concurrent benchmark queries,
-        byte-identical to one sequential run, cache and batching on."""
+        byte-identical to one sequential run, cache on."""
         expected = serialize_sequence(
             build_federation(0.0025).run(BENCHMARK_QUERY, at="local").items)
         federation = build_federation(0.0025)
@@ -75,11 +76,30 @@ class TestConcurrentCorrectness:
         assert engine.cache is None
         assert repeat.stats.cache_hits == 0
 
+    def test_a_concurrent_run_counts_as_its_solo_run(self):
+        """Every round trip is its own query's: the tenant variants run
+        together on two workers, each answering and counting exactly as
+        the same text run alone on a fresh twin federation."""
+        texts = [benchmark_query_variant(age)
+                 for age in TENANT_AGE_THRESHOLDS] * 2
+        with FederationEngine(build_federation(0.01), max_workers=2,
+                              cache=False) as engine:
+            futures = [engine.submit(text, "local", Strategy.BY_PROJECTION)
+                       for text in texts]
+            together = [future.result() for future in futures]
+        for text, run in zip(texts, together):
+            solo = build_federation(0.01).run(
+                text, at="local", strategy=Strategy.BY_PROJECTION)
+            assert run.items and sequences_deep_equal(run.items, solo.items)
+            for name in ("messages", "message_bytes", "rpc_calls", "times"):
+                assert getattr(run.stats, name) == \
+                    getattr(solo.stats, name), (text, name)
+
 
 class TestDeliveryPathParity:
-    """A plain ``Federation.run``, an engine run with cache and batcher
-    off, and an engine run with the batcher on but no rider all take
-    the one deliver → parse → record pipeline: same answer, same
+    """A plain ``Federation.run``, an engine run with its cache off, and
+    an engine run as constructed by default (a cold cache) all take the
+    one marshal → deliver → parse → record pipeline: same answer, same
     accounting, one response parse per round trip."""
 
     TOPOLOGIES = {
@@ -91,8 +111,8 @@ class TestDeliveryPathParity:
     }
     PATHS = {
         "plain": None,
-        "engine-direct": {"cache": False, "batch_window_s": 0},
-        "engine-batched": {},
+        "engine-direct": {"cache": False},
+        "engine-default": {},
     }
 
     @staticmethod
@@ -129,8 +149,6 @@ class TestDeliveryPathParity:
                                       **engine_kwargs) as engine:
                     result = engine.submit(query, "local",
                                            strategy).result()
-                if engine.batcher is not None:
-                    assert engine.batcher.snapshot()["coalesced"] == 0
             # One requester-side parse per response, on every path.
             assert len(parses) == len(result.messages), path
             results[path] = result
@@ -156,7 +174,7 @@ class TestScheduling:
         federation = make_federation()
         federation.transport = GatedTransport(federation.cost_model)
         engine = FederationEngine(federation, max_workers=1,
-                                  cache=False, batch_window_s=0.0)
+                                  cache=False)
         assert engine.max_in_flight == 2
         admitted = [engine.submit(Q2, "local") for _ in range(2)]
         assert engine.in_flight == 2

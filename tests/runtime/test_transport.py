@@ -192,7 +192,8 @@ class TestPerPeerGate:
 
         threads = [
             threading.Thread(target=transport.exchange,
-                             args=(FakePeer(), request, handle, RunStats()))
+                             args=(FakePeer(), request, handle, RunStats(),
+                                   len(request.encode())))
             for _ in range(4)
         ]
         for thread in threads:
@@ -215,13 +216,14 @@ class TestPerPeerGate:
         def handle(_request):
             # Nested exchange against the same gated peer.
             transport.exchange(FakePeer(), request, nested_handle,
-                               RunStats())
+                               RunStats(), len(request.encode()))
             return ResponseMessage(results=[])
 
         done = []
 
         def run():
-            transport.exchange(FakePeer(), request, handle, RunStats())
+            transport.exchange(FakePeer(), request, handle, RunStats(),
+                               len(request.encode()))
             done.append(True)
 
         worker = threading.Thread(target=run, daemon=True)

@@ -152,6 +152,34 @@ class TestFunctionShipping:
                            at="local", strategy=Strategy.BY_FRAGMENT)
 
 
+class TestConstructorParts:
+    """A direct element keeps one content part per enclosed expression
+    through let-sinking and decomposition: a let whose variable two
+    parts read stays above the constructor, a part shipped on its own
+    is a remote call of its own, and each part joins its own atoms."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.BY_PROJECTION,
+                                          Strategy.BY_FRAGMENT])
+    @pytest.mark.parametrize("query, expected, calls", [
+        ("let $x := 1 return <a>{$x}{$x}</a>", "<a>11</a>", 0),
+        ('let $p := doc("xrpc://p1/d.xml") return <r>{$p//b}{count($p//b)}</r>',
+         "<r><b>x</b><b>y</b>2</r>", 1),
+        ('let $p := doc("xrpc://p1/d.xml") '
+         "return <r>{data($p//b)}{data($p//b)}</r>", "<r>x yx y</r>", 1),
+        ('<r>{data(doc("xrpc://p1/d.xml")//b)}'
+         '{count(doc("xrpc://p2/e.xml")//s)}</r>', "<r>x y1</r>", 2),
+    ])
+    def test_a_let_read_by_two_parts(self, fed, strategy, query, expected,
+                                     calls):
+        sunk = fed.run(query, at="local", strategy=strategy,
+                       let_sinking=True)
+        kept = fed.run(query, at="local", strategy=strategy,
+                       let_sinking=False)
+        assert serialize_sequence(sunk.items) == expected
+        assert serialize_sequence(kept.items) == expected
+        assert sunk.stats.rpc_calls == calls
+
+
 class TestRemoteDataShipping:
     def test_remote_peer_can_fetch_third_party_doc(self, fed):
         # A function executed at p1 opens p2's document: p1 data-ships

@@ -21,9 +21,8 @@ PINNED = {
     ("repro.cluster.catalog", "ClusterCatalog"): ("partial",),
     ("repro.cluster.router", "ClusterRouter"): ("run", "catalog"),
     ("repro.runtime.engine", "FederationEngine"): (
-        "federation", "max_workers", "cache", "batch_window_s"),
+        "federation", "max_workers", "cache"),
     ("repro.runtime.cache", "ResultCache"): ("metrics", "events"),
-    ("repro.runtime.batching", "BulkBatcher"): ("window_s", "worth_waiting"),
     ("repro.obs.events", "EventLog"): ("clock",),
     ("repro.planner.feedback", "CalibrationBook"): (),
 }

@@ -445,13 +445,19 @@ class TestConstructors:
         assert run1("count(text {()})") == 0
         assert run('text {()}') == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "each enclosed expression's atoms are joined on their own, so "
-        "the spec's answer is <a>12</a>; the parser hands the evaluator "
-        "one content sequence (pretty prints it element a {(1, 2)}), "
-        "so the fix belongs in the parser"))
     def test_each_enclosed_expression_joins_its_own_atoms(self):
+        """XQuery 1.0 §3.7.1.3: each enclosed expression's atoms make
+        their own text node, and adjacent text nodes merge; one
+        enclosed expression (or a computed constructor's content) joins
+        its atoms with spaces."""
         assert serialize_sequence(run("<a>{1}{2}</a>")) == "<a>12</a>"
+        assert serialize_sequence(run("<a>{1, 2}</a>")) == "<a>1 2</a>"
+        assert serialize_sequence(run("element a {1, 2}")) == "<a>1 2</a>"
+        assert serialize_sequence(run("<a>x{1}{2, 3}<b/>{4}</a>")) == \
+            "<a>x12 3<b/>4</a>"
+        assert serialize_sequence(run(
+            "for $i in (1, 2) return <r>{$i}{$i + 1}</r>")) == \
+            "<r>12</r> <r>23</r>"
 
     @pytest.mark.xfail(strict=True, reason=(
         "a filter on a sequence numbers the whole sequence, but the "

@@ -209,9 +209,9 @@ def _exprs(draw, scope: tuple = (), depth: int = 0, loops: int = 0):
         content = [draw(sub()) for _ in range(draw(st.integers(0, 2)))]
         if draw(st.booleans()):
             content.insert(0, ConstructorExpr("attribute", "k", None,
-                                              draw(sub())))
+                                              [draw(sub())]))
         return ConstructorExpr("element", "r", None,
-                               SequenceExpr(content) if content else None)
+                               [SequenceExpr(content)] if content else [])
     if choice == 12:
         return ArithmeticExpr(draw(st.sampled_from(["+", "*", "div"])),
                               FunCall("count", [draw(sub())]), draw(sub()))

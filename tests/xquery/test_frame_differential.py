@@ -184,14 +184,15 @@ _content_items = st.sampled_from([
     _path("x", ("child", "text()")),
     _path("x", ("attribute", "*")),
     _doc("d2"),
-    ConstructorExpr("text", None, None, VarRef("i")),
-    ConstructorExpr("text", None, None, Literal("")),
-    ConstructorExpr("text", None, None, EmptySequence()),
-    ConstructorExpr("document", None, None, _path("x", ("child", "node()"))),
-    ConstructorExpr("element", "e", None, VarRef("i")),
-    ConstructorExpr("attribute", "k", None, VarRef("i")),
+    ConstructorExpr("text", None, None, [VarRef("i")]),
+    ConstructorExpr("text", None, None, [Literal("")]),
+    ConstructorExpr("text", None, None, [EmptySequence()]),
+    ConstructorExpr("document", None, None,
+                    [_path("x", ("child", "node()"))]),
+    ConstructorExpr("element", "e", None, [VarRef("i")]),
+    ConstructorExpr("attribute", "k", None, [VarRef("i")]),
     ConstructorExpr("attribute", None, FunCall(
-        "concat", [Literal("k"), VarRef("i")]), Literal("v")),
+        "concat", [Literal("k"), VarRef("i")]), [Literal("v")]),
 ])
 
 #: What each query returns about the rows' trees ``$r``: the trees,
@@ -221,16 +222,18 @@ _navigations = [
 @st.composite
 def _constructor_queries(draw):
     """``let $r := for $x at $i in (0, 1, 2 or 8 nodes) return
-    <element or document> return <navigation of $r>``."""
+    <element or document> return <navigation of $r>``; an element
+    with a static name may be direct, one part per content item."""
     content = draw(st.lists(_content_items, max_size=4))
-    body = SequenceExpr(content) if len(content) != 1 else content[0]
     kind = draw(st.sampled_from(["element", "element", "document"]))
     name = draw(st.sampled_from(["r", None]))
+    direct = kind == "element" and name is not None and draw(st.booleans())
+    parts = content if direct or len(content) <= 1 \
+        else [SequenceExpr(content)]
     constructor = ConstructorExpr(
         kind, name if kind == "element" else None,
         FunCall("concat", [Literal("r"), VarRef("i")])
-        if kind == "element" and name is None else None,
-        body if content else None)
+        if kind == "element" and name is None else None, parts)
     rows = PathExpr(_doc(draw(st.sampled_from(["d1", "d2"]))), [
         Step("descendant-or-self", "node()")])
     count = draw(st.sampled_from([0, 1, 2, 8]))

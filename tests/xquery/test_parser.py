@@ -232,13 +232,13 @@ class TestConstructors:
 
     def test_direct_with_attributes_and_text(self):
         expr = parse_expr('<a x="1">hi</a>')
-        content = expr.content.items
+        content = expr.content
         assert content[0].kind == "attribute"
         assert content[1].kind == "text"
 
     def test_direct_with_embedded_expr(self):
         expr = parse_expr("<a>{ 1 + 1 }</a>")
-        assert expr.content.items[0].rule == "ArithmeticExpr"
+        assert expr.content[0].rule == "ArithmeticExpr"
 
     def test_direct_followed_by_path(self):
         expr = parse_expr("<a><b><c/></b></a>/b")
@@ -247,9 +247,10 @@ class TestConstructors:
 
     def test_attribute_value_template(self):
         expr = parse_expr('<a x="v{1}w"/>')
-        attr = expr.content.items[0]
-        assert isinstance(attr.content, FunCall)
-        assert attr.content.name == "concat"
+        attr = expr.content[0]
+        (value,) = attr.content
+        assert isinstance(value, FunCall)
+        assert value.name == "concat"
 
 
 class TestFunctions:

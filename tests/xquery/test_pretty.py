@@ -4,6 +4,7 @@ import pytest
 
 from repro.xquery.parser import parse_expr, parse_query
 from repro.xquery.pretty import pretty
+from repro.xquery.xdm import serialize_sequence
 
 from tests.xquery.helpers import run
 
@@ -60,3 +61,23 @@ def test_precedence_preserved_by_parens():
     # (1 + 2) * 3 must not re-render as 1 + 2 * 3.
     expr = parse_expr("(1 + 2) * 3")
     assert run(pretty(expr)) == [9]
+
+
+@pytest.mark.parametrize("query, rendered", [
+    ("<a>{1}{2}</a>", "<a>{1}{2}</a>"),
+    ("element a {(1, 2)}", "element a {(1, 2)}"),
+    ("<a>{1, 2}</a>", "element a {(1, 2)}"),
+    ('<a k="v">t{1}<b/></a>',
+     '<a>{attribute k {"v"}}{text {"t"}}{1}{element b {}}</a>'),
+    ("<a/>", "element a {}"),
+])
+def test_a_direct_constructor_keeps_its_enclosed_expressions(query,
+                                                             rendered):
+    """One content part per enclosed expression: ``<a>{1}{2}</a>`` and
+    ``element a {(1, 2)}`` print apart, a constructor of one part prints
+    in the computed form, and each re-parses to itself."""
+    expr = parse_expr(query)
+    assert pretty(expr) == rendered
+    assert parse_expr(rendered) == expr
+    assert serialize_sequence(run(rendered)) == \
+        serialize_sequence(run(query))

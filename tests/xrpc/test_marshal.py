@@ -9,10 +9,12 @@ from repro.xmldb.compare import is_same_node, node_before
 from repro.xmldb.node import NodeKind
 from repro.xmldb.parser import parse_fragment
 from repro.xrpc.marshal import (
-    marshal_calls, unmarshal_atomic, unmarshal_calls,
+    marshal_calls, unmarshal_atomic, unmarshal_calls, unmarshal_result,
 )
-from repro.xrpc.messages import Atomic, NodeRef, RequestMessage
-from tests.conftest import over_the_wire, texts
+from repro.xrpc.messages import (
+    Atomic, NodeRef, RequestMessage, ResponseMessage,
+)
+from tests.conftest import element, over_the_wire, texts
 
 
 def by_name(doc, name):
@@ -100,6 +102,17 @@ class TestByValue:
 
 
 class TestByFragment:
+    @pytest.mark.parametrize("fragid", [0, -1, 3])
+    def test_fragid_outside_the_preamble_is_a_marshal_error(self, fragid):
+        """A response is wire input: a fragid outside its preamble is
+        refused, not read as ``fragments[-1]`` by negative indexing nor
+        raised as a bare IndexError."""
+        response = over_the_wire(ResponseMessage(
+            results=[[NodeRef(fragid, 1)]],
+            fragments=[element("<a/>"), element("<b/>")]))
+        with pytest.raises(XrpcMarshalError, match="fragid"):
+            unmarshal_result(response.results, response.fragments, "m")
+
     def test_identity_preserved_within_message(self):
         doc = parse_fragment("<a><b><c/></b></a>")
         b = by_name(doc, "b")
