@@ -28,10 +28,9 @@ router takes over:
    call × shard it serves); the response's results split back per
    shard. The round trips run one after another on the calling thread,
    in cover order, and stop after the first that ends with an error.
-   Each keeps a private :class:`RunStats` / :class:`CostCounter`,
-   merged after the gather — also when a shard failed, before its
-   error is raised — so each shard's ``per_shard`` entry holds its
-   share of its round trip.
+   Each charges the run's :class:`RunStats` directly; what the run's
+   totals moved across it, nested work included, is shared into the
+   ``per_shard`` entries of the shards it served.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
    (injected faults, killed peers), once in-place retries are spent,
    re-covers the round trip's shards over their untried serving
@@ -87,7 +86,7 @@ from repro.xquery.ast import (
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
     PathExpr, VarRef, XRPCExpr, bind,
 )
-from repro.xquery.context import CostCounter, DynamicContext
+from repro.xquery.context import DynamicContext
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.predicates import conjunction_members, literal_probe
 from repro.xquery.prepared import Binding
@@ -342,7 +341,7 @@ class ScatterOutcome:
     """One shard's part of a scatter or a collection fetch: its results
     (or the error it ended with), what is left of its retry budget, its
     backoff draw, and ``entry`` — its ``per_shard`` entry, filed into
-    the caller's stats when the scatter is merged."""
+    the run's stats when its scatter ends."""
 
     __slots__ = ("shard", "results", "entry", "error", "budget", "rng")
 
@@ -358,28 +357,38 @@ class ScatterOutcome:
         self.rng: random.Random | None = None   # seeded at a first retry
 
 
-def _share(group: list[ScatterOutcome], stats: RunStats) -> None:
-    """Split one round trip's accounting (``stats``, nested work
-    included) over the entries of the shards it served, by call share:
-    each carries the same calls, so each gets an equal part, an
-    integer's remainder going one unit each to the first shards. The
-    sums over ``per_shard`` stay the run's totals."""
+def _totals(stats: RunStats) -> tuple[int, int, int, float]:
+    """The run totals a round trip's share is a delta of: bytes,
+    messages, cache hits and simulated seconds."""
+    return (stats.total_transferred_bytes, stats.messages,
+            stats.cache_hits, stats.times.total)
+
+
+def _share(group: list[ScatterOutcome], before: tuple,
+           after: tuple) -> None:
+    """Split what one round trip spent — the run's :func:`_totals`
+    ``after`` it less ``before`` it, nested work included — over the
+    entries of the shards it served, by call share: each carries the
+    same calls, so each gets an equal part, an integer's remainder
+    going one unit each to the first shards.
+
+    A collection's entries sum to what its scatters' round trips spent.
+    A scatter nested in one of those round trips is part of that spend,
+    and its own collection's entries count it again: only the
+    outermost collection's entries sum to the run's totals, and only
+    when its scatters made all of the run's traffic."""
     count = len(group)
-    totals = (("bytes", stats.total_transferred_bytes),
-              ("messages", stats.messages),
-              ("cache_hits", stats.cache_hits))
+    spent = [end - start for start, end in zip(before, after)]
     for index, outcome in enumerate(group):
         entry = outcome.entry
-        for name, total in totals:
+        for name, total in zip(("bytes", "messages", "cache_hits"), spent):
             entry[name] += total // count + (index < total % count)
-        entry["sim_s"] += stats.times.total / count
+        entry["sim_s"] += spent[3] / count
 
 
-#: ``attempt(replica, shards, stats, counter)``: one round trip to
-#: ``replica`` serving ``shards``, one result per shard.
-_Attempt = Callable[[str, list[ShardInfo], RunStats, CostCounter], list]
-#: The private accounting of each round trip one group took.
-_Spent = list[tuple[RunStats, CostCounter]]
+#: ``attempt(replica, shards)``: one round trip to ``replica`` serving
+#: ``shards``, one result per shard.
+_Attempt = Callable[[str, list[ShardInfo]], list]
 
 
 class ClusterRouter:
@@ -441,8 +450,6 @@ class ClusterRouter:
     def scatter(self, from_peer: str, spec: CollectionSpec,
                 calls: list[list[tuple[str, list]]],
                 body: Expr, binding: Binding,
-                stats: RunStats | None = None,
-                counter: CostCounter | None = None,
                 reads: ReadSet | None = None) -> list[list]:
         """Execute one XRPC call site against every shard and gather
         (``binding``: the literals of the caller's text, and where what
@@ -454,13 +461,10 @@ class ClusterRouter:
         originator over the merged collection document — exact
         semantics at data-shipping cost.
 
-        ``stats``/``counter`` are the caller's accounting targets (the
-        run's by default; a round trip's private ones when this call
-        site is nested inside another scatter). ``reads``, the read set
-        of the exchange making the call, notes every replica of every
-        shard (the skip probes read them too); each round trip's cache
-        entry is validated by the replicas of the shards it serves, as
-        any of them may serve it next.
+        ``reads``, the read set of the exchange making the call, notes
+        every replica of every shard (the skip probes read them too);
+        each round trip's cache entry is validated by the replicas of
+        the shards it serves, as any of them may serve it next.
         """
         run = self.run
         if reads is not None:
@@ -476,7 +480,6 @@ class ClusterRouter:
         if prepared.combine is None:
             return self._evaluate_locally(from_peer, calls,
                                           prepared.unwrapped, binding,
-                                          stats=stats, counter=counter,
                                           reads=reads)
         probes, parameter, text = binding.once(
             prepared, lambda: prepared.bound(
@@ -497,16 +500,14 @@ class ClusterRouter:
         groups = self._cover([outcome for outcome in outcomes
                               if not outcome.entry["skipped"]])
 
-        def call_group(replica: str, shards: list[ShardInfo],
-                       call_stats: RunStats,
-                       call_counter: CostCounter) -> list[list[list]]:
+        def call_group(replica: str,
+                       shards: list[ShardInfo]) -> list[list[list]]:
             # Shard-major: the response's results split back per shard.
             results = run._call_peer(
                 run.federation.peer(replica),
                 [[*call, (parameter, [shard.local_name])]
                  for shard in shards for call in calls],
-                text, site, call_stats, call_counter,
-                cache_scope=spec.name, shard_epoch=epoch,
+                text, site, cache_scope=spec.name, shard_epoch=epoch,
                 replicas=(replica for shard in shards
                           for replica in shard.replicas),
                 reads=reads)
@@ -517,23 +518,24 @@ class ClusterRouter:
         with child_span("scatter", collection=spec.name,
                         shards=len(spec.shards),
                         peers=len(groups)) as scatter_span:
-            if stats is None:
-                stats = run.stats
-            stats.scatters[spec.name] = stats.scatters.get(spec.name, 0) + 1
-            own = self._serve(spec, outcomes, groups, call_group,
-                              [[] for _ in calls],
-                              stats=stats, counter=counter)
-            if own.partial_shards and reads is not None:
+            scatters = run.stats.scatters
+            scatters[spec.name] = scatters.get(spec.name, 0) + 1
+            filed = self._serve(spec, outcomes, groups, call_group,
+                                [[] for _ in calls])
+            if reads is not None and any(entry["partial"]
+                                         for entry in filed.values()):
                 # A partial answer is kept by no exchange, this one's
                 # or an enclosing one's: each run meets the lost shard
                 # itself, and its partial_shards say so.
                 reads.note(spec.name, STALE)
             if scatter_span is not None:
+                # This scatter's own shards: a nested scatter's are
+                # on its own span, below.
+                own = RunStats(per_shard=filed)
                 scatter_span.set(
                     shards_skipped=own.shards_skipped,
                     failovers=own.failovers, retries=own.retries,
-                    partial_shards=own.partial_shards,
-                    per_shard=own.per_shard)
+                    partial_shards=own.partial_shards, per_shard=filed)
             _renumber_shard_fragments(outcomes)
             return prepared.combine(
                 [outcome.results for outcome in outcomes])
@@ -541,9 +543,7 @@ class ClusterRouter:
     # -- cluster document fetch (data shipping) -----------------------------
 
     def fetch_collection_document(self, spec: CollectionSpec,
-                                  local_name: str,
-                                  stats: RunStats | None = None
-                                  ) -> tuple[Document, int]:
+                                  local_name: str) -> tuple[Document, int]:
         """Ship every shard from a live replica and reassemble the
         logical document. Returns ``(document, total wire bytes)``.
         Shard fetches become children of the caller's ``ship`` span. A
@@ -554,16 +554,15 @@ class ClusterRouter:
                 f"collection {spec.name!r} has no document "
                 f"{local_name!r} (expected {spec.document!r})")
 
-        def fetch(replica: str, shards: list[ShardInfo],
-                  fetch_stats: RunStats, _counter: CostCounter) -> list:
+        def fetch(replica: str, shards: list[ShardInfo]) -> list:
             peer = self.run.federation.peer(replica)
             return [[self.transport.fetch_document(
-                peer, shard.local_name, fetch_stats)] for shard in shards]
+                peer, shard.local_name, self.run.stats)] for shard in shards]
 
         outcomes = self._outcomes(spec)
         groups = [group for outcome in outcomes
                   for group in self._cover([outcome])]
-        self._serve(spec, outcomes, groups, fetch, stats=stats)
+        self._serve(spec, outcomes, groups, fetch)
         fetched = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
             parse_document(text,
@@ -579,33 +578,31 @@ class ClusterRouter:
 
     def _serve_group(self, spec: CollectionSpec, replica: str,
                      group: list[ScatterOutcome], attempt: _Attempt,
-                     partial_answer: list | None = None) -> _Spent:
+                     partial_answer: list | None = None) -> None:
         """One round trip serving ``group``'s shards at ``replica``
-        under its ``shard`` span, retried in place, with private
-        accounting (shared into the shards' entries). A wire fault
-        re-covers the shards over their serving replicas not yet tried
-        and serves them there, each moved shard counting one failover.
-        An error a shard ends with is kept on its outcome (raised once
-        the finished outcomes are merged).
+        under its ``shard`` span, retried in place, charging the run's
+        stats (what it spent is shared into the shards' entries). A
+        wire fault re-covers the shards over their serving replicas not
+        yet tried and serves them there, each moved shard counting one
+        failover. An error a shard ends with is kept on its outcome
+        (raised once the scatter's entries are filed).
 
         ``partial_answer`` is what a shard with zero serving replicas
         left contributes under the catalog's ``partial="allow"``
         policy; None (a document fetch, which cannot leave holes)
         always fails with :class:`ShardUnavailableError` instead.
         """
-        spent: _Spent = []
+        stats = self.run.stats
         tried: set[str] = set()
         trips = [(replica, group)]
         for replica, group in trips:      # failovers append re-covers
-            stats, counter = RunStats(), CostCounter()
-            spent.append((stats, counter))
+            before = _totals(stats)
             try:
                 with child_span("shard", collection=spec.name,
                                 peer=replica,
                                 shards=[o.shard.index for o in group]) \
                         as shard_span, bind_stats_span(stats, shard_span):
-                    results = self._with_retries(replica, group, attempt,
-                                                 stats, counter)
+                    results = self._with_retries(replica, group, attempt)
                 for outcome, result in zip(group, results):
                     outcome.results = result
             except NetworkError as fault:
@@ -625,8 +622,7 @@ class ClusterRouter:
                 for outcome in group:
                     outcome.error = exc
                     outcome.entry["failed"] = 1
-            _share(group, stats)
-        return spent
+            _share(group, before, _totals(stats))
 
     def _unavailable(self, spec: CollectionSpec, outcome: ScatterOutcome,
                      tried: set[str], fault: NetworkError,
@@ -667,8 +663,6 @@ class ClusterRouter:
     def _evaluate_locally(self, from_peer: str,
                           calls: list[list[tuple[str, list]]],
                           body: Expr, binding: Binding,
-                          stats: RunStats | None = None,
-                          counter: CostCounter | None = None,
                           reads: ReadSet | None = None) -> list[list]:
         """Evaluate a non-scatter-safe body at the originator, with the
         collection resolved through the run's document resolver (which
@@ -679,10 +673,8 @@ class ClusterRouter:
         evaluator = Evaluator(run.decomposition.module,
                               run.federation.static)
         return evaluator.evaluate_calls(body, DynamicContext(
-            resolve_doc=run._resolver(from_peer, stats=stats, reads=reads),
-            xrpc_execute=run._make_xrpc_execute(from_peer, stats=stats,
-                                                counter=counter,
-                                                reads=reads),
+            resolve_doc=run._resolver(from_peer, reads=reads),
+            xrpc_execute=run._make_xrpc_execute(from_peer, reads=reads),
             counter=run.local_counter,
             binding=binding,
         ), calls)
@@ -721,8 +713,7 @@ class ClusterRouter:
     # -- internals ----------------------------------------------------------
 
     def _with_retries(self, replica: str, group: list[ScatterOutcome],
-                      attempt: _Attempt, stats: RunStats,
-                      counter: CostCounter) -> list:
+                      attempt: _Attempt) -> list:
         """Run ``attempt`` against ``replica`` for ``group``'s shards.
 
         *Transient* wire faults (injected faults, request timeouts —
@@ -751,7 +742,7 @@ class ClusterRouter:
         for try_index in range(max(1, policy.attempts)):
             started = clock()
             try:
-                result = attempt(replica, shards, stats, counter)
+                result = attempt(replica, shards)
             except NetworkError as exc:
                 if isinstance(exc, (TransientNetworkError,
                                     PeerUnavailableError)):
@@ -775,40 +766,28 @@ class ClusterRouter:
 
     def _serve(self, spec: CollectionSpec, outcomes: list[ScatterOutcome],
                groups: list[tuple[str, list[ScatterOutcome]]],
-               attempt: _Attempt, partial_answer: list | None = None,
-               stats: RunStats | None = None,
-               counter: CostCounter | None = None) -> RunStats:
+               attempt: _Attempt, partial_answer: list | None = None
+               ) -> dict[str, dict]:
         """Serve ``groups`` one after another on the calling thread, up
-        to the first that ends with an error, then fold the round trips'
-        private accounting and the entries of the shards skipped or
-        served (in shard order) into the caller's targets (the run's by
-        default), and raise the first shard's error: a failed scatter
-        still accounts for what it spent, and no round trip reaches a
-        group after it. Returns what was folded in."""
-        spent: _Spent = []
+        to the first that ends with an error, then file the entries of
+        the shards skipped or served (in shard order) into the run's
+        ``per_shard`` and raise the first shard's error: a failed
+        scatter still accounts for what it spent, and no round trip
+        reaches a group after it. Returns the entries filed, by key."""
         ran: set[int] = set()
         for replica, group in groups:
-            spent += self._serve_group(spec, replica, group, attempt,
-                                       partial_answer)
+            self._serve_group(spec, replica, group, attempt, partial_answer)
             ran.update(id(outcome) for outcome in group)
             if any(outcome.error is not None for outcome in group):
                 break
-        if counter is None:
-            counter = self.run.remote_counter
-        own = RunStats()
-        for call_stats, call_counter in spent:
-            own.merge(call_stats)
-            counter.ticks += call_counter.ticks
-            counter.nodes_visited += call_counter.nodes_visited
-            counter.docs_opened += call_counter.docs_opened
+        filed: dict[str, dict] = {}
         error = None
         for outcome in outcomes:
             if outcome.entry["skipped"] or id(outcome) in ran:
-                fold_entry(own.per_shard,
-                           f"{spec.name}#s{outcome.shard.index}",
-                           outcome.entry)
+                key = f"{spec.name}#s{outcome.shard.index}"
+                fold_entry(self.run.stats.per_shard, key, outcome.entry)
+                filed[key] = outcome.entry
                 error = error or outcome.error
-        (self.run.stats if stats is None else stats).merge(own)
         if error is not None:
             raise error
-        return own
+        return filed

@@ -197,7 +197,7 @@ class PlanReport:
 
 def fold_entry(target: dict, key: object, entry: dict) -> None:
     """Fold ``entry`` into ``target[key]``: numbers add, a string (a
-    shard's ``local_name``) keeps its first value. The one merge of
+    shard's ``local_name``) keeps its first value. The one fold of
     ``per_shard`` and ``per_op`` entries."""
     existing = target.get(key)
     if existing is None:
@@ -223,14 +223,17 @@ class RunStats:
     cache_saved_bytes: int = 0   # the runtime's shared result cache
     times: TimeBreakdown = field(default_factory=TimeBreakdown)
     #: The physical plan that produced this run (set by the federation
-    #: for every execution; ``merge`` keeps the receiver's — shard
-    #: calls report under the run that scattered them).
+    #: for every execution; shard calls report under the run that
+    #: scattered them).
     plan: PlanReport | None = None
     #: One entry per shard (``"collection#sN"``), filed by the cluster
     #: router: ``shard`` (its ``local_name``), ``calls``, its share of
     #: its round trips' ``bytes`` / ``messages`` / ``sim_s`` /
     #: ``cache_hits`` (nested work included), and its own ``failovers``,
-    #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts.
+    #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts. A
+    #: scatter nested in a round trip is counted in both collections'
+    #: entries, so only the outermost collection's shares can sum to
+    #: the run's totals.
     per_shard: dict[str, dict] = field(default_factory=dict)
     #: Per-operator actuals for explain-analyze: a call site's entry
     #: under its ``site_id``, a ship's under ``(owner, local_name)``
@@ -239,7 +242,7 @@ class RunStats:
     #: Scatter fan-outs per collection.
     scatters: dict[str, int] = field(default_factory=dict)
     #: The trace span charges against these stats attribute to (bound
-    #: by the run layer while tracing; never merged, never exported).
+    #: by the run layer while tracing; never exported).
     span: object | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -290,31 +293,6 @@ class RunStats:
         (no-op — one attribute check — when tracing is off)."""
         if self.span is not None:
             self.span.charge(component, seconds, nbytes)
-
-    def merge(self, other: "RunStats") -> None:
-        """Fold another accounting into this one (the cluster router
-        gives each round trip of a scatter a private RunStats, shared
-        into its shards' ``per_shard`` entries, and merges them after
-        the gather). The receiver keeps its own ``plan`` and ``span``;
-        ``per_shard`` and ``per_op`` entries fold by key."""
-        self.document_bytes += other.document_bytes
-        self.message_bytes += other.message_bytes
-        self.messages += other.messages
-        self.rpc_calls += other.rpc_calls
-        self.documents_shipped += other.documents_shipped
-        self.cache_hits += other.cache_hits
-        self.cache_saved_bytes += other.cache_saved_bytes
-        self.times.shred += other.times.shred
-        self.times.local_exec += other.times.local_exec
-        self.times.serialize += other.times.serialize
-        self.times.remote_exec += other.times.remote_exec
-        self.times.network += other.times.network
-        for key, entry in other.per_shard.items():
-            fold_entry(self.per_shard, key, entry)
-        for key, entry in other.per_op.items():
-            fold_entry(self.per_op, key, entry)
-        for collection, count in other.scatters.items():
-            self.scatters[collection] = self.scatters.get(collection, 0) + count
 
     def summary(self) -> dict[str, object]:
         out: dict[str, object] = {

@@ -417,13 +417,11 @@ class _Run:
 
     # -- document resolution (data shipping) -----------------------------------
 
-    def _resolver(self, peer_name: str, stats: RunStats | None = None,
-                  reads: ReadSet | None = None):
-        """Document resolution at ``peer_name``; ``stats`` overrides the
-        accounting target so nested shipping triggered inside a scatter
-        worker charges that round trip's private RunStats. ``reads``
-        (a cacheable exchange's) notes each owner resolved, found or
-        not."""
+    def _resolver(self, peer_name: str, reads: ReadSet | None = None):
+        """Document resolution at ``peer_name``, shipping charged to the
+        run's stats wherever it is triggered (a shard body's included).
+        ``reads`` (a cacheable exchange's) notes each owner resolved,
+        found or not."""
         def resolve(uri: str) -> Document:
             owner, local_name = self._locate(uri, peer_name)
             if owner == peer_name:
@@ -434,7 +432,7 @@ class _Run:
                     reads.note(owner, peer.generation)
                 return peer.document(local_name)
             return self._ship_document(owner, local_name, peer_name,
-                                       stats=stats, reads=reads)
+                                       reads=reads)
         return resolve
 
     def _locate(self, uri: str, requester: str) -> tuple[str, str]:
@@ -447,7 +445,6 @@ class _Run:
 
     def _ship_document(self, owner: str, local_name: str,
                        requester: str,
-                       stats: RunStats | None = None,
                        reads: ReadSet | None = None) -> Document:
         """Data shipping: fetch, transfer, and shred a whole document.
 
@@ -461,8 +458,7 @@ class _Run:
         replica) at the generation read before the fetch, a memoized
         ship's included.
         """
-        if stats is None:
-            stats = self.stats
+        stats = self.stats
         spec = self.federation.collection(owner)
         # A collection's document is keyed by the catalog's membership
         # epoch, so a repartition mid-run ships it again.
@@ -496,7 +492,7 @@ class _Run:
                         text, uri=f"{XRPC_SCHEME}{owner}/{local_name}")
             else:
                 document, size = self.router.fetch_collection_document(
-                    spec, local_name, stats=stats)
+                    spec, local_name)
             if ship_span is not None:
                 ship_span.set(bytes=size)
         stats.record_op((owner, local_name), bytes=size, calls=1,
@@ -508,19 +504,13 @@ class _Run:
     # -- XRPC transport ---------------------------------------------------------
 
     def _make_xrpc_execute(self, from_peer: str,
-                           stats: RunStats | None = None,
-                           counter: CostCounter | None = None,
                            reads: ReadSet | None = None):
-        """Nested ``execute at`` from ``from_peer``; ``stats`` /
-        ``counter`` carry a shard round trip's private accounting into
-        any remote work its shard body triggers, ``reads`` the calling
-        exchange's read set."""
+        """Nested ``execute at`` from ``from_peer``; ``reads`` is the
+        calling exchange's read set."""
         def execute(dest: str, params: list[tuple[str, list]],
                     body: Expr, binding: Binding) -> list:
             results = self._round_trip(from_peer, dest, [params], body,
-                                       binding, stats=stats,
-                                       remote_counter=counter,
-                                       reads=reads)
+                                       binding, reads=reads)
             return results[0]
         return execute
 
@@ -538,8 +528,6 @@ class _Run:
     def _round_trip(self, from_peer: str, dest: str,
                     calls: list[list[tuple[str, list]]],
                     body: Expr, binding: Binding,
-                    stats: RunStats | None = None,
-                    remote_counter: CostCounter | None = None,
                     reads: ReadSet | None = None) -> list[list]:
         """One logical call of ``body`` at ``dest``: a destination
         registered in the cluster catalog is scattered by the router
@@ -548,31 +536,23 @@ class _Run:
         site, with the body rendered once per ``binding`` (the
         literals of the caller's text: this run's, or — for a call
         nested in a shipped body — those a peer read off that body).
-        ``stats`` / ``remote_counter`` are a round trip's private
-        accounting when the call is nested inside a scatter; ``reads``
-        is the read set of the exchange that makes the call."""
+        ``reads`` is the read set of the exchange that makes the call."""
         parts = split_xrpc_uri(dest)
         dest_name = parts[0] if parts is not None else dest
-        if stats is None:
-            stats = self.stats
-        if remote_counter is None:
-            remote_counter = self.remote_counter
         spec = self.federation.collection(dest_name)
         if spec is not None:
             return self.router.scatter(from_peer, spec, calls, body,
-                                       binding, stats=stats,
-                                       counter=remote_counter, reads=reads)
+                                       binding, reads=reads)
         site = self.plan.call_site(body)
         return self._call_peer(
             self.federation.peer(dest_name),  # raises on unknown peer
             calls, binding.once(
                 site, lambda: pretty(bind(body, binding.literals))),
-            site, stats, remote_counter, reads=reads)
+            site, reads=reads)
 
     def _call_peer(self, peer: Peer,
                    calls: list[list[tuple[str, list]]],
                    query_text: str, site: CallSite,
-                   stats: RunStats, remote_counter: CostCounter,
                    cache_scope: str | None = None,
                    shard_epoch: int | None = None,
                    replicas: Iterable[str] = (),
@@ -594,14 +574,15 @@ class _Run:
         their shards, under the logical site's contract. ``cache_scope``
         / ``shard_epoch`` key the response cache by collection +
         membership epoch instead of the replica that happened to serve
-        it; a scatter's ``stats`` / ``remote_counter`` are private
-        (merged deterministically after the gather).
+        it. Everything is charged to the run's stats and counters,
+        a scatter's round trips' included.
 
         With a cache, the exchange gathers its own :class:`ReadSet`
         (its entry's validators: ``replicas``, the peers its evaluation
         reads documents of, its nested calls' sets), and every note
         reaches ``reads``, the set of the exchange making this call.
         """
+        stats = self.stats
         semantics = site.semantics
         param_paths = site.param_paths
         used_paths, returned_paths = site.used_paths, site.returned_paths
@@ -668,13 +649,11 @@ class _Run:
                 request_bytes = len(request_xml.encode())
                 handler = RequestHandler(
                     peer_name=peer.name,
-                    resolve_doc=self._resolver(peer.name, stats=stats,
-                                               reads=own),
-                    xrpc_execute=self._make_xrpc_execute(
-                        peer.name, stats=stats, counter=remote_counter,
-                        reads=own),
+                    resolve_doc=self._resolver(peer.name, reads=own),
+                    xrpc_execute=self._make_xrpc_execute(peer.name,
+                                                         reads=own),
                     semantics=semantics,
-                    counter=remote_counter,
+                    counter=self.remote_counter,
                     prepared=peer.prepared,
                 )
                 response_xml, response_bytes = self.transport.exchange(

@@ -222,6 +222,35 @@ def test_nested_scatter_counts_each_shard_call_once():
     assert calls == serves == {"auctions-c": 8, "people-c": 4}
 
 
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+def test_nested_collection_entries_count_their_traffic_again(strategy):
+    """A shard's ``per_shard`` share is what its round trips spent,
+    nested work included: the outermost collection's entries sum to the
+    run's totals, and a nested collection's count its own traffic a
+    second time. The registry's per-shard heat is folded from these
+    entries, so it counts the nested traffic twice too."""
+    federation = build_sharded_federation(0.004, shard_count=4,
+                                          replication_factor=2)
+    stats = federation.run(NESTED, at="local", strategy=strategy).stats
+    sums: dict[str, list[int]] = {}
+    for key, entry in stats.per_shard.items():
+        total = sums.setdefault(key.rsplit("#s", 1)[0], [0, 0])
+        total[0] += entry["bytes"]
+        total[1] += entry["messages"]
+    assert sums["people-c"] == [stats.total_transferred_bytes,
+                                stats.messages]
+    nested_bytes, nested_messages = sums["auctions-c"]
+    assert 0 < nested_bytes < stats.total_transferred_bytes
+    assert nested_messages < stats.messages
+    heat: dict[str, int] = {}
+    for label, value in federation.metrics.snapshot()[
+            "scatter_shard_bytes_total"].items():
+        collection = label.split(",")[0]
+        heat[collection] = heat.get(collection, 0) + value
+    assert heat == {"people-c": stats.total_transferred_bytes,
+                    "auctions-c": nested_bytes}
+
+
 def test_sleeping_wire_agrees_on_a_partial_answer():
     cluster = make_cluster()
     cluster.catalog.partial_policy = "allow"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from repro.decompose import Strategy
-from repro.net.stats import RunStats
+from repro.net.stats import RunStats, fold_entry
 from repro.obs.explain import OpAnalysis, PlanAnalysis, render_analysis
 from repro.planner.ir import ScatterGather
 from repro.runtime.cache import ResultCache
@@ -18,7 +18,7 @@ TOLERANCE = 1e-9
 
 class TestOperatorActuals:
     """Per-operator actuals are ``RunStats.per_op`` entries, folded by
-    the same merge as the per-shard ones."""
+    the same :func:`fold_entry` as the per-shard ones."""
 
     def test_site_records_merge(self):
         stats = RunStats()
@@ -38,18 +38,19 @@ class TestOperatorActuals:
         assert actual["bytes"] == 150 and actual["calls"] == 2
         assert ("owner", "other.xml") not in stats.per_op
 
-    def test_merge(self):
+    def test_fold_entry(self):
         left, right = RunStats(), RunStats()
         left.record_op(7, bytes=1, calls=1, sim_s=1.0, wall_s=2.0)
         right.record_op(7, bytes=2, calls=3, sim_s=0.5, cache_hits=4)
         right.record_op(8, bytes=9, calls=1)
-        left.merge(right)
+        for key, entry in right.per_op.items():
+            fold_entry(left.per_op, key, entry)
         actual = left.per_op[7]
         assert (actual["bytes"], actual["calls"],
                 actual["cache_hits"]) == (3, 4, 4)
         assert abs(actual["sim_s"] - 1.5) < TOLERANCE
         assert left.per_op[8] == {"bytes": 9, "calls": 1}
-        # The merge copies: the source's entry stays its own.
+        # The fold copies: the source's entry stays its own.
         left.per_op[8]["bytes"] += 1
         assert right.per_op[8]["bytes"] == 9
 

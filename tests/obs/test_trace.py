@@ -8,6 +8,7 @@ import json
 
 from repro.clock import VirtualClock
 from repro.decompose import Strategy
+from repro.net.stats import RunStats, fold_entry
 from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
                               dump_trace, render_tree, span_to_dict,
                               validate_chrome_trace)
@@ -15,6 +16,7 @@ from repro.obs.trace import (COMPONENTS, Span, Tracer, bind_stats_span,
                              child_span, current_span)
 from repro.workloads import SHARDED_BENCHMARK_QUERY, build_sharded_federation
 from tests.cluster.conftest import make_cluster
+from tests.cluster.test_fanout import NESTED
 
 TOLERANCE = 1e-9
 
@@ -97,7 +99,6 @@ class TestSpanMechanics:
                                            "serialize": 0.1}
 
     def test_bind_stats_span_restores_previous(self):
-        from repro.net.stats import RunStats
         stats = RunStats()
         outer, inner = Span("outer"), Span("inner")
         stats.span = outer
@@ -170,16 +171,55 @@ class TestTracedRuns:
         assert result.stats.per_shard == per_shard
         assert_components_match(result.trace, result.stats)
 
-    def test_per_shard_survives_merge_and_summary(self):
-        from repro.net.stats import RunStats
-        left, right = RunStats(), RunStats()
-        left.per_shard["c#s0"] = {"bytes": 10, "skipped": False}
-        right.per_shard["c#s0"] = {"bytes": 5, "skipped": False}
-        right.per_shard["c#s1"] = {"bytes": 7, "skipped": True}
-        left.merge(right)
-        assert left.per_shard["c#s0"] == {"bytes": 15, "skipped": False}
-        assert left.per_shard["c#s1"] == {"bytes": 7, "skipped": True}
-        assert "per_shard" in left.summary()
+    def test_a_scatter_span_describes_its_own_shards(self):
+        """A scatter span's ``per_shard`` and its skip, failover, retry
+        and partial counts are its own shards' only: a nested scatter's
+        are on its own span, below. Every shard call is on exactly one
+        scatter span, so the spans' entries fold to the run's."""
+        federation = build_sharded_federation(0.004, shard_count=4,
+                                              replication_factor=2)
+        result = federation.run(NESTED, at="local",
+                                strategy=Strategy.DATA_SHIPPING, trace=True)
+        scatters = [span for span in result.trace.iter_spans()
+                    if span.name == "scatter"]
+        outer = scatters[0]
+        assert outer.attrs["collection"] == "people-c"
+        nested = [span for span in outer.iter_spans()
+                  if span.name == "scatter"][1:]
+        assert nested and len(nested) == len(scatters) - 1
+        folded: dict = {}
+        for span in scatters:
+            per_shard = span.attrs["per_shard"]
+            assert {key.rsplit("#s", 1)[0] for key in per_shard} \
+                == {span.attrs["collection"]}
+            assert len(per_shard) == span.attrs["shards"] == 4
+            for name, field in (("shards_skipped", "skipped"),
+                                ("failovers", "failovers"),
+                                ("retries", "retries"),
+                                ("partial_shards", "partial")):
+                assert span.attrs[name] == sum(
+                    entry[field] for entry in per_shard.values())
+            for key, entry in per_shard.items():
+                fold_entry(folded, key, entry)
+        assert folded == result.stats.per_shard
+        assert_components_match(result.trace, result.stats)
+
+    def test_per_shard_survives_fold_and_summary(self):
+        stats = RunStats()
+        stats.per_shard["c#s0"] = {"shard": "c.xml#s0", "bytes": 10,
+                                   "skipped": False}
+        moved = {"shard": "c.xml#s9", "bytes": 5, "skipped": False}
+        fresh = {"shard": "c.xml#s1", "bytes": 7, "skipped": True}
+        fold_entry(stats.per_shard, "c#s0", moved)
+        fold_entry(stats.per_shard, "c#s1", fresh)
+        # Numbers add; a string keeps its first value.
+        assert stats.per_shard["c#s0"] == {"shard": "c.xml#s0",
+                                           "bytes": 15, "skipped": False}
+        # A folded entry is a copy.
+        assert stats.per_shard["c#s1"] == fresh
+        assert stats.per_shard["c#s1"] is not fresh
+        # summary() lists per_shard only when there is one.
+        assert "per_shard" in stats.summary()
         assert "per_shard" not in RunStats().summary()
 
     def test_rpc_spans_have_wire_attrs(self):

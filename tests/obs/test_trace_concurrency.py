@@ -97,8 +97,9 @@ def test_bare_thread_interleaving_without_engine():
 
 
 def test_concurrent_charges_on_one_span_are_lossless():
-    """Scatter workers charge a shared parent concurrently; the lock
-    must not lose increments."""
+    """Threads charging one span at once must not lose increments
+    (a query's spans are charged on its own thread, but a span does
+    not rely on that)."""
     span = Span("scatter")
     per_thread, threads_n = 200, 8
 
