@@ -18,35 +18,35 @@ Quickstart::
     print(result.stats.summary())
 """
 
-from repro.cluster import (ClusterCatalog, CollectionSpec,
-                           create_sharded_collection)
-from repro.decompose import AUTO, Strategy, decompose
-from repro.net.costmodel import CostModel
-from repro.net.estimate import CostVector
-from repro.net.stats import PlanReport, RunStats, TimeBreakdown
-from repro.obs import (MetricsRegistry, Span, Tracer, dump_chrome_trace,
-                       dump_trace, render_tree)
-from repro.planner import (CalibrationBook, PhysicalPlan, QueryPlanner,
-                           StatsCatalog)
-from repro.runtime import FederationEngine, ResultCache, Transport
-from repro.system.federation import Federation, Peer, RunResult
-from repro.xmldb import Document, Node, parse_document, parse_fragment
-from repro.xquery import Evaluator, parse_query, pretty
-from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Federation", "Peer", "RunResult",
-    "ClusterCatalog", "CollectionSpec", "create_sharded_collection",
-    "AUTO", "Strategy", "decompose",
-    "CostModel", "CostVector", "PlanReport", "RunStats", "TimeBreakdown",
-    "MetricsRegistry", "Span", "Tracer",
-    "dump_trace", "dump_chrome_trace", "render_tree",
-    "CalibrationBook", "PhysicalPlan", "QueryPlanner", "StatsCatalog",
-    "FederationEngine", "ResultCache", "Transport",
-    "Document", "Node", "parse_document", "parse_fragment",
-    "Evaluator", "parse_query", "pretty",
-    "sequences_deep_equal", "serialize_sequence",
-    "__version__",
-]
+# ``decompose`` is eager: it is also the name of the ``repro.decompose``
+# subpackage (see repro/_exports.py).
+__all__ = lazy_exports(globals(), {
+    ".system.federation": "Federation Peer RunResult",
+    ".cluster.catalog": "ClusterCatalog CollectionSpec",
+    ".cluster.placement": "create_sharded_collection",
+    ".decompose.strategy": "AUTO Strategy decompose",
+    ".net.costmodel": "CostModel",
+    ".net.estimate": "CostVector",
+    ".net.stats": "PlanReport RunStats TimeBreakdown",
+    ".obs.metrics": "MetricsRegistry",
+    ".obs.trace": "Span Tracer",
+    ".obs.export": "dump_trace dump_chrome_trace render_tree",
+    ".planner.feedback": "CalibrationBook",
+    ".planner.ir": "PhysicalPlan",
+    ".planner.planner": "QueryPlanner",
+    ".planner.stats": "StatsCatalog",
+    ".runtime.engine": "FederationEngine",
+    ".runtime.cache": "ResultCache",
+    ".runtime.transport": "Transport",
+    ".xmldb.document": "Document",
+    ".xmldb.node": "Node",
+    ".xmldb.parser": "parse_document parse_fragment",
+    ".xquery.evaluator": "Evaluator",
+    ".xquery.parser": "parse_query",
+    ".xquery.pretty": "pretty",
+    ".xquery.xdm": "sequences_deep_equal serialize_sequence",
+}, eager=("decompose",)) + ["__version__"]

@@ -54,42 +54,18 @@ Quickstart::
                    at="local")
 """
 
-from repro.cluster.catalog import (
-    ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
-)
-from repro.cluster.gather import (
-    aggregate_combiner, concatenate, merge_shard_documents,
-)
-from repro.cluster.membership import (
-    ALIVE, DEAD, EVICTED, SUSPECT, MembershipTracker, PeerView,
-)
-from repro.cluster.partitioner import (
-    HashPartitioner, Partitioner, RangePartitioner, collection_members,
-    make_partitioner, partition_document,
-)
-from repro.cluster.migrate import BoundaryPartitioner, MigrationExecutor
-from repro.cluster.placement import (
-    InsufficientHealthyPeersError, create_sharded_collection,
-    round_robin_placement, shard_local_name,
-)
-from repro.cluster.rebalance import (
-    LoadScorer, MovePlan, PeerScore, Reconciler, ReplicatePlan, RetirePlan,
-    SplitPlan,
-)
-from repro.cluster.router import (
-    ClusterRouter, ShardUnavailableError, rewrite_doc_uris,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClusterCatalog", "ClusterError", "CollectionSpec", "ShardInfo",
-    "HashPartitioner", "Partitioner", "RangePartitioner",
-    "collection_members", "make_partitioner", "partition_document",
-    "create_sharded_collection", "round_robin_placement",
-    "shard_local_name",
-    "InsufficientHealthyPeersError",
-    "ClusterRouter", "ShardUnavailableError", "rewrite_doc_uris",
-    "aggregate_combiner", "concatenate", "merge_shard_documents",
-    "ALIVE", "SUSPECT", "DEAD", "EVICTED", "MembershipTracker", "PeerView",
-    "PeerScore", "LoadScorer", "MovePlan", "SplitPlan", "RetirePlan",
-    "ReplicatePlan", "Reconciler", "MigrationExecutor", "BoundaryPartitioner",
-]
+__all__ = lazy_exports(globals(), {
+    ".catalog": "ClusterCatalog ClusterError CollectionSpec ShardInfo",
+    ".gather": "aggregate_combiner concatenate merge_shard_documents",
+    ".membership": "ALIVE SUSPECT DEAD EVICTED MembershipTracker PeerView",
+    ".partitioner": "HashPartitioner Partitioner RangePartitioner "
+                    "collection_members make_partitioner partition_document",
+    ".migrate": "BoundaryPartitioner MigrationExecutor",
+    ".placement": "InsufficientHealthyPeersError create_sharded_collection "
+                  "round_robin_placement shard_local_name",
+    ".rebalance": "LoadScorer MovePlan PeerScore Reconciler ReplicatePlan "
+                  "RetirePlan SplitPlan",
+    ".router": "ClusterRouter ShardUnavailableError rewrite_doc_uris",
+})

@@ -58,6 +58,12 @@ Scatter-safety contract: a sharded collection is addressed through its
 *members* (the partitioned elements). Queries returning spine elements
 (e.g. the container itself) see one copy per shard — the standard
 scatter-gather caveat, documented rather than policed.
+
+Import rule: this module first loads when a run first scatters, which
+may be while a tracer has wrapped the layers' functions (the ledger's
+span recorder rebinds every module attribute that holds one, and puts
+back only what it rebound). So it binds no span target by name at
+import: it reads ``parser.parse_document`` through its module.
 """
 
 from __future__ import annotations
@@ -78,9 +84,9 @@ from repro.runtime.cache import STALE, ReadSet
 from repro.runtime.transport import RetryPolicy
 from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import bind_stats_span, child_span
+from repro.xmldb import parser
 from repro.xmldb.document import Document, fresh_doc_seq
 from repro.xmldb.node import Node
-from repro.xmldb.parser import parse_document
 from repro.xmldb.values import value_index
 from repro.xquery.ast import (
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
@@ -565,8 +571,8 @@ class ClusterRouter:
         self._serve(spec, outcomes, groups, fetch)
         fetched = [outcome.results[0] for outcome in outcomes]
         shard_docs = [
-            parse_document(text,
-                           uri=f"{XRPC_SCHEME}{spec.name}/{shard.local_name}")
+            parser.parse_document(
+                text, uri=f"{XRPC_SCHEME}{spec.name}/{shard.local_name}")
             for (text, _size), shard in zip(fetched, spec.shards)
         ]
         merged = merge_shard_documents(

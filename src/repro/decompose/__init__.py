@@ -19,24 +19,14 @@ Strategies:
   by runtime XML projection (Section VI).
 """
 
-from repro.decompose.strategy import (
-    AUTO, DecompositionCandidates, DecompositionResult, Strategy, decompose,
-    prepare, realize, strategy_label,
-)
-from repro.decompose.conditions import (
-    valid_decomposition_points, is_valid_dpoint, MIXER_RULES_BY_VALUE,
-    MIXER_RULES_BY_FRAGMENT,
-)
-from repro.decompose.points import interesting_points, select_insertions, \
-    InsertionPlan
-from repro.decompose.rewrite import insert_xrpc
-from repro.decompose.code_motion import apply_code_motion
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AUTO", "Strategy", "DecompositionResult", "DecompositionCandidates",
-    "decompose", "prepare", "realize", "strategy_label",
-    "valid_decomposition_points", "is_valid_dpoint",
-    "MIXER_RULES_BY_VALUE", "MIXER_RULES_BY_FRAGMENT",
-    "interesting_points", "select_insertions", "InsertionPlan",
-    "insert_xrpc", "apply_code_motion",
-]
+__all__ = lazy_exports(globals(), {
+    ".strategy": "AUTO Strategy DecompositionResult DecompositionCandidates "
+                 "decompose prepare realize strategy_label",
+    ".conditions": "valid_decomposition_points is_valid_dpoint "
+                   "MIXER_RULES_BY_VALUE MIXER_RULES_BY_FRAGMENT",
+    ".points": "interesting_points select_insertions InsertionPlan",
+    ".rewrite": "insert_xrpc",
+    ".code_motion": "apply_code_motion",
+})

@@ -12,13 +12,10 @@ The graph drives every analysis of Sections IV-VI: reachability
 points ``I'(G)``.
 """
 
-from repro.dgraph.graph import DGraph, Vertex, build_dgraph
-from repro.dgraph.analysis import (
-    DocDep, uri_dependencies, has_duplicate_doc, matching_doc_conflict,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DGraph", "Vertex", "build_dgraph",
-    "DocDep", "uri_dependencies", "has_duplicate_doc",
-    "matching_doc_conflict",
-]
+__all__ = lazy_exports(globals(), {
+    ".graph": "DGraph Vertex build_dgraph",
+    ".analysis": "DocDep uri_dependencies has_duplicate_doc "
+                 "matching_doc_conflict",
+})

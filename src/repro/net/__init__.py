@@ -7,9 +7,10 @@ shredding, local execution, message (de)serialisation, remote
 execution, and network transfer.
 """
 
-from repro.net.costmodel import CostModel
-from repro.net.estimate import CostVector
-from repro.net.stats import PlanReport, RunStats, TimeBreakdown
+from repro._exports import lazy_exports
 
-__all__ = ["CostModel", "CostVector", "PlanReport", "RunStats",
-           "TimeBreakdown"]
+__all__ = lazy_exports(globals(), {
+    ".costmodel": "CostModel",
+    ".estimate": "CostVector",
+    ".stats": "PlanReport RunStats TimeBreakdown",
+})

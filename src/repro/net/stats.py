@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.obs.explain import (PlanAnalysis, describe_lookup,
-                               render_analysis)
+if TYPE_CHECKING:
+    from repro.obs.explain import PlanAnalysis
 
 
 @dataclass
@@ -160,6 +160,7 @@ class PlanReport:
         """Per-operator estimated-vs-actual rows (None before
         :meth:`finish`)."""
         if self._analysis is None and self._actuals is not None:
+            from repro.obs.explain import PlanAnalysis, describe_lookup
             per_op, local_s, actual_s, actual_bytes, wall_s = self._actuals
             self._analysis = PlanAnalysis(
                 label=self.strategy,
@@ -178,6 +179,7 @@ class PlanReport:
         estimator's prediction (falls back to the estimate-only text
         when no actuals were recorded)."""
         if analyze and self.analysis is not None:
+            from repro.obs.explain import render_analysis
             return render_analysis(self.analysis)
         text = self.plan.explain(self.vectors, self.total)
         return text + "\n  (no actuals recorded)" if analyze else text

@@ -85,37 +85,21 @@ Modules:
   console.
 """
 
-from repro.obs.console import render_fleet
-from repro.obs.events import Event, EventLog
-from repro.obs.explain import OpAnalysis, PlanAnalysis, render_analysis
-from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
-                              dump_trace, render_tree, span_to_dict,
-                              validate_chrome_trace)
-from repro.obs.fleet import FleetMonitor
-from repro.obs.health import HealthTracker, PeerHealth
-from repro.obs.metrics import (GLOBAL_REGISTRY, Counter, Gauge, Histogram,
-                               MetricsRegistry, QuantileSketch,
-                               global_registry)
-from repro.obs.profile import Profiler, collapse_spans
-from repro.obs.slo import SLO, AlertState, BurnRatePolicy, SLOMonitor
-from repro.obs.trace import (COMPONENTS, NOOP_TRACER, NoopTracer, Span,
-                             Tracer, bind_stats_span, child_span,
-                             current_span)
-from repro.obs.windows import RollingWindow, RollingWindowFamily
+from repro._exports import lazy_exports
 
-__all__ = [
-    "OpAnalysis", "PlanAnalysis",
-    "render_analysis",
-    "chrome_trace_events", "dump_chrome_trace", "dump_trace",
-    "render_tree", "span_to_dict", "validate_chrome_trace",
-    "GLOBAL_REGISTRY", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "QuantileSketch", "global_registry",
-    "COMPONENTS", "NOOP_TRACER", "NoopTracer", "Span", "Tracer",
-    "bind_stats_span", "child_span", "current_span",
-    "Event", "EventLog",
-    "RollingWindow", "RollingWindowFamily",
-    "SLO", "AlertState", "BurnRatePolicy", "SLOMonitor",
-    "HealthTracker", "PeerHealth",
-    "Profiler", "collapse_spans",
-    "FleetMonitor", "render_fleet",
-]
+__all__ = lazy_exports(globals(), {
+    ".explain": "OpAnalysis PlanAnalysis render_analysis",
+    ".export": "chrome_trace_events dump_chrome_trace dump_trace "
+               "render_tree span_to_dict validate_chrome_trace",
+    ".metrics": "GLOBAL_REGISTRY Counter Gauge Histogram MetricsRegistry "
+                "QuantileSketch global_registry",
+    ".trace": "COMPONENTS NOOP_TRACER NoopTracer Span Tracer "
+              "bind_stats_span child_span current_span",
+    ".events": "Event EventLog",
+    ".windows": "RollingWindow RollingWindowFamily",
+    ".slo": "SLO AlertState BurnRatePolicy SLOMonitor",
+    ".health": "HealthTracker PeerHealth",
+    ".profile": "Profiler collapse_spans",
+    ".fleet": "FleetMonitor",
+    ".console": "render_fleet",
+})

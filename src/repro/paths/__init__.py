@@ -10,12 +10,9 @@ This package derives, for every ``XRPCExpr`` in a decomposed query:
   can project the response.
 """
 
-from repro.paths.relpath import (
-    CompiledPaths, RelPath, RelStep, compile_paths, parse_rel_path,
-)
-from repro.paths.analysis import ProjectionSpec, PathSets, analyze_module
+from repro._exports import lazy_exports
 
-__all__ = [
-    "RelPath", "RelStep", "parse_rel_path", "CompiledPaths",
-    "compile_paths", "ProjectionSpec", "PathSets", "analyze_module",
-]
+__all__ = lazy_exports(globals(), {
+    ".relpath": "RelPath RelStep parse_rel_path CompiledPaths compile_paths",
+    ".analysis": "ProjectionSpec PathSets analyze_module",
+})

@@ -24,17 +24,13 @@ Modules:
   (:class:`QueryPlanner`).
 """
 
-from repro.planner.estimator import PlanEstimator
-from repro.planner.feedback import CalibrationBook
-from repro.planner.ir import (
-    BulkBatch, LocalEval, PhysicalPlan, ScatterGather, ShipDocument,
-    XrpcCall,
-)
-from repro.planner.planner import PreparedQuery, QueryPlanner
-from repro.planner.stats import DocumentStats, StatsCatalog, TagStat
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BulkBatch", "CalibrationBook", "DocumentStats", "LocalEval",
-    "PhysicalPlan", "PlanEstimator", "PreparedQuery", "QueryPlanner",
-    "ScatterGather", "ShipDocument", "StatsCatalog", "TagStat", "XrpcCall",
-]
+__all__ = lazy_exports(globals(), {
+    ".estimator": "PlanEstimator",
+    ".feedback": "CalibrationBook",
+    ".ir": "BulkBatch LocalEval PhysicalPlan ScatterGather ShipDocument "
+           "XrpcCall",
+    ".planner": "PreparedQuery QueryPlanner",
+    ".stats": "DocumentStats StatsCatalog TagStat",
+})

@@ -35,8 +35,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.cluster.gather import gather_plan
-from repro.cluster.router import serving_replicas, shard_cover
 from repro.decompose import DecompositionResult
 from repro.decompose.points import split_xrpc_uri
 from repro.paths.analysis import (
@@ -528,18 +526,19 @@ class _Estimation:
                                                    multiplicity)
 
         collection = self.federation.collection(dest)
-        if collection is not None and gather_plan(
-                expr.body, collection.name) is None:
-            # Not scatter-safe: the router falls back to evaluating at
-            # the originator over the merged collection document.
-            stats = self.estimator.stats.document_stats(
-                collection.name, collection.document)
-            self._emit_ship(collection.name, collection.document, host,
-                            stats)
-            self._touch(host, stats, multiplicity)
-            body_env = {name: volume
-                        for name, volume in param_volumes.items()}
-            return self.visit(expr.body, body_env, host, multiplicity)
+        if collection is not None:
+            from repro.cluster.gather import gather_plan
+            if gather_plan(expr.body, collection.name) is None:
+                # Not scatter-safe: the router falls back to evaluating
+                # at the originator over the merged collection document.
+                stats = self.estimator.stats.document_stats(
+                    collection.name, collection.document)
+                self._emit_ship(collection.name, collection.document, host,
+                                stats)
+                self._touch(host, stats, multiplicity)
+                body_env = {name: volume
+                            for name, volume in param_volumes.items()}
+                return self.visit(expr.body, body_env, host, multiplicity)
 
         calls = max(multiplicity, 1.0)
         remote_host = dest
@@ -598,6 +597,7 @@ class _Estimation:
         op: object = call
         if collection is not None:
             # One message pair per cover peer, as the router sends.
+            from repro.cluster.router import serving_replicas, shard_cover
             peers = len(shard_cover(collection.shards, partial(
                 serving_replicas, self.federation.peer_view)))
             call.vector.messages *= peers

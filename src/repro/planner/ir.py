@@ -29,15 +29,18 @@ compiled for its module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.decompose import DecompositionResult, Strategy
 from repro.net.costmodel import CostModel
 from repro.net.estimate import CostVector
-from repro.obs.explain import OpAnalysis
 from repro.paths.relpath import compile_paths
 from repro.planner.feedback import CalibrationBook
 from repro.xquery.evaluator import Evaluator
 from repro.xquery.prepared import PreparedTable
+
+if TYPE_CHECKING:
+    from repro.obs.explain import OpAnalysis
 
 
 def _fmt_bytes(value: float) -> str:
@@ -256,6 +259,7 @@ class PhysicalPlan:
         shards record under their logical site, so a ScatterGather row
         sums its per-shard round trips; local evaluation is the run's
         ``local_s``)."""
+        from repro.obs.explain import OpAnalysis
         rows: list[OpAnalysis] = []
         for op, vector in zip(self.ops, vectors):
             est_s = vector.total_s(self.model)

@@ -19,19 +19,13 @@ into a runtime that serves many queries concurrently over shared peers:
   / ``scatter_*`` / ``cache_*`` series).
 """
 
-from repro.clock import Clock, VirtualClock
-from repro.runtime.cache import CacheStats, ResultCache
-from repro.runtime.engine import EngineClosedError, FederationEngine
-from repro.runtime.metrics import QueryRecord
-from repro.runtime.transport import (FaultInjectedError, FaultPlan,
-                                     PeerDownError, RequestTimeoutError,
-                                     RetryPolicy, Transport)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CacheStats", "ResultCache",
-    "Clock", "VirtualClock",
-    "EngineClosedError", "FederationEngine",
-    "QueryRecord",
-    "FaultInjectedError", "FaultPlan", "PeerDownError",
-    "RequestTimeoutError", "RetryPolicy", "Transport",
-]
+__all__ = lazy_exports(globals(), {
+    ".cache": "CacheStats ResultCache",
+    "repro.clock": "Clock VirtualClock",
+    ".engine": "EngineClosedError FederationEngine",
+    ".metrics": "QueryRecord",
+    ".transport": "FaultInjectedError FaultPlan PeerDownError "
+                  "RequestTimeoutError RetryPolicy Transport",
+})

@@ -11,6 +11,6 @@ This is the top of the stack — the piece a user of the library touches:
 ...                  at="local", strategy=Strategy.BY_FRAGMENT)
 """
 
-from repro.system.federation import Federation, Peer, RunResult
+from repro._exports import lazy_exports
 
-__all__ = ["Federation", "Peer", "RunResult"]
+__all__ = lazy_exports(globals(), {".federation": "Federation Peer RunResult"})

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.cluster.catalog import ClusterCatalog, CollectionSpec
 from repro.cluster.membership import PeerView
-from repro.cluster.router import ClusterRouter
 from repro.decompose import DecompositionResult, Strategy, strategy_label
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
@@ -65,6 +63,10 @@ from repro.xquery.pretty import pretty
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 from repro.xrpc.peer import RequestHandler
+
+if TYPE_CHECKING:
+    from repro.cluster.catalog import ClusterCatalog, CollectionSpec
+    from repro.cluster.router import ClusterRouter
 
 
 class Peer:
@@ -412,7 +414,8 @@ class _Run:
     @cached_property
     def router(self) -> ClusterRouter:
         """The run's scatter-gather router (built on first use: most
-        runs never touch a sharded collection)."""
+        runs never touch a sharded collection, nor import the router)."""
+        from repro.cluster.router import ClusterRouter
         return ClusterRouter(self, self.federation.catalog)
 
     # -- document resolution (data shipping) -----------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.cluster import ClusterCatalog, create_sharded_collection
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
 from repro.net.costmodel import CostModel
@@ -228,6 +227,7 @@ def build_sharded_federation(scale: float, seed: int = 20090329,
     ``xrpc://people-c/people.xml`` / ``xrpc://auctions-c/auctions.xml``
     from the ``local`` originator.
     """
+    from repro.cluster import ClusterCatalog, create_sharded_collection
     people, auctions = generate_pair(
         scale, seed,
         people_uri=f"xrpc://{PEOPLE_COLLECTION}/people.xml",

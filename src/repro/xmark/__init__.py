@@ -10,9 +10,9 @@ paper's projection numbers interesting — with sizes scaling linearly
 in the ``scale`` knob, mirroring XMark's scale factor.
 """
 
-from repro.xmark.generator import (
-    XMarkConfig, generate_people, generate_auctions, generate_pair,
-)
+from repro._exports import lazy_exports
 
-__all__ = ["XMarkConfig", "generate_people", "generate_auctions",
-           "generate_pair"]
+__all__ = lazy_exports(globals(), {
+    ".generator": "XMarkConfig generate_people generate_auctions "
+                  "generate_pair",
+})

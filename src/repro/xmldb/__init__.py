@@ -28,29 +28,15 @@ Public entry points:
   lists).
 """
 
-from repro.xmldb.node import Node, NodeKind
-from repro.xmldb.columns import ColumnSet
-from repro.xmldb.document import Document, DocumentBuilder
-from repro.xmldb.parser import parse_document, parse_fragment
-from repro.xmldb.serializer import serialize, serialize_node
-from repro.xmldb.compare import deep_equal, is_same_node
-from repro.xmldb.projection import project, ProjectionResult
-from repro.xmldb.values import ValueIndex, value_index
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Node",
-    "NodeKind",
-    "ColumnSet",
-    "Document",
-    "DocumentBuilder",
-    "parse_document",
-    "parse_fragment",
-    "serialize",
-    "serialize_node",
-    "deep_equal",
-    "is_same_node",
-    "project",
-    "ProjectionResult",
-    "ValueIndex",
-    "value_index",
-]
+__all__ = lazy_exports(globals(), {
+    ".node": "Node NodeKind",
+    ".columns": "ColumnSet",
+    ".document": "Document DocumentBuilder",
+    ".parser": "parse_document parse_fragment",
+    ".serializer": "serialize serialize_node",
+    ".compare": "deep_equal is_same_node",
+    ".projection": "project ProjectionResult",
+    ".values": "ValueIndex value_index",
+})

@@ -18,58 +18,21 @@ Public entry points:
 * :func:`~repro.xquery.pretty.pretty` — AST back to query text.
 """
 
-from repro.xquery.ast import (
-    Expr,
-    Module,
-    FunctionDecl,
-    Literal,
-    LiteralSlot,
-    EmptySequence,
-    SequenceExpr,
-    VarRef,
-    ForExpr,
-    LetExpr,
-    IfExpr,
-    TypeswitchExpr,
-    ComparisonExpr,
-    ArithmeticExpr,
-    LogicalExpr,
-    RangeExpr,
-    QuantifiedExpr,
-    OrderByExpr,
-    NodeSetExpr,
-    PathExpr,
-    Step,
-    ConstructorExpr,
-    FunCall,
-    XRPCExpr,
-    XRPCParam,
-    walk,
-)
-from repro.xquery.parser import parse_query, parse_expr
-from repro.xquery.normalize import normalize, sink_lets
-from repro.xquery.evaluator import Evaluator, evaluate_module
-from repro.xquery.context import StaticContext, DynamicContext
-from repro.xquery.pretty import pretty
-from repro.xquery.xdm import (
-    UntypedAtomic,
-    atomize,
-    effective_boolean_value,
-    string_value,
-    sequences_deep_equal,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Expr", "Module", "FunctionDecl", "Literal", "LiteralSlot",
-    "EmptySequence",
-    "SequenceExpr", "VarRef", "ForExpr", "LetExpr", "IfExpr",
-    "TypeswitchExpr", "ComparisonExpr", "ArithmeticExpr", "LogicalExpr",
-    "RangeExpr", "QuantifiedExpr", "OrderByExpr", "NodeSetExpr",
-    "PathExpr", "Step", "ConstructorExpr", "FunCall", "XRPCExpr",
-    "XRPCParam", "walk",
-    "parse_query", "parse_expr", "normalize", "sink_lets",
-    "Evaluator", "evaluate_module", "StaticContext", "DynamicContext",
-    "pretty",
-    "UntypedAtomic", "atomize", "effective_boolean_value",
-    "string_value", "sequences_deep_equal",
-]
+# ``normalize`` and ``pretty`` are eager: each is also the name of its
+# submodule (see repro/_exports.py).
+__all__ = lazy_exports(globals(), {
+    ".ast": "Expr Module FunctionDecl Literal LiteralSlot EmptySequence "
+            "SequenceExpr VarRef ForExpr LetExpr IfExpr TypeswitchExpr "
+            "ComparisonExpr ArithmeticExpr LogicalExpr RangeExpr "
+            "QuantifiedExpr OrderByExpr NodeSetExpr PathExpr Step "
+            "ConstructorExpr FunCall XRPCExpr XRPCParam walk",
+    ".parser": "parse_query parse_expr",
+    ".normalize": "normalize sink_lets",
+    ".evaluator": "Evaluator evaluate_module",
+    ".context": "StaticContext DynamicContext",
+    ".pretty": "pretty",
+    ".xdm": "UntypedAtomic atomize effective_boolean_value string_value "
+            "sequences_deep_equal",
+}, eager=("normalize", "pretty"))

@@ -12,18 +12,12 @@ and :class:`NodeCopy` items hold the root
 :class:`~repro.xmldb.node.Node` of each shipped subtree, not its text.
 """
 
-from repro.xrpc.messages import (
-    Atomic, NodeCopy, NodeRef, AttrRef, Call, RequestMessage,
-    ResponseMessage,
-)
-from repro.xrpc.marshal import (
-    marshal_calls, unmarshal_calls, marshal_result, unmarshal_result,
-)
-from repro.xrpc.peer import RequestHandler
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Atomic", "NodeCopy", "NodeRef", "AttrRef", "Call",
-    "RequestMessage", "ResponseMessage",
-    "marshal_calls", "unmarshal_calls", "marshal_result",
-    "unmarshal_result", "RequestHandler",
-]
+__all__ = lazy_exports(globals(), {
+    ".messages": "Atomic NodeCopy NodeRef AttrRef Call RequestMessage "
+                 "ResponseMessage",
+    ".marshal": "marshal_calls unmarshal_calls marshal_result "
+                "unmarshal_result",
+    ".peer": "RequestHandler",
+})

@@ -251,6 +251,36 @@ def test_nested_collection_entries_count_their_traffic_again(strategy):
                     "auctions-c": nested_bytes}
 
 
+_UNWRAP_LET = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 6(c): gather_plan does not look through the let that "
+    "unwrap_collection_xrpc introduces, so the inner auctions-c scatter "
+    "falls back to evaluating over the merged collection"))
+
+
+@pytest.mark.parametrize("strategy", [
+    strategy if strategy is Strategy.DATA_SHIPPING
+    else pytest.param(strategy, marks=_UNWRAP_LET)
+    for strategy in Strategy], ids=str)
+def test_the_nested_scatter_is_gathered_not_evaluated_locally(strategy,
+                                                              monkeypatch):
+    """``NESTED``'s inner ``auctions-c`` call is a ``count``: it
+    scatters with the additive combiner under every strategy, and no
+    round trip falls back to ``ClusterRouter._evaluate_locally``
+    (which ships every auctions shard to each people cover peer)."""
+    fallbacks: list[str] = []
+    evaluate = ClusterRouter._evaluate_locally
+
+    def recording(self, from_peer, *args, **kwargs):
+        fallbacks.append(from_peer)
+        return evaluate(self, from_peer, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterRouter, "_evaluate_locally", recording)
+    federation = build_sharded_federation(0.004, shard_count=4,
+                                          replication_factor=2)
+    federation.run(NESTED, at="local", strategy=strategy)
+    assert fallbacks == []
+
+
 def test_sleeping_wire_agrees_on_a_partial_answer():
     cluster = make_cluster()
     cluster.catalog.partial_policy = "allow"
