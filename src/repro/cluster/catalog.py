@@ -34,9 +34,9 @@ replica costs one failed attempt, not a failed query.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
 
 from repro.errors import NetworkError
+from repro.records import Record
 from repro.xquery.prepared import PreparedTable
 
 
@@ -44,27 +44,29 @@ class ClusterError(NetworkError):
     """Misconfigured or unsatisfiable cluster operation."""
 
 
-@dataclass(frozen=True)
-class ShardInfo:
+class ShardInfo(Record):
     """One shard of a collection: a fragment document replicated on
     ``replicas`` (peer names; order is the preference order used to
     break replica-selection ties)."""
 
-    index: int
-    local_name: str            # document name under which replicas store it
-    replicas: tuple[str, ...]
-    members: int = 0           # member elements held by this shard
-    low_key: str | None = None   # range partitioning bounds (informational)
-    high_key: str | None = None
+    __slots__ = _fields = ("index", "local_name", "replicas", "members",
+                           "low_key", "high_key")
 
-    def __post_init__(self) -> None:
+    def __init__(self, index: int, local_name: str, replicas: tuple[str, ...],
+                 members: int = 0, low_key: str | None = None,
+                 high_key: str | None = None) -> None:
+        self.index = index
+        self.local_name = local_name  # the replicas' document name
+        self.replicas = replicas
+        self.members = members  # member elements held by this shard
+        self.low_key = low_key  # range partitioning bounds (informational)
+        self.high_key = high_key
         if not self.replicas:
             raise ClusterError(
                 f"shard {self.index} has no replica placement")
 
 
-@dataclass(frozen=True)
-class CollectionSpec:
+class CollectionSpec(Record):
     """One sharded collection, addressable as ``xrpc://{name}/{document}``.
 
     ``container_path`` names the element spine from the root to the
@@ -75,17 +77,21 @@ class CollectionSpec:
     document.
     """
 
-    name: str                   # virtual host name
-    document: str               # logical local document name
-    container_path: tuple[str, ...]
-    member: str
-    shards: tuple[ShardInfo, ...]
-    #: The replica count the reconciler restores every shard to
-    #: after evictions.
-    replication_factor: int
-    partitioning: str = "range"   # "range" | "hash"
+    __slots__ = _fields = ("name", "document", "container_path", "member",
+                           "shards", "replication_factor", "partitioning")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, document: str,
+                 container_path: tuple[str, ...], member: str,
+                 shards: tuple[ShardInfo, ...], replication_factor: int,
+                 partitioning: str = "range") -> None:
+        self.name = name  # virtual host name
+        self.document = document  # logical local document name
+        self.container_path, self.member = container_path, member
+        self.shards = shards
+        #: The replica count the reconciler restores every shard to
+        #: after evictions.
+        self.replication_factor = replication_factor
+        self.partitioning = partitioning  # "range" | "hash"
         if not self.shards:
             raise ClusterError(f"collection {self.name!r} has no shards")
         if not self.container_path:
@@ -109,7 +115,7 @@ class CollectionSpec:
     def placing(self, shard: ShardInfo,
                 replicas: tuple[str, ...]) -> "CollectionSpec":
         """A copy of this layout with ``shard`` placed on ``replicas``."""
-        return replace(self, shards=tuple(
+        return self.replace(shards=tuple(
             with_replicas(s, replicas)
             if s.local_name == shard.local_name else s
             for s in self.shards))
@@ -262,4 +268,4 @@ class ClusterCatalog:
 
 def with_replicas(shard: ShardInfo, replicas: tuple[str, ...]) -> ShardInfo:
     """A copy of ``shard`` with a new replica placement."""
-    return replace(shard, replicas=replicas)
+    return shard.replace(replicas=replicas)

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 from repro.cluster.catalog import ClusterCatalog
 from repro.errors import NetworkError
@@ -101,14 +100,15 @@ _EVENT_SEVERITY = {SUSPECT: "warning", DEAD: "error",
                    ALIVE: "info", EVICTED: "error"}
 
 
-@dataclass
 class PeerRow:
     """What the cluster believes about one peer."""
 
-    state: str = ALIVE
-    down: bool = False
-    draining: bool = False
-    demoted: bool = False
+    __slots__ = ("state", "down", "draining", "demoted")
+
+    def __init__(self, state: str = ALIVE, down: bool = False,
+                 draining: bool = False, demoted: bool = False) -> None:
+        self.state, self.down, self.draining = state, down, draining
+        self.demoted = demoted
 
 
 class PeerView:
@@ -233,13 +233,16 @@ class PeerView:
         return snap
 
 
-@dataclass
 class _Ladder:
     """The detector's evidence counters for one watched peer."""
 
-    consecutive_failures: int = 0
-    consecutive_successes: int = 0
-    dead_ticks: int = 0           # ticks spent dead (drives eviction)
+    __slots__ = ("consecutive_failures", "consecutive_successes", "dead_ticks")
+
+    def __init__(self, consecutive_failures: int = 0,
+                 consecutive_successes: int = 0, dead_ticks: int = 0) -> None:
+        self.consecutive_failures = consecutive_failures
+        self.consecutive_successes = consecutive_successes
+        self.dead_ticks = dead_ticks  # ticks spent dead (drives eviction)
 
 
 class MembershipTracker:

@@ -49,7 +49,6 @@ vocabulary: a :class:`~repro.cluster.rebalance.ReplicatePlan` as
 from __future__ import annotations
 
 import threading
-from dataclasses import replace as dc_replace
 
 from repro.cluster.catalog import ClusterError, ShardInfo
 from repro.cluster.gather import merge_shard_documents
@@ -470,13 +469,13 @@ class MigrationExecutor:
             shards: list[ShardInfo] = []
             for s in current.shards:
                 if s.local_name != parent.local_name:
-                    shards.append(dc_replace(s, index=len(shards)))
+                    shards.append(s.replace(index=len(shards)))
                     continue
                 for name, count in zip(child_names, counts):
                     shards.append(ShardInfo(
                         index=len(shards), local_name=name,
                         replicas=tuple(kept), members=count))
-            return dc_replace(current, shards=tuple(shards))
+            return current.replace(shards=tuple(shards))
 
         before = self.catalog.update(
             plan.collection, cutover, plan.reason, op=plan.op,

@@ -25,7 +25,6 @@ duplication-free partition of the original document.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 from repro.cluster.catalog import ClusterError
 from repro.xmldb.axes import attribute as attribute_axis
@@ -46,7 +45,6 @@ class Partitioner:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class RangePartitioner(Partitioner):
     """Contiguous document-order ranges of (nearly) equal size."""
 
@@ -61,14 +59,15 @@ class RangePartitioner(Partitioner):
                 for index in range(total)]
 
 
-@dataclass(frozen=True)
 class HashPartitioner(Partitioner):
     """Deterministic hash of a member key attribute (CRC-32, stable
     across processes — Python's ``hash`` is seed-randomised and would
     break run-to-run reproducibility)."""
 
-    key_attribute: str = "id"
     kind = "hash"
+
+    def __init__(self, key_attribute: str = "id") -> None:
+        self.key_attribute = key_attribute
 
     def assign(self, members: list[Node], shard_count: int) -> list[int]:
         if shard_count <= 0:

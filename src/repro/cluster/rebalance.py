@@ -43,7 +43,7 @@ replayed schedule reshapes the cluster identically.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster.catalog import ClusterError
 from repro.cluster.membership import EVICTED
@@ -73,8 +73,7 @@ MIN_SPLIT_MEMBERS = 2
 MAX_PLANS_PER_STEP = 2
 
 
-@dataclass(frozen=True)
-class PeerScore:
+class PeerScore(NamedTuple):
     """One peer's standing in the placement order."""
 
     peer: str
@@ -145,8 +144,7 @@ class LoadScorer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MovePlan:
+class MovePlan(NamedTuple):
     """Move one shard replica ``source`` → ``target`` (copy, verify,
     cut over, retire the source copy). ``target`` None: no peer could
     take it, and the executor gives the plan up."""
@@ -161,8 +159,7 @@ class MovePlan:
     family = "rebalance"
 
 
-@dataclass(frozen=True)
-class SplitPlan:
+class SplitPlan(NamedTuple):
     """Split one shard at a member boundary: members ``0..at_member-1``
     form the first child shard, the rest the second."""
 
@@ -175,8 +172,7 @@ class SplitPlan:
     family = "rebalance"
 
 
-@dataclass(frozen=True)
-class RetirePlan:
+class RetirePlan(NamedTuple):
     """Drop ``peer``'s replica of one shard — guarded: a no-op unless
     the replicas left that serve still meet the replication factor.
     Catalog surgery plus a tombstone; no bytes move."""
@@ -190,8 +186,7 @@ class RetirePlan:
     family = "rebalance"
 
 
-@dataclass(frozen=True)
-class ReplicatePlan:
+class ReplicatePlan(NamedTuple):
     """Add a replica of one shard on ``target`` — a move that drops
     nothing (copy, verify, cut over). A repair: what the reconciler
     runs for a short shard."""

@@ -18,7 +18,7 @@ we extract *maximal* paths and require value-level consumers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, Expr, FunCall, FunctionDecl, Module,
@@ -45,8 +45,7 @@ _DATA_SAFE_BUILTINS = frozenset({
 })
 
 
-@dataclass
-class _Candidate:
+class _Candidate(NamedTuple):
     """One parameter use: the path applied to it and its consumer."""
 
     path: PathExpr

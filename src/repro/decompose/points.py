@@ -14,7 +14,7 @@ covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dgraph.analysis import DocDep, uri_dependencies
 from repro.dgraph.graph import DGraph, Vertex
@@ -34,8 +34,7 @@ def split_xrpc_uri(uri: str) -> tuple[str, str] | None:
     return (host, local_name) if host else None
 
 
-@dataclass(frozen=True)
-class InsertionPlan:
+class InsertionPlan(NamedTuple):
     """One planned ``XRPCExpr`` insertion.
 
     ``target`` is the AST expression to ship; for a path-prefix point,

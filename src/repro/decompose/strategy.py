@@ -1,20 +1,15 @@
-"""The decomposition driver tying Sections III-VI together."""
+"""The decomposition driver tying Sections III-VI together. Every
+``repro`` import loads it, so the pipeline loads on first use."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.decompose.code_motion import apply_code_motion
-from repro.decompose.conditions import valid_decomposition_points
-from repro.decompose.points import (
-    InsertionPlan, interesting_points, select_insertions,
-)
-from repro.decompose.rewrite import insert_xrpc
-from repro.dgraph.graph import DGraph, build_dgraph
-from repro.xquery.ast import Module
-from repro.xquery.normalize import normalize
+if TYPE_CHECKING:
+    from repro.decompose.points import InsertionPlan
+    from repro.dgraph.graph import DGraph
+    from repro.xquery.ast import Module
 
 #: The planner sentinel: ``Federation.run(strategy="auto")`` lets the
 #: cost-based planner pick (and mix) strategies per call site.
@@ -83,20 +78,25 @@ def strategy_label(value: "Strategy | str") -> str:
     return coerced.value if isinstance(coerced, Strategy) else coerced
 
 
-@dataclass
 class DecompositionResult:
     """Everything the pipeline produced, for inspection and tests."""
 
-    strategy: Strategy
-    module: Module                      # the rewritten module
-    normalized: Module                  # after let-sinking
-    graph: DGraph                       # d-graph of the normalised query
-    dpoints: set[int] = field(default_factory=set)       # I(G)
-    ipoints: list[int] = field(default_factory=list)     # I'(G)
-    plans: list[InsertionPlan] = field(default_factory=list)
+    __slots__ = ("strategy", "module", "normalized", "graph", "dpoints",
+                 "ipoints", "plans")
+
+    def __init__(self, strategy: Strategy, module: Module, normalized: Module,
+                 graph: DGraph, dpoints: set[int] | None = None,
+                 ipoints: list[int] | None = None,
+                 plans: list[InsertionPlan] | None = None) -> None:
+        self.strategy = strategy
+        self.module = module  # the rewritten module
+        self.normalized = normalized  # after let-sinking
+        self.graph = graph  # d-graph of the normalised query
+        self.dpoints = set() if dpoints is None else dpoints  # I(G)
+        self.ipoints = [] if ipoints is None else ipoints  # I'(G)
+        self.plans = [] if plans is None else plans
 
 
-@dataclass
 class DecompositionCandidates:
     """The per-point candidate set of one strategy's pipeline, before
     any insertion is committed.
@@ -107,12 +107,18 @@ class DecompositionCandidates:
     whole family of executable candidates via :func:`realize`.
     """
 
-    strategy: Strategy
-    normalized: Module
-    graph: DGraph
-    dpoints: set[int] = field(default_factory=set)
-    ipoints: list[int] = field(default_factory=list)
-    plans: list[InsertionPlan] = field(default_factory=list)
+    __slots__ = ("strategy", "normalized", "graph", "dpoints", "ipoints",
+                 "plans")
+
+    def __init__(self, strategy: Strategy, normalized: Module, graph: DGraph,
+                 dpoints: set[int] | None = None,
+                 ipoints: list[int] | None = None,
+                 plans: list[InsertionPlan] | None = None) -> None:
+        self.strategy, self.normalized = strategy, normalized
+        self.graph = graph
+        self.dpoints = set() if dpoints is None else dpoints
+        self.ipoints = [] if ipoints is None else ipoints
+        self.plans = [] if plans is None else plans
 
 
 def prepare(module: Module, strategy: Strategy,
@@ -125,6 +131,10 @@ def prepare(module: Module, strategy: Strategy,
 
     ``sibling``: another strategy's result for the same arguments; its
     normalised module and d-graph (strategy-independent) are shared."""
+    from repro.decompose.conditions import valid_decomposition_points
+    from repro.decompose.points import interesting_points, select_insertions
+    from repro.dgraph.graph import build_dgraph
+    from repro.xquery.normalize import normalize
     if sibling is not None:
         normalized, graph = sibling.normalized, sibling.graph
     else:
@@ -158,6 +168,8 @@ def realize(candidates: DecompositionCandidates,
                                    candidates.normalized, candidates.graph,
                                    candidates.dpoints, candidates.ipoints,
                                    plans)
+    from repro.decompose.code_motion import apply_code_motion
+    from repro.decompose.rewrite import insert_xrpc
     rewritten = insert_xrpc(candidates.normalized, plans)
     if strategy.uses_fragments and code_motion:
         rewritten = apply_code_motion(rewritten)

@@ -16,13 +16,12 @@ pass-by-fragment cannot repair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.dgraph.graph import DGraph, Vertex
 
 
-@dataclass(frozen=True)
-class DocDep:
+class DocDep(NamedTuple):
     """One entry of D(v): ``uri :: opened_at`` (vertex id)."""
 
     uri: str

@@ -23,8 +23,6 @@ Vertex layout follows Figure 2 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
     EmptySequence, Expr, ForExpr, FunCall, IfExpr, LetExpr, Literal,
@@ -35,21 +33,24 @@ from repro.xquery.ast import (
 from repro.xmldb.axes import HORIZONTAL_AXES, REVERSE_AXES
 
 
-@dataclass
 class Vertex:
     """One d-graph vertex ``vi:rule[val]``."""
 
-    vid: int
-    rule: str
-    val: str | None = None
-    ast: Expr | None = None
-    #: For AxisStep chain vertices: number of leading steps of the
-    #: owning PathExpr that this vertex covers (prefix length).
-    step_count: int | None = None
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-    #: varref edge target (Var vertex), for VarRef vertices.
-    varref: int | None = None
+    __slots__ = ("vid", "rule", "val", "ast", "step_count", "parent",
+                 "children", "varref")
+
+    def __init__(self, vid: int, rule: str, val: str | None = None,
+                 ast: Expr | None = None, step_count: int | None = None,
+                 parent: int | None = None, children: list[int] | None = None,
+                 varref: int | None = None) -> None:
+        self.vid, self.rule = vid, rule
+        self.val, self.ast = val, ast
+        #: For AxisStep chain vertices: number of leading steps of the
+        #: owning PathExpr that this vertex covers (prefix length).
+        self.step_count, self.parent = step_count, parent
+        self.children = [] if children is None else children
+        #: varref edge target (Var vertex), for VarRef vertices.
+        self.varref = varref
 
     def label(self) -> str:
         if self.val is not None:

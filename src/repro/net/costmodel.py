@@ -19,12 +19,10 @@ instead of constructing ad-hoc instances.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(NamedTuple):
     """Simulated costs; all times in seconds."""
 
     #: Per-message fixed cost in **seconds** (TCP connection reuse plus
@@ -51,13 +49,13 @@ class CostModel:
         """A copy with ``overrides`` applied — the supported way for
         benchmarks and experiments to derive variants (a typo'd field
         name raises, listing the valid ones)."""
-        valid = {field.name for field in dataclasses.fields(self)}
+        valid = set(self._fields)
         unknown = set(overrides) - valid
         if unknown:
             raise TypeError(
                 f"unknown CostModel field(s) {sorted(unknown)}; "
                 f"valid fields: {sorted(valid)}")
-        return dataclasses.replace(self, **overrides)
+        return self._replace(**overrides)
 
     def network_time(self, message_bytes: int) -> float:
         return self.latency_s + message_bytes / self.bandwidth_bytes_per_s

@@ -11,14 +11,12 @@ comparable — the planner's feedback loop is a division of the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.net.costmodel import CostModel
 from repro.net.stats import TimeBreakdown
+from repro.records import Record
 
 
-@dataclass
-class CostVector:
+class CostVector(Record):
     """Predicted raw quantities for one (partial) execution.
 
     Byte fields mirror how the transport charges a run: message bytes
@@ -28,13 +26,19 @@ class CostVector:
     already multiplied element counts by per-element rates).
     """
 
-    document_bytes: float = 0.0   # whole documents on the wire
-    message_bytes: float = 0.0    # request + response message text
-    messages: float = 0.0         # individual message transmissions
-    local_exec_s: float = 0.0
-    remote_exec_s: float = 0.0
-    #: Extra queueing delay in seconds (replica in-flight pressure).
-    queue_s: float = 0.0
+    __slots__ = _fields = ("document_bytes", "message_bytes", "messages",
+                           "local_exec_s", "remote_exec_s", "queue_s")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, document_bytes: float = 0.0, message_bytes: float = 0.0,
+                 messages: float = 0.0, local_exec_s: float = 0.0,
+                 remote_exec_s: float = 0.0, queue_s: float = 0.0) -> None:
+        self.document_bytes = document_bytes  # whole documents on the wire
+        self.message_bytes = message_bytes  # request + response message text
+        self.messages = messages  # individual message transmissions
+        self.local_exec_s, self.remote_exec_s = local_exec_s, remote_exec_s
+        #: Extra queueing delay in seconds (replica in-flight pressure).
+        self.queue_s = queue_s
 
     def add(self, other: "CostVector") -> "CostVector":
         """Accumulate ``other`` into this vector (returns self)."""

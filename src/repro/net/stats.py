@@ -26,23 +26,28 @@ component leaves sum to these totals by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
+
+from repro.records import Record
 
 if TYPE_CHECKING:
     from repro.obs.explain import PlanAnalysis
 
 
-@dataclass
-class TimeBreakdown:
+class TimeBreakdown(Record):
     """Simulated seconds per category (Figure 8's stack)."""
 
-    shred: float = 0.0
-    local_exec: float = 0.0
-    serialize: float = 0.0   # "(de)serialize" in the paper
-    remote_exec: float = 0.0
-    network: float = 0.0
+    __slots__ = _fields = ("shred", "local_exec", "serialize", "remote_exec",
+                           "network")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, shred: float = 0.0, local_exec: float = 0.0,
+                 serialize: float = 0.0, remote_exec: float = 0.0,
+                 network: float = 0.0) -> None:
+        self.shred, self.local_exec = shred, local_exec
+        self.serialize = serialize  # "(de)serialize" in the paper
+        self.remote_exec, self.network = remote_exec, network
 
     @property
     def total(self) -> float:
@@ -86,7 +91,6 @@ class Ranking(NamedTuple):
     key: tuple = ()
 
 
-@dataclass(eq=False)
 class PlanReport:
     """The planner's verdict for one run: which physical plan executed
     and what it was predicted to cost — a view over the
@@ -107,21 +111,22 @@ class PlanReport:
     :attr:`analysis` is first read (most runs' never are).
     """
 
-    #: The chosen plan's label, e.g. by-projection.
-    strategy: str
-    #: The :class:`Ranking` that picked the plan, or a callable making
-    #: it when the report is first read.
-    ranking: object
-    #: False on the shape's first lookup and on the first after a store
-    #: or repartition moved its stamp (that one only re-prices: no
-    #: parser, decomposer or lowerer runs); True on every other lookup.
-    from_cache: bool = False
-    #: The :class:`~repro.xquery.prepared.Binding` of the text that was
-    #: planned: the run reads its literals from it.
-    binding: object = None
-    _actuals: tuple | None = field(default=None, init=False, repr=False)
-    _analysis: PlanAnalysis | None = field(default=None, init=False,
-                                           repr=False)
+    def __init__(self, strategy: str, ranking: object,
+                 from_cache: bool = False, binding: object = None) -> None:
+        #: The chosen plan's label, e.g. by-projection.
+        self.strategy = strategy
+        #: The :class:`Ranking` that picked the plan, or a callable making
+        #: it when the report is first read.
+        self.ranking = ranking
+        #: False on the shape's first lookup and on the first after a store
+        #: or repartition moved its stamp (that one only re-prices: no
+        #: parser, decomposer or lowerer runs); True on every other lookup.
+        self.from_cache = from_cache
+        #: The :class:`~repro.xquery.prepared.Binding` of the text that was
+        #: planned: the run reads its literals from it.
+        self.binding = binding
+        self._actuals: tuple | None = None
+        self._analysis: PlanAnalysis | None = None
 
     @cached_property
     def _ranked(self) -> Ranking:
@@ -212,40 +217,54 @@ def fold_entry(target: dict, key: object, entry: dict) -> None:
             existing[name] = existing.get(name, 0) + value
 
 
-@dataclass
 class RunStats:
     """Byte and message accounting for one query execution."""
 
-    document_bytes: int = 0      # full documents shipped (data shipping)
-    message_bytes: int = 0       # SOAP request + response messages
-    messages: int = 0            # network interactions (message count)
-    rpc_calls: int = 0           # function applications (bulk counts >1)
-    documents_shipped: int = 0
-    cache_hits: int = 0          # round trips served from
-    cache_saved_bytes: int = 0   # the runtime's shared result cache
-    times: TimeBreakdown = field(default_factory=TimeBreakdown)
-    #: The physical plan that produced this run (set by the federation
-    #: for every execution; shard calls report under the run that
-    #: scattered them).
-    plan: PlanReport | None = None
-    #: One entry per shard (``"collection#sN"``), filed by the cluster
-    #: router: ``shard`` (its ``local_name``), ``calls``, its share of
-    #: its round trips' ``bytes`` / ``messages`` / ``sim_s`` /
-    #: ``cache_hits`` (nested work included), and its own ``failovers``,
-    #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts. A
-    #: scatter nested in a round trip is counted in both collections'
-    #: entries, so only the outermost collection's shares can sum to
-    #: the run's totals.
-    per_shard: dict[str, dict] = field(default_factory=dict)
-    #: Per-operator actuals for explain-analyze: a call site's entry
-    #: under its ``site_id``, a ship's under ``(owner, local_name)``
-    #: (``bytes`` / ``calls`` / ``sim_s`` / ``wall_s`` / ``cache_hits``).
-    per_op: dict[object, dict] = field(default_factory=dict)
-    #: Scatter fan-outs per collection.
-    scatters: dict[str, int] = field(default_factory=dict)
-    #: The trace span charges against these stats attribute to (bound
-    #: by the run layer while tracing; never exported).
-    span: object | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("document_bytes", "message_bytes", "messages", "rpc_calls",
+                 "documents_shipped", "cache_hits", "cache_saved_bytes",
+                 "times", "plan", "per_shard", "per_op", "scatters", "span",
+                 "__weakref__")
+
+    def __init__(self, document_bytes: int = 0, message_bytes: int = 0,
+                 messages: int = 0, rpc_calls: int = 0,
+                 documents_shipped: int = 0, cache_hits: int = 0,
+                 cache_saved_bytes: int = 0,
+                 times: TimeBreakdown | None = None,
+                 plan: PlanReport | None = None,
+                 per_shard: dict[str, dict] | None = None,
+                 per_op: dict[object, dict] | None = None,
+                 scatters: dict[str, int] | None = None,
+                 span: object | None = None) -> None:
+        self.document_bytes = document_bytes  # full documents shipped
+        self.message_bytes = message_bytes  # SOAP request + response
+        self.messages = messages  # network interactions (message count)
+        self.rpc_calls = rpc_calls  # function applications (bulk counts >1)
+        self.documents_shipped = documents_shipped
+        # Round trips served from the runtime's shared result cache.
+        self.cache_hits, self.cache_saved_bytes = cache_hits, cache_saved_bytes
+        self.times = TimeBreakdown() if times is None else times
+        #: The physical plan that produced this run (set by the federation
+        #: for every execution; shard calls report under the run that
+        #: scattered them).
+        self.plan = plan
+        #: One entry per shard (``"collection#sN"``), filed by the cluster
+        #: router: ``shard`` (its ``local_name``), ``calls``, its share of
+        #: its round trips' ``bytes`` / ``messages`` / ``sim_s`` /
+        #: ``cache_hits`` (nested work included), and its own ``failovers``,
+        #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts. A
+        #: scatter nested in a round trip is counted in both collections'
+        #: entries, so only the outermost collection's shares can sum to
+        #: the run's totals.
+        self.per_shard = {} if per_shard is None else per_shard
+        #: Per-operator actuals for explain-analyze: a call site's entry
+        #: under its ``site_id``, a ship's under ``(owner, local_name)``
+        #: (``bytes`` / ``calls`` / ``sim_s`` / ``wall_s`` / ``cache_hits``).
+        self.per_op = {} if per_op is None else per_op
+        #: Scatter fan-outs per collection.
+        self.scatters = {} if scatters is None else scatters
+        #: The trace span charges against these stats attribute to (bound
+        #: by the run layer while tracing; never exported).
+        self.span = span
 
     @property
     def total_transferred_bytes(self) -> int:

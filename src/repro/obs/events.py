@@ -63,7 +63,6 @@ import itertools
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.clock import REAL_CLOCK, Clock
 
@@ -75,17 +74,20 @@ _SEVERITIES = ("info", "warning", "error")
 CAPACITY = 1024
 
 
-@dataclass(frozen=True)
 class Event:
     """One typed occurrence in the fleet."""
 
-    seq: int                     # monotone per-log sequence number
-    wall_ts: float               # clock.wall() — for humans / JSONL
-    perf_s: float                # clock() — span timeline
-    kind: str
-    message: str
-    severity: str = "info"
-    attrs: dict = field(default_factory=dict)
+    __slots__ = ("seq", "wall_ts", "perf_s", "kind", "message", "severity",
+                 "attrs")
+
+    def __init__(self, seq: int, wall_ts: float, perf_s: float, kind: str,
+                 message: str, severity: str = "info",
+                 attrs: dict | None = None) -> None:
+        self.seq = seq  # monotone per-log sequence number
+        self.wall_ts = wall_ts  # clock.wall() — for humans / JSONL
+        self.perf_s = perf_s  # clock() — span timeline
+        self.kind, self.message, self.severity = kind, message, severity
+        self.attrs = {} if attrs is None else attrs
 
     def to_dict(self) -> dict:
         out = {

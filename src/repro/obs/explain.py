@@ -29,11 +29,10 @@ site that triggered them), mirroring how the estimator prices sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class OpAnalysis:
+class OpAnalysis(NamedTuple):
     """One operator row of an analyzed plan: prediction next to truth.
 
     ``actual_*`` are ``None`` when the run never exercised the operator
@@ -74,8 +73,7 @@ class OpAnalysis:
         }
 
 
-@dataclass(frozen=True)
-class PlanAnalysis:
+class PlanAnalysis(NamedTuple):
     """The analyzed plan: per-operator rows plus run-level totals."""
 
     label: str

@@ -31,8 +31,6 @@ flap the routing order. Both transitions emit events.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from repro.clock import REAL_CLOCK
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindowFamily
@@ -53,19 +51,21 @@ RESTORE_ABOVE = 0.8
 MIN_SAMPLES = 3
 
 
-@dataclass
 class PeerHealth:
     """One peer's current score and the windowed numbers behind it."""
 
-    peer: str
-    score: float = 1.0
-    samples: int = 0
-    error_rate: float = 0.0
-    mean_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
+    __slots__ = ("peer", "score", "samples", "error_rate", "mean_latency_s",
+                 "p95_latency_s")
+
+    def __init__(self, peer: str, score: float = 1.0, samples: int = 0,
+                 error_rate: float = 0.0, mean_latency_s: float = 0.0,
+                 p95_latency_s: float = 0.0) -> None:
+        self.peer, self.score, self.samples = peer, score, samples
+        self.error_rate, self.mean_latency_s = error_rate, mean_latency_s
+        self.p95_latency_s = p95_latency_s
 
     def snapshot(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class HealthTracker:

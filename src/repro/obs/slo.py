@@ -26,8 +26,6 @@ events on transitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from repro.clock import REAL_CLOCK
 from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindow
@@ -35,7 +33,6 @@ from repro.obs.windows import RollingWindow
 __all__ = ["SLO", "BurnRatePolicy", "AlertState", "SLOMonitor"]
 
 
-@dataclass(frozen=True)
 class SLO:
     """One objective over the query stream.
 
@@ -45,12 +42,14 @@ class SLO:
     fraction the objective promises (0.99 = 1% error budget).
     """
 
-    name: str
-    kind: str = "latency"                  # "latency" | "errors"
-    target: float = 0.99
-    threshold_s: float = 0.050             # latency SLOs only
+    __slots__ = ("name", "kind", "target", "threshold_s")
 
-    def __post_init__(self):
+    def __init__(self, name: str, kind: str = "latency", target: float = 0.99,
+                 threshold_s: float = 0.050) -> None:
+        self.name = name
+        self.kind = kind  # "latency" | "errors"
+        self.target = target
+        self.threshold_s = threshold_s  # latency SLOs only
         if self.kind not in ("latency", "errors"):
             raise ValueError(f"SLO kind {self.kind!r} unknown")
         if not 0.0 < self.target < 1.0:
@@ -61,7 +60,6 @@ class SLO:
         return 1.0 - self.target
 
 
-@dataclass(frozen=True)
 class BurnRatePolicy:
     """Multi-window burn-rate rule with hysteresis.
 
@@ -71,13 +69,14 @@ class BurnRatePolicy:
     under ``threshold * resolve_ratio``.
     """
 
-    long_s: float = 60.0
-    short_s: float = 5.0
-    threshold: float = 10.0
-    resolve_ratio: float = 0.5
-    min_requests: int = 10
+    __slots__ = ("long_s", "short_s", "threshold", "resolve_ratio",
+                 "min_requests")
 
-    def __post_init__(self):
+    def __init__(self, long_s: float = 60.0, short_s: float = 5.0,
+                 threshold: float = 10.0, resolve_ratio: float = 0.5,
+                 min_requests: int = 10) -> None:
+        self.long_s, self.short_s, self.threshold = long_s, short_s, threshold
+        self.resolve_ratio, self.min_requests = resolve_ratio, min_requests
         if self.short_s <= 0 or self.long_s < self.short_s:
             raise ValueError(
                 f"windows long_s={self.long_s} short_s={self.short_s} "
@@ -87,18 +86,20 @@ class BurnRatePolicy:
                 f"resolve_ratio {self.resolve_ratio} out of (0, 1]")
 
 
-@dataclass
 class AlertState:
     """Mutable alert state for one objective."""
 
-    slo: SLO
-    policy: BurnRatePolicy
-    window: RollingWindow
-    firing: bool = False
-    fired_total: int = 0
-    fired_at: float | None = None
-    last_burn_long: float = 0.0
-    last_burn_short: float = 0.0
+    __slots__ = ("slo", "policy", "window", "firing", "fired_total",
+                 "fired_at", "last_burn_long", "last_burn_short")
+
+    def __init__(self, slo: SLO, policy: BurnRatePolicy, window: RollingWindow,
+                 firing: bool = False, fired_total: int = 0,
+                 fired_at: float | None = None, last_burn_long: float = 0.0,
+                 last_burn_short: float = 0.0) -> None:
+        self.slo, self.policy, self.window = slo, policy, window
+        self.firing, self.fired_total = firing, fired_total
+        self.fired_at, self.last_burn_long = fired_at, last_burn_long
+        self.last_burn_short = last_burn_short
 
     def snapshot(self) -> dict:
         return {

@@ -26,8 +26,6 @@ The per-expression precision matches the paper's rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.paths.relpath import RelPath, RelStep
 from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, ConstructorExpr, ContextItemExpr,
@@ -43,22 +41,28 @@ Abstract = frozenset[tuple[Source, RelPath]]
 _EMPTY: Abstract = frozenset()
 
 
-@dataclass
 class PathSets:
     """Used and returned relative paths for one source."""
 
-    used: set[RelPath] = field(default_factory=set)
-    returned: set[RelPath] = field(default_factory=set)
+    __slots__ = ("used", "returned")
+
+    def __init__(self, used: set[RelPath] | None = None,
+                 returned: set[RelPath] | None = None) -> None:
+        self.used = set() if used is None else used
+        self.returned = set() if returned is None else returned
 
 
-@dataclass
 class ProjectionSpec:
     """Projection info for one XRPCExpr: per-parameter request paths
     (``Urel/Rrel(vparam)``) and result response paths
     (``Urel/Rrel(vxrpc)``)."""
 
-    param_paths: dict[str, PathSets] = field(default_factory=dict)
-    result_paths: PathSets = field(default_factory=PathSets)
+    __slots__ = ("param_paths", "result_paths")
+
+    def __init__(self, param_paths: dict[str, PathSets] | None = None,
+                 result_paths: PathSets | None = None) -> None:
+        self.param_paths = {} if param_paths is None else param_paths
+        self.result_paths = PathSets() if result_paths is None else result_paths
 
 
 #: Builtins that pass their argument nodes through unchanged (public:

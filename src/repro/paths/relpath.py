@@ -20,10 +20,10 @@ knowing what its nodes join.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.errors import XrpcMarshalError
+from repro.records import Record
 from repro.xmldb.axes import AXES
 from repro.xmldb.document import Document
 from repro.xmldb.index import (
@@ -35,8 +35,7 @@ from repro.xmldb.node import Node
 PSEUDO_STEPS = ("root()", "id()", "idref()")
 
 
-@dataclass(frozen=True)
-class RelStep:
+class RelStep(NamedTuple):
     """One step: ``axis::test`` or a pseudo-step (axis == the marker)."""
 
     axis: str
@@ -48,8 +47,7 @@ class RelStep:
         return f"{self.axis}::{self.test}"
 
 
-@dataclass(frozen=True)
-class RelPath:
+class RelPath(NamedTuple):
     """A relative projection path (possibly empty = ``self``)."""
 
     steps: tuple[RelStep, ...] = ()
@@ -120,15 +118,18 @@ _NON_DOWNWARD = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class CompiledPaths:
+class CompiledPaths(Record):
     """A call site's used / returned paths as one prefix trie: its
     stages in prefix order, each ``(source, step, joins)`` — the index
     of the stage it continues, its step, and what its nodes join
     (:data:`USED` / :data:`RETURNED` bits, 0 for a shared prefix only).
     Stage 0 is the context itself (the empty path, no step)."""
 
-    stages: tuple[tuple[int, RelStep | None, int], ...]
+    __slots__ = _fields = ("stages",)
+
+    def __init__(self, stages: tuple[tuple[int, RelStep | None, int], ...]
+                 ) -> None:
+        self.stages = stages
 
     def evaluate(self, groups: Groups) -> Iterator[tuple[int, Groups]]:
         """Each joining stage's node set and what it joins, from the

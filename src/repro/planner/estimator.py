@@ -31,9 +31,8 @@ multiplications, applied by :func:`~repro.planner.ir.priced`.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.decompose import DecompositionResult
 from repro.decompose.points import split_xrpc_uri
@@ -89,8 +88,7 @@ EXEC_TICKS_PER_ELEMENT = 0.05
 EXEC_VISITS_PER_ELEMENT = 0.25
 
 
-@dataclass(frozen=True)
-class _Vol:
+class _Vol(NamedTuple):
     """Abstract value: an estimated sequence volume."""
 
     items: float = 0.0
@@ -445,7 +443,7 @@ class _Estimation:
             combined = _combine(volumes)
             if combined.tag is not None and combined.tag.startswith("@"):
                 return combined      # attribute values: already text
-            return replace(combined, bytes=combined.bytes * TEXT_FRACTION)
+            return combined._replace(bytes=combined.bytes * TEXT_FRACTION)
         return _combine([self.visit(arg, env, host, multiplicity)
                          for arg in expr.args])
 
@@ -614,4 +612,4 @@ class _Estimation:
 
         # The caller sees the unprojected result volume (projection
         # drops what the caller provably never touches).
-        return replace(response.scaled(calls), stats=None)
+        return response.scaled(calls)._replace(stats=None)

@@ -28,7 +28,6 @@ compiled for its module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.decompose import DecompositionResult, Strategy
@@ -47,30 +46,35 @@ def _fmt_bytes(value: float) -> str:
     return f"{value / 1024:.1f}KB" if value >= 1024 else f"{value:.0f}B"
 
 
-@dataclass
 class LocalEval:
     """Evaluation at the originating peer (always present)."""
 
-    at: str
-    vector: CostVector = field(default_factory=CostVector)
+    __slots__ = ("at", "vector")
+
+    def __init__(self, at: str, vector: CostVector | None = None) -> None:
+        self.at = at
+        self.vector = CostVector() if vector is None else vector
 
     def describe(self) -> str:
         return (f"local-eval at {self.at} "
                 f"(~{self.vector.local_exec_s * 1e3:.2f}ms exec)")
 
 
-@dataclass
 class ShipDocument:
     """Data shipping: serialise ``owner/local_name`` and shred it at
     ``to`` (the originator, or a remote peer whose shipped body opens
     the document)."""
 
-    owner: str
-    local_name: str
-    to: str
-    document_bytes: int
-    shards: int = 0                 # >0 when owner is a sharded collection
-    vector: CostVector = field(default_factory=CostVector)
+    __slots__ = ("owner", "local_name", "to", "document_bytes", "shards",
+                 "vector")
+
+    def __init__(self, owner: str, local_name: str, to: str,
+                 document_bytes: int, shards: int = 0,
+                 vector: CostVector | None = None) -> None:
+        self.owner, self.local_name, self.to = owner, local_name, to
+        self.document_bytes = document_bytes
+        self.shards = shards  # >0 when owner is a sharded collection
+        self.vector = CostVector() if vector is None else vector
 
     def describe(self) -> str:
         shards = f" x{self.shards} shards" if self.shards else ""
@@ -78,18 +82,22 @@ class ShipDocument:
                 f"{self.to}{shards} (~{_fmt_bytes(self.document_bytes)})")
 
 
-@dataclass
 class XrpcCall:
     """One decomposed call site: an XRPC round trip to ``dest`` under
     ``semantics``, with ``calls`` function applications expected."""
 
-    dest: str
-    semantics: str
-    site_id: int                    # id(xrpc.body): the run-layer key
-    calls: float = 1.0
-    request_bytes: float = 0.0
-    response_bytes: float = 0.0
-    vector: CostVector = field(default_factory=CostVector)
+    __slots__ = ("dest", "semantics", "site_id", "calls", "request_bytes",
+                 "response_bytes", "vector")
+
+    def __init__(self, dest: str, semantics: str, site_id: int,
+                 calls: float = 1.0, request_bytes: float = 0.0,
+                 response_bytes: float = 0.0,
+                 vector: CostVector | None = None) -> None:
+        self.dest, self.semantics = dest, semantics
+        self.site_id = site_id  # id(xrpc.body): the run-layer key
+        self.calls, self.request_bytes = calls, request_bytes
+        self.response_bytes = response_bytes
+        self.vector = CostVector() if vector is None else vector
 
     def describe(self) -> str:
         return (f"xrpc-call {self.semantics} -> {self.dest} "
@@ -98,12 +106,14 @@ class XrpcCall:
                 f"{_fmt_bytes(self.response_bytes)})")
 
 
-@dataclass
 class BulkBatch:
     """Bulk RPC: the wrapped site's per-binding calls coalesce into a
     single message pair (Section V)."""
 
-    call: XrpcCall
+    __slots__ = ("call",)
+
+    def __init__(self, call: XrpcCall) -> None:
+        self.call = call
 
     @property
     def vector(self) -> CostVector:
@@ -113,17 +123,18 @@ class BulkBatch:
         return f"bulk-batch [{self.call.describe()}]"
 
 
-@dataclass
 class ScatterGather:
     """The wrapped call site's destination is a sharded collection:
     one Bulk RPC per peer of the least cover of its shards (the
     router's :func:`~repro.cluster.router.shard_cover`), each carrying
     one call per (call × shard that peer serves)."""
 
-    collection: str
-    shards: int
-    peers: int
-    call: XrpcCall
+    __slots__ = ("collection", "shards", "peers", "call")
+
+    def __init__(self, collection: str, shards: int, peers: int,
+                 call: XrpcCall) -> None:
+        self.collection, self.shards, self.peers = collection, shards, peers
+        self.call = call
 
     @property
     def vector(self) -> CostVector:
@@ -184,34 +195,42 @@ def priced(op, book: CalibrationBook, origin: str) -> CostVector:
                       raw.queue_s)
 
 
-@dataclass
 class PhysicalPlan:
     """One executable candidate: a decomposition plus its priced ops,
     shared by every text of the prepared query's shape (a run reads
     its literals from its own :class:`~repro.xquery.prepared.Binding`,
     which the planner's report carries)."""
 
-    label: str
-    strategy: Strategy
-    decomposition: DecompositionResult
-    origin: str
-    ops: list = field(default_factory=list)
-    bulk_rpc: bool = True
-    #: Per-site message semantics, keyed by ``id(xrpc.body)`` — the
-    #: handle :class:`~repro.system.federation._Run` has on the wire.
-    site_semantics: dict[int, str] = field(default_factory=dict)
-    #: Projection specs keyed by ``id(xrpc.body)``, computed once
-    #: during lowering (when some site uses by-projection) and reused
-    #: by the run layer instead of re-analysing the module per run.
-    projection_specs: dict[int, object] = field(default_factory=dict)
-    model: CostModel = field(default_factory=CostModel)
-    #: The live book: :meth:`priced` reads its current factors.
-    calibration: CalibrationBook = field(default_factory=CalibrationBook)
-    #: For ``decomposition.module``; built when the candidate is lowered.
-    evaluator: Evaluator | None = None
-    #: One :class:`CallSite` per function body asked about.
-    sites: PreparedTable = field(default_factory=PreparedTable,
-                                 init=False, repr=False)
+    __slots__ = ("label", "strategy", "decomposition", "origin", "ops",
+                 "bulk_rpc", "site_semantics", "projection_specs", "model",
+                 "calibration", "evaluator", "sites")
+
+    def __init__(self, label: str, strategy: Strategy,
+                 decomposition: DecompositionResult, origin: str,
+                 ops: list | None = None, bulk_rpc: bool = True,
+                 site_semantics: dict[int, str] | None = None,
+                 projection_specs: dict[int, object] | None = None,
+                 model: CostModel | None = None,
+                 calibration: CalibrationBook | None = None,
+                 evaluator: Evaluator | None = None) -> None:
+        self.label, self.strategy = label, strategy
+        self.decomposition, self.origin = decomposition, origin
+        self.ops = [] if ops is None else ops
+        self.bulk_rpc = bulk_rpc
+        #: Per-site message semantics, keyed by ``id(xrpc.body)`` — the
+        #: handle :class:`~repro.system.federation._Run` has on the wire.
+        self.site_semantics = {} if site_semantics is None else site_semantics
+        #: Projection specs keyed by ``id(xrpc.body)``, computed once
+        #: during lowering (when some site uses by-projection) and reused
+        #: by the run layer instead of re-analysing the module per run.
+        self.projection_specs = {} if projection_specs is None else projection_specs
+        self.model = CostModel() if model is None else model
+        #: The live book: :meth:`priced` reads its current factors.
+        self.calibration = CalibrationBook() if calibration is None else calibration
+        #: For ``decomposition.module``; built when the candidate is lowered.
+        self.evaluator = evaluator
+        #: One :class:`CallSite` per function body asked about.
+        self.sites = PreparedTable()
 
     @property
     def default_semantics(self) -> str:

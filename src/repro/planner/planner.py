@@ -46,7 +46,6 @@ lookup and invalidates nothing.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -79,28 +78,34 @@ _DECOMPOSING = (Strategy.BY_VALUE, Strategy.BY_FRAGMENT,
                 Strategy.BY_PROJECTION)
 
 
-@dataclass
 class _Candidate:
     """One executable alternative of a shape."""
 
-    label: str
-    strategy: Strategy
-    #: The insertion points realised (None: all); the rest data-ship.
-    include: list[InsertionPlan] | None = None
-    #: Its lowering, priced at its variant's ``priced`` stamp.
-    plan: PhysicalPlan | None = None
+    __slots__ = ("label", "strategy", "include", "plan")
+
+    def __init__(self, label: str, strategy: Strategy,
+                 include: list[InsertionPlan] | None = None,
+                 plan: PhysicalPlan | None = None) -> None:
+        self.label, self.strategy = label, strategy
+        #: The insertion points realised (None: all); the rest data-ship.
+        self.include = include
+        #: Its lowering, priced at its variant's ``priced`` stamp.
+        self.plan = plan
 
 
-@dataclass(eq=False)
 class _Variant:
     """One requested strategy's candidates, the stamp of its last
     lookup, the stamp their estimates were priced at, and their last
     ranking."""
 
-    candidates: list[_Candidate]
-    stamp: tuple[int, int] | None = None
-    priced: tuple[int, int] | None = None
-    ranking: Ranking | None = None
+    __slots__ = ("candidates", "stamp", "priced", "ranking")
+
+    def __init__(self, candidates: list[_Candidate],
+                 stamp: tuple[int, int] | None = None,
+                 priced: tuple[int, int] | None = None,
+                 ranking: Ranking | None = None) -> None:
+        self.candidates, self.stamp, self.priced = candidates, stamp, priced
+        self.ranking = ranking
 
 
 class PreparedQuery:

@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import operator
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.xmldb.index import structural_index
 from repro.xmldb.node import KIND_ELEMENT, KIND_TEXT
@@ -45,8 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.xmldb.document import Document
 
 
-@dataclass(frozen=True)
-class TagStat:
+class TagStat(NamedTuple):
     """One tag bucket: instances of a tag and the serialised
     bytes their subtrees cover (for ``@attr`` buckets, the value
     bytes; for ``#text``, the character data bytes)."""

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from repro.obs.metrics import MetricsRegistry
@@ -122,15 +121,15 @@ class StoredResponse:
                 for items in self.results]
 
 
-@dataclass
 class CacheStats:
     """Hit/miss accounting; ``saved_bytes`` is wire traffic avoided."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    saved_bytes: int = 0
+    __slots__ = ("hits", "misses", "evictions", "invalidations", "saved_bytes")
+
+    def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0,
+                 invalidations: int = 0, saved_bytes: int = 0) -> None:
+        self.hits, self.misses, self.evictions = hits, misses, evictions
+        self.invalidations, self.saved_bytes = invalidations, saved_bytes
 
     @property
     def lookups(self) -> int:

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["QueryRecord", "EngineMetrics"]
 
 
-@dataclass
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """One run's life in the engine, on the wire's clock."""
 
     started_at: float

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.clock import REAL_CLOCK, Clock
@@ -74,7 +73,6 @@ class PeerDownError(PeerUnavailableError):
     (the cluster layer's replica-failure drill)."""
 
 
-@dataclass(frozen=True)
 class RetryPolicy:
     """Retry budget for *transient* wire faults (injected faults,
     per-attempt timeouts) — distinct from :class:`PeerDownError`
@@ -90,14 +88,15 @@ class RetryPolicy:
     global.
     """
 
-    attempts: int = 3
-    budget: int = 8
-    base_backoff_s: float = 0.0
-    max_backoff_s: float = 0.050
-    jitter: float = 0.5
-    seed: int = 20090329
+    __slots__ = ("attempts", "budget", "base_backoff_s", "max_backoff_s",
+                 "jitter", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, attempts: int = 3, budget: int = 8,
+                 base_backoff_s: float = 0.0, max_backoff_s: float = 0.050,
+                 jitter: float = 0.5, seed: int = 20090329) -> None:
+        self.attempts, self.budget = attempts, budget
+        self.base_backoff_s, self.max_backoff_s = base_backoff_s, max_backoff_s
+        self.jitter, self.seed = jitter, seed
         if self.attempts < 1:
             raise ValueError(f"attempts {self.attempts} must be >= 1")
         if self.budget < 0:
@@ -395,7 +394,6 @@ class Transport:
         return text, size
 
 
-@dataclass
 class FaultPlan:
     """Deterministic fault injection: each transmission fails with
     probability ``rate``.
@@ -407,10 +405,10 @@ class FaultPlan:
     eats which draw. Module-global randomness is never used.
     """
 
-    rate: float = 0.0
-    seed: int = 20090329
+    __slots__ = ("rate", "seed", "_counts", "_lock")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rate: float = 0.0, seed: int = 20090329) -> None:
+        self.rate, self.seed = rate, seed
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"fault rate {self.rate} must be in [0, 1]")
         self._counts: dict[str, int] = {}

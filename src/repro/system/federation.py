@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterable
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 from functools import cached_property
 
 from repro.cluster.membership import PeerView
@@ -130,33 +129,33 @@ class Peer:
             return serialize(document)
 
 
-@dataclass
-class MessageLog:
+class MessageLog(NamedTuple):
     """One request/response exchange, for tests and examples."""
 
     dest: str
     calls: int
     request_bytes: int
     response_bytes: int
-    request_xml: str = field(repr=False, default="")
-    response_xml: str = field(repr=False, default="")
+    request_xml: str = ""
+    response_xml: str = ""
 
 
-@dataclass
 class RunResult:
     """Everything produced by one federated execution."""
 
-    items: list
-    stats: RunStats
-    decomposition: DecompositionResult
-    messages: list[MessageLog] = field(default_factory=list)
-    #: The closed span tree of a ``trace=True`` run (None otherwise);
-    #: export with :func:`repro.obs.dump_trace` /
-    #: :func:`repro.obs.dump_chrome_trace`.
-    trace: Span | None = None
-
-    #: What the query text bound to its prepared shape's slots.
-    literals: tuple = ()
+    def __init__(self, items: list, stats: RunStats,
+                 decomposition: DecompositionResult,
+                 messages: list[MessageLog] | None = None,
+                 trace: Span | None = None, literals: tuple = ()) -> None:
+        self.items, self.stats = items, stats
+        self.decomposition = decomposition
+        self.messages = [] if messages is None else messages
+        #: The closed span tree of a ``trace=True`` run (None otherwise);
+        #: export with :func:`repro.obs.dump_trace` /
+        #: :func:`repro.obs.dump_chrome_trace`.
+        self.trace = trace
+        #: What the query text bound to its prepared shape's slots.
+        self.literals = literals
 
     @cached_property
     def module(self) -> Module:

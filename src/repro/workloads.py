@@ -16,7 +16,7 @@ cache.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
@@ -44,8 +44,7 @@ BENCHMARK_QUERY = """
 DEFAULT_SCALES = (0.005, 0.01, 0.02, 0.04, 0.08)
 
 
-@dataclass
-class WorkloadRun:
+class WorkloadRun(NamedTuple):
     """One strategy's execution over one document pair."""
 
     strategy: Strategy
@@ -139,8 +138,7 @@ def benchmark_query_variant(max_age: int | float | str = 40) -> str:
     return BENCHMARK_QUERY.replace(anchor, f"< {max_age}")
 
 
-@dataclass(frozen=True)
-class TenantJob:
+class TenantJob(NamedTuple):
     """One query issued by one client of the multi-tenant workload.
 
     ``strategy`` may be an enum member, a string alias, or ``"auto"``

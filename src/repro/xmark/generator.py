@@ -32,8 +32,8 @@ benchmark query has real matches; ages are uniform in [18, 70] so the
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from sys import intern
+from typing import NamedTuple
 
 from repro.xmldb.document import Document, DocumentBuilder
 
@@ -76,8 +76,7 @@ PERSONS_PER_SCALE = 2500
 AUCTIONS_PER_SCALE = 3000
 
 
-@dataclass(frozen=True)
-class XMarkConfig:
+class XMarkConfig(NamedTuple):
     """Knobs for one generated pair of documents."""
 
     scale: float = 0.01

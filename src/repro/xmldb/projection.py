@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
@@ -43,8 +42,7 @@ from repro.xmldb.kernels import PRE_TYPECODE
 from repro.xmldb.node import NodeKind
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Outcome of projecting one document.
 
     ``doc`` is the projected fragment document; ``pre_map`` maps the
@@ -55,7 +53,7 @@ class ProjectionResult:
     """
 
     doc: Document
-    pre_map: dict[int, int] = field(repr=False)
+    pre_map: dict[int, int]
     kept: int = 0
     total: int = 0
 

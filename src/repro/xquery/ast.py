@@ -14,44 +14,49 @@ Design notes:
 * Every node supports uniform child traversal
   (:meth:`Expr.child_exprs`) and functional reconstruction
   (:meth:`Expr.replace_children`), which the d-graph builder,
-  normaliser and decomposer rely on. Nodes are mutable dataclasses but
-  rewrites always build new nodes.
+  normaliser and decomposer rely on: both read each class's
+  ``_fields``. Rewrites always build new nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Iterator
+
+from repro.records import Record
 
 # ---------------------------------------------------------------------------
 # Base class
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Expr:
+class _Node(Record):
+    """An AST node or auxiliary: equal by its fields, unhashable."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+
+class Expr(_Node):
     """Base class of all expression AST nodes."""
+
+    __slots__ = ()
 
     def child_exprs(self) -> list["Expr"]:
         """All direct sub-expressions, in syntactic order."""
         out: list[Expr] = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            _collect_exprs(value, out)
+        for name in self._fields:
+            _collect_exprs(getattr(self, name), out)
         return out
 
     def replace_children(self, mapper: Callable[["Expr"], "Expr"]) -> "Expr":
         """Rebuild this node with every direct child passed through
         ``mapper``. Non-expression fields are copied untouched."""
-        updates: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            new_value, changed = _map_exprs(value, mapper)
-            if changed:
-                updates[f.name] = new_value
-        if not updates:
-            return self
-        return replace(self, **updates)
+        values, changed = [], False
+        for name in self._fields:
+            value, value_changed = _map_exprs(getattr(self, name), mapper)
+            values.append(value)
+            changed = changed or value_changed
+        return type(self)(*values) if changed else self
 
     @property
     def rule(self) -> str:
@@ -102,18 +107,19 @@ def walk(expr: Expr) -> Iterator[Expr]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Literal(Expr):
     """A string, integer, double or boolean literal."""
 
-    value: str | int | float | bool
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str | int | float | bool) -> None:
+        self.value = value
 
     def bound(self, literals: tuple = ()) -> str | int | float | bool:
         """The value this leaf stands for (whatever the binding)."""
         return self.value
 
 
-@dataclass
 class LiteralSlot(Expr):
     """A comparison operand literal of a *prepared* query: the shape
     keeps the slot, each text of the shape binds its own value to it
@@ -121,9 +127,12 @@ class LiteralSlot(Expr):
     ``value``: code that reads a literal's value without a binding at
     hand fails here instead of reusing the first text's."""
 
-    index: int
-    #: ``"integer"``, ``"double"`` or ``"string"`` — part of the shape.
-    kind: str
+    __slots__ = _fields = ("index", "kind")
+
+    def __init__(self, index: int, kind: str) -> None:
+        self.index = index
+        #: ``"integer"``, ``"double"`` or ``"string"`` — part of the shape.
+        self.kind = kind
 
     def bound(self, literals: tuple) -> str | int | float:
         return literals[self.index]
@@ -133,16 +142,19 @@ class LiteralSlot(Expr):
 LITERALS = (Literal, LiteralSlot)
 
 
-@dataclass
 class EmptySequence(Expr):
     """The literal ``()``."""
 
+    __slots__ = _fields = ()
 
-@dataclass
+
 class VarRef(Expr):
     """A variable reference ``$name``."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -150,58 +162,64 @@ class VarRef(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SequenceExpr(Expr):
     """Comma sequence construction ``(e1, e2, ...)`` (rule ExprSeq)."""
 
-    items: list[Expr]
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: list[Expr]) -> None:
+        self.items = items
 
 
-@dataclass
 class ForExpr(Expr):
     """Core ``for $var (at $pos)? in seq return body``."""
 
-    var: str
-    seq: Expr
-    body: Expr
-    pos_var: str | None = None
+    __slots__ = _fields = ("var", "seq", "body", "pos_var")
+
+    def __init__(self, var: str, seq: Expr, body: Expr,
+                 pos_var: str | None = None) -> None:
+        self.var, self.seq = var, seq
+        self.body, self.pos_var = body, pos_var
 
 
-@dataclass
 class LetExpr(Expr):
     """Core ``let $var := value return body``."""
 
-    var: str
-    value: Expr
-    body: Expr
+    __slots__ = _fields = ("var", "value", "body")
+
+    def __init__(self, var: str, value: Expr, body: Expr) -> None:
+        self.var, self.value, self.body = var, value, body
 
 
-@dataclass
 class IfExpr(Expr):
     """``if (cond) then then_branch else else_branch``."""
 
-    cond: Expr
-    then_branch: Expr
-    else_branch: Expr
+    __slots__ = _fields = ("cond", "then_branch", "else_branch")
+
+    def __init__(self, cond: Expr, then_branch: Expr,
+                 else_branch: Expr) -> None:
+        self.cond, self.then_branch = cond, then_branch
+        self.else_branch = else_branch
 
 
-@dataclass
-class TypeswitchCase:
+class TypeswitchCase(_Node):
     """One ``case $var as SequenceType return expr`` clause."""
 
-    var: str | None
-    seq_type: str
-    body: Expr
+    __slots__ = _fields = ("var", "seq_type", "body")
+
+    def __init__(self, var: str | None, seq_type: str, body: Expr) -> None:
+        self.var, self.seq_type, self.body = var, seq_type, body
 
 
-@dataclass
 class TypeswitchExpr(Expr):
     """``typeswitch (operand) case ... default $var return expr``."""
 
-    operand: Expr
-    cases: list[TypeswitchCase]
-    default_var: str | None
-    default_body: Expr
+    __slots__ = _fields = ("operand", "cases", "default_var", "default_body")
+
+    def __init__(self, operand: Expr, cases: list[TypeswitchCase],
+                 default_var: str | None, default_body: Expr) -> None:
+        self.operand, self.cases = operand, cases
+        self.default_var, self.default_body = default_var, default_body
 
     def child_exprs(self) -> list[Expr]:
         out: list[Expr] = [self.operand]
@@ -225,75 +243,79 @@ VALUE_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
 NODE_COMPARISONS = ("is", "<<", ">>")
 
 
-@dataclass
 class ComparisonExpr(Expr):
     """A general or node comparison (rules 12-14)."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op, self.left, self.right = op, left, right
 
     @property
     def is_node_comparison(self) -> bool:
         return self.op in NODE_COMPARISONS
 
 
-@dataclass
 class ArithmeticExpr(Expr):
     """Binary arithmetic: ``+ - * div idiv mod``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
 class UnaryExpr(Expr):
     """Unary minus/plus."""
 
-    op: str
-    operand: Expr
+    __slots__ = _fields = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr) -> None:
+        self.op, self.operand = op, operand
 
 
-@dataclass
 class LogicalExpr(Expr):
     """``and`` / ``or``."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
 class RangeExpr(Expr):
     """``start to end`` integer range."""
 
-    start: Expr
-    end: Expr
+    __slots__ = _fields = ("start", "end")
+
+    def __init__(self, start: Expr, end: Expr) -> None:
+        self.start, self.end = start, end
 
 
-@dataclass
 class QuantifiedExpr(Expr):
     """``some/every $var in seq satisfies cond``."""
 
-    quantifier: str  # "some" | "every"
-    var: str
-    seq: Expr
-    cond: Expr
+    __slots__ = _fields = ("quantifier", "var", "seq", "cond")
+
+    def __init__(self, quantifier: str, var: str, seq: Expr,
+                 cond: Expr) -> None:
+        self.quantifier = quantifier  # "some" | "every"
+        self.var, self.seq, self.cond = var, seq, cond
 
 
-@dataclass
-class OrderSpec:
+class OrderSpec(_Node):
     """One ordering key of an ``order by`` clause."""
 
-    key: Expr
-    ascending: bool = True
-    #: ``empty greatest``: the empty sequence sorts above every value
-    #: (and NaN just below it); the default is ``empty least``.
-    empty_greatest: bool = False
+    __slots__ = _fields = ("key", "ascending", "empty_greatest")
+
+    def __init__(self, key: Expr, ascending: bool = True,
+                 empty_greatest: bool = False) -> None:
+        self.key, self.ascending = key, ascending
+        #: ``empty greatest``: the empty sequence sorts above every value
+        #: (and NaN just below it); the default is ``empty least``.
+        self.empty_greatest = empty_greatest
 
 
-@dataclass
 class OrderByExpr(Expr):
     """Core form of ``for $var in seq order by keys return body``.
 
@@ -301,10 +323,12 @@ class OrderByExpr(Expr):
     OrderExpr, FLWOR-desugared).
     """
 
-    var: str
-    seq: Expr
-    specs: list[OrderSpec]
-    body: Expr
+    __slots__ = _fields = ("var", "seq", "specs", "body")
+
+    def __init__(self, var: str, seq: Expr, specs: list[OrderSpec],
+                 body: Expr) -> None:
+        self.var, self.seq = var, seq
+        self.specs, self.body = specs, body
 
     def child_exprs(self) -> list[Expr]:
         out: list[Expr] = [self.seq]
@@ -326,34 +350,37 @@ class OrderByExpr(Expr):
 NODE_SET_OPS = ("union", "intersect", "except")
 
 
-@dataclass
 class NodeSetExpr(Expr):
     """``union`` / ``intersect`` / ``except`` on node sequences."""
 
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr) -> None:
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass
-class Step:
+class Step(_Node):
     """One axis step ``axis::test`` with optional predicates."""
 
-    axis: str
-    test: str
-    predicates: list[Expr] = field(default_factory=list)
+    __slots__ = _fields = ("axis", "test", "predicates")
+
+    def __init__(self, axis: str, test: str,
+                 predicates: list[Expr] | None = None) -> None:
+        self.axis, self.test = axis, test
+        self.predicates = [] if predicates is None else predicates
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         preds = "".join(f"[...]" for _ in self.predicates)
         return f"{self.axis}::{self.test}{preds}"
 
 
-@dataclass
 class PathExpr(Expr):
     """``input/step/step...`` with consecutive steps kept together."""
 
-    input: Expr
-    steps: list[Step]
+    __slots__ = _fields = ("input", "steps")
+
+    def __init__(self, input: Expr, steps: list[Step]) -> None:
+        self.input, self.steps = input, steps
 
     def child_exprs(self) -> list[Expr]:
         out: list[Expr] = [self.input]
@@ -369,12 +396,12 @@ class PathExpr(Expr):
         )
 
 
-@dataclass
 class ContextItemExpr(Expr):
     """The context item ``.`` (inside predicates)."""
 
+    __slots__ = _fields = ()
 
-@dataclass
+
 class ConstructorExpr(Expr):
     """Computed/direct constructor (rule 19).
 
@@ -387,22 +414,24 @@ class ConstructorExpr(Expr):
     element and enclosed expression.
     """
 
-    kind: str
-    name: str | None
-    name_expr: Expr | None
-    content: list[Expr]
+    __slots__ = _fields = ("kind", "name", "name_expr", "content")
+
+    def __init__(self, kind: str, name: str | None, name_expr: Expr | None,
+                 content: list[Expr]) -> None:
+        self.kind, self.name, self.name_expr = kind, name, name_expr
+        self.content = content
 
 
-@dataclass
 class FunCall(Expr):
     """A function application ``QName(args...)`` (rule 26)."""
 
-    name: str
-    args: list[Expr]
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: list[Expr]) -> None:
+        self.name, self.args = name, args
 
 
-@dataclass
-class XRPCParam:
+class XRPCParam(_Node):
     """One XRPC parameter binding ``$param := $outer`` (rule 28).
 
     The decomposer only ever generates variable-to-variable bindings
@@ -411,11 +440,12 @@ class XRPCParam:
     ``value`` is an :class:`Expr`.
     """
 
-    name: str
-    value: Expr
+    __slots__ = _fields = ("name", "value")
+
+    def __init__(self, name: str, value: Expr) -> None:
+        self.name, self.value = name, value
 
 
-@dataclass
 class XRPCExpr(Expr):
     """``execute at {dest} { body }`` with parameters (rules 27-28).
 
@@ -423,9 +453,11 @@ class XRPCExpr(Expr):
     parameters and sees the remote peer's document space.
     """
 
-    dest: Expr
-    params: list[XRPCParam]
-    body: Expr
+    __slots__ = _fields = ("dest", "params", "body")
+
+    def __init__(self, dest: Expr, params: list[XRPCParam],
+                 body: Expr) -> None:
+        self.dest, self.params, self.body = dest, params, body
 
     def child_exprs(self) -> list[Expr]:
         out: list[Expr] = [self.dest]
@@ -446,30 +478,33 @@ class XRPCExpr(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Param:
+class Param(_Node):
     """A declared function parameter ``$name as type``."""
 
-    name: str
-    seq_type: str = "item()*"
+    __slots__ = _fields = ("name", "seq_type")
+
+    def __init__(self, name: str, seq_type: str = "item()*") -> None:
+        self.name, self.seq_type = name, seq_type
 
 
-@dataclass
-class FunctionDecl:
+class FunctionDecl(_Node):
     """``declare function name(params) as type { body };``"""
 
-    name: str
-    params: list[Param]
-    return_type: str
-    body: Expr
+    __slots__ = _fields = ("name", "params", "return_type", "body")
+
+    def __init__(self, name: str, params: list[Param], return_type: str,
+                 body: Expr) -> None:
+        self.name, self.params, self.return_type = name, params, return_type
+        self.body = body
 
 
-@dataclass
-class Module:
+class Module(_Node):
     """A main module: function declarations plus the query body."""
 
-    functions: list[FunctionDecl]
-    body: Expr
+    __slots__ = _fields = ("functions", "body")
+
+    def __init__(self, functions: list[FunctionDecl], body: Expr) -> None:
+        self.functions, self.body = functions, body
 
     def function(self, name: str, arity: int) -> FunctionDecl | None:
         for decl in self.functions:
@@ -492,6 +527,6 @@ def bind(node: "Expr | Module", literals: tuple) -> "Expr | Module":
         return expr.replace_children(visit)
 
     if isinstance(node, Module):
-        return Module([replace(decl, body=visit(decl.body))
+        return Module([decl.replace(body=visit(decl.body))
                        for decl in node.functions], visit(node.body))
     return visit(node)

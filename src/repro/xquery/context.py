@@ -15,16 +15,14 @@ remote call — the federation injects the function-shipping transport).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.errors import UndefinedVariableError, XQueryDynamicError
 from repro.xmldb.document import Document
 from repro.xquery.prepared import Binding
 
 
-@dataclass(frozen=True)
-class StaticContext:
+class StaticContext(NamedTuple):
     """Static query properties (XQuery static context subset)."""
 
     base_uri: str = "http://localhost/"
@@ -41,12 +39,13 @@ class StaticContext:
 
     @classmethod
     def from_attributes(cls, attrs: dict[str, str]) -> "StaticContext":
+        defaults = cls._field_defaults
         return cls(
-            base_uri=attrs.get("xrpc:base-uri", cls.base_uri),
+            base_uri=attrs.get("xrpc:base-uri", defaults["base_uri"]),
             default_collation=attrs.get("xrpc:default-collation",
-                                        cls.default_collation),
+                                        defaults["default_collation"]),
             current_datetime=attrs.get("xrpc:current-dateTime",
-                                       cls.current_datetime),
+                                       defaults["current_datetime"]),
         )
 
 
@@ -91,25 +90,36 @@ def _no_xrpc(dest: str, params: list[tuple[str, list]], body: Any,
         f"execute at {dest!r}: no XRPC transport configured")
 
 
-@dataclass
 class DynamicContext:
     """One evaluation environment. Immutable in style: binding
     operations return new contexts sharing the counters/resolvers."""
 
-    variables: dict[str, list] = field(default_factory=dict)
-    context_item: Any = None
-    context_position: int = 0
-    context_size: int = 0
-    resolve_doc: Callable[[str], Document] = _no_documents
-    xrpc_execute: Callable[..., list] = _no_xrpc
-    #: Optional Bulk RPC entry point: (dest, [call-params...], body,
-    #: binding) -> one result sequence per call. None disables bulk
-    #: batching.
-    xrpc_execute_bulk: Callable[..., list] | None = None
-    counter: CostCounter = field(default_factory=CostCounter)
-    #: What the text being run binds to its prepared query's slots
-    #: (a :class:`~repro.xquery.ast.LiteralSlot` reads its value here).
-    binding: Binding = field(default_factory=Binding)
+    __slots__ = ("variables", "context_item", "context_position",
+                 "context_size", "resolve_doc", "xrpc_execute",
+                 "xrpc_execute_bulk", "counter", "binding")
+
+    def __init__(self, variables: dict[str, list] | None = None,
+                 context_item: Any = None, context_position: int = 0,
+                 context_size: int = 0,
+                 resolve_doc: Callable[[str], Document] = _no_documents,
+                 xrpc_execute: Callable[..., list] = _no_xrpc,
+                 xrpc_execute_bulk: Callable[..., list] | None = None,
+                 counter: CostCounter | None = None,
+                 binding: Binding | None = None) -> None:
+        self.variables = {} if variables is None else variables
+        self.context_item = context_item
+        self.context_position = context_position
+        self.context_size = context_size
+        self.resolve_doc = resolve_doc
+        self.xrpc_execute = xrpc_execute
+        #: Optional Bulk RPC entry point: (dest, [call-params...], body,
+        #: binding) -> one result sequence per call. None disables bulk
+        #: batching.
+        self.xrpc_execute_bulk = xrpc_execute_bulk
+        self.counter = CostCounter() if counter is None else counter
+        #: What the text being run binds to its prepared query's slots
+        #: (a :class:`~repro.xquery.ast.LiteralSlot` reads its value here).
+        self.binding = Binding() if binding is None else binding
 
     def _derive(self, variables: dict[str, list], item: Any = None,
                 position: int = 0, size: int = 0) -> "DynamicContext":

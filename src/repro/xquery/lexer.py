@@ -9,8 +9,8 @@ that, the lexer exposes its input text and can be repositioned with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import XQuerySyntaxError
 
@@ -25,8 +25,7 @@ class TokenType(Enum):
     END = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     value: object

@@ -32,9 +32,8 @@ probing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isnan
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from repro.xmldb import kernels
 from repro.xmldb.node import KIND_ATTRIBUTE, KIND_ELEMENT
@@ -76,8 +75,7 @@ def _is_name_test(test: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """One indexable conjunct: ``axis::name op rhs`` from the anchor.
 
     ``axis == "self"`` probes the anchor node itself (``name`` empty;

@@ -47,9 +47,8 @@ an axis scan later asks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import XrpcMarshalError
 from repro.paths.relpath import (
@@ -114,14 +113,17 @@ def unmarshal_atomic(item: Atomic):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MarshalResult:
     """Items per call/param plus the shared fragments preamble: the
     root element of each fragment (in the source document, a
     projection of it, or a synthetic forest), in fragid order."""
 
-    calls: list[Call]
-    fragments: list[Node] = field(default_factory=list)
+    __slots__ = ("calls", "fragments")
+
+    def __init__(self, calls: list[Call],
+                 fragments: list[Node] | None = None) -> None:
+        self.calls = calls
+        self.fragments = [] if fragments is None else fragments
 
 
 def marshal_calls(calls: list[list[tuple[str, list]]], semantics: str,
@@ -190,8 +192,7 @@ def _nodeid_pres(kinds: Sequence[int]) -> list[int]:
                          bytes(kinds).translate(_COUNTED)))
 
 
-@dataclass
-class _FragmentPlan:
+class _FragmentPlan(NamedTuple):
     """One source document's contribution to the fragments preamble."""
 
     fragid: int
@@ -220,15 +221,19 @@ class _FragmentPlan:
         return out
 
 
-@dataclass
 class _Source:
     """One source document's share of a message: the pres of its node
     items and, by-projection, of what the paths reached from them."""
 
-    doc: Document
-    items: set[int] = field(default_factory=set)
-    used: set[int] = field(default_factory=set)
-    returned: set[int] = field(default_factory=set)
+    __slots__ = ("doc", "items", "used", "returned")
+
+    def __init__(self, doc: Document, items: set[int] | None = None,
+                 used: set[int] | None = None,
+                 returned: set[int] | None = None) -> None:
+        self.doc = doc
+        self.items = set() if items is None else items
+        self.used = set() if used is None else used
+        self.returned = set() if returned is None else returned
 
 
 def _marshal(calls: list[list[tuple[str, list]]], semantics: str,

@@ -48,10 +48,10 @@ holds one ``xrpc:sequence`` per parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.errors import XrpcMarshalError
+from repro.records import Record
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node, NodeKind
@@ -61,16 +61,16 @@ from repro.xmldb.serializer import (
 )
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(Record):
     """An atomic item: XML Schema type name plus lexical form."""
 
-    type_name: str
-    lexical: str
+    __slots__ = _fields = ("type_name", "lexical")
+
+    def __init__(self, type_name: str, lexical: str) -> None:
+        self.type_name, self.lexical = type_name, lexical
 
 
-@dataclass(frozen=True)
-class NodeCopy:
+class NodeCopy(Record):
     """A pass-by-value node copy.
 
     ``node_kind`` is the copied node's kind (a standalone attribute,
@@ -81,53 +81,66 @@ class NodeCopy:
     of a document of its own.
     """
 
-    node_kind: str       # "element" | "attribute" | "text" | "comment"
-                         # | "processing-instruction"
-    name: str            # attribute name or PI target (empty otherwise)
-    content: Node | str  # the node; or, encoding, its string value
+    __slots__ = _fields = ("node_kind", "name", "content")
+
+    def __init__(self, node_kind: str, name: str, content: Node | str) -> None:
+        # element, attribute, text, comment or processing-instruction
+        self.node_kind = node_kind
+        self.name = name  # attribute name or PI target (empty otherwise)
+        self.content = content  # the node; or, encoding, its string value
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(Record):
     """A pass-by-fragment reference: fragid/nodeid per Figure 4."""
 
-    fragid: int
-    nodeid: int
+    __slots__ = _fields = ("fragid", "nodeid")
+
+    def __init__(self, fragid: int, nodeid: int) -> None:
+        self.fragid, self.nodeid = fragid, nodeid
 
 
-@dataclass(frozen=True)
-class AttrRef:
+class AttrRef(Record):
     """An attribute reference: owner nodeid plus attribute name."""
 
-    fragid: int
-    nodeid: int
-    name: str
+    __slots__ = _fields = ("fragid", "nodeid", "name")
+
+    def __init__(self, fragid: int, nodeid: int, name: str) -> None:
+        self.fragid, self.nodeid, self.name = fragid, nodeid, name
 
 
 Item = Atomic | NodeCopy | NodeRef | AttrRef
 
 
-@dataclass
 class Call:
     """One function application: named parameter sequences."""
 
-    params: list[tuple[str, list[Item]]] = field(default_factory=list)
+    __slots__ = ("params",)
+
+    def __init__(self,
+                 params: list[tuple[str, list[Item]]] | None = None) -> None:
+        self.params = [] if params is None else params
 
 
-@dataclass
-class RequestMessage:
+class RequestMessage(Record):
     """An XRPC request (possibly bulk: several calls, same function)."""
 
-    query: str                       # shipped function body (XQuery text)
-    param_names: list[str]
-    calls: list[Call]
-    #: Root element of each fragment, in fragid order.
-    fragments: list[Node] = field(default_factory=list)
-    static_attrs: dict[str, str] = field(default_factory=dict)
-    #: Response projection paths (Urel/Rrel(vxrpc)); presence selects
-    #: the pass-by-projection response format.
-    used_paths: list[str] | None = None
-    returned_paths: list[str] | None = None
+    _fields = ("query", "param_names", "calls", "fragments", "static_attrs",
+               "used_paths", "returned_paths")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, query: str, param_names: list[str], calls: list[Call],
+                 fragments: list[Node] | None = None,
+                 static_attrs: dict[str, str] | None = None,
+                 used_paths: list[str] | None = None,
+                 returned_paths: list[str] | None = None) -> None:
+        self.query = query  # shipped function body (XQuery text)
+        self.param_names, self.calls = param_names, calls
+        #: Root element of each fragment, in fragid order.
+        self.fragments = [] if fragments is None else fragments
+        self.static_attrs = {} if static_attrs is None else static_attrs
+        #: Response projection paths (Urel/Rrel(vxrpc)); presence selects
+        #: the pass-by-projection response format.
+        self.used_paths, self.returned_paths = used_paths, returned_paths
 
     @cached_property
     def key(self) -> tuple:
@@ -194,13 +207,17 @@ class RequestMessage:
                    returned_paths=strings["returned-path"] if paths else None)
 
 
-@dataclass
-class ResponseMessage:
+class ResponseMessage(Record):
     """An XRPC response: one result sequence per request call."""
 
-    results: list[list[Item]]
-    #: Root element of each fragment, in fragid order.
-    fragments: list[Node] = field(default_factory=list)
+    __slots__ = _fields = ("results", "fragments")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, results: list[list[Item]],
+                 fragments: list[Node] | None = None) -> None:
+        self.results = results
+        #: Root element of each fragment, in fragid order.
+        self.fragments = [] if fragments is None else fragments
 
     def to_xml(self) -> str:
         out = [_ENVELOPE_OPEN, "<xrpc:response>"]

@@ -6,7 +6,6 @@ its thread, how many ran off the wire's exchange calls, preparation off
 call counts.
 """
 
-import dataclasses
 import sys
 import threading
 
@@ -359,7 +358,7 @@ def test_layout_change_re_prepares_exactly_once(preparation_calls):
     # A layout change installs a new (frozen) spec: one re-preparation,
     # shared by every run until the next.
     spec = catalog.get("books-c")
-    catalog.replace(dataclasses.replace(spec), reason="test")
+    catalog.replace(spec.replace(), reason="test")
     for _ in range(3):
         result = cluster.run(SCAN, at="local")
         assert serialize_sequence(result.items) == expected

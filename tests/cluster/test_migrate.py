@@ -415,12 +415,11 @@ def test_retire_refuses_to_break_replication():
     federation.peer("node4").store(
         shard.local_name,
         federation.peer(shard.replicas[0]).serialized(shard.local_name))
-    from dataclasses import replace as dc_replace
     from repro.cluster.catalog import with_replicas
     wider = tuple(
         with_replicas(s, s.replicas + ("node4",))
         if s.index == shard.index else s for s in spec.shards)
-    catalog.replace(dc_replace(spec, shards=wider), reason="test")
+    catalog.replace(spec.replace(shards=wider), reason="test")
     assert executor.execute(RetirePlan("books-c", shard.index, "node4"))
     spec_now = catalog.get("books-c")
     assert "node4" not in spec_now.shards[shard.index].replicas

@@ -15,8 +15,6 @@ same items, same payload documents, same refusals.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import XrpcMarshalError
 from repro.xmldb.columns import ColumnSet
 from repro.xmldb.document import Document, DocumentBuilder
@@ -224,9 +222,9 @@ def _copied(message):
     fragments = [build_fragment_from_node("", root).root
                  for root in message.fragments]
     if isinstance(message, RequestMessage):
-        return replace(message, fragments=fragments, calls=[
+        return message.replace(fragments=fragments, calls=[
             Call([(name, [_copy(item) for item in items])
                   for name, items in call.params])
             for call in message.calls])
-    return replace(message, fragments=fragments, results=[
+    return message.replace(fragments=fragments, results=[
         [_copy(item) for item in items] for items in message.results])

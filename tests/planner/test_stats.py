@@ -4,7 +4,6 @@ import gc
 import sys
 import threading
 import weakref
-from dataclasses import replace
 
 from repro.cluster import LoadScorer
 from repro.net.estimate import CostVector
@@ -229,7 +228,7 @@ class TestInvalidatesWhatWasStored:
         catalog = attached(federation)
         merged = catalog.document_stats("people-c", "people.xml")
         federation.catalog.update(
-            "people-c", lambda spec: replace(spec, shards=spec.shards[:1]))
+            "people-c", lambda spec: spec.replace(shards=spec.shards[:1]))
         halved = catalog.document_stats("people-c", "people.xml")
         assert halved is not merged
         assert halved.tag("person").count < merged.tag("person").count

@@ -4,8 +4,10 @@ Each package ``__init__`` lists its public names under their home
 modules (``repro/_exports.py``), so an unsharded federation never
 loads the cluster's router side or the ``obs`` fleet layer, and a
 sharded run or an explain-analyze rendering loads them on demand.
-What a fresh interpreter loads is read off ``sys.modules`` in a
-subprocess: this process has long imported everything.
+No record class is a dataclass, whose creation ``exec``-s generated
+methods: a cold run never loads ``dataclasses``. What a fresh
+interpreter loads is read off ``sys.modules`` in a subprocess: this
+process has long imported everything.
 """
 
 from __future__ import annotations
@@ -51,12 +53,25 @@ explained = results[-1].stats.plan.explain(analyze=True)
 after_explain = loaded()
 sharded = build_sharded_federation(0.005).run(SHARDED_BENCHMARK_QUERY,
                                               at="local")
+after_sharded = loaded()
+from repro.runtime import FederationEngine
+with FederationEngine(build_federation(0.005), max_workers=1) as engine:
+    engined = engine.submit(BENCHMARK_QUERY, "local").result()
 print(json.dumps({
     "unsharded": unsharded, "after_explain": after_explain,
-    "after_sharded": loaded(), "explained": explained,
+    "after_sharded": after_sharded, "explained": explained,
     "answers": sorted({serialize_sequence(result.items)
-                       for result in results + [sharded]}),
+                       for result in results + [sharded, engined]}),
+    "dataclasses": "dataclasses" in sys.modules,
 }))
+"""
+
+#: What importing the XML store alone loads.
+XML_STORE = """
+import json, sys
+import repro.xmldb.parser
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("repro."))))
 """
 
 #: Imports every submodule, then lists each package export that is a
@@ -89,14 +104,38 @@ def _fresh(script: str, *args: str) -> dict:
     return json.loads(result.stdout)
 
 
-def test_an_unsharded_run_loads_neither_the_router_nor_the_fleet_layer():
-    seen = _fresh(COLD_RUN, *ON_DEMAND)
+@pytest.fixture(scope="module")
+def cold_run() -> dict:
+    return _fresh(COLD_RUN, *ON_DEMAND)
+
+
+def test_an_unsharded_run_loads_neither_the_router_nor_the_fleet_layer(
+        cold_run):
+    seen = cold_run
     assert seen["unsharded"] == []
     assert seen["after_explain"] == ["repro.obs.explain"]
     assert "actual" in seen["explained"]
     assert {"repro.cluster.router", "repro.cluster.gather"} \
         <= set(seen["after_sharded"])
     assert len(seen["answers"]) == 1 and seen["answers"][0]
+
+
+def test_a_cold_run_creates_no_dataclass(cold_run):
+    """Every strategy and ``auto``, explain-analyze, a sharded query and
+    an engine query: none loads ``dataclasses``."""
+    assert cold_run["dataclasses"] is False
+
+
+def test_the_xml_store_loads_no_decomposition_pipeline():
+    """The root package binds ``decompose`` eagerly; its module loads
+    the d-graph and the rest of the pipeline only when it decomposes."""
+    loaded = _fresh(XML_STORE)
+    pipeline = {f"repro.decompose.{name}" for name in (
+        "code_motion", "conditions", "points", "rewrite")} | {
+        "repro.xquery.normalize"}
+    assert not [name for name in loaded
+                if name.startswith("repro.dgraph") or name in pipeline]
+    assert "repro.decompose.strategy" in loaded
 
 
 @pytest.mark.parametrize("package", PACKAGES)
