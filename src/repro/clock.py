@@ -4,9 +4,8 @@ observability paths.
 A :class:`Clock` is a callable returning monotonic seconds (it fits
 every ``clock=`` slot) that can also ``sleep`` and read the ``wall``
 calendar. The wire keeps the federation's (``Transport(clock=)``);
-delays, timeouts, backoff, latencies, spans, events and windows all
-read it, so on a :class:`VirtualClock` a seeded drill is a pure
-function of its seed. Besides this module only the CPU stopwatches of
+delays, latencies, spans, events and windows all read it, so on a
+:class:`VirtualClock` a seeded drill is a pure function of its seed. Besides this module only the CPU stopwatches of
 ``xmldb/index.py`` and ``xmldb/values.py`` import ``time``.
 """
 

@@ -130,12 +130,7 @@ class CollectionSpec(Record):
 class ClusterCatalog:
     """Thread-safe registry of sharded collections."""
 
-    PARTIAL_POLICIES = ("error", "allow")
-
-    def __init__(self, partial: str = "error"):
-        if partial not in self.PARTIAL_POLICIES:
-            raise ClusterError(
-                f"partial policy {partial!r} not in {self.PARTIAL_POLICIES}")
+    def __init__(self):
         self._lock = threading.Lock()
         self._epoch = 0
         self._collections: dict[str, CollectionSpec] = {}
@@ -143,14 +138,6 @@ class ClusterCatalog:
         #: A :class:`~repro.obs.events.EventLog` installed by a fleet
         #: monitor; every epoch bump emits into it when set.
         self.events = None
-        #: Graceful degradation when a shard has zero live replicas:
-        #: ``"error"`` fails the query (exact semantics, the default);
-        #: ``"allow"`` lets scatter return a *flagged* partial answer
-        #: (``RunStats.partial_shards`` counts the holes).
-        self.partial_policy = partial
-        #: The router's :class:`~repro.runtime.transport.RetryPolicy`
-        #: for transient wire faults (None ⇒ the router's default).
-        self.retry_policy = None
         #: The router's prepared scatters, one per (function body,
         #: collection layout) — see ``router._PreparedScatter``.
         self.prepared = PreparedTable()

@@ -49,8 +49,9 @@ instead of rediscovering it per query:
   under-replicated shards for :class:`~repro.cluster.rebalance.Reconciler`
   to heal — subscribers are notified per transition. A shard whose
   *only* replica is the dead peer keeps its placement (data is not
-  forgotten, merely unreachable); serving it is the partial-results
-  policy's decision. Eviction is terminal until :meth:`rejoin`.
+  forgotten, merely unreachable), and a query that needs it fails
+  with ``ShardUnavailableError``. Eviction is terminal until
+  :meth:`rejoin`.
 
 Every transition emits an event (``membership_suspect`` /
 ``membership_dead`` / ``membership_alive`` / ``replica_evicted``) and

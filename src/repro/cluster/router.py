@@ -32,11 +32,11 @@ router takes over:
    totals moved across it, nested work included, is shared into the
    ``per_shard`` entries of the shards it served.
 4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
-   (injected faults, killed peers), once in-place retries are spent,
-   re-covers the round trip's shards over their untried serving
-   replicas; each moved shard counts one failover in its ``per_shard``
-   entry. A shard every replica failed is unavailable (an error, or a
-   flagged ``()`` under ``partial="allow"``).
+   (a killed peer) re-covers the round trip's shards over their
+   untried serving replicas; each moved shard counts one failover in
+   its ``per_shard`` entry. Nothing is retried in place: each replica
+   is tried once, and a shard every serving replica failed fails the
+   query with :class:`ShardUnavailableError`.
 5. **gather** — :func:`~repro.cluster.gather.gather_plan` picks the
    combinator: shard-major concatenation for map-shaped bodies
    (document order under range partitioning), addition for
@@ -48,7 +48,7 @@ router takes over:
    collection document.
 
 The router counts into the run's :class:`RunStats` only: each shard
-files one ``per_shard`` entry (calls, skips, retries, failovers, its
+files one ``per_shard`` entry (calls, skips, failovers, failures, its
 share of bytes, messages and seconds, the shard's ``local_name``). The
 registry's ``scatter_*`` series — the reconciler's per-shard heat
 among them — are folded from the finished run at the end of
@@ -68,7 +68,6 @@ import: it reads ``parser.parse_document`` through its module.
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Collection, Sequence, TypeVar
 
@@ -77,11 +76,8 @@ from repro.cluster.catalog import (
 )
 from repro.cluster.gather import gather_plan, merge_shard_documents
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
-from repro.errors import (
-    NetworkError, PeerUnavailableError, TransientNetworkError,
-)
-from repro.runtime.cache import STALE, ReadSet
-from repro.runtime.transport import RetryPolicy
+from repro.errors import NetworkError, PeerUnavailableError
+from repro.runtime.cache import ReadSet
 from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import bind_stats_span, child_span
 from repro.xmldb import parser
@@ -108,16 +104,10 @@ SHARD_PARAMETER = "shard"
 
 _Item = TypeVar("_Item")
 
-#: Router-level default when the catalog carries no policy: a couple of
-#: in-place retries per replica before failing over, zero base backoff
-#: (the simulated wire has no real congestion to wait out).
-_DEFAULT_RETRY = RetryPolicy()
-
 
 class ShardUnavailableError(ClusterError):
-    """Every replica of one shard failed (retries and failover
-    exhausted). Distinct from other :class:`ClusterError`\\ s so the
-    graceful-degradation policy can swallow exactly this case."""
+    """Every serving replica of one shard failed on the wire, each
+    tried once: the query fails."""
 
 
 def rewrite_doc_uris(expr: Expr,
@@ -345,22 +335,19 @@ def _renumber_shard_fragments(outcomes: list["ScatterOutcome"]) -> None:
 
 class ScatterOutcome:
     """One shard's part of a scatter or a collection fetch: its results
-    (or the error it ended with), what is left of its retry budget, its
-    backoff draw, and ``entry`` — its ``per_shard`` entry, filed into
-    the run's stats when its scatter ends."""
+    (or the error it ended with) and ``entry`` — its ``per_shard``
+    entry, filed into the run's stats when its scatter ends."""
 
-    __slots__ = ("shard", "results", "entry", "error", "budget", "rng")
+    __slots__ = ("shard", "results", "entry", "error")
 
-    def __init__(self, shard: ShardInfo, budget: int) -> None:
+    def __init__(self, shard: ShardInfo) -> None:
         self.shard = shard
         self.results: list = []
         self.entry = {"shard": shard.local_name, "calls": 1,
-                      "failovers": 0, "retries": 0, "skipped": 0,
-                      "partial": 0, "failed": 0, "bytes": 0,
-                      "messages": 0, "sim_s": 0.0, "cache_hits": 0}
+                      "failovers": 0, "skipped": 0, "failed": 0,
+                      "bytes": 0, "messages": 0, "sim_s": 0.0,
+                      "cache_hits": 0}
         self.error: Exception | None = None
-        self.budget = budget
-        self.rng: random.Random | None = None   # seeded at a first retry
 
 
 def _totals(stats: RunStats) -> tuple[int, int, int, float]:
@@ -447,10 +434,6 @@ class ClusterRouter:
                 self.view, outcome.shard) if peer not in tried],
             lambda peers: self._rank(peers, shards))
 
-    def _outcomes(self, spec: CollectionSpec) -> list[ScatterOutcome]:
-        budget = (self.catalog.retry_policy or _DEFAULT_RETRY).budget
-        return [ScatterOutcome(shard, budget) for shard in spec.shards]
-
     # -- scatter-gather over XRPC -------------------------------------------
 
     def scatter(self, from_peer: str, spec: CollectionSpec,
@@ -491,7 +474,7 @@ class ClusterRouter:
             prepared, lambda: prepared.bound(
                 binding.literals, [name for name, _seq in calls[0]]
                 if calls else []))
-        outcomes = self._outcomes(spec)
+        outcomes = [ScatterOutcome(shard) for shard in spec.shards]
         for outcome in outcomes:
             if probes and self._shard_provably_empty(outcome.shard, probes):
                 # The shard-local value index proved the member filter
@@ -526,22 +509,14 @@ class ClusterRouter:
                         peers=len(groups)) as scatter_span:
             scatters = run.stats.scatters
             scatters[spec.name] = scatters.get(spec.name, 0) + 1
-            filed = self._serve(spec, outcomes, groups, call_group,
-                                [[] for _ in calls])
-            if reads is not None and any(entry["partial"]
-                                         for entry in filed.values()):
-                # A partial answer is kept by no exchange, this one's
-                # or an enclosing one's: each run meets the lost shard
-                # itself, and its partial_shards say so.
-                reads.note(spec.name, STALE)
+            filed = self._serve(spec, outcomes, groups, call_group)
             if scatter_span is not None:
                 # This scatter's own shards: a nested scatter's are
                 # on its own span, below.
                 own = RunStats(per_shard=filed)
                 scatter_span.set(
                     shards_skipped=own.shards_skipped,
-                    failovers=own.failovers, retries=own.retries,
-                    partial_shards=own.partial_shards, per_shard=filed)
+                    failovers=own.failovers, per_shard=filed)
             _renumber_shard_fragments(outcomes)
             return prepared.combine(
                 [outcome.results for outcome in outcomes])
@@ -565,7 +540,7 @@ class ClusterRouter:
             return [[self.transport.fetch_document(
                 peer, shard.local_name, self.run.stats)] for shard in shards]
 
-        outcomes = self._outcomes(spec)
+        outcomes = [ScatterOutcome(shard) for shard in spec.shards]
         groups = [group for outcome in outcomes
                   for group in self._cover([outcome])]
         self._serve(spec, outcomes, groups, fetch)
@@ -583,21 +558,16 @@ class ClusterRouter:
     # -- one round trip per group (shared by scatter and document fetch) ----
 
     def _serve_group(self, spec: CollectionSpec, replica: str,
-                     group: list[ScatterOutcome], attempt: _Attempt,
-                     partial_answer: list | None = None) -> None:
+                     group: list[ScatterOutcome],
+                     attempt: _Attempt) -> None:
         """One round trip serving ``group``'s shards at ``replica``
-        under its ``shard`` span, retried in place, charging the run's
-        stats (what it spent is shared into the shards' entries). A
-        wire fault re-covers the shards over their serving replicas not
-        yet tried and serves them there, each moved shard counting one
-        failover. An error a shard ends with is kept on its outcome
-        (raised once the scatter's entries are filed).
-
-        ``partial_answer`` is what a shard with zero serving replicas
-        left contributes under the catalog's ``partial="allow"``
-        policy; None (a document fetch, which cannot leave holes)
-        always fails with :class:`ShardUnavailableError` instead.
-        """
+        under its ``shard`` span, charging the run's stats (what it
+        spent is shared into the shards' entries). A wire fault
+        re-covers the shards over their serving replicas not yet tried
+        and serves them there, each moved shard counting one failover;
+        a shard with none left fails with :class:`ShardUnavailableError`.
+        An error a shard ends with is kept on its outcome (raised once
+        the scatter's entries are filed)."""
         stats = self.run.stats
         tried: set[str] = set()
         trips = [(replica, group)]
@@ -608,14 +578,13 @@ class ClusterRouter:
                                 peer=replica,
                                 shards=[o.shard.index for o in group]) \
                         as shard_span, bind_stats_span(stats, shard_span):
-                    results = self._with_retries(replica, group, attempt)
+                    results = self._round_trip(replica, group, attempt)
                 for outcome, result in zip(group, results):
                     outcome.results = result
             except NetworkError as fault:
                 tried.add(replica)
                 moving = [outcome for outcome in group
-                          if not self._unavailable(spec, outcome, tried,
-                                                   fault, partial_answer)]
+                          if not self._unavailable(outcome, tried, fault)]
                 for peer, moved in self._cover(moving, tried):
                     for outcome in moved:
                         outcome.entry["failovers"] += 1
@@ -630,30 +599,20 @@ class ClusterRouter:
                     outcome.entry["failed"] = 1
             _share(group, before, _totals(stats))
 
-    def _unavailable(self, spec: CollectionSpec, outcome: ScatterOutcome,
-                     tried: set[str], fault: NetworkError,
-                     partial_answer: list | None) -> bool:
+    def _unavailable(self, outcome: ScatterOutcome, tried: set[str],
+                     fault: NetworkError) -> bool:
         """False while ``outcome``'s shard has a serving replica not
-        ``tried``; else settle it — a flagged partial answer under
-        ``partial="allow"``, an error otherwise — and say True."""
+        ``tried``; else fail it with :class:`ShardUnavailableError` and
+        say True."""
         serving = serving_replicas(self.view, outcome.shard)
         if not tried.issuperset(serving):
             return False
-        if partial_answer is None or self.catalog.partial_policy != "allow":
-            error = ShardUnavailableError(
-                f"all {len(serving)} replicas of shard "
-                f"{outcome.shard.index} ({', '.join(serving)}) failed")
-            error.__cause__ = fault
-            outcome.error = error
-            outcome.entry["failed"] = 1
-            return True
-        # Graceful degradation: answer () per call and flag the hole
-        # instead of failing the whole query.
-        outcome.results = partial_answer
-        outcome.entry["partial"] = 1
-        self.emit("partial_result", spec, outcome.shard,
-                  " unavailable; returning flagged partial answer "
-                  "(partial=allow)")
+        error = ShardUnavailableError(
+            f"all {len(serving)} replicas of shard "
+            f"{outcome.shard.index} ({', '.join(serving)}) failed")
+        error.__cause__ = fault
+        outcome.error = error
+        outcome.entry["failed"] = 1
         return True
 
     def emit(self, kind: str, spec: CollectionSpec, shard: ShardInfo,
@@ -718,62 +677,32 @@ class ClusterRouter:
 
     # -- internals ----------------------------------------------------------
 
-    def _with_retries(self, replica: str, group: list[ScatterOutcome],
-                      attempt: _Attempt) -> list:
-        """Run ``attempt`` against ``replica`` for ``group``'s shards.
+    def _round_trip(self, replica: str, group: list[ScatterOutcome],
+                 attempt: _Attempt) -> list:
+        """Run ``attempt`` once against ``replica`` for ``group``'s
+        shards. What it raises goes to the caller: a
+        :class:`~repro.errors.NetworkError` fails over, a query error
+        fails the shards.
 
-        *Transient* wire faults (injected faults, request timeouts —
-        :class:`~repro.errors.TransientNetworkError`) are retried **in
-        place** under the catalog's
-        :class:`~repro.runtime.transport.RetryPolicy`: up to
-        ``attempts`` tries, while every shard of the group has some of
-        its own ``budget`` left (a retry spends one of each and counts
-        in each entry), with seeded-jitter exponential backoff. Any
-        other :class:`~repro.errors.NetworkError` (a fatal
-        :class:`PeerDownError`, or retries spent) is raised for the
-        caller to fail over; query-level errors are not, and never
-        burn retries or trigger failover.
-
-        Every attempt that succeeds or meets a wire fault is evidence
-        for the peer view (health windows, the detector's ladder): one
-        :meth:`PeerView.record` each. A replica that answered with an
+        The attempt is evidence for the peer view (health windows, the
+        detector's ladder) when it succeeds or its peer was unavailable:
+        one :meth:`PeerView.record`. A replica that answered with an
         error of its own (no such document, a nested scatter that
         failed) is no evidence about its liveness.
         """
-        policy = self.catalog.retry_policy or _DEFAULT_RETRY
-        record = self.view.record
         clock = self.transport.clock
-        shards = [outcome.shard for outcome in group]
-        lead = group[0]       # its draw paces the group's backoff
-        for try_index in range(max(1, policy.attempts)):
-            started = clock()
-            try:
-                result = attempt(replica, shards)
-            except NetworkError as exc:
-                if isinstance(exc, (TransientNetworkError,
-                                    PeerUnavailableError)):
-                    record(replica, clock() - started, False)
-                if not (isinstance(exc, TransientNetworkError)
-                        and try_index + 1 < policy.attempts
-                        and all(o.budget > 0 for o in group)):
-                    raise
-                for outcome in group:
-                    outcome.budget -= 1
-                    outcome.entry["retries"] += 1
-                if lead.rng is None:
-                    lead.rng = random.Random(policy.seed)
-                delay = policy.backoff_s(try_index, lead.rng)
-                if delay > 0:
-                    clock.sleep(delay)
-            else:
-                record(replica, clock() - started, True)
-                return result
-        raise AssertionError("unreachable: the last try raises")
+        started = clock()
+        try:
+            result = attempt(replica, [outcome.shard for outcome in group])
+        except PeerUnavailableError:
+            self.view.record(replica, clock() - started, False)
+            raise
+        self.view.record(replica, clock() - started, True)
+        return result
 
     def _serve(self, spec: CollectionSpec, outcomes: list[ScatterOutcome],
                groups: list[tuple[str, list[ScatterOutcome]]],
-               attempt: _Attempt, partial_answer: list | None = None
-               ) -> dict[str, dict]:
+               attempt: _Attempt) -> dict[str, dict]:
         """Serve ``groups`` one after another on the calling thread, up
         to the first that ends with an error, then file the entries of
         the shards skipped or served (in shard order) into the run's
@@ -782,7 +711,7 @@ class ClusterRouter:
         reaches a group after it. Returns the entries filed, by key."""
         ran: set[int] = set()
         for replica, group in groups:
-            self._serve_group(spec, replica, group, attempt, partial_answer)
+            self._serve_group(spec, replica, group, attempt)
             ran.update(id(outcome) for outcome in group)
             if any(outcome.error is not None for outcome in group):
                 break

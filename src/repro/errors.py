@@ -81,29 +81,10 @@ class NetworkError(ReproError):
     """Raised by the simulated network (unknown peer, no such document)."""
 
 
-class TransientNetworkError(NetworkError):
-    """A wire fault worth retrying against the *same* peer: an injected
-    transmission fault or a per-attempt timeout. The peer itself is
-    presumed fine — the attempt, not the replica, failed — so the
-    router's retry budget applies before any failover.
-
-    Carries the ``peer`` the attempt targeted and the ``attempt``
-    ordinal (1-based, set by the retry loop) so operators can tell a
-    one-off blip from a peer that only ever answers on attempt three.
-    """
-
-    def __init__(self, message: str, peer: str | None = None,
-                 attempt: int | None = None):
-        super().__init__(message)
-        self.peer = peer
-        self.attempt = attempt
-
-
 class PeerUnavailableError(NetworkError):
-    """A fault that indicts the *peer*, not the attempt: the destination
-    is down (killed, partitioned away). Retrying the same peer is
-    pointless; the router fails over to the next replica immediately
-    and the membership detector counts the evidence."""
+    """A fault that indicts the *peer*: the destination is down
+    (killed, partitioned away). The router fails over to the next
+    replica and the membership detector counts the evidence."""
 
     def __init__(self, message: str, peer: str | None = None):
         super().__init__(message)

@@ -8,7 +8,7 @@ five-component stack of Figure 8.
 
 A run's ``RunStats`` is the only place its numbers are counted. Each
 shard call files one ``per_shard`` entry (its share of bytes and
-messages, retries, failovers, skips, the shard's ``local_name``) and
+messages, failovers, skips, the shard's ``local_name``) and
 the run-level cluster totals are sums over those entries; each plan
 operator's actuals (a call site by ``site_id``, a ship by ``(owner,
 local_name)``) are ``per_op`` entries, which explain-analyze reads.
@@ -251,10 +251,9 @@ class RunStats:
         #: router: ``shard`` (its ``local_name``), ``calls``, its share of
         #: its round trips' ``bytes`` / ``messages`` / ``sim_s`` /
         #: ``cache_hits`` (nested work included), and its own ``failovers``,
-        #: ``retries``, ``skipped``, ``partial`` and ``failed`` counts. A
-        #: scatter nested in a round trip is counted in both collections'
-        #: entries, so only the outermost collection's shares can sum to
-        #: the run's totals.
+        #: ``skipped`` and ``failed`` counts. A scatter nested in a round
+        #: trip is counted in both collections' entries, so only the
+        #: outermost collection's shares can sum to the run's totals.
         self.per_shard = {} if per_shard is None else per_shard
         #: Per-operator actuals for explain-analyze: a call site's entry
         #: under its ``site_id``, a ship's under ``(owner, local_name)``
@@ -281,10 +280,10 @@ class RunStats:
                               doc="shard calls proven empty by a probe")
     failovers = property(lambda self: self._shard_total("failovers"),
                          doc="replica switches after wire faults")
-    retries = property(lambda self: self._shard_total("retries"),
-                       doc="same-replica retries of transient faults")
-    partial_shards = property(lambda self: self._shard_total("partial"),
-                              doc="shards absent under partial=allow")
+    #: Nothing retries in place (a failed round trip fails over), so
+    #: always 0: the end-to-end ledger's worker reads it (ROADMAP item
+    #: 9(a) removes it with that read).
+    retries = 0
 
     def record_document_shipped(self, size: int) -> None:
         self.document_bytes += size
@@ -328,8 +327,6 @@ class RunStats:
             "scatter_shards": self.scatter_shards,
             "shards_skipped": self.shards_skipped,
             "failovers": self.failovers,
-            "retries": self.retries,
-            "partial_shards": self.partial_shards,
             "total_time_s": self.times.total,
             "times": self.times.as_dict(),
             "plan": self.plan.as_dict() if self.plan is not None else None,

@@ -42,7 +42,6 @@ kind                             emitted by
 ``membership_dead``              failure detector: replica declared *dead*
 ``membership_alive``             failure detector: replica revived / rejoined
 ``replica_evicted``              detector evicted a replica from placements
-``partial_result``               scatter answered around a dead shard
 ``repair_started``               executor began re-replicating a fragment
 ``repair_completed``             fragment re-replicated and registered
 ``repair_failed``                repair attempt aborted or abandoned

@@ -7,7 +7,8 @@ into a runtime that serves many queries concurrently over shared peers:
   module :mod:`repro.clock` — the one seam time enters through
   (:class:`VirtualClock` for replayable drills);
 * :mod:`repro.runtime.transport` — the wire: one :class:`Transport`
-  per federation, delay and fault policy as data (loopback by default);
+  per federation, its delay policy as data (loopback by default), and
+  killed peers as the one way a transmission fails;
 * :mod:`repro.runtime.engine` — :class:`FederationEngine`, a
   thread-pool scheduler with admission control and per-peer capacity
   gates;
@@ -26,6 +27,5 @@ __all__ = lazy_exports(globals(), {
     "repro.clock": "Clock VirtualClock",
     ".engine": "EngineClosedError FederationEngine",
     ".metrics": "QueryRecord",
-    ".transport": "FaultInjectedError FaultPlan PeerDownError "
-                  "RequestTimeoutError RetryPolicy Transport",
+    ".transport": "PeerDownError Transport",
 })

@@ -11,12 +11,13 @@ so traced runs see the components on the span doing the wire work)
 and keeps the federation-wide wire truth: the ``wire_*`` series of a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
-What a transmission waits and whether it fails are data on the wire:
-a **delay policy** (``time_scale`` × the cost model's network time —
-0.0, the default, is the in-process loopback — plus
-``extra_latency_s``, plus what :meth:`~Transport.degrade_peer`
-injected), a **fault policy** (``faults``, a seeded :class:`FaultPlan`)
-and the **clock** the delays are spent on.
+What a transmission waits is data on the wire: a **delay policy**
+(``time_scale`` × the cost model's network time — 0.0, the default, is
+the in-process loopback — plus ``extra_latency_s``, plus what
+:meth:`~Transport.degrade_peer` injected) and the **clock** the delays
+are spent on. A transmission fails only when its peer is down
+(:meth:`~Transport.kill_peer`): :class:`PeerDownError`, which the
+cluster router answers by failing over to the next replica.
 
 Whatever the policy, a transmission is spent on its caller's thread:
 a scatter's round trips follow one another, each sleeping its own
@@ -29,12 +30,11 @@ module free of any dependency on :mod:`repro.system`.
 
 from __future__ import annotations
 
-import random
 import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.clock import REAL_CLOCK, Clock
-from repro.errors import PeerUnavailableError, TransientNetworkError
+from repro.errors import PeerUnavailableError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.obs.metrics import MetricsRegistry
@@ -44,78 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Peer
 
 
-class FaultInjectedError(TransientNetworkError):
-    """A transmission dropped by the wire's :class:`FaultPlan`.
-
-    Transient by definition: the fault plan failed *this transmission*,
-    not the peer, so the router's retry budget applies before failover.
-    """
-
-
-class RequestTimeoutError(TransientNetworkError):
-    """One transmission exceeded :attr:`Transport.request_timeout_s`.
-
-    The caller waited out the timeout and gave up; the peer may well be
-    healthy-but-slow, so the error is transient (retry budget applies).
-    Carries the injected+simulated delay that tripped the limit.
-    """
-
-    def __init__(self, message: str, peer: str | None = None,
-                 attempt: int | None = None,
-                 delay_s: float = 0.0, timeout_s: float = 0.0):
-        super().__init__(message, peer=peer, attempt=attempt)
-        self.delay_s = delay_s
-        self.timeout_s = timeout_s
-
-
 class PeerDownError(PeerUnavailableError):
     """The destination peer was killed via :meth:`Transport.kill_peer`
     (the cluster layer's replica-failure drill)."""
-
-
-class RetryPolicy:
-    """Retry budget for *transient* wire faults (injected faults,
-    per-attempt timeouts) — distinct from :class:`PeerDownError`
-    failover, which switches replica immediately.
-
-    ``attempts`` bounds tries per replica (including the first);
-    ``budget`` bounds total retries one logical call may spend across
-    all of a shard's replicas, so a call cannot burn ``attempts ×
-    replicas`` tries under a fault storm. Backoff is exponential
-    (``base_backoff_s * 2^retry`` capped at ``max_backoff_s``) with
-    up to ``jitter`` fraction subtracted from a seeded
-    ``random.Random`` — deterministic per call site, never the module
-    global.
-    """
-
-    __slots__ = ("attempts", "budget", "base_backoff_s", "max_backoff_s",
-                 "jitter", "seed")
-
-    def __init__(self, attempts: int = 3, budget: int = 8,
-                 base_backoff_s: float = 0.0, max_backoff_s: float = 0.050,
-                 jitter: float = 0.5, seed: int = 20090329) -> None:
-        self.attempts, self.budget = attempts, budget
-        self.base_backoff_s, self.max_backoff_s = base_backoff_s, max_backoff_s
-        self.jitter, self.seed = jitter, seed
-        if self.attempts < 1:
-            raise ValueError(f"attempts {self.attempts} must be >= 1")
-        if self.budget < 0:
-            raise ValueError(f"budget {self.budget} must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter {self.jitter} must be in [0, 1]")
-        if self.base_backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff seconds must be >= 0")
-
-    def backoff_s(self, retry_index: int, rng: random.Random) -> float:
-        """Sleep before retry ``retry_index`` (0-based): exponential,
-        capped, jittered downward so synchronized retries spread out."""
-        if self.base_backoff_s <= 0.0:
-            return 0.0
-        base = min(self.max_backoff_s,
-                   self.base_backoff_s * (2 ** retry_index))
-        if self.jitter <= 0.0:
-            return base
-        return base * (1.0 - self.jitter * rng.random())
 
 
 class Transport:
@@ -134,14 +65,12 @@ class Transport:
                  per_peer_concurrency: int | None = None,
                  metrics: MetricsRegistry | None = None, *,
                  clock: Clock = REAL_CLOCK, time_scale: float = 0.0,
-                 extra_latency_s: float = 0.0,
-                 faults: FaultPlan | None = None):
+                 extra_latency_s: float = 0.0):
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.per_peer_concurrency = per_peer_concurrency
         self.clock = clock
         self.time_scale = time_scale
         self.extra_latency_s = extra_latency_s
-        self.faults = faults
         self._lock = threading.Lock()
         self._gates: dict[str, threading.BoundedSemaphore] = {}
         self._down: set[str] = set()
@@ -151,10 +80,6 @@ class Transport:
         #: The attached fleet monitor's event log (the federation
         #: installs it); peer lifecycle transitions emit into it.
         self.events = None
-        #: Per-attempt timeout: a transmission whose delay exceeds this
-        #: raises :class:`RequestTimeoutError` after waiting out the
-        #: timeout (None ⇒ callers wait forever).
-        self.request_timeout_s: float | None = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._wire_messages = self.metrics.counter(
             "wire_messages_total", "delivered SOAP messages", ("peer",))
@@ -205,8 +130,7 @@ class Transport:
 
     def kill_peer(self, peer_name: str) -> None:
         """Make every future transmission to ``peer_name`` raise
-        :class:`PeerDownError` — the deterministic way to drill replica
-        failover (contrast with a seeded :class:`FaultPlan`)."""
+        :class:`PeerDownError` — the way to drill replica failover."""
         with self._lock:
             was_down = peer_name in self._down
             self._down.add(peer_name)
@@ -268,8 +192,8 @@ class Transport:
         return gate
 
     def _gated_transmit(self, peer_name: str, size: int) -> None:
-        """One transmission under the peer's capacity gate: consult the
-        fault plan, then spend the delay policy's seconds on the clock.
+        """One transmission under the peer's capacity gate: spend the
+        delay policy's seconds on the clock.
         The gate covers only the wire slice — never remote evaluation,
         which may re-enter the transport for other peers (holding a
         gate across ``handle`` would deadlock two queries shipping in
@@ -290,23 +214,6 @@ class Transport:
             if self.time_scale:
                 delay += (self.cost_model.network_time(size)
                           * self.time_scale)
-            # Faults fire before any waiting: a dropped transmission
-            # costs the caller nothing but the retry.
-            if self.faults is not None \
-                    and self.faults.should_fail(peer_name):
-                raise FaultInjectedError(
-                    f"injected fault transmitting {size} bytes to "
-                    f"{peer_name!r}", peer=peer_name)
-            timeout = self.request_timeout_s
-            if timeout is not None and delay > timeout:
-                # The caller waits out the timeout, then gives up —
-                # the transmission never completes.
-                self.clock.sleep(timeout)
-                raise RequestTimeoutError(
-                    f"transmission of {size} bytes to {peer_name!r} "
-                    f"timed out after {timeout * 1000:.1f} ms "
-                    f"(wire delay {delay * 1000:.1f} ms)",
-                    peer=peer_name, delay_s=delay, timeout_s=timeout)
             if delay > 0:
                 self.clock.sleep(delay)
         finally:
@@ -316,9 +223,8 @@ class Transport:
     def probe(self, peer_name: str, nbytes: int = 64) -> float:
         """One heartbeat-sized transmission to ``peer_name``, returning
         its seconds on the wire's clock. Raises exactly what real
-        traffic would (:class:`PeerDownError`, :class:`FaultInjectedError`,
-        :class:`RequestTimeoutError`), so a failure detector probing
-        through this sees the wire queries see. Probes skip the
+        traffic would (:class:`PeerDownError`), so a failure detector
+        probing through this sees the wire queries see. Probes skip the
         ``wire_*`` traffic counters — heartbeats are not workload."""
         started = self.clock()
         self._gated_transmit(peer_name, nbytes)
@@ -342,10 +248,9 @@ class Transport:
         Both directions are real XML text, exactly as the seed did
         inline, each measured once (``request_bytes``: by the caller)."""
         if self.is_down(peer.name):
-            # Fail before charging: a failover retry would otherwise
+            # Fail before charging: a failover would otherwise
             # double-count the undelivered request in the caller's
-            # stats. (Mid-transmission faults do leave their charges —
-            # those bytes were genuinely attempted.)
+            # stats.
             raise PeerDownError(f"peer {peer.name!r} is down",
                                 peer=peer.name)
         self.charge_message(stats, request_bytes)
@@ -354,8 +259,8 @@ class Transport:
         in_flight.inc()
         try:
             self._gated_transmit(peer.name, request_bytes)
-            # Wire counters record delivered traffic only — count after
-            # the transmit so injected faults don't inflate them.
+            # Wire counters record delivered traffic only: count after
+            # the transmit.
             self._count_message(peer.name, request_bytes)
             response = handle(RequestMessage.from_xml(request_xml))
             response_xml = response.to_xml()
@@ -393,35 +298,3 @@ class Transport:
         self._wire_document_bytes.labels(owner.name).inc(size)
         return text, size
 
-
-class FaultPlan:
-    """Deterministic fault injection: each transmission fails with
-    probability ``rate``.
-
-    Determinism contract (the chaos harness replays on it): the
-    decision for a peer's *n*-th transmission is a pure function of
-    ``(seed, peer, n)`` — each peer gets its own derived stream, so
-    cross-peer thread interleaving cannot reshuffle which transmission
-    eats which draw. Module-global randomness is never used.
-    """
-
-    __slots__ = ("rate", "seed", "_counts", "_lock")
-
-    def __init__(self, rate: float = 0.0, seed: int = 20090329) -> None:
-        self.rate, self.seed = rate, seed
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"fault rate {self.rate} must be in [0, 1]")
-        self._counts: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def should_fail(self, peer_name: str = "") -> bool:
-        if self.rate <= 0.0:
-            return False
-        with self._lock:
-            ordinal = self._counts.get(peer_name, 0) + 1
-            self._counts[peer_name] = ordinal
-        # String seeds hash via SHA-512 (seed version 2): stable across
-        # processes and PYTHONHASHSEED, unlike hash().
-        draw = random.Random(
-            f"{self.seed}|{peer_name}|{ordinal}").random()
-        return draw < self.rate

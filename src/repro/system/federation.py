@@ -761,11 +761,7 @@ class _RunSeries:
                 ("skipped", "scatter_shards_skipped_total",
                  "shard round trips proven empty by value-index probes"),
                 ("failovers", "scatter_failovers_total",
-                 "replica switches after wire faults"),
-                ("retries", "scatter_retries_total",
-                 "in-place retries after transient wire faults"),
-                ("partial", "scatter_partial_shards_total",
-                 "shards answered as flagged-empty under partial=allow"))}
+                 "replica switches after wire faults"))}
         # Per-shard heat, the reconciler's primary signal: labeled by
         # the shard's local_name (stable across split renumbering —
         # indexes shift when a split inserts a shard, local names

@@ -30,7 +30,7 @@ of one seed give equal reports and byte-identical event JSONL.
   fragment.
 
 :class:`ChaosReport` carries the verdict: wrong answers (must be 0),
-failovers/retries/partials during turbulence (informational),
+failovers during turbulence (informational),
 steady-state failovers (must be 0), phantom replicas (must be 0;
 asserted beside ``ok``), repair and eviction counts, and latency
 percentiles over the live workload.
@@ -211,8 +211,6 @@ class ChaosReport:
     queries: int = 0
     wrong_answers: int = 0
     failovers: int = 0
-    retries: int = 0
-    partial_shards: int = 0
     evictions: int = 0
     rejoins: int = 0
     repairs_completed: int = 0
@@ -254,8 +252,7 @@ class ChaosReport:
         return {
             "steps": self.steps, "queries": self.queries,
             "wrong_answers": self.wrong_answers,
-            "failovers": self.failovers, "retries": self.retries,
-            "partial_shards": self.partial_shards,
+            "failovers": self.failovers,
             "evictions": self.evictions, "rejoins": self.rejoins,
             "repairs_completed": self.repairs_completed,
             "repairs_failed": self.repairs_failed,
@@ -418,8 +415,6 @@ class ChaosHarness:
         if result is None:
             return
         report.failovers += result.stats.failovers
-        report.retries += result.stats.retries
-        report.partial_shards += result.stats.partial_shards
         if steady:
             report.steady_failovers += result.stats.failovers
 

@@ -40,7 +40,7 @@ def cover_order(cluster, shard) -> list[str]:
     stub = type("Run", (), {})()
     stub.transport, stub.federation = cluster.transport, cluster
     router = ClusterRouter(stub, cluster.catalog)
-    outcome, order = ScatterOutcome(shard, 0), []
+    outcome, order = ScatterOutcome(shard), []
     for _replica in serving_replicas(router.view, shard):
         [(peer, _outcomes)] = router._cover([outcome], order)
         order.append(peer)

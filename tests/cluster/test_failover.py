@@ -1,9 +1,11 @@
 """Replica selection and failover: killed peers, health marks, and
 load-based routing."""
 
+from collections import Counter
+
 import pytest
 
-from repro.cluster import ClusterError
+from repro.cluster import ClusterError, ShardUnavailableError
 from repro.decompose import Strategy
 from repro.net.stats import RunStats
 from repro.runtime import FederationEngine, PeerDownError, Transport
@@ -11,6 +13,7 @@ from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (cover_order, make_cluster,
                                    make_single_owner)
+from tests.obs.test_accounting import recorded_runs
 from tests.oracle.accounting_reference import registry_series
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
@@ -43,6 +46,38 @@ def test_all_replicas_down_fails_loudly():
     cluster.transport.kill_peer("node3")
     with pytest.raises(ClusterError, match="replicas of shard"):
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+
+
+def test_a_dark_shard_fails_the_query_after_one_try_per_replica():
+    """A failed round trip has one answer: fail over to the next
+    serving replica, then fail the query. Shard 1 lives on node2 and
+    node3; node3 is in the idle fleet's first cover (node1 + node3) and
+    serves shards 1 and 2, so both fail over once (shard 1 to node2,
+    which is dead too, shard 2 to node4) and shard 1 is unavailable.
+    Every replica is tried exactly once: nothing retries in place."""
+    cluster = make_cluster()
+    cluster.transport.kill_peer("node2")
+    cluster.transport.kill_peer("node3")
+    exchanges = Counter()
+    exchange = cluster.transport.exchange
+
+    def counting(peer, *args, **kwargs):
+        exchanges[peer.name] += 1
+        return exchange(peer, *args, **kwargs)
+
+    cluster.transport.exchange = counting
+    with recorded_runs() as runs, \
+            pytest.raises(ShardUnavailableError) as failed:
+        cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert str(failed.value) \
+        == "all 2 replicas of shard 1 (node2, node3) failed"
+    assert isinstance(failed.value.__cause__, PeerDownError)
+    assert exchanges == {"node1": 1, "node2": 1, "node3": 1, "node4": 1}
+    [(_federation, stats, ok)] = runs
+    assert not ok
+    assert stats.per_shard["books-c#s1"]["failovers"] == 1
+    assert stats.per_shard["books-c#s1"]["failed"] == 1
+    assert stats.failovers == 2         # shard 1's, and shard 2's
 
 
 def test_revive_restores_service():

@@ -13,7 +13,7 @@ import pytest
 
 import repro.cluster.router as router_module
 import repro.system.federation as federation_module
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterRouter, ShardUnavailableError
 from repro.decompose import Strategy
 from repro.errors import XQueryDynamicError
 from repro.runtime import FederationEngine, Transport, VirtualClock
@@ -23,6 +23,7 @@ from repro.workloads import (
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import make_cluster
+from tests.obs.test_accounting import recorded_runs
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -280,9 +281,9 @@ def test_the_nested_scatter_is_gathered_not_evaluated_locally(strategy,
     assert fallbacks == []
 
 
-def test_sleeping_wire_agrees_on_a_partial_answer():
+def test_sleeping_wire_agrees_on_a_dark_shard():
+    """Both wires fail the query alike and account for it alike."""
     cluster = make_cluster()
-    cluster.catalog.partial_policy = "allow"
     dead = cluster.catalog.get("books-c").shards[0]
     sleeping = _sleeping_wire(cluster)
     for replica in dead.replicas:
@@ -292,13 +293,18 @@ def test_sleeping_wire_agrees_on_a_partial_answer():
         cluster.transport.kill_peer(replica)
         sleeping.kill_peer(replica)
         cluster.peer_view.mark_down(replica)
-    loopback = cluster.run(SCAN, at="local")
-    cluster.transport = sleeping
-    asleep = cluster.run(SCAN, at="local")
-    assert _comparable(asleep) == _comparable(loopback)
-    assert loopback.stats.partial_shards == 1
-    assert loopback.stats.per_shard["books-c#s0"]["partial"]
-    assert 0 < len(loopback.items) < 10
+    errors = []
+    with recorded_runs() as runs:
+        for wire in (cluster.transport, sleeping):
+            cluster.transport = wire
+            with pytest.raises(ShardUnavailableError) as failed:
+                cluster.run(SCAN, at="local")
+            errors.append(str(failed.value))
+    assert errors[0] == errors[1]
+    loopback, asleep = (stats.summary() for _federation, stats, _ok in runs)
+    del loopback["plan"], asleep["plan"]
+    assert asleep == loopback
+    assert loopback["per_shard"]["books-c#s0"]["failed"] == 1
 
 
 # -- one preparation per (body, layout) --------------------------------------

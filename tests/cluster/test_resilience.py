@@ -1,21 +1,20 @@
-"""Request-level resilience: the error taxonomy, in-place retries
-under a budget, per-attempt timeouts, and graceful degradation."""
+"""Request-level resilience: the error taxonomy, and the one answer to
+a wire fault — fail over, never for a query error."""
+
+from collections import Counter
 
 import pytest
 
 from repro.cluster import ClusterError, ShardUnavailableError
 from repro.decompose import Strategy
-from repro.errors import (
-    NetworkError, PeerUnavailableError, TransientNetworkError,
-)
+from repro.errors import NetworkError, PeerUnavailableError
 from repro.obs import FleetMonitor
-from repro.runtime import (
-    FaultInjectedError, FaultPlan, PeerDownError, RequestTimeoutError,
-    RetryPolicy, Transport, VirtualClock,
-)
+from repro.runtime import FederationEngine, PeerDownError
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import make_cluster, make_single_owner
+from tests.cluster.conftest import (make_cluster, make_single_owner,
+                                   virtual_wire)
+from tests.oracle.accounting_reference import registry_series
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -28,194 +27,38 @@ def expected_items():
     return serialize_sequence(result.items)
 
 
-class FlakyPlan(FaultPlan):
-    """Fails the first ``fail_first`` transmissions per peer with a
-    *transient* fault, then heals — the deterministic way to drill the
-    retry path (contrast with the seeded random fault plan)."""
-
-    def __init__(self, fail_first: int = 0, peers=None):
-        super().__init__()
-        self.fail_first = fail_first
-        self.flaky_peers = set(peers) if peers is not None else None
-        self.attempts: dict[str, int] = {}
-
-    def should_fail(self, peer_name: str = "") -> bool:
-        if self.flaky_peers is not None \
-                and peer_name not in self.flaky_peers:
-            return False
-        seen = self.attempts.get(peer_name, 0)
-        self.attempts[peer_name] = seen + 1
-        return seen < self.fail_first
-
-
-def flaky_cluster(fail_first: int, retry_policy: RetryPolicy,
-                  peers=None, **wire):
-    cluster = make_cluster()
-    cluster.transport = Transport(
-        cluster.cost_model, faults=FlakyPlan(fail_first, peers), **wire)
-    cluster.catalog.retry_policy = retry_policy
-    return cluster
-
-
 # -- error taxonomy ----------------------------------------------------------
 
 
 def test_error_taxonomy():
-    """Transient (retryable) and fatal (fail over immediately) faults
-    are distinguishable by type, and carry peer metadata."""
-    assert issubclass(FaultInjectedError, TransientNetworkError)
-    assert issubclass(RequestTimeoutError, TransientNetworkError)
+    """A killed peer's fault indicts the peer, is a network error, and
+    carries the peer's name."""
     assert issubclass(PeerDownError, PeerUnavailableError)
-    assert issubclass(TransientNetworkError, NetworkError)
     assert issubclass(PeerUnavailableError, NetworkError)
-    assert not issubclass(PeerDownError, TransientNetworkError)
-
-    exc = FaultInjectedError("boom", peer="node1", attempt=2)
-    assert (exc.peer, exc.attempt) == ("node1", 2)
-    timeout = RequestTimeoutError("slow", peer="node2", delay_s=0.5,
-                                  timeout_s=0.1)
-    assert timeout.delay_s == 0.5 and timeout.timeout_s == 0.1
-
-
-def test_retry_policy_validation_and_backoff():
-    with pytest.raises(ValueError):
-        RetryPolicy(attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(budget=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
-    policy = RetryPolicy(base_backoff_s=0.010, max_backoff_s=0.025,
-                         jitter=0.0)
-    import random
-    rng = random.Random(0)
-    assert policy.backoff_s(0, rng) == pytest.approx(0.010)
-    assert policy.backoff_s(1, rng) == pytest.approx(0.020)
-    assert policy.backoff_s(4, rng) == pytest.approx(0.025)  # capped
-
-
-# -- retry in place ----------------------------------------------------------
-
-
-def test_transient_fault_retried_in_place():
-    """A flaky-but-alive replica is retried on the spot: the query
-    succeeds with zero failovers and the retries are accounted."""
-    cluster = flaky_cluster(2, RetryPolicy(attempts=3, budget=8))
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.retries > 0
-    assert result.stats.failovers == 0
-
-
-def test_backoff_is_spent_on_the_wires_clock():
-    """node1 drops its first two transmissions, both inside the one
-    round trip that tries it first (shards 0 and 3 of the cover, so
-    each retry counts for both shards): retry 0 backs off 0.25 s,
-    retry 1 0.5 s, and nothing else on a loopback wire takes any
-    time."""
-    cluster = flaky_cluster(
-        2, RetryPolicy(attempts=3, budget=8, base_backoff_s=0.25,
-                       max_backoff_s=1.0, jitter=0.0),
-        peers=["node1"], clock=VirtualClock())
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert (result.stats.retries, result.stats.failovers) == (4, 0)
-    assert cluster.transport.clock.now == 0.75
-
-
-def test_retries_exhausted_fails_over():
-    """More consecutive faults than attempts: the replica is abandoned
-    and the call fails over — retries AND failovers both recorded."""
-    cluster = flaky_cluster(5, RetryPolicy(attempts=2, budget=8),
-                            peers=["node1"])
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.retries > 0
-    assert result.stats.failovers > 0
-
-
-def test_single_attempt_policy_never_retries():
-    cluster = flaky_cluster(1, RetryPolicy(attempts=1, budget=8),
-                            peers=["node1"])
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.retries == 0
-    assert result.stats.failovers > 0
+    exc = PeerDownError("down", peer="node1")
+    assert exc.peer == "node1"
 
 
 def test_peer_down_skips_straight_to_failover():
-    """Fatal faults must not burn the retry budget: a dead peer is
-    abandoned after one attempt."""
+    """A dead peer is abandoned after one attempt."""
     cluster = make_cluster()
-    cluster.catalog.retry_policy = RetryPolicy(attempts=4, budget=16)
     cluster.transport.kill_peer("node1")    # a peer of the first cover
     result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.retries == 0
     assert result.stats.failovers >= 1
 
 
-def test_shared_budget_bounds_total_retries():
-    """The budget is shared across replicas and attempts: with
-    everything failing, total retries never exceed it."""
-    cluster = flaky_cluster(100, RetryPolicy(attempts=4, budget=3))
-    with pytest.raises(ClusterError):
-        cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    # The failed run still accounts for the retries it spent.
-    summary = cluster.metrics.snapshot().get("scatter_retries_total", {})
-    assert 1 <= summary.get("books-c", 0) <= 3 * 4   # budget × shards
-
-
-# -- per-attempt timeouts ----------------------------------------------------
-
-
-def test_request_timeout_is_transient():
-    """A transmission slower than the per-attempt timeout raises a
-    retryable timeout after waiting out exactly the timeout."""
-    cluster = make_cluster()
-    cluster.transport.degrade_peer("node1", 0.050)
-    cluster.transport.request_timeout_s = 0.005
-    with pytest.raises(RequestTimeoutError) as exc_info:
-        cluster.transport.probe("node1")
-    assert exc_info.value.delay_s >= 0.050
-    assert exc_info.value.timeout_s == 0.005
-    # The healthy peer still answers under the same timeout.
-    cluster.transport.probe("node2")
-
-
-def test_cleared_request_timeout_waits_out_a_slow_peer():
-    """``request_timeout_s = None`` clears the timeout: the slow peer
-    that timed out before now answers after its full wire delay."""
-    cluster = make_cluster()
-    cluster.transport.degrade_peer("node1", 0.050)
-    cluster.transport.request_timeout_s = 0.005
-    with pytest.raises(RequestTimeoutError):
-        cluster.transport.probe("node1")
-    cluster.transport.request_timeout_s = None
-    assert cluster.transport.probe("node1") >= 0.050
-
-
-def test_timeout_fails_over_to_healthy_replica():
-    cluster = make_cluster()
-    cluster.catalog.retry_policy = RetryPolicy(attempts=2, budget=4)
-    cluster.transport.degrade_peer("node1", 0.050)
-    cluster.transport.request_timeout_s = 0.005
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.retries + result.stats.failovers > 0
-
-
-# -- query errors never retry or fail over (error parity) --------------------
+# -- query errors never fail over (error parity) -----------------------------
 
 
 def test_query_errors_never_retry_or_fail_over():
-    """A *query-level* error (here: an unparseable body shipped to the
-    replica) must propagate immediately: no retries, no failovers, no
-    passive failure evidence against the replica — wire-fault handling
-    must never mask application bugs."""
+    """A *query-level* error (here: a division by zero in the body
+    shipped to the replica) must propagate immediately: no failovers,
+    no passive failure evidence against the replica — wire-fault
+    handling must never mask application bugs."""
     from repro.cluster.membership import ALIVE, MembershipTracker
     cluster = make_cluster()
     tracker = MembershipTracker().attach(cluster)
-    cluster.catalog.retry_policy = RetryPolicy(attempts=4, budget=16)
     outcomes = []
     record = cluster.peer_view.record
     cluster.peer_view.record = lambda peer, seconds, ok: (
@@ -235,7 +78,6 @@ def test_query_errors_never_retry_or_fail_over():
     assert type(cluster_error.value) is type(single_error.value)
 
     snapshot = cluster.metrics.snapshot()
-    assert snapshot.get("scatter_retries_total", {}) in ({}, {"books-c": 0})
     assert snapshot.get("scatter_failovers_total", {}) \
         in ({}, {"books-c": 0})
     # No wire-fault evidence was fed to the failure detector.
@@ -244,45 +86,167 @@ def test_query_errors_never_retry_or_fail_over():
                for peer in tracker.peers())
 
 
-# -- graceful degradation ----------------------------------------------------
+# -- the one answer: fail over, then fail the query --------------------------
+#
+# Shard placements are round-robin over node1..node4: shard 1 lives on
+# node2 + node3 and shard 2 on node3 + node4. The idle fleet's first
+# cover is node1 (shards 0, 3) + node3 (shards 1, 2), so killing node2
+# and node3 darkens shard 1, and shard 2 fails over to node4.
 
 
-def test_partial_policy_validation():
-    from repro.cluster import ClusterCatalog
-    with pytest.raises(ClusterError):
-        ClusterCatalog(partial="sometimes")
-    assert ClusterCatalog(partial="allow").partial_policy == "allow"
-
-
-def test_partial_error_is_default():
-    cluster = make_cluster()
+def dark_shard_cluster(**kwargs):
+    cluster = make_cluster(**kwargs)
     cluster.transport.kill_peer("node2")
-    cluster.transport.kill_peer("node3")          # shard 1 fully dark
+    cluster.transport.kill_peer("node3")
+    return cluster
+
+
+def test_an_unavailable_shard_is_no_evidence_against_a_peer():
+    """``ShardUnavailableError`` is a cluster (so network) error that
+    names no peer: a nested scatter's lost shard is not failure
+    evidence against the replica whose body ran it."""
+    assert issubclass(ShardUnavailableError, ClusterError)
+    assert issubclass(ClusterError, NetworkError)
+    assert not issubclass(ShardUnavailableError, PeerUnavailableError)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_a_dark_shard_fails_every_strategy_alike(strategy):
+    """Scatter and document fetch fail over the same way: every
+    strategy fails the query on the same shard, naming the same
+    replicas in placement order."""
+    cluster = dark_shard_cluster()
+    with pytest.raises(ShardUnavailableError) as failed:
+        cluster.run(SCAN, at="local", strategy=strategy)
+    assert str(failed.value) \
+        == "all 2 replicas of shard 1 (node2, node3) failed"
+    assert isinstance(failed.value.__cause__, PeerDownError)
+
+
+def test_a_dark_shard_is_failure_evidence_once_per_replica():
+    """Each failed attempt feeds the peer view one failure, each answer
+    one success: no replica is charged twice."""
+    cluster = dark_shard_cluster()
+    evidence = Counter()
+    record = cluster.peer_view.record
+    cluster.peer_view.record = lambda peer, seconds, ok: (
+        evidence.update([(peer, ok)]), record(peer, seconds, ok))
     with pytest.raises(ShardUnavailableError):
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert evidence == {("node1", True): 1, ("node3", False): 1,
+                        ("node4", True): 1, ("node2", False): 1}
 
 
-def test_partial_allow_returns_flagged_holes():
+def test_every_replica_is_tried_once_at_replication_three():
+    """With three replicas per shard, a shard goes dark only when all
+    three failed, each after one attempt."""
+    cluster = make_cluster(replication_factor=3)
+    # Shard 1 lives on node2, node3 and node4.
+    for peer in cluster.catalog.get("books-c").shards[1].replicas:
+        cluster.transport.kill_peer(peer)
+    exchanges = Counter()
+    exchange = cluster.transport.exchange
+
+    def counting(peer, *args, **kwargs):
+        exchanges[peer.name] += 1
+        return exchange(peer, *args, **kwargs)
+
+    cluster.transport.exchange = counting
+    with pytest.raises(ShardUnavailableError) as failed:
+        cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert str(failed.value) \
+        == "all 3 replicas of shard 1 (node2, node3, node4) failed"
+    assert max(exchanges.values()) == 1
+    assert {"node2", "node3", "node4"} <= set(exchanges)
+
+
+def test_a_degraded_replica_answers_late_and_never_fails_over():
+    """A slow peer is not a failed one: nothing times out, so the slow
+    replica answers, exactly, and its latency is spent on the wire's
+    clock."""
+    cluster = make_cluster(transport=virtual_wire())
+    cluster.transport.degrade_peer("node1", 5.0)    # in the first cover
+    clock = cluster.transport.clock
+    before = clock.now
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
+    assert result.stats.failovers == 0
+    assert any(m.dest == "node1" for m in result.messages)
+    assert clock.now - before >= 5.0
+
+
+def test_a_dead_peer_off_the_cover_costs_nothing():
+    """Killing a replica no cover picks changes nothing the run spends:
+    no failover, no message to it, the same bytes on the wire."""
+    healthy = make_cluster().run(SCAN, at="local",
+                                 strategy=Strategy.BY_PROJECTION)
+    cluster = make_cluster()
+    cluster.transport.kill_peer("node2")
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
+    assert result.stats.failovers == 0
+    assert all(m.dest != "node2" for m in result.messages)
+    assert (result.stats.messages, result.stats.total_transferred_bytes) \
+        == (healthy.stats.messages, healthy.stats.total_transferred_bytes)
+
+
+def test_a_failed_run_leaves_nothing_behind():
+    """The query that failed on a dark shard leaves no state the next
+    one reads: once its replicas are back, the same federation answers
+    exactly, with no failover."""
+    cluster = dark_shard_cluster()
+    with pytest.raises(ShardUnavailableError):
+        cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    cluster.transport.revive_peer("node2")
+    cluster.transport.revive_peer("node3")
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
+    assert result.stats.failovers == 0
+
+
+def test_a_dark_shard_emits_one_failover_per_move():
+    """The fleet's event log tells the same story as the stats: one
+    ``failover`` event per shard moved, naming the replica that failed
+    and the one tried next."""
     cluster = make_cluster()
     monitor = FleetMonitor().attach(cluster)
     cluster.transport.kill_peer("node2")
     cluster.transport.kill_peer("node3")
-    cluster.catalog.partial_policy = "allow"
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    full = expected_items()
-    got = serialize_sequence(result.items)
-    assert got != full                            # a hole, flagged…
-    assert all(item in full for item in got.split(" "))
-    assert result.stats.partial_shards == 1       # …and accounted
-    assert monitor.events.count("partial_result") == 1
-    flagged = [entry for entry in result.stats.per_shard.values()
-               if entry.get("partial")]
-    assert len(flagged) == 1
+    with pytest.raises(ShardUnavailableError):
+        cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    moves = sorted((event.attrs["shard"], event.attrs["replica"],
+                    event.attrs["next"])
+                   for event in monitor.events.recent(kind="failover"))
+    assert moves == [(1, "node3", "node2"), (2, "node3", "node4")]
+    assert monitor.events.count("peer_down") == 2
 
 
-def test_partial_allow_leaves_healthy_queries_exact():
-    cluster = make_cluster()
-    cluster.catalog.partial_policy = "allow"
-    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
-    assert serialize_sequence(result.items) == expected_items()
-    assert result.stats.partial_shards == 0
+def test_a_dark_shard_fails_every_concurrent_query():
+    """Under an engine, every query that meets the dark shard fails
+    alike, and the registry counts each as failed."""
+    cluster = dark_shard_cluster()
+    with FederationEngine(cluster, max_workers=3, cache=False) as engine:
+        futures = [engine.submit(SCAN, "local") for _ in range(5)]
+        errors = []
+        for future in futures:
+            with pytest.raises(ShardUnavailableError) as failed:
+                future.result()
+            errors.append(str(failed.value))
+    assert set(errors) == {"all 2 replicas of shard 1 (node2, node3) failed"}
+    series = registry_series(cluster.metrics)
+    assert series["query_failed_total"] == 5
+    assert series["query_completed_total"] == 0
+    assert series["scatter_failovers_total"] == {"books-c": 10}
+
+
+def test_a_shard_entry_has_no_retry_or_partial_fields():
+    """A shard's ``per_shard`` entry counts calls, skips, failovers and
+    failures and what it spent: nothing retries, nothing is partial."""
+    result = make_cluster().run(SCAN, at="local",
+                                strategy=Strategy.BY_PROJECTION)
+    for entry in result.stats.per_shard.values():
+        assert set(entry) == {"shard", "calls", "failovers", "skipped",
+                              "failed", "bytes", "messages", "sim_s",
+                              "cache_hits"}
+    assert result.stats.retries == 0
+    assert "retries" not in result.stats.summary()

@@ -21,7 +21,7 @@ from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
 from repro.obs import FleetMonitor
-from repro.runtime import FaultPlan, FederationEngine, RetryPolicy, Transport
+from repro.runtime import FederationEngine
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, SHARDED_SCAN_QUERY, build_sharded_federation,
     sharded_query_variant,
@@ -202,21 +202,20 @@ def test_failed_runs_are_folded_too(runs):
     with pytest.raises(XQuerySyntaxError):
         cluster.run("for $x in", at="local")
     assert own(cluster, runs) == [(None, False)]
-    cluster.transport = Transport(cluster.cost_model,
-                                  faults=FaultPlan(rate=1.0))
-    cluster.catalog.retry_policy = RetryPolicy(attempts=2, budget=2)
+    # Shard 0 lives on node1 and node2 only: dark. node1 is in the
+    # first cover with shards 0 and 3, and both fail over once.
+    cluster.transport.kill_peer("node1")
+    cluster.transport.kill_peer("node2")
     with pytest.raises(ClusterError):
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert_folded(cluster, runs)
     _federation, stats, ok = runs[-1]
-    # The first round trip serves shards 0 and 3: its one retry counts
-    # for both, and each then spends its last retry on its other
-    # replica before it is unavailable.
-    assert not ok and stats.retries == 4
+    assert not ok and stats.failovers == 2
     assert stats.per_shard["books-c#s0"]["failed"] == 1
     series = registry_series(cluster.metrics)
     assert series["query_failed_total"] == 2
     assert series["query_completed_total"] == 0
-    assert series["scatter_retries_total"] == {"books-c": 4}
-    # A call that failed served nothing.
-    assert series["scatter_shard_serves_total"] == {}
+    assert series["scatter_failovers_total"] == {"books-c": 2}
+    # A call that failed served nothing: shard 0's none, shard 3's
+    # answered at node4 before the failed scatter stopped.
+    assert series["scatter_shard_serves_total"] == {"books-c,books.xml#s3": 1}

@@ -194,9 +194,7 @@ class TestTracedRuns:
                 == {span.attrs["collection"]}
             assert len(per_shard) == span.attrs["shards"] == 4
             for name, field in (("shards_skipped", "skipped"),
-                                ("failovers", "failovers"),
-                                ("retries", "retries"),
-                                ("partial_shards", "partial")):
+                                ("failovers", "failovers")):
                 assert span.attrs[name] == sum(
                     entry[field] for entry in per_shard.values())
             for key, entry in per_shard.items():

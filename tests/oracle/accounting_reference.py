@@ -22,8 +22,7 @@ SERIES = (
     "query_latency_seconds", "query_transferred_bytes_total",
     "query_simulated_seconds_total", "query_plans_total",
     "scatter_calls_total", "scatter_shards_skipped_total",
-    "scatter_failovers_total", "scatter_retries_total",
-    "scatter_partial_shards_total", "scatter_shard_serves_total",
+    "scatter_failovers_total", "scatter_shard_serves_total",
     "scatter_shard_seconds_total", "scatter_shard_bytes_total",
 )
 
@@ -31,8 +30,6 @@ SERIES = (
 _PER_COLLECTION = {
     "skipped": "scatter_shards_skipped_total",
     "failovers": "scatter_failovers_total",
-    "retries": "scatter_retries_total",
-    "partial": "scatter_partial_shards_total",
 }
 
 

@@ -10,7 +10,7 @@ import threading
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterRouter, ShardUnavailableError
 from repro.errors import ReproError
 from repro.obs.events import EventLog
 from repro.runtime.cache import (
@@ -447,12 +447,11 @@ class TestValidators:
 
     def _lacking_shard(self):
         """A federation whose ``people-c`` shard 0 its only replica
-        lacks (partial answers allowed), the whole answer, and a call
-        that stores the shard back."""
+        lacks, the whole answer, and a call that stores the shard
+        back."""
         federation = build_sharded_federation(
             0.005, shard_count=2, replication_factor=1, node_count=2)
         federation.add_peer("B")
-        federation.catalog.partial_policy = "allow"
         whole = federation.run(self.NESTED_COUNT, at="local",
                                strategy="data-shipping")
         shard = federation.collection("people-c").shards[0]
@@ -466,38 +465,23 @@ class TestValidators:
         result = federation.run(self.NESTED_COUNT, at="local",
                                 strategy="data-shipping",
                                 result_cache=cache, trace=True)
-        outcomes = sorted((span.attrs["dest"], span.attrs.get("cache"))
-                          for span in result.trace.iter_spans()
-                          if span.name == "rpc")
-        return serialize_sequence(result.items), \
-            result.stats.partial_shards, outcomes
+        return serialize_sequence(result.items), rpc_outcomes(result)
 
-    def test_a_partial_answer_is_labelled_partial_on_every_run(self):
+    def test_a_lost_shard_fails_every_run_through_the_cache(self):
         """A scatter nested in B's body loses a shard: every run through
-        the cache says so, and once the shard is back the next run
-        answers whole."""
+        the cache fails, and no exchange stores anything: once the
+        shard is back, B's scatter meets both shards afresh and B's
+        whole answer is kept."""
         federation, whole, restore = self._lacking_shard()
         cache = ResultCache()
-        first, second = (self._run(federation, cache)[:2] for _ in range(2))
-        assert first == second
-        assert first[1] == 1 and first[0] != whole
+        for _ in range(2):
+            with pytest.raises(ShardUnavailableError):
+                federation.run(self.NESTED_COUNT, at="local",
+                               strategy="data-shipping", result_cache=cache)
         restore()
-        assert self._run(federation, cache)[:2] == (whole, 0)
-
-    def test_a_partial_answer_is_stored_by_no_enclosing_exchange(self):
-        """B's response holds a partial answer, so B's exchange stores
-        nothing; the round trip of the shard that answered is kept, and
-        once the lost shard is back B's whole answer is."""
-        federation, _whole, restore = self._lacking_shard()
-        cache = ResultCache()
-        outcomes = [self._run(federation, cache)[2] for _ in range(2)]
-        restore()
-        outcomes += [self._run(federation, cache)[2] for _ in range(2)]
-        assert outcomes == [
-            [("B", "miss"), ("node1", None), ("node2", "miss")],
-            [("B", "miss"), ("node1", None), ("node2", "hit")],
-            [("B", "miss"), ("node1", "miss"), ("node2", "hit")],
-            [("B", "hit")]]
+        assert self._run(federation, cache) == (whole, [
+            ("B", "miss"), ("node1", "miss"), ("node2", "miss")])
+        assert self._run(federation, cache) == (whole, [("B", "hit")])
 
 
 # ---------------------------------------------------------------------------
@@ -929,8 +913,7 @@ _SCHEDULE_QUERIES = (
 )
 
 _query = st.tuples(st.just("query"),
-                   st.integers(0, len(_SCHEDULE_QUERIES) - 1),
-                   st.sampled_from(["fail", "allow"]))
+                   st.integers(0, len(_SCHEDULE_QUERIES) - 1))
 _step = st.one_of(
     _query, _query,
     st.tuples(st.just("store"), st.integers(0, 2), st.integers(0, 3)),
@@ -984,39 +967,37 @@ def _apply(federation, step) -> None:
 
 
 def _answer(run) -> tuple:
-    """Items and ``partial_shards``, or the type of the error raised."""
+    """The items, or the type of the error raised."""
     try:
         result = run()
     except ReproError as error:
         return ("error", type(error).__name__)
-    return serialize_sequence(result.items), result.stats.partial_shards
+    return ("items", serialize_sequence(result.items))
 
 
 @given(replication_factor=st.integers(1, 2),
        schedule=st.lists(_step, min_size=4, max_size=14))
-# A shard's one replica dies under B's partial answer and comes back:
-# served from the cache, the answer said whole and held the gap.
+# A shard's one replica dies under B's scatter and comes back: the
+# failed run is cached by no exchange, and the next run is whole.
 @example(replication_factor=1,
-         schedule=[("kill", "node1"), ("query", 2, "allow"),
-                   ("revive", "node1"), ("query", 2, "allow")])
+         schedule=[("kill", "node1"), ("query", 2),
+                   ("revive", "node1"), ("query", 2)])
 # Both replicas of a shard die: a response cached while they lived
 # answered whole where the wire raises.
 @example(replication_factor=2,
-         schedule=[("query", 0, "fail"), ("kill", "node1"),
-                   ("kill", "node2"), ("query", 0, "fail")])
+         schedule=[("query", 0), ("kill", "node1"),
+                   ("kill", "node2"), ("query", 0)])
 # B dies: its response, which read no document of B's own, was
 # served where the wire raises.
 @example(replication_factor=2,
-         schedule=[("query", 2, "fail"), ("kill", "B"),
-                   ("query", 2, "fail")])
+         schedule=[("query", 2), ("kill", "B"), ("query", 2)])
 @fuzz_settings(25, hunt=2000)
 def test_a_cached_engine_answers_as_a_cache_free_twin(replication_factor,
                                                       schedule):
-    """A generated schedule of queries under both partial policies,
-    stores, kills and revivals, down and up marks, given to an engine
-    with its cache and to a cache-free twin federation: after every
-    step each answers the same items with the same ``partial_shards``,
-    or raises the same type of error."""
+    """A generated schedule of queries, stores, kills and revivals,
+    down and up marks, given to an engine with its cache and to a
+    cache-free twin federation: after every step each answers the same
+    items, or raises the same type of error."""
     cached, twin = (_scheduled_federation(replication_factor)
                     for _ in range(2))
     with FederationEngine(cached, max_workers=1) as engine:
@@ -1026,8 +1007,6 @@ def test_a_cached_engine_answers_as_a_cache_free_twin(replication_factor,
                 _apply(twin, step)
                 continue
             text, strategy = _SCHEDULE_QUERIES[step[1]]
-            cached.catalog.partial_policy = twin.catalog.partial_policy \
-                = step[2]
             assert _answer(lambda: engine.submit(
                 text, "local", strategy).result()) == _answer(
                 lambda: twin.run(text, at="local", strategy=strategy)), \

@@ -1,6 +1,6 @@
 """The wire: the default (loopback) policy preserves the seed's
-accounting; a delay policy spends time on the wire's clock, a fault
-policy drops transmissions, and the gates bound each peer."""
+accounting; a delay policy spends time on the wire's clock, a killed
+peer fails its transmissions, and the gates bound each peer."""
 
 import threading
 import time
@@ -11,8 +11,7 @@ from repro.clock import Clock, VirtualClock
 from repro.errors import NetworkError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
-from repro.runtime.transport import (FaultInjectedError, FaultPlan,
-                                     RequestTimeoutError, Transport)
+from repro.runtime.transport import PeerDownError, Transport
 from repro.system.federation import Federation
 from repro.xrpc.messages import RequestMessage, ResponseMessage
 
@@ -31,7 +30,7 @@ class TestLoopback:
     def test_default_transport_is_loopback(self):
         transport = Federation().transport
         assert type(transport) is Transport
-        assert transport.time_scale == 0.0 and transport.faults is None
+        assert (transport.time_scale, transport.extra_latency_s) == (0.0, 0.0)
 
     def test_seed_accounting_preserved(self):
         """The extracted wire charges exactly what the seed charged
@@ -68,19 +67,33 @@ class TestLoopback:
         assert wire["B"]["document_bytes"] > 0
 
 
-class TestFaultPolicy:
-    def test_fault_injection_raises_network_error(self):
-        transport = Transport(faults=FaultPlan(rate=1.0))
-        federation = make_federation(transport)
-        with pytest.raises(FaultInjectedError):
+class TestKilledPeer:
+    def test_a_killed_peer_raises_network_error(self):
+        federation = make_federation()
+        federation.transport.kill_peer("B")
+        with pytest.raises(PeerDownError):
             federation.run(Q2, at="local")
         with pytest.raises(NetworkError):  # same hierarchy
             federation.run(Q2, at="local")
 
-    def test_fault_free_when_rate_zero(self):
-        transport = Transport(faults=FaultPlan(rate=0.0))
-        result = make_federation(transport).run(Q2, at="local")
-        assert result.items
+    def test_a_revived_peer_answers(self):
+        federation = make_federation()
+        federation.transport.kill_peer("B")
+        federation.transport.revive_peer("B")
+        assert federation.run(Q2, at="local").items
+
+    def test_a_killed_peer_is_charged_nothing(self):
+        """A transmission to a dead peer fails before it is charged, so
+        a failover never counts the undelivered request twice."""
+        federation = make_federation()
+        transport = federation.transport
+        transport.kill_peer("B")
+        stats = RunStats()
+        with pytest.raises(PeerDownError):
+            transport.fetch_document(federation.peer("B"), "course42.xml",
+                                     stats)
+        assert (stats.messages, stats.total_transferred_bytes) == (0, 0)
+        assert "B" not in transport.wire_summary()
 
 
 class TestDelayPolicy:
@@ -131,21 +144,11 @@ class TestDelayPolicy:
         assert transport.probe("A") == 0.0
         assert clock.now == 0.5
 
-    def test_timeout_waits_out_exactly_the_timeout(self):
-        clock = VirtualClock()
-        transport = Transport(clock=clock, extra_latency_s=2.0)
-        transport.request_timeout_s = 0.5
-        with pytest.raises(RequestTimeoutError) as exc_info:
-            transport.probe("A")
-        assert clock.now == 0.5
-        assert (exc_info.value.delay_s, exc_info.value.timeout_s) == (
-            2.0, 0.5)
-
     def test_a_dropped_transmission_waits_for_nothing(self):
         clock = VirtualClock()
-        transport = Transport(clock=clock, extra_latency_s=2.0,
-                              faults=FaultPlan(rate=1.0))
-        with pytest.raises(FaultInjectedError):
+        transport = Transport(clock=clock, extra_latency_s=2.0)
+        transport.kill_peer("A")
+        with pytest.raises(PeerDownError):
             transport.probe("A")
         assert clock.now == 0.0
 

@@ -18,11 +18,14 @@ PINNED = {
     ("repro.cluster.rebalance", "Reconciler"): (),
     ("repro.cluster.rebalance", "LoadScorer"): ("federation",),
     ("repro.cluster.migrate", "MigrationExecutor"): ("federation",),
-    ("repro.cluster.catalog", "ClusterCatalog"): ("partial",),
+    ("repro.cluster.catalog", "ClusterCatalog"): (),
     ("repro.cluster.router", "ClusterRouter"): ("run", "catalog"),
     ("repro.runtime.engine", "FederationEngine"): (
         "federation", "max_workers", "cache"),
     ("repro.runtime.cache", "ResultCache"): ("metrics", "events"),
+    ("repro.runtime.transport", "Transport"): (
+        "cost_model", "per_peer_concurrency", "metrics", "clock",
+        "time_scale", "extra_latency_s"),
     ("repro.obs.events", "EventLog"): ("clock",),
     ("repro.planner.feedback", "CalibrationBook"): (),
 }

@@ -17,7 +17,6 @@ from repro.net.costmodel import CostModel
 from repro.obs.health import PeerHealth
 from repro.paths.relpath import CompiledPaths, RelPath, RelStep
 from repro.planner.stats import TagStat
-from repro.runtime.transport import FaultPlan
 from repro.workloads import TenantJob
 from repro.xmark.generator import XMarkConfig
 from repro.xquery import ast
@@ -186,8 +185,6 @@ def test_construction_checks_still_run():
         ShardInfo(0, "s0", ())
     with pytest.raises(ClusterError):
         _SHARD.replace(replicas=())
-    with pytest.raises(ValueError):
-        FaultPlan(rate=1.5)
     with pytest.raises(TypeError):
         _SHARD.replace(no_such_field=1)
 
