@@ -36,7 +36,10 @@ router takes over:
    untried serving replicas; each moved shard counts one failover in
    its ``per_shard`` entry. Nothing is retried in place: each replica
    is tried once, and a shard every serving replica failed fails the
-   query with :class:`ShardUnavailableError`.
+   query with :class:`ShardUnavailableError`. A
+   :class:`~repro.cluster.catalog.ClusterError` the replica's body
+   raises (a nested scatter's unavailable shard) fails the round
+   trip's shards as any query error does: no failover.
 5. **gather** — :func:`~repro.cluster.gather.gather_plan` picks the
    combinator: shard-major concatenation for map-shaped bodies
    (document order under range partitioning), addition for
@@ -107,7 +110,9 @@ _Item = TypeVar("_Item")
 
 class ShardUnavailableError(ClusterError):
     """Every serving replica of one shard failed on the wire, each
-    tried once: the query fails."""
+    tried once: the query fails. Raised from a replica's body (a nested
+    scatter), it fails the enclosing round trip's shards too, with no
+    failover."""
 
 
 def rewrite_doc_uris(expr: Expr,
@@ -470,10 +475,11 @@ class ClusterRouter:
             return self._evaluate_locally(from_peer, calls,
                                           prepared.unwrapped, binding,
                                           reads=reads)
+        names = [name for name, _seq in calls[0]] if calls else []
         probes, parameter, text = binding.once(
-            prepared, lambda: prepared.bound(
-                binding.literals, [name for name, _seq in calls[0]]
-                if calls else []))
+            prepared, lambda: prepared.bound(binding.literals, names))
+        head = run.request_head(binding, site, lambda: text,
+                                [*names, parameter], scatter=prepared)
         outcomes = [ScatterOutcome(shard) for shard in spec.shards]
         for outcome in outcomes:
             if probes and self._shard_provably_empty(outcome.shard, probes):
@@ -496,7 +502,7 @@ class ClusterRouter:
                 run.federation.peer(replica),
                 [[*call, (parameter, [shard.local_name])]
                  for shard in shards for call in calls],
-                text, site, cache_scope=spec.name, shard_epoch=epoch,
+                head, site, cache_scope=spec.name, shard_epoch=epoch,
                 replicas=(replica for shard in shards
                           for replica in shard.replicas),
                 reads=reads)
@@ -566,8 +572,11 @@ class ClusterRouter:
         re-covers the shards over their serving replicas not yet tried
         and serves them there, each moved shard counting one failover;
         a shard with none left fails with :class:`ShardUnavailableError`.
-        An error a shard ends with is kept on its outcome (raised once
-        the scatter's entries are filed)."""
+        A :class:`ClusterError` raised by the replica's body (a nested
+        scatter's unavailable shard) is a query error: it fails the
+        group's shards, as another replica would raise it too. An
+        error a shard ends with is kept on its outcome (raised once the
+        scatter's entries are filed)."""
         stats = self.run.stats
         tried: set[str] = set()
         trips = [(replica, group)]
@@ -581,10 +590,12 @@ class ClusterRouter:
                     results = self._round_trip(replica, group, attempt)
                 for outcome, result in zip(group, results):
                     outcome.results = result
+            except ClusterError as exc:
+                self._fail(group, exc)
             except NetworkError as fault:
                 tried.add(replica)
-                moving = [outcome for outcome in group
-                          if not self._unavailable(outcome, tried, fault)]
+                moving = [outcome for outcome in group if not
+                          self._unavailable(spec, outcome, tried, fault)]
                 for peer, moved in self._cover(moving, tried):
                     for outcome in moved:
                         outcome.entry["failovers"] += 1
@@ -594,13 +605,17 @@ class ClusterRouter:
                             f" trying {peer}", replica=replica, next=peer)
                     trips.append((peer, moved))
             except Exception as exc:
-                for outcome in group:
-                    outcome.error = exc
-                    outcome.entry["failed"] = 1
+                self._fail(group, exc)
             _share(group, before, _totals(stats))
 
-    def _unavailable(self, outcome: ScatterOutcome, tried: set[str],
-                     fault: NetworkError) -> bool:
+    @staticmethod
+    def _fail(outcomes: list[ScatterOutcome], error: Exception) -> None:
+        for outcome in outcomes:
+            outcome.error = error
+            outcome.entry["failed"] = 1
+
+    def _unavailable(self, spec: CollectionSpec, outcome: ScatterOutcome,
+                     tried: set[str], fault: NetworkError) -> bool:
         """False while ``outcome``'s shard has a serving replica not
         ``tried``; else fail it with :class:`ShardUnavailableError` and
         say True."""
@@ -608,11 +623,10 @@ class ClusterRouter:
         if not tried.issuperset(serving):
             return False
         error = ShardUnavailableError(
-            f"all {len(serving)} replicas of shard "
-            f"{outcome.shard.index} ({', '.join(serving)}) failed")
+            f"all {len(serving)} replicas of shard {spec.name}"
+            f"#s{outcome.shard.index} ({', '.join(serving)}) failed")
         error.__cause__ = fault
-        outcome.error = error
-        outcome.entry["failed"] = 1
+        self._fail([outcome], error)
         return True
 
     def emit(self, kind: str, spec: CollectionSpec, shard: ShardInfo,
@@ -682,7 +696,7 @@ class ClusterRouter:
         """Run ``attempt`` once against ``replica`` for ``group``'s
         shards. What it raises goes to the caller: a
         :class:`~repro.errors.NetworkError` fails over, a query error
-        fails the shards.
+        (a :class:`ClusterError` included) fails the shards.
 
         The attempt is evidence for the peer view (health windows, the
         detector's ladder) when it succeeds or its peer was unavailable:

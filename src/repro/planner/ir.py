@@ -156,8 +156,9 @@ class CallSite:
     into one prefix trie when the site is built. The site holds its
     body, so the address it is keyed by cannot be reused while it
     lives. The body's shipped text depends on the literals a run
-    binds: the run layer renders it once per
-    :class:`~repro.xquery.prepared.Binding`, keyed by this site."""
+    binds: the run layer renders it into a request head once per
+    :class:`~repro.xquery.prepared.Binding` and static context, keyed
+    by this site."""
 
     __slots__ = ("semantics", "body", "site_id",
                  "param_paths", "used_paths", "returned_paths")

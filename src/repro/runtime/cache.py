@@ -2,13 +2,19 @@
 
 One entry is one round trip as its miss resolved it
 (:class:`StoredResponse`), keyed by ``(dest peer, semantics, shard
-epoch, request key)`` and bounded by LRU. The request key is
-:attr:`~repro.xrpc.messages.RequestMessage.key`, the marshalled
-request's parts (shipped query body, parameter names, static context,
-projection paths, each fragment's and element copy's serialization,
-each call's items): equal for two requests exactly when their texts
-are, so a hit is only possible for a request whose text would be the
-same, and it writes no text. A hit decodes and unmarshals nothing: the
+epoch, request key)``, hashed once (:class:`ResponseKey`), and bounded
+by LRU. The request key (:func:`request_key`) is, when every parameter
+item is an atomic value, the request's
+:class:`~repro.xrpc.messages.RequestHead` (shipped query body,
+parameter names, static context, projection paths: built once per
+call site, literal binding and static context) with each call's
+``(type, lexical)`` pairs, so looking such a request up marshals
+nothing; a request that ships a node is keyed by its marshalled form,
+:attr:`~repro.xrpc.messages.RequestMessage.key` (the head's parts,
+each fragment's and element copy's serialization, each call's items).
+Either is equal for two requests exactly when their texts are, so a
+hit is only possible for a request whose text would be the same, and
+it writes no text. A hit decodes and unmarshals nothing: the
 consuming query takes :meth:`StoredResponse.replay`, new documents over
 the stored (never mutated) columns with the items mapped onto them —
 so node identity stays private per query, and the stored documents
@@ -38,11 +44,11 @@ from typing import Callable, Hashable
 from repro.obs.metrics import MetricsRegistry
 from repro.xmldb.document import Document
 from repro.xmldb.node import Node
-from repro.xrpc.messages import NodeCopy, ResponseMessage
+from repro.xrpc.marshal import atomic_params
+from repro.xrpc.messages import (
+    NodeCopy, RequestHead, RequestMessage, ResponseMessage,
+)
 
-#: Key of one response entry:
-#: (dest scope, semantics, shard epoch, request key).
-ResponseKey = tuple[str, str, int, Hashable]
 
 #: An entry's validators: ``(peer, generation)`` per peer it read.
 Validators = tuple[tuple[str, int], ...]
@@ -55,10 +61,44 @@ MAX_RESPONSES = 256
 STALE = -1
 
 
+class ResponseKey:
+    """Key of one response entry: ``parts`` is (dest scope, semantics,
+    shard epoch, request key), hashed once, when the key is made."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple[str, str, int, Hashable]) -> None:
+        self.parts, self._hash = parts, hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ResponseKey) and self.parts == other.parts
+
+
+def request_key(head: RequestHead, calls: list[list[tuple[str, list]]],
+                marshal: Callable[[], RequestMessage]
+                ) -> tuple[Hashable, RequestMessage | None]:
+    """The key of the request of ``calls`` under ``head``, and the
+    request if the key needed ``marshal()``: ``(head,
+    atomic_params(calls))`` when every parameter item is an atomic
+    value, else the marshalled request's
+    :attr:`~repro.xrpc.messages.RequestMessage.key`, as a node's
+    serialization is part of the text. Either is equal for two requests
+    exactly when their texts are; the two kinds never meet, nor do
+    their texts (a node never writes an ``xrpc:atomic``)."""
+    params = atomic_params(calls)
+    if params is not None:
+        return (head, params), None
+    message = marshal()
+    return message.key, message
+
+
 def response_key(dest: str, semantics: str, request: Hashable,
                  shard_epoch: int | None = None) -> ResponseKey:
     """Cache key for one round trip's response; ``request`` is the
-    request's :attr:`~repro.xrpc.messages.RequestMessage.key`.
+    request's :func:`request_key`.
 
     ``semantics`` must be part of the key: the request carries no
     semantics marker (the handler receives it out-of-band), so by-value
@@ -73,8 +113,8 @@ def response_key(dest: str, semantics: str, request: Hashable,
     before a repartition can never be served after it. Plain
     peer-to-peer calls use ``-1``.
     """
-    return (dest, semantics, -1 if shard_epoch is None else shard_epoch,
-            request)
+    return ResponseKey((dest, semantics,
+                        -1 if shard_epoch is None else shard_epoch, request))
 
 
 class StoredResponse:
@@ -236,15 +276,19 @@ class ResultCache:
         with self._lock:
             entry = self._responses.get(key)
             if entry is not None:
-                now = [current(peer) for peer, _generation in entry[2]]
-                outdated = next((peer for (peer, generation), at
-                                 in zip(entry[2], now)
-                                 if at not in (generation, STALE)), None)
+                unreachable = False
+                for peer, generation in entry[2]:
+                    at = current(peer)
+                    if at == STALE:
+                        unreachable = True
+                    elif at != generation:
+                        outdated = peer
+                        break
                 if outdated is not None:
                     del self._responses[key]
                     self._invalidations.inc()
                     entry = None
-                elif STALE in now:
+                elif unreachable:
                     entry = None
             if entry is None:
                 self._misses.inc()
@@ -258,9 +302,9 @@ class ResultCache:
             self.events.emit(
                 "cache_invalidation",
                 f"a store on {outdated} outdated a cached response "
-                f"from {key[0]}",
+                f"from {key.parts[0]}",
                 severity="info", scope="responses", peer=outdated,
-                dest=key[0])
+                dest=key.parts[0])
         return None if entry is None else entry[0]
 
     def store_response(self, key: ResponseKey, response: object,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 from functools import cached_property
 
 from repro.cluster.membership import PeerView
@@ -47,7 +47,7 @@ from repro.planner.ir import CallSite, PhysicalPlan
 from repro.planner.planner import QueryPlanner
 from repro.runtime.cache import (
     STALE, ReadSet, ResultCache, StoredResponse, Validators,
-    response_key,
+    request_key, response_key,
 )
 from repro.runtime.transport import Transport
 from repro.xmldb.document import Document
@@ -60,7 +60,7 @@ from repro.xquery.context import CostCounter, DynamicContext, StaticContext
 from repro.xquery.prepared import Binding, PreparedTable
 from repro.xquery.pretty import pretty
 from repro.xrpc.marshal import marshal_calls, unmarshal_result
-from repro.xrpc.messages import RequestMessage, ResponseMessage
+from repro.xrpc.messages import RequestHead, RequestMessage, ResponseMessage
 from repro.xrpc.peer import RequestHandler
 
 if TYPE_CHECKING:
@@ -193,6 +193,9 @@ class Federation:
         else:
             self.metrics = MetricsRegistry()
         self.peers: dict[str, Peer] = {}
+        #: Request heads by content, so that runs and plans shipping one
+        #: text share one head (:meth:`_Run.request_head`).
+        self.request_heads = PreparedTable()
         self.catalog = catalog
         #: What the cluster believes about each peer — the one answer
         #: to "can this peer serve?" (:mod:`repro.cluster.membership`).
@@ -548,30 +551,50 @@ class _Run:
         site = self.plan.call_site(body)
         return self._call_peer(
             self.federation.peer(dest_name),  # raises on unknown peer
-            calls, binding.once(
-                site, lambda: pretty(bind(body, binding.literals))),
+            calls, self.request_head(
+                binding, site, lambda: pretty(bind(body, binding.literals)),
+                [name for name, _seq in calls[0]] if calls else []),
             site, reads=reads)
+
+    def request_head(self, binding: Binding, site: CallSite,
+                     render: Callable[[], str], param_names: list[str],
+                     scatter: object = None) -> RequestHead:
+        """The head of the requests that ship ``render()`` under
+        ``binding`` — ``site``'s body, or ``scatter``'s text of it —
+        with ``site``'s paths: made once per call site, binding and
+        static context, and interned."""
+        static = self.federation.static
+
+        def build() -> RequestHead:
+            head = RequestHead(render(), param_names, static.to_attributes(),
+                               site.used_paths, site.returned_paths)
+            return self.federation.request_heads.intern(head, lambda: head)
+        return binding.once((site, scatter, static), build)
 
     def _call_peer(self, peer: Peer,
                    calls: list[list[tuple[str, list]]],
-                   query_text: str, site: CallSite,
+                   head: RequestHead, site: CallSite,
                    cache_scope: str | None = None,
                    shard_epoch: int | None = None,
                    replicas: Iterable[str] = (),
                    reads: ReadSet | None = None) -> list[list]:
         """One network interaction: marshal, ship, execute, ship back.
 
-        Every round trip takes the same path: marshal the request →
-        *deliver* it: the shared result cache, keyed by the marshalled
-        request, answers with the results its miss resolved
-        (:meth:`~repro.runtime.cache.StoredResponse.replay`: no request
-        text, no decoding, no unmarshalling); otherwise the request text
-        goes out on the transport's wire, and the response text is
-        decoded once and unmarshalled →
+        Every round trip takes the same path: *deliver* the request:
+        the shared result cache answers with the results its miss
+        resolved (:meth:`~repro.runtime.cache.StoredResponse.replay`:
+        no request text, no decoding, no unmarshalling); otherwise the
+        request is marshalled, its text goes out on the transport's
+        wire, and the response text is decoded once and unmarshalled →
         *record* (stats and the site's ``per_op`` actuals, ``rpc``
-        span, message log, cache store).
+        span, message log, cache store). The cache keys a request whose
+        parameters are all atomic values by ``head`` and their ``(type,
+        lexical)`` pairs, so such a hit marshals nothing; a request
+        that ships a node is keyed by its marshalled form
+        (:attr:`RequestMessage.key`), as the node's serialization is
+        part of its text.
 
-        ``query_text`` is the function body as shipped and ``site`` its
+        ``head`` holds the function body as shipped and ``site`` is its
         call site's contract — for a scatter, the text whose calls name
         their shards, under the logical site's contract. ``cache_scope``
         / ``shard_epoch`` key the response cache by collection +
@@ -579,14 +602,14 @@ class _Run:
         it. Everything is charged to the run's stats and counters,
         a scatter's round trips' included.
 
-        With a cache, the exchange gathers its own :class:`ReadSet`
-        (its entry's validators: ``replicas``, the peers its evaluation
-        reads documents of, its nested calls' sets), and every note
-        reaches ``reads``, the set of the exchange making this call.
+        With a cache, a miss gathers its own :class:`ReadSet` (its
+        entry's validators: ``replicas``, the peers its evaluation reads
+        documents of, its nested calls' sets), and every note reaches
+        ``reads``, the set of the exchange making this call; a hit
+        notes its entry's validators there.
         """
         stats = self.stats
         semantics = site.semantics
-        param_paths = site.param_paths
         used_paths, returned_paths = site.used_paths, site.returned_paths
 
         # Explain-analyze attribution goes to the logical call site the
@@ -604,33 +627,27 @@ class _Run:
                     rpc_span.set(used_paths=len(used_paths),
                                  returned=len(returned_paths))
 
-            param_names = [name for name, _seq in calls[0]] if calls else []
-            bundle = marshal_calls(calls, semantics, param_paths)
-            message = RequestMessage(
-                query=query_text,
-                param_names=param_names,
-                calls=bundle.calls,
-                fragments=bundle.fragments,
-                static_attrs=self.federation.static.to_attributes(),
-                used_paths=used_paths,
-                returned_paths=returned_paths,
-            )
             base_uri = f"{XRPC_SCHEME}{peer.name}/response"
 
+            def marshal() -> RequestMessage:
+                bundle = marshal_calls(calls, semantics, site.param_paths)
+                return head.message(bundle.calls, bundle.fragments)
+
             # -- deliver: the cache answers, or the wire does ----------
-            stored = cache_key = own = None
+            stored = cache_key = own = message = None
             if self.result_cache is not None:
-                own = ReadSet(reads)
-                own.note_all(self.federation.generations(
-                    (peer.name, *replicas)))
+                request, message = request_key(head, calls, marshal)
                 cache_key = response_key(cache_scope or peer.name,
-                                         semantics, message.key,
+                                         semantics, request,
                                          shard_epoch=shard_epoch)
                 stored = self.result_cache.lookup_response(
                     cache_key, self.federation.current_generation)
             cached = stored is not None
             if cached:
-                own.note_all(stored.validators)
+                # The entry's validators hold the destination and the
+                # replicas, at the generations the lookup found current.
+                if reads is not None:
+                    reads.note_all(stored.validators)
                 request_bytes = stored.request_bytes
                 response_bytes = stored.response_bytes
                 # New documents over the stored columns, so node
@@ -647,6 +664,12 @@ class _Run:
                 if rpc_span is not None:
                     rpc_span.set(cache="hit", saved_bytes=saved_bytes)
             else:  # only a miss writes the request text
+                if cache_key is not None:
+                    own = ReadSet(reads)
+                    own.note_all(self.federation.generations(
+                        (peer.name, *replicas)))
+                if message is None:
+                    message = marshal()
                 request_xml = message.to_xml()
                 request_bytes = len(request_xml.encode())
                 handler = RequestHandler(

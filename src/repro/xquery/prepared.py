@@ -179,8 +179,8 @@ def _lru(entries: OrderedDict, key: Hashable, make: Callable[[], object]):
 
 class Binding:
     """One tuple of literals bound to a shape's slots, and what only
-    the literals decide (a body's text as shipped, a scatter's shard
-    probes), each made once per binding: :meth:`once` keys it by the
+    the literals decide (a body's request head as shipped, a scatter's
+    shard probes), each made once per binding: :meth:`once` keys it by the
     object it was made for and keeps that object, so no address is
     reused under a live entry."""
 

@@ -71,18 +71,35 @@ from repro.xrpc.messages import (
 # ---------------------------------------------------------------------------
 
 
-def marshal_atomic(value) -> Atomic:
+def atomic_pair(value) -> tuple[str, str]:
+    """``(type, lexical)``: what ``value``'s ``<xrpc:atomic>`` holds."""
     if isinstance(value, bool):
-        return Atomic("xs:boolean", "true" if value else "false")
+        return "xs:boolean", "true" if value else "false"
     if isinstance(value, int):
-        return Atomic("xs:integer", str(value))
+        return "xs:integer", str(value)
     if isinstance(value, float):
-        return Atomic("xs:double", format_double(value))
+        return "xs:double", format_double(value)
     if isinstance(value, UntypedAtomic):
-        return Atomic("xs:untypedAtomic", str(value))
+        return "xs:untypedAtomic", str(value)
     if isinstance(value, str):
-        return Atomic("xs:string", value)
+        return "xs:string", value
     raise XrpcMarshalError(f"cannot marshal atomic {type(value).__name__}")
+
+
+def marshal_atomic(value) -> Atomic:
+    return Atomic(*atomic_pair(value))
+
+
+def atomic_params(calls: list[list[tuple[str, list]]]) -> tuple | None:
+    """Each call's parameter sequences as their items' :func:`atomic_pair`
+    — all a request's calls write under any semantics when every item is
+    an atomic value — or None when one is not (a node: its text is
+    whatever marshalling makes of it)."""
+    try:
+        return tuple([tuple([tuple([atomic_pair(item) for item in seq])
+                             for _name, seq in call]) for call in calls])
+    except XrpcMarshalError:
+        return None
 
 
 #: ``xs:boolean``'s lexical space, whitespace collapsed.

@@ -26,8 +26,13 @@ side, in a document of its own on the receiving side. So each message
 is serialised once (``to_xml``, the only producer of message text) and
 read once (``from_xml``: one expat pass, nothing serialised back out).
 A request's text is written from its :attr:`RequestMessage.key`, the
-text's parts before escaping, each payload serialized once: the result
-cache keys a round trip by it, so a hit writes no text.
+text's parts before escaping, each payload serialized once. Its first
+part is the request's head (everything but the fragments and the
+calls), which the sender keeps as a :class:`RequestHead` per call site,
+literal binding and static context: the result cache keys a request by
+its head and its atomic parameters before anything is marshalled, or by
+its key when it ships a node (``runtime/cache.py``), so a hit writes no
+text.
 
 Decoding builds no envelope document: its handlers (:class:`_Envelope`)
 fill the message fields and call / sequence lists as the tags go by,
@@ -144,25 +149,20 @@ class RequestMessage(Record):
 
     @cached_property
     def key(self) -> tuple:
-        """The parts of this request's text, unescaped, in text order —
-        equal for two requests exactly when their texts are, so a cache
-        keys a round trip by it without writing the text. Each fragment
-        and element copy is in it as its serialization, which
-        :meth:`to_xml` writes from here: a request is not changed once
-        its key is read."""
-        used, returned = self.used_paths, self.returned_paths
-        attrs = self.static_attrs
-        return (tuple([(name.replace(":", "-"), attrs[name])
-                       for name in sorted(attrs)]),
-                None if used is None and returned is None
-                else (tuple(used or ()), tuple(returned or ())),
+        """The parts of this request's text, unescaped: its head's
+        (:func:`head_parts`), its fragments' serializations and its
+        calls' items — equal for two requests exactly when their texts
+        are, so a cache keys a round trip by it without writing the
+        text. :meth:`to_xml` writes from here: a request is not changed
+        once its key is read."""
+        return (head_parts(self.query, self.param_names, self.static_attrs,
+                           self.used_paths, self.returned_paths),
                 tuple(map(serialize_node, self.fragments)),
-                self.query, tuple(self.param_names),
                 tuple([tuple([_item_keys(items) for _name, items
                               in call.params]) for call in self.calls]))
 
     def to_xml(self) -> str:
-        attrs, paths, fragments, query, names, calls = self.key
+        (attrs, paths, query, names), fragments, calls = self.key
         out = [_ENVELOPE_OPEN, "<xrpc:request"]
         out.extend(f' {name}="{escape_attribute(value)}"'
                    for name, value in attrs)
@@ -205,6 +205,54 @@ class RequestMessage(Record):
                    fragments=envelope.fragments, static_attrs=static_attrs,
                    used_paths=strings["used-path"] if paths else None,
                    returned_paths=strings["returned-path"] if paths else None)
+
+
+def head_parts(query: str, param_names: list[str],
+               static_attrs: dict[str, str], used_paths: list[str] | None,
+               returned_paths: list[str] | None) -> tuple:
+    """The parts of a request's text besides its fragments and calls,
+    unescaped, in text order: the static-context attributes as the wire
+    names them, the projection paths (None: no element), the shipped
+    body and the parameter names."""
+    return (tuple([(name.replace(":", "-"), static_attrs[name])
+                   for name in sorted(static_attrs)]),
+            None if used_paths is None and returned_paths is None
+            else (tuple(used_paths or ()), tuple(returned_paths or ())),
+            query, tuple(param_names))
+
+
+class RequestHead:
+    """A request's parts besides its fragments and calls, with their
+    :func:`head_parts` hashed once: it heads a cache key made per round
+    trip, and equals another head of the same content."""
+
+    __slots__ = ("query", "param_names", "static_attrs", "used_paths",
+                 "returned_paths", "parts", "_hash")
+
+    def __init__(self, query: str, param_names: list[str],
+                 static_attrs: dict[str, str],
+                 used_paths: list[str] | None = None,
+                 returned_paths: list[str] | None = None) -> None:
+        self.query, self.param_names = query, param_names
+        self.static_attrs = static_attrs
+        self.used_paths, self.returned_paths = used_paths, returned_paths
+        self.parts = head_parts(query, param_names, static_attrs,
+                                used_paths, returned_paths)
+        self._hash = hash(self.parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, RequestHead)
+                                 and self.parts == other.parts)
+
+    def message(self, calls: list[Call],
+                fragments: list[Node]) -> RequestMessage:
+        """The request of ``calls`` under this head."""
+        return RequestMessage(self.query, self.param_names, calls,
+                              fragments, self.static_attrs,
+                              self.used_paths, self.returned_paths)
 
 
 class ResponseMessage(Record):

@@ -70,7 +70,7 @@ def test_a_dark_shard_fails_the_query_after_one_try_per_replica():
             pytest.raises(ShardUnavailableError) as failed:
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert str(failed.value) \
-        == "all 2 replicas of shard 1 (node2, node3) failed"
+        == "all 2 replicas of shard books-c#s1 (node2, node3) failed"
     assert isinstance(failed.value.__cause__, PeerDownError)
     assert exchanges == {"node1": 1, "node2": 1, "node3": 1, "node4": 1}
     [(_federation, stats, ok)] = runs

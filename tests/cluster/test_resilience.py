@@ -6,14 +6,18 @@ from collections import Counter
 import pytest
 
 from repro.cluster import ClusterError, ShardUnavailableError
+from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.errors import NetworkError, PeerUnavailableError
 from repro.obs import FleetMonitor
 from repro.runtime import FederationEngine, PeerDownError
+from repro.workloads import build_sharded_federation
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (make_cluster, make_single_owner,
                                    virtual_wire)
+from tests.cluster.test_fanout import NESTED
+from tests.obs.test_accounting import recorded_runs
 from tests.oracle.accounting_reference import registry_series
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
@@ -119,7 +123,7 @@ def test_a_dark_shard_fails_every_strategy_alike(strategy):
     with pytest.raises(ShardUnavailableError) as failed:
         cluster.run(SCAN, at="local", strategy=strategy)
     assert str(failed.value) \
-        == "all 2 replicas of shard 1 (node2, node3) failed"
+        == "all 2 replicas of shard books-c#s1 (node2, node3) failed"
     assert isinstance(failed.value.__cause__, PeerDownError)
 
 
@@ -155,7 +159,7 @@ def test_every_replica_is_tried_once_at_replication_three():
     with pytest.raises(ShardUnavailableError) as failed:
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     assert str(failed.value) \
-        == "all 3 replicas of shard 1 (node2, node3, node4) failed"
+        == "all 3 replicas of shard books-c#s1 (node2, node3, node4) failed"
     assert max(exchanges.values()) == 1
     assert {"node2", "node3", "node4"} <= set(exchanges)
 
@@ -232,7 +236,7 @@ def test_a_dark_shard_fails_every_concurrent_query():
             with pytest.raises(ShardUnavailableError) as failed:
                 future.result()
             errors.append(str(failed.value))
-    assert set(errors) == {"all 2 replicas of shard 1 (node2, node3) failed"}
+    assert set(errors) == {"all 2 replicas of shard books-c#s1 (node2, node3) failed"}
     series = registry_series(cluster.metrics)
     assert series["query_failed_total"] == 5
     assert series["query_completed_total"] == 0
@@ -250,3 +254,47 @@ def test_a_shard_entry_has_no_retry_or_partial_fields():
                               "cache_hits"}
     assert result.stats.retries == 0
     assert "retries" not in result.stats.summary()
+
+
+# -- a nested scatter's lost shard fails the query, not the outer replica ----
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+def test_a_nested_unavailable_shard_fails_the_query_without_failover(
+        strategy, monkeypatch):
+    """``NESTED``'s body, run at a ``people-c`` replica, scatters over
+    ``auctions-c``, whose shard 0 neither replica holds. The inner
+    scatter runs once and tries each ``auctions-c#s0`` replica once;
+    its ``ShardUnavailableError`` is the replica's answer, not a fault
+    of the replica, so no ``people-c`` shard fails over and the run
+    raises naming ``auctions-c`` shard 0."""
+    federation = build_sharded_federation(0.004, shard_count=4,
+                                          replication_factor=2)
+    lost = federation.catalog.get("auctions-c").shards[0]
+    for replica in lost.replicas:
+        del federation.peer(replica).documents[lost.local_name]
+    attempts = Counter()
+    attempt = ClusterRouter._round_trip
+
+    def counting(self, replica, group, *args):
+        attempts.update((replica, outcome.shard.local_name)
+                        for outcome in group)
+        return attempt(self, replica, group, *args)
+
+    monkeypatch.setattr(ClusterRouter, "_round_trip", counting)
+    with recorded_runs() as runs, \
+            pytest.raises(ShardUnavailableError) as failed:
+        federation.run(NESTED, at="local", strategy=strategy)
+    assert str(failed.value) == ("all 2 replicas of shard auctions-c#s0 "
+                                 f"({', '.join(lost.replicas)}) failed")
+    [(_federation, stats, ok)] = runs
+    assert not ok
+    people = {key: entry for key, entry in stats.per_shard.items()
+              if key.startswith("people-c#")}
+    assert people and all(entry["failovers"] == 0
+                          for entry in people.values())
+    assert {replica: count for (replica, shard), count in attempts.items()
+            if shard == lost.local_name} \
+        == dict.fromkeys(lost.replicas, 1)
+    assert stats.per_shard["auctions-c#s0"]["failovers"] == 1
+    assert stats.per_shard["auctions-c#s0"]["failed"] == 1

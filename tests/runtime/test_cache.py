@@ -774,6 +774,60 @@ class TestHitsReplayTheirMiss:
                 serialize_sequence(first.items) != ""
 
 
+#: The grade of each id, by a Bulk RPC whose parameters are strings.
+GRADE_OF = ('declare function grade($id as xs:string) as node()* '
+            '{ doc("xrpc://B/course42.xml")/child::enroll/child::exam'
+            '[attribute::id = $id]/child::grade }; '
+            'for $id in ("s1", "s3", "s9") '
+            'return execute at {"B"} { grade($id) }')
+
+
+class TestWhereTheShortcutStops:
+    """A request whose parameters are all atomic values is looked up
+    before anything is marshalled; one that ships a node is keyed by
+    its marshalled form, whose text holds the node's serialization."""
+
+    @staticmethod
+    def _hit(monkeypatch, query: str, strategy: str) -> tuple:
+        """A miss of ``query``, then its hit (returned) with each
+        marshalling, request construction and request text counted."""
+        federation = make_federation()
+        federation.peer("local").store("students.xml", STUDENTS_XML)
+        cache = ResultCache()
+        miss = federation.run(query, at="local", strategy=strategy,
+                              result_cache=cache)
+        called = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args, **kwargs: (
+                called.append(name) or original(*args, **kwargs)))
+
+        counting(federation_module, "marshal_calls")
+        counting(RequestMessage, "__init__")
+        counting(RequestMessage, "to_xml")
+        hit = federation.run(query, at="local", strategy=strategy,
+                             result_cache=cache)
+        assert hit.stats.cache_hits > 0
+        assert hit.stats.rpc_calls == 0 and hit.messages == []
+        assert serialize_sequence(hit.items) == \
+            serialize_sequence(miss.items) != ""
+        return hit, called
+
+    @pytest.mark.parametrize("strategy",
+                             ["by-value", "by-fragment", "by-projection"])
+    def test_an_atomic_hit_marshals_nothing(self, monkeypatch, strategy):
+        _hit, called = self._hit(monkeypatch, GRADE_OF, strategy)
+        assert called == []
+
+    def test_a_by_value_hit_with_node_parameters_still_marshals(
+            self, monkeypatch):
+        hit, called = self._hit(monkeypatch, grades("students.xml"),
+                                "by-value")
+        assert called == ["marshal_calls", "__init__"] * hit.stats.cache_hits
+
+
+
 def _observe(federation: Federation, text: str, strategy: str,
              cache: ResultCache | None) -> tuple:
     """The answer (or the error class) and each call site's calls and
