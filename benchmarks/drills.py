@@ -7,8 +7,8 @@ event line exact (``tests/integration/test_drills.py``):
 
 - ``chaos``: detect -> evict -> re-replicate -> serve -> rejoin;
 - ``rebalance``: observe skew -> split -> move -> drain;
-- ``soak``: a replica degrades (demoted, one SLO alert), then one dies
-  and comes back;
+- ``soak``: a replica degrades (demoted before anything fails), then
+  one dies and comes back;
 - ``chaos_soak``: a seeded 36-step kill / revive / degrade schedule;
 - ``reshard_soak``: the same with seeded splits, moves and a drain.
 
@@ -32,7 +32,7 @@ from benchmarks.conftest import print_table
 from repro.cluster.membership import EVICTED, MembershipTracker
 from repro.cluster.rebalance import LoadScorer, Reconciler, SplitPlan
 from repro.decompose import Strategy
-from repro.obs import SLO, BurnRatePolicy, FleetMonitor
+from repro.obs import EventLog, HealthTracker
 from repro.runtime import FederationEngine
 from repro.workloads import (SHARDED_HOT_QUERY, SHARDED_SCAN_QUERY,
                              build_federation, build_sharded_federation)
@@ -46,11 +46,9 @@ SCALE = 0.002
 #: The rebalance drill's hot shard needs >= 4 members to split.
 REBALANCE_SCALE = 0.01
 SOAK_STEPS = 36
-#: Injected delay far above a healthy shard call, and a slow-query
-#: threshold between the two: degraded-peer queries (and only those)
-#: breach the latency SLO.
+#: Injected delay far above a healthy shard call: only the degraded
+#: peer's scores fall.
 DEGRADE_S = 0.080
-SLOW_S = 0.030
 COUNT_QUERY = ('count(doc("xrpc://people-c/people.xml")'
                "/child::site/child::people/child::person)")
 BY_PROJECTION = {"at": "local", "strategy": Strategy.BY_PROJECTION}
@@ -64,20 +62,14 @@ def oracle(scale: float, query: str) -> str:
         **BY_PROJECTION).items)
 
 
-def cluster(scale: float, slo: bool = False):
+def cluster(scale: float):
     """The XMark pair sharded 4 x 2 over four nodes, on the virtual
-    wire, with a fleet monitor (and the latency SLO of the scripted
-    chaos and soak drills)."""
+    wire, with an event log and a health scorer attached."""
     fed = build_sharded_federation(scale, seed=SEED)
     fed.transport = virtual_wire()
-    monitor = FleetMonitor(**({"slow_query_s": SLOW_S, "profile_every": 4}
-                              if slo else {})).attach(fed)
-    if slo:
-        monitor.add_slo(
-            SLO(name="latency", target=0.9, threshold_s=SLOW_S),
-            BurnRatePolicy(long_s=60.0, short_s=1.0, threshold=2.0,
-                           resolve_ratio=0.5, min_requests=5))
-    return fed, monitor
+    events = EventLog().attach(fed)
+    HealthTracker().attach(fed)
+    return fed, events
 
 
 def engine(fed) -> FederationEngine:
@@ -109,14 +101,14 @@ def under_replicated(fed, gone: str) -> int:
             for shard in spec.shards].count(True)
 
 
-def event_lines(monitor) -> list:
+def event_lines(events: EventLog) -> list:
     """The event log as its JSON Lines export writes it."""
     return [json.dumps(event, sort_keys=True)
-            for event in monitor.events.to_dicts()]
+            for event in events.to_dicts()]
 
 
 def chaos_drill() -> dict:
-    fed, monitor = cluster(SCALE, slo=True)
+    fed, events = cluster(SCALE)
     tracker = MembershipTracker().attach(fed)
     reconciler = Reconciler().attach(fed)
     expected, view = oracle(SCALE, SHARDED_SCAN_QUERY), fed.peer_view
@@ -136,7 +128,6 @@ def chaos_drill() -> dict:
         cells["degrade_exact"] = exact(queries, 6, expected)
         tracker.tick()
         cells["degraded_state"] = view.state("node2")
-        cells["degrade_alerts"] = monitor.events.count("alert_fired")
         view.mark_up("node1")
         view.mark_up("node3")
         fed.transport.restore_peer("node2")
@@ -166,13 +157,13 @@ def chaos_drill() -> dict:
                      converged=tracker.converged(),
                      revived_exact=exact(queries, 4, expected),
                      failed=total(fed, "query_failed_total"))
-    return {**cells, **{kind: monitor.events.count(kind) for kind in (
-        "alert_fired", "replica_evicted", "repair_completed")},
-        "events": event_lines(monitor)}
+    return {**cells, **{kind: events.count(kind) for kind in (
+        "replica_evicted", "repair_completed")},
+        "events": event_lines(events)}
 
 
 def rebalance_drill() -> dict:
-    fed, monitor = cluster(REBALANCE_SCALE)
+    fed, events = cluster(REBALANCE_SCALE)
     MembershipTracker().attach(fed)
     reconciler = Reconciler().attach(fed)
     scan, hot = (oracle(REBALANCE_SCALE, query)
@@ -226,13 +217,13 @@ def rebalance_drill() -> dict:
     # This drill evicts nothing: its cells are the migration counters.
     del stats["repairs_completed"], stats["repairs_failed"]
     return {**cells, **stats, **{
-        kind: monitor.events.count(kind)
+        kind: events.count(kind)
         for kind in ("rebalance_planned", "rebalance_retired")},
-        "events": event_lines(monitor)}
+        "events": event_lines(events)}
 
 
 def soak_drill() -> dict:
-    fed, monitor = cluster(SCALE, slo=True)
+    fed, events = cluster(SCALE)
     expected = serialize_sequence(
         fed.run(SHARDED_SCAN_QUERY, **BY_PROJECTION).items)
     cells: dict = {}
@@ -246,10 +237,8 @@ def soak_drill() -> dict:
         fed.transport.degrade_peer("node2", DEGRADE_S)
         cells["degrade_exact"] = exact(queries, 6, expected)
         cells["demoted"] = sorted({event.attrs["peer"] for event in
-                                   monitor.events.recent(
-                                       kind="health_demoted")})
+                                   events.recent(kind="health_demoted")})
         cells["degrade_failovers"] = total(fed, "scatter_failovers_total")
-        cells["degrade_alerts"] = monitor.events.count("alert_fired")
         # Hard churn: heal, then kill a healthy first choice and revive.
         fed.peer_view.mark_up("node1")
         fed.peer_view.mark_up("node3")
@@ -260,10 +249,8 @@ def soak_drill() -> dict:
         fed.transport.revive_peer("node1")
         cells["revived_exact"] = exact(queries, 4, expected)
         cells["failed"] = total(fed, "query_failed_total")
-    return {**cells, "alert_fired": monitor.events.count("alert_fired"),
-            "health_demoted": monitor.events.count("health_demoted"),
-            "profile_samples": monitor.profiler.samples,
-            "events": event_lines(monitor)}
+    return {**cells, "health_demoted": events.count("health_demoted"),
+            "events": event_lines(events)}
 
 
 def soak(reshard: bool) -> dict:
@@ -271,7 +258,7 @@ def soak(reshard: bool) -> dict:
     healthy scan."""
     queries = [(query, oracle(SCALE, query))
                for query in (SHARDED_SCAN_QUERY, COUNT_QUERY)]
-    fed, monitor = cluster(SCALE)
+    fed, events = cluster(SCALE)
     MembershipTracker().attach(fed)
     Reconciler().attach(fed)
     schedule = ChaosSchedule.generate(
@@ -285,7 +272,7 @@ def soak(reshard: bool) -> dict:
         "fault_events": len(schedule.events), "result_items": len(items),
         "wrong_steps": report.wrong_steps,
         "final_exact": serialize_sequence(items) == queries[0][1],
-        "schedule": schedule.describe(), "events": event_lines(monitor)}
+        "schedule": schedule.describe(), "events": event_lines(events)}
 
 
 def compute() -> dict:
@@ -298,11 +285,11 @@ def compute() -> dict:
 #: What each table shows of a drill (the file holds every cell).
 COLUMNS = {
     "chaos": ("ticks_to_eviction", "repairs_completed", "healed_failovers",
-              "alert_fired", "replica_evicted"),
+              "replica_evicted"),
     "rebalance": ("people_shards", "splits", "moves", "collected",
                   "drained_fragments", "result_items"),
     "soak": ("demoted", "degrade_failovers", "kill_failovers",
-             "alert_fired", "health_demoted"),
+             "health_demoted"),
     "chaos_soak": ("queries", "wrong_answers", "failovers", "evictions",
                    "repairs_completed", "steady_failovers", "p99_ms"),
     "reshard_soak": ("queries", "wrong_answers", "splits", "moves",

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python benchmarks/reach.py
+    python benchmarks/reach.py [--max-unreached N]
 
 Drives the six ledger workloads (``benchmarks/e2e/run.py --smoke
 --trace``), every ``examples/*.py``, the figure test
@@ -20,13 +20,16 @@ Then it parses ``src/repro`` and prints, per module and per package,
 the lines of functions none of those processes called, and the twenty
 largest such functions as ``lines  repro/<module>:<line> <name>``. A function's lines are its
 ``def`` span (decorators included) minus the spans of the functions
-nested in it, so every line is counted once. A diagnostic, not a gate:
-the exit code is 1 only when a driven program failed (its processes
-would under-report).
+nested in it, so every line is counted once. The exit code is 1 when a
+driven program failed (its processes would under-report) or, with
+``--max-unreached N``, when more than ``N`` lines are unreached: CI
+runs it as a ratchet at the current count: a change that leaves more
+code unreached fails until it raises N and says why.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
@@ -104,6 +107,11 @@ def function_lines(path: Path) -> dict[tuple[str, int], int]:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--max-unreached", type=int, default=None,
+                        metavar="N", help="fail when more than N function "
+                        "lines are unreached")
+    limit = parser.parse_args().max_unreached
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         hook_dir = Path(tmp) / "hook"
@@ -159,6 +167,10 @@ def main() -> int:
           f"({unreached / total:.0%})")
     for label in failed:
         print(f"FAILED: {label} (its reach is under-reported)")
+    if limit is not None and unreached > limit:
+        print(f"FAILED: {unreached} unreached lines, more than the "
+              f"{limit} allowed")
+        failed.append("--max-unreached")
     return 1 if failed else 0
 
 

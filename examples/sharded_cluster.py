@@ -3,7 +3,9 @@
 Shards the XMark pair over a 4-node fleet (4 shards per collection,
 replication factor 2), runs the Section VII benchmark query against
 the virtual hosts, shows the aggregate pushdown, then kills a data
-node and watches the router fail over to the surviving replicas.
+node and watches the router fail over to the surviving replicas. An
+event log and a health scorer are attached, each by one call, so the
+failovers are read back as events.
 
 Run:  PYTHONPATH=src python examples/sharded_cluster.py [scale]
 """
@@ -12,6 +14,7 @@ import os
 import sys
 
 from repro import Strategy
+from repro.obs import EventLog, HealthTracker
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, build_sharded_federation,
 )
@@ -24,11 +27,16 @@ def main(scale: float = SCALE) -> None:
           "(4 shards, replication 2) ...")
     federation = build_sharded_federation(scale, shard_count=4,
                                           replication_factor=2)
-    catalog = federation.catalog
-    for spec in catalog.collections():
+    events = EventLog().attach(federation)
+    HealthTracker().attach(federation)
+    topology = federation.peer_view.describe()
+    print(f"  catalog epoch {topology['epoch']}")
+    for name, collection in topology["collections"].items():
         placements = ", ".join(
-            f"s{s.index}->{'/'.join(s.replicas)}" for s in spec.shards)
-        print(f"  {spec.name}: {placements}")
+            f"s{shard['index']}->{'/'.join(shard['replicas'])}"
+            for shard in collection["shards"])
+        print(f"  {name} [{collection['partitioning']}, "
+              f"rf={collection['replication_factor']}]: {placements}")
 
     print("\nBenchmark query against the virtual hosts "
           "(doc(\"xrpc://people-c/...\")):")
@@ -59,6 +67,8 @@ def main(scale: float = SCALE) -> None:
     served = sorted({m.dest for m in run.messages})
     print(f"  still {len(run.items)} results, "
           f"{run.stats.failovers} failovers, served by {served}")
+    for event in events.recent(kind="failover"):
+        print(f"  event #{event.seq} [{event.severity}] {event.message}")
 
 
 if __name__ == "__main__":

@@ -135,8 +135,9 @@ class ClusterCatalog:
         self._epoch = 0
         self._collections: dict[str, CollectionSpec] = {}
         self._reasons: dict[str, str] = {}   # collection -> last reason
-        #: A :class:`~repro.obs.events.EventLog` installed by a fleet
-        #: monitor; every epoch bump emits into it when set.
+        #: The federation's :class:`~repro.obs.events.EventLog`, set
+        #: by ``EventLog.attach``; every epoch bump emits into it when
+        #: set.
         self.events = None
         #: The router's prepared scatters, one per (function body,
         #: collection layout) — see ``router._PreparedScatter``.
@@ -225,9 +226,9 @@ class ClusterCatalog:
     # -- introspection ------------------------------------------------------
 
     def describe(self) -> dict[str, object]:
-        """A JSON-able snapshot for examples, benchmarks, and the
-        operator console (through :meth:`PeerView.describe`, which adds
-        liveness): per-shard placements, plus each collection's
+        """A JSON-able snapshot (read through :meth:`PeerView.describe`,
+        which adds liveness; ``examples/sharded_cluster.py`` prints
+        it): per-shard placements, plus each collection's
         replication target and the reason of its last epoch-bumping
         mutation."""
         with self._lock:

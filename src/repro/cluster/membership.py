@@ -9,7 +9,7 @@ dead verdict and lifted by ``mark_up`` or a revival, each change one
 catalog epoch bump; the **draining** mark of a decommission; and the
 **demotion** the health scorer (:class:`~repro.obs.health.HealthTracker`)
 judges anew whenever the standing is read. The router, the reconciler,
-migration, placement and the console ask it and nothing else:
+migration and placement ask it and nothing else:
 :meth:`~PeerView.serves` (not down, not held dead or evicted — an
 operator's ``mark_up`` does not overrule a dead verdict),
 :meth:`~PeerView.accepts` a new replica (serves, held alive — not
@@ -268,16 +268,15 @@ class MembershipTracker:
     def attach(self, federation) -> "MembershipTracker":
         """Install on ``federation``: write into its peer view (whose
         :meth:`PeerView.record` then feeds this detector the router's
-        attempts), adopt its transport, the wire's clock, the monitor's
-        event log when one is attached and the metrics registry, and
+        attempts), adopt its transport, the wire's clock, its event
+        log when one is attached and the metrics registry, and
         watch every replica peer."""
         self.view = federation.peer_view
         self.view.detector = self
         self.transport = federation.transport
         self._failures = RollingWindowFamily(
             WIDTH_S, BUCKETS, federation.transport.clock, eps=None)
-        monitor = federation.monitor
-        self.events = monitor.events if monitor is not None else None
+        self.events = federation.events
         metrics = federation.metrics
         self._state_gauge = metrics.gauge(
             "membership_state",

@@ -60,7 +60,7 @@ from repro.cluster.rebalance import (
 )
 from repro.errors import NetworkError
 from repro.net.stats import RunStats
-from repro.obs.trace import Tracer, bind_stats_span, child_span, current_span
+from repro.obs.trace import bind_stats_span, child_span
 from repro.xmldb.parser import parse_document
 from repro.xmldb.serializer import serialize
 
@@ -98,7 +98,7 @@ class BoundaryPartitioner(Partitioner):
 class MigrationExecutor:
     """Runs migration plans with the copy/verify/cutover/retire
     protocol described in the module docstring, emitting into the
-    federation's monitor event log (when one is attached) and metrics
+    federation's event log (when one is attached) and metrics
     registry."""
 
     def __init__(self, federation):
@@ -107,8 +107,7 @@ class MigrationExecutor:
         if self.catalog is None:
             raise ClusterError("migration executor needs a catalog")
         self.view = federation.peer_view
-        monitor = federation.monitor
-        self.events = monitor.events if monitor is not None else None
+        self.events = federation.events
         self._lock = threading.Lock()
         #: Superseded fragments awaiting physical removal:
         #: ``(peer_name, local_name)`` pairs.
@@ -275,9 +274,8 @@ class MigrationExecutor:
 
     def _spanned(self, plan, attempt: int, attrs: dict, work):
         """Run ``work(stats) -> (result, bytes)`` inside the plan's
-        span — under the ambient trace when one exists, else under a
-        private tracer folded into the fleet monitor — reporting a
-        repair's start and any attempt's abort."""
+        span (when a trace is ambient), reporting a repair's start and
+        any attempt's abort."""
         source = attrs["source"]
         if plan.family == "repair" and self.events is not None:
             self.events.emit(
@@ -287,13 +285,8 @@ class MigrationExecutor:
                 severity="info", collection=plan.collection,
                 shard=plan.shard_index, source=source, dest=plan.target)
         stats = RunStats()
-        monitor = self.federation.monitor
-        tracer = (Tracer(self.federation.transport.clock)
-                  if current_span() is None and monitor is not None
-                  else None)
-        start = tracer.start if tracer is not None else child_span
         try:
-            with start(plan.span, op=plan.op, **attrs) as span, \
+            with child_span(plan.span, op=plan.op, **attrs) as span, \
                     bind_stats_span(stats, span):
                 result = work(stats)
                 if span is not None:
@@ -307,8 +300,6 @@ class MigrationExecutor:
             else:
                 self._emit_failed(plan, what, "warning", error=error)
             raise
-        if tracer is not None:
-            monitor.observe_trace(tracer.root)
         return result
 
     def _fetch_text(self, peer_name: str, local_name: str,

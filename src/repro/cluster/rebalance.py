@@ -224,14 +224,13 @@ class Reconciler:
 
     def attach(self, federation) -> "Reconciler":
         """Install on ``federation`` as ``federation.reconciler``: adopt
-        its catalog / peer view / monitor event log / metrics, own its
+        its catalog / peer view / event log / metrics, own its
         migration executor, and reconcile on every eviction its failure
         detector reports (when one is attached)."""
         from repro.cluster.migrate import MigrationExecutor
         self.catalog = federation.catalog
         self.view = federation.peer_view
-        monitor = federation.monitor
-        self.events = monitor.events if monitor is not None else None
+        self.events = federation.events
         self.metrics = federation.metrics
         self._m_plans = self.metrics.counter(
             "rebalance_plans_total", "migration plans emitted", ("op",))

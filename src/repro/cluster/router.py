@@ -401,10 +401,9 @@ class ClusterRouter:
         #: Which replicas may serve and in what order; every attempt's
         #: outcome goes back to it as evidence.
         self.view = federation.peer_view
-        # The fleet monitor's event log (None ⇒ disabled, zero extra
+        # The federation's event log (None ⇒ disabled, zero extra
         # work) records failovers and skips.
-        monitor = federation.monitor
-        self.events = monitor.events if monitor is not None else None
+        self.events = federation.events
 
     # -- replica selection --------------------------------------------------
 
@@ -631,7 +630,7 @@ class ClusterRouter:
 
     def emit(self, kind: str, spec: CollectionSpec, shard: ShardInfo,
               text: str, severity: str = "warning", **attrs) -> None:
-        """One ``kind`` event about ``shard``, when a monitor listens."""
+        """One ``kind`` event about ``shard``, when a log is attached."""
         if self.events is not None:
             self.events.emit(kind, f"shard {spec.name}#s{shard.index}{text}",
                              severity=severity, collection=spec.name,

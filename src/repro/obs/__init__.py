@@ -31,30 +31,21 @@ Figure 11   projection/serialisation overhead — the ``serialize``
             structural/value index work that replaced re-shredding.
 ==========  ==============================================================
 
-The paper's figures are steady-state aggregates; the *continuous*
-layer reads the same measurements over time:
+Two parts read the same measurements over time, each installed on
+a federation by one call, like the cluster's failure detector:
 
 ==============  ==========================================================
-over time       Figure 9's latency and the error rate as rolling
-                windows — ``FleetMonitor.latency`` p50/p95/p99 and
-                ``FleetMonitor.errors`` per window
-                (:class:`RollingWindow` + :class:`QuantileSketch`), fed
-                by every ``Federation.run`` at the seam that also folds
-                the run's ``RunStats`` into the registry.
+as events       the churn behind the numbers — failovers, epoch bumps,
+                cache invalidations, shard skips, health demotions — in
+                the typed :class:`EventLog`
+                (``EventLog().attach(federation)``; JSONL export,
+                instant markers on Chrome traces).
 per peer        Figure 8's "who is slow" as live health — windowed
                 mean/p95 latency and error rate per replica
-                (:class:`HealthTracker`), scored against the fleet
-                baseline; the demotions it judges live in the cluster's
-                peer view and order replica selection.
-as objectives   Figure 9's latency target as an :class:`SLO` with
-                multi-window burn-rate alerting (:class:`SLOMonitor`).
-as events       the churn behind the numbers — failovers, epoch bumps,
-                cache invalidations, shard skips — in the typed
-                :class:`EventLog` (JSONL export, instant markers on
-                Chrome traces).
-as profiles     Figure 8 folded across many queries: collapsed-stack
-                flamegraph output, sim- and wall-weighted
-                (:class:`Profiler`).
+                (:class:`HealthTracker`,
+                ``HealthTracker().attach(federation)``), scored against
+                the fleet baseline; the demotions it judges live in the
+                cluster's peer view and order replica selection.
 ==============  ==========================================================
 
 Modules:
@@ -75,14 +66,8 @@ Modules:
 * :mod:`repro.obs.windows` — rolling time-window aggregation, one
   sketch per time bucket;
 * :mod:`repro.obs.events` — the typed fleet event log;
-* :mod:`repro.obs.slo` — declarative SLOs with burn-rate alerting;
 * :mod:`repro.obs.health` — per-peer health scoring, judging the
-  demotions the cluster's peer view holds for replica selection;
-* :mod:`repro.obs.profile` — the collapsed-stack sampling profiler;
-* :mod:`repro.obs.fleet` — :class:`FleetMonitor`, the one-call wiring
-  of all of the above into a federation;
-* :mod:`repro.obs.console` — :func:`render_fleet`, the snapshot text
-  console.
+  demotions the cluster's peer view holds for replica selection.
 """
 
 from repro._exports import lazy_exports
@@ -94,12 +79,8 @@ __all__ = lazy_exports(globals(), {
     ".metrics": "GLOBAL_REGISTRY Counter Gauge Histogram MetricsRegistry "
                 "QuantileSketch global_registry",
     ".trace": "COMPONENTS NOOP_TRACER NoopTracer Span Tracer "
-              "bind_stats_span child_span current_span",
+              "bind_stats_span child_span",
     ".events": "Event EventLog",
     ".windows": "RollingWindow RollingWindowFamily",
-    ".slo": "SLO AlertState BurnRatePolicy SLOMonitor",
     ".health": "HealthTracker PeerHealth",
-    ".profile": "Profiler collapse_spans",
-    ".fleet": "FleetMonitor",
-    ".console": "render_fleet",
 })

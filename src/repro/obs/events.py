@@ -3,13 +3,14 @@
 Metrics say *how much*; events say *what happened and when*. The
 runtime emits one :class:`Event` per operationally interesting
 transition — a failover, a peer kill/recover, a catalog epoch bump, a
-cached response a store outdated, a shard skipped by a probe, a query over the
-slow threshold, an SLO alert firing or resolving — into one
-:class:`EventLog` owned by the fleet monitor. The log is a bounded
+cached response a store outdated, a shard skipped by a probe, a health
+demotion — into the one :class:`EventLog` that
+``EventLog().attach(federation)`` installs as ``federation.events``
+(None until then: nothing is logged). The log is a bounded
 deque (old events fall off; cumulative per-kind counts survive
 eviction), exports JSONL for CI artifacts, and timestamps every event
-twice off its one clock: ``wall()`` (calendar seconds, for humans
-reading the JSONL) and the monotonic reading spans use (so
+twice off the federation's wire clock: ``wall()`` (calendar seconds,
+for humans reading the JSONL) and the monotonic reading spans use (so
 :func:`repro.obs.export.chrome_trace_events` can place events on the
 span timeline as instant markers) — both virtual on a ``VirtualClock``.
 
@@ -33,11 +34,8 @@ kind                             emitted by
                                  store outdated (one per entry, naming the
                                  stored peer)
 ``shard_skip``                   router skipped a shard on a value-index probe
-``slow_query``                   monitor: wall time over the slow threshold
 ``health_demoted``               health scorer: score fell below demote
 ``health_restored``              health scorer: score recovered past restore
-``alert_fired``                  SLO burn-rate rule breached (once per breach)
-``alert_resolved``               burn rate fell back under the resolve ratio
 ``membership_suspect``           failure detector: replica entered *suspect*
 ``membership_dead``              failure detector: replica declared *dead*
 ``membership_alive``             failure detector: replica revived / rejoined
@@ -106,10 +104,8 @@ class EventLog:
     """Thread-safe bounded ring of :class:`Event`.
 
     :data:`CAPACITY` bounds memory: the ring keeps the newest events,
-    and :meth:`counts` keeps cumulative per-kind totals that survive
-    eviction (the soak test's "alert fired exactly once" is asserted
-    against the totals, not the ring). ``clock`` supplies both
-    timestamps.
+    and :meth:`count` reads cumulative per-kind totals that survive
+    eviction. ``clock`` supplies both timestamps.
     """
 
     def __init__(self, clock: Clock = REAL_CLOCK):
@@ -118,6 +114,19 @@ class EventLog:
         self._counts: dict[str, int] = {}
         self._seq = itertools.count()
         self._lock = threading.Lock()
+
+    def attach(self, federation) -> "EventLog":
+        """Install as ``federation.events``: the federation's wire and
+        catalog emit here, on the wire's clock, and so does what reads
+        ``federation.events`` once attached after this (the engine's
+        cache, the router, the cluster's control plane, the health
+        scorer). ``Federation.transport``'s setter keeps the log on a
+        swapped wire."""
+        federation.events = federation.transport.events = self
+        self.clock = federation.transport.clock
+        if federation.catalog is not None:
+            federation.catalog.events = self
+        return self
 
     def emit(self, kind: str, message: str, severity: str = "info",
              **attrs) -> Event:
@@ -145,12 +154,8 @@ class EventLog:
             events = events[-n:]
         return events
 
-    def counts(self) -> dict[str, int]:
-        """Cumulative emissions per kind (survives ring eviction)."""
-        with self._lock:
-            return dict(self._counts)
-
     def count(self, kind: str) -> int:
+        """Cumulative emissions of ``kind`` (survives ring eviction)."""
         with self._lock:
             return self._counts.get(kind, 0)
 

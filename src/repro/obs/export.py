@@ -25,7 +25,7 @@ Fleet events ride along: pass an iterable of
 :class:`~repro.obs.events.EventLog`) to :func:`chrome_trace_events` /
 :func:`dump_chrome_trace` and each entry becomes an instant
 (``"ph": "i"``) marker on the timeline — failovers, epoch bumps and
-alerts visible next to the spans they interrupted. Events share the
+demotions visible next to the spans they interrupted. Events share the
 spans' ``perf_counter`` clock, so placement is exact; entries outside
 the root span's window are clamped to its edges (a marker slightly
 off-screen beats a marker silently dropped).

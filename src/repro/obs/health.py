@@ -37,8 +37,8 @@ from repro.obs.windows import RollingWindowFamily
 
 __all__ = ["PeerHealth", "HealthTracker"]
 
-#: The rolling windows' shape (the fleet monitor's query windows share
-#: it): ``BUCKETS`` buckets of ``WIDTH_S`` seconds.
+#: The rolling windows' shape (the failure detector's share it):
+#: ``BUCKETS`` buckets of ``WIDTH_S`` seconds.
 WIDTH_S = 1.0
 BUCKETS = 60
 #: A mean latency within this multiple of the fleet baseline costs a
@@ -64,9 +64,6 @@ class PeerHealth:
         self.error_rate, self.mean_latency_s = error_rate, mean_latency_s
         self.p95_latency_s = p95_latency_s
 
-    def snapshot(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
 
 class HealthTracker:
     """Scores peers from windowed latency/error observations.
@@ -79,9 +76,24 @@ class HealthTracker:
 
     def __init__(self, events: EventLog | None = None, clock=REAL_CLOCK):
         self.events = events
-        self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, clock)
-        self._errors = RollingWindowFamily(WIDTH_S, BUCKETS, clock,
+        self.clock = clock
+        self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, self._now)
+        self._errors = RollingWindowFamily(WIDTH_S, BUCKETS, self._now,
                                            eps=None)
+
+    def _now(self) -> float:
+        return self.clock()
+
+    def attach(self, federation) -> "HealthTracker":
+        """Install as the scorer of ``federation``'s peer view, which
+        then feeds it every router attempt and asks it to judge each
+        replica it ranks. Verdicts emit into ``federation.events`` (so
+        attach the log first), and the windows run on the wire's clock,
+        a swapped wire's included."""
+        self.events = federation.events
+        self.clock = lambda: federation.transport.clock()
+        federation.peer_view.health = self
+        return self
 
     # -- ingest ---------------------------------------------------------------
 
@@ -167,9 +179,3 @@ class HealthTracker:
                     severity="info", peer=peer, score=state.score)
             return True
         return healthy
-
-    def peers(self) -> list[str]:
-        return self._latency.names()
-
-    def snapshot(self) -> list[dict]:
-        return [self.health(peer).snapshot() for peer in self.peers()]

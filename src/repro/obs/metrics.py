@@ -7,8 +7,8 @@ transport kept private wire/in-flight dicts, the result cache its own
 registers typed series in a :class:`MetricsRegistry` (the federation
 owns one; module-level code like the index builders uses the
 process-global registry) and every consumer — benchmarks, tests,
-the fleet monitor — reads the same ``snapshot()`` / ``render_text()``
-export. What one query did is counted in its
+the cluster's control plane — reads the same ``snapshot()`` /
+``render_text()`` export. What one query did is counted in its
 :class:`~repro.net.stats.RunStats`; the ``query_*`` and ``scatter_*``
 series are folded from each finished run at the end of
 ``Federation.run``.

@@ -53,11 +53,6 @@ _current_span: ContextVar["Span | None"] = ContextVar(
     "repro_obs_current_span", default=None)
 
 
-def current_span() -> "Span | None":
-    """The span the calling context is inside of (None ⇒ tracing off)."""
-    return _current_span.get()
-
-
 class Span:
     """One node of the trace tree.
 

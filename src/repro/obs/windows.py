@@ -14,7 +14,7 @@ composable into per-window percentiles):
   ``width_s`` seconds wide on the supplied ``clock`` (real time by
   default; tests and drills pass a ``VirtualClock``). Observations
   land in the current bucket; reads merge the most recent buckets into
-  windowed ``count`` / ``sum`` / ``mean`` / ``rate`` / ``quantile``.
+  windowed ``count`` / ``sum`` / ``mean`` / ``quantile``.
   Rotation is lazy (no timer thread): every observe/read advances the
   ring to the clock's current period, clearing buckets whose time has
   passed. A clock that jumps backwards (skew) never clears data —
@@ -64,11 +64,8 @@ class RollingWindow:
     """A ring of ``buckets`` time buckets, ``width_s`` seconds each.
 
     ``observe(value)`` lands in the bucket covering ``clock()``'s
-    current period; reads merge the most recent buckets. Pass
-    ``window_s`` to any read to restrict it to the last
-    ``ceil(window_s / width_s)`` buckets (capped at the ring size) —
-    one window therefore serves both the burn-rate rule's long and
-    short horizons. ``eps=None`` disables the per-bucket quantile
+    current period; reads merge the buckets still in the window.
+    ``eps=None`` disables the per-bucket quantile
     sketch for count/sum-only windows (error counters).
     """
 
@@ -84,7 +81,6 @@ class RollingWindow:
         self.eps = eps
         self._ring = [_Bucket(eps) for _ in range(buckets)]
         self._period: int | None = None       # newest period seen
-        self._first_period: int | None = None  # first observation ever
         self._lock = threading.Lock()
 
     # -- rotation -------------------------------------------------------------
@@ -97,7 +93,6 @@ class RollingWindow:
         period = math.floor(now / self.width_s)
         if self._period is None:
             self._period = period
-            self._first_period = period
             return
         steps = period - self._period
         if steps <= 0:
@@ -120,76 +115,38 @@ class RollingWindow:
 
     # -- reads ----------------------------------------------------------------
 
-    def _recent(self, window_s: float | None) -> list[_Bucket]:
-        """The most recent buckets covering ``window_s`` (whole ring
-        when None), newest first. Caller holds the lock."""
+    def _recent(self) -> list[_Bucket]:
+        """The ring's buckets, rolled to now (stale ones cleared).
+        Caller holds the lock."""
         self._roll(self.clock())
-        if self._period is None:
-            return []
-        if window_s is None:
-            span = self.buckets
-        else:
-            span = min(self.buckets, max(1, math.ceil(window_s
-                                                      / self.width_s)))
-        return [self._ring[(self._period - offset) % self.buckets]
-                for offset in range(span)]
+        return self._ring
 
-    def count(self, window_s: float | None = None) -> int:
+    def count(self) -> int:
         with self._lock:
-            return sum(bucket.count for bucket in self._recent(window_s))
+            return sum(bucket.count for bucket in self._recent())
 
-    def sum(self, window_s: float | None = None) -> float:
+    def sum(self) -> float:
         with self._lock:
-            return math.fsum(bucket.sum
-                             for bucket in self._recent(window_s))
+            return math.fsum(bucket.sum for bucket in self._recent())
 
-    def mean(self, window_s: float | None = None) -> float:
+    def mean(self) -> float:
         with self._lock:
-            recent = self._recent(window_s)
+            recent = self._recent()
             count = sum(bucket.count for bucket in recent)
             total = math.fsum(bucket.sum for bucket in recent)
         return total / count if count else 0.0
 
-    def covered_s(self, window_s: float | None = None) -> float:
-        """The seconds the windowed read actually covers: the requested
-        span, shortened when the window has existed for less (so early
-        ``rate()`` reads do not under-report)."""
-        with self._lock:
-            recent = self._recent(window_s)
-            if self._period is None or self._first_period is None:
-                return 0.0
-            lived = (self._period - self._first_period + 1) * self.width_s
-        return min(len(recent) * self.width_s, lived)
-
-    def rate(self, window_s: float | None = None) -> float:
-        """Observations per second over the window."""
-        covered = self.covered_s(window_s)
-        return self.count(window_s) / covered if covered > 0 else 0.0
-
-    def quantile(self, q: float, window_s: float | None = None) -> float:
+    def quantile(self, q: float) -> float:
         """Windowed percentile (0-100) from the merged bucket sketches;
         raises if the window was built with ``eps=None``."""
         if self.eps is None:
             raise ValueError("window has no quantile sketch (eps=None)")
         merged = QuantileSketch(self.eps)
         with self._lock:
-            for bucket in self._recent(window_s):
+            for bucket in self._recent():
                 if bucket.sketch is not None and bucket.sketch.count:
                     merged.merge(bucket.sketch)
         return merged.quantile(q)
-
-    def snapshot(self, window_s: float | None = None) -> dict[str, float]:
-        """The windowed readout in one dict (console / JSON export)."""
-        out: dict[str, float] = {
-            "count": self.count(window_s),
-            "sum": self.sum(window_s),
-            "mean": self.mean(window_s),
-            "rate": self.rate(window_s),
-        }
-        if self.eps is not None:
-            for q in (50, 95, 99):
-                out[f"p{q}"] = self.quantile(q, window_s)
-        return out
 
 
 class RollingWindowFamily:

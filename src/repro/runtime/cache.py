@@ -244,7 +244,7 @@ class ResultCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: A :class:`~repro.obs.events.EventLog`; each outdated entry
         #: a lookup drops emits into it when set (the engine wires the
-        #: federation monitor's log through here).
+        #: federation's log through here).
         self.events = events
         self._hits = self.metrics.counter(
             "cache_hits_total", "result-cache lookups served")

@@ -79,12 +79,9 @@ class FederationEngine:
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
             # the federation's registry, next to the wire_* truth, and
-            # its invalidations into an attached fleet monitor's event
-            # log.
-            monitor = federation.monitor
+            # its invalidations into the federation's event log.
             self.cache: ResultCache | None = ResultCache(
-                metrics=federation.metrics,
-                events=monitor.events if monitor is not None else None)
+                metrics=federation.metrics, events=federation.events)
         elif cache is False:
             self.cache = None
         else:
@@ -162,12 +159,6 @@ class FederationEngine:
                  run_kwargs: dict) -> "RunResult":
         clock = self.federation.transport.clock
         started = clock()
-        monitor = self.federation.monitor
-        if (monitor is not None and "trace" not in run_kwargs
-                and monitor.should_sample_trace()):
-            # The fleet monitor's sampling profiler: trace every Nth
-            # query; an explicit trace= from the caller always wins.
-            run_kwargs = {**run_kwargs, "trace": True}
         try:
             return self.federation.run(
                 query, at=at, strategy=strategy,

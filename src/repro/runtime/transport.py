@@ -77,8 +77,8 @@ class Transport:
         #: Extra latency injected per transmission to a peer
         #: (:meth:`degrade_peer` — the "degrading, not dead" drill).
         self._slow: dict[str, float] = {}
-        #: The attached fleet monitor's event log (the federation
-        #: installs it); peer lifecycle transitions emit into it.
+        #: The federation's event log (``EventLog.attach`` installs
+        #: it); peer lifecycle transitions emit into it.
         self.events = None
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._wire_messages = self.metrics.counter(

@@ -200,11 +200,10 @@ class Federation:
         #: What the cluster believes about each peer — the one answer
         #: to "can this peer serve?" (:mod:`repro.cluster.membership`).
         self.peer_view = PeerView(catalog)
-        #: The attached :class:`~repro.obs.fleet.FleetMonitor` (set by
-        #: ``monitor.attach(federation)``; None ⇒ continuous
-        #: observability off, at the cost of one attribute check per
-        #: query).
-        self.monitor = None
+        #: The :class:`~repro.obs.events.EventLog` the wire, the catalog
+        #: and the cluster's control plane emit into (set by
+        #: ``EventLog().attach(federation)``; None ⇒ nothing is logged).
+        self.events = None
         self.transport = (transport if transport is not None
                           else Transport(self.cost_model,
                                          metrics=self.metrics))
@@ -218,14 +217,15 @@ class Federation:
     @property
     def transport(self) -> Transport:
         """The one wire of this federation and the keeper of its clock.
-        Assignable: the attached monitor follows the installed wire."""
+        Assignable: the attached event log follows the installed wire
+        and runs on its clock."""
         return self._transport
 
     @transport.setter
     def transport(self, wire: Transport) -> None:
         self._transport = wire
-        if self.monitor is not None:
-            self.monitor.wire(wire)
+        if self.events is not None:
+            wire.events, self.events.clock = self.events, wire.clock
 
     def add_peer(self, name: str) -> Peer:
         if name in self.peers:
@@ -271,10 +271,10 @@ class Federation:
         resolved as sharded collections (scatter-gather) instead of
         peers from now on."""
         self.catalog = self.peer_view.catalog = catalog
-        if self.monitor is not None and catalog.events is None:
-            # A monitor attached before the catalog existed still gets
-            # the catalog's epoch-bump events.
-            catalog.events = self.monitor.events
+        if self.events is not None and catalog.events is None:
+            # A log attached before the catalog existed still gets the
+            # catalog's epoch-bump events.
+            catalog.events = self.events
         return catalog
 
     def collection(self, host: str) -> CollectionSpec | None:
@@ -342,11 +342,6 @@ class Federation:
         finally:
             self._account(run.stats if run is not None else None,
                           clock() - started, ok)
-        # The root span closed when the context exited; only a closed
-        # tree folds into stable profiler stacks.
-        if (self.monitor is not None and tracer is not None
-                and tracer.root is not None):
-            self.monitor.observe_trace(tracer.root)
         return result
 
     @cached_property
@@ -358,10 +353,8 @@ class Federation:
         """The one seam between a finished run — completed or failed,
         in parsing and planning too (then ``stats`` is None) — and
         everything counted across runs: the registry's ``query_*`` /
-        ``scatter_*`` series and the attached fleet monitor."""
+        ``scatter_*`` series."""
         self._series.fold(stats, seconds, ok)
-        if self.monitor is not None:
-            self.monitor.record_query(seconds, ok=ok)
 
     def _execute(self, run: "_Run", report: PlanReport) -> RunResult:
         """Evaluate a planned run, then hand the plan's report its

@@ -8,6 +8,7 @@ import pytest
 from repro.cluster import ClusterCatalog, create_sharded_collection
 from repro.cluster.router import (ClusterRouter, ScatterOutcome,
                                   serving_replicas)
+from repro.obs import EventLog, HealthTracker
 from repro.runtime import Transport, VirtualClock
 from repro.system.federation import Federation
 from repro.xmldb.parser import parse_document
@@ -45,6 +46,14 @@ def cover_order(cluster, shard) -> list[str]:
         [(peer, _outcomes)] = router._cover([outcome], order)
         order.append(peer)
     return order
+
+
+def observe(cluster: Federation) -> EventLog:
+    """Attach an event log and a health scorer to ``cluster``, as the
+    drills do; returns the log."""
+    events = EventLog().attach(cluster)
+    HealthTracker().attach(cluster)
+    return events
 
 
 def library_document(uri: str = "xrpc://books-c/books.xml"):

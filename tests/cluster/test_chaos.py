@@ -17,11 +17,10 @@ from tests.cluster.chaos_harness import (
 from repro.cluster.membership import MembershipTracker
 from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
-from repro.obs import FleetMonitor
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (
-    make_cluster, make_single_owner, virtual_wire,
+    make_cluster, make_single_owner, observe, virtual_wire,
 )
 
 NODES = ["node1", "node2", "node3", "node4"]
@@ -169,7 +168,7 @@ def test_harness_replay_identical_reports(tmp_path):
 
     def run(log_name: str) -> tuple[ChaosReport, bytes]:
         cluster = make_cluster(transport=virtual_wire())
-        monitor = FleetMonitor().attach(cluster)
+        events = observe(cluster)
         MembershipTracker().attach(cluster)
         Reconciler().attach(cluster)
         schedule = ChaosSchedule.generate(random.Random(7), NODES,
@@ -177,7 +176,7 @@ def test_harness_replay_identical_reports(tmp_path):
         assert {"kill", "degrade"} <= {e.action for e in schedule.events}
         report = ChaosHarness(cluster, schedule, queries=queries,
                               strategy=Strategy.BY_PROJECTION).run()
-        monitor.events.export_jsonl(tmp_path / log_name)
+        events.export_jsonl(tmp_path / log_name)
         return report, (tmp_path / log_name).read_bytes()
 
     (first, first_log), (second, second_log) = run("a"), run("b")
@@ -204,14 +203,14 @@ def test_failover_events_match_stats():
     """Every failover counted in the stats is also an emitted event —
     the dashboards and the return value must never disagree."""
     cluster = make_cluster()
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     cluster.transport.kill_peer("node1")    # a peer of the first cover
     result = cluster.run(SCAN, at="local",
                          strategy=Strategy.BY_PROJECTION)
     [(query, expected)] = oracle_queries()[:1]
     assert serialize_sequence(result.items) == expected
     assert result.stats.failovers >= 1
-    assert monitor.events.count("failover") == result.stats.failovers
+    assert events.count("failover") == result.stats.failovers
 
 
 class TestPercentile:

@@ -5,9 +5,8 @@ from repro.cluster.membership import (
     ALIVE, DEAD, EVICTED, PHI_CEILING, SUSPECT, SUSPECT_PHI,
     MembershipTracker,
 )
-from repro.obs import FleetMonitor
 
-from tests.cluster.conftest import make_cluster
+from tests.cluster.conftest import make_cluster, observe
 
 
 def make_tracker(cluster):
@@ -173,14 +172,14 @@ def test_subscribers_see_transitions_in_order():
 
 def test_events_and_metrics_emitted():
     cluster = make_cluster()
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     tracker = make_tracker(cluster)
     cluster.transport.kill_peer("node1")
     for _ in range(6):
         tracker.tick()
-    assert monitor.events.count("membership_suspect") == 1
-    assert monitor.events.count("membership_dead") == 1
-    assert monitor.events.count("replica_evicted") == 1
+    assert events.count("membership_suspect") == 1
+    assert events.count("membership_dead") == 1
+    assert events.count("replica_evicted") == 1
     snapshot = cluster.metrics.snapshot()
     assert snapshot["membership_state"]["node1"] == 3      # evicted
     assert snapshot["membership_probes_total"]["fail"] >= 4

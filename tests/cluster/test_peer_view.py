@@ -25,12 +25,11 @@ from repro.cluster import (
 from repro.cluster.membership import ALIVE, DEAD, EVICTED, SUSPECT
 from repro.decompose import Strategy
 from repro.errors import NetworkError
-from repro.obs import FleetMonitor
 
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import (
     LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, cover_order,
-    library_document, make_cluster, virtual_wire,
+    library_document, make_cluster, observe, virtual_wire,
 )
 from tests.conftest import fuzz_settings
 from tests.oracle.liveness_reference import LivenessReference
@@ -41,13 +40,14 @@ SCAN = ('doc("xrpc://books-c/books.xml")'
 
 
 def wired_cluster():
-    """A virtual-wire cluster with the fleet monitor and the detector
-    attached, and the oracle listening to its event log (it replays
-    after every step, far fewer events than the log's ring keeps)."""
+    """A virtual-wire cluster with an event log, the health scorer and
+    the detector attached, and the oracle listening to its event log
+    (it replays after every step, far fewer events than the log's ring
+    keeps)."""
     cluster = make_cluster(transport=virtual_wire())
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     MembershipTracker().attach(cluster)
-    return cluster, LivenessReference(monitor.events)
+    return cluster, LivenessReference(events)
 
 
 def assert_view_matches(cluster, oracle: LivenessReference) -> None:
@@ -237,7 +237,7 @@ def test_concurrent_reads_demote_once():
     under its lock, so a degraded peer is demoted by exactly one of
     them (one event), never once per thread."""
     cluster = make_cluster(transport=virtual_wire())
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     view = cluster.peer_view
     for _ in range(5):
         view.record("node1", 0.001, True)
@@ -261,4 +261,4 @@ def test_concurrent_reads_demote_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not view.healthy("node2")
-    assert monitor.events.count("health_demoted") == 1
+    assert events.count("health_demoted") == 1

@@ -13,15 +13,13 @@ from repro.cluster import (
 )
 from repro.cluster.membership import EVICTED, MembershipTracker
 from repro.decompose import Strategy
-from repro.obs import FleetMonitor
-from repro.obs.console import render_fleet
 from repro.xquery.xdm import serialize_sequence
 
 from tests.conftest import fuzz_settings
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
 from tests.cluster.conftest import (
     LIBRARY_CONTAINER, LIBRARY_MEMBER, NODES, library_document,
-    make_cluster, make_single_owner, virtual_wire,
+    make_cluster, make_single_owner, observe, virtual_wire,
 )
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
@@ -47,7 +45,7 @@ def run_scan(cluster, query=SCAN):
 
 
 def attach_reconciler(cluster) -> Reconciler:
-    FleetMonitor().attach(cluster)
+    observe(cluster)
     MembershipTracker().attach(cluster)
     return Reconciler().attach(cluster)
 
@@ -264,24 +262,36 @@ def test_describe_reports_live_counts_and_reason():
     assert snap["collections"]["books-c"]["last_reason"] == "rebalance"
 
 
-def test_console_renders_topology():
+def test_describe_reports_layout_and_drains():
     cluster = make_cluster()
-    monitor = FleetMonitor().attach(cluster)
-    text = render_fleet(monitor)
-    assert "topology" in text
-    assert "books-c [range] rf=2" in text
-    assert "books.xml#s0" in text
-    cluster.peer_view.mark_down("node1")
     cluster.peer_view.drain("node4")
-    text = render_fleet(monitor)
-    assert "UNDER-REPLICATED" in text
-    assert "draining node4" in text
+    snap = cluster.peer_view.describe()
+    coll = snap["collections"]["books-c"]
+    assert coll["partitioning"] == "range"
+    assert coll["shards"][0]["local_name"] == "books.xml#s0"
+    assert snap["draining"] == ["node4"]
 
 
-def test_console_without_federation_still_renders():
+def test_describe_follows_an_eviction_and_its_repair():
+    """The snapshot ``examples/sharded_cluster.py`` prints after a kill:
+    the evicted peer is down and holds no placement, and every shard is
+    back to its replication factor with all replicas live."""
     cluster = make_cluster()
-    monitor = FleetMonitor()     # never attached: no federation
-    assert "topology" not in render_fleet(monitor)
+    attach_reconciler(cluster)
+    epoch = cluster.peer_view.describe()["epoch"]
+    cluster.transport.kill_peer("node1")
+    for _ in range(6):
+        cluster.peer_view.detector.tick()
+    snap = cluster.peer_view.describe()
+    assert snap["epoch"] > epoch
+    assert snap["down"] == ["node1"]
+    coll = snap["collections"]["books-c"]
+    assert coll["last_reason"] == "repair"
+    for shard in coll["shards"]:
+        assert "node1" not in shard["replicas"]
+        assert shard["live"] == shard["replicas"]
+        assert len(shard["live"]) == coll["replication_factor"]
+    assert sum(shard["members"] for shard in coll["shards"]) == 10
 
 
 # -- heat metrics ------------------------------------------------------------
@@ -325,7 +335,7 @@ def resharding_drill(log_path):
     """One seeded chaos-with-resharding run on the virtual wire."""
     cluster = make_cluster(shard_count=2, transport=virtual_wire())
     nodes = ["node1", "node2", "node3", "node4"]
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     membership = MembershipTracker().attach(cluster)
     membership.watch(*nodes)
     reconciler = Reconciler().attach(cluster)
@@ -337,7 +347,7 @@ def resharding_drill(log_path):
                            queries=[(SCAN, expected())],
                            strategy=Strategy.BY_PROJECTION)
     report = harness.run()
-    monitor.events.export_jsonl(log_path)
+    events.export_jsonl(log_path)
     return cluster, reconciler, report
 
 

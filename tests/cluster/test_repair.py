@@ -7,11 +7,10 @@ from repro.cluster.membership import EVICTED, MembershipTracker
 from repro.cluster.migrate import MAX_ATTEMPTS
 from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
-from repro.obs import FleetMonitor
 from repro.system.federation import Federation
 from repro.xquery.xdm import serialize_sequence
 
-from tests.cluster.conftest import make_cluster, make_single_owner
+from tests.cluster.conftest import make_cluster, make_single_owner, observe
 
 SCAN = ('doc("xrpc://books-c/books.xml")'
         "/child::library/child::books/child::book/child::title")
@@ -106,7 +105,7 @@ def test_source_death_mid_copy_fails_then_heals_from_the_other_replica():
     dead source is evicted too, the next reconcile heals the shard from
     the replica left."""
     cluster = make_cluster(replication_factor=3)
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     tracker = MembershipTracker().attach(cluster)
     reconciler = Reconciler().attach(cluster)
     shard0 = cluster.catalog.get("books-c").shards[0]
@@ -118,7 +117,7 @@ def test_source_death_mid_copy_fails_then_heals_from_the_other_replica():
     assert cluster.catalog.get("books-c").shards[0].replicas \
         == ("node2", "node3")
     assert reconciler.stats()["repairs_failed"] >= 1
-    aborted = monitor.events.recent(kind="repair_failed")
+    aborted = events.recent(kind="repair_failed")
     assert [e.severity for e in aborted[:MAX_ATTEMPTS + 1]] \
         == ["warning"] * MAX_ATTEMPTS + ["error"]
     assert aborted[0].message == (
@@ -137,37 +136,35 @@ def test_source_death_mid_copy_fails_then_heals_from_the_other_replica():
 
 def test_no_healthy_target_fails_loudly():
     cluster = make_cluster(nodes=["node1", "node2"])
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     tracker = MembershipTracker().attach(cluster)
     reconciler = Reconciler().attach(cluster)
     cluster.peer_view.mark_down("local")            # only spare target
     evict(cluster, tracker, "node1")
     assert reconciler.reconcile() > 0
     assert reconciler.stats()["repairs_failed"] > 0
-    assert monitor.events.recent(kind="repair_failed")[-1].attrs[
+    assert events.recent(kind="repair_failed")[-1].attrs[
         "reason"] == "no healthy target peer"
 
 
 def test_repair_events_and_metrics():
     cluster = make_cluster()
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     tracker = MembershipTracker().attach(cluster)
     Reconciler().attach(cluster)
     evict(cluster, tracker, "node1")
-    assert monitor.events.count("repair_started") == 2
-    assert monitor.events.count("repair_completed") == 2
+    assert events.count("repair_started") == 2
+    assert events.count("repair_completed") == 2
     snapshot = cluster.metrics.snapshot()
     assert snapshot["repair_completed_total"]["books-c"] == 2
     assert snapshot["repair_bytes_total"]["books-c"] > 0
-    # Repair traffic shows up in the profiler like any other work.
-    assert "repair" in monitor.profiler.folded("wall")
     # The executor moves the bytes, but a repair keeps its own
     # vocabulary — no rebalance_* twin, one `repair` epoch bump per
     # copy — and counts each fragment once, not its verify read-back.
-    assert not [kind for kind in monitor.events.counts()
-                if kind.startswith("rebalance_")]
+    assert not [event for event in events.recent()
+                if event.kind.startswith("rebalance_")]
     assert snapshot["rebalance_migrations_total"] == {}
-    bumps = [e for e in monitor.events.recent(kind="epoch_bump")
+    bumps = [e for e in events.recent(kind="epoch_bump")
              if e.attrs["reason"] == "repair"]
     assert len(bumps) == 2
     spec = cluster.catalog.get("books-c")
@@ -177,7 +174,7 @@ def test_repair_events_and_metrics():
         for shard in spec.shards if shard.index in (0, 3))
     assert snapshot["repair_bytes_total"]["books-c"] == fragments
     assert sum(e.attrs["bytes"] for e in
-               monitor.events.recent(kind="repair_completed")) == fragments
+               events.recent(kind="repair_completed")) == fragments
 
 
 def test_attach_without_a_catalog_fails_loudly():

@@ -9,13 +9,12 @@ from repro.cluster import ClusterError, ShardUnavailableError
 from repro.cluster.router import ClusterRouter
 from repro.decompose import Strategy
 from repro.errors import NetworkError, PeerUnavailableError
-from repro.obs import FleetMonitor
 from repro.runtime import FederationEngine, PeerDownError
 from repro.workloads import build_sharded_federation
 from repro.xquery.xdm import serialize_sequence
 
 from tests.cluster.conftest import (make_cluster, make_single_owner,
-                                   virtual_wire)
+                                   observe, virtual_wire)
 from tests.cluster.test_fanout import NESTED
 from tests.obs.test_accounting import recorded_runs
 from tests.oracle.accounting_reference import registry_series
@@ -213,16 +212,16 @@ def test_a_dark_shard_emits_one_failover_per_move():
     ``failover`` event per shard moved, naming the replica that failed
     and the one tried next."""
     cluster = make_cluster()
-    monitor = FleetMonitor().attach(cluster)
+    events = observe(cluster)
     cluster.transport.kill_peer("node2")
     cluster.transport.kill_peer("node3")
     with pytest.raises(ShardUnavailableError):
         cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
     moves = sorted((event.attrs["shard"], event.attrs["replica"],
                     event.attrs["next"])
-                   for event in monitor.events.recent(kind="failover"))
+                   for event in events.recent(kind="failover"))
     assert moves == [(1, "node3", "node2"), (2, "node3", "node4")]
-    assert monitor.events.count("peer_down") == 2
+    assert events.count("peer_down") == 2
 
 
 def test_a_dark_shard_fails_every_concurrent_query():

@@ -54,8 +54,6 @@ def test_chaos_drill(drills):
         "degrade-phase answers match": cells["degrade_exact"],
         "a degraded (not dead) peer is still judged alive":
             cells["degraded_state"] == "alive",
-        "the burn-rate alert fires exactly once while degraded":
-            cells["degrade_alerts"] == 1,
         "the killed peer is evicted": cells["killed_state"] == "evicted",
         "eviction bumps the catalog epoch": cells["eviction_epochs"] > 0,
         "repair restores target replication": cells["repair_converged"],
@@ -70,7 +68,6 @@ def test_chaos_drill(drills):
         "membership re-converges": cells["converged"],
         "post-revive answers match": cells["revived_exact"],
         "no query fails": cells["failed"] == 0,
-        "the burn-rate alert does not flap": cells["alert_fired"] == 1,
         "exactly one eviction event": cells["replica_evicted"] == 1,
         "one repair_completed event per repaired fragment":
             cells["repair_completed"] == cells["lost_fragments"],
@@ -129,15 +126,11 @@ def test_soak_drill(drills):
         "the degraded replica is demoted": "node2" in cells["demoted"],
         "no failover before health demotion could act":
             cells["degrade_failovers"] == 0,
-        "the burn-rate alert fires exactly once while degraded":
-            cells["degrade_alerts"] == 1,
         "kill-phase answers correct": cells["kill_exact"],
         "the dead replica registers failovers":
             cells["kill_failovers"] >= 1,
         "recovery-phase answers correct": cells["revived_exact"],
         "no query fails": cells["failed"] == 0,
-        "the burn-rate alert does not flap": cells["alert_fired"] == 1,
-        "the profiler sampled traces": cells["profile_samples"] >= 1,
     })
 
 

@@ -20,7 +20,6 @@ from repro.cluster.membership import MembershipTracker
 from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.errors import XQuerySyntaxError
-from repro.obs import FleetMonitor
 from repro.runtime import FederationEngine
 from repro.workloads import (
     SHARDED_BENCHMARK_QUERY, SHARDED_SCAN_QUERY, build_sharded_federation,
@@ -28,7 +27,7 @@ from repro.workloads import (
 )
 
 from tests.cluster.chaos_harness import ChaosHarness, ChaosSchedule
-from tests.cluster.conftest import NODES, make_cluster, virtual_wire
+from tests.cluster.conftest import NODES, make_cluster, observe, virtual_wire
 from tests.cluster.test_chaos import oracle_queries
 from tests.conftest import fuzz_settings
 from tests.oracle.accounting_reference import (
@@ -108,7 +107,7 @@ class CheckedHarness(ChaosHarness):
 
 def _chaos(seed, steps=30):
     cluster = make_cluster(transport=virtual_wire())
-    FleetMonitor().attach(cluster)
+    observe(cluster)
     MembershipTracker().attach(cluster)
     Reconciler().attach(cluster)
     return cluster, ChaosSchedule.generate(
@@ -117,7 +116,7 @@ def _chaos(seed, steps=30):
 
 def _resharding(seed, steps=24):
     cluster = make_cluster(shard_count=2, transport=virtual_wire())
-    FleetMonitor().attach(cluster)
+    observe(cluster)
     MembershipTracker().attach(cluster)
     Reconciler().attach(cluster)
     return cluster, ChaosSchedule.generate(

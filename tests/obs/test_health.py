@@ -45,7 +45,7 @@ class TestHealthScoring:
         for peer in ("node1", "node2", "node3"):
             assert view.health.health(peer).score == 1.0
             assert view.healthy(peer)
-        assert events.counts() == {}
+        assert len(events) == 0
 
     def test_degrading_peer_is_demoted(self):
         """A slow-but-answering replica is demoted on latency alone —
@@ -149,11 +149,3 @@ class TestHealthScoring:
             view.healthy("node2")
         assert events.count("health_demoted") == 1
         assert events.count("health_restored") == 0
-
-    def test_snapshot_lists_all_peers(self):
-        view, _, _ = make_tracker()
-        feed(view.health, "b", 0.001)
-        feed(view.health, "a", 0.001)
-        snap = view.health.snapshot()
-        assert [entry["peer"] for entry in snap] == ["a", "b"]
-        assert all(view.healthy(entry["peer"]) for entry in snap)

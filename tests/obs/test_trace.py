@@ -13,7 +13,7 @@ from repro.obs.export import (chrome_trace_events, dump_chrome_trace,
                               dump_trace, render_tree, span_to_dict,
                               validate_chrome_trace)
 from repro.obs.trace import (COMPONENTS, Span, Tracer, bind_stats_span,
-                             child_span, current_span)
+                             child_span)
 from repro.workloads import SHARDED_BENCHMARK_QUERY, build_sharded_federation
 from tests.cluster.conftest import make_cluster
 from tests.cluster.test_fanout import NESTED
@@ -42,22 +42,23 @@ def assert_components_match(root, stats) -> None:
 
 class TestSpanMechanics:
     def test_child_span_is_noop_without_active_span(self):
-        assert current_span() is None
         with child_span("orphan") as span:
             assert span is None
-        assert current_span() is None
+        with child_span("orphan") as span:
+            assert span is None
 
     def test_nesting_via_contextvar(self):
         tracer = Tracer()
         with tracer.start("query", at="local") as root:
             with child_span("plan") as plan:
-                assert current_span() is plan
                 with child_span("inner") as inner:
                     assert inner is not None
-            assert current_span() is root
-        assert current_span() is None
-        assert [c.name for c in root.children] == ["plan"]
-        assert [c.name for c in root.children[0].children] == ["inner"]
+            with child_span("rpc") as rpc:
+                pass
+        with child_span("after") as after:
+            assert after is None
+        assert root.children == [plan, rpc]
+        assert plan.children == [inner]
 
     def test_a_fresh_thread_starts_outside_any_span(self):
         import threading
@@ -65,7 +66,6 @@ class TestSpanMechanics:
         with tracer.start("query") as root:
             def worker():
                 # Fresh thread: empty contextvar, so no span opens.
-                assert current_span() is None
                 with child_span("shard", shard=1) as span:
                     assert span is None
             thread = threading.Thread(target=worker)

@@ -195,35 +195,6 @@ class TestRollingWindow:
         clock.now += 50.0  # skew heals: nothing was lost meanwhile
         assert window.count() == 3
 
-    def test_window_s_limits_the_read(self):
-        clock = VirtualClock()
-        window = RollingWindow(width_s=1.0, buckets=10, clock=clock)
-        window.observe(1.0)
-        for value in (2.0, 3.0, 4.0):
-            clock.advance(1.0)
-            window.observe(value)
-        # Reading at t+3: last 2 buckets hold values 3 and 4.
-        assert window.count(window_s=2.0) == 2
-        assert window.sum(window_s=2.0) == 7.0
-        assert window.count() == 4
-
-    def test_covered_s_caps_at_window_lifetime(self):
-        clock = VirtualClock()
-        window = RollingWindow(width_s=1.0, buckets=60, clock=clock)
-        window.observe(1.0)
-        # One bucket old: a 10s read covers 1s, not 10.
-        assert window.covered_s(window_s=10.0) == 1.0
-        clock.advance(4.0)
-        assert window.covered_s(window_s=10.0) == 5.0
-
-    def test_rate_uses_covered_not_requested_span(self):
-        clock = VirtualClock()
-        window = RollingWindow(width_s=1.0, buckets=60, clock=clock)
-        for _ in range(5):
-            window.observe(1.0)
-        # 5 events in the window's 1 lived second: 5/s, not 5/60.
-        assert window.rate() == 5.0
-
     def test_windowed_quantile_merges_bucket_sketches(self):
         clock = VirtualClock()
         window = RollingWindow(width_s=1.0, buckets=10, clock=clock)
@@ -231,28 +202,20 @@ class TestRollingWindow:
             window.observe(value)
             clock.advance(1.0)
         assert window.quantile(99) == pytest.approx(100.0, rel=0.02)
-        # The recent 1-bucket view only saw nothing (current bucket is
-        # empty after the last advance); the 2-bucket view sees 100.
-        assert window.quantile(99, window_s=2.0) == pytest.approx(
-            100.0, rel=0.02)
+        assert window.quantile(1) == pytest.approx(1.0, rel=0.02)
 
     def test_eps_none_disables_quantiles(self):
         window = RollingWindow(eps=None, clock=VirtualClock())
         window.observe(1.0)
         with pytest.raises(ValueError):
             window.quantile(50)
-        snap = window.snapshot()
-        assert "p99" not in snap
-        assert snap["count"] == 1
+        assert window.count() == 1
 
     def test_empty_window_reads(self):
         window = RollingWindow(clock=VirtualClock())
         assert window.count() == 0
         assert window.mean() == 0.0
-        assert window.rate() == 0.0
-        # A read establishes the current bucket, so the window has
-        # lived exactly one bucket (the rate above is still 0).
-        assert window.covered_s() == 1.0
+        assert window.quantile(99) == 0.0
 
 
 class TestRollingWindowFamily:

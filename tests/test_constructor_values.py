@@ -1,4 +1,4 @@
-"""The constructor surface of the control plane, the fleet monitor and
+"""The constructor surface of the control plane, the health scorer and
 the engine, pinned: every parameter here is a value some product caller
 sets (or the wiring a caller hands over); a value nothing sets is a
 module constant. Adding a parameter means editing this pin on purpose
@@ -14,7 +14,6 @@ PINNED = {
     ("repro.cluster.membership", "MembershipTracker"): (),
     ("repro.cluster.membership", "PeerView"): ("catalog",),
     ("repro.obs.health", "HealthTracker"): ("events", "clock"),
-    ("repro.obs.fleet", "FleetMonitor"): ("slow_query_s", "profile_every"),
     ("repro.cluster.rebalance", "Reconciler"): (),
     ("repro.cluster.rebalance", "LoadScorer"): ("federation",),
     ("repro.cluster.migrate", "MigrationExecutor"): ("federation",),

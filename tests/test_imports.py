@@ -2,8 +2,9 @@
 
 Each package ``__init__`` lists its public names under their home
 modules (``repro/_exports.py``), so an unsharded federation never
-loads the cluster's router side or the ``obs`` fleet layer, and a
-sharded run or an explain-analyze rendering loads them on demand.
+loads the cluster's router side, the ``obs`` event log, health scorer
+or exporters, and a sharded run or an explain-analyze rendering loads
+them on demand.
 No record class is a dataclass, whose creation ``exec``-s generated
 methods: a cold run never loads ``dataclasses``. What a fresh
 interpreter loads is read off ``sys.modules`` in a subprocess: this
@@ -33,8 +34,7 @@ ON_DEMAND = sorted(
         "gather", "migrate", "partitioner", "placement", "rebalance",
         "router")]
     + [f"repro.obs.{name}" for name in (
-        "console", "events", "explain", "export", "fleet", "health",
-        "profile", "slo")])
+        "events", "explain", "export", "health")])
 
 COLD_RUN = """
 import json, sys

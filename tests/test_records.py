@@ -14,7 +14,6 @@ from repro.cluster.catalog import ClusterError, CollectionSpec, ShardInfo
 from repro.decompose.strategy import Strategy
 from repro.dgraph.analysis import DocDep
 from repro.net.costmodel import CostModel
-from repro.obs.health import PeerHealth
 from repro.paths.relpath import CompiledPaths, RelPath, RelStep
 from repro.planner.stats import TagStat
 from repro.workloads import TenantJob
@@ -187,9 +186,3 @@ def test_construction_checks_still_run():
         _SHARD.replace(replicas=())
     with pytest.raises(TypeError):
         _SHARD.replace(no_such_field=1)
-
-
-def test_peer_health_snapshot_is_a_dict_of_its_fields():
-    assert PeerHealth("p", samples=3).snapshot() == {
-        "peer": "p", "score": 1.0, "samples": 3, "error_rate": 0.0,
-        "mean_latency_s": 0.0, "p95_latency_s": 0.0}
