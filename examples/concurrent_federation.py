@@ -32,6 +32,9 @@ def main() -> None:
     with FederationEngine(federation, max_workers=CLIENTS) as engine:
         futures = [engine.submit(job.query, job.at, job.strategy)
                    for job in jobs]
+        # submit() blocks once max_in_flight queries are unfinished.
+        print(f"in flight after the last submit: {engine.in_flight} "
+              f"(admission bound {engine.max_in_flight})")
         results = [future.result() for future in futures]
 
         sizes = [len(result.items) for result in results]

@@ -9,6 +9,7 @@ Chrome export loads in ``chrome://tracing`` or https://ui.perfetto.dev.
 Run:  PYTHONPATH=src python examples/traced_query.py [scale]
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -55,6 +56,16 @@ def main(scale: float = SCALE) -> None:
 
     print("\nExplain-analyze (estimated vs actual per operator):")
     print(render_analysis(result.stats.plan.analysis))
+
+    summary = result.stats.summary()
+    print(f"\nThe same run as plain data (RunStats.summary(), "
+          f"{len(json.dumps(summary))} bytes of JSON):")
+    for key, value in summary.items():
+        if not isinstance(value, dict):
+            print(f"  {key:24s} {value}")
+    print(f"  plan: {summary['plan']['strategy']}, "
+          f"{len(summary['plan']['analysis']['ops'])} operators analysed; "
+          f"per_shard: {len(summary['per_shard'])} shards")
 
     print("\nUnified metrics registry (federation scope):")
     print(federation.metrics.render_text())

@@ -22,13 +22,11 @@ from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-# ``decompose`` is eager: it is also the name of the ``repro.decompose``
-# subpackage (see repro/_exports.py).
 __all__ = lazy_exports(globals(), {
     ".system.federation": "Federation Peer RunResult",
     ".cluster.catalog": "ClusterCatalog CollectionSpec",
     ".cluster.placement": "create_sharded_collection",
-    ".decompose.strategy": "AUTO Strategy decompose",
+    ".decompose.strategy": "AUTO Strategy",
     ".net.costmodel": "CostModel",
     ".net.estimate": "CostVector",
     ".net.stats": "PlanReport RunStats TimeBreakdown",
@@ -49,4 +47,4 @@ __all__ = lazy_exports(globals(), {
     ".xquery.parser": "parse_query",
     ".xquery.pretty": "pretty",
     ".xquery.xdm": "sequences_deep_equal serialize_sequence",
-}, eager=("decompose",)) + ["__version__"]
+}) + ["__version__"]

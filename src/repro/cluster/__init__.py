@@ -36,22 +36,23 @@ logical collection:
 
 Quickstart::
 
-    from repro import Federation
+    from repro import Federation, parse_document
     from repro.cluster import ClusterCatalog, create_sharded_collection
 
-    federation = Federation()
+    federation = Federation(catalog=ClusterCatalog())
     for name in ("node1", "node2", "node3", "node4"):
         federation.add_peer(name)
-    federation.add_peer("local")
-    catalog = ClusterCatalog()
-    federation.attach_catalog(catalog)
+    people = parse_document("<site><people>" + "".join(
+        f'<person id="p{n}"/>' for n in range(8)) + "</people></site>")
     create_sharded_collection(
-        federation, catalog, name="people-c", document=people_doc,
+        federation, federation.catalog, name="people-c", document=people,
         document_name="people.xml", container_path=("site", "people"),
         member="person", shard_count=4, replication_factor=2)
-    federation.run('count(doc("xrpc://people-c/people.xml")'
-                   '/child::site/child::people/child::person)',
-                   at="local")
+    federation.add_peer("local")
+    result = federation.run('count(doc("xrpc://people-c/people.xml")'
+                            '/child::site/child::people/child::person)',
+                            at="local")
+    print(result.items)                 # [8]
 """
 
 from repro._exports import lazy_exports

@@ -192,11 +192,6 @@ class ClusterCatalog:
         self._emit_epoch(epoch, reason, collection=name, **attrs)
         return before
 
-    def replace(self, spec: CollectionSpec, reason: str = "replace",
-                **attrs) -> None:
-        """Swap in a whole new layout, whatever the current one is."""
-        self.update(spec.name, lambda _current: spec, reason, **attrs)
-
     def get(self, name: str) -> CollectionSpec:
         with self._lock:
             try:

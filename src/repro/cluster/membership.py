@@ -249,15 +249,18 @@ class _Ladder:
 class MembershipTracker:
     """Tick-driven failure detector writing into a :class:`PeerView`.
 
-    :meth:`attach` wires it into a federation before any use: it adopts
-    the federation's view, wire and clock, and watches every peer
-    holding a replica. The clock only drives the evidence window; state
-    transitions are functions of evidence counts and :meth:`tick` calls
-    — never time — so chaos schedules replay exactly.
+    :meth:`attach` wires it into a federation before any use: it
+    writes into the federation's view and watches every peer holding a
+    replica; it probes over whichever wire the federation has installed
+    when it ticks, on that wire's clock, and emits into whichever event
+    log is attached when it emits. The clock only drives the evidence
+    window; state transitions are functions of evidence counts and
+    :meth:`tick` calls — never time — so chaos schedules replay
+    exactly.
     """
 
     def __init__(self):
-        self.view = self.transport = self.events = None
+        self.federation = self.view = None
         self._failures = None
         self._lock = threading.Lock()
         self._ladders: dict[str, _Ladder] = {}    # the watched peers
@@ -268,15 +271,14 @@ class MembershipTracker:
     def attach(self, federation) -> "MembershipTracker":
         """Install on ``federation``: write into its peer view (whose
         :meth:`PeerView.record` then feeds this detector the router's
-        attempts), adopt its transport, the wire's clock, its event
-        log when one is attached and the metrics registry, and
-        watch every replica peer."""
+        attempts), register in its metrics registry, and watch every
+        replica peer."""
+        self.federation = federation
         self.view = federation.peer_view
         self.view.detector = self
-        self.transport = federation.transport
         self._failures = RollingWindowFamily(
-            WIDTH_S, BUCKETS, federation.transport.clock, eps=None)
-        self.events = federation.events
+            WIDTH_S, BUCKETS, lambda: federation.transport.clock(),
+            eps=None)
         metrics = federation.metrics
         self._state_gauge = metrics.gauge(
             "membership_state",
@@ -372,10 +374,11 @@ class MembershipTracker:
         """One detector round: probe every watched, non-evicted peer
         (deterministic name order), advance dead peers toward eviction.
         Returns the post-tick state per peer."""
+        transport = self.federation.transport
         for peer in [peer for peer in self.peers()
                      if self.view.state(peer) != EVICTED]:
             try:
-                self.transport.probe(peer, PROBE_BYTES)
+                transport.probe(peer, PROBE_BYTES)
             except NetworkError:
                 ok = False
             else:
@@ -445,8 +448,9 @@ class MembershipTracker:
                 self._evict_placements(peer)
             self._state_gauge.labels(peer).set(_STATE_CODES[new_state])
             self._transitions.labels(new_state).inc()
-            if self.events is not None:
-                self.events.emit(
+            events = self.federation.events
+            if events is not None:
+                events.emit(
                     "replica_evicted" if new_state == EVICTED
                     else f"membership_{new_state}",
                     f"peer {peer}: {old} -> {new_state} "

@@ -107,7 +107,6 @@ class MigrationExecutor:
         if self.catalog is None:
             raise ClusterError("migration executor needs a catalog")
         self.view = federation.peer_view
-        self.events = federation.events
         self._lock = threading.Lock()
         #: Superseded fragments awaiting physical removal:
         #: ``(peer_name, local_name)`` pairs.
@@ -134,6 +133,11 @@ class MigrationExecutor:
         self._m_repair_bytes = metrics.counter(
             "repair_bytes_total", "fragment bytes shipped by repair",
             ("collection",))
+
+    @property
+    def events(self):
+        """The event log attached to the federation now (None: none)."""
+        return self.federation.events
 
     # -- public API -----------------------------------------------------------
 

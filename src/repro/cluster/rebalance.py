@@ -211,8 +211,8 @@ class Reconciler:
     federation first)."""
 
     def __init__(self):
-        self.catalog = self.view = None
-        self.events = self.metrics = self._m_plans = None
+        self.federation = self.catalog = self.view = None
+        self.metrics = self._m_plans = None
         #: The federation's one migration executor, and the one scorer
         #: every target is picked by.
         self.scorer = self.executor = None
@@ -224,13 +224,13 @@ class Reconciler:
 
     def attach(self, federation) -> "Reconciler":
         """Install on ``federation`` as ``federation.reconciler``: adopt
-        its catalog / peer view / event log / metrics, own its
-        migration executor, and reconcile on every eviction its failure
-        detector reports (when one is attached)."""
+        its catalog / peer view / metrics, own its migration executor,
+        and reconcile on every eviction its failure detector reports
+        (when one is attached)."""
         from repro.cluster.migrate import MigrationExecutor
+        self.federation = federation
         self.catalog = federation.catalog
         self.view = federation.peer_view
-        self.events = federation.events
         self.metrics = federation.metrics
         self._m_plans = self.metrics.counter(
             "rebalance_plans_total", "migration plans emitted", ("op",))
@@ -240,6 +240,11 @@ class Reconciler:
         if self.view.detector is not None:
             self.view.detector.subscribe(self._on_membership)
         return self
+
+    @property
+    def events(self):
+        """The event log attached to the federation now (None: none)."""
+        return self.federation.events
 
     def _on_membership(self, peer: str, old: str, new_state: str) -> None:
         if new_state == EVICTED:

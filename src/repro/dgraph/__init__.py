@@ -16,6 +16,5 @@ from repro._exports import lazy_exports
 
 __all__ = lazy_exports(globals(), {
     ".graph": "DGraph Vertex build_dgraph",
-    ".analysis": "DocDep uri_dependencies has_duplicate_doc "
-                 "matching_doc_conflict",
+    ".analysis": "DocDep uri_dependencies matching_doc_conflict",
 })

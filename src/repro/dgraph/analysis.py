@@ -65,17 +65,6 @@ def _doc_dep(graph: DGraph, vertex: Vertex) -> DocDep:
     return DocDep("*", vertex.vid)
 
 
-def has_duplicate_doc(deps: frozenset[DocDep]) -> bool:
-    """True when two *different* call sites in ``deps`` may open the
-    same document (the negation of the paper's hasMatchingDoc)."""
-    entries = list(deps)
-    for i, left in enumerate(entries):
-        for right in entries[i + 1:]:
-            if left.vertex != right.vertex and left.matches(right):
-                return True
-    return False
-
-
 def matching_doc_conflict(graph: DGraph, n: int, rs: int) -> bool:
     """Does consumer vertex ``n`` mix nodes of the candidate subquery
     ``rs`` with nodes from a *different* call site of a matching

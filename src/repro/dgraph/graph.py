@@ -52,11 +52,6 @@ class Vertex:
         #: varref edge target (Var vertex), for VarRef vertices.
         self.varref = varref
 
-    def label(self) -> str:
-        if self.val is not None:
-            return f"v{self.vid}:{self.rule}[{self.val}]"
-        return f"v{self.vid}:{self.rule}"
-
 
 class DGraph:
     """The dependency graph with reachability utilities."""
@@ -76,15 +71,8 @@ class DGraph:
             self.vertices[parent].children.append(vertex.vid)
         return vertex
 
-    @property
-    def root(self) -> Vertex:
-        return self.vertices[0]
-
     def __getitem__(self, vid: int) -> Vertex:
         return self.vertices[vid]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     # -- reachability -----------------------------------------------------------
 
@@ -136,24 +124,6 @@ class DGraph:
 
     def by_rule(self, *rules: str) -> list[Vertex]:
         return [v for v in self.vertices if v.rule in rules]
-
-    def render(self) -> str:
-        """Human-readable dump (used in docs and debugging)."""
-        lines = []
-        for vertex in self.vertices:
-            indent = "  " * self._depth(vertex.vid)
-            varref = (f" ..-> v{vertex.varref}"
-                      if vertex.varref is not None else "")
-            lines.append(f"{indent}{vertex.label()}{varref}")
-        return "\n".join(lines)
-
-    def _depth(self, vid: int) -> int:
-        depth = 0
-        current = self.vertices[vid].parent
-        while current is not None:
-            depth += 1
-            current = self.vertices[current].parent
-        return depth
 
 
 #: AxisStep sub-classification used by the insertion conditions.

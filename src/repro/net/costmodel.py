@@ -13,8 +13,8 @@ keep the paper's orderings:
 * execution time scales with evaluator ticks and nodes visited.
 
 Every constant is a rate with explicit units (seconds, or seconds per
-byte/tick/node-visit); derive a variant with :meth:`CostModel.replace`
-instead of constructing ad-hoc instances.
+byte/tick/node-visit); derive a variant with ``CostModel._replace``
+(a ``NamedTuple``'s: an unknown field name raises).
 """
 
 from __future__ import annotations
@@ -44,18 +44,6 @@ class CostModel(NamedTuple):
     tick_s: float = 0.4e-6
     #: **Seconds per node visit** (one axis candidate inspected).
     node_visit_s: float = 0.1e-6
-
-    def replace(self, **overrides: float) -> "CostModel":
-        """A copy with ``overrides`` applied — the supported way for
-        benchmarks and experiments to derive variants (a typo'd field
-        name raises, listing the valid ones)."""
-        valid = set(self._fields)
-        unknown = set(overrides) - valid
-        if unknown:
-            raise TypeError(
-                f"unknown CostModel field(s) {sorted(unknown)}; "
-                f"valid fields: {sorted(valid)}")
-        return self._replace(**overrides)
 
     def network_time(self, message_bytes: int) -> float:
         return self.latency_s + message_bytes / self.bandwidth_bytes_per_s

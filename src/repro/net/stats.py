@@ -63,17 +63,6 @@ class TimeBreakdown(Record):
             "network": self.network,
         }
 
-    def components(self) -> dict[str, float]:
-        """The same numbers keyed by the span-component names used by
-        :mod:`repro.obs.trace` (``Span.component_totals()`` parity)."""
-        return {
-            "shred": self.shred,
-            "local_exec": self.local_exec,
-            "serialize": self.serialize,
-            "remote_exec": self.remote_exec,
-            "network": self.network,
-        }
-
 
 class Ranking(NamedTuple):
     """What a pricing of a prepared variant's candidates decided,

@@ -117,11 +117,11 @@ class EventLog:
 
     def attach(self, federation) -> "EventLog":
         """Install as ``federation.events``: the federation's wire and
-        catalog emit here, on the wire's clock, and so does what reads
-        ``federation.events`` once attached after this (the engine's
-        cache, the router, the cluster's control plane, the health
-        scorer). ``Federation.transport``'s setter keeps the log on a
-        swapped wire."""
+        catalog emit here, on the wire's clock, and so does all that
+        reads ``federation.events`` when it emits (a run's result-cache
+        lookups, the router, the cluster's control plane, the health
+        scorer), attached before this or after. ``Federation.transport``'s
+        setter keeps the log on a swapped wire."""
         federation.events = federation.transport.events = self
         self.clock = federation.transport.clock
         if federation.catalog is not None:

@@ -31,8 +31,6 @@ flap the routing order. Both transitions emit events.
 
 from __future__ import annotations
 
-from repro.clock import REAL_CLOCK
-from repro.obs.events import EventLog
 from repro.obs.windows import RollingWindowFamily
 
 __all__ = ["PeerHealth", "HealthTracker"]
@@ -74,26 +72,29 @@ class HealthTracker:
     traffic ages out as its buckets rotate away.
     """
 
-    def __init__(self, events: EventLog | None = None, clock=REAL_CLOCK):
-        self.events = events
-        self.clock = clock
+    def __init__(self):
+        self.federation = None
         self._latency = RollingWindowFamily(WIDTH_S, BUCKETS, self._now)
         self._errors = RollingWindowFamily(WIDTH_S, BUCKETS, self._now,
                                            eps=None)
 
     def _now(self) -> float:
-        return self.clock()
+        return self.federation.transport.clock()
 
     def attach(self, federation) -> "HealthTracker":
         """Install as the scorer of ``federation``'s peer view, which
         then feeds it every router attempt and asks it to judge each
-        replica it ranks. Verdicts emit into ``federation.events`` (so
-        attach the log first), and the windows run on the wire's clock,
-        a swapped wire's included."""
-        self.events = federation.events
-        self.clock = lambda: federation.transport.clock()
+        replica it ranks. Verdicts emit into the event log the
+        federation has when they are reached, and the windows run on
+        the clock of whichever wire it has installed."""
+        self.federation = federation
         federation.peer_view.health = self
         return self
+
+    @property
+    def events(self):
+        """The event log attached to the federation now (None: none)."""
+        return self.federation.events
 
     # -- ingest ---------------------------------------------------------------
 

@@ -125,12 +125,6 @@ class Span:
             self.attrs.update(attrs)
         return self
 
-    def add(self, key: str, amount) -> "Span":
-        """Accumulate a numeric attribute (``add("bytes", 512)``)."""
-        with self._lock:
-            self.attrs[key] = self.attrs.get(key, 0) + amount
-        return self
-
     def charge(self, component: str, seconds: float,
                nbytes: int = 0) -> None:
         """Accumulate simulated seconds (and optionally wire bytes)

@@ -239,13 +239,8 @@ class ResultCache:
     :class:`CacheStats` view existing callers read.
     """
 
-    def __init__(self, metrics: MetricsRegistry | None = None,
-                 events=None):
+    def __init__(self, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: A :class:`~repro.obs.events.EventLog`; each outdated entry
-        #: a lookup drops emits into it when set (the engine wires the
-        #: federation's log through here).
-        self.events = events
         self._hits = self.metrics.counter(
             "cache_hits_total", "result-cache lookups served")
         self._misses = self.metrics.counter(
@@ -264,14 +259,16 @@ class ResultCache:
             ResponseKey, tuple[object, int, Validators]] = OrderedDict()
 
     def lookup_response(self, key: ResponseKey,
-                        current: Callable[[str], int] | None = None
-                        ) -> object | None:
+                        current: Callable[[str], int] | None = None,
+                        events=None) -> object | None:
         """The stored response, or None. ``current(peer)`` is that
         peer's generation now, which each of the entry's validators
         must equal for it to be served — an entry a store outdated is
-        dropped instead — or :data:`STALE` while the peer is
-        unreachable: the miss a hit stands in for would not answer as
-        the entry did, so it is not served, and kept."""
+        dropped instead, and emits into the
+        :class:`~repro.obs.events.EventLog` ``events`` when one is
+        given — or :data:`STALE` while the peer is unreachable: the
+        miss a hit stands in for would not answer as the entry did, so
+        it is not served, and kept."""
         outdated = None
         with self._lock:
             entry = self._responses.get(key)
@@ -296,10 +293,10 @@ class ResultCache:
                 self._responses.move_to_end(key)
                 self._hits.inc()
                 self._saved_bytes.inc(entry[1])
-        if outdated is not None and self.events is not None:
+        if outdated is not None and events is not None:
             # Outside the lock: the event sink locks internally and
             # must never nest inside cache-internal critical sections.
-            self.events.emit(
+            events.emit(
                 "cache_invalidation",
                 f"a store on {outdated} outdated a cached response "
                 f"from {key.parts[0]}",

@@ -78,10 +78,9 @@ class FederationEngine:
         self.federation = federation
         if cache is True:
             # An engine-owned cache publishes its cache_* series into
-            # the federation's registry, next to the wire_* truth, and
-            # its invalidations into the federation's event log.
+            # the federation's registry, next to the wire_* truth.
             self.cache: ResultCache | None = ResultCache(
-                metrics=federation.metrics, events=federation.events)
+                metrics=federation.metrics)
         elif cache is False:
             self.cache = None
         else:

@@ -164,11 +164,6 @@ class RunResult:
         were)."""
         return bind(self.decomposition.module, self.literals)
 
-    @property
-    def plan(self):
-        """The :class:`~repro.net.stats.PlanReport` of this run."""
-        return self.stats.plan
-
 
 class Federation:
     """A set of peers plus the simulated network between them."""
@@ -265,17 +260,6 @@ class Federation:
         """``(name, generation)`` of each of ``names``, read now."""
         return tuple((name, self.generation_of(name))
                      for name in dict.fromkeys(names))
-
-    def attach_catalog(self, catalog: ClusterCatalog) -> ClusterCatalog:
-        """Install the cluster catalog: host names registered in it are
-        resolved as sharded collections (scatter-gather) instead of
-        peers from now on."""
-        self.catalog = self.peer_view.catalog = catalog
-        if self.events is not None and catalog.events is None:
-            # A log attached before the catalog existed still gets the
-            # catalog's epoch-bump events.
-            catalog.events = self.events
-        return catalog
 
     def collection(self, host: str) -> CollectionSpec | None:
         """Catalog-aware host resolution: the collection registered
@@ -634,7 +618,8 @@ class _Run:
                                          semantics, request,
                                          shard_epoch=shard_epoch)
                 stored = self.result_cache.lookup_response(
-                    cache_key, self.federation.current_generation)
+                    cache_key, self.federation.current_generation,
+                    self.federation.events)
             cached = stored is not None
             if cached:
                 # The entry's validators hold the destination and the

@@ -29,7 +29,7 @@ from repro.errors import XmlError
 from repro.xmldb.columns import KIND_TYPECODE, ColumnSet
 from repro.xmldb.kernels import PRE_TYPECODE
 from repro.xmldb.node import (
-    KIND_ATTRIBUTE, KIND_COMMENT, KIND_DOCUMENT, KIND_ELEMENT, KIND_PI,
+    KIND_ATTRIBUTE, KIND_COMMENT, KIND_DOCUMENT, KIND_ELEMENT,
     KIND_TEXT, Node,
 )
 
@@ -161,8 +161,7 @@ class DocumentBuilder:
 
     Call sequence: optionally :meth:`start_document`, then nested
     :meth:`start_element` / :meth:`attribute` / :meth:`text` /
-    :meth:`comment` / :meth:`processing_instruction` /
-    :meth:`end_element` calls, then :meth:`finish`.
+    :meth:`comment` / :meth:`end_element` calls, then :meth:`finish`.
 
     ``size`` values are back-patched when an element closes, so building
     is a single pass.
@@ -249,9 +248,6 @@ class DocumentBuilder:
 
     def comment(self, content: str) -> None:
         self._append(KIND_COMMENT, "", content)
-
-    def processing_instruction(self, target: str, content: str) -> None:
-        self._append(KIND_PI, intern(target), content)
 
     def end_element(self) -> None:
         if not self._stack or self._kinds[self._stack[-1]] != KIND_ELEMENT:

@@ -186,7 +186,9 @@ class StructuralIndex:
 
     @_part
     def non_attr_rank(self) -> array:
-        """Per pre, how many non-attribute nodes lie at or before it."""
+        """Per pre, how many non-attribute nodes lie at or before it:
+        the XRPC fragment ``nodeid`` of ``pre`` under ``root`` is
+        ``rank[pre] - rank[root] + 1``."""
         return pre_array(accumulate(
             bytes(self.doc.kinds).translate(_CONTENT_ROWS)))
 
@@ -219,14 +221,6 @@ class StructuralIndex:
         if test == "*":
             return True
         return self.doc.names[pre] == test
-
-    # -- nodeid addressing ---------------------------------------------------
-
-    def nodeid(self, root_pre: int, pre: int) -> int:
-        """1-based ``descendant-or-self::node()`` rank of ``pre``
-        within the subtree rooted at ``root_pre`` (attributes excluded)
-        — the XRPC fragment ``nodeid`` in O(1)."""
-        return self.non_attr_rank[pre] - self.non_attr_rank[root_pre] + 1
 
     # -- axis scans ------------------------------------------------------------
 

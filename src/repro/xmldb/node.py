@@ -120,11 +120,6 @@ class Node:
         """
         return self.doc.sizes[self.pre]
 
-    @property
-    def level(self) -> int:
-        """Tree depth; the ``pre == 0`` node has level 0."""
-        return self.doc.levels[self.pre]
-
     # -- O(1) structural predicates -----------------------------------------
 
     def parent(self) -> "Node | None":

@@ -42,7 +42,7 @@ def test_epoch_bumps_on_every_mutation():
     epochs = [catalog.epoch()]
     catalog.register(spec("c1"))
     epochs.append(catalog.epoch())
-    catalog.replace(spec("c1", shards=3))
+    catalog.update("c1", lambda _current: spec("c1", shards=3))
     epochs.append(catalog.epoch())
     view.mark_down("p1")
     epochs.append(catalog.epoch())
@@ -62,10 +62,10 @@ def test_mark_down_is_idempotent_for_the_epoch():
     assert catalog.epoch() == epoch
 
 
-def test_replace_requires_registration():
+def test_update_requires_registration():
     catalog = ClusterCatalog()
     with pytest.raises(ClusterError):
-        catalog.replace(spec("ghost"))
+        catalog.update("ghost", lambda _current: spec("ghost"))
 
 
 def test_update_hands_fn_the_spec_current_at_call_time():

@@ -363,8 +363,7 @@ def test_layout_change_re_prepares_exactly_once(preparation_calls):
 
     # A layout change installs a new (frozen) spec: one re-preparation,
     # shared by every run until the next.
-    spec = catalog.get("books-c")
-    catalog.replace(spec.replace(), reason="test")
+    catalog.update("books-c", lambda current: current.replace(), "test")
     for _ in range(3):
         result = cluster.run(SCAN, at="local")
         assert serialize_sequence(result.items) == expected

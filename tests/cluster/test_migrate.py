@@ -419,7 +419,8 @@ def test_retire_refuses_to_break_replication():
     wider = tuple(
         with_replicas(s, s.replicas + ("node4",))
         if s.index == shard.index else s for s in spec.shards)
-    catalog.replace(spec.replace(shards=wider), reason="test")
+    catalog.update("books-c", lambda current: current.replace(shards=wider),
+                   "test")
     assert executor.execute(RetirePlan("books-c", shard.index, "node4"))
     spec_now = catalog.get("books-c")
     assert "node4" not in spec_now.shards[shard.index].replicas

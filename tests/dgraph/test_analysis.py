@@ -1,7 +1,7 @@
 """URI dependency sets D(v) and document-conflict predicates."""
 
 from repro.dgraph.analysis import (
-    DocDep, has_duplicate_doc, matching_doc_conflict, uri_dependencies,
+    DocDep, matching_doc_conflict, uri_dependencies,
 )
 from repro.dgraph.graph import build_dgraph
 from repro.xquery.parser import parse_query
@@ -51,24 +51,6 @@ class TestUriDependencies:
         graph = build_dgraph(parse_query('(doc("u"), doc("u"))'))
         deps = uri_dependencies(graph, 0)
         assert len(deps) == 2  # same URI, two vertices
-
-
-class TestDuplicateDoc:
-    def test_same_uri_two_sites(self):
-        graph = build_dgraph(parse_query('(doc("u"), doc("u"))'))
-        assert has_duplicate_doc(uri_dependencies(graph, 0))
-
-    def test_different_uris_fine(self):
-        graph = build_dgraph(parse_query('(doc("u"), doc("v"))'))
-        assert not has_duplicate_doc(uri_dependencies(graph, 0))
-
-    def test_wildcard_conflicts_with_anything(self):
-        graph = build_dgraph(parse_query('(doc("u"), doc(concat("u","")))'))
-        assert has_duplicate_doc(uri_dependencies(graph, 0))
-
-    def test_single_site_never_conflicts(self):
-        graph = build_dgraph(parse_query('doc("u")/child::a'))
-        assert not has_duplicate_doc(uri_dependencies(graph, 0))
 
 
 class TestMatchingDocConflict:

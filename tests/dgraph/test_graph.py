@@ -111,11 +111,6 @@ class TestFigure2:
                 if v.rule == "FunCall" and v.val == "doc"]
         assert len(docs) == 2
 
-    def test_render_is_readable(self):
-        graph = build_dgraph(parse_query(Q2))
-        text = graph.render()
-        assert "VarRef[$s] ..-> " in text
-
 
 class TestAxisCategory:
     def test_categories(self):

@@ -24,20 +24,6 @@ class TestCostModel:
         assert model.exec_time(10, 0) == 10 * model.tick_s
         assert model.exec_time(0, 10) == 10 * model.node_visit_s
 
-    def test_replace_overrides_fields(self):
-        model = CostModel()
-        slow = model.replace(bandwidth_bytes_per_s=1e6, latency_s=0.01)
-        assert slow.bandwidth_bytes_per_s == 1e6
-        assert slow.latency_s == 0.01
-        # Untouched fields carry over; the original is unchanged.
-        assert slow.shred_s_per_byte == model.shred_s_per_byte
-        assert model.latency_s == 0.3e-3
-
-    def test_replace_rejects_unknown_fields(self):
-        import pytest
-
-        with pytest.raises(TypeError, match="bandwidth_bytes_per_s"):
-            CostModel().replace(bandwith=1.0)
 
 
 class TestRunStats:

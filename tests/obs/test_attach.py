@@ -123,15 +123,32 @@ class TestWiring:
         assert not view.healthy("node2")
         assert view.healthy("node1")
 
-    def test_what_is_built_after_the_log_emits_into_it(self):
+    def test_a_log_attached_last_hears_the_control_plane(self):
+        """Detector, reconciler and scorer read the federation's log
+        when they emit, so the order of the attach calls is free."""
         cluster = make_cluster()
-        events = observe(cluster)
         tracker = MembershipTracker().attach(cluster)
-        reconciler = Reconciler().attach(cluster)
-        assert tracker.events is events
-        assert reconciler.events is reconciler.executor.events is events
+        Reconciler().attach(cluster)
+        HealthTracker().attach(cluster)
+        events = EventLog().attach(cluster)
+        cluster.transport.kill_peer("node2")
+        for _ in range(6):
+            tracker.tick()
+        assert cluster.peer_view.state("node2") == membership.EVICTED
+        for kind in ("membership_suspect", "membership_dead",
+                     "replica_evicted", "repair_completed"):
+            assert events.count(kind) >= 1, kind
+
+    def test_a_log_attached_after_the_engine_hears_its_cache(self):
+        cluster = make_cluster()
         with FederationEngine(cluster, max_workers=1) as engine:
-            assert engine.cache.events is events
+            for _ in range(2):      # successive covers rotate: cache both
+                engine.submit(SCAN, "local").result()
+            events = EventLog().attach(cluster)
+            for node in NODES:
+                cluster.peer(node).store("other.xml", "<other/>")
+            assert len(engine.submit(SCAN, "local").result().items) == 10
+        assert events.count("cache_invalidation") >= 1
 
 
 class TestOneClockOneWire:
@@ -215,6 +232,28 @@ class TestOneClockOneWire:
         assert events.count("failover") >= 1
         assert events.recent(kind="peer_down")[0].perf_s == 7.0
         assert first.wire_summary() == {}           # nothing ran there
+
+    def test_the_detector_probes_a_swapped_wire(self):
+        """A peer killed on a wire installed after the attach is
+        evicted as one killed on the attach-time wire is, and its
+        evidence ages out on the new wire's clock."""
+        cluster = make_cluster()
+        tracker = MembershipTracker().attach(cluster)
+        cluster.transport = Transport(cluster.cost_model,
+                                      metrics=cluster.metrics,
+                                      clock=VirtualClock())
+        cluster.transport.kill_peer("node2")
+        for _ in range(6):
+            tracker.tick()
+        assert cluster.peer_view.state("node2") == membership.EVICTED
+        tracker.rejoin("node2")
+        cluster.transport.revive_peer("node2")
+        cluster.transport.kill_peer("node3")
+        tracker.tick()
+        assert tracker.phi("node3") > 0.0
+        cluster.transport.clock.advance(
+            membership.WIDTH_S * membership.BUCKETS)
+        assert tracker.phi("node3") == 0.0
 
     def test_membership_and_harness_run_on_the_wires_clock(self):
         cluster = make_cluster(transport=virtual_wire())

@@ -6,21 +6,22 @@ asks the tracker whenever it is read (``view.healthy``)."""
 import pytest
 
 from repro.clock import VirtualClock
-from repro.cluster.membership import PeerView
 from repro.obs.events import EventLog
 from repro.obs.health import BUCKETS, WIDTH_S, HealthTracker
+from repro.runtime.transport import Transport
+from repro.system.federation import Federation
 
 #: Long enough for every sample in the windows to age out.
 WINDOW_S = WIDTH_S * BUCKETS
 
 
 def make_tracker():
-    """A health tracker, attached to a peer view that holds its
-    standings."""
+    """A health tracker, attached to a federation on a virtual-time
+    wire, whose peer view holds its standings."""
     clock = VirtualClock()
-    events = EventLog(clock=clock)
-    view = PeerView()
-    view.health = HealthTracker(events=events, clock=clock)
+    federation = Federation(transport=Transport(clock=clock))
+    events = EventLog().attach(federation)
+    view = HealthTracker().attach(federation).federation.peer_view
     return view, events, clock
 
 

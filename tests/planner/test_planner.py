@@ -91,7 +91,6 @@ class TestPlanReports:
             assert plan is not None
             assert plan.estimated_s > 0
             assert plan.candidates
-            assert result.plan is plan
             assert result.stats.summary()["plan"]["strategy"] \
                 == plan.strategy
 

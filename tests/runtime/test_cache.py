@@ -198,7 +198,7 @@ class TestInvalidation:
 
     def test_each_outdated_entry_emits_one_event_naming_its_peer(self):
         events = EventLog()
-        cache = ResultCache(events=events)
+        cache = ResultCache()
         keys = [response_key("B", "by-fragment", f"<r n='{n}'/>")
                 for n in range(3)]
         for key, validators in zip(keys, [(("B", 1),),
@@ -206,7 +206,7 @@ class TestInvalidation:
                                           (("B", 1), ("C", 1))]):
             cache.store_response(key, "<x/>", validators=validators)
         after = _generations(A=1, B=1, C=2)     # a store on C
-        assert [cache.lookup_response(key, current=after)
+        assert [cache.lookup_response(key, current=after, events=events)
                 for key in keys + keys] == ["<x/>", None, None] * 2
         outdated = [event for event in events.recent()
                     if event.kind == "cache_invalidation"]

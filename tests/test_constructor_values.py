@@ -13,7 +13,7 @@ import pytest
 PINNED = {
     ("repro.cluster.membership", "MembershipTracker"): (),
     ("repro.cluster.membership", "PeerView"): ("catalog",),
-    ("repro.obs.health", "HealthTracker"): ("events", "clock"),
+    ("repro.obs.health", "HealthTracker"): (),
     ("repro.cluster.rebalance", "Reconciler"): (),
     ("repro.cluster.rebalance", "LoadScorer"): ("federation",),
     ("repro.cluster.migrate", "MigrationExecutor"): ("federation",),
@@ -21,7 +21,7 @@ PINNED = {
     ("repro.cluster.router", "ClusterRouter"): ("run", "catalog"),
     ("repro.runtime.engine", "FederationEngine"): (
         "federation", "max_workers", "cache"),
-    ("repro.runtime.cache", "ResultCache"): ("metrics", "events"),
+    ("repro.runtime.cache", "ResultCache"): ("metrics",),
     ("repro.runtime.transport", "Transport"): (
         "cost_model", "per_peer_concurrency", "metrics", "clock",
         "time_scale", "extra_latency_s"),

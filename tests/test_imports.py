@@ -89,7 +89,7 @@ print(json.dumps({
                        for name in package.__all__
                        if isinstance(getattr(package, name), types.ModuleType)),
     "types": [type(export).__name__ for export in (
-        repro.decompose, repro.xquery.normalize, repro.xquery.pretty)],
+        repro.xquery.normalize, repro.xquery.pretty)],
 }))
 """
 
@@ -127,15 +127,30 @@ def test_a_cold_run_creates_no_dataclass(cold_run):
 
 
 def test_the_xml_store_loads_no_decomposition_pipeline():
-    """The root package binds ``decompose`` eagerly; its module loads
-    the d-graph and the rest of the pipeline only when it decomposes."""
     loaded = _fresh(XML_STORE)
-    pipeline = {f"repro.decompose.{name}" for name in (
-        "code_motion", "conditions", "points", "rewrite")} | {
-        "repro.xquery.normalize"}
     assert not [name for name in loaded
-                if name.startswith("repro.dgraph") or name in pipeline]
-    assert "repro.decompose.strategy" in loaded
+                if name.startswith(("repro.dgraph", "repro.decompose"))
+                or name == "repro.xquery.normalize"]
+
+
+MODULES = sorted(
+    "repro." + ".".join(path.relative_to(SRC / "repro").with_suffix("")
+                        .parts).removesuffix(".__init__")
+    for path in (SRC / "repro").rglob("*.py")
+    if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_imports_under_its_dotted_name(name):
+    """``import repro.<pkg>.<mod> as m`` binds the module, or the
+    same-named function its package exports eagerly (``pretty``,
+    ``normalize``); a package export that shadows a subpackage makes
+    it raise ``ImportError``."""
+    namespace: dict = {}
+    exec(f"import {name} as m", namespace)
+    module = sys.modules[name]
+    assert namespace["m"] in (module,
+                              getattr(module, name.rpartition(".")[2], None))
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -153,4 +168,4 @@ def test_every_export_resolves_and_is_listed(package):
 
 def test_no_submodule_shadows_an_export():
     seen = _fresh(SHADOWING)
-    assert seen == {"shadowed": [], "types": ["function"] * 3}
+    assert seen == {"shadowed": [], "types": ["function"] * 2}

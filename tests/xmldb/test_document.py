@@ -37,9 +37,9 @@ class TestBuilder:
     def test_levels(self):
         doc = build_simple()
         assert doc.levels[0] == 0
-        assert doc.node(1).level == 1      # a
-        assert doc.node(2).level == 2      # @x
-        assert doc.node(3).level == 2      # b
+        assert doc.levels[1] == 1      # a
+        assert doc.levels[2] == 2      # @x
+        assert doc.levels[3] == 2      # b
 
     def test_parents(self):
         doc = build_simple()

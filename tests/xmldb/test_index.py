@@ -67,15 +67,16 @@ class TestIndexStructures:
         assert list(index.non_attr_pres) == [
             p for p, k in kinds.items() if k != NodeKind.ATTRIBUTE]
 
-    def test_nodeid_matches_enumeration(self, doc):
-        index = structural_index(doc)
+    def test_rank_differences_are_nodeids(self, doc):
+        """A fragment's ``nodeid`` is a difference of two ranks."""
+        rank = structural_index(doc).non_attr_rank
         root = 1  # the site element
         expected = 0
         for pre in range(root, len(doc)):
             if doc.kinds[pre] == NodeKind.ATTRIBUTE:
                 continue
             expected += 1
-            assert index.nodeid(root, pre) == expected
+            assert rank[pre] - rank[root] + 1 == expected
 
     def test_two_threads_reading_every_part_of_a_fresh_document(self):
         """Peers share documents across the engine's workers: a first

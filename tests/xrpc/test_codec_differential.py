@@ -39,6 +39,7 @@ from repro.xrpc.messages import (
     ResponseMessage,
 )
 from tests.conftest import element, fuzz_settings, texts
+from tests.oracle.index_reference import ReferenceIndex
 from tests.xmldb.test_parser_differential import _element, fragments
 
 _strings = st.text(alphabet=st.sampled_from("ab <>&\"'\n\t;#é"), max_size=8)
@@ -152,7 +153,7 @@ def test_envelope_missing_or_repeating_an_element_is_decoded_or_refused(
 @fuzz_settings(150)
 def test_codec_ranks_are_the_structural_index(text):
     doc = parse_fragment(text)
-    index = structural_index(doc)
+    index, reference = structural_index(doc), ReferenceIndex(doc)
     assert _nodeid_ranks(doc.kinds) == list(index.non_attr_rank)
     assert _nodeid_pres(doc.kinds) == list(index.non_attr_pres)
     for root in index.element_pres:
@@ -161,4 +162,4 @@ def test_codec_ranks_are_the_structural_index(text):
                    if doc.kinds[pre] != NodeKind.ATTRIBUTE]
         references = plan.references(doc, {pre: pre for pre in subtree})
         for pre in subtree:
-            assert references[pre].nodeid == index.nodeid(root, pre)
+            assert references[pre].nodeid == reference.nodeid(root, pre)
