@@ -35,13 +35,9 @@ from __future__ import annotations
 
 import threading
 
-from repro.errors import NetworkError
+from repro.errors import ClusterError
 from repro.records import Record
 from repro.xquery.prepared import PreparedTable
-
-
-class ClusterError(NetworkError):
-    """Misconfigured or unsatisfiable cluster operation."""
 
 
 class ShardInfo(Record):

@@ -21,7 +21,7 @@ Three combinators:
 
 from __future__ import annotations
 
-from repro.cluster.catalog import ClusterError
+from repro.errors import ClusterError
 from repro.cluster.partitioner import find_container
 from repro.xmldb.axes import attribute as attribute_axis
 from repro.xmldb.axes import child as child_axis

@@ -66,7 +66,7 @@ import math
 import threading
 
 from repro.cluster.catalog import ClusterCatalog
-from repro.errors import NetworkError
+from repro.errors import PeerUnavailableError
 from repro.obs.windows import RollingWindowFamily
 
 __all__ = ["ALIVE", "SUSPECT", "DEAD", "EVICTED", "PHI_CEILING",
@@ -379,7 +379,7 @@ class MembershipTracker:
                      if self.view.state(peer) != EVICTED]:
             try:
                 transport.probe(peer, PROBE_BYTES)
-            except NetworkError:
+            except PeerUnavailableError:
                 ok = False
             else:
                 ok = True

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.cluster.catalog import ClusterError, ShardInfo
+from repro.cluster.catalog import ShardInfo
 from repro.cluster.gather import merge_shard_documents
 from repro.cluster.partitioner import (
     Partitioner, collection_members, partition_document,
@@ -58,7 +58,7 @@ from repro.cluster.partitioner import (
 from repro.cluster.rebalance import (
     MovePlan, ReplicatePlan, RetirePlan, SplitPlan,
 )
-from repro.errors import NetworkError
+from repro.errors import ClusterError, NetworkError
 from repro.net.stats import RunStats
 from repro.obs.trace import bind_stats_span, child_span
 from repro.xmldb.parser import parse_document

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import zlib
 
-from repro.cluster.catalog import ClusterError
+from repro.errors import ClusterError
 from repro.xmldb.axes import attribute as attribute_axis
 from repro.xmldb.axes import child as child_axis
 from repro.xmldb.document import Document, DocumentBuilder

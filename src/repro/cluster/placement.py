@@ -16,21 +16,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.catalog import (
-    ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
+    ClusterCatalog, CollectionSpec, ShardInfo,
 )
 from repro.cluster.partitioner import (
     Partitioner, make_partitioner, partition_document,
 )
+from repro.errors import ClusterError, InsufficientHealthyPeersError
 from repro.xmldb.document import Document
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
-
-
-class InsufficientHealthyPeersError(ClusterError):
-    """Too few peers accept a replica to satisfy the requested
-    replication — placing on down/dead/suspect/draining peers would
-    only fake the replica count."""
 
 
 def shard_local_name(document: str, index: int) -> str:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple
 
-from repro.cluster.catalog import ClusterError
+from repro.errors import ClusterError
 from repro.cluster.membership import EVICTED
 
 __all__ = [

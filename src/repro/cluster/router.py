@@ -31,15 +31,17 @@ router takes over:
    Each charges the run's :class:`RunStats` directly; what the run's
    totals moved across it, nested work included, is shared into the
    ``per_shard`` entries of the shards it served.
-4. **failover** — a :class:`~repro.errors.NetworkError` from the wire
-   (a killed peer) re-covers the round trip's shards over their
-   untried serving replicas; each moved shard counts one failover in
-   its ``per_shard`` entry. Nothing is retried in place: each replica
-   is tried once, and a shard every serving replica failed fails the
-   query with :class:`ShardUnavailableError`. A
-   :class:`~repro.cluster.catalog.ClusterError` the replica's body
-   raises (a nested scatter's unavailable shard) fails the round
-   trip's shards as any query error does: no failover.
+4. **failover** — a :class:`~repro.errors.PeerUnavailableError`
+   naming the replica (a killed peer, a replica without the fragment
+   the catalog places on it) re-covers the round trip's shards over
+   their untried serving replicas; each moved shard counts one
+   failover in its ``per_shard`` entry. Nothing is retried in place:
+   each replica is tried once, and a shard every serving replica
+   failed fails the query with
+   :class:`~repro.errors.ShardUnavailableError`. Any other fault (a
+   nested scatter's unavailable shard, a down peer the body called, a
+   missing document the body names, a dynamic error) fails the round
+   trip's shards as a query error: no failover.
 5. **gather** — :func:`~repro.cluster.gather.gather_plan` picks the
    combinator: shard-major concatenation for map-shaped bodies
    (document order under range partitioning), addition for
@@ -74,12 +76,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Collection, Sequence, TypeVar
 
-from repro.cluster.catalog import (
-    ClusterCatalog, ClusterError, CollectionSpec, ShardInfo,
-)
+from repro.cluster.catalog import ClusterCatalog, CollectionSpec, ShardInfo
 from repro.cluster.gather import gather_plan, merge_shard_documents
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
-from repro.errors import NetworkError, PeerUnavailableError
+from repro.errors import (
+    ClusterError, PeerUnavailableError, ShardUnavailableError,
+)
 from repro.runtime.cache import ReadSet
 from repro.net.stats import RunStats, fold_entry
 from repro.obs.trace import bind_stats_span, child_span
@@ -106,13 +108,6 @@ _DOC_FUNCTIONS = ("doc", "fn:doc")
 SHARD_PARAMETER = "shard"
 
 _Item = TypeVar("_Item")
-
-
-class ShardUnavailableError(ClusterError):
-    """Every serving replica of one shard failed on the wire, each
-    tried once: the query fails. Raised from a replica's body (a nested
-    scatter), it fails the enclosing round trip's shards too, with no
-    failover."""
 
 
 def rewrite_doc_uris(expr: Expr,
@@ -355,6 +350,13 @@ class ScatterOutcome:
         self.error: Exception | None = None
 
 
+def _indicts(fault: Exception, replica: str) -> bool:
+    """Whether ``fault``, out of a round trip to ``replica``, is
+    evidence against ``replica`` itself: a :class:`PeerUnavailableError`
+    naming it. A peer its body called that is down names that peer."""
+    return isinstance(fault, PeerUnavailableError) and fault.peer == replica
+
+
 def _totals(stats: RunStats) -> tuple[int, int, int, float]:
     """The run totals a round trip's share is a delta of: bytes,
     messages, cache hits and simulated seconds."""
@@ -571,11 +573,13 @@ class ClusterRouter:
         re-covers the shards over their serving replicas not yet tried
         and serves them there, each moved shard counting one failover;
         a shard with none left fails with :class:`ShardUnavailableError`.
-        A :class:`ClusterError` raised by the replica's body (a nested
-        scatter's unavailable shard) is a query error: it fails the
-        group's shards, as another replica would raise it too. An
-        error a shard ends with is kept on its outcome (raised once the
-        scatter's entries are filed)."""
+        Only a :class:`PeerUnavailableError` naming ``replica`` is a
+        wire fault; anything else the round trip raises (a nested
+        scatter's unavailable shard, a peer the body called that is
+        down, a document the body names that is missing) is a query
+        error: it fails the group's shards, as another replica would
+        raise it too. An error a shard ends with is kept on its outcome
+        (raised once the scatter's entries are filed)."""
         stats = self.run.stats
         tried: set[str] = set()
         trips = [(replica, group)]
@@ -589,22 +593,23 @@ class ClusterRouter:
                     results = self._round_trip(replica, group, attempt)
                 for outcome, result in zip(group, results):
                     outcome.results = result
-            except ClusterError as exc:
-                self._fail(group, exc)
-            except NetworkError as fault:
-                tried.add(replica)
-                moving = [outcome for outcome in group if not
-                          self._unavailable(spec, outcome, tried, fault)]
-                for peer, moved in self._cover(moving, tried):
-                    for outcome in moved:
-                        outcome.entry["failovers"] += 1
-                        self.emit(
-                            "failover", spec, outcome.shard,
-                            f": {replica} failed ({type(fault).__name__}),"
-                            f" trying {peer}", replica=replica, next=peer)
-                    trips.append((peer, moved))
-            except Exception as exc:
-                self._fail(group, exc)
+            except Exception as fault:
+                if not _indicts(fault, replica):
+                    self._fail(group, fault)
+                else:
+                    tried.add(replica)
+                    moving = [outcome for outcome in group
+                              if not self._unavailable(spec, outcome,
+                                                       tried, fault)]
+                    for peer, moved in self._cover(moving, tried):
+                        for outcome in moved:
+                            outcome.entry["failovers"] += 1
+                            self.emit(
+                                "failover", spec, outcome.shard,
+                                f": {replica} failed "
+                                f"({type(fault).__name__}), trying {peer}",
+                                replica=replica, next=peer)
+                        trips.append((peer, moved))
             _share(group, before, _totals(stats))
 
     @staticmethod
@@ -614,7 +619,7 @@ class ClusterRouter:
             outcome.entry["failed"] = 1
 
     def _unavailable(self, spec: CollectionSpec, outcome: ScatterOutcome,
-                     tried: set[str], fault: NetworkError) -> bool:
+                     tried: set[str], fault: PeerUnavailableError) -> bool:
         """False while ``outcome``'s shard has a serving replica not
         ``tried``; else fail it with :class:`ShardUnavailableError` and
         say True."""
@@ -694,21 +699,31 @@ class ClusterRouter:
                  attempt: _Attempt) -> list:
         """Run ``attempt`` once against ``replica`` for ``group``'s
         shards. What it raises goes to the caller: a
-        :class:`~repro.errors.NetworkError` fails over, a query error
-        (a :class:`ClusterError` included) fails the shards.
+        :class:`~repro.errors.PeerUnavailableError` naming ``replica``
+        fails over, anything else fails the shards.
+
+        A replica that lacks the fragment of a shard it serves fails
+        the attempt before it is sent (:meth:`Peer.fragment`): a
+        placement fault, which indicts the replica.
 
         The attempt is evidence for the peer view (health windows, the
-        detector's ladder) when it succeeds or its peer was unavailable:
-        one :meth:`PeerView.record`. A replica that answered with an
-        error of its own (no such document, a nested scatter that
-        failed) is no evidence about its liveness.
+        detector's ladder) when it succeeds or the fault indicts
+        ``replica``: one :meth:`PeerView.record`. A replica that
+        answered with a query error of its own (a nested scatter that
+        failed, a down peer its body called) is no evidence about its
+        liveness.
         """
         clock = self.transport.clock
         started = clock()
+        shards = [outcome.shard for outcome in group]
         try:
-            result = attempt(replica, [outcome.shard for outcome in group])
-        except PeerUnavailableError:
-            self.view.record(replica, clock() - started, False)
+            peer = self.run.federation.peer(replica)
+            for shard in shards:
+                peer.fragment(shard.local_name)
+            result = attempt(replica, shards)
+        except Exception as fault:
+            if _indicts(fault, replica):
+                self.view.record(replica, clock() - started, False)
             raise
         self.view.record(replica, clock() - started, True)
         return result

@@ -3,7 +3,9 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers can catch one type. The sub-hierarchy mirrors the subsystems:
 XML parsing/storage, XQuery compilation and evaluation, decomposition,
-and the XRPC runtime.
+the XRPC runtime, and the network and cluster faults — whose type and
+peer decide whether a scatter fails over (a :class:`PeerUnavailableError`
+naming the replica tried) or fails the query (everything else).
 """
 
 from __future__ import annotations
@@ -78,14 +80,46 @@ class XrpcMarshalError(XrpcError):
 
 
 class NetworkError(ReproError):
-    """Raised by the simulated network (unknown peer, no such document)."""
+    """Raised by the simulated network (unknown peer, no such document).
+    A query error: raised from a replica's body, it fails the round
+    trip's shards, with no failover."""
 
 
 class PeerUnavailableError(NetworkError):
-    """A fault that indicts the *peer*: the destination is down
-    (killed, partitioned away). The router fails over to the next
-    replica and the membership detector counts the evidence."""
+    """A fault that indicts the *peer* ``peer``: the destination is
+    down (killed, partitioned away), or a shard replica lacks a
+    fragment the catalog places there. The one fault the router fails
+    over on, to the next serving replica, when it names the replica
+    tried; the attempt, and a detector probe that meets it, count as
+    evidence against that peer. Naming another peer (one the replica's
+    body called), it is a query error there."""
 
     def __init__(self, message: str, peer: str | None = None):
         super().__init__(message)
         self.peer = peer
+
+
+class PeerDownError(PeerUnavailableError):
+    """The destination peer was killed via
+    :meth:`~repro.runtime.transport.Transport.kill_peer` (the cluster
+    layer's replica-failure drill). Fails over, as its base does."""
+
+
+class ClusterError(NetworkError):
+    """Misconfigured or unsatisfiable cluster operation. No failover:
+    raised by a replica's body, it fails the round trip's shards as any
+    query error does, and is no evidence against the replica."""
+
+
+class ShardUnavailableError(ClusterError):
+    """Every serving replica of one shard failed on the wire, each
+    tried once: the query fails. Raised from a replica's body (a nested
+    scatter), it fails the enclosing round trip's shards too, with no
+    failover."""
+
+
+class InsufficientHealthyPeersError(ClusterError):
+    """Too few peers accept a replica to satisfy the requested
+    replication — placing on down/dead/suspect/draining peers would
+    only fake the replica count. Fails the placement; nothing is
+    retried."""

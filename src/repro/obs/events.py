@@ -20,7 +20,7 @@ Event kinds emitted by the wired subsystems (a tier-1 test scans
 ===============================  ==============================================
 kind                             emitted by
 ===============================  ==============================================
-``failover``                     router: a replica raised ``NetworkError``
+``failover``                     router: a replica was down or lacked a shard
 ``peer_down``                    ``Transport.kill_peer``
 ``peer_up``                      ``Transport.revive_peer``
 ``peer_degraded``                ``Transport.degrade_peer`` (latency injection)

@@ -82,7 +82,7 @@ PROJECTION_FACTOR = 0.35
 DEFAULT_DOC_BYTES = 4096.0
 #: Evaluator work per element touched (ticks / axis visits),
 #: calibrated against the compiled set-at-a-time engine (index probes
-#: and hash joins tick far less than the per-node walker they
+#: and joins tick far less than the per-node walker they
 #: replaced).
 EXEC_TICKS_PER_ELEMENT = 0.05
 EXEC_VISITS_PER_ELEMENT = 0.25

@@ -27,6 +27,7 @@ from threading import BoundedSemaphore
 from typing import TYPE_CHECKING
 
 from repro.decompose import Strategy
+from repro.errors import ReproError
 from repro.runtime.cache import ResultCache
 from repro.runtime.metrics import EngineMetrics, QueryRecord
 
@@ -34,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation, RunResult
 
 
-class EngineClosedError(RuntimeError):
+class EngineClosedError(ReproError, RuntimeError):
     """submit() after shutdown()."""
 
 

@@ -34,7 +34,7 @@ import threading
 from typing import TYPE_CHECKING, Callable
 
 from repro.clock import REAL_CLOCK, Clock
-from repro.errors import PeerUnavailableError
+from repro.errors import PeerDownError
 from repro.net.costmodel import CostModel
 from repro.net.stats import RunStats
 from repro.obs.metrics import MetricsRegistry
@@ -42,11 +42,6 @@ from repro.xrpc.messages import RequestMessage, ResponseMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Peer
-
-
-class PeerDownError(PeerUnavailableError):
-    """The destination peer was killed via :meth:`Transport.kill_peer`
-    (the cluster layer's replica-failure drill)."""
 
 
 class Transport:

@@ -37,7 +37,7 @@ from repro.cluster.membership import PeerView
 from repro.decompose import DecompositionResult, Strategy, strategy_label
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
-    NetworkError, XQueryDynamicError, XrpcMarshalError,
+    NetworkError, PeerUnavailableError, XQueryDynamicError, XrpcMarshalError,
 )
 from repro.net.costmodel import CostModel
 from repro.net.stats import PlanReport, RunStats
@@ -112,6 +112,18 @@ class Peer:
             raise NetworkError(
                 f"peer {self.name!r} has no document {local_name!r}"
             ) from None
+
+    def fragment(self, local_name: str) -> Document:
+        """The shard fragment ``local_name``, which the catalog places
+        here. Lacking it is a placement fault: it indicts this peer
+        (:class:`PeerUnavailableError`), where a missing document a
+        query names is a query error (:meth:`document`)."""
+        try:
+            return self.documents[local_name]
+        except KeyError:
+            raise PeerUnavailableError(
+                f"peer {self.name!r} lacks its fragment {local_name!r}",
+                peer=self.name) from None
 
     def serialized(self, local_name: str) -> str:
         document = self.document(local_name)

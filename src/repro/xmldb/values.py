@@ -50,9 +50,6 @@ from repro.xmldb.node import node_string
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
 
-#: Operators a value column can answer as range scans.
-PROBE_OPS = frozenset({"=", "!=", "<", "<=", ">", ">=", "exists"})
-
 _EMPTY = pre_array()
 
 
@@ -99,8 +96,6 @@ class ValueColumn:
         """Sorted pres of nodes whose value satisfies ``value-op-probe``
         under general-comparison coercion; None when the probe value's
         type is not supported (booleans — the caller falls back)."""
-        if op == "exists":
-            return self.all_pres
         if isinstance(value, bool):
             return None
         if isinstance(value, (int, float)):
@@ -214,9 +209,9 @@ class ValueIndex:
         return column.probe(op, value)
 
     def attribute_pres(self, name: str) -> Sequence[int]:
-        """Sorted pres of every attribute named ``name`` (existence
-        probes — no value column is materialised for these): a bucket
-        of the name postings the structural index keeps."""
+        """Sorted pres of every attribute named ``name`` (no value
+        column is materialised for these): a bucket of the name
+        postings the structural index keeps."""
         return structural_index(self.doc).attribute_pres.get(name, _EMPTY)
 
 

@@ -38,30 +38,30 @@ in one pass, one document per row.
 **Paths** run set-at-a-time on the per-document
 :class:`~repro.xmldb.index.StructuralIndex`: a step is one
 ``axis_scan`` over the union of every row's contexts, the rows carried
-per pre (any axis in a one-row frame; else child, attribute, self and
-parent by the parent column, descendant by subtree interval, any other
-axis one scan per group of rows with equal contexts), in document order
-because pres ascend. ``Node`` objects are built only at path exits. A
-position-free predicate (:func:`~repro.xquery.predicates.position_free`)
-filters the union of all contexts' candidates, by value-index probes
-for a recognised shape (:class:`~repro.xquery.predicates.IndexPlan`);
-``//T[p]`` then runs as one ``descendant::T[p]`` scan. Any other
-predicate is lifted over every context's candidates in the order the
-axis numbers them.
+per pre (any axis in a one-row frame; else child, attribute and self
+by the parent column, any other axis one scan per group of rows with
+equal contexts), in document order because pres ascend. ``Node``
+objects are built only at path exits. A position-free predicate
+(:func:`~repro.xquery.predicates.position_free`) filters the union
+of all contexts' candidates, by a value-index probe for a recognised
+comparison (:class:`~repro.xquery.predicates.Probe`); ``//T[p]`` then
+runs as one ``descendant::T[p]`` scan. Any other predicate is lifted
+over every context's candidates in the order the axis numbers them.
 
 **Binding loops** pick one operator per loop from its shape
 (:meth:`Evaluator._loop_plan`): Bulk RPC (a remote call as the whole
-body ships all iterations in one message), hash join (``if ($dep op
-$invariant)``: the invariant side once, one value-index probe or hash
-set answering every iteration), or lifted. ``some`` / ``every`` run
-their bindings one at a time and stop at the deciding one.
+body ships all iterations in one message), join (``if ($dep op
+$invariant)``: the invariant side once, then one value-index probe
+answering every iteration, or for ``=`` in a body that sends messages
+the general comparison per iteration), or lifted. ``some`` / ``every``
+run their bindings one at a time and stop at the deciding one.
 Whatever may send a message runs row by row in the nested loop's order
 (counted in ``evaluator_loop_fallbacks_total{reason}``), and a lifted
 attempt that raises is undone on the cost counter and rerun row by
 row, so the error raised is the one the nested loop meets first.
 
 Bulk RPC and the lifted operator charge the cost counter what the
-nested loop charges. The hash join charges less where a value-index
+nested loop charges. The join charges less where a value-index
 probe answers it (:meth:`Evaluator._chain_verdicts`): only the nodes
 the probe matched, not the dependent side per binding. So simulated
 time does depend on the operator there; the exec cells of Figures 8 / 9
@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from itertools import chain as _chain, pairwise
+from itertools import chain as _chain
 from typing import NamedTuple
 
 from repro.errors import (
@@ -103,7 +103,7 @@ from repro.xquery.ast import (
 from repro.xmldb.values import value_index
 from repro.xquery.context import DynamicContext, StaticContext
 from repro.xquery.predicates import (
-    FLIPPED_OPS, EqualityMatcher, chain_candidates, compile_predicate,
+    FLIPPED_OPS, chain_candidates, compile_predicate,
     dependent_chain, focus_nodes, position_free, probe_atoms,
 )
 from repro.xquery.scopes import free_variables
@@ -520,7 +520,7 @@ class Evaluator:
 
     def _loop_plan(self, expr) -> tuple[str | None, object, bool]:
         """``(operator method, detail, nested)`` for a ``for`` / ``order
-        by``, from its shape: Bulk RPC, hash join (detail: the join
+        by``, from its shape: Bulk RPC, join (detail: the join
         shape), lifted, or None — per binding, detail the reason.
         ``nested``: whatever may send a message is evaluated binding by
         binding, in the nested loop's order (what it raises is final)."""
@@ -578,17 +578,18 @@ class Evaluator:
                 out[owner] = [decided]
         return out
 
-    # -- hash-join operator ------------------------------------------------------
+    # -- join operator -----------------------------------------------------------
 
     def _join_shape(self, expr: ForExpr) -> tuple | None:
         """Analysis of a loop body shaped ``if ($dep-side op
         $invariant-side) then ... else ...``: one comparison operand
         varies with the loop variable and the other does not, so the
-        invariant side can be evaluated once and turned into a hash
-        set (``=``) or, when the dependent side is a named step chain
-        off the loop variable, one value-index probe whose inverse
-        image answers the filter for *all* iterations at once —
-        replacing the nested-loop value joins of the Figure 7-9
+        invariant side can be evaluated once and compared with each
+        iteration's dependent side (``=``, in a body that sends
+        messages) or, when the dependent side is a named step chain off
+        the loop variable, turned into one value-index probe whose
+        inverse image answers the filter for *all* iterations at once
+        — replacing the nested-loop value joins of the Figure 7-9
         workloads. Returns
         ``(left_dependent, cond, then, else, chain)``.
         """
@@ -647,39 +648,26 @@ class Evaluator:
                     [0] * part.size, shape)[1])
             return range(inner.size), values
         env = inner.env
-        op = cond.op if left_dep else FLIPPED_OPS[cond.op]
         invariant = self.evaluate(invariant_expr, env)
-        invariant_atoms = atomize(invariant)
-
         seq = [value[0] for value in inner.columns[expr.var]]
-        verdicts = matcher = None
+        verdicts = None
         if chain is not None and all(isinstance(item, Node)
                                      for item in seq):
-            verdicts = self._chain_verdicts(chain, op, invariant_atoms,
-                                            seq, env)
-        if verdicts is None:
-            if cond.op == "=":
-                matcher = EqualityMatcher.build(invariant_atoms)
-            if matcher is None:
-                return no_join("join-bailed")
+            verdicts = self._chain_verdicts(
+                chain, cond.op if left_dep else FLIPPED_OPS[cond.op],
+                atomize(invariant), seq, env)
+        if verdicts is None and (cond.op != "=" or not nested):
+            return no_join("join-bailed")
 
         def verdict_of(dependent: list) -> bool:
-            verdict = matcher.match_atoms(atomize(dependent))
-            if verdict is None:
-                # Type mix the hash sets can't answer with exact
-                # raise-or-match parity: run the exact nested scan
-                # for this iteration, operands in original order.
-                left, right = ((dependent, invariant) if left_dep
-                               else (invariant, dependent))
-                verdict = general_compare(cond.op, left, right)
-            return verdict
+            left, right = ((dependent, invariant) if left_dep
+                           else (invariant, dependent))
+            return general_compare(cond.op, left, right)
 
         order = range(inner.size)
         if not nested:
-            if verdicts is None:
-                verdicts = map(verdict_of, self._lift(dependent_expr, inner))
             return order, self._lift_branches(
-                list(verdicts), then_branch, else_branch, inner)
+                verdicts, then_branch, else_branch, inner)
         # The body may send a message: the invariant was evaluated
         # once, the rest binding by binding in the nested loop's order.
         out: list = []
@@ -786,41 +774,20 @@ class Evaluator:
             if not result:
                 break
             result = self._filter(predicate, plan, variables, step, doc,
-                                  index, result, frame)
+                                  result, frame)
         return result
 
     def _scan(self, axis: str, test: str, doc: Document, index,
               tags, size: int):
         """The axis from every row's contexts: child, attribute and
-        self read a result's rows from its one context, parent unions
-        its children's rows, descendant(-or-self) go by subtree
-        interval when no context lies inside another; any other axis
+        self read a result's rows from its one context; any other axis
         scans once per group of rows with equal contexts."""
         if size == 1:
             return index.axis_scan(axis, test, tags)
-        parents = doc.parents
-        contexts = list(tags)
         if axis in _GROUPED_AXES:
+            parents = doc.parents
             return {pre: tags[pre if axis == "self" else parents[pre]]
-                    for pre in index.axis_scan(axis, test, contexts)}
-        result: dict[int, list[int]] = {}
-        if axis == "parent":
-            for pre, rows in tags.items():
-                above = parents[pre]
-                if above >= 0 and index.matches(above, test):
-                    seen = result.get(above)
-                    result[above] = (rows if seen is None
-                                     else sorted({*seen, *rows}))
-            return dict(sorted(result.items()))
-        sizes = doc.sizes
-        if axis in ("descendant", "descendant-or-self") and all(
-                low + sizes[low] < high for low, high in pairwise(contexts)):
-            cursor = 0
-            for pre in index.axis_scan(axis, test, contexts):
-                while pre > contexts[cursor] + sizes[contexts[cursor]]:
-                    cursor += 1
-                result[pre] = tags[contexts[cursor]]
-            return result
+                    for pre in index.axis_scan(axis, test, list(tags))}
         per_row: dict[int, list[int]] = {}
         for pre, rows in tags.items():
             for row in rows:
@@ -828,6 +795,7 @@ class Evaluator:
         groups: dict[tuple, list[int]] = {}
         for row, pres in per_row.items():
             groups.setdefault(tuple(pres), []).append(row)
+        result: dict[int, list[int]] = {}
         for pres, rows in groups.items():
             for pre in index.axis_scan(axis, test, pres):
                 result.setdefault(pre, []).extend(rows)
@@ -835,7 +803,7 @@ class Evaluator:
 
     def _step_plan(self, step: Step) -> tuple:
         """``(plans, variables)`` for a step: when every predicate is
-        position-free, per predicate its probe plan (None: lifted over
+        position-free, per predicate its probe (None: lifted over
         the candidates); else None — all-or-nothing, since a later
         positional predicate numbers the candidates an earlier one
         kept *per context*. Plus the variables the predicates read."""
@@ -847,16 +815,15 @@ class Evaluator:
         return None, variables
 
     def _filter(self, predicate: Expr, plan, variables: frozenset,
-                step: Step, doc: Document, index, result,
-                frame: _Frame):
+                step: Step, doc: Document, result, frame: _Frame):
         """A position-free predicate over the union of every context's
-        candidates (``result``: candidate pre → rows): a probe plan
-        when it needs no value that differs per row, else lifted over a
-        row per (row, candidate)."""
+        candidates (``result``: candidate pre → rows): its probe when it
+        needs no value that differs per row, else lifted over a row per
+        (row, candidate)."""
         one = frame.size == 1
         dependent = not variables.isdisjoint(frame.columns)
         if plan is not None and (one or not dependent):
-            kept = plan.filter(doc, index, result if one else list(result),
+            kept = plan.filter(doc, result if one else list(result),
                                step.axis, step.test, frame.env_at(0)
                                if dependent else frame.env)
             if kept is not None:  # None: a value type probes can't take

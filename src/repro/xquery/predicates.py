@@ -11,18 +11,19 @@ a frame with one row per candidate, the candidate its focus (see
   context's candidates in one pass (and ``//T[p]`` may run as one
   ``descendant::T[p]`` scan); any other predicate is lifted over each
   context's candidates in axis order;
-* :class:`IndexPlan` — a position-free conjunction of value-index
-  probes (``child::T op literal``, ``@a op literal``, ``. op
-  literal``, bare existence tests, and ``$var`` right-hand sides
-  resolved at filter time), applied **set-at-a-time**: one
-  :class:`~repro.xmldb.values.ValueIndex` range scan per probe,
-  intersected with the step's candidate pre array through the parent
-  pointers / subtree intervals — no per-candidate work at all.
+* :class:`Probe` — a comparison a value index answers (``child::T op
+  literal``, ``@a op literal``, ``. op literal``, and ``$var`` or slot
+  right-hand sides resolved at filter time), applied
+  **set-at-a-time**: one :class:`~repro.xmldb.values.ValueIndex` range
+  scan, intersected with the step's candidate pre array through the
+  parent pointers / subtree intervals — no per-candidate work at all.
+  Every other position-free predicate (``and``, ``or``, ``not()``, a
+  bare path) is lifted over the candidates.
 
-Probe plans cannot raise type errors the per-candidate loop would not:
+Probes cannot raise type errors the per-candidate loop would not:
 node-derived operands are untyped atomics, which pair with every atom
 type general comparison accepts (see ``xdm._comparable_pair``), and
-probe values of unsupported types (booleans) make the plan bail to the
+probe values of unsupported types (booleans) make the probe bail to the
 loop at filter time instead of guessing.
 
 The recognisers at the bottom (:func:`conjunction_members`,
@@ -32,12 +33,11 @@ probing).
 
 from __future__ import annotations
 
-from math import isnan
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from repro.xmldb import kernels
 from repro.xmldb.node import KIND_ATTRIBUTE, KIND_ELEMENT
-from repro.xmldb.values import coerce_number, value_index
+from repro.xmldb.values import value_index
 from repro.xquery.ast import (
     ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LiteralSlot,
     LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
@@ -46,7 +46,6 @@ from repro.xquery.xdm import UntypedAtomic, atomize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.xmldb.document import Document
-    from repro.xmldb.index import StructuralIndex
     from repro.xquery.context import DynamicContext
 
 #: Mirror of each comparison operator with its operands swapped
@@ -54,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 FLIPPED_OPS = {"=": "=", "!=": "!=", "<": ">", "<=": ">=",
                ">": "<", ">=": "<="}
 
-#: Selector axes an IndexPlan can intersect set-at-a-time.
+#: Selector axes a Probe can intersect set-at-a-time.
 _PROBE_AXES = frozenset({"self", "child", "attribute", "descendant"})
 
 #: Step axes whose name test may select elements *and* attributes.
@@ -71,16 +70,16 @@ def _is_name_test(test: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Probes (index plans)
+# Probes
 # ---------------------------------------------------------------------------
 
 
 class Probe(NamedTuple):
-    """One indexable conjunct: ``axis::name op rhs`` from the anchor.
+    """An index-answerable predicate: ``axis::name op rhs`` from the
+    anchor, applied set-at-a-time.
 
     ``axis == "self"`` probes the anchor node itself (``name`` empty;
-    the step's own test supplies the column). ``op == "exists"`` is a
-    bare existence test with no right-hand side. The right-hand side is
+    the step's own test supplies the column). The right-hand side is
     ``literal``, or one of two run-time operands resolved at filter
     time: the variable ``var``, or what the run's binding holds for
     the prepared query's ``slot``.
@@ -107,50 +106,25 @@ class Probe(NamedTuple):
             return None
         return "@" + step_test if step_axis == "attribute" else step_test
 
-
-class IndexPlan:
-    """A conjunction of :class:`Probe` filters, applied set-at-a-time."""
-
-    __slots__ = ("probes",)
-
-    def __init__(self, probes: tuple[Probe, ...]):
-        self.probes = probes
-
-    def filter(self, doc: "Document", sindex: "StructuralIndex",
-               pres: list[int], step_axis: str, step_test: str,
-               env: "DynamicContext") -> list[int] | None:
-        """Candidate pres surviving every probe; None to signal the
-        caller to loop over the candidates instead (unsupported
-        runtime value types, un-keyable self probes)."""
-        vindex = value_index(doc)
-        kept = pres
-        for probe in self.probes:
-            if not kept:
-                return kept
-            matched = self._matched_pres(probe, doc, sindex, vindex,
-                                         step_axis, step_test, env)
-            if matched is None:
-                return None
-            kept = _intersect(probe.axis, doc, kept, matched)
-        return kept
-
-    def _matched_pres(self, probe: Probe, doc: "Document",
-                      sindex: "StructuralIndex", vindex,
-                      step_axis: str, step_test: str,
-                      env: "DynamicContext") -> list[int] | None:
-        if probe.op == "exists":
-            if probe.axis == "attribute":
-                return vindex.attribute_pres(probe.name)
-            return sindex.tag_pres.get(probe.name, [])
-        key = probe.key(step_axis, step_test)
+    def filter(self, doc: "Document", pres: list[int], step_axis: str,
+               step_test: str, env: "DynamicContext") -> list[int] | None:
+        """Candidate pres the probe keeps; None to signal the caller to
+        loop over the candidates instead (unsupported runtime value
+        types, un-keyable self probes)."""
+        key = self.key(step_axis, step_test)
         if key is None:
             return None
-        if probe.var is None:
-            return vindex.probe(
-                key, probe.op, probe.literal if probe.slot is None
-                else env.binding.literals[probe.slot])
-        return probe_atoms(vindex, key, probe.op,
-                           atomize(env.lookup(probe.var)))
+        vindex = value_index(doc)
+        if self.var is None:
+            matched = vindex.probe(key, self.op, self.literal
+                                   if self.slot is None
+                                   else env.binding.literals[self.slot])
+        else:
+            matched = probe_atoms(vindex, key, self.op,
+                                  atomize(env.lookup(self.var)))
+        if matched is None:
+            return None
+        return _intersect(self.axis, doc, pres, matched)
 
 
 def _intersect(axis: str, doc: "Document", candidates: Sequence[int],
@@ -196,16 +170,37 @@ def _relative_steps(expr: Expr, axes: frozenset[str] | None = None
 # ---------------------------------------------------------------------------
 
 
-def compile_predicate(expr: Expr) -> IndexPlan | None:
-    """The probe plan of an index-answerable predicate, or None (the
-    evaluator lifts it over the step's candidates).
+def compile_predicate(expr: Expr) -> Probe | None:
+    """The probe of an index-answerable predicate — a comparison
+    between a one-step selector and a literal, variable or slot — or
+    None (the evaluator lifts it over the step's candidates).
 
-    Plans are position-free by construction: applying them to the
+    A probe is position-free by construction: applying it to the
     union of all context nodes' candidates is equivalent to the
     per-context definition.
     """
-    probes = _index_probes(expr)
-    return None if probes is None else IndexPlan(tuple(probes))
+    if not isinstance(expr, ComparisonExpr) \
+            or expr.op not in VALUE_COMPARISONS:
+        return None
+    selector = _probe_selector(expr.left)
+    rhs, op = expr.right, expr.op
+    if selector is None:
+        selector = _probe_selector(expr.right)
+        rhs, op = expr.left, FLIPPED_OPS[expr.op]
+        if selector is None:
+            return None
+    axis, name = selector
+    if isinstance(rhs, Literal):
+        value = rhs.value
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (str, int, float)):
+            return None
+        return Probe(axis=axis, name=name, op=op, literal=value)
+    if isinstance(rhs, VarRef):
+        return Probe(axis=axis, name=name, op=op, var=rhs.name)
+    if isinstance(rhs, LiteralSlot):
+        return Probe(axis=axis, name=name, op=op, slot=rhs.index)
+    return None
 
 
 def focus_nodes(expr: Expr) -> Iterator[Expr]:
@@ -238,48 +233,6 @@ def position_free(expr: Expr) -> bool:
                    for node in focus_nodes(expr))
 
 
-def _index_probes(expr: Expr) -> list[Probe] | None:
-    """The probe conjunction of an index-answerable predicate."""
-    if isinstance(expr, LogicalExpr) and expr.op == "and":
-        left = _index_probes(expr.left)
-        right = _index_probes(expr.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(expr, ComparisonExpr):
-        probe = _comparison_probe(expr)
-        return None if probe is None else [probe]
-    selector = _probe_selector(expr)
-    if selector is not None and selector[0] != "self":
-        axis, name = selector
-        return [Probe(axis=axis, name=name, op="exists")]
-    return None
-
-
-def _comparison_probe(expr: ComparisonExpr) -> Probe | None:
-    if expr.op not in VALUE_COMPARISONS:
-        return None
-    selector = _probe_selector(expr.left)
-    rhs, op = expr.right, expr.op
-    if selector is None:
-        selector = _probe_selector(expr.right)
-        rhs, op = expr.left, FLIPPED_OPS[expr.op]
-        if selector is None:
-            return None
-    axis, name = selector
-    if isinstance(rhs, Literal):
-        value = rhs.value
-        if isinstance(value, bool) or not isinstance(value,
-                                                     (str, int, float)):
-            return None
-        return Probe(axis=axis, name=name, op=op, literal=value)
-    if isinstance(rhs, VarRef):
-        return Probe(axis=axis, name=name, op=op, var=rhs.name)
-    if isinstance(rhs, LiteralSlot):
-        return Probe(axis=axis, name=name, op=op, slot=rhs.index)
-    return None
-
-
 def _probe_selector(expr: Expr) -> tuple[str, str] | None:
     """``(axis, name)`` of a single-step probe selector: ``.`` or a
     one-step named relative path over child/attribute/descendant."""
@@ -292,104 +245,6 @@ def _probe_selector(expr: Expr) -> tuple[str, str] | None:
     if axis == "self" or not _is_name_test(test):
         return None
     return (axis, test)
-
-
-# ---------------------------------------------------------------------------
-# Hash-join support (FLWOR value equality)
-# ---------------------------------------------------------------------------
-
-
-class EqualityMatcher:
-    """O(1)-per-atom membership for one side of a general ``=``.
-
-    Built once from the loop-invariant side's atomized value; each
-    iteration's dependent atoms are then answered from hash sets
-    instead of re-scanning the invariant sequence. ``match_atoms``
-    returns None when an atom pair *could* diverge from
-    ``general_compare``'s raise-or-match scan order (typed strings
-    against numbers and vice versa) — the caller falls back to the
-    exact nested scan for that iteration.
-    """
-
-    __slots__ = ("strings", "nums_typed", "nums_untyped", "ebvs",
-                 "has_plain", "has_num", "all_untyped")
-
-    @classmethod
-    def build(cls, atoms: list) -> "EqualityMatcher | None":
-        """A matcher for the invariant side, or None when its atom mix
-        (booleans, exotic types) isn't worth special-casing."""
-        matcher = cls()
-        strings: set[str] = set()
-        nums_typed: set[float] = set()
-        nums_untyped: set[float] = set()
-        ebvs: set[bool] = set()
-        has_plain = False
-        all_untyped = True
-        for atom in atoms:
-            if isinstance(atom, bool):
-                return None
-            if isinstance(atom, UntypedAtomic):
-                strings.add(str(atom))
-                ebvs.add(len(atom) > 0)
-                number = coerce_number(atom)
-                if not isnan(number):
-                    nums_untyped.add(number)
-            elif isinstance(atom, str):
-                strings.add(atom)
-                has_plain = True
-                all_untyped = False
-            elif isinstance(atom, (int, float)):
-                number = float(atom)
-                if not isnan(number):
-                    nums_typed.add(number)
-                all_untyped = False
-            else:
-                return None
-        matcher.strings = strings
-        matcher.nums_typed = nums_typed
-        matcher.nums_untyped = nums_untyped
-        matcher.ebvs = ebvs
-        matcher.has_plain = has_plain
-        matcher.has_num = bool(nums_typed)
-        matcher.all_untyped = all_untyped
-        return matcher
-
-    def _match_atom(self, atom) -> bool | None:
-        if isinstance(atom, UntypedAtomic):
-            if str(atom) in self.strings:
-                return True
-            if self.has_num:
-                number = coerce_number(atom)
-                return not isnan(number) and number in self.nums_typed
-            return False
-        if isinstance(atom, bool):
-            # boolean-vs-(string|number) raises in the naive scan.
-            if not self.all_untyped:
-                return None
-            return atom in self.ebvs
-        if isinstance(atom, str):
-            if self.has_num:
-                return None           # typed string vs number raises
-            return atom in self.strings
-        if isinstance(atom, (int, float)):
-            if self.has_plain:
-                return None           # number vs typed string raises
-            number = float(atom)
-            if isnan(number):
-                return False
-            return number in self.nums_typed or number in self.nums_untyped
-        return None
-
-    def match_atoms(self, atoms: list) -> bool | None:
-        """Existential match over the dependent side's atoms; None when
-        any atom needs the exact nested scan (type-error parity)."""
-        for atom in atoms:
-            verdict = self._match_atom(atom)
-            if verdict is None:
-                return None
-            if verdict:
-                return True
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +363,7 @@ def literal_probe(expr: Expr, var: str | None = None,
     prepared query's slot is no literal here: bind the body first.
 
     ``var`` anchors the path at ``$var`` instead of the context item.
-    Unlike :func:`_comparison_probe`, the path may have any number of
+    Unlike :func:`compile_predicate`, the path may have any number of
     steps (with arbitrary axes): the probe keys on the *last* step's
     name, which every result node must carry, so "no node with that
     key satisfies the comparison" soundly implies "the comparison is
@@ -558,6 +413,6 @@ def _anchored_path_key(expr: Expr, var: str | None,
 
 
 __all__ = [
-    "EqualityMatcher", "IndexPlan", "Probe", "compile_predicate",
+    "Probe", "compile_predicate",
     "conjunction_members", "literal_probe", "position_free",
 ]

@@ -11,23 +11,41 @@ from repro.cluster.router import (ClusterRouter, ScatterOutcome,
 from repro.errors import NetworkError, XQueryDynamicError
 from repro.net.stats import RunStats
 from repro.runtime.transport import PeerDownError
+from repro.system.federation import Peer
 
 from tests.cluster.conftest import make_cluster
+
+
+def raised(call) -> Exception:
+    """The fault ``call`` raises."""
+    with pytest.raises(Exception) as fault:
+        call()
+    return fault.value
+
 
 #: (fault, fails over?, failures recorded against the replica)
 FAULTS = {
     "peer-down": (PeerDownError("peer 'node1' is down", peer="node1"),
                   True, 1),
+    # A peer the replica's body called is down: the fault names that
+    # peer, not the replica, so it is a query error there.
+    "called-peer-down": (PeerDownError("peer 'aux' is down", peer="aux"),
+                         False, 0),
     "nested-shard-unavailable": (
         ShardUnavailableError("all 2 replicas of shard other-c#s0 failed"),
         False, 0),
     "cluster-error": (ClusterError("unsatisfiable placement"), False, 0),
-    # A replica without its fragment fails over, yet is no evidence
-    # against the replica. Pinned as it is: ROADMAP item 16 still
-    # decides whether it is a placement fault or a query error.
+    # A replica without the fragment the catalog places on it is a
+    # placement fault: ``Peer.fragment`` names the peer, so the shard
+    # fails over and the attempt counts against the replica, as a down
+    # peer's does. (As a query error it would fail a nested scatter's
+    # query with "no document" instead of ShardUnavailableError.)
     "missing-document": (
-        NetworkError("peer 'node1' has no document 'books.xml#s0'"),
-        True, 0),
+        raised(lambda: Peer("node1").fragment("books.xml#s0")), True, 1),
+    # A document the body names that the peer lacks is a query error.
+    "body-missing-document": (
+        raised(lambda: Peer("node1").document("typo.xml")), False, 0),
+    "plain-network-error": (NetworkError("unknown peer 'node9'"), False, 0),
     "dynamic-error": (XQueryDynamicError("division by zero"), False, 0),
 }
 

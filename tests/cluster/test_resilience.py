@@ -89,6 +89,79 @@ def test_query_errors_never_retry_or_fail_over():
                for peer in tracker.peers())
 
 
+def body_fault_evidence(cluster, query, strategy, runs=4):
+    """Run ``query``, which fails, ``runs`` times on ``cluster`` with a
+    detector attached, then tick it once; returns the faults, the
+    attempts recorded as failures and the detector's states."""
+    from repro.cluster.membership import MembershipTracker
+    tracker = MembershipTracker().attach(cluster)
+    failures = []
+    record = cluster.peer_view.record
+    cluster.peer_view.record = lambda peer, seconds, ok: (
+        ok or failures.append(peer), record(peer, seconds, ok))
+    faults = []
+    for _ in range(runs):
+        with pytest.raises(NetworkError) as failed:
+            cluster.run(query, at="local", strategy=strategy)
+        faults.append(failed.value)
+    tracker.tick()
+    return faults, failures, {peer: tracker.view.state(peer)
+                              for peer in tracker.peers()}
+
+
+def body_calling(expr: str) -> str:
+    """A query whose scatter body over ``books-c`` evaluates ``expr``
+    once per book."""
+    return (
+        "declare function echo($id as xs:string) as item()* { $id };"
+        "declare function titles() as item()* {"
+        ' for $b in doc("xrpc://books-c/books.xml")'
+        "/child::library/child::books/child::book"
+        f" return ($b/child::title, {expr}) }};"
+        ' execute at {"books-c"} { titles() }')
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+def test_a_document_the_body_names_is_no_evidence_when_missing(strategy):
+    """A scatter body that reads a document its replica lacks (one that
+    is not the shard's fragment) raises a query error: no failover, no
+    failure recorded, and four such queries before a detector tick
+    leave every replica alive."""
+    from repro.cluster.membership import ALIVE
+    cluster = make_cluster()
+    faults, failures, states = body_fault_evidence(
+        cluster, body_calling('doc("typo.xml")'), strategy)
+    assert all(not isinstance(fault, PeerUnavailableError)
+               and "has no document 'typo.xml'" in str(fault)
+               for fault in faults)
+    assert failures == []
+    assert set(states.values()) == {ALIVE}
+    assert cluster.metrics.snapshot().get("scatter_failovers_total", {}) \
+        in ({}, {"books-c": 0})
+
+
+@pytest.mark.parametrize("strategy", list(Strategy), ids=str)
+def test_a_down_peer_the_body_calls_is_no_evidence_against_the_replica(
+        strategy):
+    """A scatter body that calls a killed peer fails the query with that
+    peer's ``PeerDownError``: the fault names the peer called, not the
+    replica, so nothing fails over and no replica is charged."""
+    from repro.cluster.membership import ALIVE
+    cluster = make_cluster()
+    cluster.add_peer("aux")
+    cluster.transport.kill_peer("aux")
+    faults, failures, states = body_fault_evidence(
+        cluster, body_calling(
+            'execute at {"aux"} { echo($b/attribute::id) }'), strategy)
+    assert all(isinstance(fault, PeerDownError) and fault.peer == "aux"
+               for fault in faults)
+    assert set(failures) <= {"aux"}
+    assert all(state == ALIVE for peer, state in states.items()
+               if peer != "aux")
+    assert cluster.metrics.snapshot().get("scatter_failovers_total", {}) \
+        in ({}, {"books-c": 0})
+
+
 # -- the one answer: fail over, then fail the query --------------------------
 #
 # Shard placements are round-robin over node1..node4: shard 1 lives on

@@ -6,11 +6,14 @@ against the same federation; all results must be deep-equal to the
 data-shipping baseline (which evaluates everything locally).
 """
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from repro.decompose import Strategy
 from repro.system.federation import Federation
-from repro.xquery.xdm import sequences_deep_equal
+from repro.xquery.xdm import sequences_deep_equal, serialize_sequence
 
 from tests.conftest import COURSE_XML, Q2, STUDENTS_XML
 
@@ -112,3 +115,45 @@ def test_property_random_documents():
             assert sequences_deep_equal(baseline.items, result.items)
 
     check()
+
+
+#: The language tour's two documents: a library whose books reference
+#: their authors by id, and loans that reference the books.
+TOUR = runpy.run_path(str(Path(__file__).resolve().parents[2]
+                          / "examples" / "language_tour.py"))
+
+#: ``fn:id`` / ``fn:idref`` applied to a book node shipped as a
+#: parameter to the loans peer: every book has its author, so every
+#: loan survives the second predicate.
+SHIPPED_ID_QUERIES = {
+    "id": (f'for $b in {TOUR["LIB"]}//book return {TOUR["LOAN"]}'
+           f"//loan[@book = $b/@id][id($b/author/@ref, $b)]"),
+    "idref": (f'for $b in {TOUR["LIB"]}//book return {TOUR["LOAN"]}'
+              f'//loan[@book = $b/@id][exists(idref("a1", $b))]'),
+}
+
+
+@pytest.fixture(scope="module")
+def tour_federation():
+    fed = Federation()
+    fed.add_peer("A").store("library.xml", TOUR["LIBRARY"])
+    fed.add_peer("B").store("loans.xml", TOUR["LOANS"])
+    fed.add_peer("local")
+    return fed
+
+
+@pytest.mark.parametrize("query", SHIPPED_ID_QUERIES)
+@pytest.mark.parametrize("strategy", [
+    Strategy.DATA_SHIPPING, Strategy.BY_VALUE, Strategy.BY_FRAGMENT,
+    pytest.param(Strategy.BY_PROJECTION, marks=pytest.mark.xfail(
+        strict=True, reason="by-projection answers () for fn:id / "
+        "fn:idref on a node shipped as a parameter (its projection: "
+        "paths/relpath.py _id_element_pres / _idref_element_pres)")),
+], ids=lambda strategy: strategy.value)
+def test_id_on_a_shipped_node_finds_every_loan(tour_federation, strategy,
+                                                query):
+    result = tour_federation.run(SHIPPED_ID_QUERIES[query], at="local",
+                                 strategy=strategy)
+    assert serialize_sequence(result.items) == (
+        '<loan book="b1" reader="r1"/> <loan book="b3" reader="r2"/> '
+        '<loan book="b3" reader="r1"/>')

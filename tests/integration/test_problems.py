@@ -133,7 +133,7 @@ class TestProblem4_MixedCalls:
         assert result.stats.messages == 6  # no bulk message to share
 
     def test_remote_join_invariant_is_called_once(self, fed):
-        # The hash join is chosen before the body is asked whether it
+        # The join is chosen before the body is asked whether it
         # sends messages: the invariant side's call goes out once, not
         # once per binding.
         result = run(

@@ -1,6 +1,6 @@
 """The per-node XPath step walker ``src/repro`` held until PR 15, kept
 verbatim as the differential oracle for the set-at-a-time axis scans
-(``StructuralIndex.axis_scan``), the compiled predicates, the hash join
+(``StructuralIndex.axis_scan``), the compiled predicates, the join
 and the projection-path runtime (``RelPath.evaluate``).
 
 Three pieces, each moved out of the library unchanged:

@@ -1,4 +1,4 @@
-"""Compiled predicates & hash joins must be indistinguishable from the
+"""Compiled predicates & joins must be indistinguishable from the
 naive walker.
 
 Four layers:
@@ -11,8 +11,8 @@ Four layers:
   pipeline and the oracle's per-candidate evaluation
   (``tests/oracle/xquery_reference_walker``);
 * query battery — predicate and FLWOR-join queries agree end-to-end on
-  the library document, including mixed-type edge cases that force the
-  hash matcher's exact-fallback path;
+  the library document, including mixed-type edge cases the join
+  answers by the general comparison, raise-or-match as the nested loop;
 * corpora — the library and XMark federations give deep-equal results
   for predicate/join queries under all four fixed strategies plus
   ``auto``, against a naive-engine baseline;
@@ -148,7 +148,7 @@ BATTERY = [
     "doc('d')//person[2]/name",
     "doc('d')//person[tutor][1]/name",
     "doc('d')//person[position() = last()]/id",
-    # Hash-join shapes, incl. mixed-type invariants (exact fallback).
+    # Join shapes, incl. mixed-type invariants.
     "for $p in doc('d')//person return"
     " if ($p/name = doc('d')//tutor) then $p/id else ()",
     "for $p in doc('d')//person return"
