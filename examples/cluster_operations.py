@@ -1,4 +1,5 @@
-"""Operating a sharded collection: split, lose a peer, decommission one.
+"""Operating a sharded collection: split, lose a peer, decommission one,
+and lose a shard's last source.
 
 A hash-partitioned people collection (4 shards x 2 replicas over five
 nodes) is queried through a sequence of operator actions and failures,
@@ -10,7 +11,12 @@ and every answer is checked against the unsharded document:
 3. node3 dies; once it is dead the operator decommissions it: the
    drain re-replicates what it held and retires its now-surplus
    placements (catalog surgery, no bytes move), then evicts it
-   without waiting for the detector.
+   without waiting for the detector;
+4. node6 joins, node1 goes dark at the wire and the operator evicts
+   node4: the shard whose only replica left is node1 cannot be
+   repaired (its copy tries its one source, then gives up loudly), and
+   a query over the collection fails with ``ShardUnavailableError``.
+   Once node1 is revived, the next reconcile heals the shard.
 
 The two queries are a count (summed over the shards) and a ``some``
 quantifier (or-ed over the shards): each shard answers for its part.
@@ -23,7 +29,8 @@ import tempfile
 
 from repro import Federation, Strategy, parse_document
 from repro.cluster import (
-    ClusterCatalog, MembershipTracker, Reconciler, create_sharded_collection,
+    ClusterCatalog, MembershipTracker, Reconciler, ShardUnavailableError,
+    create_sharded_collection,
 )
 from repro.obs import EventLog
 
@@ -90,6 +97,19 @@ def main() -> None:
     drained = reconciler.drain("node3")
     detector.evict("node3")
     check(federation, "node3 drained and evicted")
+
+    federation.add_peer("node6")
+    federation.transport.kill_peer("node1")
+    detector.evict("node4")
+    for event in events.recent(kind="repair_failed"):
+        print(f"  {event.severity:8s} {event.message}")
+    try:
+        check(federation, "node1 dark, node4 evicted")
+    except ShardUnavailableError as error:
+        print(f"{'node1 dark, node4 evicted':28s} {type(error).__name__}")
+    federation.transport.revive_peer("node1")
+    reconciler.reconcile()
+    check(federation, "node1 revived, repaired")
 
     print(f"\nnode3 drained to zero placements: {drained}")
     print("cutovers:", ", ".join(

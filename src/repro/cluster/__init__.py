@@ -32,7 +32,7 @@ logical collection:
 * :mod:`repro.cluster.migrate` — the one way a placement changes
   peers (replicate, move, split, retire), staged behind the epoch
   machinery: copy → byte-identity verify → atomic cutover → lazy
-  retirement, with rollback/retry on mid-migration deaths.
+  retirement; a copy fails over between sources, a failed plan rolls back.
 
 Quickstart::
 

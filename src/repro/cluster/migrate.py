@@ -31,15 +31,16 @@ catalog's epoch machinery:
    that fragment on that peer. An in-flight scatter that snapshotted
    the old epoch can therefore still read the old copy to completion.
 
-Failure discipline: a :class:`~repro.errors.NetworkError` during an
-attempt rolls back every document it stored (direct object removal —
-it works even when the destination's transport is down).
-:meth:`~MigrationExecutor.execute` is the one attempt policy: it
-retries up to :data:`MAX_ATTEMPTS` times, sources re-resolved each
-time, then gives up loudly (event + metric, catalog untouched). A plan
-that no longer matches the live spec — the shard healed, moved or split
-since planning or during the copy, or its target no longer serves at
-the cutover — is a rolled-back no-op. Each plan reports in its own
+Failure discipline: :meth:`~MigrationExecutor.execute` runs a plan
+once. Its copy fails over between the shard's serving replicas as the
+router does, each tried once (a move's leaving replica first). With
+none left, or on any other fault, the plan rolls back every document
+it stored (direct object removal — it works even when the
+destination's transport is down) and gives up loudly (event + metric,
+catalog untouched) for the next reconcile to re-plan. A plan that no
+longer matches the live spec — the shard healed, moved or split since
+planning or during the copy, or its target no longer serves at the
+cutover — is a rolled-back no-op. Each plan reports in its own
 vocabulary: a :class:`~repro.cluster.rebalance.ReplicatePlan` as
 ``repair_started`` / ``repair_completed`` / ``repair_failed`` and the
 ``repair_*`` metrics, every other plan as ``rebalance_completed`` /
@@ -58,7 +59,9 @@ from repro.cluster.partitioner import (
 from repro.cluster.rebalance import (
     MovePlan, ReplicatePlan, RetirePlan, SplitPlan,
 )
-from repro.errors import ClusterError, NetworkError
+from repro.errors import (
+    ClusterError, PeerUnavailableError, ReproError, indicts,
+)
 from repro.net.stats import RunStats
 from repro.obs.trace import bind_stats_span, child_span
 from repro.xmldb.parser import parse_document
@@ -66,15 +69,12 @@ from repro.xmldb.serializer import serialize
 
 __all__ = ["MigrationExecutor", "BoundaryPartitioner", "PlanAbandoned"]
 
-#: How many attempts :meth:`MigrationExecutor.execute` gives one plan:
-#: the cluster's one retry policy.
-MAX_ATTEMPTS = 3
-
 
 class PlanAbandoned(Exception):
-    """An attempt found its plan unexecutable as written — no usable
-    source, an unusable target, nothing to split. Not stale and not a
-    wire fault: another attempt would find the same."""
+    """A plan found unexecutable as written — no source that serves
+    it, an unusable target, nothing to split, children that do not
+    merge back. Not stale: the plan is given up, and the next reconcile
+    re-plans."""
 
 
 class BoundaryPartitioner(Partitioner):
@@ -118,7 +118,7 @@ class MigrationExecutor:
         metrics = federation.metrics
         self._m_migrations = metrics.counter(
             "rebalance_migrations_total",
-            "migration attempts by operation and outcome",
+            "migrations by operation and outcome",
             ("op", "outcome"))
         self._m_bytes = metrics.counter(
             "rebalance_bytes_total",
@@ -129,7 +129,7 @@ class MigrationExecutor:
         self._m_repair_failed = metrics.counter(
             "repair_failed_total",
             "re-replications abandoned (no live source, no healthy "
-            "target, attempts exhausted)", ("collection",))
+            "target, a destination fault)", ("collection",))
         self._m_repair_bytes = metrics.counter(
             "repair_bytes_total", "fragment bytes shipped by repair",
             ("collection",))
@@ -142,39 +142,28 @@ class MigrationExecutor:
     # -- public API -----------------------------------------------------------
 
     def execute(self, plan) -> bool:
-        """Run one plan to completion, no-op, or give-up, under the one
-        attempt policy. True only when a cutover happened."""
-        for attempt in range(1, MAX_ATTEMPTS + 1):
-            try:
-                done = self._attempt(plan, attempt)
-            except PlanAbandoned as exc:
-                return self._give_up(plan, str(exc))
-            except NetworkError:
-                continue    # reported by _spanned, rolled back
-            if done is not None:
-                self._note_done(plan, *done)
-            return done is not None
-        return self._give_up(plan, "max attempts exhausted")
-
-    def _attempt(self, plan, attempt: int) -> tuple[int, dict] | None:
-        """One copy → verify → cutover attempt. Returns ``(bytes
-        placed, what the cutover did)``, or None when the plan is stale
-        (nothing changed, nothing left stored). Raises
-        :class:`PlanAbandoned`, or the :class:`NetworkError` that
-        aborted it; either way what it stored is rolled back."""
-        run = {MovePlan: self._place_attempt,
-               ReplicatePlan: self._place_attempt,
-               SplitPlan: self._split_attempt,
-               RetirePlan: self._retire_attempt}[type(plan)]
+        """Run one plan once, to a cutover, a no-op (stale) or a
+        give-up, rolling back what it stored unless it cut over. True
+        only when a cutover happened."""
+        run = {MovePlan: self._place, ReplicatePlan: self._place,
+               SplitPlan: self._split, RetirePlan: self._retire}[type(plan)]
         placed: list[tuple[str, str]] = []
-        done = None
+        done = reason = None
         try:
-            done = run(plan, attempt, placed)
+            done = run(plan, placed)
+        except PlanAbandoned as exc:
+            reason = str(exc)
+        except ReproError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
         finally:
-            if done is None:  # stale, abandoned or aborted: roll back
+            if done is None:  # stale or abandoned: roll back
                 for peer_name, local_name in placed:
                     self._remove_unplaced(peer_name, local_name)
-        return done
+        if reason is not None:
+            return self._give_up(plan, reason)
+        if done is not None:
+            self._note_done(plan, *done)
+        return done is not None
 
     def collect(self) -> int:
         """Physically remove tombstoned fragments whose placement no
@@ -276,34 +265,23 @@ class MigrationExecutor:
                 f"{message} ({nbytes} bytes)", severity="info",
                 bytes=nbytes, **attrs)
 
-    def _spanned(self, plan, attempt: int, attrs: dict, work):
+    def _spanned(self, plan, attrs: dict, work):
         """Run ``work(stats) -> (result, bytes)`` inside the plan's
-        span (when a trace is ambient), reporting a repair's start and
-        any attempt's abort."""
-        source = attrs["source"]
+        span (when a trace is ambient), reporting a repair's start."""
         if plan.family == "repair" and self.events is not None:
             self.events.emit(
                 "repair_started",
                 f"re-replicating {plan.collection}#s{plan.shard_index} "
-                f"{source} -> {plan.target} (attempt {attempt})",
+                f"{attrs['source']} -> {plan.target}",
                 severity="info", collection=plan.collection,
-                shard=plan.shard_index, source=source, dest=plan.target)
+                shard=plan.shard_index, source=attrs["source"],
+                dest=plan.target)
         stats = RunStats()
-        try:
-            with child_span(plan.span, op=plan.op, **attrs) as span, \
-                    bind_stats_span(stats, span):
-                result = work(stats)
-                if span is not None:
-                    span.set(bytes=result[1])
-        except NetworkError as exc:
-            error = type(exc).__name__
-            what = f"aborted: {error} (attempt {attempt}/{MAX_ATTEMPTS})"
-            if plan.family == "repair":     # a repair names its source
-                self._emit_failed(plan, f"from {source} {what}", "warning",
-                                  source=source, error=error)
-            else:
-                self._emit_failed(plan, what, "warning", error=error)
-            raise
+        with child_span(plan.span, op=plan.op, **attrs) as span, \
+                bind_stats_span(stats, span):
+            result = work(stats)
+            if span is not None:
+                span.set(bytes=result[1])
         return result
 
     def _fetch_text(self, peer_name: str, local_name: str,
@@ -312,25 +290,49 @@ class MigrationExecutor:
         peer = self.federation.peer(peer_name)
         return transport.fetch_document(peer, local_name, stats)[0]
 
+    def _fetch_source(self, plan, sources: list[str], local_name: str,
+                      stats: RunStats) -> tuple[str, str]:
+        """Fragment ``local_name``'s text and the source it came from,
+        each of ``sources`` tried once, in order. A fault that
+        :func:`~repro.errors.indicts` the source (down, or lacking the
+        fragment) counts against it on the peer view, is reported, and
+        moves on; with none left the plan is abandoned."""
+        clock = self.federation.transport.clock
+        for source in sources:
+            started = clock()
+            try:
+                self.federation.peer(source).fragment(local_name)
+                return self._fetch_text(source, local_name, stats), source
+            except Exception as fault:
+                if not indicts(fault, source):
+                    raise
+                self.view.record(source, clock() - started, False)
+                error = type(fault).__name__
+                self._emit_failed(plan, f"from {source} failed: {error}",
+                                  "warning", source=source, error=error)
+        raise PlanAbandoned(
+            f"all source replicas failed: {', '.join(sources)}")
+
     def _store_verified(self, peer_name: str, local_name: str,
                         text: str, stats: RunStats,
                         placed: list[tuple[str, str]]) -> None:
         """Store and read back over the wire; byte mismatch or a dead
-        destination both raise :class:`NetworkError`. A canonical copy
-        is adopted as its own serialisation, so its read-back checks
-        the transport, not the store's round trip."""
+        destination both raise :class:`PeerUnavailableError` naming
+        it. A canonical copy is adopted as its own serialisation, so
+        its read-back checks the transport, not the store's round
+        trip."""
         self.federation.peer(peer_name).store(local_name, text)
         placed.append((peer_name, local_name))
         echoed = self._fetch_text(peer_name, local_name, stats)
         if echoed != text:
-            raise NetworkError(
+            raise PeerUnavailableError(
                 f"migration verify failed: {local_name} on "
-                f"{peer_name} does not match the source bytes")
+                f"{peer_name} does not match the source bytes",
+                peer=peer_name)
 
     # -- replicate / move -----------------------------------------------------
 
-    def _place_attempt(self, plan, attempt: int,
-                       placed: list[tuple[str, str]]):
+    def _place(self, plan, placed: list[tuple[str, str]]):
         """Place a verified copy of the shard on ``plan.target`` and
         add it to the placement; a move is that plus dropping
         ``plan.source`` in the same cutover."""
@@ -344,7 +346,9 @@ class MigrationExecutor:
 
         if stale(shard):
             return None  # dropped, or the layout changed since planning
-        sources = [r for r in shard.replicas if self.view.serves(r)]
+        # A move copies from the replica being moved first.
+        sources = sorted((r for r in shard.replicas if self.view.serves(r)),
+                         key=lambda r: r != leaving)
         if not sources:
             raise PlanAbandoned("no live source replica")
         if plan.target is None:
@@ -352,19 +356,16 @@ class MigrationExecutor:
         if not self.view.accepts(plan.target):
             raise PlanAbandoned(
                 f"target {plan.target} is not a usable placement")
-        # A move prefers copying from the replica being moved (it
-        # serves or it would not be "moved", it would be repaired).
-        copy_from = leaving if leaving in sources else sources[0]
         name = shard.local_name
 
-        def work(stats: RunStats) -> tuple[None, int]:
-            text = self._fetch_text(copy_from, name, stats)
+        def work(stats: RunStats) -> tuple[str, int]:
+            text, source = self._fetch_source(plan, sources, name, stats)
             self._store_verified(plan.target, name, text, stats, placed)
-            return None, len(text.encode())
+            return source, len(text.encode())
 
-        _, nbytes = self._spanned(
-            plan, attempt, dict(collection=spec.name, shard=shard.index,
-                                source=copy_from, dest=plan.target), work)
+        copy_from, nbytes = self._spanned(
+            plan, dict(collection=spec.name, shard=shard.index,
+                       source=sources[0], dest=plan.target), work)
 
         def cutover(current):
             # The copy may have taken long enough for a repair, another
@@ -393,8 +394,7 @@ class MigrationExecutor:
 
     # -- split ----------------------------------------------------------------
 
-    def _split_attempt(self, plan: SplitPlan, attempt: int,
-                       placed: list[tuple[str, str]]):
+    def _split(self, plan: SplitPlan, placed: list[tuple[str, str]]):
         spec = self.catalog.lookup(plan.collection)
         parent = spec.shard(plan.shard_index) if spec is not None else None
         if parent is None:
@@ -405,8 +405,8 @@ class MigrationExecutor:
         child_names = (f"{parent.local_name}.0", f"{parent.local_name}.1")
 
         def work(stats: RunStats) -> tuple[tuple, int]:
-            text = self._fetch_text(sources[0], parent.local_name,
-                                    stats)
+            text, _source = self._fetch_source(
+                plan, sources, parent.local_name, stats)
             doc = parse_document(
                 text, uri=f"xrpc://{spec.name}/{parent.local_name}")
             members = collection_members(doc, spec.container_path,
@@ -427,7 +427,7 @@ class MigrationExecutor:
                 [frag for frag, _count in fragments], uri=doc.uri,
                 container_path=spec.container_path)
             if serialize(merged) != text:
-                raise NetworkError(
+                raise PlanAbandoned(
                     f"split verify failed: children of "
                     f"{parent.local_name} do not merge back to the "
                     f"parent bytes")
@@ -446,8 +446,8 @@ class MigrationExecutor:
             return (counts, at), total
 
         (counts, at), nbytes = self._spanned(
-            plan, attempt, dict(collection=spec.name, shard=parent.index,
-                                source=sources[0]), work)
+            plan, dict(collection=spec.name, shard=parent.index,
+                       source=sources[0]), work)
         kept: list[str] = []
 
         def cutover(current):
@@ -486,8 +486,7 @@ class MigrationExecutor:
 
     # -- retire ---------------------------------------------------------------
 
-    def _retire_attempt(self, plan: RetirePlan, attempt: int,
-                        placed: list[tuple[str, str]]):
+    def _retire(self, plan: RetirePlan, placed: list[tuple[str, str]]):
         """Drop ``plan.peer`` from the placement unless the replicas
         left that serve would fall short of the replication factor
         (then the plan is stale)."""

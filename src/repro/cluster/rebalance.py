@@ -31,8 +31,8 @@ one, and run what the diff yields. Two pieces:
   targets through the same one function, the coolest peer ``rank()``
   offers. Every plan runs through the federation's one
   :class:`~repro.cluster.migrate.MigrationExecutor`, which owns the
-  staged copy → verify → cutover → retire protocol and its one attempt
-  policy.
+  staged copy → verify → cutover → retire protocol, each plan run
+  once.
 
 Everything is deterministic given a deterministic workload: scoring
 reads point-in-time snapshots, ties break on names, and the chaos

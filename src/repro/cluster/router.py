@@ -80,7 +80,7 @@ from repro.cluster.catalog import ClusterCatalog, CollectionSpec, ShardInfo
 from repro.cluster.gather import gather_plan, merge_shard_documents
 from repro.decompose.points import XRPC_SCHEME, split_xrpc_uri
 from repro.errors import (
-    ClusterError, PeerUnavailableError, ShardUnavailableError,
+    ClusterError, PeerUnavailableError, ShardUnavailableError, indicts,
 )
 from repro.runtime.cache import ReadSet
 from repro.net.stats import RunStats, fold_entry
@@ -350,13 +350,6 @@ class ScatterOutcome:
         self.error: Exception | None = None
 
 
-def _indicts(fault: Exception, replica: str) -> bool:
-    """Whether ``fault``, out of a round trip to ``replica``, is
-    evidence against ``replica`` itself: a :class:`PeerUnavailableError`
-    naming it. A peer its body called that is down names that peer."""
-    return isinstance(fault, PeerUnavailableError) and fault.peer == replica
-
-
 def _totals(stats: RunStats) -> tuple[int, int, int, float]:
     """The run totals a round trip's share is a delta of: bytes,
     messages, cache hits and simulated seconds."""
@@ -594,7 +587,7 @@ class ClusterRouter:
                 for outcome, result in zip(group, results):
                     outcome.results = result
             except Exception as fault:
-                if not _indicts(fault, replica):
+                if not indicts(fault, replica):
                     self._fail(group, fault)
                 else:
                     tried.add(replica)
@@ -722,7 +715,7 @@ class ClusterRouter:
                 peer.fragment(shard.local_name)
             result = attempt(replica, shards)
         except Exception as fault:
-            if _indicts(fault, replica):
+            if indicts(fault, replica):
                 self.view.record(replica, clock() - started, False)
             raise
         self.view.record(replica, clock() - started, True)

@@ -4,8 +4,8 @@ Every error raised by this package derives from :class:`ReproError`, so
 callers can catch one type. The sub-hierarchy mirrors the subsystems:
 XML parsing/storage, XQuery compilation and evaluation, decomposition,
 the XRPC runtime, and the network and cluster faults — whose type and
-peer decide whether a scatter fails over (a :class:`PeerUnavailableError`
-naming the replica tried) or fails the query (everything else).
+peer decide (:func:`indicts`) whether a scatter or a copy fails over
+(a :class:`PeerUnavailableError` naming the replica tried) or fails.
 """
 
 from __future__ import annotations
@@ -87,16 +87,24 @@ class NetworkError(ReproError):
 
 class PeerUnavailableError(NetworkError):
     """A fault that indicts the *peer* ``peer``: the destination is
-    down (killed, partitioned away), or a shard replica lacks a
-    fragment the catalog places there. The one fault the router fails
-    over on, to the next serving replica, when it names the replica
-    tried; the attempt, and a detector probe that meets it, count as
-    evidence against that peer. Naming another peer (one the replica's
-    body called), it is a query error there."""
+    down (killed, partitioned away), a shard replica lacks a fragment
+    the catalog places there, or a migration's read-back from its
+    destination does not match the bytes it copied. The one fault the
+    router and a migration's copy fail over on, to the next serving
+    replica, when it names the replica tried; the attempt, and a
+    detector probe that meets it, count as evidence against that peer.
+    Naming another peer (one the replica's body called), it is a query
+    error there."""
 
     def __init__(self, message: str, peer: str | None = None):
         super().__init__(message)
         self.peer = peer
+
+
+def indicts(fault: Exception, peer: str) -> bool:
+    """Whether ``fault``, out of a round trip to ``peer``, is evidence
+    against ``peer`` itself: a :class:`PeerUnavailableError` naming it."""
+    return isinstance(fault, PeerUnavailableError) and fault.peer == peer
 
 
 class PeerDownError(PeerUnavailableError):

@@ -42,10 +42,10 @@ kind                             emitted by
 ``replica_evicted``              detector evicted a replica from placements
 ``repair_started``               executor began re-replicating a fragment
 ``repair_completed``             fragment re-replicated and registered
-``repair_failed``                repair attempt aborted or abandoned
+``repair_failed``                repair's source failed, or repair abandoned
 ``rebalance_planned``            reconciler planned a split or a move
 ``rebalance_completed``          executor cut a split / move / retire over
-``rebalance_failed``             migration attempt aborted or abandoned
+``rebalance_failed``             migration's source failed, or it was abandoned
 ``rebalance_retired``            executor removed a superseded fragment copy
 ``rebalance_noop``               a chaos split / move found nothing to do
 ``rebalance_drain_started``      reconciler began draining a peer

@@ -1280,10 +1280,7 @@ class _OrderKey:
 def _order_equal(a, b) -> bool:
     if a is None or b is None or a is _NAN_KEY or b is _NAN_KEY:
         return a is b
-    try:
-        return xdm.value_compare("=", a, b)
-    except Exception:
-        return xdm.string_value(a) == xdm.string_value(b)
+    return xdm.value_compare("=", a, b)
 
 
 def _order_less(a, b, empty_greatest: bool) -> bool:
@@ -1292,10 +1289,7 @@ def _order_less(a, b, empty_greatest: bool) -> bool:
         return (a is None) is not empty_greatest
     if a is _NAN_KEY or b is _NAN_KEY:
         return (a is _NAN_KEY) is not empty_greatest
-    try:
-        return xdm.value_compare("<", a, b)
-    except Exception:
-        return xdm.string_value(a) < xdm.string_value(b)
+    return xdm.value_compare("<", a, b)
 
 
 def _fragment_uri() -> str:

@@ -1,11 +1,16 @@
 """What a scatter does with each fault a replica's round trip raises:
 fail over to the next serving replica, or fail the shard as a query
 error — and whether the peer view takes the attempt as evidence
-against the replica (one ``PeerView.record`` failure) or as none."""
+against the replica (one ``PeerView.record`` failure) or as none. A
+migration's copy reads the same table: a fault a scatter fails over on
+fails the copy over to the next source, and any other abandons the
+plan."""
 
 import pytest
 
 from repro.cluster.catalog import ClusterError
+from repro.cluster.migrate import MigrationExecutor
+from repro.cluster.rebalance import ReplicatePlan
 from repro.cluster.router import (ClusterRouter, ScatterOutcome,
                                   ShardUnavailableError)
 from repro.errors import NetworkError, XQueryDynamicError
@@ -86,3 +91,54 @@ def test_a_replica_fault_fails_over_or_fails_the_shard(name):
             == (0, 1)
     assert [ok for peer, ok in recorded if peer == "node1"] \
         == [False] * failures
+
+
+@pytest.mark.parametrize("name", [*FAULTS, "destination-read-back"])
+def test_a_copy_fault_fails_over_or_abandons_the_plan(name):
+    if name in FAULTS:      # at the fetch from the copy's first source
+        (fault, fails_over, failures), faulty = FAULTS[name], "node1"
+    else:   # the destination's read-back does not match the bytes sent
+        (fault, fails_over, failures), faulty = (None, False, 0), "local"
+    cluster = make_cluster()
+    recorded = []
+    cluster.peer_view.record = \
+        lambda peer, seconds, ok: recorded.append((peer, ok))
+    fetch, fetched = cluster.transport.fetch_document, []
+
+    def faulty_fetch(peer, local_name, stats):
+        fetched.append(peer.name)
+        if peer.name == faulty and fault is not None:
+            raise fault
+        text, size = fetch(peer, local_name, stats)
+        if peer.name == faulty:
+            return text + " ", size + 1
+        return text, size
+
+    cluster.transport.fetch_document = faulty_fetch
+    executor = MigrationExecutor(cluster)
+    epoch = cluster.catalog.epoch()
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node1", "node2")
+    done = executor.execute(ReplicatePlan("books-c", 0, "local"))
+    replicas = cluster.catalog.get("books-c").shards[0].replicas
+    if fails_over:
+        assert done and fetched == ["node1", "node2", "local"]
+        assert replicas == ("node1", "node2", "local")
+        assert executor.stats()["repairs_failed"] == 0
+    else:
+        assert not done and fetched[0] == "node1" and "node2" not in fetched
+        assert (executor.stats()["repairs_failed"],
+                cluster.catalog.epoch()) == (1, epoch)
+        assert "books.xml#s0" not in cluster.peer("local").documents
+    assert recorded == [("node1", False)] * failures
+
+
+def test_a_copy_fails_over_from_a_source_that_lacks_its_fragment():
+    """``Peer.fragment`` is asked before the fetch, as a scatter asks
+    it: a source without the fragment is a placement fault."""
+    cluster = make_cluster()
+    assert cluster.peer("node1").remove("books.xml#s0")
+    executor = MigrationExecutor(cluster)
+    assert executor.execute(ReplicatePlan("books-c", 0, "local"))
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node1", "node2", "local")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cluster import ClusterError
 from repro.cluster.membership import EVICTED, MembershipTracker
-from repro.cluster.migrate import MAX_ATTEMPTS
 from repro.cluster.rebalance import Reconciler
 from repro.decompose import Strategy
 from repro.system.federation import Federation
@@ -99,33 +98,70 @@ def test_reconcile_heals_what_an_unwatched_eviction_left():
                for s in spec.shards)
 
 
-def test_source_death_mid_copy_fails_then_heals_from_the_other_replica():
-    """The source dying under the copy aborts every attempt: the pass
-    reports ``repair_failed`` and leaves the catalog alone. Once the
-    dead source is evicted too, the next reconcile heals the shard from
-    the replica left."""
+def test_source_death_mid_copy_fails_over_to_the_other_replica():
+    """A copy fails over between sources as a scatter does between
+    replicas: the source dying under it counts one failure against
+    that source, is reported, and the next serving replica heals the
+    shard in the same pass."""
     cluster = make_cluster(replication_factor=3)
     events = observe(cluster)
     tracker = MembershipTracker().attach(cluster)
     reconciler = Reconciler().attach(cluster)
-    shard0 = cluster.catalog.get("books-c").shards[0]
-    assert shard0.replicas == ("node1", "node2", "node3")
+    recorded, record = [], cluster.peer_view.record
+    cluster.peer_view.record = lambda peer, seconds, ok: (
+        recorded.append((peer, ok)), record(peer, seconds, ok))[1]
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node1", "node2", "node3")
     # node2, the first source of #s0 once node1 leaves, dies at the
-    # wire only: the view still lets it serve, so the copy starts.
+    # wire only: the view still lets it serve, so the copy starts there.
     cluster.transport.kill_peer("node2")
+    tracker.evict("node1")
+    assert cluster.catalog.get("books-c").shards[0].replicas \
+        == ("node2", "node3", "local")
+    assert reconciler.stats()["repairs_failed"] == 0
+    assert recorded.count(("node2", False)) == 1
+    [failed] = events.recent(kind="repair_failed")
+    assert (failed.severity, failed.message) == (
+        "warning", "repair of books-c#s0 from node2 failed: PeerDownError")
+    [healed] = [e for e in events.recent(kind="repair_completed")
+                if e.attrs["shard"] == 0]
+    assert healed.attrs["source"] == "node3"
+    spec = cluster.catalog.get("books-c")
+    assert all(len(serving(cluster, s)) >= spec.replication_factor
+               for s in spec.shards)
+    assert reconciler.reconcile() == 0
+    result = cluster.run(SCAN, at="local", strategy=Strategy.BY_PROJECTION)
+    assert serialize_sequence(result.items) == expected_items()
+
+
+def test_every_source_dark_gives_the_repair_up_until_one_serves():
+    """With every source dark at the wire, the copy tries each once —
+    one warning apiece — then the plan is given up loudly, rolled back
+    and the catalog left alone. The next reconcile after a revival
+    heals the shard."""
+    cluster = make_cluster(replication_factor=3)
+    events = observe(cluster)
+    tracker = MembershipTracker().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
+    for peer in ("node2", "node3"):
+        cluster.transport.kill_peer(peer)
     tracker.evict("node1")
     assert cluster.catalog.get("books-c").shards[0].replicas \
         == ("node2", "node3")
     assert reconciler.stats()["repairs_failed"] >= 1
-    aborted = events.recent(kind="repair_failed")
-    assert [e.severity for e in aborted[:MAX_ATTEMPTS + 1]] \
-        == ["warning"] * MAX_ATTEMPTS + ["error"]
-    assert aborted[0].message == (
-        "repair of books-c#s0 from node2 aborted: PeerDownError "
-        f"(attempt 1/{MAX_ATTEMPTS})")
+    failed = [e for e in events.recent(kind="repair_failed")
+              if e.attrs["shard"] == 0]
+    # Each pass of the reconcile reports the same: the second, run
+    # because the first healed the other shards, finds #s0 short again.
+    assert [e.severity for e in failed[:3]] == ["warning", "warning", "error"]
+    assert [e.attrs.get("source") for e in failed[:2]] == ["node2", "node3"]
+    assert failed[2].message == ("repair of books-c#s0 abandoned: all "
+                                 "source replicas failed: node2, node3")
     assert all("books.xml#s0" not in cluster.peer(p).documents
                for p in ("node4", "local"))
-    tracker.evict("node2")
+    for peer in ("node2", "node3"):
+        cluster.transport.revive_peer(peer)
+    reconciler.reconcile()
     spec = cluster.catalog.get("books-c")
     assert all(len(serving(cluster, s)) >= spec.replication_factor
                for s in spec.shards)

@@ -144,6 +144,12 @@ class TestFlwor:
                    "order by $x return $x") \
             == [1.5, 9007199254740992, 9007199254740993]
 
+    def test_order_by_incomparable_keys_raise(self):
+        # XPTY0004 (XQuery 1.0 §3.8.3): keys with no common type that
+        # `gt` is defined on are a type error, not sorted as strings.
+        with pytest.raises(XQueryTypeError):
+            run('for $x in (1, "b", 2) order by $x return $x')
+
     def test_quantified_some_every(self):
         assert run1("some $x in (1, 2) satisfies $x = 2") is True
         assert run1("every $x in (1, 2) satisfies $x = 2") is False
