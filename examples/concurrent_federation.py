@@ -3,7 +3,7 @@
 Run:  PYTHONPATH=src python examples/concurrent_federation.py
 
 Eight tenants fire benchmark-query variants at the same two XMark data
-peers through a :class:`FederationEngine`: a thread-pool scheduler with
+peers through a :class:`FederationEngine`: a worker pool with
 admission control and a shared projection-aware result cache, over a
 wire whose delay policy takes real wall-clock time.
 """
@@ -35,7 +35,11 @@ def main() -> None:
         # submit() blocks once max_in_flight queries are unfinished.
         print(f"in flight after the last submit: {engine.in_flight} "
               f"(admission bound {engine.max_in_flight})")
+        # An untimed wait runs a query no worker has started yet on
+        # the waiting thread; the rest already ran on the workers.
+        failed = sum(future.exception() is not None for future in futures)
         results = [future.result() for future in futures]
+        print(f"failed queries: {failed}")
 
         sizes = [len(result.items) for result in results]
         print(f"result sizes: {min(sizes)}-{max(sizes)} items "

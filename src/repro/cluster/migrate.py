@@ -318,17 +318,25 @@ class MigrationExecutor:
                         placed: list[tuple[str, str]]) -> None:
         """Store and read back over the wire; byte mismatch or a dead
         destination both raise :class:`PeerUnavailableError` naming
-        it. A canonical copy is adopted as its own serialisation, so
+        it, and count against it on the peer view, as a failed source
+        does. A canonical copy is adopted as its own serialisation, so
         its read-back checks the transport, not the store's round
         trip."""
-        self.federation.peer(peer_name).store(local_name, text)
-        placed.append((peer_name, local_name))
-        echoed = self._fetch_text(peer_name, local_name, stats)
-        if echoed != text:
-            raise PeerUnavailableError(
-                f"migration verify failed: {local_name} on "
-                f"{peer_name} does not match the source bytes",
-                peer=peer_name)
+        clock = self.federation.transport.clock
+        started = clock()
+        try:
+            self.federation.peer(peer_name).store(local_name, text)
+            placed.append((peer_name, local_name))
+            echoed = self._fetch_text(peer_name, local_name, stats)
+            if echoed != text:
+                raise PeerUnavailableError(
+                    f"migration verify failed: {local_name} on "
+                    f"{peer_name} does not match the source bytes",
+                    peer=peer_name)
+        except Exception as fault:
+            if indicts(fault, peer_name):
+                self.view.record(peer_name, clock() - started, False)
+            raise
 
     # -- replicate / move -----------------------------------------------------
 

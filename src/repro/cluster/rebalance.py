@@ -256,18 +256,20 @@ class Reconciler:
         """Run what the difference between the desired placement and
         the catalog yields, shard by shard in catalog order, re-reading
         the difference after every plan, until a pass changes nothing.
-        Returns how many plans that last pass found (0: nothing to
-        do)."""
+        A plan runs at most once per call, so one abandoned in a pass
+        does not run again in the next. Returns how many shards that
+        last pass left with a plan (0: nothing to do)."""
+        tried: dict[tuple[str, int], list] = {}
         while True:
             found = done = 0
             for spec in self.catalog.collections():
                 for index in range(len(spec.shards)):
-                    tried: list = []
+                    ran = tried.setdefault((spec.name, index), [])
                     while (plan := self._diff(spec.name, index)) \
-                            is not None and plan not in tried:
-                        tried.append(plan)
+                            is not None and plan not in ran:
+                        ran.append(plan)
                         done += self.executor.execute(plan)
-                    found += len(tried)
+                    found += plan is not None
             if not done:
                 return found
 

@@ -9,11 +9,12 @@ Two serialisations of one :class:`~repro.obs.trace.Span` tree:
   trace-event format (``chrome://tracing`` / https://ui.perfetto.dev):
   one complete ``"ph": "X"`` event per span, ``ts``/``dur`` in
   microseconds relative to the root, ``tid`` mapped to compact
-  per-thread ids so the engine's worker threads land on separate
-  rows. Component leaves (simulated
-  seconds, not wall time) are exported under ``"cat": "simulated"``
-  with their simulated duration, so the Figure 8 stack is visible as
-  flame-graph blocks next to the wall-clock spans that charged it.
+  per-thread ids so the threads that run the engine's queries (its
+  workers and waiting callers) land on separate rows. Component leaves
+  (simulated seconds, not wall time) are exported under
+  ``"cat": "simulated"`` with their simulated duration, so the Figure 8
+  stack is visible as flame-graph blocks next to the wall-clock spans
+  that charged it.
 
 :func:`validate_chrome_trace` checks the invariants the format needs
 (every event carries name/ph/pid/tid, non-negative ts; ``dur`` on

@@ -13,10 +13,11 @@ A :class:`Tracer` produces one span tree per query::
       ship                     <- a data-shipped document
       local_exec / remote_exec <- component leaves on the query root
 
-Nesting uses a :mod:`contextvars` variable, so the thread-pool engine
-(one worker thread per query, whose scatters and shard round trips run
-on that thread) attributes work to the right query even when many run
-at once.
+Nesting uses a :mod:`contextvars` variable, so the engine (one thread
+per query, a worker's or the waiting caller's, whose scatters and shard
+round trips run on that thread; a caller runs its query in a fresh
+context, as a worker does) attributes work to the right query even when
+many run at once.
 
 Two attribution channels exist on purpose:
 

@@ -80,7 +80,7 @@ VALUE_BUILTINS = frozenset({
     "contains", "starts-with", "ends-with", "substring",
     "substring-before", "substring-after", "normalize-space",
     "upper-case", "lower-case", "string-length", "translate",
-    "distinct-values", "index-of", "deep-equal", "local-name", "name",
+    "distinct-values", "index-of", "local-name", "name",
     "base-uri", "xrpc:base-uri", "document-uri", "xrpc:document-uri",
 })
 

@@ -9,9 +9,9 @@ into a runtime that serves many queries concurrently over shared peers:
 * :mod:`repro.runtime.transport` — the wire: one :class:`Transport`
   per federation, its delay policy as data (loopback by default), and
   killed peers as the one way a transmission fails;
-* :mod:`repro.runtime.engine` — :class:`FederationEngine`, a
-  thread-pool scheduler with admission control and per-peer capacity
-  gates;
+* :mod:`repro.runtime.engine` — :class:`FederationEngine`, a worker
+  pool whose waiting callers run their own queries, with admission
+  control and per-peer capacity gates;
 * :mod:`repro.runtime.cache` — a projection-aware result/fragment
   cache shared across queries, each entry current while the peers it
   read are;

@@ -11,7 +11,9 @@ totals, latency quantiles and plan counts from
 :class:`EngineMetrics` holds the one thing the registry cannot: each
 run's :class:`QueryRecord` on the wire's clock, the newest
 :data:`CAPACITY` of them, so a caller that noted when it submitted can
-tell how long its queries queued.
+tell how long its queries queued. A query its waiting caller ran itself
+starts as soon as the caller waits, so its ``started_at`` is about its
+submit time and its queue wait about 0.
 """
 
 from __future__ import annotations

@@ -97,8 +97,9 @@ def test_a_replica_fault_fails_over_or_fails_the_shard(name):
 def test_a_copy_fault_fails_over_or_abandons_the_plan(name):
     if name in FAULTS:      # at the fetch from the copy's first source
         (fault, fails_over, failures), faulty = FAULTS[name], "node1"
-    else:   # the destination's read-back does not match the bytes sent
-        (fault, fails_over, failures), faulty = (None, False, 0), "local"
+    else:   # the destination's read-back does not match the bytes sent:
+        # evidence against the destination, as a failed source's is
+        (fault, fails_over, failures), faulty = (None, False, 1), "local"
     cluster = make_cluster()
     recorded = []
     cluster.peer_view.record = \
@@ -130,7 +131,7 @@ def test_a_copy_fault_fails_over_or_abandons_the_plan(name):
         assert (executor.stats()["repairs_failed"],
                 cluster.catalog.epoch()) == (1, epoch)
         assert "books.xml#s0" not in cluster.peer("local").documents
-    assert recorded == [("node1", False)] * failures
+    assert recorded == [(faulty, False)] * failures
 
 
 def test_a_copy_fails_over_from_a_source_that_lacks_its_fragment():

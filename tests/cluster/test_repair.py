@@ -134,6 +134,37 @@ def test_source_death_mid_copy_fails_over_to_the_other_replica():
     assert serialize_sequence(result.items) == expected_items()
 
 
+def test_a_dark_destination_counts_against_it_and_is_not_sent_again():
+    """A copy whose destination fails its read-back counts one failure
+    against the destination, as a failed source does: the two copies
+    abandoned on ``local`` make it suspect, so the shards heal on other
+    peers and no later reconcile sends a copy there."""
+    cluster = make_cluster()
+    events = observe(cluster)
+    tracker = MembershipTracker().attach(cluster)
+    reconciler = Reconciler().attach(cluster)
+    recorded, record = [], cluster.peer_view.record
+    cluster.peer_view.record = lambda peer, seconds, ok: (
+        recorded.append((peer, ok)), record(peer, seconds, ok))[1]
+    assert reconciler.scorer.rank()[0] == "local"   # the first target
+    cluster.transport.kill_peer("local")             # dark at the wire
+    tracker.evict("node1")                           # held #s0 and #s3
+    assert recorded == [("local", False)] * 2
+    assert not cluster.peer_view.accepts("local")
+    assert reconciler.stats()["repairs_failed"] == 2
+    assert reconciler.stats()["repairs_completed"] == 2
+    dests = [e.attrs["dest"] for e in events.recent(kind="repair_started")]
+    assert dests.count("local") == 2 and len(dests) == 4
+    assert reconciler.reconcile() == 0
+    assert len(events.recent(kind="repair_started")) == 4
+    spec = cluster.catalog.get("books-c")
+    assert all("local" not in shard.replicas
+               and len(serving(cluster, shard)) >= spec.replication_factor
+               for shard in spec.shards)
+    assert all("books.xml" not in name
+               for name in cluster.peer("local").documents)
+
+
 def test_every_source_dark_gives_the_repair_up_until_one_serves():
     """With every source dark at the wire, the copy tries each once —
     one warning apiece — then the plan is given up loudly, rolled back
@@ -148,12 +179,12 @@ def test_every_source_dark_gives_the_repair_up_until_one_serves():
     tracker.evict("node1")
     assert cluster.catalog.get("books-c").shards[0].replicas \
         == ("node2", "node3")
-    assert reconciler.stats()["repairs_failed"] >= 1
+    assert reconciler.stats()["repairs_failed"] == 1
     failed = [e for e in events.recent(kind="repair_failed")
               if e.attrs["shard"] == 0]
-    # Each pass of the reconcile reports the same: the second, run
-    # because the first healed the other shards, finds #s0 short again.
-    assert [e.severity for e in failed[:3]] == ["warning", "warning", "error"]
+    # The second pass, run because the first healed the other shards,
+    # finds #s0 short again but does not run the plan it gave up.
+    assert [e.severity for e in failed] == ["warning", "warning", "error"]
     assert [e.attrs.get("source") for e in failed[:2]] == ["node2", "node3"]
     assert failed[2].message == ("repair of books-c#s0 abandoned: all "
                                  "source replicas failed: node2, node3")

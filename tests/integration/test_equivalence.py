@@ -157,3 +157,38 @@ def test_id_on_a_shipped_node_finds_every_loan(tour_federation, strategy,
     assert serialize_sequence(result.items) == (
         '<loan book="b1" reader="r1"/> <loan book="b3" reader="r2"/> '
         '<loan book="b3" reader="r1"/>')
+
+
+#: ``deep-equal`` on a node shipped as a parameter compares its child
+#: elements and attributes, not only its text: the three ``<x>`` differ
+#: in both, so each equals only itself.
+DEEP_EQUAL_A = '<r><x><a/>t</x><x><b/>t</x><x k="1">t</x></r>'
+DEEP_EQUAL_B = '<l><i n="1"/></l>'
+DEEP_EQUAL_XS = 'doc("xrpc://A/d.xml")/child::r/child::x'
+DEEP_EQUAL_IS = 'doc("xrpc://B/e.xml")/child::l/child::i'
+
+
+@pytest.fixture(scope="module")
+def deep_equal_federation():
+    fed = Federation()
+    fed.add_peer("A").store("d.xml", DEEP_EQUAL_A)
+    fed.add_peer("B").store("e.xml", DEEP_EQUAL_B)
+    fed.add_peer("local")
+    return fed
+
+
+@pytest.mark.parametrize("strategy", [*Strategy, "auto"],
+                         ids=lambda strategy: getattr(strategy, "value",
+                                                      strategy))
+def test_deep_equal_on_shipped_nodes_sees_their_children(
+        deep_equal_federation, strategy):
+    pairs = deep_equal_federation.run(
+        f"count(for $x in {DEEP_EQUAL_XS}, $y in {DEEP_EQUAL_XS} "
+        f"return {DEEP_EQUAL_IS}[deep-equal($x, $y)])",
+        at="local", strategy=strategy)
+    assert pairs.items == [3]
+    bare = deep_equal_federation.run(
+        f"for $x in {DEEP_EQUAL_XS} "
+        f"return {DEEP_EQUAL_IS}[deep-equal($x, <x>t</x>)]",
+        at="local", strategy=strategy)
+    assert bare.items == []

@@ -33,7 +33,8 @@ def assert_well_formed(root) -> None:
 
 
 def test_interleaved_engine_queries_never_cross_attribute():
-    """N concurrent traced queries through the thread-pool engine:
+    """N concurrent traced queries through the engine, on its workers
+    and on the waiting caller:
     each trace sums to its own stats (the acceptance invariant, under
     interleaving). Cache off so every run does real wire work that could
     be mis-attributed."""

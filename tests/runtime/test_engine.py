@@ -2,13 +2,18 @@
 be indistinguishable (result-wise) from sequential ``Federation.run``."""
 
 import gc
+import sys
 import threading
 import weakref
+from collections import Counter
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from contextlib import contextmanager
 
 import pytest
 
 from repro.decompose import Strategy
 from repro.errors import NetworkError
+from repro.obs.trace import Tracer
 from repro.runtime.engine import EngineClosedError, FederationEngine
 from repro.runtime.transport import Transport
 from repro.system.federation import Federation, RunResult
@@ -284,6 +289,27 @@ class TestScheduling:
         with pytest.raises(EngineClosedError):
             engine.submit(Q2, "local")
 
+    def test_a_shutdown_while_submit_waits_for_admission_refuses_it(self):
+        """A query admitted after the workers were told to stop would
+        have no worker left to run it."""
+        engine = FederationEngine(make_federation(), max_workers=1)
+        admission = engine._admission
+
+        class ShutDownWhileAdmitting:
+            def acquire(self):
+                admission.acquire()
+                engine.shutdown()
+
+            def release(self):
+                admission.release()
+
+        engine._admission = ShutDownWhileAdmitting()
+        with pytest.raises(EngineClosedError):
+            engine.submit(Q2, "local")
+        assert engine.in_flight == 0
+        assert all(admission.acquire(blocking=False)
+                   for _ in range(engine.max_in_flight))
+
     def test_a_store_on_a_peer_added_after_construction_counts(self):
         """A late peer's store outdates the entries that read that peer,
         and nothing else."""
@@ -310,6 +336,178 @@ class TestScheduling:
             assert (recounted.items, rpc_outcomes(recounted)) == \
                 ([2], [("C", "miss")])
             assert engine.cache.stats.invalidations == 1
+
+
+class ThreadNotingTransport(Transport):
+    """Notes the thread of every exchange; ``gate`` (when set) holds
+    each exchange until it is set, and ``entered`` is set once one
+    waits there."""
+
+    def __init__(self, cost_model, gate: threading.Event | None = None):
+        super().__init__(cost_model)
+        self.gate = gate
+        self.entered = threading.Event()
+        self.threads: list[int] = []
+
+    def exchange(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        if self.gate is not None:
+            self.entered.set()
+            assert self.gate.wait(timeout=30)
+        return super().exchange(*args, **kwargs)
+
+
+@contextmanager
+def callers_keep_the_gil():
+    """A woken worker cannot take the interpreter from a caller that
+    has not blocked, so the caller's untimed ``result()`` is the first
+    to claim its query."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestWhoRunsAQuery:
+    """An untimed wait runs the query on the waiting thread; a future
+    nobody waits on runs on a worker; each query runs exactly once and
+    at most ``max_workers`` run at once, helping callers included."""
+
+    def test_a_waiting_caller_runs_its_own_query(self):
+        federation = make_federation()
+        federation.transport = transport = ThreadNotingTransport(
+            federation.cost_model)
+        with FederationEngine(federation, max_workers=1,
+                              cache=False) as engine:
+            with callers_keep_the_gil():
+                result = engine.submit(Q2, "local").result()
+            assert result.items
+            assert len(engine.metrics.records) == 1
+        assert transport.threads and set(transport.threads) == \
+            {threading.get_ident()}
+
+    def test_helping_callers_stay_within_max_workers(self):
+        inside, peak, lock = [0], [0], threading.Lock()
+        federation = make_federation()
+
+        class CountingTransport(Transport):
+            def exchange(self, *args, **kwargs):
+                with lock:
+                    inside[0] += 1
+                    peak[0] = max(peak[0], inside[0])
+                try:
+                    threading.Event().wait(0.002)
+                    return super().exchange(*args, **kwargs)
+                finally:
+                    with lock:
+                        inside[0] -= 1
+
+        federation.transport = CountingTransport(federation.cost_model)
+        expected = serialize_sequence(
+            make_federation().run(Q2, at="local").items)
+        answers = []
+        with FederationEngine(federation, max_workers=1,
+                              cache=False) as engine:
+            def client():
+                for _ in range(5):
+                    answers.append(serialize_sequence(
+                        engine.submit(Q2, "local").result().items))
+
+            clients = [threading.Thread(target=client) for _ in range(2)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        assert answers == [expected] * 10
+        assert peak == [1]
+        assert len(engine.metrics.records) == 10
+
+    def test_futures_nobody_waits_on_finish_on_workers(self):
+        federation = make_federation()
+        federation.transport = transport = ThreadNotingTransport(
+            federation.cost_model)
+        engine = FederationEngine(federation, max_workers=2, cache=False)
+        futures = [engine.submit(Q2, "local") for _ in range(4)]
+        engine.shutdown(wait=True)
+        assert all(future.done() for future in futures)
+        assert threading.get_ident() not in transport.threads
+        assert len(transport.threads) == 4 * 2    # two peers a query
+        assert registry_series(federation.metrics)[
+            "query_completed_total"] == 4
+
+    def test_callers_racing_workers_run_every_query_once(self):
+        federation = Federation()
+        federation.add_peer("local")
+        runs, lock, run = Counter(), threading.Lock(), federation.run
+
+        def counting_run(query, **kwargs):
+            with lock:
+                runs[query] += 1
+            return run(query, **kwargs)
+
+        federation.run = counting_run
+        answers = {}
+        engine = FederationEngine(federation, max_workers=2, cache=False)
+
+        def client(base):
+            futures = [(n, engine.submit(str(n), "local"))
+                       for n in range(base, base + 25)]
+            for n, future in futures:
+                answers[n] = future.result().items
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clients = [threading.Thread(target=client, args=(100 * c,))
+                       for c in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            engine.shutdown(wait=True)
+        finally:
+            sys.setswitchinterval(interval)
+        queries = [str(100 * c + n) for c in range(8) for n in range(25)]
+        assert runs == Counter(queries)
+        assert answers == {int(q): [int(q)] for q in queries}
+        assert len(engine.metrics.records) == len(queries)
+        assert engine.in_flight == 0
+
+    def test_a_timed_wait_only_waits(self):
+        gate = threading.Event()
+        federation = make_federation()
+        federation.transport = transport = ThreadNotingTransport(
+            federation.cost_model, gate)
+        with FederationEngine(federation, max_workers=2,
+                              cache=False) as engine:
+            future = engine.submit(Q2, "local")
+            with pytest.raises(FutureTimeoutError):
+                future.result(timeout=0.05)
+            with pytest.raises(FutureTimeoutError):
+                future.exception(timeout=0.01)
+            # The worker holds the query at the gate, so the untimed
+            # wait below finds it claimed and only waits too.
+            assert transport.entered.wait(timeout=30)
+            gate.set()
+            assert future.result().items
+        assert transport.threads
+        assert threading.get_ident() not in transport.threads
+
+    def test_a_helped_query_opens_no_span_in_its_callers_context(self):
+        federation = make_federation()
+        federation.transport = transport = ThreadNotingTransport(
+            federation.cost_model)
+        tracer = Tracer()
+        with FederationEngine(federation, max_workers=1,
+                              cache=False) as engine:
+            with callers_keep_the_gil(), tracer.start("client") as span:
+                engine.submit(Q2, "local").result()
+        assert set(transport.threads) == {threading.get_ident()}
+        assert span.children == []
 
 
 def run_multi_tenant(federation: Federation, jobs: list[TenantJob],
