@@ -31,12 +31,16 @@ from repro.xquery.ast import (
     Expr, ForExpr, FunCall, LetExpr, Literal, OrderByExpr, PathExpr,
     QuantifiedExpr, walk,
 )
+from repro.xquery.functions import builtins_in
 
 #: Aggregate functions whose per-shard results combine by addition.
-_ADDITIVE = {"count", "fn:count", "sum", "fn:sum"}
+_SUMMED = builtins_in("additive")
 
 #: Context-position functions: per-shard positions are not global ones.
-_POSITIONAL = {"position", "fn:position", "last", "fn:last"}
+_READS_POSITION = builtins_in("positional")
+
+#: ``doc(uri)``: the call whose URI names a collection's member.
+_OPENS_DOCUMENT = builtins_in("document")
 
 
 def concatenate(per_shard: list[list[list]]) -> list[list]:
@@ -64,7 +68,7 @@ def aggregate_combiner(body: Expr):
     Returns a callable ``combine(per_shard) -> list[list]`` summing the
     single numeric item each shard produced per call.
     """
-    if not (isinstance(body, FunCall) and body.name in _ADDITIVE
+    if not (isinstance(body, FunCall) and body.name in _SUMMED
             and len(body.args) == 1):
         return None
 
@@ -142,7 +146,7 @@ def gather_plan(body: Expr, collection: str):
     """
     if not _free_of_global_positions(body):
         return None
-    if isinstance(body, FunCall) and body.name in _ADDITIVE \
+    if isinstance(body, FunCall) and body.name in _SUMMED \
             and len(body.args) == 1:
         if not _source_safe(body.args[0], collection):
             return None
@@ -179,7 +183,7 @@ def _source_safe(expr: Expr, collection: str) -> bool:
 
 
 def _is_collection_doc_call(expr: Expr, collection: str) -> bool:
-    if not (isinstance(expr, FunCall) and expr.name in ("doc", "fn:doc")
+    if not (isinstance(expr, FunCall) and expr.name in _OPENS_DOCUMENT
             and len(expr.args) == 1):
         return False
     arg = expr.args[0]
@@ -193,7 +197,7 @@ def _free_of_global_positions(body: Expr) -> bool:
             return False
         if isinstance(node, ForExpr) and node.pos_var is not None:
             return False
-        if isinstance(node, FunCall) and node.name in _POSITIONAL:
+        if isinstance(node, FunCall) and node.name in _READS_POSITION:
             return False
         if isinstance(node, PathExpr):
             for step in node.steps:

@@ -95,6 +95,7 @@ from repro.xquery.ast import (
 )
 from repro.xquery.context import DynamicContext
 from repro.xquery.evaluator import Evaluator
+from repro.xquery.functions import builtins_in
 from repro.xquery.predicates import conjunction_members, literal_probe
 from repro.xquery.prepared import Binding
 from repro.xquery.pretty import pretty
@@ -102,7 +103,8 @@ from repro.xquery.pretty import pretty
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import _Run
 
-_DOC_FUNCTIONS = ("doc", "fn:doc")
+#: ``doc(uri)``: the call whose URI the router rewrites to a shard.
+_OPENS_DOCUMENT = builtins_in("document")
 
 #: The shard parameter's name, or its stem when the body spells it.
 SHARD_PARAMETER = "shard"
@@ -116,7 +118,7 @@ def rewrite_doc_uris(expr: Expr,
     through ``mapping``: a string is the new URI, an expression the new
     argument, None keeps the original URI."""
     def visit(node: Expr) -> Expr:
-        if (isinstance(node, FunCall) and node.name in _DOC_FUNCTIONS
+        if (isinstance(node, FunCall) and node.name in _OPENS_DOCUMENT
                 and len(node.args) == 1):
             arg = node.args[0]
             if isinstance(arg, Literal) and isinstance(arg.value, str):
@@ -211,7 +213,7 @@ def _rooted_in_collection(expr: Expr, collection: str,
         if any(step.predicates for step in expr.steps):
             return False
         return _rooted_in_collection(expr.input, collection, rooted_vars)
-    if isinstance(expr, FunCall) and expr.name in _DOC_FUNCTIONS \
+    if isinstance(expr, FunCall) and expr.name in _OPENS_DOCUMENT \
             and len(expr.args) == 1:
         arg = expr.args[0]
         return (isinstance(arg, Literal) and isinstance(arg.value, str)

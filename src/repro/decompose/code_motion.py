@@ -24,25 +24,17 @@ from repro.xquery.ast import (
     ArithmeticExpr, ComparisonExpr, Expr, FunCall, FunctionDecl, Module,
     PathExpr, Step, VarRef, XRPCExpr, XRPCParam,
 )
+from repro.xquery.functions import builtins_in
 
 #: Axes that may appear in a moved path (downward, no identity hazards).
 _DOWNWARD_AXES = frozenset({
     "child", "attribute", "descendant", "descendant-or-self", "self",
 })
 
-#: Built-ins for which ``f(data(path))`` equals ``f(path)`` — the
-#: moved parameter is shipped *atomized* (the paper's fcn2new takes
-#: ``xs:string*``), so consumers must tolerate atoms. This excludes
-#: EBV contexts (``not``, ``if``-conditions, ...): the effective
-#: boolean value of a multi-item atomic sequence is an error while a
-#: node sequence's is true.
-_DATA_SAFE_BUILTINS = frozenset({
-    "data", "string", "number", "empty", "exists", "count", "sum",
-    "avg", "max", "min", "concat", "string-join", "contains",
-    "starts-with", "ends-with", "substring", "substring-before",
-    "substring-after", "normalize-space", "upper-case", "lower-case",
-    "distinct-values", "index-of",
-})
+#: Built-ins for which ``f(data(path))`` equals ``f(path)`` (the
+#: registry's ``data-safe`` class): the moved parameter is shipped
+#: *atomized*, as the paper's fcn2new takes ``xs:string*``.
+_TAKES_ATOMS = builtins_in("data-safe")
 
 
 class _Candidate(NamedTuple):
@@ -171,10 +163,10 @@ def _all_downward(path: PathExpr) -> bool:
 def _atomizing_consumer(parent: Expr | None, path: PathExpr) -> bool:
     """Is the consumer indifferent to receiving ``data(path)``?
 
-    General comparisons and arithmetic atomize anyway; the whitelisted
-    built-ins are value/cardinality functions with identical results
-    on atoms. EBV positions (if-conditions, and/or, quantifiers, not)
-    are NOT safe: multi-item atomic sequences have no EBV.
+    General comparisons and arithmetic atomize anyway; a ``data-safe``
+    built-in gives identical results on atoms. EBV positions
+    (if-conditions, and/or, quantifiers, ``not``) are NOT safe: a
+    multi-item atomic sequence has no EBV, a node sequence's is true.
     """
     if parent is None:
         return False  # the path result is the function result: escapes
@@ -183,5 +175,5 @@ def _atomizing_consumer(parent: Expr | None, path: PathExpr) -> bool:
     if isinstance(parent, ArithmeticExpr):
         return True
     if isinstance(parent, FunCall):
-        return parent.name in _DATA_SAFE_BUILTINS
+        return parent.name in _TAKES_ATOMS
     return False

@@ -37,6 +37,7 @@ from __future__ import annotations
 from repro.dgraph.analysis import matching_doc_conflict
 from repro.dgraph.graph import DGraph, Vertex, axis_category
 from repro.xmldb.axes import NON_OVERLAPPING_AXES
+from repro.xquery.functions import builtins_in
 
 #: Mixer rules for condition iii under pass-by-value.
 MIXER_RULES_BY_VALUE = frozenset({
@@ -49,7 +50,7 @@ MIXER_RULES_BY_VALUE = frozenset({
 MIXER_RULES_BY_FRAGMENT = frozenset({"ExprSeq", "NodeSetExpr"})
 
 #: Built-ins of condition iv (Problem 5 Classes 3-4).
-CONDITION_IV_FUNCTIONS = frozenset({"root", "id", "idref"})
+_NON_DESCENDANT = builtins_in("root", "id")
 
 
 def _is_mixer(graph: DGraph, vertex: Vertex, allow_loops: bool) -> bool:
@@ -157,7 +158,7 @@ def _condition_iii(graph: DGraph, rs: int, fragment: bool) -> bool:
 
 def _condition_iv(graph: DGraph, rs: int) -> bool:
     for vertex in graph.by_rule("FunCall"):
-        if vertex.val not in CONDITION_IV_FUNCTIONS:
+        if vertex.val not in _NON_DESCENDANT:
             continue
         if _uses(graph, vertex.vid, rs):
             return True

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from repro.dgraph.graph import DGraph, Vertex
+from repro.xquery.functions import builtins_in
 
 
 class DocDep(NamedTuple):
@@ -37,13 +38,17 @@ class DocDep(NamedTuple):
 #: collide with real URIs but do match wildcards.
 _CONSTRUCTED_PREFIX = "constructed:"
 
+#: ``doc`` and ``collection``; a collection may be any document.
+_OPENS_DOCUMENTS = builtins_in("document", "collection")
+_OPENS_ANY_DOCUMENT = builtins_in("collection")
+
 
 def uri_dependencies(graph: DGraph, vid: int) -> frozenset[DocDep]:
     """Compute D(v) for vertex ``vid``."""
     deps: set[DocDep] = set()
     for member in graph.parse_descendants(vid):
         vertex = graph[member]
-        if vertex.rule == "FunCall" and vertex.val in ("doc", "collection"):
+        if vertex.rule == "FunCall" and vertex.val in _OPENS_DOCUMENTS:
             deps.add(_doc_dep(graph, vertex))
         elif vertex.rule == "Constructor":
             deps.add(DocDep(f"{_CONSTRUCTED_PREFIX}v{vertex.vid}",
@@ -52,7 +57,7 @@ def uri_dependencies(graph: DGraph, vid: int) -> frozenset[DocDep]:
 
 
 def _doc_dep(graph: DGraph, vertex: Vertex) -> DocDep:
-    if vertex.val == "collection":
+    if vertex.val in _OPENS_ANY_DOCUMENT:
         return DocDep("*", vertex.vid)
     if len(vertex.children) == 1:
         child = graph[vertex.children[0]]
@@ -96,7 +101,7 @@ def _reachable_doc_deps(graph: DGraph, vid: int) -> frozenset[DocDep]:
     deps: set[DocDep] = set()
     for member in graph.depends_set(vid):
         vertex = graph[member]
-        if vertex.rule == "FunCall" and vertex.val in ("doc", "collection"):
+        if vertex.rule == "FunCall" and vertex.val in _OPENS_DOCUMENTS:
             deps.add(_doc_dep(graph, vertex))
         elif vertex.rule == "Constructor":
             deps.add(DocDep(f"{_CONSTRUCTED_PREFIX}v{vertex.vid}",

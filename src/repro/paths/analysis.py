@@ -34,6 +34,7 @@ from repro.xquery.ast import (
     RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
     walk,
 )
+from repro.xquery.functions import BUILTINS, FOCUS_FUNCTIONS, builtins_in
 
 Source = tuple[str, object]  # ("param", name) | ("xrpc", id(expr))
 Abstract = frozenset[tuple[Source, RelPath]]
@@ -65,24 +66,17 @@ class ProjectionSpec:
         self.result_paths = PathSets() if result_paths is None else result_paths
 
 
-#: Builtins that pass their argument nodes through unchanged (public:
-#: the planner's estimator shares this classification).
-TRANSPARENT_BUILTINS = frozenset({
-    "reverse", "subsequence", "insert-before", "remove", "exactly-one",
-    "zero-or-one", "one-or-more", "unordered",
-})
-
-#: Builtins that only atomize / inspect their arguments (public: the
-#: planner's estimator shares this classification).
-VALUE_BUILTINS = frozenset({
-    "data", "string", "number", "not", "boolean", "empty", "exists",
-    "count", "sum", "avg", "max", "min", "concat", "string-join",
-    "contains", "starts-with", "ends-with", "substring",
-    "substring-before", "substring-after", "normalize-space",
-    "upper-case", "lower-case", "string-length", "translate",
-    "distinct-values", "index-of", "local-name", "name",
-    "base-uri", "xrpc:base-uri", "document-uri", "xrpc:document-uri",
-})
+#: The built-ins the rules below treat specially, by their registry
+#: classes (the planner's estimator prices calls by the same sets).
+OPENS_DOCUMENTS = builtins_in("document", "collection")
+#: (name, arity) of the calls that extend their last argument's paths
+#: by the pseudo-step ``name()`` (rules ROOT and ID): the arities that
+#: take the node as an argument rather than read the focus.
+PSEUDO_STEPS = frozenset(key for key in BUILTINS
+                         if key[0] in builtins_in("root", "id")
+                         and key not in FOCUS_FUNCTIONS)
+PASSES_NODES = builtins_in("transparent")
+ATOMIZES_NODES = builtins_in("value")
 
 
 class _Analyzer:
@@ -235,26 +229,23 @@ class _Analyzer:
             finally:
                 self._inlining.pop()
 
-        if name == "doc" or name == "collection":
+        if name in OPENS_DOCUMENTS:
             for arg in expr.args:
                 self.mark_used(self.analyze(arg, env))
             return _EMPTY
-        if name == "root" and arity == 1:
-            inner = self.analyze(expr.args[0], env)
-            return frozenset((source, path.extend(RelStep("root()")))
-                             for source, path in inner)
-        if name in ("id", "idref") and arity == 2:
-            self.mark_used(self.analyze(expr.args[0], env))
-            inner = self.analyze(expr.args[1], env)
+        if (name, arity) in PSEUDO_STEPS:
+            for arg in expr.args[:-1]:
+                self.mark_used(self.analyze(arg, env))
+            inner = self.analyze(expr.args[-1], env)
             return frozenset(
                 (source, path.extend(RelStep(f"{name}()")))
                 for source, path in inner)
-        if name in TRANSPARENT_BUILTINS:
+        if name in PASSES_NODES:
             out: set = set()
             for arg in expr.args:
                 out |= self.analyze(arg, env)
             return frozenset(out)
-        if name in VALUE_BUILTINS:
+        if name in ATOMIZES_NODES:
             for arg in expr.args:
                 self.mark_used(self.analyze(arg, env))
             return _EMPTY

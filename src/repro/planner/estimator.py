@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.decompose import DecompositionResult
 from repro.decompose.points import split_xrpc_uri
 from repro.paths.analysis import (
-    TRANSPARENT_BUILTINS, VALUE_BUILTINS, PathSets, analyze_module,
+    ATOMIZES_NODES, OPENS_DOCUMENTS, PASSES_NODES, PSEUDO_STEPS, PathSets,
+    analyze_module,
 )
 from repro.planner.feedback import CalibrationBook
 from repro.planner.ir import (
@@ -52,6 +53,7 @@ from repro.xquery.ast import (
     QuantifiedExpr, RangeExpr, SequenceExpr, TypeswitchExpr, UnaryExpr,
     VarRef, XRPCExpr, walk,
 )
+from repro.xquery.functions import builtins_in
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.system.federation import Federation
@@ -112,6 +114,10 @@ _BOOLEAN = _Vol(items=1.0, bytes=8.0)
 _SLOT = {"integer": _Vol(items=1.0, bytes=8.0),
          "double": _Vol(items=1.0, bytes=8.0),
          "string": _Vol(items=1.0, bytes=16.0)}
+#: A call of these answers one small atom; ``root()`` reaches the
+#: whole document of its argument (classes of the built-in registry).
+_ONE_ATOM = builtins_in("atom")
+_ROOTS = builtins_in("root")
 
 
 def _combine(volumes: list[_Vol]) -> _Vol:
@@ -412,32 +418,28 @@ class _Estimation:
             finally:
                 self._inlining.pop()
 
-        if name in ("doc", "fn:doc", "collection"):
+        if name in OPENS_DOCUMENTS:
             return self._visit_doc(expr, env, host, multiplicity)
-        if name == "root" and arity == 1:
-            inner = self.visit(expr.args[0], env, host, multiplicity)
-            if inner.stats is not None:
-                return _Vol(items=inner.items,
-                            bytes=inner.stats.serialized_bytes,
-                            stats=inner.stats)
-            return inner
-        if name in ("id", "idref") and arity == 2:
-            self.visit(expr.args[0], env, host, multiplicity)
-            inner = self.visit(expr.args[1], env, host, multiplicity)
+        if (name, arity) in PSEUDO_STEPS:
+            for arg in expr.args[:-1]:
+                self.visit(arg, env, host, multiplicity)
+            inner = self.visit(expr.args[-1], env, host, multiplicity)
+            if name in _ROOTS:
+                return inner if inner.stats is None else _Vol(
+                    items=inner.items, bytes=inner.stats.serialized_bytes,
+                    stats=inner.stats)
             avg = (inner.stats.avg_element_bytes
                    if inner.stats is not None else 64.0)
             return _Vol(items=inner.items, bytes=inner.items * avg,
                         stats=inner.stats)
-        if name in TRANSPARENT_BUILTINS:
+        if name in PASSES_NODES:
             return _combine([self.visit(arg, env, host, multiplicity)
                              for arg in expr.args])
-        if name in ("count", "sum", "avg", "max", "min", "empty",
-                    "exists", "string-length", "number", "not",
-                    "boolean"):
+        if name in _ONE_ATOM:
             for arg in expr.args:
                 self.visit(arg, env, host, multiplicity)
             return _BOOLEAN
-        if name in VALUE_BUILTINS:
+        if name in ATOMIZES_NODES:
             volumes = [self.visit(arg, env, host, multiplicity)
                        for arg in expr.args]
             combined = _combine(volumes)

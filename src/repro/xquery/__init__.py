@@ -30,7 +30,7 @@ __all__ = lazy_exports(globals(), {
             "ConstructorExpr FunCall XRPCExpr XRPCParam walk",
     ".parser": "parse_query parse_expr",
     ".normalize": "normalize sink_lets",
-    ".evaluator": "Evaluator evaluate_module",
+    ".evaluator": "Evaluator",
     ".context": "StaticContext DynamicContext",
     ".pretty": "pretty",
     ".xdm": "UntypedAtomic atomize effective_boolean_value string_value "

@@ -58,11 +58,6 @@ class Expr(_Node):
             changed = changed or value_changed
         return type(self)(*values) if changed else self
 
-    @property
-    def rule(self) -> str:
-        """The grammar-rule name this node represents (d-graph labels)."""
-        return type(self).__name__
-
 
 def _collect_exprs(value: Any, out: list[Expr]) -> None:
     if isinstance(value, Expr):
@@ -115,10 +110,6 @@ class Literal(Expr):
     def __init__(self, value: str | int | float | bool) -> None:
         self.value = value
 
-    def bound(self, literals: tuple = ()) -> str | int | float | bool:
-        """The value this leaf stands for (whatever the binding)."""
-        return self.value
-
 
 class LiteralSlot(Expr):
     """A comparison operand literal of a *prepared* query: the shape
@@ -133,9 +124,6 @@ class LiteralSlot(Expr):
         self.index = index
         #: ``"integer"``, ``"double"`` or ``"string"`` — part of the shape.
         self.kind = kind
-
-    def bound(self, literals: tuple) -> str | int | float:
-        return literals[self.index]
 
 
 #: The two leaves that stand for an atomic constant.

@@ -60,13 +60,6 @@ class CostCounter:
         self.nodes_visited = 0
         self.docs_opened = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "ticks": self.ticks,
-            "nodes_visited": self.nodes_visited,
-            "docs_opened": self.docs_opened,
-        }
-
     def mark(self) -> tuple[int, int, int]:
         """The counts now, for :meth:`charge_since`."""
         return self.ticks, self.nodes_visited, self.docs_opened

@@ -382,9 +382,8 @@ class Evaluator:
         args = [self._lift(arg, frame) for arg in expr.args]
         rows = zip(*args) if args else [()] * frame.size
         env = frame.env
-        if frame.focus is not None and (name, arity) \
-                in fn_mod.FOCUS_FUNCTIONS \
-                and (name, arity) not in self._functions:
+        if frame.focus is not None \
+                and (name, arity) in fn_mod.FOCUS_FUNCTIONS:
             return [self.call_function(name, arity, values,
                                        _with_focus(env, focus))
                     for values, focus in zip(rows, frame.focus)]
@@ -1121,12 +1120,6 @@ class Evaluator:
                  for param, values in zip(expr.params, params)],
                 expr.body, frame.env.binding))
         return out
-
-
-def evaluate_module(module: Module, env: DynamicContext,
-                    static: StaticContext | None = None) -> list:
-    """Convenience one-shot: evaluate a parsed module's body."""
-    return Evaluator(module, static).run(env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
-"""The built-in function library.
+"""The built-in function library, and the one declaration of what each
+built-in does to the nodes it is given.
 
 Builtins receive the evaluator (for context access and to keep all
 counting in one place), the dynamic context, and the already-evaluated
-argument sequences. The classification of Section II's Problem 5 is
-annotated per function:
+argument sequences. Each is registered once, by :func:`_register`,
+under its name and arities, with the classes of :data:`CLASSES` it
+belongs to. Every analysis that treats a built-in specially — where a
+query may be cut (Section II's Problem 5, condition iv), what a
+projected fragment keeps (Section VI), what code motion may move, how
+the planner prices a call, how shard results combine — reads its set
+of names from :func:`builtins_in`, derived once when it is imported.
 
-* Class 1 (static context): ``static-base-uri``, ``default-collation``,
-  ``current-dateTime`` — safe remotely because XRPC ships the static
-  context in the message envelope.
-* Class 2 (dynamic node context): ``base-uri``, ``document-uri`` and
-  their ``xrpc:`` wrappers — safe because fragment documents record the
-  originating base URI.
-* Classes 3-4 (non-descendant access): ``root``, ``id``, ``idref`` —
-  the functions Conditions iv guards, supported remotely only under
-  pass-by-projection.
+Problem 5's classes: the static context (``static-base-uri``,
+``default-collation``, ``current-dateTime``) is safe remotely because
+XRPC ships it in the message envelope; the dynamic node context
+(``base-uri``, ``document-uri`` and their ``xrpc:`` wrappers) because
+fragment documents record the originating URI (not yet here: ROADMAP
+item 19(d)); non-descendant access
+(``root``, ``id``, ``idref``) is what condition iv guards, supported
+remotely only under pass-by-projection.
 """
 
 from __future__ import annotations
@@ -34,19 +39,46 @@ BuiltinImpl = Callable[..., list]
 #: (name, arity) -> implementation. Populated by :func:`_register`.
 BUILTINS: dict[tuple[str, int], BuiltinImpl] = {}
 
-#: The built-ins of Problem 5 Classes 3-4 (paper Condition iv).
-NON_DESCENDANT_FUNCTIONS = frozenset({"root", "id", "idref"})
-
 #: (name, arity) of the built-ins that read the focus (context item,
 #: position, size): the evaluator hands each row its own. Populated by
 #: :func:`_register`'s ``focus``.
 FOCUS_FUNCTIONS: set[tuple[str, int]] = set()
 
+#: The classes a built-in may be in. Each analysis that reads one says
+#: so where it calls :func:`builtins_in`.
+CLASSES = {
+    "document": "opens the document its URI names (rules DOC1/DOC2)",
+    "collection": "opens any document: its D(v) is * (resolved as doc)",
+    "root": "reaches its node argument's root (rule ROOT, condition iv)",
+    "id": "reaches elements by ID from its node (rule ID, condition iv)",
+    "transparent": "returns its argument nodes unchanged",
+    "value": "only atomizes or inspects its argument nodes",
+    "atom": "answers one number or boolean",
+    "data-safe": "f(data(p)) = f(p): code motion may ship p atomized",
+    "boolean": "answers a boolean",
+    "additive": "per-shard answers add up to the whole",
+    "positional": "reads the context position or size",
+}
 
-def _register(name: str, *arities: int, focus: int | None = None):
+#: name -> the classes it was registered with.
+_CLASSES_OF: dict[str, frozenset[str]] = {}
+
+
+def _known(classes) -> frozenset[str]:
+    unknown = set(classes) - CLASSES.keys()
+    if unknown:
+        raise ValueError(f"unknown built-in classes {sorted(unknown)}")
+    return frozenset(classes)
+
+
+def _register(name: str, *arities: int, focus: int | None = None,
+              classes: str = ""):
     """Register the decorated built-in under ``name`` at each arity;
     ``focus`` is the arity at which it reads the focus instead of an
-    argument."""
+    argument, ``classes`` the space-separated :data:`CLASSES` it is in
+    (at every arity)."""
+    _CLASSES_OF[name] = _known(classes.split())
+
     def decorator(fn: BuiltinImpl) -> BuiltinImpl:
         for arity in arities:
             BUILTINS[(name, arity)] = fn
@@ -56,10 +88,27 @@ def _register(name: str, *arities: int, focus: int | None = None):
     return decorator
 
 
+def builtins_in(*classes: str) -> frozenset[str]:
+    """The names of the built-ins in any of ``classes``."""
+    wanted = _known(classes)
+    return frozenset(name for name, declared in _CLASSES_OF.items()
+                     if not declared.isdisjoint(wanted))
+
+
 def _single_node(seq: list, who: str) -> Node:
     if len(seq) != 1 or not isinstance(seq[0], Node):
         raise XQueryTypeError(f"{who} requires exactly one node")
     return seq[0]
+
+
+def _context_or_single(env, seq: list | None, who: str) -> Node:
+    """The node argument, or the context node where there is none."""
+    if seq is None:
+        item = env.context_item
+        if not isinstance(item, Node):
+            raise XQueryDynamicError(f"{who} requires a context node")
+        return item
+    return _single_node(seq, who)
 
 
 def _optional_atom(seq: list, who: str) -> Any:
@@ -70,12 +119,18 @@ def _optional_atom(seq: list, who: str) -> Any:
     return xdm.atomize_item(seq[0])
 
 
+def _strings(who: str, *seqs: list) -> list[str]:
+    """Each argument's optional atom as a string ("" for none)."""
+    return [str(_optional_atom(seq, who) or "") for seq in seqs]
+
+
 # ---------------------------------------------------------------------------
 # Documents and node context (Problem 5 Classes 1-4)
 # ---------------------------------------------------------------------------
 
 
-@_register("doc", 1)
+@_register("doc", 1, classes="document")
+@_register("collection", 1, classes="collection")
 def fn_doc(evaluator, env, uri_seq):
     atom = _optional_atom(uri_seq, "fn:doc")
     if atom is None:
@@ -84,64 +139,40 @@ def fn_doc(evaluator, env, uri_seq):
     return [env.resolve_doc(str(atom)).root]
 
 
-@_register("collection", 1)
-def fn_collection(evaluator, env, uri_seq):
-    # Treated as doc(*) by the decomposition analysis; at runtime we
-    # resolve it like a document.
-    return fn_doc(evaluator, env, uri_seq)
-
-
-@_register("root", 1)
+@_register("root", 1, classes="root")
 def fn_root(evaluator, env, node_seq):
     if not node_seq:
         return []
     return [_single_node(node_seq, "fn:root").root()]
 
 
-@_register("id", 1, 2, focus=1)
+@_register("id", 1, 2, focus=1, classes="id")
 def fn_id(evaluator, env, values, node_seq=None):
-    if node_seq is None:
-        node = env.context_item
-        if not isinstance(node, Node):
-            raise XQueryDynamicError("fn:id requires a context node")
-    else:
-        node = _single_node(node_seq, "fn:id")
-    out = []
-    for value in atomize(values):
-        for token in str(value).split():
-            hit = node.doc.element_by_id(token)
-            if hit is not None:
-                out.append(hit)
-    return sort_document_order(out)
+    doc = _context_or_single(env, node_seq, "fn:id").doc
+    hits = (doc.element_by_id(token) for value in atomize(values)
+            for token in str(value).split())
+    return sort_document_order([hit for hit in hits if hit is not None])
 
 
-@_register("idref", 1, 2, focus=1)
+@_register("idref", 1, 2, focus=1, classes="id")
 def fn_idref(evaluator, env, values, node_seq=None):
-    if node_seq is None:
-        node = env.context_item
-        if not isinstance(node, Node):
-            raise XQueryDynamicError("fn:idref requires a context node")
-    else:
-        node = _single_node(node_seq, "fn:idref")
-    out = []
-    for value in atomize(values):
-        for token in str(value).split():
-            out.extend(node.doc.elements_by_idref(token))
-    return sort_document_order(out)
+    doc = _context_or_single(env, node_seq, "fn:idref").doc
+    return sort_document_order([hit for value in atomize(values)
+                                for token in str(value).split()
+                                for hit in doc.elements_by_idref(token)])
 
 
-@_register("base-uri", 1)
-@_register("xrpc:base-uri", 1)
+@_register("base-uri", 1, classes="value")
+@_register("xrpc:base-uri", 1, classes="value")
 def fn_base_uri(evaluator, env, node_seq):
     if not node_seq:
         return []
-    node = _single_node(node_seq, "fn:base-uri")
-    uri = node.doc.uri
+    uri = _single_node(node_seq, "fn:base-uri").doc.uri
     return [uri] if uri else []
 
 
-@_register("document-uri", 1)
-@_register("xrpc:document-uri", 1)
+@_register("document-uri", 1, classes="value")
+@_register("xrpc:document-uri", 1, classes="value")
 def fn_document_uri(evaluator, env, node_seq):
     if not node_seq:
         return []
@@ -171,48 +202,59 @@ def fn_current_datetime(evaluator, env):
 # ---------------------------------------------------------------------------
 
 
-@_register("count", 1)
+@_register("count", 1, classes="value atom data-safe additive")
 def fn_count(evaluator, env, seq):
     return [len(seq)]
 
 
-@_register("empty", 1)
+@_register("empty", 1, classes="value atom data-safe boolean")
 def fn_empty(evaluator, env, seq):
     return [len(seq) == 0]
 
 
-@_register("exists", 1)
+@_register("exists", 1, classes="value atom data-safe boolean")
 def fn_exists(evaluator, env, seq):
     return [len(seq) > 0]
 
 
-@_register("distinct-values", 1)
+@_register("distinct-values", 1, classes="value data-safe")
 def fn_distinct_values(evaluator, env, seq):
     seen: list = []
     for atom in atomize(seq):
-        if any(xdm.items_equal(atom, s) for s in seen):
-            continue
-        seen.append(atom)
+        if not any(xdm.items_equal(atom, s) for s in seen):
+            seen.append(atom)
     return seen
 
 
-@_register("reverse", 1)
+@_register("reverse", 1, classes="transparent")
 def fn_reverse(evaluator, env, seq):
     return list(reversed(seq))
 
 
-@_register("subsequence", 2, 3)
+@_register("subsequence", 2, 3, classes="transparent")
 def fn_subsequence(evaluator, env, seq, start_seq, length_seq=None):
-    start = round(to_number(_optional_atom(start_seq, "fn:subsequence")))
-    if length_seq is None:
-        return seq[max(0, start - 1):]
-    length = round(to_number(_optional_atom(length_seq, "fn:subsequence")))
-    begin = max(1, start)
-    end = start + length
-    return seq[begin - 1:max(begin - 1, end - 1)]
+    return _window(seq, start_seq, length_seq, "fn:subsequence")
 
 
-@_register("index-of", 2)
+def _window(items, start_seq: list, length_seq: list | None, who: str):
+    """``items`` at the 1-based positions p with round(start) <= p <
+    round(start) + round(length), rounding half up; a NaN bound selects
+    nothing (fn:subsequence, fn:substring)."""
+    start = _rounded(start_seq, who)
+    end = math.inf if length_seq is None else start + _rounded(
+        length_seq, who)
+    if not start < end:
+        return items[:0]
+    first, stop = max(1, start), min(len(items) + 1, end)
+    return items[int(first) - 1:int(stop) - 1] if first < stop else items[:0]
+
+
+def _rounded(seq: list, who: str) -> float:
+    value = to_number(_optional_atom(seq, who))
+    return math.floor(value + 0.5) if math.isfinite(value) else value
+
+
+@_register("index-of", 2, classes="value data-safe")
 def fn_index_of(evaluator, env, seq, target_seq):
     target = _optional_atom(target_seq, "fn:index-of")
     out = []
@@ -225,14 +267,14 @@ def fn_index_of(evaluator, env, seq, target_seq):
     return out
 
 
-@_register("insert-before", 3)
+@_register("insert-before", 3, classes="transparent")
 def fn_insert_before(evaluator, env, seq, pos_seq, inserts):
     position = round(to_number(_optional_atom(pos_seq, "fn:insert-before")))
     position = max(1, min(position, len(seq) + 1))
     return seq[:position - 1] + list(inserts) + seq[position - 1:]
 
 
-@_register("remove", 2)
+@_register("remove", 2, classes="transparent")
 def fn_remove(evaluator, env, seq, pos_seq):
     position = round(to_number(_optional_atom(pos_seq, "fn:remove")))
     if 1 <= position <= len(seq):
@@ -240,7 +282,7 @@ def fn_remove(evaluator, env, seq, pos_seq):
     return list(seq)
 
 
-@_register("exactly-one", 1)
+@_register("exactly-one", 1, classes="transparent")
 def fn_exactly_one(evaluator, env, seq):
     if len(seq) != 1:
         raise XQueryDynamicError("fn:exactly-one: sequence length "
@@ -248,7 +290,7 @@ def fn_exactly_one(evaluator, env, seq):
     return list(seq)
 
 
-@_register("zero-or-one", 1)
+@_register("zero-or-one", 1, classes="transparent")
 def fn_zero_or_one(evaluator, env, seq):
     if len(seq) > 1:
         raise XQueryDynamicError("fn:zero-or-one: sequence length "
@@ -256,14 +298,14 @@ def fn_zero_or_one(evaluator, env, seq):
     return list(seq)
 
 
-@_register("one-or-more", 1)
+@_register("one-or-more", 1, classes="transparent")
 def fn_one_or_more(evaluator, env, seq):
     if not seq:
         raise XQueryDynamicError("fn:one-or-more: empty sequence")
     return list(seq)
 
 
-@_register("unordered", 1)
+@_register("unordered", 1, classes="transparent")
 def fn_unordered(evaluator, env, seq):
     return list(seq)
 
@@ -273,27 +315,27 @@ def fn_unordered(evaluator, env, seq):
 # ---------------------------------------------------------------------------
 
 
-@_register("not", 1)
+@_register("not", 1, classes="value atom boolean")
 def fn_not(evaluator, env, seq):
     return [not effective_boolean_value(seq)]
 
 
-@_register("boolean", 1)
+@_register("boolean", 1, classes="value atom boolean")
 def fn_boolean(evaluator, env, seq):
     return [effective_boolean_value(seq)]
 
 
-@_register("true", 0)
+@_register("true", 0, classes="boolean")
 def fn_true(evaluator, env):
     return [True]
 
 
-@_register("false", 0)
+@_register("false", 0, classes="boolean")
 def fn_false(evaluator, env):
     return [False]
 
 
-@_register("deep-equal", 2)
+@_register("deep-equal", 2, classes="boolean")
 def fn_deep_equal(evaluator, env, left, right):
     return [xdm.sequences_deep_equal(left, right)]
 
@@ -303,7 +345,7 @@ def fn_deep_equal(evaluator, env, left, right):
 # ---------------------------------------------------------------------------
 
 
-@_register("string", 0, 1, focus=0)
+@_register("string", 0, 1, focus=0, classes="value data-safe")
 def fn_string(evaluator, env, seq=None):
     if seq is None:
         item = env.context_item
@@ -317,12 +359,12 @@ def fn_string(evaluator, env, seq=None):
     return [string_value(seq[0])]
 
 
-@_register("data", 1)
+@_register("data", 1, classes="value data-safe")
 def fn_data(evaluator, env, seq):
     return atomize(seq)
 
 
-@_register("number", 0, 1, focus=0)
+@_register("number", 0, 1, focus=0, classes="value atom data-safe")
 def fn_number(evaluator, env, seq=None):
     if seq is None:
         item = env.context_item
@@ -335,7 +377,7 @@ def fn_number(evaluator, env, seq=None):
     return [to_number(atom)]
 
 
-@_register("concat", 2, 3, 4, 5, 6, 7, 8)
+@_register("concat", 2, 3, 4, 5, 6, 7, 8, classes="value data-safe")
 def fn_concat(evaluator, env, *arg_seqs):
     parts = []
     for seq in arg_seqs:
@@ -344,93 +386,78 @@ def fn_concat(evaluator, env, *arg_seqs):
     return ["".join(parts)]
 
 
-@_register("string-join", 2)
+@_register("string-join", 2, classes="value data-safe")
 def fn_string_join(evaluator, env, seq, sep_seq):
     separator = _optional_atom(sep_seq, "fn:string-join")
     separator = "" if separator is None else str(separator)
     return [separator.join(string_value(item) for item in atomize(seq))]
 
 
-@_register("string-length", 0, 1, focus=0)
+@_register("string-length", 0, 1, focus=0, classes="value atom")
 def fn_string_length(evaluator, env, seq=None):
-    text = fn_string(evaluator, env, seq)[0]
-    return [len(text)]
+    return [len(fn_string(evaluator, env, seq)[0])]
 
 
-@_register("contains", 2)
+@_register("contains", 2, classes="value data-safe boolean")
 def fn_contains(evaluator, env, haystack, needle):
-    h = _optional_atom(haystack, "fn:contains")
-    n = _optional_atom(needle, "fn:contains")
-    return [str(n or "") in str(h or "")]
+    text, part = _strings("fn:contains", haystack, needle)
+    return [part in text]
 
 
-@_register("starts-with", 2)
+@_register("starts-with", 2, classes="value data-safe boolean")
 def fn_starts_with(evaluator, env, haystack, needle):
-    h = _optional_atom(haystack, "fn:starts-with")
-    n = _optional_atom(needle, "fn:starts-with")
-    return [str(h or "").startswith(str(n or ""))]
+    text, part = _strings("fn:starts-with", haystack, needle)
+    return [text.startswith(part)]
 
 
-@_register("ends-with", 2)
+@_register("ends-with", 2, classes="value data-safe boolean")
 def fn_ends_with(evaluator, env, haystack, needle):
-    h = _optional_atom(haystack, "fn:ends-with")
-    n = _optional_atom(needle, "fn:ends-with")
-    return [str(h or "").endswith(str(n or ""))]
+    text, part = _strings("fn:ends-with", haystack, needle)
+    return [text.endswith(part)]
 
 
-@_register("substring", 2, 3)
+@_register("substring", 2, 3, classes="value data-safe")
 def fn_substring(evaluator, env, source, start_seq, length_seq=None):
-    text = str(_optional_atom(source, "fn:substring") or "")
-    start = round(to_number(_optional_atom(start_seq, "fn:substring")))
-    if length_seq is None:
-        return [text[max(0, start - 1):]]
-    length = round(to_number(_optional_atom(length_seq, "fn:substring")))
-    begin = max(1, start)
-    end = start + length
-    return [text[begin - 1:max(begin - 1, end - 1)]]
+    (text,) = _strings("fn:substring", source)
+    return [_window(text, start_seq, length_seq, "fn:substring")]
 
 
-@_register("substring-before", 2)
+@_register("substring-before", 2, classes="value data-safe")
 def fn_substring_before(evaluator, env, source, sep):
-    text = str(_optional_atom(source, "fn:substring-before") or "")
-    needle = str(_optional_atom(sep, "fn:substring-before") or "")
-    index = text.find(needle) if needle else -1
-    return [text[:index] if index >= 0 else ""]
+    text, needle = _strings("fn:substring-before", source, sep)
+    return [text[:max(text.find(needle), 0)]]
 
 
-@_register("substring-after", 2)
+@_register("substring-after", 2, classes="value data-safe")
 def fn_substring_after(evaluator, env, source, sep):
-    text = str(_optional_atom(source, "fn:substring-after") or "")
-    needle = str(_optional_atom(sep, "fn:substring-after") or "")
-    index = text.find(needle) if needle else -1
+    text, needle = _strings("fn:substring-after", source, sep)
+    index = text.find(needle)      # "" is found at 0: the whole text
     return [text[index + len(needle):] if index >= 0 else ""]
 
 
-@_register("normalize-space", 0, 1, focus=0)
+@_register("normalize-space", 0, 1, focus=0, classes="value data-safe")
 def fn_normalize_space(evaluator, env, seq=None):
-    text = fn_string(evaluator, env, seq)[0]
-    return [" ".join(text.split())]
+    return [" ".join(fn_string(evaluator, env, seq)[0].split())]
 
 
-@_register("upper-case", 1)
+@_register("upper-case", 1, classes="value data-safe")
 def fn_upper_case(evaluator, env, seq):
-    return [str(_optional_atom(seq, "fn:upper-case") or "").upper()]
+    return [_strings("fn:upper-case", seq)[0].upper()]
 
 
-@_register("lower-case", 1)
+@_register("lower-case", 1, classes="value data-safe")
 def fn_lower_case(evaluator, env, seq):
-    return [str(_optional_atom(seq, "fn:lower-case") or "").lower()]
+    return [_strings("fn:lower-case", seq)[0].lower()]
 
 
-@_register("translate", 3)
+@_register("translate", 3, classes="value")
 def fn_translate(evaluator, env, source, map_from, map_to):
-    text = str(_optional_atom(source, "fn:translate") or "")
-    source_chars = str(_optional_atom(map_from, "fn:translate") or "")
-    target_chars = str(_optional_atom(map_to, "fn:translate") or "")
-    table = {}
-    for index, ch in enumerate(source_chars):
-        table[ord(ch)] = (target_chars[index]
-                          if index < len(target_chars) else None)
+    text, source_chars, target_chars = _strings(
+        "fn:translate", source, map_from, map_to)
+    table: dict[int, str | None] = {}
+    for index, ch in enumerate(source_chars):   # the first mapping wins
+        table.setdefault(ord(ch), target_chars[index]
+                         if index < len(target_chars) else None)
     return [text.translate(table)]
 
 
@@ -439,7 +466,7 @@ def fn_translate(evaluator, env, source, map_from, map_to):
 # ---------------------------------------------------------------------------
 
 
-@_register("sum", 1, 2)
+@_register("sum", 1, 2, classes="value atom data-safe additive")
 def fn_sum(evaluator, env, seq, zero_seq=None):
     atoms = atomize(seq)
     if not atoms:
@@ -449,28 +476,22 @@ def fn_sum(evaluator, env, seq, zero_seq=None):
     return [math.fsum(to_number(a) for a in atoms)]
 
 
-@_register("avg", 1)
+@_register("avg", 1, classes="value atom data-safe")
 def fn_avg(evaluator, env, seq):
-    atoms = atomize(seq)
-    if not atoms:
-        return []
-    return [math.fsum(to_number(a) for a in atoms) / len(atoms)]
+    numbers = [to_number(atom) for atom in atomize(seq)]
+    return [math.fsum(numbers) / len(numbers)] if numbers else []
 
 
-@_register("max", 1)
+@_register("max", 1, classes="value atom data-safe")
 def fn_max(evaluator, env, seq):
-    atoms = atomize(seq)
-    if not atoms:
-        return []
-    return [max(to_number(a) for a in atoms)]
+    numbers = [to_number(atom) for atom in atomize(seq)]
+    return [max(numbers)] if numbers else []
 
 
-@_register("min", 1)
+@_register("min", 1, classes="value atom data-safe")
 def fn_min(evaluator, env, seq):
-    atoms = atomize(seq)
-    if not atoms:
-        return []
-    return [min(to_number(a) for a in atoms)]
+    numbers = [to_number(atom) for atom in atomize(seq)]
+    return [min(numbers)] if numbers else []
 
 
 @_register("abs", 1)
@@ -483,28 +504,29 @@ def fn_abs(evaluator, env, seq):
     return [int(result) if isinstance(atom, int) else result]
 
 
-@_register("floor", 1)
-def fn_floor(evaluator, env, seq):
-    atom = _optional_atom(seq, "fn:floor")
+def _integral(seq: list, who: str, to_int: Callable[[float], int]) -> list:
+    """``to_int`` of one number; NaN and the infinities stay as they are
+    (F&O 6.4.3-6.4.5)."""
+    atom = _optional_atom(seq, who)
     if atom is None:
         return []
-    return [math.floor(to_number(atom))]
+    value = to_number(atom)
+    return [to_int(value) if math.isfinite(value) else value]
+
+
+@_register("floor", 1)
+def fn_floor(evaluator, env, seq):
+    return _integral(seq, "fn:floor", math.floor)
 
 
 @_register("ceiling", 1)
 def fn_ceiling(evaluator, env, seq):
-    atom = _optional_atom(seq, "fn:ceiling")
-    if atom is None:
-        return []
-    return [math.ceil(to_number(atom))]
+    return _integral(seq, "fn:ceiling", math.ceil)
 
 
 @_register("round", 1)
 def fn_round(evaluator, env, seq):
-    atom = _optional_atom(seq, "fn:round")
-    if atom is None:
-        return []
-    return [math.floor(to_number(atom) + 0.5)]
+    return _integral(seq, "fn:round", lambda value: math.floor(value + 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -512,34 +534,21 @@ def fn_round(evaluator, env, seq):
 # ---------------------------------------------------------------------------
 
 
-@_register("local-name", 0, 1, focus=0)
+@_register("local-name", 0, 1, focus=0, classes="value")
 def fn_local_name(evaluator, env, seq=None):
-    node = _context_or_single(env, seq, "fn:local-name")
-    if node is None:
-        return [""]
-    name = node.name
-    if ":" in name:
-        name = name.split(":", 1)[1]
-    return [name]
+    return [_node_name(env, seq, "fn:local-name").split(":", 1)[-1]]
 
 
-@_register("name", 0, 1, focus=0)
+@_register("name", 0, 1, focus=0, classes="value")
 def fn_name(evaluator, env, seq=None):
-    node = _context_or_single(env, seq, "fn:name")
-    if node is None:
-        return [""]
-    return [node.name]
+    return [_node_name(env, seq, "fn:name")]
 
 
-def _context_or_single(env, seq, who: str) -> Node | None:
-    if seq is None:
-        item = env.context_item
-        if not isinstance(item, Node):
-            raise XQueryDynamicError(f"{who} requires a context node")
-        return item
-    if not seq:
-        return None
-    return _single_node(seq, who)
+def _node_name(env, seq: list | None, who: str) -> str:
+    """The name of the node argument or the context node; "" for ()."""
+    if seq == []:
+        return ""
+    return _context_or_single(env, seq, who).name
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +556,14 @@ def _context_or_single(env, seq, who: str) -> Node | None:
 # ---------------------------------------------------------------------------
 
 
-@_register("position", 0, focus=0)
+@_register("position", 0, focus=0, classes="positional")
 def fn_position(evaluator, env):
     if not env.context_position:
         raise XQueryDynamicError("fn:position: no context")
     return [env.context_position]
 
 
-@_register("last", 0, focus=0)
+@_register("last", 0, focus=0, classes="positional")
 def fn_last(evaluator, env):
     if not env.context_size:
         raise XQueryDynamicError("fn:last: no context")

@@ -28,6 +28,7 @@ from repro.xquery.ast import (
     Step, TypeswitchCase, TypeswitchExpr, UnaryExpr, VarRef, XRPCExpr,
     XRPCParam,
 )
+from repro.xquery.functions import BUILTINS
 from repro.xquery.lexer import Lexer, Token, TokenType
 
 _AXES = {
@@ -40,6 +41,8 @@ _KIND_TESTS = {"node", "text", "comment"}
 
 #: fn: builtins keep their local name; other prefixes are preserved.
 _FN_PREFIX = "fn:"
+#: A declaration may not take one of these names, at any arity.
+_BUILTIN_NAMES = frozenset(name for name, _arity in BUILTINS)
 
 
 def canonical_function_name(name: str) -> str:
@@ -163,6 +166,11 @@ class _Parser:
         return_type = "item()*"
         if self.accept_name("as"):
             return_type = self.parse_sequence_type()
+        if name in _BUILTIN_NAMES:
+            # XQST0045: analyses know a built-in by its name alone.
+            raise self.lexer.error(
+                f"function {name}#{len(params)} takes a built-in's name",
+                name_token.offset)
         self.expect_symbol("{")
         body = self.parse_expr()
         self.expect_symbol("}")

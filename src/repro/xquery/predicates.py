@@ -42,6 +42,7 @@ from repro.xquery.ast import (
     ComparisonExpr, ContextItemExpr, Expr, FunCall, Literal, LiteralSlot,
     LogicalExpr, PathExpr, VALUE_COMPARISONS, VarRef, XRPCExpr,
 )
+from repro.xquery.functions import builtins_in
 from repro.xquery.xdm import UntypedAtomic, atomize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,10 +60,10 @@ _PROBE_AXES = frozenset({"self", "child", "attribute", "descendant"})
 #: Step axes whose name test may select elements *and* attributes.
 _EITHER_KIND_AXES = frozenset({"self", "ancestor-or-self"})
 
-#: Built-ins whose value is a boolean.
-_BOOLEAN_CALLS = frozenset({"not", "exists", "empty", "boolean", "true",
-                            "false", "contains", "starts-with",
-                            "ends-with", "deep-equal"})
+#: Built-ins whose value is a boolean, and those that read the context
+#: position or size.
+_ANSWERS_BOOLEAN = builtins_in("boolean")
+_READS_POSITION = builtins_in("positional")
 
 
 def _is_name_test(test: str) -> bool:
@@ -226,10 +227,10 @@ def position_free(expr: Expr) -> bool:
     definition — one pass for all contexts, and ``//T[p]`` may run as
     ``descendant::T[p]``."""
     if not (isinstance(expr, (ComparisonExpr, LogicalExpr, PathExpr))
-            or isinstance(expr, FunCall) and expr.name in _BOOLEAN_CALLS):
+            or isinstance(expr, FunCall) and expr.name in _ANSWERS_BOOLEAN):
         return False
     return not any(isinstance(node, FunCall) and not node.args
-                   and node.name in ("position", "last")
+                   and node.name in _READS_POSITION
                    for node in focus_nodes(expr))
 
 

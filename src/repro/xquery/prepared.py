@@ -37,6 +37,7 @@ from repro.xquery.ast import (
     VALUE_COMPARISONS, ComparisonExpr, Expr, FunCall, LiteralSlot, Module,
     walk,
 )
+from repro.xquery.functions import builtins_in
 from repro.xquery.parser import parse_expr, parse_query
 
 #: Entries kept per table, and literal bindings kept per shape. (The
@@ -62,7 +63,10 @@ _TOKEN = re.compile(
 _COMPARE = r"(?:!=|<=|>=|[=<>]|\b(?:eq|ne|lt|le|gt|ge)\b)"
 #: ``head`` ends in a comparison operator (not ``<<``, ``>>``, ``:=``).
 _COMPARED = re.compile(rf"(?<![<>:!=]){_COMPARE}\Z")
-_POSITIONAL = re.compile(r"(?:position|last)\s*\(\s*\)\Z")
+#: A call that reads the context position or size (``position()``).
+_READS_POSITION = builtins_in("positional")
+_POSITIONAL = re.compile(
+    rf"(?:{'|'.join(sorted(_READS_POSITION))})\s*\(\s*\)\Z")
 #: What follows makes the literal part of a larger operand, or makes
 #: the operator before it something else.
 _CONTINUES = re.compile(
@@ -155,7 +159,7 @@ def _slots_hold(root: Expr | Module, count: int) -> bool:
                                     (node.right, node.left)):
                     if isinstance(side, LiteralSlot) and not any(
                             isinstance(call, FunCall)
-                            and call.name in ("position", "last")
+                            and call.name in _READS_POSITION
                             for call in walk(other)):
                         held.add(side.index)
     return len(seen) == count and seen == held

@@ -29,6 +29,20 @@ class TestSequences:
         assert run("subsequence((1, 2, 3, 4), 2)") == [2, 3, 4]
         assert run("subsequence((1, 2, 3, 4), 2, 2)") == [2, 3]
 
+    @pytest.mark.parametrize("call, positions", [
+        ("subsequence($s, 2.5)", [3, 4, 5]),        # round half up
+        ("subsequence($s, 1.5, 2.5)", [2, 3, 4]),
+        ("subsequence($s, 0)", [1, 2, 3, 4, 5]),
+        ("subsequence($s, -1, 3)", [1]),
+        ('subsequence($s, number("x"))', []),       # NaN selects nothing
+        ('subsequence($s, 1, number("x"))', []),
+    ])
+    def test_subsequence_positions_follow_the_spec(self, call, positions):
+        """F&O 15.1.10: positions p with round(start) <= p < round(start)
+        + round(length), where Python's ``round`` rounded half to even
+        and raised on NaN."""
+        assert run(f"let $s := (1, 2, 3, 4, 5) return {call}") == positions
+
     def test_index_of(self):
         assert run("index-of((10, 20, 10), 10)") == [1, 3]
 
@@ -60,6 +74,19 @@ class TestStrings:
         assert run1('substring("hello", 2, 3)') == "ell"
         assert run1('substring-before("a=b", "=")') == "a"
         assert run1('substring-after("a=b", "=")') == "b"
+
+    @pytest.mark.parametrize("call, answer", [
+        ('substring("12345", 1.5, 2.6)', "234"),     # F&O 7.4.3's examples
+        ('substring("12345", 0, 3)', "12"),
+        ('substring("12345", 5, -3)', ""),
+        ('substring("12345", -3, 5)', "1"),
+        ('substring("12345", number("x"), 3)', ""),
+        ('substring-after("abc", "")', "abc"),       # "" is found at 0
+        ('substring-before("abc", "")', ""),
+        ('translate("abc", "aa", "xy")', "xbc"),     # the first mapping wins
+    ])
+    def test_string_functions_follow_the_spec(self, call, answer):
+        assert run1(call) == answer
 
     def test_normalize_case(self):
         assert run1('normalize-space("  a   b ")') == "a b"
@@ -95,6 +122,13 @@ class TestNumbers:
 
     def test_number_of_garbage_is_nan(self):
         assert math.isnan(run1('number("zz")'))
+
+    @pytest.mark.parametrize("name", ["floor", "ceiling", "round"])
+    def test_rounding_keeps_nan_and_infinity(self, name):
+        """F&O 6.4.3-6.4.5: NaN and the infinities come back unchanged
+        (``math.floor`` raised a bare ValueError on NaN)."""
+        assert math.isnan(run1(f'{name}(number("zz"))'))
+        assert run1(f'{name}(-number("INF"))') == -math.inf
 
 
 class TestBooleans:

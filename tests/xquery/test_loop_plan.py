@@ -116,7 +116,7 @@ def test_a_quantifier_stops_at_the_deciding_binding():
         module = parse_query(text)
         assert Evaluator(module).run(lifted) \
             == ReferenceEvaluator(module).run(nested)
-        assert lifted.counter.snapshot() == nested.counter.snapshot()
+        assert lifted.counter.mark() == nested.counter.mark()
 
 
 def test_every_axis_is_lifted():
